@@ -113,10 +113,11 @@ if ! printf '%s\n' "$flap_out" | \
 fi
 
 step "flowdiff-bench serve with a permanently stalled publisher (stall budget liveness)"
-# Conn 0 wedges for 3s mid-stream against a 200ms stall budget and a
-# 200ms heartbeat: the merge must waive it, epochs must keep flowing
-# with its diffs suppressed, and the reaper must kill the dead socket —
-# the run completes while the publisher is still asleep.
+# Conn 0's session stalls for 3s after 170 events against a 200ms stall
+# budget and a 200ms heartbeat: the merge must waive it, epochs must
+# keep flowing with its diffs suppressed, and the reaper must kill the
+# dead socket and retire the session nobody resumes — the run completes
+# while the publisher is still asleep.
 stall_out="$demo_dir/serve_stall.out"
 "$bench_bin" serve "$demo_dir/baseline.fcap" --listen 127.0.0.1:0 --publishers 2 \
     --stall-ms 200 --heartbeat-ms 200 \
@@ -137,7 +138,7 @@ fi
 # The stalled conn's write fails once the reaper cuts it, so publish
 # exits nonzero by design.
 "$bench_bin" publish "$demo_dir/current.fcap" --connect "$addr" --connections 2 \
-    --stall-after 20000 --stall-ms 3000 || true
+    --stall-after 170 --stall-ms 3000 || true
 wait "$stall_pid"
 grep '^stats: conn ' "$stall_out"
 grep '^stats: ingest ' "$stall_out"
@@ -183,60 +184,11 @@ if ! printf '%s\n' "$worker_drill_out" | grep -q '^recovery: 100.0% fidelity'; t
     exit 1
 fi
 
-step "flowdiff-bench shardbench (persistent pipeline, byte-identity gate + BENCH_shard.json)"
-shardbench_out="$(cargo run --release -q -p flowdiff-bench --bin flowdiff-bench -- \
-    shardbench --shards 4)"
-printf '%s\n' "$shardbench_out"
-if ! printf '%s\n' "$shardbench_out" | grep -q '^identity: ok'; then
-    echo "FAIL: shardbench snapshots not byte-identical across shard counts" >&2
-    exit 1
-fi
-if [ ! -s BENCH_shard.json ]; then
-    echo "FAIL: shardbench did not write BENCH_shard.json" >&2
-    exit 1
-fi
-if ! grep -q '"pipeline": "persistent"' BENCH_shard.json; then
-    echo "FAIL: BENCH_shard.json does not record the persistent pipeline" >&2
-    exit 1
-fi
-cores="$(nproc 2>/dev/null || echo 1)"
-if [ "$cores" -ge 4 ]; then
-    # Parallel speedup is only a fair ask when the runner has the cores.
-    if ! awk -F': ' '/"speedup"/ { gsub(/,/, "", $2); exit !($2 >= 1.0) }' BENCH_shard.json; then
-        echo "FAIL: sharded throughput below single-shard on a ${cores}-core runner" >&2
-        exit 1
-    fi
-else
-    echo "INFO: ${cores} core(s); skipping speedup assertion (identity still gated)"
-fi
-
-step "flowdiff-bench hotpathbench (perf trajectory + no-regression gate)"
-hotpath_out="$(cargo run --release -q -p flowdiff-bench --bin flowdiff-bench -- \
-    hotpathbench)"
-printf '%s\n' "$hotpath_out" | tail -n 6
-if [ ! -s BENCH_hotpath.json ]; then
-    echo "FAIL: hotpathbench did not write BENCH_hotpath.json" >&2
-    exit 1
-fi
-entries="$(grep -c '"schema"' BENCH_hotpath.json || true)"
-if [ "$entries" -lt 1 ]; then
-    echo "FAIL: BENCH_hotpath.json holds no trajectory entries" >&2
-    exit 1
-fi
-if [ "$cores" -ge 2 ] && [ "$entries" -ge 2 ]; then
-    # The fresh entry must hold at least 80% of the previous recording's
-    # events/s. Single-core runners time-share the benchmark with
-    # everything else and are too noisy to gate on; the trajectory is
-    # still recorded there.
-    if ! awk -F'"events_per_sec": ' '/"events_per_sec"/ { sub(/,.*/, "", $2); v[n++] = $2 } \
-            END { exit !(n >= 2 && v[n-1] >= 0.8 * v[n-2]) }' BENCH_hotpath.json; then
-        echo "FAIL: hotpathbench events/s regressed >20% vs the previous entry" >&2
-        exit 1
-    fi
-    echo "hotpath throughput within tolerance of the previous entry ($entries entries)"
-else
-    echo "INFO: ${cores} core(s), ${entries} entries; skipping hotpath regression gate"
-fi
+step "benchmark harness builds and tests against the workspace crates"
+# benchmark/ is its own cargo workspace with path deps on crates/*: a
+# public-API deletion that breaks it must fail here, not in the next
+# benchmark run.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 step "cargo bench --no-run (benches must compile)"
 cargo bench --no-run -q

@@ -28,8 +28,6 @@ fn main() -> ExitCode {
         Some("chaos") => run(cmd_chaos(&args[1..])),
         Some("flapdrill") => run(cmd_flapdrill(&args[1..])),
         Some("crashdrill") => run(cmd_crashdrill(&args[1..])),
-        Some("shardbench") => run(cmd_shardbench(&args[1..])),
-        Some("hotpathbench") => run(cmd_hotpathbench(&args[1..])),
         Some(other) => {
             eprintln!("unknown subcommand: {other}");
             usage();
@@ -54,16 +52,14 @@ fn usage() {
          [--window-secs N] [--shards N] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [publish <current.fcap> --connect HOST:PORT [--connections N] \
-         [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] [--session] \
+         [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] \
          [--retry-budget N] [--backoff-ms N] [--flaps N] \
-         [--stall-after BYTES --stall-ms N]]\n       \
+         [--stall-after EVENTS --stall-ms N]]\n       \
          flowdiff-bench [chaos [--seed N] [--corruption RATE] \
          [--skew-us N] [--jitter-us N] [--shards N] [--wire] [--connections N]]\n       \
          flowdiff-bench [flapdrill [--seed N] [--flaps N] [--stalls N] [--trickles N] \
          [--connections N] [--shards N] [--merge-stall-ms N]]\n       \
-         flowdiff-bench [crashdrill [--seed N] [--kills N] [--shards N] [--kill-worker]]\n       \
-         flowdiff-bench [shardbench [--shards N] [--out <path>]]\n       \
-         flowdiff-bench [hotpathbench [--out <path>]]"
+         flowdiff-bench [crashdrill [--seed N] [--kills N] [--shards N] [--kill-worker]]"
     );
 }
 
@@ -127,11 +123,8 @@ fn print_index() {
     println!("  cargo run --release -p flowdiff-bench -- crashdrill --seed 1 --kills 3");
     println!("  cargo run --release -p flowdiff-bench -- crashdrill --shards 4 --kill-worker");
     println!();
-    println!("Sharding benchmark (byte-identity + throughput, writes BENCH_shard.json):");
-    println!("  cargo run --release -p flowdiff-bench -- shardbench --shards 4");
-    println!();
-    println!("Hot-path benchmark (incremental snapshots, appends to BENCH_hotpath.json):");
-    println!("  cargo run --release -p flowdiff-bench -- hotpathbench");
+    println!("End-to-end and per-layer benchmark (four workloads, see benchmark/README.md):");
+    println!("  benchmark/run.sh");
     println!();
     println!("Criterion benchmarks: cargo bench --workspace");
 }
@@ -345,8 +338,8 @@ fn cmd_watch(args: &[String]) -> CliResult {
 }
 
 /// `serve`: `watch` with the current capture arriving over TCP. Binds a
-/// listen socket, waits for `--publishers` connections speaking the
-/// `.fcap` wire format (8-byte magic handshake, then frames), decodes
+/// listen socket, waits for `--publishers` session streams (`FDIFFSES`
+/// handshake, then `.fcap`-framed bytes in `Data` records), decodes
 /// each connection incrementally with resynchronization, re-sequences
 /// the streams through a `(timestamp, connection)` merge, and drives
 /// the same supervised differ as `watch` — for publishers produced by
@@ -527,7 +520,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
             report_latency(snapshot.epoch, timings);
         },
     )?;
+    let refused = live.refused();
     let reports = live.finish();
+    if refused > 0 {
+        println!("stats: refused {refused} connection(s) that did not open a session");
+    }
     for r in &reports {
         for e in &r.first_errors {
             eprintln!("warning: conn {}: {e} (resynchronized)", r.index);
@@ -566,9 +563,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// `publish`: the replay client for `serve`. Reads a capture, deals it
 /// across `--connections` publisher streams (equal-timestamp runs never
 /// straddle streams, so the server's merge reconstructs the capture
-/// order exactly), and replays every stream concurrently over TCP —
-/// optionally through the seeded [`ChannelChaos`] network-fault proxy
-/// (each connection gets its own derived seed).
+/// order exactly), and replays every stream concurrently as a session
+/// publisher: resumable, behind an optional connection-fault plan
+/// (`--flaps`, `--stall-after`), or — through the seeded
+/// [`ChannelChaos`] network-fault proxy, each connection with its own
+/// derived seed — as a one-shot mangled payload.
 fn cmd_publish(args: &[String]) -> CliResult {
     if args.is_empty() {
         usage();
@@ -580,7 +579,6 @@ fn cmd_publish(args: &[String]) -> CliResult {
     let mut seed: u64 = 1;
     let mut skew_us: u64 = 0;
     let mut jitter_us: u64 = 0;
-    let mut session = false;
     let mut retry_budget: u32 = 0;
     let mut backoff_ms: u64 = 200;
     let mut flaps: usize = 0;
@@ -605,7 +603,6 @@ fn cmd_publish(args: &[String]) -> CliResult {
             "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
             "--skew-us" => skew_us = it.next().ok_or("--skew-us needs a number")?.parse()?,
             "--jitter-us" => jitter_us = it.next().ok_or("--jitter-us needs a number")?.parse()?,
-            "--session" => session = true,
             "--retry-budget" => {
                 retry_budget = it.next().ok_or("--retry-budget needs a count")?.parse()?;
             }
@@ -616,7 +613,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
             "--stall-after" => {
                 stall_after = it
                     .next()
-                    .ok_or("--stall-after needs a byte count")?
+                    .ok_or("--stall-after needs an event count")?
                     .parse()?;
             }
             "--stall-ms" => stall_ms = it.next().ok_or("--stall-ms needs a number")?.parse()?,
@@ -624,17 +621,14 @@ fn cmd_publish(args: &[String]) -> CliResult {
         }
     }
     let connect = connect.ok_or("publish needs --connect HOST:PORT")?;
-    // `--retry-budget`/`--flaps` only make sense on resumable streams.
-    let session = session || retry_budget > 0 || flaps > 0;
-    if session && (chaos_rate > 0.0 || skew_us > 0 || jitter_us > 0) {
-        return Err("--chaos/--skew-us/--jitter-us mangle legacy streams; \
-                    they cannot combine with --session/--flaps/--retry-budget"
-            .into());
-    }
-    if session && stall_after > 0 {
-        return Err("--stall-after paces a legacy stream; \
-                    use --flaps for session-mode faults"
-            .into());
+    let mangled = chaos_rate > 0.0 || skew_us > 0 || jitter_us > 0;
+    if mangled && (retry_budget > 0 || flaps > 0 || stall_after > 0) {
+        return Err(
+            "--chaos/--skew-us/--jitter-us corrupt the stream, which makes the \
+             event-count resume watermark meaningless: a mangled stream is sent \
+             one-shot and cannot combine with --flaps/--retry-budget/--stall-after"
+                .into(),
+        );
     }
 
     // Tolerant decode, like `watch`: a capture with a bad write is
@@ -653,45 +647,41 @@ fn cmd_publish(args: &[String]) -> CliResult {
     }
     let log: ControllerLog = events.into_iter().collect();
 
-    let base_chaos = if chaos_rate > 0.0 || skew_us > 0 || jitter_us > 0 {
-        Some(ChannelChaos {
-            reorder_jitter_us: jitter_us,
-            clock_skew_us: skew_us,
-            seed,
-            ..ChannelChaos::corruption(chaos_rate, seed)
-        })
-    } else {
-        None
-    };
     let mut handles = Vec::new();
     for (i, part) in split_capture(&log, connections).into_iter().enumerate() {
         let addr = connect.clone();
-        if session {
-            let opts = SessionOptions {
-                session: seed.wrapping_mul(0x10_000).wrapping_add(i as u64),
-                retry_budget,
-                backoff_us: backoff_ms.saturating_mul(1_000),
-                plan: (flaps > 0).then(|| {
-                    ConnChaos::flapping(flaps, seed).plan_for(i as u64, part.len() as u64)
-                }),
+        let session = seed.wrapping_mul(0x10_000).wrapping_add(i as u64);
+        if mangled {
+            let chaos = ChannelChaos {
+                reorder_jitter_us: jitter_us,
+                clock_skew_us: skew_us,
+                ..ChannelChaos::corruption(chaos_rate, seed.wrapping_add(i as u64))
             };
             handles.push(std::thread::spawn(move || {
-                publish_session(addr.as_str(), &part, &opts)
+                publish_mangled(addr.as_str(), &part, &chaos, session)
             }));
-        } else {
-            let chaos = base_chaos.clone().map(|mut c| {
-                c.seed = c.seed.wrapping_add(i as u64);
-                c
-            });
-            // Only the first connection is paced: one wedged publisher
-            // among healthy siblings is exactly the stalled-source
-            // scenario the serve smoke drills.
-            let stall = (stall_after > 0 && i == 0)
-                .then(|| (stall_after, std::time::Duration::from_millis(stall_ms)));
-            handles.push(std::thread::spawn(move || {
-                publish_capture_paced(addr.as_str(), &part, chaos.as_ref(), stall)
-            }));
+            continue;
         }
+        let mut faults = Vec::new();
+        if flaps > 0 {
+            let plan = ConnChaos::flapping(flaps, seed).plan_for(i as u64, part.len() as u64);
+            faults.extend_from_slice(plan.pending());
+        }
+        // Only the first connection is stalled: one wedged publisher
+        // among healthy siblings is exactly the stalled-source scenario
+        // the serve smoke drills.
+        if stall_after > 0 && i == 0 {
+            faults.push((stall_after, ConnFault::Stall { ms: stall_ms }));
+        }
+        let opts = SessionOptions {
+            session,
+            retry_budget,
+            backoff_us: backoff_ms.saturating_mul(1_000),
+            plan: Some(ConnPlan::at(faults)),
+        };
+        handles.push(std::thread::spawn(move || {
+            publish_session(addr.as_str(), &part, &opts)
+        }));
     }
     let mut total = PublishReport::default();
     let mut first_err: Option<String> = None;
@@ -720,14 +710,10 @@ fn cmd_publish(args: &[String]) -> CliResult {
                 c.bit_flipped,
                 c.reordered
             ),
-            None if session => println!(
+            None => println!(
                 "publish: conn {i} sent {} bytes, {} events ({} connect(s), \
                  {} resume(s), {} retry(s), {} fault(s))",
                 r.bytes_sent, r.events, r.connects, r.resumes, r.retries, r.faults
-            ),
-            None => println!(
-                "publish: conn {i} sent {} bytes, {} events",
-                r.bytes_sent, r.events
             ),
         }
         total.bytes_sent += r.bytes_sent;
@@ -1220,12 +1206,12 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     let (clean_keys, clean_health, chaos_keys, chaos_health) = if wire {
         // Wire drill: both runs go through an in-process loopback
         // serve pipeline — split across `connections` publisher
-        // streams, the chaos run mangling each stream independently
+        // sessions, the chaos run mangling each stream independently
         // (per-connection derived seeds), like real skewed taps would.
         println!("wire: loopback ingest over {connections} publisher connection(s)");
-        let (chaos_keys, chaos_health, mangled) = wire_changes(
+        let (chaos_keys, chaos_health, _, mangled) = wire_session_changes(
             &current_log,
-            Some(&chaos),
+            WireFaults::Channel(&chaos),
             connections,
             baseline.clone(),
             stability.clone(),
@@ -1242,9 +1228,9 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             mangled.bit_flipped,
             mangled.reordered,
         );
-        let (clean_keys, clean_health, _) = wire_changes(
+        let (clean_keys, clean_health, ..) = wire_session_changes(
             &current_log,
-            None,
+            WireFaults::Clean,
             connections,
             baseline,
             stability,
@@ -1366,18 +1352,18 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
          {merge_stall_ms} ms, {n_shards} shard(s)"
     );
 
-    let (clean_keys, clean_health, _) = wire_session_changes(
+    let (clean_keys, clean_health, ..) = wire_session_changes(
         &current_log,
-        None,
+        WireFaults::Clean,
         connections,
         baseline.clone(),
         stability.clone(),
         &config,
         n_shards,
     )?;
-    let (drill_keys, drill_health, reports) = wire_session_changes(
+    let (drill_keys, drill_health, reports, _) = wire_session_changes(
         &current_log,
-        Some(&chaos),
+        WireFaults::Conn(&chaos),
         connections,
         baseline,
         stability,
@@ -1615,320 +1601,6 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `shardbench`: stream the 320-server capture through the single
-/// pipeline and through `--shards N` workers, assert every epoch
-/// snapshot is byte-identical between the two, and write the
-/// throughput/merge/memory figures to `BENCH_shard.json`.
-fn cmd_shardbench(args: &[String]) -> CliResult {
-    let mut n_shards: usize = 4;
-    let mut out = PathBuf::from("BENCH_shard.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards < 2 {
-                    return Err("--shards must be at least 2 (1 is the single baseline)".into());
-                }
-            }
-            "--out" => out = it.next().ok_or("--out needs a path")?.into(),
-            other => return Err(format!("unknown flag: {other}").into()),
-        }
-    }
-
-    let (baseline_log, config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
-    let events: Vec<ControlEvent> = current_log.events().to_vec();
-    println!(
-        "shardbench: {} events, 320-server tree capture, 1 vs {n_shards} shard(s)",
-        events.len()
-    );
-
-    // Single-pipeline reference pass, timed.
-    let mut single = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?;
-    let t0 = std::time::Instant::now();
-    let mut single_snaps: Vec<Vec<u8>> = Vec::new();
-    for event in &events {
-        for snap in single.observe(event) {
-            single_snaps.push(serde::to_vec(&snap));
-        }
-    }
-    if let Some(last) = single.finish() {
-        single_snaps.push(serde::to_vec(&last));
-    }
-    let single_secs = t0.elapsed().as_secs_f64();
-
-    // Sharded pass, timed, sampling worker load and the persistent
-    // pipeline's channel gauges at each boundary.
-    let mut sharded = ShardedDiffer::try_new(baseline, stability, &config, n_shards)?;
-    let t0 = std::time::Instant::now();
-    let mut sharded_snaps: Vec<Vec<u8>> = Vec::new();
-    let mut peak_open_episodes: usize = 0;
-    let mut queue_depth_peak: u64 = 0;
-    let mut busy_sum: u64 = 0;
-    let mut busy_samples: u64 = 0;
-    for event in &events {
-        let snaps = sharded.observe(event);
-        if !snaps.is_empty() {
-            let timings = sharded.take_timings();
-            queue_depth_peak = queue_depth_peak.max(timings.queue_depth_peak);
-            busy_sum += timings.worker_busy_pct;
-            busy_samples += 1;
-            let open: usize = sharded.shard_stats().iter().map(|s| s.open_episodes).sum();
-            peak_open_episodes = peak_open_episodes.max(open);
-        }
-        for snap in snaps {
-            sharded_snaps.push(serde::to_vec(&snap));
-        }
-    }
-    let merge_us = sharded.merge_micros();
-    if let Some(last) = sharded.finish() {
-        sharded_snaps.push(serde::to_vec(&last));
-    }
-    let sharded_secs = t0.elapsed().as_secs_f64();
-
-    if single_snaps != sharded_snaps {
-        let first_bad = single_snaps
-            .iter()
-            .zip(&sharded_snaps)
-            .position(|(a, b)| a != b)
-            .unwrap_or(single_snaps.len().min(sharded_snaps.len()));
-        return Err(format!(
-            "identity: FAILED — {n_shards}-shard snapshots diverge from single-shard \
-             at epoch {first_bad} ({} vs {} snapshots)",
-            single_snaps.len(),
-            sharded_snaps.len()
-        )
-        .into());
-    }
-    println!(
-        "identity: ok ({} epoch snapshots byte-identical across 1 and {n_shards} shard(s))",
-        single_snaps.len()
-    );
-
-    let single_eps = events.len() as f64 / single_secs;
-    let sharded_eps = events.len() as f64 / sharded_secs;
-    let worker_busy_pct_avg = busy_sum.checked_div(busy_samples).unwrap_or(0);
-    println!(
-        "throughput: single {single_eps:.0} events/s, sharded({n_shards}) {sharded_eps:.0} \
-         events/s (x{:.2}); merge {merge_us} us total",
-        sharded_eps / single_eps
-    );
-    println!(
-        "pipeline: persistent ({n_shards} long-lived workers); queue depth peak \
-         {queue_depth_peak} batch(es), busiest worker avg {worker_busy_pct_avg}% of epoch wall"
-    );
-    if nproc() < 4 {
-        println!(
-            "INFO: only {} core(s) visible — a parallel speedup is not expected below \
-             4 cores, so read the x-figure as overhead, not scaling; CI gates byte \
-             identity unconditionally and speedup only when nproc >= 4",
-            nproc()
-        );
-    }
-    let vm_hwm_kb = vm_hwm_kb();
-    if let Some(kb) = vm_hwm_kb {
-        println!("memory: peak RSS {kb} KiB; peak open episodes {peak_open_episodes}");
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"flowdiff.shardbench/3\",\n  \
-         \"capture\": \"{BENCH_CAPTURE}\",\n  \"pipeline\": \"persistent\",\n  \
-         \"nproc\": {},\n  \
-         \"events\": {},\n  \"epoch_snapshots\": {},\n  \"shards\": {n_shards},\n  \
-         \"single_events_per_sec\": {single_eps:.1},\n  \
-         \"sharded_events_per_sec\": {sharded_eps:.1},\n  \
-         \"speedup\": {:.3},\n  \"merge_us_total\": {merge_us},\n  \
-         \"queue_depth_peak\": {queue_depth_peak},\n  \
-         \"worker_busy_pct_avg\": {worker_busy_pct_avg},\n  \
-         \"peak_open_episodes\": {peak_open_episodes},\n  \"vm_hwm_kb\": {}\n}}\n",
-        nproc(),
-        events.len(),
-        single_snaps.len(),
-        sharded_eps / single_eps,
-        vm_hwm_kb
-            .map(|kb| kb.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-    );
-    flowdiff::checkpoint::atomic_write(&out, json.as_bytes())?;
-    println!("shardbench: wrote {}", out.display());
-    Ok(())
-}
-
-/// Name of the capture both throughput benchmarks run on, recorded in
-/// their JSON output so trajectory entries are only compared like for
-/// like.
-const BENCH_CAPTURE: &str = "tree16x20-9apps-6s";
-
-/// Schema tag for [`cmd_hotpathbench`]'s trajectory entries.
-const HOTPATH_SCHEMA: &str = "flowdiff.hotpath/1";
-
-/// `hotpathbench`: measure the single-pipeline hot path on the
-/// 320-server capture — zero-copy wire decode feeding the incremental
-/// online differ — and append one machine-readable entry to the
-/// `BENCH_hotpath.json` trajectory: events/s (from pre-decoded events,
-/// comparable across entries, and end-to-end from wire bytes), the
-/// per-epoch stage averages from [`OnlineDiffer::take_timings`], and
-/// the average snapshot cost at 1x and 4x the analysis window (flat
-/// when snapshots are deltas, linear when each epoch remodels).
-fn cmd_hotpathbench(args: &[String]) -> CliResult {
-    let mut out = PathBuf::from("BENCH_hotpath.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().ok_or("--out needs a path")?.into(),
-            other => return Err(format!("unknown flag: {other}").into()),
-        }
-    }
-
-    let (baseline_log, config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
-    let wire = bytes::Bytes::from(current_log.to_wire_bytes());
-    let events: Vec<ControlEvent> = current_log.events().to_vec();
-    println!(
-        "hotpathbench: {} events ({} KiB on the wire), capture {BENCH_CAPTURE}",
-        events.len(),
-        wire.len().div_ceil(1024)
-    );
-
-    // Pass 1: observe-only over pre-decoded events. This is the figure
-    // the trajectory gates on — it isolates the differ hot path and is
-    // directly comparable to shardbench's single-pipeline number.
-    let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?;
-    let t0 = std::time::Instant::now();
-    let mut epochs = 0u64;
-    let mut stage_sum = EpochTimings::default();
-    for event in &events {
-        let snaps = differ.observe(event);
-        if !snaps.is_empty() {
-            epochs += snaps.len() as u64;
-            stage_sum.add(differ.take_timings());
-        }
-    }
-    let _ = differ.finish();
-    let events_per_sec = events.len() as f64 / t0.elapsed().as_secs_f64();
-
-    // Pass 2: end to end from wire bytes through the shared-buffer
-    // zero-copy decoder — what a deployed tap actually pays.
-    let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?;
-    let t0 = std::time::Instant::now();
-    let mut decoded = 0u64;
-    for event in LogStream::from_wire_capture(wire.clone())?.flatten() {
-        differ.observe(event.as_ref());
-        decoded += 1;
-    }
-    let _ = differ.finish();
-    let wire_events_per_sec = decoded as f64 / t0.elapsed().as_secs_f64();
-
-    // Pass 3: snapshot cost vs window size. A remodel-per-epoch design
-    // scales with the window; the delta path must stay flat.
-    let snapshot_us_at = |mult: u64| -> Result<u64, Box<dyn std::error::Error>> {
-        let mut wide = config.clone();
-        wide.online_window_us *= mult;
-        wide.validate()?;
-        let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &wide)?;
-        let mut sum = EpochTimings::default();
-        let mut n = 0u64;
-        for event in &events {
-            let snaps = differ.observe(event);
-            if !snaps.is_empty() {
-                n += snaps.len() as u64;
-                sum.add(differ.take_timings());
-            }
-        }
-        Ok(sum.snapshot_us / n.max(1))
-    };
-    let snapshot_us_w1 = snapshot_us_at(1)?;
-    let snapshot_us_w4 = snapshot_us_at(4)?;
-
-    let avg = |us: u64| us / epochs.max(1);
-    println!(
-        "throughput: {events_per_sec:.0} events/s observe-only, {wire_events_per_sec:.0} \
-         events/s from wire ({epochs} epochs)"
-    );
-    println!(
-        "latency avg/epoch: retire_us {} observe_us {} snapshot_us {} diff_us {}",
-        avg(stage_sum.retire_us),
-        avg(stage_sum.observe_us),
-        avg(stage_sum.snapshot_us),
-        avg(stage_sum.diff_us)
-    );
-    println!(
-        "window scaling: snapshot {snapshot_us_w1} us at 1x window, {snapshot_us_w4} us at 4x"
-    );
-    let vm_hwm = vm_hwm_kb();
-    if let Some(kb) = vm_hwm {
-        println!("memory: peak RSS {kb} KiB");
-    }
-
-    let entry = format!(
-        "{{\"schema\": \"{HOTPATH_SCHEMA}\", \"capture\": \"{BENCH_CAPTURE}\", \
-         \"nproc\": {}, \"events\": {}, \"epochs\": {epochs}, \
-         \"events_per_sec\": {events_per_sec:.1}, \
-         \"wire_events_per_sec\": {wire_events_per_sec:.1}, \
-         \"avg_retire_us\": {}, \"avg_observe_us\": {}, \"avg_snapshot_us\": {}, \
-         \"avg_diff_us\": {}, \"snapshot_us_window_x1\": {snapshot_us_w1}, \
-         \"snapshot_us_window_x4\": {snapshot_us_w4}, \"vm_hwm_kb\": {}}}",
-        nproc(),
-        events.len(),
-        avg(stage_sum.retire_us),
-        avg(stage_sum.observe_us),
-        avg(stage_sum.snapshot_us),
-        avg(stage_sum.diff_us),
-        vm_hwm
-            .map(|kb| kb.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-    );
-    let appended = append_trajectory(&out, &entry)?;
-    println!(
-        "hotpathbench: appended entry {appended} to {}",
-        out.display()
-    );
-    Ok(())
-}
-
-/// Appends one single-line JSON object to a JSON-array trajectory file
-/// (created on first use), keeping every entry on its own line so shell
-/// tooling can gate on the latest two with `grep`/`awk`. Returns the
-/// new entry count.
-fn append_trajectory(path: &Path, entry: &str) -> Result<usize, Box<dyn std::error::Error>> {
-    let mut entries: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with('{') {
-                entries.push(line.to_string());
-            }
-        }
-    }
-    entries.push(entry.to_string());
-    let body = entries.join(",\n");
-    flowdiff::checkpoint::atomic_write(path, format!("[\n{body}\n]\n").as_bytes())?;
-    Ok(entries.len())
-}
-
-/// Worker threads available to this process.
-fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Peak resident set size of this process in KiB, from
-/// `/proc/self/status` (`None` off Linux).
-fn vm_hwm_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|kb| kb.parse().ok())
-}
-
 /// Streams capture bytes through an online differ (single or sharded,
 /// per `n_shards`) and returns the union over all epochs of confirmed
 /// change keys, plus the ingestion health counters. Decode errors are
@@ -1964,70 +1636,6 @@ fn stream_changes(
     Ok((keys, health))
 }
 
-/// Like [`stream_changes`], but over the wire: deals the capture
-/// across `connections` loopback publisher threads (each optionally
-/// behind its own seeded [`ChannelChaos`] proxy), ingests through
-/// [`IngestServer`], and feeds the `(timestamp, connection)` merge
-/// straight into the differ — events are diffed as they arrive, bounded
-/// by the per-connection queues. Returns the confirmed-change keys, the
-/// health counters (per-connection stream stats absorbed), and the
-/// summed ground-truth chaos report.
-fn wire_changes(
-    log: &ControllerLog,
-    chaos: Option<&ChannelChaos>,
-    connections: usize,
-    baseline: BehaviorModel,
-    stability: StabilityReport,
-    config: &FlowDiffConfig,
-    n_shards: usize,
-) -> Result<
-    (
-        BTreeSet<String>,
-        flowdiff::records::IngestHealth,
-        ChaosReport,
-    ),
-    Box<dyn std::error::Error>,
-> {
-    let server = IngestServer::bind("127.0.0.1:0")?;
-    let addr = server.local_addr()?;
-    let mut live = server.live(
-        connections,
-        config.ingest_queue_events,
-        LiveOptions::default(),
-    )?;
-    let mut publishers = Vec::new();
-    for (i, part) in split_capture(log, connections).into_iter().enumerate() {
-        let chaos = chaos.cloned().map(|mut c| {
-            c.seed = c.seed.wrapping_add(i as u64);
-            c
-        });
-        publishers.push(std::thread::spawn(move || {
-            publish_capture(addr, &part, chaos.as_ref())
-        }));
-    }
-    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config, n_shards)?;
-    for r in live.finish() {
-        health.absorb_stream(r.stats);
-        health.absorb_conn(r.stalls, r.disconnects, r.resumes);
-    }
-    let mut mangled = ChaosReport::default();
-    for publisher in publishers {
-        let sent = publisher
-            .join()
-            .expect("publisher thread must not panic")
-            .map_err(|e| format!("publish: {e}"))?;
-        if let Some(c) = sent.chaos {
-            mangled.total_frames += c.total_frames;
-            mangled.dropped += c.dropped;
-            mangled.duplicated += c.duplicated;
-            mangled.truncated += c.truncated;
-            mangled.bit_flipped += c.bit_flipped;
-            mangled.reordered += c.reordered;
-        }
-    }
-    Ok((keys, health, mangled))
-}
-
 /// Drains a live merge through a fresh differ (single or sharded) and
 /// returns the union of confirmed change keys plus the differ's health.
 fn drain_merge(
@@ -2057,16 +1665,31 @@ fn drain_merge(
     Ok((keys, health))
 }
 
-/// Like [`wire_changes`], but with **session** publishers — resumable
-/// streams with bounded retry — each optionally behind a seeded
-/// [`ConnChaos`] connection-fault plan (mid-stream disconnects that
-/// resume from the server's watermark, write stalls, slow-loris
-/// trickle). Returns the confirmed-change keys, the folded health, and
-/// the per-stream connection reports.
+/// What a loopback drill puts between its publishers and the server.
+#[derive(Clone, Copy)]
+enum WireFaults<'a> {
+    Clean,
+    /// Byte-level mangling: each publisher sends its stream one-shot
+    /// through its own derived-seed [`ChannelChaos`] proxy.
+    Channel(&'a ChannelChaos),
+    /// Connection faults: each publisher follows a seeded [`ConnChaos`]
+    /// plan (mid-stream disconnects that resume from the server's
+    /// watermark, write stalls, slow-loris trickle).
+    Conn(&'a ConnChaos),
+}
+
+/// Like [`stream_changes`], but over the wire: deals the capture
+/// across `connections` loopback session publishers (faulted per
+/// `faults`), ingests through [`IngestServer`], and feeds the
+/// `(timestamp, connection)` merge straight into the differ — events
+/// are diffed as they arrive, bounded by the per-connection queues.
+/// Returns the confirmed-change keys, the folded health (per-connection
+/// stream stats absorbed), the per-stream connection reports, and the
+/// summed ground truth of any byte-level mangling.
 #[allow(clippy::type_complexity)]
 fn wire_session_changes(
     log: &ControllerLog,
-    chaos: Option<&ConnChaos>,
+    faults: WireFaults<'_>,
     connections: usize,
     baseline: BehaviorModel,
     stability: StabilityReport,
@@ -2077,6 +1700,7 @@ fn wire_session_changes(
         BTreeSet<String>,
         flowdiff::records::IngestHealth,
         Vec<netsim::net::ConnReport>,
+        ChaosReport,
     ),
     Box<dyn std::error::Error>,
 > {
@@ -2092,11 +1716,25 @@ fn wire_session_changes(
     )?;
     let mut publishers = Vec::new();
     for (i, part) in split_capture(log, connections).into_iter().enumerate() {
+        let session = 0xF1A9_0000 + i as u64;
+        if let WireFaults::Channel(chaos) = faults {
+            let chaos = ChannelChaos {
+                seed: chaos.seed.wrapping_add(i as u64),
+                ..chaos.clone()
+            };
+            publishers.push(std::thread::spawn(move || {
+                publish_mangled(addr, &part, &chaos, session)
+            }));
+            continue;
+        }
         let opts = SessionOptions {
-            session: 0xF1A9_0000 + i as u64,
+            session,
             retry_budget: config.publish_retry_budget.max(2),
             backoff_us: config.publish_backoff_us,
-            plan: chaos.map(|c| c.plan_for(i as u64, part.len() as u64)),
+            plan: match faults {
+                WireFaults::Conn(chaos) => Some(chaos.plan_for(i as u64, part.len() as u64)),
+                _ => None,
+            },
         };
         publishers.push(std::thread::spawn(move || {
             publish_session(addr, &part, &opts)
@@ -2108,13 +1746,22 @@ fn wire_session_changes(
         health.absorb_stream(r.stats);
         health.absorb_conn(r.stalls, r.disconnects, r.resumes);
     }
+    let mut mangled = ChaosReport::default();
     for publisher in publishers {
-        publisher
+        let sent = publisher
             .join()
             .expect("publisher thread must not panic")
             .map_err(|e| format!("publish: {e}"))?;
+        if let Some(c) = sent.chaos {
+            mangled.total_frames += c.total_frames;
+            mangled.dropped += c.dropped;
+            mangled.duplicated += c.duplicated;
+            mangled.truncated += c.truncated;
+            mangled.bit_flipped += c.bit_flipped;
+            mangled.reordered += c.reordered;
+        }
     }
-    Ok((keys, health, reports))
+    Ok((keys, health, reports, mangled))
 }
 
 /// Keys a diff's changes by signature, direction, and implicated

@@ -70,9 +70,13 @@ fn serve_loopback(
         .live(n, queue, LiveOptions::default())
         .expect("live ingest");
     let mut publishers = Vec::new();
-    for part in split_capture(log, n) {
+    for (i, part) in split_capture(log, n).into_iter().enumerate() {
+        let opts = SessionOptions {
+            session: i as u64,
+            ..SessionOptions::default()
+        };
         publishers.push(std::thread::spawn(move || {
-            publish_capture(addr, &part, None).expect("publish")
+            publish_session(addr, &part, &opts).expect("publish")
         }));
     }
     let events: Vec<ControlEvent> = live.take_merge().collect();
@@ -152,7 +156,7 @@ fn chaos_connection_accounting_matches_batch_decode_exactly() {
         let expected_stats = batch.stats();
 
         let publisher = std::thread::spawn(move || {
-            publish_capture(addr, &part, Some(&chaos)).expect("publish")
+            publish_mangled(addr, &part, &chaos, i as u64).expect("publish")
         });
         // One connection at a time: no accept-order ambiguity.
         let mut live = server
@@ -162,10 +166,11 @@ fn chaos_connection_accounting_matches_batch_decode_exactly() {
         let reports = live.finish();
         let sent = publisher.join().expect("publisher thread");
 
-        assert_eq!(sent.bytes_sent, expected_bytes.len() as u64);
+        // On the wire the mangled bytes travel inside session records.
+        assert!(sent.bytes_sent > expected_bytes.len() as u64);
         let r = &reports[0];
         assert!(r.handshake_ok);
-        assert_eq!(r.bytes_read, expected_bytes.len() as u64, "conn {i}");
+        assert_eq!(r.bytes_read, sent.bytes_sent, "conn {i}");
         assert_eq!(r.stats, expected_stats, "conn {i}: frame accounting");
         assert_eq!(r.events, expected_events, "conn {i}: events forwarded");
         assert_eq!(events.len() as u64, expected_events);
@@ -201,7 +206,7 @@ fn slow_consumer_backpressure_bounds_memory_not_correctness() {
         let log = log.clone();
         let done = done.clone();
         move || {
-            let sent = publish_capture(addr, &log, None).expect("publish");
+            let sent = publish_session(addr, &log, &SessionOptions::default()).expect("publish");
             done.store(true, Ordering::SeqCst);
             sent
         }

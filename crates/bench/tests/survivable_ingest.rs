@@ -256,7 +256,9 @@ fn half_close_delivers_the_full_tail_to_a_slow_consumer() {
         .live(1, 4, LiveOptions::default())
         .expect("live ingest");
     let log = current_log.clone();
-    let publisher = std::thread::spawn(move || publish_capture(addr, &log, None).expect("publish"));
+    let publisher = std::thread::spawn(move || {
+        publish_session(addr, &log, &SessionOptions::default()).expect("publish")
+    });
     // Let the publisher race ahead into the socket buffers, then drain.
     std::thread::sleep(std::time::Duration::from_millis(300));
     let events: Vec<ControlEvent> = live.take_merge().collect();

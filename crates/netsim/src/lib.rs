@@ -50,9 +50,8 @@ pub mod prelude {
         ControlEvent, ControllerLog, DecodeError, Direction, FrameDecoder, LogStream,
     };
     pub use crate::net::{
-        publish_capture, publish_capture_paced, publish_session, split_capture, ConnState,
-        DisconnectCause, EventMerge, IngestServer, LiveIngest, LiveOptions, PublishReport,
-        SessionGauge, SessionOptions,
+        publish_mangled, publish_session, split_capture, ConnState, DisconnectCause, EventMerge,
+        IngestServer, LiveIngest, LiveOptions, PublishReport, SessionGauge, SessionOptions,
     };
     pub use crate::topology::{LinkId, NodeId, Topology};
     pub use openflow::types::Timestamp;

@@ -5,7 +5,6 @@
 //! controller, exactly what a passive tap on the OpenFlow control channel
 //! would capture (Section III-A of the paper).
 
-use bytes::Bytes;
 use openflow::messages::OfpMessage;
 use openflow::types::{DatapathId, Timestamp, Xid};
 use serde::{Deserialize, Serialize};
@@ -342,17 +341,7 @@ enum StreamSource<'a> {
         /// The whole capture, magic header included, so yielded offsets
         /// are absolute file offsets.
         buf: &'a [u8],
-        /// Decode cursor; starts just past the magic header.
-        pos: usize,
-    },
-    /// Like `Wire`, but over a shared refcounted buffer: clean
-    /// payload-carrying frames borrow their payload from the capture
-    /// as zero-copy [`Bytes`] slices instead of copying it out.
-    WireShared {
-        /// The whole capture, shared with every decoded payload.
-        buf: Bytes,
-        /// Decode cursor; starts just past the magic header.
-        pos: usize,
+        cursor: FrameCursor,
     },
 }
 
@@ -374,13 +363,13 @@ impl<'a> LogStream<'a> {
     /// missing or wrong; per-frame decode errors surface as `Err` items
     /// during iteration (followed by resynchronization, not fusing).
     pub fn from_wire_bytes(bytes: &'a [u8]) -> Result<LogStream<'a>, DecodeError> {
-        if bytes.len() < CAPTURE_MAGIC.len() || &bytes[..8] != CAPTURE_MAGIC {
+        if !bytes.starts_with(CAPTURE_MAGIC) {
             return Err(DecodeError::BadMagic);
         }
         Ok(LogStream {
             source: StreamSource::Wire {
                 buf: bytes,
-                pos: CAPTURE_MAGIC.len(),
+                cursor: FrameCursor::new(),
             },
             stats: StreamStats::default(),
         })
@@ -392,69 +381,11 @@ impl<'a> LogStream<'a> {
     }
 }
 
-impl LogStream<'static> {
-    /// Streams a wire capture held in a shared refcounted buffer —
-    /// the zero-copy counterpart of [`LogStream::from_wire_bytes`]:
-    /// clean payload-carrying frames (`PacketIn`, `PacketOut`, echo,
-    /// error) slice their payload out of `capture` without copying,
-    /// so decoding a clean capture never materializes an owned
-    /// payload. Damaged frames resynchronize exactly as the borrowed
-    /// source does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::BadMagic`] when the magic header is
-    /// missing or wrong.
-    pub fn from_wire_capture(capture: Bytes) -> Result<LogStream<'static>, DecodeError> {
-        if capture.len() < CAPTURE_MAGIC.len() || &capture[..8] != CAPTURE_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        Ok(LogStream {
-            source: StreamSource::WireShared {
-                buf: capture,
-                pos: CAPTURE_MAGIC.len(),
-            },
-            stats: StreamStats::default(),
-        })
-    }
-}
-
 /// True for the fifteen message type codes OpenFlow 1.0 defines and this
 /// crate decodes (the resync scan uses this to tell a frame boundary
 /// from payload bytes).
 fn is_known_type_code(code: u8) -> bool {
     matches!(code, 0..=3 | 5 | 6 | 10..=14 | 16..=19)
-}
-
-/// Checks whether `buf[pos..]` starts with a *plausible* frame: a valid
-/// direction byte followed by an OpenFlow header with the right version,
-/// a known type code, and a claimed length that fits within the capture.
-/// Used only for resynchronization; the real decoder still validates the
-/// body.
-fn plausible_frame_at(buf: &[u8], pos: usize) -> bool {
-    if buf.len() - pos < MIN_FRAME_LEN {
-        return false;
-    }
-    let of = pos + PREAMBLE_LEN;
-    let claimed = u16::from_be_bytes([buf[of + 2], buf[of + 3]]) as usize;
-    buf[pos + PREAMBLE_LEN - 1] <= 1
-        && buf[of] == openflow::wire::OFP_VERSION
-        && is_known_type_code(buf[of + 1])
-        && claimed >= openflow::wire::HEADER_LEN
-        && of + claimed <= buf.len()
-}
-
-/// Scans forward from `from` for the next plausible frame boundary,
-/// returning the end of the buffer when none remains.
-fn resync(buf: &[u8], from: usize) -> usize {
-    let mut pos = from;
-    while pos < buf.len() {
-        if plausible_frame_at(buf, pos) {
-            return pos;
-        }
-        pos += 1;
-    }
-    buf.len()
 }
 
 /// Reads a big-endian `u64` at `at`, or `None` when fewer than eight
@@ -464,36 +395,43 @@ fn read_u64_be(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_be_bytes(bytes))
 }
 
-/// Validates the `[ts][dpid][direction]` preamble and the embedded
-/// OpenFlow header of the frame at absolute offset `pos`, classifying
-/// framing damage precisely (truncation, bad tag, length overflow).
-/// Returns the preamble fields; the message body is left to the codec.
-fn validate_frame_at(
+/// The one definition of a well-formed frame: validates the
+/// `[ts][dpid][direction]` preamble and the embedded OpenFlow header at
+/// `buf[at..]`, classifying framing damage precisely (truncation, bad
+/// tag, length overflow). `buf[0]` sits at absolute capture offset
+/// `base`; `eof` says whether `buf` runs to the end of the capture.
+///
+/// Returns the preamble fields once the whole claimed frame is
+/// buffered (the message body is left to the codec), or `Ok(None)` when
+/// nothing seen so far is wrong but more bytes are needed to tell —
+/// never at `eof`, where a short frame is damage.
+fn validate_frame(
     buf: &[u8],
-    pos: usize,
-) -> Result<(Timestamp, DatapathId, Direction), DecodeError> {
-    let rest = &buf[pos..];
+    at: usize,
+    base: usize,
+    eof: bool,
+) -> Result<Option<(Timestamp, DatapathId, Direction)>, DecodeError> {
+    let offset = base + at;
+    let rest = &buf[at..];
+    let truncated = || DecodeError::TruncatedFrame {
+        offset,
+        available: rest.len(),
+    };
     if rest.len() < MIN_FRAME_LEN {
-        return Err(DecodeError::TruncatedFrame {
-            offset: pos,
-            available: rest.len(),
-        });
+        return if eof { Err(truncated()) } else { Ok(None) };
     }
     // Checked reads: the guard above covers these, but a short frame
     // must never be able to slice out of bounds even if the guard and
     // the preamble layout drift apart.
     let (Some(ts), Some(dpid)) = (read_u64_be(rest, 0), read_u64_be(rest, 8)) else {
-        return Err(DecodeError::TruncatedFrame {
-            offset: pos,
-            available: rest.len(),
-        });
+        return Err(truncated());
     };
     let direction = match rest[16] {
         0 => Direction::ToController,
         1 => Direction::FromController,
         other => {
             return Err(DecodeError::BadEventTag {
-                offset: pos,
+                offset,
                 field: "capture.direction",
                 value: other as u64,
             })
@@ -502,74 +440,147 @@ fn validate_frame_at(
     let of = &rest[PREAMBLE_LEN..];
     if of[0] != openflow::wire::OFP_VERSION {
         return Err(DecodeError::BadEventTag {
-            offset: pos,
+            offset,
             field: "openflow.version",
             value: of[0] as u64,
         });
     }
     if !is_known_type_code(of[1]) {
         return Err(DecodeError::BadEventTag {
-            offset: pos,
+            offset,
             field: "openflow.type",
             value: of[1] as u64,
         });
     }
     let claimed = u16::from_be_bytes([of[2], of[3]]) as usize;
-    if claimed < openflow::wire::HEADER_LEN || claimed > of.len() {
+    if claimed < openflow::wire::HEADER_LEN || (claimed > of.len() && eof) {
         return Err(DecodeError::LengthOverflow {
-            offset: pos,
+            offset,
             claimed,
             available: of.len(),
         });
     }
-    Ok((Timestamp::from_micros(ts), DatapathId(dpid), direction))
+    if claimed > of.len() {
+        // The claimed length is plausible; wait for the frame to finish
+        // buffering.
+        return Ok(None);
+    }
+    Ok(Some((
+        Timestamp::from_micros(ts),
+        DatapathId(dpid),
+        direction,
+    )))
 }
 
-/// Decodes one `[ts][dpid][direction][wire message]` frame at absolute
-/// offset `pos`, returning the event and the offset just past it.
-fn decode_event_at(buf: &[u8], pos: usize) -> Result<(ControlEvent, usize), DecodeError> {
-    let (ts, dpid, direction) = validate_frame_at(buf, pos)?;
-    let (msg, xid, used) =
-        openflow::wire::decode(&buf[pos + PREAMBLE_LEN..]).map_err(|source| {
-            DecodeError::BadMessage {
-                offset: pos,
-                source,
-            }
-        })?;
-    Ok((
-        ControlEvent {
-            ts,
-            dpid,
-            direction,
-            xid,
-            msg,
-        },
-        pos + PREAMBLE_LEN + used,
-    ))
+/// Scans `buf` forward from index `from` for the next plausible frame
+/// boundary — a position [`validate_frame`] accepts; the real decode
+/// still validates the body. Returns `Ok(boundary)` (the end of the
+/// buffer at `eof` when none remains) or `Err(resume)` when the
+/// candidate at `resume` needs more bytes to be judged: waiting there,
+/// not skipping it, is what makes the boundary found on a partial
+/// buffer the one a scan over the whole capture finds.
+fn resync(buf: &[u8], from: usize, eof: bool) -> Result<usize, usize> {
+    let mut at = from;
+    while at < buf.len() {
+        match validate_frame(buf, at, 0, eof) {
+            Ok(Some(_)) => return Ok(at),
+            Ok(None) => return Err(at),
+            Err(_) => at += 1,
+        }
+    }
+    if eof {
+        Ok(buf.len())
+    } else {
+        Err(at)
+    }
 }
 
-/// [`decode_event_at`] over a shared buffer: the message decode goes
-/// through [`openflow::wire::decode_shared`], so payloads come out as
-/// zero-copy slices of `buf`.
-fn decode_event_shared_at(buf: &Bytes, pos: usize) -> Result<(ControlEvent, usize), DecodeError> {
-    let (ts, dpid, direction) = validate_frame_at(buf, pos)?;
-    let (msg, xid, used) =
-        openflow::wire::decode_shared(buf, pos + PREAMBLE_LEN).map_err(|source| {
-            DecodeError::BadMessage {
-                offset: pos,
-                source,
+/// Decode position over a capture's frames, in absolute capture offsets
+/// so it survives the caller compacting its buffer: the single frame
+/// step behind both [`LogStream`] (whole capture in one slice) and
+/// [`FrameDecoder`] (a sliding window of it).
+#[derive(Debug)]
+struct FrameCursor {
+    /// Offset of the next undecided frame; while resynchronizing, of the
+    /// frame that failed.
+    pos: usize,
+    /// Lost the framing at `pos`: the error to surface once the scan,
+    /// which has reached the given offset, finds the next boundary.
+    resync: Option<(DecodeError, usize)>,
+}
+
+impl FrameCursor {
+    /// A cursor just past the magic header.
+    fn new() -> FrameCursor {
+        FrameCursor {
+            pos: CAPTURE_MAGIC.len(),
+            resync: None,
+        }
+    }
+
+    /// Bytes below this offset are decided and need not stay buffered.
+    fn low_water(&self) -> usize {
+        self.resync.as_ref().map_or(self.pos, |&(_, scan)| scan)
+    }
+
+    /// Decodes the next frame of `window` (whose first byte sits at
+    /// absolute offset `base`, at or below [`low_water`](Self::low_water)),
+    /// or resynchronizes past a damaged region and surfaces one error
+    /// for the whole of it. `None` means more bytes are needed — at
+    /// `eof`, that the capture is exhausted.
+    fn step(
+        &mut self,
+        window: &[u8],
+        base: usize,
+        eof: bool,
+        stats: &mut StreamStats,
+    ) -> Option<Result<ControlEvent, DecodeError>> {
+        loop {
+            if let Some((err, scan)) = self.resync.take() {
+                match resync(window, scan - base, eof) {
+                    Ok(boundary) => {
+                        stats.frames_skipped += 1;
+                        stats.bytes_skipped += (base + boundary - self.pos) as u64;
+                        self.pos = base + boundary;
+                        return Some(Err(err));
+                    }
+                    Err(resume) => {
+                        self.resync = Some((err, base + resume));
+                        return None;
+                    }
+                }
             }
-        })?;
-    Ok((
-        ControlEvent {
-            ts,
-            dpid,
-            direction,
-            xid,
-            msg,
-        },
-        pos + PREAMBLE_LEN + used,
-    ))
+            let at = self.pos - base;
+            if at >= window.len() {
+                return None;
+            }
+            let (ts, dpid, direction) = match validate_frame(window, at, base, eof) {
+                Ok(Some(preamble)) => preamble,
+                Ok(None) => return None,
+                Err(e) => {
+                    self.resync = Some((e, self.pos + 1));
+                    continue;
+                }
+            };
+            match openflow::wire::decode(&window[at + PREAMBLE_LEN..]) {
+                Ok((msg, xid, used)) => {
+                    stats.frames_decoded += 1;
+                    self.pos += PREAMBLE_LEN + used;
+                    return Some(Ok(ControlEvent {
+                        ts,
+                        dpid,
+                        direction,
+                        xid,
+                        msg,
+                    }));
+                }
+                Err(source) => {
+                    let offset = self.pos;
+                    self.resync = Some((DecodeError::BadMessage { offset, source }, offset + 1));
+                }
+            }
+        }
+    }
 }
 
 impl<'a> Iterator for LogStream<'a> {
@@ -582,102 +593,11 @@ impl<'a> Iterator for LogStream<'a> {
                 self.stats.frames_decoded += 1;
                 Some(Ok(std::borrow::Cow::Borrowed(ev)))
             }
-            StreamSource::Wire { buf, pos } => {
-                if *pos >= buf.len() {
-                    return None;
-                }
-                match decode_event_at(buf, *pos) {
-                    Ok((ev, next_pos)) => {
-                        *pos = next_pos;
-                        self.stats.frames_decoded += 1;
-                        Some(Ok(std::borrow::Cow::Owned(ev)))
-                    }
-                    Err(e) => {
-                        // Lost the framing: skip to the next plausible
-                        // frame boundary and surface one error for the
-                        // whole damaged region.
-                        let next_pos = resync(buf, *pos + 1);
-                        self.stats.frames_skipped += 1;
-                        self.stats.bytes_skipped += (next_pos - *pos) as u64;
-                        *pos = next_pos;
-                        Some(Err(e))
-                    }
-                }
-            }
-            StreamSource::WireShared { buf, pos } => {
-                if *pos >= buf.len() {
-                    return None;
-                }
-                match decode_event_shared_at(buf, *pos) {
-                    Ok((ev, next_pos)) => {
-                        *pos = next_pos;
-                        self.stats.frames_decoded += 1;
-                        Some(Ok(std::borrow::Cow::Owned(ev)))
-                    }
-                    Err(e) => {
-                        let next_pos = resync(buf, *pos + 1);
-                        self.stats.frames_skipped += 1;
-                        self.stats.bytes_skipped += (next_pos - *pos) as u64;
-                        *pos = next_pos;
-                        Some(Err(e))
-                    }
-                }
-            }
+            StreamSource::Wire { buf, cursor } => cursor
+                .step(buf, 0, true, &mut self.stats)
+                .map(|item| item.map(std::borrow::Cow::Owned)),
         }
     }
-}
-
-/// Translates a relative-offset decode error to absolute capture
-/// coordinates (the incremental decoder works on a compacted window).
-fn shift_offset(err: DecodeError, by: usize) -> DecodeError {
-    match err {
-        DecodeError::BadMagic => DecodeError::BadMagic,
-        DecodeError::TruncatedFrame { offset, available } => DecodeError::TruncatedFrame {
-            offset: offset + by,
-            available,
-        },
-        DecodeError::BadEventTag {
-            offset,
-            field,
-            value,
-        } => DecodeError::BadEventTag {
-            offset: offset + by,
-            field,
-            value,
-        },
-        DecodeError::LengthOverflow {
-            offset,
-            claimed,
-            available,
-        } => DecodeError::LengthOverflow {
-            offset: offset + by,
-            claimed,
-            available,
-        },
-        DecodeError::BadMessage { offset, source } => DecodeError::BadMessage {
-            offset: offset + by,
-            source,
-        },
-    }
-}
-
-/// Where an incremental decode stands between chunks.
-#[derive(Debug)]
-enum DecoderState {
-    /// Waiting for the 8-byte `FDIFFCAP` magic header.
-    Magic,
-    /// Expecting a frame at the window start.
-    Frame,
-    /// Lost the framing at `err_at`: scanning from `scan` for the next
-    /// plausible frame boundary before surfacing `err`, exactly like
-    /// [`resync`] but resumable mid-scan.
-    Resync {
-        err: DecodeError,
-        err_at: usize,
-        scan: usize,
-    },
-    /// Rejected (bad magic) or fully drained after end-of-stream.
-    Done,
 }
 
 /// An incremental `FDIFFCAP` decoder for byte streams that arrive in
@@ -688,10 +608,10 @@ enum DecoderState {
 /// end-of-stream with [`finish`](FrameDecoder::finish): the decoder
 /// emits the **same event sequence, error sites, and
 /// [`StreamStats`]** that a [`LogStream`] over the complete capture
-/// would produce, regardless of how the bytes were chunked. That
-/// equivalence is what lets a socket ingest path reuse every batch-mode
+/// would produce, regardless of how the bytes were chunked — both drive
+/// the same frame step, so a socket ingest path reuses every batch-mode
 /// robustness guarantee (resynchronization, typed [`DecodeError`]s,
-/// exact skip accounting) without a second decoder implementation.
+/// exact skip accounting).
 ///
 /// Two windows of divergence are inherent to not knowing the stream
 /// length up front, and both are confined to *fields of error values*,
@@ -702,18 +622,21 @@ enum DecoderState {
 /// incomplete trailing frame is held back until `finish` because more
 /// bytes could still complete it.
 ///
-/// Memory is bounded: the window holds at most one pending frame (a
-/// claimed OpenFlow length is a `u16`, so ≤ [`CAPTURE_MAGIC`]-header +
-/// preamble + 64 KiB) plus one read chunk; consumed and skipped bytes
-/// are compacted away as soon as their fate is decided.
+/// Memory is bounded: between pushes the window holds at most one
+/// pending frame (a claimed OpenFlow length is a `u16`, so ≤ preamble +
+/// 64 KiB); consumed and skipped bytes are compacted away at the end of
+/// every push.
 #[derive(Debug)]
 pub struct FrameDecoder {
-    /// Unconsumed bytes; `buf[0]` sits at absolute offset `base`.
+    /// Undecided bytes; `buf[0]` sits at absolute offset `base`.
     buf: Vec<u8>,
     base: usize,
-    state: DecoderState,
+    /// `None` until the 8-byte `FDIFFCAP` magic header has been seen.
+    cursor: Option<FrameCursor>,
     stats: StreamStats,
     eof: bool,
+    /// Rejected (bad magic) or fully drained after end-of-stream.
+    done: bool,
 }
 
 impl Default for FrameDecoder {
@@ -728,9 +651,10 @@ impl FrameDecoder {
         FrameDecoder {
             buf: Vec::new(),
             base: 0,
-            state: DecoderState::Magic,
+            cursor: None,
             stats: StreamStats::default(),
             eof: false,
+            done: false,
         }
     }
 
@@ -741,7 +665,7 @@ impl FrameDecoder {
     }
 
     /// Bytes currently buffered awaiting a decodable boundary (at most
-    /// one frame plus one chunk — see the type docs).
+    /// one frame — see the type docs).
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
@@ -749,7 +673,7 @@ impl FrameDecoder {
     /// True once the stream was rejected (bad magic) or fully drained
     /// after [`finish`](FrameDecoder::finish).
     pub fn is_done(&self) -> bool {
-        matches!(self.state, DecoderState::Done)
+        self.done
     }
 
     /// Feeds one chunk, appending every newly determinable event or
@@ -760,220 +684,46 @@ impl FrameDecoder {
     /// Panics if called after [`finish`](FrameDecoder::finish).
     pub fn push(&mut self, chunk: &[u8], out: &mut Vec<Result<ControlEvent, DecodeError>>) {
         assert!(!self.eof, "push after finish");
-        self.buf.extend_from_slice(chunk);
-        self.drain(out);
+        if !self.done {
+            self.buf.extend_from_slice(chunk);
+            self.drain(out);
+        }
     }
 
     /// Signals end-of-stream and drains everything still pending (the
     /// held-back trailing frame, an unfinished resync scan).
     pub fn finish(&mut self, out: &mut Vec<Result<ControlEvent, DecodeError>>) {
         self.eof = true;
-        self.drain(out);
-    }
-
-    /// Drops the window prefix up to absolute offset `to`.
-    fn consume_to(&mut self, to: usize) {
-        self.buf.drain(..to - self.base);
-        self.base = to;
+        if !self.done {
+            self.drain(out);
+            self.done = true;
+        }
     }
 
     fn drain(&mut self, out: &mut Vec<Result<ControlEvent, DecodeError>>) {
-        loop {
-            match std::mem::replace(&mut self.state, DecoderState::Done) {
-                DecoderState::Done => return,
-                DecoderState::Magic => {
-                    if self.buf.len() >= CAPTURE_MAGIC.len() {
-                        if &self.buf[..CAPTURE_MAGIC.len()] == CAPTURE_MAGIC {
-                            self.consume_to(CAPTURE_MAGIC.len());
-                            self.state = DecoderState::Frame;
-                        } else {
-                            out.push(Err(DecodeError::BadMagic));
-                            return;
-                        }
-                    } else if self.eof {
-                        out.push(Err(DecodeError::BadMagic));
-                        return;
-                    } else {
-                        self.state = DecoderState::Magic;
-                        return;
-                    }
+        let cursor = match &mut self.cursor {
+            Some(cursor) => cursor,
+            unset => {
+                if self.buf.len() < CAPTURE_MAGIC.len() && !self.eof {
+                    return;
                 }
-                DecoderState::Frame => {
-                    if !self.step_frame(out) {
-                        return;
-                    }
+                if !self.buf.starts_with(CAPTURE_MAGIC) {
+                    out.push(Err(DecodeError::BadMagic));
+                    self.done = true;
+                    return;
                 }
-                DecoderState::Resync { err, err_at, scan } => {
-                    if !self.step_resync(err, err_at, scan, out) {
-                        return;
-                    }
-                }
+                unset.insert(FrameCursor::new())
             }
-        }
-    }
-
-    /// One attempt to decode the frame at the window start. Returns
-    /// whether the drain loop should keep going (`self.state` is set
-    /// either way; `false` means "need more bytes" or end-of-stream).
-    fn step_frame(&mut self, out: &mut Vec<Result<ControlEvent, DecodeError>>) -> bool {
-        let avail = self.buf.len();
-        if avail == 0 {
-            if !self.eof {
-                self.state = DecoderState::Frame;
-            }
-            return false;
-        }
-        if avail < MIN_FRAME_LEN {
-            if !self.eof {
-                self.state = DecoderState::Frame;
-                return false;
-            }
-            // The tail cannot hold a frame: classify it exactly as the
-            // batch decoder does, then let the resync scan account it.
-            self.begin_resync(DecodeError::TruncatedFrame {
-                offset: self.base,
-                available: avail,
-            });
-            return true;
-        }
-        // Tag and length-sanity checks that need only the fixed-size
-        // prefix — mirrored from `validate_frame_at`, in the same
-        // order, so the error variant at each site matches batch mode.
-        let direction = self.buf[PREAMBLE_LEN - 1];
-        let version = self.buf[PREAMBLE_LEN];
-        let type_code = self.buf[PREAMBLE_LEN + 1];
-        let claimed =
-            u16::from_be_bytes([self.buf[PREAMBLE_LEN + 2], self.buf[PREAMBLE_LEN + 3]]) as usize;
-        let tag_error = if direction > 1 {
-            Some(DecodeError::BadEventTag {
-                offset: self.base,
-                field: "capture.direction",
-                value: direction as u64,
-            })
-        } else if version != openflow::wire::OFP_VERSION {
-            Some(DecodeError::BadEventTag {
-                offset: self.base,
-                field: "openflow.version",
-                value: version as u64,
-            })
-        } else if !is_known_type_code(type_code) {
-            Some(DecodeError::BadEventTag {
-                offset: self.base,
-                field: "openflow.type",
-                value: type_code as u64,
-            })
-        } else if claimed < openflow::wire::HEADER_LEN {
-            Some(DecodeError::LengthOverflow {
-                offset: self.base,
-                claimed,
-                available: avail - PREAMBLE_LEN,
-            })
-        } else {
-            None
         };
-        if let Some(err) = tag_error {
-            self.begin_resync(err);
-            return true;
+        while let Some(item) = cursor.step(&self.buf, self.base, self.eof, &mut self.stats) {
+            out.push(item);
         }
-        if PREAMBLE_LEN + claimed > avail {
-            if !self.eof {
-                // The claimed length is plausible; wait for the frame
-                // to finish buffering.
-                self.state = DecoderState::Frame;
-                return false;
-            }
-            self.begin_resync(DecodeError::LengthOverflow {
-                offset: self.base,
-                claimed,
-                available: avail - PREAMBLE_LEN,
-            });
-            return true;
-        }
-        match decode_event_at(&self.buf, 0) {
-            Ok((ev, used)) => {
-                self.stats.frames_decoded += 1;
-                let next = self.base + used;
-                self.consume_to(next);
-                out.push(Ok(ev));
-                self.state = DecoderState::Frame;
-                true
-            }
-            Err(e) => {
-                self.begin_resync(shift_offset(e, self.base));
-                true
-            }
-        }
-    }
-
-    fn begin_resync(&mut self, err: DecodeError) {
-        self.state = DecoderState::Resync {
-            err_at: self.base,
-            scan: self.base + 1,
-            err,
-        };
-    }
-
-    /// Resumable [`resync`]: advances `scan` until a plausible frame
-    /// boundary fits the window, waiting (not skipping) at any
-    /// candidate that more bytes could still complete, so the boundary
-    /// found is the one the batch scan would find on the whole capture.
-    fn step_resync(
-        &mut self,
-        err: DecodeError,
-        err_at: usize,
-        mut scan: usize,
-        out: &mut Vec<Result<ControlEvent, DecodeError>>,
-    ) -> bool {
-        loop {
-            // Skipped bytes are dead weight: compact them away so a
-            // long corrupt region cannot grow the window.
-            if scan > self.base {
-                self.consume_to(scan);
-            }
-            let avail = self.buf.len();
-            if avail < MIN_FRAME_LEN {
-                if !self.eof {
-                    self.state = DecoderState::Resync { err, err_at, scan };
-                    return false;
-                }
-                // End of stream: nothing after `scan` can start a
-                // frame, so the damaged region runs to the end.
-                let end = self.base + avail;
-                self.stats.frames_skipped += 1;
-                self.stats.bytes_skipped += (end - err_at) as u64;
-                self.consume_to(end);
-                out.push(Err(err));
-                self.state = DecoderState::Frame;
-                return true;
-            }
-            let of = PREAMBLE_LEN;
-            let claimed = u16::from_be_bytes([self.buf[of + 2], self.buf[of + 3]]) as usize;
-            let locally_plausible = self.buf[PREAMBLE_LEN - 1] <= 1
-                && self.buf[of] == openflow::wire::OFP_VERSION
-                && is_known_type_code(self.buf[of + 1])
-                && claimed >= openflow::wire::HEADER_LEN;
-            if !locally_plausible {
-                scan += 1;
-                continue;
-            }
-            if PREAMBLE_LEN + claimed <= avail {
-                // Found the boundary: surface the damage with exact
-                // skip accounting and resume decoding here.
-                self.stats.frames_skipped += 1;
-                self.stats.bytes_skipped += (scan - err_at) as u64;
-                out.push(Err(err));
-                self.state = DecoderState::Frame;
-                return true;
-            }
-            if self.eof {
-                // The candidate's claimed length overruns the final
-                // capture end — not plausible, same as the batch scan.
-                scan += 1;
-                continue;
-            }
-            self.state = DecoderState::Resync { err, err_at, scan };
-            return false;
-        }
+        // Everything below the cursor's low-water mark is decided: drop
+        // it so neither a burst of frames nor a long corrupt region can
+        // grow the window.
+        let keep_from = cursor.low_water();
+        self.buf.drain(..keep_from - self.base);
+        self.base = keep_from;
     }
 }
 
@@ -1176,89 +926,6 @@ mod tests {
         ));
         assert_eq!(stream.stats().frames_decoded, 3);
         assert_eq!(stream.stats().frames_skipped, 1);
-    }
-
-    #[test]
-    fn shared_stream_matches_borrowed_stream_with_resync() {
-        use openflow::messages::{PacketIn, PacketInReason};
-        use openflow::types::{BufferId, PortNo};
-        let mut log: ControllerLog = vec![ev(5, 1), ev(10, 1), ev(15, 2), ev(20, 0)]
-            .into_iter()
-            .collect();
-        log.push(ControlEvent {
-            ts: Timestamp::from_micros(25),
-            dpid: DatapathId(2),
-            direction: Direction::ToController,
-            xid: Xid(9),
-            msg: OfpMessage::PacketIn(PacketIn {
-                buffer_id: BufferId::NO_BUFFER,
-                total_len: 6,
-                in_port: PortNo(3),
-                reason: PacketInReason::NoMatch,
-                data: b"abcdef".to_vec().into(),
-            }),
-        });
-        log.finish();
-        let mut bytes = log.to_wire_bytes();
-        // Damage the second frame's OpenFlow version byte so both
-        // streams have to resynchronize mid-capture.
-        let mut frame = Vec::new();
-        encode_event(&log.events()[0], &mut frame);
-        bytes[CAPTURE_MAGIC.len() + frame.len() + 17] = 0xEE;
-
-        let mut borrowed = LogStream::from_wire_bytes(&bytes).unwrap();
-        let borrowed_items: Vec<_> = borrowed.by_ref().collect();
-        let mut shared = LogStream::from_wire_capture(Bytes::from(bytes.clone())).unwrap();
-        let shared_items: Vec<_> = shared.by_ref().collect();
-
-        assert_eq!(borrowed_items.len(), shared_items.len());
-        for (b, s) in borrowed_items.iter().zip(&shared_items) {
-            match (b, s) {
-                (Ok(be), Ok(se)) => assert_eq!(be.as_ref(), se.as_ref()),
-                (Err(be), Err(se)) => assert_eq!(format!("{be:?}"), format!("{se:?}")),
-                other => panic!("streams disagree on ok/err: {other:?}"),
-            }
-        }
-        assert_eq!(borrowed.stats(), shared.stats());
-    }
-
-    #[test]
-    fn shared_stream_payloads_alias_the_capture_buffer() {
-        use openflow::messages::{PacketIn, PacketInReason};
-        use openflow::types::{BufferId, PortNo};
-        let log: ControllerLog = vec![ControlEvent {
-            ts: Timestamp::from_micros(1),
-            dpid: DatapathId(1),
-            direction: Direction::ToController,
-            xid: Xid(1),
-            msg: OfpMessage::PacketIn(PacketIn {
-                buffer_id: BufferId::NO_BUFFER,
-                total_len: 8,
-                in_port: PortNo(1),
-                reason: PacketInReason::NoMatch,
-                data: b"payload!".to_vec().into(),
-            }),
-        }]
-        .into_iter()
-        .collect();
-        let capture = Bytes::from(log.to_wire_bytes());
-        let cap_lo = capture.as_ptr() as usize;
-        let cap_hi = cap_lo + capture.len();
-        let event = LogStream::from_wire_capture(capture.clone())
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .into_owned();
-        let OfpMessage::PacketIn(pi) = &event.msg else {
-            panic!("expected a PacketIn, got {:?}", event.msg);
-        };
-        assert_eq!(&*pi.data, b"payload!");
-        let p = pi.data.as_ptr() as usize;
-        assert!(
-            p >= cap_lo && p + pi.data.len() <= cap_hi,
-            "payload must be a view into the capture buffer, not a copy"
-        );
     }
 
     #[test]

@@ -1,23 +1,18 @@
 //! Live TCP ingest: the wire between control-log publishers and a
 //! FlowDiff diagnosis process.
 //!
-//! Two handshakes share the listen socket:
-//!
-//! * **Legacy capture streams** open with the 8-byte `FDIFFCAP` magic
-//!   and are one shot: the connection *is* the stream, framed exactly
-//!   like an `.fcap` file, and EOF ends it. This is the PR 9 wire
-//!   format, kept byte-for-byte.
-//! * **Sessions** open with `FDIFFSES` plus a 64-bit session id. The
-//!   server replies `FDIFFACK` plus a *resume watermark* — how many
-//!   events of that session it has already queued into the merge — and
-//!   the publisher streams from that offset. A reconnecting publisher
-//!   therefore resumes where the server actually is: nothing is lost,
-//!   nothing is replayed twice. After the handshake the bytes are a
-//!   tiny record layer (`[tag u8][len u32 LE][payload]`): `Data`
-//!   records carry capture bytes (each connection attempt restarts a
-//!   fresh `FDIFFCAP` stream), `Heartbeat` records keep a quiet
-//!   connection distinguishable from a dead one, and `End` closes the
-//!   session cleanly.
+//! Every connection is a **session**: it opens with `FDIFFSES` plus a
+//! 64-bit session id, and anything else is refused (and counted)
+//! without touching a stream. The server replies `FDIFFACK` plus a
+//! *resume watermark* — how many events of that session it has already
+//! queued into the merge — and the publisher streams from that offset.
+//! A reconnecting publisher therefore resumes where the server actually
+//! is: nothing is lost, nothing is replayed twice. After the handshake
+//! the bytes are a tiny record layer (`[tag u8][len u32 LE][payload]`):
+//! `Data` records carry capture bytes (each connection attempt restarts
+//! a fresh `FDIFFCAP` stream, framed exactly like an `.fcap` file),
+//! `Heartbeat` records keep a quiet connection distinguishable from a
+//! dead one, and `End` closes the session cleanly.
 //!
 //! The server side is a runtime accept loop ([`IngestServer::live`]):
 //! connections are admitted, retired, killed (dead-but-open sockets)
@@ -100,14 +95,10 @@ const PARKED_WAIT: Duration = Duration::from_millis(20);
 /// Why a connection (or a whole session stream) stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DisconnectCause {
-    /// Legacy stream: the publisher closed after a complete frame.
-    CleanEof,
-    /// Session stream: the publisher sent an explicit `End` record.
+    /// The publisher sent an explicit `End` record.
     SessionEnd,
-    /// The first bytes were neither `FDIFFCAP` nor `FDIFFSES`.
-    HandshakeFailed,
-    /// The socket died mid-stream with this error kind (a session
-    /// publisher that vanished without `End` also lands here, as
+    /// The socket died mid-stream with this error kind (a publisher
+    /// that vanished without `End` also lands here, as
     /// `UnexpectedEof`).
     Io(std::io::ErrorKind),
     /// The server killed a dead-but-open socket: no bytes and no
@@ -122,9 +113,7 @@ pub enum DisconnectCause {
 impl std::fmt::Display for DisconnectCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DisconnectCause::CleanEof => write!(f, "clean EOF"),
             DisconnectCause::SessionEnd => write!(f, "session end"),
-            DisconnectCause::HandshakeFailed => write!(f, "handshake failed"),
             DisconnectCause::Io(kind) => write!(f, "io error: {kind:?}"),
             DisconnectCause::IdleTimeout => write!(f, "idle timeout"),
             DisconnectCause::Superseded => write!(f, "superseded by reconnect"),
@@ -144,13 +133,11 @@ pub enum ConnState {
     Active,
     /// The merge waived the stream: silent past the stall budget.
     Stalled,
-    /// The stream ended cleanly (legacy EOF or session `End`).
+    /// The stream ended cleanly (session `End`).
     Ended,
     /// The server declared the stream dead (idle past the heartbeat
     /// horizon, or abandoned without a resume).
     Dead,
-    /// The handshake never succeeded.
-    Failed,
 }
 
 impl std::fmt::Display for ConnState {
@@ -161,7 +148,6 @@ impl std::fmt::Display for ConnState {
             ConnState::Stalled => "STALLED",
             ConnState::Ended => "ended",
             ConnState::Dead => "DEAD",
-            ConnState::Failed => "FAILED",
         };
         write!(f, "{s}")
     }
@@ -209,8 +195,7 @@ impl SessionGauge {
             1 => ConnState::Active,
             2 => ConnState::Stalled,
             3 => ConnState::Ended,
-            4 => ConnState::Dead,
-            _ => ConnState::Failed,
+            _ => ConnState::Dead,
         }
     }
 
@@ -240,7 +225,7 @@ impl SessionGauge {
         self.stalls.load(Ordering::SeqCst)
     }
 
-    /// Abrupt connection losses (everything except clean EOF / `End`).
+    /// Abrupt connection losses (everything except a clean `End`).
     pub fn disconnects(&self) -> u64 {
         self.disconnects.load(Ordering::SeqCst)
     }
@@ -265,7 +250,7 @@ pub struct ConnReport {
     pub index: usize,
     /// The last publisher address seen on this stream.
     pub peer: Option<SocketAddr>,
-    /// The session id, for session streams (`None` = legacy stream).
+    /// The session id (`None` when no connection ever arrived).
     pub session: Option<u64>,
     /// True when at least one handshake on this stream succeeded.
     pub handshake_ok: bool,
@@ -358,6 +343,7 @@ impl IngestServer {
             expected,
             opts,
             stop: AtomicBool::new(false),
+            refused: AtomicU64::new(0),
             gauges: gauges.clone(),
             slots: Mutex::new(SlotTable::new(expected, keepers)),
             readers: Mutex::new(Vec::new()),
@@ -410,6 +396,14 @@ impl LiveIngest {
     /// the serve loop feeds into diff gating.
     pub fn any_degraded(&self) -> bool {
         self.shared.gauges.iter().any(|g| g.is_degraded())
+    }
+
+    /// Connections turned away so far without attaching to a stream: the
+    /// greeting was not `FDIFFSES` + id (a port scan, a health check, a
+    /// publisher that died mid-handshake), or it named a session no
+    /// stream could take (all streams claimed, or its stream retired).
+    pub fn refused(&self) -> u64 {
+        self.shared.refused.load(Ordering::Relaxed)
     }
 
     /// Takes the merging event iterator. Call once.
@@ -478,6 +472,7 @@ struct Shared {
     expected: usize,
     opts: LiveOptions,
     stop: AtomicBool,
+    refused: AtomicU64,
     gauges: Vec<Arc<SessionGauge>>,
     slots: Mutex<SlotTable>,
     readers: Mutex<Vec<JoinHandle<()>>>,
@@ -621,79 +616,48 @@ fn reap(shared: &Arc<Shared>) {
     }
 }
 
-/// What the first 8 bytes of a connection said.
-enum Handshake {
-    Legacy([u8; 8], usize),
-    Session(u64),
-}
-
-/// Reader-thread body: classify the handshake, claim or re-claim a
-/// stream slot, then feed the slot's channel until the connection ends.
+/// Reader-thread body: a connection must greet with `FDIFFSES` + id;
+/// anything else is refused and counted, with no slot claimed and
+/// nothing owed.
 fn read_connection(peer: SocketAddr, mut stream: TcpStream, shared: Arc<Shared>) {
     let mut magic = [0u8; 8];
-    let mut got = 0usize;
-    while got < magic.len() {
-        match stream.read(&mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-    let handshake = if got == 8 && &magic == SESSION_MAGIC {
-        let mut id = [0u8; 8];
-        if stream.read_exact(&mut id).is_err() {
-            return; // died mid-handshake: nothing claimed, nothing owed
-        }
-        Handshake::Session(u64::from_le_bytes(id))
+    let mut id = [0u8; 8];
+    let greeted = matches!(read_full(&mut stream, &mut magic), Ok(true))
+        && &magic == SESSION_MAGIC
+        && matches!(read_full(&mut stream, &mut id), Ok(true));
+    if greeted {
+        run_session_conn(peer, stream, &shared, u64::from_le_bytes(id));
     } else {
-        Handshake::Legacy(magic, got)
-    };
-    match handshake {
-        Handshake::Legacy(first, first_len) => {
-            run_legacy_conn(peer, stream, &shared, first, first_len)
-        }
-        Handshake::Session(id) => run_session_conn(peer, stream, &shared, id),
+        shared.refused.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Claims a slot for a connection. Session ids re-claim their slot;
-/// everyone else takes the next free one. Returns the slot index, its
-/// feed lock, its channel sender, and whether an old connection had to
-/// be superseded first.
-#[allow(clippy::type_complexity)]
+/// Claims a slot for a session connection: a known id re-claims its
+/// slot, a new one takes the next free slot. Returns the slot index,
+/// its feed lock, and its channel sender — or `None` when every slot is
+/// claimed by another session or the session's stream already retired.
 fn claim_slot(
     shared: &Arc<Shared>,
     peer: SocketAddr,
-    session: Option<u64>,
+    session: u64,
     stream: &TcpStream,
 ) -> Option<(usize, Arc<Mutex<()>>, SyncSender<ControlEvent>)> {
     let mut slots = shared.slots.lock().expect("slot table poisoned");
-    let slot = match session {
-        Some(id) => match slots.sessions.get(&id) {
-            Some(&i) => i,
-            None => {
-                if slots.claimed >= shared.expected {
-                    return None;
-                }
-                let i = slots.claimed;
-                slots.claimed += 1;
-                slots.sessions.insert(id, i);
-                i
-            }
-        },
+    let slot = match slots.sessions.get(&session) {
+        Some(&i) => i,
         None => {
             if slots.claimed >= shared.expected {
                 return None;
             }
             let i = slots.claimed;
             slots.claimed += 1;
+            slots.sessions.insert(session, i);
             i
         }
     };
-    let tx = slots.keepers[slot].clone()?; // stream already retired: refuse
-                                           // Supersede a still-attached connection of the same stream (a
-                                           // half-dead socket the publisher already gave up on).
+    let tx = slots.keepers[slot].clone()?;
+    // Supersede a still-attached connection of the same stream (a
+    // half-dead socket the publisher already gave up on).
     if slots.current[slot].is_some() {
         if slots.kill[slot].is_none() {
             slots.kill[slot] = Some(DisconnectCause::Superseded);
@@ -704,7 +668,7 @@ fn claim_slot(
     }
     slots.current[slot] = stream.try_clone().ok();
     slots.reports[slot].peer = Some(peer);
-    slots.reports[slot].session = session;
+    slots.reports[slot].session = Some(session);
     let feed = slots.feeds[slot].clone();
     shared.gauges[slot].touch(shared.now_us());
     Some((slot, feed, tx))
@@ -720,7 +684,6 @@ fn end_attempt(
     errors: Vec<DecodeError>,
     cause: DisconnectCause,
     stream_over: bool,
-    final_state: ConnState,
 ) {
     let mut slots = shared.slots.lock().expect("slot table poisoned");
     let report = &mut slots.reports[slot];
@@ -751,96 +714,19 @@ fn end_attempt(
     }
     if stream_over {
         slots.keepers[slot] = None;
-        shared.gauges[slot].set_state(final_state);
+        shared.gauges[slot].set_state(ConnState::Ended);
     } else {
         shared.gauges[slot].set_state(ConnState::Waiting);
     }
 }
 
-/// Legacy (`FDIFFCAP`-first) connection: the connection is the stream.
-/// EOF, error, or bad magic all end the stream — exactly the PR 9
-/// semantics, including the garbage-handshake path (the bytes go
-/// through the decoder, which flags `BadMagic` and stops).
-fn run_legacy_conn(
-    peer: SocketAddr,
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    first: [u8; 8],
-    first_len: usize,
-) {
-    let Some((slot, feed, tx)) = claim_slot(shared, peer, None, &stream) else {
-        return; // all slots busy: refuse
-    };
-    let _guard = feed.lock().expect("feed lock poisoned");
-    let gauge = shared.gauges[slot].clone();
-    gauge.connects.fetch_add(1, Ordering::SeqCst);
-    gauge.set_state(ConnState::Active);
-    let handshake_ok = first_len == 8 && &first == CAPTURE_MAGIC;
-    if handshake_ok {
-        let mut slots = shared.slots.lock().expect("slot table poisoned");
-        slots.reports[slot].handshake_ok = true;
-    }
-
-    let mut decoder = FrameDecoder::new();
-    let mut items = Vec::new();
-    let mut errors = Vec::new();
-    let mut receiver_gone = false;
-    gauge.bytes.fetch_add(first_len as u64, Ordering::SeqCst);
-    decoder.push(&first[..first_len], &mut items);
-    drain_items(&mut items, &tx, &gauge, &mut errors, &mut receiver_gone);
-
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut cause = DisconnectCause::CleanEof;
-    loop {
-        if decoder.is_done() {
-            // Bad magic: the handshake failed, drop the connection.
-            cause = DisconnectCause::HandshakeFailed;
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                gauge.bytes.fetch_add(n as u64, Ordering::SeqCst);
-                gauge.touch(shared.now_us());
-                decoder.push(&chunk[..n], &mut items);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                cause = DisconnectCause::Io(e.kind());
-                break;
-            }
-        }
-        if !drain_items(&mut items, &tx, &gauge, &mut errors, &mut receiver_gone) {
-            break;
-        }
-    }
-    if !decoder.is_done() {
-        decoder.finish(&mut items);
-    } else if !handshake_ok {
-        cause = DisconnectCause::HandshakeFailed;
-    }
-    drain_items(&mut items, &tx, &gauge, &mut errors, &mut receiver_gone);
-    let final_state = if handshake_ok {
-        ConnState::Ended
-    } else {
-        ConnState::Failed
-    };
-    end_attempt(
-        shared,
-        slot,
-        decoder.stats(),
-        errors,
-        cause,
-        true,
-        final_state,
-    );
-}
-
 /// Session connection: ack with the resume watermark, then the record
-/// layer until `End`, death, or a supersede.
+/// layer until `End`, death, or a supersede. A session that finds no
+/// stream to attach to is refused and counted.
 fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared>, id: u64) {
-    let Some((slot, feed, tx)) = claim_slot(shared, peer, Some(id), &stream) else {
-        return; // unknown session and no free slot, or stream retired
+    let Some((slot, feed, tx)) = claim_slot(shared, peer, id, &stream) else {
+        shared.refused.fetch_add(1, Ordering::Relaxed);
+        return;
     };
     // The feed lock serializes against the previous attempt: once held,
     // the old reader has queued its last decoded event, so the gauge's
@@ -859,7 +745,6 @@ fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared
             Vec::new(),
             DisconnectCause::Io(std::io::ErrorKind::BrokenPipe),
             false,
-            ConnState::Waiting,
         );
         return;
     }
@@ -933,19 +818,9 @@ fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared
             _ => break (DisconnectCause::Io(std::io::ErrorKind::InvalidData), false),
         }
     };
-    if !decoder.is_done() {
-        decoder.finish(&mut items);
-    }
+    decoder.finish(&mut items);
     drain_items(&mut items, &tx, &gauge, &mut errors, &mut receiver_gone);
-    end_attempt(
-        shared,
-        slot,
-        decoder.stats(),
-        errors,
-        cause,
-        clean_end,
-        ConnState::Ended,
-    );
+    end_attempt(shared, slot, decoder.stats(), errors, cause, clean_end);
 }
 
 /// `read_exact` that reports clean EOF (`Ok(false)`) instead of turning
@@ -1193,65 +1068,44 @@ pub struct PublishReport {
     pub faults: u32,
 }
 
-/// Connects to `addr` and replays `log` as one **legacy** publisher
-/// stream (the PR 9 wire format: `FDIFFCAP`, then frames, then EOF),
-/// optionally mangling the bytes through a [`ChannelChaos`] proxy.
-/// Writes in `WRITE_CHUNK`-byte pieces so the receiving decoder always
-/// sees frames split across reads, then half-closes — `shutdown(Write)`
-/// followed by a read to EOF — so the server's close acks that every
-/// in-flight byte was consumed (an immediate close could RST and
-/// discard buffered bytes under load).
-pub fn publish_capture<A: ToSocketAddrs>(
+/// Connects to `addr` as a session publisher and sends `log` mangled
+/// through a [`ChannelChaos`] proxy as a **one-shot** payload: one
+/// connection, no retry, no resume — a corrupted stream makes the
+/// event-count watermark meaningless, so a session the server already
+/// holds events for is an error. The bytes go out in `WRITE_CHUNK`-byte
+/// `Data` records so the receiving decoder always sees frames split
+/// across reads.
+pub fn publish_mangled<A: ToSocketAddrs>(
     addr: A,
     log: &ControllerLog,
-    chaos: Option<&ChannelChaos>,
+    chaos: &ChannelChaos,
+    session: u64,
 ) -> std::io::Result<PublishReport> {
-    publish_capture_paced(addr, log, chaos, None)
-}
-
-/// [`publish_capture`] with an optional mid-stream write pause: after
-/// `stall_after_bytes`, sleep `stall` with the socket open — the
-/// "healthy publisher wedged upstream" the serve smoke drills.
-pub fn publish_capture_paced<A: ToSocketAddrs>(
-    addr: A,
-    log: &ControllerLog,
-    chaos: Option<&ChannelChaos>,
-    stall: Option<(u64, Duration)>,
-) -> std::io::Result<PublishReport> {
-    let (bytes, chaos_report) = match chaos {
-        Some(chaos) => {
-            let (bytes, report) = chaos.mangle(log);
-            (bytes, Some(report))
-        }
-        None => (log.to_wire_bytes(), None),
-    };
-    let mut stream = TcpStream::connect(addr)?;
-    let mut written = 0u64;
-    let mut pending_stall = stall;
-    for piece in bytes.chunks(WRITE_CHUNK) {
-        stream.write_all(piece)?;
-        written += piece.len() as u64;
-        if let Some((after, pause)) = pending_stall {
-            if written >= after {
-                std::thread::sleep(pause);
-                pending_stall = None;
-            }
-        }
-    }
-    stream.flush()?;
-    half_close(stream)?;
-    Ok(PublishReport {
-        bytes_sent: bytes.len() as u64,
+    let (mut payload, mangled) = chaos.mangle(log);
+    let mut report = PublishReport {
         events: log.len() as u64,
-        chaos: chaos_report,
+        chaos: Some(mangled),
         connects: 1,
         ..PublishReport::default()
-    })
+    };
+    let mut stream = TcpStream::connect(addr)?;
+    if session_handshake(&mut stream, session, &mut report)? != 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "session already holds events; a mangled stream cannot resume",
+        ));
+    }
+    write_data_record(&mut stream, &mut payload, &mut report, WRITE_CHUNK)?;
+    write_end_record(&mut stream, &mut report)?;
+    half_close(stream)?;
+    Ok(report)
 }
 
 /// Half-close: shut the write side, then read to EOF so the peer's
-/// close confirms it consumed the full stream.
+/// close confirms it consumed the full stream (an immediate close could
+/// RST and discard buffered bytes under load).
 fn half_close(mut stream: TcpStream) -> std::io::Result<()> {
+    stream.flush()?;
     stream.shutdown(Shutdown::Write)?;
     let mut sink = [0u8; 256];
     loop {
@@ -1373,13 +1227,10 @@ pub fn publish_session<A: ToSocketAddrs>(
             retry_or_bail(&mut retries, opts, &mut rng, &mut report, e)?;
             continue 'attempts;
         }
-        let end = [REC_END, 0, 0, 0, 0];
-        if let Err(e) = stream.write_all(&end) {
+        if let Err(e) = write_end_record(&mut stream, &mut report) {
             retry_or_bail(&mut retries, opts, &mut rng, &mut report, e)?;
             continue 'attempts;
         }
-        report.bytes_sent += end.len() as u64;
-        stream.flush()?;
         half_close(stream)?;
         report.retries = retries;
         return Ok(report);
@@ -1427,6 +1278,14 @@ fn write_data_record(
         off += n;
     }
     payload.clear();
+    Ok(())
+}
+
+/// Sends the `End` record that closes a session cleanly.
+fn write_end_record(stream: &mut TcpStream, report: &mut PublishReport) -> std::io::Result<()> {
+    let end = [REC_END, 0, 0, 0, 0];
+    stream.write_all(&end)?;
+    report.bytes_sent += end.len() as u64;
     Ok(())
 }
 
@@ -1616,7 +1475,7 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let publisher = std::thread::spawn({
             let log = log.clone();
-            move || publish_capture(addr, &log, None).unwrap()
+            move || publish_session(addr, &log, &SessionOptions::default()).unwrap()
         });
         let (events, reports) = live_collect(&server, 1, 16, LiveOptions::default());
         let sent = publisher.join().unwrap();
@@ -1627,25 +1486,40 @@ mod tests {
         assert_eq!(reports[0].bytes_read, sent.bytes_sent);
         assert_eq!(reports[0].stats.frames_decoded, 50);
         assert_eq!(reports[0].stats.frames_skipped, 0);
-        assert_eq!(reports[0].cause, Some(DisconnectCause::CleanEof));
+        assert_eq!(reports[0].cause, Some(DisconnectCause::SessionEnd));
         assert_eq!(reports[0].state, ConnState::Ended);
     }
 
     #[test]
     fn handshake_failure_is_reported_not_fatal() {
+        // A non-protocol connect (port scan, LB health check) must be
+        // refused without consuming the only stream slot: the real
+        // session arriving afterwards still delivers every event.
+        let log: ControllerLog = (0..50u64).map(|i| ev(100 + i, i as u32)).collect();
         let server = IngestServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
-        let publisher = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"HTTP/1.1 GET / please").unwrap();
+        let mut live = server.live(1, 16, LiveOptions::default()).unwrap();
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        // The server hangs up on the probe once the refusal is counted.
+        let mut sink = Vec::new();
+        let _ = probe.read_to_end(&mut sink);
+        assert!(sink.is_empty(), "a refused greeting gets no reply");
+        assert_eq!(live.refused(), 1);
+        let publisher = std::thread::spawn({
+            let log = log.clone();
+            move || publish_session(addr, &log, &SessionOptions::default()).unwrap()
         });
-        let (events, reports) = live_collect(&server, 1, 16, LiveOptions::default());
+        let events: Vec<ControlEvent> = live.take_merge().collect();
         publisher.join().unwrap();
-        assert!(events.is_empty());
-        assert!(!reports[0].handshake_ok);
-        assert!(matches!(reports[0].first_errors[0], DecodeError::BadMagic));
-        assert_eq!(reports[0].cause, Some(DisconnectCause::HandshakeFailed));
-        assert_eq!(reports[0].state, ConnState::Failed);
+        assert_eq!(events, log.events().to_vec());
+        assert_eq!(live.refused(), 1);
+        let reports = live.finish();
+        assert!(reports[0].handshake_ok);
+        assert_eq!(reports[0].events, 50);
+        assert_eq!(reports[0].connects, 1);
+        assert_eq!(reports[0].cause, Some(DisconnectCause::SessionEnd));
+        assert_eq!(reports[0].state, ConnState::Ended);
     }
 
     #[test]
@@ -1772,8 +1646,11 @@ mod tests {
         let half = bytes.len() / 2;
         let _publisher = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(SESSION_MAGIC).unwrap();
+            s.write_all(&3u64.to_le_bytes()).unwrap();
+            s.write_all(&[REC_DATA]).unwrap();
+            s.write_all(&(half as u32).to_le_bytes()).unwrap();
             s.write_all(&bytes[..half]).unwrap();
-            s.flush().unwrap();
             // Hang. The server kills us; keep the socket alive until
             // then.
             std::thread::sleep(Duration::from_secs(10));
@@ -1791,7 +1668,8 @@ mod tests {
         assert!(!events.is_empty(), "the half-capture's events came through");
         assert!(events.len() < 40);
         let r = &reports[0];
-        assert_eq!(r.cause, Some(DisconnectCause::IdleTimeout));
-        assert!(r.disconnects >= 1);
+        assert!(r.disconnects >= 1, "the idle socket was killed");
+        assert_eq!(r.cause, Some(DisconnectCause::SessionAbandoned));
+        assert_eq!(r.state, ConnState::Dead);
     }
 }

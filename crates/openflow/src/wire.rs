@@ -103,48 +103,6 @@ fn decode_header(input: &[u8]) -> Result<(u8, usize, Xid), DecodeError> {
     Ok((type_code, length, xid))
 }
 
-/// Decodes one message at offset `pos` of a shared capture buffer.
-///
-/// Identical to [`decode`] on `&input[pos..]`, except that the
-/// payload-carrying messages (`Error`, `EchoRequest`, `EchoReply`,
-/// `PacketIn`, `PacketOut`) borrow their payload as zero-copy
-/// [`Bytes`] slices of `input` instead of copying it out, so the
-/// clean streaming-decode path never materializes an owned payload.
-///
-/// # Errors
-///
-/// Returns the same [`DecodeError`]s as [`decode`].
-pub fn decode_shared(input: &Bytes, pos: usize) -> Result<(OfpMessage, Xid, usize), DecodeError> {
-    let avail = &input[pos..];
-    let (type_code, length, xid) = decode_header(avail)?;
-    let body = &avail[HEADER_LEN..length];
-    let body_start = pos + HEADER_LEN;
-    let end = pos + length;
-    let msg = match type_code {
-        1 => {
-            let mut b = body;
-            need(b, 4, "error")?;
-            let err_type = b.get_u16();
-            let code = b.get_u16();
-            OfpMessage::Error(ErrorMsg {
-                err_type,
-                code,
-                data: input.slice(body_start + 4..end),
-            })
-        }
-        2 => OfpMessage::EchoRequest(input.slice(body_start..end)),
-        3 => OfpMessage::EchoReply(input.slice(body_start..end)),
-        10 => OfpMessage::PacketIn(decode_packet_in_at(body, |off| {
-            input.slice(body_start + off..end)
-        })?),
-        13 => OfpMessage::PacketOut(decode_packet_out_at(body, |off| {
-            input.slice(body_start + off..end)
-        })?),
-        other => decode_body(other, body)?,
-    };
-    Ok((msg, xid, length))
-}
-
 fn encode_body(msg: &OfpMessage, buf: &mut BytesMut) {
     match msg {
         OfpMessage::Hello
@@ -393,18 +351,7 @@ fn encode_packet_in(pi: &PacketIn, buf: &mut BytesMut) {
     buf.put_slice(&pi.data);
 }
 
-fn decode_packet_in(body: &[u8]) -> Result<PacketIn, DecodeError> {
-    decode_packet_in_at(body, |off| body[off..].into())
-}
-
-/// Parses the fixed `packet_in` prefix; `payload(off)` supplies the
-/// frame bytes, given the payload's offset within `body` — the shared
-/// decode path slices the capture buffer there instead of copying.
-fn decode_packet_in_at(
-    mut body: &[u8],
-    payload: impl FnOnce(usize) -> Bytes,
-) -> Result<PacketIn, DecodeError> {
-    let full = body.len();
+fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
     need(body, 10, "packet_in")?;
     let buffer_id = BufferId(body.get_u32());
     let total_len = body.get_u16();
@@ -420,13 +367,12 @@ fn decode_packet_in_at(
         }
     };
     body.advance(1);
-    let off = full - body.len();
     Ok(PacketIn {
         buffer_id,
         total_len,
         in_port,
         reason,
-        data: payload(off),
+        data: body.into(),
     })
 }
 
@@ -441,17 +387,7 @@ fn encode_packet_out(po: &PacketOut, buf: &mut BytesMut) {
     buf.put_slice(&po.data);
 }
 
-fn decode_packet_out(body: &[u8]) -> Result<PacketOut, DecodeError> {
-    decode_packet_out_at(body, |off| body[off..].into())
-}
-
-/// Parses the `packet_out` prefix and actions; `payload(off)` supplies
-/// the raw frame, given its offset within `body`.
-fn decode_packet_out_at(
-    mut body: &[u8],
-    payload: impl FnOnce(usize) -> Bytes,
-) -> Result<PacketOut, DecodeError> {
-    let full = body.len();
+fn decode_packet_out(mut body: &[u8]) -> Result<PacketOut, DecodeError> {
     need(body, 8, "packet_out")?;
     let buffer_id = BufferId(body.get_u32());
     let in_port = PortNo(body.get_u16());
@@ -459,12 +395,11 @@ fn decode_packet_out_at(
     need(body, actions_len, "packet_out.actions")?;
     let actions = decode_actions(&body[..actions_len])?;
     body.advance(actions_len);
-    let off = full - body.len();
     Ok(PacketOut {
         buffer_id,
         in_port,
         actions,
-        data: payload(off),
+        data: body.into(),
     })
 }
 
