@@ -190,6 +190,21 @@ step "benchmark harness builds and tests against the workspace crates"
 # benchmark run.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
+step "benchmark traced pass (epoch_snapshot fed every in-window open each epoch)"
+# The harness's traced model pass is the one caller that hands
+# epoch_snapshot every in-window open episode every epoch instead of the
+# touched ones, and it checks each epoch's record count against the real
+# differ's: correctness only, no timing gate.
+trace_out="$(benchmark/run.sh --workload serve_paced --seed 42 --seconds 3 --trace 1 | tail -n 1)"
+printf '%s\n' "$trace_out" | cut -c1-160
+case "$trace_out" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "FAIL: traced serve_paced run is not correct with 0 failed" >&2
+        exit 1
+        ;;
+esac
+
 step "cargo bench --no-run (benches must compile)"
 cargo bench --no-run -q
 

@@ -369,9 +369,10 @@ pub struct EpochTimings {
     /// (for the sharded differ, flushing the step buffer to the
     /// workers' batch queues).
     pub observe_us: u64,
-    /// Building the window model (the incremental epoch snapshot; for
-    /// the sharded differ, the barrier round-trip: queue drain plus
-    /// per-shard extraction).
+    /// Building the window model (reading the touched in-flight
+    /// episodes out of the assembler plus the incremental epoch
+    /// snapshot; for the sharded differ, the barrier round-trip: queue
+    /// drain plus per-shard extraction).
     pub snapshot_us: u64,
     /// Merging per-shard partials into the window model (zero on the
     /// single-shard differ, which has nothing to merge).
@@ -424,11 +425,11 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// events into flow records, an [`IncrementalModelBuilder`] accumulates
 /// them, and `retire_before` keeps memory proportional to the window.
 /// At each boundary the builder snapshots through its maintained window
-/// state ([`IncrementalModelBuilder::epoch_snapshot`]), overlaying the
-/// assembler's in-flight episodes and unwinding them afterwards, so
-/// long-running flows show up in window models without disturbing (or
-/// double-counting in) the real accumulation — and without cloning and
-/// rebuilding the whole window every epoch.
+/// state ([`IncrementalModelBuilder::epoch_snapshot`]), which also
+/// holds the assembler's in-flight episodes — re-read only when an
+/// event touched them — so long-running flows show up in window models
+/// without disturbing (or double-counting in) the real accumulation,
+/// and without cloning and rebuilding the whole window every epoch.
 ///
 /// The differ serializes wholesale — reference model, stability report,
 /// config, assembler, builder, epoch grid, warm-up state — which is
@@ -558,6 +559,11 @@ impl OnlineDiffer {
         self.clock.epoch()
     }
 
+    /// [`IncrementalModelBuilder::epoch_synced`] of the latest boundary.
+    pub fn epoch_synced(&self) -> usize {
+        self.builder.epoch_synced()
+    }
+
     /// Declares that this differ was restored from a checkpoint
     /// *without* replaying the events between the checkpoint and the
     /// live stream — its incremental state is missing history. Every
@@ -679,19 +685,12 @@ impl OnlineDiffer {
         timed(&mut self.timings.retire_us, || {
             self.builder.retire_before(start);
         });
-        // Overlay the in-flight episodes onto the maintained window
-        // state: they belong in this window's picture, but must complete
-        // into the real builder exactly once, so `epoch_snapshot`
-        // unwinds them after modeling. Episodes that began before the
-        // window start are excluded — the historical probe clone
-        // retired them right after adding.
-        let opens: Vec<_> = self
-            .assembler
-            .open_records()
-            .into_iter()
-            .filter(|r| r.first_seen >= start)
-            .collect();
+        // The in-flight episodes belong in this window's picture, but
+        // must complete into the real builder exactly once: the builder
+        // keeps them in its derived window state only, and needs just
+        // the in-window ones that changed since the previous boundary.
         let model = timed(&mut self.timings.snapshot_us, || {
+            let opens = self.assembler.touched_open_records_since(start);
             self.builder.epoch_snapshot((start, boundary), opens)
         });
         let (diff, gating) = timed(&mut self.timings.diff_us, || {
@@ -802,12 +801,7 @@ impl ShardState {
             self.builder.observe_record(record);
         }
         self.builder.retire_before(start);
-        let opens: Vec<_> = self
-            .assembler
-            .open_records()
-            .into_iter()
-            .filter(|r| r.first_seen >= start)
-            .collect();
+        let opens = self.assembler.open_records_since(start);
         self.builder.shard_model_with_opens(opens)
     }
 }

@@ -19,10 +19,10 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use openflow::types::{DatapathId, PortNo, Timestamp};
+use openflow::types::{DatapathId, PortNo, Timestamp, Xid};
 
 use crate::groups::Edge;
-use crate::records::{FlowRecord, FlowTuple};
+use crate::records::{FlowRecord, FlowTuple, HopReport};
 
 /// Dense index of one host (an `Ipv4Addr`) in an [`EntityCatalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -307,11 +307,36 @@ impl EntityCatalog {
                         ts: hop.ts,
                         switch,
                         in_port: self.intern_port(switch, hop.in_port),
+                        xid: hop.xid,
                         flow_mod_ts: hop.flow_mod_ts,
                         out_port: hop.out_port.map(|p| self.intern_port(switch, p)),
                     }
                 })
                 .collect(),
+        }
+    }
+
+    /// The address form of a record interned through this catalog: the
+    /// exact inverse of [`intern_record`](Self::intern_record).
+    pub fn resolve_record(&self, record: &IRecord) -> FlowRecord {
+        FlowRecord {
+            tuple: record.tuple,
+            first_seen: record.first_seen,
+            hops: record
+                .hops
+                .iter()
+                .map(|hop| HopReport {
+                    ts: hop.ts,
+                    dpid: self.switch(hop.switch),
+                    in_port: self.port(hop.in_port).1,
+                    xid: hop.xid,
+                    flow_mod_ts: hop.flow_mod_ts,
+                    out_port: hop.out_port.map(|p| self.port(p).1),
+                })
+                .collect(),
+            byte_count: record.byte_count,
+            packet_count: record.packet_count,
+            duration_s: record.duration_s,
         }
     }
 }
@@ -326,6 +351,9 @@ pub struct IHop {
     pub switch: SwitchId,
     /// The port the flow arrived on.
     pub in_port: PortId,
+    /// The report's transaction id. No builder reads it; it is what
+    /// makes [`EntityCatalog::resolve_record`] lossless.
+    pub xid: Xid,
     /// When the controller answered with a `FlowMod`, if it did.
     pub flow_mod_ts: Option<Timestamp>,
     /// The port the installed rule forwards out of, if any.

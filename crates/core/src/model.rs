@@ -32,8 +32,8 @@ use crate::signatures::correlation::PartialCorrelation;
 use crate::signatures::delay::DelayDistribution;
 use crate::signatures::flow_stats::FlowStatsSig;
 use crate::signatures::infra::{
-    ControllerResponse, CrtBuilder, CrtLinear, InterSwitchLatency, IslBuilder, IslLinear,
-    PhysicalTopology, PtBuilder, PtLinear,
+    sorted_latency, sorted_response, sorted_topology, ControllerResponse, InterSwitchLatency,
+    PhysicalTopology,
 };
 use crate::signatures::interaction::ComponentInteraction;
 use crate::signatures::utilization::{LinkUtilization, LuBuilder};
@@ -195,32 +195,14 @@ fn build_part(
         }
     } else {
         // The batch feed is sorted, retires nothing, and is dropped
-        // after finalize — exactly what the append-only linear
-        // accumulators are for. The retire-capable keyed builders
-        // produce identical output but pay a keyed insert per record,
-        // which measurably drags every full assembly.
+        // after finalize — exactly what the sorted-feed builds are for.
+        // The retire-capable keyed builders produce identical output
+        // but pay a keyed insert per record, which measurably drags
+        // every full assembly.
         match task - app_tasks {
-            0 => {
-                let mut b = PtLinear::default();
-                for r in all_records {
-                    b.observe(r);
-                }
-                Built::Pt(b.finalize(catalog))
-            }
-            1 => {
-                let mut b = IslLinear::default();
-                for r in all_records {
-                    b.observe(r);
-                }
-                Built::Isl(b.finalize(catalog))
-            }
-            _ => {
-                let mut b = CrtLinear::default();
-                for r in all_records {
-                    b.observe(r);
-                }
-                Built::Crt(b.finalize(catalog))
-            }
+            0 => Built::Pt(sorted_topology(all_records, catalog)),
+            1 => Built::Isl(sorted_latency(all_records, catalog)),
+            _ => Built::Crt(sorted_response(all_records, catalog)),
         }
     }
 }
@@ -496,16 +478,17 @@ pub struct IncrementalModelBuilder {
     /// Port-counter series for the LU signature.
     lu: LuBuilder,
     /// Lazily built incremental-snapshot state (persistent catalog,
-    /// interned window, maintained infrastructure builders). Purely
-    /// derived from `records`, so it is excluded from equality and
-    /// serialization and rebuilt on first use after a restore.
+    /// interned window of held and still-open episodes). Purely derived
+    /// from `records` and what the assembler holds open, so it is
+    /// excluded from equality and serialization and rebuilt on first
+    /// use after a restore.
     ws: Option<WindowState>,
     /// Keys of completions accepted since the last snapshot and not yet
     /// folded into `ws`. Syncing lazily — at snapshot time, after the
     /// caller's retirement pass — means a record that ages out of the
     /// window within one epoch (the common fate of late-evicted
-    /// episodes, whose `first_seen` predates the window) never touches
-    /// the keyed builders at all. Derived state, like `ws`.
+    /// episodes, whose `first_seen` predates the window) is never
+    /// interned at all. Derived state, like `ws`.
     pending: Vec<(Timestamp, FlowTuple)>,
 }
 
@@ -551,52 +534,98 @@ impl Deserialize for IncrementalModelBuilder {
     }
 }
 
-/// The incremental-snapshot state: a persistent entity catalog, the
-/// held records re-interned through it (same shape as [`RecordWindow`],
-/// dense IDs instead of addresses), and the three record-fed
-/// infrastructure builders maintained across epochs by
-/// observe/retire instead of being rebuilt per snapshot.
+/// One in-window episode of the interned window: a completion the owned
+/// window holds, or the last version seen of one the assembler still
+/// holds open.
+#[derive(Debug, Clone)]
+struct Entry {
+    ir: IRecord,
+    open: bool,
+}
+
+impl Entry {
+    fn key(&self) -> (Timestamp, FlowTuple) {
+        (self.ir.first_seen, self.ir.tuple)
+    }
+}
+
+/// The incremental-snapshot state: a persistent entity catalog and
+/// every in-window episode — completed or still open — interned through
+/// it once, in model order: ascending `(first_seen, tuple)`, and under
+/// one key the completions (mirroring the owned window's tie list) then
+/// the open episodes (in assembler order). A flat sorted list, because
+/// the window lives by appends at the young end, drains at the old end
+/// and in-place replacement in between; an insert anywhere else (a
+/// straggler's late first `PacketIn`) just shifts the tail.
 ///
 /// The catalog only ever grows — dense IDs are process-local and
 /// excluded from every output, so stale entries from retired records
-/// are harmless — which is what lets the interned window and the
-/// maintained builders keep their IDs stable across epochs.
+/// are harmless — which is what lets the interned window keep its IDs
+/// stable across epochs.
 #[derive(Debug, Clone, Default)]
 struct WindowState {
     catalog: EntityCatalog,
-    window: BTreeMap<(Timestamp, FlowTuple), Vec<IRecord>>,
-    pt: PtBuilder,
-    isl: IslBuilder,
-    crt: CrtBuilder,
+    window: Vec<Entry>,
+    /// Records interned by the latest `epoch_snapshot`.
+    synced: usize,
 }
 
 impl WindowState {
-    /// Interns one record and folds it into the maintained state.
-    fn observe(&mut self, record: &FlowRecord) {
-        let ir = self.catalog.intern_record(record);
-        self.pt.observe(&ir);
-        self.isl.observe(&ir);
-        self.crt.observe(&ir);
-        self.window
-            .entry((record.first_seen, record.tuple))
-            .or_default()
-            .push(ir);
+    fn intern(&mut self, record: &FlowRecord, open: bool) -> Entry {
+        self.synced += 1;
+        Entry {
+            ir: self.catalog.intern_record(record),
+            open,
+        }
     }
 
-    /// Withdraws every record first seen before `cutoff` from the
-    /// maintained builders and drops it from the interned window. Ties
-    /// under one key retire newest-first, per the builder contract.
-    fn retire_before(&mut self, cutoff: Timestamp) {
-        while let Some(entry) = self.window.first_entry() {
-            if entry.key().0 >= cutoff {
-                break;
-            }
-            for ir in entry.remove().iter().rev() {
-                self.pt.retire(ir);
-                self.isl.retire(ir);
-                self.crt.retire(ir);
+    /// Where `key`'s completions start, where its open episodes start,
+    /// and where the next key starts.
+    fn locate(&self, key: &(Timestamp, FlowTuple)) -> (usize, usize, usize) {
+        let lo = self.window.partition_point(|e| e.key() < *key);
+        let same = |e: &&Entry| e.key() == *key;
+        let n = self.window[lo..].iter().take_while(same).count();
+        let held = self.window[lo..lo + n].iter().filter(|e| !e.open).count();
+        (lo, lo + held, lo + n)
+    }
+
+    /// Folds the completions under `key` that the owned window's tie
+    /// list `ties` holds and this state does not. An evicted episode
+    /// whose final record is the open version already synced just
+    /// changes owner; anything else displaces the key's open versions
+    /// (the assembler hands the surviving ones over again).
+    fn complete(&mut self, key: &(Timestamp, FlowTuple), ties: &[FlowRecord]) {
+        let (lo, opens, end) = self.locate(key);
+        let fresh = &ties[opens - lo..];
+        if let ([done], Some(entry)) = (fresh, self.window[opens..end].first_mut()) {
+            if self.catalog.resolve_record(&entry.ir) == *done {
+                entry.open = false;
+                return;
             }
         }
+        if !fresh.is_empty() {
+            let fresh: Vec<Entry> = fresh.iter().map(|r| self.intern(r, false)).collect();
+            self.window.splice(opens..end, fresh);
+        }
+    }
+
+    /// Makes `versions` the open episodes under their shared key.
+    fn upsert_opens(&mut self, versions: &[FlowRecord]) {
+        let (_, opens, end) = self.locate(&(versions[0].first_seen, versions[0].tuple));
+        let fresh: Vec<Entry> = versions.iter().map(|r| self.intern(r, true)).collect();
+        if !fresh
+            .iter()
+            .map(|e| &e.ir)
+            .eq(self.window[opens..end].iter().map(|e| &e.ir))
+        {
+            self.window.splice(opens..end, fresh);
+        }
+    }
+
+    /// Drops every record first seen before `cutoff`.
+    fn retire_before(&mut self, cutoff: Timestamp) {
+        let n = self.window.partition_point(|e| e.ir.first_seen < cutoff);
+        self.window.drain(..n);
     }
 }
 
@@ -673,6 +702,14 @@ impl IncrementalModelBuilder {
     /// Records currently held (post-retirement).
     pub fn record_count(&self) -> usize {
         self.records.len()
+    }
+
+    /// How many records the latest [`epoch_snapshot`](Self::epoch_snapshot)
+    /// interned into the maintained window state: the whole window the
+    /// first time (and the first time after a restore), afterwards only
+    /// new completions and the open episodes handed to it.
+    pub fn epoch_synced(&self) -> usize {
+        self.ws.as_ref().map_or(0, |ws| ws.synced)
     }
 
     /// The min/max event timestamp observed so far (None before the
@@ -809,114 +846,60 @@ impl IncrementalModelBuilder {
     }
 
     /// Snapshots the model for one epoch via the maintained window
-    /// state — the online differ's delta path. `opens` are the
-    /// assembler's still-open flows, overlaid as if they completed now:
-    /// they are interned through the shared catalog but observed into
-    /// *fresh* overlay builders, and the infrastructure signatures come
-    /// out of a merged finalize over `(maintained, overlay)`. The
-    /// maintained state is never mutated, so there is nothing to unwind
-    /// — the historical observe-then-retire round trip through the
-    /// maintained builders cost more than a full remodel whenever the
-    /// window was dominated by in-flight episodes. The result is
-    /// `PartialEq`- and serialization-byte-identical to
+    /// state — the online differ's delta path. `opens` are still-open
+    /// episodes, modeled as if they completed now: the current version
+    /// of every in-window one that changed since the previous call
+    /// ([`RecordAssembler::touched_open_records_since`]). Each replaces
+    /// the version held under its `(first_seen, tuple)` key — an
+    /// unchanged one is a no-op, so passing every in-window open is
+    /// equally correct, just without the saving — and stays in the
+    /// maintained state until a completion under its key supersedes it
+    /// or [`retire_before`](Self::retire_before) slides past it. The
+    /// result is `PartialEq`- and serialization-byte-identical to
     /// [`Self::snapshot`] over the same records with the same span, but
-    /// costs one fan-out over *groups* plus work proportional to the
-    /// opens — nothing re-sorts, re-interns, or re-feeds the held
-    /// window.
+    /// costs one fan-out over *groups*, one clone of the window's
+    /// records, and interning work proportional to the episodes that
+    /// changed.
     pub fn epoch_snapshot(
         &mut self,
         span: (Timestamp, Timestamp),
         mut opens: Vec<FlowRecord>,
     ) -> BehaviorModel {
         if let Some(ws) = &mut self.ws {
+            ws.synced = 0;
             // Fold completions accepted since the last snapshot into
             // the maintained state. This runs after the caller's
             // retirement pass, so keys already gone from the owned
-            // window are skipped without ever feeding the keyed
-            // builders. The count-based tail sync keeps the two windows
-            // in lockstep even if a retired key was re-observed in
-            // between (the queued key then resolves to the new tie
-            // list, of which `ws` holds a prefix).
+            // window are skipped without ever being interned.
             for key in self.pending.drain(..) {
                 if let Some(ties) = self.records.map.get(&key) {
-                    let have = ws.window.get(&key).map_or(0, |t| t.len());
-                    for record in &ties[have..] {
-                        ws.observe(record);
-                    }
+                    ws.complete(&key, ties);
                 }
             }
         } else {
             let mut ws = WindowState::default();
-            for record in self.records.iter() {
-                ws.observe(record);
-            }
+            ws.window = self.records.iter().map(|r| ws.intern(r, false)).collect();
             self.ws = Some(ws);
             self.pending.clear();
         }
-
-        // Canonical batch order for the overlay; the sort is stable, so
-        // same-key opens keep their assembler iteration order — exactly
-        // where the batch core's stable sort would leave them.
-        opens.sort_by_key(|r| (r.first_seen, r.tuple));
-
-        // Intern the opens through the shared (growing) catalog, but
-        // observe them into fresh overlay builders so the maintained
-        // ones keep only durable records.
         let ws = self.ws.as_mut().expect("ensured above");
-        let mut over_pt = PtLinear::default();
-        let mut over_isl = IslLinear::default();
-        let mut over_crt = CrtLinear::default();
-        let mut open_irs: Vec<IRecord> = Vec::with_capacity(opens.len());
-        for record in &opens {
-            open_irs.push(ws.catalog.intern_record(record));
-        }
-        // One tight pass per accumulator, not one interleaved pass, so
-        // each accumulator's working set stays cache-hot — mirroring
-        // the batch core's per-signature task loops.
-        for ir in &open_irs {
-            over_pt.observe(ir);
-        }
-        for ir in &open_irs {
-            over_isl.observe(ir);
-        }
-        for ir in &open_irs {
-            over_crt.observe(ir);
+
+        // Group the opens by key; the sort is stable, so same-key opens
+        // keep their assembler iteration order — exactly where the batch
+        // core's stable sort would leave them.
+        opens.sort_by_key(|r| (r.first_seen, r.tuple));
+        for versions in opens.chunk_by(|a, b| (a.first_seen, a.tuple) == (b.first_seen, b.tuple)) {
+            ws.upsert_opens(versions);
         }
 
-        // One merge drives both views of the window: the owned record
-        // list the model carries and the interned refs the signature
-        // builds consume, kept positionally aligned (group record
-        // indices index into `refs`). Held records come first on a
-        // shared key, matching the batch core's stable sort of
-        // window-then-opens.
-        let ws = self.ws.as_ref().expect("ensured above");
-        let total = self.records.len() + open_irs.len();
-        let mut records: Vec<FlowRecord> = Vec::with_capacity(total);
-        let mut refs: Vec<&IRecord> = Vec::with_capacity(total);
-        let mut open_iter = opens.into_iter();
-        let mut next_open = open_iter.next();
-        let mut oi = 0;
-        for ((key, held), (wkey, irs)) in self.records.map.iter().zip(ws.window.iter()) {
-            debug_assert_eq!(key, wkey, "owned and interned windows diverged");
-            while let Some(open) = &next_open {
-                if (open.first_seen, open.tuple) >= *key {
-                    break;
-                }
-                records.push(next_open.take().expect("checked above"));
-                refs.push(&open_irs[oi]);
-                oi += 1;
-                next_open = open_iter.next();
-            }
-            records.extend(held.iter().cloned());
-            refs.extend(irs.iter());
-        }
-        while let Some(open) = next_open {
-            records.push(open);
-            refs.push(&open_irs[oi]);
-            oi += 1;
-            next_open = open_iter.next();
-        }
-        debug_assert_eq!(records.len(), refs.len());
+        // The two views of the window, positionally aligned (group
+        // record indices index into `refs`): the owned record list the
+        // model carries and the interned refs the signature builds
+        // consume.
+        let records: Vec<FlowRecord> = (ws.window.iter())
+            .map(|e| ws.catalog.resolve_record(&e.ir))
+            .collect();
+        let refs: Vec<&IRecord> = ws.window.iter().map(|e| &e.ir).collect();
 
         let groups = discover_groups_interned(&refs, &ws.catalog, &self.config);
 
@@ -948,9 +931,9 @@ impl IncrementalModelBuilder {
             })
             .collect();
 
-        let mut topology = ws.pt.finalize_merged(&over_pt, &ws.catalog);
-        let latency = ws.isl.finalize_merged(&over_isl, &ws.catalog);
-        let response = ws.crt.finalize_merged(&over_crt, &ws.catalog);
+        let mut topology = sorted_topology(&refs, &ws.catalog);
+        let latency = sorted_latency(&refs, &ws.catalog);
+        let response = sorted_response(&refs, &ws.catalog);
         topology.live_switches.extend(self.live.keys().copied());
         let edge_index = RecordIndex::of_interned(ws.catalog.clone(), &refs);
         let catalog = ws.catalog.clone();
@@ -1215,6 +1198,75 @@ mod tests {
         assert!(m.groups.is_empty());
         assert!(m.utilization.per_port.is_empty());
         assert!(m.topology.live_switches.is_empty());
+    }
+
+    #[test]
+    fn epoch_snapshot_keeps_model_order_through_same_key_ties() {
+        use crate::records::HopReport;
+        use openflow::types::{IpProto, PortNo, Xid};
+
+        // Hostile input: two episodes of one tuple sharing a first
+        // `PacketIn` timestamp, so both live under one window key.
+        let rec = |sport: u16, xid: u32, bytes: u64| FlowRecord {
+            tuple: FlowTuple {
+                src: Ipv4Addr::new(10, 0, 0, 1),
+                sport,
+                dst: Ipv4Addr::new(10, 0, 0, 2),
+                dport: 80,
+                proto: IpProto::TCP,
+            },
+            first_seen: Timestamp::from_secs(5),
+            hops: vec![HopReport {
+                ts: Timestamp::from_secs(5),
+                dpid: DatapathId(1),
+                in_port: PortNo(1),
+                xid: Xid(xid),
+                flow_mod_ts: Some(Timestamp::from_micros(5_000_300)),
+                out_port: Some(PortNo(2)),
+            }],
+            byte_count: bytes,
+            packet_count: 0,
+            duration_s: 0.0,
+        };
+        let (a1, a2, b1) = (rec(4000, 1, 0), rec(4000, 1, 900), rec(4000, 2, 0));
+        let (c1, c2) = (rec(4001, 3, 0), rec(4001, 3, 700));
+        let span = (Timestamp::from_secs(1), Timestamp::from_secs(9));
+        let mut builder = IncrementalModelBuilder::new(&FlowDiffConfig::default());
+        // (completions since the last step, opens handed over, opens
+        // alive, records interned): what an assembler following the
+        // `touched_open_records_since` contract would produce.
+        type Records<'a> = &'a [&'a FlowRecord];
+        let steps: [(Records, Records, Records, usize); 6] = [
+            (&[], &[&a1, &b1, &c1], &[&a1, &b1, &c1], 3),
+            // B evicted as synced while its older sibling stays open:
+            // the completion goes first, the sibling is handed again.
+            (&[&b1], &[&a1], &[&a1, &c1], 2),
+            (&[], &[&a2], &[&a2, &c1], 1),
+            // A evicted as synced: changes owner, nothing re-interned.
+            (&[&a2], &[], &[&c1], 0),
+            // C touched, then evicted before the boundary.
+            (&[&c2], &[], &[], 1),
+            (&[], &[], &[], 0),
+        ];
+        for (i, (done, handed, alive, interned)) in steps.into_iter().enumerate() {
+            for record in done {
+                builder.observe_record((*record).clone());
+            }
+            let mut probe = builder.clone();
+            for open in alive {
+                probe.observe_record((*open).clone());
+            }
+            probe.set_span(span);
+            let expected = probe.snapshot_with(1);
+            let opens = handed.iter().map(|r| (*r).clone()).collect();
+            let model = builder.epoch_snapshot(span, opens);
+            assert_eq!(model, expected, "step {i}");
+            assert_eq!(serde::to_vec(&model), serde::to_vec(&expected), "step {i}");
+            assert_eq!(builder.epoch_synced(), interned, "step {i}");
+        }
+        // A turned-over window leaves nothing behind.
+        builder.retire_before(Timestamp::from_secs(6));
+        assert!(builder.epoch_snapshot(span, Vec::new()).records.is_empty());
     }
 
     #[test]

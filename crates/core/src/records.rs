@@ -277,6 +277,9 @@ struct OpenEpisode {
     /// Latest event timestamp that touched this episode (hop, `FlowMod`
     /// patch, or `FlowRemoved`); drives idle eviction.
     last_activity: Timestamp,
+    /// Set while the episode's tuple sits in the assembler's `touched`
+    /// list.
+    touched: Derived<bool>,
 }
 
 /// Location of a hop that is still waiting for its `FlowMod` reply.
@@ -286,6 +289,47 @@ struct PendingHop {
     seq: u64,
     hop_idx: usize,
     registered: Timestamp,
+}
+
+/// State derived from the rest of its owner, for the online differ's
+/// benefit only: every value compares equal, serializes to nothing and
+/// deserializes to its default, so the checkpoint layout is unchanged.
+#[derive(Debug, Clone, Default)]
+struct Derived<T>(T);
+
+impl<T> PartialEq for Derived<T> {
+    fn eq(&self, _: &Derived<T>) -> bool {
+        true
+    }
+}
+
+impl<T> Serialize for Derived<T> {
+    fn serialize(&self, _out: &mut Vec<u8>) {}
+}
+
+impl<T: Default> Deserialize for Derived<T> {
+    fn deserialize(_input: &mut &[u8]) -> Result<Self, serde::Error> {
+        Ok(Derived(T::default()))
+    }
+}
+
+/// The tuples with an open episode that changed — a hop, a `FlowMod`
+/// patch, a `FlowRemoved`, or the eviction of a sibling episode — since
+/// [`RecordAssembler::touched_open_records_since`] last asked, one
+/// entry per episode (its `touched` flag dedups). `None` means
+/// "everything": nobody has asked yet (a fresh or restored assembler,
+/// or a shard worker's, which never asks), so nothing is tracked and
+/// the list cannot grow.
+type Touched = Derived<Option<Vec<FlowTuple>>>;
+
+impl Touched {
+    fn mark(&mut self, episode: &mut OpenEpisode) {
+        if let Some(tuples) = &mut self.0 {
+            if !std::mem::replace(&mut episode.touched.0, true) {
+                tuples.push(episode.record.tuple);
+            }
+        }
+    }
 }
 
 /// Streaming flow-record assembly: a state machine that consumes
@@ -354,6 +398,9 @@ pub struct RecordAssembler {
     reorder_buf: BTreeMap<(Timestamp, u64), ControlEvent>,
     arrival_seq: u64,
     health: IngestHealth,
+    /// Which open episodes the online differ's maintained window has not
+    /// seen the current version of.
+    touched: Touched,
 }
 
 /// The first `FlowMod` seen for an xid.
@@ -386,6 +433,7 @@ impl RecordAssembler {
             reorder_buf: BTreeMap::new(),
             arrival_seq: 0,
             health: IngestHealth::default(),
+            touched: Touched::default(),
         }
     }
 
@@ -547,6 +595,7 @@ impl RecordAssembler {
                     duration_s: 0.0,
                 },
                 last_activity: ts,
+                touched: Derived(false),
             });
         } else {
             let ep = episodes.last_mut().expect("just checked");
@@ -557,6 +606,8 @@ impl RecordAssembler {
             seq = ep.seq;
             hop_idx = ep.record.hops.len() - 1;
         }
+        self.touched
+            .mark(episodes.last_mut().expect("pushed or extended"));
         if fm_ts.is_none() {
             self.pending_mods.entry(xid).or_default().push(PendingHop {
                 tuple,
@@ -604,6 +655,7 @@ impl RecordAssembler {
             if ts > ep.last_activity {
                 ep.last_activity = ts;
             }
+            self.touched.mark(ep);
         }
     }
 
@@ -635,6 +687,7 @@ impl RecordAssembler {
         if ts > ep.last_activity {
             ep.last_activity = ts;
         }
+        self.touched.mark(ep);
     }
 
     /// Evicts state idle past the horizon. Idle episodes are *emitted*
@@ -643,7 +696,9 @@ impl RecordAssembler {
         let now = self.now;
         let horizon = self.horizon_us;
         let mut evicted: Vec<FlowRecord> = Vec::new();
+        let touched = &mut self.touched;
         self.open.retain(|_, episodes| {
+            let before = evicted.len();
             let mut i = 0;
             while i < episodes.len() {
                 if now.saturating_since(episodes[i].last_activity) > horizon {
@@ -651,6 +706,11 @@ impl RecordAssembler {
                 } else {
                     i += 1;
                 }
+            }
+            // A surviving sibling may share the evicted episode's window
+            // key; the maintained window re-reads it to keep their order.
+            if let (true, Some(sibling)) = (evicted.len() > before, episodes.first_mut()) {
+                touched.mark(sibling);
             }
             !episodes.is_empty()
         });
@@ -684,10 +744,49 @@ impl RecordAssembler {
     /// the live view an online consumer folds into its window model
     /// before the episodes finish.
     pub fn open_records(&self) -> Vec<FlowRecord> {
-        self.open
-            .values()
-            .flat_map(|eps| eps.iter().map(|ep| ep.record.clone()))
+        self.open_records_since(Timestamp::ZERO)
+    }
+
+    /// [`open_records`](Self::open_records) restricted to episodes first
+    /// seen at or after `start` (a sliding window's lower bound). The
+    /// filter runs before the clone: episodes stay open for one to two
+    /// horizons, so most of them predate a window shorter than that.
+    pub fn open_records_since(&self, start: Timestamp) -> Vec<FlowRecord> {
+        (self.open.values().flatten())
+            .filter(|ep| ep.record.first_seen >= start)
+            .map(|ep| ep.record.clone())
             .collect()
+    }
+
+    /// [`open_records_since`](Self::open_records_since) restricted to
+    /// the tuples touched since this was last called — every episode of
+    /// such a tuple, touched or not, so a caller that replaces what it
+    /// holds per `(first_seen, tuple)` key always sees a key's episodes
+    /// together. The first call on a fresh or restored assembler returns
+    /// every in-window episode and starts the tracking.
+    pub fn touched_open_records_since(&mut self, start: Timestamp) -> Vec<FlowRecord> {
+        let Some(mut tuples) = self.touched.0.take() else {
+            self.touched.0 = Some(Vec::new());
+            return self.open_records_since(start);
+        };
+        let mut out = Vec::new();
+        for tuple in tuples.drain(..) {
+            // Evicted since, or already handed over for a sibling.
+            let Some(episodes) = self.open.get_mut(&tuple) else {
+                continue;
+            };
+            if !episodes.iter().any(|ep| ep.touched.0) {
+                continue;
+            }
+            for ep in episodes {
+                ep.touched.0 = false;
+                if ep.record.first_seen >= start {
+                    out.push(ep.record.clone());
+                }
+            }
+        }
+        self.touched.0 = Some(tuples);
+        out
     }
 
     /// Number of in-flight episodes (bounded-memory diagnostics).
@@ -1377,6 +1476,95 @@ mod tests {
         assert_eq!(view[0].hops.len(), 3, "all hops visible before completion");
         assert_eq!(view[0].byte_count, 0, "counters not yet attached");
         assert_eq!(asm.completed_len(), 0);
+    }
+
+    #[test]
+    fn touched_tracking_hands_over_changed_episodes_and_is_unobservable() {
+        let log = busy_log();
+        let sorted = |mut v: Vec<FlowRecord>| {
+            v.sort_by_key(|r| (r.first_seen, r.tuple));
+            v
+        };
+        let mut asm = RecordAssembler::new(&FlowDiffConfig::default());
+        // Stop short of the first prune (60 s): all four flows stay open.
+        let live = (log.events().iter()).filter(|ev| ev.ts < Timestamp::from_secs(50));
+        let (early, late): (Vec<_>, Vec<_>) = live.partition(|ev| ev.ts < Timestamp::from_secs(20));
+        for ev in early {
+            asm.observe(ev);
+        }
+        // A twin that is never asked tracks nothing.
+        let mut twin = asm.clone();
+
+        // The first ask hands over every in-window episode.
+        let first = sorted(asm.touched_open_records_since(Timestamp::ZERO));
+        assert_eq!(first, sorted(asm.open_records()));
+        assert_eq!(first.len(), 2, "flows at 1 s and 16 s");
+        assert!(asm.touched_open_records_since(Timestamp::ZERO).is_empty());
+
+        for ev in late {
+            asm.observe(ev);
+            twin.observe(ev);
+        }
+        // Afterwards: exactly the episodes that are new or changed.
+        let changed: Vec<FlowRecord> = sorted(asm.open_records())
+            .into_iter()
+            .filter(|r| !first.contains(r))
+            .collect();
+        assert_eq!(changed.len(), 3, "16 s flow's FlowRemoved, two new flows");
+        let start = Timestamp::from_secs(30);
+        let in_window: Vec<FlowRecord> = (changed.iter())
+            .filter(|r| r.first_seen >= start)
+            .cloned()
+            .collect();
+        assert_eq!(in_window.len(), 2);
+        assert_eq!(
+            sorted(asm.clone().touched_open_records_since(start)),
+            in_window
+        );
+        assert_eq!(
+            sorted(asm.touched_open_records_since(Timestamp::ZERO)),
+            changed
+        );
+        assert_eq!(sorted(asm.open_records_since(start)), in_window);
+
+        // Derived state: equal, and not a byte of it in a checkpoint.
+        assert_eq!(asm, twin);
+        assert_eq!(serde::to_vec(&asm), serde::to_vec(&twin));
+        let restored: RecordAssembler = serde::from_slice(&serde::to_vec(&asm)).unwrap();
+        let mut restored = restored;
+        assert_eq!(
+            sorted(restored.touched_open_records_since(Timestamp::ZERO)),
+            sorted(asm.open_records()),
+            "everything counts as touched after a restore"
+        );
+    }
+
+    #[test]
+    fn evicting_an_episode_hands_its_open_siblings_over_again() {
+        // Two episodes of one tuple, last active around 7 s and 16 s.
+        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        for at in [1, 10] {
+            sim.schedule_flow(
+                Timestamp::from_secs(at),
+                FlowSpec::new(key(4000), 3_000, 5_000),
+            );
+        }
+        sim.run_until(Timestamp::from_secs(30));
+        let mut asm = RecordAssembler::new(&FlowDiffConfig::default());
+        for ev in sim.take_log().events() {
+            asm.observe(ev);
+        }
+        let first = asm.touched_open_records_since(Timestamp::ZERO);
+        assert_eq!(first.len(), 2);
+
+        // A prune at 70 s evicts the older one only. Nothing touched
+        // the younger, but whoever replaces what it holds per tuple
+        // must see it again.
+        asm.advance_clock(Timestamp::from_secs(70));
+        assert_eq!((asm.completed_len(), asm.open_len()), (1, 1));
+        let again = asm.touched_open_records_since(Timestamp::ZERO);
+        assert_eq!(again, asm.open_records());
+        assert!(first.contains(&again[0]), "handed over unchanged");
     }
 
     #[test]

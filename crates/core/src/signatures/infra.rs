@@ -12,7 +12,7 @@
 //!   *i + 1* estimates the latency between them;
 //! * CRT — the gap between a `PacketIn` and its paired `FlowMod`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use openflow::types::{DatapathId, PortNo, Timestamp};
@@ -28,7 +28,7 @@ use crate::signatures::{DiffCtx, Signature, SignatureBuilder, SignatureInputs};
 use crate::stats::MeanStd;
 
 /// A record's window key — `(first_seen, tuple)`, the batch sort key
-/// shared by every keyed builder and the sorted overlay feeds.
+/// shared by every keyed builder.
 type WinKey = (Timestamp, FlowTuple);
 
 /// One record's ISL contribution: a `(directed pair key, latency µs)`
@@ -164,252 +164,106 @@ impl SignatureBuilder for PtBuilder {
     }
 
     fn finalize(&self, catalog: &EntityCatalog) -> PhysicalTopology {
-        PhysicalTopology {
-            adjacencies: self
-                .adjacencies
-                .keys()
-                .map(|&key| {
-                    let (from, to) = unpack_port_pair(key);
-                    let (from_sw, from_port) = catalog.port_addr(from);
-                    let (to_sw, to_port) = catalog.port_addr(to);
-                    SwitchAdjacency {
-                        from: from_sw,
-                        from_port,
-                        to: to_sw,
-                        to_port,
-                    }
-                })
-                .collect(),
-            host_attachment: self
-                .attachment
-                .iter()
-                .filter_map(|(&host, candidates)| {
-                    // The earliest surviving record's ingress port: the
-                    // same winner a first-wins insert over the sorted
-                    // window would pick.
-                    let port = *candidates.values().next()?.first()?;
-                    Some((catalog.host(host), catalog.port_addr(port)))
-                })
-                .collect(),
-            live_switches: self.live.keys().map(|&sw| catalog.switch(sw)).collect(),
-        }
+        // The earliest surviving record's ingress port: the same winner
+        // a first-wins insert over the sorted window would pick.
+        let attachment = self
+            .attachment
+            .iter()
+            .filter_map(|(&host, candidates)| Some((host, *candidates.values().next()?.first()?)));
+        pt_output(
+            self.live.keys().copied(),
+            attachment,
+            self.adjacencies.keys().copied(),
+            catalog,
+        )
     }
 }
 
-/// Visits the maintained map's tie lists and the overlay's per-record
-/// entries in ascending key order, maintained first on a shared key —
-/// the order a batch feed over the sorted window (held records before
-/// same-key opens) would produce. The snapshot overlay uses this to
-/// finalize `maintained + opens` without mutating (or cloning) the
-/// maintained builder.
-enum Merged<'a, A, B> {
-    /// One maintained-window tie list.
-    Held(&'a A),
-    /// One overlay record's contribution.
-    Open(&'a B),
-}
-
-fn merge_visit<'a, K: Ord, A, B>(
-    held: &'a BTreeMap<K, A>,
-    overlay: &'a [(K, B)],
-    mut f: impl FnMut(Merged<'a, A, B>),
-) {
-    let mut h = held.iter().peekable();
-    let mut o = overlay.iter().peekable();
-    loop {
-        match (h.peek(), o.peek()) {
-            (Some((hk, _)), Some((ok, _))) => {
-                if *hk <= ok {
-                    f(Merged::Held(h.next().expect("peeked").1));
-                } else {
-                    f(Merged::Open(&o.next().expect("peeked").1));
+/// Resolves PT evidence — witnessed switches, one attachment port per
+/// host, witnessed port pairs — back to addresses.
+fn pt_output(
+    live: impl Iterator<Item = SwitchId>,
+    attachment: impl Iterator<Item = (HostId, PortId)>,
+    adjacencies: impl Iterator<Item = u64>,
+    catalog: &EntityCatalog,
+) -> PhysicalTopology {
+    PhysicalTopology {
+        adjacencies: adjacencies
+            .map(|key| {
+                let (from, to) = unpack_port_pair(key);
+                let (from_sw, from_port) = catalog.port_addr(from);
+                let (to_sw, to_port) = catalog.port_addr(to);
+                SwitchAdjacency {
+                    from: from_sw,
+                    from_port,
+                    to: to_sw,
+                    to_port,
                 }
-            }
-            (Some(_), None) => f(Merged::Held(h.next().expect("peeked").1)),
-            (None, Some(_)) => f(Merged::Open(&o.next().expect("peeked").1)),
-            (None, None) => break,
-        }
+            })
+            .collect(),
+        host_attachment: attachment
+            .map(|(host, port)| (catalog.host(host), catalog.port_addr(port)))
+            .collect(),
+        live_switches: live.map(|sw| catalog.switch(sw)).collect(),
     }
 }
 
-/// Append-only PT accumulator for a feed already in `(first_seen,
-/// tuple)` order: batch assembly and the per-epoch opens overlay. The
-/// retire-capable [`PtBuilder`] pays a refcount map entry and a keyed
-/// candidate insert per record so any record can later be withdrawn;
-/// a sorted linear feed never retires, so first-wins attachment is one
-/// map probe and the evidence sets are plain counters.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PtLinear {
-    live: HashMap<SwitchId, u32>,
-    attachment: HashMap<HostId, ((Timestamp, FlowTuple), PortId)>,
-    adjacencies: HashMap<u64, u32>,
-}
-
-impl PtLinear {
-    pub(crate) fn observe(&mut self, record: &IRecord) {
+/// PT of a feed already in `(first_seen, tuple)` order — batch assembly
+/// and the online differ's interned window. The retire-capable
+/// [`PtBuilder`] pays a refcount map entry and a keyed candidate insert
+/// per record so any record can later be withdrawn; a sorted feed never
+/// retires, so first-wins attachment is one probe of a dense table and
+/// the evidence sets are plain sets.
+pub(crate) fn sorted_topology(records: &[&IRecord], catalog: &EntityCatalog) -> PhysicalTopology {
+    let mut live = vec![false; catalog.n_switches()];
+    let mut attachment: Vec<Option<PortId>> = vec![None; catalog.n_hosts()];
+    let mut adjacencies: HashSet<u64> = HashSet::new();
+    for record in records {
         for h in &record.hops {
-            *self.live.entry(h.switch).or_insert(0) += 1;
+            live[h.switch.index()] = true;
         }
         if let Some(first) = record.hops.first() {
             // Sorted feed: the first record seen for a host carries the
             // minimal window key, which is exactly the winner the keyed
             // builder's first-candidate scan picks.
-            self.attachment
-                .entry(record.src)
-                .or_insert(((record.first_seen, record.tuple), first.in_port));
+            attachment[record.src.index()].get_or_insert(first.in_port);
         }
         for w in record.hops.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if let Some(out_port) = a.out_port {
-                *self
-                    .adjacencies
-                    .entry(pack_port_pair(out_port, b.in_port))
-                    .or_insert(0) += 1;
+            if let Some(out_port) = w[0].out_port {
+                adjacencies.insert(pack_port_pair(out_port, w[1].in_port));
             }
         }
     }
-
-    pub(crate) fn finalize(&self, catalog: &EntityCatalog) -> PhysicalTopology {
-        PtBuilder::default().finalize_merged(self, catalog)
-    }
+    pt_output(
+        (0..)
+            .zip(&live)
+            .filter_map(|(i, &seen)| seen.then_some(SwitchId(i))),
+        (0..)
+            .zip(&attachment)
+            .filter_map(|(i, port)| Some((HostId(i), (*port)?))),
+        adjacencies.into_iter(),
+        catalog,
+    )
 }
 
-/// Append-only ISL accumulator for a sorted feed; per-record sample
-/// batches are kept in feed order, which for a sorted feed *is* the
-/// key order the retire-capable [`IslBuilder`] flattens in.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct IslLinear {
-    samples: Vec<(WinKey, PairSamples)>,
+/// ISL of a sorted feed: samples taken in feed order, which for a sorted
+/// feed *is* the key order the retire-capable [`IslBuilder`] flattens in.
+pub(crate) fn sorted_latency(records: &[&IRecord], catalog: &EntityCatalog) -> InterSwitchLatency {
+    let mut samples = Vec::new();
+    for record in records {
+        isl_samples(record, &mut samples);
+    }
+    isl_output(samples.iter(), catalog)
 }
 
-impl IslLinear {
-    pub(crate) fn observe(&mut self, record: &IRecord) {
-        let mut mine = Vec::new();
-        for w in record.hops.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            let Some(fm_ts) = a.flow_mod_ts else {
-                continue;
-            };
-            let Some(delta) = b.ts.checked_since(fm_ts) else {
-                continue;
-            };
-            mine.push((pack_switch_pair(a.switch, b.switch), delta as f64));
-        }
-        // Sample-less records contribute nothing to any summary; unlike
-        // the retire-capable builder there is no tie list to keep
-        // poppable, so they are simply skipped.
-        if !mine.is_empty() {
-            self.samples.push(((record.first_seen, record.tuple), mine));
-        }
+/// CRT of a sorted feed: contributions folded in feed order, matching
+/// the keyed builder's key-order flatten.
+pub(crate) fn sorted_response(records: &[&IRecord], catalog: &EntityCatalog) -> ControllerResponse {
+    let mut all = CrtContribution::default();
+    for record in records {
+        all.fold(record);
     }
-
-    pub(crate) fn finalize(&self, catalog: &EntityCatalog) -> InterSwitchLatency {
-        IslBuilder::default().finalize_merged(self, catalog)
-    }
-}
-
-/// Append-only CRT accumulator for a sorted feed; contributions stay in
-/// feed order, matching the keyed builder's key-order flatten.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CrtLinear {
-    window: Vec<((Timestamp, FlowTuple), CrtContribution)>,
-}
-
-impl CrtLinear {
-    pub(crate) fn observe(&mut self, record: &IRecord) {
-        let mut mine = CrtContribution::default();
-        for h in &record.hops {
-            match h.flow_mod_ts {
-                Some(fm_ts) => {
-                    if let Some(d) = fm_ts.checked_since(h.ts) {
-                        mine.samples.push((h.switch, d as f64));
-                    }
-                }
-                None => mine.unanswered += 1,
-            }
-        }
-        if !mine.samples.is_empty() || mine.unanswered > 0 {
-            self.window.push(((record.first_seen, record.tuple), mine));
-        }
-    }
-
-    pub(crate) fn finalize(&self, catalog: &EntityCatalog) -> ControllerResponse {
-        CrtBuilder::default().finalize_merged(self, catalog)
-    }
-}
-
-impl PtBuilder {
-    /// Finalizes `self + overlay` as if every record the overlay saw had
-    /// also been observed by `self` — without mutating either side.
-    /// All three outputs are key-unions: liveness and adjacency are
-    /// witness sets, and a host's attachment point is the ingress port
-    /// of the earliest surviving record across both sides (held wins
-    /// a shared window key, matching the batch feed order).
-    pub(crate) fn finalize_merged(
-        &self,
-        overlay: &PtLinear,
-        catalog: &EntityCatalog,
-    ) -> PhysicalTopology {
-        let adjacency = |&key: &u64| {
-            let (from, to) = unpack_port_pair(key);
-            let (from_sw, from_port) = catalog.port_addr(from);
-            let (to_sw, to_port) = catalog.port_addr(to);
-            SwitchAdjacency {
-                from: from_sw,
-                from_port,
-                to: to_sw,
-                to_port,
-            }
-        };
-        let attach =
-            |(&host, candidates): (&HostId, &BTreeMap<(Timestamp, FlowTuple), Vec<PortId>>)| {
-                let held_min = candidates
-                    .iter()
-                    .next()
-                    .and_then(|(key, ports)| Some((*key, *ports.first()?)));
-                let over_min = overlay.attachment.get(&host).copied();
-                let port = match (held_min, over_min) {
-                    (Some(h), Some(o)) => {
-                        if h.0 <= o.0 {
-                            h.1
-                        } else {
-                            o.1
-                        }
-                    }
-                    (Some(h), None) => h.1,
-                    (None, Some(o)) => o.1,
-                    (None, None) => return None,
-                };
-                Some((catalog.host(host), catalog.port_addr(port)))
-            };
-        PhysicalTopology {
-            adjacencies: self
-                .adjacencies
-                .keys()
-                .chain(overlay.adjacencies.keys())
-                .map(adjacency)
-                .collect(),
-            host_attachment: self
-                .attachment
-                .iter()
-                .filter_map(attach)
-                .chain(overlay.attachment.iter().filter_map(|(&host, &(_, port))| {
-                    // Hosts only the overlay saw; shared hosts were
-                    // already resolved (identically) above.
-                    if self.attachment.contains_key(&host) {
-                        return None;
-                    }
-                    Some((catalog.host(host), catalog.port_addr(port)))
-                }))
-                .collect(),
-            live_switches: self
-                .live
-                .keys()
-                .chain(overlay.live.keys())
-                .map(|&sw| catalog.switch(sw))
-                .collect(),
-        }
-    }
+    crt_output(std::iter::once(&all), catalog)
 }
 
 impl Signature for PhysicalTopology {
@@ -539,25 +393,51 @@ pub struct IslBuilder {
     samples: BTreeMap<WinKey, Vec<PairSamples>>,
 }
 
+/// Appends `record`'s ISL samples (Figure 3: `t3 - t2` per consecutive
+/// hop pair) to `out`, in hop order.
+fn isl_samples(record: &IRecord, out: &mut PairSamples) {
+    for w in record.hops.windows(2) {
+        let (a, b) = (&w[0], &w[1]);
+        let Some(fm_ts) = a.flow_mod_ts else {
+            continue;
+        };
+        // Checked difference: a PacketIn timestamped before its
+        // upstream FlowMod (reordered capture, clock skew) yields
+        // no sample instead of a wrapped ~1.8e19 µs "latency" that
+        // would poison the pair's baseline.
+        let Some(delta) = b.ts.checked_since(fm_ts) else {
+            continue;
+        };
+        out.push((pack_switch_pair(a.switch, b.switch), delta as f64));
+    }
+}
+
+/// Summarizes ISL samples, taken in window order, per switch pair.
+fn isl_output<'a>(
+    samples: impl Iterator<Item = &'a (u64, f64)>,
+    catalog: &EntityCatalog,
+) -> InterSwitchLatency {
+    let mut per_pair: HashMap<u64, Vec<f64>> = HashMap::new();
+    for &(pair, delta) in samples {
+        per_pair.entry(pair).or_default().push(delta);
+    }
+    InterSwitchLatency {
+        per_pair: per_pair
+            .iter()
+            .map(|(&key, v)| {
+                let (a, b) = unpack_switch_pair(key);
+                ((catalog.switch(a), catalog.switch(b)), MeanStd::of(v))
+            })
+            .collect(),
+    }
+}
+
 impl SignatureBuilder for IslBuilder {
     type Output = InterSwitchLatency;
 
     fn observe(&mut self, record: &IRecord) {
         let mut mine = Vec::new();
-        for w in record.hops.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            let Some(fm_ts) = a.flow_mod_ts else {
-                continue;
-            };
-            // Checked difference: a PacketIn timestamped before its
-            // upstream FlowMod (reordered capture, clock skew) yields
-            // no sample instead of a wrapped ~1.8e19 µs "latency" that
-            // would poison the pair's baseline.
-            let Some(delta) = b.ts.checked_since(fm_ts) else {
-                continue;
-            };
-            mine.push((pack_switch_pair(a.switch, b.switch), delta as f64));
-        }
+        isl_samples(record, &mut mine);
         // Even a sample-less record deposits its (empty) contribution,
         // so retirement can pop the tie list unconditionally.
         self.samples
@@ -577,51 +457,7 @@ impl SignatureBuilder for IslBuilder {
     }
 
     fn finalize(&self, catalog: &EntityCatalog) -> InterSwitchLatency {
-        let mut per_pair: HashMap<u64, Vec<f64>> = HashMap::new();
-        for &(pair, delta) in self.samples.values().flatten().flatten() {
-            per_pair.entry(pair).or_default().push(delta);
-        }
-        InterSwitchLatency {
-            per_pair: per_pair
-                .iter()
-                .map(|(&key, v)| {
-                    let (a, b) = unpack_switch_pair(key);
-                    ((catalog.switch(a), catalog.switch(b)), MeanStd::of(v))
-                })
-                .collect(),
-        }
-    }
-}
-
-impl IslBuilder {
-    /// Finalizes `self + overlay` without mutating either side. The
-    /// per-pair sample vectors are accumulated in merged key order
-    /// (held first on a shared key), so the floating-point summaries
-    /// are byte-identical to a batch feed over the sorted union.
-    pub(crate) fn finalize_merged(
-        &self,
-        overlay: &IslLinear,
-        catalog: &EntityCatalog,
-    ) -> InterSwitchLatency {
-        let mut per_pair: HashMap<u64, Vec<f64>> = HashMap::new();
-        merge_visit(&self.samples, &overlay.samples, |item| {
-            let mut push = |&(pair, delta): &(u64, f64)| {
-                per_pair.entry(pair).or_default().push(delta);
-            };
-            match item {
-                Merged::Held(ties) => ties.iter().flatten().for_each(&mut push),
-                Merged::Open(mine) => mine.iter().for_each(&mut push),
-            }
-        });
-        InterSwitchLatency {
-            per_pair: per_pair
-                .iter()
-                .map(|(&key, v)| {
-                    let (a, b) = unpack_switch_pair(key);
-                    ((catalog.switch(a), catalog.switch(b)), MeanStd::of(v))
-                })
-                .collect(),
-        }
+        isl_output(self.samples.values().flatten().flatten(), catalog)
     }
 }
 
@@ -731,22 +567,9 @@ struct CrtContribution {
     unanswered: usize,
 }
 
-/// Incremental CRT accumulator (Figure 3: `t2 - t1` per `PacketIn`).
-/// Per-record contributions are kept under the window key
-/// `(first_seen, tuple)` and flattened in key order at `finalize`, so
-/// the overall series matches a batch feed over the sorted window
-/// sample for sample. Records sharing a key append to a tie list and
-/// retire newest-first.
-#[derive(Debug, Clone, Default)]
-pub struct CrtBuilder {
-    window: BTreeMap<(Timestamp, FlowTuple), Vec<CrtContribution>>,
-}
-
-impl SignatureBuilder for CrtBuilder {
-    type Output = ControllerResponse;
-
-    fn observe(&mut self, record: &IRecord) {
-        let mut mine = CrtContribution::default();
+impl CrtContribution {
+    /// Adds `record`'s hops (Figure 3: `t2 - t1` per `PacketIn`).
+    fn fold(&mut self, record: &IRecord) {
         for h in &record.hops {
             match h.flow_mod_ts {
                 // Checked difference: a FlowMod stamped before its
@@ -754,12 +577,57 @@ impl SignatureBuilder for CrtBuilder {
                 // sample rather than an underflowed response time.
                 Some(fm_ts) => {
                     if let Some(d) = fm_ts.checked_since(h.ts) {
-                        mine.samples.push((h.switch, d as f64));
+                        self.samples.push((h.switch, d as f64));
                     }
                 }
-                None => mine.unanswered += 1,
+                None => self.unanswered += 1,
             }
         }
+    }
+}
+
+/// Summarizes CRT contributions taken in window order.
+fn crt_output<'a>(
+    window: impl Iterator<Item = &'a CrtContribution>,
+    catalog: &EntityCatalog,
+) -> ControllerResponse {
+    let mut all = Vec::new();
+    let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
+    let mut unanswered = 0;
+    for c in window {
+        for &(sw, d) in &c.samples {
+            all.push(d);
+            per_switch.entry(sw).or_default().push(d);
+        }
+        unanswered += c.unanswered;
+    }
+    ControllerResponse {
+        answered: all.len(),
+        unanswered,
+        overall: MeanStd::of(&all),
+        per_switch: per_switch
+            .iter()
+            .map(|(&sw, v)| (catalog.switch(sw), MeanStd::of(v)))
+            .collect(),
+    }
+}
+
+/// Incremental CRT accumulator. Per-record contributions are kept under
+/// the window key `(first_seen, tuple)` and flattened in key order at
+/// `finalize`, so the overall series matches a batch feed over the
+/// sorted window sample for sample. Records sharing a key append to a
+/// tie list and retire newest-first.
+#[derive(Debug, Clone, Default)]
+pub struct CrtBuilder {
+    window: BTreeMap<WinKey, Vec<CrtContribution>>,
+}
+
+impl SignatureBuilder for CrtBuilder {
+    type Output = ControllerResponse;
+
+    fn observe(&mut self, record: &IRecord) {
+        let mut mine = CrtContribution::default();
+        mine.fold(record);
         // Even a hop-less record deposits its (empty) contribution, so
         // retirement can pop the tie list unconditionally.
         self.window
@@ -779,63 +647,7 @@ impl SignatureBuilder for CrtBuilder {
     }
 
     fn finalize(&self, catalog: &EntityCatalog) -> ControllerResponse {
-        let mut all = Vec::new();
-        let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
-        let mut unanswered = 0;
-        for c in self.window.values().flatten() {
-            for &(sw, d) in &c.samples {
-                all.push(d);
-                per_switch.entry(sw).or_default().push(d);
-            }
-            unanswered += c.unanswered;
-        }
-        ControllerResponse {
-            answered: all.len(),
-            unanswered,
-            overall: MeanStd::of(&all),
-            per_switch: per_switch
-                .iter()
-                .map(|(&sw, v)| (catalog.switch(sw), MeanStd::of(v)))
-                .collect(),
-        }
-    }
-}
-
-impl CrtBuilder {
-    /// Finalizes `self + overlay` without mutating either side,
-    /// flattening contributions in merged key order (held first on a
-    /// shared key) so the overall floating-point series matches a batch
-    /// feed over the sorted union sample for sample.
-    pub(crate) fn finalize_merged(
-        &self,
-        overlay: &CrtLinear,
-        catalog: &EntityCatalog,
-    ) -> ControllerResponse {
-        let mut all = Vec::new();
-        let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
-        let mut unanswered = 0;
-        merge_visit(&self.window, &overlay.window, |item| {
-            let mut fold = |c: &CrtContribution| {
-                for &(sw, d) in &c.samples {
-                    all.push(d);
-                    per_switch.entry(sw).or_default().push(d);
-                }
-                unanswered += c.unanswered;
-            };
-            match item {
-                Merged::Held(ties) => ties.iter().for_each(&mut fold),
-                Merged::Open(c) => fold(c),
-            }
-        });
-        ControllerResponse {
-            answered: all.len(),
-            unanswered,
-            overall: MeanStd::of(&all),
-            per_switch: per_switch
-                .iter()
-                .map(|(&sw, v)| (catalog.switch(sw), MeanStd::of(v)))
-                .collect(),
-        }
+        crt_output(self.window.values().flatten(), catalog)
     }
 }
 

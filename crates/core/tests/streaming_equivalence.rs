@@ -638,8 +638,9 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Incremental hot path: the per-epoch delta snapshot (retire the main
-// builder, overlay opens, unwind) must be indistinguishable from the
-// historical remodel that cloned the whole builder every epoch.
+// builder, re-read the touched open episodes into the maintained
+// window) must be indistinguishable from the historical remodel that
+// cloned the whole builder every epoch.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -732,6 +733,156 @@ proptest! {
             prop_assert_eq!(serde::to_vec(&expected), serde::to_vec(&last.model));
         }
     }
+}
+
+/// What one [`maintained_window_run`] saw happen to open episodes the
+/// differ's maintained window already held a version of.
+#[derive(Debug, Default)]
+struct Seen {
+    flow_mod_patch: bool,
+    flow_removed: bool,
+    evicted_in_window: bool,
+    slid_out_open: bool,
+}
+
+/// The shape the property test above does not reach: a tree capture at
+/// 1 s epochs over a 30 s window, where nearly every window record is a
+/// still-open episode carried from epoch to epoch. Every epoch's model
+/// must equal the clone-probe oracle's, through a checkpoint → restore
+/// in mid-stream, and the builder's work counter must show the boundary
+/// paid for the touched episodes only.
+fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
+    let (log, base) = tree_log(4, 42, secs);
+    let config = FlowDiffConfig {
+        online_epoch_us: 1_000_000,
+        online_window_us: 30_000_000,
+        partial_flow_timeout_us,
+        ..base
+    };
+    let reference = BehaviorModel::build(&tree_log(4, 41, 20).0, &config);
+    let stability = StabilityReport::all_stable(&reference);
+    let events = log.events();
+    let cut = events.len() * 3 / 5;
+
+    let mut straight = OnlineDiffer::try_new(reference, stability, &config).expect("config valid");
+    let mut resumed = straight.clone();
+    let mut oracle_asm = RecordAssembler::new(&config);
+    let mut oracle_builder = IncrementalModelBuilder::new(&config);
+    // The open versions the previous boundary modeled, by window key.
+    let mut modeled: HashMap<(Timestamp, FlowTuple), FlowRecord> = HashMap::new();
+    let mut seen = Seen::default();
+    let (mut epochs, mut first_after_restore) = (0usize, None);
+
+    for (i, event) in events.iter().enumerate() {
+        if i == cut {
+            // Kill: the streaming state survives only as guarded bytes,
+            // taken while the derived state (interned window, touched
+            // set) is live — none of it is in the bytes, all of it is
+            // rebuilt.
+            assert!(epochs > 30, "restore must land in steady state");
+            let bytes = Checkpoint::capture(&resumed, cut as u64, &config).to_bytes();
+            let (restored, offset) = Checkpoint::from_bytes(&bytes)
+                .expect("container intact")
+                .resume(&config)
+                .expect("same config");
+            assert_eq!(offset as usize, cut);
+            assert_eq!(restored, straight, "restored state == live state");
+            resumed = restored;
+            first_after_restore = Some(epochs);
+        }
+        let snaps = resumed.observe(event);
+        assert_eq!(
+            straight.observe(event),
+            snaps,
+            "resume diverged at event {i}"
+        );
+        for snap in &snaps {
+            let mut probe = oracle_builder.clone();
+            let opens = oracle_asm.open_records();
+            for open in &opens {
+                probe.observe_record(open.clone());
+            }
+            probe.retire_before(snap.window.0);
+            probe.set_span(snap.window);
+            let expected = probe.snapshot_with(1);
+            assert_eq!(expected, snap.model, "epoch {} model", snap.epoch);
+            assert_eq!(
+                serde::to_vec(&expected),
+                serde::to_vec(&snap.model),
+                "epoch {} model bytes",
+                snap.epoch
+            );
+
+            let window = snap.model.records.len();
+            let synced = resumed.epoch_synced();
+            if epochs == 0 || first_after_restore == Some(epochs) {
+                assert_eq!(synced, window, "epoch {epochs} rebuilds the window");
+            } else if epochs > 30 {
+                assert!(
+                    synced * 4 <= window,
+                    "epoch {epochs}: synced {synced} of {window} window records"
+                );
+            }
+            epochs += 1;
+
+            let mut now: HashMap<(Timestamp, FlowTuple), FlowRecord> = HashMap::new();
+            for open in opens {
+                let key = (open.first_seen, open.tuple);
+                if let Some(old) = modeled.get(&key) {
+                    if open.first_seen < snap.window.0 {
+                        seen.slid_out_open = true;
+                        continue;
+                    }
+                    let patched = |(a, b): (&HopReport, &HopReport)| {
+                        a.flow_mod_ts.is_none() && b.flow_mod_ts.is_some()
+                    };
+                    seen.flow_mod_patch |= old.hops.iter().zip(&open.hops).any(patched);
+                    seen.flow_removed |= old.byte_count != open.byte_count;
+                }
+                if open.first_seen >= snap.window.0 {
+                    now.insert(key, open);
+                }
+            }
+            modeled = now;
+        }
+        oracle_asm.observe(event);
+        oracle_builder.observe_event(event);
+        let newest = oracle_builder.observed_span().expect("just observed").1;
+        for record in oracle_asm.take_completed() {
+            let in_window = record.first_seen.as_micros() + config.online_window_us
+                > newest.as_micros() + config.online_epoch_us;
+            seen.evicted_in_window |=
+                in_window && modeled.contains_key(&(record.first_seen, record.tuple));
+            oracle_builder.observe_record(record);
+        }
+    }
+    assert!(first_after_restore.is_some() && epochs > first_after_restore.unwrap() + 5);
+    assert_eq!(straight.finish(), resumed.finish());
+    seen
+}
+
+#[test]
+fn maintained_window_matches_clone_probe_when_every_record_is_open() {
+    // Default 60 s horizon: nothing is evicted inside a 30 s window, so
+    // the window is all open episodes and they leave by sliding out.
+    let seen = maintained_window_run(60_000_000, 75);
+    assert!(seen.flow_mod_patch, "a FlowMod patched a synced open");
+    assert!(seen.flow_removed, "a FlowRemoved landed on a synced open");
+    assert!(seen.slid_out_open, "a synced open slid out of the window");
+    assert!(!seen.evicted_in_window);
+}
+
+#[test]
+fn maintained_window_matches_clone_probe_across_in_window_evictions() {
+    // A 12 s horizon evicts episodes the window still holds: the synced
+    // open version changes owner instead of being re-read.
+    let seen = maintained_window_run(12_000_000, 75);
+    assert!(seen.flow_mod_patch && seen.flow_removed);
+    assert!(
+        seen.evicted_in_window,
+        "a synced open was evicted in-window"
+    );
+    assert!(seen.slid_out_open, "a synced open slid out of the window");
 }
 
 // ---------------------------------------------------------------------
