@@ -205,6 +205,26 @@ case "$trace_out" in
         ;;
 esac
 
+step "benchmark traced pass, sharded (delta barriers vs the single differ and the merge oracle)"
+# The traced fanin_sharded pass runs the in-process ShardedDiffer and
+# checks its epoch lines against the single differ's, and it is the
+# harness's caller of IncrementalModelBuilder::merge + into_shard_model:
+# correctness only. The sharded/single ratio is printed, not gated —
+# 3 s on a shared box cannot hold a ratio.
+sharded_trace="$(benchmark/run.sh --workload fanin_sharded --seed 42 --seconds 3 --trace 1 | tail -n 1)"
+printf '%s\n' "$sharded_trace" | cut -c1-160
+case "$sharded_trace" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+        echo "FAIL: traced fanin_sharded run is not correct with 0 failed" >&2
+        exit 1
+        ;;
+esac
+rate_of() { printf '%s\n' "$sharded_trace" | sed -n "s/.*\"$1\": {\"value\": \([0-9.]*\).*/\1/p"; }
+echo "INFO: diff.sharded.events_per_s / diff.online.events_per_s =" \
+    "$(awk -v s="$(rate_of diff.sharded.events_per_s)" -v o="$(rate_of diff.online.events_per_s)" \
+        'BEGIN { if (o > 0) printf "%.2f", s / o; else printf "n/a" }')"
+
 step "cargo bench --no-run (benches must compile)"
 cargo bench --no-run -q
 

@@ -21,7 +21,7 @@ use crate::config::{ConfigError, FlowDiffConfig};
 use crate::epoch::EpochClock;
 use crate::groups::{match_group_refs, AppGroup};
 use crate::model::{BehaviorModel, IncrementalModelBuilder, ShardModel};
-use crate::records::{EventClass, RecordAssembler, RoutedEvent, ShardRouter};
+use crate::records::{Admitted, EventClass, FlowRecord, RecordAssembler, RoutedEvent, ShardRouter};
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
 use netsim::log::ControlEvent;
@@ -371,11 +371,14 @@ pub struct EpochTimings {
     pub observe_us: u64,
     /// Building the window model (reading the touched in-flight
     /// episodes out of the assembler plus the incremental epoch
-    /// snapshot; for the sharded differ, the barrier round-trip: queue
-    /// drain plus per-shard extraction).
+    /// snapshot). For the sharded differ this is the barrier only: the
+    /// workers draining their queues, then each extracting its delta —
+    /// completions since the previous barrier, touched open episodes,
+    /// event-derived facts; the model itself is under `merge_us`.
     pub snapshot_us: u64,
-    /// Merging per-shard partials into the window model (zero on the
-    /// single-shard differ, which has nothing to merge).
+    /// Folding the barrier replies into the coordinator's maintained
+    /// window plus its incremental epoch snapshot (zero on the
+    /// single-shard differ, whose `snapshot_us` covers that work).
     pub merge_us: u64,
     /// Comparing against the reference and gating the diff.
     pub diff_us: u64,
@@ -383,8 +386,8 @@ pub struct EpochTimings {
     /// (zero on the single-shard differ). The gauge counts batches
     /// handed to a channel but not yet fully processed — queued, in
     /// service, and the one a blocked sender is waiting to enqueue —
-    /// so readings above the channel bound mean admission outran the
-    /// workers and backpressure engaged.
+    /// so readings above the channel bound (`QUEUE_BATCHES`) mean
+    /// admission outran the workers and backpressure engaged.
     pub queue_depth_peak: u64,
     /// The busiest worker's share of the epoch's wall-clock time,
     /// percent (zero on the single-shard differ). Low values mean the
@@ -782,6 +785,12 @@ impl ShardState {
     /// step inline would have produced.
     fn step(&mut self, me: u32, step: &Step) {
         match step {
+            Step::Admit(routed) => {
+                if routed.shard == me {
+                    self.builder.observe_event(&routed.event);
+                }
+                self.feed(me, routed);
+            }
             Step::Arrive { shard, event } => {
                 if *shard == me {
                     self.builder.observe_event(event);
@@ -791,18 +800,30 @@ impl ShardState {
         }
     }
 
-    /// Epoch-boundary extraction, mirroring [`OnlineDiffer::snapshot_at`]
-    /// per shard: completed records drain into the builder, state older
-    /// than `start` retires, and the builder's held window plus the
-    /// still-in-window in-flight episodes becomes this shard's merge
-    /// input — no probe clone, no per-epoch rebuild.
-    fn extract(&mut self, start: Timestamp) -> ShardModel {
+    /// This shard's reply at an epoch barrier, mirroring
+    /// [`OnlineDiffer::snapshot_at`] per shard: completed records drain
+    /// into the (durable) builder, state older than `start` retires,
+    /// and what changed since the previous barrier goes to the
+    /// coordinator — the completions still in the window, the touched
+    /// in-window open episodes, and the event-derived facts whole.
+    /// `full` means the coordinator holds no window: the shard ships
+    /// its whole held window and every in-window open episode instead,
+    /// and tracks changes from there.
+    fn barrier(&mut self, start: Timestamp, full: bool) -> (ShardModel, Vec<FlowRecord>) {
+        let mut fresh = Vec::new();
         for record in self.assembler.take_completed() {
+            if !full && record.first_seen >= start {
+                fresh.push(record.clone());
+            }
             self.builder.observe_record(record);
         }
         self.builder.retire_before(start);
-        let opens = self.assembler.open_records_since(start);
-        self.builder.shard_model_with_opens(opens)
+        if full {
+            self.assembler.forget_touched();
+            fresh = self.builder.held_records();
+        }
+        let opens = self.assembler.touched_open_records_since(start);
+        (self.builder.shard_model_of(fresh), opens)
     }
 }
 
@@ -817,26 +838,44 @@ pub struct ShardStats {
     pub open_episodes: usize,
 }
 
-/// Steps per batch shipped to the worker queues: large enough to
-/// amortize the channel round-trip and the per-worker scan setup,
-/// small enough that admission→model latency stays well under an
-/// epoch.
-const BATCH_STEPS: usize = 128;
+/// Steps per batch shipped to the worker queues. A send to a parked
+/// worker is a thread wake, and at one step per event a worker applies
+/// a batch faster than the router admits the next one, so nearly every
+/// send wakes: the batch has to be large enough that the wake vanishes
+/// in it. At 128 steps the wakes cost the coordinator more than routing
+/// did (~1,080 ns per event on the `fanin_sharded` shape against ~650 ns
+/// at 2,048, i.e. ~14 µs a wake); at 1,024 that is ~14 ns per event and
+/// worker, and doubling again buys nothing measurable.
+const BATCH_STEPS: usize = 1_024;
 
 /// Bound of each worker's batch queue, in batches. A full queue blocks
 /// admission (backpressure) instead of buffering unboundedly; the
 /// [`EpochTimings::queue_depth_peak`] gauge reads above this value
-/// when that happens.
-const QUEUE_BATCHES: usize = 8;
+/// when that happens. Counting the batch being built and the one in
+/// service, at most `(QUEUE_BATCHES + 2) * BATCH_STEPS` = 6,144 steps
+/// are in flight: ~2 MiB of events, and the most a barrier ever waits
+/// for — about 1.5 ms of worker time. Batch and depth are chosen
+/// together for that product: with fewer cores than threads the
+/// workers run behind and the queues fill to the bound, and whatever
+/// is queued at a boundary is drained with admission stopped, so a
+/// deeper queue (or a larger batch at this depth) only moves the wait
+/// from the blocked send into the barrier and raises memory.
+const QUEUE_BATCHES: usize = 4;
 
 /// One admission step, broadcast to every worker in arrival order.
 #[derive(Debug, Clone)]
 enum Step {
-    /// An event admitted at arrival: the owning shard's model builder
-    /// observes it, exactly when the single-shard builder would.
+    /// An event the reorder buffer released at its own arrival (always,
+    /// with `reorder_slack_us == 0`): the owning shard's model builder
+    /// observes it and every shard's assembler consumes it, both from
+    /// the one copy of the event the router made.
+    Admit(RoutedEvent),
+    /// An event the reorder buffer holds back, at arrival: the owning
+    /// shard's model builder observes it, exactly when the single-shard
+    /// builder would.
     Arrive { shard: u32, event: ControlEvent },
-    /// An event released by the reorder buffer, in release order:
-    /// every shard's assembler consumes it (see [`ShardState::feed`]).
+    /// A held-back event released later, in release order: every
+    /// shard's assembler consumes it (see [`ShardState::feed`]).
     Release(RoutedEvent),
 }
 
@@ -846,9 +885,11 @@ enum WorkerMsg {
     /// in order.
     Batch(Arc<Vec<Step>>),
     /// In-band epoch barrier: everything enqueued before it is part of
-    /// the closing epoch. The worker extracts its merge partial for
-    /// the window starting at `start` and replies with it.
-    Barrier { start: Timestamp },
+    /// the closing epoch. The worker replies with what changed in the
+    /// window starting at `start` since the previous barrier — or, when
+    /// `full`, with everything it holds in that window (see
+    /// [`ShardState::barrier`]).
+    Barrier { start: Timestamp, full: bool },
     /// Quiesce: reply once every prior message has been applied.
     Sync,
     /// Crash-drill injection: panic on receipt, mid-queue, the way a
@@ -858,9 +899,14 @@ enum WorkerMsg {
 
 /// A worker's reply on the barrier/quiesce channel.
 enum WorkerReply {
-    /// The shard's merge input at an epoch barrier, plus the
-    /// microseconds the worker spent busy since the previous barrier.
-    Partial { model: ShardModel, busy_us: u64 },
+    /// The shard's barrier reply — completions and event-derived facts
+    /// as a [`ShardModel`], open episodes apart — plus the microseconds
+    /// the worker spent busy since the previous barrier.
+    Delta {
+        model: ShardModel,
+        opens: Vec<FlowRecord>,
+        busy_us: u64,
+    },
     /// Quiesce acknowledgement: the queue is drained.
     Synced,
 }
@@ -924,7 +970,7 @@ impl Drop for Pipeline {
 }
 
 /// The worker loop: apply batches, answer barriers with the shard's
-/// merge partial, acknowledge quiesces. Exits when the coordinator
+/// delta, acknowledge quiesces. Exits when the coordinator
 /// drops its end of either channel.
 fn shard_worker(
     me: u32,
@@ -947,18 +993,19 @@ fn shard_worker(
                 busy_us += t0.elapsed().as_micros() as u64;
                 depth.fetch_sub(1, Ordering::AcqRel);
             }
-            WorkerMsg::Barrier { start } => {
+            WorkerMsg::Barrier { start, full } => {
                 let t0 = std::time::Instant::now();
-                let model = state.lock().expect("shard state poisoned").extract(start);
+                let (model, opens) = state
+                    .lock()
+                    .expect("shard state poisoned")
+                    .barrier(start, full);
                 busy_us += t0.elapsed().as_micros() as u64;
-                let report = std::mem::take(&mut busy_us);
-                if replies
-                    .send(WorkerReply::Partial {
-                        model,
-                        busy_us: report,
-                    })
-                    .is_err()
-                {
+                let reply = WorkerReply::Delta {
+                    model,
+                    opens,
+                    busy_us: std::mem::take(&mut busy_us),
+                };
+                if replies.send(reply).is_err() {
                     return;
                 }
             }
@@ -975,7 +1022,8 @@ fn shard_worker(
 /// Steps admitted but not yet shipped to the worker queues, plus the
 /// deepest queue observed since the gauge was last harvested. Behind a
 /// mutex so `&self` paths (serialization, equality, health) can flush
-/// before quiescing; only the coordinator thread ever takes it.
+/// before quiescing; only the coordinator thread ever takes it, and
+/// admission (`&mut self`) reaches through it without locking.
 #[derive(Debug, Default)]
 struct Pending {
     steps: Vec<Step>,
@@ -994,21 +1042,33 @@ struct Pending {
 /// - the **splitter** owns everything arrival-ordered (quarantine,
 ///   out-of-order accounting, the reorder buffer) plus a release-order
 ///   xid ledger for the global-by-xid health counts,
-/// - every admission becomes `Step`s — the arrival (owner's builder
-///   feed, exactly when the single-shard builder sees the event) and
-///   the reorder buffer's releases (each worker applies the per-event
-///   rule: own flow → full observe, foreign `FlowMod` → full observe,
-///   opaque `PacketIn` → clock advance to now, anything else foreign →
-///   plain clock advance) — batched and broadcast over bounded
-///   channels to **long-lived worker threads** that drain their queues
-///   while the router keeps admitting,
+/// - every admission becomes `Step`s — one `Admit` for an event the
+///   reorder buffer releases at its own arrival (the owner's builder
+///   feed, exactly when the single-shard builder sees the event, and
+///   the release, from one copy of the event), or an `Arrive` now and a
+///   `Release` later for one it holds back; at a release each worker
+///   applies the per-event rule (own flow → full observe, foreign
+///   `FlowMod` → full observe, opaque `PacketIn` → clock advance to
+///   now, anything else foreign → plain clock advance) — batched and
+///   broadcast over bounded channels to **long-lived worker threads**
+///   that drain their queues while the router keeps admitting,
 /// - epoch boundaries travel **in-band as barrier messages**: a worker
 ///   reaching the barrier has applied every pre-boundary step and
-///   nothing after, so the partial it extracts is exactly the scoped
+///   nothing after, so what it extracts is exactly the scoped
 ///   stop-the-world extraction of the previous architecture,
-/// - at a barrier, per-shard partials merge on the coordinator via
-///   [`IncrementalModelBuilder::merge`] through the same
-///   sort-and-assemble core the single-shard snapshot uses.
+/// - a barrier reply is a **delta** — the shard's completions since the
+///   previous barrier, its touched open episodes
+///   ([`RecordAssembler::touched_open_records_since`]) and its
+///   event-derived facts — which the coordinator folds into one
+///   maintained [`IncrementalModelBuilder`] and snapshots through
+///   [`IncrementalModelBuilder::epoch_snapshot`], the single-shard
+///   differ's boundary path. The union of the shards' touched sets is
+///   what one assembler over the whole stream would hand over (an
+///   episode lives on one shard and is touched by the same events
+///   there), and the fold is the same upsert per window key. The
+///   coordinator's window is derived state: it starts empty — at
+///   construction, on a clone, after a restore — and the first barrier
+///   then asks every worker for a full resync.
 ///
 /// Identity is insensitive to the pipelining because each worker's two
 /// state machines (builder, assembler) are deterministic functions of
@@ -1054,6 +1114,16 @@ pub struct ShardedDiffer {
     /// The step buffer: at most one batch accumulates here between
     /// queue sends.
     pending: Mutex<Pending>,
+    /// Scratch for the router's releases during one admission.
+    released: Vec<RoutedEvent>,
+    /// The maintained window model the barrier deltas fold into.
+    /// Derived from the worker states like the single-shard builder's
+    /// interned window is from its records: never serialized, never
+    /// compared, `None` until the first barrier (which therefore asks
+    /// the workers for everything they hold) — so also on every clone
+    /// and restore, whose workers' touched tracking belongs to a window
+    /// this differ does not have.
+    window: Option<IncrementalModelBuilder>,
     /// The long-lived worker threads; `None` until the first observed
     /// event (and on every clone and checkpoint restore, so capturing
     /// a checkpoint never spawns threads).
@@ -1119,6 +1189,8 @@ impl ShardedDiffer {
                 .collect(),
             chunk: Vec::new(),
             pending: Mutex::new(Pending::default()),
+            released: Vec::new(),
+            window: None,
             pipeline: None,
             clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
             warm_until: None,
@@ -1139,21 +1211,34 @@ impl ShardedDiffer {
         self.clock.epoch()
     }
 
-    /// Cumulative microseconds spent merging shard partials at epoch
-    /// boundaries.
+    /// Cumulative microseconds spent folding barrier replies into the
+    /// window model at epoch boundaries (the sum of every epoch's
+    /// [`EpochTimings::merge_us`]).
     pub fn merge_micros(&self) -> u64 {
         self.merge_micros
+    }
+
+    /// [`IncrementalModelBuilder::epoch_synced`] of the coordinator's
+    /// window at the latest boundary — the sharded mirror of
+    /// [`OnlineDiffer::epoch_synced`]: the whole window after a full
+    /// resync, otherwise what the barrier deltas carried.
+    pub fn epoch_synced(&self) -> usize {
+        self.window
+            .as_ref()
+            .map_or(0, IncrementalModelBuilder::epoch_synced)
     }
 
     /// Per-stage boundary timings since the last call, reset on read —
     /// the sharded mirror of [`OnlineDiffer::take_timings`]. Here
     /// `observe_us` covers the boundary flush of the step buffer into
-    /// the worker queues, `snapshot_us` the barrier round-trip (queue
-    /// drain plus per-shard extraction), `merge_us` the coordinator's
-    /// merge of the partials, and `retire_us` stays zero (retirement
-    /// happens inside the workers' extraction and is counted with it).
-    /// The channel gauges (`queue_depth_peak`, `worker_busy_pct`) are
-    /// per-epoch highs rather than sums.
+    /// the worker queues; `snapshot_us` the barrier (the workers
+    /// draining their queues, then extracting their deltas);
+    /// `merge_us` the coordinator folding the replies into its window
+    /// and taking the incremental epoch snapshot; and `retire_us` stays
+    /// zero (retirement happens inside the workers' extraction and the
+    /// fold, and is counted with them). The channel gauges
+    /// (`queue_depth_peak`, `worker_busy_pct`) are per-epoch highs
+    /// rather than sums.
     pub fn take_timings(&mut self) -> EpochTimings {
         std::mem::take(&mut self.timings)
     }
@@ -1204,22 +1289,19 @@ impl ShardedDiffer {
     }
 
     /// Rough heap footprint of the sharded pipeline's own state (the
-    /// splitter, the buffered steps, and every shard's builder).
-    /// Approximate by design: worker states are sampled under their
-    /// locks without a quiesce.
+    /// splitter, the buffered steps, every shard's builder, and the
+    /// coordinator's window). Approximate by design: worker states are
+    /// sampled under their locks without a quiesce.
     pub fn approx_bytes(&self) -> usize {
-        let buffered = self.chunk.len()
-            + self
-                .pending
-                .lock()
-                .expect("pending steps poisoned")
-                .steps
-                .len();
+        use std::mem::size_of;
+        let buffered = (self.pending.lock())
+            .expect("pending steps poisoned")
+            .steps
+            .len();
         self.splitter.approx_bytes()
-            + buffered * std::mem::size_of::<RoutedEvent>()
-            + self
-                .states
-                .iter()
+            + self.chunk.len() * size_of::<RoutedEvent>()
+            + buffered * size_of::<Step>()
+            + (self.states.iter())
                 .map(|s| {
                     s.lock()
                         .expect("shard state poisoned")
@@ -1227,6 +1309,10 @@ impl ShardedDiffer {
                         .approx_bytes()
                 })
                 .sum::<usize>()
+            + self
+                .window
+                .as_ref()
+                .map_or(0, IncrementalModelBuilder::approx_bytes)
     }
 
     /// Declares a restore without replay — same contract as
@@ -1254,25 +1340,39 @@ impl ShardedDiffer {
     /// to the queues) — the workers drain concurrently.
     pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
         self.ensure_pipeline();
-        // A quarantined timestamp must not drive the epoch clock either.
-        if self.splitter.quarantines(event.ts) {
-            let mut released = Vec::new();
-            let admitted = self.splitter.admit(event, &mut released);
-            debug_assert!(admitted.is_none(), "quarantines() and admit() disagree");
-            self.enqueue(None, released);
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        for (epoch, boundary) in self.clock.advance(event.ts) {
-            out.push(self.snapshot_at(epoch, boundary));
+        // A quarantined timestamp must not drive the epoch clock either.
+        if !self.splitter.quarantines(event.ts) {
+            for (epoch, boundary) in self.clock.advance(event.ts) {
+                out.push(self.snapshot_at(epoch, boundary));
+            }
         }
-        let mut released = Vec::new();
-        let owner = self.splitter.admit(event, &mut released);
-        let arrive = owner.map(|shard| Step::Arrive {
-            shard,
-            event: event.clone(),
-        });
-        self.enqueue(arrive, released);
+        let admitted = self.splitter.admit(event, &mut self.released);
+        let steps = &mut (self.pending.get_mut())
+            .expect("pending steps poisoned")
+            .steps;
+        let Some(Admitted { shard, released_at }) = admitted else {
+            debug_assert!(
+                self.released.is_empty(),
+                "quarantined, yet something released"
+            );
+            return out;
+        };
+        for (i, routed) in self.released.drain(..).enumerate() {
+            steps.push(match released_at {
+                Some(at) if at == i => Step::Admit(routed),
+                _ => Step::Release(routed),
+            });
+        }
+        if released_at.is_none() {
+            steps.push(Step::Arrive {
+                shard,
+                event: event.clone(),
+            });
+        }
+        if steps.len() >= BATCH_STEPS {
+            self.flush_pending();
+        }
         out
     }
 
@@ -1293,30 +1393,17 @@ impl ShardedDiffer {
     /// event was ever observed.
     pub fn finish(mut self) -> Option<EpochSnapshot> {
         // Everything still in flight — a restored pre-pipeline chunk,
-        // the reorder buffer's tail, the step buffer — becomes steps.
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            let mut steps: Vec<Step> = std::mem::take(&mut self.chunk)
-                .into_iter()
-                .map(Step::Release)
-                .collect();
-            steps.append(&mut pending.steps);
-            pending.steps = steps;
-        }
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            pending
-                .steps
-                .extend(self.splitter.drain().into_iter().map(Step::Release));
-        }
+        // the step buffer, the reorder buffer's tail — becomes steps.
+        self.adopt_chunk();
+        let tail = self.splitter.drain().into_iter().map(Step::Release);
+        let pending = self.pending.get_mut().expect("pending steps poisoned");
+        pending.steps.extend(tail);
         if self.pipeline.is_some() {
-            self.flush_pending();
             self.quiesce();
         } else {
             // Never observed (or restored and immediately finished):
             // no threads to hand the tail to — apply it inline.
-            let steps =
-                std::mem::take(&mut self.pending.lock().expect("pending steps poisoned").steps);
+            let steps = std::mem::take(&mut pending.steps);
             for (i, state) in self.states.iter().enumerate() {
                 let mut st = state.lock().expect("shard state poisoned");
                 for step in &steps {
@@ -1375,37 +1462,25 @@ impl ShardedDiffer {
     }
 
     /// Spawns the worker threads on first use — exactly once per run.
-    /// A chunk restored from a pre-quiesce checkpoint becomes the head
-    /// of the step stream here, before any newly admitted event.
     fn ensure_pipeline(&mut self) {
         if self.pipeline.is_some() {
             return;
         }
         self.pipeline = Some(Pipeline::spawn(&self.states));
         self.epoch_wall = Some(std::time::Instant::now());
-        if !self.chunk.is_empty() {
-            let restored = std::mem::take(&mut self.chunk);
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            let mut steps: Vec<Step> = restored.into_iter().map(Step::Release).collect();
-            steps.append(&mut pending.steps);
-            pending.steps = steps;
-        }
+        self.adopt_chunk();
     }
 
-    /// Buffers one admission's steps (releases in release order, then
-    /// the arrival) and ships a batch once enough accumulate.
-    fn enqueue(&self, arrive: Option<Step>, released: Vec<RoutedEvent>) {
-        let full = {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            pending
-                .steps
-                .extend(released.into_iter().map(Step::Release));
-            pending.steps.extend(arrive);
-            pending.steps.len() >= BATCH_STEPS
-        };
-        if full {
-            self.flush_pending();
+    /// Puts a chunk restored from a pre-quiesce checkpoint at the head
+    /// of the step stream, before any newly admitted event.
+    fn adopt_chunk(&mut self) {
+        if self.chunk.is_empty() {
+            return;
         }
+        let steps = &mut (self.pending.get_mut())
+            .expect("pending steps poisoned")
+            .steps;
+        steps.splice(..0, self.chunk.drain(..).map(Step::Release));
     }
 
     /// Ships the buffered steps as one `Arc`-shared batch to every
@@ -1427,7 +1502,8 @@ impl ShardedDiffer {
         if pending.steps.is_empty() {
             return;
         }
-        let batch = Arc::new(std::mem::take(&mut pending.steps));
+        let steps = std::mem::replace(&mut pending.steps, Vec::with_capacity(BATCH_STEPS));
+        let batch = Arc::new(steps);
         for (i, link) in pipeline.links.iter().enumerate() {
             let depth = link.depth.fetch_add(1, Ordering::AcqRel) + 1;
             pending.peak_depth = pending.peak_depth.max(depth);
@@ -1471,9 +1547,10 @@ impl ShardedDiffer {
     }
 
     /// Boundary: flush the step buffer, send the in-band barrier,
-    /// collect every shard's partial, merge once, diff once. Admission
-    /// stalls only for the barrier round-trip — between boundaries the
-    /// workers consume their queues while the router admits.
+    /// fold every shard's reply into the maintained window, snapshot
+    /// it, diff once. Admission stalls only for the barrier round-trip
+    /// — between boundaries the workers consume their queues while the
+    /// router admits.
     fn snapshot_at(&mut self, epoch: u64, boundary: Timestamp) -> EpochSnapshot {
         let flush_start = std::time::Instant::now();
         self.flush_pending();
@@ -1484,18 +1561,27 @@ impl ShardedDiffer {
             .pipeline
             .as_ref()
             .expect("observe() spawns the pipeline before advancing the clock");
+        // Only this differ knows whether it holds the window the
+        // workers' deltas are relative to.
+        let full = self.window.is_none();
         for (i, link) in pipeline.links.iter().enumerate() {
-            if link.queue.send(WorkerMsg::Barrier { start }).is_err() {
+            if link.queue.send(WorkerMsg::Barrier { start, full }).is_err() {
                 panic!("shard worker {i} exited mid-run; cannot reach the epoch barrier");
             }
         }
         let mut parts: Vec<ShardModel> = Vec::with_capacity(pipeline.links.len());
+        let mut opens: Vec<FlowRecord> = Vec::new();
         let mut busy_peak_us = 0u64;
         for (i, link) in pipeline.links.iter().enumerate() {
             match link.replies.recv() {
-                Ok(WorkerReply::Partial { model, busy_us }) => {
+                Ok(WorkerReply::Delta {
+                    model,
+                    opens: shard_opens,
+                    busy_us,
+                }) => {
                     busy_peak_us = busy_peak_us.max(busy_us);
                     parts.push(model);
+                    opens.extend(shard_opens);
                 }
                 _ => panic!("shard worker {i} died before the epoch barrier"),
             }
@@ -1513,15 +1599,25 @@ impl ShardedDiffer {
                 .max(busy_peak_us.min(wall_us) * 100 / wall_us);
         }
         self.epoch_wall = Some(std::time::Instant::now());
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            self.timings.queue_depth_peak =
-                self.timings.queue_depth_peak.max(pending.peak_depth as u64);
-            pending.peak_depth = 0;
-        }
+        let pending = self.pending.get_mut().expect("pending steps poisoned");
+        self.timings.queue_depth_peak =
+            self.timings.queue_depth_peak.max(pending.peak_depth as u64);
+        pending.peak_depth = 0;
+
+        // The same boundary the single-shard differ runs, with the
+        // shards' replies standing in for its assembler and its event
+        // feed: completions in, window slid, facts replaced, touched
+        // open episodes upserted by `epoch_snapshot`.
         let merge_start = std::time::Instant::now();
-        let model =
-            IncrementalModelBuilder::merge(parts, Some((start, boundary)), &self.config, workers());
+        let window = self
+            .window
+            .get_or_insert_with(|| IncrementalModelBuilder::new(&self.config));
+        window.clear_event_facts();
+        for part in parts {
+            window.absorb(part);
+        }
+        window.retire_before(start);
+        let model = window.epoch_snapshot((start, boundary), opens);
         let merged_us = merge_start.elapsed().as_micros() as u64;
         self.merge_micros += merged_us;
         self.timings.merge_us += merged_us;
@@ -1616,6 +1712,8 @@ impl ShardedDiffer {
             states,
             chunk,
             pending: Mutex::new(Pending::default()),
+            released: Vec::new(),
+            window: None,
             pipeline: None,
             clock,
             warm_until,
@@ -1668,6 +1766,8 @@ impl Clone for ShardedDiffer {
                 .collect(),
             chunk: self.chunk.clone(),
             pending: Mutex::new(Pending::default()),
+            released: Vec::new(),
+            window: None,
             pipeline: None,
             clock: self.clock.clone(),
             warm_until: self.warm_until,
@@ -1716,6 +1816,8 @@ impl Deserialize for ShardedDiffer {
                 .collect(),
             chunk,
             pending: Mutex::new(Pending::default()),
+            released: Vec::new(),
+            window: None,
             pipeline: None,
             clock,
             warm_until,

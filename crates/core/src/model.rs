@@ -426,13 +426,17 @@ impl Deserialize for RecordWindow {
 }
 
 /// One shard's contribution to a model build: the same state an
-/// [`IncrementalModelBuilder`] accumulates, extracted for
-/// [`IncrementalModelBuilder::merge`]. Partials are cheap to move
-/// around (records are owned, nothing is interned yet) and serialize,
-/// so a merge input can also cross a checkpoint boundary.
+/// [`IncrementalModelBuilder`] accumulates, extracted for another
+/// builder to [`absorb`](IncrementalModelBuilder::absorb) — all of it
+/// ([`IncrementalModelBuilder::into_shard_model`], the input of
+/// [`IncrementalModelBuilder::merge`]) or, in a sharded differ's barrier
+/// reply, just the records completed since the previous barrier beside
+/// the event-derived facts. Partials are cheap to move around (records
+/// are owned, nothing is interned yet) and serialize, so a merge input
+/// can also cross a checkpoint boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardModel {
-    /// Flow records this shard completed (or holds open) in the window.
+    /// Flow records this shard completed in the window.
     pub records: Vec<FlowRecord>,
     /// Liveness proofs: datapath -> newest `ToController` timestamp.
     pub live: BTreeMap<DatapathId, Timestamp>,
@@ -627,6 +631,14 @@ impl WindowState {
         let n = self.window.partition_point(|e| e.ir.first_seen < cutoff);
         self.window.drain(..n);
     }
+
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let hops: usize = self.window.iter().map(|e| e.ir.hops.len()).sum();
+        self.catalog.approx_bytes()
+            + self.window.len() * size_of::<Entry>()
+            + hops * size_of::<crate::ids::IHop>()
+    }
 }
 
 impl IncrementalModelBuilder {
@@ -756,23 +768,17 @@ impl IncrementalModelBuilder {
         }
     }
 
-    /// Clones the accumulated state into one mergeable shard partial
-    /// without consuming the builder, appending `opens` (the caller's
-    /// still-in-window in-flight episodes) after the held window. The
-    /// merge's stable sort puts every record — held or open, from any
-    /// shard — exactly where the single-shard snapshot's sort would, so
-    /// ties keep held-before-open order and byte-identity holds without
-    /// the historical per-epoch probe clone.
-    ///
-    /// This is also what bounds the persistent pipeline's quiesce
-    /// window: each worker runs this extraction inside its barrier
-    /// handler and ships the partial back, so the world is only
-    /// stopped per shard for one clone — the expensive merge runs on
-    /// the coordinator while the workers are already back to draining
-    /// their queues.
-    pub fn shard_model_with_opens(&self, opens: Vec<FlowRecord>) -> ShardModel {
-        let mut records = self.records.to_flat_vec();
-        records.extend(opens);
+    /// The held window, cloned in window order: what a shard worker
+    /// ships when the coordinator has to rebuild its window from
+    /// nothing.
+    pub fn held_records(&self) -> Vec<FlowRecord> {
+        self.records.to_flat_vec()
+    }
+
+    /// A mergeable partial of `records` plus a copy of this builder's
+    /// event-derived facts, leaving the builder as it is — one shard
+    /// worker's reply at an epoch barrier.
+    pub fn shard_model_of(&self, records: Vec<FlowRecord>) -> ShardModel {
         ShardModel {
             records,
             live: self.live.clone(),
@@ -781,22 +787,52 @@ impl IncrementalModelBuilder {
         }
     }
 
+    /// Folds one shard partial in, as if this builder had observed the
+    /// shard's records and events itself. These are the union rules of
+    /// a sharded model, and they are exact: records from different
+    /// shards never share a `(first_seen, tuple)` window key (a tuple's
+    /// episodes all live on its source host's shard), so each key's tie
+    /// list keeps its shard's completion order; liveness is a
+    /// per-datapath max (each proof's timestamp, not its arrival order,
+    /// decides); the LU counter series union disjoint `(dpid, port)`
+    /// keys; the observed span is a min/max fold.
+    pub fn absorb(&mut self, part: ShardModel) {
+        for record in part.records {
+            self.observe_record(record);
+        }
+        for (dpid, ts) in part.live {
+            let newest = self.live.entry(dpid).or_insert(ts);
+            if ts > *newest {
+                *newest = ts;
+            }
+        }
+        self.lu.absorb(part.lu);
+        if let Some((lo, hi)) = part.observed_span {
+            self.observed_span = Some(match self.observed_span {
+                Some((l, h)) => (l.min(lo), h.max(hi)),
+                None => (lo, hi),
+            });
+        }
+    }
+
+    /// Forgets the event-derived facts (liveness, LU series, observed
+    /// span) and keeps the records: for a builder that is handed those
+    /// facts whole at every boundary ([`absorb`](Self::absorb)) instead
+    /// of observing the events.
+    pub fn clear_event_facts(&mut self) {
+        self.live.clear();
+        self.lu = LuBuilder::default();
+        self.observed_span = None;
+    }
+
     /// Reassembles N shard partials into one [`BehaviorModel`] that is
     /// `PartialEq`- and serialization-byte-identical to what a single
-    /// builder fed the whole stream would snapshot.
-    ///
-    /// Why byte-identity holds: the snapshot core sorts records by
-    /// `(first_seen, tuple)` — a total order over episodes, since two
-    /// episodes of one tuple can never share a first `PacketIn` — and
-    /// interns entities into a fresh catalog in that sorted order, so
-    /// concatenating disjoint per-shard record sets loses nothing the
-    /// sort doesn't restore. The event-derived facts merge exactly too:
-    /// liveness is a per-datapath max (each proof's timestamp, not its
-    /// arrival order, decides), the LU counter series unions disjoint
-    /// `(dpid, port)` keys, and the observed span is a min/max fold.
-    /// The merge itself is allocation-light — one concatenation, no
-    /// record is copied or re-keyed — and the one signature fan-out
-    /// happens exactly once, here.
+    /// builder fed the whole stream would snapshot: a fresh builder
+    /// [`absorb`](Self::absorb)s every part and snapshots from scratch
+    /// (sort by `(first_seen, tuple)`, intern into a fresh catalog, one
+    /// signature fan-out). This is the rebuild-from-scratch oracle of
+    /// the sharded differ, whose epoch boundaries fold barrier deltas
+    /// into one maintained builder instead, and its end-of-stream path.
     pub fn merge(
         parts: Vec<ShardModel>,
         span: Option<(Timestamp, Timestamp)>,
@@ -808,31 +844,15 @@ impl IncrementalModelBuilder {
             builder.set_span(span);
         }
         for part in parts {
-            for record in part.records {
-                builder.records.push(record);
-            }
-            for (dpid, ts) in part.live {
-                let newest = builder.live.entry(dpid).or_insert(ts);
-                if ts > *newest {
-                    *newest = ts;
-                }
-            }
-            builder.lu.absorb(part.lu);
-            if let Some((lo, hi)) = part.observed_span {
-                match &mut builder.observed_span {
-                    Some((l, h)) => {
-                        *l = (*l).min(lo);
-                        *h = (*h).max(hi);
-                    }
-                    None => builder.observed_span = Some((lo, hi)),
-                }
-            }
+            builder.absorb(part);
         }
         builder.into_snapshot_with(workers)
     }
 
-    /// Rough heap footprint of the builder's shard-local state: held
-    /// records, liveness proofs, and the LU counter series.
+    /// Rough heap footprint of the builder's state: held records,
+    /// liveness proofs, the LU counter series, and — once an
+    /// [`epoch_snapshot`](Self::epoch_snapshot) built it — the interned
+    /// window with its catalog.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.records
@@ -843,6 +863,7 @@ impl IncrementalModelBuilder {
             .sum::<usize>()
             + self.live.len() * size_of::<(DatapathId, Timestamp)>()
             + self.lu.approx_bytes()
+            + self.ws.as_ref().map_or(0, WindowState::approx_bytes)
     }
 
     /// Snapshots the model for one epoch via the maintained window

@@ -317,9 +317,9 @@ impl<T: Default> Deserialize for Derived<T> {
 /// patch, a `FlowRemoved`, or the eviction of a sibling episode — since
 /// [`RecordAssembler::touched_open_records_since`] last asked, one
 /// entry per episode (its `touched` flag dedups). `None` means
-/// "everything": nobody has asked yet (a fresh or restored assembler,
-/// or a shard worker's, which never asks), so nothing is tracked and
-/// the list cannot grow.
+/// "everything": nobody has asked yet (a fresh or restored assembler, or
+/// one told to [`forget`](RecordAssembler::forget_touched)), so nothing
+/// is tracked and the list cannot grow.
 type Touched = Derived<Option<Vec<FlowTuple>>>;
 
 impl Touched {
@@ -789,6 +789,19 @@ impl RecordAssembler {
         out
     }
 
+    /// Back to "everything counts as touched": the next
+    /// [`touched_open_records_since`](Self::touched_open_records_since)
+    /// hands over every in-window episode again, for a caller that no
+    /// longer holds what earlier calls gave it. The per-episode flags go
+    /// too — `Touched::mark` lists an episode only when its flag was
+    /// clear, so a flag left set would hide the episode's next change.
+    pub fn forget_touched(&mut self) {
+        self.touched.0 = None;
+        for ep in self.open.values_mut().flatten() {
+            ep.touched.0 = false;
+        }
+    }
+
     /// Number of in-flight episodes (bounded-memory diagnostics).
     pub fn open_len(&self) -> usize {
         self.open.values().map(Vec::len).sum()
@@ -891,6 +904,17 @@ pub struct RoutedEvent {
     pub class: EventClass,
     /// The event itself.
     pub event: ControlEvent,
+}
+
+/// What [`ShardRouter::admit`] did with an event it accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admitted {
+    /// The shard owning the event's state-machine work.
+    pub shard: u32,
+    /// Where in `released` the event itself landed, when the reorder
+    /// buffer let it through at its own arrival — always, with
+    /// `reorder_slack_us == 0`. `None` while the buffer holds it back.
+    pub released_at: Option<usize>,
 }
 
 /// Ledger entry mirroring one [`RecordAssembler`] `SeenMod`: the first
@@ -1021,10 +1045,15 @@ impl ShardRouter {
     /// then re-sequencing. Events released from the buffer (possibly
     /// including this one) are appended to `released` in assembly
     /// order, each already run through the xid ledger. Returns the
-    /// admitted event's owning shard, or `None` when the event was
-    /// quarantined (callers feed arrival-ordered per-shard state — the
-    /// model builders — off this return value).
-    pub fn admit(&mut self, ev: &ControlEvent, released: &mut Vec<RoutedEvent>) -> Option<u32> {
+    /// admitted event's owning shard and whether it was released in
+    /// this call, or `None` when the event was quarantined (callers
+    /// feed arrival-ordered per-shard state — the model builders — off
+    /// this return value).
+    pub fn admit(
+        &mut self,
+        ev: &ControlEvent,
+        released: &mut Vec<RoutedEvent>,
+    ) -> Option<Admitted> {
         if self.quarantines(ev.ts) {
             self.health.record(IngestAnomaly::TimeJump);
             return None;
@@ -1043,24 +1072,32 @@ impl ShardRouter {
         if self.reorder_slack_us == 0 {
             self.ledger_process(&routed);
             released.push(routed);
-            return Some(shard);
+            return Some(Admitted {
+                shard,
+                released_at: Some(released.len() - 1),
+            });
         }
-        self.reorder_buf.insert((ev.ts, self.arrival_seq), routed);
+        let own_key = (ev.ts, self.arrival_seq);
+        self.reorder_buf.insert(own_key, routed);
         self.arrival_seq += 1;
         let release = Timestamp::from_micros(
             self.max_arrival
                 .as_micros()
                 .saturating_sub(self.reorder_slack_us),
         );
+        let mut released_at = None;
         while let Some(entry) = self.reorder_buf.first_entry() {
             if entry.key().0 > release {
                 break;
+            }
+            if *entry.key() == own_key {
+                released_at = Some(released.len());
             }
             let r = entry.remove();
             self.ledger_process(&r);
             released.push(r);
         }
-        Some(shard)
+        Some(Admitted { shard, released_at })
     }
 
     /// Flushes the reorder buffer (end of stream), returning the held
@@ -1565,6 +1602,41 @@ mod tests {
         let again = asm.touched_open_records_since(Timestamp::ZERO);
         assert_eq!(again, asm.open_records());
         assert!(first.contains(&again[0]), "handed over unchanged");
+    }
+
+    #[test]
+    fn forgetting_hands_everything_over_again_and_still_lists_later_changes() {
+        let log = busy_log();
+        let between = |lo: u64, hi: u64| {
+            (log.events().iter()).filter(move |ev| {
+                Timestamp::from_secs(lo) <= ev.ts && ev.ts < Timestamp::from_secs(hi)
+            })
+        };
+        let mut asm = RecordAssembler::new(&FlowDiffConfig::default());
+        for ev in between(0, 10) {
+            asm.observe(ev);
+        }
+        assert_eq!(asm.touched_open_records_since(Timestamp::ZERO).len(), 1);
+        // The 16 s flow opens while tracking is live: listed, flag set.
+        for ev in between(10, 20) {
+            asm.observe(ev);
+        }
+
+        // The caller lost what it held (a full resync): everything again.
+        asm.forget_touched();
+        let all = asm.touched_open_records_since(Timestamp::ZERO);
+        assert_eq!(all.len(), 2);
+        assert!(asm.touched_open_records_since(Timestamp::ZERO).is_empty());
+
+        // The 16 s flow's FlowRemoved lands afterwards. A flag left set
+        // across the forget would keep it off the list.
+        for ev in between(20, 25) {
+            asm.observe(ev);
+        }
+        let changed = asm.touched_open_records_since(Timestamp::ZERO);
+        assert_eq!(changed.len(), 1, "the 16 s flow, counters attached");
+        assert_eq!(changed[0].first_seen.as_micros() / 1_000_000, 16);
+        assert_eq!(changed[0].byte_count, 3_000);
     }
 
     #[test]

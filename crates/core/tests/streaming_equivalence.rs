@@ -743,6 +743,42 @@ struct Seen {
     flow_removed: bool,
     evicted_in_window: bool,
     slid_out_open: bool,
+    /// Sharded runs only: the shards that evicted, in-window, an open
+    /// episode the coordinator's window held. Each such completion
+    /// reaches the coordinator in its owner's barrier reply alone — the
+    /// other shards never held the key — although every shard prunes at
+    /// the same instant (the feed rule keeps them on one schedule).
+    evicting_shards: std::collections::BTreeSet<usize>,
+}
+
+/// The open versions the previous boundary modeled, by window key.
+type Modeled = HashMap<(Timestamp, FlowTuple), FlowRecord>;
+
+impl Seen {
+    /// Compares the episodes open at a boundary with the versions the
+    /// previous boundary modeled, then makes the in-window ones the
+    /// modeled set.
+    fn at_boundary(&mut self, modeled: &mut Modeled, opens: Vec<FlowRecord>, start: Timestamp) {
+        let mut now = Modeled::new();
+        for open in opens {
+            let key = (open.first_seen, open.tuple);
+            if let Some(old) = modeled.get(&key) {
+                if open.first_seen < start {
+                    self.slid_out_open = true;
+                    continue;
+                }
+                let patched = |(a, b): (&HopReport, &HopReport)| {
+                    a.flow_mod_ts.is_none() && b.flow_mod_ts.is_some()
+                };
+                self.flow_mod_patch |= old.hops.iter().zip(&open.hops).any(patched);
+                self.flow_removed |= old.byte_count != open.byte_count;
+            }
+            if open.first_seen >= start {
+                now.insert(key, open);
+            }
+        }
+        *modeled = now;
+    }
 }
 
 /// The shape the property test above does not reach: a tree capture at
@@ -768,8 +804,7 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
     let mut resumed = straight.clone();
     let mut oracle_asm = RecordAssembler::new(&config);
     let mut oracle_builder = IncrementalModelBuilder::new(&config);
-    // The open versions the previous boundary modeled, by window key.
-    let mut modeled: HashMap<(Timestamp, FlowTuple), FlowRecord> = HashMap::new();
+    let mut modeled = Modeled::new();
     let mut seen = Seen::default();
     let (mut epochs, mut first_after_restore) = (0usize, None);
 
@@ -825,25 +860,7 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             }
             epochs += 1;
 
-            let mut now: HashMap<(Timestamp, FlowTuple), FlowRecord> = HashMap::new();
-            for open in opens {
-                let key = (open.first_seen, open.tuple);
-                if let Some(old) = modeled.get(&key) {
-                    if open.first_seen < snap.window.0 {
-                        seen.slid_out_open = true;
-                        continue;
-                    }
-                    let patched = |(a, b): (&HopReport, &HopReport)| {
-                        a.flow_mod_ts.is_none() && b.flow_mod_ts.is_some()
-                    };
-                    seen.flow_mod_patch |= old.hops.iter().zip(&open.hops).any(patched);
-                    seen.flow_removed |= old.byte_count != open.byte_count;
-                }
-                if open.first_seen >= snap.window.0 {
-                    now.insert(key, open);
-                }
-            }
-            modeled = now;
+            seen.at_boundary(&mut modeled, opens, snap.window.0);
         }
         oracle_asm.observe(event);
         oracle_builder.observe_event(event);
@@ -883,6 +900,192 @@ fn maintained_window_matches_clone_probe_across_in_window_evictions() {
         "a synced open was evicted in-window"
     );
     assert!(seen.slid_out_open, "a synced open slid out of the window");
+}
+
+/// The same shape through the sharded differ, whose boundaries fold
+/// barrier *deltas* into one maintained window: every epoch must be the
+/// single differ's — `PartialEq` and bytes — and the rebuild-from-scratch
+/// [`IncrementalModelBuilder::merge`] over full per-shard partials
+/// (events and records partitioned the way a [`ShardRouter`] places
+/// them). In lockstep: a mid-stream checkpoint → restore, then a
+/// mid-stream `clone()` whose copy and original both carry on. A restored
+/// or cloned differ holds no window, so its first boundary must resync
+/// in full; every other steady-state boundary must have been paid for by
+/// the deltas alone.
+fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u64) -> Seen {
+    let (log, base) = tree_log(4, 42, 75);
+    let config = FlowDiffConfig {
+        online_epoch_us: 1_000_000,
+        online_window_us: 30_000_000,
+        partial_flow_timeout_us,
+        reorder_slack_us: slack_us,
+        ..base
+    };
+    let reference = BehaviorModel::build(&tree_log(4, 41, 20).0, &config);
+    let stability = StabilityReport::all_stable(&reference);
+    let events = log.events();
+    let (restore_at, clone_at) = (events.len() * 3 / 5, events.len() * 4 / 5);
+
+    let mut single =
+        OnlineDiffer::try_new(reference.clone(), stability.clone(), &config).expect("config valid");
+    let mut sharded =
+        ShardedDiffer::try_new(reference, stability, &config, n_shards).expect("config valid");
+    let mut copy: Option<ShardedDiffer> = None;
+
+    // The oracle: one assembler over the whole stream, its records and
+    // the raw events dealt to per-shard builders by the router's own
+    // placement. Never retired between epochs.
+    let mut router = ShardRouter::new(&config, n_shards);
+    let mut released = Vec::new();
+    let mut owner: HashMap<Ipv4Addr, usize> = HashMap::new();
+    let mut oracle_asm = RecordAssembler::new(&config);
+    let mut partials: Vec<IncrementalModelBuilder> = (0..n_shards)
+        .map(|_| IncrementalModelBuilder::new(&config))
+        .collect();
+
+    let mut modeled = Modeled::new();
+    let mut seen = Seen::default();
+    let (mut epochs, mut restored_at_epoch, mut cloned_at_epoch) = (0usize, None, None);
+
+    for (i, event) in events.iter().enumerate() {
+        if i == restore_at {
+            assert!(epochs > 30, "restore must land in steady state");
+            let bytes = ShardedCheckpoint::capture(&sharded, i as u64, &config).to_bytes();
+            let restored = match AnyCheckpoint::from_bytes(&bytes).expect("container intact") {
+                AnyCheckpoint::Sharded(c) => c,
+                other => panic!("v2 bytes must dispatch to Sharded, got {other:?}"),
+            };
+            let (restored, offset) = restored.resume(&config).expect("same config");
+            assert_eq!(offset as usize, i);
+            assert_eq!(restored, sharded, "restored state == live state");
+            sharded = restored;
+            restored_at_epoch = Some(epochs);
+        }
+        if i == clone_at {
+            // The copy carries the workers' touched tracking, which is
+            // relative to a window only the original holds.
+            copy = Some(sharded.clone());
+            cloned_at_epoch = Some(epochs);
+        }
+        let snaps = single.observe(event);
+        assert_eq!(sharded.observe(event), snaps, "diverged at event {i}");
+        if let Some(copy) = &mut copy {
+            assert_eq!(copy.observe(event), snaps, "clone diverged at event {i}");
+        }
+        for snap in &snaps {
+            let opens = oracle_asm.open_records();
+            let parts: Vec<ShardModel> = (partials.iter().enumerate())
+                .map(|(shard, builder)| {
+                    let mut part = builder.clone();
+                    for open in opens.iter().filter(|r| owner[&r.tuple.src] == shard) {
+                        part.observe_record(open.clone());
+                    }
+                    part.retire_before(snap.window.0);
+                    part.into_shard_model()
+                })
+                .collect();
+            let merged = IncrementalModelBuilder::merge(parts, Some(snap.window), &config, 1);
+            assert_eq!(merged, snap.model, "epoch {} vs merge", snap.epoch);
+            assert_eq!(
+                serde::to_vec(&merged),
+                serde::to_vec(&snap.model),
+                "epoch {} model bytes vs merge",
+                snap.epoch
+            );
+
+            // The work counters: a full resync interns the window, a
+            // delta barrier only what the shards reported changed.
+            let window = snap.model.records.len();
+            let resynced = epochs == 0 || restored_at_epoch == Some(epochs);
+            let synced = sharded.epoch_synced();
+            if resynced {
+                assert_eq!(synced, window, "epoch {epochs} resyncs in full");
+            } else if epochs > 30 {
+                assert!(
+                    synced * 4 <= window,
+                    "epoch {epochs}: synced {synced} of {window} window records"
+                );
+            }
+            if let Some(copy) = &copy {
+                let synced = copy.epoch_synced();
+                if cloned_at_epoch == Some(epochs) {
+                    assert_eq!(synced, window, "the clone's first epoch resyncs in full");
+                } else {
+                    assert!(
+                        synced * 4 <= window,
+                        "clone epoch {epochs}: {synced}/{window}"
+                    );
+                }
+            }
+            epochs += 1;
+
+            seen.at_boundary(&mut modeled, opens, snap.window.0);
+        }
+
+        if let Some(admitted) = router.admit(event, &mut released) {
+            partials[admitted.shard as usize].observe_event(event);
+        }
+        for routed in released.drain(..) {
+            if let OfpMessage::PacketIn(pi) = &routed.event.msg {
+                if let Ok(key) = frame::parse_frame(&pi.data) {
+                    owner.insert(key.nw_src, routed.shard as usize);
+                }
+            }
+        }
+        oracle_asm.observe(event);
+        let newest = oracle_asm.max_arrival();
+        for record in oracle_asm.take_completed() {
+            let shard = owner[&record.tuple.src];
+            let in_window = record.first_seen.as_micros() + config.online_window_us
+                > newest.as_micros() + config.online_epoch_us;
+            if in_window && modeled.contains_key(&(record.first_seen, record.tuple)) {
+                seen.evicted_in_window = true;
+                seen.evicting_shards.insert(shard);
+            }
+            partials[shard].observe_record(record);
+        }
+    }
+    assert!(epochs > cloned_at_epoch.expect("cloned mid-stream") + 5);
+    let last = single.finish();
+    assert_eq!(sharded.finish(), last);
+    assert_eq!(copy.expect("cloned mid-stream").finish(), last);
+    seen
+}
+
+#[test]
+fn sharded_deltas_match_single_differ_and_merge_when_every_record_is_open() {
+    for n_shards in [2, 3] {
+        let seen = sharded_window_run(60_000_000, n_shards, 0);
+        assert!(seen.flow_mod_patch, "a FlowMod patched a shipped open");
+        assert!(seen.flow_removed, "a FlowRemoved landed on a shipped open");
+        assert!(seen.slid_out_open, "a shipped open slid out of the window");
+        assert!(!seen.evicted_in_window);
+    }
+}
+
+#[test]
+fn sharded_deltas_match_single_differ_and_merge_across_in_window_evictions() {
+    for n_shards in [2, 3] {
+        let seen = sharded_window_run(12_000_000, n_shards, 0);
+        assert!(seen.flow_mod_patch && seen.flow_removed && seen.slid_out_open);
+        assert!(
+            seen.evicted_in_window,
+            "a shipped open was evicted in-window"
+        );
+        assert_eq!(
+            seen.evicting_shards.len(),
+            n_shards,
+            "every shard's reply carried a completion only it knew of"
+        );
+    }
+}
+
+#[test]
+fn sharded_deltas_match_single_differ_through_the_reorder_buffer() {
+    // Every event is held back 50 ms: an `Arrive` now, a `Release`
+    // later, instead of the one-step admission of the runs above.
+    let seen = sharded_window_run(12_000_000, 2, 50_000);
+    assert!(seen.flow_mod_patch && seen.flow_removed && seen.evicted_in_window);
 }
 
 // ---------------------------------------------------------------------
