@@ -225,8 +225,12 @@ echo "INFO: diff.sharded.events_per_s / diff.online.events_per_s =" \
     "$(awk -v s="$(rate_of diff.sharded.events_per_s)" -v o="$(rate_of diff.online.events_per_s)" \
         'BEGIN { if (o > 0) printf "%.2f", s / o; else printf "n/a" }')"
 
-step "cargo bench --no-run (benches must compile)"
-cargo bench --no-run -q
+step "benchmark/Cargo.lock and BENCHMARK.json unchanged by the harness runs"
+# The harness resolves crates/* through path deps, so a dependency edit
+# in this workspace that changed its resolution would make cargo rewrite
+# benchmark/Cargo.lock in place: fail here instead of benchmarking
+# something else silently.
+git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json
 
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

@@ -125,8 +125,6 @@ fn print_index() {
     println!();
     println!("End-to-end and per-layer benchmark (four workloads, see benchmark/README.md):");
     println!("  benchmark/run.sh");
-    println!();
-    println!("Criterion benchmarks: cargo bench --workspace");
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;

@@ -351,7 +351,7 @@ pub struct IHop {
     pub switch: SwitchId,
     /// The port the flow arrived on.
     pub in_port: PortId,
-    /// The report's transaction id. No builder reads it; it is what
+    /// The report's transaction id. No signature reads it; it is what
     /// makes [`EntityCatalog::resolve_record`] lossless.
     pub xid: Xid,
     /// When the controller answered with a `FlowMod`, if it did.
@@ -360,9 +360,9 @@ pub struct IHop {
     pub out_port: Option<PortId>,
 }
 
-/// A flow record in dense-ID form: what the signature builders consume.
+/// A flow record in dense-ID form: what the signature builds consume.
 ///
-/// Carries exactly the fields the nine builders read — endpoints,
+/// Carries exactly the fields the signatures read — endpoints,
 /// counters, and the switch path — with every entity reference interned
 /// through the owning [`EntityCatalog`].
 #[derive(Debug, Clone, PartialEq)]

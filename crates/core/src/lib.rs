@@ -84,9 +84,7 @@ pub mod prelude {
         extract_records, FlowRecord, FlowTuple, IngestAnomaly, IngestHealth, RecordAssembler,
         RoutedEvent, ShardRouter,
     };
-    pub use crate::signatures::{
-        DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-    };
+    pub use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
     pub use crate::stability::{analyze, StabilityReport};
     pub use crate::tasks::{learn_task, TaskAutomaton, TaskEvent, TaskLibrary};
 }

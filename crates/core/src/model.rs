@@ -31,13 +31,10 @@ use crate::signatures::connectivity::ConnectivityGraph;
 use crate::signatures::correlation::PartialCorrelation;
 use crate::signatures::delay::DelayDistribution;
 use crate::signatures::flow_stats::FlowStatsSig;
-use crate::signatures::infra::{
-    sorted_latency, sorted_response, sorted_topology, ControllerResponse, InterSwitchLatency,
-    PhysicalTopology,
-};
+use crate::signatures::infra::{ControllerResponse, InterSwitchLatency, PhysicalTopology};
 use crate::signatures::interaction::ComponentInteraction;
 use crate::signatures::utilization::{LinkUtilization, LuBuilder};
-use crate::signatures::{Signature, SignatureBuilder, SignatureInputs};
+use crate::signatures::{Signature, SignatureInputs};
 use netsim::log::{ControlEvent, ControllerLog, Direction};
 
 /// All application signatures of one group.
@@ -194,15 +191,11 @@ fn build_part(
             _ => Built::Pc(PartialCorrelation::build(&inputs)),
         }
     } else {
-        // The batch feed is sorted, retires nothing, and is dropped
-        // after finalize — exactly what the sorted-feed builds are for.
-        // The retire-capable keyed builders produce identical output
-        // but pay a keyed insert per record, which measurably drags
-        // every full assembly.
+        let inputs = SignatureInputs::new(all_records, catalog, span, config);
         match task - app_tasks {
-            0 => Built::Pt(sorted_topology(all_records, catalog)),
-            1 => Built::Isl(sorted_latency(all_records, catalog)),
-            _ => Built::Crt(sorted_response(all_records, catalog)),
+            0 => Built::Pt(PhysicalTopology::build(&inputs)),
+            1 => Built::Isl(InterSwitchLatency::build(&inputs)),
+            _ => Built::Crt(ControllerResponse::build(&inputs)),
         }
     }
 }
@@ -230,7 +223,7 @@ fn assemble(
 ) -> BehaviorModel {
     // Intern the (sorted) records into a fresh catalog: one pass
     // assigns every entity its dense ID and produces the records the
-    // signature builders consume. IDs are process-local, so nothing
+    // signature builds consume. IDs are process-local, so nothing
     // requires the assignment to be stable across snapshots.
     let mut catalog = EntityCatalog::new();
     let mut irecords: Vec<IRecord> = Vec::with_capacity(records.len());
@@ -465,8 +458,8 @@ pub struct ShardModel {
 ///
 /// The builder also serializes (records, span bookkeeping, liveness
 /// proofs, the LU counter series) as part of an online
-/// [`checkpoint`](crate::checkpoint); the nine signature builders need
-/// no state of their own here because they are constructed fresh per
+/// [`checkpoint`](crate::checkpoint); the record-derived signatures
+/// need no state of their own here because they are rebuilt at every
 /// snapshot from the records the builder holds.
 #[derive(Debug, Clone)]
 pub struct IncrementalModelBuilder {
@@ -952,14 +945,15 @@ impl IncrementalModelBuilder {
             })
             .collect();
 
-        let mut topology = sorted_topology(&refs, &ws.catalog);
-        let latency = sorted_latency(&refs, &ws.catalog);
-        let response = sorted_response(&refs, &ws.catalog);
+        let inputs = SignatureInputs::new(&refs, &ws.catalog, span, &self.config);
+        let mut topology = PhysicalTopology::build(&inputs);
+        let latency = InterSwitchLatency::build(&inputs);
+        let response = ControllerResponse::build(&inputs);
         topology.live_switches.extend(self.live.keys().copied());
         let edge_index = RecordIndex::of_interned(ws.catalog.clone(), &refs);
         let catalog = ws.catalog.clone();
         drop(refs);
-        let utilization = self.lu.finalize(&catalog);
+        let utilization = self.lu.finalize();
 
         BehaviorModel {
             records,
@@ -988,7 +982,7 @@ impl IncrementalModelBuilder {
             .topology
             .live_switches
             .extend(self.live.keys().copied());
-        model.utilization = self.lu.finalize(&model.catalog);
+        model.utilization = self.lu.finalize();
         model
     }
 }
@@ -1023,15 +1017,6 @@ impl BehaviorModel {
         config: &FlowDiffConfig,
     ) -> BehaviorModel {
         Self::from_records_with(records, span, config, default_workers())
-    }
-
-    /// Single-threaded [`Self::from_records`], for baseline comparisons.
-    pub fn from_records_serial(
-        records: Vec<FlowRecord>,
-        span: (Timestamp, Timestamp),
-        config: &FlowDiffConfig,
-    ) -> BehaviorModel {
-        Self::from_records_with(records, span, config, 1)
     }
 
     /// Builds the model with an explicit worker count: a wrapper that
@@ -1149,7 +1134,7 @@ mod tests {
         let span = log
             .time_range()
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let serial = BehaviorModel::from_records_serial(records.clone(), span, &config);
+        let serial = BehaviorModel::from_records_with(records.clone(), span, &config, 1);
         let parallel = BehaviorModel::from_records_with(records, span, &config, 4);
         assert_eq!(serial, parallel, "task-order reassembly must be identical");
         assert!(!serial.groups.is_empty());

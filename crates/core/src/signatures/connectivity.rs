@@ -4,17 +4,14 @@
 //! Robust to workload changes: the edge set depends only on the
 //! application's internal structure.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashSet};
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::ids::{EntityCatalog, IRecord};
-use crate::signatures::{
-    DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
 
 /// The connectivity graph of one application group.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -45,89 +42,36 @@ pub struct CgChange {
     pub first_seen: Option<Timestamp>,
 }
 
-/// Incremental CG accumulator: classifies each record's endpoint pair
-/// against the configured special-purpose IPs, exactly as the group
-/// discovery does — member-to-member flows become edges, flows touching
-/// one special node become service edges, special-to-special traffic is
-/// ignored. For a group's own records this reproduces the group's edge
-/// sets precisely.
-///
-/// Hot-path state is dense: a per-host special flag indexed by
-/// [`crate::ids::HostId`] and packed-edge refcount maps (how many live
-/// records assert each edge, so retiring a record can drop the edge
-/// exactly when its last witness expires), resolved back to
-/// address-keyed `BTreeSet`s only at `finalize`.
-#[derive(Debug, Clone, Default)]
-pub struct CgBuilder {
-    special: Vec<bool>,
-    edges: HashMap<u64, u32>,
-    service_edges: HashMap<u64, u32>,
-}
-
-impl CgBuilder {
-    /// The refcount map a record's edge belongs to, by endpoint
-    /// classification — `None` for special-to-special traffic.
-    fn bucket_of(&mut self, record: &IRecord) -> Option<&mut HashMap<u64, u32>> {
-        match (
-            self.special[record.src.index()],
-            self.special[record.dst.index()],
-        ) {
-            (false, false) => Some(&mut self.edges),
-            (true, true) => None, // service-to-service traffic: not an app flow
-            _ => Some(&mut self.service_edges),
-        }
-    }
-}
-
-impl SignatureBuilder for CgBuilder {
-    type Output = ConnectivityGraph;
-
-    fn observe(&mut self, record: &IRecord) {
-        let key = record.edge_key();
-        if let Some(bucket) = self.bucket_of(record) {
-            *bucket.entry(key).or_insert(0) += 1;
-        }
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let key = record.edge_key();
-        if let Some(bucket) = self.bucket_of(record) {
-            if let Some(count) = bucket.get_mut(&key) {
-                *count -= 1;
-                if *count == 0 {
-                    bucket.remove(&key);
-                }
-            }
-        }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> ConnectivityGraph {
-        ConnectivityGraph {
-            edges: self.edges.keys().map(|&k| catalog.edge(k)).collect(),
-            service_edges: self
-                .service_edges
-                .keys()
-                .map(|&k| catalog.edge(k))
-                .collect(),
-        }
-    }
-}
-
 impl Signature for ConnectivityGraph {
     type Change = CgChange;
-    type Builder = CgBuilder;
     const KIND: SignatureKind = SignatureKind::Cg;
 
-    fn builder(inputs: &SignatureInputs<'_>) -> CgBuilder {
-        CgBuilder {
-            special: inputs
-                .catalog
-                .hosts()
-                .iter()
-                .map(|&ip| inputs.config.is_special(ip))
-                .collect(),
-            edges: HashMap::new(),
-            service_edges: HashMap::new(),
+    /// Classifies each record's endpoint pair against the configured
+    /// special-purpose IPs, exactly as the group discovery does —
+    /// member-to-member flows become edges, flows touching one special
+    /// node become service edges, special-to-special traffic is
+    /// ignored. For a group's own records this reproduces the group's
+    /// edge sets precisely.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let catalog = inputs.catalog;
+        let special: Vec<bool> = catalog
+            .hosts()
+            .iter()
+            .map(|&ip| inputs.config.is_special(ip))
+            .collect();
+        let mut edges = HashSet::new();
+        let mut service_edges = HashSet::new();
+        for record in inputs.records {
+            let bucket = match (special[record.src.index()], special[record.dst.index()]) {
+                (false, false) => &mut edges,
+                (true, true) => continue, // service-to-service traffic: not an app flow
+                _ => &mut service_edges,
+            };
+            bucket.insert(record.edge_key());
+        }
+        ConnectivityGraph {
+            edges: edges.iter().map(|&k| catalog.edge(k)).collect(),
+            service_edges: service_edges.iter().map(|&k| catalog.edge(k)).collect(),
         }
     }
 
@@ -212,7 +156,7 @@ impl Signature for ConnectivityGraph {
 mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
-    use crate::ids::RecordIndex;
+    use crate::ids::{EntityCatalog, RecordIndex};
     use crate::records::{FlowRecord, FlowTuple};
     use openflow::types::IpProto;
     use std::net::Ipv4Addr;

@@ -11,11 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::ids::{EntityCatalog, IRecord};
 use crate::signatures::delay::EdgePair;
-use crate::signatures::{
-    DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
 use crate::stats::pearson;
 
 /// The PC signature of one application group.
@@ -43,58 +40,35 @@ impl PcChange {
     }
 }
 
-/// Incremental PC accumulator: per-edge epoch count series, bucketed on
-/// the fly (the window and epoch grid are fixed at construction), with
-/// the Pearson pairing deferred to `finalize`.
-#[derive(Debug, Clone, Default)]
-pub struct PcBuilder {
-    start: u64,
-    end: u64,
-    epochs: usize,
-    epoch_us: u64,
-    series: HashMap<u64, Vec<f64>>,
-}
+impl Signature for PartialCorrelation {
+    type Change = PcChange;
+    const KIND: SignatureKind = SignatureKind::Pc;
 
-impl SignatureBuilder for PcBuilder {
-    type Output = PartialCorrelation;
-
-    fn observe(&mut self, record: &IRecord) {
-        let t = record.first_seen.as_micros();
-        if t < self.start || t >= self.end {
-            return;
-        }
-        let idx = ((t - self.start) / self.epoch_us) as usize;
-        let epochs = self.epochs;
-        let s = self
-            .series
-            .entry(record.edge_key())
-            .or_insert_with(|| vec![0.0; epochs]);
-        s[idx.min(epochs - 1)] += 1.0;
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let t = record.first_seen.as_micros();
-        if t < self.start || t >= self.end {
-            return; // never observed: outside the grid
-        }
-        let idx = (((t - self.start) / self.epoch_us) as usize).min(self.epochs - 1);
-        if let Some(s) = self.series.get_mut(&record.edge_key()) {
-            // Counts are small integers held in f64, so subtraction is
-            // exact and a drained bucket is exactly 0.0.
-            s[idx] -= 1.0;
-            if s.iter().all(|&v| v == 0.0) {
-                self.series.remove(&record.edge_key());
+    /// Buckets each record into its edge's epoch count series (the
+    /// window and epoch grid are fixed by the inputs), then correlates
+    /// the series of adjacent edges.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let start = inputs.span.0.as_micros();
+        let end = inputs.span.1.as_micros().max(start + 1);
+        let epoch_us = inputs.config.epoch_us;
+        let epochs = ((end - start).div_ceil(epoch_us)).max(1) as usize;
+        let mut by_key: HashMap<u64, Vec<f64>> = HashMap::new();
+        for record in inputs.records {
+            let t = record.first_seen.as_micros();
+            if t < start || t >= end {
+                continue;
             }
+            let idx = ((t - start) / epoch_us) as usize;
+            let s = by_key
+                .entry(record.edge_key())
+                .or_insert_with(|| vec![0.0; epochs]);
+            s[idx.min(epochs - 1)] += 1.0;
         }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> PartialCorrelation {
         // Resolve to address-keyed series so the pairing loop visits
         // edges in address order, independent of interning order.
-        let series: BTreeMap<Edge, &Vec<f64>> = self
-            .series
+        let series: BTreeMap<Edge, &Vec<f64>> = by_key
             .iter()
-            .map(|(&key, s)| (catalog.edge(key), s))
+            .map(|(&key, s)| (inputs.catalog.edge(key), s))
             .collect();
         let edges: Vec<Edge> = series.keys().copied().collect();
         let mut per_pair = BTreeMap::new();
@@ -112,24 +86,6 @@ impl SignatureBuilder for PcBuilder {
             }
         }
         PartialCorrelation { per_pair }
-    }
-}
-
-impl Signature for PartialCorrelation {
-    type Change = PcChange;
-    type Builder = PcBuilder;
-    const KIND: SignatureKind = SignatureKind::Pc;
-
-    fn builder(inputs: &SignatureInputs<'_>) -> PcBuilder {
-        let start = inputs.span.0.as_micros();
-        let end = inputs.span.1.as_micros().max(start + 1);
-        PcBuilder {
-            start,
-            end,
-            epochs: ((end - start).div_ceil(inputs.config.epoch_us)).max(1) as usize,
-            epoch_us: inputs.config.epoch_us,
-            series: HashMap::new(),
-        }
     }
 
     /// Scalar comparison (Section IV-A): pairs whose coefficient moved by
@@ -208,8 +164,9 @@ impl Signature for PartialCorrelation {
 mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
-    use crate::ids::{InternedLog, RecordIndex};
+    use crate::ids::RecordIndex;
     use crate::records::{FlowRecord, FlowTuple};
+    use crate::signatures::tests::window_of;
     use openflow::types::{IpProto, Timestamp};
     use std::net::Ipv4Addr;
 
@@ -261,7 +218,7 @@ mod tests {
     }
 
     fn build_pc(records: &[FlowRecord], sp: (Timestamp, Timestamp)) -> PartialCorrelation {
-        let il = InternedLog::of(records);
+        let il = window_of(records);
         let config = FlowDiffConfig::default();
         PartialCorrelation::build(&SignatureInputs::new(&il.refs(), &il.catalog, sp, &config))
     }

@@ -12,10 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::ids::{EntityCatalog, IRecord};
-use crate::signatures::{
-    DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
 use crate::stats::{Histogram, MeanStd};
 
 /// An adjacent edge pair `(incoming, outgoing)` sharing a middle node.
@@ -60,57 +57,32 @@ pub struct DdChange {
     pub mean_shift_us: f64,
 }
 
-/// Incremental DD accumulator: raw arrival times per edge. The
-/// quadratic pairing over adjacent edges needs every arrival of both
-/// edges, so it runs at `finalize` over sorted copies.
-#[derive(Debug, Clone, Default)]
-pub struct DdBuilder {
-    dd_bin_us: u64,
-    dd_window_us: u64,
-    per_edge: HashMap<u64, Vec<u64>>,
-}
+impl Signature for DelayDistribution {
+    type Change = DdChange;
+    const KIND: SignatureKind = SignatureKind::Dd;
 
-impl SignatureBuilder for DdBuilder {
-    type Output = DelayDistribution;
-
-    fn observe(&mut self, record: &IRecord) {
-        self.per_edge
-            .entry(record.edge_key())
-            .or_default()
-            .push(record.first_seen.as_micros());
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let key = record.edge_key();
-        if let Some(times) = self.per_edge.get_mut(&key) {
-            // Any occurrence of the arrival time will do: `finalize`
-            // works on a sorted copy, so equal values are fungible and
-            // `swap_remove` keeps retirement O(1) per record.
-            if let Some(idx) = times
-                .iter()
-                .position(|&t| t == record.first_seen.as_micros())
-            {
-                times.swap_remove(idx);
-            }
-            if times.is_empty() {
-                self.per_edge.remove(&key);
-            }
+    /// For each adjacent edge pair, every incoming flow is paired with
+    /// every outgoing flow that starts within `config.dd_window_us` after
+    /// it; the true processing delay emerges as the histogram mode
+    /// (dependent flows recur at a fixed lag, unrelated pairs spread
+    /// uniformly).
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let (dd_bin_us, dd_window_us) = (inputs.config.dd_bin_us, inputs.config.dd_window_us);
+        // Arrivals per edge: the feed is in window order, so each
+        // edge's list comes out sorted by time.
+        let mut by_key: HashMap<u64, Vec<u64>> = HashMap::new();
+        for record in inputs.records {
+            by_key
+                .entry(record.edge_key())
+                .or_default()
+                .push(record.first_seen.as_micros());
         }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> DelayDistribution {
-        // Arrivals per edge, resolved to addresses and sorted by time.
-        // The pairing loop below iterates edges in address order (as the
-        // address-keyed builder always did), keeping its output
-        // independent of interning order.
-        let per_edge: BTreeMap<Edge, Vec<u64>> = self
-            .per_edge
-            .iter()
-            .map(|(&key, times)| {
-                let mut times = times.clone();
-                times.sort_unstable();
-                (catalog.edge(key), times)
-            })
+        // Resolved to addresses: the pairing loop below iterates edges
+        // in address order, keeping its output independent of interning
+        // order.
+        let per_edge: BTreeMap<Edge, Vec<u64>> = by_key
+            .into_iter()
+            .map(|(key, times)| (inputs.catalog.edge(key), times))
             .collect();
 
         let edges: Vec<Edge> = per_edge.keys().copied().collect();
@@ -128,7 +100,7 @@ impl SignatureBuilder for DdBuilder {
                 }
                 let ins = &per_edge[in_edge];
                 let outs = &per_edge[out_edge];
-                let mut hist = Histogram::new(self.dd_bin_us);
+                let mut hist = Histogram::new(dd_bin_us);
                 let mut nearest_samples = Vec::new();
                 let mut start_idx = 0usize;
                 for &t_in in ins {
@@ -144,7 +116,7 @@ impl SignatureBuilder for DdBuilder {
                         let Some(d) = t_out.checked_sub(t_in) else {
                             continue;
                         };
-                        if d >= self.dd_window_us {
+                        if d >= dd_window_us {
                             break;
                         }
                         hist.add(d);
@@ -161,25 +133,6 @@ impl SignatureBuilder for DdBuilder {
             }
         }
         DelayDistribution { per_pair, nearest }
-    }
-}
-
-impl Signature for DelayDistribution {
-    type Change = DdChange;
-    type Builder = DdBuilder;
-    const KIND: SignatureKind = SignatureKind::Dd;
-
-    /// For each adjacent edge pair, every incoming flow is paired with
-    /// every outgoing flow that starts within `config.dd_window_us` after
-    /// it; the true processing delay emerges as the histogram mode
-    /// (dependent flows recur at a fixed lag, unrelated pairs spread
-    /// uniformly).
-    fn builder(inputs: &SignatureInputs<'_>) -> DdBuilder {
-        DdBuilder {
-            dd_bin_us: inputs.config.dd_bin_us,
-            dd_window_us: inputs.config.dd_window_us,
-            per_edge: HashMap::new(),
-        }
     }
 
     /// Delay-distribution comparison (Section IV-A): reports pairs whose
@@ -290,8 +243,9 @@ impl Signature for DelayDistribution {
 mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
-    use crate::ids::{InternedLog, RecordIndex};
+    use crate::ids::RecordIndex;
     use crate::records::{FlowRecord, FlowTuple};
+    use crate::signatures::tests::window_of;
     use openflow::types::{IpProto, Timestamp};
     use std::net::Ipv4Addr;
 
@@ -334,7 +288,7 @@ mod tests {
     }
 
     fn dd_of(records: &[FlowRecord]) -> DelayDistribution {
-        let il = InternedLog::of(records);
+        let il = window_of(records);
         let config = FlowDiffConfig::default();
         DelayDistribution::build(&SignatureInputs::new(
             &il.refs(),

@@ -6,16 +6,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::ids::{EntityCatalog, IRecord};
-use crate::records::FlowTuple;
-use crate::signatures::{
-    DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
 use crate::stats::MeanStd;
 
 /// Per-edge flow statistics.
@@ -78,103 +73,48 @@ fn bytes_shifted(reference: &MeanStd, current: &MeanStd) -> bool {
     rel(reference.mean, current.mean) > 0.05 && delta > 5.0 * se
 }
 
-/// One record's contribution to FS, stored raw under its window key.
-#[derive(Debug, Clone, Copy)]
-struct FsSample {
-    edge: u64,
-    bytes: f64,
-    packets: f64,
-    duration_s: f64,
-}
+impl Signature for FlowStatsSig {
+    type Change = FsChange;
+    const KIND: SignatureKind = SignatureKind::Fs;
 
-/// Incremental FS accumulator: raw byte/packet/duration samples keyed
-/// by the window order `(first_seen, tuple)` — the same key the batch
-/// path sorts records by — so `finalize` can walk them in sorted order
-/// and run the summary math exactly as a batch build over the sorted
-/// window would. Keyed storage is what makes [`FsBuilder::retire`]
-/// exact: a retired record's samples are removed from the tail of its
-/// key's list, leaving the survivors in sorted order. `MeanStd` over
-/// f64 samples is order-sensitive, and bit-exact equality with the
-/// batch build is part of the contract.
-#[derive(Debug, Clone, Default)]
-pub struct FsBuilder {
-    span_s: f64,
-    samples: BTreeMap<(Timestamp, FlowTuple), Vec<FsSample>>,
-}
-
-impl SignatureBuilder for FsBuilder {
-    type Output = FlowStatsSig;
-
-    fn observe(&mut self, record: &IRecord) {
-        self.samples
-            .entry((record.first_seen, record.tuple))
-            .or_default()
-            .push(FsSample {
-                edge: record.edge_key(),
-                bytes: record.byte_count as f64,
-                packets: record.packet_count as f64,
-                duration_s: record.duration_s,
-            });
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let key = (record.first_seen, record.tuple);
-        if let Some(list) = self.samples.get_mut(&key) {
-            list.pop();
-            if list.is_empty() {
-                self.samples.remove(&key);
-            }
-        }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> FlowStatsSig {
-        let mut bytes = Vec::new();
-        let mut packets = Vec::new();
-        let mut durations = Vec::new();
-        let mut per_edge: HashMap<u64, (usize, Vec<f64>, Vec<f64>)> = HashMap::new();
-        for s in self.samples.values().flatten() {
-            bytes.push(s.bytes);
-            packets.push(s.packets);
-            durations.push(s.duration_s);
-            let entry = per_edge.entry(s.edge).or_default();
-            entry.0 += 1;
-            entry.1.push(s.bytes);
-            entry.2.push(s.duration_s);
+    /// Byte, packet and duration samples are taken in feed order —
+    /// `MeanStd` over f64 samples is order-sensitive.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let span = inputs.span;
+        let span_s =
+            ((span.1.as_micros().saturating_sub(span.0.as_micros())) as f64 / 1e6).max(1e-6);
+        let mut bytes = Vec::with_capacity(inputs.records.len());
+        let mut packets = Vec::with_capacity(inputs.records.len());
+        let mut durations = Vec::with_capacity(inputs.records.len());
+        let mut per_edge: HashMap<u64, (Vec<f64>, Vec<f64>)> = HashMap::new();
+        for record in inputs.records {
+            let b = record.byte_count as f64;
+            bytes.push(b);
+            packets.push(record.packet_count as f64);
+            durations.push(record.duration_s);
+            let entry = per_edge.entry(record.edge_key()).or_default();
+            entry.0.push(b);
+            entry.1.push(record.duration_s);
         }
         FlowStatsSig {
             flow_count: bytes.len(),
-            flows_per_sec: bytes.len() as f64 / self.span_s,
+            flows_per_sec: bytes.len() as f64 / span_s,
             bytes: MeanStd::of(&bytes),
             packets: MeanStd::of(&packets),
             duration_s: MeanStd::of(&durations),
             per_edge: per_edge
                 .iter()
-                .map(|(&key, (n, b, d))| {
+                .map(|(&key, (b, d))| {
                     (
-                        catalog.edge(key),
+                        inputs.catalog.edge(key),
                         EdgeStats {
-                            flow_count: *n,
+                            flow_count: b.len(),
                             bytes: MeanStd::of(b),
                             duration_s: MeanStd::of(d),
                         },
                     )
                 })
                 .collect(),
-        }
-    }
-}
-
-impl Signature for FlowStatsSig {
-    type Change = FsChange;
-    type Builder = FsBuilder;
-    const KIND: SignatureKind = SignatureKind::Fs;
-
-    fn builder(inputs: &SignatureInputs<'_>) -> FsBuilder {
-        let span = inputs.span;
-        FsBuilder {
-            span_s: ((span.1.as_micros().saturating_sub(span.0.as_micros())) as f64 / 1e6)
-                .max(1e-6),
-            ..FsBuilder::default()
         }
     }
 
@@ -372,6 +312,23 @@ mod tests {
             dst: Ipv4Addr::new(10, 0, 0, 2),
         };
         assert_eq!(fs.per_edge[&e].flow_count, 2);
+    }
+
+    #[test]
+    fn same_key_records_fold_in_feed_order() {
+        // The last two share a `(first_seen, tuple)` key (hostile
+        // input); swapping them moves the last bit of `std`.
+        let feed = [
+            record(1, 2, 1_000, 1),
+            record(1, 2, 1_453, 2),
+            record(1, 2, 2_453, 2),
+        ];
+        assert_eq!(feed[1].tuple, feed[2].tuple);
+        let bytes = build_fs(&feed).bytes;
+        assert_eq!(
+            (bytes.n, bytes.mean.to_bits(), bytes.std.to_bits()),
+            (3, 0x4099_8d55_5555_5555, 0x4087_3bb2_fc58_5d04)
+        );
     }
 
     #[test]

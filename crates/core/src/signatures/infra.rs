@@ -15,25 +15,16 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use openflow::types::{DatapathId, PortNo, Timestamp};
+use openflow::types::{DatapathId, PortNo};
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::ids::{
-    pack_port_pair, pack_switch_pair, unpack_port_pair, unpack_switch_pair, EntityCatalog, HostId,
-    IRecord, PortId, SwitchId,
+    pack_port_pair, pack_switch_pair, unpack_port_pair, unpack_switch_pair, HostId, PortId,
+    SwitchId,
 };
-use crate::records::FlowTuple;
-use crate::signatures::{DiffCtx, Signature, SignatureBuilder, SignatureInputs};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs};
 use crate::stats::MeanStd;
-
-/// A record's window key — `(first_seen, tuple)`, the batch sort key
-/// shared by every keyed builder.
-type WinKey = (Timestamp, FlowTuple);
-
-/// One record's ISL contribution: a `(directed pair key, latency µs)`
-/// sample per adjacent hop pair, in hop order.
-type PairSamples = Vec<(u64, f64)>;
 
 /// An inferred switch-to-switch adjacency, with the connecting ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -81,198 +72,61 @@ pub enum PtChange {
     SwitchVanished(DatapathId),
 }
 
-/// Incremental PT accumulator. Liveness and adjacency evidence are
-/// refcounted per packed ID — how many live hop observations assert
-/// each — so retiring a record withdraws exactly its contribution and
-/// an entry disappears when its last witness expires. The attachment
-/// map keeps every candidate ingress port keyed by the window order
-/// `(first_seen, tuple)`, so the winner is always the earliest
-/// surviving record — reproducing the first-wins insert a sorted batch
-/// feed would make. A [`PortId`] already names its switch, so one
-/// packed port pair captures a whole adjacency; everything resolves
-/// back to addresses at `finalize`.
-#[derive(Debug, Clone, Default)]
-pub struct PtBuilder {
-    live: HashMap<SwitchId, u32>,
-    attachment: HashMap<HostId, BTreeMap<(Timestamp, FlowTuple), Vec<PortId>>>,
-    adjacencies: HashMap<u64, u32>,
-}
-
-impl SignatureBuilder for PtBuilder {
-    type Output = PhysicalTopology;
-
-    fn observe(&mut self, record: &IRecord) {
-        for h in &record.hops {
-            *self.live.entry(h.switch).or_insert(0) += 1;
-        }
-        if let Some(first) = record.hops.first() {
-            self.attachment
-                .entry(record.src)
-                .or_default()
-                .entry((record.first_seen, record.tuple))
-                .or_default()
-                .push(first.in_port);
-        }
-        for w in record.hops.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if let Some(out_port) = a.out_port {
-                *self
-                    .adjacencies
-                    .entry(pack_port_pair(out_port, b.in_port))
-                    .or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        for h in &record.hops {
-            if let Some(count) = self.live.get_mut(&h.switch) {
-                *count -= 1;
-                if *count == 0 {
-                    self.live.remove(&h.switch);
-                }
-            }
-        }
-        // Only records with hops deposited a candidate, so only those
-        // pop one back off; ties under a key retire newest-first.
-        if !record.hops.is_empty() {
-            if let Some(candidates) = self.attachment.get_mut(&record.src) {
-                let key = (record.first_seen, record.tuple);
-                if let Some(ports) = candidates.get_mut(&key) {
-                    ports.pop();
-                    if ports.is_empty() {
-                        candidates.remove(&key);
-                    }
-                }
-                if candidates.is_empty() {
-                    self.attachment.remove(&record.src);
-                }
-            }
-        }
-        for w in record.hops.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if let Some(out_port) = a.out_port {
-                let key = pack_port_pair(out_port, b.in_port);
-                if let Some(count) = self.adjacencies.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.adjacencies.remove(&key);
-                    }
-                }
-            }
-        }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> PhysicalTopology {
-        // The earliest surviving record's ingress port: the same winner
-        // a first-wins insert over the sorted window would pick.
-        let attachment = self
-            .attachment
-            .iter()
-            .filter_map(|(&host, candidates)| Some((host, *candidates.values().next()?.first()?)));
-        pt_output(
-            self.live.keys().copied(),
-            attachment,
-            self.adjacencies.keys().copied(),
-            catalog,
-        )
-    }
-}
-
-/// Resolves PT evidence — witnessed switches, one attachment port per
-/// host, witnessed port pairs — back to addresses.
-fn pt_output(
-    live: impl Iterator<Item = SwitchId>,
-    attachment: impl Iterator<Item = (HostId, PortId)>,
-    adjacencies: impl Iterator<Item = u64>,
-    catalog: &EntityCatalog,
-) -> PhysicalTopology {
-    PhysicalTopology {
-        adjacencies: adjacencies
-            .map(|key| {
-                let (from, to) = unpack_port_pair(key);
-                let (from_sw, from_port) = catalog.port_addr(from);
-                let (to_sw, to_port) = catalog.port_addr(to);
-                SwitchAdjacency {
-                    from: from_sw,
-                    from_port,
-                    to: to_sw,
-                    to_port,
-                }
-            })
-            .collect(),
-        host_attachment: attachment
-            .map(|(host, port)| (catalog.host(host), catalog.port_addr(port)))
-            .collect(),
-        live_switches: live.map(|sw| catalog.switch(sw)).collect(),
-    }
-}
-
-/// PT of a feed already in `(first_seen, tuple)` order — batch assembly
-/// and the online differ's interned window. The retire-capable
-/// [`PtBuilder`] pays a refcount map entry and a keyed candidate insert
-/// per record so any record can later be withdrawn; a sorted feed never
-/// retires, so first-wins attachment is one probe of a dense table and
-/// the evidence sets are plain sets.
-pub(crate) fn sorted_topology(records: &[&IRecord], catalog: &EntityCatalog) -> PhysicalTopology {
-    let mut live = vec![false; catalog.n_switches()];
-    let mut attachment: Vec<Option<PortId>> = vec![None; catalog.n_hosts()];
-    let mut adjacencies: HashSet<u64> = HashSet::new();
-    for record in records {
-        for h in &record.hops {
-            live[h.switch.index()] = true;
-        }
-        if let Some(first) = record.hops.first() {
-            // Sorted feed: the first record seen for a host carries the
-            // minimal window key, which is exactly the winner the keyed
-            // builder's first-candidate scan picks.
-            attachment[record.src.index()].get_or_insert(first.in_port);
-        }
-        for w in record.hops.windows(2) {
-            if let Some(out_port) = w[0].out_port {
-                adjacencies.insert(pack_port_pair(out_port, w[1].in_port));
-            }
-        }
-    }
-    pt_output(
-        (0..)
-            .zip(&live)
-            .filter_map(|(i, &seen)| seen.then_some(SwitchId(i))),
-        (0..)
-            .zip(&attachment)
-            .filter_map(|(i, port)| Some((HostId(i), (*port)?))),
-        adjacencies.into_iter(),
-        catalog,
-    )
-}
-
-/// ISL of a sorted feed: samples taken in feed order, which for a sorted
-/// feed *is* the key order the retire-capable [`IslBuilder`] flattens in.
-pub(crate) fn sorted_latency(records: &[&IRecord], catalog: &EntityCatalog) -> InterSwitchLatency {
-    let mut samples = Vec::new();
-    for record in records {
-        isl_samples(record, &mut samples);
-    }
-    isl_output(samples.iter(), catalog)
-}
-
-/// CRT of a sorted feed: contributions folded in feed order, matching
-/// the keyed builder's key-order flatten.
-pub(crate) fn sorted_response(records: &[&IRecord], catalog: &EntityCatalog) -> ControllerResponse {
-    let mut all = CrtContribution::default();
-    for record in records {
-        all.fold(record);
-    }
-    crt_output(std::iter::once(&all), catalog)
-}
-
 impl Signature for PhysicalTopology {
     type Change = PtChange;
-    type Builder = PtBuilder;
     const KIND: SignatureKind = SignatureKind::Pt;
 
-    fn builder(_inputs: &SignatureInputs<'_>) -> PtBuilder {
-        PtBuilder::default()
+    /// Collects liveness, attachment and adjacency evidence over dense
+    /// IDs — a [`PortId`] already names its switch, so one packed port
+    /// pair captures a whole adjacency — and resolves it back to
+    /// addresses at the end.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let catalog = inputs.catalog;
+        let mut live = vec![false; catalog.n_switches()];
+        let mut attachment: Vec<Option<PortId>> = vec![None; catalog.n_hosts()];
+        let mut adjacencies: HashSet<u64> = HashSet::new();
+        for record in inputs.records {
+            for h in &record.hops {
+                live[h.switch.index()] = true;
+            }
+            if let Some(first) = record.hops.first() {
+                // First wins: the feed is in window order, so a host
+                // attaches where its earliest record entered.
+                attachment[record.src.index()].get_or_insert(first.in_port);
+            }
+            for w in record.hops.windows(2) {
+                if let Some(out_port) = w[0].out_port {
+                    adjacencies.insert(pack_port_pair(out_port, w[1].in_port));
+                }
+            }
+        }
+        PhysicalTopology {
+            adjacencies: adjacencies
+                .into_iter()
+                .map(|key| {
+                    let (from, to) = unpack_port_pair(key);
+                    let (from_sw, from_port) = catalog.port_addr(from);
+                    let (to_sw, to_port) = catalog.port_addr(to);
+                    SwitchAdjacency {
+                        from: from_sw,
+                        from_port,
+                        to: to_sw,
+                        to_port,
+                    }
+                })
+                .collect(),
+            host_attachment: (0..)
+                .zip(&attachment)
+                .filter_map(|(i, port)| {
+                    Some((catalog.host(HostId(i)), catalog.port_addr((*port)?)))
+                })
+                .collect(),
+            live_switches: (0..)
+                .zip(&live)
+                .filter(|(_, &seen)| seen)
+                .map(|(i, _)| catalog.switch(SwitchId(i)))
+                .collect(),
+        }
     }
 
     /// Compares two topologies.
@@ -382,92 +236,45 @@ pub struct IslChange {
     pub sigmas: f64,
 }
 
-/// Incremental ISL accumulator (Figure 3: `t3 - t2` per consecutive
-/// hop pair). Each record's samples stay together, in hop order, under
-/// its window key `(first_seen, tuple)`; `finalize` flattens them in
-/// key order — exactly the order a batch feed over the sorted window
-/// produces, so the floating-point summaries are byte-identical.
-/// Records sharing a key append to a tie list and retire newest-first.
-#[derive(Debug, Clone, Default)]
-pub struct IslBuilder {
-    samples: BTreeMap<WinKey, Vec<PairSamples>>,
-}
-
-/// Appends `record`'s ISL samples (Figure 3: `t3 - t2` per consecutive
-/// hop pair) to `out`, in hop order.
-fn isl_samples(record: &IRecord, out: &mut PairSamples) {
-    for w in record.hops.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        let Some(fm_ts) = a.flow_mod_ts else {
-            continue;
-        };
-        // Checked difference: a PacketIn timestamped before its
-        // upstream FlowMod (reordered capture, clock skew) yields
-        // no sample instead of a wrapped ~1.8e19 µs "latency" that
-        // would poison the pair's baseline.
-        let Some(delta) = b.ts.checked_since(fm_ts) else {
-            continue;
-        };
-        out.push((pack_switch_pair(a.switch, b.switch), delta as f64));
-    }
-}
-
-/// Summarizes ISL samples, taken in window order, per switch pair.
-fn isl_output<'a>(
-    samples: impl Iterator<Item = &'a (u64, f64)>,
-    catalog: &EntityCatalog,
-) -> InterSwitchLatency {
-    let mut per_pair: HashMap<u64, Vec<f64>> = HashMap::new();
-    for &(pair, delta) in samples {
-        per_pair.entry(pair).or_default().push(delta);
-    }
-    InterSwitchLatency {
-        per_pair: per_pair
-            .iter()
-            .map(|(&key, v)| {
-                let (a, b) = unpack_switch_pair(key);
-                ((catalog.switch(a), catalog.switch(b)), MeanStd::of(v))
-            })
-            .collect(),
-    }
-}
-
-impl SignatureBuilder for IslBuilder {
-    type Output = InterSwitchLatency;
-
-    fn observe(&mut self, record: &IRecord) {
-        let mut mine = Vec::new();
-        isl_samples(record, &mut mine);
-        // Even a sample-less record deposits its (empty) contribution,
-        // so retirement can pop the tie list unconditionally.
-        self.samples
-            .entry((record.first_seen, record.tuple))
-            .or_default()
-            .push(mine);
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let key = (record.first_seen, record.tuple);
-        if let Some(ties) = self.samples.get_mut(&key) {
-            ties.pop();
-            if ties.is_empty() {
-                self.samples.remove(&key);
-            }
-        }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> InterSwitchLatency {
-        isl_output(self.samples.values().flatten().flatten(), catalog)
-    }
-}
-
 impl Signature for InterSwitchLatency {
     type Change = IslChange;
-    type Builder = IslBuilder;
     const KIND: SignatureKind = SignatureKind::Isl;
 
-    fn builder(_inputs: &SignatureInputs<'_>) -> IslBuilder {
-        IslBuilder::default()
+    /// One sample per consecutive hop pair (Figure 3: `t3 - t2`), taken
+    /// in feed order, then hop order.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let mut per_pair: HashMap<u64, Vec<f64>> = HashMap::new();
+        for record in inputs.records {
+            for w in record.hops.windows(2) {
+                let (a, b) = (&w[0], &w[1]);
+                let Some(fm_ts) = a.flow_mod_ts else {
+                    continue;
+                };
+                // Checked difference: a PacketIn timestamped before its
+                // upstream FlowMod (reordered capture, clock skew) yields
+                // no sample instead of a wrapped ~1.8e19 µs "latency" that
+                // would poison the pair's baseline.
+                let Some(delta) = b.ts.checked_since(fm_ts) else {
+                    continue;
+                };
+                per_pair
+                    .entry(pack_switch_pair(a.switch, b.switch))
+                    .or_default()
+                    .push(delta as f64);
+            }
+        }
+        InterSwitchLatency {
+            per_pair: per_pair
+                .iter()
+                .map(|(&key, v)| {
+                    let (a, b) = unpack_switch_pair(key);
+                    (
+                        (inputs.catalog.switch(a), inputs.catalog.switch(b)),
+                        MeanStd::of(v),
+                    )
+                })
+                .collect(),
+        }
     }
 
     /// Flags pairs whose mean latency moved beyond `config.isl_sigma`
@@ -559,105 +366,41 @@ pub struct CrtChange {
     pub unanswered: (f64, f64),
 }
 
-/// One record's CRT contribution: response-time samples in hop order,
-/// plus the count of hops whose `PacketIn` never got a reply.
-#[derive(Debug, Clone, Default)]
-struct CrtContribution {
-    samples: Vec<(SwitchId, f64)>,
-    unanswered: usize,
-}
-
-impl CrtContribution {
-    /// Adds `record`'s hops (Figure 3: `t2 - t1` per `PacketIn`).
-    fn fold(&mut self, record: &IRecord) {
-        for h in &record.hops {
-            match h.flow_mod_ts {
-                // Checked difference: a FlowMod stamped before its
-                // PacketIn (reply reordered past its request) yields no
-                // sample rather than an underflowed response time.
-                Some(fm_ts) => {
-                    if let Some(d) = fm_ts.checked_since(h.ts) {
-                        self.samples.push((h.switch, d as f64));
-                    }
-                }
-                None => self.unanswered += 1,
-            }
-        }
-    }
-}
-
-/// Summarizes CRT contributions taken in window order.
-fn crt_output<'a>(
-    window: impl Iterator<Item = &'a CrtContribution>,
-    catalog: &EntityCatalog,
-) -> ControllerResponse {
-    let mut all = Vec::new();
-    let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
-    let mut unanswered = 0;
-    for c in window {
-        for &(sw, d) in &c.samples {
-            all.push(d);
-            per_switch.entry(sw).or_default().push(d);
-        }
-        unanswered += c.unanswered;
-    }
-    ControllerResponse {
-        answered: all.len(),
-        unanswered,
-        overall: MeanStd::of(&all),
-        per_switch: per_switch
-            .iter()
-            .map(|(&sw, v)| (catalog.switch(sw), MeanStd::of(v)))
-            .collect(),
-    }
-}
-
-/// Incremental CRT accumulator. Per-record contributions are kept under
-/// the window key `(first_seen, tuple)` and flattened in key order at
-/// `finalize`, so the overall series matches a batch feed over the
-/// sorted window sample for sample. Records sharing a key append to a
-/// tie list and retire newest-first.
-#[derive(Debug, Clone, Default)]
-pub struct CrtBuilder {
-    window: BTreeMap<WinKey, Vec<CrtContribution>>,
-}
-
-impl SignatureBuilder for CrtBuilder {
-    type Output = ControllerResponse;
-
-    fn observe(&mut self, record: &IRecord) {
-        let mut mine = CrtContribution::default();
-        mine.fold(record);
-        // Even a hop-less record deposits its (empty) contribution, so
-        // retirement can pop the tie list unconditionally.
-        self.window
-            .entry((record.first_seen, record.tuple))
-            .or_default()
-            .push(mine);
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        let key = (record.first_seen, record.tuple);
-        if let Some(ties) = self.window.get_mut(&key) {
-            ties.pop();
-            if ties.is_empty() {
-                self.window.remove(&key);
-            }
-        }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> ControllerResponse {
-        crt_output(self.window.values().flatten(), catalog)
-    }
-}
-
 impl Signature for ControllerResponse {
     type Change = CrtChange;
-    type Builder = CrtBuilder;
     const KIND: SignatureKind = SignatureKind::Crt;
 
-    fn builder(_inputs: &SignatureInputs<'_>) -> CrtBuilder {
-        CrtBuilder::default()
+    /// One sample per answered `PacketIn` (Figure 3: `t2 - t1`), taken
+    /// in feed order, then hop order.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let mut all = Vec::new();
+        let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
+        let mut unanswered = 0;
+        for record in inputs.records {
+            for h in &record.hops {
+                match h.flow_mod_ts {
+                    // Checked difference: a FlowMod stamped before its
+                    // PacketIn (reply reordered past its request) yields no
+                    // sample rather than an underflowed response time.
+                    Some(fm_ts) => {
+                        if let Some(d) = fm_ts.checked_since(h.ts) {
+                            all.push(d as f64);
+                            per_switch.entry(h.switch).or_default().push(d as f64);
+                        }
+                    }
+                    None => unanswered += 1,
+                }
+            }
+        }
+        ControllerResponse {
+            answered: all.len(),
+            unanswered,
+            overall: MeanStd::of(&all),
+            per_switch: per_switch
+                .iter()
+                .map(|(&sw, v)| (inputs.catalog.switch(sw), MeanStd::of(v)))
+                .collect(),
+        }
     }
 
     /// Flags an overall response-time shift beyond `config.crt_sigma`, or
@@ -941,6 +684,80 @@ mod tests {
             .collect();
         assert_eq!(vanished, vec![s2_dpid]);
         assert!(d.iter().any(|c| matches!(c, PtChange::AdjacencyAdded(_))));
+    }
+
+    /// Three records in window order whose last two share a
+    /// `(first_seen, tuple)` key (hostile input) and differ in every
+    /// field PT, ISL and CRT read. Same-key records fold in feed order:
+    /// swapping them moves the attachment port and the last bit of each
+    /// `std` pinned below.
+    fn tie_feed() -> Vec<FlowRecord> {
+        use crate::records::{FlowTuple, HopReport};
+        use openflow::types::{IpProto, PortNo, Xid};
+
+        let rec = |src: u8, in_port: u16, reply_us: u64, link_us: u64| {
+            let hop = |dpid: u64, in_port: u16, at_us: u64, reply_us: u64| HopReport {
+                ts: Timestamp::from_micros(at_us),
+                dpid: DatapathId(dpid),
+                in_port: PortNo(in_port),
+                xid: Xid(0),
+                flow_mod_ts: Some(Timestamp::from_micros(at_us + reply_us)),
+                out_port: Some(PortNo(9)),
+            };
+            FlowRecord {
+                tuple: FlowTuple {
+                    src: Ipv4Addr::new(10, 0, 0, src),
+                    sport: 10_000,
+                    dst: Ipv4Addr::new(10, 0, 0, 2),
+                    dport: 80,
+                    proto: IpProto::TCP,
+                },
+                first_seen: Timestamp::from_micros(1_000),
+                hops: vec![
+                    hop(1, in_port, 1_000, reply_us),
+                    hop(2, 1, 1_000 + reply_us + link_us, reply_us / 2),
+                ],
+                byte_count: 0,
+                packet_count: 0,
+                duration_s: 0.0,
+            }
+        };
+        vec![
+            rec(1, 7, 310, 1_250),
+            rec(3, 3, 285, 1_324),
+            rec(3, 4, 349, 1_193),
+        ]
+    }
+
+    fn bits(s: MeanStd) -> (usize, u64, u64) {
+        (s.n, s.mean.to_bits(), s.std.to_bits())
+    }
+
+    #[test]
+    fn pt_attaches_a_host_at_the_first_of_its_same_key_records() {
+        let pt: PhysicalTopology = sig_of(&tie_feed());
+        assert_eq!(
+            pt.host_attachment[&Ipv4Addr::new(10, 0, 0, 3)],
+            (DatapathId(1), PortNo(3))
+        );
+    }
+
+    #[test]
+    fn isl_folds_same_key_records_in_feed_order() {
+        let isl: InterSwitchLatency = sig_of(&tie_feed());
+        assert_eq!(
+            bits(isl.per_pair[&(DatapathId(1), DatapathId(2))]),
+            (3, 0x4093_9eaa_aaaa_aaab, 0x4050_6bbf_db22_eb58)
+        );
+    }
+
+    #[test]
+    fn crt_folds_same_key_records_in_feed_order() {
+        let crt: ControllerResponse = sig_of(&tie_feed());
+        assert_eq!(
+            bits(crt.overall),
+            (6, 0x406d_7aaa_aaaa_aaab, 0x4056_543b_11bd_a442)
+        );
     }
 
     #[test]

@@ -12,10 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::ids::{EntityCatalog, IRecord};
-use crate::signatures::{
-    DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,
-};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
 use crate::stats::chi_squared;
 
 /// Flow counts on the edges incident to one node.
@@ -58,34 +55,21 @@ pub struct CiChange {
     pub chi2: f64,
 }
 
-/// Incremental CI accumulator: one packed-edge flow counter; the
-/// per-node fan-out (each edge counted under both endpoints) happens at
-/// `finalize`, where IDs resolve back to addresses.
-#[derive(Debug, Clone, Default)]
-pub struct CiBuilder {
-    edge_counts: HashMap<u64, u64>,
-}
+impl Signature for ComponentInteraction {
+    type Change = CiChange;
+    const KIND: SignatureKind = SignatureKind::Ci;
 
-impl SignatureBuilder for CiBuilder {
-    type Output = ComponentInteraction;
-
-    fn observe(&mut self, record: &IRecord) {
-        *self.edge_counts.entry(record.edge_key()).or_insert(0) += 1;
-    }
-
-    fn retire(&mut self, record: &IRecord) {
-        if let Some(count) = self.edge_counts.get_mut(&record.edge_key()) {
-            *count -= 1;
-            if *count == 0 {
-                self.edge_counts.remove(&record.edge_key());
-            }
+    /// One packed-edge flow counter over the records, then the
+    /// per-node fan-out (each edge counted under both endpoints), where
+    /// IDs resolve back to addresses.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let mut edge_counts: HashMap<u64, u64> = HashMap::new();
+        for record in inputs.records {
+            *edge_counts.entry(record.edge_key()).or_insert(0) += 1;
         }
-    }
-
-    fn finalize(&self, catalog: &EntityCatalog) -> ComponentInteraction {
         let mut per_node: BTreeMap<Ipv4Addr, NodeInteraction> = BTreeMap::new();
-        for (&key, &count) in &self.edge_counts {
-            let edge = catalog.edge(key);
+        for (&key, &count) in &edge_counts {
+            let edge = inputs.catalog.edge(key);
             // Count the edge under both endpoints; a self-edge counts
             // twice under its single node, as it always has.
             for node in [edge.src, edge.dst] {
@@ -98,16 +82,6 @@ impl SignatureBuilder for CiBuilder {
             }
         }
         ComponentInteraction { per_node }
-    }
-}
-
-impl Signature for ComponentInteraction {
-    type Change = CiChange;
-    type Builder = CiBuilder;
-    const KIND: SignatureKind = SignatureKind::Ci;
-
-    fn builder(_inputs: &SignatureInputs<'_>) -> CiBuilder {
-        CiBuilder::default()
     }
 
     /// χ² fitness test per node (Section IV-A). Nodes present in only
@@ -213,8 +187,9 @@ pub fn node_chi2(
 mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
-    use crate::ids::{InternedLog, RecordIndex};
+    use crate::ids::RecordIndex;
     use crate::records::{FlowRecord, FlowTuple};
+    use crate::signatures::tests::window_of;
     use openflow::types::{IpProto, Timestamp};
 
     fn ip(x: u8) -> Ipv4Addr {
@@ -245,7 +220,7 @@ mod tests {
     }
 
     fn build_ci(rs: &[FlowRecord]) -> ComponentInteraction {
-        let il = InternedLog::of(rs);
+        let il = window_of(rs);
         let config = FlowDiffConfig::default();
         ComponentInteraction::build(&SignatureInputs::new(
             &il.refs(),

@@ -17,6 +17,13 @@
 //! diagnosis layers use: build from [`SignatureInputs`], diff under a
 //! [`DiffCtx`], judge stability into a [`StabilityMask`], and render
 //! typed changes into the tagged [`Change`] vocabulary.
+//!
+//! A signature is a pure function of a sorted log window. Nothing here
+//! is incremental: sliding the window is the job of the model builder's
+//! maintained window, which hands every epoch and every batch build
+//! the same sorted slice. The one accumulator that lives across epochs
+//! is [`utilization::LuBuilder`], fed from raw events rather than
+//! records.
 
 pub mod connectivity;
 pub mod correlation;
@@ -35,7 +42,7 @@ use crate::change::{Change, Locus, SignatureKind};
 use crate::config::FlowDiffConfig;
 use crate::groups::AppGroup;
 use crate::ids::{EntityCatalog, IRecord, RecordIndex};
-use netsim::log::{ControlEvent, ControllerLog};
+use netsim::log::ControllerLog;
 
 /// Everything a signature may need to build itself. Each signature picks
 /// the fields it cares about: application signatures use the group and
@@ -47,10 +54,15 @@ pub struct SignatureInputs<'a> {
     pub group: Option<&'a AppGroup>,
     /// The records to build from: the group's records for application
     /// signatures, every record in the log for infrastructure ones.
-    /// Already interned through `catalog`.
+    /// Already interned through `catalog`, and in window order:
+    /// ascending `(first_seen, tuple)`, records sharing a key in the
+    /// order the window holds them. Builds fold f64 samples and pick
+    /// first-wins attachments in feed order, so the order is part of
+    /// the input; [`SignatureInputs::new`] checks it in debug builds.
     pub records: &'a [&'a IRecord],
-    /// The catalog the records were interned through. Builders resolve
-    /// IDs back to addresses through it at `finalize` time.
+    /// The catalog the records were interned through. Builds resolve
+    /// IDs back to addresses through it when they lay out the finished,
+    /// serializable signature.
     pub catalog: &'a EntityCatalog,
     /// The log's time window.
     pub span: (Timestamp, Timestamp),
@@ -62,13 +74,20 @@ pub struct SignatureInputs<'a> {
 
 impl<'a> SignatureInputs<'a> {
     /// Inputs with records, their catalog, span, and config — the
-    /// common case.
+    /// common case. `records` must be in window order (see
+    /// [`SignatureInputs::records`]); release builds do not check.
     pub fn new(
         records: &'a [&'a IRecord],
         catalog: &'a EntityCatalog,
         span: (Timestamp, Timestamp),
         config: &'a FlowDiffConfig,
     ) -> Self {
+        debug_assert!(
+            records
+                .windows(2)
+                .all(|w| (w[0].first_seen, w[0].tuple) <= (w[1].first_seen, w[1].tuple)),
+            "records must be in ascending (first_seen, tuple) order"
+        );
         SignatureInputs {
             group: None,
             records,
@@ -167,53 +186,6 @@ impl StabilityMask {
     }
 }
 
-/// The incremental half of a signature: an accumulator that folds flow
-/// records (and, for log-derived signatures, raw control events) one at
-/// a time and can produce the finished signature at any point.
-///
-/// `finalize` borrows rather than consumes so a long-lived builder can
-/// be snapshotted repeatedly at epoch boundaries. A builder must
-/// accumulate *raw samples* in observation order and run the summary
-/// math (means, histogram peaks, correlations) only in `finalize`:
-/// f64 accumulation is order-sensitive, and bit-exact equality with the
-/// batch build is part of the contract.
-///
-/// Builders speak dense IDs: they fold [`IRecord`]s and key their
-/// accumulators by packed `u32` IDs; only `finalize` resolves IDs back
-/// to addresses (through the catalog the records were interned with)
-/// when it lays out the finished, serializable signature.
-pub trait SignatureBuilder {
-    /// The finished signature this builder produces.
-    type Output;
-
-    /// Folds one interned flow record into the accumulator.
-    fn observe(&mut self, record: &IRecord);
-
-    /// Folds one raw control event. Only signatures built from the log
-    /// itself (LU reads port-stats replies) override this; the default
-    /// ignores events.
-    fn observe_event(&mut self, _event: &ControlEvent) {}
-
-    /// Removes one previously observed record from the accumulator — the
-    /// exact inverse of [`SignatureBuilder::observe`], used to slide the
-    /// online window forward without rebuilding from scratch.
-    ///
-    /// Contract: after any interleaving of observes and retires, the
-    /// builder's `finalize` output must be byte-identical to a fresh
-    /// builder fed only the surviving records in `(first_seen, tuple)`
-    /// order. Records sharing a `(first_seen, tuple)` key must be
-    /// retired newest-first (reverse observation order), so builders
-    /// that keep per-key sample lists can pop from the tail.
-    ///
-    /// Event-fed builders (LU) ignore record retirement; they expire
-    /// state by timestamp instead.
-    fn retire(&mut self, record: &IRecord);
-
-    /// Produces the signature from everything observed so far,
-    /// resolving entity IDs back to addresses through `catalog`.
-    fn finalize(&self, catalog: &EntityCatalog) -> Self::Output;
-}
-
 /// The uniform interface of the nine FlowDiff signatures.
 ///
 /// A signature is a pure function of a log window ([`Self::build`]) that
@@ -223,39 +195,20 @@ pub trait SignatureBuilder {
 /// The provided [`Self::tagged_diff`] composes diff → stability gate →
 /// render, which is the only path the diff engine uses.
 ///
-/// Construction is incremental-first: every signature supplies a
-/// [`SignatureBuilder`] via [`Self::builder`], and the provided
-/// [`Self::build`] is a thin fold over it — there is exactly one
-/// implementation of each signature's construction, shared by the batch
-/// and streaming paths.
+/// [`Self::build`] is the one construction of each signature, shared by
+/// the batch and streaming paths. It collects *raw samples* in feed
+/// order and runs the summary math (means, histogram peaks,
+/// correlations) once at the end: f64 accumulation is order-sensitive,
+/// and the two paths must agree bit for bit.
 pub trait Signature: Sized {
     /// The signature's typed change (e.g. a peak shift, an edge delta).
     type Change;
 
-    /// The signature's incremental builder.
-    type Builder: SignatureBuilder<Output = Self>;
-
     /// The kind tag attached to rendered changes.
     const KIND: SignatureKind;
 
-    /// Creates an empty builder configured from the inputs (thresholds,
-    /// span, group context — everything except the records themselves).
-    fn builder(inputs: &SignatureInputs<'_>) -> Self::Builder;
-
-    /// Builds the signature from a log window: folds every event and
-    /// record of the window through [`Self::builder`].
-    fn build(inputs: &SignatureInputs<'_>) -> Self {
-        let mut b = Self::builder(inputs);
-        if let Some(log) = inputs.log {
-            for ev in log.events() {
-                b.observe_event(ev);
-            }
-        }
-        for r in inputs.records {
-            b.observe(r);
-        }
-        b.finalize(inputs.catalog)
-    }
+    /// Builds the signature from a log window.
+    fn build(inputs: &SignatureInputs<'_>) -> Self;
 
     /// Compares `self` (the reference) against `current`.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<Self::Change>;
@@ -294,7 +247,46 @@ pub trait Signature: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::InternedLog;
+    use crate::records::{FlowRecord, FlowTuple};
+    use openflow::types::IpProto;
     use std::net::Ipv4Addr;
+
+    /// `records` interned in window order, for fixtures that generate
+    /// them edge by edge.
+    pub(crate) fn window_of(records: &[FlowRecord]) -> InternedLog {
+        let mut sorted = records.to_vec();
+        sorted.sort_by_key(|r| (r.first_seen, r.tuple));
+        InternedLog::of(&sorted)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending (first_seen, tuple) order")]
+    fn inputs_reject_a_descending_feed() {
+        let at = |secs: u64| FlowRecord {
+            tuple: FlowTuple {
+                src: Ipv4Addr::new(10, 0, 0, 1),
+                sport: 1,
+                dst: Ipv4Addr::new(10, 0, 0, 2),
+                dport: 80,
+                proto: IpProto::TCP,
+            },
+            first_seen: Timestamp::from_secs(secs),
+            hops: vec![],
+            byte_count: 0,
+            packet_count: 0,
+            duration_s: 0.0,
+        };
+        let il = InternedLog::of(&[at(2), at(1)]);
+        let config = FlowDiffConfig::default();
+        let _ = SignatureInputs::new(
+            &il.refs(),
+            &il.catalog,
+            (Timestamp::ZERO, Timestamp::ZERO),
+            &config,
+        );
+    }
 
     #[test]
     fn whole_mask_gates_whole_locus() {

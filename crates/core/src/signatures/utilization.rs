@@ -14,8 +14,7 @@ use openflow::types::{DatapathId, PortNo, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
-use crate::ids::{EntityCatalog, IRecord};
-use crate::signatures::{DiffCtx, Signature, SignatureBuilder, SignatureInputs};
+use crate::signatures::{DiffCtx, Signature, SignatureInputs};
 use crate::stats::MeanStd;
 
 /// The LU signature: transmitted byte-rate summary per switch port.
@@ -38,12 +37,13 @@ pub struct LuChange {
     pub sigmas: f64,
 }
 
-/// Incremental LU accumulator: the only builder fed from raw control
-/// events rather than flow records (port counters never become flow
-/// records). Keeps the cumulative counter series per port; rates are
-/// derived at `finalize`. The series serializes with the rest of the
-/// streaming state so an online checkpoint restores mid-poll without
-/// losing the rate across the restart boundary.
+/// Incremental LU accumulator, fed from raw control events rather than
+/// flow records (port counters never become flow records) and kept
+/// across epochs by the model builder. Keeps the cumulative counter
+/// series per port; rates are derived at `finalize`. The series
+/// serializes with the rest of the streaming state so an online
+/// checkpoint restores mid-poll without losing the rate across the
+/// restart boundary.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LuBuilder {
     /// (dpid, port) -> [(poll time, cumulative tx bytes)]
@@ -85,19 +85,10 @@ impl LuBuilder {
             .map(|v| size_of::<(DatapathId, PortNo)>() + v.len() * size_of::<(Timestamp, u64)>())
             .sum()
     }
-}
 
-impl SignatureBuilder for LuBuilder {
-    type Output = LinkUtilization;
-
-    fn observe(&mut self, _record: &IRecord) {}
-
-    /// LU never observes flow records, so record retirement is a no-op;
-    /// the counter series expires by timestamp via the inherent
-    /// [`LuBuilder::retire_before`] instead.
-    fn retire(&mut self, _record: &IRecord) {}
-
-    fn observe_event(&mut self, event: &ControlEvent) {
+    /// Folds one raw control event: a port-stats reply appends one
+    /// counter sample per port; anything else is ignored.
+    pub fn observe_event(&mut self, event: &ControlEvent) {
         if let OfpMessage::StatsReply(StatsReply::Port(ports)) = &event.msg {
             for p in ports {
                 self.series
@@ -108,7 +99,10 @@ impl SignatureBuilder for LuBuilder {
         }
     }
 
-    fn finalize(&self, _catalog: &EntityCatalog) -> LinkUtilization {
+    /// Produces the signature from everything observed so far. Borrows
+    /// rather than consumes: the builder is snapshotted at every epoch
+    /// boundary.
+    pub fn finalize(&self) -> LinkUtilization {
         let per_port = self
             .series
             .iter()
@@ -130,13 +124,16 @@ impl SignatureBuilder for LuBuilder {
 
 impl Signature for LinkUtilization {
     type Change = LuChange;
-    type Builder = LuBuilder;
     const KIND: SignatureKind = SignatureKind::Lu;
 
-    /// The builder reads the port-stats replies from the raw log via
-    /// `observe_event`; without a log the signature is empty.
-    fn builder(_inputs: &SignatureInputs<'_>) -> LuBuilder {
-        LuBuilder::default()
+    /// Reads the port-stats replies from the raw log; without a log the
+    /// signature is empty.
+    fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let mut builder = LuBuilder::default();
+        for event in inputs.log.into_iter().flat_map(|log| log.events()) {
+            builder.observe_event(event);
+        }
+        builder.finalize()
     }
 
     /// Flags ports whose mean byte rate moved beyond `config.isl_sigma`
@@ -197,6 +194,7 @@ impl Signature for LinkUtilization {
 mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
+    use crate::ids::EntityCatalog;
     use netsim::log::{ControlEvent, ControllerLog, Direction};
     use openflow::messages::PortStats;
     use openflow::types::Xid;
