@@ -46,6 +46,33 @@ if ! diff <(printf '%s\n' "$watch_out" | grep '^epoch ') \
 fi
 echo "sharded watch epoch lines byte-identical to single shard"
 
+step "flowdiff-bench watch --resume (a checkpointed run is picked up where it left off)"
+# The first run checkpoints every 7 epochs; the second resumes from that
+# file under a different --checkpoint-every (a supervisor knob the config
+# fingerprint must not refuse) and has to print exactly the epoch lines
+# the first run printed after its last checkpoint. Both deployment
+# shapes, so both FDIFFCKP layouts go through a file.
+for shards in 1 4; do
+    ckpt="$demo_dir/watch-$shards.ckpt"
+    first_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
+        "$demo_dir/current.fcap" --shards "$shards" --checkpoint "$ckpt" --checkpoint-every 7)"
+    resumed_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
+        "$demo_dir/current.fcap" --resume "$ckpt" --checkpoint-every 1)"
+    printf '%s\n' "$resumed_out" | grep '^stats: resumed from '
+    resumed_epochs="$(printf '%s\n' "$resumed_out" | grep -c '^epoch ' || true)"
+    first_epochs="$(printf '%s\n' "$first_out" | grep -c '^epoch ' || true)"
+    if [ "$resumed_epochs" -lt 1 ] || [ "$resumed_epochs" -ge "$first_epochs" ]; then
+        echo "FAIL: --resume replayed $resumed_epochs of $first_epochs epochs (shards=$shards)" >&2
+        exit 1
+    fi
+    if ! diff <(printf '%s\n' "$first_out" | grep '^epoch ' | tail -n "$resumed_epochs") \
+              <(printf '%s\n' "$resumed_out" | grep '^epoch '); then
+        echo "FAIL: resumed epoch lines differ from the first run's tail (shards=$shards)" >&2
+        exit 1
+    fi
+    echo "shards=$shards: resumed run printed the last $resumed_epochs of $first_epochs epoch lines"
+done
+
 step "flowdiff-bench chaos smoke test (ingestion fault drill)"
 chaos_out="$(cargo run --release -q -p flowdiff-bench --bin flowdiff-bench -- \
     chaos --seed 1 --corruption 0.01)"
@@ -231,6 +258,14 @@ step "benchmark/Cargo.lock and BENCHMARK.json unchanged by the harness runs"
 # benchmark/Cargo.lock in place: fail here instead of benchmarking
 # something else silently.
 git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json
+
+step "one differ dispatch, no lint waivers for wide signatures"
+# flowdiff::engine::Differ is the only two-shape dispatch, and the
+# supervised loop takes a struct, not eight positional arguments.
+if grep -rnE 'AnyCheckpoint|allow\(clippy::(type_complexity|too_many_arguments)' crates/; then
+    echo "FAIL: AnyCheckpoint or a type_complexity/too_many_arguments allow is back under crates/" >&2
+    exit 1
+fi
 
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q

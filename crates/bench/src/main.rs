@@ -4,10 +4,12 @@
 //! drill, and `crashdrill`, the crash-recovery drill.
 
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use flowdiff::checkpoint::{BASELINE_MAGIC, CHECKPOINT_MAGIC};
+use flowdiff::checkpoint::{fnv1a, BASELINE_MAGIC, CHECKPOINT_MAGIC};
+use flowdiff::engine::{resume_from, EngineResult, Restored};
 use flowdiff::prelude::*;
 use netsim::log::LogStream;
 use netsim::prelude::*;
@@ -127,200 +129,244 @@ fn print_index() {
     println!("  benchmark/run.sh");
 }
 
-type CliResult = Result<(), Box<dyn std::error::Error>>;
+type CliResult = EngineResult<()>;
 
-/// Loads the baseline argument of `watch`: either a wire capture
-/// (`FDIFFCAP`, model built and judged here) or a precomputed
+/// One subcommand's `--flag value` arguments, read left to right.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args: args.iter() }
+    }
+
+    /// The next flag's name; its value, if it takes one, is read next.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    fn value(&mut self, flag: &str) -> EngineResult<&'a str> {
+        self.next_flag()
+            .ok_or_else(|| format!("{flag} needs a value").into())
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, flag: &str) -> EngineResult<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|e| format!("{flag} {value}: {e}").into())
+    }
+
+    /// A count that must be at least 1.
+    fn count(&mut self, flag: &str) -> EngineResult<usize> {
+        match self.num(flag)? {
+            0 => Err(format!("{flag} must be at least 1").into()),
+            n => Ok(n),
+        }
+    }
+
+    fn path(&mut self, flag: &str) -> EngineResult<PathBuf> {
+        Ok(self.value(flag)?.into())
+    }
+
+    /// A comma-separated address list.
+    fn ips(&mut self, flag: &str) -> EngineResult<Vec<Ipv4Addr>> {
+        let mut ips = Vec::new();
+        for ip in self.value(flag)?.split(',') {
+            ips.push(ip.trim().parse()?);
+        }
+        Ok(ips)
+    }
+}
+
+fn unknown_flag(flag: &str) -> Box<dyn std::error::Error> {
+    format!("unknown flag: {flag}").into()
+}
+
+/// Loads the baseline argument of `watch`/`serve`: either a wire
+/// capture (`FDIFFCAP`, model built and judged here) or a precomputed
 /// [`BaselineBundle`] (`FDIFFBAS`, validated magic/version/CRC). A file
 /// that is neither — including a checkpoint offered as a baseline — is
 /// a typed error before any diffing happens.
 fn load_baseline(
     path: &str,
     config: &FlowDiffConfig,
-) -> Result<(BehaviorModel, StabilityReport), Box<dyn std::error::Error>> {
+) -> EngineResult<(BehaviorModel, StabilityReport)> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if bytes.starts_with(&BASELINE_MAGIC) {
+    let (model, stability) = if bytes.starts_with(&BASELINE_MAGIC) {
         let bundle = BaselineBundle::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "baseline: restored bundle, {} flows, {} groups",
             bundle.model.records.len(),
             bundle.model.groups.len()
         );
-        return Ok((bundle.model, bundle.stability));
-    }
-    if bytes.starts_with(&CHECKPOINT_MAGIC) {
+        (bundle.model, bundle.stability)
+    } else if bytes.starts_with(&CHECKPOINT_MAGIC) {
         return Err(format!(
             "{path}: this is a checkpoint (FDIFFCKP), not a baseline; pass it to --resume"
         )
         .into());
-    }
-    let log = ControllerLog::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let model = BehaviorModel::build(&log, config);
-    let stability = analyze(&log, &model, config);
+    } else {
+        let log = ControllerLog::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        let model = BehaviorModel::build(&log, config);
+        let stability = analyze(&log, &model, config);
+        println!(
+            "baseline: {} events, {} flows, {} groups",
+            log.len(),
+            model.records.len(),
+            model.groups.len()
+        );
+        (model, stability)
+    };
     println!(
-        "baseline: {} events, {} flows, {} groups",
-        log.len(),
-        model.records.len(),
-        model.groups.len()
+        "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
+        model.catalog.n_hosts(),
+        model.catalog.n_switches(),
+        model.catalog.n_ports(),
+        model.approx_bytes().div_ceil(1024),
+        model.catalog.approx_bytes().div_ceil(1024)
     );
     Ok((model, stability))
 }
 
-/// `watch`: model a baseline capture (or load a prebuilt bundle), then
-/// stream the current capture through a *supervised* online differ —
-/// every observation runs inside `catch_unwind`, panics restore the
-/// last durable checkpoint and replay, and each epoch line is printed
-/// exactly once no matter how many restarts it took.
-fn cmd_watch(args: &[String]) -> CliResult {
-    if args.len() < 2 {
-        usage();
-        return Err("watch needs <baseline.fcap|.fbas> <current.fcap>".into());
-    }
-    let mut config = FlowDiffConfig::default();
-    let mut save_baseline: Option<PathBuf> = None;
-    let mut checkpoint_path: Option<PathBuf> = None;
-    let mut resume_path: Option<PathBuf> = None;
-    let mut n_shards: usize = 1;
-    let mut it = args[2..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--special" => {
-                let list = it.next().ok_or("--special needs a comma-separated list")?;
-                let mut specials = Vec::new();
-                for ip in list.split(',') {
-                    specials.push(ip.trim().parse::<std::net::Ipv4Addr>()?);
-                }
-                config = config.with_special_ips(specials);
-            }
-            "--epoch-secs" => {
-                let n: u64 = it.next().ok_or("--epoch-secs needs a number")?.parse()?;
-                config.online_epoch_us = n.max(1) * 1_000_000;
-            }
-            "--window-secs" => {
-                let n: u64 = it.next().ok_or("--window-secs needs a number")?.parse()?;
-                config.online_window_us = n.max(1) * 1_000_000;
-            }
-            "--save-baseline" => {
-                save_baseline = Some(it.next().ok_or("--save-baseline needs a path")?.into());
-            }
-            "--checkpoint" => {
-                checkpoint_path = Some(it.next().ok_or("--checkpoint needs a path")?.into());
-            }
-            "--checkpoint-every" => {
-                config.checkpoint_every_epochs = it
-                    .next()
-                    .ok_or("--checkpoint-every needs an epoch count")?
-                    .parse()?;
-            }
-            "--resume" => {
-                resume_path = Some(it.next().ok_or("--resume needs a path")?.into());
-            }
-            other => return Err(format!("unknown flag: {other}").into()),
-        }
-    }
-    // A live tap reads possibly-corrupt bytes: quarantine timestamps
-    // jumping past the eviction horizon instead of trusting them.
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.validate()?;
-
-    let (baseline, stability) = load_baseline(&args[0], &config)?;
-    println!(
-        "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
-        baseline.catalog.n_hosts(),
-        baseline.catalog.n_switches(),
-        baseline.catalog.n_ports(),
-        baseline.approx_bytes().div_ceil(1024),
-        baseline.catalog.approx_bytes().div_ceil(1024)
-    );
-    if let Some(path) = &save_baseline {
-        BaselineBundle {
-            model: baseline.clone(),
-            stability: stability.clone(),
-        }
-        .save(path)?;
-        println!("stats: baseline bundle saved to {}", path.display());
-    }
-
-    // Decode the whole current capture up front: the supervised loop
-    // needs random access to replay from a checkpoint's event offset.
-    // Corrupt frames are skipped (the stream resynchronizes) and
-    // tallied, not fatal: a live tap must survive a bad write.
-    let current_bytes = std::fs::read(&args[1]).map_err(|e| format!("{}: {e}", args[1]))?;
-    let mut stream =
-        LogStream::from_wire_bytes(&current_bytes).map_err(|e| format!("{}: {e}", args[1]))?;
+/// Decodes a capture file whole, tolerantly: corrupt frames are skipped
+/// (the stream resynchronizes) with a warning, not fatal — a live tap
+/// must survive a bad write. An empty capture is an error.
+fn decode_capture(path: &str) -> EngineResult<(Vec<ControlEvent>, netsim::log::StreamStats)> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let mut events: Vec<ControlEvent> = Vec::new();
     for event in stream.by_ref() {
         match event {
-            Ok(event) => events.push(event.as_ref().clone()),
-            Err(e) => eprintln!("warning: {}: {e} (resynchronized)", args[1]),
+            Ok(event) => events.push(event.into_owned()),
+            Err(e) => eprintln!("warning: {path}: {e} (resynchronized)"),
         }
     }
-    let stream_stats = stream.stats();
     if events.is_empty() {
-        return Err(format!("{}: capture holds no events", args[1]).into());
+        return Err(format!("{path}: capture holds no events").into());
     }
+    Ok((events, stream.stats()))
+}
 
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-        match &resume_path {
-            Some(path) => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let (differ, at) = restore_checkpoint(&bytes, &config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                println!(
-                    "stats: resumed from {} at event {at}, epoch {}",
-                    path.display(),
-                    differ.epoch()
-                );
-                Ok((differ, at))
+/// What `watch` and `serve` share: the config their flags shape, the
+/// deployment shape, and where checkpoints go to and come from.
+struct OnlineOpts {
+    config: FlowDiffConfig,
+    shards: usize,
+    checkpoint: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    /// `watch` only.
+    save_baseline: Option<PathBuf>,
+    /// `serve` only.
+    listen: Option<String>,
+    /// `serve` only.
+    publishers: usize,
+}
+
+impl OnlineOpts {
+    /// Reads the flags of `watch`, or of `serve` when `serve` is set;
+    /// the other subcommand's own flags are unknown.
+    fn parse(args: &[String], serve: bool) -> EngineResult<OnlineOpts> {
+        let mut opts = OnlineOpts {
+            config: FlowDiffConfig::default(),
+            shards: 1,
+            checkpoint: None,
+            resume: None,
+            save_baseline: None,
+            listen: None,
+            publishers: 1,
+        };
+        let config = &mut opts.config;
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--shards" => opts.shards = flags.count(flag)?,
+                "--special" => config.special_ips = flags.ips(flag)?.into_iter().collect(),
+                "--epoch-secs" => {
+                    config.online_epoch_us = flags.num::<u64>(flag)?.max(1) * 1_000_000
+                }
+                "--window-secs" => {
+                    config.online_window_us = flags.num::<u64>(flag)?.max(1) * 1_000_000;
+                }
+                "--checkpoint" => opts.checkpoint = Some(flags.path(flag)?),
+                "--checkpoint-every" => config.checkpoint_every_epochs = flags.num(flag)?,
+                "--resume" => opts.resume = Some(flags.path(flag)?),
+                "--save-baseline" if !serve => opts.save_baseline = Some(flags.path(flag)?),
+                "--listen" if serve => opts.listen = Some(flags.value(flag)?.to_string()),
+                "--publishers" if serve => opts.publishers = flags.count(flag)?,
+                "--queue" if serve => config.ingest_queue_events = flags.num(flag)?,
+                "--slack-ms" if serve => config.reorder_slack_us = flags.num::<u64>(flag)? * 1_000,
+                "--stall-ms" if serve => {
+                    config.ingest_stall_timeout_us = flags.num::<u64>(flag)? * 1_000;
+                }
+                "--heartbeat-ms" if serve => {
+                    config.ingest_heartbeat_us = flags.num::<u64>(flag)? * 1_000;
+                }
+                other => return Err(unknown_flag(other)),
             }
-            None if n_shards > 1 => Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?),
-                0,
-            )),
-            None => Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            )),
         }
-    };
-    let (last, mut health, restarts, shard_report) = supervised_run(
-        &events,
-        &fresh,
-        &config,
-        checkpoint_path.as_deref(),
-        None,
-        false,
-        |snapshot, timings| {
-            report(snapshot, &config);
-            report_latency(snapshot.epoch, timings);
-        },
-    )?;
-    health.absorb_stream(stream_stats);
-    if let Some(snapshot) = &last {
-        report(snapshot, &config);
+        // A live tap reads possibly-corrupt bytes, off a file or straight
+        // off sockets: quarantine timestamps jumping past the eviction
+        // horizon instead of trusting them.
+        config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
+        config.validate()?;
+        Ok(opts)
     }
-    if restarts > 0 {
+}
+
+/// Runs `feed` through the supervised engine the way `watch` and
+/// `serve` both do: a differ in the shape `--shards` asks for (or the
+/// one `--resume` restores), checkpoints at `--checkpoint`, one `epoch`
+/// and one `latency epoch` line per boundary.
+fn run_online(
+    feed: &mut Feed<'_>,
+    opts: &OnlineOpts,
+    baseline: &BehaviorModel,
+    stability: &StabilityReport,
+    degraded: Option<&dyn Fn() -> Option<String>>,
+) -> EngineResult<RunReport> {
+    let config = &opts.config;
+    let fresh = || -> EngineResult<(Differ, u64)> {
+        let Some(path) = &opts.resume else {
+            let differ = Differ::try_new(baseline.clone(), stability.clone(), config, opts.shards)?;
+            return Ok((differ, 0));
+        };
+        let (differ, at) = resume_from(path, config)?;
         println!(
-            "stats: survived {restarts} restart(s) within a budget of {}",
-            config.restart_budget
+            "stats: resumed from {} at event {at}, epoch {}",
+            path.display(),
+            differ.epoch()
+        );
+        Ok((differ, at))
+    };
+    let supervision = Supervision {
+        config,
+        checkpoint_path: opts.checkpoint.as_deref(),
+        degraded,
+    };
+    supervise(feed, &fresh, &supervision, |_, snapshot, timings| {
+        report(snapshot, config);
+        report_latency(snapshot.epoch, timings);
+    })
+}
+
+/// The tail every online run prints: the flushed epoch, restarts
+/// survived, shard loads, ingest health.
+fn report_run(run: &RunReport, config: &FlowDiffConfig) {
+    if let Some(snapshot) = &run.last {
+        report(snapshot, config);
+    }
+    if run.restarts > 0 {
+        println!(
+            "stats: survived {} restart(s) within a budget of {}",
+            run.restarts, config.restart_budget
         );
     }
-    if let Some((stats, merge_us)) = shard_report {
+    if let Some((stats, merge_us)) = &run.shards {
         let per_shard = stats
             .iter()
             .map(|s| format!("{}:{}r/{}e", s.shard, s.records, s.open_episodes))
@@ -331,7 +377,40 @@ fn cmd_watch(args: &[String]) -> CliResult {
             stats.len()
         );
     }
-    println!("stats: ingest {health}");
+    println!("stats: ingest {}", run.health);
+}
+
+/// `watch`: model a baseline capture (or load a prebuilt bundle), then
+/// stream the current capture through the supervised engine — panics
+/// restore the last durable checkpoint and replay, and each epoch line
+/// is printed exactly once no matter how many restarts it took.
+fn cmd_watch(args: &[String]) -> CliResult {
+    if args.len() < 2 {
+        usage();
+        return Err("watch needs <baseline.fcap|.fbas> <current.fcap>".into());
+    }
+    let opts = OnlineOpts::parse(&args[2..], false)?;
+    let (baseline, stability) = load_baseline(&args[0], &opts.config)?;
+    if let Some(path) = &opts.save_baseline {
+        BaselineBundle {
+            model: baseline.clone(),
+            stability: stability.clone(),
+        }
+        .save(path)?;
+        println!("stats: baseline bundle saved to {}", path.display());
+    }
+    // The whole current capture is decoded up front: the supervised
+    // loop needs random access to replay from a checkpoint's offset.
+    let (events, stream_stats) = decode_capture(&args[1])?;
+    let mut run = run_online(
+        &mut Feed::Slice(&events),
+        &opts,
+        &baseline,
+        &stability,
+        None,
+    )?;
+    run.health.absorb_stream(stream_stats);
+    report_run(&run, &opts.config);
     Ok(())
 }
 
@@ -339,8 +418,8 @@ fn cmd_watch(args: &[String]) -> CliResult {
 /// listen socket, waits for `--publishers` session streams (`FDIFFSES`
 /// handshake, then `.fcap`-framed bytes in `Data` records), decodes
 /// each connection incrementally with resynchronization, re-sequences
-/// the streams through a `(timestamp, connection)` merge, and drives
-/// the same supervised differ as `watch` — for publishers produced by
+/// the streams through a `(timestamp, connection)` merge, and feeds the
+/// same supervised engine as `watch` — for publishers produced by
 /// `flowdiff-bench publish` the `epoch ` lines are byte-identical to a
 /// file-based run over the interleaved capture.
 fn cmd_serve(args: &[String]) -> CliResult {
@@ -348,99 +427,19 @@ fn cmd_serve(args: &[String]) -> CliResult {
         usage();
         return Err("serve needs <baseline.fcap|.fbas> --listen HOST:PORT".into());
     }
-    let mut config = FlowDiffConfig::default();
-    let mut listen: Option<String> = None;
-    let mut publishers: usize = 1;
-    let mut checkpoint_path: Option<PathBuf> = None;
-    let mut resume_path: Option<PathBuf> = None;
-    let mut n_shards: usize = 1;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => listen = Some(it.next().ok_or("--listen needs HOST:PORT")?.clone()),
-            "--publishers" => {
-                publishers = it.next().ok_or("--publishers needs a count")?.parse()?;
-                if publishers == 0 {
-                    return Err("--publishers must be at least 1".into());
-                }
-            }
-            "--queue" => {
-                config.ingest_queue_events =
-                    it.next().ok_or("--queue needs an event count")?.parse()?;
-            }
-            "--slack-ms" => {
-                let n: u64 = it.next().ok_or("--slack-ms needs a number")?.parse()?;
-                config.reorder_slack_us = n * 1_000;
-            }
-            "--stall-ms" => {
-                let n: u64 = it.next().ok_or("--stall-ms needs a number")?.parse()?;
-                config.ingest_stall_timeout_us = n * 1_000;
-            }
-            "--heartbeat-ms" => {
-                let n: u64 = it.next().ok_or("--heartbeat-ms needs a number")?.parse()?;
-                config.ingest_heartbeat_us = n * 1_000;
-            }
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--special" => {
-                let list = it.next().ok_or("--special needs a comma-separated list")?;
-                let mut specials = Vec::new();
-                for ip in list.split(',') {
-                    specials.push(ip.trim().parse::<std::net::Ipv4Addr>()?);
-                }
-                config = config.with_special_ips(specials);
-            }
-            "--epoch-secs" => {
-                let n: u64 = it.next().ok_or("--epoch-secs needs a number")?.parse()?;
-                config.online_epoch_us = n.max(1) * 1_000_000;
-            }
-            "--window-secs" => {
-                let n: u64 = it.next().ok_or("--window-secs needs a number")?.parse()?;
-                config.online_window_us = n.max(1) * 1_000_000;
-            }
-            "--checkpoint" => {
-                checkpoint_path = Some(it.next().ok_or("--checkpoint needs a path")?.into());
-            }
-            "--checkpoint-every" => {
-                config.checkpoint_every_epochs = it
-                    .next()
-                    .ok_or("--checkpoint-every needs an epoch count")?
-                    .parse()?;
-            }
-            "--resume" => {
-                resume_path = Some(it.next().ok_or("--resume needs a path")?.into());
-            }
-            other => return Err(format!("unknown flag: {other}").into()),
-        }
-    }
-    let listen = listen.ok_or("serve needs --listen HOST:PORT")?;
-    // Same trust posture as `watch` over a possibly-corrupt file, only
-    // more so: these bytes come straight off sockets.
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.validate()?;
+    let opts = OnlineOpts::parse(&args[1..], true)?;
+    let config = &opts.config;
+    let listen = (opts.listen.as_deref()).ok_or("serve needs --listen HOST:PORT")?;
+    let (baseline, stability) = load_baseline(&args[0], config)?;
 
-    let (baseline, stability) = load_baseline(&args[0], &config)?;
-    println!(
-        "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
-        baseline.catalog.n_hosts(),
-        baseline.catalog.n_switches(),
-        baseline.catalog.n_ports(),
-        baseline.approx_bytes().div_ceil(1024),
-        baseline.catalog.approx_bytes().div_ceil(1024)
-    );
-
-    let server = IngestServer::bind(listen.as_str()).map_err(|e| format!("{listen}: {e}"))?;
+    let server = IngestServer::bind(listen).map_err(|e| format!("{listen}: {e}"))?;
     let addr = server.local_addr()?;
     // The line CI (and any supervisor) polls for before launching
     // publishers; with `--listen host:0` it carries the chosen port.
-    println!("listening on {addr} for {publishers} publisher(s)");
+    println!("listening on {addr} for {} publisher(s)", opts.publishers);
     let mut live = server
         .live(
-            publishers,
+            opts.publishers,
             config.ingest_queue_events,
             LiveOptions {
                 stall_timeout_us: config.ingest_stall_timeout_us,
@@ -449,112 +448,41 @@ fn cmd_serve(args: &[String]) -> CliResult {
         )
         .map_err(|e| format!("accept: {e}"))?;
     // The merge is pulled *on demand*: epochs are diffed and printed
-    // while publishers are still connected, and every event is retained
-    // so a checkpoint replay can re-read from any offset, exactly like
-    // `watch` over a capture file. Backpressure still holds — each
-    // connection feeds a bounded queue, so a publisher far ahead of the
-    // merge blocks on TCP, not on server memory.
+    // while publishers are still connected. Backpressure still holds —
+    // each connection feeds a bounded queue, so a publisher far ahead
+    // of the merge blocks on TCP, not on server memory.
     let mut feed = Feed::live(live.take_merge());
     // While any stream is stalled or dead its share of the window is
     // missing; the differ gates those epochs' diffs to Suppressed
     // instead of alarming on behavior the wire never delivered.
     let gauges = live.gauges();
-    let degraded_probe = move || -> Option<String> {
+    let degraded = move || -> Option<String> {
         let down: Vec<String> = gauges
             .iter()
             .enumerate()
             .filter(|(_, g)| g.is_degraded())
             .map(|(i, g)| format!("conn {i} {}", g.state()))
             .collect();
-        if down.is_empty() {
-            None
-        } else {
-            Some(down.join(", "))
-        }
+        (!down.is_empty()).then(|| down.join(", "))
     };
+    let mut run = run_online(&mut feed, &opts, &baseline, &stability, Some(&degraded))?;
 
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-        match &resume_path {
-            Some(path) => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let (differ, at) = restore_checkpoint(&bytes, &config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                println!(
-                    "stats: resumed from {} at event {at}, epoch {}",
-                    path.display(),
-                    differ.epoch()
-                );
-                Ok((differ, at))
-            }
-            None if n_shards > 1 => Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?),
-                0,
-            )),
-            None => Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            )),
-        }
-    };
-    let (last, mut health, restarts, shard_report) = supervised_feed(
-        &mut feed,
-        &fresh,
-        &config,
-        checkpoint_path.as_deref(),
-        None,
-        false,
-        Some(&degraded_probe),
-        |snapshot, timings| {
-            report(snapshot, &config);
-            report_latency(snapshot.epoch, timings);
-        },
-    )?;
     let refused = live.refused();
-    let reports = live.finish();
     if refused > 0 {
         println!("stats: refused {refused} connection(s) that did not open a session");
     }
-    for r in &reports {
+    for r in &live.finish() {
         for e in &r.first_errors {
             eprintln!("warning: conn {}: {e} (resynchronized)", r.index);
         }
         println!("stats: conn {}", conn_line(r));
-        health.absorb_stream(r.stats);
-        health.absorb_conn(r.stalls, r.disconnects, r.resumes);
+        run.health.absorb_stream(r.stats);
+        run.health.absorb_conn(r.stalls, r.disconnects, r.resumes);
     }
-    if feed.delivered() == 0 {
+    if feed.events().is_empty() {
         return Err("publishers delivered no events".into());
     }
-    if let Some(snapshot) = &last {
-        report(snapshot, &config);
-    }
-    if restarts > 0 {
-        println!(
-            "stats: survived {restarts} restart(s) within a budget of {}",
-            config.restart_budget
-        );
-    }
-    if let Some((stats, merge_us)) = shard_report {
-        let per_shard = stats
-            .iter()
-            .map(|s| format!("{}:{}r/{}e", s.shard, s.records, s.open_episodes))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "stats: {} shard(s), merge {merge_us} us total; final load (records/episodes) {per_shard}",
-            stats.len()
-        );
-    }
-    println!("stats: ingest {health}");
+    report_run(&run, config);
     Ok(())
 }
 
@@ -571,7 +499,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
         usage();
         return Err("publish needs <current.fcap> --connect HOST:PORT".into());
     }
-    let mut connect: Option<String> = None;
+    let mut connect: Option<&str> = None;
     let mut connections: usize = 1;
     let mut chaos_rate: f64 = 0.0;
     let mut seed: u64 = 1;
@@ -582,40 +510,26 @@ fn cmd_publish(args: &[String]) -> CliResult {
     let mut flaps: usize = 0;
     let mut stall_after: u64 = 0;
     let mut stall_ms: u64 = 0;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = Some(it.next().ok_or("--connect needs HOST:PORT")?.clone()),
-            "--connections" => {
-                connections = it.next().ok_or("--connections needs a count")?.parse()?;
-                if connections == 0 {
-                    return Err("--connections must be at least 1".into());
-                }
-            }
+    let mut flags = Flags::new(&args[1..]);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--connect" => connect = Some(flags.value(flag)?),
+            "--connections" => connections = flags.count(flag)?,
             "--chaos" => {
-                chaos_rate = it.next().ok_or("--chaos needs a rate")?.parse()?;
+                chaos_rate = flags.num(flag)?;
                 if !(0.0..=1.0).contains(&chaos_rate) {
                     return Err("--chaos must be in [0, 1]".into());
                 }
             }
-            "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
-            "--skew-us" => skew_us = it.next().ok_or("--skew-us needs a number")?.parse()?,
-            "--jitter-us" => jitter_us = it.next().ok_or("--jitter-us needs a number")?.parse()?,
-            "--retry-budget" => {
-                retry_budget = it.next().ok_or("--retry-budget needs a count")?.parse()?;
-            }
-            "--backoff-ms" => {
-                backoff_ms = it.next().ok_or("--backoff-ms needs a number")?.parse()?;
-            }
-            "--flaps" => flaps = it.next().ok_or("--flaps needs a count")?.parse()?,
-            "--stall-after" => {
-                stall_after = it
-                    .next()
-                    .ok_or("--stall-after needs an event count")?
-                    .parse()?;
-            }
-            "--stall-ms" => stall_ms = it.next().ok_or("--stall-ms needs a number")?.parse()?,
-            other => return Err(format!("unknown flag: {other}").into()),
+            "--seed" => seed = flags.num(flag)?,
+            "--skew-us" => skew_us = flags.num(flag)?,
+            "--jitter-us" => jitter_us = flags.num(flag)?,
+            "--retry-budget" => retry_budget = flags.num(flag)?,
+            "--backoff-ms" => backoff_ms = flags.num(flag)?,
+            "--flaps" => flaps = flags.num(flag)?,
+            "--stall-after" => stall_after = flags.num(flag)?,
+            "--stall-ms" => stall_ms = flags.num(flag)?,
+            other => return Err(unknown_flag(other)),
         }
     }
     let connect = connect.ok_or("publish needs --connect HOST:PORT")?;
@@ -631,23 +545,12 @@ fn cmd_publish(args: &[String]) -> CliResult {
 
     // Tolerant decode, like `watch`: a capture with a bad write is
     // replayed minus the corrupt frames, not rejected.
-    let bytes = std::fs::read(&args[0]).map_err(|e| format!("{}: {e}", args[0]))?;
-    let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{}: {e}", args[0]))?;
-    let mut events: Vec<ControlEvent> = Vec::new();
-    for event in stream.by_ref() {
-        match event {
-            Ok(event) => events.push(event.into_owned()),
-            Err(e) => eprintln!("warning: {}: {e} (resynchronized)", args[0]),
-        }
-    }
-    if events.is_empty() {
-        return Err(format!("{}: capture holds no events", args[0]).into());
-    }
+    let (events, _) = decode_capture(&args[0])?;
     let log: ControllerLog = events.into_iter().collect();
 
     let mut handles = Vec::new();
     for (i, part) in split_capture(&log, connections).into_iter().enumerate() {
-        let addr = connect.clone();
+        let addr = connect.to_string();
         let session = seed.wrapping_mul(0x10_000).wrapping_add(i as u64);
         if mangled {
             let chaos = ChannelChaos {
@@ -727,410 +630,114 @@ fn cmd_publish(args: &[String]) -> CliResult {
     }
 }
 
-/// The watch loop's pipeline, in either deployment shape. `--shards 1`
-/// (the default) is the exact legacy [`OnlineDiffer`] code path — no
-/// routing, no chunking; `--shards N` for N > 1 is the partitioned
-/// [`ShardedDiffer`]. Both shapes promise byte-identical epoch
-/// snapshots, so everything downstream of this enum is shape-blind.
-// One value lives for the whole watch run; the variant size skew does
-// not justify boxing every access.
-#[allow(clippy::large_enum_variant)]
-enum Differ {
-    Single(OnlineDiffer),
-    Sharded(ShardedDiffer),
+/// What the three drills run on: the paper's 320-server tree, one
+/// capture modelled as the baseline and a second, differently seeded
+/// one streamed against it.
+struct Drill {
+    config: FlowDiffConfig,
+    baseline: BehaviorModel,
+    stability: StabilityReport,
+    current: ControllerLog,
 }
 
-impl Differ {
-    fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.observe(event),
-            Differ::Sharded(d) => d.observe(event),
-        }
+impl Drill {
+    /// Regenerates the captures and models the baseline under the
+    /// default config as adjusted by `tune`.
+    fn new(tune: impl FnOnce(&mut FlowDiffConfig)) -> EngineResult<Drill> {
+        let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
+        let (current, _) = flowdiff_bench::tree_capture(9, 43, 6);
+        // Quarantine the far-future timestamps bit flips mint.
+        config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
+        tune(&mut config);
+        config.validate()?;
+        let baseline = BehaviorModel::build(&baseline_log, &config);
+        let stability = analyze(&baseline_log, &baseline, &config);
+        Ok(Drill {
+            config,
+            baseline,
+            stability,
+            current,
+        })
     }
 
-    fn finish(self) -> Option<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.finish(),
-            Differ::Sharded(d) => d.finish(),
-        }
+    fn differ(&self, shards: usize) -> EngineResult<Differ> {
+        let (baseline, stability) = (self.baseline.clone(), self.stability.clone());
+        Ok(Differ::try_new(baseline, stability, &self.config, shards)?)
     }
 
-    fn epoch(&self) -> u64 {
-        match self {
-            Differ::Single(d) => d.epoch(),
-            Differ::Sharded(d) => d.epoch(),
-        }
-    }
-
-    fn health(&self) -> flowdiff::records::IngestHealth {
-        match self {
-            Differ::Single(d) => *d.health(),
-            Differ::Sharded(d) => d.health(),
-        }
-    }
-
-    fn mark_lossy_restore(&mut self) {
-        match self {
-            Differ::Single(d) => d.mark_lossy_restore(),
-            Differ::Sharded(d) => d.mark_lossy_restore(),
-        }
-    }
-
-    /// Marks (or clears) a degraded-ingest condition: while set, every
-    /// snapshot gates its diffs to Suppressed (see
-    /// [`OnlineDiffer::set_ingest_degraded`]) instead of alarming on
-    /// behavior a stalled or dead source never delivered.
-    fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        match self {
-            Differ::Single(d) => d.set_ingest_degraded(reason),
-            Differ::Sharded(d) => d.set_ingest_degraded(reason),
-        }
-    }
-
-    /// Drains the per-stage wall-clock spent since the last call (see
-    /// [`OnlineDiffer::take_timings`] for the sharded stage mapping).
-    fn take_timings(&mut self) -> EpochTimings {
-        match self {
-            Differ::Single(d) => d.take_timings(),
-            Differ::Sharded(d) => d.take_timings(),
-        }
-    }
-
-    /// Per-shard worker load and cumulative merge time; `None` for the
-    /// single-pipeline shape.
-    fn shard_report(&self) -> Option<(Vec<ShardStats>, u64)> {
-        match self {
-            Differ::Single(_) => None,
-            Differ::Sharded(d) => Some((d.shard_stats(), d.merge_micros())),
-        }
-    }
-
-    /// Serializes into the checkpoint layout matching the shape: v1
-    /// for the single pipeline, v2 (segmented) for the sharded one.
-    fn checkpoint_bytes(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
-        match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).to_bytes(),
-            Differ::Sharded(d) => ShardedCheckpoint::capture(d, events_consumed, config).to_bytes(),
-        }
-    }
-
-    fn save_checkpoint(
+    /// Streams `events` through a fresh differ and returns the union
+    /// over all epochs of confirmed change keys, plus the differ's
+    /// ingestion health.
+    fn changes(
         &self,
-        events_consumed: u64,
-        config: &FlowDiffConfig,
-        path: &Path,
-    ) -> Result<(), PersistError> {
-        match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).save(path),
-            Differ::Sharded(d) => ShardedCheckpoint::capture(d, events_consumed, config).save(path),
-        }
-    }
-
-    /// Injects a poison message into one long-lived shard worker (the
-    /// crash drill's worker-death mode). The worker panics when it
-    /// dequeues the message; the coordinator notices at its next
-    /// flush/quiesce. No-op for the single pipeline, which has no
-    /// worker threads to kill.
-    fn poison_worker(&mut self, shard: usize) {
-        match self {
-            Differ::Single(_) => {}
-            Differ::Sharded(d) => d.poison_worker(shard),
-        }
-    }
-}
-
-/// Restores a checkpoint of either layout into a running [`Differ`].
-/// Corrupt per-shard segments in a v2 file salvage to fresh workers
-/// (reported on stderr) rather than failing the whole restore.
-fn restore_checkpoint(
-    bytes: &[u8],
-    config: &FlowDiffConfig,
-) -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-    match AnyCheckpoint::from_bytes_salvaging(bytes)? {
-        AnyCheckpoint::Single(c) => {
-            let (differ, at) = c.resume(config)?;
-            Ok((Differ::Single(differ), at))
-        }
-        AnyCheckpoint::Sharded(c) => {
-            if !c.salvaged_shards.is_empty() {
-                eprintln!(
-                    "warning: salvaged corrupt checkpoint segment(s) for shard(s) {:?}; \
-                     those workers restart fresh under warm-up gating",
-                    c.salvaged_shards
-                );
-            }
-            let (differ, at) = c.resume(config)?;
-            Ok((Differ::Sharded(differ), at))
-        }
-    }
-}
-
-/// The supervised loop's event source.
-///
-/// `Slice` is the batch shape (`watch`, the drills, the tests): the
-/// capture fully decoded up front. `Live` pulls from a wire
-/// [`EventMerge`] *on demand* — an epoch is diffed and printed while
-/// publishers are still connected — and retains every pulled event so
-/// a checkpoint replay can re-read from any earlier offset, exactly
-/// like a file. Retention is what `serve` already paid when it
-/// collected the merge up front; it buys crash recovery, and with a
-/// stall-tolerant merge it is also what keeps a silent stream from
-/// wedging epoch emission: `get` returns whatever the merge releases
-/// past the stalled source.
-enum Feed<'a> {
-    Slice(&'a [ControlEvent]),
-    Live {
-        merge: EventMerge,
-        buffered: Vec<ControlEvent>,
-        done: bool,
-    },
-}
-
-impl Feed<'_> {
-    fn live(merge: EventMerge) -> Feed<'static> {
-        Feed::Live {
-            merge,
-            buffered: Vec::new(),
-            done: false,
-        }
-    }
-
-    /// The event at `idx`, pulling from the live merge as needed;
-    /// `None` once the stream is exhausted.
-    fn get(&mut self, idx: usize) -> Option<&ControlEvent> {
-        match self {
-            Feed::Slice(events) => events.get(idx),
-            Feed::Live {
-                merge,
-                buffered,
-                done,
-            } => {
-                while !*done && buffered.len() <= idx {
-                    match merge.next() {
-                        Some(event) => buffered.push(event),
-                        None => *done = true,
-                    }
-                }
-                buffered.get(idx)
+        events: impl Iterator<Item = ControlEvent>,
+        shards: usize,
+    ) -> EngineResult<(BTreeSet<String>, IngestHealth)> {
+        let mut differ = self.differ(shards)?;
+        let mut keys = BTreeSet::new();
+        for event in events {
+            for snapshot in differ.observe(&event) {
+                collect_keys(&snapshot.diff, &mut keys);
             }
         }
+        let health = differ.health();
+        if let Some(snapshot) = differ.finish() {
+            collect_keys(&snapshot.diff, &mut keys);
+        }
+        Ok((keys, health))
     }
 
-    /// Events seen so far (the full length for `Slice`).
-    fn delivered(&self) -> usize {
-        match self {
-            Feed::Slice(events) => events.len(),
-            Feed::Live { buffered, .. } => buffered.len(),
-        }
+    /// [`Drill::changes`] over capture bytes. Decode errors are
+    /// tolerated (the stream resynchronizes); they show up in the
+    /// health counters.
+    fn byte_changes(
+        &self,
+        bytes: &[u8],
+        shards: usize,
+    ) -> EngineResult<(BTreeSet<String>, IngestHealth)> {
+        let mut stream = LogStream::from_wire_bytes(bytes)?;
+        let events = stream.by_ref().flatten().map(|e| e.into_owned());
+        let (keys, mut health) = self.changes(events, shards)?;
+        health.absorb_stream(stream.stats());
+        Ok((keys, health))
     }
 }
 
-/// Drives `events` through a supervised online differ (either shape).
-///
-/// Every observation runs inside `catch_unwind`; on a panic the loop
-/// restores the last durable checkpoint (or calls `fresh` again when
-/// none was written yet), replays from its event offset, and retries
-/// after an exponential backoff — up to `config.restart_budget`
-/// restarts total. Epoch snapshots reach `on_snapshot` exactly once
-/// each, in order, no matter how many times the stream is replayed.
-///
-/// `plan` injects deterministic deaths for the crash drill: when an
-/// observation emits an epoch the plan wants dead, the kill is consumed
-/// ([`CrashPlan::take`]) and the closure panics *before* the snapshot
-/// is delivered — exactly what a power cut between compute and output
-/// looks like. With `kill_workers` set, the plan poisons one long-lived
-/// shard worker instead of panicking on the coordinator: the worker
-/// dies when it dequeues the poison, and the loop only notices at the
-/// next flush/quiesce (usually the checkpoint capture), exercising the
-/// channel-propagation path end to end.
-///
-/// Returns the final flushed snapshot, the ingestion health of the
-/// (last incarnation of the) differ, how many restarts were spent, and
-/// the shard report (worker loads + merge time) when running sharded.
-#[allow(clippy::type_complexity)]
-fn supervised_run(
-    events: &[ControlEvent],
-    fresh: &dyn Fn() -> Result<(Differ, u64), Box<dyn std::error::Error>>,
-    config: &FlowDiffConfig,
-    checkpoint_path: Option<&Path>,
-    plan: Option<&mut CrashPlan>,
-    kill_workers: bool,
-    on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
-) -> Result<
-    (
-        Option<EpochSnapshot>,
-        flowdiff::records::IngestHealth,
-        u32,
-        Option<(Vec<ShardStats>, u64)>,
-    ),
-    Box<dyn std::error::Error>,
-> {
-    supervised_feed(
-        &mut Feed::Slice(events),
-        fresh,
-        config,
-        checkpoint_path,
-        plan,
-        kill_workers,
-        None,
-        on_snapshot,
-    )
+fn report_mangled(report: &ChaosReport) {
+    println!(
+        "mangled: {} frames -> {} dropped, {} duplicated, {} truncated, \
+         {} bit-flipped, {} reordered",
+        report.total_frames,
+        report.dropped,
+        report.duplicated,
+        report.truncated,
+        report.bit_flipped,
+        report.reordered,
+    );
 }
 
-/// [`supervised_run`] over any [`Feed`], with an optional degraded-
-/// ingest probe. The probe is polled once per event (cheap atomic
-/// reads) and its verdict is applied to the differ *before* the
-/// observation, so an epoch that closes while a source is stalled or
-/// dead gates its diffs instead of alarming on the missing share.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn supervised_feed(
-    feed: &mut Feed<'_>,
-    fresh: &dyn Fn() -> Result<(Differ, u64), Box<dyn std::error::Error>>,
-    config: &FlowDiffConfig,
-    checkpoint_path: Option<&Path>,
-    mut plan: Option<&mut CrashPlan>,
-    kill_workers: bool,
-    degraded: Option<&dyn Fn() -> Option<String>>,
-    mut on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
-) -> Result<
-    (
-        Option<EpochSnapshot>,
-        flowdiff::records::IngestHealth,
-        u32,
-        Option<(Vec<ShardStats>, u64)>,
-    ),
-    Box<dyn std::error::Error>,
-> {
-    let (mut differ, start) = fresh()?;
-    let mut idx = start as usize;
-    // Epochs below this watermark were already delivered (possibly by a
-    // previous process incarnation): a replay skips them.
-    let mut emitted: u64 = differ.epoch();
-    let mut restarts: u32 = 0;
-    let mut epochs_since_ckpt: u64 = 0;
-    // One restart: spend budget, back off, restore the last durable
-    // checkpoint (or start fresh when none was written yet).
-    let restart = |restarts: &mut u32| -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-        *restarts += 1;
-        if *restarts > config.restart_budget {
-            return Err(format!(
-                "restart budget exhausted: panicked {restarts} times, budget {}",
-                config.restart_budget
-            )
-            .into());
-        }
-        let backoff = config
-            .restart_backoff_us
-            .saturating_mul(1u64 << (*restarts - 1).min(20));
-        std::thread::sleep(std::time::Duration::from_micros(backoff));
-        match checkpoint_path {
-            Some(path) if path.exists() => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                Ok(restore_checkpoint(&bytes, config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?)
-            }
-            _ => fresh(),
-        }
+/// How much of the clean run's confirmed diff the faulted run kept.
+fn report_fidelity(
+    clean: &(BTreeSet<String>, IngestHealth),
+    faulted: &(BTreeSet<String>, IngestHealth),
+) {
+    println!(
+        "clean:   {} confirmed changes; ingest {}",
+        clean.0.len(),
+        clean.1
+    );
+    println!("stats: ingest {}", faulted.1);
+    let recovered = clean.0.intersection(&faulted.0).count();
+    let fidelity = if clean.0.is_empty() {
+        1.0
+    } else {
+        recovered as f64 / clean.0.len() as f64
     };
-    'run: loop {
-        // Pull (possibly blocking on the live merge) *before* probing:
-        // a stall the merge just waived to release this event is
-        // visible to the probe that gates its epoch.
-        while let Some(event) = feed.get(idx) {
-            if let Some(probe) = degraded {
-                differ.set_ingest_degraded(probe());
-            }
-            let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let snaps = differ.observe(event);
-                if let Some(plan) = plan.as_deref_mut() {
-                    for snap in &snaps {
-                        if snap.epoch >= emitted && plan.take(snap.epoch) {
-                            if kill_workers {
-                                differ.poison_worker(snap.epoch as usize);
-                            } else {
-                                panic!("crashdrill: killed at epoch {}", snap.epoch);
-                            }
-                        }
-                    }
-                }
-                snaps
-            }));
-            match observed {
-                Ok(snaps) => {
-                    let mut fresh_epochs = 0u64;
-                    // The stage timings accumulated since the last boundary
-                    // belong to this observe round's epochs; a multi-epoch
-                    // advance attributes the sum to the first fresh one.
-                    let mut timings = if snaps.is_empty() {
-                        EpochTimings::default()
-                    } else {
-                        differ.take_timings()
-                    };
-                    for snap in &snaps {
-                        if snap.epoch >= emitted {
-                            on_snapshot(snap, std::mem::take(&mut timings));
-                            emitted = snap.epoch + 1;
-                            fresh_epochs += 1;
-                        }
-                    }
-                    idx += 1;
-                    if fresh_epochs > 0 {
-                        epochs_since_ckpt += fresh_epochs;
-                        if let Some(path) = checkpoint_path {
-                            if epochs_since_ckpt >= config.checkpoint_every_epochs {
-                                // `idx` was just advanced: the checkpoint
-                                // records that events[..idx] are consumed.
-                                // Capture quiesces the pipeline, so a
-                                // worker poisoned this round panics here
-                                // instead of snapshotting a dead pipeline.
-                                let saved =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        differ.save_checkpoint(idx as u64, config, path)
-                                    }));
-                                match saved {
-                                    Ok(result) => {
-                                        result?;
-                                        epochs_since_ckpt = 0;
-                                    }
-                                    Err(_) => {
-                                        let (restored, at) = restart(&mut restarts)?;
-                                        differ = restored;
-                                        idx = at as usize;
-                                        epochs_since_ckpt = 0;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    let (restored, at) = restart(&mut restarts)?;
-                    differ = restored;
-                    idx = at as usize;
-                    epochs_since_ckpt = 0;
-                }
-            }
-        }
-        // health()/shard_stats() quiesce the pipeline, so a worker
-        // poisoned during the final observe rounds surfaces here; treat
-        // it like any other crash and replay from the checkpoint.
-        let finale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (differ.health(), differ.shard_report())
-        }));
-        match finale {
-            Ok((health, shard_report)) => {
-                let last = differ.finish();
-                return Ok((last, health, restarts, shard_report));
-            }
-            Err(_) => {
-                let (restored, at) = restart(&mut restarts)?;
-                differ = restored;
-                idx = at as usize;
-                epochs_since_ckpt = 0;
-                continue 'run;
-            }
-        }
-    }
+    println!(
+        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
+        fidelity * 100.0,
+        clean.0.len()
+    );
 }
 
 /// `chaos`: regenerate the paper's 320-server tree capture, mangle it
@@ -1142,49 +749,31 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     let mut corruption: f64 = 0.01;
     let mut skew_us: u64 = 0;
     let mut jitter_us: u64 = 0;
-    let mut n_shards: usize = 1;
+    let mut shards: usize = 1;
     let mut wire = false;
     let mut connections: usize = 2;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => seed = flags.num(flag)?,
             "--wire" => wire = true,
-            "--connections" => {
-                connections = it.next().ok_or("--connections needs a count")?.parse()?;
-                if connections == 0 {
-                    return Err("--connections must be at least 1".into());
-                }
-            }
+            "--connections" => connections = flags.count(flag)?,
             "--corruption" => {
-                corruption = it.next().ok_or("--corruption needs a rate")?.parse()?;
+                corruption = flags.num(flag)?;
                 if !(0.0..=1.0).contains(&corruption) {
                     return Err("--corruption must be in [0, 1]".into());
                 }
             }
-            "--skew-us" => skew_us = it.next().ok_or("--skew-us needs a number")?.parse()?,
-            "--jitter-us" => jitter_us = it.next().ok_or("--jitter-us needs a number")?.parse()?,
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            other => return Err(format!("unknown flag: {other}").into()),
+            "--skew-us" => skew_us = flags.num(flag)?,
+            "--jitter-us" => jitter_us = flags.num(flag)?,
+            "--shards" => shards = flags.count(flag)?,
+            other => return Err(unknown_flag(other)),
         }
     }
 
-    let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
     // Give the reorder buffer enough slack to absorb whatever timing
-    // damage the injector is configured to do, and quarantine the
-    // far-future timestamps bit flips mint.
-    config.reorder_slack_us = jitter_us + 2 * skew_us;
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
-
+    // damage the injector is configured to do.
+    let drill = Drill::new(|config| config.reorder_slack_us = jitter_us + 2 * skew_us)?;
     let chaos = ChannelChaos {
         reorder_jitter_us: jitter_us,
         clock_skew_us: skew_us,
@@ -1201,82 +790,24 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         chaos.bit_flip_prob * 100.0,
     );
 
-    let (clean_keys, clean_health, chaos_keys, chaos_health) = if wire {
+    let (clean, mangled) = if wire {
         // Wire drill: both runs go through an in-process loopback
         // serve pipeline — split across `connections` publisher
         // sessions, the chaos run mangling each stream independently
         // (per-connection derived seeds), like real skewed taps would.
         println!("wire: loopback ingest over {connections} publisher connection(s)");
-        let (chaos_keys, chaos_health, _, mangled) = wire_session_changes(
-            &current_log,
-            WireFaults::Channel(&chaos),
-            connections,
-            baseline.clone(),
-            stability.clone(),
-            &config,
-            n_shards,
-        )?;
-        println!(
-            "mangled: {} frames -> {} dropped, {} duplicated, {} truncated, \
-             {} bit-flipped, {} reordered",
-            mangled.total_frames,
-            mangled.dropped,
-            mangled.duplicated,
-            mangled.truncated,
-            mangled.bit_flipped,
-            mangled.reordered,
-        );
-        let (clean_keys, clean_health, ..) = wire_session_changes(
-            &current_log,
-            WireFaults::Clean,
-            connections,
-            baseline,
-            stability,
-            &config,
-            n_shards,
-        )?;
-        (clean_keys, clean_health, chaos_keys, chaos_health)
+        let mangled =
+            wire_session_changes(&drill, WireFaults::Channel(&chaos), connections, shards)?;
+        report_mangled(&mangled.mangled);
+        let clean = wire_session_changes(&drill, WireFaults::Clean, connections, shards)?;
+        (clean.changes, mangled.changes)
     } else {
-        let clean_bytes = current_log.to_wire_bytes();
-        let (mangled_bytes, report) = chaos.mangle(&current_log);
-        println!(
-            "mangled: {} frames -> {} dropped, {} duplicated, {} truncated, \
-             {} bit-flipped, {} reordered",
-            report.total_frames,
-            report.dropped,
-            report.duplicated,
-            report.truncated,
-            report.bit_flipped,
-            report.reordered,
-        );
-        let (clean_keys, clean_health) = stream_changes(
-            &clean_bytes,
-            baseline.clone(),
-            stability.clone(),
-            &config,
-            n_shards,
-        )?;
-        let (chaos_keys, chaos_health) =
-            stream_changes(&mangled_bytes, baseline, stability, &config, n_shards)?;
-        (clean_keys, clean_health, chaos_keys, chaos_health)
+        let (mangled_bytes, report) = chaos.mangle(&drill.current);
+        report_mangled(&report);
+        let clean = drill.byte_changes(&drill.current.to_wire_bytes(), shards)?;
+        (clean, drill.byte_changes(&mangled_bytes, shards)?)
     };
-    println!(
-        "clean:   {} confirmed changes; ingest {clean_health}",
-        clean_keys.len()
-    );
-    println!("stats: ingest {chaos_health}");
-
-    let recovered = clean_keys.intersection(&chaos_keys).count();
-    let fidelity = if clean_keys.is_empty() {
-        1.0
-    } else {
-        recovered as f64 / clean_keys.len() as f64
-    };
-    println!(
-        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
-        fidelity * 100.0,
-        clean_keys.len()
-    );
+    report_fidelity(&clean, &mangled);
     Ok(())
 }
 
@@ -1299,44 +830,23 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     let mut stalls: usize = 1;
     let mut trickles: usize = 1;
     let mut connections: usize = 2;
-    let mut n_shards: usize = 1;
+    let mut shards: usize = 1;
     let mut merge_stall_ms: u64 = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
-            "--flaps" => flaps = it.next().ok_or("--flaps needs a count")?.parse()?,
-            "--stalls" => stalls = it.next().ok_or("--stalls needs a count")?.parse()?,
-            "--trickles" => trickles = it.next().ok_or("--trickles needs a count")?.parse()?,
-            "--connections" => {
-                connections = it.next().ok_or("--connections needs a count")?.parse()?;
-                if connections == 0 {
-                    return Err("--connections must be at least 1".into());
-                }
-            }
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--merge-stall-ms" => {
-                merge_stall_ms = it
-                    .next()
-                    .ok_or("--merge-stall-ms needs a number")?
-                    .parse()?;
-            }
-            other => return Err(format!("unknown flag: {other}").into()),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => seed = flags.num(flag)?,
+            "--flaps" => flaps = flags.num(flag)?,
+            "--stalls" => stalls = flags.num(flag)?,
+            "--trickles" => trickles = flags.num(flag)?,
+            "--connections" => connections = flags.count(flag)?,
+            "--shards" => shards = flags.count(flag)?,
+            "--merge-stall-ms" => merge_stall_ms = flags.num(flag)?,
+            other => return Err(unknown_flag(other)),
         }
     }
 
-    let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.ingest_stall_timeout_us = merge_stall_ms * 1_000;
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
+    let drill = Drill::new(|config| config.ingest_stall_timeout_us = merge_stall_ms * 1_000)?;
     let chaos = ConnChaos {
         stalls,
         stall_ms: 40,
@@ -1347,47 +857,15 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     println!(
         "flapdrill: seed {seed}, per conn {flaps} flap(s) + {stalls} stall(s) + \
          {trickles} trickle(s), {connections} connection(s), merge stall budget \
-         {merge_stall_ms} ms, {n_shards} shard(s)"
+         {merge_stall_ms} ms, {shards} shard(s)"
     );
 
-    let (clean_keys, clean_health, ..) = wire_session_changes(
-        &current_log,
-        WireFaults::Clean,
-        connections,
-        baseline.clone(),
-        stability.clone(),
-        &config,
-        n_shards,
-    )?;
-    let (drill_keys, drill_health, reports, _) = wire_session_changes(
-        &current_log,
-        WireFaults::Conn(&chaos),
-        connections,
-        baseline,
-        stability,
-        &config,
-        n_shards,
-    )?;
-    for r in &reports {
+    let clean = wire_session_changes(&drill, WireFaults::Clean, connections, shards)?;
+    let faulted = wire_session_changes(&drill, WireFaults::Conn(&chaos), connections, shards)?;
+    for r in &faulted.reports {
         println!("stats: conn {}", conn_line(r));
     }
-    println!(
-        "clean:   {} confirmed changes; ingest {clean_health}",
-        clean_keys.len()
-    );
-    println!("stats: ingest {drill_health}");
-
-    let recovered = clean_keys.intersection(&drill_keys).count();
-    let fidelity = if clean_keys.is_empty() {
-        1.0
-    } else {
-        recovered as f64 / clean_keys.len() as f64
-    };
-    println!(
-        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
-        fidelity * 100.0,
-        clean_keys.len()
-    );
+    report_fidelity(&clean.changes, &faulted.changes);
     Ok(())
 }
 
@@ -1403,113 +881,98 @@ struct EpochTrace {
 
 impl EpochTrace {
     fn of(snapshot: &EpochSnapshot) -> EpochTrace {
-        let bytes = serde::to_vec(snapshot);
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
         let mut keys = BTreeSet::new();
         collect_keys(&snapshot.diff, &mut keys);
         EpochTrace {
             epoch: snapshot.epoch,
-            hash,
+            hash: fnv1a(&serde::to_vec(snapshot)),
             keys,
         }
     }
 }
 
 /// `crashdrill`: run the 320-server capture through the supervised
-/// differ twice — once uninterrupted, once with a seeded [`CrashPlan`]
-/// killing the process at chosen epochs (checkpoint + restore + replay
-/// in between) — and report how faithfully the interrupted run
-/// recovered the clean run's per-epoch snapshots.
+/// engine twice — once uninterrupted, once with a seeded [`CrashPlan`]
+/// killing the run at chosen epochs (checkpoint + restore + replay in
+/// between) — and report how faithfully the interrupted run recovered
+/// the clean run's per-epoch snapshots.
 fn cmd_crashdrill(args: &[String]) -> CliResult {
     let mut seed: u64 = 1;
     let mut kills: usize = 3;
-    let mut n_shards: usize = 1;
+    let mut shards: usize = 1;
     let mut kill_workers = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
-            "--kills" => kills = it.next().ok_or("--kills needs a count")?.parse()?,
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seed" => seed = flags.num(flag)?,
+            "--kills" => kills = flags.num(flag)?,
+            "--shards" => shards = flags.count(flag)?,
             "--kill-worker" => kill_workers = true,
-            other => return Err(format!("unknown flag: {other}").into()),
+            other => return Err(unknown_flag(other)),
         }
     }
-    if kill_workers && n_shards < 2 {
+    if kill_workers && shards < 2 {
         return Err("--kill-worker needs --shards 2 or more (the single \
                     pipeline has no worker threads to kill)"
             .into());
     }
 
-    let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    // Short epochs give the short drill capture enough boundaries to
-    // kill at; checkpoint at every one so recovery loses nothing.
-    config.online_epoch_us = 1_000_000;
-    config.online_window_us = 5_000_000;
-    config.checkpoint_every_epochs = 1;
-    // Each planned kill spends one restart; keep the drill fast.
-    config.restart_budget = kills as u32;
-    config.restart_backoff_us = 1_000;
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
-    let events: Vec<ControlEvent> = current_log.events().to_vec();
+    let drill = Drill::new(|config| {
+        // Short epochs give the short drill capture enough boundaries
+        // to kill at; checkpoint at every one so recovery loses nothing.
+        config.online_epoch_us = 1_000_000;
+        config.online_window_us = 5_000_000;
+        config.checkpoint_every_epochs = 1;
+        // Each planned kill spends one restart; keep the drill fast.
+        config.restart_budget = kills as u32;
+        config.restart_backoff_us = 1_000;
+    })?;
+    let config = &drill.config;
+    let events = drill.current.events();
+    let deaths = if kill_workers {
+        "worker poisoning(s)"
+    } else {
+        "kill(s)"
+    };
     println!(
-        "drill: seed {seed}, {kills} {} over {} events, {n_shards} shard(s), \
+        "drill: seed {seed}, {kills} {deaths} over {} events, {shards} shard(s), \
          checkpoint every {} epoch(s)",
-        if kill_workers {
-            "worker poisoning(s)"
-        } else {
-            "kill(s)"
-        },
         events.len(),
         config.checkpoint_every_epochs
     );
 
-    // Uninterrupted reference run.
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-        Ok((
-            if n_shards > 1 {
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?)
-            } else {
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?)
-            },
-            0,
-        ))
-    };
-    let mut clean: Vec<EpochTrace> = Vec::new();
-    let (clean_last, _, clean_restarts, _) =
-        supervised_run(&events, &fresh, &config, None, None, false, |snap, _| {
-            clean.push(EpochTrace::of(snap))
+    // Runs the capture supervised, dying at each epoch `plan` names:
+    // the epoch callback panics — or poisons a shard worker, which the
+    // loop only notices at its next flush/quiesce — before it records
+    // the epoch, exactly what a power cut between compute and output
+    // looks like. The final flush epoch is not delivered through the
+    // callback, so kills land on observe-emitted epochs only.
+    let fresh = || -> EngineResult<(Differ, u64)> { Ok((drill.differ(shards)?, 0)) };
+    let run = |checkpoint_path: Option<&Path>, plan: &mut CrashPlan| {
+        let mut traces: Vec<EpochTrace> = Vec::new();
+        let supervision = Supervision {
+            config,
+            checkpoint_path,
+            degraded: None,
+        };
+        let mut feed = Feed::Slice(events);
+        let report = supervise(&mut feed, &fresh, &supervision, |differ, snap, _| {
+            if plan.take(snap.epoch) {
+                if kill_workers {
+                    differ.poison_worker(snap.epoch as usize);
+                } else {
+                    panic!("crashdrill: killed at epoch {}", snap.epoch);
+                }
+            }
+            traces.push(EpochTrace::of(snap));
         })?;
-    assert_eq!(clean_restarts, 0, "the clean run must not panic");
-    if let Some(snap) = &clean_last {
-        clean.push(EpochTrace::of(snap));
-    }
+        traces.extend(report.last.as_ref().map(EpochTrace::of));
+        Ok::<_, Box<dyn std::error::Error>>((traces, report.restarts))
+    };
 
-    // Interrupted run: seeded kills, checkpoint + restore + replay. The
-    // final flush epoch runs outside the supervised region, so kills
-    // are drawn from the observe-emitted epochs only.
+    let (clean, clean_restarts) = run(None, &mut CrashPlan::seeded(seed, 0, 0))?;
+    assert_eq!(clean_restarts, 0, "the clean run must not panic");
+
     let observe_epochs = clean.len().saturating_sub(1) as u64;
     let mut plan = CrashPlan::seeded(seed, kills, observe_epochs);
     println!("plan: kill at epochs {:?}", plan.kill_epochs());
@@ -1517,33 +980,14 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     std::fs::create_dir_all(&ckpt_dir)?;
     let ckpt_path = ckpt_dir.join(format!("drill-{seed}.ckpt"));
     let planned = plan.kill_epochs().len();
-    let mut drilled: Vec<EpochTrace> = Vec::new();
     // The drill panics on purpose; keep the default hook's backtrace
     // chatter out of the report.
     let orig_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let outcome = supervised_run(
-        &events,
-        &fresh,
-        &config,
-        Some(&ckpt_path),
-        Some(&mut plan),
-        kill_workers,
-        |snap, _| drilled.push(EpochTrace::of(snap)),
-    );
+    let outcome = run(Some(&ckpt_path), &mut plan);
     std::panic::set_hook(orig_hook);
-    let (drill_last, _, restarts, _) = outcome?;
-    if let Some(snap) = &drill_last {
-        drilled.push(EpochTrace::of(snap));
-    }
-    println!(
-        "drill: {restarts} of {planned} planned {} fired; each restored from the last checkpoint",
-        if kill_workers {
-            "worker poisoning(s)"
-        } else {
-            "kill(s)"
-        }
-    );
+    let (drilled, restarts) = outcome?;
+    println!("drill: {restarts} of {planned} planned {deaths} fired; each restored from the last checkpoint");
 
     let matched = clean.iter().zip(&drilled).filter(|(a, b)| a == b).count();
     let keys_clean: BTreeSet<&String> = clean.iter().flat_map(|t| &t.keys).collect();
@@ -1565,13 +1009,16 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     // Bonus demonstration: a *lossy* restore (checkpoint loaded, replay
     // skipped) must not flood — the differ holds every signature at
     // Warming until `restore_warmup_us` of log time passes.
-    let (mut half, _) = fresh()?;
+    let mut half = drill.differ(shards)?;
     let cut = events.len() / 2;
     for event in &events[..cut] {
         half.observe(event);
     }
-    let mid_ckpt = half.checkpoint_bytes(cut as u64, &config);
-    let (mut lossy, at) = restore_checkpoint(&mid_ckpt, &config)?;
+    let Restored {
+        differ: mut lossy,
+        events_consumed: at,
+        ..
+    } = Differ::restore(&half.checkpoint(cut as u64, config), config)?;
     lossy.mark_lossy_restore();
     // Skip half the remaining stream instead of replaying it: data loss.
     let tail_start = (at as usize) + (events.len() - at as usize) / 2;
@@ -1599,70 +1046,6 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Streams capture bytes through an online differ (single or sharded,
-/// per `n_shards`) and returns the union over all epochs of confirmed
-/// change keys, plus the ingestion health counters. Decode errors are
-/// tolerated (the stream resynchronizes); they show up in the health
-/// counters.
-fn stream_changes(
-    bytes: &[u8],
-    baseline: BehaviorModel,
-    stability: StabilityReport,
-    config: &FlowDiffConfig,
-    n_shards: usize,
-) -> Result<(BTreeSet<String>, flowdiff::records::IngestHealth), Box<dyn std::error::Error>> {
-    let mut differ = if n_shards > 1 {
-        Differ::Sharded(ShardedDiffer::try_new(
-            baseline, stability, config, n_shards,
-        )?)
-    } else {
-        Differ::Single(OnlineDiffer::try_new(baseline, stability, config)?)
-    };
-    let mut keys = BTreeSet::new();
-    let mut stream = LogStream::from_wire_bytes(bytes)?;
-    // Decode errors are tallied in the stream's own counters.
-    for event in stream.by_ref().flatten() {
-        for snapshot in differ.observe(event.as_ref()) {
-            collect_keys(&snapshot.diff, &mut keys);
-        }
-    }
-    let mut health = differ.health();
-    health.absorb_stream(stream.stats());
-    if let Some(snapshot) = differ.finish() {
-        collect_keys(&snapshot.diff, &mut keys);
-    }
-    Ok((keys, health))
-}
-
-/// Drains a live merge through a fresh differ (single or sharded) and
-/// returns the union of confirmed change keys plus the differ's health.
-fn drain_merge(
-    merge: EventMerge,
-    baseline: BehaviorModel,
-    stability: StabilityReport,
-    config: &FlowDiffConfig,
-    n_shards: usize,
-) -> Result<(BTreeSet<String>, flowdiff::records::IngestHealth), Box<dyn std::error::Error>> {
-    let mut differ = if n_shards > 1 {
-        Differ::Sharded(ShardedDiffer::try_new(
-            baseline, stability, config, n_shards,
-        )?)
-    } else {
-        Differ::Single(OnlineDiffer::try_new(baseline, stability, config)?)
-    };
-    let mut keys = BTreeSet::new();
-    for event in merge {
-        for snapshot in differ.observe(&event) {
-            collect_keys(&snapshot.diff, &mut keys);
-        }
-    }
-    let health = differ.health();
-    if let Some(snapshot) = differ.finish() {
-        collect_keys(&snapshot.diff, &mut keys);
-    }
-    Ok((keys, health))
-}
-
 /// What a loopback drill puts between its publishers and the server.
 #[derive(Clone, Copy)]
 enum WireFaults<'a> {
@@ -1676,32 +1059,29 @@ enum WireFaults<'a> {
     Conn(&'a ConnChaos),
 }
 
-/// Like [`stream_changes`], but over the wire: deals the capture
-/// across `connections` loopback session publishers (faulted per
-/// `faults`), ingests through [`IngestServer`], and feeds the
+/// What [`wire_session_changes`] saw.
+struct WireRun {
+    /// Confirmed-change keys and the folded health (per-connection
+    /// stream stats absorbed).
+    changes: (BTreeSet<String>, IngestHealth),
+    /// The per-stream connection reports.
+    reports: Vec<netsim::net::ConnReport>,
+    /// The summed ground truth of any byte-level mangling.
+    mangled: ChaosReport,
+}
+
+/// Like [`Drill::byte_changes`], but over the wire: deals the drill's
+/// capture across `connections` loopback session publishers (faulted
+/// per `faults`), ingests through [`IngestServer`], and feeds the
 /// `(timestamp, connection)` merge straight into the differ — events
 /// are diffed as they arrive, bounded by the per-connection queues.
-/// Returns the confirmed-change keys, the folded health (per-connection
-/// stream stats absorbed), the per-stream connection reports, and the
-/// summed ground truth of any byte-level mangling.
-#[allow(clippy::type_complexity)]
 fn wire_session_changes(
-    log: &ControllerLog,
+    drill: &Drill,
     faults: WireFaults<'_>,
     connections: usize,
-    baseline: BehaviorModel,
-    stability: StabilityReport,
-    config: &FlowDiffConfig,
-    n_shards: usize,
-) -> Result<
-    (
-        BTreeSet<String>,
-        flowdiff::records::IngestHealth,
-        Vec<netsim::net::ConnReport>,
-        ChaosReport,
-    ),
-    Box<dyn std::error::Error>,
-> {
+    shards: usize,
+) -> EngineResult<WireRun> {
+    let config = &drill.config;
     let server = IngestServer::bind("127.0.0.1:0")?;
     let addr = server.local_addr()?;
     let mut live = server.live(
@@ -1713,7 +1093,10 @@ fn wire_session_changes(
         },
     )?;
     let mut publishers = Vec::new();
-    for (i, part) in split_capture(log, connections).into_iter().enumerate() {
+    for (i, part) in split_capture(&drill.current, connections)
+        .into_iter()
+        .enumerate()
+    {
         let session = 0xF1A9_0000 + i as u64;
         if let WireFaults::Channel(chaos) = faults {
             let chaos = ChannelChaos {
@@ -1738,7 +1121,7 @@ fn wire_session_changes(
             publish_session(addr, &part, &opts)
         }));
     }
-    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config, n_shards)?;
+    let (keys, mut health) = drill.changes(live.take_merge(), shards)?;
     let reports = live.finish();
     for r in &reports {
         health.absorb_stream(r.stats);
@@ -1759,7 +1142,11 @@ fn wire_session_changes(
             mangled.reordered += c.reordered;
         }
     }
-    Ok((keys, health, reports, mangled))
+    Ok(WireRun {
+        changes: (keys, health),
+        reports,
+        mangled,
+    })
 }
 
 /// Keys a diff's changes by signature, direction, and implicated
@@ -1918,9 +1305,7 @@ mod tests {
         let stability = StabilityReport::all_stable(&model);
         let differ = OnlineDiffer::try_new(model, stability, &config).unwrap();
         let path = tmp("not-a-baseline.ckpt");
-        Checkpoint::capture(&differ, 0, &config)
-            .save(&path)
-            .unwrap();
+        std::fs::write(&path, Checkpoint::capture(&differ, 0, &config).to_bytes()).unwrap();
         let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "got: {err}");
     }
@@ -1943,272 +1328,5 @@ mod tests {
         std::fs::write(&path, &bundle.to_bytes()[..16]).unwrap();
         let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
         assert!(err.to_string().contains("truncated"), "got: {err}");
-    }
-
-    #[test]
-    fn supervised_run_survives_planned_kills_byte_identically() {
-        // Tiny end-to-end drill: a lab-scale capture, two planned kills,
-        // recovery must reproduce the uninterrupted epochs exactly.
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 2;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = analyze(&log, &baseline, &config);
-        let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-        let events: Vec<ControlEvent> = current.events().to_vec();
-        let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut clean = Vec::new();
-        let (clean_last, _, r, _) =
-            supervised_run(&events, &fresh, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-        clean.extend(clean_last.as_ref().map(EpochTrace::of));
-        assert!(clean.len() >= 3, "drill needs epochs to kill at");
-
-        let mut plan = CrashPlan::seeded(11, 2, clean.len() as u64 - 1);
-        let kills = plan.kill_epochs().len();
-        let path = tmp("supervised.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut drilled = Vec::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &fresh,
-            &config,
-            Some(&path),
-            Some(&mut plan),
-            false,
-            |s, _| drilled.push(EpochTrace::of(s)),
-        );
-        std::panic::set_hook(hook);
-        let (drill_last, _, restarts, _) = outcome.unwrap();
-        drilled.extend(drill_last.as_ref().map(EpochTrace::of));
-        assert_eq!(restarts as usize, kills, "every planned kill fired");
-        assert_eq!(plan.remaining(), 0);
-        assert_eq!(clean, drilled, "recovered run == uninterrupted run");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_supervised_run_recovers_the_single_shard_epochs() {
-        // The strongest cross-shape claim in one drill: a 3-shard
-        // supervised run with planned kills (v2 segmented checkpoints,
-        // restore, replay) reproduces the *single-shard* uninterrupted
-        // run's epoch traces byte for byte.
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 2;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = analyze(&log, &baseline, &config);
-        let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-        let events: Vec<ControlEvent> = current.events().to_vec();
-
-        let single = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut clean = Vec::new();
-        let (clean_last, _, r, report) =
-            supervised_run(&events, &single, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-        assert!(report.is_none(), "single pipeline has no shard report");
-        clean.extend(clean_last.as_ref().map(EpochTrace::of));
-        assert!(clean.len() >= 3, "drill needs epochs to kill at");
-
-        let sharded = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    3,
-                )?),
-                0,
-            ))
-        };
-        let mut plan = CrashPlan::seeded(11, 2, clean.len() as u64 - 1);
-        let kills = plan.kill_epochs().len();
-        let path = tmp("sharded-supervised.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut drilled = Vec::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &sharded,
-            &config,
-            Some(&path),
-            Some(&mut plan),
-            false,
-            |s, _| drilled.push(EpochTrace::of(s)),
-        );
-        std::panic::set_hook(hook);
-        let (drill_last, _, restarts, report) = outcome.unwrap();
-        drilled.extend(drill_last.as_ref().map(EpochTrace::of));
-        assert_eq!(restarts as usize, kills, "every planned kill fired");
-        let (stats, _) = report.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "killed 3-shard run == uninterrupted 1-shard run"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn worker_panic_surfaces_and_recovers_exactly_once() {
-        // The persistent-pipeline drill: poisoning a long-lived shard
-        // worker mid-epoch must propagate through the channels into the
-        // supervised restart path (the coordinator only notices at its
-        // next flush/quiesce), restore from the last checkpoint, and
-        // still deliver every epoch exactly once — byte-identical to
-        // the uninterrupted single-shard run.
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 2;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = analyze(&log, &baseline, &config);
-        let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-        let events: Vec<ControlEvent> = current.events().to_vec();
-
-        let single = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut clean = Vec::new();
-        let (clean_last, _, r, _) =
-            supervised_run(&events, &single, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-        clean.extend(clean_last.as_ref().map(EpochTrace::of));
-        assert!(clean.len() >= 3, "drill needs epochs to kill at");
-
-        let sharded = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    3,
-                )?),
-                0,
-            ))
-        };
-        let mut plan = CrashPlan::seeded(17, 2, clean.len() as u64 - 1);
-        let kills = plan.kill_epochs().len();
-        assert!(kills >= 1, "the plan must poison at least one worker");
-        let path = tmp("worker-panic.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut drilled = Vec::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &sharded,
-            &config,
-            Some(&path),
-            Some(&mut plan),
-            true,
-            |s, _| drilled.push(EpochTrace::of(s)),
-        );
-        std::panic::set_hook(hook);
-        let (drill_last, _, restarts, report) = outcome.unwrap();
-        drilled.extend(drill_last.as_ref().map(EpochTrace::of));
-        // A poisoned worker never kills the coordinator synchronously,
-        // so two poisonings in one observe round can surface as a
-        // single crash — at least one restart, at most one per kill.
-        assert!(restarts >= 1, "a worker death must surface as a restart");
-        assert!(
-            restarts as usize <= kills,
-            "each poisoning costs at most one restart"
-        );
-        assert_eq!(plan.remaining(), 0, "every planned poisoning was injected");
-        let (stats, _) = report.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "worker-killed 3-shard run == uninterrupted 1-shard run"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn supervised_run_fails_fast_when_budget_exhausted() {
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 3);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 0;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = StabilityReport::all_stable(&baseline);
-        let events: Vec<ControlEvent> = log.events().to_vec();
-        let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut plan = CrashPlan::seeded(3, 1, 3);
-        assert!(!plan.kill_epochs().is_empty());
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &fresh,
-            &config,
-            None,
-            Some(&mut plan),
-            false,
-            |_, _| {},
-        );
-        std::panic::set_hook(hook);
-        let err = outcome.unwrap_err();
-        assert!(
-            err.to_string().contains("restart budget exhausted"),
-            "got: {err}"
-        );
     }
 }

@@ -17,75 +17,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+mod common;
+
+use common::{captures, engine_snapshots, serve_loopback};
 use flowdiff::prelude::*;
 use netsim::log::LogStream;
 use netsim::prelude::*;
 use openflow::messages::{OfpMessage, PacketIn, PacketInReason};
 use openflow::types::{BufferId, DatapathId, Timestamp, Xid};
-
-/// Small instance of the paper's 320-server tree workload.
-fn captures() -> (ControllerLog, ControllerLog, FlowDiffConfig) {
-    let (baseline, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-    let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-    // Same trust posture as `watch`/`serve` over wire bytes.
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.validate().expect("config must validate");
-    (baseline, current, config)
-}
-
-/// Runs `events` through a fresh differ and returns every epoch
-/// snapshot's serialized bytes (finish included) plus the health.
-fn diff_events(
-    events: &[ControlEvent],
-    baseline: &BehaviorModel,
-    stability: &StabilityReport,
-    config: &FlowDiffConfig,
-) -> (Vec<Vec<u8>>, flowdiff::records::IngestHealth) {
-    let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), config)
-        .expect("differ must construct");
-    let mut snaps = Vec::new();
-    for event in events {
-        for snap in differ.observe(event) {
-            snaps.push(serde::to_vec(&snap));
-        }
-    }
-    let health = *differ.health();
-    if let Some(snap) = differ.finish() {
-        snaps.push(serde::to_vec(&snap));
-    }
-    (snaps, health)
-}
-
-/// Publishes `log` over `n` loopback connections (split so the merge
-/// restores capture order) and returns the merged event sequence plus
-/// the per-connection reports.
-fn serve_loopback(
-    log: &ControllerLog,
-    n: usize,
-    queue: usize,
-) -> (Vec<ControlEvent>, Vec<netsim::net::ConnReport>) {
-    let server = IngestServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let mut live = server
-        .live(n, queue, LiveOptions::default())
-        .expect("live ingest");
-    let mut publishers = Vec::new();
-    for (i, part) in split_capture(log, n).into_iter().enumerate() {
-        let opts = SessionOptions {
-            session: i as u64,
-            ..SessionOptions::default()
-        };
-        publishers.push(std::thread::spawn(move || {
-            publish_session(addr, &part, &opts).expect("publish")
-        }));
-    }
-    let events: Vec<ControlEvent> = live.take_merge().collect();
-    let reports = live.finish();
-    for p in publishers {
-        p.join().expect("publisher thread");
-    }
-    (events, reports)
-}
 
 #[test]
 fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
@@ -93,8 +32,9 @@ fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
 
+    let judge = (&baseline, &stability, &config);
     let (file_snaps, mut file_health) =
-        diff_events(current_log.events(), &baseline, &stability, &config);
+        engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -107,13 +47,17 @@ fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
     file_health.absorb_stream(file_stream.stats());
 
     for n in [1usize, 4] {
-        let (events, reports) = serve_loopback(&current_log, n, 64);
+        let session = |i: usize, _: &ControllerLog| SessionOptions {
+            session: i as u64,
+            ..SessionOptions::default()
+        };
+        let served = serve_loopback(&current_log, n, 64, LiveOptions::default(), session, judge);
         assert_eq!(
-            events,
+            served.events,
             current_log.events().to_vec(),
             "{n} publishers: merge must restore capture order"
         );
-        let (wire_snaps, mut wire_health) = diff_events(&events, &baseline, &stability, &config);
+        let (wire_snaps, mut wire_health, reports) = (served.snaps, served.health, served.reports);
         assert_eq!(
             wire_snaps, file_snaps,
             "{n} publishers: epoch snapshots must serialize byte-identically"

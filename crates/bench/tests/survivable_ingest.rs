@@ -18,71 +18,28 @@
 //!    equal what the deterministic plan injected, and events equal the
 //!    stream's split share — nothing lost, nothing duplicated.
 
+mod common;
+
+use common::{captures, engine_snapshots, serve_loopback, Judge, Served};
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 
-/// Small instance of the paper's 320-server tree workload.
-fn captures() -> (ControllerLog, ControllerLog, FlowDiffConfig) {
-    let (baseline, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-    let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-    config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-    config.validate().expect("config must validate");
-    (baseline, current, config)
-}
-
-/// Every epoch snapshot's serialized bytes for a clean run over
-/// `events` (finish included).
-fn diff_snapshots(
-    events: &[ControlEvent],
-    baseline: &BehaviorModel,
-    stability: &StabilityReport,
-    config: &FlowDiffConfig,
-) -> Vec<Vec<u8>> {
-    let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), config)
-        .expect("differ must construct");
-    let mut snaps = Vec::new();
-    for event in events {
-        for snap in differ.observe(event) {
-            snaps.push(serde::to_vec(&snap));
-        }
-    }
-    if let Some(snap) = differ.finish() {
-        snaps.push(serde::to_vec(&snap));
-    }
-    snaps
-}
-
-/// Replays `log` over `n` loopback **session** publishers (split so the
-/// merge restores capture order), each behind the [`ConnPlan`] the
-/// seeded injector derives for it, and returns the merged events plus
-/// the per-stream reports.
+/// [`serve_loopback`] with every publisher a resumable session behind
+/// the [`ConnPlan`] the seeded injector derives for it.
 fn session_loopback(
     log: &ControllerLog,
     n: usize,
     chaos: Option<&ConnChaos>,
     opts: LiveOptions,
-) -> (Vec<ControlEvent>, Vec<netsim::net::ConnReport>) {
-    let server = IngestServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let mut live = server.live(n, 64, opts).expect("live ingest");
-    let mut publishers = Vec::new();
-    for (i, part) in split_capture(log, n).into_iter().enumerate() {
-        let sopts = SessionOptions {
-            session: 0x5E55_0000 + i as u64,
-            retry_budget: 2,
-            backoff_us: 1_000,
-            plan: chaos.map(|c| c.plan_for(i as u64, part.len() as u64)),
-        };
-        publishers.push(std::thread::spawn(move || {
-            publish_session(addr, &part, &sopts).expect("publish session")
-        }));
-    }
-    let events: Vec<ControlEvent> = live.take_merge().collect();
-    let reports = live.finish();
-    for p in publishers {
-        p.join().expect("publisher thread");
-    }
-    (events, reports)
+    judge: Judge<'_>,
+) -> Served {
+    let session = |i: usize, part: &ControllerLog| SessionOptions {
+        session: 0x5E55_0000 + i as u64,
+        retry_budget: 2,
+        backoff_us: 1_000,
+        plan: chaos.map(|c| c.plan_for(i as u64, part.len() as u64)),
+    };
+    serve_loopback(log, n, 64, opts, session, judge)
 }
 
 #[test]
@@ -90,7 +47,8 @@ fn flapped_sessions_are_byte_identical_with_exact_counters() {
     let (baseline_log, current_log, config) = captures();
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
-    let file_snaps = diff_snapshots(current_log.events(), &baseline, &stability, &config);
+    let judge = (&baseline, &stability, &config);
+    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -106,14 +64,17 @@ fn flapped_sessions_are_byte_identical_with_exact_counters() {
                 ..ConnChaos::flapping(2, seed)
             };
             // Strict merge: faults cost wall time, never identity.
-            let (events, reports) =
-                session_loopback(&current_log, n, Some(&chaos), LiveOptions::default());
+            let Served {
+                events,
+                reports,
+                snaps: wire_snaps,
+                ..
+            } = session_loopback(&current_log, n, Some(&chaos), LiveOptions::default(), judge);
             assert_eq!(
                 events,
                 current_log.events().to_vec(),
                 "n={n} seed={seed}: merge must restore capture order under faults"
             );
-            let wire_snaps = diff_snapshots(&events, &baseline, &stability, &config);
             assert_eq!(
                 wire_snaps, file_snaps,
                 "n={n} seed={seed}: epoch snapshots must stay byte-identical"
@@ -211,7 +172,8 @@ fn faults_within_the_budget_keep_snapshots_byte_identical() {
     let (baseline_log, current_log, config) = captures();
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
-    let file_snaps = diff_snapshots(current_log.events(), &baseline, &stability, &config);
+    let judge = (&baseline, &stability, &config);
+    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
 
     // A 2s budget dwarfs both the 30ms write stall and a loopback
     // reconnect, so nothing is ever waived: liveness is armed AND
@@ -225,13 +187,17 @@ fn faults_within_the_budget_keep_snapshots_byte_identical() {
         stall_timeout_us: 2_000_000,
         heartbeat_us: 0,
     };
-    let (events, reports) = session_loopback(&current_log, 2, Some(&chaos), opts);
+    let Served {
+        events,
+        reports,
+        snaps: wire_snaps,
+        ..
+    } = session_loopback(&current_log, 2, Some(&chaos), opts, judge);
     assert_eq!(
         events,
         current_log.events().to_vec(),
         "timely faults must not reorder the merged stream"
     );
-    let wire_snaps = diff_snapshots(&events, &baseline, &stability, &config);
     assert_eq!(wire_snaps, file_snaps, "snapshots byte-identical");
     for r in &reports {
         assert_eq!(

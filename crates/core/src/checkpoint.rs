@@ -18,6 +18,11 @@
 //! * [`BaselineBundle`]: a precomputed baseline model + stability
 //!   report, so watchers can skip the baseline build on restart.
 //!
+//! [`Checkpoint`] and [`ShardedCheckpoint`] are the two byte layouts;
+//! the running system writes and reads them only through
+//! [`Differ::checkpoint`](crate::engine::Differ::checkpoint) and
+//! [`Differ::restore`](crate::engine::Differ::restore).
+//!
 //! The recovery contract: kill the process at any epoch, restore the
 //! last checkpoint, replay the input from the checkpoint's event
 //! offset, and every subsequent [`EpochSnapshot`](crate::diff::EpochSnapshot)
@@ -41,10 +46,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// Current checkpoint format version: the sharded layout (a shared
 /// core plus independently-guarded per-shard segments).
 pub const CHECKPOINT_VERSION: u32 = 2;
-/// The legacy single-pipeline checkpoint layout; [`Checkpoint`] still
-/// writes and reads this version, and [`AnyCheckpoint`] dispatches on
-/// the stamped version so v1 files written by older builds stay
-/// readable.
+/// The single-pipeline checkpoint layout [`Checkpoint`] writes and
+/// reads; [`Differ::restore`](crate::engine::Differ::restore)
+/// dispatches on the stamped version, so a run resumes whatever shape
+/// its previous incarnation wrote.
 pub const CHECKPOINT_V1: u32 = 1;
 /// Magic prefix of one shard's segment inside a v2 checkpoint.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
@@ -203,16 +208,48 @@ pub fn seal(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates a guarded container and returns its payload: the magic
-/// must match, the version must be readable (`<= supported`), the
-/// length must be exactly what remains, and the CRC must agree.
+/// The fixed 24-byte header every guarded container starts with, and
+/// whatever follows it.
+pub(crate) struct Header<'a> {
+    /// The stamped format version (not yet judged readable).
+    pub(crate) version: u32,
+    /// Bytes the CRC-guarded region is promised to hold.
+    len: usize,
+    /// Stored CRC-32 of that region.
+    crc: u32,
+    /// Everything after the header.
+    body: &'a [u8],
+}
+
+impl<'a> Header<'a> {
+    /// The first `len` bytes of the body, CRC-checked, and what trails
+    /// them.
+    fn guarded(&self) -> Result<(&'a [u8], &'a [u8]), PersistError> {
+        if self.body.len() < self.len {
+            return Err(PersistError::Truncated {
+                expected: self.len,
+                found: self.body.len(),
+            });
+        }
+        let (guarded, tail) = self.body.split_at(self.len);
+        let computed = crc32(guarded);
+        if computed != self.crc {
+            return Err(PersistError::CrcMismatch {
+                stored: self.crc,
+                computed,
+            });
+        }
+        Ok((guarded, tail))
+    }
+}
+
+/// Reads a guarded container's header: the magic must match and all 24
+/// header bytes must be present. Nothing past the header is judged.
 ///
 /// # Errors
 ///
-/// [`PersistError::BadMagic`], [`UnsupportedVersion`](PersistError::UnsupportedVersion),
-/// [`Truncated`](PersistError::Truncated) (also for trailing garbage),
-/// or [`CrcMismatch`](PersistError::CrcMismatch).
-pub fn unseal(magic: [u8; 8], supported: u32, bytes: &[u8]) -> Result<&[u8], PersistError> {
+/// [`PersistError::BadMagic`] or [`PersistError::Truncated`].
+pub(crate) fn read_header(magic: [u8; 8], bytes: &[u8]) -> Result<Header<'_>, PersistError> {
     if bytes.len() < 8 || bytes[..8] != magic {
         let mut found = [0u8; 8];
         let n = bytes.len().min(8);
@@ -228,27 +265,38 @@ pub fn unseal(magic: [u8; 8], supported: u32, bytes: &[u8]) -> Result<&[u8], Per
             found: bytes.len(),
         });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version == 0 || version > supported {
+    Ok(Header {
+        version: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+        len: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize,
+        crc: u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")),
+        body: &bytes[24..],
+    })
+}
+
+/// Validates a guarded container and returns its payload: the magic
+/// must match, the version must be readable (`<= supported`), the
+/// length must be exactly what remains, and the CRC must agree.
+///
+/// # Errors
+///
+/// [`PersistError::BadMagic`], [`UnsupportedVersion`](PersistError::UnsupportedVersion),
+/// [`Truncated`](PersistError::Truncated) (also for trailing garbage),
+/// or [`CrcMismatch`](PersistError::CrcMismatch).
+pub fn unseal(magic: [u8; 8], supported: u32, bytes: &[u8]) -> Result<&[u8], PersistError> {
+    let header = read_header(magic, bytes)?;
+    if header.version == 0 || header.version > supported {
         return Err(PersistError::UnsupportedVersion {
             supported,
-            found: version,
+            found: header.version,
         });
     }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[24..];
-    if payload.len() != len {
+    if header.body.len() > header.len {
         return Err(PersistError::Truncated {
-            expected: len,
-            found: payload.len(),
+            expected: header.len,
+            found: header.body.len(),
         });
     }
-    let computed = crc32(payload);
-    if computed != stored {
-        return Err(PersistError::CrcMismatch { stored, computed });
-    }
-    Ok(payload)
+    Ok(header.guarded()?.0)
 }
 
 /// Writes `bytes` to `path` atomically: the content lands in a sibling
@@ -284,17 +332,49 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// A stable 64-bit fingerprint of a [`FlowDiffConfig`] (FNV-1a over
-/// its serialized bytes). Two configs fingerprint equal iff every
-/// field agrees, so a checkpoint can refuse to resume under thresholds
-/// it was not built with.
-pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
+/// FNV-1a over `bytes`: the 64-bit hash behind [`config_fingerprint`]
+/// and the drills' per-epoch snapshot traces.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in serde::to_vec(config) {
+    for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// A stable 64-bit fingerprint of the part of a [`FlowDiffConfig`] that
+/// differ state depends on ([`fnv1a`] over its serialized bytes), so a
+/// checkpoint can refuse to resume under thresholds it was not built
+/// with. The supervisor and transport knobs — how often to checkpoint,
+/// how to restart, how the sockets queue, stall and retry — shape no
+/// differ state and read as their defaults here: resuming under a
+/// different `--checkpoint-every` or `--stall-ms` is not a mismatch.
+/// Every other field, present and future, is covered.
+pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
+    let neutral = FlowDiffConfig::default();
+    fnv1a(&serde::to_vec(&FlowDiffConfig {
+        checkpoint_every_epochs: neutral.checkpoint_every_epochs,
+        restart_budget: neutral.restart_budget,
+        restart_backoff_us: neutral.restart_backoff_us,
+        ingest_queue_events: neutral.ingest_queue_events,
+        ingest_stall_timeout_us: neutral.ingest_stall_timeout_us,
+        ingest_heartbeat_us: neutral.ingest_heartbeat_us,
+        publish_retry_budget: neutral.publish_retry_budget,
+        publish_backoff_us: neutral.publish_backoff_us,
+        ..config.clone()
+    }))
+}
+
+/// Refuses a checkpoint whose stored fingerprint is not `config`'s:
+/// resuming a stream of state built under different thresholds would
+/// diff apples against oranges without any visible symptom.
+fn check_fingerprint(stored: u64, config: &FlowDiffConfig) -> Result<(), PersistError> {
+    let offered = config_fingerprint(config);
+    if offered != stored {
+        return Err(PersistError::ConfigMismatch { stored, offered });
+    }
+    Ok(())
 }
 
 /// The complete durable state of one online diagnosis run: the
@@ -332,8 +412,8 @@ impl Checkpoint {
     }
 
     /// Parses a guarded container produced by [`Checkpoint::to_bytes`].
-    /// Only reads the v1 single-pipeline layout; use [`AnyCheckpoint`]
-    /// when the file may hold either layout.
+    /// Only reads the v1 single-pipeline layout;
+    /// [`Differ::restore`](crate::engine::Differ::restore) reads either.
     ///
     /// # Errors
     ///
@@ -344,42 +424,15 @@ impl Checkpoint {
         Ok(serde::from_slice(payload)?)
     }
 
-    /// Atomically writes the checkpoint to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Reads and validates a checkpoint from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything [`Checkpoint::from_bytes`]
-    /// rejects.
-    pub fn load(path: &Path) -> Result<Checkpoint, PersistError> {
-        Checkpoint::from_bytes(&std::fs::read(path)?)
-    }
-
     /// Consumes the checkpoint into a running differ and its replay
     /// offset, verifying that `config` is the one the checkpoint was
     /// written under.
     ///
     /// # Errors
     ///
-    /// [`PersistError::ConfigMismatch`] when the fingerprints disagree
-    /// — resuming a stream of state built under different thresholds
-    /// would diff apples against oranges without any visible symptom.
+    /// [`PersistError::ConfigMismatch`] when the fingerprints disagree.
     pub fn resume(self, config: &FlowDiffConfig) -> Result<(OnlineDiffer, u64), PersistError> {
-        let offered = config_fingerprint(config);
-        if offered != self.config_fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                stored: self.config_fingerprint,
-                offered,
-            });
-        }
+        check_fingerprint(self.config_fingerprint, config)?;
         Ok((self.differ, self.events_consumed))
     }
 }
@@ -495,44 +548,15 @@ impl ShardedCheckpoint {
 
     fn parse(bytes: &[u8], salvage: bool) -> Result<ShardedCheckpoint, PersistError> {
         // The header is seal()'s layout, but the CRC-guarded region is
-        // the manifest alone — segments trail it, each self-guarded —
-        // so this walks the frame by hand instead of using unseal().
-        if bytes.len() < 8 || bytes[..8] != CHECKPOINT_MAGIC {
-            let mut found = [0u8; 8];
-            let n = bytes.len().min(8);
-            found[..n].copy_from_slice(&bytes[..n]);
-            return Err(PersistError::BadMagic {
-                expected: CHECKPOINT_MAGIC,
-                found,
-            });
-        }
-        if bytes.len() < 24 {
-            return Err(PersistError::Truncated {
-                expected: 24,
-                found: bytes.len(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != CHECKPOINT_VERSION {
+        // the manifest alone — segments trail it, each self-guarded.
+        let header = read_header(CHECKPOINT_MAGIC, bytes)?;
+        if header.version != CHECKPOINT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 supported: CHECKPOINT_VERSION,
-                found: version,
+                found: header.version,
             });
         }
-        let manifest_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-        let rest = &bytes[24..];
-        if rest.len() < manifest_len {
-            return Err(PersistError::Truncated {
-                expected: manifest_len,
-                found: rest.len(),
-            });
-        }
-        let (manifest_bytes, mut segments_bytes) = rest.split_at(manifest_len);
-        let computed = crc32(manifest_bytes);
-        if computed != stored {
-            return Err(PersistError::CrcMismatch { stored, computed });
-        }
+        let (manifest_bytes, mut segments_bytes) = header.guarded()?;
         let manifest: ShardedManifest = serde::from_slice(manifest_bytes)?;
         let expected_tail: u64 = manifest.segment_lens.iter().sum();
         if segments_bytes.len() as u64 != expected_tail {
@@ -550,10 +574,9 @@ impl ShardedCheckpoint {
                 .and_then(|payload| Ok(serde::from_slice::<ShardState>(payload)?));
             match state {
                 Ok(state) => shards.push(Some(state)),
-                Err(error) if salvage => {
+                Err(_) if salvage => {
                     shards.push(None);
                     salvaged.push(shard);
-                    let _ = error;
                 }
                 Err(error) => {
                     return Err(PersistError::ShardSegment {
@@ -575,35 +598,6 @@ impl ShardedCheckpoint {
         })
     }
 
-    /// Atomically writes the checkpoint to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Reads and strictly validates a checkpoint from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`ShardedCheckpoint::from_bytes`] rejects.
-    pub fn load(path: &Path) -> Result<ShardedCheckpoint, PersistError> {
-        ShardedCheckpoint::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Reads a checkpoint from `path`, salvaging corrupt segments.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`ShardedCheckpoint::from_bytes_salvaging`] rejects.
-    pub fn load_salvaging(path: &Path) -> Result<ShardedCheckpoint, PersistError> {
-        ShardedCheckpoint::from_bytes_salvaging(&std::fs::read(path)?)
-    }
-
     /// Consumes the checkpoint into a running differ and its replay
     /// offset, verifying that `config` is the one the checkpoint was
     /// written under.
@@ -612,129 +606,8 @@ impl ShardedCheckpoint {
     ///
     /// [`PersistError::ConfigMismatch`] when the fingerprints disagree.
     pub fn resume(self, config: &FlowDiffConfig) -> Result<(ShardedDiffer, u64), PersistError> {
-        let offered = config_fingerprint(config);
-        if offered != self.config_fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                stored: self.config_fingerprint,
-                offered,
-            });
-        }
+        check_fingerprint(self.config_fingerprint, config)?;
         Ok((self.differ, self.events_consumed))
-    }
-}
-
-/// A checkpoint of either layout, dispatched on the version stamped in
-/// the file header — the watch loop's restore path accepts whatever
-/// the previous incarnation wrote, whether it ran sharded or not.
-// A transient dispatch wrapper (one lives per load), so the variant
-// size skew is not worth an indirection on every restore-path access.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyCheckpoint {
-    /// A v1 single-pipeline checkpoint.
-    Single(Checkpoint),
-    /// A v2 sharded checkpoint.
-    Sharded(ShardedCheckpoint),
-}
-
-impl AnyCheckpoint {
-    /// Strict parse: segment corruption in a sharded checkpoint is an
-    /// error, not a salvage.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Checkpoint::from_bytes`] or
-    /// [`ShardedCheckpoint::from_bytes`] rejects, plus
-    /// [`PersistError::UnsupportedVersion`] for versions this build
-    /// cannot read.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AnyCheckpoint, PersistError> {
-        match Self::peek_version(bytes)? {
-            CHECKPOINT_V1 => Ok(AnyCheckpoint::Single(Checkpoint::from_bytes(bytes)?)),
-            CHECKPOINT_VERSION => Ok(AnyCheckpoint::Sharded(ShardedCheckpoint::from_bytes(
-                bytes,
-            )?)),
-            found => Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found,
-            }),
-        }
-    }
-
-    /// Like [`AnyCheckpoint::from_bytes`], but corrupt shard segments
-    /// in a v2 file salvage to fresh workers instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnyCheckpoint::from_bytes`] minus
-    /// [`PersistError::ShardSegment`].
-    pub fn from_bytes_salvaging(bytes: &[u8]) -> Result<AnyCheckpoint, PersistError> {
-        match Self::peek_version(bytes)? {
-            CHECKPOINT_V1 => Ok(AnyCheckpoint::Single(Checkpoint::from_bytes(bytes)?)),
-            CHECKPOINT_VERSION => Ok(AnyCheckpoint::Sharded(
-                ShardedCheckpoint::from_bytes_salvaging(bytes)?,
-            )),
-            found => Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found,
-            }),
-        }
-    }
-
-    /// Reads and strictly parses a checkpoint of either layout.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`AnyCheckpoint::from_bytes`] rejects.
-    pub fn load(path: &Path) -> Result<AnyCheckpoint, PersistError> {
-        AnyCheckpoint::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Reads a checkpoint of either layout, salvaging corrupt shard
-    /// segments in the v2 case.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`AnyCheckpoint::from_bytes_salvaging`] rejects.
-    pub fn load_salvaging(path: &Path) -> Result<AnyCheckpoint, PersistError> {
-        AnyCheckpoint::from_bytes_salvaging(&std::fs::read(path)?)
-    }
-
-    /// The replay offset stored in the checkpoint.
-    pub fn events_consumed(&self) -> u64 {
-        match self {
-            AnyCheckpoint::Single(c) => c.events_consumed,
-            AnyCheckpoint::Sharded(c) => c.events_consumed,
-        }
-    }
-
-    /// The format version stamped in a checkpoint header, without
-    /// validating the rest of the file.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::BadMagic`] or [`PersistError::Truncated`] when
-    /// the header itself is unreadable.
-    pub fn peek_version(bytes: &[u8]) -> Result<u32, PersistError> {
-        if bytes.len() < 8 || bytes[..8] != CHECKPOINT_MAGIC {
-            let mut found = [0u8; 8];
-            let n = bytes.len().min(8);
-            found[..n].copy_from_slice(&bytes[..n]);
-            return Err(PersistError::BadMagic {
-                expected: CHECKPOINT_MAGIC,
-                found,
-            });
-        }
-        if bytes.len() < 12 {
-            return Err(PersistError::Truncated {
-                expected: 12,
-                found: bytes.len(),
-            });
-        }
-        Ok(u32::from_le_bytes(
-            bytes[8..12].try_into().expect("4 bytes"),
-        ))
     }
 }
 
@@ -776,21 +649,12 @@ impl BaselineBundle {
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
         atomic_write(path, &self.to_bytes())
     }
-
-    /// Reads and validates a bundle from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`BaselineBundle::from_bytes`] rejects.
-    pub fn load(path: &Path) -> Result<BaselineBundle, PersistError> {
-        BaselineBundle::from_bytes(&std::fs::read(path)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Differ;
     use crate::stability::StabilityReport;
     use netsim::log::ControllerLog;
 
@@ -931,6 +795,70 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_covers_differ_state_and_ignores_deployment_knobs() {
+        let config = FlowDiffConfig::default();
+        let bytes = Checkpoint::capture(&small_differ(&config), 4, &config).to_bytes();
+        let resumes = |c: &FlowDiffConfig| Differ::restore(&bytes, c).map(|r| r.events_consumed);
+        // Knobs that shape differ state are still refused ...
+        for changed in [
+            FlowDiffConfig {
+                reorder_slack_us: 5_000,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                max_time_jump_us: 60_000_000,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                restore_warmup_us: 1,
+                ..config.clone()
+            },
+        ] {
+            assert!(
+                matches!(resumes(&changed), Err(PersistError::ConfigMismatch { .. })),
+                "{changed:?} must be refused"
+            );
+        }
+        // ... the supervisor's and the transport's are not.
+        for neutral in [
+            FlowDiffConfig {
+                checkpoint_every_epochs: 7,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                restart_budget: 9,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                restart_backoff_us: 1,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                ingest_queue_events: 3,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                ingest_stall_timeout_us: 900_000,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                ingest_heartbeat_us: 1,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                publish_retry_budget: 8,
+                ..config.clone()
+            },
+            FlowDiffConfig {
+                publish_backoff_us: 1,
+                ..config.clone()
+            },
+        ] {
+            assert_eq!(resumes(&neutral).unwrap(), 4, "{neutral:?} must resume");
+        }
+    }
+
+    #[test]
     fn checkpoint_roundtrips_and_rejects_mismatched_config() {
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
@@ -958,10 +886,8 @@ mod tests {
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let path = tmp_path("roundtrip.ckpt");
-        Checkpoint::capture(&differ, 3, &config)
-            .save(&path)
-            .unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
+        atomic_write(&path, &Checkpoint::capture(&differ, 3, &config).to_bytes()).unwrap();
+        let loaded = Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded.events_consumed, 3);
         let (resumed, _) = loaded.resume(&config).unwrap();
         assert_eq!(resumed, differ);
@@ -986,17 +912,20 @@ mod tests {
 
     #[test]
     fn v1_checkpoints_stay_readable_through_any_checkpoint() {
+        // Whatever layout a checkpoint is in, `Differ::restore` reads it.
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let bytes = Checkpoint::capture(&differ, 11, &config).to_bytes();
-        assert_eq!(AnyCheckpoint::peek_version(&bytes).unwrap(), CHECKPOINT_V1);
-        match AnyCheckpoint::from_bytes(&bytes).unwrap() {
-            AnyCheckpoint::Single(c) => {
-                assert_eq!(c.events_consumed, 11);
-                let (resumed, _) = c.resume(&config).unwrap();
-                assert_eq!(resumed, differ);
-            }
-            other => panic!("v1 bytes must dispatch to Single, got {other:?}"),
+        assert_eq!(
+            read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
+            CHECKPOINT_V1
+        );
+        let restored = Differ::restore(&bytes, &config).unwrap();
+        assert_eq!(restored.events_consumed, 11);
+        assert!(restored.salvaged_shards.is_empty());
+        match restored.differ {
+            Differ::Single(resumed) => assert_eq!(resumed, differ),
+            Differ::Sharded(_) => panic!("v1 bytes must restore the single pipeline"),
         }
     }
 
@@ -1007,7 +936,7 @@ mod tests {
         let ckpt = ShardedCheckpoint::capture(&differ, 29, &config);
         let bytes = ckpt.to_bytes();
         assert_eq!(
-            AnyCheckpoint::peek_version(&bytes).unwrap(),
+            read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
             CHECKPOINT_VERSION
         );
         let back = ShardedCheckpoint::from_bytes(&bytes).unwrap();
@@ -1032,16 +961,13 @@ mod tests {
         let config = FlowDiffConfig::default();
         let differ = small_sharded_differ(&config, 2);
         let path = tmp_path("sharded-roundtrip.ckpt");
-        ShardedCheckpoint::capture(&differ, 5, &config)
-            .save(&path)
-            .unwrap();
-        match AnyCheckpoint::load(&path).unwrap() {
-            AnyCheckpoint::Sharded(c) => {
-                assert_eq!(c.events_consumed, 5);
-                let (resumed, _) = c.resume(&config).unwrap();
-                assert_eq!(resumed, differ);
-            }
-            other => panic!("v2 file must dispatch to Sharded, got {other:?}"),
+        let bytes = ShardedCheckpoint::capture(&differ, 5, &config).to_bytes();
+        atomic_write(&path, &bytes).unwrap();
+        let restored = Differ::restore(&std::fs::read(&path).unwrap(), &config).unwrap();
+        assert_eq!(restored.events_consumed, 5);
+        match restored.differ {
+            Differ::Sharded(resumed) => assert_eq!(resumed, differ),
+            Differ::Single(_) => panic!("v2 file must restore the sharded pipeline"),
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1101,14 +1027,14 @@ mod tests {
         let mut bytes = Checkpoint::capture(&differ, 0, &config).to_bytes();
         bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            AnyCheckpoint::from_bytes(&bytes),
+            Differ::restore(&bytes, &config),
             Err(PersistError::UnsupportedVersion {
                 supported: CHECKPOINT_VERSION,
                 ..
             })
         ));
         assert!(matches!(
-            AnyCheckpoint::from_bytes(b"FDIFFBASnot a checkpoint"),
+            Differ::restore(b"FDIFFBASnot a checkpoint", &config),
             Err(PersistError::BadMagic { .. })
         ));
     }

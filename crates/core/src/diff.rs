@@ -357,6 +357,100 @@ fn gate_diff(
     gating
 }
 
+/// The part of the streaming state both differs share: what window
+/// models are judged against, and the two conditions that hold diffs
+/// back. Every boundary and flush path ends in [`Judge::snapshot`].
+#[derive(Debug, Clone)]
+struct Judge {
+    reference: BehaviorModel,
+    stability: StabilityReport,
+    config: FlowDiffConfig,
+    /// Set by `mark_lossy_restore`: every signature reports
+    /// [`SignatureHealth::Warming`] for boundaries before this log time.
+    warm_until: Option<Timestamp>,
+    /// Transient transport-degradation note set by the serving loop
+    /// (a stalled or dead publisher): while set, every signature gates
+    /// [`SignatureHealth::Starved`]. A live transport condition, not
+    /// stream state — excluded from equality and serialization like
+    /// the timing diagnostics.
+    ingest_degraded: Option<String>,
+}
+
+impl PartialEq for Judge {
+    fn eq(&self, other: &Judge) -> bool {
+        self.reference == other.reference
+            && self.stability == other.stability
+            && self.config == other.config
+            && self.warm_until == other.warm_until
+    }
+}
+
+impl Judge {
+    fn new(reference: BehaviorModel, stability: StabilityReport, config: &FlowDiffConfig) -> Judge {
+        Judge {
+            reference,
+            stability,
+            config: config.clone(),
+            warm_until: None,
+            ingest_degraded: None,
+        }
+    }
+
+    /// The serialized prefix: everything durable but `warm_until`,
+    /// which both layouts write after the state that follows.
+    fn serialize_head(&self, out: &mut Vec<u8>) {
+        self.reference.serialize(out);
+        self.stability.serialize(out);
+        self.config.serialize(out);
+    }
+
+    fn deserialize_head(input: &mut &[u8]) -> Result<Judge, serde::Error> {
+        Ok(Judge {
+            reference: BehaviorModel::deserialize(input)?,
+            stability: StabilityReport::deserialize(input)?,
+            config: FlowDiffConfig::deserialize(input)?,
+            warm_until: None,
+            ingest_degraded: None,
+        })
+    }
+
+    /// Holds every signature at [`SignatureHealth::Warming`] until
+    /// `config.restore_warmup_us` of log time has passed `now`.
+    fn warm_from(&mut self, now: Timestamp) {
+        self.warm_until = Some(Timestamp::from_micros(
+            now.as_micros()
+                .saturating_add(self.config.restore_warmup_us),
+        ));
+    }
+
+    /// Diffs `model` — the window `[start, end)`, epoch `epoch` —
+    /// against the reference and gates the result.
+    fn snapshot(
+        &self,
+        epoch: u64,
+        window: (Timestamp, Timestamp),
+        model: BehaviorModel,
+    ) -> EpochSnapshot {
+        let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
+        let gating = gate_diff(
+            &self.reference,
+            &model,
+            self.warm_until,
+            window.1,
+            self.ingest_degraded.as_deref(),
+            &mut diff,
+        );
+        EpochSnapshot {
+            epoch,
+            window,
+            records: model.records.len(),
+            model,
+            diff,
+            gating,
+        }
+    }
+}
+
 /// Cumulative per-stage epoch-boundary timings, microseconds. Wall-clock
 /// diagnostics only — excluded from differ equality and serialization —
 /// read by the watch loop's per-epoch breakdown line and the hot-path
@@ -442,22 +536,10 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// snapshot is byte-identical to an uninterrupted run.
 #[derive(Debug, Clone)]
 pub struct OnlineDiffer {
-    reference: BehaviorModel,
-    stability: StabilityReport,
-    config: FlowDiffConfig,
+    judge: Judge,
     assembler: RecordAssembler,
     builder: IncrementalModelBuilder,
     clock: EpochClock,
-    /// Set by [`mark_lossy_restore`](Self::mark_lossy_restore): every
-    /// signature reports [`SignatureHealth::Warming`] for boundaries
-    /// before this log time.
-    warm_until: Option<Timestamp>,
-    /// Transient transport-degradation note set by the serving loop
-    /// (a stalled or dead publisher): while set, every signature gates
-    /// [`SignatureHealth::Starved`]. A live transport condition, not
-    /// stream state — excluded from equality and serialization like
-    /// the timing diagnostics.
-    ingest_degraded: Option<String>,
     /// Per-stage boundary timings since the last
     /// [`take_timings`](Self::take_timings) (diagnostics only: excluded
     /// from equality and serialization).
@@ -467,13 +549,10 @@ pub struct OnlineDiffer {
 /// Equality over the streaming state; wall-clock timings are excluded.
 impl PartialEq for OnlineDiffer {
     fn eq(&self, other: &OnlineDiffer) -> bool {
-        self.reference == other.reference
-            && self.stability == other.stability
-            && self.config == other.config
+        self.judge == other.judge
             && self.assembler == other.assembler
             && self.builder == other.builder
             && self.clock == other.clock
-            && self.warm_until == other.warm_until
     }
 }
 
@@ -482,29 +561,25 @@ impl PartialEq for OnlineDiffer {
 /// produced before timings existed, so checkpoints stay compatible.
 impl Serialize for OnlineDiffer {
     fn serialize(&self, out: &mut Vec<u8>) {
-        self.reference.serialize(out);
-        self.stability.serialize(out);
-        self.config.serialize(out);
+        self.judge.serialize_head(out);
         self.assembler.serialize(out);
         self.builder.serialize(out);
         self.clock.serialize(out);
-        self.warm_until.serialize(out);
+        self.judge.warm_until.serialize(out);
     }
 }
 
 impl Deserialize for OnlineDiffer {
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        Ok(OnlineDiffer {
-            reference: BehaviorModel::deserialize(input)?,
-            stability: StabilityReport::deserialize(input)?,
-            config: FlowDiffConfig::deserialize(input)?,
+        let mut differ = OnlineDiffer {
+            judge: Judge::deserialize_head(input)?,
             assembler: RecordAssembler::deserialize(input)?,
             builder: IncrementalModelBuilder::deserialize(input)?,
             clock: EpochClock::deserialize(input)?,
-            warm_until: Option::<Timestamp>::deserialize(input)?,
-            ingest_degraded: None,
             timings: EpochTimings::default(),
-        })
+        };
+        differ.judge.warm_until = Option::<Timestamp>::deserialize(input)?;
+        Ok(differ)
     }
 }
 
@@ -538,14 +613,10 @@ impl OnlineDiffer {
     ) -> Result<OnlineDiffer, ConfigError> {
         config.validate()?;
         Ok(OnlineDiffer {
-            reference,
-            stability,
-            config: config.clone(),
+            judge: Judge::new(reference, stability, config),
             assembler: RecordAssembler::new(config),
             builder: IncrementalModelBuilder::new(config),
             clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
-            warm_until: None,
-            ingest_degraded: None,
             timings: EpochTimings::default(),
         })
     }
@@ -579,11 +650,7 @@ impl OnlineDiffer {
     /// uninterrupted state, and warming it would break the
     /// byte-identical recovery contract.
     pub fn mark_lossy_restore(&mut self) {
-        let now = self.assembler.max_arrival();
-        self.warm_until = Some(Timestamp::from_micros(
-            now.as_micros()
-                .saturating_add(self.config.restore_warmup_us),
-        ));
+        self.judge.warm_from(self.assembler.max_arrival());
     }
 
     /// Sets (or clears) the transport-degradation note: while set,
@@ -592,7 +659,7 @@ impl OnlineDiffer {
     /// goes stalled or dead, and clears it when the stream revives.
     /// Transient: never serialized, never part of differ equality.
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.ingest_degraded = reason;
+        self.judge.ingest_degraded = reason;
     }
 
     /// Event-level ingestion health accumulated so far (out-of-order
@@ -634,42 +701,20 @@ impl OnlineDiffer {
     /// episode. None when no event was ever observed.
     pub fn finish(self) -> Option<EpochSnapshot> {
         let OnlineDiffer {
-            reference,
-            stability,
-            config,
+            judge,
             assembler,
             mut builder,
             clock,
-            warm_until,
-            ingest_degraded,
             timings: _,
         } = self;
         let (_, end) = builder.observed_span()?;
         for record in assembler.finish() {
             builder.observe_record(record);
         }
-        let epoch = clock.epoch();
         let start = Timestamp::from_micros(end.as_micros().saturating_sub(clock.window_us()));
         builder.retire_before(start);
         builder.set_span((start, end));
-        let model = builder.into_snapshot();
-        let mut diff = compare(&reference, &model, &stability, &config);
-        let gating = gate_diff(
-            &reference,
-            &model,
-            warm_until,
-            end,
-            ingest_degraded.as_deref(),
-            &mut diff,
-        );
-        Some(EpochSnapshot {
-            epoch,
-            window: (start, end),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        })
+        Some(judge.snapshot(clock.epoch(), (start, end), builder.into_snapshot()))
     }
 
     /// Models the window ending at `boundary` and diffs it against the
@@ -696,26 +741,9 @@ impl OnlineDiffer {
             let opens = self.assembler.touched_open_records_since(start);
             self.builder.epoch_snapshot((start, boundary), opens)
         });
-        let (diff, gating) = timed(&mut self.timings.diff_us, || {
-            let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
-            let gating = gate_diff(
-                &self.reference,
-                &model,
-                self.warm_until,
-                boundary,
-                self.ingest_degraded.as_deref(),
-                &mut diff,
-            );
-            (diff, gating)
-        });
-        EpochSnapshot {
-            epoch,
-            window: (start, boundary),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        }
+        timed(&mut self.timings.diff_us, || {
+            self.judge.snapshot(epoch, (start, boundary), model)
+        })
     }
 }
 
@@ -1092,25 +1120,18 @@ struct Pending {
 /// wanting the exact legacy code path (no routing, no channels, no
 /// threads) should keep using [`OnlineDiffer`].
 ///
-/// The differ serializes for checkpointing in two granularities: whole
-/// (`Serialize`), or split into a shared core plus per-shard segments
-/// (the FDIFFCKP v2 layout, so one shard's corrupt segment doesn't
-/// lose the fleet — see [`crate::checkpoint::ShardedCheckpoint`]).
+/// The differ serializes for checkpointing split into a shared core
+/// plus per-shard segments (the FDIFFCKP v2 layout, so one shard's
+/// corrupt segment doesn't lose the fleet — see
+/// [`crate::checkpoint::ShardedCheckpoint`]).
 #[derive(Debug)]
 pub struct ShardedDiffer {
-    reference: BehaviorModel,
-    stability: StabilityReport,
-    config: FlowDiffConfig,
+    judge: Judge,
     splitter: ShardRouter,
     /// Shard worker states, shared with the pipeline threads. The
     /// coordinator locks one only at a quiesce point (or, before the
     /// pipeline spawns, when it is the sole owner).
     states: Vec<Arc<Mutex<ShardState>>>,
-    /// Released events restored from a checkpoint taken before this
-    /// run's pipeline spawned; converted to [`Step::Release`]s at
-    /// spawn. Always empty while the pipeline is live, so serialized
-    /// cores stay byte-compatible with the pre-pipeline layout.
-    chunk: Vec<RoutedEvent>,
     /// The step buffer: at most one batch accumulates here between
     /// queue sends.
     pending: Mutex<Pending>,
@@ -1129,11 +1150,6 @@ pub struct ShardedDiffer {
     /// a checkpoint never spawns threads).
     pipeline: Option<Pipeline>,
     clock: EpochClock,
-    warm_until: Option<Timestamp>,
-    /// Transient transport-degradation note (see
-    /// [`OnlineDiffer::set_ingest_degraded`]); excluded from equality
-    /// and serialization.
-    ingest_degraded: Option<String>,
     /// Cumulative time spent in boundary merges (diagnostics only:
     /// excluded from equality and serialization).
     merge_micros: u64,
@@ -1180,21 +1196,16 @@ impl ShardedDiffer {
         config.validate()?;
         let n = n_shards.max(1);
         Ok(ShardedDiffer {
-            reference,
-            stability,
-            config: config.clone(),
+            judge: Judge::new(reference, stability, config),
             splitter: ShardRouter::new(config, n),
             states: (0..n)
                 .map(|_| Arc::new(Mutex::new(ShardState::fresh(config))))
                 .collect(),
-            chunk: Vec::new(),
             pending: Mutex::new(Pending::default()),
             released: Vec::new(),
             window: None,
             pipeline: None,
             clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
-            warm_until: None,
-            ingest_degraded: None,
             merge_micros: 0,
             timings: EpochTimings::default(),
             epoch_wall: None,
@@ -1299,7 +1310,6 @@ impl ShardedDiffer {
             .steps
             .len();
         self.splitter.approx_bytes()
-            + self.chunk.len() * size_of::<RoutedEvent>()
             + buffered * size_of::<Step>()
             + (self.states.iter())
                 .map(|s| {
@@ -1319,17 +1329,13 @@ impl ShardedDiffer {
     /// [`OnlineDiffer::mark_lossy_restore`], keyed off the splitter's
     /// arrival clock.
     pub fn mark_lossy_restore(&mut self) {
-        let now = self.splitter.max_arrival();
-        self.warm_until = Some(Timestamp::from_micros(
-            now.as_micros()
-                .saturating_add(self.config.restore_warmup_us),
-        ));
+        self.judge.warm_from(self.splitter.max_arrival());
     }
 
     /// Sets (or clears) the transport-degradation note — same contract
     /// as [`OnlineDiffer::set_ingest_degraded`].
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.ingest_degraded = reason;
+        self.judge.ingest_degraded = reason;
     }
 
     /// Feeds one event — the sharded mirror of
@@ -1392,9 +1398,8 @@ impl ShardedDiffer {
     /// Flushes the final partial epoch across all shards. None when no
     /// event was ever observed.
     pub fn finish(mut self) -> Option<EpochSnapshot> {
-        // Everything still in flight — a restored pre-pipeline chunk,
-        // the step buffer, the reorder buffer's tail — becomes steps.
-        self.adopt_chunk();
+        // Everything still in flight — the step buffer, the reorder
+        // buffer's tail — becomes steps.
         let tail = self.splitter.drain().into_iter().map(Step::Release);
         let pending = self.pending.get_mut().expect("pending steps poisoned");
         pending.steps.extend(tail);
@@ -1440,25 +1445,13 @@ impl ShardedDiffer {
             builder.retire_before(start);
             parts.push(builder.into_shard_model());
         }
-        let model =
-            IncrementalModelBuilder::merge(parts, Some((start, end)), &self.config, workers());
-        let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
-        let gating = gate_diff(
-            &self.reference,
-            &model,
-            self.warm_until,
-            end,
-            self.ingest_degraded.as_deref(),
-            &mut diff,
+        let model = IncrementalModelBuilder::merge(
+            parts,
+            Some((start, end)),
+            &self.judge.config,
+            workers(),
         );
-        Some(EpochSnapshot {
-            epoch,
-            window: (start, end),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        })
+        Some(self.judge.snapshot(epoch, (start, end), model))
     }
 
     /// Spawns the worker threads on first use — exactly once per run.
@@ -1468,19 +1461,6 @@ impl ShardedDiffer {
         }
         self.pipeline = Some(Pipeline::spawn(&self.states));
         self.epoch_wall = Some(std::time::Instant::now());
-        self.adopt_chunk();
-    }
-
-    /// Puts a chunk restored from a pre-quiesce checkpoint at the head
-    /// of the step stream, before any newly admitted event.
-    fn adopt_chunk(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        let steps = &mut (self.pending.get_mut())
-            .expect("pending steps poisoned")
-            .steps;
-        steps.splice(..0, self.chunk.drain(..).map(Step::Release));
     }
 
     /// Ships the buffered steps as one `Arc`-shared batch to every
@@ -1611,7 +1591,7 @@ impl ShardedDiffer {
         let merge_start = std::time::Instant::now();
         let window = self
             .window
-            .get_or_insert_with(|| IncrementalModelBuilder::new(&self.config));
+            .get_or_insert_with(|| IncrementalModelBuilder::new(&self.judge.config));
         window.clear_event_facts();
         for part in parts {
             window.absorb(part);
@@ -1621,43 +1601,21 @@ impl ShardedDiffer {
         let merged_us = merge_start.elapsed().as_micros() as u64;
         self.merge_micros += merged_us;
         self.timings.merge_us += merged_us;
-        let (diff, gating) = timed(&mut self.timings.diff_us, || {
-            let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
-            let gating = gate_diff(
-                &self.reference,
-                &model,
-                self.warm_until,
-                boundary,
-                self.ingest_degraded.as_deref(),
-                &mut diff,
-            );
-            (diff, gating)
-        });
-        EpochSnapshot {
-            epoch,
-            window: (start, boundary),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        }
+        timed(&mut self.timings.diff_us, || {
+            self.judge.snapshot(epoch, (start, boundary), model)
+        })
     }
 
     /// The shared-core half of the FDIFFCKP v2 split: everything except
-    /// the per-shard worker states. Quiesces first, so the serialized
-    /// chunk is empty whenever the pipeline is live — the wire layout
-    /// is unchanged from the pre-pipeline format, and a core written by
-    /// either architecture restores into this one.
+    /// the per-shard worker states. Quiesces first, so nothing admitted
+    /// is still on its way to a worker when the core is written.
     pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
         self.quiesce();
         let mut out = Vec::new();
-        self.reference.serialize(&mut out);
-        self.stability.serialize(&mut out);
-        self.config.serialize(&mut out);
+        self.judge.serialize_head(&mut out);
         self.splitter.serialize(&mut out);
-        self.chunk.serialize(&mut out);
         self.clock.serialize(&mut out);
-        self.warm_until.serialize(&mut out);
+        self.judge.warm_until.serialize(&mut out);
         out
     }
 
@@ -1680,13 +1638,10 @@ impl ShardedDiffer {
         shards: Vec<Option<ShardState>>,
     ) -> Result<ShardedDiffer, serde::Error> {
         let mut input = core;
-        let reference = BehaviorModel::deserialize(&mut input)?;
-        let stability = StabilityReport::deserialize(&mut input)?;
-        let config = FlowDiffConfig::deserialize(&mut input)?;
+        let mut judge = Judge::deserialize_head(&mut input)?;
         let splitter = ShardRouter::deserialize(&mut input)?;
-        let chunk = Vec::<RoutedEvent>::deserialize(&mut input)?;
         let clock = EpochClock::deserialize(&mut input)?;
-        let warm_until = Option::<Timestamp>::deserialize(&mut input)?;
+        judge.warm_until = Option::<Timestamp>::deserialize(&mut input)?;
         if !input.is_empty() {
             return Err(serde::Error::custom(format!(
                 "{} trailing bytes in sharded core",
@@ -1702,22 +1657,21 @@ impl ShardedDiffer {
         }
         let states = shards
             .into_iter()
-            .map(|s| Arc::new(Mutex::new(s.unwrap_or_else(|| ShardState::fresh(&config)))))
+            .map(|s| {
+                Arc::new(Mutex::new(
+                    s.unwrap_or_else(|| ShardState::fresh(&judge.config)),
+                ))
+            })
             .collect();
         Ok(ShardedDiffer {
-            reference,
-            stability,
-            config,
+            judge,
             splitter,
             states,
-            chunk,
             pending: Mutex::new(Pending::default()),
             released: Vec::new(),
             window: None,
             pipeline: None,
             clock,
-            warm_until,
-            ingest_degraded: None,
             merge_micros: 0,
             timings: EpochTimings::default(),
             epoch_wall: None,
@@ -1731,13 +1685,9 @@ impl PartialEq for ShardedDiffer {
     fn eq(&self, other: &ShardedDiffer) -> bool {
         self.quiesce();
         other.quiesce();
-        self.reference == other.reference
-            && self.stability == other.stability
-            && self.config == other.config
+        self.judge == other.judge
             && self.splitter == other.splitter
-            && self.chunk == other.chunk
             && self.clock == other.clock
-            && self.warm_until == other.warm_until
             && self.states.len() == other.states.len()
             && self.states.iter().zip(&other.states).all(|(a, b)| {
                 Arc::ptr_eq(a, b)
@@ -1755,77 +1705,22 @@ impl Clone for ShardedDiffer {
     fn clone(&self) -> ShardedDiffer {
         self.quiesce();
         ShardedDiffer {
-            reference: self.reference.clone(),
-            stability: self.stability.clone(),
-            config: self.config.clone(),
+            judge: self.judge.clone(),
             splitter: self.splitter.clone(),
             states: self
                 .states
                 .iter()
                 .map(|s| Arc::new(Mutex::new(s.lock().expect("shard state poisoned").clone())))
                 .collect(),
-            chunk: self.chunk.clone(),
             pending: Mutex::new(Pending::default()),
             released: Vec::new(),
             window: None,
             pipeline: None,
             clock: self.clock.clone(),
-            warm_until: self.warm_until,
-            ingest_degraded: self.ingest_degraded.clone(),
             merge_micros: self.merge_micros,
             timings: self.timings,
             epoch_wall: None,
         }
-    }
-}
-
-impl Serialize for ShardedDiffer {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.core_to_bytes());
-        // The worker states in the `Vec<ShardState>` wire layout
-        // (u64 count, then each element), written under the quiesce
-        // `core_to_bytes` just performed.
-        (self.states.len() as u64).serialize(out);
-        for state in &self.states {
-            state.lock().expect("shard state poisoned").serialize(out);
-        }
-    }
-}
-
-impl Deserialize for ShardedDiffer {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let reference = BehaviorModel::deserialize(input)?;
-        let stability = StabilityReport::deserialize(input)?;
-        let config = FlowDiffConfig::deserialize(input)?;
-        let splitter = ShardRouter::deserialize(input)?;
-        let chunk = Vec::<RoutedEvent>::deserialize(input)?;
-        let clock = EpochClock::deserialize(input)?;
-        let warm_until = Option::<Timestamp>::deserialize(input)?;
-        let shards = Vec::<ShardState>::deserialize(input)?;
-        if shards.len() != splitter.n_shards() {
-            return Err(serde::Error::custom("shard count mismatch"));
-        }
-        Ok(ShardedDiffer {
-            reference,
-            stability,
-            config,
-            splitter,
-            states: shards
-                .into_iter()
-                .map(|s| Arc::new(Mutex::new(s)))
-                .collect(),
-            chunk,
-            pending: Mutex::new(Pending::default()),
-            released: Vec::new(),
-            window: None,
-            pipeline: None,
-            clock,
-            warm_until,
-            ingest_degraded: None,
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
     }
 }
 
@@ -2318,13 +2213,12 @@ mod tests {
         // restore via the version-dispatching entry point.
         let ckpt = crate::checkpoint::ShardedCheckpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
-        let restored = match crate::checkpoint::AnyCheckpoint::from_bytes(&ckpt.to_bytes()) {
-            Ok(crate::checkpoint::AnyCheckpoint::Sharded(c)) => c,
-            other => panic!("expected a sharded checkpoint, got {other:?}"),
-        };
+        let restored = crate::engine::Differ::restore(&ckpt.to_bytes(), &config).unwrap();
         assert!(restored.salvaged_shards.is_empty());
-        let (mut resumed, offset) = restored.resume(&config).unwrap();
-        assert_eq!(offset as usize, cut);
+        assert_eq!(restored.events_consumed as usize, cut);
+        let crate::engine::Differ::Sharded(mut resumed) = restored.differ else {
+            panic!("expected a sharded differ back");
+        };
         assert_eq!(resumed, straight, "restored state == uninterrupted state");
         for event in &events[cut..] {
             straight_snaps.extend(straight.observe(event));

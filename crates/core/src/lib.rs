@@ -23,7 +23,9 @@
 //! [`model::IncrementalModelBuilder`], and the batch calls above are
 //! thin wrappers that feed a whole log through it and snapshot once.
 //! [`diff::OnlineDiffer`] drives the same machinery continuously,
-//! diffing a sliding window against the baseline at epoch boundaries.
+//! diffing a sliding window against the baseline at epoch boundaries,
+//! and [`engine`] runs it as a service: a differ that owns its
+//! checkpoint, a file-or-socket feed, one supervised loop.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod diagnosis;
 pub mod diff;
+pub mod engine;
 pub mod epoch;
 pub mod groups;
 pub mod ids;
@@ -62,9 +65,7 @@ pub mod tasks;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::change::Locus;
-    pub use crate::checkpoint::{
-        AnyCheckpoint, BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint,
-    };
+    pub use crate::checkpoint::{BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint};
     pub use crate::config::{ConfigError, FlowDiffConfig};
     pub use crate::diagnosis::{
         diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,
@@ -73,6 +74,7 @@ pub mod prelude {
         compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, ShardStats, ShardedDiffer,
         SignatureHealth,
     };
+    pub use crate::engine::{supervise, Differ, Feed, RunReport, Supervision};
     pub use crate::epoch::EpochClock;
     pub use crate::groups::{discover_groups, AppGroup, Edge};
     pub use crate::ids::{

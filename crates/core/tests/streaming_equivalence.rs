@@ -951,12 +951,11 @@ fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u
         if i == restore_at {
             assert!(epochs > 30, "restore must land in steady state");
             let bytes = ShardedCheckpoint::capture(&sharded, i as u64, &config).to_bytes();
-            let restored = match AnyCheckpoint::from_bytes(&bytes).expect("container intact") {
-                AnyCheckpoint::Sharded(c) => c,
-                other => panic!("v2 bytes must dispatch to Sharded, got {other:?}"),
+            let restored = Differ::restore(&bytes, &config).expect("container intact");
+            assert_eq!(restored.events_consumed as usize, i);
+            let Differ::Sharded(restored) = restored.differ else {
+                panic!("v2 bytes must restore the sharded shape");
             };
-            let (restored, offset) = restored.resume(&config).expect("same config");
-            assert_eq!(offset as usize, i);
             assert_eq!(restored, sharded, "restored state == live state");
             sharded = restored;
             restored_at_epoch = Some(epochs);
@@ -1157,13 +1156,12 @@ proptest! {
             // container, restored through the version dispatcher.
             let bytes = ShardedCheckpoint::capture(&sharded, cut as u64, &config).to_bytes();
             drop(sharded);
-            let restored = match AnyCheckpoint::from_bytes(&bytes).expect("container intact") {
-                AnyCheckpoint::Sharded(c) => c,
-                other => panic!("v2 bytes must dispatch to Sharded, got {other:?}"),
-            };
+            let restored = Differ::restore(&bytes, &config).expect("container intact");
             prop_assert!(restored.salvaged_shards.is_empty());
-            let (mut sharded, offset) = restored.resume(&config).expect("same config");
-            prop_assert_eq!(offset as usize, cut);
+            prop_assert_eq!(restored.events_consumed as usize, cut);
+            let Differ::Sharded(mut sharded) = restored.differ else {
+                panic!("v2 bytes must restore the sharded shape");
+            };
             for event in &events[cut..] {
                 snaps.extend(sharded.observe(event));
             }
