@@ -479,7 +479,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         run.health.absorb_stream(r.stats);
         run.health.absorb_conn(r.stalls, r.disconnects, r.resumes);
     }
-    if feed.events().is_empty() {
+    if feed.pulled() == 0 {
         return Err("publishers delivered no events".into());
     }
     report_run(&run, config);

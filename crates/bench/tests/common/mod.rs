@@ -74,14 +74,17 @@ pub fn serve_loopback(
             publish_session(addr, &part, &sopts).expect("publish session")
         }));
     }
-    let mut feed = Feed::live(live.take_merge());
-    let (snaps, health) = engine_snapshots(&mut feed, judge);
+    // The feed releases what it has delivered, so what the merge
+    // handed over is teed off on its way in.
+    let mut events = Vec::new();
+    let tee = live.take_merge().inspect(|e| events.push(e.clone()));
+    let (snaps, health) = engine_snapshots(&mut Feed::live(tee), judge);
     let reports = live.finish();
     for p in publishers {
         p.join().expect("publisher thread");
     }
     Served {
-        events: feed.events().to_vec(),
+        events,
         reports,
         snaps,
         health,

@@ -8,11 +8,28 @@
 //!   [`Differ::checkpoint`] / [`Differ::restore`] are the only way the
 //!   running system writes and reads FDIFFCKP bytes.
 //! * [`Feed`], where events come from: a decoded capture, or a live
-//!   [`EventMerge`] pulled on demand. Either can be re-read from any
-//!   earlier offset, which is what a checkpoint replay needs.
+//!   stream (an [`EventMerge`](netsim::net::EventMerge)) pulled on
+//!   demand. A capture can be re-read from any offset; a live feed
+//!   retains only what a restart can still reach — the events pulled
+//!   since the last durable point — so its memory tracks the checkpoint
+//!   interval, not uptime.
 //! * [`supervise`], the loop: every epoch handed to the caller exactly
 //!   once, checkpoints on the configured cadence, panics survived by
-//!   restoring the last checkpoint and replaying.
+//!   restoring the last checkpoint and replaying. It is also the only
+//!   caller of [`Feed::release`], at exactly the points below which no
+//!   restart can reach: the `--resume` offset on entry, each checkpoint
+//!   once it is on disk, and — with no checkpoint path — each delivered
+//!   boundary. A live feed without a checkpoint path therefore cannot
+//!   replay past its first boundary: a panic there is an error naming
+//!   `--checkpoint`, not a restart.
+//!
+//! Release happens there and nowhere else — not per event, not from
+//! another thread — because a decoded event owns heap blocks allocated
+//! on the connection-reader thread: freeing them on the differ thread
+//! while the reader allocates is a contended cross-thread free (≈760 ns
+//! per event against ≈830 ns for the whole differ path; `serve_dense`
+//! 1 240 k → 640 k events/s), whereas right after a boundary the reader
+//! is parked on its full queue and the same frees cost ≈20 ns each.
 //!
 //! ```
 //! use flowdiff::prelude::*;
@@ -38,7 +55,6 @@ use std::error::Error;
 use std::path::Path;
 
 use netsim::log::ControlEvent;
-use netsim::net::EventMerge;
 
 use crate::checkpoint::{
     atomic_write, read_header, Checkpoint, PersistError, ShardedCheckpoint, CHECKPOINT_MAGIC,
@@ -246,54 +262,113 @@ pub fn resume_from(path: &Path, config: &FlowDiffConfig) -> EngineResult<(Differ
     Ok((restored.differ, restored.events_consumed))
 }
 
-/// The supervised loop's event source.
+/// The supervised loop's event source. Either way `get(idx)` means "the
+/// `idx`-th event since the process started".
 ///
 /// `Slice` is the batch shape (`watch`, the drills, the tests): the
-/// capture fully decoded up front. `Live` pulls from a wire
-/// [`EventMerge`] *on demand* — an epoch is diffed and handed over
-/// while publishers are still connected — and retains every pulled
-/// event so a checkpoint replay can re-read from any earlier offset,
-/// exactly like a file. With a stall-tolerant merge that is also what
-/// keeps a silent stream from wedging epoch emission: `get` returns
-/// whatever the merge releases past the stalled source.
+/// capture fully decoded up front, re-readable from any offset.
+///
+/// `Live` pulls from a stream — in `serve`, the wire
+/// [`EventMerge`](netsim::net::EventMerge) — *on demand*: an epoch is
+/// diffed and handed over while publishers are still connected, and
+/// with a stall-tolerant merge `get` returns whatever the merge
+/// releases past a silent source, so one stalled stream cannot wedge
+/// epoch emission. It holds the events pulled since the last
+/// [`release`](Feed::release) so a restart can replay them, and nothing
+/// older: under [`supervise`] that is at most `checkpoint_every_epochs`
+/// epochs of events with a checkpoint path and one epoch without (see
+/// the module docs for why release waits for those points).
 pub enum Feed<'a> {
     /// A fully decoded capture.
     Slice(&'a [ControlEvent]),
-    /// A live merge plus every event pulled from it so far.
+    /// A live stream plus the still-replayable events pulled from it.
     Live {
-        /// The `(timestamp, connection)` merge of the ingest streams.
-        merge: EventMerge,
-        /// What it has released, in order.
-        buffered: Vec<ControlEvent>,
+        /// Where events come from, in delivery order.
+        source: Box<dyn Iterator<Item = ControlEvent> + 'a>,
+        /// Events `[base, base + held.len())`, in order.
+        held: Vec<ControlEvent>,
+        /// Index of `held[0]`: everything below it has been released.
+        base: usize,
     },
 }
 
-impl Feed<'_> {
-    /// A feed over a live merge, nothing pulled yet.
-    pub fn live(merge: EventMerge) -> Feed<'static> {
+impl<'a> Feed<'a> {
+    /// A feed over a live stream, nothing pulled yet.
+    pub fn live(source: impl Iterator<Item = ControlEvent> + 'a) -> Feed<'a> {
         Feed::Live {
-            merge,
-            buffered: Vec::new(),
+            source: Box::new(source),
+            held: Vec::new(),
+            base: 0,
         }
     }
 
-    /// The event at `idx`, pulling (and blocking on) the live merge as
+    /// The event at `idx`, pulling (and blocking on) the live stream as
     /// needed; `None` once the stream is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// When `idx` lies below a [`release`](Feed::release) point: the
+    /// caller is replaying events it declared unreachable.
     pub fn get(&mut self, idx: usize) -> Option<&ControlEvent> {
-        if let Feed::Live { merge, buffered } = self {
-            while buffered.len() <= idx {
-                let Some(event) = merge.next() else { break };
-                buffered.push(event);
+        match self {
+            Feed::Slice(events) => events.get(idx),
+            Feed::Live { source, held, base } => {
+                assert!(
+                    idx >= *base,
+                    "bug: feed event {idx} was released (events below {base} are gone)"
+                );
+                let at = idx - *base;
+                while held.len() <= at {
+                    held.push(source.next()?);
+                }
+                held.get(at)
             }
         }
-        self.events().get(idx)
     }
 
-    /// The events seen so far (the whole capture for `Slice`).
-    pub fn events(&self) -> &[ControlEvent] {
+    /// Forgets every event below `upto`; a no-op on a `Slice`. Past
+    /// [`pulled`](Feed::pulled) it pulls and discards the difference
+    /// (the prefix below a `--resume` offset). The supervised loop only
+    /// ever releases a fully consumed buffer, which is a `clear`: the
+    /// capacity is kept and its pages are reused by the next epoch.
+    pub fn release(&mut self, upto: usize) {
+        let Feed::Live { source, held, base } = self else {
+            return;
+        };
+        let pulled = *base + held.len();
+        if upto >= pulled {
+            held.clear();
+            *base = pulled + source.by_ref().take(upto - pulled).count();
+        } else if upto > *base {
+            held.drain(..upto - *base);
+            *base = upto;
+        }
+    }
+
+    /// Events taken from the source so far, released ones included (the
+    /// whole capture for `Slice`).
+    pub fn pulled(&self) -> usize {
+        match self {
+            Feed::Slice(events) => events.len(),
+            Feed::Live { held, base, .. } => base + held.len(),
+        }
+    }
+
+    /// The events a [`get`](Feed::get) can still return without
+    /// pulling (the whole capture for `Slice`).
+    pub fn held(&self) -> &[ControlEvent] {
         match self {
             Feed::Slice(events) => events,
-            Feed::Live { buffered, .. } => buffered,
+            Feed::Live { held, .. } => held,
+        }
+    }
+
+    /// Index of the oldest event still held: a replay can start here
+    /// or later (0 for `Slice`).
+    fn base(&self) -> usize {
+        match self {
+            Feed::Slice(_) => 0,
+            Feed::Live { base, .. } => *base,
         }
     }
 }
@@ -304,7 +379,8 @@ pub struct Supervision<'a> {
     /// `restart_backoff_us` and the fingerprint checkpoints carry.
     pub config: &'a FlowDiffConfig,
     /// Where checkpoints are written (atomically, replaced in place).
-    /// Without one, every restart starts over from `fresh`.
+    /// Without one, every restart starts over from `fresh` — which a
+    /// live feed can only serve until its first boundary.
     pub checkpoint_path: Option<&'a Path>,
     /// The degraded-ingest probe: polled once per event (cheap atomic
     /// reads in `serve`) after the feed hands the event over — so a
@@ -339,6 +415,18 @@ pub struct RunReport {
 /// indexes some other feed), replay from the restored offset. More
 /// than `restart_budget` restarts is an error.
 ///
+/// The feed is told to [`release`](Feed::release) what no restart can
+/// reach any more: everything below the starting offset on entry,
+/// everything below a checkpoint's offset once the checkpoint is on
+/// disk, and — with no checkpoint path — everything consumed once a
+/// boundary's snapshots are delivered. So a live feed holds at most
+/// `checkpoint_every_epochs` epochs of events (one epoch without a
+/// checkpoint path), and a live run without a checkpoint path that
+/// panics past its first boundary has nothing to replay from: that is
+/// an error naming `--checkpoint`, returned without backing off. A
+/// `Slice` never releases, so it restarts from `fresh` as often as the
+/// budget allows.
+///
 /// Each epoch reaches `on_snapshot` exactly once, in order, however
 /// often the stream is replayed: the delivery watermark lives outside
 /// the guarded region and moves only after `on_snapshot` returns.
@@ -352,7 +440,8 @@ pub struct RunReport {
 /// # Errors
 ///
 /// Whatever `fresh` fails with, a checkpoint that cannot be written or
-/// restored, or an exhausted restart budget.
+/// restored, an exhausted restart budget, or a panic after a live feed
+/// released the events a restart from `fresh` would replay.
 pub fn supervise(
     feed: &mut Feed<'_>,
     fresh: &dyn Fn() -> EngineResult<(Differ, u64)>,
@@ -365,7 +454,9 @@ pub fn supervise(
         degraded,
     } = *supervision;
     let (mut differ, start) = fresh()?;
-    let mut idx = start as usize;
+    let start = start as usize;
+    feed.release(start);
+    let mut idx = start;
     // Epochs below this watermark were already delivered (possibly by a
     // previous process incarnation): a replay skips them.
     let mut emitted: u64 = differ.epoch();
@@ -391,16 +482,20 @@ pub fn supervise(
                         epochs_since_ckpt += 1;
                     }
                 }
-                if let Some(path) = checkpoint_path {
-                    if epochs_since_ckpt >= config.checkpoint_every_epochs {
-                        // Events [..idx] are consumed. Capture quiesces
-                        // the pipeline, so a worker poisoned this round
-                        // panics here instead of snapshotting a dead
-                        // pipeline.
-                        atomic_write(path, &differ.checkpoint(idx as u64, config))?;
-                        saved = true;
-                        epochs_since_ckpt = 0;
-                    }
+                let Some(path) = checkpoint_path else {
+                    // Nothing durable to restart from: the delivered
+                    // boundary is as far back as this run can reach.
+                    feed.release(idx);
+                    continue;
+                };
+                if epochs_since_ckpt >= config.checkpoint_every_epochs {
+                    // Events [..idx] are consumed. Capture quiesces the
+                    // pipeline, so a worker poisoned this round panics
+                    // here instead of snapshotting a dead pipeline.
+                    atomic_write(path, &differ.checkpoint(idx as u64, config))?;
+                    saved = true;
+                    epochs_since_ckpt = 0;
+                    feed.release(idx);
                 }
             }
             // Both quiesce, so a worker poisoned during the last rounds
@@ -419,6 +514,15 @@ pub fn supervise(
             Ok(Err(e)) => return Err(e.into()),
             Err(_) => {}
         }
+        let base = feed.base();
+        if !saved && start < base {
+            // No backoff, no budget spent: there is nothing to retry.
+            return Err(format!(
+                "panicked at event {idx} and cannot restart: the live feed is not retained \
+                 (events below {base} are released), so run with --checkpoint to survive restarts"
+            )
+            .into());
+        }
         restarts += 1;
         if restarts > config.restart_budget {
             return Err(format!(
@@ -436,6 +540,8 @@ pub fn supervise(
             _ => fresh()?,
         };
         differ = restored;
+        // `at` is `start`, or the offset of the checkpoint whose write
+        // the last release followed: never below what the feed holds.
         idx = at as usize;
         epochs_since_ckpt = 0;
     }
@@ -732,23 +838,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn live_feed_restart_delivers_every_epoch_exactly_once() {
-        // The path `serve` runs: events pulled on demand from loopback
-        // session publishers, a planned kill mid-stream, the replay
-        // re-read from the feed's retained events.
-        let drill = Drill::new();
-        let clean = drill.clean();
-        let mut kills = seeded_kills(11, &clean);
-        let planned = kills.len();
-        assert!(planned >= 1);
-
+    /// Runs `run` over a live feed of `log` as `serve` gets it: pulled on
+    /// demand from two loopback session publishers through the merge.
+    /// Whatever `run` leaves unread is drained so the publishers finish.
+    fn with_live_feed<T>(log: &ControllerLog, run: impl FnOnce(&mut Feed<'_>) -> T) -> T {
         let server = IngestServer::bind("127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr().expect("local addr");
         let mut live = server
             .live(2, 64, LiveOptions::default())
             .expect("live ingest");
-        let publishers: Vec<_> = split_capture(&drill.current, 2)
+        let publishers: Vec<_> = split_capture(log, 2)
             .into_iter()
             .enumerate()
             .map(|(i, part)| {
@@ -759,26 +858,166 @@ mod tests {
                 std::thread::spawn(move || publish_session(addr, &part, &opts).expect("publish"))
             })
             .collect();
-
-        let path = tmp("live.ckpt");
-        let mut feed = Feed::live(live.take_merge());
-        let (drilled, report) = drill
-            .run(&mut feed, 1, Some(&path), &mut kills, false)
-            .unwrap();
+        let mut merge = live.take_merge();
+        let out = run(&mut Feed::live(&mut merge));
+        merge.for_each(drop);
         live.finish();
         for publisher in publishers {
             publisher.join().expect("publisher thread");
         }
-        assert_eq!(
-            report.restarts as usize, planned,
-            "every planned kill fired"
-        );
-        assert!(
-            drilled.windows(2).all(|w| w[0].0 < w[1].0),
-            "epochs delivered once each, in order"
-        );
-        assert_eq!(feed.events(), drill.current.events());
-        assert_eq!(clean, drilled, "killed live run == uninterrupted slice run");
+        out
+    }
+
+    /// Index of the event that crosses the boundary closing `epoch`:
+    /// the first at or past `origin + (epoch + 1) * epoch_us`. Events
+    /// before it are the ones consumed when that boundary is delivered.
+    fn crossing(drill: &Drill, epoch: u64) -> usize {
+        let events = drill.current.events();
+        let boundary = events[0].ts + (epoch + 1) * drill.config.online_epoch_us;
+        events.partition_point(|e| e.ts < boundary)
+    }
+
+    #[test]
+    fn live_feed_restart_delivers_every_epoch_exactly_once() {
+        // The path `serve` runs: events pulled on demand from loopback
+        // session publishers, a planned kill mid-stream, the replay
+        // re-read from the events the feed still holds.
+        let drill = Drill::new();
+        let clean = drill.clean();
+        let mut kills = seeded_kills(11, &clean);
+        let planned = kills.len();
+        assert!(planned >= 1);
+
+        let path = tmp("live.ckpt");
+        with_live_feed(&drill.current, |feed| {
+            let (drilled, report) = drill.run(feed, 1, Some(&path), &mut kills, false).unwrap();
+            assert_eq!(
+                report.restarts as usize, planned,
+                "every planned kill fired"
+            );
+            assert!(
+                drilled.windows(2).all(|w| w[0].0 < w[1].0),
+                "epochs delivered once each, in order"
+            );
+            assert_eq!(feed.pulled(), drill.current.len());
+            assert_eq!(clean, drilled, "killed live run == uninterrupted slice run");
+        });
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn live_feed_holds_only_what_the_last_checkpoint_can_replay() {
+        // A checkpoint every second epoch over eight: the feed may keep
+        // two epochs of events, never the stream.
+        let mut drill = Drill::new();
+        drill.config.checkpoint_every_epochs = 2;
+        drill.current = tree_log(2, 8, 8);
+        let clean = drill.clean();
+        let boundaries = clean.len() as u64 - 1;
+        let mut kills = seeded_kills(11, &clean);
+        let planned = kills.len();
+        assert!(planned >= 1);
+        // The cadence restarts with the differ, so the bound below needs
+        // two boundaries delivered after the last kill.
+        assert!(*kills.last().unwrap() + 2 <= boundaries);
+
+        let path = tmp("live-bounded.ckpt");
+        with_live_feed(&drill.current, |feed| {
+            let (drilled, report) = drill.run(feed, 1, Some(&path), &mut kills, false).unwrap();
+            assert_eq!(report.restarts as usize, planned);
+            assert_eq!(clean, drilled, "killed live run == uninterrupted slice run");
+            assert_eq!(feed.pulled(), drill.current.len());
+            // Exactly the events past the last checkpoint's offset ...
+            let bytes = std::fs::read(&path).unwrap();
+            let at = Differ::restore(&bytes, &drill.config)
+                .unwrap()
+                .events_consumed as usize;
+            assert_eq!(feed.held(), &drill.current.events()[at..]);
+            // ... which is no more than the last two epochs' events.
+            let last_two = drill.current.len() - crossing(&drill, boundaries - 2);
+            assert!(
+                feed.held().len() <= last_two,
+                "held {} of {}, last two epochs have {last_two}",
+                feed.held().len(),
+                drill.current.len()
+            );
+        });
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn live_feed_without_a_checkpoint_holds_one_epoch_and_cannot_restart_past_it() {
+        let mut drill = Drill::new();
+        let clean = drill.clean();
+        let boundaries = clean.len() as u64 - 1;
+        with_live_feed(&drill.current, |feed| {
+            let (run, report) = drill
+                .run(feed, 1, None, &mut BTreeSet::new(), false)
+                .unwrap();
+            assert_eq!(report.restarts, 0);
+            assert_eq!(clean, run);
+            assert_eq!(feed.pulled(), drill.current.len());
+            // The event crossing the last boundary was consumed with it.
+            let after = crossing(&drill, boundaries - 1) + 1;
+            assert_eq!(feed.held(), &drill.current.events()[after..]);
+        });
+
+        // A kill past the first boundary has nothing to replay from. A
+        // budget of zero shows the error comes before the restart path:
+        // no budget spent, and so no backoff slept.
+        drill.config.restart_budget = 0;
+        with_live_feed(&drill.current, |feed| {
+            let err = drill
+                .run(feed, 1, None, &mut BTreeSet::from([1]), false)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("not retained"), "got: {err}");
+            assert!(err.contains("--checkpoint"), "got: {err}");
+        });
+    }
+
+    #[test]
+    fn live_feed_without_a_checkpoint_restarts_before_its_first_release() {
+        // Killed at epoch 0 nothing has been released yet, so the run
+        // starts over from `fresh` like a slice would.
+        let drill = Drill::new();
+        let clean = drill.clean();
+        with_live_feed(&drill.current, |feed| {
+            let (drilled, report) = drill
+                .run(feed, 1, None, &mut BTreeSet::from([0]), false)
+                .unwrap();
+            assert_eq!(report.restarts, 1);
+            assert_eq!(clean, drilled, "recovered run == uninterrupted run");
+        });
+    }
+
+    #[test]
+    fn slice_feed_never_releases() {
+        let log = tree_log(1, 3, 1);
+        let mut feed = Feed::Slice(log.events());
+        feed.release(log.len());
+        assert_eq!(feed.pulled(), log.len());
+        assert_eq!(feed.held(), log.events());
+        assert_eq!(feed.get(0), log.events().first());
+    }
+
+    #[test]
+    #[should_panic(expected = "was released")]
+    fn live_feed_get_below_a_release_is_a_bug() {
+        let log = tree_log(1, 3, 1);
+        let mut feed = Feed::live(log.events().iter().cloned());
+        assert_eq!(feed.get(4), log.events().get(4));
+        assert_eq!((feed.pulled(), feed.held().len()), (5, 5));
+        // Mid-buffer: the tail stays readable.
+        feed.release(2);
+        assert_eq!((feed.pulled(), feed.held().len()), (5, 3));
+        assert_eq!(feed.get(2), log.events().get(2));
+        feed.release(5);
+        assert_eq!((feed.pulled(), feed.held().len()), (5, 0));
+        // Past what was pulled: the difference is pulled and discarded.
+        feed.release(8);
+        assert_eq!(feed.get(8), log.events().get(8));
+        assert_eq!((feed.pulled(), feed.held().len()), (9, 1));
+        feed.get(7);
     }
 }

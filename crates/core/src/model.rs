@@ -213,8 +213,13 @@ fn default_workers() -> usize {
 /// work items from a shared counter. Either way the signatures are
 /// reassembled in task order, so the result is identical.
 ///
-/// This is the single assembly point — both the batch entry points and
-/// [`IncrementalModelBuilder::snapshot`] land here.
+/// Everything that models a record set from scratch lands here through
+/// `finish_records`: the batch entry points
+/// ([`IncrementalModelBuilder::into_snapshot`]) and the oracle
+/// ([`IncrementalModelBuilder::snapshot`] / `snapshot_with`). The
+/// online boundary does not: [`IncrementalModelBuilder::epoch_snapshot`]
+/// runs its own inline fan-out over the maintained, already interned
+/// window, and is held byte-identical to this one by the oracle tests.
 fn assemble(
     records: Vec<FlowRecord>,
     span: (Timestamp, Timestamp),

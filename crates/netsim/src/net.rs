@@ -898,6 +898,9 @@ pub struct EventMerge {
     /// Per-stream gauges to mark Stalled/Active on; empty when the
     /// merge runs standalone (tests, pre-session pipelines).
     gauges: Vec<Arc<SessionGauge>>,
+    /// Scratch for one sweep of `next`: the open, headless, unwaived
+    /// streams found empty. Kept here so the wait path does not allocate.
+    pending: Vec<usize>,
 }
 
 impl EventMerge {
@@ -920,6 +923,7 @@ impl EventMerge {
             silent_since: (0..n).map(|_| None).collect(),
             waived: (0..n).map(|_| false).collect(),
             gauges,
+            pending: Vec::with_capacity(n),
         }
     }
 
@@ -970,7 +974,7 @@ impl Iterator for EventMerge {
     fn next(&mut self) -> Option<ControlEvent> {
         loop {
             // Nonblocking sweep: pick up arrivals, note silences.
-            let mut pending: Vec<usize> = Vec::new();
+            self.pending.clear();
             for i in 0..self.rxs.len() {
                 if self.heads[i].is_some() {
                     continue;
@@ -985,12 +989,12 @@ impl Iterator for EventMerge {
                         if self.silent_since[i].is_none() {
                             self.silent_since[i] = Some(Instant::now());
                         }
-                        pending.push(i);
+                        self.pending.push(i);
                     }
                     Err(TryRecvError::Disconnected) => self.close(i),
                 }
             }
-            if pending.is_empty() {
+            if self.pending.is_empty() {
                 if let Some(i) = self.min_head() {
                     return self.heads[i].take();
                 }
@@ -1010,7 +1014,7 @@ impl Iterator for EventMerge {
                 None => {
                     // Strict mode: block until the stream produces or
                     // closes (the PR 9 semantics, byte for byte).
-                    let i = pending[0];
+                    let i = self.pending[0];
                     let Some(rx) = &self.rxs[i] else { continue };
                     match rx.recv() {
                         Ok(ev) => self.got_head(i, ev),
@@ -1024,7 +1028,8 @@ impl Iterator for EventMerge {
                     // stalled streams time out together rather than
                     // serially.
                     let now = Instant::now();
-                    let (i, deadline) = pending
+                    let (i, deadline) = self
+                        .pending
                         .iter()
                         .map(|&i| {
                             let since = self.silent_since[i].unwrap_or(now);
