@@ -287,6 +287,21 @@ if grep -rnE 'AnyCheckpoint|allow\(clippy::(type_complexity|too_many_arguments)'
     exit 1
 fi
 
+step "one signature fan-out, and it is serial"
+# model.rs builds signatures from a window in exactly one function,
+# shared by the batch build, the oracle and the online boundary; the
+# thread pool that measured no faster stays deleted (DESIGN.md, Rejected).
+model_rs=crates/core/src/model.rs
+if grep -nE 'mpsc|AtomicUsize|thread::scope' "$model_rs"; then
+    echo "FAIL: $model_rs has a thread pool again" >&2
+    exit 1
+fi
+fan_outs=$(grep -c 'FlowStatsSig::build(' "$model_rs")
+if [ "$fan_outs" -ne 1 ]; then
+    echo "FAIL: $model_rs calls FlowStatsSig::build( $fan_outs times, want one fan-out" >&2
+    exit 1
+fi
+
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -60,7 +60,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
     if scale == "datacenter" {
         // The paper's 320-server tree (16 racks x 20 servers): two
         // captures of the same nine-app workload under different seeds,
-        // the pair the shardbench and scale-out docs exercise.
+        // the pair the scale-out docs exercise.
         let (baseline, _) = flowdiff_bench::tree_capture(9, 42, 6);
         let (current, _) = flowdiff_bench::tree_capture(9, 43, 6);
         let base_path = format!("{dir}/baseline.fcap");

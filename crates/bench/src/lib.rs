@@ -250,7 +250,7 @@ pub fn capture_case(
 
 /// A capture on the paper's 320-server tree (16 racks x 20 servers)
 /// with `n_apps` disjoint three-tier applications — the Fig. 13b
-/// workload the parallel and streaming builds target.
+/// workload the streaming builds target.
 pub fn tree_capture(n_apps: usize, seed: u64, secs: u64) -> (ControllerLog, FlowDiffConfig) {
     let topo = Topology::tree(16, 20);
     let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();

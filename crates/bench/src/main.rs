@@ -1,7 +1,9 @@
 //! Index of the experiment harness: lists the binaries that regenerate
 //! each table and figure of the paper — plus `watch`, the supervised
-//! online diff mode over on-disk captures, `chaos`, the ingestion fault
-//! drill, and `crashdrill`, the crash-recovery drill.
+//! online diff mode over on-disk captures, `serve`, the same mode over
+//! live sockets, and `publish`, its capture publisher; `chaos`, the
+//! ingestion fault drill, `flapdrill`, the connection-fault drill, and
+//! `crashdrill`, the crash-recovery drill.
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -161,6 +163,14 @@ impl<'a> Flags<'a> {
             .map_err(|e| format!("{flag} {value}: {e}").into())
     }
 
+    /// A duration given in units of `unit_us` microseconds, as
+    /// microseconds.
+    fn micros(&mut self, flag: &str, unit_us: u64) -> EngineResult<u64> {
+        let n: u64 = self.num(flag)?;
+        n.checked_mul(unit_us)
+            .ok_or_else(|| format!("{flag} {n}: too large").into())
+    }
+
     /// A count that must be at least 1.
     fn count(&mut self, flag: &str) -> EngineResult<usize> {
         match self.num(flag)? {
@@ -287,10 +297,10 @@ impl OnlineOpts {
                 "--shards" => opts.shards = flags.count(flag)?,
                 "--special" => config.special_ips = flags.ips(flag)?.into_iter().collect(),
                 "--epoch-secs" => {
-                    config.online_epoch_us = flags.num::<u64>(flag)?.max(1) * 1_000_000
+                    config.online_epoch_us = flags.micros(flag, 1_000_000)?.max(1_000_000);
                 }
                 "--window-secs" => {
-                    config.online_window_us = flags.num::<u64>(flag)?.max(1) * 1_000_000;
+                    config.online_window_us = flags.micros(flag, 1_000_000)?.max(1_000_000);
                 }
                 "--checkpoint" => opts.checkpoint = Some(flags.path(flag)?),
                 "--checkpoint-every" => config.checkpoint_every_epochs = flags.num(flag)?,
@@ -299,12 +309,12 @@ impl OnlineOpts {
                 "--listen" if serve => opts.listen = Some(flags.value(flag)?.to_string()),
                 "--publishers" if serve => opts.publishers = flags.count(flag)?,
                 "--queue" if serve => config.ingest_queue_events = flags.num(flag)?,
-                "--slack-ms" if serve => config.reorder_slack_us = flags.num::<u64>(flag)? * 1_000,
+                "--slack-ms" if serve => config.reorder_slack_us = flags.micros(flag, 1_000)?,
                 "--stall-ms" if serve => {
-                    config.ingest_stall_timeout_us = flags.num::<u64>(flag)? * 1_000;
+                    config.ingest_stall_timeout_us = flags.micros(flag, 1_000)?
                 }
                 "--heartbeat-ms" if serve => {
-                    config.ingest_heartbeat_us = flags.num::<u64>(flag)? * 1_000;
+                    config.ingest_heartbeat_us = flags.micros(flag, 1_000)?
                 }
                 other => return Err(unknown_flag(other)),
             }
@@ -831,7 +841,7 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     let mut trickles: usize = 1;
     let mut connections: usize = 2;
     let mut shards: usize = 1;
-    let mut merge_stall_ms: u64 = 0;
+    let mut merge_stall_us: u64 = 0;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next_flag() {
         match flag {
@@ -841,12 +851,12 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
             "--trickles" => trickles = flags.num(flag)?,
             "--connections" => connections = flags.count(flag)?,
             "--shards" => shards = flags.count(flag)?,
-            "--merge-stall-ms" => merge_stall_ms = flags.num(flag)?,
+            "--merge-stall-ms" => merge_stall_us = flags.micros(flag, 1_000)?,
             other => return Err(unknown_flag(other)),
         }
     }
 
-    let drill = Drill::new(|config| config.ingest_stall_timeout_us = merge_stall_ms * 1_000)?;
+    let drill = Drill::new(|config| config.ingest_stall_timeout_us = merge_stall_us)?;
     let chaos = ConnChaos {
         stalls,
         stall_ms: 40,
@@ -857,7 +867,8 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     println!(
         "flapdrill: seed {seed}, per conn {flaps} flap(s) + {stalls} stall(s) + \
          {trickles} trickle(s), {connections} connection(s), merge stall budget \
-         {merge_stall_ms} ms, {shards} shard(s)"
+         {} ms, {shards} shard(s)",
+        merge_stall_us / 1_000
     );
 
     let clean = wire_session_changes(&drill, WireFaults::Clean, connections, shards)?;
@@ -1273,6 +1284,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flowdiff-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn duration_flags_reject_values_that_overflow_microseconds() {
+        let args = |flag: &str, value: u64| vec![flag.to_string(), value.to_string()];
+        let secs = u64::MAX / 1_000_000 + 1;
+        let ms = u64::MAX / 1_000 + 1;
+        for (flag, value, serve) in [
+            ("--epoch-secs", secs, false),
+            ("--window-secs", secs, false),
+            ("--slack-ms", ms, true),
+            ("--stall-ms", ms, true),
+            ("--heartbeat-ms", ms, true),
+        ] {
+            let err = OnlineOpts::parse(&args(flag, value), serve).err().unwrap();
+            assert_eq!(err.to_string(), format!("{flag} {value}: too large"));
+        }
+        let err = cmd_flapdrill(&args("--merge-stall-ms", ms)).unwrap_err();
+        assert_eq!(err.to_string(), format!("--merge-stall-ms {ms}: too large"));
+        // The largest value that fits still parses.
+        let opts = OnlineOpts::parse(&args("--slack-ms", ms - 1), true).unwrap();
+        assert_eq!(opts.config.reorder_slack_us, (ms - 1) * 1_000);
     }
 
     #[test]

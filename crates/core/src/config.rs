@@ -136,8 +136,7 @@ pub struct FlowDiffConfig {
     /// Live ingest: publishers send a heartbeat record at least this
     /// often (wall time) when they have no data, and the server treats
     /// a session silent for well past this as dead-but-open rather
-    /// than quiet. `0` disables heartbeats (legacy PR 9 publishers
-    /// never send them).
+    /// than quiet. `0` disables heartbeats.
     pub ingest_heartbeat_us: u64,
     /// Live publish: how many times a publisher retries a failed
     /// connect/write (with resume) before giving up. `0` is valid and

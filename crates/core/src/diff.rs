@@ -453,8 +453,8 @@ impl Judge {
 
 /// Cumulative per-stage epoch-boundary timings, microseconds. Wall-clock
 /// diagnostics only — excluded from differ equality and serialization —
-/// read by the watch loop's per-epoch breakdown line and the hot-path
-/// bench via [`OnlineDiffer::take_timings`].
+/// read by the watch loop's per-epoch breakdown line via
+/// [`OnlineDiffer::take_timings`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTimings {
     /// Retiring expired state out of the sliding windows.
@@ -1445,12 +1445,8 @@ impl ShardedDiffer {
             builder.retire_before(start);
             parts.push(builder.into_shard_model());
         }
-        let model = IncrementalModelBuilder::merge(
-            parts,
-            Some((start, end)),
-            &self.judge.config,
-            workers(),
-        );
+        let model =
+            IncrementalModelBuilder::merge(parts, Some((start, end)), &self.judge.config, 0);
         Some(self.judge.snapshot(epoch, (start, end), model))
     }
 
@@ -1722,13 +1718,6 @@ impl Clone for ShardedDiffer {
             epoch_wall: None,
         }
     }
-}
-
-/// Worker threads for a merge's signature fan-out.
-fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

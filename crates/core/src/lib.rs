@@ -49,6 +49,7 @@
 pub mod change;
 pub mod checkpoint;
 pub mod config;
+mod derived;
 pub mod diagnosis;
 pub mod diff;
 pub mod engine;

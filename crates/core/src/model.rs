@@ -1,31 +1,24 @@
 //! The behavior model: all signatures of one log, bundled.
 //!
-//! Signature construction is embarrassingly parallel — each of the five
-//! application signatures per group and each infrastructure signature is
-//! a pure function of the (shared, read-only) records — so
-//! [`BehaviorModel::from_records`] fans the builds out over a scoped
-//! thread pool. Work items are claimed from an atomic counter and the
-//! results reassembled in deterministic task order, so the parallel
-//! build is `PartialEq`-identical to the serial one.
-//!
 //! There is exactly one model-building implementation: the streaming
 //! [`IncrementalModelBuilder`], which folds records and raw control
 //! events as they arrive and can snapshot a [`BehaviorModel`] at any
-//! point (the online differ snapshots at epoch boundaries). The batch
-//! entry points — [`BehaviorModel::build`] and the `from_records*`
-//! family — are thin wrappers that feed everything through one builder
-//! and snapshot once.
+//! point (the online differ snapshots at epoch boundaries).
+//! [`BehaviorModel::build`] is a thin wrapper that feeds a whole log
+//! through one builder and snapshots once. Every snapshot — batch,
+//! rebuild-from-scratch oracle, online boundary — turns its sorted,
+//! interned window into signatures through the one serial fan-out,
+//! `model_of`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use openflow::types::{DatapathId, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
+use crate::derived::Derived;
 use crate::groups::{discover_groups_interned, AppGroup};
-use crate::ids::{EntityCatalog, IRecord, RecordIndex};
+use crate::ids::{EntityCatalog, IRecord, InternedLog, RecordIndex};
 use crate::records::{FlowRecord, FlowTuple, RecordAssembler};
 use crate::signatures::connectivity::ConnectivityGraph;
 use crate::signatures::correlation::PartialCorrelation;
@@ -144,201 +137,6 @@ impl Deserialize for BehaviorModel {
             catalog,
             edge_index,
         })
-    }
-}
-
-/// Application signatures built per group, in task order.
-const SIGS_PER_GROUP: usize = 5;
-/// Infrastructure signatures built once per model (PT, ISL, CRT; LU
-/// needs the raw log and is accumulated by the
-/// [`IncrementalModelBuilder`] from `StatsReply` events).
-const INFRA_SIGS: usize = 3;
-
-/// One completed signature build, tagged for reassembly.
-enum Built {
-    Cg(ConnectivityGraph),
-    Fs(FlowStatsSig),
-    Ci(ComponentInteraction),
-    Dd(DelayDistribution),
-    Pc(PartialCorrelation),
-    Pt(PhysicalTopology),
-    Isl(InterSwitchLatency),
-    Crt(ControllerResponse),
-}
-
-/// Executes work item `task`: tasks `[0, 5G)` build application
-/// signature `task % 5` of group `task / 5`; the last three build the
-/// record-derived infrastructure signatures.
-fn build_part(
-    task: usize,
-    groups: &[AppGroup],
-    group_records: &[Vec<&IRecord>],
-    all_records: &[&IRecord],
-    catalog: &EntityCatalog,
-    span: (Timestamp, Timestamp),
-    config: &FlowDiffConfig,
-) -> Built {
-    let app_tasks = groups.len() * SIGS_PER_GROUP;
-    if task < app_tasks {
-        let (gi, si) = (task / SIGS_PER_GROUP, task % SIGS_PER_GROUP);
-        let inputs =
-            SignatureInputs::new(&group_records[gi], catalog, span, config).with_group(&groups[gi]);
-        match si {
-            0 => Built::Cg(ConnectivityGraph::build(&inputs)),
-            1 => Built::Fs(FlowStatsSig::build(&inputs)),
-            2 => Built::Ci(ComponentInteraction::build(&inputs)),
-            3 => Built::Dd(DelayDistribution::build(&inputs)),
-            _ => Built::Pc(PartialCorrelation::build(&inputs)),
-        }
-    } else {
-        let inputs = SignatureInputs::new(all_records, catalog, span, config);
-        match task - app_tasks {
-            0 => Built::Pt(PhysicalTopology::build(&inputs)),
-            1 => Built::Isl(InterSwitchLatency::build(&inputs)),
-            _ => Built::Crt(ControllerResponse::build(&inputs)),
-        }
-    }
-}
-
-/// The number of worker threads used by the parallel entry points.
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The shared signature fan-out: discovers groups over `records` and
-/// builds every record-derived signature with `workers` threads.
-/// `workers <= 1` runs the builds inline; otherwise scoped threads claim
-/// work items from a shared counter. Either way the signatures are
-/// reassembled in task order, so the result is identical.
-///
-/// Everything that models a record set from scratch lands here through
-/// `finish_records`: the batch entry points
-/// ([`IncrementalModelBuilder::into_snapshot`]) and the oracle
-/// ([`IncrementalModelBuilder::snapshot`] / `snapshot_with`). The
-/// online boundary does not: [`IncrementalModelBuilder::epoch_snapshot`]
-/// runs its own inline fan-out over the maintained, already interned
-/// window, and is held byte-identical to this one by the oracle tests.
-fn assemble(
-    records: Vec<FlowRecord>,
-    span: (Timestamp, Timestamp),
-    config: &FlowDiffConfig,
-    workers: usize,
-) -> BehaviorModel {
-    // Intern the (sorted) records into a fresh catalog: one pass
-    // assigns every entity its dense ID and produces the records the
-    // signature builds consume. IDs are process-local, so nothing
-    // requires the assignment to be stable across snapshots.
-    let mut catalog = EntityCatalog::new();
-    let mut irecords: Vec<IRecord> = Vec::with_capacity(records.len());
-    irecords.extend(records.iter().map(|r| catalog.intern_record(r)));
-    let all_records: Vec<&IRecord> = irecords.iter().collect();
-    let groups = discover_groups_interned(&all_records, &catalog, config);
-    let group_records: Vec<Vec<&IRecord>> = groups
-        .iter()
-        .map(|g| g.record_indices.iter().map(|&i| &irecords[i]).collect())
-        .collect();
-    let n_tasks = groups.len() * SIGS_PER_GROUP + INFRA_SIGS;
-
-    let built: Vec<Built> = if workers <= 1 {
-        (0..n_tasks)
-            .map(|t| {
-                build_part(
-                    t,
-                    &groups,
-                    &group_records,
-                    &all_records,
-                    &catalog,
-                    span,
-                    config,
-                )
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Built)>();
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(n_tasks) {
-                let tx = tx.clone();
-                let (next, groups, group_records, all_records, catalog) =
-                    (&next, &groups, &group_records, &all_records, &catalog);
-                s.spawn(move || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n_tasks {
-                        break;
-                    }
-                    let part =
-                        build_part(t, groups, group_records, all_records, catalog, span, config);
-                    if tx.send((t, part)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<Built>> = (0..n_tasks).map(|_| None).collect();
-            for (t, part) in rx {
-                slots[t] = Some(part);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every task completes"))
-                .collect()
-        })
-    };
-
-    // Reassemble in task order: per group [CG, FS, CI, DD, PC], then
-    // PT, ISL, CRT.
-    let mut parts = built.into_iter();
-    let group_sigs: Vec<GroupSignatures> = groups
-        .into_iter()
-        .map(|group| {
-            let Some(Built::Cg(connectivity)) = parts.next() else {
-                unreachable!("task order: CG first per group")
-            };
-            let Some(Built::Fs(flow_stats)) = parts.next() else {
-                unreachable!("task order: FS second per group")
-            };
-            let Some(Built::Ci(interaction)) = parts.next() else {
-                unreachable!("task order: CI third per group")
-            };
-            let Some(Built::Dd(delay)) = parts.next() else {
-                unreachable!("task order: DD fourth per group")
-            };
-            let Some(Built::Pc(correlation)) = parts.next() else {
-                unreachable!("task order: PC fifth per group")
-            };
-            GroupSignatures {
-                group,
-                connectivity,
-                flow_stats,
-                interaction,
-                delay,
-                correlation,
-            }
-        })
-        .collect();
-    let Some(Built::Pt(topology)) = parts.next() else {
-        unreachable!("task order: PT after groups")
-    };
-    let Some(Built::Isl(latency)) = parts.next() else {
-        unreachable!("task order: ISL after PT")
-    };
-    let Some(Built::Crt(response)) = parts.next() else {
-        unreachable!("task order: CRT last")
-    };
-
-    let edge_index = RecordIndex::of_interned(catalog.clone(), &all_records);
-    BehaviorModel {
-        records,
-        groups: group_sigs,
-        topology,
-        latency,
-        response,
-        utilization: LinkUtilization::default(),
-        span,
-        catalog,
-        edge_index,
     }
 }
 
@@ -465,8 +263,11 @@ pub struct ShardModel {
 /// proofs, the LU counter series) as part of an online
 /// [`checkpoint`](crate::checkpoint); the record-derived signatures
 /// need no state of their own here because they are rebuilt at every
-/// snapshot from the records the builder holds.
-#[derive(Debug, Clone)]
+/// snapshot from the records the builder holds. The two `Derived`
+/// fields compare equal and serialize to nothing, so equality is over
+/// the durable facts and the wire format is the other fields in
+/// declaration order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalModelBuilder {
     config: FlowDiffConfig,
     records: RecordWindow,
@@ -481,59 +282,16 @@ pub struct IncrementalModelBuilder {
     lu: LuBuilder,
     /// Lazily built incremental-snapshot state (persistent catalog,
     /// interned window of held and still-open episodes). Purely derived
-    /// from `records` and what the assembler holds open, so it is
-    /// excluded from equality and serialization and rebuilt on first
-    /// use after a restore.
-    ws: Option<WindowState>,
+    /// from `records` and what the assembler holds open, and rebuilt on
+    /// first use after a restore.
+    ws: Derived<Option<WindowState>>,
     /// Keys of completions accepted since the last snapshot and not yet
     /// folded into `ws`. Syncing lazily — at snapshot time, after the
     /// caller's retirement pass — means a record that ages out of the
     /// window within one epoch (the common fate of late-evicted
     /// episodes, whose `first_seen` predates the window) is never
-    /// interned at all. Derived state, like `ws`.
-    pending: Vec<(Timestamp, FlowTuple)>,
-}
-
-/// Equality ignores the derived window state: two builders are the same
-/// builder if the durable facts agree.
-impl PartialEq for IncrementalModelBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.records == other.records
-            && self.span_override == other.span_override
-            && self.observed_span == other.observed_span
-            && self.live == other.live
-            && self.lu == other.lu
-    }
-}
-
-/// Hand-written (field-order) serialization that skips the derived
-/// window state — the wire format matches what the field-order derive
-/// produced before `ws` existed, so checkpoints stay compatible.
-impl Serialize for IncrementalModelBuilder {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.config.serialize(out);
-        self.records.serialize(out);
-        self.span_override.serialize(out);
-        self.observed_span.serialize(out);
-        self.live.serialize(out);
-        self.lu.serialize(out);
-    }
-}
-
-impl Deserialize for IncrementalModelBuilder {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        Ok(IncrementalModelBuilder {
-            config: FlowDiffConfig::deserialize(input)?,
-            records: RecordWindow::deserialize(input)?,
-            span_override: Option::<(Timestamp, Timestamp)>::deserialize(input)?,
-            observed_span: Option::<(Timestamp, Timestamp)>::deserialize(input)?,
-            live: BTreeMap::<DatapathId, Timestamp>::deserialize(input)?,
-            lu: LuBuilder::deserialize(input)?,
-            ws: None,
-            pending: Vec::new(),
-        })
-    }
+    /// interned at all.
+    pending: Derived<Vec<(Timestamp, FlowTuple)>>,
 }
 
 /// One in-window episode of the interned window: a completion the owned
@@ -650,8 +408,8 @@ impl IncrementalModelBuilder {
             observed_span: None,
             live: BTreeMap::new(),
             lu: LuBuilder::default(),
-            ws: None,
-            pending: Vec::new(),
+            ws: Derived(None),
+            pending: Derived(Vec::new()),
         }
     }
 
@@ -661,8 +419,8 @@ impl IncrementalModelBuilder {
     /// next snapshot can fold whatever survives retirement into the
     /// maintained window state.
     pub fn observe_record(&mut self, record: FlowRecord) {
-        if self.ws.is_some() {
-            self.pending.push((record.first_seen, record.tuple));
+        if self.ws.0.is_some() {
+            self.pending.0.push((record.first_seen, record.tuple));
         }
         self.records.push(record);
     }
@@ -702,7 +460,7 @@ impl IncrementalModelBuilder {
     /// builder's memory proportional to the window, not the stream.
     pub fn retire_before(&mut self, cutoff: Timestamp) {
         self.records.retire_before(cutoff);
-        if let Some(ws) = &mut self.ws {
+        if let Some(ws) = &mut self.ws.0 {
             ws.retire_before(cutoff);
         }
         self.lu.retire_before(cutoff);
@@ -719,7 +477,7 @@ impl IncrementalModelBuilder {
     /// first time (and the first time after a restore), afterwards only
     /// new completions and the open episodes handed to it.
     pub fn epoch_synced(&self) -> usize {
-        self.ws.as_ref().map_or(0, |ws| ws.synced)
+        self.ws.0.as_ref().map_or(0, |ws| ws.synced)
     }
 
     /// The min/max event timestamp observed so far (None before the
@@ -728,30 +486,19 @@ impl IncrementalModelBuilder {
         self.observed_span
     }
 
-    /// Snapshots the model over all state held, using the default
-    /// worker count.
-    pub fn snapshot(&self) -> BehaviorModel {
-        self.snapshot_with(default_workers())
-    }
-
-    /// Snapshots with an explicit worker count (clones the held
+    /// Snapshots the model over all state held (clones the held
     /// records; the builder keeps accumulating afterwards). This is the
     /// rebuild-from-scratch oracle the incremental
     /// [`epoch_snapshot`](Self::epoch_snapshot) is verified against.
-    pub fn snapshot_with(&self, workers: usize) -> BehaviorModel {
-        self.finish_records(self.records.to_flat_vec(), workers)
+    pub fn snapshot(&self) -> BehaviorModel {
+        self.finish_records(self.records.to_flat_vec())
     }
 
     /// Consumes the builder into a final snapshot without cloning the
     /// record set — the batch wrappers' path.
-    pub fn into_snapshot(self) -> BehaviorModel {
-        self.into_snapshot_with(default_workers())
-    }
-
-    /// [`Self::into_snapshot`] with an explicit worker count.
-    pub fn into_snapshot_with(mut self, workers: usize) -> BehaviorModel {
+    pub fn into_snapshot(mut self) -> BehaviorModel {
         let records = std::mem::take(&mut self.records).into_flat_vec();
-        self.finish_records(records, workers)
+        self.finish_records(records)
     }
 
     /// Extracts this builder's accumulated state as one mergeable shard
@@ -831,11 +578,12 @@ impl IncrementalModelBuilder {
     /// signature fan-out). This is the rebuild-from-scratch oracle of
     /// the sharded differ, whose epoch boundaries fold barrier deltas
     /// into one maintained builder instead, and its end-of-stream path.
+    /// `_workers` is ignored; it leaves with `merge` in ROADMAP item 3.
     pub fn merge(
         parts: Vec<ShardModel>,
         span: Option<(Timestamp, Timestamp)>,
         config: &FlowDiffConfig,
-        workers: usize,
+        _workers: usize,
     ) -> BehaviorModel {
         let mut builder = IncrementalModelBuilder::new(config);
         if let Some(span) = span {
@@ -844,7 +592,7 @@ impl IncrementalModelBuilder {
         for part in parts {
             builder.absorb(part);
         }
-        builder.into_snapshot_with(workers)
+        builder.into_snapshot()
     }
 
     /// Rough heap footprint of the builder's state: held records,
@@ -861,7 +609,7 @@ impl IncrementalModelBuilder {
             .sum::<usize>()
             + self.live.len() * size_of::<(DatapathId, Timestamp)>()
             + self.lu.approx_bytes()
-            + self.ws.as_ref().map_or(0, WindowState::approx_bytes)
+            + self.ws.0.as_ref().map_or(0, WindowState::approx_bytes)
     }
 
     /// Snapshots the model for one epoch via the maintained window
@@ -884,13 +632,13 @@ impl IncrementalModelBuilder {
         span: (Timestamp, Timestamp),
         mut opens: Vec<FlowRecord>,
     ) -> BehaviorModel {
-        if let Some(ws) = &mut self.ws {
+        if let Some(ws) = &mut self.ws.0 {
             ws.synced = 0;
             // Fold completions accepted since the last snapshot into
             // the maintained state. This runs after the caller's
             // retirement pass, so keys already gone from the owned
             // window are skipped without ever being interned.
-            for key in self.pending.drain(..) {
+            for key in self.pending.0.drain(..) {
                 if let Some(ties) = self.records.map.get(&key) {
                     ws.complete(&key, ties);
                 }
@@ -898,10 +646,10 @@ impl IncrementalModelBuilder {
         } else {
             let mut ws = WindowState::default();
             ws.window = self.records.iter().map(|r| ws.intern(r, false)).collect();
-            self.ws = Some(ws);
-            self.pending.clear();
+            self.ws.0 = Some(ws);
+            self.pending.0.clear();
         }
-        let ws = self.ws.as_mut().expect("ensured above");
+        let ws = self.ws.0.as_mut().expect("ensured above");
 
         // Group the opens by key; the sort is stable, so same-key opens
         // keep their assembler iteration order — exactly where the batch
@@ -920,75 +668,94 @@ impl IncrementalModelBuilder {
             .collect();
         let refs: Vec<&IRecord> = ws.window.iter().map(|e| &e.ir).collect();
 
-        let groups = discover_groups_interned(&refs, &ws.catalog, &self.config);
-
-        let group_sigs: Vec<GroupSignatures> = groups
-            .into_iter()
-            .map(|group| {
-                let group_records: Vec<&IRecord> =
-                    group.record_indices.iter().map(|&i| refs[i]).collect();
-                let inputs = SignatureInputs::new(&group_records, &ws.catalog, span, &self.config)
-                    .with_group(&group);
-                // CG is exactly the group's own edge classification,
-                // already computed by discovery — cloned, not rebuilt.
-                let connectivity = ConnectivityGraph {
-                    edges: group.edges.clone(),
-                    service_edges: group.service_edges.clone(),
-                };
-                let flow_stats = FlowStatsSig::build(&inputs);
-                let interaction = ComponentInteraction::build(&inputs);
-                let delay = DelayDistribution::build(&inputs);
-                let correlation = PartialCorrelation::build(&inputs);
-                GroupSignatures {
-                    group,
-                    connectivity,
-                    flow_stats,
-                    interaction,
-                    delay,
-                    correlation,
-                }
-            })
-            .collect();
-
-        let inputs = SignatureInputs::new(&refs, &ws.catalog, span, &self.config);
-        let mut topology = PhysicalTopology::build(&inputs);
-        let latency = InterSwitchLatency::build(&inputs);
-        let response = ControllerResponse::build(&inputs);
-        topology.live_switches.extend(self.live.keys().copied());
-        let edge_index = RecordIndex::of_interned(ws.catalog.clone(), &refs);
-        let catalog = ws.catalog.clone();
-        drop(refs);
-        let utilization = self.lu.finalize();
-
-        BehaviorModel {
-            records,
-            groups: group_sigs,
-            topology,
-            latency,
-            response,
-            utilization,
-            span,
-            catalog,
-            edge_index,
-        }
+        let model = model_of(records, &refs, ws.catalog.clone(), span, &self.config);
+        self.with_event_facts(model)
     }
 
     /// The snapshot core: canonicalizes record order (streaming
-    /// completion order differs from batch extraction order), runs the
-    /// shared fan-out, then attaches the two event-derived facts.
-    fn finish_records(&self, mut records: Vec<FlowRecord>, workers: usize) -> BehaviorModel {
+    /// completion order differs from batch extraction order), interns
+    /// the records into a fresh catalog — IDs are process-local, so
+    /// nothing requires the assignment to be stable across snapshots —
+    /// and runs the shared fan-out. Window and catalog are derived from
+    /// nothing but the held records, which is what makes
+    /// [`snapshot`](Self::snapshot) an oracle for the maintained state.
+    fn finish_records(&self, mut records: Vec<FlowRecord>) -> BehaviorModel {
         records.sort_by_key(|r| (r.first_seen, r.tuple));
         let span = self
             .span_override
             .or(self.observed_span)
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let mut model = assemble(records, span, &self.config, workers);
+        let InternedLog {
+            catalog,
+            records: irecords,
+        } = InternedLog::of(&records);
+        let refs: Vec<&IRecord> = irecords.iter().collect();
+        let model = model_of(records, &refs, catalog, span, &self.config);
+        self.with_event_facts(model)
+    }
+
+    /// Attaches the two facts that come from raw events, not records.
+    fn with_event_facts(&self, mut model: BehaviorModel) -> BehaviorModel {
         model
             .topology
             .live_switches
             .extend(self.live.keys().copied());
         model.utilization = self.lu.finalize();
         model
+    }
+}
+
+/// The one place signatures are built from a window: `records` sorted by
+/// `(first_seen, tuple)` and `refs` the same records, positionally
+/// aligned, interned through `catalog`. Discovers groups, then builds
+/// per group CG, FS, CI, DD, PC and once PT, ISL, CRT and the edge
+/// index. Serial: a scoped thread pool over these builds measured no
+/// faster (DESIGN.md, "Rejected").
+fn model_of(
+    records: Vec<FlowRecord>,
+    refs: &[&IRecord],
+    catalog: EntityCatalog,
+    span: (Timestamp, Timestamp),
+    config: &FlowDiffConfig,
+) -> BehaviorModel {
+    let groups = discover_groups_interned(refs, &catalog, config)
+        .into_iter()
+        .map(|group| {
+            let group_records: Vec<&IRecord> =
+                group.record_indices.iter().map(|&i| refs[i]).collect();
+            let inputs =
+                SignatureInputs::new(&group_records, &catalog, span, config).with_group(&group);
+            // CG is exactly the group's own edge classification,
+            // already computed by discovery — cloned, not rebuilt.
+            let connectivity = ConnectivityGraph {
+                edges: group.edges.clone(),
+                service_edges: group.service_edges.clone(),
+            };
+            let flow_stats = FlowStatsSig::build(&inputs);
+            let interaction = ComponentInteraction::build(&inputs);
+            let delay = DelayDistribution::build(&inputs);
+            let correlation = PartialCorrelation::build(&inputs);
+            GroupSignatures {
+                group,
+                connectivity,
+                flow_stats,
+                interaction,
+                delay,
+                correlation,
+            }
+        })
+        .collect();
+    let inputs = SignatureInputs::new(refs, &catalog, span, config);
+    BehaviorModel {
+        records,
+        groups,
+        topology: PhysicalTopology::build(&inputs),
+        latency: InterSwitchLatency::build(&inputs),
+        response: ControllerResponse::build(&inputs),
+        utilization: LinkUtilization::default(),
+        span,
+        edge_index: RecordIndex::of_interned(catalog.clone(), refs),
+        catalog,
     }
 }
 
@@ -1011,34 +778,6 @@ impl BehaviorModel {
             builder.set_span(span);
         }
         builder.into_snapshot()
-    }
-
-    /// Builds the model from already-extracted records (used by the
-    /// stability analysis, which re-segments one extraction), fanning
-    /// the signature builds out over the available cores.
-    pub fn from_records(
-        records: Vec<FlowRecord>,
-        span: (Timestamp, Timestamp),
-        config: &FlowDiffConfig,
-    ) -> BehaviorModel {
-        Self::from_records_with(records, span, config, default_workers())
-    }
-
-    /// Builds the model with an explicit worker count: a wrapper that
-    /// folds the records through an [`IncrementalModelBuilder`] and
-    /// snapshots once.
-    pub fn from_records_with(
-        records: Vec<FlowRecord>,
-        span: (Timestamp, Timestamp),
-        config: &FlowDiffConfig,
-        workers: usize,
-    ) -> BehaviorModel {
-        let mut builder = IncrementalModelBuilder::new(config);
-        builder.set_span(span);
-        for record in records {
-            builder.observe_record(record);
-        }
-        builder.into_snapshot_with(workers)
     }
 
     /// The group containing `ip` as a member, if any.
@@ -1130,37 +869,6 @@ mod tests {
         assert!(m.records.is_empty());
         assert!(m.groups.is_empty());
         assert_eq!(m.response.overall.n, 0);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let (log, config) = scenario_log();
-        let records = extract_records(&log, &config);
-        let span = log
-            .time_range()
-            .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let serial = BehaviorModel::from_records_with(records.clone(), span, &config, 1);
-        let parallel = BehaviorModel::from_records_with(records, span, &config, 4);
-        assert_eq!(serial, parallel, "task-order reassembly must be identical");
-        assert!(!serial.groups.is_empty());
-    }
-
-    #[test]
-    fn incremental_builder_matches_batch_from_records() {
-        let (log, config) = scenario_log();
-        let records = extract_records(&log, &config);
-        let span = log
-            .time_range()
-            .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let batch = BehaviorModel::from_records(records.clone(), span, &config);
-        let mut builder = IncrementalModelBuilder::new(&config);
-        builder.set_span(span);
-        for record in records {
-            builder.observe_record(record);
-        }
-        assert!(builder.record_count() > 0);
-        let streamed = builder.snapshot();
-        assert_eq!(batch, streamed, "streamed model must equal from_records");
     }
 
     #[test]
@@ -1268,7 +976,7 @@ mod tests {
                 probe.observe_record((*open).clone());
             }
             probe.set_span(span);
-            let expected = probe.snapshot_with(1);
+            let expected = probe.snapshot();
             let opens = handed.iter().map(|r| (*r).clone()).collect();
             let model = builder.epoch_snapshot(span, opens);
             assert_eq!(model, expected, "step {i}");

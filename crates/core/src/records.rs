@@ -17,6 +17,7 @@ use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
+use crate::derived::Derived;
 use crate::ids::{shard_of, EntityCatalog, ShardKey};
 
 /// One countable irregularity in the control-event stream.
@@ -289,28 +290,6 @@ struct PendingHop {
     seq: u64,
     hop_idx: usize,
     registered: Timestamp,
-}
-
-/// State derived from the rest of its owner, for the online differ's
-/// benefit only: every value compares equal, serializes to nothing and
-/// deserializes to its default, so the checkpoint layout is unchanged.
-#[derive(Debug, Clone, Default)]
-struct Derived<T>(T);
-
-impl<T> PartialEq for Derived<T> {
-    fn eq(&self, _: &Derived<T>) -> bool {
-        true
-    }
-}
-
-impl<T> Serialize for Derived<T> {
-    fn serialize(&self, _out: &mut Vec<u8>) {}
-}
-
-impl<T: Default> Deserialize for Derived<T> {
-    fn deserialize(_input: &mut &[u8]) -> Result<Self, serde::Error> {
-        Ok(Derived(T::default()))
-    }
 }
 
 /// The tuples with an open episode that changed — a hop, a `FlowMod`

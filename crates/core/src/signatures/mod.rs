@@ -248,8 +248,7 @@ pub trait Signature: Sized {
 mod tests {
     use super::*;
     use crate::ids::InternedLog;
-    use crate::records::{FlowRecord, FlowTuple};
-    use openflow::types::IpProto;
+    use crate::records::FlowRecord;
     use std::net::Ipv4Addr;
 
     /// `records` interned in window order, for fixtures that generate
@@ -264,6 +263,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "ascending (first_seen, tuple) order")]
     fn inputs_reject_a_descending_feed() {
+        use crate::records::FlowTuple;
+        use openflow::types::IpProto;
+
         let at = |secs: u64| FlowRecord {
             tuple: FlowTuple {
                 src: Ipv4Addr::new(10, 0, 0, 1),

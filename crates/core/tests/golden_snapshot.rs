@@ -124,6 +124,33 @@ fn tree320_diff_bytes_match_golden_snapshot() {
     );
 }
 
+/// The model's fan-out clones each group's CG from the edge sets group
+/// discovery classified instead of calling `ConnectivityGraph::build`;
+/// the two must agree group by group.
+#[test]
+fn tree320_group_edges_equal_connectivity_build() {
+    use flowdiff::signatures::connectivity::ConnectivityGraph;
+
+    let (model, _, config) = snapshot_inputs();
+    assert!(model.groups.iter().any(|g| !g.group.edges.is_empty()));
+    for g in &model.groups {
+        let records: Vec<FlowRecord> = (g.group.record_indices.iter())
+            .map(|&i| model.records[i].clone())
+            .collect();
+        let il = InternedLog::of(&records);
+        let refs = il.refs();
+        let built = ConnectivityGraph::build(&SignatureInputs::new(
+            &refs,
+            &il.catalog,
+            model.span,
+            &config,
+        ));
+        assert_eq!(built.edges, g.group.edges);
+        assert_eq!(built.service_edges, g.group.service_edges);
+        assert_eq!(built, g.connectivity);
+    }
+}
+
 /// Serialization must also be a pure function of the model value:
 /// building the same capture twice yields identical bytes (guards
 /// against nondeterministic iteration order leaking into the format).

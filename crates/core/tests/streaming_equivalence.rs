@@ -650,7 +650,7 @@ proptest! {
     /// `PartialEq`-identical and serializes byte-identically to the
     /// historical clone-probe remodel (clone the builder, observe the
     /// open episodes, retire everything before the window, rebuild from
-    /// scratch via the `snapshot_with` oracle) — across random
+    /// scratch via the `snapshot` oracle) — across random
     /// interleaved streams, chaos-mangled wire bytes, and with a 4-shard
     /// [`ShardedDiffer`] held to the same snapshots.
     #[test]
@@ -692,7 +692,7 @@ proptest! {
             }
             probe.retire_before(window.0);
             probe.set_span(window);
-            probe.snapshot_with(1)
+            probe.snapshot()
         };
 
         for event in &events {
@@ -839,7 +839,7 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             }
             probe.retire_before(snap.window.0);
             probe.set_span(snap.window);
-            let expected = probe.snapshot_with(1);
+            let expected = probe.snapshot();
             assert_eq!(expected, snap.model, "epoch {} model", snap.epoch);
             assert_eq!(
                 serde::to_vec(&expected),
