@@ -267,6 +267,11 @@ case "$rss_out" in
 esac
 peak_rss_mb="$(printf '%s\n' "$rss_out" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')"
 echo "INFO: serve_dense peak_rss_mb = $peak_rss_mb"
+# Capture generation dominates set-up. Printed, not gated: one run on a
+# shared box cannot hold a ratio; crates/bench/tests/golden_capture.rs
+# guards the flow-table index by count instead.
+echo "INFO: serve_dense setup_s =" \
+    "$(printf '%s\n' "$rss_out" | sed -n 's/.*"setup_s": {"value": \([0-9.]*\).*/\1/p')"
 if ! awk -v rss="$peak_rss_mb" 'BEGIN { exit !(rss > 0 && rss < 65) }'; then
     echo "FAIL: serve_dense peak_rss_mb is $peak_rss_mb, want < 65: is the live feed retaining the stream?" >&2
     exit 1

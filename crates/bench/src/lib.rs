@@ -252,6 +252,15 @@ pub fn capture_case(
 /// with `n_apps` disjoint three-tier applications — the Fig. 13b
 /// workload the streaming builds target.
 pub fn tree_capture(n_apps: usize, seed: u64, secs: u64) -> (ControllerLog, FlowDiffConfig) {
+    (
+        tree_scenario(n_apps, seed, secs).run().log,
+        FlowDiffConfig::default(),
+    )
+}
+
+/// The scenario [`tree_capture`] runs, for callers that also want the
+/// simulator's own counters.
+pub fn tree_scenario(n_apps: usize, seed: u64, secs: u64) -> Scenario {
     let topo = Topology::tree(16, 20);
     let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
     let mut sc = Scenario::new(
@@ -278,7 +287,7 @@ pub fn tree_capture(n_apps: usize, seed: u64, secs: u64) -> (ControllerLog, Flow
             bytes_per_flow: 30_000,
         });
     }
-    (sc.run().log, FlowDiffConfig::default())
+    sc
 }
 
 /// Prints a fixed-width text table.

@@ -2,28 +2,29 @@
 //!
 //! The build environment is offline, so the real `bytes` crate is
 //! unavailable; this crate supplies the subset its users need:
-//! `BytesMut` as a growable write buffer with network-order (big
-//! endian) `put_*` methods, `Bytes` as an immutable refcounted view
-//! supporting zero-copy `slice`, and the `Buf`/`BufMut` traits with
-//! the read/write methods the OpenFlow wire codec calls. Reads panic
-//! on underflow, matching the real crate's contract (callers guard
-//! with `remaining()`).
+//! `Bytes` as an immutable refcounted view supporting zero-copy
+//! `slice`, and the `Buf`/`BufMut` traits with the network-order (big
+//! endian) read/write methods the OpenFlow wire codec calls, over
+//! `&[u8]` and over `Vec<u8>` / `&mut [u8]`. Reads panic on underflow,
+//! matching the real crate's contract (callers guard with
+//! `remaining()`).
 
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-/// Immutable refcounted byte view: an `Arc<Vec<u8>>` plus a window
-/// into it. [`slice`](Bytes::slice) shares the backing allocation, so
-/// a decoder can hand out payload views into a capture buffer without
-/// copying. Equality, ordering, and hashing are over the viewed
-/// contents only — a shared slice and an owned copy of the same bytes
-/// are equal and hash alike, as with the real crate.
+/// Immutable refcounted byte view: an `Arc<[u8]>` — count and bytes in
+/// one allocation — plus a window into it. [`slice`](Bytes::slice)
+/// shares the backing allocation, so a decoder can hand out payload
+/// views into a capture buffer without copying. Equality, ordering, and
+/// hashing are over the viewed contents only — a shared slice and an
+/// owned copy of the same bytes are equal and hash alike, as with the
+/// real crate.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<[u8]>,
     start: usize,
     end: usize,
 }
@@ -34,7 +35,16 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::whole(Arc::from(data))
+    }
+
+    fn whole(data: Arc<[u8]>) -> Self {
+        let end = data.len();
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -116,12 +126,16 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        let end = data.len();
-        Bytes {
-            data: Arc::new(data),
-            start: 0,
-            end,
-        }
+        Bytes::whole(Arc::from(data))
+    }
+}
+
+/// Collects straight into the shared allocation; an iterator that knows
+/// its exact length (slices, `repeat_n`, chains of them) costs one
+/// allocation and no copy.
+impl FromIterator<u8> for Bytes {
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        Bytes::whole(iter.into_iter().collect())
     }
 }
 
@@ -154,67 +168,6 @@ impl Serialize for Bytes {
 impl Deserialize for Bytes {
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
         Ok(Bytes::from(Vec::<u8>::deserialize(input)?))
-    }
-}
-
-/// Growable write buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut { data: Vec::new() }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.data.resize(new_len, value);
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
     }
 }
 
@@ -295,15 +248,20 @@ pub trait BufMut {
     }
 }
 
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+/// Writes into the front of the slice and advances past what was
+/// written, as with the real crate. Panics when the slice is too short.
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        assert!(src.len() <= self.len(), "buffer overflow");
+        let (head, tail) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = tail;
     }
 }
 
@@ -313,13 +271,13 @@ mod tests {
 
     #[test]
     fn write_then_read_big_endian() {
-        let mut buf = BytesMut::with_capacity(32);
+        let mut buf = Vec::new();
         buf.put_u8(0xab);
         buf.put_u16(0x0102);
         buf.put_u32(0x0304_0506);
         buf.put_u64(0x0708_090a_0b0c_0d0e);
         buf.put_slice(b"xy");
-        let frozen = buf.freeze();
+        let frozen = Bytes::from(buf);
         assert_eq!(frozen.len(), 1 + 2 + 4 + 8 + 2);
 
         let mut cursor: &[u8] = &frozen;
@@ -331,6 +289,26 @@ mod tests {
         cursor.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"xy");
         assert_eq!(cursor.remaining(), 0);
+    }
+
+    #[test]
+    fn slice_writer_fills_from_the_front() {
+        let mut backing = [0u8; 4];
+        let mut w = &mut backing[..];
+        w.put_u8(1);
+        w.put_u16(0x0203);
+        assert_eq!(w.len(), 1);
+        assert_eq!(backing, [1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn collects_from_an_iterator() {
+        let b: Bytes = [1u8, 2]
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(0, 2))
+            .collect();
+        assert_eq!(&*b, &[1, 2, 0, 0]);
     }
 
     #[test]

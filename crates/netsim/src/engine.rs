@@ -49,6 +49,12 @@ pub struct SimStats {
     pub flow_mods: u64,
     /// `FlowRemoved` messages logged.
     pub flow_removeds: u64,
+    /// Flow-table calls made by all switches
+    /// ([`FlowTable::ops`](openflow::flow_table::FlowTable::ops)).
+    pub table_ops: u64,
+    /// Flow entries those calls read; per call, about one while the
+    /// tables answer from their indexes.
+    pub table_entries_examined: u64,
 }
 
 /// Queueing-delay scale, microseconds: with an M/M/1-style
@@ -119,6 +125,10 @@ pub struct Simulation {
     seq: u64,
     switches: HashMap<NodeId, SwitchState>,
     controller: ControllerModel,
+    /// `controller.route` per `(src, dst)` under the current failed-switch
+    /// set: the BFS is deterministic by port order, so a cached path is
+    /// the path. Dropped whenever a fault is applied.
+    routes: HashMap<(NodeId, NodeId), Option<Vec<NodeId>>>,
     log: ControllerLog,
     flows: Vec<FlowState>,
     link_rate: Vec<f64>,
@@ -163,6 +173,7 @@ impl Simulation {
             seq: 0,
             switches,
             controller,
+            routes: HashMap::new(),
             log: ControllerLog::new(),
             flows: Vec::new(),
             link_rate,
@@ -235,7 +246,12 @@ impl Simulation {
 
     /// Aggregate run statistics.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        let tables = || self.switches.values().map(|state| &state.table);
+        SimStats {
+            table_ops: tables().map(FlowTable::ops).sum(),
+            table_entries_examined: tables().map(FlowTable::entries_examined).sum(),
+            ..self.stats
+        }
     }
 
     /// Read-only view of all flow states (indexed by `FlowId`).
@@ -356,6 +372,10 @@ impl Simulation {
             Ev::ApplyFault(idx) => {
                 let fault = self.scheduled_faults[idx].clone();
                 self.faults.apply(&fault);
+                // Only the failed-switch set feeds a route, but faults are
+                // few: dropping every path is cheaper than telling them
+                // apart.
+                self.routes.clear();
             }
             Ev::EchoTick => self.on_echo_tick(),
             Ev::StatsTick => self.on_stats_tick(),
@@ -506,10 +526,12 @@ impl Simulation {
             self.kill_flow(id);
             return;
         }
-        let faults = &self.faults;
+        let (controller, topo, faults) = (&self.controller, &self.topo, &self.faults);
         let Some(path) = self
-            .controller
-            .route(&self.topo, src, dst, |n| faults.is_switch_failed(n))
+            .routes
+            .entry((src, dst))
+            .or_insert_with(|| controller.route(topo, src, dst, |n| faults.is_switch_failed(n)))
+            .clone()
         else {
             self.kill_flow(id);
             return;
@@ -797,13 +819,14 @@ impl Simulation {
             return;
         }
         self.add_path_rate(id, -1.0);
-        let (key, path, wire_bytes, wire_packets) = {
+        let (key, switch_hops, wire_bytes, wire_packets) = {
             let flow = &mut self.flows[id.0 as usize];
             flow.phase = FlowPhase::Completed;
             flow.completed_at = Some(self.now);
             (
                 flow.spec.key,
-                flow.path.clone(),
+                // Every path node but the two end hosts.
+                flow.path.len().saturating_sub(2),
                 flow.wire_bytes,
                 flow.wire_packets,
             )
@@ -814,16 +837,16 @@ impl Simulation {
         // packet was already counted on installation.
         let extra_pkts = wire_packets.saturating_sub(1);
         let extra_bytes = wire_bytes.saturating_sub(self.config.packet_size.min(wire_bytes));
-        for (i, w) in path.windows(2).enumerate() {
-            let node = w[1];
-            if i + 2 > path.len() - 1 {
-                break; // reached the destination host
-            }
+        for i in 0..switch_hops {
+            let (prev, node, next) = {
+                let path = &self.flows[id.0 as usize].path;
+                (path[i], path[i + 1], path[i + 2])
+            };
             if !self.topo.node(node).is_of_switch() {
                 continue;
             }
-            let in_port = self.adj_port(node, w[0]);
-            let out_port = self.adj_port(node, path[i + 2]);
+            let in_port = self.adj_port(node, prev);
+            let out_port = self.adj_port(node, next);
             if let Some(state) = self.switches.get_mut(&node) {
                 state
                     .table

@@ -271,7 +271,7 @@ pub fn encode_event(ev: &ControlEvent, out: &mut Vec<u8>) {
         Direction::ToController => 0,
         Direction::FromController => 1,
     });
-    out.extend_from_slice(&openflow::wire::encode(&ev.msg, ev.xid));
+    openflow::wire::encode_into(&ev.msg, ev.xid, out);
 }
 
 impl ControllerLog {
@@ -279,9 +279,15 @@ impl ControllerLog {
     /// header followed by one [`encode_event`] frame per event. Suitable
     /// for writing to disk and re-analyzing later.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 * self.events.len() + 8);
+        /// Frames encoded before the rest of the buffer is sized from
+        /// their mean length.
+        const SAMPLE: usize = 64;
+        let mut out = Vec::new();
         out.extend_from_slice(CAPTURE_MAGIC);
-        for ev in &self.events {
+        for (i, ev) in self.events.iter().enumerate() {
+            if i == SAMPLE {
+                out.reserve(out.len().div_ceil(SAMPLE) * (self.events.len() - SAMPLE));
+            }
             encode_event(ev, &mut out);
         }
         out

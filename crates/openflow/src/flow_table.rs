@@ -11,13 +11,15 @@
 //!   (when the entry asked for them) carrying final byte/packet counters —
 //!   the raw material of FlowDiff's flow-statistics signature.
 
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::actions::Action;
 use crate::error::FlowTableError;
-use crate::match_fields::{FlowKey, OfMatch};
+use crate::match_fields::{FlowKey, OfMatch, Wildcards};
 use crate::messages::{FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason};
 use crate::types::{Cookie, PortNo, Timestamp};
 
@@ -116,10 +118,41 @@ fn effective_priority(m: &OfMatch, priority: u16) -> u16 {
 }
 
 /// A single-table switch flow table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Every entry carries an insertion sequence number, and three indexes
+/// are kept over them so that no per-packet call walks the table:
+///
+/// * microflow entries (no field wildcarded — what a reactive controller
+///   installs per flow) are found by hashing the packet's own
+///   [`OfMatch::exact`];
+/// * the remaining, wildcarded entries sit in a short list that is
+///   still scanned;
+/// * a deadline index ordered by `(expiry time, sequence)` is re-keyed
+///   whenever a match moves an entry's idle clock, so the next expiry is
+///   its first element and a sweep visits only what is due.
+///
+/// Sequence order is part of the contract: removal notifications come
+/// out in insertion order (the simulator draws one random latency per
+/// notification, so their order is in every capture), and among
+/// matching entries of equal priority and specificity the most recently
+/// installed wins.
+#[derive(Debug, Clone, Default)]
 pub struct FlowTable {
-    entries: Vec<FlowEntry>,
+    /// Every entry by sequence number: ascending is insertion order.
+    entries: BTreeMap<u64, FlowEntry>,
+    /// Microflow entries (`wildcards == Wildcards::NONE`) by match. A
+    /// match with stray bits outside [`Wildcards::ALL`] still counts as
+    /// exact for priority but never equals an `OfMatch::exact`, so it is
+    /// listed in `wild`.
+    exact: HashMap<OfMatch, u64>,
+    /// All other entries, ascending.
+    wild: Vec<u64>,
+    /// `(deadline, sequence)` of every entry that has a timeout.
+    deadlines: BTreeSet<(Timestamp, u64)>,
+    next_seq: u64,
     capacity: Option<usize>,
+    ops: Cell<u64>,
+    examined: Cell<u64>,
 }
 
 impl FlowTable {
@@ -132,8 +165,8 @@ impl FlowTable {
     /// hardware TCAM limits.
     pub fn with_capacity(capacity: usize) -> FlowTable {
         FlowTable {
-            entries: Vec::new(),
             capacity: Some(capacity),
+            ..FlowTable::default()
         }
     }
 
@@ -147,13 +180,98 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
-    /// Iterates over installed entries in unspecified order.
+    /// Iterates over installed entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.entries.iter()
+        self.entries.values()
+    }
+
+    /// Calls made so far to [`apply`](Self::apply),
+    /// [`lookup`](Self::lookup), [`match_packet`](Self::match_packet),
+    /// [`account`](Self::account), [`expire`](Self::expire) and
+    /// [`next_deadline`](Self::next_deadline).
+    pub fn ops(&self) -> u64 {
+        self.ops.get()
+    }
+
+    /// Entries those calls read to reach their answer. Divided by
+    /// [`ops`](Self::ops) this is the table's work per call: about one
+    /// when the indexes answer, the table's size when something scans.
+    pub fn entries_examined(&self) -> u64 {
+        self.examined.get()
+    }
+
+    fn count(&self, examined: usize) {
+        self.ops.set(self.ops.get() + 1);
+        self.examined.set(self.examined.get() + examined as u64);
+    }
+
+    fn entry(&self, seq: u64) -> &FlowEntry {
+        self.entries
+            .get(&seq)
+            .expect("invariant: an indexed sequence number has an entry")
+    }
+
+    fn insert(&mut self, entry: FlowEntry) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if entry.match_.wildcards == Wildcards::NONE {
+            self.exact.insert(entry.match_, seq);
+        } else {
+            self.wild.push(seq);
+        }
+        if let Some((deadline, _)) = entry.deadline() {
+            self.deadlines.insert((deadline, seq));
+        }
+        self.entries.insert(seq, entry);
+    }
+
+    fn remove(&mut self, seq: u64) -> FlowEntry {
+        let entry = self
+            .entries
+            .remove(&seq)
+            .expect("invariant: an indexed sequence number has an entry");
+        if entry.match_.wildcards == Wildcards::NONE {
+            self.exact.remove(&entry.match_);
+        } else if let Ok(at) = self.wild.binary_search(&seq) {
+            self.wild.remove(at);
+        }
+        if let Some((deadline, _)) = entry.deadline() {
+            self.deadlines.remove(&(deadline, seq));
+        }
+        entry
+    }
+
+    /// Sequence numbers of the entries `fm` addresses, ascending:
+    /// identical match and priority when `strict` (what `Add` replaces
+    /// too), everything the match covers otherwise.
+    fn addressed(&self, fm: &FlowMod, strict: bool) -> Vec<u64> {
+        if !strict {
+            self.count(self.entries.len());
+            let covered = |(_, e): &(&u64, &FlowEntry)| covers(&fm.match_, &e.match_);
+            return self
+                .entries
+                .iter()
+                .filter(covered)
+                .map(|(&s, _)| s)
+                .collect();
+        }
+        if fm.match_.wildcards == Wildcards::NONE {
+            // Every microflow entry has the implicit top priority.
+            let hit = self.exact.get(&fm.match_).copied();
+            self.count(hit.iter().len());
+            return hit.into_iter().collect();
+        }
+        self.count(self.wild.len());
+        let priority = effective_priority(&fm.match_, fm.priority);
+        let same = |&seq: &u64| {
+            let e = self.entry(seq);
+            e.match_ == fm.match_ && e.priority == priority
+        };
+        self.wild.iter().copied().filter(same).collect()
     }
 
     /// Applies a flow-mod, returning any removal notifications produced by
-    /// delete commands.
+    /// delete commands, in the order the deleted entries were installed.
     ///
     /// # Errors
     ///
@@ -169,72 +287,99 @@ impl FlowTable {
             FlowModCommand::Add => {
                 // Identical match+priority replaces in place, preserving
                 // nothing (counters reset), per the 1.0 spec.
-                let priority = effective_priority(&fm.match_, fm.priority);
-                self.entries
-                    .retain(|e| !(e.match_ == fm.match_ && e.priority == priority));
+                for seq in self.addressed(fm, true) {
+                    self.remove(seq);
+                }
                 if let Some(cap) = self.capacity {
                     if self.entries.len() >= cap {
                         return Err(FlowTableError::TableFull { capacity: cap });
                     }
                 }
-                self.entries.push(FlowEntry::from_flow_mod(fm, now));
+                self.insert(FlowEntry::from_flow_mod(fm, now));
                 Ok(Vec::new())
             }
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
                 let strict = fm.command == FlowModCommand::ModifyStrict;
-                let mut touched = false;
-                for e in &mut self.entries {
-                    let hit = if strict {
-                        e.match_ == fm.match_
-                            && e.priority == effective_priority(&fm.match_, fm.priority)
-                    } else {
-                        covers(&fm.match_, &e.match_)
-                    };
-                    if hit {
+                let hits = self.addressed(fm, strict);
+                if strict && hits.is_empty() {
+                    return Err(FlowTableError::NoSuchEntry);
+                }
+                for seq in hits {
+                    if let Some(e) = self.entries.get_mut(&seq) {
                         e.actions = fm.actions.clone();
                         e.cookie = fm.cookie;
-                        touched = true;
                     }
-                }
-                if strict && !touched {
-                    return Err(FlowTableError::NoSuchEntry);
                 }
                 Ok(Vec::new())
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
                 let mut removed = Vec::new();
-                let out_port = fm.out_port;
-                self.entries.retain(|e| {
-                    let match_hit = if strict {
-                        e.match_ == fm.match_
-                            && e.priority == effective_priority(&fm.match_, fm.priority)
-                    } else {
-                        covers(&fm.match_, &e.match_)
-                    };
-                    let port_hit = out_port == PortNo::NONE
-                        || e.actions.iter().any(|a| a.output_port() == Some(out_port));
-                    if match_hit && port_hit {
+                for seq in self.addressed(fm, strict) {
+                    let port_hit = fm.out_port == PortNo::NONE
+                        || self
+                            .entry(seq)
+                            .actions
+                            .iter()
+                            .any(|a| a.output_port() == Some(fm.out_port));
+                    if port_hit {
+                        let e = self.remove(seq);
                         if e.send_flow_rem {
                             removed.push(e.to_flow_removed(FlowRemovedReason::Delete, now));
                         }
-                        false
-                    } else {
-                        true
                     }
-                });
+                }
                 Ok(removed)
             }
         }
     }
 
+    /// The best-matching entry for a packet: highest priority, then most
+    /// specific, then most recently installed.
+    fn best(&self, key: &FlowKey, in_port: PortNo) -> Option<u64> {
+        let hit = self.exact.get(&OfMatch::exact(key, in_port)).copied();
+        self.count(hit.iter().len() + self.wild.len());
+        hit.into_iter()
+            .chain(self.wild.iter().copied())
+            .map(|seq| (seq, self.entry(seq)))
+            .filter(|(_, e)| e.match_.matches(key, in_port))
+            .max_by_key(|(seq, e)| (e.priority, e.match_.specificity(), *seq))
+            .map(|(seq, _)| seq)
+    }
+
+    /// Credits a matched entry and moves its idle clock to
+    /// `clock(last_matched_at)`, keeping the deadline index in step.
+    fn credit(
+        &mut self,
+        seq: u64,
+        packets: u64,
+        bytes: u64,
+        clock: impl FnOnce(Timestamp) -> Timestamp,
+    ) -> &FlowEntry {
+        let e = self
+            .entries
+            .get_mut(&seq)
+            .expect("invariant: an indexed sequence number has an entry");
+        let before = e.deadline();
+        e.packet_count += packets;
+        e.byte_count += bytes;
+        e.last_matched_at = clock(e.last_matched_at);
+        let after = e.deadline();
+        if before != after {
+            if let Some((deadline, _)) = before {
+                self.deadlines.remove(&(deadline, seq));
+            }
+            if let Some((deadline, _)) = after {
+                self.deadlines.insert((deadline, seq));
+            }
+        }
+        e
+    }
+
     /// Looks up the best-matching entry for a packet without touching
     /// counters.
     pub fn lookup(&self, key: &FlowKey, in_port: PortNo) -> Option<&FlowEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.match_.matches(key, in_port))
-            .max_by_key(|e| (e.priority, e.match_.specificity()))
+        self.best(key, in_port).map(|seq| self.entry(seq))
     }
 
     /// Matches a packet of `bytes` bytes, updating the winning entry's
@@ -247,15 +392,8 @@ impl FlowTable {
         bytes: u64,
         now: Timestamp,
     ) -> Option<&[Action]> {
-        let best = self
-            .entries
-            .iter_mut()
-            .filter(|e| e.match_.matches(key, in_port))
-            .max_by_key(|e| (e.priority, e.match_.specificity()))?;
-        best.packet_count += 1;
-        best.byte_count += bytes;
-        best.last_matched_at = now;
-        Some(&best.actions)
+        let seq = self.best(key, in_port)?;
+        Some(&self.credit(seq, 1, bytes, |_| now).actions)
     }
 
     /// Credits `packets`/`bytes` to the best-matching entry for a packet
@@ -272,53 +410,51 @@ impl FlowTable {
         bytes: u64,
         now: Timestamp,
     ) -> bool {
-        let Some(best) = self
-            .entries
-            .iter_mut()
-            .filter(|e| e.match_.matches(key, in_port))
-            .max_by_key(|e| (e.priority, e.match_.specificity()))
-        else {
+        let Some(seq) = self.best(key, in_port) else {
             return false;
         };
-        best.packet_count += packets;
-        best.byte_count += bytes;
-        if now > best.last_matched_at {
-            best.last_matched_at = now;
-        }
+        self.credit(seq, packets, bytes, |last| last.max(now));
         true
     }
 
     /// Removes entries whose idle or hard timeout has passed at `now`,
-    /// returning removal notifications for entries that requested them.
+    /// returning removal notifications for entries that requested them,
+    /// in the order the entries were installed.
     pub fn expire(&mut self, now: Timestamp) -> Vec<FlowRemoved> {
-        let mut removed = Vec::new();
-        self.entries.retain(|e| match e.deadline() {
-            Some((deadline, reason)) if deadline <= now => {
-                if e.send_flow_rem {
-                    removed.push(e.to_flow_removed(reason, now));
-                }
-                false
+        let mut due = Vec::new();
+        while let Some(&(deadline, seq)) = self.deadlines.first() {
+            if deadline > now {
+                break;
             }
-            _ => true,
-        });
+            self.deadlines.pop_first();
+            due.push(seq);
+        }
+        self.count(due.len());
+        due.sort_unstable();
+        let mut removed = Vec::new();
+        for seq in due {
+            let e = self.remove(seq);
+            if let (true, Some((_, reason))) = (e.send_flow_rem, e.deadline()) {
+                removed.push(e.to_flow_removed(reason, now));
+            }
+        }
         removed
     }
 
     /// The earliest future expiry deadline, used by the simulator to
     /// schedule expiry sweeps exactly.
     pub fn next_deadline(&self) -> Option<Timestamp> {
-        self.entries
-            .iter()
-            .filter_map(|e| e.deadline().map(|(t, _)| t))
-            .min()
+        let first = self.deadlines.first().map(|&(deadline, _)| deadline);
+        self.count(first.iter().len());
+        first
     }
 }
 
 /// True when pattern `outer` covers every packet that `inner` accepts.
 /// Used for non-strict modify/delete. This is a conservative (sufficient)
 /// check: a field-by-field comparison on un-wildcarded fields.
-fn covers(outer: &OfMatch, inner: &OfMatch) -> bool {
-    use crate::match_fields::Wildcards as W;
+pub fn covers(outer: &OfMatch, inner: &OfMatch) -> bool {
+    use Wildcards as W;
     let ow = outer.wildcards;
     let iw = inner.wildcards;
     let field_ok = |flag: u32, eq: bool| -> bool {
@@ -362,7 +498,7 @@ fn prefix_covers(outer: u32, outer_ignored: u32, inner: u32, inner_ignored: u32)
 
 impl fmt::Display for FlowTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "flow_table[{} entries]", self.entries.len())
+        write!(f, "flow_table[{} entries]", self.len())
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::DecodeError;
 use crate::match_fields::FlowKey;
@@ -27,7 +27,10 @@ pub const MIN_CAPTURE_LEN: usize = 14 + 20 + 4;
 pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
     let tagged = key.dl_vlan != VlanId::NONE;
     let header_len = MIN_CAPTURE_LEN + if tagged { 4 } else { 0 };
-    let mut buf = BytesMut::with_capacity(total_len.max(header_len));
+    // The headers fit on the stack; the frame itself is collected
+    // straight into the `Bytes` allocation.
+    let mut headers = [0u8; MIN_CAPTURE_LEN + 4];
+    let mut buf = &mut headers[..];
 
     buf.put_slice(&key.dl_dst.0);
     buf.put_slice(&key.dl_src.0);
@@ -53,10 +56,12 @@ pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
     buf.put_u16(key.tp_src);
     buf.put_u16(key.tp_dst);
 
-    if total_len > buf.len() {
-        buf.resize(total_len, 0);
-    }
-    buf.freeze()
+    let payload = std::iter::repeat_n(0, total_len.saturating_sub(header_len));
+    headers[..header_len]
+        .iter()
+        .copied()
+        .chain(payload)
+        .collect()
 }
 
 /// Parses the headers of a frame back into a [`FlowKey`].

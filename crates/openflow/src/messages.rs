@@ -37,8 +37,8 @@ pub struct PacketIn {
     /// Why the packet was sent to the controller.
     pub reason: PacketInReason,
     /// The captured frame bytes (possibly truncated to `miss_send_len`).
-    /// A [`Bytes`] view: the streaming decoder shares the capture
-    /// buffer here instead of copying each payload out.
+    /// The decoder copies each payload out of the capture buffer into
+    /// its own [`Bytes`]; clones of the message then share that copy.
     pub data: Bytes,
 }
 

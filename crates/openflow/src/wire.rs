@@ -20,7 +20,7 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::actions::Action;
 use crate::error::DecodeError;
@@ -41,18 +41,43 @@ pub const HEADER_LEN: usize = 8;
 /// Size of the `ofp_match` structure.
 pub const MATCH_LEN: usize = 40;
 
-/// Encodes a message with the given transaction id into a framed byte
-/// buffer.
-pub fn encode(msg: &OfpMessage, xid: Xid) -> Bytes {
-    let mut body = BytesMut::new();
-    encode_body(msg, &mut body);
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
+/// The largest framed message OpenFlow 1.0 can carry: the header's
+/// length field is 16 bits and counts the header itself.
+pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
+
+/// Appends a framed message with the given transaction id to `out`:
+/// header and body are written in place and the header's length is
+/// patched once the body's size is known. This is the one encoder.
+///
+/// # Panics
+///
+/// Panics when the framed message would exceed [`MAX_MESSAGE_LEN`]
+/// bytes: the protocol cannot frame it, and a header whose length
+/// wrapped would make a reader split the message at the wrong byte.
+pub fn encode_into(msg: &OfpMessage, xid: Xid, out: &mut Vec<u8>) {
+    let start = out.len();
     out.put_u8(OFP_VERSION);
     out.put_u8(msg.type_code());
-    out.put_u16((HEADER_LEN + body.len()) as u16);
+    out.put_u16(0); // length, patched below
     out.put_u32(xid.0);
-    out.extend_from_slice(&body);
-    out.freeze()
+    encode_body(msg, out);
+    let len = out.len() - start;
+    let Ok(framed) = u16::try_from(len) else {
+        panic!(
+            "cannot frame a {len}-byte OpenFlow 1.0 message (type {}): \
+             the header's length field holds at most {MAX_MESSAGE_LEN}",
+            msg.type_code()
+        );
+    };
+    out[start + 2..start + 4].copy_from_slice(&framed.to_be_bytes());
+}
+
+/// Encodes a message with the given transaction id into a framed byte
+/// buffer of its own; see [`encode_into`].
+pub fn encode(msg: &OfpMessage, xid: Xid) -> Bytes {
+    let mut out = Vec::new();
+    encode_into(msg, xid, &mut out);
+    out.into()
 }
 
 /// Decodes one message from the front of `input`.
@@ -103,7 +128,7 @@ fn decode_header(input: &[u8]) -> Result<(u8, usize, Xid), DecodeError> {
     Ok((type_code, length, xid))
 }
 
-fn encode_body(msg: &OfpMessage, buf: &mut BytesMut) {
+fn encode_body(msg: &OfpMessage, buf: &mut Vec<u8>) {
     match msg {
         OfpMessage::Hello
         | OfpMessage::FeaturesRequest
@@ -173,7 +198,7 @@ fn need(buf: &[u8], needed: usize, _context: &'static str) -> Result<(), DecodeE
 // ---------------------------------------------------------------- ofp_match
 
 /// Encodes an [`OfMatch`] (40 bytes).
-pub fn encode_match(m: &OfMatch, buf: &mut BytesMut) {
+pub fn encode_match(m: &OfMatch, buf: &mut Vec<u8>) {
     buf.put_u32(m.wildcards.0);
     buf.put_u16(m.in_port.0);
     buf.put_slice(&m.dl_src.0);
@@ -230,7 +255,7 @@ pub fn decode_match(buf: &mut &[u8]) -> Result<OfMatch, DecodeError> {
 
 // --------------------------------------------------------------- actions
 
-fn encode_action(a: &Action, buf: &mut BytesMut) {
+fn encode_action(a: &Action, buf: &mut Vec<u8>) {
     buf.put_u16(a.type_code());
     buf.put_u16(a.wire_len());
     match *a {
@@ -323,7 +348,7 @@ fn decode_action(buf: &mut &[u8]) -> Result<Action, DecodeError> {
     Ok(action)
 }
 
-fn encode_actions(actions: &[Action], buf: &mut BytesMut) {
+fn encode_actions(actions: &[Action], buf: &mut Vec<u8>) {
     for a in actions {
         encode_action(a, buf);
     }
@@ -339,7 +364,7 @@ fn decode_actions(mut buf: &[u8]) -> Result<Vec<Action>, DecodeError> {
 
 // --------------------------------------------------------------- packet_in
 
-fn encode_packet_in(pi: &PacketIn, buf: &mut BytesMut) {
+fn encode_packet_in(pi: &PacketIn, buf: &mut Vec<u8>) {
     buf.put_u32(pi.buffer_id.0);
     buf.put_u16(pi.total_len);
     buf.put_u16(pi.in_port.0);
@@ -378,7 +403,7 @@ fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
 
 // -------------------------------------------------------------- packet_out
 
-fn encode_packet_out(po: &PacketOut, buf: &mut BytesMut) {
+fn encode_packet_out(po: &PacketOut, buf: &mut Vec<u8>) {
     buf.put_u32(po.buffer_id.0);
     buf.put_u16(po.in_port.0);
     let actions_len: u16 = po.actions.iter().map(Action::wire_len).sum();
@@ -405,7 +430,7 @@ fn decode_packet_out(mut body: &[u8]) -> Result<PacketOut, DecodeError> {
 
 // ---------------------------------------------------------------- flow_mod
 
-fn encode_flow_mod(fm: &FlowMod, buf: &mut BytesMut) {
+fn encode_flow_mod(fm: &FlowMod, buf: &mut Vec<u8>) {
     encode_match(&fm.match_, buf);
     buf.put_u64(fm.cookie.0);
     buf.put_u16(match fm.command {
@@ -478,7 +503,7 @@ fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
 
 // ------------------------------------------------------------ flow_removed
 
-fn encode_flow_removed(fr: &FlowRemoved, buf: &mut BytesMut) {
+fn encode_flow_removed(fr: &FlowRemoved, buf: &mut Vec<u8>) {
     encode_match(&fr.match_, buf);
     buf.put_u64(fr.cookie.0);
     buf.put_u16(fr.priority);
@@ -536,7 +561,7 @@ fn decode_flow_removed(mut body: &[u8]) -> Result<FlowRemoved, DecodeError> {
 
 const PORT_NAME_LEN: usize = 16;
 
-fn encode_phy_port(p: &PhyPort, buf: &mut BytesMut) {
+fn encode_phy_port(p: &PhyPort, buf: &mut Vec<u8>) {
     buf.put_u16(p.port_no.0);
     buf.put_slice(&p.hw_addr.0);
     let mut name = [0u8; PORT_NAME_LEN];
@@ -571,7 +596,7 @@ fn decode_phy_port(buf: &mut &[u8]) -> Result<PhyPort, DecodeError> {
     })
 }
 
-fn encode_features(f: &SwitchFeatures, buf: &mut BytesMut) {
+fn encode_features(f: &SwitchFeatures, buf: &mut Vec<u8>) {
     buf.put_u64(f.datapath_id.0);
     buf.put_u32(f.n_buffers);
     buf.put_u8(f.n_tables);
@@ -603,7 +628,7 @@ fn decode_features(mut body: &[u8]) -> Result<SwitchFeatures, DecodeError> {
 
 // -------------------------------------------------------------- port_status
 
-fn encode_port_status(ps: &PortStatus, buf: &mut BytesMut) {
+fn encode_port_status(ps: &PortStatus, buf: &mut Vec<u8>) {
     buf.put_u8(match ps.reason {
         PortReason::Add => 0,
         PortReason::Delete => 1,
@@ -637,7 +662,7 @@ const STATS_FLOW: u16 = 1;
 const STATS_AGGREGATE: u16 = 2;
 const STATS_PORT: u16 = 4;
 
-fn encode_stats_request(req: &StatsRequest, buf: &mut BytesMut) {
+fn encode_stats_request(req: &StatsRequest, buf: &mut Vec<u8>) {
     match req {
         StatsRequest::Flow { match_, out_port } => {
             buf.put_u16(STATS_FLOW);
@@ -692,7 +717,7 @@ fn decode_stats_request(mut body: &[u8]) -> Result<StatsRequest, DecodeError> {
     }
 }
 
-fn encode_stats_reply(rep: &StatsReply, buf: &mut BytesMut) {
+fn encode_stats_reply(rep: &StatsReply, buf: &mut Vec<u8>) {
     match rep {
         StatsReply::Flow(entries) => {
             buf.put_u16(STATS_FLOW);
@@ -835,6 +860,13 @@ mod tests {
         assert_eq!(decoded, msg);
         assert_eq!(xid, Xid(99));
         assert_eq!(used, bytes.len());
+        // Appended behind other frames, the message is the same bytes and
+        // its length lands in its own header, not the buffer's first.
+        let hello = encode(&OfpMessage::Hello, Xid(1));
+        let mut stream = hello.to_vec();
+        encode_into(&msg, Xid(99), &mut stream);
+        assert_eq!(stream[..HEADER_LEN], *hello);
+        assert_eq!(stream[HEADER_LEN..], *bytes);
     }
 
     #[test]
@@ -1091,6 +1123,34 @@ mod tests {
                 "cut at {cut} should report truncation"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535")]
+    fn oversized_message_is_refused_not_framed_with_a_wrapped_length() {
+        // 70,018 bytes framed: a 16-bit length would read 4,482, and a
+        // decoder would take the other 65,536 bytes for the next frame.
+        let mut out = Vec::new();
+        encode_into(
+            &OfpMessage::PacketIn(PacketIn {
+                buffer_id: BufferId::NO_BUFFER,
+                total_len: u16::MAX,
+                in_port: PortNo(1),
+                reason: PacketInReason::NoMatch,
+                data: vec![0; 70_000].into(),
+            }),
+            Xid(1),
+            &mut out,
+        );
+    }
+
+    #[test]
+    fn largest_frameable_message_round_trips() {
+        let payload = vec![7; MAX_MESSAGE_LEN - HEADER_LEN];
+        let bytes = encode(&OfpMessage::EchoRequest(payload.into()), Xid(5));
+        assert_eq!(bytes.len(), MAX_MESSAGE_LEN);
+        let (_, _, used) = decode(&bytes).expect("decode");
+        assert_eq!(used, MAX_MESSAGE_LEN);
     }
 
     #[test]

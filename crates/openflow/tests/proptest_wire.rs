@@ -9,10 +9,13 @@ use openflow::flow_table::FlowTable;
 use openflow::frame;
 use openflow::match_fields::{FlowKey, OfMatch, Wildcards};
 use openflow::messages::{
-    FlowMod, FlowRemoved, FlowRemovedReason, OfpMessage, PacketIn, PacketInReason,
+    FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, OfpMessage, PacketIn, PacketInReason,
 };
 use openflow::types::{BufferId, Cookie, IpProto, MacAddr, PortNo, Timestamp, VlanId, Xid};
 use openflow::wire;
+
+mod linear_table;
+use linear_table::LinearTable;
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
@@ -67,6 +70,150 @@ fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
         ],
         0..6,
     )
+}
+
+/// The packets the table property test sends: four flows, so that
+/// flow-mods and packets drawn independently still meet.
+fn pool_key(i: u8) -> FlowKey {
+    FlowKey::tcp(
+        Ipv4Addr::new(10, 0, 0, 1),
+        1000 + u16::from(i & 1),
+        Ipv4Addr::new(10, 0, 1 + (i >> 1 & 1), 2),
+        80,
+    )
+}
+
+/// A match over a pool flow: mostly the microflow a reactive controller
+/// installs, otherwise one of the wildcard shapes — including an exact
+/// match whose wildcard word carries a stray undefined bit, which ranks
+/// as exact but equals no `OfMatch::exact`.
+fn pool_match(shape: u8, key: &FlowKey, in_port: PortNo) -> OfMatch {
+    let exact = OfMatch::exact(key, in_port);
+    let widened = |wildcards| OfMatch { wildcards, ..exact };
+    match shape {
+        0 => OfMatch::any(),
+        1 => OfMatch::ipv4_dst_prefix(Ipv4Addr::from(u32::from(key.nw_dst) & !0xff), 24),
+        2 => widened(Wildcards::NONE.with(Wildcards::IN_PORT)),
+        3 => widened(Wildcards::NONE.with(Wildcards::TP_SRC)),
+        4 => widened(Wildcards::NONE.with_nw_dst_bits(16)),
+        5 => widened(Wildcards(1 << 25)),
+        _ => exact,
+    }
+}
+
+/// One call on a flow table, `step_ms` after the previous one.
+#[derive(Debug, Clone)]
+enum TableCall {
+    Apply(FlowMod),
+    MatchPacket(FlowKey, PortNo, u64),
+    Account(FlowKey, PortNo, u64, u64),
+    Expire,
+}
+
+fn arb_table_call() -> impl Strategy<Value = (TableCall, u64, bool)> {
+    let packet = || (0u8..4, 1u16..3).prop_map(|(k, p)| (pool_key(k), PortNo(p)));
+    let flow_mod = (
+        (0u8..14, 0u8..4, 1u16..3),
+        0u8..8,
+        prop_oneof![Just(1u16), Just(7), Just(u16::MAX)],
+        (0u16..4, 0u16..4),
+        (any::<bool>(), any::<u64>()),
+        (
+            2u16..4,
+            prop_oneof![Just(PortNo::NONE), Just(PortNo(2)), Just(PortNo(3))],
+        ),
+    )
+        .prop_map(
+            |((shape, key, in_port), command, priority, (idle, hard), (notify, cookie), ports)| {
+                let match_ = pool_match(shape, &pool_key(key), PortNo(in_port));
+                let mut fm = FlowMod::add(match_, priority)
+                    .idle_timeout(idle)
+                    .hard_timeout(hard)
+                    .cookie(Cookie(cookie))
+                    .action(Action::output(PortNo(ports.0)));
+                fm.flags.send_flow_rem = notify;
+                fm.command = match command {
+                    0 => FlowModCommand::Modify,
+                    1 => FlowModCommand::ModifyStrict,
+                    2 => FlowModCommand::Delete,
+                    3 => FlowModCommand::DeleteStrict,
+                    _ => FlowModCommand::Add,
+                };
+                fm.out_port = ports.1;
+                TableCall::Apply(fm)
+            },
+        );
+    let match_packet = || {
+        (packet(), 0u64..2000)
+            .prop_map(|((key, port), bytes)| TableCall::MatchPacket(key, port, bytes))
+    };
+    let call = prop_oneof![
+        flow_mod,
+        // Twice, so that packets are as frequent as flow-mods.
+        match_packet(),
+        match_packet(),
+        (packet(), 0u64..50, 0u64..70_000).prop_map(|((key, port), packets, bytes)| {
+            TableCall::Account(key, port, packets, bytes)
+        }),
+        Just(TableCall::Expire),
+    ];
+    // `rewind`: this one call reads a clock two seconds behind, as a
+    // late accounting call does.
+    (call, 0u64..1500, (0u8..8).prop_map(|r| r == 0))
+}
+
+proptest! {
+    // A state machine, not a codec: give the sequences room to collide.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn indexed_table_agrees_with_linear_reference(
+        calls in prop::collection::vec(arb_table_call(), 1..120),
+        capacity in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+    ) {
+        let mut table = capacity.map_or_else(FlowTable::new, FlowTable::with_capacity);
+        let mut reference = LinearTable::new(capacity);
+        let mut clock_ms = 0u64;
+        for (call, step_ms, rewind) in &calls {
+            clock_ms += step_ms;
+            let now = Timestamp::from_millis(clock_ms.saturating_sub(if *rewind { 2000 } else { 0 }));
+            match call {
+                TableCall::Apply(fm) => {
+                    prop_assert_eq!(table.apply(fm, now), reference.apply(fm, now), "{:?}", call);
+                }
+                TableCall::MatchPacket(key, in_port, bytes) => prop_assert_eq!(
+                    table.match_packet(key, *in_port, *bytes, now),
+                    reference.match_packet(key, *in_port, *bytes, now),
+                    "{:?}", call
+                ),
+                TableCall::Account(key, in_port, packets, bytes) => prop_assert_eq!(
+                    table.account(key, *in_port, *packets, *bytes, now),
+                    reference.account(key, *in_port, *packets, *bytes, now),
+                    "{:?}", call
+                ),
+                TableCall::Expire => {
+                    prop_assert_eq!(table.expire(now), reference.expire(now), "expire at {}", now);
+                }
+            }
+            prop_assert_eq!(table.len(), reference.len(), "len after {:?}", call);
+            prop_assert_eq!(
+                table.next_deadline(), reference.next_deadline(), "next_deadline after {:?}", call
+            );
+            prop_assert_eq!(
+                table.iter().collect::<Vec<_>>(), reference.iter().collect::<Vec<_>>(),
+                "entries after {:?}", call
+            );
+            for k in 0..4 {
+                for in_port in [PortNo(1), PortNo(2)] {
+                    prop_assert_eq!(
+                        table.lookup(&pool_key(k), in_port), reference.lookup(&pool_key(k), in_port),
+                        "lookup of flow {} on {} after {:?}", k, in_port, call
+                    );
+                }
+            }
+        }
+    }
+
 }
 
 proptest! {

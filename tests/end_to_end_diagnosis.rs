@@ -6,6 +6,10 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
+/// Half way through [`Lab::capture`]'s 60 s: the fault is absent from
+/// the first half of the capture being diagnosed.
+const MID_CAPTURE: Timestamp = Timestamp(31_000_000);
+
 struct Lab {
     topo: Topology,
     catalog: ServiceCatalog,
@@ -32,7 +36,8 @@ impl Lab {
         self.topo.node_by_name(n).unwrap()
     }
 
-    fn capture(&self, seed: u64, fault: Option<Fault>) -> ControllerLog {
+    /// One 60 s capture (t = 1 s to 61 s), `fault` injected at `onset`.
+    fn capture(&self, seed: u64, onset: Timestamp, fault: Option<Fault>) -> ControllerLog {
         let mut sc = Scenario::new(
             self.topo.clone(),
             seed,
@@ -55,16 +60,16 @@ impl Lab {
                 request_bytes: 2_048,
             });
         if let Some(f) = fault {
-            sc.fault(Timestamp::ZERO, f);
+            sc.fault(onset, f);
         }
         sc.run().log
     }
 
-    fn diagnose_against_baseline(&self, fault: Option<Fault>) -> DiagnosisReport {
-        let l1 = self.capture(1, None);
+    fn diagnose_against_baseline(&self, onset: Timestamp, fault: Option<Fault>) -> DiagnosisReport {
+        let l1 = self.capture(1, Timestamp::ZERO, None);
         let baseline = BehaviorModel::build(&l1, &self.config);
         let stability = analyze(&l1, &baseline, &self.config);
-        let l2 = self.capture(2, fault);
+        let l2 = self.capture(2, onset, fault);
         let current = BehaviorModel::build(&l2, &self.config);
         let diff = flowdiff::diff::compare(&baseline, &current, &stability, &self.config);
         diagnose(&diff, &current, &[], &self.config)
@@ -74,7 +79,7 @@ impl Lab {
 #[test]
 fn healthy_run_raises_no_alarm() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(None);
+    let report = lab.diagnose_against_baseline(Timestamp::ZERO, None);
     assert!(
         report.is_healthy(),
         "healthy L2 must produce no alarms: {report}"
@@ -84,10 +89,13 @@ fn healthy_run_raises_no_alarm() {
 #[test]
 fn logging_misconfiguration_detected_as_host_problem() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Some(Fault::HostSlowdown {
-        host: lab.node("S4"),
-        extra_us: 120_000,
-    }));
+    let report = lab.diagnose_against_baseline(
+        Timestamp::ZERO,
+        Some(Fault::HostSlowdown {
+            host: lab.node("S4"),
+            extra_us: 120_000,
+        }),
+    );
     assert!(!report.is_healthy());
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Dd));
     assert!(report
@@ -103,10 +111,13 @@ fn logging_misconfiguration_detected_as_host_problem() {
 #[test]
 fn app_crash_detected_with_missing_edge() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Some(Fault::AppCrash {
-        host: lab.node("S4"),
-        port: 8080,
-    }));
+    let report = lab.diagnose_against_baseline(
+        Timestamp::ZERO,
+        Some(Fault::AppCrash {
+            host: lab.node("S4"),
+            port: 8080,
+        }),
+    );
     assert!(!report.is_healthy());
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Cg));
     assert!(
@@ -121,9 +132,12 @@ fn host_shutdown_detected() {
     // Shut down the app server: its outgoing edge to the database
     // vanishes (a dead host originates nothing), while inbound
     // connection attempts from the web tier still appear as SYN retries.
-    let report = lab.diagnose_against_baseline(Some(Fault::HostDown {
-        host: lab.node("S4"),
-    }));
+    let report = lab.diagnose_against_baseline(
+        Timestamp::ZERO,
+        Some(Fault::HostDown {
+            host: lab.node("S4"),
+        }),
+    );
     assert!(!report.is_healthy());
     let cg_removed = report
         .unknown
@@ -138,9 +152,32 @@ fn host_shutdown_detected() {
 }
 
 #[test]
+fn host_shutdown_with_mid_capture_onset_detected() {
+    let lab = Lab::new();
+    let report = lab.diagnose_against_baseline(
+        MID_CAPTURE,
+        Some(Fault::HostDown {
+            host: lab.node("S4"),
+        }),
+    );
+    // The app->db edge was seen for half the capture, so no CG change
+    // fires (and with it no problem class: EXPERIMENTS.md): the alarm is
+    // the halved traffic around S4, which must still top the ranking.
+    assert!(!report.is_healthy(), "{report}");
+    assert_eq!(
+        report.ranking.first().map(|(c, _)| *c),
+        Some(Component::Host(lab.ip("S4"))),
+        "{report}"
+    );
+}
+
+#[test]
 fn controller_overload_detected() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Some(Fault::ControllerOverload { factor: 40.0 }));
+    let report = lab.diagnose_against_baseline(
+        Timestamp::ZERO,
+        Some(Fault::ControllerOverload { factor: 40.0 }),
+    );
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Crt));
     assert!(report.problems.contains(&ProblemClass::ControllerProblem));
     assert!(report
@@ -150,9 +187,30 @@ fn controller_overload_detected() {
 }
 
 #[test]
+fn controller_overload_with_mid_capture_onset_detected() {
+    let lab = Lab::new();
+    let report = lab.diagnose_against_baseline(
+        MID_CAPTURE,
+        Some(Fault::ControllerOverload { factor: 40.0 }),
+    );
+    assert!(
+        report.unknown.iter().any(|c| c.kind == SignatureKind::Crt),
+        "{report}"
+    );
+    assert!(
+        report.problems.contains(&ProblemClass::ControllerProblem),
+        "{report}"
+    );
+    assert!(report
+        .ranking
+        .iter()
+        .any(|(c, _)| *c == Component::Controller));
+}
+
+#[test]
 fn controller_failure_detected_as_blackout() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Some(Fault::ControllerDown));
+    let report = lab.diagnose_against_baseline(Timestamp::ZERO, Some(Fault::ControllerDown));
     assert!(!report.is_healthy());
     let crt = report
         .unknown
@@ -171,7 +229,7 @@ fn controller_failure_detected_as_blackout() {
 fn unauthorized_access_detected_as_new_edge() {
     let lab = Lab::new();
     // Craft L2 with an extra scanner host probing the db server.
-    let l1 = lab.capture(1, None);
+    let l1 = lab.capture(1, Timestamp::ZERO, None);
     let baseline = BehaviorModel::build(&l1, &lab.config);
     let stability = analyze(&l1, &baseline, &lab.config);
 
@@ -227,7 +285,7 @@ fn congestion_detected_with_isl_shift() {
     // Saturate the of1-of7 backbone with iperf-like background traffic
     // (Table I #7) — injected as a mesh between two otherwise idle hosts
     // whose path crosses the same core switch.
-    let l1 = lab.capture(1, None);
+    let l1 = lab.capture(1, Timestamp::ZERO, None);
     let baseline = BehaviorModel::build(&l1, &lab.config);
     let stability = analyze(&l1, &baseline, &lab.config);
 
