@@ -1,17 +1,16 @@
 //! Index of the experiment harness: lists the binaries that regenerate
 //! each table and figure of the paper — plus `watch`, the supervised
 //! online diff mode over on-disk captures, `serve`, the same mode over
-//! live sockets, and `publish`, its capture publisher; `chaos`, the
-//! ingestion fault drill, `flapdrill`, the connection-fault drill, and
-//! `crashdrill`, the crash-recovery drill.
+//! live sockets, and `publish`, its capture publisher. Fault injection
+//! (mangled bytes, flapping connections, planned kills) lives in the
+//! tier-1 tests, not here.
 
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use flowdiff::checkpoint::{fnv1a, BASELINE_MAGIC, CHECKPOINT_MAGIC};
-use flowdiff::engine::{resume_from, EngineResult, Restored};
+use flowdiff::checkpoint::{BASELINE_MAGIC, CHECKPOINT_MAGIC};
+use flowdiff::engine::{resume_from, EngineResult};
 use flowdiff::prelude::*;
 use netsim::log::LogStream;
 use netsim::prelude::*;
@@ -29,9 +28,6 @@ fn main() -> ExitCode {
         Some("watch") => run(cmd_watch(&args[1..])),
         Some("serve") => run(cmd_serve(&args[1..])),
         Some("publish") => run(cmd_publish(&args[1..])),
-        Some("chaos") => run(cmd_chaos(&args[1..])),
-        Some("flapdrill") => run(cmd_flapdrill(&args[1..])),
-        Some("crashdrill") => run(cmd_crashdrill(&args[1..])),
         Some(other) => {
             eprintln!("unknown subcommand: {other}");
             usage();
@@ -58,12 +54,7 @@ fn usage() {
          flowdiff-bench [publish <current.fcap> --connect HOST:PORT [--connections N] \
          [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] \
          [--retry-budget N] [--backoff-ms N] [--flaps N] \
-         [--stall-after EVENTS --stall-ms N]]\n       \
-         flowdiff-bench [chaos [--seed N] [--corruption RATE] \
-         [--skew-us N] [--jitter-us N] [--shards N] [--wire] [--connections N]]\n       \
-         flowdiff-bench [flapdrill [--seed N] [--flaps N] [--stalls N] [--trickles N] \
-         [--connections N] [--shards N] [--merge-stall-ms N]]\n       \
-         flowdiff-bench [crashdrill [--seed N] [--kills N] [--shards N] [--kill-worker]]"
+         [--stall-after EVENTS --stall-ms N]]"
     );
 }
 
@@ -117,16 +108,6 @@ fn print_index() {
          --connect 127.0.0.1:7654 --connections 4"
     );
     println!();
-    println!("Ingestion fault drill (chaos-mangled 320-server capture):");
-    println!("  cargo run --release -p flowdiff-bench -- chaos --seed 1 --corruption 0.01");
-    println!();
-    println!("Connection fault drill (flapping/stalling session publishers vs clean wire run):");
-    println!("  cargo run --release -p flowdiff-bench -- flapdrill --seed 1 --flaps 2");
-    println!();
-    println!("Crash-recovery drill (kill + checkpoint-restore on the 320-server capture):");
-    println!("  cargo run --release -p flowdiff-bench -- crashdrill --seed 1 --kills 3");
-    println!("  cargo run --release -p flowdiff-bench -- crashdrill --shards 4 --kill-worker");
-    println!();
     println!("End-to-end and per-layer benchmark (four workloads, see benchmark/README.md):");
     println!("  benchmark/run.sh");
 }
@@ -169,6 +150,14 @@ impl<'a> Flags<'a> {
         let n: u64 = self.num(flag)?;
         n.checked_mul(unit_us)
             .ok_or_else(|| format!("{flag} {n}: too large").into())
+    }
+
+    /// [`Flags::micros`] of at least one unit.
+    fn positive_micros(&mut self, flag: &str, unit_us: u64) -> EngineResult<u64> {
+        match self.micros(flag, unit_us)? {
+            0 => Err(format!("{flag} must be at least 1").into()),
+            us => Ok(us),
+        }
     }
 
     /// A count that must be at least 1.
@@ -297,10 +286,10 @@ impl OnlineOpts {
                 "--shards" => opts.shards = flags.count(flag)?,
                 "--special" => config.special_ips = flags.ips(flag)?.into_iter().collect(),
                 "--epoch-secs" => {
-                    config.online_epoch_us = flags.micros(flag, 1_000_000)?.max(1_000_000);
+                    config.online_epoch_us = flags.positive_micros(flag, 1_000_000)?
                 }
                 "--window-secs" => {
-                    config.online_window_us = flags.micros(flag, 1_000_000)?.max(1_000_000);
+                    config.online_window_us = flags.positive_micros(flag, 1_000_000)?
                 }
                 "--checkpoint" => opts.checkpoint = Some(flags.path(flag)?),
                 "--checkpoint-every" => config.checkpoint_every_epochs = flags.num(flag)?,
@@ -516,7 +505,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
     let mut skew_us: u64 = 0;
     let mut jitter_us: u64 = 0;
     let mut retry_budget: u32 = 0;
-    let mut backoff_ms: u64 = 200;
+    let mut backoff_us: u64 = 200_000;
     let mut flaps: usize = 0;
     let mut stall_after: u64 = 0;
     let mut stall_ms: u64 = 0;
@@ -535,7 +524,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
             "--skew-us" => skew_us = flags.num(flag)?,
             "--jitter-us" => jitter_us = flags.num(flag)?,
             "--retry-budget" => retry_budget = flags.num(flag)?,
-            "--backoff-ms" => backoff_ms = flags.num(flag)?,
+            "--backoff-ms" => backoff_us = flags.micros(flag, 1_000)?,
             "--flaps" => flaps = flags.num(flag)?,
             "--stall-after" => stall_after = flags.num(flag)?,
             "--stall-ms" => stall_ms = flags.num(flag)?,
@@ -587,7 +576,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
         let opts = SessionOptions {
             session,
             retry_budget,
-            backoff_us: backoff_ms.saturating_mul(1_000),
+            backoff_us,
             plan: Some(ConnPlan::at(faults)),
         };
         handles.push(std::thread::spawn(move || {
@@ -637,542 +626,6 @@ fn cmd_publish(args: &[String]) -> CliResult {
     match first_err {
         Some(e) => Err(e.into()),
         None => Ok(()),
-    }
-}
-
-/// What the three drills run on: the paper's 320-server tree, one
-/// capture modelled as the baseline and a second, differently seeded
-/// one streamed against it.
-struct Drill {
-    config: FlowDiffConfig,
-    baseline: BehaviorModel,
-    stability: StabilityReport,
-    current: ControllerLog,
-}
-
-impl Drill {
-    /// Regenerates the captures and models the baseline under the
-    /// default config as adjusted by `tune`.
-    fn new(tune: impl FnOnce(&mut FlowDiffConfig)) -> EngineResult<Drill> {
-        let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
-        let (current, _) = flowdiff_bench::tree_capture(9, 43, 6);
-        // Quarantine the far-future timestamps bit flips mint.
-        config.max_time_jump_us = config.partial_flow_timeout_us.max(config.episode_gap_us);
-        tune(&mut config);
-        config.validate()?;
-        let baseline = BehaviorModel::build(&baseline_log, &config);
-        let stability = analyze(&baseline_log, &baseline, &config);
-        Ok(Drill {
-            config,
-            baseline,
-            stability,
-            current,
-        })
-    }
-
-    fn differ(&self, shards: usize) -> EngineResult<Differ> {
-        let (baseline, stability) = (self.baseline.clone(), self.stability.clone());
-        Ok(Differ::try_new(baseline, stability, &self.config, shards)?)
-    }
-
-    /// Streams `events` through a fresh differ and returns the union
-    /// over all epochs of confirmed change keys, plus the differ's
-    /// ingestion health.
-    fn changes(
-        &self,
-        events: impl Iterator<Item = ControlEvent>,
-        shards: usize,
-    ) -> EngineResult<(BTreeSet<String>, IngestHealth)> {
-        let mut differ = self.differ(shards)?;
-        let mut keys = BTreeSet::new();
-        for event in events {
-            for snapshot in differ.observe(&event) {
-                collect_keys(&snapshot.diff, &mut keys);
-            }
-        }
-        let health = differ.health();
-        if let Some(snapshot) = differ.finish() {
-            collect_keys(&snapshot.diff, &mut keys);
-        }
-        Ok((keys, health))
-    }
-
-    /// [`Drill::changes`] over capture bytes. Decode errors are
-    /// tolerated (the stream resynchronizes); they show up in the
-    /// health counters.
-    fn byte_changes(
-        &self,
-        bytes: &[u8],
-        shards: usize,
-    ) -> EngineResult<(BTreeSet<String>, IngestHealth)> {
-        let mut stream = LogStream::from_wire_bytes(bytes)?;
-        let events = stream.by_ref().flatten().map(|e| e.into_owned());
-        let (keys, mut health) = self.changes(events, shards)?;
-        health.absorb_stream(stream.stats());
-        Ok((keys, health))
-    }
-}
-
-fn report_mangled(report: &ChaosReport) {
-    println!(
-        "mangled: {} frames -> {} dropped, {} duplicated, {} truncated, \
-         {} bit-flipped, {} reordered",
-        report.total_frames,
-        report.dropped,
-        report.duplicated,
-        report.truncated,
-        report.bit_flipped,
-        report.reordered,
-    );
-}
-
-/// How much of the clean run's confirmed diff the faulted run kept.
-fn report_fidelity(
-    clean: &(BTreeSet<String>, IngestHealth),
-    faulted: &(BTreeSet<String>, IngestHealth),
-) {
-    println!(
-        "clean:   {} confirmed changes; ingest {}",
-        clean.0.len(),
-        clean.1
-    );
-    println!("stats: ingest {}", faulted.1);
-    let recovered = clean.0.intersection(&faulted.0).count();
-    let fidelity = if clean.0.is_empty() {
-        1.0
-    } else {
-        recovered as f64 / clean.0.len() as f64
-    };
-    println!(
-        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
-        fidelity * 100.0,
-        clean.0.len()
-    );
-}
-
-/// `chaos`: regenerate the paper's 320-server tree capture, mangle it
-/// with a seeded fault injector, stream both the clean and the mangled
-/// bytes through the online differ against the same baseline, and
-/// report how much of the clean run's diff survived the damage.
-fn cmd_chaos(args: &[String]) -> CliResult {
-    let mut seed: u64 = 1;
-    let mut corruption: f64 = 0.01;
-    let mut skew_us: u64 = 0;
-    let mut jitter_us: u64 = 0;
-    let mut shards: usize = 1;
-    let mut wire = false;
-    let mut connections: usize = 2;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--seed" => seed = flags.num(flag)?,
-            "--wire" => wire = true,
-            "--connections" => connections = flags.count(flag)?,
-            "--corruption" => {
-                corruption = flags.num(flag)?;
-                if !(0.0..=1.0).contains(&corruption) {
-                    return Err("--corruption must be in [0, 1]".into());
-                }
-            }
-            "--skew-us" => skew_us = flags.num(flag)?,
-            "--jitter-us" => jitter_us = flags.num(flag)?,
-            "--shards" => shards = flags.count(flag)?,
-            other => return Err(unknown_flag(other)),
-        }
-    }
-
-    // Give the reorder buffer enough slack to absorb whatever timing
-    // damage the injector is configured to do.
-    let drill = Drill::new(|config| config.reorder_slack_us = jitter_us + 2 * skew_us)?;
-    let chaos = ChannelChaos {
-        reorder_jitter_us: jitter_us,
-        clock_skew_us: skew_us,
-        seed,
-        ..ChannelChaos::corruption(corruption, seed)
-    };
-    println!(
-        "chaos: seed {seed}, corruption {:.2}% (drop {:.2}% dup {:.2}% truncate {:.2}% \
-         flip {:.2}%), skew ±{skew_us}us, jitter {jitter_us}us",
-        corruption * 100.0,
-        chaos.drop_prob * 100.0,
-        chaos.duplicate_prob * 100.0,
-        chaos.truncate_prob * 100.0,
-        chaos.bit_flip_prob * 100.0,
-    );
-
-    let (clean, mangled) = if wire {
-        // Wire drill: both runs go through an in-process loopback
-        // serve pipeline — split across `connections` publisher
-        // sessions, the chaos run mangling each stream independently
-        // (per-connection derived seeds), like real skewed taps would.
-        println!("wire: loopback ingest over {connections} publisher connection(s)");
-        let mangled =
-            wire_session_changes(&drill, WireFaults::Channel(&chaos), connections, shards)?;
-        report_mangled(&mangled.mangled);
-        let clean = wire_session_changes(&drill, WireFaults::Clean, connections, shards)?;
-        (clean.changes, mangled.changes)
-    } else {
-        let (mangled_bytes, report) = chaos.mangle(&drill.current);
-        report_mangled(&report);
-        let clean = drill.byte_changes(&drill.current.to_wire_bytes(), shards)?;
-        (clean, drill.byte_changes(&mangled_bytes, shards)?)
-    };
-    report_fidelity(&clean, &mangled);
-    Ok(())
-}
-
-/// `flapdrill`: the connection-fault drill. Replays the 320-server
-/// capture twice through a loopback live-session ingest — once clean,
-/// once with every publisher behind a seeded [`ConnChaos`] plan
-/// (mid-stream disconnects that reconnect and resume from the server's
-/// watermark, write stalls, slow-loris trickle) — and reports how much
-/// of the clean run's confirmed diff the faulted run recovered.
-///
-/// With the default strict merge (no stall budget) a faulted run must
-/// recover 100%: resume is lossless (the watermark counts events
-/// actually queued, the next attempt re-sends from there, FIFO order
-/// per stream holds) and the merge simply waits out each fault. A
-/// nonzero `--merge-stall-ms` trades that certainty for liveness; the
-/// fidelity line then measures what the trade cost.
-fn cmd_flapdrill(args: &[String]) -> CliResult {
-    let mut seed: u64 = 1;
-    let mut flaps: usize = 2;
-    let mut stalls: usize = 1;
-    let mut trickles: usize = 1;
-    let mut connections: usize = 2;
-    let mut shards: usize = 1;
-    let mut merge_stall_us: u64 = 0;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--seed" => seed = flags.num(flag)?,
-            "--flaps" => flaps = flags.num(flag)?,
-            "--stalls" => stalls = flags.num(flag)?,
-            "--trickles" => trickles = flags.num(flag)?,
-            "--connections" => connections = flags.count(flag)?,
-            "--shards" => shards = flags.count(flag)?,
-            "--merge-stall-ms" => merge_stall_us = flags.micros(flag, 1_000)?,
-            other => return Err(unknown_flag(other)),
-        }
-    }
-
-    let drill = Drill::new(|config| config.ingest_stall_timeout_us = merge_stall_us)?;
-    let chaos = ConnChaos {
-        stalls,
-        stall_ms: 40,
-        trickles,
-        trickle_events: 32,
-        ..ConnChaos::flapping(flaps, seed)
-    };
-    println!(
-        "flapdrill: seed {seed}, per conn {flaps} flap(s) + {stalls} stall(s) + \
-         {trickles} trickle(s), {connections} connection(s), merge stall budget \
-         {} ms, {shards} shard(s)",
-        merge_stall_us / 1_000
-    );
-
-    let clean = wire_session_changes(&drill, WireFaults::Clean, connections, shards)?;
-    let faulted = wire_session_changes(&drill, WireFaults::Conn(&chaos), connections, shards)?;
-    for r in &faulted.reports {
-        println!("stats: conn {}", conn_line(r));
-    }
-    report_fidelity(&clean.changes, &faulted.changes);
-    Ok(())
-}
-
-/// One epoch of a drill run, reduced to what recovery fidelity is
-/// judged on: the epoch index, an FNV-1a hash of the snapshot's
-/// serialized bytes (byte-identity), and its confirmed change keys.
-#[derive(Debug, Clone, PartialEq)]
-struct EpochTrace {
-    epoch: u64,
-    hash: u64,
-    keys: BTreeSet<String>,
-}
-
-impl EpochTrace {
-    fn of(snapshot: &EpochSnapshot) -> EpochTrace {
-        let mut keys = BTreeSet::new();
-        collect_keys(&snapshot.diff, &mut keys);
-        EpochTrace {
-            epoch: snapshot.epoch,
-            hash: fnv1a(&serde::to_vec(snapshot)),
-            keys,
-        }
-    }
-}
-
-/// `crashdrill`: run the 320-server capture through the supervised
-/// engine twice — once uninterrupted, once with a seeded [`CrashPlan`]
-/// killing the run at chosen epochs (checkpoint + restore + replay in
-/// between) — and report how faithfully the interrupted run recovered
-/// the clean run's per-epoch snapshots.
-fn cmd_crashdrill(args: &[String]) -> CliResult {
-    let mut seed: u64 = 1;
-    let mut kills: usize = 3;
-    let mut shards: usize = 1;
-    let mut kill_workers = false;
-    let mut flags = Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--seed" => seed = flags.num(flag)?,
-            "--kills" => kills = flags.num(flag)?,
-            "--shards" => shards = flags.count(flag)?,
-            "--kill-worker" => kill_workers = true,
-            other => return Err(unknown_flag(other)),
-        }
-    }
-    if kill_workers && shards < 2 {
-        return Err("--kill-worker needs --shards 2 or more (the single \
-                    pipeline has no worker threads to kill)"
-            .into());
-    }
-
-    let drill = Drill::new(|config| {
-        // Short epochs give the short drill capture enough boundaries
-        // to kill at; checkpoint at every one so recovery loses nothing.
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        // Each planned kill spends one restart; keep the drill fast.
-        config.restart_budget = kills as u32;
-        config.restart_backoff_us = 1_000;
-    })?;
-    let config = &drill.config;
-    let events = drill.current.events();
-    let deaths = if kill_workers {
-        "worker poisoning(s)"
-    } else {
-        "kill(s)"
-    };
-    println!(
-        "drill: seed {seed}, {kills} {deaths} over {} events, {shards} shard(s), \
-         checkpoint every {} epoch(s)",
-        events.len(),
-        config.checkpoint_every_epochs
-    );
-
-    // Runs the capture supervised, dying at each epoch `plan` names:
-    // the epoch callback panics — or poisons a shard worker, which the
-    // loop only notices at its next flush/quiesce — before it records
-    // the epoch, exactly what a power cut between compute and output
-    // looks like. The final flush epoch is not delivered through the
-    // callback, so kills land on observe-emitted epochs only.
-    let fresh = || -> EngineResult<(Differ, u64)> { Ok((drill.differ(shards)?, 0)) };
-    let run = |checkpoint_path: Option<&Path>, plan: &mut CrashPlan| {
-        let mut traces: Vec<EpochTrace> = Vec::new();
-        let supervision = Supervision {
-            config,
-            checkpoint_path,
-            degraded: None,
-        };
-        let mut feed = Feed::Slice(events);
-        let report = supervise(&mut feed, &fresh, &supervision, |differ, snap, _| {
-            if plan.take(snap.epoch) {
-                if kill_workers {
-                    differ.poison_worker(snap.epoch as usize);
-                } else {
-                    panic!("crashdrill: killed at epoch {}", snap.epoch);
-                }
-            }
-            traces.push(EpochTrace::of(snap));
-        })?;
-        traces.extend(report.last.as_ref().map(EpochTrace::of));
-        Ok::<_, Box<dyn std::error::Error>>((traces, report.restarts))
-    };
-
-    let (clean, clean_restarts) = run(None, &mut CrashPlan::seeded(seed, 0, 0))?;
-    assert_eq!(clean_restarts, 0, "the clean run must not panic");
-
-    let observe_epochs = clean.len().saturating_sub(1) as u64;
-    let mut plan = CrashPlan::seeded(seed, kills, observe_epochs);
-    println!("plan: kill at epochs {:?}", plan.kill_epochs());
-    let ckpt_dir = std::env::temp_dir().join(format!("flowdiff-crashdrill-{}", std::process::id()));
-    std::fs::create_dir_all(&ckpt_dir)?;
-    let ckpt_path = ckpt_dir.join(format!("drill-{seed}.ckpt"));
-    let planned = plan.kill_epochs().len();
-    // The drill panics on purpose; keep the default hook's backtrace
-    // chatter out of the report.
-    let orig_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcome = run(Some(&ckpt_path), &mut plan);
-    std::panic::set_hook(orig_hook);
-    let (drilled, restarts) = outcome?;
-    println!("drill: {restarts} of {planned} planned {deaths} fired; each restored from the last checkpoint");
-
-    let matched = clean.iter().zip(&drilled).filter(|(a, b)| a == b).count();
-    let keys_clean: BTreeSet<&String> = clean.iter().flat_map(|t| &t.keys).collect();
-    let keys_drill: BTreeSet<&String> = drilled.iter().flat_map(|t| &t.keys).collect();
-    let keys_recovered = keys_clean.intersection(&keys_drill).count();
-    let fidelity = if clean.is_empty() {
-        1.0
-    } else {
-        matched as f64 / clean.len() as f64
-    };
-    println!(
-        "recovery: {:.1}% fidelity ({matched}/{} epoch snapshots byte-identical, \
-         {keys_recovered}/{} confirmed changes recovered, {restarts} kill(s) survived)",
-        fidelity * 100.0,
-        clean.len(),
-        keys_clean.len()
-    );
-
-    // Bonus demonstration: a *lossy* restore (checkpoint loaded, replay
-    // skipped) must not flood — the differ holds every signature at
-    // Warming until `restore_warmup_us` of log time passes.
-    let mut half = drill.differ(shards)?;
-    let cut = events.len() / 2;
-    for event in &events[..cut] {
-        half.observe(event);
-    }
-    let Restored {
-        differ: mut lossy,
-        events_consumed: at,
-        ..
-    } = Differ::restore(&half.checkpoint(cut as u64, config), config)?;
-    lossy.mark_lossy_restore();
-    // Skip half the remaining stream instead of replaying it: data loss.
-    let tail_start = (at as usize) + (events.len() - at as usize) / 2;
-    let mut first_gated: Option<EpochSnapshot> = None;
-    for event in &events[tail_start..] {
-        for snap in lossy.observe(event) {
-            if first_gated.is_none() {
-                first_gated = Some(snap);
-            }
-        }
-    }
-    if let Some(snap) = first_gated {
-        let kinds: Vec<String> = snap
-            .suppressed()
-            .map(|(k, h)| format!("{k:?}={h}"))
-            .collect();
-        println!(
-            "lossy: resume without replay at epoch {} suppresses {} signature(s): {}",
-            snap.epoch,
-            kinds.len(),
-            kinds.first().cloned().unwrap_or_default()
-        );
-    }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    Ok(())
-}
-
-/// What a loopback drill puts between its publishers and the server.
-#[derive(Clone, Copy)]
-enum WireFaults<'a> {
-    Clean,
-    /// Byte-level mangling: each publisher sends its stream one-shot
-    /// through its own derived-seed [`ChannelChaos`] proxy.
-    Channel(&'a ChannelChaos),
-    /// Connection faults: each publisher follows a seeded [`ConnChaos`]
-    /// plan (mid-stream disconnects that resume from the server's
-    /// watermark, write stalls, slow-loris trickle).
-    Conn(&'a ConnChaos),
-}
-
-/// What [`wire_session_changes`] saw.
-struct WireRun {
-    /// Confirmed-change keys and the folded health (per-connection
-    /// stream stats absorbed).
-    changes: (BTreeSet<String>, IngestHealth),
-    /// The per-stream connection reports.
-    reports: Vec<netsim::net::ConnReport>,
-    /// The summed ground truth of any byte-level mangling.
-    mangled: ChaosReport,
-}
-
-/// Like [`Drill::byte_changes`], but over the wire: deals the drill's
-/// capture across `connections` loopback session publishers (faulted
-/// per `faults`), ingests through [`IngestServer`], and feeds the
-/// `(timestamp, connection)` merge straight into the differ — events
-/// are diffed as they arrive, bounded by the per-connection queues.
-fn wire_session_changes(
-    drill: &Drill,
-    faults: WireFaults<'_>,
-    connections: usize,
-    shards: usize,
-) -> EngineResult<WireRun> {
-    let config = &drill.config;
-    let server = IngestServer::bind("127.0.0.1:0")?;
-    let addr = server.local_addr()?;
-    let mut live = server.live(
-        connections,
-        config.ingest_queue_events,
-        LiveOptions {
-            stall_timeout_us: config.ingest_stall_timeout_us,
-            heartbeat_us: config.ingest_heartbeat_us,
-        },
-    )?;
-    let mut publishers = Vec::new();
-    for (i, part) in split_capture(&drill.current, connections)
-        .into_iter()
-        .enumerate()
-    {
-        let session = 0xF1A9_0000 + i as u64;
-        if let WireFaults::Channel(chaos) = faults {
-            let chaos = ChannelChaos {
-                seed: chaos.seed.wrapping_add(i as u64),
-                ..chaos.clone()
-            };
-            publishers.push(std::thread::spawn(move || {
-                publish_mangled(addr, &part, &chaos, session)
-            }));
-            continue;
-        }
-        let opts = SessionOptions {
-            session,
-            retry_budget: config.publish_retry_budget.max(2),
-            backoff_us: config.publish_backoff_us,
-            plan: match faults {
-                WireFaults::Conn(chaos) => Some(chaos.plan_for(i as u64, part.len() as u64)),
-                _ => None,
-            },
-        };
-        publishers.push(std::thread::spawn(move || {
-            publish_session(addr, &part, &opts)
-        }));
-    }
-    let (keys, mut health) = drill.changes(live.take_merge(), shards)?;
-    let reports = live.finish();
-    for r in &reports {
-        health.absorb_stream(r.stats);
-        health.absorb_conn(r.stalls, r.disconnects, r.resumes);
-    }
-    let mut mangled = ChaosReport::default();
-    for publisher in publishers {
-        let sent = publisher
-            .join()
-            .expect("publisher thread must not panic")
-            .map_err(|e| format!("publish: {e}"))?;
-        if let Some(c) = sent.chaos {
-            mangled.total_frames += c.total_frames;
-            mangled.dropped += c.dropped;
-            mangled.duplicated += c.duplicated;
-            mangled.truncated += c.truncated;
-            mangled.bit_flipped += c.bit_flipped;
-            mangled.reordered += c.reordered;
-        }
-    }
-    Ok(WireRun {
-        changes: (keys, health),
-        reports,
-        mangled,
-    })
-}
-
-/// Keys a diff's changes by signature, direction, and implicated
-/// components — stable identifiers that survive magnitude jitter.
-fn collect_keys(diff: &ModelDiff, keys: &mut BTreeSet<String>) {
-    for change in diff
-        .group_diffs
-        .iter()
-        .flat_map(|g| g.changes.iter())
-        .chain(diff.infra.iter())
-    {
-        keys.insert(format!(
-            "{:?} {:?} {:?}",
-            change.kind, change.direction, change.components
-        ));
     }
 }
 
@@ -1301,8 +754,14 @@ mod tests {
             let err = OnlineOpts::parse(&args(flag, value), serve).err().unwrap();
             assert_eq!(err.to_string(), format!("{flag} {value}: too large"));
         }
-        let err = cmd_flapdrill(&args("--merge-stall-ms", ms)).unwrap_err();
-        assert_eq!(err.to_string(), format!("--merge-stall-ms {ms}: too large"));
+        let mut publish = args("--backoff-ms", ms);
+        publish.insert(0, "current.fcap".to_string());
+        let err = cmd_publish(&publish).unwrap_err();
+        assert_eq!(err.to_string(), format!("--backoff-ms {ms}: too large"));
+        for flag in ["--epoch-secs", "--window-secs"] {
+            let err = OnlineOpts::parse(&args(flag, 0), false).err().unwrap();
+            assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
+        }
         // The largest value that fits still parses.
         let opts = OnlineOpts::parse(&args("--slack-ms", ms - 1), true).unwrap();
         assert_eq!(opts.config.reorder_slack_us, (ms - 1) * 1_000);

@@ -1,6 +1,7 @@
 //! Connection-survivability tests for the live session ingest: seeded
 //! flap/stall schedules across publisher counts, exercised end to end
-//! the way `flowdiff-bench serve` and `flapdrill` run.
+//! the way `flowdiff-bench serve` runs
+//! (`cargo test -p flowdiff-bench --test survivable_ingest`).
 //!
 //! The contract, in increasing strictness:
 //!

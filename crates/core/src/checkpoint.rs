@@ -27,8 +27,9 @@
 //! last checkpoint, replay the input from the checkpoint's event
 //! offset, and every subsequent [`EpochSnapshot`](crate::diff::EpochSnapshot)
 //! is byte-identical to the uninterrupted run (the round-trip property
-//! test in `tests/streaming_equivalence.rs` and the `flowdiff-bench
-//! crashdrill` drill both enforce this).
+//! test in `tests/streaming_equivalence.rs` and
+//! `engine::tests::supervised_run_survives_planned_kills_byte_identically`
+//! both enforce this).
 
 use std::fmt;
 use std::io::Write;
@@ -333,7 +334,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
 }
 
 /// FNV-1a over `bytes`: the 64-bit hash behind [`config_fingerprint`]
-/// and the drills' per-epoch snapshot traces.
+/// and the engine tests' per-epoch snapshot traces.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -347,7 +348,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// differ state depends on ([`fnv1a`] over its serialized bytes), so a
 /// checkpoint can refuse to resume under thresholds it was not built
 /// with. The supervisor and transport knobs — how often to checkpoint,
-/// how to restart, how the sockets queue, stall and retry — shape no
+/// how to restart, how the sockets queue and stall — shape no
 /// differ state and read as their defaults here: resuming under a
 /// different `--checkpoint-every` or `--stall-ms` is not a mismatch.
 /// Every other field, present and future, is covered.
@@ -360,8 +361,6 @@ pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
         ingest_queue_events: neutral.ingest_queue_events,
         ingest_stall_timeout_us: neutral.ingest_stall_timeout_us,
         ingest_heartbeat_us: neutral.ingest_heartbeat_us,
-        publish_retry_budget: neutral.publish_retry_budget,
-        publish_backoff_us: neutral.publish_backoff_us,
         ..config.clone()
     }))
 }
@@ -843,14 +842,6 @@ mod tests {
             },
             FlowDiffConfig {
                 ingest_heartbeat_us: 1,
-                ..config.clone()
-            },
-            FlowDiffConfig {
-                publish_retry_budget: 8,
-                ..config.clone()
-            },
-            FlowDiffConfig {
-                publish_backoff_us: 1,
                 ..config.clone()
             },
         ] {

@@ -138,16 +138,6 @@ pub struct FlowDiffConfig {
     /// a session silent for well past this as dead-but-open rather
     /// than quiet. `0` disables heartbeats.
     pub ingest_heartbeat_us: u64,
-    /// Live publish: how many times a publisher retries a failed
-    /// connect/write (with resume) before giving up. `0` is valid and
-    /// means fail-fast: the first connection failure is final.
-    pub publish_retry_budget: u32,
-    /// Live publish: base delay between publisher retries, microseconds
-    /// of wall time; doubles on every consecutive retry (exponential
-    /// backoff) plus a seeded jitter so a fleet of publishers does not
-    /// reconnect in lockstep. Must be nonzero so a flapping server
-    /// cannot be hammered in a hot loop.
-    pub publish_backoff_us: u64,
 }
 
 impl Default for FlowDiffConfig {
@@ -182,8 +172,6 @@ impl Default for FlowDiffConfig {
             restore_warmup_us: 30_000_000,
             ingest_stall_timeout_us: 0,
             ingest_heartbeat_us: 0,
-            publish_retry_budget: 0,
-            publish_backoff_us: 200_000,
         }
     }
 }
@@ -273,13 +261,10 @@ impl FlowDiffConfig {
         nonzero("checkpoint_every_epochs", self.checkpoint_every_epochs)?;
         nonzero("restart_backoff_us", self.restart_backoff_us)?;
         nonzero("ingest_queue_events", self.ingest_queue_events as u64)?;
-        // Publisher backoff of zero would let a flapping server be
-        // hammered in a hot loop; a retry budget of 0 is meaningful
-        // (fail fast) and deliberately passes. A stall budget shorter
-        // than the heartbeat cadence would waive healthy-but-quiet
-        // publishers between beats; both zero (disabled) is the default
-        // and preserves strict blocking-merge semantics.
-        nonzero("publish_backoff_us", self.publish_backoff_us)?;
+        // A stall budget shorter than the heartbeat cadence would waive
+        // healthy-but-quiet publishers between beats; both zero
+        // (disabled) is the default and preserves strict blocking-merge
+        // semantics.
         if self.ingest_stall_timeout_us > 0
             && self.ingest_stall_timeout_us < self.ingest_heartbeat_us
         {
@@ -403,13 +388,6 @@ mod tests {
                 ..base()
             }),
             "ingest_queue_events"
-        );
-        assert_eq!(
-            rejected_field(FlowDiffConfig {
-                publish_backoff_us: 0,
-                ..base()
-            }),
-            "publish_backoff_us"
         );
         assert_eq!(
             rejected_field(FlowDiffConfig {

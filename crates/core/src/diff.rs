@@ -1383,11 +1383,12 @@ impl ShardedDiffer {
     }
 
     /// Injects a panic into shard `shard`'s worker, in-queue — the
-    /// crash-drill hook behind `flowdiff-bench crashdrill
-    /// --kill-worker`. The worker dies when it reaches the poison;
-    /// the coordinator's next flush, barrier, or quiesce then panics
-    /// on the closed channel, which is the supervised restart path's
-    /// cue to restore from the last checkpoint.
+    /// crash-drill hook behind
+    /// `engine::tests::worker_panic_surfaces_and_recovers_exactly_once`.
+    /// The worker dies when it reaches the poison; the coordinator's
+    /// next flush, barrier, or quiesce then panics on the closed
+    /// channel, which is the supervised restart path's cue to restore
+    /// from the last checkpoint.
     pub fn poison_worker(&mut self, shard: usize) {
         self.ensure_pipeline();
         let pipeline = self.pipeline.as_ref().expect("pipeline just ensured");

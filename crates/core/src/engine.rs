@@ -1,6 +1,6 @@
 //! The online engine: FlowDiff run continuously against a known-good
 //! model, as a library. Everything that runs online — `flowdiff-bench
-//! watch` over a capture file, `serve` over sockets, the crash drills —
+//! watch` over a capture file, `serve` over sockets, the crash tests —
 //! is these three pieces:
 //!
 //! * [`Differ`], the online differ in either deployment shape.
@@ -265,7 +265,7 @@ pub fn resume_from(path: &Path, config: &FlowDiffConfig) -> EngineResult<(Differ
 /// The supervised loop's event source. Either way `get(idx)` means "the
 /// `idx`-th event since the process started".
 ///
-/// `Slice` is the batch shape (`watch`, the drills, the tests): the
+/// `Slice` is the batch shape (`watch`, the tests): the
 /// capture fully decoded up front, re-readable from any offset.
 ///
 /// `Live` pulls from a stream — in `serve`, the wire
@@ -431,7 +431,7 @@ pub struct RunReport {
 /// often the stream is replayed: the delivery watermark lives outside
 /// the guarded region and moves only after `on_snapshot` returns.
 /// `on_snapshot` runs inside the guarded region with the live differ in
-/// hand, which is where a crash drill injects its faults — a panic, or
+/// hand, which is where a crash test injects its faults — a panic, or
 /// [`Differ::poison_worker`], before it records the epoch — exactly
 /// what a power cut between compute and output looks like. Its
 /// [`EpochTimings`] are those accumulated since the previous boundary;

@@ -1311,7 +1311,7 @@ fn retry_or_bail(
     let base = opts.backoff_us.max(1_000);
     let backoff = base.saturating_mul(1u64 << (*retries - 1).min(16));
     let jitter = rng.gen_range(0..=backoff / 4);
-    std::thread::sleep(Duration::from_micros(backoff + jitter));
+    std::thread::sleep(Duration::from_micros(backoff.saturating_add(jitter)));
     Ok(())
 }
 
