@@ -252,6 +252,23 @@ if [ "$fan_outs" -ne 1 ]; then
     exit 1
 fi
 
+step "one arrival stage, in front of both differs"
+# records::Sequencer alone quarantines, counts disorder and re-sequences;
+# the assembler behind it is a pure state machine (DESIGN.md, Robust
+# ingestion), and the shims that kept two copies in lockstep stay gone.
+core_src=crates/core/src
+for pattern in 'config.reorder_slack_us' 'config.max_time_jump_us' 'BTreeMap<(Timestamp, u64)'; do
+    found=$(grep -roF "$pattern" "$core_src" | wc -l)
+    if [ "$found" -ne 1 ]; then
+        echo "FAIL: '$pattern' appears $found times under $core_src, want 1 (the Sequencer)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'advance_now|OpaquePacketIn|StreamSource|serialize_head' crates/; then
+    echo "FAIL: a second arrival-stage shim is back under crates/" >&2
+    exit 1
+fi
+
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

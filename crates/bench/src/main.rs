@@ -241,7 +241,7 @@ fn decode_capture(path: &str) -> EngineResult<(Vec<ControlEvent>, netsim::log::S
     let mut events: Vec<ControlEvent> = Vec::new();
     for event in stream.by_ref() {
         match event {
-            Ok(event) => events.push(event.into_owned()),
+            Ok(event) => events.push(event),
             Err(e) => eprintln!("warning: {path}: {e} (resynchronized)"),
         }
     }
@@ -292,12 +292,12 @@ impl OnlineOpts {
                     config.online_window_us = flags.positive_micros(flag, 1_000_000)?
                 }
                 "--checkpoint" => opts.checkpoint = Some(flags.path(flag)?),
-                "--checkpoint-every" => config.checkpoint_every_epochs = flags.num(flag)?,
+                "--checkpoint-every" => config.checkpoint_every_epochs = flags.count(flag)? as u64,
                 "--resume" => opts.resume = Some(flags.path(flag)?),
                 "--save-baseline" if !serve => opts.save_baseline = Some(flags.path(flag)?),
                 "--listen" if serve => opts.listen = Some(flags.value(flag)?.to_string()),
                 "--publishers" if serve => opts.publishers = flags.count(flag)?,
-                "--queue" if serve => config.ingest_queue_events = flags.num(flag)?,
+                "--queue" if serve => config.ingest_queue_events = flags.count(flag)?,
                 "--slack-ms" if serve => config.reorder_slack_us = flags.micros(flag, 1_000)?,
                 "--stall-ms" if serve => {
                     config.ingest_stall_timeout_us = flags.micros(flag, 1_000)?
@@ -319,13 +319,13 @@ impl OnlineOpts {
 
 /// Runs `feed` through the supervised engine the way `watch` and
 /// `serve` both do: a differ in the shape `--shards` asks for (or the
-/// one `--resume` restores), checkpoints at `--checkpoint`, one `epoch`
-/// and one `latency epoch` line per boundary.
+/// one `--resume` restores, if it was written against the baseline
+/// loaded from `baseline_path`), checkpoints at `--checkpoint`, one
+/// `epoch` and one `latency epoch` line per boundary.
 fn run_online(
     feed: &mut Feed<'_>,
     opts: &OnlineOpts,
-    baseline: &BehaviorModel,
-    stability: &StabilityReport,
+    (baseline_path, baseline, stability): (&str, &BehaviorModel, &StabilityReport),
     degraded: Option<&dyn Fn() -> Option<String>>,
 ) -> EngineResult<RunReport> {
     let config = &opts.config;
@@ -335,6 +335,15 @@ fn run_online(
             return Ok((differ, 0));
         };
         let (differ, at) = resume_from(path, config)?;
+        // A checkpoint carries its own reference model: resuming it
+        // under another baseline would print that one's verdicts.
+        if differ.baseline() != (baseline, stability) {
+            return Err(format!(
+                "{}: checkpoint was written against a different baseline than {baseline_path}",
+                path.display()
+            )
+            .into());
+        }
         println!(
             "stats: resumed from {} at event {at}, epoch {}",
             path.display(),
@@ -401,13 +410,8 @@ fn cmd_watch(args: &[String]) -> CliResult {
     // The whole current capture is decoded up front: the supervised
     // loop needs random access to replay from a checkpoint's offset.
     let (events, stream_stats) = decode_capture(&args[1])?;
-    let mut run = run_online(
-        &mut Feed::Slice(&events),
-        &opts,
-        &baseline,
-        &stability,
-        None,
-    )?;
+    let judge = (args[0].as_str(), &baseline, &stability);
+    let mut run = run_online(&mut Feed::Slice(&events), &opts, judge, None)?;
     run.health.absorb_stream(stream_stats);
     report_run(&run, &opts.config);
     Ok(())
@@ -464,7 +468,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .collect();
         (!down.is_empty()).then(|| down.join(", "))
     };
-    let mut run = run_online(&mut feed, &opts, &baseline, &stability, Some(&degraded))?;
+    let judge = (args[0].as_str(), &baseline, &stability);
+    let mut run = run_online(&mut feed, &opts, judge, Some(&degraded))?;
 
     let refused = live.refused();
     if refused > 0 {
@@ -758,13 +763,52 @@ mod tests {
         publish.insert(0, "current.fcap".to_string());
         let err = cmd_publish(&publish).unwrap_err();
         assert_eq!(err.to_string(), format!("--backoff-ms {ms}: too large"));
-        for flag in ["--epoch-secs", "--window-secs"] {
-            let err = OnlineOpts::parse(&args(flag, 0), false).err().unwrap();
+        for (flag, serve) in [
+            ("--epoch-secs", false),
+            ("--window-secs", false),
+            ("--checkpoint-every", false),
+            ("--queue", true),
+        ] {
+            let err = OnlineOpts::parse(&args(flag, 0), serve).err().unwrap();
             assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
         }
         // The largest value that fits still parses.
         let opts = OnlineOpts::parse(&args("--slack-ms", ms - 1), true).unwrap();
         assert_eq!(opts.config.reorder_slack_us, (ms - 1) * 1_000);
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_written_against_another_baseline() {
+        let capture = |name: &str, seed: u64| {
+            let path = tmp(name);
+            let (log, _) = flowdiff_bench::tree_capture(1, seed, 6);
+            std::fs::write(&path, log.to_wire_bytes()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let (baseline, other) = (capture("resume-a.fcap", 1), capture("resume-b.fcap", 2));
+        let current = capture("resume-current.fcap", 3);
+        let ckpt = tmp("resume-baseline.ckpt");
+        let ckpt = ckpt.to_str().unwrap();
+        let watch = |baseline: &str, flag: &str| {
+            let args = [
+                baseline,
+                &current,
+                "--epoch-secs",
+                "1",
+                "--window-secs",
+                "2",
+                flag,
+                ckpt,
+            ];
+            cmd_watch(&args.map(String::from))
+        };
+        watch(&baseline, "--checkpoint").unwrap();
+
+        let err = watch(&other, "--resume").unwrap_err().to_string();
+        assert!(err.contains(ckpt) && err.contains(&other), "got: {err}");
+        assert!(err.contains("different baseline"), "got: {err}");
+        // The baseline it was written against still resumes.
+        watch(&baseline, "--resume").unwrap();
     }
 
     #[test]

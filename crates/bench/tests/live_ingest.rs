@@ -141,7 +141,7 @@ fn one_percent_corruption_keeps_ninety_percent_of_the_confirmed_changes() {
     // identifiers that survive magnitude jitter.
     let changes = |bytes: &[u8]| {
         let mut stream = LogStream::from_wire_bytes(bytes).expect("magic intact");
-        let events: Vec<ControlEvent> = stream.by_ref().flatten().map(|e| e.into_owned()).collect();
+        let events: Vec<ControlEvent> = stream.by_ref().flatten().collect();
         let (snaps, mut health) = engine_snapshots(&mut Feed::Slice(&events), judge);
         health.absorb_stream(stream.stats());
         let mut keys = BTreeSet::new();

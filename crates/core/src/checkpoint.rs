@@ -46,13 +46,16 @@ use crate::stability::StabilityReport;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// Current checkpoint format version: the sharded layout (a shared
 /// core plus independently-guarded per-shard segments).
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 4;
 /// The single-pipeline checkpoint layout [`Checkpoint`] writes and
 /// reads; [`Differ::restore`](crate::engine::Differ::restore)
 /// dispatches on the stamped version, so a run resumes whatever shape
-/// its previous incarnation wrote.
-pub const CHECKPOINT_V1: u32 = 1;
-/// Magic prefix of one shard's segment inside a v2 checkpoint.
+/// its previous incarnation wrote. Versions 1 (single) and 2 (sharded)
+/// are the layouts from before the
+/// [`Sequencer`](crate::records::Sequencer) took the arrival state out
+/// of the assemblers: refused, never decoded.
+pub const CHECKPOINT_SINGLE: u32 = 3;
+/// Magic prefix of one shard's segment inside a segmented checkpoint.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
 /// Current per-shard segment format version.
 pub const SEGMENT_VERSION: u32 = 1;
@@ -377,7 +380,7 @@ fn check_fingerprint(stored: u64, config: &FlowDiffConfig) -> Result<(), Persist
 }
 
 /// The complete durable state of one online diagnosis run: the
-/// [`OnlineDiffer`] (reference model, stability gates, assembler,
+/// [`OnlineDiffer`] (reference model, stability gates, sequencer, assembler,
 /// incremental builder, epoch grid, warm-up state), how many input
 /// events it has consumed, and the fingerprint of the config it runs
 /// under.
@@ -405,13 +408,13 @@ impl Checkpoint {
     }
 
     /// Serializes into the guarded container (format version
-    /// [`CHECKPOINT_V1`], the single-pipeline layout).
+    /// [`CHECKPOINT_SINGLE`], the single-pipeline layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        seal(CHECKPOINT_MAGIC, CHECKPOINT_V1, &serde::to_vec(self))
+        seal(CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, &serde::to_vec(self))
     }
 
     /// Parses a guarded container produced by [`Checkpoint::to_bytes`].
-    /// Only reads the v1 single-pipeline layout;
+    /// Only reads the single-pipeline layout;
     /// [`Differ::restore`](crate::engine::Differ::restore) reads either.
     ///
     /// # Errors
@@ -419,7 +422,7 @@ impl Checkpoint {
     /// Every container-level [`PersistError`] plus
     /// [`PersistError::Decode`] for a payload that fails to parse.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
-        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_V1, bytes)?;
+        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, bytes)?;
         Ok(serde::from_slice(payload)?)
     }
 
@@ -436,7 +439,7 @@ impl Checkpoint {
     }
 }
 
-/// The CRC-guarded index section of a v2 sharded checkpoint: run
+/// The CRC-guarded index section of a segmented checkpoint: run
 /// identity, the differ's shared core bytes, and the byte length of
 /// every shard segment that follows. Segment framing lives here — in
 /// CRC-protected territory — so corruption *inside* one segment can
@@ -450,7 +453,7 @@ struct ShardedManifest {
 }
 
 /// The durable state of a sharded online diagnosis run, persisted as
-/// FDIFFCKP **version 2**: the guarded header's CRC covers a manifest
+/// FDIFFCKP [`CHECKPOINT_VERSION`]: the guarded header's CRC covers a manifest
 /// (run identity + the [`ShardedDiffer`]'s shared core + segment
 /// framing), and each shard's worker state follows as its *own* sealed
 /// [`SEGMENT_MAGIC`] container with an independent CRC.
@@ -496,7 +499,7 @@ impl ShardedCheckpoint {
         }
     }
 
-    /// Serializes into the v2 layout: guarded manifest, then one
+    /// Serializes into the segmented layout: guarded manifest, then one
     /// sealed segment per shard.
     pub fn to_bytes(&self) -> Vec<u8> {
         let segments: Vec<Vec<u8>> = self
@@ -518,7 +521,7 @@ impl ShardedCheckpoint {
         out
     }
 
-    /// Strict parse of a v2 checkpoint: any corrupt segment is a typed
+    /// Strict parse of a segmented checkpoint: any corrupt segment is a typed
     /// [`PersistError::ShardSegment`] naming the shard.
     ///
     /// # Errors
@@ -530,7 +533,7 @@ impl ShardedCheckpoint {
         Self::parse(bytes, false)
     }
 
-    /// Salvaging parse of a v2 checkpoint: a corrupt segment is
+    /// Salvaging parse of a segmented checkpoint: a corrupt segment is
     /// replaced by a fresh shard worker (recorded in
     /// `salvaged_shards`), and when any segment was salvaged the
     /// restored differ is marked as a lossy restore so its warm-up
@@ -909,14 +912,32 @@ mod tests {
         let bytes = Checkpoint::capture(&differ, 11, &config).to_bytes();
         assert_eq!(
             read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
-            CHECKPOINT_V1
+            CHECKPOINT_SINGLE
         );
         let restored = Differ::restore(&bytes, &config).unwrap();
         assert_eq!(restored.events_consumed, 11);
         assert!(restored.salvaged_shards.is_empty());
         match restored.differ {
             Differ::Single(resumed) => assert_eq!(resumed, differ),
-            Differ::Sharded(_) => panic!("v1 bytes must restore the single pipeline"),
+            Differ::Sharded(_) => panic!("single-layout bytes must restore the single pipeline"),
+        }
+    }
+
+    #[test]
+    fn layouts_from_before_the_sequencer_are_refused_undecoded() {
+        // Versions 1 and 2 put the arrival state inside the assemblers.
+        // The CRC guards the payload only, so a re-stamped current file
+        // is exactly what such a file looks like to the header check.
+        let config = FlowDiffConfig::default();
+        let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
+        let sharded =
+            ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
+        for (mut bytes, old) in [(single, 1u32), (sharded, 2)] {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                Differ::restore(&bytes, &config),
+                Err(PersistError::UnsupportedVersion { found, .. }) if found == old
+            ));
         }
     }
 
@@ -958,7 +979,7 @@ mod tests {
         assert_eq!(restored.events_consumed, 5);
         match restored.differ {
             Differ::Sharded(resumed) => assert_eq!(resumed, differ),
-            Differ::Single(_) => panic!("v2 file must restore the sharded pipeline"),
+            Differ::Single(_) => panic!("segmented file must restore the sharded pipeline"),
         }
         std::fs::remove_file(&path).unwrap();
     }

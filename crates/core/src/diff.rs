@@ -18,10 +18,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, SignatureKind};
 use crate::config::{ConfigError, FlowDiffConfig};
+use crate::derived::Derived;
 use crate::epoch::EpochClock;
 use crate::groups::{match_group_refs, AppGroup};
 use crate::model::{BehaviorModel, IncrementalModelBuilder, ShardModel};
-use crate::records::{Admitted, EventClass, FlowRecord, RecordAssembler, RoutedEvent, ShardRouter};
+use crate::records::{
+    Admitted, EventClass, FlowRecord, IngestHealth, RecordAssembler, RoutedEvent, Sequencer,
+    ShardRouter,
+};
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
 use netsim::log::ControlEvent;
@@ -360,7 +364,7 @@ fn gate_diff(
 /// The part of the streaming state both differs share: what window
 /// models are judged against, and the two conditions that hold diffs
 /// back. Every boundary and flush path ends in [`Judge::snapshot`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Judge {
     reference: BehaviorModel,
     stability: StabilityReport,
@@ -371,18 +375,8 @@ struct Judge {
     /// Transient transport-degradation note set by the serving loop
     /// (a stalled or dead publisher): while set, every signature gates
     /// [`SignatureHealth::Starved`]. A live transport condition, not
-    /// stream state — excluded from equality and serialization like
-    /// the timing diagnostics.
-    ingest_degraded: Option<String>,
-}
-
-impl PartialEq for Judge {
-    fn eq(&self, other: &Judge) -> bool {
-        self.reference == other.reference
-            && self.stability == other.stability
-            && self.config == other.config
-            && self.warm_until == other.warm_until
-    }
+    /// stream state.
+    ingest_degraded: Derived<Option<String>>,
 }
 
 impl Judge {
@@ -392,26 +386,8 @@ impl Judge {
             stability,
             config: config.clone(),
             warm_until: None,
-            ingest_degraded: None,
+            ingest_degraded: Derived(None),
         }
-    }
-
-    /// The serialized prefix: everything durable but `warm_until`,
-    /// which both layouts write after the state that follows.
-    fn serialize_head(&self, out: &mut Vec<u8>) {
-        self.reference.serialize(out);
-        self.stability.serialize(out);
-        self.config.serialize(out);
-    }
-
-    fn deserialize_head(input: &mut &[u8]) -> Result<Judge, serde::Error> {
-        Ok(Judge {
-            reference: BehaviorModel::deserialize(input)?,
-            stability: StabilityReport::deserialize(input)?,
-            config: FlowDiffConfig::deserialize(input)?,
-            warm_until: None,
-            ingest_degraded: None,
-        })
     }
 
     /// Holds every signature at [`SignatureHealth::Warming`] until
@@ -437,7 +413,7 @@ impl Judge {
             &model,
             self.warm_until,
             window.1,
-            self.ingest_degraded.as_deref(),
+            self.ingest_degraded.0.as_deref(),
             &mut diff,
         );
         EpochSnapshot {
@@ -518,9 +494,10 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// `config.online_window_us` window and diffs it against a fixed
 /// reference model.
 ///
-/// Internally an incremental pipeline — a [`RecordAssembler`] turns
-/// events into flow records, an [`IncrementalModelBuilder`] accumulates
-/// them, and `retire_before` keeps memory proportional to the window.
+/// Internally an incremental pipeline — a [`Sequencer`] judges each
+/// arrival, a [`RecordAssembler`] turns the events it releases into
+/// flow records, an [`IncrementalModelBuilder`] accumulates them, and
+/// `retire_before` keeps memory proportional to the window.
 /// At each boundary the builder snapshots through its maintained window
 /// state ([`IncrementalModelBuilder::epoch_snapshot`]), which also
 /// holds the assembler's in-flight episodes — re-read only when an
@@ -529,58 +506,21 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// and without cloning and rebuilding the whole window every epoch.
 ///
 /// The differ serializes wholesale — reference model, stability report,
-/// config, assembler, builder, epoch grid, warm-up state — which is
-/// exactly the complete streaming state an online
+/// config, warm-up state, sequencer, assembler, builder, epoch grid —
+/// which is exactly the complete streaming state an online
 /// [`checkpoint`](crate::checkpoint) needs: restore a differ, replay
 /// the events after the checkpoint offset, and every subsequent
 /// snapshot is byte-identical to an uninterrupted run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineDiffer {
     judge: Judge,
+    sequencer: Sequencer,
     assembler: RecordAssembler,
     builder: IncrementalModelBuilder,
     clock: EpochClock,
     /// Per-stage boundary timings since the last
-    /// [`take_timings`](Self::take_timings) (diagnostics only: excluded
-    /// from equality and serialization).
-    timings: EpochTimings,
-}
-
-/// Equality over the streaming state; wall-clock timings are excluded.
-impl PartialEq for OnlineDiffer {
-    fn eq(&self, other: &OnlineDiffer) -> bool {
-        self.judge == other.judge
-            && self.assembler == other.assembler
-            && self.builder == other.builder
-            && self.clock == other.clock
-    }
-}
-
-/// Hand-written (field-order) serialization that skips the timing
-/// diagnostics — the wire format matches what the field-order derive
-/// produced before timings existed, so checkpoints stay compatible.
-impl Serialize for OnlineDiffer {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.judge.serialize_head(out);
-        self.assembler.serialize(out);
-        self.builder.serialize(out);
-        self.clock.serialize(out);
-        self.judge.warm_until.serialize(out);
-    }
-}
-
-impl Deserialize for OnlineDiffer {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let mut differ = OnlineDiffer {
-            judge: Judge::deserialize_head(input)?,
-            assembler: RecordAssembler::deserialize(input)?,
-            builder: IncrementalModelBuilder::deserialize(input)?,
-            clock: EpochClock::deserialize(input)?,
-            timings: EpochTimings::default(),
-        };
-        differ.judge.warm_until = Option::<Timestamp>::deserialize(input)?;
-        Ok(differ)
-    }
+    /// [`take_timings`](Self::take_timings) (wall-clock diagnostics).
+    timings: Derived<EpochTimings>,
 }
 
 impl OnlineDiffer {
@@ -614,10 +554,11 @@ impl OnlineDiffer {
         config.validate()?;
         Ok(OnlineDiffer {
             judge: Judge::new(reference, stability, config),
+            sequencer: Sequencer::new(config),
             assembler: RecordAssembler::new(config),
             builder: IncrementalModelBuilder::new(config),
             clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
-            timings: EpochTimings::default(),
+            timings: Derived::default(),
         })
     }
 
@@ -625,7 +566,12 @@ impl OnlineDiffer {
     /// last call (or construction) and resets them — one call per
     /// emitted snapshot gives the per-epoch latency breakdown.
     pub fn take_timings(&mut self) -> EpochTimings {
-        std::mem::take(&mut self.timings)
+        std::mem::take(&mut self.timings.0)
+    }
+
+    /// The reference model and stability report diffs are taken against.
+    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
+        (&self.judge.reference, &self.judge.stability)
     }
 
     /// The zero-based index of the next epoch to be emitted.
@@ -650,7 +596,7 @@ impl OnlineDiffer {
     /// uninterrupted state, and warming it would break the
     /// byte-identical recovery contract.
     pub fn mark_lossy_restore(&mut self) {
-        self.judge.warm_from(self.assembler.max_arrival());
+        self.judge.warm_from(self.sequencer.max_arrival());
     }
 
     /// Sets (or clears) the transport-degradation note: while set,
@@ -659,16 +605,18 @@ impl OnlineDiffer {
     /// goes stalled or dead, and clears it when the stream revives.
     /// Transient: never serialized, never part of differ equality.
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.judge.ingest_degraded = reason;
+        self.judge.ingest_degraded.0 = reason;
     }
 
-    /// Event-level ingestion health accumulated so far (out-of-order
-    /// events, duplicate xids, orphans, evictions). Frame-level decode
-    /// counters live with the [`LogStream`](netsim::log::LogStream)
-    /// feeding this differ; fold them in with
-    /// [`IngestHealth::absorb_stream`](crate::records::IngestHealth::absorb_stream).
-    pub fn health(&self) -> &crate::records::IngestHealth {
-        self.assembler.health()
+    /// Event-level ingestion health accumulated so far (time jumps,
+    /// out-of-order events, duplicate xids, orphans, evictions).
+    /// Frame-level decode counters live with the
+    /// [`LogStream`](netsim::log::LogStream) feeding this differ; fold
+    /// them in with [`IngestHealth::absorb_stream`].
+    pub fn health(&self) -> IngestHealth {
+        let mut health = *self.assembler.health();
+        self.sequencer.count_into(&mut health);
+        health
     }
 
     /// Feeds one event; returns the snapshots of every epoch boundary
@@ -680,16 +628,16 @@ impl OnlineDiffer {
     /// model build per crossed epoch).
     pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
         // A quarantined timestamp must not drive the epoch clock either.
-        if self.assembler.quarantines(event.ts) {
-            let admitted = self.assembler.observe(event);
-            debug_assert!(!admitted, "quarantines() and observe() disagree");
+        if !self.sequencer.admit(event.ts) {
             return Vec::new();
         }
         let mut out = Vec::new();
         for (epoch, boundary) in self.clock.advance(event.ts) {
             out.push(self.snapshot_at(epoch, boundary));
         }
-        self.assembler.observe(event);
+        let assembler = &mut self.assembler;
+        self.sequencer
+            .release(event, |ev, _| assembler.observe(&ev));
         self.builder.observe_event(event);
         for record in self.assembler.take_completed() {
             self.builder.observe_record(record);
@@ -702,12 +650,16 @@ impl OnlineDiffer {
     pub fn finish(self) -> Option<EpochSnapshot> {
         let OnlineDiffer {
             judge,
-            assembler,
+            mut sequencer,
+            mut assembler,
             mut builder,
             clock,
             timings: _,
         } = self;
         let (_, end) = builder.observed_span()?;
+        for ev in sequencer.drain() {
+            assembler.observe(&ev);
+        }
         for record in assembler.finish() {
             builder.observe_record(record);
         }
@@ -720,9 +672,10 @@ impl OnlineDiffer {
     /// Models the window ending at `boundary` and diffs it against the
     /// reference, as epoch `epoch`.
     fn snapshot_at(&mut self, epoch: u64, boundary: Timestamp) -> EpochSnapshot {
+        let timings = &mut self.timings.0;
         let drained = self.assembler.take_completed();
         if !drained.is_empty() {
-            timed(&mut self.timings.observe_us, || {
+            timed(&mut timings.observe_us, || {
                 for record in drained {
                     self.builder.observe_record(record);
                 }
@@ -730,30 +683,26 @@ impl OnlineDiffer {
         }
         let start =
             Timestamp::from_micros(boundary.as_micros().saturating_sub(self.clock.window_us()));
-        timed(&mut self.timings.retire_us, || {
+        timed(&mut timings.retire_us, || {
             self.builder.retire_before(start);
         });
         // The in-flight episodes belong in this window's picture, but
         // must complete into the real builder exactly once: the builder
         // keeps them in its derived window state only, and needs just
         // the in-window ones that changed since the previous boundary.
-        let model = timed(&mut self.timings.snapshot_us, || {
+        let model = timed(&mut timings.snapshot_us, || {
             let opens = self.assembler.touched_open_records_since(start);
             self.builder.epoch_snapshot((start, boundary), opens)
         });
-        timed(&mut self.timings.diff_us, || {
+        timed(&mut timings.diff_us, || {
             self.judge.snapshot(epoch, (start, boundary), model)
         })
     }
 }
 
 /// One shard worker's streaming state: its slice of the record
-/// assembly, and the model builder fed its slice of the raw events.
-///
-/// The shard's assembler runs with `reorder_slack_us = 0` and
-/// `max_time_jump_us = 0` — re-sequencing and quarantine are the
-/// splitter's job, and double-applying either would diverge from the
-/// single-shard pipeline.
+/// assembly, and the model builder fed its slice of the raw events. The
+/// events it assembles were sequenced by the splitter's [`Sequencer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardState {
     assembler: RecordAssembler,
@@ -764,13 +713,8 @@ impl ShardState {
     /// A fresh shard worker (also the degraded-restore replacement when
     /// one shard's checkpoint segment is corrupt).
     pub fn fresh(config: &FlowDiffConfig) -> ShardState {
-        let shard_config = FlowDiffConfig {
-            reorder_slack_us: 0,
-            max_time_jump_us: 0,
-            ..config.clone()
-        };
         ShardState {
-            assembler: RecordAssembler::new(&shard_config),
+            assembler: RecordAssembler::new(config),
             builder: IncrementalModelBuilder::new(config),
         }
     }
@@ -783,21 +727,14 @@ impl ShardState {
     ///   tuples, and pairing is global-by-xid — the paired send time and
     ///   output port are in the record bytes),
     /// - an owned event runs the full state machine,
-    /// - an unparseable `PacketIn` advances the clock *without* a prune
-    ///   check on every shard (the single-shard early-return quirk),
     /// - everything else advances the clock with the prune check, so
     ///   every shard evicts idle state on exactly the single-shard
     ///   schedule (eviction timing decides which straggling replies
     ///   still patch their episode — it is visible in record bytes).
     fn feed(&mut self, me: u32, routed: &RoutedEvent) {
         match routed.class {
-            EventClass::FlowMod => {
-                self.assembler.observe(&routed.event);
-            }
-            EventClass::OpaquePacketIn => self.assembler.advance_now(routed.event.ts),
-            _ if routed.shard == me => {
-                self.assembler.observe(&routed.event);
-            }
+            EventClass::FlowMod => self.assembler.observe(&routed.event),
+            _ if routed.shard == me => self.assembler.observe(&routed.event),
             _ => self.assembler.advance_clock(routed.event.ts),
         }
     }
@@ -1067,17 +1004,17 @@ struct Pending {
 /// serialization-byte-identical to the single-shard
 /// [`OnlineDiffer`]'s. The pieces that make that hold:
 ///
-/// - the **splitter** owns everything arrival-ordered (quarantine,
-///   out-of-order accounting, the reorder buffer) plus a release-order
-///   xid ledger for the global-by-xid health counts,
+/// - the **splitter** is the same [`Sequencer`] the single differ
+///   holds (quarantine, out-of-order accounting, the reorder buffer)
+///   plus routing and a release-order xid ledger for the global-by-xid
+///   health counts,
 /// - every admission becomes `Step`s — one `Admit` for an event the
 ///   reorder buffer releases at its own arrival (the owner's builder
 ///   feed, exactly when the single-shard builder sees the event, and
 ///   the release, from one copy of the event), or an `Arrive` now and a
 ///   `Release` later for one it holds back; at a release each worker
-///   applies the per-event rule (own flow → full observe, foreign
-///   `FlowMod` → full observe, opaque `PacketIn` → clock advance to
-///   now, anything else foreign → plain clock advance) — batched and
+///   applies the per-event rule (any `FlowMod` → full observe, own
+///   event → full observe, anything else → clock advance) — batched and
 ///   broadcast over bounded channels to **long-lived worker threads**
 ///   that drain their queues while the router keeps admitting,
 /// - epoch boundaries travel **in-band as barrier messages**: a worker
@@ -1121,7 +1058,7 @@ struct Pending {
 /// threads) should keep using [`OnlineDiffer`].
 ///
 /// The differ serializes for checkpointing split into a shared core
-/// plus per-shard segments (the FDIFFCKP v2 layout, so one shard's
+/// plus per-shard segments (the FDIFFCKP segmented layout, so one shard's
 /// corrupt segment doesn't lose the fleet — see
 /// [`crate::checkpoint::ShardedCheckpoint`]).
 #[derive(Debug)]
@@ -1263,9 +1200,9 @@ impl ShardedDiffer {
     /// Quiesces the pipeline first, so the rollup is exact — equal to
     /// the single-shard differ's counters at the same point in the
     /// stream, with no one-epoch flush lag.
-    pub fn health(&self) -> crate::records::IngestHealth {
+    pub fn health(&self) -> IngestHealth {
         self.quiesce();
-        let mut health = *self.splitter.health();
+        let mut health = self.splitter.health();
         for state in &self.states {
             let state = state.lock().expect("shard state poisoned");
             let sh = state.assembler.health();
@@ -1276,9 +1213,9 @@ impl ShardedDiffer {
         health
     }
 
-    /// Folds frame-level decode counters into the global health.
-    pub fn absorb_stream(&mut self, stats: netsim::log::StreamStats) {
-        self.splitter.absorb_stream(stats);
+    /// The reference model and stability report diffs are taken against.
+    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
+        (&self.judge.reference, &self.judge.stability)
     }
 
     /// Per-shard load figures (records held, in-flight episodes),
@@ -1335,35 +1272,30 @@ impl ShardedDiffer {
     /// Sets (or clears) the transport-degradation note — same contract
     /// as [`OnlineDiffer::set_ingest_degraded`].
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.judge.ingest_degraded = reason;
+        self.judge.ingest_degraded.0 = reason;
     }
 
     /// Feeds one event — the sharded mirror of
-    /// [`OnlineDiffer::observe`]: boundary snapshots are emitted from
-    /// state *before* this event, then the event is admitted, routed,
-    /// and its steps enqueued toward the workers. Admission returns as
-    /// soon as the steps are buffered (or, at a batch boundary, handed
-    /// to the queues) — the workers drain concurrently.
+    /// [`OnlineDiffer::observe`]: the event is admitted and routed, its
+    /// releases held aside while boundary snapshots are emitted from
+    /// state *before* this event, then its steps are enqueued toward the
+    /// workers. Admission returns as soon as the steps are buffered (or,
+    /// at a batch boundary, handed to the queues) — the workers drain
+    /// concurrently.
     pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
         self.ensure_pipeline();
-        let mut out = Vec::new();
         // A quarantined timestamp must not drive the epoch clock either.
-        if !self.splitter.quarantines(event.ts) {
-            for (epoch, boundary) in self.clock.advance(event.ts) {
-                out.push(self.snapshot_at(epoch, boundary));
-            }
+        let Some(Admitted { shard, released_at }) = self.splitter.admit(event, &mut self.released)
+        else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for (epoch, boundary) in self.clock.advance(event.ts) {
+            out.push(self.snapshot_at(epoch, boundary));
         }
-        let admitted = self.splitter.admit(event, &mut self.released);
         let steps = &mut (self.pending.get_mut())
             .expect("pending steps poisoned")
             .steps;
-        let Some(Admitted { shard, released_at }) = admitted else {
-            debug_assert!(
-                self.released.is_empty(),
-                "quarantined, yet something released"
-            );
-            return out;
-        };
         for (i, routed) in self.released.drain(..).enumerate() {
             steps.push(match released_at {
                 Some(at) if at == i => Step::Admit(routed),
@@ -1603,20 +1535,19 @@ impl ShardedDiffer {
         })
     }
 
-    /// The shared-core half of the FDIFFCKP v2 split: everything except
+    /// The shared-core half of the FDIFFCKP segmented split: everything except
     /// the per-shard worker states. Quiesces first, so nothing admitted
     /// is still on its way to a worker when the core is written.
     pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
         self.quiesce();
         let mut out = Vec::new();
-        self.judge.serialize_head(&mut out);
+        self.judge.serialize(&mut out);
         self.splitter.serialize(&mut out);
         self.clock.serialize(&mut out);
-        self.judge.warm_until.serialize(&mut out);
         out
     }
 
-    /// The per-shard halves of the FDIFFCKP v2 split, captured under a
+    /// The per-shard halves of the FDIFFCKP segmented split, captured under a
     /// quiesce so each segment is a consistent cut of the stream.
     pub(crate) fn shards_to_bytes(&self) -> Vec<Vec<u8>> {
         self.quiesce();
@@ -1635,10 +1566,9 @@ impl ShardedDiffer {
         shards: Vec<Option<ShardState>>,
     ) -> Result<ShardedDiffer, serde::Error> {
         let mut input = core;
-        let mut judge = Judge::deserialize_head(&mut input)?;
+        let judge = Judge::deserialize(&mut input)?;
         let splitter = ShardRouter::deserialize(&mut input)?;
         let clock = EpochClock::deserialize(&mut input)?;
-        judge.warm_until = Option::<Timestamp>::deserialize(&mut input)?;
         if !input.is_empty() {
             return Err(serde::Error::custom(format!(
                 "{} trailing bytes in sharded core",
@@ -2142,7 +2072,7 @@ mod tests {
         for event in log2.events() {
             single_snaps.extend(single.observe(event));
         }
-        let single_health = *single.health();
+        let single_health = single.health();
         let single_last = single.finish().unwrap();
         assert!(
             single_snaps.iter().any(|s| !s.diff.is_empty()),
@@ -2199,7 +2129,7 @@ mod tests {
             straight_snaps.extend(straight.observe(event));
             resumed_snaps.extend(interrupted.observe(event));
         }
-        // Kill mid-epoch: serialize through the v2 segmented format,
+        // Kill mid-epoch: serialize through the segmented format,
         // restore via the version-dispatching entry point.
         let ckpt = crate::checkpoint::ShardedCheckpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);

@@ -58,7 +58,7 @@ use netsim::log::ControlEvent;
 
 use crate::checkpoint::{
     atomic_write, read_header, Checkpoint, PersistError, ShardedCheckpoint, CHECKPOINT_MAGIC,
-    CHECKPOINT_V1, CHECKPOINT_VERSION,
+    CHECKPOINT_SINGLE, CHECKPOINT_VERSION,
 };
 use crate::config::{ConfigError, FlowDiffConfig};
 use crate::diff::{EpochSnapshot, EpochTimings, OnlineDiffer, ShardStats, ShardedDiffer};
@@ -146,8 +146,17 @@ impl Differ {
     /// pipeline, so it panics if a worker has died.
     pub fn health(&self) -> IngestHealth {
         match self {
-            Differ::Single(d) => *d.health(),
+            Differ::Single(d) => d.health(),
             Differ::Sharded(d) => d.health(),
+        }
+    }
+
+    /// The reference model and stability report diffs are taken against
+    /// — a restored differ's are the ones its checkpoint carried.
+    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
+        match self {
+            Differ::Single(d) => d.baseline(),
+            Differ::Sharded(d) => d.baseline(),
         }
     }
 
@@ -195,7 +204,7 @@ impl Differ {
     }
 
     /// The complete streaming state as FDIFFCKP bytes, in the layout
-    /// matching the shape (v1 single, v2 segmented), stamped with the
+    /// matching the shape (single, or segmented), stamped with the
     /// replay offset and `config`'s fingerprint.
     pub fn checkpoint(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
         match self {
@@ -205,18 +214,20 @@ impl Differ {
     }
 
     /// Reads a checkpoint of either layout back into a running differ.
-    /// A corrupt per-shard segment of a v2 file salvages to a fresh
-    /// worker rather than failing the whole restore.
+    /// A corrupt per-shard segment of a segmented file salvages to a
+    /// fresh worker rather than failing the whole restore.
     ///
     /// # Errors
     ///
-    /// Every container- and manifest-level [`PersistError`], and
+    /// Every container- and manifest-level [`PersistError`] — a version
+    /// other than the two current layouts is
+    /// [`PersistError::UnsupportedVersion`], never decoded — and
     /// [`PersistError::ConfigMismatch`] when `config` is not the one
     /// the checkpoint was written under.
     pub fn restore(bytes: &[u8], config: &FlowDiffConfig) -> Result<Restored, PersistError> {
         let (differ, events_consumed, salvaged_shards) =
             match read_header(CHECKPOINT_MAGIC, bytes)?.version {
-                CHECKPOINT_V1 => {
+                CHECKPOINT_SINGLE => {
                     let (differ, at) = Checkpoint::from_bytes(bytes)?.resume(config)?;
                     (Differ::Single(differ), at, Vec::new())
                 }
@@ -728,7 +739,7 @@ mod tests {
     #[test]
     fn sharded_supervised_run_recovers_the_single_shard_epochs() {
         // The strongest cross-shape claim in one drill: a 3-shard
-        // supervised run with planned kills (v2 segmented checkpoints,
+        // supervised run with planned kills (segmented checkpoints,
         // restore, replay) reproduces the *single-shard* uninterrupted
         // run's epoch traces byte for byte.
         let drill = Drill::new();

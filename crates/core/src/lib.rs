@@ -19,7 +19,8 @@
 //! ```
 //!
 //! The pipeline is streaming end to end: events flow through a
-//! [`records::RecordAssembler`] into a
+//! [`records::RecordAssembler`] (behind a [`records::Sequencer`] when
+//! they arrive online) into a
 //! [`model::IncrementalModelBuilder`], and the batch calls above are
 //! thin wrappers that feed a whole log through it and snapshot once.
 //! [`diff::OnlineDiffer`] drives the same machinery continuously,
@@ -85,7 +86,7 @@ pub mod prelude {
     pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder, ShardModel};
     pub use crate::records::{
         extract_records, FlowRecord, FlowTuple, IngestAnomaly, IngestHealth, RecordAssembler,
-        RoutedEvent, ShardRouter,
+        RoutedEvent, Sequencer, ShardRouter,
     };
     pub use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
     pub use crate::stability::{analyze, StabilityReport};

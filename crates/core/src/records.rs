@@ -6,7 +6,8 @@
 //! path, the `FlowMod` replies, and the final counters from
 //! `FlowRemoved`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -54,9 +55,10 @@ pub enum IngestAnomaly {
 ///
 /// The frame-level counters are filled from
 /// [`netsim::log::StreamStats`] via [`IngestHealth::absorb_stream`];
-/// the event-level counters accumulate inside [`RecordAssembler`]. On a
-/// clean, time-sorted capture every field is zero except
-/// `frames_decoded`.
+/// the event-level counters accumulate inside the [`Sequencer`]
+/// (arrival order) and the [`RecordAssembler`] (the protocol
+/// conversation). On a clean, time-sorted capture every field is zero
+/// except `frames_decoded`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestHealth {
     /// Wire frames decoded into events.
@@ -256,15 +258,6 @@ pub fn extract_records(log: &ControllerLog, config: &FlowDiffConfig) -> Vec<Flow
     for ev in log.events() {
         asm.observe(ev);
     }
-    // A materialized log is time-sorted (`ControllerLog::finish`), so
-    // any out-of-order count here means the assembler miscounted — a
-    // bug, not bad input. (Other anomaly kinds are legitimate even in
-    // sorted logs: xid collisions, orphan removals, and the like.)
-    debug_assert_eq!(
-        asm.health().events_reordered,
-        0,
-        "sorted log must never count out-of-order events"
-    );
     asm.finish()
 }
 
@@ -327,33 +320,25 @@ impl Touched {
 /// - **pending hops** — hops whose `FlowMod` has not arrived yet,
 ///   patched in place when it does.
 ///
-/// Input events should be in non-decreasing time order (a
-/// [`ControllerLog`] guarantees this); disordered input is *tolerated* —
-/// counted in [`IngestHealth::events_reordered`] and, when
-/// `reorder_slack_us > 0`, re-sequenced through a bounded buffer before
-/// assembly. The result is identical to the historical whole-log
-/// extraction as long as every event pairing with a flow arrives within
-/// the horizon of the flow's last activity; a `FlowMod` or `FlowRemoved`
-/// straggling in later than that no longer attaches. Because the
-/// horizon is at least the episode gap, eviction can never merge two
-/// episodes the batch extractor would split.
+/// Input events are in time order: a [`ControllerLog`] is sorted, and an
+/// online pipeline puts a [`Sequencer`] in front of its assembler, which
+/// judges every arrival (quarantine, disorder count, re-sequencing)
+/// before it gets here. The result is identical to the historical
+/// whole-log extraction as long as every event pairing with a flow
+/// arrives within the horizon of the flow's last activity; a `FlowMod`
+/// or `FlowRemoved` straggling in later than that no longer attaches.
+/// Because the horizon is at least the episode gap, eviction can never
+/// merge two episodes the batch extractor would split.
 ///
-/// The assembler is the first of the three pieces of streaming state a
+/// The assembler is part of the streaming state a
 /// [`checkpoint`](crate::checkpoint) must capture, so the whole struct
-/// — in-flight episodes, xid bookkeeping, the reorder buffer, health
-/// counters — serializes; a deserialized assembler continues exactly
-/// where the original stopped.
+/// — in-flight episodes, xid bookkeeping, health counters — serializes;
+/// a deserialized assembler continues exactly where the original
+/// stopped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordAssembler {
     episode_gap_us: u64,
     horizon_us: u64,
-    /// Events within this much of the newest arrival are re-sequenced
-    /// before assembly; `0` disables buffering entirely (zero-cost
-    /// passthrough).
-    reorder_slack_us: u64,
-    /// Events jumping further than this beyond `max_arrival` are
-    /// dropped as corrupt clock readings; `0` disables the check.
-    max_time_jump_us: u64,
     /// xid -> first FlowMod seen for it; first wins.
     seen_mods: HashMap<Xid, SeenMod>,
     /// xid -> hops still waiting for that FlowMod.
@@ -367,15 +352,6 @@ pub struct RecordAssembler {
     completed: Vec<FlowRecord>,
     now: Timestamp,
     last_prune: Timestamp,
-    /// Newest *arrival* timestamp (as opposed to `now`, the newest
-    /// *processed* timestamp); drives out-of-order detection and the
-    /// reorder buffer's release watermark.
-    max_arrival: Timestamp,
-    /// Held-back events awaiting re-sequencing, keyed by
-    /// `(ts, arrival_seq)` so simultaneous events keep arrival order.
-    /// Empty whenever `reorder_slack_us == 0`.
-    reorder_buf: BTreeMap<(Timestamp, u64), ControlEvent>,
-    arrival_seq: u64,
     health: IngestHealth,
     /// Which open episodes the online differ's maintained window has not
     /// seen the current version of.
@@ -393,14 +369,12 @@ struct SeenMod {
 }
 
 impl RecordAssembler {
-    /// New assembler using `config.episode_gap_us`,
-    /// `config.partial_flow_timeout_us`, and `config.reorder_slack_us`.
+    /// New assembler using `config.episode_gap_us` and
+    /// `config.partial_flow_timeout_us`.
     pub fn new(config: &FlowDiffConfig) -> RecordAssembler {
         RecordAssembler {
             episode_gap_us: config.episode_gap_us,
             horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
-            reorder_slack_us: config.reorder_slack_us,
-            max_time_jump_us: config.max_time_jump_us,
             seen_mods: HashMap::new(),
             pending_mods: HashMap::new(),
             open: HashMap::new(),
@@ -408,95 +382,30 @@ impl RecordAssembler {
             completed: Vec::new(),
             now: Timestamp::ZERO,
             last_prune: Timestamp::ZERO,
-            max_arrival: Timestamp::ZERO,
-            reorder_buf: BTreeMap::new(),
-            arrival_seq: 0,
             health: IngestHealth::default(),
             touched: Touched::default(),
         }
     }
 
-    /// Ingestion health counters accumulated so far (event-level only;
-    /// callers streaming from wire bytes fold in their
-    /// [`LogStream`](netsim::log::LogStream) stats via
-    /// [`IngestHealth::absorb_stream`]).
+    /// The protocol-conversation counters accumulated so far (duplicate
+    /// xids, orphans, stale attaches, evictions); the arrival counters
+    /// live in the [`Sequencer`], and callers streaming from wire bytes
+    /// fold in their [`LogStream`](netsim::log::LogStream) stats via
+    /// [`IngestHealth::absorb_stream`].
     pub fn health(&self) -> &IngestHealth {
         &self.health
     }
 
-    /// Newest arrival timestamp seen so far (`Timestamp::ZERO` before
-    /// the first event) — the assembler's notion of "now" on the
-    /// arrival clock, used by restore-time bookkeeping.
-    pub fn max_arrival(&self) -> Timestamp {
-        self.max_arrival
-    }
-
-    /// True when `observe` would drop an event at `ts` as a corrupt
-    /// clock reading (see `max_time_jump_us`). Callers that schedule
-    /// work off event timestamps — the `OnlineDiffer`'s epoch clock —
-    /// consult this *before* trusting the timestamp.
-    pub fn quarantines(&self, ts: Timestamp) -> bool {
-        self.max_time_jump_us > 0
-            && ts
-                .checked_since(self.max_arrival)
-                .is_some_and(|jump| jump > self.max_time_jump_us)
-    }
-
-    /// Feeds one control event in, returning `false` when the event was
-    /// quarantined (dropped for an implausible timestamp) instead of
-    /// assembled. With `reorder_slack_us == 0` an admitted event goes
-    /// straight through the state machine; otherwise it is held in the
-    /// reorder buffer until the arrival watermark moves
-    /// `reorder_slack_us` past its timestamp, so slightly disordered
-    /// input is assembled in time order.
-    pub fn observe(&mut self, ev: &ControlEvent) -> bool {
-        if self.quarantines(ev.ts) {
-            self.health.record(IngestAnomaly::TimeJump);
-            return false;
-        }
-        if ev.ts < self.max_arrival {
-            self.health.record(IngestAnomaly::OutOfOrder);
-        } else {
-            self.max_arrival = ev.ts;
-        }
-        if self.reorder_slack_us == 0 {
-            self.process(ev);
-            return true;
-        }
-        // Even a too-late event goes through the buffer: it is below
-        // the release watermark, so it flushes right back out in this
-        // call, sequenced as well as possible against its peers.
-        self.reorder_buf
-            .insert((ev.ts, self.arrival_seq), ev.clone());
-        self.arrival_seq += 1;
-        let release = Timestamp::from_micros(
-            self.max_arrival
-                .as_micros()
-                .saturating_sub(self.reorder_slack_us),
-        );
-        while let Some(entry) = self.reorder_buf.first_entry() {
-            if entry.key().0 > release {
-                break;
-            }
-            let buffered = entry.remove();
-            self.process(&buffered);
-        }
-        true
-    }
-
-    /// Runs one event through the assembly state machine (post
-    /// re-sequencing).
-    fn process(&mut self, ev: &ControlEvent) {
-        if ev.ts > self.now {
-            self.now = ev.ts;
-        }
+    /// Runs one control event through the assembly state machine. An
+    /// unparseable `PacketIn` is skipped, never fatal; like every other
+    /// event it still advances the clock, with the prune check.
+    pub fn observe(&mut self, ev: &ControlEvent) {
         match &ev.msg {
             OfpMessage::PacketIn(pi) => {
-                let Ok(key) = frame::parse_frame(&pi.data) else {
-                    return; // unparseable capture: skip, never fail
-                };
-                let tuple = FlowTuple::from_key(&key);
-                self.on_packet_in(ev.ts, ev.dpid, ev.xid, pi.in_port, tuple);
+                if let Ok(key) = frame::parse_frame(&pi.data) {
+                    let tuple = FlowTuple::from_key(&key);
+                    self.on_packet_in(ev.ts, ev.dpid, ev.xid, pi.in_port, tuple);
+                }
             }
             OfpMessage::FlowMod(fm) => {
                 let out = openflow::actions::first_output(&fm.actions);
@@ -521,10 +430,7 @@ impl RecordAssembler {
             }
             _ => {}
         }
-        if self.now.saturating_since(self.last_prune) > self.horizon_us {
-            self.prune();
-            self.last_prune = self.now;
-        }
+        self.advance_clock(ev.ts);
     }
 
     fn on_packet_in(
@@ -793,7 +699,7 @@ impl RecordAssembler {
 
     /// Advances the assembler's processed-time clock without feeding an
     /// event, running the same prune check [`observe`](Self::observe)
-    /// runs after a non-flow message.
+    /// runs after every event.
     ///
     /// This is the shard worker's half of the splitter contract: a
     /// [`ShardRouter`] delivers every admitted event to every shard, and
@@ -812,36 +718,129 @@ impl RecordAssembler {
         }
     }
 
-    /// Advances the processed-time clock *without* the prune check —
-    /// the exact effect of an unparseable `PacketIn`, whose early
-    /// return skips pruning in [`observe`](Self::observe). Shards
-    /// mirror that quirk so their prune cadence stays bit-for-bit on
-    /// the single-shard schedule.
-    pub fn advance_now(&mut self, ts: Timestamp) {
-        if ts > self.now {
-            self.now = ts;
+    /// Finalizes the remaining open episodes and returns the full record
+    /// set in `(first_seen, tuple)` order — exactly the batch extraction
+    /// order.
+    pub fn finish(self) -> Vec<FlowRecord> {
+        let mut records = self.completed;
+        records.extend(self.open.into_values().flatten().map(|ep| ep.record));
+        records.sort_by_key(|r| (r.first_seen, r.tuple));
+        records
+    }
+}
+
+/// The arrival stage in front of record assembly: exactly one per
+/// online pipeline, and the only reader of `reorder_slack_us` and
+/// `max_time_jump_us`. Each arriving event is judged here once:
+///
+/// - **quarantined** ([`admit`](Self::admit) says no, counted in
+///   `time_jumps`) when its timestamp jumps further past every earlier
+///   arrival than `max_time_jump_us` allows — a corrupt clock reading,
+///   which the caller drops before the timestamp drives anything,
+/// - **counted** in `events_reordered` when it is older than an earlier
+///   arrival (a reordered capture, clock skew between taps),
+/// - **held back** ([`release`](Self::release)) until the arrival
+///   watermark moves `reorder_slack_us` past it, so slightly disordered
+///   input reaches the assembler in time order. At slack 0 nothing is
+///   held and each event is handed through borrowed.
+///
+/// Held events and counters are streaming state: the sequencer
+/// serializes, and a restored one releases exactly what the original
+/// would have.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Sequencer {
+    reorder_slack_us: u64,
+    /// `0` disables the quarantine.
+    max_time_jump_us: u64,
+    /// Newest admitted timestamp: the disorder reference, the jump
+    /// reference and the release watermark's anchor.
+    max_arrival: Timestamp,
+    /// Admissions held so far; keeps simultaneous held events in arrival
+    /// order.
+    arrival_seq: u64,
+    /// Held-back events by `(ts, arrival_seq)`; always empty at slack 0.
+    held: BTreeMap<(Timestamp, u64), ControlEvent>,
+    /// `time_jumps` and `events_reordered`; every other field stays zero.
+    health: IngestHealth,
+}
+
+impl Sequencer {
+    /// A sequencer with `config`'s reorder slack and time-jump bound.
+    pub fn new(config: &FlowDiffConfig) -> Sequencer {
+        Sequencer {
+            reorder_slack_us: config.reorder_slack_us,
+            max_time_jump_us: config.max_time_jump_us,
+            max_arrival: Timestamp::ZERO,
+            arrival_seq: 0,
+            held: BTreeMap::new(),
+            health: IngestHealth::default(),
         }
     }
 
-    /// Drains everything: the reorder buffer is flushed, remaining open
-    /// episodes are finalized, and the full record set is returned in
-    /// `(first_seen, tuple)` order — exactly the batch extraction order.
-    pub fn finish(mut self) -> Vec<FlowRecord> {
-        let held: Vec<ControlEvent> = std::mem::take(&mut self.reorder_buf)
-            .into_values()
-            .collect();
-        for ev in &held {
-            self.process(ev);
+    /// Newest admitted timestamp (`Timestamp::ZERO` before the first):
+    /// "now" on the arrival clock, where a lossy restore starts warming.
+    pub fn max_arrival(&self) -> Timestamp {
+        self.max_arrival
+    }
+
+    /// Judges an arrival at `ts`: `false` — counted as a time jump — for
+    /// a quarantined timestamp, which the caller drops; otherwise the
+    /// event is admitted, counted if out of order, and must be handed to
+    /// [`release`](Self::release) next.
+    pub fn admit(&mut self, ts: Timestamp) -> bool {
+        let jump = ts.checked_since(self.max_arrival);
+        if self.max_time_jump_us > 0 && jump.is_some_and(|j| j > self.max_time_jump_us) {
+            self.health.record(IngestAnomaly::TimeJump);
+            return false;
         }
-        let mut records = std::mem::take(&mut self.completed);
-        records.extend(
-            std::mem::take(&mut self.open)
-                .into_values()
-                .flatten()
-                .map(|ep| ep.record),
+        if ts < self.max_arrival {
+            self.health.record(IngestAnomaly::OutOfOrder);
+        } else {
+            self.max_arrival = ts;
+        }
+        true
+    }
+
+    /// Hands the just-admitted `ev`, and every held event the watermark
+    /// now lets through, to `out` in assembly order; the flag marks `ev`
+    /// itself. At slack 0 that is `ev` alone, borrowed. Otherwise even a
+    /// too-late `ev` goes through the buffer: it is below the watermark,
+    /// so it comes right back out, sequenced against its peers.
+    pub fn release<'e>(
+        &mut self,
+        ev: &'e ControlEvent,
+        mut out: impl FnMut(Cow<'e, ControlEvent>, bool),
+    ) {
+        if self.reorder_slack_us == 0 {
+            return out(Cow::Borrowed(ev), true);
+        }
+        let own = (ev.ts, self.arrival_seq);
+        self.held.insert(own, ev.clone());
+        self.arrival_seq += 1;
+        let watermark = Timestamp::from_micros(
+            self.max_arrival
+                .as_micros()
+                .saturating_sub(self.reorder_slack_us),
         );
-        records.sort_by_key(|r| (r.first_seen, r.tuple));
-        records
+        while let Some(entry) = self.held.first_entry() {
+            if entry.key().0 > watermark {
+                break;
+            }
+            let is_own = *entry.key() == own;
+            out(Cow::Owned(entry.remove()), is_own);
+        }
+    }
+
+    /// End of stream: every held event, in assembly order.
+    pub fn drain(&mut self) -> btree_map::IntoValues<(Timestamp, u64), ControlEvent> {
+        std::mem::take(&mut self.held).into_values()
+    }
+
+    /// Adds the arrival counters — time jumps and disordered events — to
+    /// `health`.
+    pub fn count_into(&self, health: &mut IngestHealth) {
+        health.time_jumps += self.health.time_jumps;
+        health.events_reordered += self.health.events_reordered;
     }
 }
 
@@ -860,21 +859,16 @@ pub enum EventClass {
     /// A `FlowRemoved`; owned by the source host's shard (same key as
     /// the `PacketIn`s it closes).
     FlowRemoved,
-    /// A `PacketIn` whose payload did not parse; advances every shard's
-    /// clock without a prune check, mirroring the single-shard
-    /// assembler's early return.
-    OpaquePacketIn,
-    /// Everything else (echoes, stats replies, ...); owned by the
-    /// reporting switch's shard, advances every shard's clock.
+    /// Everything else (an unparseable `PacketIn`, echoes, stats
+    /// replies, ...); owned by the reporting switch's shard, advances
+    /// every shard's clock.
     Other,
 }
 
 /// One admitted control event, annotated with its owning shard and
-/// pre-computed [`EventClass`]. This is what the splitter releases —
-/// the persistent pipeline wraps each release into a broadcast step
-/// batch for its worker channels — and what a checkpoint's pending
-/// chunk holds (a restored chunk is replayed into the fresh worker
-/// pool as its first batch).
+/// pre-computed [`EventClass`]. This is what the splitter releases; the
+/// persistent pipeline wraps each release into a broadcast step batch
+/// for its worker channels.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutedEvent {
     /// Index of the shard that owns this event's state machine work.
@@ -905,24 +899,102 @@ struct LedgerMod {
     used: bool,
 }
 
-/// The splitter in front of N shard [`RecordAssembler`]s: admits decoded
-/// events, routes each to its owning shard, and keeps the *global*
-/// ingest accounting that no single shard can see. It is the single
+/// The router's release-order xid ledger: a faithful mirror of the
+/// assembler's `seen_mods`/`pending_mods` lifecycle (same first-wins
+/// rule, same clock, same prune cadence) that counts the global-by-xid
+/// anomalies no shard can.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct XidLedger {
+    horizon_us: u64,
+    /// xid -> first FlowMod seen (release order).
+    mods: HashMap<Xid, LedgerMod>,
+    /// xid -> PacketIn registration times still waiting for their
+    /// FlowMod (only the timestamps matter here — the owning shard
+    /// patches the actual hops).
+    pending: HashMap<Xid, Vec<Timestamp>>,
+    now: Timestamp,
+    last_prune: Timestamp,
+    /// `duplicate_xids` and `orphan_flow_mods`; every other field stays
+    /// zero.
+    health: IngestHealth,
+}
+
+impl XidLedger {
+    fn new(config: &FlowDiffConfig) -> XidLedger {
+        XidLedger {
+            horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
+            mods: HashMap::new(),
+            pending: HashMap::new(),
+            now: Timestamp::ZERO,
+            last_prune: Timestamp::ZERO,
+            health: IngestHealth::default(),
+        }
+    }
+
+    /// Runs one released event through the ledger, in lockstep with
+    /// what a single assembler does for the same release sequence.
+    fn process(&mut self, r: &RoutedEvent) {
+        use std::collections::hash_map::Entry;
+        let (ts, xid) = (r.event.ts, r.event.xid);
+        if ts > self.now {
+            self.now = ts;
+        }
+        match r.class {
+            EventClass::PacketIn => match self.mods.get_mut(&xid) {
+                Some(m) => m.used = true,
+                None => self.pending.entry(xid).or_default().push(ts),
+            },
+            EventClass::FlowMod => match self.mods.entry(xid) {
+                Entry::Vacant(slot) => {
+                    let used = self.pending.remove(&xid).is_some();
+                    slot.insert(LedgerMod { ts, used });
+                }
+                Entry::Occupied(_) => self.health.record(IngestAnomaly::DuplicateXid),
+            },
+            EventClass::FlowRemoved | EventClass::Other => {}
+        }
+        if self.now.saturating_since(self.last_prune) > self.horizon_us {
+            self.prune();
+            self.last_prune = self.now;
+        }
+    }
+
+    /// Ages out entries on the assembler's schedule, counting never-used
+    /// mods as orphans.
+    fn prune(&mut self) {
+        let now = self.now;
+        let horizon = self.horizon_us;
+        let mut orphaned = 0u64;
+        self.mods.retain(|_, m| {
+            let keep = now.saturating_since(m.ts) <= horizon;
+            if !keep && !m.used {
+                orphaned += 1;
+            }
+            keep
+        });
+        for _ in 0..orphaned {
+            self.health.record(IngestAnomaly::OrphanFlowMod);
+        }
+        self.pending.retain(|_, regs| {
+            regs.retain(|r| now.saturating_since(*r) <= horizon);
+            !regs.is_empty()
+        });
+    }
+}
+
+/// The splitter in front of N shard [`RecordAssembler`]s: a
+/// [`Sequencer`] plus routing plus the xid ledger. It is the single
 /// serial stage of the persistent pipeline — everything downstream of
 /// its release order is replicated per worker, so admission here can
 /// overlap the workers draining their queues.
 ///
-/// The router owns everything arrival-ordered — the time-jump
-/// quarantine, the out-of-order count, and the reorder buffer — so the
-/// per-shard assemblers run with `reorder_slack_us = 0` and
-/// `max_time_jump_us = 0` and consume already-sequenced events. It also
-/// runs a release-order **xid ledger**, a faithful mirror of the
-/// assembler's `seen_mods`/`pending_mods` lifecycle (same first-wins
-/// rule, same prune cadence), because `duplicate_xids` and
-/// `orphan_flow_mods` are global-by-xid facts: every shard processes
-/// every `FlowMod`, so per-shard counts would multiply duplicates by N
-/// and call a mod orphaned on every shard that doesn't own its
-/// `PacketIn`s.
+/// The sequencer owns everything arrival-ordered, exactly as it does in
+/// front of the single differ's assembler, so the shard assemblers
+/// consume already-sequenced events. The **xid ledger** exists because
+/// `duplicate_xids` and `orphan_flow_mods` are global-by-xid facts:
+/// every shard processes every `FlowMod`, so per-shard counts would
+/// multiply duplicates by N and call a mod orphaned on every shard that
+/// doesn't own its `PacketIn`s.
 ///
 /// Routing is content-based and computed at arrival: a parseable
 /// `PacketIn` belongs to its source host's shard, a `FlowRemoved` to the
@@ -931,7 +1003,8 @@ struct LedgerMod {
 /// switch's shard (which keeps a port's stats series whole on one
 /// shard). Hosts and switches are interned into the router's own dense
 /// [`EntityCatalog`] and sharded by `id % n`, so shard placement is a
-/// pure function of the arrival stream.
+/// pure function of the arrival stream — and an event the sequencer
+/// held back routes the same way again when it is released.
 ///
 /// The router is part of the sharded pipeline's streaming state: it
 /// serializes (catalog as its intern-ordered entity lists, re-interned
@@ -940,52 +1013,22 @@ struct LedgerMod {
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     n_shards: u32,
-    reorder_slack_us: u64,
-    max_time_jump_us: u64,
-    horizon_us: u64,
     /// Host/switch interning for shard placement only (records are
     /// re-interned from scratch at every model build).
     catalog: EntityCatalog,
-    max_arrival: Timestamp,
-    arrival_seq: u64,
-    /// Held-back routed events awaiting re-sequencing; same keying as
-    /// the assembler's buffer.
-    reorder_buf: BTreeMap<(Timestamp, u64), RoutedEvent>,
-    /// xid -> first FlowMod seen (release order); mirror of the
-    /// assembler's `seen_mods`.
-    ledger_mods: HashMap<Xid, LedgerMod>,
-    /// xid -> PacketIn registration times still waiting for their
-    /// FlowMod; mirror of `pending_mods` (only the timestamps matter
-    /// here — the owning shard patches the actual hops).
-    ledger_pending: HashMap<Xid, Vec<Timestamp>>,
-    now: Timestamp,
-    last_prune: Timestamp,
-    /// Splitter-owned health: frame counters, reorders, time jumps, and
-    /// the ledger's duplicate/orphan xid counts. Per-shard assemblers
-    /// own eviction/removal/stale counts.
-    health: IngestHealth,
+    sequencer: Sequencer,
+    ledger: XidLedger,
 }
 
 impl ShardRouter {
-    /// New router for `n_shards` workers, taking the arrival-side
-    /// tolerances (`reorder_slack_us`, `max_time_jump_us`) and the
-    /// ledger prune horizon from `config` exactly as
-    /// [`RecordAssembler::new`] does.
+    /// New router for `n_shards` workers, its sequencer and ledger taken
+    /// from `config` exactly as the single pipeline's are.
     pub fn new(config: &FlowDiffConfig, n_shards: usize) -> ShardRouter {
         ShardRouter {
             n_shards: n_shards.max(1) as u32,
-            reorder_slack_us: config.reorder_slack_us,
-            max_time_jump_us: config.max_time_jump_us,
-            horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
             catalog: EntityCatalog::default(),
-            max_arrival: Timestamp::ZERO,
-            arrival_seq: 0,
-            reorder_buf: BTreeMap::new(),
-            ledger_mods: HashMap::new(),
-            ledger_pending: HashMap::new(),
-            now: Timestamp::ZERO,
-            last_prune: Timestamp::ZERO,
-            health: IngestHealth::default(),
+            sequencer: Sequencer::new(config),
+            ledger: XidLedger::new(config),
         }
     }
 
@@ -996,32 +1039,20 @@ impl ShardRouter {
 
     /// Newest arrival timestamp admitted so far.
     pub fn max_arrival(&self) -> Timestamp {
-        self.max_arrival
+        self.sequencer.max_arrival()
     }
 
-    /// Splitter-owned health counters (see the struct docs for which
-    /// fields are authoritative here vs. summed over shards).
-    pub fn health(&self) -> &IngestHealth {
-        &self.health
+    /// The splitter-owned health counters: arrivals and the ledger's xid
+    /// counts. Evictions, orphan removals and stale attaches are
+    /// shard-local, summed over the workers by the caller.
+    pub fn health(&self) -> IngestHealth {
+        let mut health = self.ledger.health;
+        self.sequencer.count_into(&mut health);
+        health
     }
 
-    /// Folds frame-level stream stats into the global health picture.
-    pub fn absorb_stream(&mut self, stats: netsim::log::StreamStats) {
-        self.health.absorb_stream(stats);
-    }
-
-    /// True when [`admit`](Self::admit) would drop an event at `ts` as a
-    /// corrupt clock reading — same rule as
-    /// [`RecordAssembler::quarantines`].
-    pub fn quarantines(&self, ts: Timestamp) -> bool {
-        self.max_time_jump_us > 0
-            && ts
-                .checked_since(self.max_arrival)
-                .is_some_and(|jump| jump > self.max_time_jump_us)
-    }
-
-    /// Admits one event: quarantine/out-of-order accounting, routing,
-    /// then re-sequencing. Events released from the buffer (possibly
+    /// Admits one event: the sequencer's judgement, routing, then
+    /// re-sequencing. Events released by the sequencer (possibly
     /// including this one) are appended to `released` in assembly
     /// order, each already run through the xid ledger. Returns the
     /// admitted event's owning shard and whether it was released in
@@ -1033,179 +1064,101 @@ impl ShardRouter {
         ev: &ControlEvent,
         released: &mut Vec<RoutedEvent>,
     ) -> Option<Admitted> {
-        if self.quarantines(ev.ts) {
-            self.health.record(IngestAnomaly::TimeJump);
+        let ShardRouter {
+            n_shards,
+            catalog,
+            sequencer,
+            ledger,
+        } = self;
+        if !sequencer.admit(ev.ts) {
             return None;
         }
-        if ev.ts < self.max_arrival {
-            self.health.record(IngestAnomaly::OutOfOrder);
-        } else {
-            self.max_arrival = ev.ts;
-        }
-        let (shard, class) = self.route(ev);
-        let routed = RoutedEvent {
-            shard,
-            class,
-            event: ev.clone(),
-        };
-        if self.reorder_slack_us == 0 {
-            self.ledger_process(&routed);
-            released.push(routed);
-            return Some(Admitted {
-                shard,
-                released_at: Some(released.len() - 1),
-            });
-        }
-        let own_key = (ev.ts, self.arrival_seq);
-        self.reorder_buf.insert(own_key, routed);
-        self.arrival_seq += 1;
-        let release = Timestamp::from_micros(
-            self.max_arrival
-                .as_micros()
-                .saturating_sub(self.reorder_slack_us),
-        );
+        let n = *n_shards as usize;
+        let (shard, class) = route(catalog, n, ev);
         let mut released_at = None;
-        while let Some(entry) = self.reorder_buf.first_entry() {
-            if entry.key().0 > release {
-                break;
-            }
-            if *entry.key() == own_key {
+        sequencer.release(ev, |event, own| {
+            let (shard, class) = if own {
                 released_at = Some(released.len());
-            }
-            let r = entry.remove();
-            self.ledger_process(&r);
-            released.push(r);
-        }
+                (shard, class)
+            } else {
+                route(catalog, n, &event)
+            };
+            let routed = RoutedEvent {
+                shard,
+                class,
+                event: event.into_owned(),
+            };
+            ledger.process(&routed);
+            released.push(routed);
+        });
         Some(Admitted { shard, released_at })
     }
 
-    /// Flushes the reorder buffer (end of stream), returning the held
-    /// events in release order, ledger-processed — the router half of
-    /// [`RecordAssembler::finish`].
+    /// Flushes the sequencer (end of stream), returning the held events
+    /// in release order, ledger-processed.
     pub fn drain(&mut self) -> Vec<RoutedEvent> {
-        let held: Vec<RoutedEvent> = std::mem::take(&mut self.reorder_buf)
-            .into_values()
-            .collect();
-        for r in &held {
-            self.ledger_process(r);
-        }
-        held
-    }
-
-    /// Computes `(owning shard, class)` for one event, interning any
-    /// new entity it names.
-    fn route(&mut self, ev: &ControlEvent) -> (u32, EventClass) {
-        let n = self.n_shards as usize;
-        match &ev.msg {
-            OfpMessage::PacketIn(pi) => match frame::parse_frame(&pi.data) {
-                Ok(key) => {
-                    let id = self.catalog.intern_host(key.nw_src);
-                    (
-                        shard_of(ShardKey::of_host(id), n) as u32,
-                        EventClass::PacketIn,
-                    )
-                }
-                Err(_) => {
-                    let id = self.catalog.intern_switch(ev.dpid);
-                    (
-                        shard_of(ShardKey::of_switch(id), n) as u32,
-                        EventClass::OpaquePacketIn,
-                    )
-                }
-            },
-            OfpMessage::FlowMod(_) => {
-                let id = self.catalog.intern_switch(ev.dpid);
-                (
-                    shard_of(ShardKey::of_switch(id), n) as u32,
-                    EventClass::FlowMod,
-                )
-            }
-            OfpMessage::FlowRemoved(fr) => {
-                let id = self.catalog.intern_host(fr.match_.nw_src);
-                (
-                    shard_of(ShardKey::of_host(id), n) as u32,
-                    EventClass::FlowRemoved,
-                )
-            }
-            _ => {
-                let id = self.catalog.intern_switch(ev.dpid);
-                (
-                    shard_of(ShardKey::of_switch(id), n) as u32,
-                    EventClass::Other,
-                )
-            }
-        }
-    }
-
-    /// Runs one released event through the xid ledger, keeping its
-    /// clock, match rules, and prune cadence in lockstep with what a
-    /// single-shard assembler would do for the same release sequence.
-    fn ledger_process(&mut self, r: &RoutedEvent) {
-        let ts = r.event.ts;
-        if ts > self.now {
-            self.now = ts;
-        }
-        match r.class {
-            EventClass::PacketIn => match self.ledger_mods.get_mut(&r.event.xid) {
-                Some(m) => m.used = true,
-                None => self.ledger_pending.entry(r.event.xid).or_default().push(ts),
-            },
-            EventClass::FlowMod => {
-                use std::collections::hash_map::Entry;
-                match self.ledger_mods.entry(r.event.xid) {
-                    Entry::Vacant(slot) => {
-                        let used = self.ledger_pending.remove(&r.event.xid).is_some();
-                        slot.insert(LedgerMod { ts, used });
-                    }
-                    Entry::Occupied(_) => {
-                        self.health.record(IngestAnomaly::DuplicateXid);
-                    }
-                }
-            }
-            // Mirror the assembler's early return: no prune check.
-            EventClass::OpaquePacketIn => return,
-            EventClass::FlowRemoved | EventClass::Other => {}
-        }
-        if self.now.saturating_since(self.last_prune) > self.horizon_us {
-            self.ledger_prune();
-            self.last_prune = self.now;
-        }
-    }
-
-    /// Ages out ledger entries on the assembler's schedule, counting
-    /// never-used mods as orphans.
-    fn ledger_prune(&mut self) {
-        let now = self.now;
-        let horizon = self.horizon_us;
-        let mut orphaned = 0u64;
-        self.ledger_mods.retain(|_, m| {
-            let keep = now.saturating_since(m.ts) <= horizon;
-            if !keep && !m.used {
-                orphaned += 1;
-            }
-            keep
-        });
-        for _ in 0..orphaned {
-            self.health.record(IngestAnomaly::OrphanFlowMod);
-        }
-        self.ledger_pending.retain(|_, regs| {
-            regs.retain(|r| now.saturating_since(*r) <= horizon);
-            !regs.is_empty()
-        });
+        let ShardRouter {
+            n_shards,
+            catalog,
+            sequencer,
+            ledger,
+        } = self;
+        let n = *n_shards as usize;
+        (sequencer.drain())
+            .map(|event| {
+                let (shard, class) = route(catalog, n, &event);
+                let routed = RoutedEvent {
+                    shard,
+                    class,
+                    event,
+                };
+                ledger.process(&routed);
+                routed
+            })
+            .collect()
     }
 
     /// Rough heap footprint of the router's own state.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.catalog.approx_bytes()
-            + self.reorder_buf.len() * (size_of::<(Timestamp, u64)>() + size_of::<RoutedEvent>())
-            + self.ledger_mods.len() * size_of::<(Xid, LedgerMod)>()
-            + self
-                .ledger_pending
-                .values()
+            + (self.sequencer.held.len())
+                * (size_of::<(Timestamp, u64)>() + size_of::<ControlEvent>())
+            + self.ledger.mods.len() * size_of::<(Xid, LedgerMod)>()
+            + (self.ledger.pending.values())
                 .map(|v| size_of::<Xid>() + v.len() * size_of::<Timestamp>())
                 .sum::<usize>()
     }
+}
+
+/// `(owning shard, class)` of one event among `n` shards, interning any
+/// new entity it names into `catalog`.
+fn route(catalog: &mut EntityCatalog, n: usize, ev: &ControlEvent) -> (u32, EventClass) {
+    let (key, class) = match &ev.msg {
+        OfpMessage::PacketIn(pi) => match frame::parse_frame(&pi.data) {
+            Ok(key) => (
+                ShardKey::of_host(catalog.intern_host(key.nw_src)),
+                EventClass::PacketIn,
+            ),
+            Err(_) => (
+                ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
+                EventClass::Other,
+            ),
+        },
+        OfpMessage::FlowMod(_) => (
+            ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
+            EventClass::FlowMod,
+        ),
+        OfpMessage::FlowRemoved(fr) => (
+            ShardKey::of_host(catalog.intern_host(fr.match_.nw_src)),
+            EventClass::FlowRemoved,
+        ),
+        _ => (
+            ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
+            EventClass::Other,
+        ),
+    };
+    (shard_of(key, n) as u32, class)
 }
 
 impl PartialEq for ShardRouter {
@@ -1213,48 +1166,27 @@ impl PartialEq for ShardRouter {
         // The catalog has no PartialEq of its own; its intern-ordered
         // entity lists are its full observable state.
         self.n_shards == other.n_shards
-            && self.reorder_slack_us == other.reorder_slack_us
-            && self.max_time_jump_us == other.max_time_jump_us
-            && self.horizon_us == other.horizon_us
             && self.catalog.hosts() == other.catalog.hosts()
             && self.catalog.switches() == other.catalog.switches()
-            && self.max_arrival == other.max_arrival
-            && self.arrival_seq == other.arrival_seq
-            && self.reorder_buf == other.reorder_buf
-            && self.ledger_mods == other.ledger_mods
-            && self.ledger_pending == other.ledger_pending
-            && self.now == other.now
-            && self.last_prune == other.last_prune
-            && self.health == other.health
+            && self.sequencer == other.sequencer
+            && self.ledger == other.ledger
     }
 }
 
 impl Serialize for ShardRouter {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.n_shards.serialize(out);
-        self.reorder_slack_us.serialize(out);
-        self.max_time_jump_us.serialize(out);
-        self.horizon_us.serialize(out);
         // The catalog round-trips as its intern-ordered entity lists.
         self.catalog.hosts().serialize(out);
         self.catalog.switches().serialize(out);
-        self.max_arrival.serialize(out);
-        self.arrival_seq.serialize(out);
-        self.reorder_buf.serialize(out);
-        self.ledger_mods.serialize(out);
-        self.ledger_pending.serialize(out);
-        self.now.serialize(out);
-        self.last_prune.serialize(out);
-        self.health.serialize(out);
+        self.sequencer.serialize(out);
+        self.ledger.serialize(out);
     }
 }
 
 impl Deserialize for ShardRouter {
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
         let n_shards = u32::deserialize(input)?;
-        let reorder_slack_us = u64::deserialize(input)?;
-        let max_time_jump_us = u64::deserialize(input)?;
-        let horizon_us = u64::deserialize(input)?;
         let hosts = Vec::<Ipv4Addr>::deserialize(input)?;
         let switches = Vec::<DatapathId>::deserialize(input)?;
         let mut catalog = EntityCatalog::default();
@@ -1266,18 +1198,9 @@ impl Deserialize for ShardRouter {
         }
         Ok(ShardRouter {
             n_shards,
-            reorder_slack_us,
-            max_time_jump_us,
-            horizon_us,
             catalog,
-            max_arrival: Timestamp::deserialize(input)?,
-            arrival_seq: u64::deserialize(input)?,
-            reorder_buf: BTreeMap::deserialize(input)?,
-            ledger_mods: HashMap::deserialize(input)?,
-            ledger_pending: HashMap::deserialize(input)?,
-            now: Timestamp::deserialize(input)?,
-            last_prune: Timestamp::deserialize(input)?,
-            health: IngestHealth::deserialize(input)?,
+            sequencer: Sequencer::deserialize(input)?,
+            ledger: XidLedger::deserialize(input)?,
         })
     }
 }
@@ -1637,29 +1560,71 @@ mod tests {
             max_time_jump_us: 60_000_000,
             ..FlowDiffConfig::default()
         };
+        let mut seq = Sequencer::new(&guarded);
         let mut asm = RecordAssembler::new(&guarded);
         for (i, ev) in log.events().iter().enumerate() {
-            assert!(asm.observe(ev), "clean events must be admitted");
+            assert!(seq.admit(ev.ts), "clean events must be admitted");
+            seq.release(ev, |ev, _| asm.observe(&ev));
             if i == 0 {
-                assert!(asm.quarantines(corrupt.ts));
-                assert!(!asm.observe(&corrupt), "insane jump must be dropped");
+                assert!(!seq.admit(corrupt.ts), "insane jump must be dropped");
             }
         }
-        assert_eq!(asm.health().time_jumps, 1);
+        let mut health = IngestHealth::default();
+        seq.count_into(&mut health);
+        assert_eq!(health.time_jumps, 1);
         assert_eq!(
-            asm.health().events_reordered,
-            0,
+            health.events_reordered, 0,
             "a dropped jump must not poison the arrival watermark"
         );
-        let mut streamed = asm.finish();
-        streamed.sort_by_key(|r| (r.first_seen, r.tuple));
-        assert_eq!(streamed, batch, "records unaffected by the dropped event");
+        assert_eq!(
+            asm.finish(),
+            batch,
+            "records unaffected by the dropped event"
+        );
 
         // Disabled (the default), the same event is admitted.
-        let mut unguarded = RecordAssembler::new(&FlowDiffConfig::default());
-        assert!(!unguarded.quarantines(corrupt.ts));
-        assert!(unguarded.observe(&corrupt));
-        assert_eq!(unguarded.health().time_jumps, 0);
+        let mut unguarded = Sequencer::new(&FlowDiffConfig::default());
+        assert!(unguarded.admit(corrupt.ts));
+    }
+
+    #[test]
+    fn sequencer_hands_events_through_borrowed_or_re_sequenced() {
+        let at = |us: u64| ControlEvent {
+            ts: Timestamp::from_micros(us),
+            dpid: DatapathId(1),
+            direction: netsim::log::Direction::ToController,
+            xid: Xid(0),
+            msg: OfpMessage::Hello,
+        };
+        let shuffled: Vec<ControlEvent> = [10, 30, 20, 40, 35, 50].map(at).to_vec();
+        let sorted: Vec<ControlEvent> = [10, 20, 30, 35, 40, 50].map(at).to_vec();
+        let released = |slack_us: u64| {
+            let config = FlowDiffConfig {
+                reorder_slack_us: slack_us,
+                ..FlowDiffConfig::default()
+            };
+            let mut seq = Sequencer::new(&config);
+            let mut out = Vec::new();
+            for ev in &shuffled {
+                assert!(seq.admit(ev.ts));
+                seq.release(ev, |ev, own| {
+                    // Slack 0 holds nothing: each event, borrowed, alone.
+                    assert_eq!(slack_us == 0, matches!(ev, Cow::Borrowed(_)));
+                    assert!(own || slack_us > 0);
+                    out.push(ev.into_owned());
+                });
+            }
+            out.extend(seq.drain());
+            let mut health = IngestHealth::default();
+            seq.count_into(&mut health);
+            (out, health.events_reordered)
+        };
+        let (passed, reordered) = released(0);
+        assert_eq!(passed, shuffled, "slack 0 keeps arrival order");
+        assert_eq!(reordered, 2);
+        let (sequenced, reordered) = released(1_000_000);
+        assert_eq!(sequenced, sorted, "slack restores time order");
+        assert_eq!(reordered, 2);
     }
 
     #[test]
@@ -1743,16 +1708,19 @@ mod tests {
             reorder_slack_us: 50_000,
             ..FlowDiffConfig::default()
         };
+        let mut seq = Sequencer::new(&config);
         let mut asm = RecordAssembler::new(&config);
         let mut router = ShardRouter::new(&config, 4);
         let mut released = Vec::new();
         for ev in log.events() {
-            asm.observe(ev);
+            seq.admit(ev.ts);
+            seq.release(ev, |ev, _| asm.observe(&ev));
             router.admit(ev, &mut released);
         }
         // Both sides have processed the identical released prefix (same
         // watermark rule), so the splitter-owned counters must agree.
-        let ah = *asm.health();
+        let mut ah = *asm.health();
+        seq.count_into(&mut ah);
         let rh = router.health();
         assert_eq!(rh.events_reordered, ah.events_reordered);
         assert_eq!(rh.duplicate_xids, ah.duplicate_xids);
@@ -1778,7 +1746,6 @@ mod tests {
             if i == 3 {
                 let mut corrupt = ev.clone();
                 corrupt.ts = Timestamp::from_micros(corrupt.ts.as_micros() + (1 << 50));
-                assert!(router.quarantines(corrupt.ts));
                 assert!(router.admit(&corrupt, &mut released).is_none());
             }
             if i == 5 {

@@ -306,29 +306,21 @@ impl ControllerLog {
     pub fn from_wire_bytes(bytes: &[u8]) -> Result<ControllerLog, DecodeError> {
         let mut log = ControllerLog::new();
         for ev in LogStream::from_wire_bytes(bytes)? {
-            log.push(ev?.into_owned());
+            log.push(ev?);
         }
         log.finish();
         Ok(log)
     }
-
-    /// A pull-based stream over this log's events (no decoding, no
-    /// copies).
-    pub fn stream(&self) -> LogStream<'_> {
-        LogStream::from_log(self)
-    }
 }
 
-/// A pull-based event stream: the streaming counterpart of a fully
-/// materialized [`ControllerLog`].
+/// A pull-based event stream over a wire capture: the streaming
+/// counterpart of a fully materialized [`ControllerLog`].
 ///
-/// Two sources feed it: an in-memory log (borrowed events, zero copies)
-/// or a wire capture, which is decoded *lazily* — one event per
-/// [`Iterator::next`] call — so an arbitrarily large capture file can be
-/// folded into flow records without ever materializing the whole log.
-/// Events arrive in capture order, which is time order for any capture
-/// written by [`ControllerLog::to_wire_bytes`] (the log sorts on
-/// `finish`).
+/// The capture is decoded *lazily* — one event per [`Iterator::next`]
+/// call — so an arbitrarily large capture file can be folded into flow
+/// records without ever materializing the whole log. Events arrive in
+/// capture order, which is time order for any capture written by
+/// [`ControllerLog::to_wire_bytes`] (the log sorts on `finish`).
 ///
 /// Corruption does not end the stream: each damaged region yields one
 /// `Err` item, after which iteration resumes at the next byte sequence
@@ -337,29 +329,14 @@ impl ControllerLog {
 /// capture). [`LogStream::stats`] reports how much was decoded vs.
 /// skipped.
 pub struct LogStream<'a> {
-    source: StreamSource<'a>,
+    /// The whole capture, magic header included, so yielded offsets are
+    /// absolute file offsets.
+    buf: &'a [u8],
+    cursor: FrameCursor,
     stats: StreamStats,
 }
 
-enum StreamSource<'a> {
-    Memory(std::slice::Iter<'a, ControlEvent>),
-    Wire {
-        /// The whole capture, magic header included, so yielded offsets
-        /// are absolute file offsets.
-        buf: &'a [u8],
-        cursor: FrameCursor,
-    },
-}
-
 impl<'a> LogStream<'a> {
-    /// Streams a materialized log's events (borrowed, in log order).
-    pub fn from_log(log: &'a ControllerLog) -> LogStream<'a> {
-        LogStream {
-            source: StreamSource::Memory(log.events.iter()),
-            stats: StreamStats::default(),
-        }
-    }
-
     /// Streams a wire capture, validating the magic header up front and
     /// decoding one event per `next` call.
     ///
@@ -373,10 +350,8 @@ impl<'a> LogStream<'a> {
             return Err(DecodeError::BadMagic);
         }
         Ok(LogStream {
-            source: StreamSource::Wire {
-                buf: bytes,
-                cursor: FrameCursor::new(),
-            },
+            buf: bytes,
+            cursor: FrameCursor::new(),
             stats: StreamStats::default(),
         })
     }
@@ -589,20 +564,11 @@ impl FrameCursor {
     }
 }
 
-impl<'a> Iterator for LogStream<'a> {
-    type Item = Result<std::borrow::Cow<'a, ControlEvent>, DecodeError>;
+impl Iterator for LogStream<'_> {
+    type Item = Result<ControlEvent, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.source {
-            StreamSource::Memory(iter) => {
-                let ev = iter.next()?;
-                self.stats.frames_decoded += 1;
-                Some(Ok(std::borrow::Cow::Borrowed(ev)))
-            }
-            StreamSource::Wire { buf, cursor } => cursor
-                .step(buf, 0, true, &mut self.stats)
-                .map(|item| item.map(std::borrow::Cow::Owned)),
-        }
+        self.cursor.step(self.buf, 0, true, &mut self.stats)
     }
 }
 
@@ -850,16 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_stream_yields_borrowed_events_in_order() {
-        let log: ControllerLog = vec![ev(5, 0), ev(10, 1), ev(15, 2)].into_iter().collect();
-        let streamed: Vec<ControlEvent> = log
-            .stream()
-            .map(|r| r.expect("memory stream never errors").into_owned())
-            .collect();
-        assert_eq!(streamed, log.events().to_vec());
-    }
-
-    #[test]
     fn wire_stream_decodes_lazily_and_matches_batch_parse() {
         let log: ControllerLog = vec![ev(5, 0), ev(10, 1), ev(15, 2), ev(20, 1)]
             .into_iter()
@@ -867,9 +823,9 @@ mod tests {
         let bytes = log.to_wire_bytes();
         let mut stream = LogStream::from_wire_bytes(&bytes).unwrap();
         // One event decodes without touching the rest of the buffer.
-        let first = stream.next().unwrap().unwrap().into_owned();
+        let first = stream.next().unwrap().unwrap();
         assert_eq!(first, log.events()[0]);
-        let rest: Vec<ControlEvent> = stream.map(|r| r.unwrap().into_owned()).collect();
+        let rest: Vec<ControlEvent> = stream.map(Result::unwrap).collect();
         assert_eq!(rest, log.events()[1..].to_vec());
     }
 
@@ -909,7 +865,7 @@ mod tests {
         let mut errs = Vec::new();
         for item in stream.by_ref() {
             match item {
-                Ok(e) => ok.push(e.into_owned()),
+                Ok(e) => ok.push(e),
                 Err(e) => errs.push(e),
             }
         }
@@ -986,7 +942,7 @@ mod tests {
     fn batch_decode(bytes: &[u8]) -> (Vec<Result<ControlEvent, DecodeError>>, StreamStats) {
         match LogStream::from_wire_bytes(bytes) {
             Ok(mut stream) => {
-                let items = stream.by_ref().map(|r| r.map(Cow::into_owned)).collect();
+                let items = stream.by_ref().collect();
                 (items, stream.stats())
             }
             Err(e) => (vec![Err(e)], StreamStats::default()),
@@ -1034,8 +990,6 @@ mod tests {
         }
         assert_eq!(inc_stats, batch_stats, "stats, chunk size {chunk}");
     }
-
-    use std::borrow::Cow;
 
     #[test]
     fn frame_decoder_matches_batch_on_clean_capture_at_any_chunking() {

@@ -392,12 +392,6 @@ impl LiveIngest {
         self.shared.gauges.clone()
     }
 
-    /// True while any stream is currently stalled or dead — the signal
-    /// the serve loop feeds into diff gating.
-    pub fn any_degraded(&self) -> bool {
-        self.shared.gauges.iter().any(|g| g.is_degraded())
-    }
-
     /// Connections turned away so far without attaching to a stream: the
     /// greeting was not `FDIFFSES` + id (a port scan, a health check, a
     /// publisher that died mid-handshake), or it named a session no

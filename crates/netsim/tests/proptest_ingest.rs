@@ -3,8 +3,6 @@
 //! and must emit the same events, error sites, and skip accounting as
 //! the batch [`LogStream`] over the complete buffer.
 
-use std::borrow::Cow;
-
 use proptest::prelude::*;
 
 use netsim::log::{
@@ -44,7 +42,7 @@ fn event(i: u64, kind: u8) -> ControlEvent {
 fn batch_decode(bytes: &[u8]) -> (Vec<Result<ControlEvent, DecodeError>>, StreamStats) {
     match LogStream::from_wire_bytes(bytes) {
         Ok(mut stream) => {
-            let items = stream.by_ref().map(|r| r.map(Cow::into_owned)).collect();
+            let items = stream.by_ref().collect();
             (items, stream.stats())
         }
         Err(e) => (vec![Err(e)], StreamStats::default()),
