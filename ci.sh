@@ -269,6 +269,23 @@ if grep -rnE 'advance_now|OpaquePacketIn|StreamSource|serialize_head' crates/; t
     exit 1
 fi
 
+step "records bucket by their EdgeId, and no map trades SipHash for speed"
+# Group discovery and the FS/CI/DD/PC builds index per-edge state by the
+# record's interned EdgeId (DESIGN.md, Incremental remodel); hashing the
+# packed (src, dst) pair per record is what they replaced. Maps keyed by
+# values the network chooses keep the default hasher (DESIGN.md, "Not
+# done: a faster hasher").
+sig_src=crates/core/src/signatures
+if grep -nF 'edge_key()' crates/core/src/groups.rs "$sig_src/flow_stats.rs" \
+    "$sig_src/interaction.rs" "$sig_src/delay.rs" "$sig_src/correlation.rs"; then
+    echo "FAIL: a group kernel hashes each record's edge_key() again" >&2
+    exit 1
+fi
+if grep -rnE 'BuildHasherDefault|\bFx[A-Z]|ahash' "$core_src"; then
+    echo "FAIL: a non-default hasher appeared under $core_src" >&2
+    exit 1
+fi
+
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -46,15 +46,16 @@ use crate::stability::StabilityReport;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// Current checkpoint format version: the sharded layout (a shared
 /// core plus independently-guarded per-shard segments).
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 6;
 /// The single-pipeline checkpoint layout [`Checkpoint`] writes and
 /// reads; [`Differ::restore`](crate::engine::Differ::restore)
 /// dispatches on the stamped version, so a run resumes whatever shape
 /// its previous incarnation wrote. Versions 1 (single) and 2 (sharded)
 /// are the layouts from before the
 /// [`Sequencer`](crate::records::Sequencer) took the arrival state out
-/// of the assemblers: refused, never decoded.
-pub const CHECKPOINT_SINGLE: u32 = 3;
+/// of the assemblers, 3 and 4 those from before its time-jump check was
+/// anchored on the first admitted event: refused, never decoded.
+pub const CHECKPOINT_SINGLE: u32 = 5;
 /// Magic prefix of one shard's segment inside a segmented checkpoint.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
 /// Current per-shard segment format version.
@@ -925,14 +926,16 @@ mod tests {
 
     #[test]
     fn layouts_from_before_the_sequencer_are_refused_undecoded() {
-        // Versions 1 and 2 put the arrival state inside the assemblers.
+        // Versions 1 and 2 put the arrival state inside the assemblers;
+        // 3 and 4 hold a sequencer whose jump reference starts at zero.
         // The CRC guards the payload only, so a re-stamped current file
         // is exactly what such a file looks like to the header check.
         let config = FlowDiffConfig::default();
         let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
         let sharded =
             ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
-        for (mut bytes, old) in [(single, 1u32), (sharded, 2)] {
+        for (bytes, old) in [(&single, 1u32), (&sharded, 2), (&single, 3), (&sharded, 4)] {
+            let mut bytes = bytes.clone();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
                 Differ::restore(&bytes, &config),

@@ -6,13 +6,13 @@
 //! nodes (DNS, NFS, …) stay in separate groups: service edges do not
 //! merge groups, but each group remembers its service edges.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
-use crate::ids::{EntityCatalog, HostId, IRecord, InternedLog};
+use crate::ids::{EdgeId, EntityCatalog, HostId, IRecord, InternedLog};
 use crate::records::FlowRecord;
 
 /// A directed application-layer edge: who opens flows to whom.
@@ -63,31 +63,40 @@ impl AppGroup {
     }
 }
 
-/// Union-find over IPs.
+/// Union-find over host IDs: an iterative `find` with path halving and
+/// union by size, so a chain of flows h₀→h₁→…→hₙ neither builds a parent
+/// chain n deep nor recurses down one.
 struct Dsu {
     parent: Vec<usize>,
+    size: Vec<usize>,
 }
 
 impl Dsu {
     fn new(n: usize) -> Dsu {
         Dsu {
             parent: (0..n).collect(),
+            size: vec![1; n],
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
     fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
+        let (mut ra, mut rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
         }
+        if self.size[ra] < self.size[rb] {
+            std::mem::swap(&mut ra, &mut rb);
+        }
+        self.parent[rb] = ra;
+        self.size[ra] += self.size[rb];
     }
 }
 
@@ -137,79 +146,143 @@ pub fn discover_groups_interned(
     catalog: &EntityCatalog,
     config: &FlowDiffConfig,
 ) -> Vec<AppGroup> {
+    discover_window(records, catalog, config).groups
+}
+
+/// Marks "no slot" / "no group" in discovery's dense tables.
+const NONE: u32 = u32::MAX;
+
+/// A window's groups, and where each of its edges sits in its group.
+#[derive(Debug, Clone, Default)]
+pub struct Discovery {
+    /// The groups, as [`discover_groups_interned`] returns them.
+    pub groups: Vec<AppGroup>,
+    /// Indexed by [`EdgeId`] of the catalog: the edge's slot in its
+    /// group, i.e. its index among the group's `edges ∪ service_edges`
+    /// in address order (what
+    /// [`EdgeSlots::of_group`](crate::signatures::EdgeSlots::of_group)
+    /// reads). `u32::MAX` for an edge no record of the window is on and
+    /// for service-to-service edges, which no group owns. Edges of
+    /// different groups share slot numbers; one table serves them all
+    /// because every edge belongs to at most one group.
+    pub slots: Vec<u32>,
+}
+
+/// [`discover_groups_interned`], plus the per-edge slot table the model
+/// builder's group signatures bucket records by.
+///
+/// Every per-record step is a `Vec` index through the record's
+/// [`EdgeId`]: union-find and edge classification run once per
+/// *distinct* edge of the window, not once per record. The scratch
+/// tables are sized by the catalog and allocated once per call.
+pub fn discover_window(
+    records: &[&IRecord],
+    catalog: &EntityCatalog,
+    config: &FlowDiffConfig,
+) -> Discovery {
     let n = catalog.n_hosts();
     let special: Vec<bool> = catalog
         .hosts()
         .iter()
         .map(|&ip| config.is_special(ip))
         .collect();
+
+    // The window's distinct edges in first-appearance order; until the
+    // ranking below, `slots` holds each one's index in `distinct`.
+    let mut slots = vec![NONE; catalog.n_edges()];
+    let mut distinct = Vec::new();
+    for r in records {
+        let slot = &mut slots[r.edge.index()];
+        if *slot == NONE {
+            *slot = distinct.len() as u32;
+            distinct.push(r.edge);
+        }
+    }
+
     let mut appears = vec![false; n];
     let mut dsu = Dsu::new(n);
-    for r in records {
-        let (s, d) = (r.src.index(), r.dst.index());
-        if !special[s] {
-            appears[s] = true;
-        }
-        if !special[d] {
-            appears[d] = true;
-        }
+    for &edge in &distinct {
+        let (s, d) = catalog.edge_hosts(edge);
+        let (s, d) = (s.index(), d.index());
+        appears[s] |= !special[s];
+        appears[d] |= !special[d];
         if !special[s] && !special[d] {
             dsu.union(s, d);
         }
     }
 
-    // Gather groups.
-    let empty = || AppGroup {
-        members: BTreeSet::new(),
-        edges: BTreeSet::new(),
-        service_edges: BTreeSet::new(),
-        record_indices: Vec::new(),
-    };
-    let mut by_root: HashMap<usize, AppGroup> = HashMap::new();
-    for (h, seen) in appears.iter().enumerate().take(n) {
-        if !seen {
-            continue;
-        }
+    // One group per union-find root.
+    #[derive(Default)]
+    struct Gathered {
+        members: Vec<Ipv4Addr>,
+        /// `(address, id, is a service edge)` of each owned edge.
+        edges: Vec<(Edge, EdgeId, bool)>,
+        record_indices: Vec<usize>,
+    }
+    let mut group_of_root = vec![NONE; n];
+    let mut gathered: Vec<Gathered> = Vec::new();
+    for h in (0..n).filter(|&h| appears[h]) {
         let root = dsu.find(h);
-        by_root
-            .entry(root)
-            .or_insert_with(empty)
-            .members
-            .insert(catalog.host(HostId(h as u32)));
+        if group_of_root[root] == NONE {
+            group_of_root[root] = gathered.len() as u32;
+            gathered.push(Gathered::default());
+        }
+        let g = &mut gathered[group_of_root[root] as usize];
+        g.members.push(catalog.host(HostId(h as u32)));
     }
 
+    // Each edge joins the group of its non-special endpoint (the source
+    // when both qualify; they share a root then).
+    let group_of_edge: Vec<u32> = (distinct.iter())
+        .map(|&edge| {
+            let (s, d) = catalog.edge_hosts(edge);
+            let owner = [s, d].into_iter().find(|h| !special[h.index()]);
+            let Some(owner) = owner else {
+                return NONE; // service-to-service traffic: not an app flow
+            };
+            let g = group_of_root[dsu.find(owner.index())];
+            let service = special[s.index()] || special[d.index()];
+            gathered[g as usize]
+                .edges
+                .push((catalog.edge_addr(edge), edge, service));
+            g
+        })
+        .collect();
     for (i, r) in records.iter().enumerate() {
-        let (s, d) = (r.src.index(), r.dst.index());
-        let edge = || Edge {
-            src: catalog.host(r.src),
-            dst: catalog.host(r.dst),
-        };
-        match (special[s], special[d]) {
-            (false, false) => {
-                let root = dsu.find(s);
-                let g = by_root.get_mut(&root).expect("root exists");
-                g.edges.insert(edge());
-                g.record_indices.push(i);
-            }
-            (false, true) => {
-                let root = dsu.find(s);
-                let g = by_root.get_mut(&root).expect("root exists");
-                g.service_edges.insert(edge());
-                g.record_indices.push(i);
-            }
-            (true, false) => {
-                let root = dsu.find(d);
-                let g = by_root.get_mut(&root).expect("root exists");
-                g.service_edges.insert(edge());
-                g.record_indices.push(i);
-            }
-            (true, true) => {} // service-to-service traffic: not an app flow
+        let g = group_of_edge[slots[r.edge.index()] as usize];
+        if g != NONE {
+            gathered[g as usize].record_indices.push(i);
+        }
+    }
+    for (&edge, &g) in distinct.iter().zip(&group_of_edge) {
+        if g == NONE {
+            slots[edge.index()] = NONE;
         }
     }
 
-    let mut groups: Vec<AppGroup> = by_root.into_values().collect();
+    let mut groups: Vec<AppGroup> = gathered
+        .into_iter()
+        .map(|mut g| {
+            g.edges.sort_unstable();
+            for (rank, &(_, edge, _)) in g.edges.iter().enumerate() {
+                slots[edge.index()] = rank as u32;
+            }
+            let of_kind = |service: bool| -> BTreeSet<Edge> {
+                (g.edges.iter())
+                    .filter(|e| e.2 == service)
+                    .map(|e| e.0)
+                    .collect()
+            };
+            AppGroup {
+                members: g.members.into_iter().collect(),
+                edges: of_kind(false),
+                service_edges: of_kind(true),
+                record_indices: g.record_indices,
+            }
+        })
+        .collect();
     groups.sort_by_key(|g| g.group_key());
-    groups
+    Discovery { groups, slots }
 }
 
 /// Matches groups of a current model to groups of a reference model by
@@ -292,6 +365,26 @@ mod tests {
         assert_eq!(groups[0].members.len(), 4);
         assert_eq!(groups[0].edges.len(), 3);
         assert_eq!(groups[0].record_indices, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_200k_host_chain_is_one_group_on_a_2_mib_stack() {
+        // Flows h₀→h₁→…→hₙ: union-find without balancing builds a parent
+        // chain n deep, and a recursive `find` down it overflows the
+        // stack — an abort, which no `catch_unwind` can turn into an
+        // error.
+        let n = 200_000u32;
+        let host = |i: u32| Ipv4Addr::from(0x0a00_0000 + i);
+        let records: Vec<FlowRecord> = (0..n).map(|i| record(host(i), host(i + 1), 80)).collect();
+        let groups = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || discover_groups(&records, &FlowDiffConfig::default()))
+            .expect("spawn")
+            .join()
+            .expect("discovery returns");
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].members.len(), n as usize + 1);
+        assert_eq!(groups[0].edges.len(), n as usize);
     }
 
     #[test]

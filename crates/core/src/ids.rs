@@ -4,8 +4,9 @@
 //! `Ipv4Addr`/`DatapathId`/`(DatapathId, PortNo)` in `BTreeMap`s, paying
 //! wide-key comparisons and pointer-chasing per observed record. This
 //! module interns those entities once, on ingest, into small dense
-//! `u32` IDs ([`HostId`], [`SwitchId`], [`PortId`]) so builders can use
-//! `Vec`s and flat hash maps keyed by packed integers instead.
+//! `u32` IDs ([`HostId`], [`SwitchId`], [`PortId`], and [`EdgeId`] for a
+//! directed host pair) so builders can use `Vec`s indexed by ID and flat
+//! hash maps keyed by packed integers instead.
 //!
 //! IDs are **process-local**: they are assignment-order artifacts of one
 //! [`EntityCatalog`] and mean nothing outside it. Two models built from
@@ -37,6 +38,12 @@ pub struct SwitchId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u32);
 
+/// Dense index of one directed host edge (a `(HostId, HostId)` pair,
+/// source first) in an [`EntityCatalog`]. Every record carries its own,
+/// so bucketing records by edge is a `Vec` index, not a hash of the pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EdgeId(pub u32);
+
 impl HostId {
     /// The ID as a `Vec` index.
     pub fn index(self) -> usize {
@@ -52,6 +59,13 @@ impl SwitchId {
 }
 
 impl PortId {
+    /// The ID as a `Vec` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl EdgeId {
     /// The ID as a `Vec` index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -126,15 +140,16 @@ pub fn unpack_port_pair(key: u64) -> (PortId, PortId) {
     (PortId((key >> 32) as u32), PortId(key as u32))
 }
 
-/// The entity interner: assigns dense IDs to hosts, switches, and ports
-/// in first-seen order, and resolves them back.
+/// The entity interner: assigns dense IDs to hosts, switches, ports and
+/// host edges in first-seen order, and resolves them back.
 ///
 /// Interners only grow — retiring records from a sliding window leaves
 /// the catalog untouched, so IDs stay valid for the life of the owning
 /// builder/model and re-interning a known entity is a cheap lookup.
 /// The entity namespace of a long-running capture is small (hosts and
 /// switches, not flows), so monotone growth is bounded by the data
-/// center, not by the traffic.
+/// center, not by the traffic (edges by who talks to whom, at most the
+/// host count squared).
 #[derive(Debug, Clone, Default)]
 pub struct EntityCatalog {
     hosts: Vec<Ipv4Addr>,
@@ -143,6 +158,8 @@ pub struct EntityCatalog {
     switch_ids: HashMap<DatapathId, SwitchId>,
     ports: Vec<(SwitchId, PortNo)>,
     port_ids: HashMap<(SwitchId, PortNo), PortId>,
+    edges: Vec<(HostId, HostId)>,
+    edge_ids: HashMap<(HostId, HostId), EdgeId>,
 }
 
 impl EntityCatalog {
@@ -185,6 +202,18 @@ impl EntityCatalog {
         id
     }
 
+    /// Interns the directed edge `src -> dst` between two (already
+    /// interned) hosts.
+    pub fn intern_edge(&mut self, src: HostId, dst: HostId) -> EdgeId {
+        if let Some(&id) = self.edge_ids.get(&(src, dst)) {
+            return id;
+        }
+        let id = EdgeId(self.edges.len() as u32);
+        self.edges.push((src, dst));
+        self.edge_ids.insert((src, dst), id);
+        id
+    }
+
     /// Looks a host up without interning it. `None` means the catalog
     /// has never seen the address.
     pub fn host_id(&self, ip: Ipv4Addr) -> Option<HostId> {
@@ -199,6 +228,11 @@ impl EntityCatalog {
     /// Looks a port up without interning it.
     pub fn port_id(&self, switch: SwitchId, port: PortNo) -> Option<PortId> {
         self.port_ids.get(&(switch, port)).copied()
+    }
+
+    /// Looks an edge up without interning it.
+    pub fn edge_id(&self, src: HostId, dst: HostId) -> Option<EdgeId> {
+        self.edge_ids.get(&(src, dst)).copied()
     }
 
     /// Resolves a host ID back to its address.
@@ -234,6 +268,20 @@ impl EntityCatalog {
         }
     }
 
+    /// Resolves an edge ID to its endpoint host IDs.
+    pub fn edge_hosts(&self, id: EdgeId) -> (HostId, HostId) {
+        self.edges[id.index()]
+    }
+
+    /// Resolves an edge ID to its address form.
+    pub fn edge_addr(&self, id: EdgeId) -> Edge {
+        let (s, d) = self.edge_hosts(id);
+        Edge {
+            src: self.host(s),
+            dst: self.host(d),
+        }
+    }
+
     /// Number of interned hosts.
     pub fn n_hosts(&self) -> usize {
         self.hosts.len()
@@ -247,6 +295,12 @@ impl EntityCatalog {
     /// Number of interned ports.
     pub fn n_ports(&self) -> usize {
         self.ports.len()
+    }
+
+    /// Number of interned edges: the length of any `Vec` indexed by
+    /// [`EdgeId`].
+    pub fn n_edges(&self) -> usize {
+        self.edges.len()
     }
 
     /// Interned host addresses in ID order (for iterating dense state).
@@ -270,15 +324,16 @@ impl EntityCatalog {
             + self.switches.len() * (size_of::<DatapathId>() + size_of::<(DatapathId, SwitchId)>())
             + self.ports.len()
                 * (size_of::<(SwitchId, PortNo)>() + size_of::<((SwitchId, PortNo), PortId)>())
+            + self.edges.len()
+                * (size_of::<(HostId, HostId)>() + size_of::<((HostId, HostId), EdgeId)>())
     }
 
-    /// Interns every entity a record mentions (endpoints, switches,
-    /// ports) without building an [`IRecord`] — the ingest-path warm-up
-    /// used by the incremental builder so snapshot-time interning is
-    /// pure lookup.
+    /// Interns every entity a record mentions (endpoints and their
+    /// edge, switches, ports) without building an [`IRecord`].
     pub fn intern_entities(&mut self, record: &FlowRecord) {
-        self.intern_host(record.tuple.src);
-        self.intern_host(record.tuple.dst);
+        let src = self.intern_host(record.tuple.src);
+        let dst = self.intern_host(record.tuple.dst);
+        self.intern_edge(src, dst);
         for hop in &record.hops {
             let sw = self.intern_switch(hop.dpid);
             self.intern_port(sw, hop.in_port);
@@ -290,9 +345,12 @@ impl EntityCatalog {
 
     /// Interns a record into its dense form.
     pub fn intern_record(&mut self, record: &FlowRecord) -> IRecord {
+        let src = self.intern_host(record.tuple.src);
+        let dst = self.intern_host(record.tuple.dst);
         IRecord {
-            src: self.intern_host(record.tuple.src),
-            dst: self.intern_host(record.tuple.dst),
+            src,
+            dst,
+            edge: self.intern_edge(src, dst),
             tuple: record.tuple,
             first_seen: record.first_seen,
             byte_count: record.byte_count,
@@ -371,6 +429,8 @@ pub struct IRecord {
     pub src: HostId,
     /// Interned destination host.
     pub dst: HostId,
+    /// Interned `src -> dst` edge.
+    pub edge: EdgeId,
     /// The original five-tuple: kept alongside the dense endpoint IDs
     /// because the sliding window orders records by
     /// `(first_seen, tuple)` — the same key the batch path sorts by —
@@ -431,7 +491,9 @@ impl InternedLog {
 #[derive(Debug, Clone, Default)]
 pub struct RecordIndex {
     catalog: EntityCatalog,
-    first_seen: HashMap<u64, Timestamp>,
+    /// Earliest `first_seen` per [`EdgeId`] of `catalog`; `None` for an
+    /// edge the catalog knows but no indexed record is on.
+    first_seen: Vec<Option<Timestamp>>,
 }
 
 impl RecordIndex {
@@ -439,34 +501,35 @@ impl RecordIndex {
     /// `records`.
     pub fn of_records(records: &[FlowRecord]) -> RecordIndex {
         let mut catalog = EntityCatalog::new();
-        let mut first_seen: HashMap<u64, Timestamp> = HashMap::new();
-        for r in records {
-            let src = catalog.intern_host(r.tuple.src);
-            let dst = catalog.intern_host(r.tuple.dst);
-            first_seen
-                .entry(pack_edge(src, dst))
-                .and_modify(|t| *t = (*t).min(r.first_seen))
-                .or_insert(r.first_seen);
-        }
-        RecordIndex {
-            catalog,
-            first_seen,
-        }
+        let edges: Vec<(EdgeId, Timestamp)> = records
+            .iter()
+            .map(|r| {
+                let src = catalog.intern_host(r.tuple.src);
+                let dst = catalog.intern_host(r.tuple.dst);
+                (catalog.intern_edge(src, dst), r.first_seen)
+            })
+            .collect();
+        RecordIndex::of_edges(catalog, edges)
     }
 
     /// Indexes records that are already interned through `catalog`,
     /// which the index takes ownership of. This is the zero-rework path
-    /// for a model snapshot, which holds both halves at assembly time;
-    /// the edges are packed dense IDs, so no address is hashed. Takes
+    /// for a model snapshot, which holds both halves at assembly time:
+    /// each record already names its edge, so nothing is hashed. Takes
     /// record references so the incremental window (which holds its
     /// records keyed, not flat) can index without cloning them out.
     pub fn of_interned(catalog: EntityCatalog, irecords: &[&IRecord]) -> RecordIndex {
-        let mut first_seen: HashMap<u64, Timestamp> = HashMap::new();
-        for r in irecords {
-            first_seen
-                .entry(r.edge_key())
-                .and_modify(|t| *t = (*t).min(r.first_seen))
-                .or_insert(r.first_seen);
+        RecordIndex::of_edges(catalog, irecords.iter().map(|r| (r.edge, r.first_seen)))
+    }
+
+    fn of_edges(
+        catalog: EntityCatalog,
+        edges: impl IntoIterator<Item = (EdgeId, Timestamp)>,
+    ) -> RecordIndex {
+        let mut first_seen = vec![None; catalog.n_edges()];
+        for (edge, ts) in edges {
+            let slot: &mut Option<Timestamp> = &mut first_seen[edge.index()];
+            *slot = Some(slot.map_or(ts, |t| t.min(ts)));
         }
         RecordIndex {
             catalog,
@@ -479,7 +542,7 @@ impl RecordIndex {
     pub fn first_seen(&self, edge: &Edge) -> Option<Timestamp> {
         let src = self.catalog.host_id(edge.src)?;
         let dst = self.catalog.host_id(edge.dst)?;
-        self.first_seen.get(&pack_edge(src, dst)).copied()
+        self.first_seen[self.catalog.edge_id(src, dst)?.index()]
     }
 
     /// Approximate heap footprint in bytes: the owned catalog plus the
@@ -487,7 +550,7 @@ impl RecordIndex {
     /// real memory, not shared with the model's own catalog).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.catalog.approx_bytes() + self.first_seen.len() * size_of::<(u64, Timestamp, u64)>()
+        self.catalog.approx_bytes() + self.first_seen.len() * size_of::<Option<Timestamp>>()
     }
 }
 

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
 use crate::derived::Derived;
-use crate::groups::{discover_groups_interned, AppGroup};
+use crate::groups::{discover_window, AppGroup, Discovery};
 use crate::ids::{EntityCatalog, IRecord, InternedLog, RecordIndex};
 use crate::records::{FlowRecord, FlowTuple, RecordAssembler};
 use crate::signatures::connectivity::ConnectivityGraph;
@@ -27,7 +27,7 @@ use crate::signatures::flow_stats::FlowStatsSig;
 use crate::signatures::infra::{ControllerResponse, InterSwitchLatency, PhysicalTopology};
 use crate::signatures::interaction::ComponentInteraction;
 use crate::signatures::utilization::{LinkUtilization, LuBuilder};
-use crate::signatures::{Signature, SignatureInputs};
+use crate::signatures::{EdgeSlots, Signature, SignatureInputs};
 use netsim::log::{ControlEvent, ControllerLog, Direction};
 
 /// All application signatures of one group.
@@ -709,8 +709,10 @@ impl IncrementalModelBuilder {
 /// `(first_seen, tuple)` and `refs` the same records, positionally
 /// aligned, interned through `catalog`. Discovers groups, then builds
 /// per group CG, FS, CI, DD, PC and once PT, ISL, CRT and the edge
-/// index. Serial: a scoped thread pool over these builds measured no
-/// faster (DESIGN.md, "Rejected").
+/// index. Each group's builds bucket records by the edge slots
+/// discovery numbered, so no build hashes an edge. Serial: a scoped
+/// thread pool over these builds measured no faster (DESIGN.md,
+/// "Rejected").
 fn model_of(
     records: Vec<FlowRecord>,
     refs: &[&IRecord],
@@ -718,13 +720,16 @@ fn model_of(
     span: (Timestamp, Timestamp),
     config: &FlowDiffConfig,
 ) -> BehaviorModel {
-    let groups = discover_groups_interned(refs, &catalog, config)
+    let Discovery { groups, slots } = discover_window(refs, &catalog, config);
+    let groups = groups
         .into_iter()
         .map(|group| {
             let group_records: Vec<&IRecord> =
                 group.record_indices.iter().map(|&i| refs[i]).collect();
-            let inputs =
-                SignatureInputs::new(&group_records, &catalog, span, config).with_group(&group);
+            let edge_slots = EdgeSlots::of_group(&group, &group_records, &slots);
+            let inputs = SignatureInputs::new(&group_records, &catalog, span, config)
+                .with_group(&group)
+                .with_edge_slots(&edge_slots);
             // CG is exactly the group's own edge classification,
             // already computed by discovery — cloned, not rebuilt.
             let connectivity = ConnectivityGraph {

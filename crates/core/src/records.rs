@@ -753,8 +753,10 @@ pub struct Sequencer {
     /// `0` disables the quarantine.
     max_time_jump_us: u64,
     /// Newest admitted timestamp: the disorder reference, the jump
-    /// reference and the release watermark's anchor.
-    max_arrival: Timestamp,
+    /// reference and the release watermark's anchor. `None` until the
+    /// first admission, which nothing quarantines: the clock a capture
+    /// starts on is its own, not a jump from zero.
+    max_arrival: Option<Timestamp>,
     /// Admissions held so far; keeps simultaneous held events in arrival
     /// order.
     arrival_seq: u64,
@@ -770,7 +772,7 @@ impl Sequencer {
         Sequencer {
             reorder_slack_us: config.reorder_slack_us,
             max_time_jump_us: config.max_time_jump_us,
-            max_arrival: Timestamp::ZERO,
+            max_arrival: None,
             arrival_seq: 0,
             held: BTreeMap::new(),
             health: IngestHealth::default(),
@@ -780,23 +782,28 @@ impl Sequencer {
     /// Newest admitted timestamp (`Timestamp::ZERO` before the first):
     /// "now" on the arrival clock, where a lossy restore starts warming.
     pub fn max_arrival(&self) -> Timestamp {
-        self.max_arrival
+        self.max_arrival.unwrap_or(Timestamp::ZERO)
     }
 
     /// Judges an arrival at `ts`: `false` — counted as a time jump — for
     /// a quarantined timestamp, which the caller drops; otherwise the
     /// event is admitted, counted if out of order, and must be handed to
-    /// [`release`](Self::release) next.
+    /// [`release`](Self::release) next. The first arrival is always
+    /// admitted and anchors the jump check.
     pub fn admit(&mut self, ts: Timestamp) -> bool {
-        let jump = ts.checked_since(self.max_arrival);
+        let Some(newest) = self.max_arrival else {
+            self.max_arrival = Some(ts);
+            return true;
+        };
+        let jump = ts.checked_since(newest);
         if self.max_time_jump_us > 0 && jump.is_some_and(|j| j > self.max_time_jump_us) {
             self.health.record(IngestAnomaly::TimeJump);
             return false;
         }
-        if ts < self.max_arrival {
+        if ts < newest {
             self.health.record(IngestAnomaly::OutOfOrder);
         } else {
-            self.max_arrival = ts;
+            self.max_arrival = Some(ts);
         }
         true
     }
@@ -818,7 +825,7 @@ impl Sequencer {
         self.held.insert(own, ev.clone());
         self.arrival_seq += 1;
         let watermark = Timestamp::from_micros(
-            self.max_arrival
+            self.max_arrival()
                 .as_micros()
                 .saturating_sub(self.reorder_slack_us),
         );

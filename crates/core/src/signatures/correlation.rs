@@ -5,7 +5,7 @@
 //! series, and adjacent edges' series are correlated with Pearson's
 //! coefficient (Section III-B).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -44,43 +44,49 @@ impl Signature for PartialCorrelation {
     type Change = PcChange;
     const KIND: SignatureKind = SignatureKind::Pc;
 
-    /// Buckets each record into its edge's epoch count series (the
+    /// Buckets each record into its edge slot's epoch count series (the
     /// window and epoch grid are fixed by the inputs), then correlates
-    /// the series of adjacent edges.
+    /// the series of adjacent edges. An edge with no record inside the
+    /// window has no series and pairs with nothing.
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let start = inputs.span.0.as_micros();
         let end = inputs.span.1.as_micros().max(start + 1);
         let epoch_us = inputs.config.epoch_us;
         let epochs = ((end - start).div_ceil(epoch_us)).max(1) as usize;
-        let mut by_key: HashMap<u64, Vec<f64>> = HashMap::new();
-        for record in inputs.records {
-            let t = record.first_seen.as_micros();
-            if t < start || t >= end {
-                continue;
-            }
-            let idx = ((t - start) / epoch_us) as usize;
-            let s = by_key
-                .entry(record.edge_key())
-                .or_insert_with(|| vec![0.0; epochs]);
-            s[idx.min(epochs - 1)] += 1.0;
-        }
-        // Resolve to address-keyed series so the pairing loop visits
-        // edges in address order, independent of interning order.
-        let series: BTreeMap<Edge, &Vec<f64>> = by_key
-            .iter()
-            .map(|(&key, s)| (inputs.catalog.edge(key), s))
+        let slots = inputs.edge_slots();
+        let times = slots.gather(inputs.records, |r| r.first_seen.as_micros());
+        let series: Vec<(Edge, Option<Vec<f64>>)> = (slots.ranges())
+            .map(|(edge, at)| {
+                let mut counts = None;
+                for &t in &times[at] {
+                    if t < start || t >= end {
+                        continue;
+                    }
+                    let idx = ((t - start) / epoch_us) as usize;
+                    let s: &mut Vec<f64> = counts.get_or_insert_with(|| vec![0.0; epochs]);
+                    s[idx.min(epochs - 1)] += 1.0;
+                }
+                (edge, counts)
+            })
             .collect();
-        let edges: Vec<Edge> = series.keys().copied().collect();
+        // Slots are in address order, so the pairing loop visits edges
+        // independently of interning order.
         let mut per_pair = BTreeMap::new();
-        for in_edge in &edges {
-            for out_edge in &edges {
+        for (in_edge, in_series) in &series {
+            let Some(in_series) = in_series else {
+                continue;
+            };
+            for (out_edge, out_series) in &series {
                 if in_edge.dst != out_edge.src || in_edge == out_edge {
                     continue;
                 }
                 if in_edge.src == out_edge.dst && in_edge.dst == out_edge.src {
                     continue;
                 }
-                if let Some(r) = pearson(series[in_edge], series[out_edge]) {
+                let Some(out_series) = out_series else {
+                    continue;
+                };
+                if let Some(r) = pearson(in_series, out_series) {
                     per_pair.insert((*in_edge, *out_edge), r);
                 }
             }

@@ -6,7 +6,7 @@
 //! of the distribution expose the node's processing time; peak shifts
 //! reveal overload, logging misconfigurations, or congestion.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -68,28 +68,20 @@ impl Signature for DelayDistribution {
     /// uniformly).
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let (dd_bin_us, dd_window_us) = (inputs.config.dd_bin_us, inputs.config.dd_window_us);
-        // Arrivals per edge: the feed is in window order, so each
-        // edge's list comes out sorted by time.
-        let mut by_key: HashMap<u64, Vec<u64>> = HashMap::new();
-        for record in inputs.records {
-            by_key
-                .entry(record.edge_key())
-                .or_default()
-                .push(record.first_seen.as_micros());
-        }
-        // Resolved to addresses: the pairing loop below iterates edges
-        // in address order, keeping its output independent of interning
-        // order.
-        let per_edge: BTreeMap<Edge, Vec<u64>> = by_key
-            .into_iter()
-            .map(|(key, times)| (inputs.catalog.edge(key), times))
+        // Arrivals per edge slot: the feed is in window order, so each
+        // edge's list comes out sorted by time, and the slots are in
+        // address order, so the pairing loop below is independent of
+        // interning order.
+        let slots = inputs.edge_slots();
+        let times = slots.gather(inputs.records, |r| r.first_seen.as_micros());
+        let arrivals: Vec<(Edge, &[u64])> = (slots.ranges())
+            .map(|(edge, at)| (edge, &times[at]))
             .collect();
 
-        let edges: Vec<Edge> = per_edge.keys().copied().collect();
         let mut per_pair = BTreeMap::new();
         let mut nearest = BTreeMap::new();
-        for in_edge in &edges {
-            for out_edge in &edges {
+        for &(in_edge, ins) in &arrivals {
+            for &(out_edge, outs) in &arrivals {
                 if in_edge.dst != out_edge.src || in_edge == out_edge {
                     continue;
                 }
@@ -98,8 +90,6 @@ impl Signature for DelayDistribution {
                 if in_edge.src == out_edge.dst && in_edge.dst == out_edge.src {
                     continue;
                 }
-                let ins = &per_edge[in_edge];
-                let outs = &per_edge[out_edge];
                 let mut hist = Histogram::new(dd_bin_us);
                 let mut nearest_samples = Vec::new();
                 let mut start_idx = 0usize;
@@ -127,8 +117,8 @@ impl Signature for DelayDistribution {
                     }
                 }
                 if hist.total() > 0 {
-                    per_pair.insert((*in_edge, *out_edge), hist);
-                    nearest.insert((*in_edge, *out_edge), MeanStd::of(&nearest_samples));
+                    per_pair.insert((in_edge, out_edge), hist);
+                    nearest.insert((in_edge, out_edge), MeanStd::of(&nearest_samples));
                 }
             }
         }

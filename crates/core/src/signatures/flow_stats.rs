@@ -4,7 +4,7 @@
 //! `FlowRemoved` counters), and flow arrival rates, overall and per edge
 //! (Section III-B).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -78,41 +78,33 @@ impl Signature for FlowStatsSig {
     const KIND: SignatureKind = SignatureKind::Fs;
 
     /// Byte, packet and duration samples are taken in feed order —
-    /// `MeanStd` over f64 samples is order-sensitive.
+    /// `MeanStd` over f64 samples is order-sensitive — overall and per
+    /// edge slot.
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let span = inputs.span;
         let span_s =
             ((span.1.as_micros().saturating_sub(span.0.as_micros())) as f64 / 1e6).max(1e-6);
-        let mut bytes = Vec::with_capacity(inputs.records.len());
-        let mut packets = Vec::with_capacity(inputs.records.len());
-        let mut durations = Vec::with_capacity(inputs.records.len());
-        let mut per_edge: HashMap<u64, (Vec<f64>, Vec<f64>)> = HashMap::new();
-        for record in inputs.records {
-            let b = record.byte_count as f64;
-            bytes.push(b);
-            packets.push(record.packet_count as f64);
-            durations.push(record.duration_s);
-            let entry = per_edge.entry(record.edge_key()).or_default();
-            entry.0.push(b);
-            entry.1.push(record.duration_s);
-        }
+        let records = inputs.records;
+        let bytes: Vec<f64> = records.iter().map(|r| r.byte_count as f64).collect();
+        let packets: Vec<f64> = records.iter().map(|r| r.packet_count as f64).collect();
+        let durations: Vec<f64> = records.iter().map(|r| r.duration_s).collect();
+        let slots = inputs.edge_slots();
+        let edge_bytes = slots.gather(records, |r| r.byte_count as f64);
+        let edge_durations = slots.gather(records, |r| r.duration_s);
         FlowStatsSig {
             flow_count: bytes.len(),
             flows_per_sec: bytes.len() as f64 / span_s,
             bytes: MeanStd::of(&bytes),
             packets: MeanStd::of(&packets),
             duration_s: MeanStd::of(&durations),
-            per_edge: per_edge
-                .iter()
-                .map(|(&key, (b, d))| {
-                    (
-                        inputs.catalog.edge(key),
-                        EdgeStats {
-                            flow_count: b.len(),
-                            bytes: MeanStd::of(b),
-                            duration_s: MeanStd::of(d),
-                        },
-                    )
+            per_edge: (slots.ranges())
+                .map(|(edge, at)| {
+                    let stats = EdgeStats {
+                        flow_count: at.len(),
+                        bytes: MeanStd::of(&edge_bytes[at.clone()]),
+                        duration_s: MeanStd::of(&edge_durations[at]),
+                    };
+                    (edge, stats)
                 })
                 .collect(),
         }

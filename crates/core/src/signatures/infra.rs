@@ -371,10 +371,12 @@ impl Signature for ControllerResponse {
     const KIND: SignatureKind = SignatureKind::Crt;
 
     /// One sample per answered `PacketIn` (Figure 3: `t2 - t1`), taken
-    /// in feed order, then hop order.
+    /// in feed order, then hop order, and filed under the hop's
+    /// [`SwitchId`] as a `Vec` index.
     fn build(inputs: &SignatureInputs<'_>) -> Self {
+        let catalog = inputs.catalog;
         let mut all = Vec::new();
-        let mut per_switch: HashMap<SwitchId, Vec<f64>> = HashMap::new();
+        let mut per_switch: Vec<Vec<f64>> = vec![Vec::new(); catalog.n_switches()];
         let mut unanswered = 0;
         for record in inputs.records {
             for h in &record.hops {
@@ -385,7 +387,7 @@ impl Signature for ControllerResponse {
                     Some(fm_ts) => {
                         if let Some(d) = fm_ts.checked_since(h.ts) {
                             all.push(d as f64);
-                            per_switch.entry(h.switch).or_default().push(d as f64);
+                            per_switch[h.switch.index()].push(d as f64);
                         }
                     }
                     None => unanswered += 1,
@@ -396,9 +398,10 @@ impl Signature for ControllerResponse {
             answered: all.len(),
             unanswered,
             overall: MeanStd::of(&all),
-            per_switch: per_switch
-                .iter()
-                .map(|(&sw, v)| (inputs.catalog.switch(sw), MeanStd::of(v)))
+            per_switch: (0..)
+                .zip(&per_switch)
+                .filter(|(_, v)| !v.is_empty())
+                .map(|(i, v)| (catalog.switch(SwitchId(i)), MeanStd::of(v)))
                 .collect(),
         }
     }

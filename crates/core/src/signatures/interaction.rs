@@ -5,7 +5,7 @@
 //! Compared across logs with a χ² fitness test on the flow-count
 //! distributions (Section IV-A).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
@@ -59,17 +59,12 @@ impl Signature for ComponentInteraction {
     type Change = CiChange;
     const KIND: SignatureKind = SignatureKind::Ci;
 
-    /// One packed-edge flow counter over the records, then the
-    /// per-node fan-out (each edge counted under both endpoints), where
-    /// IDs resolve back to addresses.
+    /// Each edge slot's flow count, fanned out per node (each edge
+    /// counted under both endpoints).
     fn build(inputs: &SignatureInputs<'_>) -> Self {
-        let mut edge_counts: HashMap<u64, u64> = HashMap::new();
-        for record in inputs.records {
-            *edge_counts.entry(record.edge_key()).or_insert(0) += 1;
-        }
         let mut per_node: BTreeMap<Ipv4Addr, NodeInteraction> = BTreeMap::new();
-        for (&key, &count) in &edge_counts {
-            let edge = inputs.catalog.edge(key);
+        for (edge, at) in inputs.edge_slots().ranges() {
+            let count = at.len() as u64;
             // Count the edge under both endpoints; a self-edge counts
             // twice under its single node, as it always has.
             for node in [edge.src, edge.dst] {

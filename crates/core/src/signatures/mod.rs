@@ -33,15 +33,17 @@ pub mod infra;
 pub mod interaction;
 pub mod utilization;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, Locus, SignatureKind};
 use crate::config::FlowDiffConfig;
-use crate::groups::AppGroup;
-use crate::ids::{EntityCatalog, IRecord, RecordIndex};
+use crate::groups::{AppGroup, Edge};
+use crate::ids::{EdgeId, EntityCatalog, IRecord, RecordIndex};
 use netsim::log::ControllerLog;
 
 /// Everything a signature may need to build itself. Each signature picks
@@ -70,6 +72,11 @@ pub struct SignatureInputs<'a> {
     pub config: &'a FlowDiffConfig,
     /// The raw controller log (LU only).
     pub log: Option<&'a ControllerLog>,
+    /// The feed's edges and each record's slot among them, when the
+    /// caller already has them (the model builder, from group
+    /// discovery); [`SignatureInputs::edge_slots`] derives them
+    /// otherwise.
+    edge_slots: Option<&'a EdgeSlots>,
 }
 
 impl<'a> SignatureInputs<'a> {
@@ -95,6 +102,7 @@ impl<'a> SignatureInputs<'a> {
             span,
             config,
             log: None,
+            edge_slots: None,
         }
     }
 
@@ -110,6 +118,118 @@ impl<'a> SignatureInputs<'a> {
     pub fn with_log(mut self, log: &'a ControllerLog) -> Self {
         self.log = Some(log);
         self
+    }
+
+    /// Attaches the feed's edge slots (builder style); they must be the
+    /// slots of exactly these records.
+    #[must_use]
+    pub fn with_edge_slots(mut self, slots: &'a EdgeSlots) -> Self {
+        debug_assert_eq!(slots.members.len(), self.records.len());
+        self.edge_slots = Some(slots);
+        self
+    }
+
+    /// The feed's edge slots: the attached ones, or derived from the
+    /// records when none were attached.
+    pub fn edge_slots(&self) -> Cow<'a, EdgeSlots> {
+        match self.edge_slots {
+            Some(slots) => Cow::Borrowed(slots),
+            None => Cow::Owned(EdgeSlots::of(self.records, self.catalog)),
+        }
+    }
+}
+
+/// The distinct `(src, dst)` edges of a feed, ascending by address, each
+/// with its records: what FS, CI, DD and PC bucket records by. A record
+/// finds its edge's slot by a `Vec` index, not a hash, and walking the
+/// slots visits edges in address order, so nothing a build produces
+/// depends on how the catalog numbered them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EdgeSlots {
+    /// Slot → edge, ascending; every edge has at least one record.
+    edges: Vec<Edge>,
+    /// The feed's record indices grouped by slot, each group in feed
+    /// order: slot `s` owns `members[starts[s]..starts[s + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl EdgeSlots {
+    /// The slots of any feed interned through `catalog`: sorts the
+    /// feed's edge IDs instead of allocating scratch sized by the
+    /// catalog.
+    pub fn of(records: &[&IRecord], catalog: &EntityCatalog) -> EdgeSlots {
+        let mut ids: Vec<EdgeId> = records.iter().map(|r| r.edge).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut by_addr: Vec<(Edge, usize)> = (ids.iter().enumerate())
+            .map(|(i, &id)| (catalog.edge_addr(id), i))
+            .collect();
+        by_addr.sort_unstable();
+        let mut rank = vec![0u32; ids.len()];
+        for (slot, &(_, i)) in by_addr.iter().enumerate() {
+            rank[i] = slot as u32;
+        }
+        let of_record = (records.iter())
+            .map(|r| rank[ids.binary_search(&r.edge).expect("an edge of the feed")]);
+        EdgeSlots::grouped(
+            by_addr.into_iter().map(|(edge, _)| edge).collect(),
+            of_record,
+        )
+    }
+
+    /// The slots of one discovered group's feed, read off the window's
+    /// [`Discovery::slots`](crate::groups::Discovery::slots) table: the
+    /// group's edges are its `edges ∪ service_edges`, and discovery
+    /// numbered each by its rank there.
+    pub fn of_group(group: &AppGroup, records: &[&IRecord], slots: &[u32]) -> EdgeSlots {
+        let mut edges: Vec<Edge> = (group.edges.iter())
+            .chain(&group.service_edges)
+            .copied()
+            .collect();
+        // Two ascending runs: the stable sort merges them in one pass.
+        edges.sort();
+        EdgeSlots::grouped(edges, records.iter().map(|r| slots[r.edge.index()]))
+    }
+
+    /// Groups record indices by slot (`of_record` yields each record's
+    /// slot, in feed order) with one counting pass: no per-edge `Vec`.
+    fn grouped(edges: Vec<Edge>, of_record: impl Iterator<Item = u32> + Clone) -> EdgeSlots {
+        let mut starts = vec![0u32; edges.len() + 1];
+        for slot in of_record.clone() {
+            starts[slot as usize + 1] += 1;
+        }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; starts[edges.len()] as usize];
+        for (i, slot) in of_record.enumerate() {
+            let at = &mut next[slot as usize];
+            members[*at as usize] = i as u32;
+            *at += 1;
+        }
+        EdgeSlots {
+            edges,
+            members,
+            starts,
+        }
+    }
+
+    /// `value` of each record of the feed, grouped by slot: the values of
+    /// slot `s`'s records are at its [`ranges`](Self::ranges) entry, in
+    /// feed order.
+    fn gather<T>(&self, records: &[&IRecord], value: impl Fn(&IRecord) -> T) -> Vec<T> {
+        (self.members.iter())
+            .map(|&i| value(records[i as usize]))
+            .collect()
+    }
+
+    /// Each slot's edge and where its records sit in what
+    /// [`gather`](Self::gather) returns, slots ascending.
+    fn ranges(&self) -> impl Iterator<Item = (Edge, Range<usize>)> + '_ {
+        (self.edges.iter().zip(self.starts.windows(2)))
+            .map(|(&edge, w)| (edge, w[0] as usize..w[1] as usize))
     }
 }
 

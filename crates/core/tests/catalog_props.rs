@@ -1,19 +1,25 @@
 //! Property-based tests for the entity catalog (`flowdiff::ids`):
 //! intern/resolve round-trips, invariance of derived results under the
-//! catalog's interning order, and the no-aliasing guarantee between
-//! models with disjoint catalogs.
+//! catalog's interning order (host and edge IDs alike), and the
+//! no-aliasing guarantee between models with disjoint catalogs.
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use flowdiff::config::FlowDiffConfig;
-use flowdiff::groups::discover_groups_interned;
+use flowdiff::groups::{discover_groups_interned, discover_window, Discovery, Edge};
 use flowdiff::ids::{EntityCatalog, HostId, IRecord, InternedLog, RecordIndex};
 use flowdiff::records::{FlowRecord, FlowTuple};
 use flowdiff::signatures::connectivity::ConnectivityGraph;
-use flowdiff::signatures::{DiffCtx, Signature, SignatureInputs};
+use flowdiff::signatures::correlation::PartialCorrelation;
+use flowdiff::signatures::delay::DelayDistribution;
+use flowdiff::signatures::flow_stats::FlowStatsSig;
+use flowdiff::signatures::interaction::ComponentInteraction;
+use flowdiff::signatures::{DiffCtx, EdgeSlots, Signature, SignatureInputs};
 use openflow::types::{DatapathId, IpProto, PortNo, Timestamp};
 
 fn ip(x: u8) -> Ipv4Addr {
@@ -58,8 +64,122 @@ fn intern_with_warmup(records: &[FlowRecord], hosts: &[Ipv4Addr]) -> (EntityCata
     (catalog, irecords)
 }
 
+/// Hosts 10 and 11 are special-purpose, so a window over hosts 0..12
+/// has member flows, flows to and replies from a service node, and
+/// service-to-service flows; `src == dst` gives self-edges.
+fn service_config() -> FlowDiffConfig {
+    FlowDiffConfig::default().with_special_ips([ip(10), ip(11)])
+}
+
+/// One record per `(src, dst, dport)`, self-edges kept, 0.9 s apart so
+/// PC's 1 s epochs and DD's pairing window both see structure.
+fn mixed_window(edges: &[(u8, u8, u16)]) -> Vec<FlowRecord> {
+    (edges.iter().enumerate())
+        .map(|(i, &(s, d, dport))| FlowRecord {
+            first_seen: Timestamp::from_millis(i as u64 * 900),
+            ..record(s, d, dport, i)
+        })
+        .collect()
+}
+
+fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// Interns `records` through a catalog that first interned every host
+/// of 0..12 and every edge between them (self-edges included, most on
+/// no record) in a `seed`-shuffled order, so neither host nor edge IDs
+/// follow first appearance.
+fn intern_shuffled(records: &[FlowRecord], seed: u64) -> (EntityCatalog, Vec<IRecord>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hosts: Vec<Ipv4Addr> = (0..12).map(ip).collect();
+    shuffle(&mut hosts, &mut rng);
+    let mut catalog = EntityCatalog::new();
+    let ids: Vec<HostId> = hosts.iter().map(|&h| catalog.intern_host(h)).collect();
+    let mut edges: Vec<(HostId, HostId)> = (ids.iter())
+        .flat_map(|&s| ids.iter().map(move |&d| (s, d)))
+        .collect();
+    shuffle(&mut edges, &mut rng);
+    for (s, d) in edges {
+        catalog.intern_edge(s, d);
+    }
+    let irecords = records.iter().map(|r| catalog.intern_record(r)).collect();
+    (catalog, irecords)
+}
+
+/// The window's groups and each group's CG, FS, CI, DD and PC, built the
+/// way the model builder builds them (discovery's edge slots attached),
+/// serialized. Checks on the way that the attached slots are the ones
+/// the signature inputs would derive on their own.
+fn group_signature_bytes(
+    refs: &[&IRecord],
+    catalog: &EntityCatalog,
+    config: &FlowDiffConfig,
+) -> Vec<Vec<u8>> {
+    let span = (Timestamp::ZERO, Timestamp::from_secs(60));
+    let Discovery { groups, slots } = discover_window(refs, catalog, config);
+    let mut out = vec![serde::to_vec(&groups)];
+    for group in &groups {
+        let records: Vec<&IRecord> = group.record_indices.iter().map(|&i| refs[i]).collect();
+        let edge_slots = EdgeSlots::of_group(group, &records, &slots);
+        assert_eq!(edge_slots, EdgeSlots::of(&records, catalog));
+        let inputs = SignatureInputs::new(&records, catalog, span, config)
+            .with_group(group)
+            .with_edge_slots(&edge_slots);
+        out.push(serde::to_vec(&ConnectivityGraph::build(&inputs)));
+        out.push(serde::to_vec(&FlowStatsSig::build(&inputs)));
+        out.push(serde::to_vec(&ComponentInteraction::build(&inputs)));
+        out.push(serde::to_vec(&DelayDistribution::build(&inputs)));
+        out.push(serde::to_vec(&PartialCorrelation::build(&inputs)));
+    }
+    out
+}
+
+#[test]
+fn ci_counts_a_self_edge_twice_under_its_node() {
+    let records = vec![
+        record(1, 1, 80, 0),
+        record(1, 1, 81, 1),
+        record(1, 1, 82, 2),
+        record(1, 2, 80, 3),
+    ];
+    let il = InternedLog::of(&records);
+    let config = FlowDiffConfig::default();
+    let span = (Timestamp::ZERO, Timestamp::from_secs(1));
+    let ci = ComponentInteraction::build(&SignatureInputs::new(
+        &il.refs(),
+        &il.catalog,
+        span,
+        &config,
+    ));
+    let edge = |s: u8, d: u8| Edge {
+        src: ip(s),
+        dst: ip(d),
+    };
+    let counts = &ci.per_node[&ip(1)].edge_counts;
+    assert_eq!((counts[&edge(1, 1)], counts[&edge(1, 2)]), (6, 1));
+    assert_eq!(ci.per_node[&ip(2)].edge_counts[&edge(1, 2)], 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn group_signatures_invariant_under_edge_interning_order(
+        edges in prop::collection::vec((0u8..12, 0u8..12, 1u16..4), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let config = service_config();
+        let records = mixed_window(&edges);
+        let fresh = InternedLog::of(&records);
+        let expected = group_signature_bytes(&fresh.refs(), &fresh.catalog, &config);
+
+        let (catalog, irecords) = intern_shuffled(&records, seed);
+        let refs: Vec<&IRecord> = irecords.iter().collect();
+        prop_assert_eq!(group_signature_bytes(&refs, &catalog, &config), expected);
+    }
 
     #[test]
     fn intern_resolve_round_trips(
