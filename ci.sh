@@ -47,16 +47,20 @@ fi
 echo "sharded watch epoch lines byte-identical to single shard"
 
 step "flowdiff-bench watch --resume (a checkpointed run is picked up where it left off)"
-# The first run checkpoints every 7 epochs; the second resumes from that
-# file under a different --checkpoint-every (a supervisor knob the config
-# fingerprint must not refuse) and has to print exactly the epoch lines
-# the first run printed after its last checkpoint. Both deployment
-# shapes, so both FDIFFCKP layouts go through a file.
+# The first run checkpoints every 7 epochs and saves its baseline as a
+# bundle; the second resumes from that file against the bundle (the
+# checkpoint names its baseline by content, so the capture and its bundle
+# are one baseline) under a different --checkpoint-every (a supervisor
+# knob the config fingerprint must not refuse) and has to print exactly
+# the epoch lines the first run printed after its last checkpoint. Both
+# deployment shapes, so both FDIFFCKP layouts go through a file.
 for shards in 1 4; do
     ckpt="$demo_dir/watch-$shards.ckpt"
+    bundle="$demo_dir/baseline-$shards.fbas"
     first_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
-        "$demo_dir/current.fcap" --shards "$shards" --checkpoint "$ckpt" --checkpoint-every 7)"
-    resumed_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
+        "$demo_dir/current.fcap" --shards "$shards" --checkpoint "$ckpt" --checkpoint-every 7 \
+        --save-baseline "$bundle")"
+    resumed_out="$(target/release/flowdiff-bench watch "$bundle" \
         "$demo_dir/current.fcap" --resume "$ckpt" --checkpoint-every 1)"
     printf '%s\n' "$resumed_out" | grep '^stats: resumed from '
     resumed_epochs="$(printf '%s\n' "$resumed_out" | grep -c '^epoch ' || true)"
@@ -234,6 +238,20 @@ fi
 arms=$(grep -c 'Some("' crates/bench/src/main.rs)
 if [ "$arms" -ne 3 ]; then
     echo "FAIL: crates/bench/src/main.rs dispatches $arms subcommands, want 3" >&2
+    exit 1
+fi
+
+step "one copy of the baseline"
+# A differ shares the caller's baseline and a checkpoint names it by
+# content hash (DESIGN.md, Crash-safe diagnosis): no differ hands out a
+# copy to compare, and the warm-up after a lossy restore is the window,
+# not a knob of its own.
+if grep -rn 'fn baseline(' crates/core/src; then
+    echo "FAIL: a baseline() accessor is back under crates/core/src" >&2
+    exit 1
+fi
+if grep -rn 'restore_warmup_us' crates/; then
+    echo "FAIL: restore_warmup_us is back under crates/" >&2
     exit 1
 fi
 

@@ -8,6 +8,7 @@
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use flowdiff::checkpoint::{BASELINE_MAGIC, CHECKPOINT_MAGIC};
 use flowdiff::engine::{resume_from, EngineResult};
@@ -191,19 +192,16 @@ fn unknown_flag(flag: &str) -> Box<dyn std::error::Error> {
 /// [`BaselineBundle`] (`FDIFFBAS`, validated magic/version/CRC). A file
 /// that is neither — including a checkpoint offered as a baseline — is
 /// a typed error before any diffing happens.
-fn load_baseline(
-    path: &str,
-    config: &FlowDiffConfig,
-) -> EngineResult<(BehaviorModel, StabilityReport)> {
+fn load_baseline(path: &str, config: &FlowDiffConfig) -> EngineResult<BaselineBundle> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let (model, stability) = if bytes.starts_with(&BASELINE_MAGIC) {
+    let bundle = if bytes.starts_with(&BASELINE_MAGIC) {
         let bundle = BaselineBundle::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "baseline: restored bundle, {} flows, {} groups",
             bundle.model.records.len(),
             bundle.model.groups.len()
         );
-        (bundle.model, bundle.stability)
+        bundle
     } else if bytes.starts_with(&CHECKPOINT_MAGIC) {
         return Err(format!(
             "{path}: this is a checkpoint (FDIFFCKP), not a baseline; pass it to --resume"
@@ -219,8 +217,9 @@ fn load_baseline(
             model.records.len(),
             model.groups.len()
         );
-        (model, stability)
+        BaselineBundle { model, stability }
     };
+    let model = &bundle.model;
     println!(
         "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
         model.catalog.n_hosts(),
@@ -229,7 +228,7 @@ fn load_baseline(
         model.approx_bytes().div_ceil(1024),
         model.catalog.approx_bytes().div_ceil(1024)
     );
-    Ok((model, stability))
+    Ok(bundle)
 }
 
 /// Decodes a capture file whole, tolerantly: corrupt frames are skipped
@@ -325,25 +324,22 @@ impl OnlineOpts {
 fn run_online(
     feed: &mut Feed<'_>,
     opts: &OnlineOpts,
-    (baseline_path, baseline, stability): (&str, &BehaviorModel, &StabilityReport),
+    (baseline_path, baseline): (&str, &Arc<BaselineBundle>),
     degraded: Option<&dyn Fn() -> Option<String>>,
 ) -> EngineResult<RunReport> {
     let config = &opts.config;
     let fresh = || -> EngineResult<(Differ, u64)> {
         let Some(path) = &opts.resume else {
-            let differ = Differ::try_new(baseline.clone(), stability.clone(), config, opts.shards)?;
+            let differ = Differ::try_new(Arc::clone(baseline), config, opts.shards)?;
             return Ok((differ, 0));
         };
-        let (differ, at) = resume_from(path, config)?;
-        // A checkpoint carries its own reference model: resuming it
-        // under another baseline would print that one's verdicts.
-        if differ.baseline() != (baseline, stability) {
-            return Err(format!(
+        let (differ, at) = resume_from(path, baseline, config).map_err(|e| match e {
+            PersistError::BaselineMismatch { .. } => format!(
                 "{}: checkpoint was written against a different baseline than {baseline_path}",
                 path.display()
-            )
-            .into());
-        }
+            ),
+            e => format!("{}: {e}", path.display()),
+        })?;
         println!(
             "stats: resumed from {} at event {at}, epoch {}",
             path.display(),
@@ -353,6 +349,7 @@ fn run_online(
     };
     let supervision = Supervision {
         config,
+        baseline,
         checkpoint_path: opts.checkpoint.as_deref(),
         degraded,
     };
@@ -398,19 +395,15 @@ fn cmd_watch(args: &[String]) -> CliResult {
         return Err("watch needs <baseline.fcap|.fbas> <current.fcap>".into());
     }
     let opts = OnlineOpts::parse(&args[2..], false)?;
-    let (baseline, stability) = load_baseline(&args[0], &opts.config)?;
+    let baseline = Arc::new(load_baseline(&args[0], &opts.config)?);
     if let Some(path) = &opts.save_baseline {
-        BaselineBundle {
-            model: baseline.clone(),
-            stability: stability.clone(),
-        }
-        .save(path)?;
+        baseline.save(path)?;
         println!("stats: baseline bundle saved to {}", path.display());
     }
     // The whole current capture is decoded up front: the supervised
     // loop needs random access to replay from a checkpoint's offset.
     let (events, stream_stats) = decode_capture(&args[1])?;
-    let judge = (args[0].as_str(), &baseline, &stability);
+    let judge = (args[0].as_str(), &baseline);
     let mut run = run_online(&mut Feed::Slice(&events), &opts, judge, None)?;
     run.health.absorb_stream(stream_stats);
     report_run(&run, &opts.config);
@@ -433,7 +426,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let opts = OnlineOpts::parse(&args[1..], true)?;
     let config = &opts.config;
     let listen = (opts.listen.as_deref()).ok_or("serve needs --listen HOST:PORT")?;
-    let (baseline, stability) = load_baseline(&args[0], config)?;
+    let baseline = Arc::new(load_baseline(&args[0], config)?);
 
     let server = IngestServer::bind(listen).map_err(|e| format!("{listen}: {e}"))?;
     let addr = server.local_addr()?;
@@ -468,7 +461,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .collect();
         (!down.is_empty()).then(|| down.join(", "))
     };
-    let judge = (args[0].as_str(), &baseline, &stability);
+    let judge = (args[0].as_str(), &baseline);
     let mut run = run_online(&mut feed, &opts, judge, Some(&degraded))?;
 
     let refused = live.refused();
@@ -777,38 +770,51 @@ mod tests {
         assert_eq!(opts.config.reorder_slack_us, (ms - 1) * 1_000);
     }
 
+    /// Writes a small tree capture to the temp dir; returns its path.
+    fn capture(name: &str, seed: u64) -> String {
+        let path = tmp(name);
+        let (log, _) = flowdiff_bench::tree_capture(1, seed, 6);
+        std::fs::write(&path, log.to_wire_bytes()).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    /// `watch` at 1 s epochs over a 2 s window, plus `flags`.
+    fn watch(baseline: &str, current: &str, flags: &[&str]) -> CliResult {
+        let shape = ["--epoch-secs", "1", "--window-secs", "2"];
+        let args = [baseline, current]
+            .into_iter()
+            .chain(shape)
+            .chain(flags.iter().copied());
+        cmd_watch(&args.map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn resume_takes_the_saved_bundle_of_the_checkpointed_capture() {
+        // A checkpoint names its baseline by content, so the capture it
+        // was written against and that capture's `--save-baseline`
+        // bundle are one baseline.
+        let (baseline, current) = (capture("saved-a.fcap", 1), capture("saved-current.fcap", 3));
+        let (bundle, ckpt) = (tmp("saved-a.fbas"), tmp("saved.ckpt"));
+        let (bundle, ckpt) = (bundle.to_str().unwrap(), ckpt.to_str().unwrap());
+        let first = ["--save-baseline", bundle, "--checkpoint", ckpt];
+        watch(&baseline, &current, &first).unwrap();
+        watch(bundle, &current, &["--resume", ckpt]).unwrap();
+    }
+
     #[test]
     fn resume_refuses_a_checkpoint_written_against_another_baseline() {
-        let capture = |name: &str, seed: u64| {
-            let path = tmp(name);
-            let (log, _) = flowdiff_bench::tree_capture(1, seed, 6);
-            std::fs::write(&path, log.to_wire_bytes()).unwrap();
-            path.to_str().unwrap().to_string()
-        };
         let (baseline, other) = (capture("resume-a.fcap", 1), capture("resume-b.fcap", 2));
         let current = capture("resume-current.fcap", 3);
         let ckpt = tmp("resume-baseline.ckpt");
         let ckpt = ckpt.to_str().unwrap();
-        let watch = |baseline: &str, flag: &str| {
-            let args = [
-                baseline,
-                &current,
-                "--epoch-secs",
-                "1",
-                "--window-secs",
-                "2",
-                flag,
-                ckpt,
-            ];
-            cmd_watch(&args.map(String::from))
-        };
-        watch(&baseline, "--checkpoint").unwrap();
+        watch(&baseline, &current, &["--checkpoint", ckpt]).unwrap();
 
-        let err = watch(&other, "--resume").unwrap_err().to_string();
+        let err = watch(&other, &current, &["--resume", ckpt]).unwrap_err();
+        let err = err.to_string();
         assert!(err.contains(ckpt) && err.contains(&other), "got: {err}");
         assert!(err.contains("different baseline"), "got: {err}");
         // The baseline it was written against still resumes.
-        watch(&baseline, "--resume").unwrap();
+        watch(&baseline, &current, &["--resume", ckpt]).unwrap();
     }
 
     #[test]
@@ -839,7 +845,7 @@ mod tests {
         let log = ControllerLog::new();
         let model = BehaviorModel::build(&log, &config);
         let stability = StabilityReport::all_stable(&model);
-        let differ = OnlineDiffer::try_new(model, stability, &config).unwrap();
+        let differ = OnlineDiffer::new(model, stability, &config);
         let path = tmp("not-a-baseline.ckpt");
         std::fs::write(&path, Checkpoint::capture(&differ, 0, &config).to_bytes()).unwrap();
         let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();

@@ -1,6 +1,8 @@
 //! What the live-ingest test files share: the captures, a loopback
 //! `serve` built from the library's engine, and its epoch snapshots.
 
+use std::sync::Arc;
+
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 
@@ -24,12 +26,14 @@ pub fn engine_snapshots(
     feed: &mut Feed<'_>,
     (baseline, stability, config): Judge<'_>,
 ) -> (Vec<Vec<u8>>, IngestHealth) {
-    let fresh = || {
-        let differ = Differ::try_new(baseline.clone(), stability.clone(), config, 1)?;
-        Ok((differ, 0))
-    };
+    let baseline = Arc::new(BaselineBundle {
+        model: baseline.clone(),
+        stability: stability.clone(),
+    });
+    let fresh = || Ok((Differ::try_new(Arc::clone(&baseline), config, 1)?, 0));
     let supervision = Supervision {
         config,
+        baseline: &baseline,
         checkpoint_path: None,
         degraded: None,
     };

@@ -8,6 +8,9 @@
 //! One clamp stays: a window reaching back past time zero starts at
 //! zero, so an early window of the unshifted capture is the shifted
 //! one's moved back by Δ *as far as zero allows*.
+//!
+//! A checkpoint carries the shifted clock too: `watch --resume` picks a
+//! shifted run up where it left off, at every Δ.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -148,23 +151,36 @@ fn write_capture(dir: &Path, name: &str, log: &ControllerLog) -> PathBuf {
     path
 }
 
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("flowdiff-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// `watch`'s stdout at 1 s epochs over a 4 s window, plus `flags`; the
+/// run must exit 0.
+fn watch(baseline: &Path, current: &Path, flags: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_flowdiff-bench"))
+        .arg("watch")
+        .args([baseline, current])
+        .args(["--epoch-secs", "1", "--window-secs", "4"])
+        .args(flags)
+        .output()
+        .expect("run watch");
+    assert!(out.status.success(), "watch exited {}", out.status);
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
 #[test]
 fn watch_is_invariant_under_a_clock_shift() {
-    let dir = std::env::temp_dir().join(format!("flowdiff-time-shift-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = scratch("time-shift");
     let (baseline, current) = captures();
     let baseline = write_capture(&dir, "baseline.fcap", &baseline);
     let run = |delta_us: u64| {
         let name = format!("current+{delta_us}.fcap");
         let current = write_capture(&dir, &name, &shifted(&current, delta_us));
-        let out = Command::new(env!("CARGO_BIN_EXE_flowdiff-bench"))
-            .arg("watch")
-            .args([&baseline, &current])
-            .args(["--epoch-secs", "1", "--window-secs", "4"])
-            .output()
-            .expect("run watch");
-        assert!(out.status.success(), "watch exited {}", out.status);
-        parse_watch(&String::from_utf8(out.stdout).expect("utf-8 stdout"))
+        parse_watch(&watch(&baseline, &current, &[]))
     };
     // Bounds print to 0.1 s and Δ need not be a whole number of tenths,
     // so a moved-back bound may land one rounding step away.
@@ -179,4 +195,54 @@ fn watch_is_invariant_under_a_clock_shift() {
     let differ = shifts_that_differ(run, matches);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(differ, Vec::<u64>::new());
+}
+
+#[test]
+fn watch_resumes_a_shifted_run_from_its_saved_bundle() {
+    // The first run checkpoints every 5 epochs and saves its baseline;
+    // the second resumes against the bundle and must print exactly the
+    // first run's epoch lines after its last checkpoint, quarantining
+    // nothing on the shifted clock.
+    let dir = scratch("time-shift-resume");
+    let (baseline, current) = captures();
+    let baseline = write_capture(&dir, "baseline.fcap", &baseline);
+    let bundle = dir.join("baseline.fbas");
+    let epochs = |out: &str| -> Vec<String> {
+        let lines = out.lines().filter(|l| l.starts_with("epoch "));
+        lines.map(String::from).collect()
+    };
+    for delta_us in SHIFTS_US {
+        let name = format!("current+{delta_us}.fcap");
+        let current = write_capture(&dir, &name, &shifted(&current, delta_us));
+        let ckpt = dir.join(format!("current+{delta_us}.ckpt"));
+        let (bundle_arg, ckpt_arg) = (bundle.to_str().unwrap(), ckpt.to_str().unwrap());
+        let flags = [
+            "--save-baseline",
+            bundle_arg,
+            "--checkpoint",
+            ckpt_arg,
+            "--checkpoint-every",
+            "5",
+        ];
+        let first = epochs(&watch(&baseline, &current, &flags));
+        let out = watch(&bundle, &current, &["--resume", ckpt_arg]);
+        let resumed = epochs(&out);
+        assert!(
+            !resumed.is_empty() && resumed.len() < first.len(),
+            "Δ = {delta_us} µs: resumed {} of {} epochs",
+            resumed.len(),
+            first.len()
+        );
+        assert_eq!(
+            resumed,
+            first[first.len() - resumed.len()..],
+            "Δ = {delta_us} µs"
+        );
+        assert_eq!(
+            parse_watch(&out).1,
+            0,
+            "Δ = {delta_us} µs: time jumps after resume"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

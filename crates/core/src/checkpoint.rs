@@ -12,16 +12,20 @@
 //! * an **atomic write** helper (tmp + fsync + rename) so a crash
 //!   mid-write can never leave a torn file at the destination path,
 //! * [`Checkpoint`]: the complete [`OnlineDiffer`] streaming state plus
-//!   the number of input events consumed and a fingerprint of the
-//!   [`FlowDiffConfig`] it ran under — resuming under a different
-//!   config is a typed error, not silent corruption,
+//!   the number of input events consumed, and the two inputs it ran
+//!   against named rather than carried — a fingerprint of the
+//!   [`FlowDiffConfig`] and the [`BaselineBundle::identity`] of the
+//!   baseline. Both come back from the caller at resume, and a
+//!   different one is a typed error, not silent corruption,
 //! * [`BaselineBundle`]: a precomputed baseline model + stability
 //!   report, so watchers can skip the baseline build on restart.
 //!
 //! [`Checkpoint`] and [`ShardedCheckpoint`] are the two byte layouts;
 //! the running system writes and reads them only through
 //! [`Differ::checkpoint`](crate::engine::Differ::checkpoint) and
-//! [`Differ::restore`](crate::engine::Differ::restore).
+//! [`Differ::restore`](crate::engine::Differ::restore). A decoded
+//! checkpoint is streaming state without a baseline: it becomes a
+//! running differ only when `resume` installs the caller's.
 //!
 //! The recovery contract: kill the process at any epoch, restore the
 //! last checkpoint, replay the input from the checkpoint's event
@@ -34,6 +38,7 @@
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -46,16 +51,18 @@ use crate::stability::StabilityReport;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// Current checkpoint format version: the sharded layout (a shared
 /// core plus independently-guarded per-shard segments).
-pub const CHECKPOINT_VERSION: u32 = 6;
+pub const CHECKPOINT_VERSION: u32 = 8;
 /// The single-pipeline checkpoint layout [`Checkpoint`] writes and
 /// reads; [`Differ::restore`](crate::engine::Differ::restore)
 /// dispatches on the stamped version, so a run resumes whatever shape
-/// its previous incarnation wrote. Versions 1 (single) and 2 (sharded)
-/// are the layouts from before the
-/// [`Sequencer`](crate::records::Sequencer) took the arrival state out
-/// of the assemblers, 3 and 4 those from before its time-jump check was
-/// anchored on the first admitted event: refused, never decoded.
-pub const CHECKPOINT_SINGLE: u32 = 5;
+/// its previous incarnation wrote. Every older version is refused,
+/// never decoded: 1 (single) and 2 (sharded) are the layouts from
+/// before the [`Sequencer`](crate::records::Sequencer) took the arrival
+/// state out of the assemblers, 3 and 4 those from before its time-jump
+/// check was anchored on the first admitted event, 5 and 6 those that
+/// carried a copy of the baseline and a sequencer that never
+/// re-anchored after a clock step.
+pub const CHECKPOINT_SINGLE: u32 = 7;
 /// Magic prefix of one shard's segment inside a segmented checkpoint.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
 /// Current per-shard segment format version.
@@ -109,6 +116,14 @@ pub enum PersistError {
         /// Fingerprint of the config offered at resume.
         offered: u64,
     },
+    /// The checkpoint was written against a different baseline than the
+    /// one offered at resume: its verdicts would be another baseline's.
+    BaselineMismatch {
+        /// [`BaselineBundle::identity`] stored in the checkpoint.
+        stored: u64,
+        /// Identity of the baseline offered at resume.
+        offered: u64,
+    },
     /// One shard's segment inside a sharded checkpoint was corrupt —
     /// named so operators know exactly which worker's state is at
     /// stake. Strict loads surface this; salvaging loads replace the
@@ -148,6 +163,11 @@ impl fmt::Display for PersistError {
             PersistError::ConfigMismatch { stored, offered } => write!(
                 f,
                 "config mismatch: checkpoint written under fingerprint {stored:#018x}, \
+                 resume offered {offered:#018x}"
+            ),
+            PersistError::BaselineMismatch { stored, offered } => write!(
+                f,
+                "checkpoint was written against a different baseline: identity {stored:#018x}, \
                  resume offered {offered:#018x}"
             ),
             PersistError::ShardSegment { shard, error } => {
@@ -337,8 +357,9 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// FNV-1a over `bytes`: the 64-bit hash behind [`config_fingerprint`]
-/// and the engine tests' per-epoch snapshot traces.
+/// FNV-1a over `bytes`: the 64-bit hash behind [`config_fingerprint`],
+/// [`BaselineBundle::identity`] and the engine tests' per-epoch
+/// snapshot traces.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -355,7 +376,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// how to restart, how the sockets queue and stall — shape no
 /// differ state and read as their defaults here: resuming under a
 /// different `--checkpoint-every` or `--stall-ms` is not a mismatch.
-/// Every other field, present and future, is covered.
+/// Every other field, present and future, is covered — the window
+/// among them, which is also how long a lossy restore warms up.
+/// A checkpoint stores this fingerprint and not the config: a resumed
+/// differ judges under the caller's config, which the fingerprint
+/// proves equal on every field a verdict reads.
 pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
     let neutral = FlowDiffConfig::default();
     fnv1a(&serde::to_vec(&FlowDiffConfig {
@@ -369,42 +394,63 @@ pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
     }))
 }
 
-/// Refuses a checkpoint whose stored fingerprint is not `config`'s:
-/// resuming a stream of state built under different thresholds would
-/// diff apples against oranges without any visible symptom.
-fn check_fingerprint(stored: u64, config: &FlowDiffConfig) -> Result<(), PersistError> {
+/// Refuses a checkpoint written under another config or against another
+/// baseline than the ones offered at resume: state built under other
+/// thresholds, or judged against another baseline, would diff apples
+/// against oranges without any visible symptom. Returns the offered
+/// baseline's identity, for the restored differ to keep.
+fn check_inputs(
+    (config_stored, baseline_stored): (u64, u64),
+    config: &FlowDiffConfig,
+    baseline: &BaselineBundle,
+) -> Result<u64, PersistError> {
     let offered = config_fingerprint(config);
-    if offered != stored {
-        return Err(PersistError::ConfigMismatch { stored, offered });
+    if offered != config_stored {
+        return Err(PersistError::ConfigMismatch {
+            stored: config_stored,
+            offered,
+        });
     }
-    Ok(())
+    let offered = baseline.identity();
+    if offered != baseline_stored {
+        return Err(PersistError::BaselineMismatch {
+            stored: baseline_stored,
+            offered,
+        });
+    }
+    Ok(offered)
 }
 
 /// The complete durable state of one online diagnosis run: the
-/// [`OnlineDiffer`] (reference model, stability gates, sequencer, assembler,
+/// [`OnlineDiffer`]'s streaming state (sequencer, assembler,
 /// incremental builder, epoch grid, warm-up state), how many input
-/// events it has consumed, and the fingerprint of the config it runs
-/// under.
+/// events it has consumed, and the two inputs it runs against by name —
+/// the config by fingerprint and the baseline by identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
     pub config_fingerprint: u64,
+    /// [`BaselineBundle::identity`] of the baseline the differ judges
+    /// against.
+    pub baseline_id: u64,
     /// Input events consumed when the checkpoint was taken — the
     /// replay offset: feed events `[events_consumed..]` to the
     /// restored differ to catch up losslessly.
     pub events_consumed: u64,
-    /// The streaming state itself.
-    pub differ: OnlineDiffer,
+    /// The differ's streaming state without its baseline, decoded by
+    /// [`Checkpoint::resume`] once the baseline is back.
+    state: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Captures the differ's current state (cloned; the live differ
+    /// Captures the differ's current state (serialized; the live differ
     /// keeps running) with the given replay offset.
     pub fn capture(differ: &OnlineDiffer, events_consumed: u64, config: &FlowDiffConfig) -> Self {
         Checkpoint {
             config_fingerprint: config_fingerprint(config),
+            baseline_id: differ.baseline_id(),
             events_consumed,
-            differ: differ.clone(),
+            state: differ.state_to_bytes(),
         }
     }
 
@@ -427,16 +473,25 @@ impl Checkpoint {
         Ok(serde::from_slice(payload)?)
     }
 
-    /// Consumes the checkpoint into a running differ and its replay
-    /// offset, verifying that `config` is the one the checkpoint was
-    /// written under.
+    /// Installs `baseline` into the checkpointed state: a running differ
+    /// and its replay offset, judging under `config`. Both must be the
+    /// ones the checkpoint was written with.
     ///
     /// # Errors
     ///
-    /// [`PersistError::ConfigMismatch`] when the fingerprints disagree.
-    pub fn resume(self, config: &FlowDiffConfig) -> Result<(OnlineDiffer, u64), PersistError> {
-        check_fingerprint(self.config_fingerprint, config)?;
-        Ok((self.differ, self.events_consumed))
+    /// [`PersistError::ConfigMismatch`] or
+    /// [`PersistError::BaselineMismatch`] when a stored name disagrees
+    /// with what is offered, [`PersistError::Decode`] for a state that
+    /// fails to parse.
+    pub fn resume(
+        self,
+        baseline: &Arc<BaselineBundle>,
+        config: &FlowDiffConfig,
+    ) -> Result<(OnlineDiffer, u64), PersistError> {
+        let stored = (self.config_fingerprint, self.baseline_id);
+        let id = check_inputs(stored, config, baseline)?;
+        let differ = OnlineDiffer::from_state(&self.state, Arc::clone(baseline), id, config)?;
+        Ok((differ, self.events_consumed))
     }
 }
 
@@ -448,6 +503,7 @@ impl Checkpoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ShardedManifest {
     config_fingerprint: u64,
+    baseline_id: u64,
     events_consumed: u64,
     core: Vec<u8>,
     segment_lens: Vec<u64>,
@@ -457,62 +513,73 @@ struct ShardedManifest {
 /// FDIFFCKP [`CHECKPOINT_VERSION`]: the guarded header's CRC covers a manifest
 /// (run identity + the [`ShardedDiffer`]'s shared core + segment
 /// framing), and each shard's worker state follows as its *own* sealed
-/// [`SEGMENT_MAGIC`] container with an independent CRC.
+/// [`SEGMENT_MAGIC`] container with an independent CRC. Like
+/// [`Checkpoint`], it names its config and baseline instead of
+/// carrying them, and [`ShardedCheckpoint::resume`] takes both from the
+/// caller.
 ///
 /// The layout exists for blast-radius control: a bit flip in one
 /// shard's segment fails *that segment's* CRC only. A strict load
 /// ([`ShardedCheckpoint::from_bytes`]) names the shard in
 /// [`PersistError::ShardSegment`]; a salvaging load
-/// ([`ShardedCheckpoint::from_bytes_salvaging`]) replaces the corrupt
-/// worker with a fresh one, marks the differ's restore lossy (so
-/// appear/disappear verdicts stay gated through the warm-up window),
-/// and reports the replaced shards in `salvaged_shards` — the other
-/// N-1 workers resume with full state instead of the whole fleet
-/// rebuilding cold.
+/// ([`ShardedCheckpoint::from_bytes_salvaging`]) reports the corrupt
+/// shards in `salvaged_shards`, and [`ShardedCheckpoint::resume`]
+/// replaces them with fresh workers and holds every verdict back for
+/// one window (see [`SignatureHealth::Warming`](crate::diff::SignatureHealth::Warming))
+/// — the other N-1 workers resume with full state instead of the whole
+/// fleet rebuilding cold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedCheckpoint {
     /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
     pub config_fingerprint: u64,
+    /// [`BaselineBundle::identity`] of the baseline the differ judges
+    /// against.
+    pub baseline_id: u64,
     /// Input events consumed when the checkpoint was taken — the
     /// replay offset.
     pub events_consumed: u64,
-    /// The streaming state itself.
-    pub differ: ShardedDiffer,
-    /// Shards whose segments were corrupt and came back as fresh
+    /// The differ's shared core without its baseline.
+    core: Vec<u8>,
+    /// Each shard's worker state; `None` for a salvaged segment.
+    shards: Vec<Option<ShardState>>,
+    /// Shards whose segments were corrupt and come back as fresh
     /// workers. Empty for strict loads and for clean salvaging loads.
     pub salvaged_shards: Vec<usize>,
 }
 
 impl ShardedCheckpoint {
-    /// Captures the differ's current state (cloned; the live differ
-    /// keeps running) with the given replay offset. The clone quiesces
+    /// Captures the differ's current state (copied; the live differ
+    /// keeps running) with the given replay offset. The copy quiesces
     /// the persistent worker pool first — every buffered step is
     /// drained through the channels before any shard is copied — so
-    /// the captured segments are exactly the stop-the-world states and
-    /// the clone itself carries no threads (a restored differ respawns
-    /// its own pool lazily).
+    /// the captured segments are exactly the stop-the-world states (a
+    /// restored differ respawns its own pool lazily).
     pub fn capture(differ: &ShardedDiffer, events_consumed: u64, config: &FlowDiffConfig) -> Self {
         ShardedCheckpoint {
             config_fingerprint: config_fingerprint(config),
+            baseline_id: differ.baseline_id(),
             events_consumed,
-            differ: differ.clone(),
+            core: differ.core_to_bytes(),
+            shards: differ.shard_states().into_iter().map(Some).collect(),
             salvaged_shards: Vec::new(),
         }
     }
 
     /// Serializes into the segmented layout: guarded manifest, then one
-    /// sealed segment per shard.
+    /// sealed segment per shard. A salvaged shard is written as an empty
+    /// segment, which every later load salvages again.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let segments: Vec<Vec<u8>> = self
-            .differ
-            .shards_to_bytes()
-            .into_iter()
-            .map(|s| seal(SEGMENT_MAGIC, SEGMENT_VERSION, &s))
+        let segments: Vec<Vec<u8>> = (self.shards.iter())
+            .map(|shard| {
+                let payload = shard.as_ref().map_or_else(Vec::new, serde::to_vec);
+                seal(SEGMENT_MAGIC, SEGMENT_VERSION, &payload)
+            })
             .collect();
         let manifest = serde::to_vec(&ShardedManifest {
             config_fingerprint: self.config_fingerprint,
+            baseline_id: self.baseline_id,
             events_consumed: self.events_consumed,
-            core: self.differ.core_to_bytes(),
+            core: self.core.clone(),
             segment_lens: segments.iter().map(|s| s.len() as u64).collect(),
         });
         let mut out = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &manifest);
@@ -535,11 +602,10 @@ impl ShardedCheckpoint {
     }
 
     /// Salvaging parse of a segmented checkpoint: a corrupt segment is
-    /// replaced by a fresh shard worker (recorded in
-    /// `salvaged_shards`), and when any segment was salvaged the
-    /// restored differ is marked as a lossy restore so its warm-up
-    /// gating applies. Manifest-level corruption is still fatal — with
-    /// the core gone there is nothing to salvage around.
+    /// recorded in `salvaged_shards`, for [`ShardedCheckpoint::resume`]
+    /// to replace with a fresh worker under warm-up gating.
+    /// Manifest-level corruption is still fatal — with the core gone
+    /// there is nothing to salvage around.
     ///
     /// # Errors
     ///
@@ -589,28 +655,43 @@ impl ShardedCheckpoint {
                 }
             }
         }
-        let mut differ = ShardedDiffer::from_core_and_shards(&manifest.core, shards)?;
-        if !salvaged.is_empty() {
-            differ.mark_lossy_restore();
-        }
         Ok(ShardedCheckpoint {
             config_fingerprint: manifest.config_fingerprint,
+            baseline_id: manifest.baseline_id,
             events_consumed: manifest.events_consumed,
-            differ,
+            core: manifest.core,
+            shards,
             salvaged_shards: salvaged,
         })
     }
 
-    /// Consumes the checkpoint into a running differ and its replay
-    /// offset, verifying that `config` is the one the checkpoint was
-    /// written under.
+    /// Installs `baseline` into the checkpointed state: a running differ
+    /// and its replay offset, judging under `config` — the
+    /// [`Checkpoint::resume`] contract. A salvaged shard comes back as a
+    /// fresh worker, and the differ then holds every verdict back for
+    /// one window of log time.
     ///
     /// # Errors
     ///
-    /// [`PersistError::ConfigMismatch`] when the fingerprints disagree.
-    pub fn resume(self, config: &FlowDiffConfig) -> Result<(ShardedDiffer, u64), PersistError> {
-        check_fingerprint(self.config_fingerprint, config)?;
-        Ok((self.differ, self.events_consumed))
+    /// [`PersistError::ConfigMismatch`] or
+    /// [`PersistError::BaselineMismatch`] when a stored name disagrees
+    /// with what is offered, [`PersistError::Decode`] for a core that
+    /// fails to parse or does not fit the segments.
+    pub fn resume(
+        self,
+        baseline: &Arc<BaselineBundle>,
+        config: &FlowDiffConfig,
+    ) -> Result<(ShardedDiffer, u64), PersistError> {
+        let stored = (self.config_fingerprint, self.baseline_id);
+        let id = check_inputs(stored, config, baseline)?;
+        let differ = ShardedDiffer::from_core_and_shards(
+            &self.core,
+            self.shards,
+            Arc::clone(baseline),
+            id,
+            config,
+        )?;
+        Ok((differ, self.events_consumed))
     }
 }
 
@@ -618,6 +699,8 @@ impl ShardedCheckpoint {
 /// [`StabilityReport`], persisted in the guarded container so a watch
 /// loop can validate (magic, version, CRC) and load it instead of
 /// trusting an arbitrary file and rebuilding the model on every start.
+/// A running differ holds one shared copy of it, and a checkpoint names
+/// it by [`BaselineBundle::identity`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BaselineBundle {
     /// The reference model diffs are taken against.
@@ -627,6 +710,15 @@ pub struct BaselineBundle {
 }
 
 impl BaselineBundle {
+    /// The bundle's content identity: [`fnv1a`] over exactly the payload
+    /// [`BaselineBundle::to_bytes`] seals. The serialization is
+    /// canonical — a bundle built from a capture and the same bundle
+    /// loaded back from its `.fbas` file serialize to the same bytes —
+    /// so both name the same baseline.
+    pub fn identity(&self) -> u64 {
+        fnv1a(&serde::to_vec(self))
+    }
+
     /// Serializes into the guarded container.
     pub fn to_bytes(&self) -> Vec<u8> {
         seal(BASELINE_MAGIC, BASELINE_VERSION, &serde::to_vec(self))
@@ -659,7 +751,13 @@ mod tests {
     use super::*;
     use crate::engine::Differ;
     use crate::stability::StabilityReport;
+    use netsim::config::SimConfig;
+    use netsim::engine::Simulation;
+    use netsim::flows::FlowSpec;
     use netsim::log::ControllerLog;
+    use netsim::topology::Topology;
+    use openflow::match_fields::FlowKey;
+    use openflow::types::Timestamp;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("flowdiff-ckpt-test-{}", std::process::id()));
@@ -667,18 +765,39 @@ mod tests {
         dir.join(name)
     }
 
+    /// `flows` short TCP flows between two lab hosts, one a second.
+    fn flows_log(flows: u16) -> ControllerLog {
+        let topo = Topology::lab();
+        let hosts: Vec<_> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
+        let mut sim = Simulation::new(topo, SimConfig::default(), 1);
+        for i in 0..flows {
+            let key = FlowKey::tcp(hosts[0], 4_000 + i, hosts[hosts.len() - 1], 80);
+            let at = Timestamp::from_secs(1 + u64::from(i));
+            sim.schedule_flow(at, FlowSpec::new(key, 6_000, 5_000));
+        }
+        sim.run_until(Timestamp::from_secs(10 + u64::from(flows)));
+        sim.take_log()
+    }
+
+    /// The ungated baseline modeled from `log`.
+    fn baseline_of(log: &ControllerLog, config: &FlowDiffConfig) -> Arc<BaselineBundle> {
+        let model = BehaviorModel::build(log, config);
+        let stability = StabilityReport::all_stable(&model);
+        Arc::new(BaselineBundle { model, stability })
+    }
+
+    /// A fresh copy of the baseline modeled from no events: every call
+    /// is another `Arc`, equal in content.
+    fn empty_baseline(config: &FlowDiffConfig) -> Arc<BaselineBundle> {
+        baseline_of(&ControllerLog::new(), config)
+    }
+
     fn small_differ(config: &FlowDiffConfig) -> OnlineDiffer {
-        let log = ControllerLog::new();
-        let reference = BehaviorModel::build(&log, config);
-        let stability = StabilityReport::all_stable(&reference);
-        OnlineDiffer::try_new(reference, stability, config).unwrap()
+        OnlineDiffer::try_new(empty_baseline(config), config).unwrap()
     }
 
     fn small_sharded_differ(config: &FlowDiffConfig, n_shards: usize) -> ShardedDiffer {
-        let log = ControllerLog::new();
-        let reference = BehaviorModel::build(&log, config);
-        let stability = StabilityReport::all_stable(&reference);
-        ShardedDiffer::try_new(reference, stability, config, n_shards).unwrap()
+        ShardedDiffer::try_new(empty_baseline(config), config, n_shards).unwrap()
     }
 
     #[test]
@@ -801,7 +920,9 @@ mod tests {
     fn fingerprint_covers_differ_state_and_ignores_deployment_knobs() {
         let config = FlowDiffConfig::default();
         let bytes = Checkpoint::capture(&small_differ(&config), 4, &config).to_bytes();
-        let resumes = |c: &FlowDiffConfig| Differ::restore(&bytes, c).map(|r| r.events_consumed);
+        let baseline = empty_baseline(&config);
+        let resumes =
+            |c: &FlowDiffConfig| Differ::restore(&bytes, &baseline, c).map(|r| r.events_consumed);
         // Knobs that shape differ state are still refused ...
         for changed in [
             FlowDiffConfig {
@@ -813,7 +934,7 @@ mod tests {
                 ..config.clone()
             },
             FlowDiffConfig {
-                restore_warmup_us: 1,
+                online_window_us: 60_000_000,
                 ..config.clone()
             },
         ] {
@@ -861,7 +982,8 @@ mod tests {
         let bytes = ckpt.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
-        let (resumed, offset) = back.resume(&config).unwrap();
+        let baseline = empty_baseline(&config);
+        let (resumed, offset) = back.resume(&baseline, &config).unwrap();
         assert_eq!(offset, 17);
         assert_eq!(resumed, differ);
 
@@ -871,7 +993,7 @@ mod tests {
         };
         let again = Checkpoint::from_bytes(&bytes).unwrap();
         assert!(matches!(
-            again.resume(&other),
+            again.resume(&baseline, &other),
             Err(PersistError::ConfigMismatch { .. })
         ));
     }
@@ -884,7 +1006,7 @@ mod tests {
         atomic_write(&path, &Checkpoint::capture(&differ, 3, &config).to_bytes()).unwrap();
         let loaded = Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded.events_consumed, 3);
-        let (resumed, _) = loaded.resume(&config).unwrap();
+        let (resumed, _) = loaded.resume(&empty_baseline(&config), &config).unwrap();
         assert_eq!(resumed, differ);
         std::fs::remove_file(&path).unwrap();
     }
@@ -915,7 +1037,7 @@ mod tests {
             read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
             CHECKPOINT_SINGLE
         );
-        let restored = Differ::restore(&bytes, &config).unwrap();
+        let restored = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
         assert_eq!(restored.events_consumed, 11);
         assert!(restored.salvaged_shards.is_empty());
         match restored.differ {
@@ -927,21 +1049,84 @@ mod tests {
     #[test]
     fn layouts_from_before_the_sequencer_are_refused_undecoded() {
         // Versions 1 and 2 put the arrival state inside the assemblers;
-        // 3 and 4 hold a sequencer whose jump reference starts at zero.
-        // The CRC guards the payload only, so a re-stamped current file
-        // is exactly what such a file looks like to the header check.
+        // 3 and 4 hold a sequencer whose jump reference starts at zero;
+        // 5 and 6 carry a copy of the baseline and a sequencer without
+        // a refused timestamp to re-anchor on. The CRC guards the
+        // payload only, so a re-stamped current file is exactly what
+        // such a file looks like to the header check.
         let config = FlowDiffConfig::default();
         let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
         let sharded =
             ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
-        for (bytes, old) in [(&single, 1u32), (&sharded, 2), (&single, 3), (&sharded, 4)] {
-            let mut bytes = bytes.clone();
+        let baseline = empty_baseline(&config);
+        for old in 1..CHECKPOINT_SINGLE {
+            let mut bytes = if old % 2 == 1 { &single } else { &sharded }.clone();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(matches!(
-                Differ::restore(&bytes, &config),
+                Differ::restore(&bytes, &baseline, &config),
                 Err(PersistError::UnsupportedVersion { found, .. }) if found == old
             ));
         }
+    }
+
+    #[test]
+    fn restore_refuses_another_baseline_in_both_layouts() {
+        let config = FlowDiffConfig::default();
+        let (ours, theirs) = (empty_baseline(&config), baseline_of(&flows_log(3), &config));
+        let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
+        let sharded =
+            ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
+        for bytes in [&single, &sharded] {
+            match Differ::restore(bytes, &theirs, &config) {
+                Err(PersistError::BaselineMismatch { stored, offered }) => {
+                    assert_eq!((stored, offered), (ours.identity(), theirs.identity()));
+                }
+                other => panic!("expected BaselineMismatch, got {other:?}"),
+            }
+            assert!(Differ::restore(bytes, &ours, &config).is_ok());
+        }
+    }
+
+    #[test]
+    fn checkpoints_name_the_baseline_instead_of_carrying_it() {
+        // The same stream judged against a small and a large baseline
+        // leaves checkpoints of equal length in both layouts.
+        let config = FlowDiffConfig::default();
+        let (small, large) = (empty_baseline(&config), baseline_of(&flows_log(8), &config));
+        assert!(large.to_bytes().len() > small.to_bytes().len() + 1_000);
+        let stream = flows_log(4);
+        let lengths = |baseline: &Arc<BaselineBundle>| {
+            let mut single = OnlineDiffer::try_new(Arc::clone(baseline), &config).unwrap();
+            let mut sharded = ShardedDiffer::try_new(Arc::clone(baseline), &config, 2).unwrap();
+            for event in stream.events() {
+                single.observe(event);
+                sharded.observe(event);
+            }
+            let n = stream.len() as u64;
+            (
+                Checkpoint::capture(&single, n, &config).to_bytes().len(),
+                ShardedCheckpoint::capture(&sharded, n, &config)
+                    .to_bytes()
+                    .len(),
+            )
+        };
+        assert_eq!(lengths(&small), lengths(&large));
+    }
+
+    #[test]
+    fn baseline_identity_is_canonical() {
+        // A rebuild and an `.fbas` round trip name the same baseline;
+        // another capture names another.
+        let config = FlowDiffConfig::default();
+        let log = flows_log(3);
+        let built = baseline_of(&log, &config);
+        let loaded = BaselineBundle::from_bytes(&built.to_bytes()).unwrap();
+        assert_eq!(loaded.identity(), built.identity());
+        assert_eq!(baseline_of(&log, &config).identity(), built.identity());
+        assert_ne!(
+            baseline_of(&flows_log(4), &config).identity(),
+            built.identity()
+        );
     }
 
     #[test]
@@ -956,7 +1141,8 @@ mod tests {
         );
         let back = ShardedCheckpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
-        let (resumed, offset) = back.resume(&config).unwrap();
+        let baseline = empty_baseline(&config);
+        let (resumed, offset) = back.resume(&baseline, &config).unwrap();
         assert_eq!(offset, 29);
         assert_eq!(resumed, differ);
 
@@ -966,7 +1152,7 @@ mod tests {
         };
         let again = ShardedCheckpoint::from_bytes(&bytes).unwrap();
         assert!(matches!(
-            again.resume(&other),
+            again.resume(&baseline, &other),
             Err(PersistError::ConfigMismatch { .. })
         ));
     }
@@ -978,7 +1164,8 @@ mod tests {
         let path = tmp_path("sharded-roundtrip.ckpt");
         let bytes = ShardedCheckpoint::capture(&differ, 5, &config).to_bytes();
         atomic_write(&path, &bytes).unwrap();
-        let restored = Differ::restore(&std::fs::read(&path).unwrap(), &config).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let restored = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
         assert_eq!(restored.events_consumed, 5);
         match restored.differ {
             Differ::Sharded(resumed) => assert_eq!(resumed, differ),
@@ -1012,10 +1199,11 @@ mod tests {
         let salvaged = ShardedCheckpoint::from_bytes_salvaging(&bytes).unwrap();
         assert_eq!(salvaged.salvaged_shards, vec![2]);
         assert_eq!(salvaged.events_consumed, 7);
-        assert_eq!(salvaged.differ.n_shards(), 3);
+        assert_eq!(salvaged.shards.len(), 3);
         // The other two workers kept their state; the differ as a
         // whole is flagged as a lossy restore (warm-up gating).
-        let (resumed, _) = salvaged.resume(&config).unwrap();
+        let (resumed, _) = salvaged.resume(&empty_baseline(&config), &config).unwrap();
+        assert_eq!(resumed.n_shards(), 3);
         assert_ne!(
             resumed, differ,
             "lossy-restore warm-up distinguishes the salvaged differ"
@@ -1041,15 +1229,16 @@ mod tests {
         let differ = small_differ(&config);
         let mut bytes = Checkpoint::capture(&differ, 0, &config).to_bytes();
         bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
+        let baseline = empty_baseline(&config);
         assert!(matches!(
-            Differ::restore(&bytes, &config),
+            Differ::restore(&bytes, &baseline, &config),
             Err(PersistError::UnsupportedVersion {
                 supported: CHECKPOINT_VERSION,
                 ..
             })
         ));
         assert!(matches!(
-            Differ::restore(b"FDIFFBASnot a checkpoint", &config),
+            Differ::restore(b"FDIFFBASnot a checkpoint", &baseline, &config),
             Err(PersistError::BadMagic { .. })
         ));
     }

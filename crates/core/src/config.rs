@@ -115,12 +115,6 @@ pub struct FlowDiffConfig {
     /// zero-capacity rendezvous queue would deadlock a single-threaded
     /// consumer).
     pub ingest_queue_events: usize,
-    /// Graceful degradation: after a *lossy* restore
-    /// ([`OnlineDiffer::mark_lossy_restore`](crate::diff::OnlineDiffer::mark_lossy_restore)),
-    /// every signature reports `Warming` — diffs suppressed — until
-    /// this much log time passes the restore point. `0` disables the
-    /// warm-up. Lossless checkpoint-plus-replay resume never warms.
-    pub restore_warmup_us: u64,
     /// Live ingest: how long (wall time) the cross-connection merge
     /// waits on a silent stream before releasing events past it. This
     /// is the detection-time vs. ordering-confidence knob of served
@@ -169,7 +163,6 @@ impl Default for FlowDiffConfig {
             restart_budget: 3,
             restart_backoff_us: 500_000,
             ingest_queue_events: 1_024,
-            restore_warmup_us: 30_000_000,
             ingest_stall_timeout_us: 0,
             ingest_heartbeat_us: 0,
         }
@@ -256,8 +249,7 @@ impl FlowDiffConfig {
         // A checkpoint cadence of zero epochs would checkpoint in a
         // tight loop (or divide by zero in cadence math); restart
         // backoff of zero would let a crash loop spin hot. A restart
-        // budget of 0 and a warm-up of 0 are both meaningful (fail
-        // fast / no warm-up) and deliberately pass.
+        // budget of 0 is meaningful (fail fast) and deliberately passes.
         nonzero("checkpoint_every_epochs", self.checkpoint_every_epochs)?;
         nonzero("restart_backoff_us", self.restart_backoff_us)?;
         nonzero("ingest_queue_events", self.ingest_queue_events as u64)?;
@@ -420,12 +412,14 @@ mod tests {
 
     #[test]
     fn zero_restart_budget_and_warmup_are_valid() {
-        // budget 0 = fail fast on the first panic; warm-up 0 = lossy
-        // restores never suppress. Both are deliberate operating points,
-        // not misconfigurations.
+        // budget 0 = fail fast on the first panic: a deliberate operating
+        // point, not a misconfiguration. The warm-up after a lossy
+        // restore has no knob of its own: it is the window, so the
+        // shortest warm-up is the shortest valid window, one epoch.
         let c = FlowDiffConfig {
             restart_budget: 0,
-            restore_warmup_us: 0,
+            online_window_us: 1_000_000,
+            online_epoch_us: 1_000_000,
             ..FlowDiffConfig::default()
         };
         assert_eq!(c.validate(), Ok(()));

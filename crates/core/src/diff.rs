@@ -11,12 +11,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, SignatureKind};
+use crate::checkpoint::BaselineBundle;
 use crate::config::{ConfigError, FlowDiffConfig};
 use crate::derived::Derived;
 use crate::epoch::EpochClock;
@@ -217,9 +218,11 @@ pub enum SignatureHealth {
         /// What input is missing.
         reason: String,
     },
-    /// The differ was restored from a checkpoint *with data loss* less
-    /// than `restore_warmup_us` of log time ago; incremental state may
-    /// be missing recent history, so diffs are held back.
+    /// The differ was restored from a checkpoint *with data loss* (a
+    /// salvaged shard segment) less than one window
+    /// (`online_window_us`) of log time ago: the window still reaches
+    /// back before the restore, into history the lost state is
+    /// missing, so diffs are held back.
     Warming {
         /// Log time remaining until the warm-up ends, microseconds.
         remaining_us: u64,
@@ -364,12 +367,20 @@ fn gate_diff(
 /// The part of the streaming state both differs share: what window
 /// models are judged against, and the two conditions that hold diffs
 /// back. Every boundary and flush path ends in [`Judge::snapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The baseline and the config are the run's inputs, not its state:
+/// neither is in a checkpoint, which names them instead (see
+/// [`crate::checkpoint`]). Of the judge only `warm_until` is written.
+#[derive(Debug, Clone, PartialEq)]
 struct Judge {
-    reference: BehaviorModel,
-    stability: StabilityReport,
+    /// The caller's baseline, shared, never copied.
+    baseline: Arc<BaselineBundle>,
+    /// [`BaselineBundle::identity`] of `baseline`: computed the first
+    /// time a checkpoint is written, or set by the restore that checked
+    /// it.
+    baseline_id: Derived<OnceLock<u64>>,
     config: FlowDiffConfig,
-    /// Set by `mark_lossy_restore`: every signature reports
+    /// Set by a lossy restore: every signature reports
     /// [`SignatureHealth::Warming`] for boundaries before this log time.
     warm_until: Option<Timestamp>,
     /// Transient transport-degradation note set by the serving loop
@@ -380,22 +391,41 @@ struct Judge {
 }
 
 impl Judge {
-    fn new(reference: BehaviorModel, stability: StabilityReport, config: &FlowDiffConfig) -> Judge {
+    fn new(baseline: Arc<BaselineBundle>, config: &FlowDiffConfig) -> Judge {
         Judge {
-            reference,
-            stability,
+            baseline,
+            baseline_id: Derived::default(),
             config: config.clone(),
             warm_until: None,
             ingest_degraded: Derived(None),
         }
     }
 
-    /// Holds every signature at [`SignatureHealth::Warming`] until
-    /// `config.restore_warmup_us` of log time has passed `now`.
+    /// The judge a checkpoint's `warm_until` resumes, against the
+    /// baseline the restore checked to be `baseline_id`.
+    fn restored(
+        baseline: Arc<BaselineBundle>,
+        baseline_id: u64,
+        config: &FlowDiffConfig,
+        warm_until: Option<Timestamp>,
+    ) -> Judge {
+        Judge {
+            baseline_id: Derived(OnceLock::from(baseline_id)),
+            warm_until,
+            ..Judge::new(baseline, config)
+        }
+    }
+
+    fn baseline_id(&self) -> u64 {
+        *self.baseline_id.0.get_or_init(|| self.baseline.identity())
+    }
+
+    /// Holds every signature at [`SignatureHealth::Warming`] until one
+    /// window of log time has passed `now`: from then on no window
+    /// reaches back before the restore.
     fn warm_from(&mut self, now: Timestamp) {
         self.warm_until = Some(Timestamp::from_micros(
-            now.as_micros()
-                .saturating_add(self.config.restore_warmup_us),
+            now.as_micros().saturating_add(self.config.online_window_us),
         ));
     }
 
@@ -407,9 +437,13 @@ impl Judge {
         window: (Timestamp, Timestamp),
         model: BehaviorModel,
     ) -> EpochSnapshot {
-        let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
+        let BaselineBundle {
+            model: reference,
+            stability,
+        } = &*self.baseline;
+        let mut diff = compare(reference, &model, stability, &self.config);
         let gating = gate_diff(
-            &self.reference,
+            reference,
             &model,
             self.warm_until,
             window.1,
@@ -505,13 +539,14 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// without disturbing (or double-counting in) the real accumulation,
 /// and without cloning and rebuilding the whole window every epoch.
 ///
-/// The differ serializes wholesale — reference model, stability report,
-/// config, warm-up state, sequencer, assembler, builder, epoch grid —
-/// which is exactly the complete streaming state an online
-/// [`checkpoint`](crate::checkpoint) needs: restore a differ, replay
-/// the events after the checkpoint offset, and every subsequent
-/// snapshot is byte-identical to an uninterrupted run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The differ holds its baseline once, shared with the caller. Its
+/// streaming state — warm-up state, sequencer, assembler, builder,
+/// epoch grid — is exactly what an online
+/// [`checkpoint`](crate::checkpoint) writes: restore it against the
+/// same baseline and config, replay the events after the checkpoint
+/// offset, and every subsequent snapshot is byte-identical to an
+/// uninterrupted run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineDiffer {
     judge: Judge,
     sequencer: Sequencer,
@@ -532,28 +567,28 @@ impl OnlineDiffer {
     /// Panics when the config fails [`FlowDiffConfig::validate`]; use
     /// [`OnlineDiffer::try_new`] to handle invalid configs gracefully.
     pub fn new(
-        reference: BehaviorModel,
+        model: BehaviorModel,
         stability: StabilityReport,
         config: &FlowDiffConfig,
     ) -> OnlineDiffer {
-        OnlineDiffer::try_new(reference, stability, config).expect("invalid FlowDiffConfig")
+        let baseline = Arc::new(BaselineBundle { model, stability });
+        OnlineDiffer::try_new(baseline, config).expect("invalid FlowDiffConfig")
     }
 
-    /// Like [`OnlineDiffer::new`], but rejects nonsensical configs
-    /// (zero epochs, a window shorter than its epoch, …) instead of
-    /// letting them panic deep inside the pipeline.
+    /// A differ sharing the caller's `baseline`, which rejects
+    /// nonsensical configs (zero epochs, a window shorter than its
+    /// epoch, …) instead of letting them panic deep inside the pipeline.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
     pub fn try_new(
-        reference: BehaviorModel,
-        stability: StabilityReport,
+        baseline: Arc<BaselineBundle>,
         config: &FlowDiffConfig,
     ) -> Result<OnlineDiffer, ConfigError> {
         config.validate()?;
         Ok(OnlineDiffer {
-            judge: Judge::new(reference, stability, config),
+            judge: Judge::new(baseline, config),
             sequencer: Sequencer::new(config),
             assembler: RecordAssembler::new(config),
             builder: IncrementalModelBuilder::new(config),
@@ -562,16 +597,48 @@ impl OnlineDiffer {
         })
     }
 
+    /// The streaming state a [`Checkpoint`](crate::checkpoint::Checkpoint)
+    /// writes: everything but the baseline and the config.
+    pub(crate) fn state_to_bytes(&self) -> Vec<u8> {
+        serde::to_vec(&(
+            &self.judge.warm_until,
+            &self.sequencer,
+            &self.assembler,
+            &self.builder,
+            &self.clock,
+        ))
+    }
+
+    /// Reassembles a differ from [`OnlineDiffer::state_to_bytes`] and
+    /// the inputs the checkpoint names: `baseline`, checked to be
+    /// `baseline_id`, and `config`.
+    pub(crate) fn from_state(
+        state: &[u8],
+        baseline: Arc<BaselineBundle>,
+        baseline_id: u64,
+        config: &FlowDiffConfig,
+    ) -> Result<OnlineDiffer, serde::Error> {
+        let (warm_until, sequencer, assembler, builder, clock) = serde::from_slice(state)?;
+        Ok(OnlineDiffer {
+            judge: Judge::restored(baseline, baseline_id, config, warm_until),
+            sequencer,
+            assembler,
+            builder,
+            clock,
+            timings: Derived::default(),
+        })
+    }
+
+    /// [`BaselineBundle::identity`] of the baseline, computed once.
+    pub(crate) fn baseline_id(&self) -> u64 {
+        self.judge.baseline_id()
+    }
+
     /// Returns the per-stage boundary timings accumulated since the
     /// last call (or construction) and resets them — one call per
     /// emitted snapshot gives the per-epoch latency breakdown.
     pub fn take_timings(&mut self) -> EpochTimings {
         std::mem::take(&mut self.timings.0)
-    }
-
-    /// The reference model and stability report diffs are taken against.
-    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
-        (&self.judge.reference, &self.judge.stability)
     }
 
     /// The zero-based index of the next epoch to be emitted.
@@ -582,21 +649,6 @@ impl OnlineDiffer {
     /// [`IncrementalModelBuilder::epoch_synced`] of the latest boundary.
     pub fn epoch_synced(&self) -> usize {
         self.builder.epoch_synced()
-    }
-
-    /// Declares that this differ was restored from a checkpoint
-    /// *without* replaying the events between the checkpoint and the
-    /// live stream — its incremental state is missing history. Every
-    /// signature is held at [`SignatureHealth::Warming`] (diffs
-    /// suppressed) until `config.restore_warmup_us` of log time passes
-    /// the restore point; `0` disables the warm-up entirely.
-    ///
-    /// A *lossless* resume — restore plus replay from the checkpoint's
-    /// event offset — must NOT call this: replayed state is exactly the
-    /// uninterrupted state, and warming it would break the
-    /// byte-identical recovery contract.
-    pub fn mark_lossy_restore(&mut self) {
-        self.judge.warm_from(self.sequencer.max_arrival());
     }
 
     /// Sets (or clears) the transport-degradation note: while set,
@@ -1110,30 +1162,30 @@ impl ShardedDiffer {
     /// Panics when the config fails [`FlowDiffConfig::validate`]; use
     /// [`ShardedDiffer::try_new`] to handle invalid configs gracefully.
     pub fn new(
-        reference: BehaviorModel,
+        model: BehaviorModel,
         stability: StabilityReport,
         config: &FlowDiffConfig,
         n_shards: usize,
     ) -> ShardedDiffer {
-        ShardedDiffer::try_new(reference, stability, config, n_shards)
-            .expect("invalid FlowDiffConfig")
+        let baseline = Arc::new(BaselineBundle { model, stability });
+        ShardedDiffer::try_new(baseline, config, n_shards).expect("invalid FlowDiffConfig")
     }
 
-    /// Like [`ShardedDiffer::new`], but reports invalid configs.
+    /// Like [`ShardedDiffer::new`], sharing the caller's `baseline`, and
+    /// reporting invalid configs.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
     pub fn try_new(
-        reference: BehaviorModel,
-        stability: StabilityReport,
+        baseline: Arc<BaselineBundle>,
         config: &FlowDiffConfig,
         n_shards: usize,
     ) -> Result<ShardedDiffer, ConfigError> {
         config.validate()?;
         let n = n_shards.max(1);
         Ok(ShardedDiffer {
-            judge: Judge::new(reference, stability, config),
+            judge: Judge::new(baseline, config),
             splitter: ShardRouter::new(config, n),
             states: (0..n)
                 .map(|_| Arc::new(Mutex::new(ShardState::fresh(config))))
@@ -1213,11 +1265,6 @@ impl ShardedDiffer {
         health
     }
 
-    /// The reference model and stability report diffs are taken against.
-    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
-        (&self.judge.reference, &self.judge.stability)
-    }
-
     /// Per-shard load figures (records held, in-flight episodes),
     /// quiesced so the figures are a consistent cut of the stream.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
@@ -1260,13 +1307,6 @@ impl ShardedDiffer {
                 .window
                 .as_ref()
                 .map_or(0, IncrementalModelBuilder::approx_bytes)
-    }
-
-    /// Declares a restore without replay — same contract as
-    /// [`OnlineDiffer::mark_lossy_restore`], keyed off the splitter's
-    /// arrival clock.
-    pub fn mark_lossy_restore(&mut self) {
-        self.judge.warm_from(self.splitter.max_arrival());
     }
 
     /// Sets (or clears) the transport-degradation note — same contract
@@ -1535,46 +1575,46 @@ impl ShardedDiffer {
         })
     }
 
-    /// The shared-core half of the FDIFFCKP segmented split: everything except
-    /// the per-shard worker states. Quiesces first, so nothing admitted
-    /// is still on its way to a worker when the core is written.
-    pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
-        self.quiesce();
-        let mut out = Vec::new();
-        self.judge.serialize(&mut out);
-        self.splitter.serialize(&mut out);
-        self.clock.serialize(&mut out);
-        out
+    /// [`BaselineBundle::identity`] of the baseline, computed once.
+    pub(crate) fn baseline_id(&self) -> u64 {
+        self.judge.baseline_id()
     }
 
-    /// The per-shard halves of the FDIFFCKP segmented split, captured under a
-    /// quiesce so each segment is a consistent cut of the stream.
-    pub(crate) fn shards_to_bytes(&self) -> Vec<Vec<u8>> {
+    /// The shared-core half of the FDIFFCKP segmented split: everything
+    /// except the per-shard worker states, the baseline and the config.
+    /// Quiesces first, so nothing admitted is still on its way to a
+    /// worker when the core is written.
+    pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
         self.quiesce();
-        self.states
-            .iter()
-            .map(|s| serde::to_vec(&*s.lock().expect("shard state poisoned")))
+        serde::to_vec(&(&self.judge.warm_until, &self.splitter, &self.clock))
+    }
+
+    /// Copies of the per-shard worker states, the other half of the
+    /// split, taken under a quiesce so each is a consistent cut of the
+    /// stream.
+    pub(crate) fn shard_states(&self) -> Vec<ShardState> {
+        self.quiesce();
+        (self.states.iter())
+            .map(|s| s.lock().expect("shard state poisoned").clone())
             .collect()
     }
 
     /// Reassembles a differ from a decoded core and per-shard states,
-    /// positionally. A `None` slot is a salvaged (corrupt) segment and
-    /// comes back as a [`ShardState::fresh`] worker; the caller decides
-    /// whether that warrants [`ShardedDiffer::mark_lossy_restore`].
+    /// positionally, against the inputs the checkpoint names: `baseline`,
+    /// checked to be `baseline_id`, and `config`. A `None` slot is a
+    /// salvaged (corrupt) segment: it comes back as a
+    /// [`ShardState::fresh`] worker, and every verdict warms for one
+    /// window past the restore point (`Judge::warm_from`). A lossless
+    /// restore never warms: it must stay byte-identical to the
+    /// uninterrupted run.
     pub(crate) fn from_core_and_shards(
         core: &[u8],
         shards: Vec<Option<ShardState>>,
+        baseline: Arc<BaselineBundle>,
+        baseline_id: u64,
+        config: &FlowDiffConfig,
     ) -> Result<ShardedDiffer, serde::Error> {
-        let mut input = core;
-        let judge = Judge::deserialize(&mut input)?;
-        let splitter = ShardRouter::deserialize(&mut input)?;
-        let clock = EpochClock::deserialize(&mut input)?;
-        if !input.is_empty() {
-            return Err(serde::Error::custom(format!(
-                "{} trailing bytes in sharded core",
-                input.len()
-            )));
-        }
+        let (warm_until, splitter, clock): (_, ShardRouter, _) = serde::from_slice(core)?;
         if shards.len() != splitter.n_shards() {
             return Err(serde::Error::custom(format!(
                 "shard count mismatch: core routes {} ways, {} segments",
@@ -1582,13 +1622,13 @@ impl ShardedDiffer {
                 shards.len()
             )));
         }
+        let mut judge = Judge::restored(baseline, baseline_id, config, warm_until);
+        if shards.iter().any(Option::is_none) {
+            judge.warm_from(splitter.max_arrival());
+        }
         let states = shards
             .into_iter()
-            .map(|s| {
-                Arc::new(Mutex::new(
-                    s.unwrap_or_else(|| ShardState::fresh(&judge.config)),
-                ))
-            })
+            .map(|s| Arc::new(Mutex::new(s.unwrap_or_else(|| ShardState::fresh(config)))))
             .collect();
         Ok(ShardedDiffer {
             judge,
@@ -1879,7 +1919,7 @@ mod tests {
         let empty = netsim::log::ControllerLog::new();
         let reference = crate::model::BehaviorModel::build(&empty, &config);
         let stability = crate::stability::StabilityReport::all_stable(&reference);
-        let mut differ = OnlineDiffer::try_new(reference, stability, &config).unwrap();
+        let mut differ = OnlineDiffer::new(reference, stability, &config);
 
         assert!(differ
             .observe(&hello_at(Timestamp::from_secs(1)))
@@ -1910,7 +1950,7 @@ mod tests {
         let empty = netsim::log::ControllerLog::new();
         let reference = crate::model::BehaviorModel::build(&empty, &config);
         let stability = crate::stability::StabilityReport::all_stable(&reference);
-        let mut differ = OnlineDiffer::try_new(reference, stability, &config).unwrap();
+        let mut differ = OnlineDiffer::new(reference, stability, &config);
 
         assert!(differ
             .observe(&hello_at(Timestamp::from_secs(1)))
@@ -1965,19 +2005,25 @@ mod tests {
 
     #[test]
     fn lossy_restore_warms_then_recovers() {
-        let config = FlowDiffConfig {
-            restore_warmup_us: 30_000_000,
-            ..FlowDiffConfig::default()
-        };
+        // The one lossy restore is a salvaged shard segment, and it
+        // warms for one window: 30 s by default.
+        let config = FlowDiffConfig::default();
         let empty = netsim::log::ControllerLog::new();
-        let reference = crate::model::BehaviorModel::build(&empty, &config);
-        let stability = crate::stability::StabilityReport::all_stable(&reference);
-        let mut differ = OnlineDiffer::try_new(reference, stability, &config).unwrap();
-        assert!(differ
-            .observe(&hello_at(Timestamp::from_secs(1)))
-            .is_empty());
-        // Restored without replay at t=1s: hold diffs until t=31s.
-        differ.mark_lossy_restore();
+        let model = crate::model::BehaviorModel::build(&empty, &config);
+        let stability = crate::stability::StabilityReport::all_stable(&model);
+        let baseline = Arc::new(BaselineBundle { model, stability });
+        let mut live = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 2).unwrap();
+        assert!(live.observe(&hello_at(Timestamp::from_secs(1))).is_empty());
+        // Restored at t=1s with the last shard's segment corrupt: hold
+        // diffs until t=31s.
+        let mut bytes = crate::checkpoint::ShardedCheckpoint::capture(&live, 1, &config).to_bytes();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        let restored = crate::engine::Differ::restore(&bytes, &baseline, &config).unwrap();
+        assert_eq!(restored.salvaged_shards, vec![1]);
+        let crate::engine::Differ::Sharded(mut differ) = restored.differ else {
+            panic!("segmented bytes must restore the sharded shape");
+        };
         let early = differ.observe(&hello_at(Timestamp::from_secs(6)));
         assert_eq!(early.len(), 1);
         assert_eq!(
@@ -2014,6 +2060,12 @@ mod tests {
         let (log2, _) = scenario_log(2, None);
         let events: Vec<ControlEvent> = log2.events().to_vec();
         let cut = events.len() / 2;
+        // The restart offers its own copy of the baseline, equal in
+        // content: that is what the checkpoint names.
+        let baseline = Arc::new(BaselineBundle {
+            model: m1.clone(),
+            stability: stability.clone(),
+        });
 
         let mut straight = OnlineDiffer::new(m1.clone(), stability.clone(), &config);
         let mut interrupted = OnlineDiffer::new(m1, stability, &config);
@@ -2027,7 +2079,7 @@ mod tests {
         let ckpt = crate::checkpoint::Checkpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
         let restored = crate::checkpoint::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let (mut resumed, offset) = restored.resume(&config).unwrap();
+        let (mut resumed, offset) = restored.resume(&baseline, &config).unwrap();
         assert_eq!(offset as usize, cut);
         assert_eq!(resumed, straight, "restored state == uninterrupted state");
         for event in &events[cut..] {
@@ -2120,9 +2172,13 @@ mod tests {
         let (log2, _) = scenario_log(2, None);
         let events: Vec<ControlEvent> = log2.events().to_vec();
         let cut = events.len() / 2;
+        let baseline = Arc::new(BaselineBundle {
+            model: m1,
+            stability,
+        });
 
-        let mut straight = ShardedDiffer::new(m1.clone(), stability.clone(), &config, 3);
-        let mut interrupted = ShardedDiffer::new(m1, stability, &config, 3);
+        let mut straight = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 3).unwrap();
+        let mut interrupted = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 3).unwrap();
         let mut straight_snaps = Vec::new();
         let mut resumed_snaps = Vec::new();
         for event in &events[..cut] {
@@ -2133,7 +2189,8 @@ mod tests {
         // restore via the version-dispatching entry point.
         let ckpt = crate::checkpoint::ShardedCheckpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
-        let restored = crate::engine::Differ::restore(&ckpt.to_bytes(), &config).unwrap();
+        let restored =
+            crate::engine::Differ::restore(&ckpt.to_bytes(), &baseline, &config).unwrap();
         assert!(restored.salvaged_shards.is_empty());
         assert_eq!(restored.events_consumed as usize, cut);
         let crate::engine::Differ::Sharded(mut resumed) = restored.differ else {

@@ -35,16 +35,25 @@
 //! use flowdiff::prelude::*;
 //! use netsim::log::ControllerLog;
 //!
+//! use std::sync::Arc;
+//!
 //! let config = FlowDiffConfig::default();
-//! let baseline = BehaviorModel::build(&ControllerLog::new(), &config);
-//! let stability = StabilityReport::all_stable(&baseline);
+//! let model = BehaviorModel::build(&ControllerLog::new(), &config);
+//! let stability = StabilityReport::all_stable(&model);
+//! let baseline = Arc::new(BaselineBundle { model, stability });
 //! let current = ControllerLog::new(); // normally: a decoded capture
 //!
-//! let fresh = || Ok((Differ::try_new(baseline.clone(), stability.clone(), &config, 1)?, 0));
+//! let fresh = || Ok((Differ::try_new(Arc::clone(&baseline), &config, 1)?, 0));
+//! let supervision = Supervision {
+//!     config: &config,
+//!     baseline: &baseline,
+//!     checkpoint_path: None,
+//!     degraded: None,
+//! };
 //! let run = supervise(
 //!     &mut Feed::Slice(current.events()),
 //!     &fresh,
-//!     &Supervision { config: &config, checkpoint_path: None, degraded: None },
+//!     &supervision,
 //!     |_, epoch, _| println!("epoch {}: {} flows", epoch.epoch, epoch.records),
 //! )
 //! .unwrap();
@@ -53,18 +62,17 @@
 
 use std::error::Error;
 use std::path::Path;
+use std::sync::Arc;
 
 use netsim::log::ControlEvent;
 
 use crate::checkpoint::{
-    atomic_write, read_header, Checkpoint, PersistError, ShardedCheckpoint, CHECKPOINT_MAGIC,
-    CHECKPOINT_SINGLE, CHECKPOINT_VERSION,
+    atomic_write, read_header, BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint,
+    CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, CHECKPOINT_VERSION,
 };
 use crate::config::{ConfigError, FlowDiffConfig};
 use crate::diff::{EpochSnapshot, EpochTimings, OnlineDiffer, ShardStats, ShardedDiffer};
-use crate::model::BehaviorModel;
 use crate::records::IngestHealth;
-use crate::stability::StabilityReport;
 
 /// What the engine's fallible calls return: the caller's `fresh` can
 /// fail with anything, so the loop's own failures travel the same way.
@@ -93,27 +101,27 @@ pub struct Restored {
     /// The replay offset: events `[events_consumed..]` catch it up.
     pub events_consumed: u64,
     /// Shards whose checkpoint segment was corrupt and came back as
-    /// fresh workers (the differ is then under warm-up gating).
+    /// fresh workers (the differ then warms up for one window).
     pub salvaged_shards: Vec<usize>,
 }
 
 impl Differ {
-    /// A differ against `baseline`, gated by `stability`, over `shards`
-    /// shard workers; `0` and `1` both mean the single pipeline.
+    /// A differ against `baseline`, shared rather than copied, over
+    /// `shards` shard workers; `0` and `1` both mean the single
+    /// pipeline.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
     pub fn try_new(
-        baseline: BehaviorModel,
-        stability: StabilityReport,
+        baseline: Arc<BaselineBundle>,
         config: &FlowDiffConfig,
         shards: usize,
     ) -> Result<Differ, ConfigError> {
         Ok(if shards > 1 {
-            Differ::Sharded(ShardedDiffer::try_new(baseline, stability, config, shards)?)
+            Differ::Sharded(ShardedDiffer::try_new(baseline, config, shards)?)
         } else {
-            Differ::Single(OnlineDiffer::try_new(baseline, stability, config)?)
+            Differ::Single(OnlineDiffer::try_new(baseline, config)?)
         })
     }
 
@@ -148,23 +156,6 @@ impl Differ {
         match self {
             Differ::Single(d) => d.health(),
             Differ::Sharded(d) => d.health(),
-        }
-    }
-
-    /// The reference model and stability report diffs are taken against
-    /// — a restored differ's are the ones its checkpoint carried.
-    pub fn baseline(&self) -> (&BehaviorModel, &StabilityReport) {
-        match self {
-            Differ::Single(d) => d.baseline(),
-            Differ::Sharded(d) => d.baseline(),
-        }
-    }
-
-    /// See [`OnlineDiffer::mark_lossy_restore`].
-    pub fn mark_lossy_restore(&mut self) {
-        match self {
-            Differ::Single(d) => d.mark_lossy_restore(),
-            Differ::Sharded(d) => d.mark_lossy_restore(),
         }
     }
 
@@ -205,7 +196,8 @@ impl Differ {
 
     /// The complete streaming state as FDIFFCKP bytes, in the layout
     /// matching the shape (single, or segmented), stamped with the
-    /// replay offset and `config`'s fingerprint.
+    /// replay offset, `config`'s fingerprint and the baseline's
+    /// identity.
     pub fn checkpoint(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
         match self {
             Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).to_bytes(),
@@ -213,28 +205,35 @@ impl Differ {
         }
     }
 
-    /// Reads a checkpoint of either layout back into a running differ.
-    /// A corrupt per-shard segment of a segmented file salvages to a
-    /// fresh worker rather than failing the whole restore.
+    /// Reads a checkpoint of either layout back into a running differ
+    /// against `baseline`, judging under `config`. A corrupt per-shard
+    /// segment of a segmented file salvages to a fresh worker rather
+    /// than failing the whole restore.
     ///
     /// # Errors
     ///
     /// Every container- and manifest-level [`PersistError`] — a version
     /// other than the two current layouts is
-    /// [`PersistError::UnsupportedVersion`], never decoded — and
+    /// [`PersistError::UnsupportedVersion`], never decoded —
     /// [`PersistError::ConfigMismatch`] when `config` is not the one
-    /// the checkpoint was written under.
-    pub fn restore(bytes: &[u8], config: &FlowDiffConfig) -> Result<Restored, PersistError> {
+    /// the checkpoint was written under, and
+    /// [`PersistError::BaselineMismatch`] when `baseline` is not the
+    /// one it was written against.
+    pub fn restore(
+        bytes: &[u8],
+        baseline: &Arc<BaselineBundle>,
+        config: &FlowDiffConfig,
+    ) -> Result<Restored, PersistError> {
         let (differ, events_consumed, salvaged_shards) =
             match read_header(CHECKPOINT_MAGIC, bytes)?.version {
                 CHECKPOINT_SINGLE => {
-                    let (differ, at) = Checkpoint::from_bytes(bytes)?.resume(config)?;
+                    let (differ, at) = Checkpoint::from_bytes(bytes)?.resume(baseline, config)?;
                     (Differ::Single(differ), at, Vec::new())
                 }
                 CHECKPOINT_VERSION => {
                     let mut checkpoint = ShardedCheckpoint::from_bytes_salvaging(bytes)?;
                     let salvaged = std::mem::take(&mut checkpoint.salvaged_shards);
-                    let (differ, at) = checkpoint.resume(config)?;
+                    let (differ, at) = checkpoint.resume(baseline, config)?;
                     (Differ::Sharded(differ), at, salvaged)
                 }
                 found => {
@@ -253,16 +252,18 @@ impl Differ {
 }
 
 /// [`Differ::restore`] from a file, as `--resume` and the supervised
-/// restart both do it: errors carry the path, and salvaged segments
-/// are reported on stderr.
+/// restart both do it: salvaged segments are reported on stderr.
 ///
 /// # Errors
 ///
-/// The read failure or the [`PersistError`], prefixed with `path`.
-pub fn resume_from(path: &Path, config: &FlowDiffConfig) -> EngineResult<(Differ, u64)> {
-    let at_path = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
-    let bytes = std::fs::read(path).map_err(|e| at_path(&e))?;
-    let restored = Differ::restore(&bytes, config).map_err(|e| at_path(&e))?;
+/// The read failure as [`PersistError::Io`], or the restore's
+/// [`PersistError`]; neither names `path`, which the caller knows.
+pub fn resume_from(
+    path: &Path,
+    baseline: &Arc<BaselineBundle>,
+    config: &FlowDiffConfig,
+) -> Result<(Differ, u64), PersistError> {
+    let restored = Differ::restore(&std::fs::read(path)?, baseline, config)?;
     if !restored.salvaged_shards.is_empty() {
         eprintln!(
             "warning: salvaged corrupt checkpoint segment(s) for shard(s) {:?}; \
@@ -389,6 +390,9 @@ pub struct Supervision<'a> {
     /// Supplies `checkpoint_every_epochs`, `restart_budget`,
     /// `restart_backoff_us` and the fingerprint checkpoints carry.
     pub config: &'a FlowDiffConfig,
+    /// The baseline `fresh` builds against: a restart restores its
+    /// checkpoint against this one.
+    pub baseline: &'a Arc<BaselineBundle>,
     /// Where checkpoints are written (atomically, replaced in place).
     /// Without one, every restart starts over from `fresh` — which a
     /// live feed can only serve until its first boundary.
@@ -461,6 +465,7 @@ pub fn supervise(
 ) -> EngineResult<RunReport> {
     let Supervision {
         config,
+        baseline,
         checkpoint_path,
         degraded,
     } = *supervision;
@@ -547,7 +552,8 @@ pub fn supervise(
             .saturating_mul(1u64 << (restarts - 1).min(20));
         std::thread::sleep(std::time::Duration::from_micros(backoff));
         let (restored, at) = match checkpoint_path {
-            Some(path) if saved => resume_from(path, config)?,
+            Some(path) if saved => resume_from(path, baseline, config)
+                .map_err(|e| format!("{}: {e}", path.display()))?,
             _ => fresh()?,
         };
         differ = restored;
@@ -573,6 +579,7 @@ mod tests {
 
     use super::*;
     use crate::checkpoint::fnv1a;
+    use crate::model::BehaviorModel;
     use crate::stability::analyze;
 
     /// A short capture on the 320-server tree with `n_apps` disjoint
@@ -611,8 +618,7 @@ mod tests {
     /// a budget of two fast restarts.
     struct Drill {
         config: FlowDiffConfig,
-        baseline: BehaviorModel,
-        stability: StabilityReport,
+        baseline: Arc<BaselineBundle>,
         current: ControllerLog,
     }
 
@@ -627,23 +633,19 @@ mod tests {
                 ..FlowDiffConfig::default()
             };
             let log = tree_log(2, 7, 4);
-            let baseline = BehaviorModel::build(&log, &config);
-            let stability = analyze(&log, &baseline, &config);
+            let model = BehaviorModel::build(&log, &config);
+            let stability = analyze(&log, &model, &config);
             Drill {
                 config,
-                baseline,
-                stability,
+                baseline: Arc::new(BaselineBundle { model, stability }),
                 current: tree_log(2, 8, 4),
             }
         }
 
         fn fresh(&self, shards: usize) -> impl Fn() -> EngineResult<(Differ, u64)> + '_ {
             move || {
-                let (baseline, stability) = (self.baseline.clone(), self.stability.clone());
-                Ok((
-                    Differ::try_new(baseline, stability, &self.config, shards)?,
-                    0,
-                ))
+                let differ = Differ::try_new(Arc::clone(&self.baseline), &self.config, shards)?;
+                Ok((differ, 0))
             }
         }
 
@@ -663,6 +665,7 @@ mod tests {
             let mut delivered = Vec::new();
             let supervision = Supervision {
                 config: &self.config,
+                baseline: &self.baseline,
                 checkpoint_path,
                 degraded: None,
             };
@@ -940,7 +943,7 @@ mod tests {
             assert_eq!(feed.pulled(), drill.current.len());
             // Exactly the events past the last checkpoint's offset ...
             let bytes = std::fs::read(&path).unwrap();
-            let at = Differ::restore(&bytes, &drill.config)
+            let at = Differ::restore(&bytes, &drill.baseline, &drill.config)
                 .unwrap()
                 .events_consumed as usize;
             assert_eq!(feed.held(), &drill.current.events()[at..]);

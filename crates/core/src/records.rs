@@ -48,6 +48,11 @@ pub enum IngestAnomaly {
     /// so far than `max_time_jump_us` allows (a corrupt clock reading);
     /// the event was dropped.
     TimeJump,
+    /// An event that confirmed the previous time jump as a real clock
+    /// step (a quiet stretch, a clock set forward): it lies after the
+    /// refused timestamp and within the jump bound of it. The event was
+    /// admitted and re-anchored the jump check.
+    ClockGap,
 }
 
 /// Ingestion health counters: how much of the input decoded cleanly and
@@ -81,6 +86,10 @@ pub struct IngestHealth {
     pub stale_attaches: u64,
     /// Events dropped for an implausible forward timestamp jump.
     pub time_jumps: u64,
+    /// Time jumps the next arrival confirmed as a clock step: each is
+    /// one re-anchoring of the jump check, its confirming event
+    /// admitted.
+    pub clock_gaps: u64,
     /// Publisher streams waived past the ingest stall budget (live
     /// transport only; see [`IngestHealth::absorb_conn`]).
     pub conn_stalls: u64,
@@ -101,6 +110,7 @@ impl IngestHealth {
             IngestAnomaly::OrphanFlowRemoved => self.orphan_flow_removeds += 1,
             IngestAnomaly::StaleAttach => self.stale_attaches += 1,
             IngestAnomaly::TimeJump => self.time_jumps += 1,
+            IngestAnomaly::ClockGap => self.clock_gaps += 1,
         }
     }
 
@@ -131,6 +141,7 @@ impl IngestHealth {
             + self.orphan_flow_removeds
             + self.stale_attaches
             + self.time_jumps
+            + self.clock_gaps
     }
 }
 
@@ -152,6 +163,9 @@ impl fmt::Display for IngestHealth {
             self.time_jumps,
             self.episodes_evicted,
         )?;
+        if self.clock_gaps > 0 {
+            write!(f, "; {} clock gaps", self.clock_gaps)?;
+        }
         if self.conn_stalls + self.conn_disconnects + self.conn_resumes > 0 {
             write!(
                 f,
@@ -736,7 +750,11 @@ impl RecordAssembler {
 /// - **quarantined** ([`admit`](Self::admit) says no, counted in
 ///   `time_jumps`) when its timestamp jumps further past every earlier
 ///   arrival than `max_time_jump_us` allows — a corrupt clock reading,
-///   which the caller drops before the timestamp drives anything,
+///   which the caller drops before the timestamp drives anything —
+///   unless it **re-anchors** the check (counted in `clock_gaps`): an
+///   arrival after the last refused timestamp and within the bound of
+///   it confirms a clock step rather than a wild reading, and is
+///   admitted as the new reference,
 /// - **counted** in `events_reordered` when it is older than an earlier
 ///   arrival (a reordered capture, clock skew between taps),
 /// - **held back** ([`release`](Self::release)) until the arrival
@@ -757,12 +775,17 @@ pub struct Sequencer {
     /// first admission, which nothing quarantines: the clock a capture
     /// starts on is its own, not a jump from zero.
     max_arrival: Option<Timestamp>,
+    /// The last quarantined timestamp, until an arrival back within the
+    /// bound of `max_arrival` shows it was one wild reading, or one
+    /// within the bound after it confirms a clock step.
+    last_refused: Option<Timestamp>,
     /// Admissions held so far; keeps simultaneous held events in arrival
     /// order.
     arrival_seq: u64,
     /// Held-back events by `(ts, arrival_seq)`; always empty at slack 0.
     held: BTreeMap<(Timestamp, u64), ControlEvent>,
-    /// `time_jumps` and `events_reordered`; every other field stays zero.
+    /// `time_jumps`, `clock_gaps` and `events_reordered`; every other
+    /// field stays zero.
     health: IngestHealth,
 }
 
@@ -773,6 +796,7 @@ impl Sequencer {
             reorder_slack_us: config.reorder_slack_us,
             max_time_jump_us: config.max_time_jump_us,
             max_arrival: None,
+            last_refused: None,
             arrival_seq: 0,
             held: BTreeMap::new(),
             health: IngestHealth::default(),
@@ -789,14 +813,25 @@ impl Sequencer {
     /// a quarantined timestamp, which the caller drops; otherwise the
     /// event is admitted, counted if out of order, and must be handed to
     /// [`release`](Self::release) next. The first arrival is always
-    /// admitted and anchors the jump check.
+    /// admitted and anchors the jump check. A jump is judged against the
+    /// last refused timestamp too: an arrival after it and within the
+    /// bound of it confirms a clock step, is counted as a clock gap and
+    /// becomes the new reference, so a quiet stretch longer than the
+    /// bound does not lock the stream out.
     pub fn admit(&mut self, ts: Timestamp) -> bool {
         let Some(newest) = self.max_arrival else {
             self.max_arrival = Some(ts);
             return true;
         };
-        let jump = ts.checked_since(newest);
-        if self.max_time_jump_us > 0 && jump.is_some_and(|j| j > self.max_time_jump_us) {
+        let bound = self.max_time_jump_us;
+        let within = |from: Timestamp| ts.checked_since(from).is_none_or(|j| j <= bound);
+        if bound == 0 || within(newest) {
+            self.last_refused = None;
+        } else if (self.last_refused).is_some_and(|refused| ts > refused && within(refused)) {
+            self.last_refused = None;
+            self.health.record(IngestAnomaly::ClockGap);
+        } else {
+            self.last_refused = Some(ts);
             self.health.record(IngestAnomaly::TimeJump);
             return false;
         }
@@ -843,10 +878,11 @@ impl Sequencer {
         std::mem::take(&mut self.held).into_values()
     }
 
-    /// Adds the arrival counters — time jumps and disordered events — to
-    /// `health`.
+    /// Adds the arrival counters — time jumps, clock gaps and disordered
+    /// events — to `health`.
     pub fn count_into(&self, health: &mut IngestHealth) {
         health.time_jumps += self.health.time_jumps;
+        health.clock_gaps += self.health.clock_gaps;
         health.events_reordered += self.health.events_reordered;
     }
 }
@@ -1580,6 +1616,10 @@ mod tests {
         seq.count_into(&mut health);
         assert_eq!(health.time_jumps, 1);
         assert_eq!(
+            health.clock_gaps, 0,
+            "the next event contradicts the wild reading"
+        );
+        assert_eq!(
             health.events_reordered, 0,
             "a dropped jump must not poison the arrival watermark"
         );
@@ -1592,6 +1632,28 @@ mod tests {
         // Disabled (the default), the same event is admitted.
         let mut unguarded = Sequencer::new(&FlowDiffConfig::default());
         assert!(unguarded.admit(corrupt.ts));
+    }
+
+    #[test]
+    fn quiet_stretch_longer_than_the_bound_re_anchors_on_the_next_arrival() {
+        // Under a 60 s bound, the refused 70 s and 500 s are each
+        // confirmed by the arrival a second later: a clock step, not a
+        // wild reading, so the stream carries on from there.
+        let mut seq = Sequencer::new(&FlowDiffConfig {
+            max_time_jump_us: 60_000_000,
+            ..FlowDiffConfig::default()
+        });
+        let admitted: Vec<u64> = [1, 2, 70, 71, 72, 500, 501]
+            .into_iter()
+            .filter(|&s| seq.admit(Timestamp::from_secs(s)))
+            .collect();
+        assert_eq!(admitted, [1, 2, 71, 72, 501]);
+        let mut health = IngestHealth::default();
+        seq.count_into(&mut health);
+        assert_eq!((health.time_jumps, health.clock_gaps), (2, 2));
+        assert_eq!(health.events_reordered, 0);
+        assert_eq!(seq.max_arrival(), Timestamp::from_secs(501));
+        assert!(health.to_string().ends_with("; 2 clock gaps"));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use flowdiff::prelude::*;
 use flowdiff::records::HopReport;
@@ -626,8 +627,9 @@ proptest! {
         }
         let cut = (events.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
 
+        let baseline = Arc::new(BaselineBundle { model: reference, stability });
         let mut straight =
-            OnlineDiffer::try_new(reference, stability, &config).expect("config valid");
+            OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
         let mut doomed = straight.clone();
         let mut straight_snaps = Vec::new();
         let mut resumed_snaps = Vec::new();
@@ -640,7 +642,7 @@ proptest! {
         drop(doomed);
         let (mut resumed, offset) = Checkpoint::from_bytes(&ckpt_bytes)
             .expect("container intact")
-            .resume(&config)
+            .resume(&baseline, &config)
             .expect("same config");
         prop_assert_eq!(offset as usize, cut);
         prop_assert_eq!(&resumed, &straight, "restored state == live state");
@@ -704,10 +706,8 @@ proptest! {
             return Ok(());
         }
 
-        let mut differ = OnlineDiffer::try_new(reference.clone(), stability.clone(), &config)
-            .expect("config valid");
-        let mut sharded = ShardedDiffer::try_new(reference, stability, &config, 4)
-            .expect("config valid");
+        let mut differ = OnlineDiffer::new(reference.clone(), stability.clone(), &config);
+        let mut sharded = ShardedDiffer::new(reference, stability, &config, 4);
         // The oracle pipeline is never retired between epochs: it holds
         // the full stream, exactly like the differ's builder did before
         // snapshots went incremental.
@@ -830,7 +830,11 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
     let events = log.events();
     let cut = events.len() * 3 / 5;
 
-    let mut straight = OnlineDiffer::try_new(reference, stability, &config).expect("config valid");
+    let baseline = Arc::new(BaselineBundle {
+        model: reference,
+        stability,
+    });
+    let mut straight = OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
     let mut resumed = straight.clone();
     let mut oracle_asm = RecordAssembler::new(&config);
     let mut oracle_builder = IncrementalModelBuilder::new(&config);
@@ -848,7 +852,7 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             let bytes = Checkpoint::capture(&resumed, cut as u64, &config).to_bytes();
             let (restored, offset) = Checkpoint::from_bytes(&bytes)
                 .expect("container intact")
-                .resume(&config)
+                .resume(&baseline, &config)
                 .expect("same config");
             assert_eq!(offset as usize, cut);
             assert_eq!(restored, straight, "restored state == live state");
@@ -956,10 +960,13 @@ fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u
     let events = log.events();
     let (restore_at, clone_at) = (events.len() * 3 / 5, events.len() * 4 / 5);
 
-    let mut single =
-        OnlineDiffer::try_new(reference.clone(), stability.clone(), &config).expect("config valid");
+    let baseline = Arc::new(BaselineBundle {
+        model: reference,
+        stability,
+    });
+    let mut single = OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
     let mut sharded =
-        ShardedDiffer::try_new(reference, stability, &config, n_shards).expect("config valid");
+        ShardedDiffer::try_new(Arc::clone(&baseline), &config, n_shards).expect("config valid");
     let mut copy: Option<ShardedDiffer> = None;
 
     // The oracle: one sequenced assembler over the whole stream, its
@@ -982,7 +989,7 @@ fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u
         if i == restore_at {
             assert!(epochs > 30, "restore must land in steady state");
             let bytes = ShardedCheckpoint::capture(&sharded, i as u64, &config).to_bytes();
-            let restored = Differ::restore(&bytes, &config).expect("container intact");
+            let restored = Differ::restore(&bytes, &baseline, &config).expect("container intact");
             assert_eq!(restored.events_consumed as usize, i);
             let Differ::Sharded(restored) = restored.differ else {
                 panic!("segmented bytes must restore the sharded shape");
@@ -1167,8 +1174,9 @@ proptest! {
         let cut = (events.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
 
         // Uninterrupted single-shard reference run.
-        let mut single = OnlineDiffer::try_new(reference.clone(), stability.clone(), &config)
-            .expect("config valid");
+        let baseline = Arc::new(BaselineBundle { model: reference, stability });
+        let mut single =
+            OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
         let mut single_snaps = Vec::new();
         for event in &events {
             single_snaps.extend(single.observe(event));
@@ -1177,9 +1185,8 @@ proptest! {
         single_snaps.extend(single.finish());
 
         for n_shards in [1usize, 2, 4, 7] {
-            let mut sharded =
-                ShardedDiffer::try_new(reference.clone(), stability.clone(), &config, n_shards)
-                    .expect("config valid");
+            let mut sharded = ShardedDiffer::try_new(Arc::clone(&baseline), &config, n_shards)
+                .expect("config valid");
             let mut snaps = Vec::new();
             for event in &events[..cut] {
                 snaps.extend(sharded.observe(event));
@@ -1188,7 +1195,7 @@ proptest! {
             // container, restored through the version dispatcher.
             let bytes = ShardedCheckpoint::capture(&sharded, cut as u64, &config).to_bytes();
             drop(sharded);
-            let restored = Differ::restore(&bytes, &config).expect("container intact");
+            let restored = Differ::restore(&bytes, &baseline, &config).expect("container intact");
             prop_assert!(restored.salvaged_shards.is_empty());
             prop_assert_eq!(restored.events_consumed as usize, cut);
             let Differ::Sharded(mut sharded) = restored.differ else {
