@@ -53,7 +53,10 @@ step "flowdiff-bench watch --resume (a checkpointed run is picked up where it le
 # are one baseline) under a different --checkpoint-every (a supervisor
 # knob the config fingerprint must not refuse) and has to print exactly
 # the epoch lines the first run printed after its last checkpoint. Both
-# deployment shapes, so both FDIFFCKP layouts go through a file.
+# deployment shapes write the one FDIFFCKP format through a file, and a
+# flipped last byte is refused the same way in both: exit 2, `CRC
+# mismatch`, no epoch lines (no shard is salvaged into a run that then
+# holds every verdict back).
 for shards in 1 4; do
     ckpt="$demo_dir/watch-$shards.ckpt"
     bundle="$demo_dir/baseline-$shards.fbas"
@@ -75,6 +78,24 @@ for shards in 1 4; do
         exit 1
     fi
     echo "shards=$shards: resumed run printed the last $resumed_epochs of $first_epochs epoch lines"
+    bad="$demo_dir/watch-$shards.bad.ckpt"
+    cp "$ckpt" "$bad"
+    size="$(wc -c < "$bad")"
+    last="$(tail -c 1 "$bad" | od -An -tu1 | tr -d ' ')"
+    # shellcheck disable=SC2059 # the octal escape is the format
+    printf "$(printf '\\%03o' $((last ^ 0x10)))" |
+        dd of="$bad" bs=1 seek=$((size - 1)) conv=notrunc status=none
+    rc=0
+    bad_out="$(target/release/flowdiff-bench watch "$bundle" "$demo_dir/current.fcap" \
+        --resume "$bad" 2>"$bad.err")" || rc=$?
+    bad_epochs="$(printf '%s\n' "$bad_out" | grep -c '^epoch ' || true)"
+    if [ "$rc" -ne 2 ] || ! grep -q 'CRC mismatch' "$bad.err" || [ "$bad_epochs" -ne 0 ]; then
+        echo "FAIL: corrupt checkpoint (shards=$shards) exited $rc with $bad_epochs epoch lines," \
+            "want exit 2, 'CRC mismatch' and 0 epoch lines" >&2
+        cat "$bad.err" >&2
+        exit 1
+    fi
+    echo "shards=$shards: corrupt checkpoint refused: $(cat "$bad.err")"
 done
 
 step "flowdiff-bench serve/publish smoke test (live TCP ingest, epoch lines identical to watch)"
@@ -244,14 +265,22 @@ fi
 step "one copy of the baseline"
 # A differ shares the caller's baseline and a checkpoint names it by
 # content hash (DESIGN.md, Crash-safe diagnosis): no differ hands out a
-# copy to compare, and the warm-up after a lossy restore is the window,
-# not a knob of its own.
+# copy to compare, and no restore warm-up knob comes back.
 if grep -rn 'fn baseline(' crates/core/src; then
     echo "FAIL: a baseline() accessor is back under crates/core/src" >&2
     exit 1
 fi
 if grep -rn 'restore_warmup_us' crates/; then
     echo "FAIL: restore_warmup_us is back under crates/" >&2
+    exit 1
+fi
+
+step "one checkpoint format, one corruption policy"
+# Both shapes write one sealed FDIFFCKP payload, and a corrupt byte
+# anywhere is a refusal (DESIGN.md, Rejected: per-shard segment
+# salvage): no segment layout, no salvaging load, no warm-up gate.
+if grep -rnE 'FDIFFSEG|ShardedCheckpoint|salvag|Warming|CHECKPOINT_SINGLE' crates/; then
+    echo "FAIL: a second checkpoint layout or recovery policy is back under crates/" >&2
     exit 1
 fi
 

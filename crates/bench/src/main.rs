@@ -175,11 +175,11 @@ impl<'a> Flags<'a> {
 
     /// A comma-separated address list.
     fn ips(&mut self, flag: &str) -> EngineResult<Vec<Ipv4Addr>> {
-        let mut ips = Vec::new();
-        for ip in self.value(flag)?.split(',') {
-            ips.push(ip.trim().parse()?);
-        }
-        Ok(ips)
+        let value = self.value(flag)?;
+        (value.split(','))
+            .map(|ip| ip.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("{flag} {value}: {e}").into())
     }
 }
 
@@ -768,6 +768,13 @@ mod tests {
         // The largest value that fits still parses.
         let opts = OnlineOpts::parse(&args("--slack-ms", ms - 1), true).unwrap();
         assert_eq!(opts.config.reorder_slack_us, (ms - 1) * 1_000);
+        // An address list names the flag and the value too.
+        let special = ["--special", "10.0.0.1,10.0.0"].map(String::from);
+        let err = OnlineOpts::parse(&special, false).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "--special 10.0.0.1,10.0.0: invalid IPv4 address syntax"
+        );
     }
 
     /// Writes a small tree capture to the temp dir; returns its path.

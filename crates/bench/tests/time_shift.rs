@@ -10,11 +10,17 @@
 //! one's moved back by Δ *as far as zero allows*.
 //!
 //! A checkpoint carries the shifted clock too: `watch --resume` picks a
-//! shifted run up where it left off, at every Δ.
+//! shifted run up where it left off, at every Δ. And the same holds for
+//! the capture served over loopback sockets, as `serve` gets it.
+
+// Each test binary uses its own share of the helpers.
+#[allow(dead_code)]
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use common::serve_loopback;
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 use openflow::types::Timestamp;
@@ -77,26 +83,39 @@ fn shifts_that_differ<T>(
         .collect()
 }
 
+/// One epoch snapshot as a [`Line`] in microseconds.
+fn line(snapshot: &EpochSnapshot) -> Line<u64> {
+    let diff = &snapshot.diff;
+    let changes = diff
+        .group_diffs
+        .iter()
+        .map(|g| g.changes.len())
+        .sum::<usize>()
+        + diff.infra.len()
+        + diff.new_groups.len()
+        + diff.missing_groups.len();
+    let (start, end) = snapshot.window;
+    let window = (start.as_micros(), end.as_micros());
+    (snapshot.epoch, window, snapshot.records, changes)
+}
+
+/// `line` is `want` with its window moved by Δ, as far as the zero
+/// clamp allows.
+fn moved_back(
+    &(epoch, (start, end), flows, changes): &Line<u64>,
+    want: &Line<u64>,
+    delta_us: u64,
+) -> bool {
+    let window = (start.saturating_sub(delta_us), end - delta_us);
+    (epoch, window, flows, changes) == *want
+}
+
 #[test]
 fn online_differ_is_invariant_under_a_clock_shift() {
     let config = watch_config();
     let (baseline, current) = captures();
     let reference = BehaviorModel::build(&baseline, &config);
     let stability = analyze(&baseline, &reference, &config);
-    let line = |snapshot: &EpochSnapshot| -> Line<u64> {
-        let diff = &snapshot.diff;
-        let changes = diff
-            .group_diffs
-            .iter()
-            .map(|g| g.changes.len())
-            .sum::<usize>()
-            + diff.infra.len()
-            + diff.new_groups.len()
-            + diff.missing_groups.len();
-        let (start, end) = snapshot.window;
-        let window = (start.as_micros(), end.as_micros());
-        (snapshot.epoch, window, snapshot.records, changes)
-    };
     let run = |delta_us: u64| {
         let mut differ = OnlineDiffer::new(reference.clone(), stability.clone(), &config);
         let mut lines = Vec::new();
@@ -107,12 +126,30 @@ fn online_differ_is_invariant_under_a_clock_shift() {
         lines.extend(differ.finish().as_ref().map(line));
         (lines, jumps)
     };
-    let matches =
-        |&(epoch, (start, end), flows, changes): &Line<u64>, want: &Line<u64>, delta_us| {
-            let window = (start.saturating_sub(delta_us), end - delta_us);
-            (epoch, window, flows, changes) == *want
-        };
-    assert_eq!(shifts_that_differ(run, matches), Vec::<u64>::new());
+    assert_eq!(shifts_that_differ(run, moved_back), Vec::<u64>::new());
+}
+
+#[test]
+fn serve_is_invariant_under_a_clock_shift() {
+    // The shifted capture dealt to two loopback publishers and merged
+    // back, through the supervised engine `serve` runs.
+    let config = watch_config();
+    let (baseline, current) = captures();
+    let reference = BehaviorModel::build(&baseline, &config);
+    let stability = analyze(&baseline, &reference, &config);
+    let session = |i: usize, _: &ControllerLog| SessionOptions {
+        session: i as u64,
+        ..SessionOptions::default()
+    };
+    let run = |delta_us: u64| {
+        let judge = (&reference, &stability, &config);
+        let log = shifted(&current, delta_us);
+        let served = serve_loopback(&log, 2, 64, LiveOptions::default(), session, judge);
+        let snapshot = |bytes: &Vec<u8>| serde::from_slice(bytes).expect("snapshot bytes");
+        let lines = served.snaps.iter().map(|b| line(&snapshot(b))).collect();
+        (lines, served.health.time_jumps)
+    };
+    assert_eq!(shifts_that_differ(run, moved_back), Vec::<u64>::new());
 }
 
 /// Parses `watch`'s `epoch ` lines and the time-jump count of its

@@ -11,21 +11,28 @@
 //!   silently-wrong state,
 //! * an **atomic write** helper (tmp + fsync + rename) so a crash
 //!   mid-write can never leave a torn file at the destination path,
-//! * [`Checkpoint`]: the complete [`OnlineDiffer`] streaming state plus
-//!   the number of input events consumed, and the two inputs it ran
-//!   against named rather than carried — a fingerprint of the
-//!   [`FlowDiffConfig`] and the [`BaselineBundle::identity`] of the
-//!   baseline. Both come back from the caller at resume, and a
-//!   different one is a typed error, not silent corruption,
+//! * [`Checkpoint`]: the complete streaming state of an online differ
+//!   in either deployment shape plus the number of input events
+//!   consumed, and the two inputs it ran against named rather than
+//!   carried — a fingerprint of the [`FlowDiffConfig`] and the
+//!   [`BaselineBundle::identity`] of the baseline. Both come back from
+//!   the caller at resume, and a different one is a typed error, not
+//!   silent corruption,
 //! * [`BaselineBundle`]: a precomputed baseline model + stability
 //!   report, so watchers can skip the baseline build on restart.
 //!
-//! [`Checkpoint`] and [`ShardedCheckpoint`] are the two byte layouts;
-//! the running system writes and reads them only through
-//! [`Differ::checkpoint`](crate::engine::Differ::checkpoint) and
-//! [`Differ::restore`](crate::engine::Differ::restore). A decoded
-//! checkpoint is streaming state without a baseline: it becomes a
-//! running differ only when `resume` installs the caller's.
+//! [`Checkpoint`] is the one byte layout, FDIFFCKP [`CHECKPOINT_VERSION`],
+//! for both shapes: a shape tag says which differ its state decodes
+//! into. The running system writes and reads it only through
+//! [`Differ::checkpoint`] and [`Differ::restore`]. A decoded checkpoint
+//! is streaming state without a baseline: it becomes a running differ
+//! only when `resume` installs the caller's.
+//!
+//! One corruption policy: the CRC covers every payload byte, whatever
+//! the shape, so a flipped bit anywhere refuses the whole file as a
+//! typed [`PersistError`]. No part of a damaged file is kept — a differ
+//! missing part of its state could only hold its verdicts back until
+//! that state had aged out of the window.
 //!
 //! The recovery contract: kill the process at any epoch, restore the
 //! last checkpoint, replay the input from the checkpoint's event
@@ -43,30 +50,23 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
-use crate::diff::{OnlineDiffer, ShardState, ShardedDiffer};
+use crate::diff::{OnlineDiffer, ShardedDiffer};
+use crate::engine::Differ;
 use crate::model::BehaviorModel;
 use crate::stability::StabilityReport;
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
-/// Current checkpoint format version: the sharded layout (a shared
-/// core plus independently-guarded per-shard segments).
-pub const CHECKPOINT_VERSION: u32 = 8;
-/// The single-pipeline checkpoint layout [`Checkpoint`] writes and
-/// reads; [`Differ::restore`](crate::engine::Differ::restore)
-/// dispatches on the stamped version, so a run resumes whatever shape
-/// its previous incarnation wrote. Every older version is refused,
-/// never decoded: 1 (single) and 2 (sharded) are the layouts from
-/// before the [`Sequencer`](crate::records::Sequencer) took the arrival
-/// state out of the assemblers, 3 and 4 those from before its time-jump
-/// check was anchored on the first admitted event, 5 and 6 those that
-/// carried a copy of the baseline and a sequencer that never
-/// re-anchored after a clock step.
-pub const CHECKPOINT_SINGLE: u32 = 7;
-/// Magic prefix of one shard's segment inside a segmented checkpoint.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
-/// Current per-shard segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// The checkpoint format version, and the only one this build reads.
+/// Every other version is refused, never decoded: 1 (single) and 2
+/// (sharded) are the layouts from before the
+/// [`Sequencer`](crate::records::Sequencer) took the arrival state out
+/// of the assemblers, 3 and 4 those from before its time-jump check was
+/// anchored on the first admitted event, 5 and 6 those that carried a
+/// copy of the baseline and a sequencer that never re-anchored after a
+/// clock step, 7 and 8 the single and per-shard-segmented layouts of
+/// before one format served both shapes.
+pub const CHECKPOINT_VERSION: u32 = 9;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -83,9 +83,10 @@ pub enum PersistError {
         /// The first bytes actually found (zero-padded when shorter).
         found: [u8; 8],
     },
-    /// The magic matched but the version is one this build cannot read.
+    /// The magic matched but the version is not the one this build
+    /// reads.
     UnsupportedVersion {
-        /// The newest version this build understands.
+        /// The version this build reads.
         supported: u32,
         /// The version stamped in the file.
         found: u32,
@@ -124,16 +125,6 @@ pub enum PersistError {
         /// Identity of the baseline offered at resume.
         offered: u64,
     },
-    /// One shard's segment inside a sharded checkpoint was corrupt —
-    /// named so operators know exactly which worker's state is at
-    /// stake. Strict loads surface this; salvaging loads replace the
-    /// segment with a fresh shard instead.
-    ShardSegment {
-        /// The shard whose segment failed validation.
-        shard: usize,
-        /// What was wrong with the segment.
-        error: Box<PersistError>,
-    },
     /// Filesystem-level failure while reading or writing.
     Io(std::io::Error),
 }
@@ -149,7 +140,7 @@ impl fmt::Display for PersistError {
             ),
             PersistError::UnsupportedVersion { supported, found } => write!(
                 f,
-                "unsupported format version {found} (this build reads up to {supported})"
+                "unsupported format version {found} (this build reads version {supported})"
             ),
             PersistError::Truncated { expected, found } => write!(
                 f,
@@ -170,9 +161,6 @@ impl fmt::Display for PersistError {
                 "checkpoint was written against a different baseline: identity {stored:#018x}, \
                  resume offered {offered:#018x}"
             ),
-            PersistError::ShardSegment { shard, error } => {
-                write!(f, "shard {shard} segment: {error}")
-            }
             PersistError::Io(e) => write!(f, "i/o: {e}"),
         }
     }
@@ -233,48 +221,16 @@ pub fn seal(magic: [u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The fixed 24-byte header every guarded container starts with, and
-/// whatever follows it.
-pub(crate) struct Header<'a> {
-    /// The stamped format version (not yet judged readable).
-    pub(crate) version: u32,
-    /// Bytes the CRC-guarded region is promised to hold.
-    len: usize,
-    /// Stored CRC-32 of that region.
-    crc: u32,
-    /// Everything after the header.
-    body: &'a [u8],
-}
-
-impl<'a> Header<'a> {
-    /// The first `len` bytes of the body, CRC-checked, and what trails
-    /// them.
-    fn guarded(&self) -> Result<(&'a [u8], &'a [u8]), PersistError> {
-        if self.body.len() < self.len {
-            return Err(PersistError::Truncated {
-                expected: self.len,
-                found: self.body.len(),
-            });
-        }
-        let (guarded, tail) = self.body.split_at(self.len);
-        let computed = crc32(guarded);
-        if computed != self.crc {
-            return Err(PersistError::CrcMismatch {
-                stored: self.crc,
-                computed,
-            });
-        }
-        Ok((guarded, tail))
-    }
-}
-
-/// Reads a guarded container's header: the magic must match and all 24
-/// header bytes must be present. Nothing past the header is judged.
+/// Validates a guarded container and returns its payload: the magic
+/// must match, the version must be exactly `version`, the length must
+/// be exactly what remains, and the CRC must agree.
 ///
 /// # Errors
 ///
-/// [`PersistError::BadMagic`] or [`PersistError::Truncated`].
-pub(crate) fn read_header(magic: [u8; 8], bytes: &[u8]) -> Result<Header<'_>, PersistError> {
+/// [`PersistError::BadMagic`], [`UnsupportedVersion`](PersistError::UnsupportedVersion),
+/// [`Truncated`](PersistError::Truncated) (also for trailing garbage),
+/// or [`CrcMismatch`](PersistError::CrcMismatch).
+pub fn unseal(magic: [u8; 8], version: u32, bytes: &[u8]) -> Result<&[u8], PersistError> {
     if bytes.len() < 8 || bytes[..8] != magic {
         let mut found = [0u8; 8];
         let n = bytes.len().min(8);
@@ -290,38 +246,27 @@ pub(crate) fn read_header(magic: [u8; 8], bytes: &[u8]) -> Result<Header<'_>, Pe
             found: bytes.len(),
         });
     }
-    Ok(Header {
-        version: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-        len: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize,
-        crc: u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")),
-        body: &bytes[24..],
-    })
-}
-
-/// Validates a guarded container and returns its payload: the magic
-/// must match, the version must be readable (`<= supported`), the
-/// length must be exactly what remains, and the CRC must agree.
-///
-/// # Errors
-///
-/// [`PersistError::BadMagic`], [`UnsupportedVersion`](PersistError::UnsupportedVersion),
-/// [`Truncated`](PersistError::Truncated) (also for trailing garbage),
-/// or [`CrcMismatch`](PersistError::CrcMismatch).
-pub fn unseal(magic: [u8; 8], supported: u32, bytes: &[u8]) -> Result<&[u8], PersistError> {
-    let header = read_header(magic, bytes)?;
-    if header.version == 0 || header.version > supported {
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if found != version {
         return Err(PersistError::UnsupportedVersion {
-            supported,
-            found: header.version,
+            supported: version,
+            found,
         });
     }
-    if header.body.len() > header.len {
+    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
+    let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
+    let payload = &bytes[24..];
+    if payload.len() != len {
         return Err(PersistError::Truncated {
-            expected: header.len,
-            found: header.body.len(),
+            expected: len,
+            found: payload.len(),
         });
     }
-    Ok(header.guarded()?.0)
+    let computed = crc32(payload);
+    if computed != stored {
+        return Err(PersistError::CrcMismatch { stored, computed });
+    }
+    Ok(payload)
 }
 
 /// Writes `bytes` to `path` atomically: the content lands in a sibling
@@ -376,8 +321,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// how to restart, how the sockets queue and stall — shape no
 /// differ state and read as their defaults here: resuming under a
 /// different `--checkpoint-every` or `--stall-ms` is not a mismatch.
-/// Every other field, present and future, is covered — the window
-/// among them, which is also how long a lossy restore warms up.
+/// Every other field, present and future, is covered — the epoch and
+/// the window among them, which lay out the grid a checkpoint resumes.
 /// A checkpoint stores this fingerprint and not the config: a resumed
 /// differ judges under the caller's config, which the fingerprint
 /// proves equal on every field a verdict reads.
@@ -394,38 +339,22 @@ pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
     }))
 }
 
-/// Refuses a checkpoint written under another config or against another
-/// baseline than the ones offered at resume: state built under other
-/// thresholds, or judged against another baseline, would diff apples
-/// against oranges without any visible symptom. Returns the offered
-/// baseline's identity, for the restored differ to keep.
-fn check_inputs(
-    (config_stored, baseline_stored): (u64, u64),
-    config: &FlowDiffConfig,
-    baseline: &BaselineBundle,
-) -> Result<u64, PersistError> {
-    let offered = config_fingerprint(config);
-    if offered != config_stored {
-        return Err(PersistError::ConfigMismatch {
-            stored: config_stored,
-            offered,
-        });
-    }
-    let offered = baseline.identity();
-    if offered != baseline_stored {
-        return Err(PersistError::BaselineMismatch {
-            stored: baseline_stored,
-            offered,
-        });
-    }
-    Ok(offered)
+/// Which differ a [`Checkpoint`]'s state decodes into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) enum Shape {
+    /// One [`OnlineDiffer`].
+    Single,
+    /// A [`ShardedDiffer`] over this many shard workers, one included.
+    Sharded(usize),
 }
 
-/// The complete durable state of one online diagnosis run: the
-/// [`OnlineDiffer`]'s streaming state (sequencer, assembler,
-/// incremental builder, epoch grid, warm-up state), how many input
-/// events it has consumed, and the two inputs it runs against by name —
-/// the config by fingerprint and the baseline by identity.
+/// The complete durable state of one online diagnosis run, in either
+/// deployment shape: the differ's streaming state (for the single
+/// pipeline its sequencer, assembler, incremental builder and epoch
+/// grid; for the sharded one its router, epoch grid and every shard's
+/// worker state), how many input events it has consumed, and the two
+/// inputs it runs against by name — the config by fingerprint and the
+/// baseline by identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
@@ -437,6 +366,8 @@ pub struct Checkpoint {
     /// replay offset: feed events `[events_consumed..]` to the
     /// restored differ to catch up losslessly.
     pub events_consumed: u64,
+    /// The shape `state` was written from.
+    shape: Shape,
     /// The differ's streaming state without its baseline, decoded by
     /// [`Checkpoint::resume`] once the baseline is back.
     state: Vec<u8>,
@@ -450,247 +381,88 @@ impl Checkpoint {
             config_fingerprint: config_fingerprint(config),
             baseline_id: differ.baseline_id(),
             events_consumed,
+            shape: Shape::Single,
             state: differ.state_to_bytes(),
         }
     }
 
-    /// Serializes into the guarded container (format version
-    /// [`CHECKPOINT_SINGLE`], the single-pipeline layout).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        seal(CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, &serde::to_vec(self))
+    /// [`Checkpoint::capture`] of a sharded differ. The capture quiesces
+    /// the worker pool first — every buffered step is drained through
+    /// the channels before any shard is written — so the state is
+    /// exactly the stop-the-world state (a restored differ respawns its
+    /// own pool lazily).
+    pub fn capture_sharded(
+        differ: &ShardedDiffer,
+        events_consumed: u64,
+        config: &FlowDiffConfig,
+    ) -> Self {
+        Checkpoint {
+            config_fingerprint: config_fingerprint(config),
+            baseline_id: differ.baseline_id(),
+            events_consumed,
+            shape: Shape::Sharded(differ.n_shards()),
+            state: differ.state_to_bytes(),
+        }
     }
 
-    /// Parses a guarded container produced by [`Checkpoint::to_bytes`].
-    /// Only reads the single-pipeline layout;
-    /// [`Differ::restore`](crate::engine::Differ::restore) reads either.
+    /// Serializes into the guarded container, format version
+    /// [`CHECKPOINT_VERSION`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &serde::to_vec(self))
+    }
+
+    /// Parses a guarded container produced by [`Checkpoint::to_bytes`],
+    /// in either shape.
     ///
     /// # Errors
     ///
-    /// Every container-level [`PersistError`] plus
-    /// [`PersistError::Decode`] for a payload that fails to parse.
+    /// Every container-level [`PersistError`] — any version but
+    /// [`CHECKPOINT_VERSION`] is [`PersistError::UnsupportedVersion`],
+    /// never decoded — plus [`PersistError::Decode`] for a payload that
+    /// fails to parse.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
-        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, bytes)?;
+        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
         Ok(serde::from_slice(payload)?)
     }
 
     /// Installs `baseline` into the checkpointed state: a running differ
-    /// and its replay offset, judging under `config`. Both must be the
-    /// ones the checkpoint was written with.
+    /// in the shape it was written from and its replay offset, judging
+    /// under `config`. Both must be the ones the checkpoint was written
+    /// with.
     ///
     /// # Errors
     ///
-    /// [`PersistError::ConfigMismatch`] or
-    /// [`PersistError::BaselineMismatch`] when a stored name disagrees
-    /// with what is offered, [`PersistError::Decode`] for a state that
-    /// fails to parse.
+    /// [`PersistError::ConfigMismatch`] when `config` is not the one the
+    /// checkpoint was written under, [`PersistError::BaselineMismatch`]
+    /// when `baseline` is not the one it was written against, and
+    /// [`PersistError::Decode`] for a state that fails to parse or does
+    /// not fit its shape.
     pub fn resume(
         self,
         baseline: &Arc<BaselineBundle>,
         config: &FlowDiffConfig,
-    ) -> Result<(OnlineDiffer, u64), PersistError> {
-        let stored = (self.config_fingerprint, self.baseline_id);
-        let id = check_inputs(stored, config, baseline)?;
-        let differ = OnlineDiffer::from_state(&self.state, Arc::clone(baseline), id, config)?;
-        Ok((differ, self.events_consumed))
-    }
-}
-
-/// The CRC-guarded index section of a segmented checkpoint: run
-/// identity, the differ's shared core bytes, and the byte length of
-/// every shard segment that follows. Segment framing lives here — in
-/// CRC-protected territory — so corruption *inside* one segment can
-/// never desynchronize the walk over the others.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardedManifest {
-    config_fingerprint: u64,
-    baseline_id: u64,
-    events_consumed: u64,
-    core: Vec<u8>,
-    segment_lens: Vec<u64>,
-}
-
-/// The durable state of a sharded online diagnosis run, persisted as
-/// FDIFFCKP [`CHECKPOINT_VERSION`]: the guarded header's CRC covers a manifest
-/// (run identity + the [`ShardedDiffer`]'s shared core + segment
-/// framing), and each shard's worker state follows as its *own* sealed
-/// [`SEGMENT_MAGIC`] container with an independent CRC. Like
-/// [`Checkpoint`], it names its config and baseline instead of
-/// carrying them, and [`ShardedCheckpoint::resume`] takes both from the
-/// caller.
-///
-/// The layout exists for blast-radius control: a bit flip in one
-/// shard's segment fails *that segment's* CRC only. A strict load
-/// ([`ShardedCheckpoint::from_bytes`]) names the shard in
-/// [`PersistError::ShardSegment`]; a salvaging load
-/// ([`ShardedCheckpoint::from_bytes_salvaging`]) reports the corrupt
-/// shards in `salvaged_shards`, and [`ShardedCheckpoint::resume`]
-/// replaces them with fresh workers and holds every verdict back for
-/// one window (see [`SignatureHealth::Warming`](crate::diff::SignatureHealth::Warming))
-/// — the other N-1 workers resume with full state instead of the whole
-/// fleet rebuilding cold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedCheckpoint {
-    /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
-    pub config_fingerprint: u64,
-    /// [`BaselineBundle::identity`] of the baseline the differ judges
-    /// against.
-    pub baseline_id: u64,
-    /// Input events consumed when the checkpoint was taken — the
-    /// replay offset.
-    pub events_consumed: u64,
-    /// The differ's shared core without its baseline.
-    core: Vec<u8>,
-    /// Each shard's worker state; `None` for a salvaged segment.
-    shards: Vec<Option<ShardState>>,
-    /// Shards whose segments were corrupt and come back as fresh
-    /// workers. Empty for strict loads and for clean salvaging loads.
-    pub salvaged_shards: Vec<usize>,
-}
-
-impl ShardedCheckpoint {
-    /// Captures the differ's current state (copied; the live differ
-    /// keeps running) with the given replay offset. The copy quiesces
-    /// the persistent worker pool first — every buffered step is
-    /// drained through the channels before any shard is copied — so
-    /// the captured segments are exactly the stop-the-world states (a
-    /// restored differ respawns its own pool lazily).
-    pub fn capture(differ: &ShardedDiffer, events_consumed: u64, config: &FlowDiffConfig) -> Self {
-        ShardedCheckpoint {
-            config_fingerprint: config_fingerprint(config),
-            baseline_id: differ.baseline_id(),
-            events_consumed,
-            core: differ.core_to_bytes(),
-            shards: differ.shard_states().into_iter().map(Some).collect(),
-            salvaged_shards: Vec::new(),
-        }
-    }
-
-    /// Serializes into the segmented layout: guarded manifest, then one
-    /// sealed segment per shard. A salvaged shard is written as an empty
-    /// segment, which every later load salvages again.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let segments: Vec<Vec<u8>> = (self.shards.iter())
-            .map(|shard| {
-                let payload = shard.as_ref().map_or_else(Vec::new, serde::to_vec);
-                seal(SEGMENT_MAGIC, SEGMENT_VERSION, &payload)
-            })
-            .collect();
-        let manifest = serde::to_vec(&ShardedManifest {
-            config_fingerprint: self.config_fingerprint,
-            baseline_id: self.baseline_id,
-            events_consumed: self.events_consumed,
-            core: self.core.clone(),
-            segment_lens: segments.iter().map(|s| s.len() as u64).collect(),
-        });
-        let mut out = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &manifest);
-        for segment in &segments {
-            out.extend_from_slice(segment);
-        }
-        out
-    }
-
-    /// Strict parse of a segmented checkpoint: any corrupt segment is a typed
-    /// [`PersistError::ShardSegment`] naming the shard.
-    ///
-    /// # Errors
-    ///
-    /// Every container-level [`PersistError`],
-    /// [`PersistError::Decode`], or
-    /// [`PersistError::ShardSegment`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardedCheckpoint, PersistError> {
-        Self::parse(bytes, false)
-    }
-
-    /// Salvaging parse of a segmented checkpoint: a corrupt segment is
-    /// recorded in `salvaged_shards`, for [`ShardedCheckpoint::resume`]
-    /// to replace with a fresh worker under warm-up gating.
-    /// Manifest-level corruption is still fatal — with the core gone
-    /// there is nothing to salvage around.
-    ///
-    /// # Errors
-    ///
-    /// Container-level and manifest-level [`PersistError`]s only;
-    /// segment corruption is absorbed.
-    pub fn from_bytes_salvaging(bytes: &[u8]) -> Result<ShardedCheckpoint, PersistError> {
-        Self::parse(bytes, true)
-    }
-
-    fn parse(bytes: &[u8], salvage: bool) -> Result<ShardedCheckpoint, PersistError> {
-        // The header is seal()'s layout, but the CRC-guarded region is
-        // the manifest alone — segments trail it, each self-guarded.
-        let header = read_header(CHECKPOINT_MAGIC, bytes)?;
-        if header.version != CHECKPOINT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found: header.version,
+    ) -> Result<(Differ, u64), PersistError> {
+        let offered = config_fingerprint(config);
+        if offered != self.config_fingerprint {
+            return Err(PersistError::ConfigMismatch {
+                stored: self.config_fingerprint,
+                offered,
             });
         }
-        let (manifest_bytes, mut segments_bytes) = header.guarded()?;
-        let manifest: ShardedManifest = serde::from_slice(manifest_bytes)?;
-        let expected_tail: u64 = manifest.segment_lens.iter().sum();
-        if segments_bytes.len() as u64 != expected_tail {
-            return Err(PersistError::Truncated {
-                expected: expected_tail as usize,
-                found: segments_bytes.len(),
+        let id = baseline.identity();
+        if id != self.baseline_id {
+            return Err(PersistError::BaselineMismatch {
+                stored: self.baseline_id,
+                offered: id,
             });
         }
-        let mut shards: Vec<Option<ShardState>> = Vec::with_capacity(manifest.segment_lens.len());
-        let mut salvaged = Vec::new();
-        for (shard, len) in manifest.segment_lens.iter().enumerate() {
-            let (segment, tail) = segments_bytes.split_at(*len as usize);
-            segments_bytes = tail;
-            let state = unseal(SEGMENT_MAGIC, SEGMENT_VERSION, segment)
-                .and_then(|payload| Ok(serde::from_slice::<ShardState>(payload)?));
-            match state {
-                Ok(state) => shards.push(Some(state)),
-                Err(_) if salvage => {
-                    shards.push(None);
-                    salvaged.push(shard);
-                }
-                Err(error) => {
-                    return Err(PersistError::ShardSegment {
-                        shard,
-                        error: Box::new(error),
-                    });
-                }
+        let (state, baseline) = (&self.state, Arc::clone(baseline));
+        let differ = match self.shape {
+            Shape::Single => Differ::Single(OnlineDiffer::from_state(state, baseline, id, config)?),
+            Shape::Sharded(n) => {
+                Differ::Sharded(ShardedDiffer::from_state(state, n, baseline, id, config)?)
             }
-        }
-        Ok(ShardedCheckpoint {
-            config_fingerprint: manifest.config_fingerprint,
-            baseline_id: manifest.baseline_id,
-            events_consumed: manifest.events_consumed,
-            core: manifest.core,
-            shards,
-            salvaged_shards: salvaged,
-        })
-    }
-
-    /// Installs `baseline` into the checkpointed state: a running differ
-    /// and its replay offset, judging under `config` — the
-    /// [`Checkpoint::resume`] contract. A salvaged shard comes back as a
-    /// fresh worker, and the differ then holds every verdict back for
-    /// one window of log time.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::ConfigMismatch`] or
-    /// [`PersistError::BaselineMismatch`] when a stored name disagrees
-    /// with what is offered, [`PersistError::Decode`] for a core that
-    /// fails to parse or does not fit the segments.
-    pub fn resume(
-        self,
-        baseline: &Arc<BaselineBundle>,
-        config: &FlowDiffConfig,
-    ) -> Result<(ShardedDiffer, u64), PersistError> {
-        let stored = (self.config_fingerprint, self.baseline_id);
-        let id = check_inputs(stored, config, baseline)?;
-        let differ = ShardedDiffer::from_core_and_shards(
-            &self.core,
-            self.shards,
-            Arc::clone(baseline),
-            id,
-            config,
-        )?;
+        };
         Ok((differ, self.events_consumed))
     }
 }
@@ -749,7 +521,6 @@ impl BaselineBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Differ;
     use crate::stability::StabilityReport;
     use netsim::config::SimConfig;
     use netsim::engine::Simulation;
@@ -798,6 +569,17 @@ mod tests {
 
     fn small_sharded_differ(config: &FlowDiffConfig, n_shards: usize) -> ShardedDiffer {
         ShardedDiffer::try_new(empty_baseline(config), config, n_shards).unwrap()
+    }
+
+    /// Checkpoint bytes of a fresh differ in each shape: single, and
+    /// sharded over one and over three workers.
+    fn every_shape(config: &FlowDiffConfig) -> [Vec<u8>; 3] {
+        let sharded = |n| Checkpoint::capture_sharded(&small_sharded_differ(config, n), 0, config);
+        [
+            Checkpoint::capture(&small_differ(config), 0, config).to_bytes(),
+            sharded(1).to_bytes(),
+            sharded(3).to_bytes(),
+        ]
     }
 
     #[test]
@@ -921,8 +703,7 @@ mod tests {
         let config = FlowDiffConfig::default();
         let bytes = Checkpoint::capture(&small_differ(&config), 4, &config).to_bytes();
         let baseline = empty_baseline(&config);
-        let resumes =
-            |c: &FlowDiffConfig| Differ::restore(&bytes, &baseline, c).map(|r| r.events_consumed);
+        let resumes = |c: &FlowDiffConfig| Differ::restore(&bytes, &baseline, c).map(|(_, at)| at);
         // Knobs that shape differ state are still refused ...
         for changed in [
             FlowDiffConfig {
@@ -985,7 +766,7 @@ mod tests {
         let baseline = empty_baseline(&config);
         let (resumed, offset) = back.resume(&baseline, &config).unwrap();
         assert_eq!(offset, 17);
-        assert_eq!(resumed, differ);
+        assert_eq!(resumed, Differ::Single(differ));
 
         let other = FlowDiffConfig {
             fs_rel_change: 0.75,
@@ -1007,7 +788,7 @@ mod tests {
         let loaded = Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded.events_consumed, 3);
         let (resumed, _) = loaded.resume(&empty_baseline(&config), &config).unwrap();
-        assert_eq!(resumed, differ);
+        assert_eq!(resumed, Differ::Single(differ));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1029,21 +810,15 @@ mod tests {
 
     #[test]
     fn v1_checkpoints_stay_readable_through_any_checkpoint() {
-        // Whatever layout a checkpoint is in, `Differ::restore` reads it.
+        // Both shapes write the one format, and `Differ::restore` brings
+        // back the shape that wrote it.
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let bytes = Checkpoint::capture(&differ, 11, &config).to_bytes();
-        assert_eq!(
-            read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
-            CHECKPOINT_SINGLE
-        );
-        let restored = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
-        assert_eq!(restored.events_consumed, 11);
-        assert!(restored.salvaged_shards.is_empty());
-        match restored.differ {
-            Differ::Single(resumed) => assert_eq!(resumed, differ),
-            Differ::Sharded(_) => panic!("single-layout bytes must restore the single pipeline"),
-        }
+        assert_eq!(bytes[8..12], CHECKPOINT_VERSION.to_le_bytes());
+        let (restored, at) = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
+        assert_eq!(at, 11);
+        assert_eq!(restored, Differ::Single(differ));
     }
 
     #[test]
@@ -1051,20 +826,40 @@ mod tests {
         // Versions 1 and 2 put the arrival state inside the assemblers;
         // 3 and 4 hold a sequencer whose jump reference starts at zero;
         // 5 and 6 carry a copy of the baseline and a sequencer without
-        // a refused timestamp to re-anchor on. The CRC guards the
-        // payload only, so a re-stamped current file is exactly what
-        // such a file looks like to the header check.
+        // a refused timestamp to re-anchor on; 7 and 8 are the single
+        // and per-shard-segmented layouts. A re-stamped current file in
+        // either shape is exactly what such a file looks like to the
+        // header check, and neither entry point may decode it.
         let config = FlowDiffConfig::default();
-        let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
-        let sharded =
-            ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
         let baseline = empty_baseline(&config);
-        for old in 1..CHECKPOINT_SINGLE {
-            let mut bytes = if old % 2 == 1 { &single } else { &sharded }.clone();
-            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        for current in every_shape(&config) {
+            for old in 1..CHECKPOINT_VERSION {
+                let mut bytes = current.clone();
+                bytes[8..12].copy_from_slice(&old.to_le_bytes());
+                assert!(matches!(
+                    Checkpoint::from_bytes(&bytes),
+                    Err(PersistError::UnsupportedVersion { found, .. }) if found == old
+                ));
+                assert!(matches!(
+                    Differ::restore(&bytes, &baseline, &config),
+                    Err(PersistError::UnsupportedVersion { found, .. }) if found == old
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_checkpoints_are_refused_alike_in_every_shape() {
+        // One CRC over every payload byte: a flip in the last shard's
+        // state fails the whole file, exactly as in the single shape.
+        let config = FlowDiffConfig::default();
+        let baseline = empty_baseline(&config);
+        for mut bytes in every_shape(&config) {
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x10;
             assert!(matches!(
                 Differ::restore(&bytes, &baseline, &config),
-                Err(PersistError::UnsupportedVersion { found, .. }) if found == old
+                Err(PersistError::CrcMismatch { .. })
             ));
         }
     }
@@ -1073,24 +868,21 @@ mod tests {
     fn restore_refuses_another_baseline_in_both_layouts() {
         let config = FlowDiffConfig::default();
         let (ours, theirs) = (empty_baseline(&config), baseline_of(&flows_log(3), &config));
-        let single = Checkpoint::capture(&small_differ(&config), 0, &config).to_bytes();
-        let sharded =
-            ShardedCheckpoint::capture(&small_sharded_differ(&config, 2), 0, &config).to_bytes();
-        for bytes in [&single, &sharded] {
-            match Differ::restore(bytes, &theirs, &config) {
+        for bytes in every_shape(&config) {
+            match Differ::restore(&bytes, &theirs, &config) {
                 Err(PersistError::BaselineMismatch { stored, offered }) => {
                     assert_eq!((stored, offered), (ours.identity(), theirs.identity()));
                 }
                 other => panic!("expected BaselineMismatch, got {other:?}"),
             }
-            assert!(Differ::restore(bytes, &ours, &config).is_ok());
+            assert!(Differ::restore(&bytes, &ours, &config).is_ok());
         }
     }
 
     #[test]
     fn checkpoints_name_the_baseline_instead_of_carrying_it() {
         // The same stream judged against a small and a large baseline
-        // leaves checkpoints of equal length in both layouts.
+        // leaves checkpoints of equal length in both shapes.
         let config = FlowDiffConfig::default();
         let (small, large) = (empty_baseline(&config), baseline_of(&flows_log(8), &config));
         assert!(large.to_bytes().len() > small.to_bytes().len() + 1_000);
@@ -1105,7 +897,7 @@ mod tests {
             let n = stream.len() as u64;
             (
                 Checkpoint::capture(&single, n, &config).to_bytes().len(),
-                ShardedCheckpoint::capture(&sharded, n, &config)
+                Checkpoint::capture_sharded(&sharded, n, &config)
                     .to_bytes()
                     .len(),
             )
@@ -1133,24 +925,22 @@ mod tests {
     fn sharded_checkpoint_roundtrips_and_rejects_mismatched_config() {
         let config = FlowDiffConfig::default();
         let differ = small_sharded_differ(&config, 3);
-        let ckpt = ShardedCheckpoint::capture(&differ, 29, &config);
+        let ckpt = Checkpoint::capture_sharded(&differ, 29, &config);
+        assert_eq!(ckpt.shape, Shape::Sharded(3));
         let bytes = ckpt.to_bytes();
-        assert_eq!(
-            read_header(CHECKPOINT_MAGIC, &bytes).unwrap().version,
-            CHECKPOINT_VERSION
-        );
-        let back = ShardedCheckpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(bytes[8..12], CHECKPOINT_VERSION.to_le_bytes());
+        let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
         let baseline = empty_baseline(&config);
         let (resumed, offset) = back.resume(&baseline, &config).unwrap();
         assert_eq!(offset, 29);
-        assert_eq!(resumed, differ);
+        assert_eq!(resumed, Differ::Sharded(differ));
 
         let other = FlowDiffConfig {
             fs_rel_change: 0.75,
             ..FlowDiffConfig::default()
         };
-        let again = ShardedCheckpoint::from_bytes(&bytes).unwrap();
+        let again = Checkpoint::from_bytes(&bytes).unwrap();
         assert!(matches!(
             again.resume(&baseline, &other),
             Err(PersistError::ConfigMismatch { .. })
@@ -1162,65 +952,13 @@ mod tests {
         let config = FlowDiffConfig::default();
         let differ = small_sharded_differ(&config, 2);
         let path = tmp_path("sharded-roundtrip.ckpt");
-        let bytes = ShardedCheckpoint::capture(&differ, 5, &config).to_bytes();
+        let bytes = Checkpoint::capture_sharded(&differ, 5, &config).to_bytes();
         atomic_write(&path, &bytes).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let restored = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
-        assert_eq!(restored.events_consumed, 5);
-        match restored.differ {
-            Differ::Sharded(resumed) => assert_eq!(resumed, differ),
-            Differ::Single(_) => panic!("segmented file must restore the sharded pipeline"),
-        }
+        let (restored, at) = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
+        assert_eq!(at, 5);
+        assert_eq!(restored, Differ::Sharded(differ));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_segment_is_named_strictly_and_salvaged_leniently() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 3);
-        let mut bytes = ShardedCheckpoint::capture(&differ, 7, &config).to_bytes();
-        // Flip a byte inside the LAST shard's segment payload: the
-        // file tail is deep inside segment 2, past its own 24-byte
-        // header.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-
-        match ShardedCheckpoint::from_bytes(&bytes) {
-            Err(PersistError::ShardSegment { shard, error }) => {
-                assert_eq!(shard, 2, "the corrupt shard is named");
-                assert!(
-                    matches!(*error, PersistError::CrcMismatch { .. }),
-                    "segment CRC catches the flip: {error:?}"
-                );
-            }
-            other => panic!("strict load must fail on shard 2, got {other:?}"),
-        }
-
-        let salvaged = ShardedCheckpoint::from_bytes_salvaging(&bytes).unwrap();
-        assert_eq!(salvaged.salvaged_shards, vec![2]);
-        assert_eq!(salvaged.events_consumed, 7);
-        assert_eq!(salvaged.shards.len(), 3);
-        // The other two workers kept their state; the differ as a
-        // whole is flagged as a lossy restore (warm-up gating).
-        let (resumed, _) = salvaged.resume(&empty_baseline(&config), &config).unwrap();
-        assert_eq!(resumed.n_shards(), 3);
-        assert_ne!(
-            resumed, differ,
-            "lossy-restore warm-up distinguishes the salvaged differ"
-        );
-    }
-
-    #[test]
-    fn manifest_corruption_is_fatal_even_when_salvaging() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 2);
-        let mut bytes = ShardedCheckpoint::capture(&differ, 1, &config).to_bytes();
-        // Byte 30 sits inside the manifest (run identity + core).
-        bytes[30] ^= 0x01;
-        assert!(matches!(
-            ShardedCheckpoint::from_bytes_salvaging(&bytes),
-            Err(PersistError::CrcMismatch { .. })
-        ));
     }
 
     #[test]

@@ -413,9 +413,8 @@ mod tests {
     #[test]
     fn zero_restart_budget_and_warmup_are_valid() {
         // budget 0 = fail fast on the first panic: a deliberate operating
-        // point, not a misconfiguration. The warm-up after a lossy
-        // restore has no knob of its own: it is the window, so the
-        // shortest warm-up is the shortest valid window, one epoch.
+        // point, not a misconfiguration. No restore warms up, so the
+        // shortest valid window, one epoch, needs no knob beside it.
         let c = FlowDiffConfig {
             restart_budget: 0,
             online_window_us: 1_000_000,

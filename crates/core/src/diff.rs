@@ -200,11 +200,10 @@ pub fn compare(
 
 /// Health of one signature's input feed at an epoch boundary.
 ///
-/// A detector whose inputs are starved, or whose state was just
-/// restored with data loss, should lower its confidence rather than
-/// flood the operator with false "missing behavior" alarms. The
-/// [`OnlineDiffer`] judges every signature at each boundary and
-/// *suppresses* the diffs of non-healthy kinds: the changes are
+/// A detector whose inputs are starved should lower its confidence
+/// rather than flood the operator with false "missing behavior"
+/// alarms. The [`OnlineDiffer`] judges every signature at each boundary
+/// and *suppresses* the diffs of non-healthy kinds: the changes are
 /// stripped from the [`EpochSnapshot`] and the verdict recorded in
 /// [`EpochSnapshot::gating`] instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -218,15 +217,6 @@ pub enum SignatureHealth {
         /// What input is missing.
         reason: String,
     },
-    /// The differ was restored from a checkpoint *with data loss* (a
-    /// salvaged shard segment) less than one window
-    /// (`online_window_us`) of log time ago: the window still reaches
-    /// back before the restore, into history the lost state is
-    /// missing, so diffs are held back.
-    Warming {
-        /// Log time remaining until the warm-up ends, microseconds.
-        remaining_us: u64,
-    },
 }
 
 impl fmt::Display for SignatureHealth {
@@ -234,9 +224,6 @@ impl fmt::Display for SignatureHealth {
         match self {
             SignatureHealth::Healthy => write!(f, "healthy"),
             SignatureHealth::Starved { reason } => write!(f, "starved: {reason}"),
-            SignatureHealth::Warming { remaining_us } => {
-                write!(f, "warming: {:.1}s left", *remaining_us as f64 / 1e6)
-            }
         }
     }
 }
@@ -291,43 +278,30 @@ const RECORD_FED: [SignatureKind; 8] = [
     SignatureKind::Crt,
 ];
 
-/// Judges every signature's input feed for the window ending at `end`
+/// Judges every signature's input feed for the window `model` covers
 /// and strips the suppressed kinds' changes out of `diff`. Returns the
 /// non-healthy verdicts.
 fn gate_diff(
     reference: &BehaviorModel,
     model: &BehaviorModel,
-    warm_until: Option<Timestamp>,
-    end: Timestamp,
     degraded: Option<&str>,
     diff: &mut ModelDiff,
 ) -> Vec<(SignatureKind, SignatureHealth)> {
     let mut gating: Vec<(SignatureKind, SignatureHealth)> = Vec::new();
-    if let Some(until) = warm_until {
-        if end < until {
-            let remaining_us = until.saturating_since(end);
-            for kind in RECORD_FED.into_iter().chain([SignatureKind::Lu]) {
-                gating.push((kind, SignatureHealth::Warming { remaining_us }));
-            }
+    if let Some(reason) = degraded {
+        // The transport says a source is stalled or dead: part of the
+        // window's behavior is simply missing, so every signature's
+        // diff is suppressed rather than flooding "missing flow" alarms
+        // against a starved input.
+        for kind in RECORD_FED.into_iter().chain([SignatureKind::Lu]) {
+            gating.push((
+                kind,
+                SignatureHealth::Starved {
+                    reason: format!("ingest degraded: {reason}"),
+                },
+            ));
         }
-    }
-    if gating.is_empty() {
-        if let Some(reason) = degraded {
-            // The transport says a source is stalled or dead: part of
-            // the window's behavior is simply missing, so every
-            // signature's diff is suppressed rather than flooding
-            // "missing flow" alarms against a starved input.
-            for kind in RECORD_FED.into_iter().chain([SignatureKind::Lu]) {
-                gating.push((
-                    kind,
-                    SignatureHealth::Starved {
-                        reason: format!("ingest degraded: {reason}"),
-                    },
-                ));
-            }
-        }
-    }
-    if gating.is_empty() {
+    } else {
         if model.records.is_empty() && !reference.records.is_empty() {
             for kind in RECORD_FED {
                 gating.push((
@@ -364,13 +338,13 @@ fn gate_diff(
     gating
 }
 
-/// The part of the streaming state both differs share: what window
-/// models are judged against, and the two conditions that hold diffs
-/// back. Every boundary and flush path ends in [`Judge::snapshot`].
+/// What both differs judge a window model with: the baseline, the
+/// config, and the transport note that holds diffs back. Every boundary
+/// and flush path ends in [`Judge::snapshot`].
 ///
 /// The baseline and the config are the run's inputs, not its state:
-/// neither is in a checkpoint, which names them instead (see
-/// [`crate::checkpoint`]). Of the judge only `warm_until` is written.
+/// no checkpoint writes any part of the judge, it names the baseline
+/// and the config instead (see [`crate::checkpoint`]).
 #[derive(Debug, Clone, PartialEq)]
 struct Judge {
     /// The caller's baseline, shared, never copied.
@@ -380,9 +354,6 @@ struct Judge {
     /// it.
     baseline_id: Derived<OnceLock<u64>>,
     config: FlowDiffConfig,
-    /// Set by a lossy restore: every signature reports
-    /// [`SignatureHealth::Warming`] for boundaries before this log time.
-    warm_until: Option<Timestamp>,
     /// Transient transport-degradation note set by the serving loop
     /// (a stalled or dead publisher): while set, every signature gates
     /// [`SignatureHealth::Starved`]. A live transport condition, not
@@ -396,37 +367,21 @@ impl Judge {
             baseline,
             baseline_id: Derived::default(),
             config: config.clone(),
-            warm_until: None,
             ingest_degraded: Derived(None),
         }
     }
 
-    /// The judge a checkpoint's `warm_until` resumes, against the
-    /// baseline the restore checked to be `baseline_id`.
-    fn restored(
-        baseline: Arc<BaselineBundle>,
-        baseline_id: u64,
-        config: &FlowDiffConfig,
-        warm_until: Option<Timestamp>,
-    ) -> Judge {
+    /// The judge of a restored differ, against the baseline the restore
+    /// checked to be `baseline_id`.
+    fn restored(baseline: Arc<BaselineBundle>, baseline_id: u64, config: &FlowDiffConfig) -> Judge {
         Judge {
             baseline_id: Derived(OnceLock::from(baseline_id)),
-            warm_until,
             ..Judge::new(baseline, config)
         }
     }
 
     fn baseline_id(&self) -> u64 {
         *self.baseline_id.0.get_or_init(|| self.baseline.identity())
-    }
-
-    /// Holds every signature at [`SignatureHealth::Warming`] until one
-    /// window of log time has passed `now`: from then on no window
-    /// reaches back before the restore.
-    fn warm_from(&mut self, now: Timestamp) {
-        self.warm_until = Some(Timestamp::from_micros(
-            now.as_micros().saturating_add(self.config.online_window_us),
-        ));
     }
 
     /// Diffs `model` — the window `[start, end)`, epoch `epoch` —
@@ -445,8 +400,6 @@ impl Judge {
         let gating = gate_diff(
             reference,
             &model,
-            self.warm_until,
-            window.1,
             self.ingest_degraded.0.as_deref(),
             &mut diff,
         );
@@ -540,8 +493,8 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// and without cloning and rebuilding the whole window every epoch.
 ///
 /// The differ holds its baseline once, shared with the caller. Its
-/// streaming state — warm-up state, sequencer, assembler, builder,
-/// epoch grid — is exactly what an online
+/// streaming state — sequencer, assembler, builder, epoch grid — is
+/// exactly what an online
 /// [`checkpoint`](crate::checkpoint) writes: restore it against the
 /// same baseline and config, replay the events after the checkpoint
 /// offset, and every subsequent snapshot is byte-identical to an
@@ -600,13 +553,7 @@ impl OnlineDiffer {
     /// The streaming state a [`Checkpoint`](crate::checkpoint::Checkpoint)
     /// writes: everything but the baseline and the config.
     pub(crate) fn state_to_bytes(&self) -> Vec<u8> {
-        serde::to_vec(&(
-            &self.judge.warm_until,
-            &self.sequencer,
-            &self.assembler,
-            &self.builder,
-            &self.clock,
-        ))
+        serde::to_vec(&(&self.sequencer, &self.assembler, &self.builder, &self.clock))
     }
 
     /// Reassembles a differ from [`OnlineDiffer::state_to_bytes`] and
@@ -618,9 +565,9 @@ impl OnlineDiffer {
         baseline_id: u64,
         config: &FlowDiffConfig,
     ) -> Result<OnlineDiffer, serde::Error> {
-        let (warm_until, sequencer, assembler, builder, clock) = serde::from_slice(state)?;
+        let (sequencer, assembler, builder, clock) = serde::from_slice(state)?;
         Ok(OnlineDiffer {
-            judge: Judge::restored(baseline, baseline_id, config, warm_until),
+            judge: Judge::restored(baseline, baseline_id, config),
             sequencer,
             assembler,
             builder,
@@ -756,15 +703,14 @@ impl OnlineDiffer {
 /// assembly, and the model builder fed its slice of the raw events. The
 /// events it assembles were sequenced by the splitter's [`Sequencer`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardState {
+struct ShardState {
     assembler: RecordAssembler,
     builder: IncrementalModelBuilder,
 }
 
 impl ShardState {
-    /// A fresh shard worker (also the degraded-restore replacement when
-    /// one shard's checkpoint segment is corrupt).
-    pub fn fresh(config: &FlowDiffConfig) -> ShardState {
+    /// A fresh shard worker.
+    fn fresh(config: &FlowDiffConfig) -> ShardState {
         ShardState {
             assembler: RecordAssembler::new(config),
             builder: IncrementalModelBuilder::new(config),
@@ -1109,10 +1055,9 @@ struct Pending {
 /// wanting the exact legacy code path (no routing, no channels, no
 /// threads) should keep using [`OnlineDiffer`].
 ///
-/// The differ serializes for checkpointing split into a shared core
-/// plus per-shard segments (the FDIFFCKP segmented layout, so one shard's
-/// corrupt segment doesn't lose the fleet — see
-/// [`crate::checkpoint::ShardedCheckpoint`]).
+/// A checkpoint of it is the one FDIFFCKP format the single differ
+/// writes, holding the router, the epoch grid and every shard's worker
+/// state (see [`Checkpoint::capture_sharded`](crate::checkpoint::Checkpoint::capture_sharded)).
 #[derive(Debug)]
 pub struct ShardedDiffer {
     judge: Judge,
@@ -1580,60 +1525,45 @@ impl ShardedDiffer {
         self.judge.baseline_id()
     }
 
-    /// The shared-core half of the FDIFFCKP segmented split: everything
-    /// except the per-shard worker states, the baseline and the config.
-    /// Quiesces first, so nothing admitted is still on its way to a
-    /// worker when the core is written.
-    pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
+    /// The streaming state a [`Checkpoint`](crate::checkpoint::Checkpoint)
+    /// writes: the router, the epoch grid and every shard's worker
+    /// state — everything but the baseline and the config. Quiesces
+    /// first, so nothing admitted is still on its way to a worker and
+    /// each shard's state is a consistent cut of the stream.
+    pub(crate) fn state_to_bytes(&self) -> Vec<u8> {
         self.quiesce();
-        serde::to_vec(&(&self.judge.warm_until, &self.splitter, &self.clock))
+        let guards: Vec<_> = (self.states.iter())
+            .map(|s| s.lock().expect("shard state poisoned"))
+            .collect();
+        let states: Vec<&ShardState> = guards.iter().map(|g| &**g).collect();
+        serde::to_vec(&(&self.splitter, &self.clock, &states))
     }
 
-    /// Copies of the per-shard worker states, the other half of the
-    /// split, taken under a quiesce so each is a consistent cut of the
-    /// stream.
-    pub(crate) fn shard_states(&self) -> Vec<ShardState> {
-        self.quiesce();
-        (self.states.iter())
-            .map(|s| s.lock().expect("shard state poisoned").clone())
-            .collect()
-    }
-
-    /// Reassembles a differ from a decoded core and per-shard states,
-    /// positionally, against the inputs the checkpoint names: `baseline`,
-    /// checked to be `baseline_id`, and `config`. A `None` slot is a
-    /// salvaged (corrupt) segment: it comes back as a
-    /// [`ShardState::fresh`] worker, and every verdict warms for one
-    /// window past the restore point (`Judge::warm_from`). A lossless
-    /// restore never warms: it must stay byte-identical to the
-    /// uninterrupted run.
-    pub(crate) fn from_core_and_shards(
-        core: &[u8],
-        shards: Vec<Option<ShardState>>,
+    /// Reassembles a differ of `n_shards` workers from
+    /// [`ShardedDiffer::state_to_bytes`] and the inputs the checkpoint
+    /// names: `baseline`, checked to be `baseline_id`, and `config`.
+    pub(crate) fn from_state(
+        state: &[u8],
+        n_shards: usize,
         baseline: Arc<BaselineBundle>,
         baseline_id: u64,
         config: &FlowDiffConfig,
     ) -> Result<ShardedDiffer, serde::Error> {
-        let (warm_until, splitter, clock): (_, ShardRouter, _) = serde::from_slice(core)?;
-        if shards.len() != splitter.n_shards() {
+        let (splitter, clock, states): (ShardRouter, _, Vec<ShardState>) =
+            serde::from_slice(state)?;
+        if splitter.n_shards() != n_shards || states.len() != n_shards {
             return Err(serde::Error::custom(format!(
-                "shard count mismatch: core routes {} ways, {} segments",
+                "shard count mismatch: shape says {n_shards}, router splits {} ways, {} states",
                 splitter.n_shards(),
-                shards.len()
+                states.len()
             )));
         }
-        let mut judge = Judge::restored(baseline, baseline_id, config, warm_until);
-        if shards.iter().any(Option::is_none) {
-            judge.warm_from(splitter.max_arrival());
-        }
-        let states = shards
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(s.unwrap_or_else(|| ShardState::fresh(config)))))
-            .collect();
         Ok(ShardedDiffer {
-            judge,
+            judge: Judge::restored(baseline, baseline_id, config),
             splitter,
-            states,
+            states: (states.into_iter())
+                .map(|s| Arc::new(Mutex::new(s)))
+                .collect(),
             pending: Mutex::new(Pending::default()),
             released: Vec::new(),
             window: None,
@@ -2004,55 +1934,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_restore_warms_then_recovers() {
-        // The one lossy restore is a salvaged shard segment, and it
-        // warms for one window: 30 s by default.
-        let config = FlowDiffConfig::default();
-        let empty = netsim::log::ControllerLog::new();
-        let model = crate::model::BehaviorModel::build(&empty, &config);
-        let stability = crate::stability::StabilityReport::all_stable(&model);
-        let baseline = Arc::new(BaselineBundle { model, stability });
-        let mut live = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 2).unwrap();
-        assert!(live.observe(&hello_at(Timestamp::from_secs(1))).is_empty());
-        // Restored at t=1s with the last shard's segment corrupt: hold
-        // diffs until t=31s.
-        let mut bytes = crate::checkpoint::ShardedCheckpoint::capture(&live, 1, &config).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-        let restored = crate::engine::Differ::restore(&bytes, &baseline, &config).unwrap();
-        assert_eq!(restored.salvaged_shards, vec![1]);
-        let crate::engine::Differ::Sharded(mut differ) = restored.differ else {
-            panic!("segmented bytes must restore the sharded shape");
-        };
-        let early = differ.observe(&hello_at(Timestamp::from_secs(6)));
-        assert_eq!(early.len(), 1);
-        assert_eq!(
-            early[0].health_of(SignatureKind::Dd),
-            SignatureHealth::Warming {
-                remaining_us: 25_000_000
-            }
-        );
-        let late = differ.observe(&hello_at(Timestamp::from_secs(40)));
-        assert!(!late.is_empty());
-        for snap in &late {
-            let expected = if snap.window.1 < Timestamp::from_secs(31) {
-                matches!(
-                    snap.health_of(SignatureKind::Dd),
-                    SignatureHealth::Warming { .. }
-                )
-            } else {
-                snap.health_of(SignatureKind::Dd) == SignatureHealth::Healthy
-            };
-            assert!(
-                expected,
-                "boundary {:?}: wrong verdict {:?}",
-                snap.window.1,
-                snap.health_of(SignatureKind::Dd)
-            );
-        }
-    }
-
-    #[test]
     fn checkpointed_differ_resumes_mid_stream_identically() {
         let (log1, config) = scenario_log(1, None);
         let m1 = crate::model::BehaviorModel::build(&log1, &config);
@@ -2079,8 +1960,11 @@ mod tests {
         let ckpt = crate::checkpoint::Checkpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
         let restored = crate::checkpoint::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let (mut resumed, offset) = restored.resume(&baseline, &config).unwrap();
+        let (resumed, offset) = restored.resume(&baseline, &config).unwrap();
         assert_eq!(offset as usize, cut);
+        let crate::engine::Differ::Single(mut resumed) = resumed else {
+            panic!("expected the single differ back");
+        };
         assert_eq!(resumed, straight, "restored state == uninterrupted state");
         for event in &events[cut..] {
             straight_snaps.extend(straight.observe(event));
@@ -2185,15 +2069,15 @@ mod tests {
             straight_snaps.extend(straight.observe(event));
             resumed_snaps.extend(interrupted.observe(event));
         }
-        // Kill mid-epoch: serialize through the segmented format,
-        // restore via the version-dispatching entry point.
-        let ckpt = crate::checkpoint::ShardedCheckpoint::capture(&interrupted, cut as u64, &config);
+        // Kill mid-epoch: serialize through the one format, restore via
+        // the shape-tagged entry point.
+        let ckpt =
+            crate::checkpoint::Checkpoint::capture_sharded(&interrupted, cut as u64, &config);
         drop(interrupted);
-        let restored =
+        let (restored, offset) =
             crate::engine::Differ::restore(&ckpt.to_bytes(), &baseline, &config).unwrap();
-        assert!(restored.salvaged_shards.is_empty());
-        assert_eq!(restored.events_consumed as usize, cut);
-        let crate::engine::Differ::Sharded(mut resumed) = restored.differ else {
+        assert_eq!(offset as usize, cut);
+        let crate::engine::Differ::Sharded(mut resumed) = restored else {
             panic!("expected a sharded differ back");
         };
         assert_eq!(resumed, straight, "restored state == uninterrupted state");

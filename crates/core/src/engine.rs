@@ -66,10 +66,7 @@ use std::sync::Arc;
 
 use netsim::log::ControlEvent;
 
-use crate::checkpoint::{
-    atomic_write, read_header, BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint,
-    CHECKPOINT_MAGIC, CHECKPOINT_SINGLE, CHECKPOINT_VERSION,
-};
+use crate::checkpoint::{atomic_write, BaselineBundle, Checkpoint, PersistError};
 use crate::config::{ConfigError, FlowDiffConfig};
 use crate::diff::{EpochSnapshot, EpochTimings, OnlineDiffer, ShardStats, ShardedDiffer};
 use crate::records::IngestHealth;
@@ -85,24 +82,12 @@ pub type EngineResult<T> = Result<T, Box<dyn Error>>;
 // One value lives for a whole run; the variant size skew does not
 // justify boxing every access.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Differ {
     /// The single pipeline.
     Single(OnlineDiffer),
     /// N shard workers behind a router.
     Sharded(ShardedDiffer),
-}
-
-/// A differ brought back by [`Differ::restore`].
-#[derive(Debug)]
-pub struct Restored {
-    /// The differ, in the shape the checkpoint was written in.
-    pub differ: Differ,
-    /// The replay offset: events `[events_consumed..]` catch it up.
-    pub events_consumed: u64,
-    /// Shards whose checkpoint segment was corrupt and came back as
-    /// fresh workers (the differ then warms up for one window).
-    pub salvaged_shards: Vec<usize>,
 }
 
 impl Differ {
@@ -194,65 +179,37 @@ impl Differ {
         }
     }
 
-    /// The complete streaming state as FDIFFCKP bytes, in the layout
-    /// matching the shape (single, or segmented), stamped with the
-    /// replay offset, `config`'s fingerprint and the baseline's
-    /// identity.
+    /// The complete streaming state as FDIFFCKP bytes — one sealed
+    /// [`Checkpoint`] tagged with the shape — stamped with the replay
+    /// offset, `config`'s fingerprint and the baseline's identity.
     pub fn checkpoint(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
         match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).to_bytes(),
-            Differ::Sharded(d) => ShardedCheckpoint::capture(d, events_consumed, config).to_bytes(),
+            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config),
+            Differ::Sharded(d) => Checkpoint::capture_sharded(d, events_consumed, config),
         }
+        .to_bytes()
     }
 
-    /// Reads a checkpoint of either layout back into a running differ
-    /// against `baseline`, judging under `config`. A corrupt per-shard
-    /// segment of a segmented file salvages to a fresh worker rather
-    /// than failing the whole restore.
+    /// Reads checkpoint bytes back into a running differ of the shape
+    /// that wrote them, against `baseline` and judging under `config`,
+    /// with its replay offset: events `[offset..]` catch it up.
     ///
     /// # Errors
     ///
-    /// Every container- and manifest-level [`PersistError`] — a version
-    /// other than the two current layouts is
-    /// [`PersistError::UnsupportedVersion`], never decoded —
-    /// [`PersistError::ConfigMismatch`] when `config` is not the one
-    /// the checkpoint was written under, and
-    /// [`PersistError::BaselineMismatch`] when `baseline` is not the
-    /// one it was written against.
+    /// Every [`PersistError`] of [`Checkpoint::from_bytes`] and
+    /// [`Checkpoint::resume`]: a corrupt byte anywhere is a refusal, in
+    /// either shape.
     pub fn restore(
         bytes: &[u8],
         baseline: &Arc<BaselineBundle>,
         config: &FlowDiffConfig,
-    ) -> Result<Restored, PersistError> {
-        let (differ, events_consumed, salvaged_shards) =
-            match read_header(CHECKPOINT_MAGIC, bytes)?.version {
-                CHECKPOINT_SINGLE => {
-                    let (differ, at) = Checkpoint::from_bytes(bytes)?.resume(baseline, config)?;
-                    (Differ::Single(differ), at, Vec::new())
-                }
-                CHECKPOINT_VERSION => {
-                    let mut checkpoint = ShardedCheckpoint::from_bytes_salvaging(bytes)?;
-                    let salvaged = std::mem::take(&mut checkpoint.salvaged_shards);
-                    let (differ, at) = checkpoint.resume(baseline, config)?;
-                    (Differ::Sharded(differ), at, salvaged)
-                }
-                found => {
-                    return Err(PersistError::UnsupportedVersion {
-                        supported: CHECKPOINT_VERSION,
-                        found,
-                    })
-                }
-            };
-        Ok(Restored {
-            differ,
-            events_consumed,
-            salvaged_shards,
-        })
+    ) -> Result<(Differ, u64), PersistError> {
+        Checkpoint::from_bytes(bytes)?.resume(baseline, config)
     }
 }
 
 /// [`Differ::restore`] from a file, as `--resume` and the supervised
-/// restart both do it: salvaged segments are reported on stderr.
+/// restart both do it.
 ///
 /// # Errors
 ///
@@ -263,15 +220,7 @@ pub fn resume_from(
     baseline: &Arc<BaselineBundle>,
     config: &FlowDiffConfig,
 ) -> Result<(Differ, u64), PersistError> {
-    let restored = Differ::restore(&std::fs::read(path)?, baseline, config)?;
-    if !restored.salvaged_shards.is_empty() {
-        eprintln!(
-            "warning: salvaged corrupt checkpoint segment(s) for shard(s) {:?}; \
-             those workers restart fresh under warm-up gating",
-            restored.salvaged_shards
-        );
-    }
-    Ok((restored.differ, restored.events_consumed))
+    Differ::restore(&std::fs::read(path)?, baseline, config)
 }
 
 /// The supervised loop's event source. Either way `get(idx)` means "the
@@ -742,7 +691,7 @@ mod tests {
     #[test]
     fn sharded_supervised_run_recovers_the_single_shard_epochs() {
         // The strongest cross-shape claim in one drill: a 3-shard
-        // supervised run with planned kills (segmented checkpoints,
+        // supervised run with planned kills (sharded checkpoints,
         // restore, replay) reproduces the *single-shard* uninterrupted
         // run's epoch traces byte for byte.
         let drill = Drill::new();
@@ -945,7 +894,7 @@ mod tests {
             let bytes = std::fs::read(&path).unwrap();
             let at = Differ::restore(&bytes, &drill.baseline, &drill.config)
                 .unwrap()
-                .events_consumed as usize;
+                .1 as usize;
             assert_eq!(feed.held(), &drill.current.events()[at..]);
             // ... which is no more than the last two epochs' events.
             let last_two = drill.current.len() - crossing(&drill, boundaries - 2);

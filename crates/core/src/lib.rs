@@ -67,7 +67,7 @@ pub mod tasks;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::change::Locus;
-    pub use crate::checkpoint::{BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint};
+    pub use crate::checkpoint::{BaselineBundle, Checkpoint, PersistError};
     pub use crate::config::{ConfigError, FlowDiffConfig};
     pub use crate::diagnosis::{
         diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,

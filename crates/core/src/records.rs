@@ -804,7 +804,7 @@ impl Sequencer {
     }
 
     /// Newest admitted timestamp (`Timestamp::ZERO` before the first):
-    /// "now" on the arrival clock, where a lossy restore starts warming.
+    /// "now" on the arrival clock.
     pub fn max_arrival(&self) -> Timestamp {
         self.max_arrival.unwrap_or(Timestamp::ZERO)
     }
@@ -1078,11 +1078,6 @@ impl ShardRouter {
     /// Number of shards this router splits across.
     pub fn n_shards(&self) -> usize {
         self.n_shards as usize
-    }
-
-    /// Newest arrival timestamp admitted so far.
-    pub fn max_arrival(&self) -> Timestamp {
-        self.sequencer.max_arrival()
     }
 
     /// The splitter-owned health counters: arrivals and the ledger's xid

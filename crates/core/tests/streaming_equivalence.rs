@@ -640,10 +640,13 @@ proptest! {
         // Kill: the streaming state survives only as guarded bytes.
         let ckpt_bytes = Checkpoint::capture(&doomed, cut as u64, &config).to_bytes();
         drop(doomed);
-        let (mut resumed, offset) = Checkpoint::from_bytes(&ckpt_bytes)
+        let (Differ::Single(mut resumed), offset) = Checkpoint::from_bytes(&ckpt_bytes)
             .expect("container intact")
             .resume(&baseline, &config)
-            .expect("same config");
+            .expect("same config")
+        else {
+            panic!("single bytes must restore the single shape");
+        };
         prop_assert_eq!(offset as usize, cut);
         prop_assert_eq!(&resumed, &straight, "restored state == live state");
         for event in &events[cut..] {
@@ -850,10 +853,13 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             // rebuilt.
             assert!(epochs > 30, "restore must land in steady state");
             let bytes = Checkpoint::capture(&resumed, cut as u64, &config).to_bytes();
-            let (restored, offset) = Checkpoint::from_bytes(&bytes)
+            let (Differ::Single(restored), offset) = Checkpoint::from_bytes(&bytes)
                 .expect("container intact")
                 .resume(&baseline, &config)
-                .expect("same config");
+                .expect("same config")
+            else {
+                panic!("single bytes must restore the single shape");
+            };
             assert_eq!(offset as usize, cut);
             assert_eq!(restored, straight, "restored state == live state");
             resumed = restored;
@@ -988,11 +994,12 @@ fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u
     for (i, event) in events.iter().enumerate() {
         if i == restore_at {
             assert!(epochs > 30, "restore must land in steady state");
-            let bytes = ShardedCheckpoint::capture(&sharded, i as u64, &config).to_bytes();
-            let restored = Differ::restore(&bytes, &baseline, &config).expect("container intact");
-            assert_eq!(restored.events_consumed as usize, i);
-            let Differ::Sharded(restored) = restored.differ else {
-                panic!("segmented bytes must restore the sharded shape");
+            let bytes = Checkpoint::capture_sharded(&sharded, i as u64, &config).to_bytes();
+            let (restored, at) =
+                Differ::restore(&bytes, &baseline, &config).expect("container intact");
+            assert_eq!(at as usize, i);
+            let Differ::Sharded(restored) = restored else {
+                panic!("sharded bytes must restore the sharded shape");
             };
             assert_eq!(restored, sharded, "restored state == live state");
             sharded = restored;
@@ -1138,7 +1145,7 @@ proptest! {
 
     /// Byte-identity of the persistent sharded pipeline (long-lived
     /// channel-fed workers) on chaos-mangled random streams, *through*
-    /// a mid-stream kill persisted in the segmented checkpoint:
+    /// a mid-stream kill persisted in the one checkpoint format:
     /// shards in {1, 2, 4, 7} all reproduce the single-shard
     /// [`OnlineDiffer`]'s snapshots exactly. The kill also exercises
     /// the quiesce-then-capture path and the restore-then-respawn path
@@ -1191,15 +1198,15 @@ proptest! {
             for event in &events[..cut] {
                 snaps.extend(sharded.observe(event));
             }
-            // Kill mid-stream: state survives only as the segmented
-            // container, restored through the version dispatcher.
-            let bytes = ShardedCheckpoint::capture(&sharded, cut as u64, &config).to_bytes();
+            // Kill mid-stream: state survives only as the one sealed
+            // container, restored into the shape its tag names.
+            let bytes = Checkpoint::capture_sharded(&sharded, cut as u64, &config).to_bytes();
             drop(sharded);
-            let restored = Differ::restore(&bytes, &baseline, &config).expect("container intact");
-            prop_assert!(restored.salvaged_shards.is_empty());
-            prop_assert_eq!(restored.events_consumed as usize, cut);
-            let Differ::Sharded(mut sharded) = restored.differ else {
-                panic!("segmented bytes must restore the sharded shape");
+            let (restored, at) =
+                Differ::restore(&bytes, &baseline, &config).expect("container intact");
+            prop_assert_eq!(at as usize, cut);
+            let Differ::Sharded(mut sharded) = restored else {
+                panic!("sharded bytes must restore the sharded shape");
             };
             for event in &events[cut..] {
                 snaps.extend(sharded.observe(event));
