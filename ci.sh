@@ -35,68 +35,52 @@ if ! printf '%s\n' "$watch_out" | grep -q '^stats: .* interned'; then
 fi
 printf '%s\n' "$watch_out" | grep '^stats: '
 
-step "flowdiff-bench sharded watch (epoch lines identical to single shard)"
-sharded_out="$(cargo run --release -q -p flowdiff-bench --bin flowdiff-bench -- \
-    watch "$demo_dir/baseline.fcap" "$demo_dir/current.fcap" --shards 4)"
-printf '%s\n' "$sharded_out" | grep '^stats: '
-if ! diff <(printf '%s\n' "$watch_out" | grep '^epoch ') \
-          <(printf '%s\n' "$sharded_out" | grep '^epoch '); then
-    echo "FAIL: --shards 4 watch epoch lines differ from --shards 1" >&2
-    exit 1
-fi
-echo "sharded watch epoch lines byte-identical to single shard"
-
 step "flowdiff-bench watch --resume (a checkpointed run is picked up where it left off)"
 # The first run checkpoints every 7 epochs and saves its baseline as a
 # bundle; the second resumes from that file against the bundle (the
 # checkpoint names its baseline by content, so the capture and its bundle
 # are one baseline) under a different --checkpoint-every (a supervisor
 # knob the config fingerprint must not refuse) and has to print exactly
-# the epoch lines the first run printed after its last checkpoint. Both
-# deployment shapes write the one FDIFFCKP format through a file, and a
-# flipped last byte is refused the same way in both: exit 2, `CRC
-# mismatch`, no epoch lines (no shard is salvaged into a run that then
-# holds every verdict back).
-for shards in 1 4; do
-    ckpt="$demo_dir/watch-$shards.ckpt"
-    bundle="$demo_dir/baseline-$shards.fbas"
-    first_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
-        "$demo_dir/current.fcap" --shards "$shards" --checkpoint "$ckpt" --checkpoint-every 7 \
-        --save-baseline "$bundle")"
-    resumed_out="$(target/release/flowdiff-bench watch "$bundle" \
-        "$demo_dir/current.fcap" --resume "$ckpt" --checkpoint-every 1)"
-    printf '%s\n' "$resumed_out" | grep '^stats: resumed from '
-    resumed_epochs="$(printf '%s\n' "$resumed_out" | grep -c '^epoch ' || true)"
-    first_epochs="$(printf '%s\n' "$first_out" | grep -c '^epoch ' || true)"
-    if [ "$resumed_epochs" -lt 1 ] || [ "$resumed_epochs" -ge "$first_epochs" ]; then
-        echo "FAIL: --resume replayed $resumed_epochs of $first_epochs epochs (shards=$shards)" >&2
-        exit 1
-    fi
-    if ! diff <(printf '%s\n' "$first_out" | grep '^epoch ' | tail -n "$resumed_epochs") \
-              <(printf '%s\n' "$resumed_out" | grep '^epoch '); then
-        echo "FAIL: resumed epoch lines differ from the first run's tail (shards=$shards)" >&2
-        exit 1
-    fi
-    echo "shards=$shards: resumed run printed the last $resumed_epochs of $first_epochs epoch lines"
-    bad="$demo_dir/watch-$shards.bad.ckpt"
-    cp "$ckpt" "$bad"
-    size="$(wc -c < "$bad")"
-    last="$(tail -c 1 "$bad" | od -An -tu1 | tr -d ' ')"
-    # shellcheck disable=SC2059 # the octal escape is the format
-    printf "$(printf '\\%03o' $((last ^ 0x10)))" |
-        dd of="$bad" bs=1 seek=$((size - 1)) conv=notrunc status=none
-    rc=0
-    bad_out="$(target/release/flowdiff-bench watch "$bundle" "$demo_dir/current.fcap" \
-        --resume "$bad" 2>"$bad.err")" || rc=$?
-    bad_epochs="$(printf '%s\n' "$bad_out" | grep -c '^epoch ' || true)"
-    if [ "$rc" -ne 2 ] || ! grep -q 'CRC mismatch' "$bad.err" || [ "$bad_epochs" -ne 0 ]; then
-        echo "FAIL: corrupt checkpoint (shards=$shards) exited $rc with $bad_epochs epoch lines," \
-            "want exit 2, 'CRC mismatch' and 0 epoch lines" >&2
-        cat "$bad.err" >&2
-        exit 1
-    fi
-    echo "shards=$shards: corrupt checkpoint refused: $(cat "$bad.err")"
-done
+# the epoch lines the first run printed after its last checkpoint. A
+# flipped last byte is refused: exit 2, `CRC mismatch`, no epoch lines.
+ckpt="$demo_dir/watch.ckpt"
+bundle="$demo_dir/baseline.fbas"
+first_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
+    "$demo_dir/current.fcap" --checkpoint "$ckpt" --checkpoint-every 7 \
+    --save-baseline "$bundle")"
+resumed_out="$(target/release/flowdiff-bench watch "$bundle" \
+    "$demo_dir/current.fcap" --resume "$ckpt" --checkpoint-every 1)"
+printf '%s\n' "$resumed_out" | grep '^stats: resumed from '
+resumed_epochs="$(printf '%s\n' "$resumed_out" | grep -c '^epoch ' || true)"
+first_epochs="$(printf '%s\n' "$first_out" | grep -c '^epoch ' || true)"
+if [ "$resumed_epochs" -lt 1 ] || [ "$resumed_epochs" -ge "$first_epochs" ]; then
+    echo "FAIL: --resume replayed $resumed_epochs of $first_epochs epochs" >&2
+    exit 1
+fi
+if ! diff <(printf '%s\n' "$first_out" | grep '^epoch ' | tail -n "$resumed_epochs") \
+          <(printf '%s\n' "$resumed_out" | grep '^epoch '); then
+    echo "FAIL: resumed epoch lines differ from the first run's tail" >&2
+    exit 1
+fi
+echo "resumed run printed the last $resumed_epochs of $first_epochs epoch lines"
+bad="$demo_dir/watch.bad.ckpt"
+cp "$ckpt" "$bad"
+size="$(wc -c < "$bad")"
+last="$(tail -c 1 "$bad" | od -An -tu1 | tr -d ' ')"
+# shellcheck disable=SC2059 # the octal escape is the format
+printf "$(printf '\\%03o' $((last ^ 0x10)))" |
+    dd of="$bad" bs=1 seek=$((size - 1)) conv=notrunc status=none
+rc=0
+bad_out="$(target/release/flowdiff-bench watch "$bundle" "$demo_dir/current.fcap" \
+    --resume "$bad" 2>"$bad.err")" || rc=$?
+bad_epochs="$(printf '%s\n' "$bad_out" | grep -c '^epoch ' || true)"
+if [ "$rc" -ne 2 ] || ! grep -q 'CRC mismatch' "$bad.err" || [ "$bad_epochs" -ne 0 ]; then
+    echo "FAIL: corrupt checkpoint exited $rc with $bad_epochs epoch lines," \
+        "want exit 2, 'CRC mismatch' and 0 epoch lines" >&2
+    cat "$bad.err" >&2
+    exit 1
+fi
+echo "corrupt checkpoint refused: $(cat "$bad.err")"
 
 step "flowdiff-bench serve/publish smoke test (live TCP ingest, epoch lines identical to watch)"
 # The prebuilt binary is used directly: serve runs in the background
@@ -187,12 +171,11 @@ case "$trace_out" in
         ;;
 esac
 
-step "benchmark traced pass, sharded (delta barriers vs the single differ and the merge oracle)"
-# The traced fanin_sharded pass runs the in-process ShardedDiffer and
-# checks its epoch lines against the single differ's, and it is the
-# harness's caller of IncrementalModelBuilder::merge + into_shard_model:
-# correctness only. The sharded/single ratio is printed, not gated —
-# 3 s on a shared box cannot hold a ratio.
+step "benchmark traced pass, fanin_sharded (the harness seam)"
+# The traced fanin_sharded pass drives flowdiff::harness_seam — the
+# ShardedDiffer and ShardRouter names over the one differ, and
+# IncrementalModelBuilder::merge + into_shard_model — and checks its
+# epoch lines against the differ's: correctness only.
 sharded_trace="$(benchmark/run.sh --workload fanin_sharded --seed 42 --seconds 3 --trace 1 | tail -n 1)"
 printf '%s\n' "$sharded_trace" | cut -c1-160
 case "$sharded_trace" in
@@ -202,10 +185,6 @@ case "$sharded_trace" in
         exit 1
         ;;
 esac
-rate_of() { printf '%s\n' "$sharded_trace" | sed -n "s/.*\"$1\": {\"value\": \([0-9.]*\).*/\1/p"; }
-echo "INFO: diff.sharded.events_per_s / diff.online.events_per_s =" \
-    "$(awk -v s="$(rate_of diff.sharded.events_per_s)" -v o="$(rate_of diff.online.events_per_s)" \
-        'BEGIN { if (o > 0) printf "%.2f", s / o; else printf "n/a" }')"
 
 step "serve memory tracks the checkpoint interval (serve_dense peak_rss_mb < 65)"
 # The live feed releases what it pulled at each durable point, so peak
@@ -239,11 +218,21 @@ step "benchmark/Cargo.lock and BENCHMARK.json unchanged by the harness runs"
 # something else silently.
 git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json
 
-step "one differ dispatch, no lint waivers for wide signatures"
-# flowdiff::engine::Differ is the only two-shape dispatch, and the
-# supervised loop takes a struct, not eight positional arguments.
+step "one differ, no lint waivers for wide signatures"
+# OnlineDiffer is the only online differ (DESIGN.md, Rejected: the
+# sharded differ), and the supervised loop takes a struct, not eight
+# positional arguments. The sharded names the benchmark harness compiles
+# against live in the seam module alone.
 if grep -rnE 'AnyCheckpoint|allow\(clippy::(type_complexity|too_many_arguments)' crates/; then
     echo "FAIL: AnyCheckpoint or a type_complexity/too_many_arguments allow is back under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'ShardState|WorkerMsg|XidLedger|ShardKey|shard_of|capture_sharded|poison_worker|Shape::Sharded' crates/; then
+    echo "FAIL: a piece of the sharded differ is back under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'ShardedDiffer|ShardRouter|ShardModel' crates/ | grep -v '^crates/core/src/harness_seam.rs:'; then
+    echo "FAIL: a harness-seam name is used outside crates/core/src/harness_seam.rs" >&2
     exit 1
 fi
 
@@ -276,7 +265,7 @@ if grep -rn 'restore_warmup_us' crates/; then
 fi
 
 step "one checkpoint format, one corruption policy"
-# Both shapes write one sealed FDIFFCKP payload, and a corrupt byte
+# The differ writes one sealed FDIFFCKP payload, and a corrupt byte
 # anywhere is a refusal (DESIGN.md, Rejected: per-shard segment
 # salvage): no segment layout, no salvaging load, no warm-up gate.
 if grep -rnE 'FDIFFSEG|ShardedCheckpoint|salvag|Warming|CHECKPOINT_SINGLE' crates/; then
@@ -299,7 +288,7 @@ if [ "$fan_outs" -ne 1 ]; then
     exit 1
 fi
 
-step "one arrival stage, in front of both differs"
+step "one arrival stage, in front of the differ"
 # records::Sequencer alone quarantines, counts disorder and re-sequences;
 # the assembler behind it is a pure state machine (DESIGN.md, Robust
 # ingestion), and the shims that kept two copies in lockstep stay gone.

@@ -69,7 +69,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
         flowdiff::checkpoint::atomic_write(cur_path.as_ref(), &current.to_wire_bytes())?;
         println!("wrote {base_path} ({} events)", baseline.len());
         println!("wrote {cur_path} ({} events)", current.len());
-        println!("\ntry:\n  flowdiff-bench watch {base_path} {cur_path} --shards 4");
+        println!("\ntry:\n  flowdiff-bench watch {base_path} {cur_path}");
         return Ok(());
     }
     let env = LabEnv::new();

@@ -44,13 +44,13 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: flowdiff-bench [watch <baseline.fcap|baseline.fbas> <current.fcap> \
-         [--special ip,ip] [--epoch-secs N] [--window-secs N] [--shards N] \
+         [--special ip,ip] [--epoch-secs N] [--window-secs N] \
          [--save-baseline <path>] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [serve <baseline.fcap|baseline.fbas> --listen HOST:PORT \
          [--publishers N] [--queue N] [--slack-ms N] [--stall-ms N] [--heartbeat-ms N] \
          [--special ip,ip] [--epoch-secs N] \
-         [--window-secs N] [--shards N] [--checkpoint <path>] [--checkpoint-every N] \
+         [--window-secs N] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [publish <current.fcap> --connect HOST:PORT [--connections N] \
          [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] \
@@ -250,11 +250,10 @@ fn decode_capture(path: &str) -> EngineResult<(Vec<ControlEvent>, netsim::log::S
     Ok((events, stream.stats()))
 }
 
-/// What `watch` and `serve` share: the config their flags shape, the
-/// deployment shape, and where checkpoints go to and come from.
+/// What `watch` and `serve` share: the config their flags shape and
+/// where checkpoints go to and come from.
 struct OnlineOpts {
     config: FlowDiffConfig,
-    shards: usize,
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
     /// `watch` only.
@@ -271,7 +270,6 @@ impl OnlineOpts {
     fn parse(args: &[String], serve: bool) -> EngineResult<OnlineOpts> {
         let mut opts = OnlineOpts {
             config: FlowDiffConfig::default(),
-            shards: 1,
             checkpoint: None,
             resume: None,
             save_baseline: None,
@@ -279,10 +277,11 @@ impl OnlineOpts {
             publishers: 1,
         };
         let config = &mut opts.config;
+        let mut shards = None;
         let mut flags = Flags::new(args);
         while let Some(flag) = flags.next_flag() {
             match flag {
-                "--shards" => opts.shards = flags.count(flag)?,
+                "--shards" => shards = Some(flags.count(flag)?),
                 "--special" => config.special_ips = flags.ips(flag)?.into_iter().collect(),
                 "--epoch-secs" => {
                     config.online_epoch_us = flags.positive_micros(flag, 1_000_000)?
@@ -307,6 +306,9 @@ impl OnlineOpts {
                 other => return Err(unknown_flag(other)),
             }
         }
+        if let Some(n) = shards {
+            eprintln!("note: --shards {n} is ignored: one differ serves every run");
+        }
         // A live tap reads possibly-corrupt bytes, off a file or straight
         // off sockets: quarantine timestamps jumping past the eviction
         // horizon instead of trusting them.
@@ -317,10 +319,10 @@ impl OnlineOpts {
 }
 
 /// Runs `feed` through the supervised engine the way `watch` and
-/// `serve` both do: a differ in the shape `--shards` asks for (or the
-/// one `--resume` restores, if it was written against the baseline
-/// loaded from `baseline_path`), checkpoints at `--checkpoint`, one
-/// `epoch` and one `latency epoch` line per boundary.
+/// `serve` both do: a fresh differ (or the one `--resume` restores, if
+/// it was written against the baseline loaded from `baseline_path`),
+/// checkpoints at `--checkpoint`, one `epoch` and one `latency epoch`
+/// line per boundary.
 fn run_online(
     feed: &mut Feed<'_>,
     opts: &OnlineOpts,
@@ -328,10 +330,9 @@ fn run_online(
     degraded: Option<&dyn Fn() -> Option<String>>,
 ) -> EngineResult<RunReport> {
     let config = &opts.config;
-    let fresh = || -> EngineResult<(Differ, u64)> {
+    let fresh = || -> EngineResult<(OnlineDiffer, u64)> {
         let Some(path) = &opts.resume else {
-            let differ = Differ::try_new(Arc::clone(baseline), config, opts.shards)?;
-            return Ok((differ, 0));
+            return Ok((OnlineDiffer::try_new(Arc::clone(baseline), config)?, 0));
         };
         let (differ, at) = resume_from(path, baseline, config).map_err(|e| match e {
             PersistError::BaselineMismatch { .. } => format!(
@@ -353,14 +354,14 @@ fn run_online(
         checkpoint_path: opts.checkpoint.as_deref(),
         degraded,
     };
-    supervise(feed, &fresh, &supervision, |_, snapshot, timings| {
+    supervise(feed, &fresh, &supervision, |snapshot, timings| {
         report(snapshot, config);
         report_latency(snapshot.epoch, timings);
     })
 }
 
 /// The tail every online run prints: the flushed epoch, restarts
-/// survived, shard loads, ingest health.
+/// survived, ingest health.
 fn report_run(run: &RunReport, config: &FlowDiffConfig) {
     if let Some(snapshot) = &run.last {
         report(snapshot, config);
@@ -369,17 +370,6 @@ fn report_run(run: &RunReport, config: &FlowDiffConfig) {
         println!(
             "stats: survived {} restart(s) within a budget of {}",
             run.restarts, config.restart_budget
-        );
-    }
-    if let Some((stats, merge_us)) = &run.shards {
-        let per_shard = stats
-            .iter()
-            .map(|s| format!("{}:{}r/{}e", s.shard, s.records, s.open_episodes))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "stats: {} shard(s), merge {merge_us} us total; final load (records/episodes) {per_shard}",
-            stats.len()
         );
     }
     println!("stats: ingest {}", run.health);
@@ -661,19 +651,12 @@ fn conn_line(r: &netsim::net::ConnReport) -> String {
 }
 
 /// One per-epoch latency breakdown line. Deliberately NOT prefixed
-/// `epoch ` — wall-clock differs between deployment shapes, and CI
-/// diffs the `epoch ` lines of single vs sharded runs byte-for-byte.
+/// `epoch ` — wall-clock differs between runs, and CI diffs `epoch `
+/// lines byte-for-byte.
 fn report_latency(epoch: u64, timings: EpochTimings) {
     println!(
-        "latency epoch {epoch:>3}  retire_us {} observe_us {} snapshot_us {} merge_us {} \
-         diff_us {}  queue_peak {} busy {}%",
-        timings.retire_us,
-        timings.observe_us,
-        timings.snapshot_us,
-        timings.merge_us,
-        timings.diff_us,
-        timings.queue_depth_peak,
-        timings.worker_busy_pct
+        "latency epoch {epoch:>3}  retire_us {} observe_us {} snapshot_us {} diff_us {}",
+        timings.retire_us, timings.observe_us, timings.snapshot_us, timings.diff_us
     );
 }
 
@@ -793,6 +776,44 @@ mod tests {
             .chain(shape)
             .chain(flags.iter().copied());
         cmd_watch(&args.map(String::from).collect::<Vec<_>>())
+    }
+
+    /// `watch`'s `epoch ` lines over the two captures under `flags`,
+    /// read off a child copy of this test binary that runs
+    /// `watch_in_a_child` with its stdout uncaptured.
+    fn watch_epoch_lines(baseline: &str, current: &str, flags: &str) -> Vec<String> {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["tests::watch_in_a_child", "--exact", "--nocapture"])
+            .env("FLOWDIFF_WATCH_ARGS", [baseline, current, flags].join("\n"))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "child exited {}", out.status);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let epochs = stdout.lines().filter(|l| l.starts_with("epoch "));
+        epochs.map(String::from).collect()
+    }
+
+    /// The child half of `watch_epoch_lines`; without its arguments in
+    /// the environment it does nothing.
+    #[test]
+    fn watch_in_a_child() {
+        let Ok(args) = std::env::var("FLOWDIFF_WATCH_ARGS") else {
+            return;
+        };
+        let args: Vec<&str> = args.split('\n').collect();
+        let flags: Vec<&str> = args[2].split_whitespace().collect();
+        watch(args[0], args[1], &flags).unwrap();
+    }
+
+    #[test]
+    fn shards_flag_leaves_every_epoch_line_as_it_is() {
+        let (baseline, current) = (
+            capture("shards-a.fcap", 1),
+            capture("shards-current.fcap", 3),
+        );
+        let plain = watch_epoch_lines(&baseline, &current, "");
+        assert!(plain.len() >= 5, "{} epoch lines", plain.len());
+        assert_eq!(watch_epoch_lines(&baseline, &current, "--shards 4"), plain);
     }
 
     #[test]

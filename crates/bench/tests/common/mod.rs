@@ -30,7 +30,7 @@ pub fn engine_snapshots(
         model: baseline.clone(),
         stability: stability.clone(),
     });
-    let fresh = || Ok((Differ::try_new(Arc::clone(&baseline), config, 1)?, 0));
+    let fresh = || Ok((OnlineDiffer::try_new(Arc::clone(&baseline), config)?, 0));
     let supervision = Supervision {
         config,
         baseline: &baseline,
@@ -38,7 +38,7 @@ pub fn engine_snapshots(
         degraded: None,
     };
     let mut snaps = Vec::new();
-    let run = supervise(feed, &fresh, &supervision, |_, snap, _| {
+    let run = supervise(feed, &fresh, &supervision, |snap, _| {
         snaps.push(serde::to_vec(snap))
     })
     .expect("supervised run");

@@ -11,9 +11,9 @@
 //!   silently-wrong state,
 //! * an **atomic write** helper (tmp + fsync + rename) so a crash
 //!   mid-write can never leave a torn file at the destination path,
-//! * [`Checkpoint`]: the complete streaming state of an online differ
-//!   in either deployment shape plus the number of input events
-//!   consumed, and the two inputs it ran against named rather than
+//! * [`Checkpoint`]: the complete streaming state of the online differ
+//!   plus the number of input events consumed, and the two inputs it
+//!   ran against named rather than
 //!   carried — a fingerprint of the [`FlowDiffConfig`] and the
 //!   [`BaselineBundle::identity`] of the baseline. Both come back from
 //!   the caller at resume, and a different one is a typed error, not
@@ -21,16 +21,16 @@
 //! * [`BaselineBundle`]: a precomputed baseline model + stability
 //!   report, so watchers can skip the baseline build on restart.
 //!
-//! [`Checkpoint`] is the one byte layout, FDIFFCKP [`CHECKPOINT_VERSION`],
-//! for both shapes: a shape tag says which differ its state decodes
-//! into. The running system writes and reads it only through
-//! [`Differ::checkpoint`] and [`Differ::restore`]. A decoded checkpoint
-//! is streaming state without a baseline: it becomes a running differ
-//! only when `resume` installs the caller's.
+//! [`Checkpoint`] is the one byte layout, FDIFFCKP [`CHECKPOINT_VERSION`].
+//! The running system writes it with [`Checkpoint::capture`] and reads
+//! it back with [`resume_from`](crate::engine::resume_from). A decoded
+//! checkpoint is streaming state without a baseline: it becomes a
+//! running differ only when [`Checkpoint::resume`] installs the
+//! caller's.
 //!
-//! One corruption policy: the CRC covers every payload byte, whatever
-//! the shape, so a flipped bit anywhere refuses the whole file as a
-//! typed [`PersistError`]. No part of a damaged file is kept — a differ
+//! One corruption policy: the CRC covers every payload byte, so a
+//! flipped bit anywhere refuses the whole file as a typed
+//! [`PersistError`]. No part of a damaged file is kept — a differ
 //! missing part of its state could only hold its verdicts back until
 //! that state had aged out of the window.
 //!
@@ -50,8 +50,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
-use crate::diff::{OnlineDiffer, ShardedDiffer};
-use crate::engine::Differ;
+use crate::diff::OnlineDiffer;
 use crate::model::BehaviorModel;
 use crate::stability::StabilityReport;
 
@@ -65,8 +64,9 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// anchored on the first admitted event, 5 and 6 those that carried a
 /// copy of the baseline and a sequencer that never re-anchored after a
 /// clock step, 7 and 8 the single and per-shard-segmented layouts of
-/// before one format served both shapes.
-pub const CHECKPOINT_VERSION: u32 = 9;
+/// before one format served both differ shapes, and 9 that format with
+/// its shape tag, written while a sharded differ still existed.
+pub const CHECKPOINT_VERSION: u32 = 10;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -339,22 +339,11 @@ pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
     }))
 }
 
-/// Which differ a [`Checkpoint`]'s state decodes into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum Shape {
-    /// One [`OnlineDiffer`].
-    Single,
-    /// A [`ShardedDiffer`] over this many shard workers, one included.
-    Sharded(usize),
-}
-
-/// The complete durable state of one online diagnosis run, in either
-/// deployment shape: the differ's streaming state (for the single
-/// pipeline its sequencer, assembler, incremental builder and epoch
-/// grid; for the sharded one its router, epoch grid and every shard's
-/// worker state), how many input events it has consumed, and the two
-/// inputs it runs against by name — the config by fingerprint and the
-/// baseline by identity.
+/// The complete durable state of one online diagnosis run: the
+/// differ's streaming state (its sequencer, assembler, incremental
+/// builder and epoch grid), how many input events it has consumed, and
+/// the two inputs it runs against by name — the config by fingerprint
+/// and the baseline by identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
@@ -366,8 +355,6 @@ pub struct Checkpoint {
     /// replay offset: feed events `[events_consumed..]` to the
     /// restored differ to catch up losslessly.
     pub events_consumed: u64,
-    /// The shape `state` was written from.
-    shape: Shape,
     /// The differ's streaming state without its baseline, decoded by
     /// [`Checkpoint::resume`] once the baseline is back.
     state: Vec<u8>,
@@ -381,26 +368,6 @@ impl Checkpoint {
             config_fingerprint: config_fingerprint(config),
             baseline_id: differ.baseline_id(),
             events_consumed,
-            shape: Shape::Single,
-            state: differ.state_to_bytes(),
-        }
-    }
-
-    /// [`Checkpoint::capture`] of a sharded differ. The capture quiesces
-    /// the worker pool first — every buffered step is drained through
-    /// the channels before any shard is written — so the state is
-    /// exactly the stop-the-world state (a restored differ respawns its
-    /// own pool lazily).
-    pub fn capture_sharded(
-        differ: &ShardedDiffer,
-        events_consumed: u64,
-        config: &FlowDiffConfig,
-    ) -> Self {
-        Checkpoint {
-            config_fingerprint: config_fingerprint(config),
-            baseline_id: differ.baseline_id(),
-            events_consumed,
-            shape: Shape::Sharded(differ.n_shards()),
             state: differ.state_to_bytes(),
         }
     }
@@ -411,8 +378,7 @@ impl Checkpoint {
         seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &serde::to_vec(self))
     }
 
-    /// Parses a guarded container produced by [`Checkpoint::to_bytes`],
-    /// in either shape.
+    /// Parses a guarded container produced by [`Checkpoint::to_bytes`].
     ///
     /// # Errors
     ///
@@ -426,22 +392,20 @@ impl Checkpoint {
     }
 
     /// Installs `baseline` into the checkpointed state: a running differ
-    /// in the shape it was written from and its replay offset, judging
-    /// under `config`. Both must be the ones the checkpoint was written
-    /// with.
+    /// and its replay offset, judging under `config`. Both must be the
+    /// ones the checkpoint was written with.
     ///
     /// # Errors
     ///
     /// [`PersistError::ConfigMismatch`] when `config` is not the one the
     /// checkpoint was written under, [`PersistError::BaselineMismatch`]
     /// when `baseline` is not the one it was written against, and
-    /// [`PersistError::Decode`] for a state that fails to parse or does
-    /// not fit its shape.
+    /// [`PersistError::Decode`] for a state that fails to parse.
     pub fn resume(
         self,
         baseline: &Arc<BaselineBundle>,
         config: &FlowDiffConfig,
-    ) -> Result<(Differ, u64), PersistError> {
+    ) -> Result<(OnlineDiffer, u64), PersistError> {
         let offered = config_fingerprint(config);
         if offered != self.config_fingerprint {
             return Err(PersistError::ConfigMismatch {
@@ -456,13 +420,7 @@ impl Checkpoint {
                 offered: id,
             });
         }
-        let (state, baseline) = (&self.state, Arc::clone(baseline));
-        let differ = match self.shape {
-            Shape::Single => Differ::Single(OnlineDiffer::from_state(state, baseline, id, config)?),
-            Shape::Sharded(n) => {
-                Differ::Sharded(ShardedDiffer::from_state(state, n, baseline, id, config)?)
-            }
-        };
+        let differ = OnlineDiffer::from_state(&self.state, Arc::clone(baseline), id, config)?;
         Ok((differ, self.events_consumed))
     }
 }
@@ -567,19 +525,18 @@ mod tests {
         OnlineDiffer::try_new(empty_baseline(config), config).unwrap()
     }
 
-    fn small_sharded_differ(config: &FlowDiffConfig, n_shards: usize) -> ShardedDiffer {
-        ShardedDiffer::try_new(empty_baseline(config), config, n_shards).unwrap()
+    /// Checkpoint bytes of a fresh differ.
+    fn small_checkpoint(config: &FlowDiffConfig) -> Vec<u8> {
+        Checkpoint::capture(&small_differ(config), 0, config).to_bytes()
     }
 
-    /// Checkpoint bytes of a fresh differ in each shape: single, and
-    /// sharded over one and over three workers.
-    fn every_shape(config: &FlowDiffConfig) -> [Vec<u8>; 3] {
-        let sharded = |n| Checkpoint::capture_sharded(&small_sharded_differ(config, n), 0, config);
-        [
-            Checkpoint::capture(&small_differ(config), 0, config).to_bytes(),
-            sharded(1).to_bytes(),
-            sharded(3).to_bytes(),
-        ]
+    /// What `--resume` does with a checkpoint file's bytes.
+    fn restore(
+        bytes: &[u8],
+        baseline: &Arc<BaselineBundle>,
+        config: &FlowDiffConfig,
+    ) -> Result<(OnlineDiffer, u64), PersistError> {
+        Checkpoint::from_bytes(bytes)?.resume(baseline, config)
     }
 
     #[test]
@@ -703,7 +660,7 @@ mod tests {
         let config = FlowDiffConfig::default();
         let bytes = Checkpoint::capture(&small_differ(&config), 4, &config).to_bytes();
         let baseline = empty_baseline(&config);
-        let resumes = |c: &FlowDiffConfig| Differ::restore(&bytes, &baseline, c).map(|(_, at)| at);
+        let resumes = |c: &FlowDiffConfig| restore(&bytes, &baseline, c).map(|(_, at)| at);
         // Knobs that shape differ state are still refused ...
         for changed in [
             FlowDiffConfig {
@@ -766,7 +723,7 @@ mod tests {
         let baseline = empty_baseline(&config);
         let (resumed, offset) = back.resume(&baseline, &config).unwrap();
         assert_eq!(offset, 17);
-        assert_eq!(resumed, Differ::Single(differ));
+        assert_eq!(resumed, differ);
 
         let other = FlowDiffConfig {
             fs_rel_change: 0.75,
@@ -788,7 +745,7 @@ mod tests {
         let loaded = Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded.events_consumed, 3);
         let (resumed, _) = loaded.resume(&empty_baseline(&config), &config).unwrap();
-        assert_eq!(resumed, Differ::Single(differ));
+        assert_eq!(resumed, differ);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -810,15 +767,14 @@ mod tests {
 
     #[test]
     fn v1_checkpoints_stay_readable_through_any_checkpoint() {
-        // Both shapes write the one format, and `Differ::restore` brings
-        // back the shape that wrote it.
+        // The one format, written and restored.
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let bytes = Checkpoint::capture(&differ, 11, &config).to_bytes();
         assert_eq!(bytes[8..12], CHECKPOINT_VERSION.to_le_bytes());
-        let (restored, at) = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
+        let (restored, at) = restore(&bytes, &empty_baseline(&config), &config).unwrap();
         assert_eq!(at, 11);
-        assert_eq!(restored, Differ::Single(differ));
+        assert_eq!(restored, differ);
     }
 
     #[test]
@@ -827,82 +783,75 @@ mod tests {
         // 3 and 4 hold a sequencer whose jump reference starts at zero;
         // 5 and 6 carry a copy of the baseline and a sequencer without
         // a refused timestamp to re-anchor on; 7 and 8 are the single
-        // and per-shard-segmented layouts. A re-stamped current file in
-        // either shape is exactly what such a file looks like to the
-        // header check, and neither entry point may decode it.
+        // and per-shard-segmented layouts; 9 tags the state with the
+        // differ shape. A re-stamped current file is exactly what such a
+        // file looks like to the header check, and no version but the
+        // current one may be decoded.
         let config = FlowDiffConfig::default();
         let baseline = empty_baseline(&config);
-        for current in every_shape(&config) {
-            for old in 1..CHECKPOINT_VERSION {
-                let mut bytes = current.clone();
-                bytes[8..12].copy_from_slice(&old.to_le_bytes());
-                assert!(matches!(
-                    Checkpoint::from_bytes(&bytes),
-                    Err(PersistError::UnsupportedVersion { found, .. }) if found == old
-                ));
-                assert!(matches!(
-                    Differ::restore(&bytes, &baseline, &config),
-                    Err(PersistError::UnsupportedVersion { found, .. }) if found == old
-                ));
-            }
+        let current = small_checkpoint(&config);
+        for old in 1..CHECKPOINT_VERSION {
+            let mut bytes = current.clone();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                restore(&bytes, &baseline, &config),
+                Err(PersistError::UnsupportedVersion { found, .. }) if found == old
+            ));
         }
+        // A real v9 file, as a three-shard differ wrote it.
+        let v9 = include_bytes!("../tests/data/fdiffckp_v9_sharded3.bin");
+        let err = restore(v9, &baseline, &config).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported format version 9 (this build reads version 10)"
+        );
     }
 
     #[test]
     fn corrupt_checkpoints_are_refused_alike_in_every_shape() {
-        // One CRC over every payload byte: a flip in the last shard's
-        // state fails the whole file, exactly as in the single shape.
+        // One CRC over every payload byte: a flip in the last byte of
+        // the differ's state fails the whole file.
         let config = FlowDiffConfig::default();
-        let baseline = empty_baseline(&config);
-        for mut bytes in every_shape(&config) {
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x10;
-            assert!(matches!(
-                Differ::restore(&bytes, &baseline, &config),
-                Err(PersistError::CrcMismatch { .. })
-            ));
-        }
+        let mut bytes = small_checkpoint(&config);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        assert!(matches!(
+            restore(&bytes, &empty_baseline(&config), &config),
+            Err(PersistError::CrcMismatch { .. })
+        ));
     }
 
     #[test]
     fn restore_refuses_another_baseline_in_both_layouts() {
         let config = FlowDiffConfig::default();
         let (ours, theirs) = (empty_baseline(&config), baseline_of(&flows_log(3), &config));
-        for bytes in every_shape(&config) {
-            match Differ::restore(&bytes, &theirs, &config) {
-                Err(PersistError::BaselineMismatch { stored, offered }) => {
-                    assert_eq!((stored, offered), (ours.identity(), theirs.identity()));
-                }
-                other => panic!("expected BaselineMismatch, got {other:?}"),
+        let bytes = small_checkpoint(&config);
+        match restore(&bytes, &theirs, &config) {
+            Err(PersistError::BaselineMismatch { stored, offered }) => {
+                assert_eq!((stored, offered), (ours.identity(), theirs.identity()));
             }
-            assert!(Differ::restore(&bytes, &ours, &config).is_ok());
+            other => panic!("expected BaselineMismatch, got {other:?}"),
         }
+        assert!(restore(&bytes, &ours, &config).is_ok());
     }
 
     #[test]
     fn checkpoints_name_the_baseline_instead_of_carrying_it() {
         // The same stream judged against a small and a large baseline
-        // leaves checkpoints of equal length in both shapes.
+        // leaves checkpoints of equal length.
         let config = FlowDiffConfig::default();
         let (small, large) = (empty_baseline(&config), baseline_of(&flows_log(8), &config));
         assert!(large.to_bytes().len() > small.to_bytes().len() + 1_000);
         let stream = flows_log(4);
-        let lengths = |baseline: &Arc<BaselineBundle>| {
-            let mut single = OnlineDiffer::try_new(Arc::clone(baseline), &config).unwrap();
-            let mut sharded = ShardedDiffer::try_new(Arc::clone(baseline), &config, 2).unwrap();
+        let length = |baseline: &Arc<BaselineBundle>| {
+            let mut differ = OnlineDiffer::try_new(Arc::clone(baseline), &config).unwrap();
             for event in stream.events() {
-                single.observe(event);
-                sharded.observe(event);
+                differ.observe(event);
             }
             let n = stream.len() as u64;
-            (
-                Checkpoint::capture(&single, n, &config).to_bytes().len(),
-                Checkpoint::capture_sharded(&sharded, n, &config)
-                    .to_bytes()
-                    .len(),
-            )
+            Checkpoint::capture(&differ, n, &config).to_bytes().len()
         };
-        assert_eq!(lengths(&small), lengths(&large));
+        assert_eq!(length(&small), length(&large));
     }
 
     #[test]
@@ -922,46 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_checkpoint_roundtrips_and_rejects_mismatched_config() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 3);
-        let ckpt = Checkpoint::capture_sharded(&differ, 29, &config);
-        assert_eq!(ckpt.shape, Shape::Sharded(3));
-        let bytes = ckpt.to_bytes();
-        assert_eq!(bytes[8..12], CHECKPOINT_VERSION.to_le_bytes());
-        let back = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ckpt);
-        let baseline = empty_baseline(&config);
-        let (resumed, offset) = back.resume(&baseline, &config).unwrap();
-        assert_eq!(offset, 29);
-        assert_eq!(resumed, Differ::Sharded(differ));
-
-        let other = FlowDiffConfig {
-            fs_rel_change: 0.75,
-            ..FlowDiffConfig::default()
-        };
-        let again = Checkpoint::from_bytes(&bytes).unwrap();
-        assert!(matches!(
-            again.resume(&baseline, &other),
-            Err(PersistError::ConfigMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn sharded_checkpoint_save_load_through_disk() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 2);
-        let path = tmp_path("sharded-roundtrip.ckpt");
-        let bytes = Checkpoint::capture_sharded(&differ, 5, &config).to_bytes();
-        atomic_write(&path, &bytes).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let (restored, at) = Differ::restore(&bytes, &empty_baseline(&config), &config).unwrap();
-        assert_eq!(at, 5);
-        assert_eq!(restored, Differ::Sharded(differ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn any_checkpoint_rejects_future_versions_and_foreign_files() {
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
@@ -969,14 +878,14 @@ mod tests {
         bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
         let baseline = empty_baseline(&config);
         assert!(matches!(
-            Differ::restore(&bytes, &baseline, &config),
+            restore(&bytes, &baseline, &config),
             Err(PersistError::UnsupportedVersion {
                 supported: CHECKPOINT_VERSION,
                 ..
             })
         ));
         assert!(matches!(
-            Differ::restore(b"FDIFFBASnot a checkpoint", &baseline, &config),
+            restore(b"FDIFFBASnot a checkpoint", &baseline, &config),
             Err(PersistError::BadMagic { .. })
         ));
     }

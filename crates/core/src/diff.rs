@@ -9,9 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -22,11 +20,8 @@ use crate::config::{ConfigError, FlowDiffConfig};
 use crate::derived::Derived;
 use crate::epoch::EpochClock;
 use crate::groups::{match_group_refs, AppGroup};
-use crate::model::{BehaviorModel, IncrementalModelBuilder, ShardModel};
-use crate::records::{
-    Admitted, EventClass, FlowRecord, IngestHealth, RecordAssembler, RoutedEvent, Sequencer,
-    ShardRouter,
-};
+use crate::model::{BehaviorModel, IncrementalModelBuilder};
+use crate::records::{IngestHealth, RecordAssembler, Sequencer};
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
 use netsim::log::ControlEvent;
@@ -338,7 +333,7 @@ fn gate_diff(
     gating
 }
 
-/// What both differs judge a window model with: the baseline, the
+/// What the differ judges a window model with: the baseline, the
 /// config, and the transport note that holds diffs back. Every boundary
 /// and flush path ends in [`Judge::snapshot`].
 ///
@@ -422,48 +417,31 @@ impl Judge {
 pub struct EpochTimings {
     /// Retiring expired state out of the sliding windows.
     pub retire_us: u64,
-    /// Folding boundary-drained completed records into the builder
-    /// (for the sharded differ, flushing the step buffer to the
-    /// workers' batch queues).
+    /// Folding boundary-drained completed records into the builder.
     pub observe_us: u64,
     /// Building the window model (reading the touched in-flight
     /// episodes out of the assembler plus the incremental epoch
-    /// snapshot). For the sharded differ this is the barrier only: the
-    /// workers draining their queues, then each extracting its delta —
-    /// completions since the previous barrier, touched open episodes,
-    /// event-derived facts; the model itself is under `merge_us`.
+    /// snapshot).
     pub snapshot_us: u64,
-    /// Folding the barrier replies into the coordinator's maintained
-    /// window plus its incremental epoch snapshot (zero on the
-    /// single-shard differ, whose `snapshot_us` covers that work).
-    pub merge_us: u64,
     /// Comparing against the reference and gating the diff.
     pub diff_us: u64,
-    /// Deepest any worker's batch queue got this epoch, in batches
-    /// (zero on the single-shard differ). The gauge counts batches
-    /// handed to a channel but not yet fully processed — queued, in
-    /// service, and the one a blocked sender is waiting to enqueue —
-    /// so readings above the channel bound (`QUEUE_BATCHES`) mean
-    /// admission outran the workers and backpressure engaged.
+    /// Always zero, like the next two: the benchmark harness still
+    /// reads these fields of the sharded differ that
+    /// [`harness_seam`](crate::harness_seam) stands in for.
+    pub merge_us: u64,
+    /// Always zero (see `merge_us`).
     pub queue_depth_peak: u64,
-    /// The busiest worker's share of the epoch's wall-clock time,
-    /// percent (zero on the single-shard differ). Low values mean the
-    /// workers idle waiting for admission; values near 100 mean a
-    /// worker is the bottleneck.
+    /// Always zero (see `merge_us`).
     pub worker_busy_pct: u64,
 }
 
 impl EpochTimings {
-    /// Accumulates another sample (for averaging across epochs): stage
-    /// durations sum, the channel gauges keep their worst case.
+    /// Accumulates another sample (for averaging across epochs).
     pub fn add(&mut self, other: EpochTimings) {
         self.retire_us += other.retire_us;
         self.observe_us += other.observe_us;
         self.snapshot_us += other.snapshot_us;
-        self.merge_us += other.merge_us;
         self.diff_us += other.diff_us;
-        self.queue_depth_peak = self.queue_depth_peak.max(other.queue_depth_peak);
-        self.worker_busy_pct = self.worker_busy_pct.max(other.worker_busy_pct);
     }
 }
 
@@ -598,6 +576,12 @@ impl OnlineDiffer {
         self.builder.epoch_synced()
     }
 
+    /// Records the window builder holds and episodes the assembler
+    /// holds open: the load the harness seam reports as its one shard.
+    pub(crate) fn load(&self) -> (usize, usize) {
+        (self.builder.record_count(), self.assembler.open_len())
+    }
+
     /// Sets (or clears) the transport-degradation note: while set,
     /// every signature is gated [`SignatureHealth::Starved`] with this
     /// reason — the serving loop calls this when a publisher stream
@@ -662,7 +646,7 @@ impl OnlineDiffer {
         for record in assembler.finish() {
             builder.observe_record(record);
         }
-        let start = Timestamp::from_micros(end.as_micros().saturating_sub(clock.window_us()));
+        let start = clock.window_start(end);
         builder.retire_before(start);
         builder.set_span((start, end));
         Some(judge.snapshot(clock.epoch(), (start, end), builder.into_snapshot()))
@@ -680,8 +664,7 @@ impl OnlineDiffer {
                 }
             });
         }
-        let start =
-            Timestamp::from_micros(boundary.as_micros().saturating_sub(self.clock.window_us()));
+        let start = self.clock.window_start(boundary);
         timed(&mut timings.retire_us, || {
             self.builder.retire_before(start);
         });
@@ -696,928 +679,6 @@ impl OnlineDiffer {
         timed(&mut timings.diff_us, || {
             self.judge.snapshot(epoch, (start, boundary), model)
         })
-    }
-}
-
-/// One shard worker's streaming state: its slice of the record
-/// assembly, and the model builder fed its slice of the raw events. The
-/// events it assembles were sequenced by the splitter's [`Sequencer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardState {
-    assembler: RecordAssembler,
-    builder: IncrementalModelBuilder,
-}
-
-impl ShardState {
-    /// A fresh shard worker.
-    fn fresh(config: &FlowDiffConfig) -> ShardState {
-        ShardState {
-            assembler: RecordAssembler::new(config),
-            builder: IncrementalModelBuilder::new(config),
-        }
-    }
-
-    /// Consumes one released event the way the single-shard assembler
-    /// would, from shard `me`'s point of view:
-    ///
-    /// - every `FlowMod` is processed in full on every shard, so each
-    ///   shard's xid table is an identical replica (xids collide across
-    ///   tuples, and pairing is global-by-xid — the paired send time and
-    ///   output port are in the record bytes),
-    /// - an owned event runs the full state machine,
-    /// - everything else advances the clock with the prune check, so
-    ///   every shard evicts idle state on exactly the single-shard
-    ///   schedule (eviction timing decides which straggling replies
-    ///   still patch their episode — it is visible in record bytes).
-    fn feed(&mut self, me: u32, routed: &RoutedEvent) {
-        match routed.class {
-            EventClass::FlowMod => self.assembler.observe(&routed.event),
-            _ if routed.shard == me => self.assembler.observe(&routed.event),
-            _ => self.assembler.advance_clock(routed.event.ts),
-        }
-    }
-
-    /// Applies one admission step from shard `me`'s point of view.
-    /// The step stream interleaves two independent state machines:
-    /// arrivals feed the owning shard's model builder (the single-shard
-    /// builder sees every event at arrival), releases feed every
-    /// shard's assembler through the per-event rule in
-    /// [`ShardState::feed`]. Because the two machines share no state
-    /// between barriers, replaying the stream in order on a worker
-    /// thread reproduces exactly what the coordinator applying each
-    /// step inline would have produced.
-    fn step(&mut self, me: u32, step: &Step) {
-        match step {
-            Step::Admit(routed) => {
-                if routed.shard == me {
-                    self.builder.observe_event(&routed.event);
-                }
-                self.feed(me, routed);
-            }
-            Step::Arrive { shard, event } => {
-                if *shard == me {
-                    self.builder.observe_event(event);
-                }
-            }
-            Step::Release(routed) => self.feed(me, routed),
-        }
-    }
-
-    /// This shard's reply at an epoch barrier, mirroring
-    /// [`OnlineDiffer::snapshot_at`] per shard: completed records drain
-    /// into the (durable) builder, state older than `start` retires,
-    /// and what changed since the previous barrier goes to the
-    /// coordinator — the completions still in the window, the touched
-    /// in-window open episodes, and the event-derived facts whole.
-    /// `full` means the coordinator holds no window: the shard ships
-    /// its whole held window and every in-window open episode instead,
-    /// and tracks changes from there.
-    fn barrier(&mut self, start: Timestamp, full: bool) -> (ShardModel, Vec<FlowRecord>) {
-        let mut fresh = Vec::new();
-        for record in self.assembler.take_completed() {
-            if !full && record.first_seen >= start {
-                fresh.push(record.clone());
-            }
-            self.builder.observe_record(record);
-        }
-        self.builder.retire_before(start);
-        if full {
-            self.assembler.forget_touched();
-            fresh = self.builder.held_records();
-        }
-        let opens = self.assembler.touched_open_records_since(start);
-        (self.builder.shard_model_of(fresh), opens)
-    }
-}
-
-/// Per-shard load figures for the watch `stats:` line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Records currently held in the shard's window builder.
-    pub records: usize,
-    /// In-flight episodes in the shard's assembler.
-    pub open_episodes: usize,
-}
-
-/// Steps per batch shipped to the worker queues. A send to a parked
-/// worker is a thread wake, and at one step per event a worker applies
-/// a batch faster than the router admits the next one, so nearly every
-/// send wakes: the batch has to be large enough that the wake vanishes
-/// in it. At 128 steps the wakes cost the coordinator more than routing
-/// did (~1,080 ns per event on the `fanin_sharded` shape against ~650 ns
-/// at 2,048, i.e. ~14 µs a wake); at 1,024 that is ~14 ns per event and
-/// worker, and doubling again buys nothing measurable.
-const BATCH_STEPS: usize = 1_024;
-
-/// Bound of each worker's batch queue, in batches. A full queue blocks
-/// admission (backpressure) instead of buffering unboundedly; the
-/// [`EpochTimings::queue_depth_peak`] gauge reads above this value
-/// when that happens. Counting the batch being built and the one in
-/// service, at most `(QUEUE_BATCHES + 2) * BATCH_STEPS` = 6,144 steps
-/// are in flight: ~2 MiB of events, and the most a barrier ever waits
-/// for — about 1.5 ms of worker time. Batch and depth are chosen
-/// together for that product: with fewer cores than threads the
-/// workers run behind and the queues fill to the bound, and whatever
-/// is queued at a boundary is drained with admission stopped, so a
-/// deeper queue (or a larger batch at this depth) only moves the wait
-/// from the blocked send into the barrier and raises memory.
-const QUEUE_BATCHES: usize = 4;
-
-/// One admission step, broadcast to every worker in arrival order.
-#[derive(Debug, Clone)]
-enum Step {
-    /// An event the reorder buffer released at its own arrival (always,
-    /// with `reorder_slack_us == 0`): the owning shard's model builder
-    /// observes it and every shard's assembler consumes it, both from
-    /// the one copy of the event the router made.
-    Admit(RoutedEvent),
-    /// An event the reorder buffer holds back, at arrival: the owning
-    /// shard's model builder observes it, exactly when the single-shard
-    /// builder would.
-    Arrive { shard: u32, event: ControlEvent },
-    /// A held-back event released later, in release order: every
-    /// shard's assembler consumes it (see [`ShardState::feed`]).
-    Release(RoutedEvent),
-}
-
-/// A message on one worker's batch queue.
-enum WorkerMsg {
-    /// A batch of admission steps, shared across all workers, to apply
-    /// in order.
-    Batch(Arc<Vec<Step>>),
-    /// In-band epoch barrier: everything enqueued before it is part of
-    /// the closing epoch. The worker replies with what changed in the
-    /// window starting at `start` since the previous barrier — or, when
-    /// `full`, with everything it holds in that window (see
-    /// [`ShardState::barrier`]).
-    Barrier { start: Timestamp, full: bool },
-    /// Quiesce: reply once every prior message has been applied.
-    Sync,
-    /// Crash-drill injection: panic on receipt, mid-queue, the way a
-    /// real defect in worker code would.
-    Poison,
-}
-
-/// A worker's reply on the barrier/quiesce channel.
-enum WorkerReply {
-    /// The shard's barrier reply — completions and event-derived facts
-    /// as a [`ShardModel`], open episodes apart — plus the microseconds
-    /// the worker spent busy since the previous barrier.
-    Delta {
-        model: ShardModel,
-        opens: Vec<FlowRecord>,
-        busy_us: u64,
-    },
-    /// Quiesce acknowledgement: the queue is drained.
-    Synced,
-}
-
-/// The coordinator's handle to one worker: its bounded batch queue,
-/// its reply channel, and the shared queue-depth gauge.
-#[derive(Debug)]
-struct WorkerLink {
-    queue: SyncSender<WorkerMsg>,
-    replies: Receiver<WorkerReply>,
-    depth: Arc<AtomicUsize>,
-}
-
-/// The long-lived worker threads of one [`ShardedDiffer`] run.
-/// Spawned exactly once (lazily, at the first observed event) and
-/// joined when the differ finishes, drops, or is torn down by a
-/// supervised restart.
-#[derive(Debug)]
-struct Pipeline {
-    links: Vec<WorkerLink>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pipeline {
-    fn spawn(states: &[Arc<Mutex<ShardState>>]) -> Pipeline {
-        let mut links = Vec::with_capacity(states.len());
-        let mut handles = Vec::with_capacity(states.len());
-        for (i, state) in states.iter().enumerate() {
-            let (queue, inbox) = sync_channel(QUEUE_BATCHES);
-            let (reply_tx, replies) = channel();
-            let depth = Arc::new(AtomicUsize::new(0));
-            let state = Arc::clone(state);
-            let gauge = Arc::clone(&depth);
-            let handle = std::thread::Builder::new()
-                .name(format!("flowdiff-shard-{i}"))
-                .spawn(move || shard_worker(i as u32, state, inbox, reply_tx, gauge))
-                .expect("spawning a shard worker thread");
-            links.push(WorkerLink {
-                queue,
-                replies,
-                depth,
-            });
-            handles.push(handle);
-        }
-        Pipeline { links, handles }
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        // Disconnect every queue first — workers exit their recv loop —
-        // then join. A worker that died panicking joins as `Err`, which
-        // is deliberately swallowed here: its death already surfaced as
-        // a coordinator panic through the closed channels, and Drop may
-        // itself be running during that unwind.
-        self.links.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The worker loop: apply batches, answer barriers with the shard's
-/// delta, acknowledge quiesces. Exits when the coordinator
-/// drops its end of either channel.
-fn shard_worker(
-    me: u32,
-    state: Arc<Mutex<ShardState>>,
-    inbox: Receiver<WorkerMsg>,
-    replies: Sender<WorkerReply>,
-    depth: Arc<AtomicUsize>,
-) {
-    let mut busy_us = 0u64;
-    while let Ok(msg) = inbox.recv() {
-        match msg {
-            WorkerMsg::Batch(steps) => {
-                let t0 = std::time::Instant::now();
-                {
-                    let mut st = state.lock().expect("shard state poisoned");
-                    for step in steps.iter() {
-                        st.step(me, step);
-                    }
-                }
-                busy_us += t0.elapsed().as_micros() as u64;
-                depth.fetch_sub(1, Ordering::AcqRel);
-            }
-            WorkerMsg::Barrier { start, full } => {
-                let t0 = std::time::Instant::now();
-                let (model, opens) = state
-                    .lock()
-                    .expect("shard state poisoned")
-                    .barrier(start, full);
-                busy_us += t0.elapsed().as_micros() as u64;
-                let reply = WorkerReply::Delta {
-                    model,
-                    opens,
-                    busy_us: std::mem::take(&mut busy_us),
-                };
-                if replies.send(reply).is_err() {
-                    return;
-                }
-            }
-            WorkerMsg::Sync => {
-                if replies.send(WorkerReply::Synced).is_err() {
-                    return;
-                }
-            }
-            WorkerMsg::Poison => panic!("shard worker {me} poisoned (crash drill)"),
-        }
-    }
-}
-
-/// Steps admitted but not yet shipped to the worker queues, plus the
-/// deepest queue observed since the gauge was last harvested. Behind a
-/// mutex so `&self` paths (serialization, equality, health) can flush
-/// before quiescing; only the coordinator thread ever takes it, and
-/// admission (`&mut self`) reaches through it without locking.
-#[derive(Debug, Default)]
-struct Pending {
-    steps: Vec<Step>,
-    peak_depth: usize,
-}
-
-/// The sharded online differ: N persistent shard workers behind a
-/// [`ShardRouter`], merged into one model (and diffed once) at every
-/// epoch boundary.
-///
-/// The contract is exact equivalence: for any shard count, every
-/// emitted [`EpochSnapshot`] is `PartialEq`- and
-/// serialization-byte-identical to the single-shard
-/// [`OnlineDiffer`]'s. The pieces that make that hold:
-///
-/// - the **splitter** is the same [`Sequencer`] the single differ
-///   holds (quarantine, out-of-order accounting, the reorder buffer)
-///   plus routing and a release-order xid ledger for the global-by-xid
-///   health counts,
-/// - every admission becomes `Step`s — one `Admit` for an event the
-///   reorder buffer releases at its own arrival (the owner's builder
-///   feed, exactly when the single-shard builder sees the event, and
-///   the release, from one copy of the event), or an `Arrive` now and a
-///   `Release` later for one it holds back; at a release each worker
-///   applies the per-event rule (any `FlowMod` → full observe, own
-///   event → full observe, anything else → clock advance) — batched and
-///   broadcast over bounded channels to **long-lived worker threads**
-///   that drain their queues while the router keeps admitting,
-/// - epoch boundaries travel **in-band as barrier messages**: a worker
-///   reaching the barrier has applied every pre-boundary step and
-///   nothing after, so what it extracts is exactly the scoped
-///   stop-the-world extraction of the previous architecture,
-/// - a barrier reply is a **delta** — the shard's completions since the
-///   previous barrier, its touched open episodes
-///   ([`RecordAssembler::touched_open_records_since`]) and its
-///   event-derived facts — which the coordinator folds into one
-///   maintained [`IncrementalModelBuilder`] and snapshots through
-///   [`IncrementalModelBuilder::epoch_snapshot`], the single-shard
-///   differ's boundary path. The union of the shards' touched sets is
-///   what one assembler over the whole stream would hand over (an
-///   episode lives on one shard and is touched by the same events
-///   there), and the fold is the same upsert per window key. The
-///   coordinator's window is derived state: it starts empty — at
-///   construction, on a clone, after a restore — and the first barrier
-///   then asks every worker for a full resync.
-///
-/// Identity is insensitive to the pipelining because each worker's two
-/// state machines (builder, assembler) are deterministic functions of
-/// their own slice of the step stream, and the stream order is fixed
-/// at admission — *when* a worker gets around to applying a batch is
-/// unobservable. Anything that wants to look at worker state —
-/// serialization, equality, checkpoint capture, the health rollup —
-/// first runs the **quiesce protocol** (flush the step buffer, then a
-/// `Sync` round-trip per worker), after which the states are exactly
-/// what a stop-the-world run would hold.
-///
-/// Worker threads spawn lazily, exactly once per run, at the first
-/// observed event; clones and checkpoint restores start with no
-/// threads until they observe. A worker panic (or the crash-drill
-/// poison) closes its channels, and the coordinator turns the closed
-/// channel into a panic of its own at the next flush, barrier, or
-/// quiesce — which is exactly what the supervised restart path in
-/// `flowdiff-bench` catches before restoring from the last checkpoint.
-///
-/// `new(.., 1)` is a valid degenerate configuration, but callers
-/// wanting the exact legacy code path (no routing, no channels, no
-/// threads) should keep using [`OnlineDiffer`].
-///
-/// A checkpoint of it is the one FDIFFCKP format the single differ
-/// writes, holding the router, the epoch grid and every shard's worker
-/// state (see [`Checkpoint::capture_sharded`](crate::checkpoint::Checkpoint::capture_sharded)).
-#[derive(Debug)]
-pub struct ShardedDiffer {
-    judge: Judge,
-    splitter: ShardRouter,
-    /// Shard worker states, shared with the pipeline threads. The
-    /// coordinator locks one only at a quiesce point (or, before the
-    /// pipeline spawns, when it is the sole owner).
-    states: Vec<Arc<Mutex<ShardState>>>,
-    /// The step buffer: at most one batch accumulates here between
-    /// queue sends.
-    pending: Mutex<Pending>,
-    /// Scratch for the router's releases during one admission.
-    released: Vec<RoutedEvent>,
-    /// The maintained window model the barrier deltas fold into.
-    /// Derived from the worker states like the single-shard builder's
-    /// interned window is from its records: never serialized, never
-    /// compared, `None` until the first barrier (which therefore asks
-    /// the workers for everything they hold) — so also on every clone
-    /// and restore, whose workers' touched tracking belongs to a window
-    /// this differ does not have.
-    window: Option<IncrementalModelBuilder>,
-    /// The long-lived worker threads; `None` until the first observed
-    /// event (and on every clone and checkpoint restore, so capturing
-    /// a checkpoint never spawns threads).
-    pipeline: Option<Pipeline>,
-    clock: EpochClock,
-    /// Cumulative time spent in boundary merges (diagnostics only:
-    /// excluded from equality and serialization).
-    merge_micros: u64,
-    /// Per-stage boundary timings since the last
-    /// [`take_timings`](Self::take_timings) (diagnostics only: excluded
-    /// from equality and serialization).
-    timings: EpochTimings,
-    /// Wall-clock start of the current epoch, for the worker busy
-    /// fraction (diagnostics only).
-    epoch_wall: Option<std::time::Instant>,
-}
-
-impl ShardedDiffer {
-    /// A sharded differ over `n_shards` workers (clamped to at least
-    /// one). The shard count is a runtime deployment choice, not part
-    /// of [`FlowDiffConfig`] — checkpoint fingerprints stay comparable
-    /// across shard counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the config fails [`FlowDiffConfig::validate`]; use
-    /// [`ShardedDiffer::try_new`] to handle invalid configs gracefully.
-    pub fn new(
-        model: BehaviorModel,
-        stability: StabilityReport,
-        config: &FlowDiffConfig,
-        n_shards: usize,
-    ) -> ShardedDiffer {
-        let baseline = Arc::new(BaselineBundle { model, stability });
-        ShardedDiffer::try_new(baseline, config, n_shards).expect("invalid FlowDiffConfig")
-    }
-
-    /// Like [`ShardedDiffer::new`], sharing the caller's `baseline`, and
-    /// reporting invalid configs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
-    pub fn try_new(
-        baseline: Arc<BaselineBundle>,
-        config: &FlowDiffConfig,
-        n_shards: usize,
-    ) -> Result<ShardedDiffer, ConfigError> {
-        config.validate()?;
-        let n = n_shards.max(1);
-        Ok(ShardedDiffer {
-            judge: Judge::new(baseline, config),
-            splitter: ShardRouter::new(config, n),
-            states: (0..n)
-                .map(|_| Arc::new(Mutex::new(ShardState::fresh(config))))
-                .collect(),
-            pending: Mutex::new(Pending::default()),
-            released: Vec::new(),
-            window: None,
-            pipeline: None,
-            clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
-    }
-
-    /// Number of shard workers.
-    pub fn n_shards(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The zero-based index of the next epoch to be emitted.
-    pub fn epoch(&self) -> u64 {
-        self.clock.epoch()
-    }
-
-    /// Cumulative microseconds spent folding barrier replies into the
-    /// window model at epoch boundaries (the sum of every epoch's
-    /// [`EpochTimings::merge_us`]).
-    pub fn merge_micros(&self) -> u64 {
-        self.merge_micros
-    }
-
-    /// [`IncrementalModelBuilder::epoch_synced`] of the coordinator's
-    /// window at the latest boundary — the sharded mirror of
-    /// [`OnlineDiffer::epoch_synced`]: the whole window after a full
-    /// resync, otherwise what the barrier deltas carried.
-    pub fn epoch_synced(&self) -> usize {
-        self.window
-            .as_ref()
-            .map_or(0, IncrementalModelBuilder::epoch_synced)
-    }
-
-    /// Per-stage boundary timings since the last call, reset on read —
-    /// the sharded mirror of [`OnlineDiffer::take_timings`]. Here
-    /// `observe_us` covers the boundary flush of the step buffer into
-    /// the worker queues; `snapshot_us` the barrier (the workers
-    /// draining their queues, then extracting their deltas);
-    /// `merge_us` the coordinator folding the replies into its window
-    /// and taking the incremental epoch snapshot; and `retire_us` stays
-    /// zero (retirement happens inside the workers' extraction and the
-    /// fold, and is counted with them). The channel gauges
-    /// (`queue_depth_peak`, `worker_busy_pct`) are per-epoch highs
-    /// rather than sums.
-    pub fn take_timings(&mut self) -> EpochTimings {
-        std::mem::take(&mut self.timings)
-    }
-
-    /// Global ingestion health: the splitter's arrival/ledger counters
-    /// plus the shard-local counters (evictions, orphan removals, stale
-    /// attaches) summed across workers. Shard-local copies of the
-    /// global-by-xid counters are ignored — every shard sees every
-    /// `FlowMod`, so summing those would multiply them by N.
-    ///
-    /// Quiesces the pipeline first, so the rollup is exact — equal to
-    /// the single-shard differ's counters at the same point in the
-    /// stream, with no one-epoch flush lag.
-    pub fn health(&self) -> IngestHealth {
-        self.quiesce();
-        let mut health = self.splitter.health();
-        for state in &self.states {
-            let state = state.lock().expect("shard state poisoned");
-            let sh = state.assembler.health();
-            health.episodes_evicted += sh.episodes_evicted;
-            health.orphan_flow_removeds += sh.orphan_flow_removeds;
-            health.stale_attaches += sh.stale_attaches;
-        }
-        health
-    }
-
-    /// Per-shard load figures (records held, in-flight episodes),
-    /// quiesced so the figures are a consistent cut of the stream.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.quiesce();
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                let s = s.lock().expect("shard state poisoned");
-                ShardStats {
-                    shard,
-                    records: s.builder.record_count(),
-                    open_episodes: s.assembler.open_len(),
-                }
-            })
-            .collect()
-    }
-
-    /// Rough heap footprint of the sharded pipeline's own state (the
-    /// splitter, the buffered steps, every shard's builder, and the
-    /// coordinator's window). Approximate by design: worker states are
-    /// sampled under their locks without a quiesce.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let buffered = (self.pending.lock())
-            .expect("pending steps poisoned")
-            .steps
-            .len();
-        self.splitter.approx_bytes()
-            + buffered * size_of::<Step>()
-            + (self.states.iter())
-                .map(|s| {
-                    s.lock()
-                        .expect("shard state poisoned")
-                        .builder
-                        .approx_bytes()
-                })
-                .sum::<usize>()
-            + self
-                .window
-                .as_ref()
-                .map_or(0, IncrementalModelBuilder::approx_bytes)
-    }
-
-    /// Sets (or clears) the transport-degradation note — same contract
-    /// as [`OnlineDiffer::set_ingest_degraded`].
-    pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.judge.ingest_degraded.0 = reason;
-    }
-
-    /// Feeds one event — the sharded mirror of
-    /// [`OnlineDiffer::observe`]: the event is admitted and routed, its
-    /// releases held aside while boundary snapshots are emitted from
-    /// state *before* this event, then its steps are enqueued toward the
-    /// workers. Admission returns as soon as the steps are buffered (or,
-    /// at a batch boundary, handed to the queues) — the workers drain
-    /// concurrently.
-    pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
-        self.ensure_pipeline();
-        // A quarantined timestamp must not drive the epoch clock either.
-        let Some(Admitted { shard, released_at }) = self.splitter.admit(event, &mut self.released)
-        else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (epoch, boundary) in self.clock.advance(event.ts) {
-            out.push(self.snapshot_at(epoch, boundary));
-        }
-        let steps = &mut (self.pending.get_mut())
-            .expect("pending steps poisoned")
-            .steps;
-        for (i, routed) in self.released.drain(..).enumerate() {
-            steps.push(match released_at {
-                Some(at) if at == i => Step::Admit(routed),
-                _ => Step::Release(routed),
-            });
-        }
-        if released_at.is_none() {
-            steps.push(Step::Arrive {
-                shard,
-                event: event.clone(),
-            });
-        }
-        if steps.len() >= BATCH_STEPS {
-            self.flush_pending();
-        }
-        out
-    }
-
-    /// Injects a panic into shard `shard`'s worker, in-queue — the
-    /// crash-drill hook behind
-    /// `engine::tests::worker_panic_surfaces_and_recovers_exactly_once`.
-    /// The worker dies when it reaches the poison; the coordinator's
-    /// next flush, barrier, or quiesce then panics on the closed
-    /// channel, which is the supervised restart path's cue to restore
-    /// from the last checkpoint.
-    pub fn poison_worker(&mut self, shard: usize) {
-        self.ensure_pipeline();
-        let pipeline = self.pipeline.as_ref().expect("pipeline just ensured");
-        let link = &pipeline.links[shard % pipeline.links.len()];
-        let _ = link.queue.send(WorkerMsg::Poison);
-    }
-
-    /// Flushes the final partial epoch across all shards. None when no
-    /// event was ever observed.
-    pub fn finish(mut self) -> Option<EpochSnapshot> {
-        // Everything still in flight — the step buffer, the reorder
-        // buffer's tail — becomes steps.
-        let tail = self.splitter.drain().into_iter().map(Step::Release);
-        let pending = self.pending.get_mut().expect("pending steps poisoned");
-        pending.steps.extend(tail);
-        if self.pipeline.is_some() {
-            self.quiesce();
-        } else {
-            // Never observed (or restored and immediately finished):
-            // no threads to hand the tail to — apply it inline.
-            let steps = std::mem::take(&mut pending.steps);
-            for (i, state) in self.states.iter().enumerate() {
-                let mut st = state.lock().expect("shard state poisoned");
-                for step in &steps {
-                    st.step(i as u32, step);
-                }
-            }
-        }
-        // Tear the pipeline down (queues disconnect, workers join);
-        // after this the coordinator is the sole owner of every state.
-        drop(self.pipeline.take());
-        let shards: Vec<ShardState> = std::mem::take(&mut self.states)
-            .into_iter()
-            .map(|state| match Arc::try_unwrap(state) {
-                Ok(mutex) => mutex.into_inner().expect("shard state poisoned"),
-                Err(shared) => shared.lock().expect("shard state poisoned").clone(),
-            })
-            .collect();
-        let end = shards
-            .iter()
-            .filter_map(|s| s.builder.observed_span())
-            .map(|(_, hi)| hi)
-            .max()?;
-        let epoch = self.clock.epoch();
-        let start = self.clock.window_start(end);
-        let mut parts = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let ShardState {
-                assembler,
-                mut builder,
-            } = shard;
-            for record in assembler.finish() {
-                builder.observe_record(record);
-            }
-            builder.retire_before(start);
-            parts.push(builder.into_shard_model());
-        }
-        let model =
-            IncrementalModelBuilder::merge(parts, Some((start, end)), &self.judge.config, 0);
-        Some(self.judge.snapshot(epoch, (start, end), model))
-    }
-
-    /// Spawns the worker threads on first use — exactly once per run.
-    fn ensure_pipeline(&mut self) {
-        if self.pipeline.is_some() {
-            return;
-        }
-        self.pipeline = Some(Pipeline::spawn(&self.states));
-        self.epoch_wall = Some(std::time::Instant::now());
-    }
-
-    /// Ships the buffered steps as one `Arc`-shared batch to every
-    /// worker queue. The queues are bounded: a worker more than
-    /// [`QUEUE_BATCHES`] batches behind blocks admission here
-    /// (backpressure) instead of letting the buffer grow without
-    /// bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker has exited — its queue is closed — which
-    /// propagates a worker panic into the coordinator for the
-    /// supervised restart path to catch.
-    fn flush_pending(&self) {
-        let Some(pipeline) = self.pipeline.as_ref() else {
-            return;
-        };
-        let mut pending = self.pending.lock().expect("pending steps poisoned");
-        if pending.steps.is_empty() {
-            return;
-        }
-        let steps = std::mem::replace(&mut pending.steps, Vec::with_capacity(BATCH_STEPS));
-        let batch = Arc::new(steps);
-        for (i, link) in pipeline.links.iter().enumerate() {
-            let depth = link.depth.fetch_add(1, Ordering::AcqRel) + 1;
-            pending.peak_depth = pending.peak_depth.max(depth);
-            if link
-                .queue
-                .send(WorkerMsg::Batch(Arc::clone(&batch)))
-                .is_err()
-            {
-                panic!("shard worker {i} exited mid-run; cannot deliver a batch");
-            }
-        }
-    }
-
-    /// The drain-to-barrier quiesce: flush the step buffer, then a
-    /// `Sync` round-trip per worker. When this returns, every worker
-    /// has applied every step admitted so far and its state is exactly
-    /// the stop-the-world state — safe to lock for serialization,
-    /// equality, checkpoint capture, or the health rollup. A no-op
-    /// before the pipeline spawns (the coordinator is sole owner and
-    /// nothing is in flight).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker has exited (see [`Self::flush_pending`]).
-    fn quiesce(&self) {
-        let Some(pipeline) = self.pipeline.as_ref() else {
-            return;
-        };
-        self.flush_pending();
-        for (i, link) in pipeline.links.iter().enumerate() {
-            if link.queue.send(WorkerMsg::Sync).is_err() {
-                panic!("shard worker {i} exited mid-run; cannot quiesce");
-            }
-        }
-        for (i, link) in pipeline.links.iter().enumerate() {
-            match link.replies.recv() {
-                Ok(WorkerReply::Synced) => {}
-                _ => panic!("shard worker {i} died during quiesce"),
-            }
-        }
-    }
-
-    /// Boundary: flush the step buffer, send the in-band barrier,
-    /// fold every shard's reply into the maintained window, snapshot
-    /// it, diff once. Admission stalls only for the barrier round-trip
-    /// — between boundaries the workers consume their queues while the
-    /// router admits.
-    fn snapshot_at(&mut self, epoch: u64, boundary: Timestamp) -> EpochSnapshot {
-        let flush_start = std::time::Instant::now();
-        self.flush_pending();
-        self.timings.observe_us += flush_start.elapsed().as_micros() as u64;
-        let start = self.clock.window_start(boundary);
-        let barrier_start = std::time::Instant::now();
-        let pipeline = self
-            .pipeline
-            .as_ref()
-            .expect("observe() spawns the pipeline before advancing the clock");
-        // Only this differ knows whether it holds the window the
-        // workers' deltas are relative to.
-        let full = self.window.is_none();
-        for (i, link) in pipeline.links.iter().enumerate() {
-            if link.queue.send(WorkerMsg::Barrier { start, full }).is_err() {
-                panic!("shard worker {i} exited mid-run; cannot reach the epoch barrier");
-            }
-        }
-        let mut parts: Vec<ShardModel> = Vec::with_capacity(pipeline.links.len());
-        let mut opens: Vec<FlowRecord> = Vec::new();
-        let mut busy_peak_us = 0u64;
-        for (i, link) in pipeline.links.iter().enumerate() {
-            match link.replies.recv() {
-                Ok(WorkerReply::Delta {
-                    model,
-                    opens: shard_opens,
-                    busy_us,
-                }) => {
-                    busy_peak_us = busy_peak_us.max(busy_us);
-                    parts.push(model);
-                    opens.extend(shard_opens);
-                }
-                _ => panic!("shard worker {i} died before the epoch barrier"),
-            }
-        }
-        self.timings.snapshot_us += barrier_start.elapsed().as_micros() as u64;
-        // The busy gauge needs a real wall-clock span. With no prior
-        // mark (a differ restored from a checkpoint or deserialized
-        // mid-stream), fabricating a 1µs wall would saturate the gauge
-        // to a spurious 100% — skip the update and just seed the mark.
-        if let Some(prev) = self.epoch_wall {
-            let wall_us = (prev.elapsed().as_micros() as u64).max(1);
-            self.timings.worker_busy_pct = self
-                .timings
-                .worker_busy_pct
-                .max(busy_peak_us.min(wall_us) * 100 / wall_us);
-        }
-        self.epoch_wall = Some(std::time::Instant::now());
-        let pending = self.pending.get_mut().expect("pending steps poisoned");
-        self.timings.queue_depth_peak =
-            self.timings.queue_depth_peak.max(pending.peak_depth as u64);
-        pending.peak_depth = 0;
-
-        // The same boundary the single-shard differ runs, with the
-        // shards' replies standing in for its assembler and its event
-        // feed: completions in, window slid, facts replaced, touched
-        // open episodes upserted by `epoch_snapshot`.
-        let merge_start = std::time::Instant::now();
-        let window = self
-            .window
-            .get_or_insert_with(|| IncrementalModelBuilder::new(&self.judge.config));
-        window.clear_event_facts();
-        for part in parts {
-            window.absorb(part);
-        }
-        window.retire_before(start);
-        let model = window.epoch_snapshot((start, boundary), opens);
-        let merged_us = merge_start.elapsed().as_micros() as u64;
-        self.merge_micros += merged_us;
-        self.timings.merge_us += merged_us;
-        timed(&mut self.timings.diff_us, || {
-            self.judge.snapshot(epoch, (start, boundary), model)
-        })
-    }
-
-    /// [`BaselineBundle::identity`] of the baseline, computed once.
-    pub(crate) fn baseline_id(&self) -> u64 {
-        self.judge.baseline_id()
-    }
-
-    /// The streaming state a [`Checkpoint`](crate::checkpoint::Checkpoint)
-    /// writes: the router, the epoch grid and every shard's worker
-    /// state — everything but the baseline and the config. Quiesces
-    /// first, so nothing admitted is still on its way to a worker and
-    /// each shard's state is a consistent cut of the stream.
-    pub(crate) fn state_to_bytes(&self) -> Vec<u8> {
-        self.quiesce();
-        let guards: Vec<_> = (self.states.iter())
-            .map(|s| s.lock().expect("shard state poisoned"))
-            .collect();
-        let states: Vec<&ShardState> = guards.iter().map(|g| &**g).collect();
-        serde::to_vec(&(&self.splitter, &self.clock, &states))
-    }
-
-    /// Reassembles a differ of `n_shards` workers from
-    /// [`ShardedDiffer::state_to_bytes`] and the inputs the checkpoint
-    /// names: `baseline`, checked to be `baseline_id`, and `config`.
-    pub(crate) fn from_state(
-        state: &[u8],
-        n_shards: usize,
-        baseline: Arc<BaselineBundle>,
-        baseline_id: u64,
-        config: &FlowDiffConfig,
-    ) -> Result<ShardedDiffer, serde::Error> {
-        let (splitter, clock, states): (ShardRouter, _, Vec<ShardState>) =
-            serde::from_slice(state)?;
-        if splitter.n_shards() != n_shards || states.len() != n_shards {
-            return Err(serde::Error::custom(format!(
-                "shard count mismatch: shape says {n_shards}, router splits {} ways, {} states",
-                splitter.n_shards(),
-                states.len()
-            )));
-        }
-        Ok(ShardedDiffer {
-            judge: Judge::restored(baseline, baseline_id, config),
-            splitter,
-            states: (states.into_iter())
-                .map(|s| Arc::new(Mutex::new(s)))
-                .collect(),
-            pending: Mutex::new(Pending::default()),
-            released: Vec::new(),
-            window: None,
-            pipeline: None,
-            clock,
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
-    }
-}
-
-/// Equality over the streaming state (quiesced first, so in-flight
-/// batches are settled); the wall-clock diagnostics are excluded.
-impl PartialEq for ShardedDiffer {
-    fn eq(&self, other: &ShardedDiffer) -> bool {
-        self.quiesce();
-        other.quiesce();
-        self.judge == other.judge
-            && self.splitter == other.splitter
-            && self.clock == other.clock
-            && self.states.len() == other.states.len()
-            && self.states.iter().zip(&other.states).all(|(a, b)| {
-                Arc::ptr_eq(a, b)
-                    || *a.lock().expect("shard state poisoned")
-                        == *b.lock().expect("shard state poisoned")
-            })
-    }
-}
-
-/// A clone carries the full quiesced streaming state but no threads —
-/// its pipeline spawns lazily if and when it observes. This is what
-/// lets checkpoint capture clone a live differ without forking the
-/// worker fleet.
-impl Clone for ShardedDiffer {
-    fn clone(&self) -> ShardedDiffer {
-        self.quiesce();
-        ShardedDiffer {
-            judge: self.judge.clone(),
-            splitter: self.splitter.clone(),
-            states: self
-                .states
-                .iter()
-                .map(|s| Arc::new(Mutex::new(s.lock().expect("shard state poisoned").clone())))
-                .collect(),
-            pending: Mutex::new(Pending::default()),
-            released: Vec::new(),
-            window: None,
-            pipeline: None,
-            clock: self.clock.clone(),
-            merge_micros: self.merge_micros,
-            timings: self.timings,
-            epoch_wall: None,
-        }
     }
 }
 
@@ -1815,35 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn first_epoch_busy_gauge_is_not_saturated_under_light_load() {
-        // Regression: the first epoch barrier used to fabricate a 1µs
-        // wall when `epoch_wall` was unseeded, saturating
-        // `worker_busy_pct` to 100 on an almost idle pipeline. Two
-        // hellos and a deliberate 10ms pause are nowhere near a busy
-        // epoch, so the first-epoch gauge must stay well under 100.
-        let config = FlowDiffConfig::default();
-        let empty = netsim::log::ControllerLog::new();
-        let reference = crate::model::BehaviorModel::build(&empty, &config);
-        let stability = crate::stability::StabilityReport::all_stable(&reference);
-        let mut differ = ShardedDiffer::new(reference, stability, &config, 2);
-
-        assert!(differ
-            .observe(&hello_at(Timestamp::from_secs(1)))
-            .is_empty());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let snaps = differ.observe(&hello_at(Timestamp::from_micros(
-            1_000_000 + config.online_epoch_us,
-        )));
-        assert_eq!(snaps.len(), 1, "crossing one epoch boundary snapshots");
-        let timings = differ.take_timings();
-        assert!(
-            timings.worker_busy_pct < 100,
-            "first-epoch busy gauge spuriously saturated: {}%",
-            timings.worker_busy_pct
-        );
-    }
-
-    #[test]
     fn far_future_event_cannot_flood_the_epoch_clock() {
         let config = FlowDiffConfig::default();
         let empty = netsim::log::ControllerLog::new();
@@ -1960,126 +992,8 @@ mod tests {
         let ckpt = crate::checkpoint::Checkpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
         let restored = crate::checkpoint::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let (resumed, offset) = restored.resume(&baseline, &config).unwrap();
+        let (mut resumed, offset) = restored.resume(&baseline, &config).unwrap();
         assert_eq!(offset as usize, cut);
-        let crate::engine::Differ::Single(mut resumed) = resumed else {
-            panic!("expected the single differ back");
-        };
-        assert_eq!(resumed, straight, "restored state == uninterrupted state");
-        for event in &events[cut..] {
-            straight_snaps.extend(straight.observe(event));
-            resumed_snaps.extend(resumed.observe(event));
-        }
-        let a = straight.finish().unwrap();
-        let b = resumed.finish().unwrap();
-        assert_eq!(straight_snaps, resumed_snaps);
-        assert_eq!(a, b);
-        assert_eq!(
-            serde::to_vec(&a),
-            serde::to_vec(&b),
-            "final snapshots serialize byte-identically"
-        );
-    }
-
-    #[test]
-    fn sharded_differ_matches_single_shard_byte_for_byte() {
-        // A fault in the live stream makes the per-epoch diffs
-        // non-empty, so equality covers the change lists, not just
-        // empty-vs-empty.
-        let (log1, config) = scenario_log(1, None);
-        let mut topo = Topology::lab();
-        let (_, _) = install_services(&mut topo, "of7");
-        let s4 = topo.node_by_name("S4").unwrap();
-        let (log2, _) = scenario_log(
-            2,
-            Some((
-                Timestamp::ZERO,
-                Fault::HostSlowdown {
-                    host: s4,
-                    extra_us: 150_000,
-                },
-            )),
-        );
-        let m1 = crate::model::BehaviorModel::build(&log1, &config);
-        let stability = crate::stability::analyze(&log1, &m1, &config);
-
-        let mut single = OnlineDiffer::new(m1.clone(), stability.clone(), &config);
-        let mut single_snaps = Vec::new();
-        for event in log2.events() {
-            single_snaps.extend(single.observe(event));
-        }
-        let single_health = single.health();
-        let single_last = single.finish().unwrap();
-        assert!(
-            single_snaps.iter().any(|s| !s.diff.is_empty()),
-            "the faulted stream must produce non-trivial diffs"
-        );
-
-        for n_shards in [1usize, 2, 3] {
-            let mut sharded = ShardedDiffer::new(m1.clone(), stability.clone(), &config, n_shards);
-            let mut snaps = Vec::new();
-            for event in log2.events() {
-                snaps.extend(sharded.observe(event));
-            }
-            assert_eq!(
-                sharded.health(),
-                single_health,
-                "{n_shards}-shard health rollup == single-shard health"
-            );
-            let last = sharded.finish().unwrap();
-            assert_eq!(
-                snaps, single_snaps,
-                "{n_shards}-shard snapshots == single-shard snapshots"
-            );
-            assert_eq!(last, single_last, "{n_shards}-shard final flush");
-            assert_eq!(
-                serde::to_vec(&last),
-                serde::to_vec(&single_last),
-                "{n_shards}-shard final snapshot serializes byte-identically"
-            );
-            for (a, b) in snaps.iter().zip(&single_snaps) {
-                assert_eq!(
-                    serde::to_vec(a),
-                    serde::to_vec(b),
-                    "epoch {} serializes byte-identically under {n_shards} shards",
-                    a.epoch
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_resumes_mid_stream_identically() {
-        let (log1, config) = scenario_log(1, None);
-        let m1 = crate::model::BehaviorModel::build(&log1, &config);
-        let stability = crate::stability::analyze(&log1, &m1, &config);
-        let (log2, _) = scenario_log(2, None);
-        let events: Vec<ControlEvent> = log2.events().to_vec();
-        let cut = events.len() / 2;
-        let baseline = Arc::new(BaselineBundle {
-            model: m1,
-            stability,
-        });
-
-        let mut straight = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 3).unwrap();
-        let mut interrupted = ShardedDiffer::try_new(Arc::clone(&baseline), &config, 3).unwrap();
-        let mut straight_snaps = Vec::new();
-        let mut resumed_snaps = Vec::new();
-        for event in &events[..cut] {
-            straight_snaps.extend(straight.observe(event));
-            resumed_snaps.extend(interrupted.observe(event));
-        }
-        // Kill mid-epoch: serialize through the one format, restore via
-        // the shape-tagged entry point.
-        let ckpt =
-            crate::checkpoint::Checkpoint::capture_sharded(&interrupted, cut as u64, &config);
-        drop(interrupted);
-        let (restored, offset) =
-            crate::engine::Differ::restore(&ckpt.to_bytes(), &baseline, &config).unwrap();
-        assert_eq!(offset as usize, cut);
-        let crate::engine::Differ::Sharded(mut resumed) = restored else {
-            panic!("expected a sharded differ back");
-        };
         assert_eq!(resumed, straight, "restored state == uninterrupted state");
         for event in &events[cut..] {
             straight_snaps.extend(straight.observe(event));

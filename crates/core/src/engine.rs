@@ -3,10 +3,9 @@
 //! watch` over a capture file, `serve` over sockets, the crash tests —
 //! is these three pieces:
 //!
-//! * [`Differ`], the online differ in either deployment shape.
-//!   [`Differ::try_new`] is the only place a shape is chosen, and
-//!   [`Differ::checkpoint`] / [`Differ::restore`] are the only way the
-//!   running system writes and reads FDIFFCKP bytes.
+//! * [`OnlineDiffer`], the one online differ. [`Checkpoint::capture`]
+//!   and [`resume_from`] are the only way the running system writes and
+//!   reads FDIFFCKP bytes.
 //! * [`Feed`], where events come from: a decoded capture, or a live
 //!   stream (an [`EventMerge`](netsim::net::EventMerge)) pulled on
 //!   demand. A capture can be re-read from any offset; a live feed
@@ -43,7 +42,7 @@
 //! let baseline = Arc::new(BaselineBundle { model, stability });
 //! let current = ControllerLog::new(); // normally: a decoded capture
 //!
-//! let fresh = || Ok((Differ::try_new(Arc::clone(&baseline), &config, 1)?, 0));
+//! let fresh = || Ok((OnlineDiffer::try_new(Arc::clone(&baseline), &config)?, 0));
 //! let supervision = Supervision {
 //!     config: &config,
 //!     baseline: &baseline,
@@ -54,7 +53,7 @@
 //!     &mut Feed::Slice(current.events()),
 //!     &fresh,
 //!     &supervision,
-//!     |_, epoch, _| println!("epoch {}: {} flows", epoch.epoch, epoch.records),
+//!     |epoch, _| println!("epoch {}: {} flows", epoch.epoch, epoch.records),
 //! )
 //! .unwrap();
 //! assert_eq!(run.restarts, 0);
@@ -67,160 +66,31 @@ use std::sync::Arc;
 use netsim::log::ControlEvent;
 
 use crate::checkpoint::{atomic_write, BaselineBundle, Checkpoint, PersistError};
-use crate::config::{ConfigError, FlowDiffConfig};
-use crate::diff::{EpochSnapshot, EpochTimings, OnlineDiffer, ShardStats, ShardedDiffer};
+use crate::config::FlowDiffConfig;
+use crate::diff::{EpochSnapshot, EpochTimings, OnlineDiffer};
 use crate::records::IngestHealth;
 
 /// What the engine's fallible calls return: the caller's `fresh` can
 /// fail with anything, so the loop's own failures travel the same way.
 pub type EngineResult<T> = Result<T, Box<dyn Error>>;
 
-/// The online pipeline in either deployment shape: one shard is the
-/// [`OnlineDiffer`] code path — no routing, no threads — and more is
-/// the partitioned [`ShardedDiffer`]. Both promise byte-identical epoch
-/// snapshots, so everything downstream of this enum is shape-blind.
-// One value lives for a whole run; the variant size skew does not
-// justify boxing every access.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, PartialEq)]
-pub enum Differ {
-    /// The single pipeline.
-    Single(OnlineDiffer),
-    /// N shard workers behind a router.
-    Sharded(ShardedDiffer),
-}
-
-impl Differ {
-    /// A differ against `baseline`, shared rather than copied, over
-    /// `shards` shard workers; `0` and `1` both mean the single
-    /// pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
-    pub fn try_new(
-        baseline: Arc<BaselineBundle>,
-        config: &FlowDiffConfig,
-        shards: usize,
-    ) -> Result<Differ, ConfigError> {
-        Ok(if shards > 1 {
-            Differ::Sharded(ShardedDiffer::try_new(baseline, config, shards)?)
-        } else {
-            Differ::Single(OnlineDiffer::try_new(baseline, config)?)
-        })
-    }
-
-    /// Feeds one event; returns the snapshot of every epoch boundary it
-    /// crossed (see [`OnlineDiffer::observe`]).
-    pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.observe(event),
-            Differ::Sharded(d) => d.observe(event),
-        }
-    }
-
-    /// Flushes the final partial epoch; `None` if nothing was observed.
-    pub fn finish(self) -> Option<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.finish(),
-            Differ::Sharded(d) => d.finish(),
-        }
-    }
-
-    /// The zero-based index of the next epoch to be emitted.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            Differ::Single(d) => d.epoch(),
-            Differ::Sharded(d) => d.epoch(),
-        }
-    }
-
-    /// Event-level ingestion health so far. Quiesces a sharded
-    /// pipeline, so it panics if a worker has died.
-    pub fn health(&self) -> IngestHealth {
-        match self {
-            Differ::Single(d) => d.health(),
-            Differ::Sharded(d) => d.health(),
-        }
-    }
-
-    /// See [`OnlineDiffer::set_ingest_degraded`].
-    pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        match self {
-            Differ::Single(d) => d.set_ingest_degraded(reason),
-            Differ::Sharded(d) => d.set_ingest_degraded(reason),
-        }
-    }
-
-    /// Drains the per-stage wall-clock spent since the last call (see
-    /// [`ShardedDiffer::take_timings`] for the sharded stage mapping).
-    pub fn take_timings(&mut self) -> EpochTimings {
-        match self {
-            Differ::Single(d) => d.take_timings(),
-            Differ::Sharded(d) => d.take_timings(),
-        }
-    }
-
-    /// Per-shard worker load and cumulative merge microseconds; `None`
-    /// for the single pipeline. Quiesces, like [`Differ::health`].
-    pub fn shard_report(&self) -> Option<(Vec<ShardStats>, u64)> {
-        match self {
-            Differ::Single(_) => None,
-            Differ::Sharded(d) => Some((d.shard_stats(), d.merge_micros())),
-        }
-    }
-
-    /// See [`ShardedDiffer::poison_worker`]; a no-op for the single
-    /// pipeline, which has no worker threads to kill.
-    pub fn poison_worker(&mut self, shard: usize) {
-        match self {
-            Differ::Single(_) => {}
-            Differ::Sharded(d) => d.poison_worker(shard),
-        }
-    }
-
-    /// The complete streaming state as FDIFFCKP bytes — one sealed
-    /// [`Checkpoint`] tagged with the shape — stamped with the replay
-    /// offset, `config`'s fingerprint and the baseline's identity.
-    pub fn checkpoint(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
-        match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config),
-            Differ::Sharded(d) => Checkpoint::capture_sharded(d, events_consumed, config),
-        }
-        .to_bytes()
-    }
-
-    /// Reads checkpoint bytes back into a running differ of the shape
-    /// that wrote them, against `baseline` and judging under `config`,
-    /// with its replay offset: events `[offset..]` catch it up.
-    ///
-    /// # Errors
-    ///
-    /// Every [`PersistError`] of [`Checkpoint::from_bytes`] and
-    /// [`Checkpoint::resume`]: a corrupt byte anywhere is a refusal, in
-    /// either shape.
-    pub fn restore(
-        bytes: &[u8],
-        baseline: &Arc<BaselineBundle>,
-        config: &FlowDiffConfig,
-    ) -> Result<(Differ, u64), PersistError> {
-        Checkpoint::from_bytes(bytes)?.resume(baseline, config)
-    }
-}
-
-/// [`Differ::restore`] from a file, as `--resume` and the supervised
-/// restart both do it.
+/// Reads a checkpoint file back into a running differ against
+/// `baseline`, judging under `config`, with its replay offset: events
+/// `[offset..]` catch it up. `--resume` and the supervised restart both
+/// come through here.
 ///
 /// # Errors
 ///
-/// The read failure as [`PersistError::Io`], or the restore's
-/// [`PersistError`]; neither names `path`, which the caller knows.
+/// The read failure as [`PersistError::Io`], or every [`PersistError`]
+/// of [`Checkpoint::from_bytes`] and [`Checkpoint::resume`] — a corrupt
+/// byte anywhere is a refusal; none names `path`, which the caller
+/// knows.
 pub fn resume_from(
     path: &Path,
     baseline: &Arc<BaselineBundle>,
     config: &FlowDiffConfig,
-) -> Result<(Differ, u64), PersistError> {
-    Differ::restore(&std::fs::read(path)?, baseline, config)
+) -> Result<(OnlineDiffer, u64), PersistError> {
+    Checkpoint::from_bytes(&std::fs::read(path)?)?.resume(baseline, config)
 }
 
 /// The supervised loop's event source. Either way `get(idx)` means "the
@@ -364,16 +234,14 @@ pub struct RunReport {
     pub health: IngestHealth,
     /// Restarts spent.
     pub restarts: u32,
-    /// Worker loads and cumulative merge microseconds when sharded.
-    pub shards: Option<(Vec<ShardStats>, u64)>,
 }
 
 /// Drives `feed` through a supervised online differ.
 ///
 /// `fresh` builds the differ the run starts from and the feed offset it
 /// starts at (a `--resume` restores here). The run segment — observe,
-/// deliver, checkpoint, final health rollup — executes inside one
-/// `catch_unwind`. A panic spends one restart: back off exponentially,
+/// deliver, checkpoint — executes inside one `catch_unwind`. A panic
+/// spends one restart: back off exponentially,
 /// restore the last checkpoint *this run* wrote (or call `fresh` again
 /// when it has written none: a file an earlier run left at the path
 /// indexes some other feed), replay from the restored offset. More
@@ -394,12 +262,16 @@ pub struct RunReport {
 /// Each epoch reaches `on_snapshot` exactly once, in order, however
 /// often the stream is replayed: the delivery watermark lives outside
 /// the guarded region and moves only after `on_snapshot` returns.
-/// `on_snapshot` runs inside the guarded region with the live differ in
-/// hand, which is where a crash test injects its faults — a panic, or
-/// [`Differ::poison_worker`], before it records the epoch — exactly
-/// what a power cut between compute and output looks like. Its
+/// `on_snapshot` runs inside the guarded region, which is where a crash
+/// test injects its fault — a panic before it records the epoch —
+/// exactly what a power cut between compute and output looks like. Its
 /// [`EpochTimings`] are those accumulated since the previous boundary;
 /// a multi-epoch advance attributes the sum to its first epoch.
+///
+/// What the `catch_unwind` guards is a bug in the differ — a panic on
+/// some input its state machines did not foresee — or in `on_snapshot`.
+/// The differ runs on the calling thread, so there is no worker whose
+/// death it has to notice.
 ///
 /// # Errors
 ///
@@ -408,9 +280,9 @@ pub struct RunReport {
 /// released the events a restart from `fresh` would replay.
 pub fn supervise(
     feed: &mut Feed<'_>,
-    fresh: &dyn Fn() -> EngineResult<(Differ, u64)>,
+    fresh: &dyn Fn() -> EngineResult<(OnlineDiffer, u64)>,
     supervision: &Supervision<'_>,
-    mut on_snapshot: impl FnMut(&mut Differ, &EpochSnapshot, EpochTimings),
+    mut on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
 ) -> EngineResult<RunReport> {
     let Supervision {
         config,
@@ -442,7 +314,7 @@ pub fn supervise(
                 let mut timings = differ.take_timings();
                 for snap in &snaps {
                     if snap.epoch >= emitted {
-                        on_snapshot(&mut differ, snap, std::mem::take(&mut timings));
+                        on_snapshot(snap, std::mem::take(&mut timings));
                         emitted = snap.epoch + 1;
                         epochs_since_ckpt += 1;
                     }
@@ -454,26 +326,22 @@ pub fn supervise(
                     continue;
                 };
                 if epochs_since_ckpt >= config.checkpoint_every_epochs {
-                    // Events [..idx] are consumed. Capture quiesces the
-                    // pipeline, so a worker poisoned this round panics
-                    // here instead of snapshotting a dead pipeline.
-                    atomic_write(path, &differ.checkpoint(idx as u64, config))?;
+                    // Events [..idx] are consumed.
+                    let checkpoint = Checkpoint::capture(&differ, idx as u64, config);
+                    atomic_write(path, &checkpoint.to_bytes())?;
                     saved = true;
                     epochs_since_ckpt = 0;
                     feed.release(idx);
                 }
             }
-            // Both quiesce, so a worker poisoned during the last rounds
-            // surfaces here, still guarded.
-            Ok::<_, PersistError>((differ.health(), differ.shard_report()))
+            Ok::<_, PersistError>(())
         }));
         match segment {
-            Ok(Ok((health, shards))) => {
+            Ok(Ok(())) => {
                 return Ok(RunReport {
+                    health: differ.health(),
                     last: differ.finish(),
-                    health,
                     restarts,
-                    shards,
                 });
             }
             Ok(Err(e)) => return Err(e.into()),
@@ -591,24 +459,22 @@ mod tests {
             }
         }
 
-        fn fresh(&self, shards: usize) -> impl Fn() -> EngineResult<(Differ, u64)> + '_ {
+        fn fresh(&self) -> impl Fn() -> EngineResult<(OnlineDiffer, u64)> + '_ {
             move || {
-                let differ = Differ::try_new(Arc::clone(&self.baseline), &self.config, shards)?;
+                let differ = OnlineDiffer::try_new(Arc::clone(&self.baseline), &self.config)?;
                 Ok((differ, 0))
             }
         }
 
         /// Runs `feed` supervised, dying at each epoch in `kills` once:
-        /// the epoch callback panics — or, with `poison`, poisons a
-        /// shard worker — before it records the epoch. Returns every
-        /// delivered epoch (flush included) as `(index, hash of bytes)`.
+        /// the epoch callback panics before it records the epoch.
+        /// Returns every delivered epoch (flush included) as `(index,
+        /// hash of bytes)`.
         fn run(
             &self,
             feed: &mut Feed<'_>,
-            shards: usize,
             checkpoint_path: Option<&Path>,
             kills: &mut BTreeSet<u64>,
-            poison: bool,
         ) -> EngineResult<(Vec<(u64, u64)>, RunReport)> {
             let trace = |s: &EpochSnapshot| (s.epoch, fnv1a(&serde::to_vec(s)));
             let mut delivered = Vec::new();
@@ -618,36 +484,21 @@ mod tests {
                 checkpoint_path,
                 degraded: None,
             };
-            let report = supervise(
-                feed,
-                &self.fresh(shards),
-                &supervision,
-                |differ, snap, _| {
-                    if kills.remove(&snap.epoch) {
-                        if poison {
-                            differ.poison_worker(snap.epoch as usize);
-                        } else {
-                            panic!("drill: killed at epoch {}", snap.epoch);
-                        }
-                    }
-                    delivered.push(trace(snap));
-                },
-            )?;
+            let report = supervise(feed, &self.fresh(), &supervision, |snap, _| {
+                if kills.remove(&snap.epoch) {
+                    panic!("drill: killed at epoch {}", snap.epoch);
+                }
+                delivered.push(trace(snap));
+            })?;
             delivered.extend(report.last.as_ref().map(trace));
             Ok((delivered, report))
         }
 
-        /// The uninterrupted single-pipeline run every drill is held to.
+        /// The uninterrupted run every drill is held to.
         fn clean(&self) -> Vec<(u64, u64)> {
             let mut feed = Feed::Slice(self.current.events());
-            let (clean, report) = self
-                .run(&mut feed, 1, None, &mut BTreeSet::new(), false)
-                .unwrap();
+            let (clean, report) = self.run(&mut feed, None, &mut BTreeSet::new()).unwrap();
             assert_eq!(report.restarts, 0);
-            assert!(
-                report.shards.is_none(),
-                "single pipeline has no shard report"
-            );
             assert!(clean.len() >= 3, "drill needs epochs to kill at");
             clean
         }
@@ -676,9 +527,7 @@ mod tests {
         let planned = kills.len();
         let path = tmp("supervised.ckpt");
         let mut feed = Feed::Slice(drill.current.events());
-        let (drilled, report) = drill
-            .run(&mut feed, 1, Some(&path), &mut kills, false)
-            .unwrap();
+        let (drilled, report) = drill.run(&mut feed, Some(&path), &mut kills).unwrap();
         assert_eq!(
             report.restarts as usize, planned,
             "every planned kill fired"
@@ -689,81 +538,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_supervised_run_recovers_the_single_shard_epochs() {
-        // The strongest cross-shape claim in one drill: a 3-shard
-        // supervised run with planned kills (sharded checkpoints,
-        // restore, replay) reproduces the *single-shard* uninterrupted
-        // run's epoch traces byte for byte.
-        let drill = Drill::new();
-        let clean = drill.clean();
-        let mut kills = seeded_kills(11, &clean);
-        let planned = kills.len();
-        let path = tmp("sharded-supervised.ckpt");
-        let mut feed = Feed::Slice(drill.current.events());
-        let (drilled, report) = drill
-            .run(&mut feed, 3, Some(&path), &mut kills, false)
-            .unwrap();
-        assert_eq!(
-            report.restarts as usize, planned,
-            "every planned kill fired"
-        );
-        let (stats, _) = report.shards.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "killed 3-shard run == uninterrupted 1-shard run"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn worker_panic_surfaces_and_recovers_exactly_once() {
-        // The persistent-pipeline drill: poisoning a long-lived shard
-        // worker mid-epoch must propagate through the channels into the
-        // supervised restart path (the coordinator only notices at its
-        // next flush/quiesce), restore from the last checkpoint, and
-        // still deliver every epoch exactly once — byte-identical to
-        // the uninterrupted single-shard run.
-        let drill = Drill::new();
-        let clean = drill.clean();
-        let mut kills = seeded_kills(17, &clean);
-        let planned = kills.len();
-        assert!(planned >= 1, "the plan must poison at least one worker");
-        let path = tmp("worker-panic.ckpt");
-        let mut feed = Feed::Slice(drill.current.events());
-        let (drilled, report) = drill
-            .run(&mut feed, 3, Some(&path), &mut kills, true)
-            .unwrap();
-        // A poisoned worker never kills the coordinator synchronously,
-        // so two poisonings in one observe round can surface as a
-        // single crash — at least one restart, at most one per kill.
-        assert!(
-            report.restarts >= 1,
-            "a worker death must surface as a restart"
-        );
-        assert!(
-            report.restarts as usize <= planned,
-            "each poisoning costs at most one restart"
-        );
-        assert!(kills.is_empty(), "every planned poisoning was injected");
-        let (stats, _) = report.shards.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "worker-killed 3-shard run == uninterrupted 1-shard run"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn supervised_run_fails_fast_when_budget_exhausted() {
         let mut drill = Drill::new();
         drill.config.restart_budget = 0;
         let mut kills = BTreeSet::from([1]);
         let mut feed = Feed::Slice(drill.current.events());
-        let err = drill
-            .run(&mut feed, 1, None, &mut kills, false)
-            .unwrap_err();
+        let err = drill.run(&mut feed, None, &mut kills).unwrap_err();
         assert!(
             err.to_string().contains("restart budget exhausted"),
             "got: {err}"
@@ -779,23 +559,18 @@ mod tests {
         let drill = Drill::new();
         let clean = drill.clean();
         let path = tmp("stale.ckpt");
-        let (mut earlier, _) = drill.fresh(1)().unwrap();
+        let (mut earlier, _) = drill.fresh()().unwrap();
         let other = tree_log(2, 9, 6);
         assert!(other.len() > drill.current.len());
         for event in other.events() {
             earlier.observe(event);
         }
-        atomic_write(
-            &path,
-            &earlier.checkpoint(other.len() as u64, &drill.config),
-        )
-        .unwrap();
+        let checkpoint = Checkpoint::capture(&earlier, other.len() as u64, &drill.config);
+        atomic_write(&path, &checkpoint.to_bytes()).unwrap();
 
         let mut kills = BTreeSet::from([0]);
         let mut feed = Feed::Slice(drill.current.events());
-        let (drilled, report) = drill
-            .run(&mut feed, 1, Some(&path), &mut kills, false)
-            .unwrap();
+        let (drilled, report) = drill.run(&mut feed, Some(&path), &mut kills).unwrap();
         assert_eq!(report.restarts, 1);
         assert_eq!(clean, drilled, "recovered run == uninterrupted run");
         let _ = std::fs::remove_file(&path);
@@ -853,7 +628,7 @@ mod tests {
 
         let path = tmp("live.ckpt");
         with_live_feed(&drill.current, |feed| {
-            let (drilled, report) = drill.run(feed, 1, Some(&path), &mut kills, false).unwrap();
+            let (drilled, report) = drill.run(feed, Some(&path), &mut kills).unwrap();
             assert_eq!(
                 report.restarts as usize, planned,
                 "every planned kill fired"
@@ -886,13 +661,12 @@ mod tests {
 
         let path = tmp("live-bounded.ckpt");
         with_live_feed(&drill.current, |feed| {
-            let (drilled, report) = drill.run(feed, 1, Some(&path), &mut kills, false).unwrap();
+            let (drilled, report) = drill.run(feed, Some(&path), &mut kills).unwrap();
             assert_eq!(report.restarts as usize, planned);
             assert_eq!(clean, drilled, "killed live run == uninterrupted slice run");
             assert_eq!(feed.pulled(), drill.current.len());
             // Exactly the events past the last checkpoint's offset ...
-            let bytes = std::fs::read(&path).unwrap();
-            let at = Differ::restore(&bytes, &drill.baseline, &drill.config)
+            let at = resume_from(&path, &drill.baseline, &drill.config)
                 .unwrap()
                 .1 as usize;
             assert_eq!(feed.held(), &drill.current.events()[at..]);
@@ -914,9 +688,7 @@ mod tests {
         let clean = drill.clean();
         let boundaries = clean.len() as u64 - 1;
         with_live_feed(&drill.current, |feed| {
-            let (run, report) = drill
-                .run(feed, 1, None, &mut BTreeSet::new(), false)
-                .unwrap();
+            let (run, report) = drill.run(feed, None, &mut BTreeSet::new()).unwrap();
             assert_eq!(report.restarts, 0);
             assert_eq!(clean, run);
             assert_eq!(feed.pulled(), drill.current.len());
@@ -931,7 +703,7 @@ mod tests {
         drill.config.restart_budget = 0;
         with_live_feed(&drill.current, |feed| {
             let err = drill
-                .run(feed, 1, None, &mut BTreeSet::from([1]), false)
+                .run(feed, None, &mut BTreeSet::from([1]))
                 .unwrap_err()
                 .to_string();
             assert!(err.contains("not retained"), "got: {err}");
@@ -946,9 +718,7 @@ mod tests {
         let drill = Drill::new();
         let clean = drill.clean();
         with_live_feed(&drill.current, |feed| {
-            let (drilled, report) = drill
-                .run(feed, 1, None, &mut BTreeSet::from([0]), false)
-                .unwrap();
+            let (drilled, report) = drill.run(feed, None, &mut BTreeSet::from([0])).unwrap();
             assert_eq!(report.restarts, 1);
             assert_eq!(clean, drilled, "recovered run == uninterrupted run");
         });

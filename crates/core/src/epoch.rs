@@ -1,9 +1,8 @@
 //! The epoch clock: one tested implementation of the online epoch-grid
 //! arithmetic.
 //!
-//! The [`OnlineDiffer`](crate::diff::OnlineDiffer) — and, since the
-//! pipeline went sharded, every shard orchestrator — needs the same
-//! three pieces of boundary bookkeeping: lazily anchoring the grid at
+//! The [`OnlineDiffer`](crate::diff::OnlineDiffer) needs three pieces
+//! of boundary bookkeeping: lazily anchoring the grid at
 //! the first admitted event, emitting one boundary per crossed epoch
 //! (capped at one window's worth so a quiet stretch or corrupt
 //! far-future timestamp cannot force a model build per crossed epoch),
@@ -60,10 +59,9 @@ impl EpochClock {
     }
 
     /// The start of the sliding window whose snapshot is due at
-    /// `boundary` — the window models `[window_start(b), b)`. The
-    /// persistent sharded pipeline ships exactly this timestamp in its
-    /// in-band barrier messages, so every worker extracts the same
-    /// window the single-shard differ would.
+    /// `boundary` — the window models `[window_start(b), b)`. Every
+    /// window the differ models starts here, the final flush's too. A
+    /// window reaching back past time zero is clamped at zero.
     pub fn window_start(&self, boundary: Timestamp) -> Timestamp {
         Timestamp::from_micros(boundary.as_micros().saturating_sub(self.window_us))
     }

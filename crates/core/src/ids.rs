@@ -72,43 +72,6 @@ impl EdgeId {
     }
 }
 
-/// The routing key of one entity in the sharded online pipeline: a
-/// dense interned ID lifted into a common key space so hosts and
-/// switches route through one [`shard_of`] mapping.
-///
-/// Keys are built from catalog IDs ([`HostId`] for flow-driving events,
-/// [`SwitchId`] for switch-scoped ones), so routing is as dense and
-/// stable as the interner itself: the same entity always lands on the
-/// same shard for the life of the routing catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShardKey(pub u32);
-
-impl ShardKey {
-    /// The routing key of an interned host.
-    pub fn of_host(id: HostId) -> ShardKey {
-        ShardKey(id.0)
-    }
-
-    /// The routing key of an interned switch.
-    pub fn of_switch(id: SwitchId) -> ShardKey {
-        ShardKey(id.0)
-    }
-}
-
-/// Maps a [`ShardKey`] to one of `n_shards` shards.
-///
-/// Dense IDs are assigned in first-seen order, so a plain modulus deals
-/// consecutive entities round-robin across the shards — the best load
-/// balance a content-blind router can get, and deterministic for a given
-/// event stream (the interner is part of the routed state). With one
-/// shard (or zero, treated as one) everything maps to shard 0.
-pub fn shard_of(key: ShardKey, n_shards: usize) -> usize {
-    if n_shards <= 1 {
-        return 0;
-    }
-    key.0 as usize % n_shards
-}
-
 /// Packs a directed host edge into one flat-map key.
 pub fn pack_edge(src: HostId, dst: HostId) -> u64 {
     (src.0 as u64) << 32 | dst.0 as u64
@@ -306,14 +269,6 @@ impl EntityCatalog {
     /// Interned host addresses in ID order (for iterating dense state).
     pub fn hosts(&self) -> &[Ipv4Addr] {
         &self.hosts
-    }
-
-    /// Interned switch datapath IDs in ID order. Together with
-    /// [`hosts`](Self::hosts) this is enough to rebuild a routing
-    /// catalog with identical ID assignment (re-intern in order), which
-    /// is how the shard router serializes through a checkpoint.
-    pub fn switches(&self) -> &[DatapathId] {
-        &self.switches
     }
 
     /// Approximate heap footprint of the catalog in bytes (vectors plus
@@ -603,32 +558,6 @@ mod tests {
         assert_eq!(c.port(p), (sw, PortNo(3)));
         assert_eq!(c.port_addr(p), (DatapathId(7), PortNo(3)));
         assert_eq!((c.n_hosts(), c.n_switches(), c.n_ports()), (2, 1, 1));
-    }
-
-    #[test]
-    fn shard_of_is_dense_and_total() {
-        // One shard (or zero): everything on shard 0.
-        assert_eq!(shard_of(ShardKey::of_host(HostId(17)), 1), 0);
-        assert_eq!(shard_of(ShardKey::of_host(HostId(17)), 0), 0);
-        // Dense IDs deal round-robin, always in range.
-        for n in 2..8usize {
-            let mut seen = vec![0usize; n];
-            for id in 0..64u32 {
-                let s = shard_of(ShardKey::of_host(HostId(id)), n);
-                assert!(s < n);
-                seen[s] += 1;
-            }
-            assert!(
-                seen.iter().all(|&c| c >= 64 / n - 1),
-                "{n} shards must share the load: {seen:?}"
-            );
-        }
-        // Host and switch keys with the same index agree — routing is a
-        // property of the key space, not the entity kind.
-        assert_eq!(
-            shard_of(ShardKey::of_host(HostId(5)), 3),
-            shard_of(ShardKey::of_switch(SwitchId(5)), 3)
-        );
     }
 
     #[test]

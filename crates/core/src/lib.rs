@@ -56,6 +56,7 @@ pub mod diff;
 pub mod engine;
 pub mod epoch;
 pub mod groups;
+pub mod harness_seam;
 pub mod ids;
 pub mod model;
 pub mod records;
@@ -73,20 +74,19 @@ pub mod prelude {
         diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,
     };
     pub use crate::diff::{
-        compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, ShardStats, ShardedDiffer,
-        SignatureHealth,
+        compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, SignatureHealth,
     };
-    pub use crate::engine::{supervise, Differ, Feed, RunReport, Supervision};
+    pub use crate::engine::{supervise, Feed, RunReport, Supervision};
     pub use crate::epoch::EpochClock;
     pub use crate::groups::{discover_groups, AppGroup, Edge};
+    pub use crate::harness_seam::*;
     pub use crate::ids::{
-        shard_of, EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, ShardKey,
-        SwitchId,
+        EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, SwitchId,
     };
-    pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder, ShardModel};
+    pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder};
     pub use crate::records::{
         extract_records, FlowRecord, FlowTuple, IngestAnomaly, IngestHealth, RecordAssembler,
-        RoutedEvent, Sequencer, ShardRouter,
+        Sequencer,
     };
     pub use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
     pub use crate::stability::{analyze, StabilityReport};

@@ -148,7 +148,7 @@ impl Deserialize for BehaviorModel {
 /// first `PacketIn`, but hostile inputs can collide) keep arrival order
 /// in a tie list, matching the batch core's *stable* sort exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct RecordWindow {
+pub(crate) struct RecordWindow {
     map: BTreeMap<(Timestamp, FlowTuple), Vec<FlowRecord>>,
     len: usize,
 }
@@ -191,7 +191,7 @@ impl RecordWindow {
     }
 
     /// Consumes the window into a sorted flat list.
-    fn into_flat_vec(self) -> Vec<FlowRecord> {
+    pub(crate) fn into_flat_vec(self) -> Vec<FlowRecord> {
         let mut out = Vec::with_capacity(self.len);
         out.extend(self.map.into_values().flatten());
         out
@@ -221,28 +221,6 @@ impl Deserialize for RecordWindow {
     }
 }
 
-/// One shard's contribution to a model build: the same state an
-/// [`IncrementalModelBuilder`] accumulates, extracted for another
-/// builder to [`absorb`](IncrementalModelBuilder::absorb) — all of it
-/// ([`IncrementalModelBuilder::into_shard_model`], the input of
-/// [`IncrementalModelBuilder::merge`]) or, in a sharded differ's barrier
-/// reply, just the records completed since the previous barrier beside
-/// the event-derived facts. Partials are cheap to move around (records
-/// are owned, nothing is interned yet) and serialize, so a merge input
-/// can also cross a checkpoint boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardModel {
-    /// Flow records this shard completed in the window.
-    pub records: Vec<FlowRecord>,
-    /// Liveness proofs: datapath -> newest `ToController` timestamp.
-    pub live: BTreeMap<DatapathId, Timestamp>,
-    /// Port-counter series owned by this shard (whole per-port series —
-    /// the splitter routes a switch's stats replies to one shard).
-    pub lu: LuBuilder,
-    /// Min/max event timestamp this shard observed.
-    pub observed_span: Option<(Timestamp, Timestamp)>,
-}
-
 /// Streaming model builder: folds flow records (from a
 /// [`RecordAssembler`]) and raw control events as they arrive, and can
 /// snapshot a full [`BehaviorModel`] at any point.
@@ -267,19 +245,22 @@ pub struct ShardModel {
 /// fields compare equal and serialize to nothing, so equality is over
 /// the durable facts and the wire format is the other fields in
 /// declaration order.
+///
+/// The held records and the event-derived facts are crate-visible for
+/// the shard partials of [`harness_seam`](crate::harness_seam).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalModelBuilder {
     config: FlowDiffConfig,
-    records: RecordWindow,
+    pub(crate) records: RecordWindow,
     /// Span forced by the caller (batch wrappers use the log's time
     /// range; the online differ uses the window bounds).
     span_override: Option<(Timestamp, Timestamp)>,
     /// Min/max event timestamp seen, the fallback span.
-    observed_span: Option<(Timestamp, Timestamp)>,
+    pub(crate) observed_span: Option<(Timestamp, Timestamp)>,
     /// Liveness proofs: datapath -> last `ToController` message seen.
-    live: BTreeMap<DatapathId, Timestamp>,
+    pub(crate) live: BTreeMap<DatapathId, Timestamp>,
     /// Port-counter series for the LU signature.
-    lu: LuBuilder,
+    pub(crate) lu: LuBuilder,
     /// Lazily built incremental-snapshot state (persistent catalog,
     /// interned window of held and still-open episodes). Purely derived
     /// from `records` and what the assembler holds open, and rebuilt on
@@ -387,14 +368,6 @@ impl WindowState {
         let n = self.window.partition_point(|e| e.ir.first_seen < cutoff);
         self.window.drain(..n);
     }
-
-    fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let hops: usize = self.window.iter().map(|e| e.ir.hops.len()).sum();
-        self.catalog.approx_bytes()
-            + self.window.len() * size_of::<Entry>()
-            + hops * size_of::<crate::ids::IHop>()
-    }
 }
 
 impl IncrementalModelBuilder {
@@ -439,8 +412,8 @@ impl IncrementalModelBuilder {
         if event.direction == Direction::ToController {
             // Keep the *newest* proof per datapath even under disordered
             // arrival: insert-last-wins would let a stale straggler
-            // overwrite a fresher proof, making liveness (and the
-            // shard-merge max-union below) arrival-order-sensitive.
+            // overwrite a fresher proof, making liveness
+            // arrival-order-sensitive.
             let newest = self.live.entry(event.dpid).or_insert(event.ts);
             if event.ts > *newest {
                 *newest = event.ts;
@@ -499,117 +472,6 @@ impl IncrementalModelBuilder {
     pub fn into_snapshot(mut self) -> BehaviorModel {
         let records = std::mem::take(&mut self.records).into_flat_vec();
         self.finish_records(records)
-    }
-
-    /// Extracts this builder's accumulated state as one mergeable shard
-    /// partial, consuming the builder. The records come out in window
-    /// order, which the merge's stable sort preserves.
-    pub fn into_shard_model(self) -> ShardModel {
-        ShardModel {
-            records: self.records.into_flat_vec(),
-            live: self.live,
-            lu: self.lu,
-            observed_span: self.observed_span,
-        }
-    }
-
-    /// The held window, cloned in window order: what a shard worker
-    /// ships when the coordinator has to rebuild its window from
-    /// nothing.
-    pub fn held_records(&self) -> Vec<FlowRecord> {
-        self.records.to_flat_vec()
-    }
-
-    /// A mergeable partial of `records` plus a copy of this builder's
-    /// event-derived facts, leaving the builder as it is — one shard
-    /// worker's reply at an epoch barrier.
-    pub fn shard_model_of(&self, records: Vec<FlowRecord>) -> ShardModel {
-        ShardModel {
-            records,
-            live: self.live.clone(),
-            lu: self.lu.clone(),
-            observed_span: self.observed_span,
-        }
-    }
-
-    /// Folds one shard partial in, as if this builder had observed the
-    /// shard's records and events itself. These are the union rules of
-    /// a sharded model, and they are exact: records from different
-    /// shards never share a `(first_seen, tuple)` window key (a tuple's
-    /// episodes all live on its source host's shard), so each key's tie
-    /// list keeps its shard's completion order; liveness is a
-    /// per-datapath max (each proof's timestamp, not its arrival order,
-    /// decides); the LU counter series union disjoint `(dpid, port)`
-    /// keys; the observed span is a min/max fold.
-    pub fn absorb(&mut self, part: ShardModel) {
-        for record in part.records {
-            self.observe_record(record);
-        }
-        for (dpid, ts) in part.live {
-            let newest = self.live.entry(dpid).or_insert(ts);
-            if ts > *newest {
-                *newest = ts;
-            }
-        }
-        self.lu.absorb(part.lu);
-        if let Some((lo, hi)) = part.observed_span {
-            self.observed_span = Some(match self.observed_span {
-                Some((l, h)) => (l.min(lo), h.max(hi)),
-                None => (lo, hi),
-            });
-        }
-    }
-
-    /// Forgets the event-derived facts (liveness, LU series, observed
-    /// span) and keeps the records: for a builder that is handed those
-    /// facts whole at every boundary ([`absorb`](Self::absorb)) instead
-    /// of observing the events.
-    pub fn clear_event_facts(&mut self) {
-        self.live.clear();
-        self.lu = LuBuilder::default();
-        self.observed_span = None;
-    }
-
-    /// Reassembles N shard partials into one [`BehaviorModel`] that is
-    /// `PartialEq`- and serialization-byte-identical to what a single
-    /// builder fed the whole stream would snapshot: a fresh builder
-    /// [`absorb`](Self::absorb)s every part and snapshots from scratch
-    /// (sort by `(first_seen, tuple)`, intern into a fresh catalog, one
-    /// signature fan-out). This is the rebuild-from-scratch oracle of
-    /// the sharded differ, whose epoch boundaries fold barrier deltas
-    /// into one maintained builder instead, and its end-of-stream path.
-    /// `_workers` is ignored; it leaves with `merge` in ROADMAP item 3.
-    pub fn merge(
-        parts: Vec<ShardModel>,
-        span: Option<(Timestamp, Timestamp)>,
-        config: &FlowDiffConfig,
-        _workers: usize,
-    ) -> BehaviorModel {
-        let mut builder = IncrementalModelBuilder::new(config);
-        if let Some(span) = span {
-            builder.set_span(span);
-        }
-        for part in parts {
-            builder.absorb(part);
-        }
-        builder.into_snapshot()
-    }
-
-    /// Rough heap footprint of the builder's state: held records,
-    /// liveness proofs, the LU counter series, and — once an
-    /// [`epoch_snapshot`](Self::epoch_snapshot) built it — the interned
-    /// window with its catalog.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.records
-            .iter()
-            .map(|r| {
-                size_of::<FlowRecord>() + r.hops.len() * size_of::<crate::records::HopReport>()
-            })
-            .sum::<usize>()
-            + self.live.len() * size_of::<(DatapathId, Timestamp)>()
-            + self.lu.approx_bytes()
-            + self.ws.0.as_ref().map_or(0, WindowState::approx_bytes)
     }
 
     /// Snapshots the model for one epoch via the maintained window
@@ -991,38 +853,6 @@ mod tests {
         // A turned-over window leaves nothing behind.
         builder.retire_before(Timestamp::from_secs(6));
         assert!(builder.epoch_snapshot(span, Vec::new()).records.is_empty());
-    }
-
-    #[test]
-    fn merged_shard_partials_equal_single_build() {
-        let (log, config) = scenario_log();
-        let single = BehaviorModel::build(&log, &config);
-        // Partition the stream three ways: events by reporting switch
-        // (so each port's LU series stays whole on one shard), records
-        // round-robin (any disjoint partition must merge identically).
-        let n = 3usize;
-        let mut assembler = RecordAssembler::new(&config);
-        let mut builders: Vec<IncrementalModelBuilder> = (0..n)
-            .map(|_| IncrementalModelBuilder::new(&config))
-            .collect();
-        for event in log.events() {
-            assembler.observe(event);
-            builders[(event.dpid.0 % n as u64) as usize].observe_event(event);
-        }
-        for (i, record) in assembler.finish().into_iter().enumerate() {
-            builders[i % n].observe_record(record);
-        }
-        let parts: Vec<ShardModel> = builders
-            .into_iter()
-            .map(IncrementalModelBuilder::into_shard_model)
-            .collect();
-        let merged = IncrementalModelBuilder::merge(parts, log.time_range(), &config, 2);
-        assert_eq!(single, merged, "merge must reproduce the one-builder model");
-        assert_eq!(
-            serde::to_vec(&single),
-            serde::to_vec(&merged),
-            "and byte-identically so"
-        );
     }
 
     #[test]

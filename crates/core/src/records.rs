@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
 use crate::derived::Derived;
-use crate::ids::{shard_of, EntityCatalog, ShardKey};
 
 /// One countable irregularity in the control-event stream.
 ///
@@ -303,9 +302,8 @@ struct PendingHop {
 /// patch, a `FlowRemoved`, or the eviction of a sibling episode — since
 /// [`RecordAssembler::touched_open_records_since`] last asked, one
 /// entry per episode (its `touched` flag dedups). `None` means
-/// "everything": nobody has asked yet (a fresh or restored assembler, or
-/// one told to [`forget`](RecordAssembler::forget_touched)), so nothing
-/// is tracked and the list cannot grow.
+/// "everything": nobody has asked yet (a fresh or restored assembler), so
+/// nothing is tracked and the list cannot grow.
 type Touched = Derived<Option<Vec<FlowTuple>>>;
 
 impl Touched {
@@ -688,19 +686,6 @@ impl RecordAssembler {
         out
     }
 
-    /// Back to "everything counts as touched": the next
-    /// [`touched_open_records_since`](Self::touched_open_records_since)
-    /// hands over every in-window episode again, for a caller that no
-    /// longer holds what earlier calls gave it. The per-episode flags go
-    /// too — `Touched::mark` lists an episode only when its flag was
-    /// clear, so a flag left set would hide the episode's next change.
-    pub fn forget_touched(&mut self) {
-        self.touched.0 = None;
-        for ep in self.open.values_mut().flatten() {
-            ep.touched.0 = false;
-        }
-    }
-
     /// Number of in-flight episodes (bounded-memory diagnostics).
     pub fn open_len(&self) -> usize {
         self.open.values().map(Vec::len).sum()
@@ -711,18 +696,10 @@ impl RecordAssembler {
         self.completed.len()
     }
 
-    /// Advances the assembler's processed-time clock without feeding an
-    /// event, running the same prune check [`observe`](Self::observe)
-    /// runs after every event.
-    ///
-    /// This is the shard worker's half of the splitter contract: a
-    /// [`ShardRouter`] delivers every admitted event to every shard, and
-    /// a shard whose state machine doesn't own the event still advances
-    /// its clock with it, so each shard prunes on exactly the cadence
-    /// the single-shard assembler would. (Eviction timing is load-
-    /// bearing: it decides which straggling `FlowMod` replies still
-    /// patch their episode, which is visible in the record bytes.)
-    pub fn advance_clock(&mut self, ts: Timestamp) {
+    /// Advances the assembler's processed-time clock, pruning once it
+    /// has moved a horizon past the last prune — after every event
+    /// [`observe`](Self::observe) runs.
+    fn advance_clock(&mut self, ts: Timestamp) {
         if ts > self.now {
             self.now = ts;
         }
@@ -884,362 +861,6 @@ impl Sequencer {
         health.time_jumps += self.health.time_jumps;
         health.clock_gaps += self.health.clock_gaps;
         health.events_reordered += self.health.events_reordered;
-    }
-}
-
-/// What kind of protocol conversation an event participates in, decided
-/// once by the [`ShardRouter`] (which has to parse `PacketIn` payloads
-/// to route them anyway) so neither the release-order ledger nor the N
-/// shard workers re-parse the frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventClass {
-    /// A `PacketIn` whose payload parsed into a flow key; owned by the
-    /// source host's shard.
-    PacketIn,
-    /// A `FlowMod`; processed in full by *every* shard so each replica
-    /// of the xid table sees the same first-reply-wins outcome.
-    FlowMod,
-    /// A `FlowRemoved`; owned by the source host's shard (same key as
-    /// the `PacketIn`s it closes).
-    FlowRemoved,
-    /// Everything else (an unparseable `PacketIn`, echoes, stats
-    /// replies, ...); owned by the reporting switch's shard, advances
-    /// every shard's clock.
-    Other,
-}
-
-/// One admitted control event, annotated with its owning shard and
-/// pre-computed [`EventClass`]. This is what the splitter releases; the
-/// persistent pipeline wraps each release into a broadcast step batch
-/// for its worker channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoutedEvent {
-    /// Index of the shard that owns this event's state machine work.
-    pub shard: u32,
-    /// Pre-computed classification (see [`EventClass`]).
-    pub class: EventClass,
-    /// The event itself.
-    pub event: ControlEvent,
-}
-
-/// What [`ShardRouter::admit`] did with an event it accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admitted {
-    /// The shard owning the event's state-machine work.
-    pub shard: u32,
-    /// Where in `released` the event itself landed, when the reorder
-    /// buffer let it through at its own arrival — always, with
-    /// `reorder_slack_us == 0`. `None` while the buffer holds it back.
-    pub released_at: Option<usize>,
-}
-
-/// Ledger entry mirroring one [`RecordAssembler`] `SeenMod`: the first
-/// `FlowMod` seen for an xid, and whether any `PacketIn` ever paired
-/// with it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct LedgerMod {
-    ts: Timestamp,
-    used: bool,
-}
-
-/// The router's release-order xid ledger: a faithful mirror of the
-/// assembler's `seen_mods`/`pending_mods` lifecycle (same first-wins
-/// rule, same clock, same prune cadence) that counts the global-by-xid
-/// anomalies no shard can.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct XidLedger {
-    horizon_us: u64,
-    /// xid -> first FlowMod seen (release order).
-    mods: HashMap<Xid, LedgerMod>,
-    /// xid -> PacketIn registration times still waiting for their
-    /// FlowMod (only the timestamps matter here — the owning shard
-    /// patches the actual hops).
-    pending: HashMap<Xid, Vec<Timestamp>>,
-    now: Timestamp,
-    last_prune: Timestamp,
-    /// `duplicate_xids` and `orphan_flow_mods`; every other field stays
-    /// zero.
-    health: IngestHealth,
-}
-
-impl XidLedger {
-    fn new(config: &FlowDiffConfig) -> XidLedger {
-        XidLedger {
-            horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
-            mods: HashMap::new(),
-            pending: HashMap::new(),
-            now: Timestamp::ZERO,
-            last_prune: Timestamp::ZERO,
-            health: IngestHealth::default(),
-        }
-    }
-
-    /// Runs one released event through the ledger, in lockstep with
-    /// what a single assembler does for the same release sequence.
-    fn process(&mut self, r: &RoutedEvent) {
-        use std::collections::hash_map::Entry;
-        let (ts, xid) = (r.event.ts, r.event.xid);
-        if ts > self.now {
-            self.now = ts;
-        }
-        match r.class {
-            EventClass::PacketIn => match self.mods.get_mut(&xid) {
-                Some(m) => m.used = true,
-                None => self.pending.entry(xid).or_default().push(ts),
-            },
-            EventClass::FlowMod => match self.mods.entry(xid) {
-                Entry::Vacant(slot) => {
-                    let used = self.pending.remove(&xid).is_some();
-                    slot.insert(LedgerMod { ts, used });
-                }
-                Entry::Occupied(_) => self.health.record(IngestAnomaly::DuplicateXid),
-            },
-            EventClass::FlowRemoved | EventClass::Other => {}
-        }
-        if self.now.saturating_since(self.last_prune) > self.horizon_us {
-            self.prune();
-            self.last_prune = self.now;
-        }
-    }
-
-    /// Ages out entries on the assembler's schedule, counting never-used
-    /// mods as orphans.
-    fn prune(&mut self) {
-        let now = self.now;
-        let horizon = self.horizon_us;
-        let mut orphaned = 0u64;
-        self.mods.retain(|_, m| {
-            let keep = now.saturating_since(m.ts) <= horizon;
-            if !keep && !m.used {
-                orphaned += 1;
-            }
-            keep
-        });
-        for _ in 0..orphaned {
-            self.health.record(IngestAnomaly::OrphanFlowMod);
-        }
-        self.pending.retain(|_, regs| {
-            regs.retain(|r| now.saturating_since(*r) <= horizon);
-            !regs.is_empty()
-        });
-    }
-}
-
-/// The splitter in front of N shard [`RecordAssembler`]s: a
-/// [`Sequencer`] plus routing plus the xid ledger. It is the single
-/// serial stage of the persistent pipeline — everything downstream of
-/// its release order is replicated per worker, so admission here can
-/// overlap the workers draining their queues.
-///
-/// The sequencer owns everything arrival-ordered, exactly as it does in
-/// front of the single differ's assembler, so the shard assemblers
-/// consume already-sequenced events. The **xid ledger** exists because
-/// `duplicate_xids` and `orphan_flow_mods` are global-by-xid facts:
-/// every shard processes every `FlowMod`, so per-shard counts would
-/// multiply duplicates by N and call a mod orphaned on every shard that
-/// doesn't own its `PacketIn`s.
-///
-/// Routing is content-based and computed at arrival: a parseable
-/// `PacketIn` belongs to its source host's shard, a `FlowRemoved` to the
-/// source host in its match (the same key, so a tuple's episodes and its
-/// removal meet on one shard), and everything else to the reporting
-/// switch's shard (which keeps a port's stats series whole on one
-/// shard). Hosts and switches are interned into the router's own dense
-/// [`EntityCatalog`] and sharded by `id % n`, so shard placement is a
-/// pure function of the arrival stream — and an event the sequencer
-/// held back routes the same way again when it is released.
-///
-/// The router is part of the sharded pipeline's streaming state: it
-/// serializes (catalog as its intern-ordered entity lists, re-interned
-/// on decode) and compares by value, so a restored router admits,
-/// routes, and counts exactly like the original.
-#[derive(Debug, Clone)]
-pub struct ShardRouter {
-    n_shards: u32,
-    /// Host/switch interning for shard placement only (records are
-    /// re-interned from scratch at every model build).
-    catalog: EntityCatalog,
-    sequencer: Sequencer,
-    ledger: XidLedger,
-}
-
-impl ShardRouter {
-    /// New router for `n_shards` workers, its sequencer and ledger taken
-    /// from `config` exactly as the single pipeline's are.
-    pub fn new(config: &FlowDiffConfig, n_shards: usize) -> ShardRouter {
-        ShardRouter {
-            n_shards: n_shards.max(1) as u32,
-            catalog: EntityCatalog::default(),
-            sequencer: Sequencer::new(config),
-            ledger: XidLedger::new(config),
-        }
-    }
-
-    /// Number of shards this router splits across.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards as usize
-    }
-
-    /// The splitter-owned health counters: arrivals and the ledger's xid
-    /// counts. Evictions, orphan removals and stale attaches are
-    /// shard-local, summed over the workers by the caller.
-    pub fn health(&self) -> IngestHealth {
-        let mut health = self.ledger.health;
-        self.sequencer.count_into(&mut health);
-        health
-    }
-
-    /// Admits one event: the sequencer's judgement, routing, then
-    /// re-sequencing. Events released by the sequencer (possibly
-    /// including this one) are appended to `released` in assembly
-    /// order, each already run through the xid ledger. Returns the
-    /// admitted event's owning shard and whether it was released in
-    /// this call, or `None` when the event was quarantined (callers
-    /// feed arrival-ordered per-shard state — the model builders — off
-    /// this return value).
-    pub fn admit(
-        &mut self,
-        ev: &ControlEvent,
-        released: &mut Vec<RoutedEvent>,
-    ) -> Option<Admitted> {
-        let ShardRouter {
-            n_shards,
-            catalog,
-            sequencer,
-            ledger,
-        } = self;
-        if !sequencer.admit(ev.ts) {
-            return None;
-        }
-        let n = *n_shards as usize;
-        let (shard, class) = route(catalog, n, ev);
-        let mut released_at = None;
-        sequencer.release(ev, |event, own| {
-            let (shard, class) = if own {
-                released_at = Some(released.len());
-                (shard, class)
-            } else {
-                route(catalog, n, &event)
-            };
-            let routed = RoutedEvent {
-                shard,
-                class,
-                event: event.into_owned(),
-            };
-            ledger.process(&routed);
-            released.push(routed);
-        });
-        Some(Admitted { shard, released_at })
-    }
-
-    /// Flushes the sequencer (end of stream), returning the held events
-    /// in release order, ledger-processed.
-    pub fn drain(&mut self) -> Vec<RoutedEvent> {
-        let ShardRouter {
-            n_shards,
-            catalog,
-            sequencer,
-            ledger,
-        } = self;
-        let n = *n_shards as usize;
-        (sequencer.drain())
-            .map(|event| {
-                let (shard, class) = route(catalog, n, &event);
-                let routed = RoutedEvent {
-                    shard,
-                    class,
-                    event,
-                };
-                ledger.process(&routed);
-                routed
-            })
-            .collect()
-    }
-
-    /// Rough heap footprint of the router's own state.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.catalog.approx_bytes()
-            + (self.sequencer.held.len())
-                * (size_of::<(Timestamp, u64)>() + size_of::<ControlEvent>())
-            + self.ledger.mods.len() * size_of::<(Xid, LedgerMod)>()
-            + (self.ledger.pending.values())
-                .map(|v| size_of::<Xid>() + v.len() * size_of::<Timestamp>())
-                .sum::<usize>()
-    }
-}
-
-/// `(owning shard, class)` of one event among `n` shards, interning any
-/// new entity it names into `catalog`.
-fn route(catalog: &mut EntityCatalog, n: usize, ev: &ControlEvent) -> (u32, EventClass) {
-    let (key, class) = match &ev.msg {
-        OfpMessage::PacketIn(pi) => match frame::parse_frame(&pi.data) {
-            Ok(key) => (
-                ShardKey::of_host(catalog.intern_host(key.nw_src)),
-                EventClass::PacketIn,
-            ),
-            Err(_) => (
-                ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
-                EventClass::Other,
-            ),
-        },
-        OfpMessage::FlowMod(_) => (
-            ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
-            EventClass::FlowMod,
-        ),
-        OfpMessage::FlowRemoved(fr) => (
-            ShardKey::of_host(catalog.intern_host(fr.match_.nw_src)),
-            EventClass::FlowRemoved,
-        ),
-        _ => (
-            ShardKey::of_switch(catalog.intern_switch(ev.dpid)),
-            EventClass::Other,
-        ),
-    };
-    (shard_of(key, n) as u32, class)
-}
-
-impl PartialEq for ShardRouter {
-    fn eq(&self, other: &ShardRouter) -> bool {
-        // The catalog has no PartialEq of its own; its intern-ordered
-        // entity lists are its full observable state.
-        self.n_shards == other.n_shards
-            && self.catalog.hosts() == other.catalog.hosts()
-            && self.catalog.switches() == other.catalog.switches()
-            && self.sequencer == other.sequencer
-            && self.ledger == other.ledger
-    }
-}
-
-impl Serialize for ShardRouter {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.n_shards.serialize(out);
-        // The catalog round-trips as its intern-ordered entity lists.
-        self.catalog.hosts().serialize(out);
-        self.catalog.switches().serialize(out);
-        self.sequencer.serialize(out);
-        self.ledger.serialize(out);
-    }
-}
-
-impl Deserialize for ShardRouter {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let n_shards = u32::deserialize(input)?;
-        let hosts = Vec::<Ipv4Addr>::deserialize(input)?;
-        let switches = Vec::<DatapathId>::deserialize(input)?;
-        let mut catalog = EntityCatalog::default();
-        for ip in hosts {
-            catalog.intern_host(ip);
-        }
-        for dpid in switches {
-            catalog.intern_switch(dpid);
-        }
-        Ok(ShardRouter {
-            n_shards,
-            catalog,
-            sequencer: Sequencer::deserialize(input)?,
-            ledger: XidLedger::deserialize(input)?,
-        })
     }
 }
 
@@ -1545,41 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn forgetting_hands_everything_over_again_and_still_lists_later_changes() {
-        let log = busy_log();
-        let between = |lo: u64, hi: u64| {
-            (log.events().iter()).filter(move |ev| {
-                Timestamp::from_secs(lo) <= ev.ts && ev.ts < Timestamp::from_secs(hi)
-            })
-        };
-        let mut asm = RecordAssembler::new(&FlowDiffConfig::default());
-        for ev in between(0, 10) {
-            asm.observe(ev);
-        }
-        assert_eq!(asm.touched_open_records_since(Timestamp::ZERO).len(), 1);
-        // The 16 s flow opens while tracking is live: listed, flag set.
-        for ev in between(10, 20) {
-            asm.observe(ev);
-        }
-
-        // The caller lost what it held (a full resync): everything again.
-        asm.forget_touched();
-        let all = asm.touched_open_records_since(Timestamp::ZERO);
-        assert_eq!(all.len(), 2);
-        assert!(asm.touched_open_records_since(Timestamp::ZERO).is_empty());
-
-        // The 16 s flow's FlowRemoved lands afterwards. A flag left set
-        // across the forget would keep it off the list.
-        for ev in between(20, 25) {
-            asm.observe(ev);
-        }
-        let changed = asm.touched_open_records_since(Timestamp::ZERO);
-        assert_eq!(changed.len(), 1, "the 16 s flow, counters attached");
-        assert_eq!(changed[0].first_seen.as_micros() / 1_000_000, 16);
-        assert_eq!(changed[0].byte_count, 3_000);
-    }
-
-    #[test]
     fn time_jump_quarantine_drops_corrupt_clock_readings() {
         let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
         sim.schedule_flow(
@@ -1709,7 +1295,7 @@ mod tests {
         assert_eq!(records[0].switch_path(), dpids);
     }
 
-    /// A capture with several flows, used by the router tests.
+    /// A capture with four flows, started 15 s apart.
     fn busy_log() -> ControllerLog {
         let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
         for (i, sport) in [4000u16, 4001, 4002, 4003].iter().enumerate() {
@@ -1720,105 +1306,5 @@ mod tests {
         }
         sim.run_until(Timestamp::from_secs(120));
         sim.take_log()
-    }
-
-    #[test]
-    fn router_classifies_and_routes_deterministically() {
-        let log = busy_log();
-        let config = FlowDiffConfig::default();
-        let mut a = ShardRouter::new(&config, 3);
-        let mut b = ShardRouter::new(&config, 3);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for ev in log.events() {
-            assert!(a.admit(ev, &mut out_a).is_some());
-            assert!(b.admit(ev, &mut out_b).is_some());
-        }
-        out_a.extend(a.drain());
-        out_b.extend(b.drain());
-        assert_eq!(out_a, out_b, "routing is a pure function of the stream");
-        assert_eq!(out_a.len(), log.events().len());
-        assert!(out_a.iter().all(|r| (r.shard as usize) < 3));
-        // PacketIns of one tuple and its FlowRemoved land on one shard.
-        use std::collections::HashMap as Map;
-        let mut flow_shards: Map<Ipv4Addr, std::collections::BTreeSet<u32>> = Map::new();
-        for r in &out_a {
-            match (&r.class, &r.event.msg) {
-                (EventClass::PacketIn, OfpMessage::PacketIn(pi)) => {
-                    let k = frame::parse_frame(&pi.data).unwrap();
-                    flow_shards.entry(k.nw_src).or_default().insert(r.shard);
-                }
-                (EventClass::FlowRemoved, OfpMessage::FlowRemoved(fr)) => {
-                    flow_shards
-                        .entry(fr.match_.nw_src)
-                        .or_default()
-                        .insert(r.shard);
-                }
-                _ => {}
-            }
-        }
-        assert!(!flow_shards.is_empty());
-        assert!(
-            flow_shards.values().all(|shards| shards.len() == 1),
-            "a flow's episodes and removals must meet on one shard"
-        );
-    }
-
-    #[test]
-    fn router_ledger_matches_single_assembler_xid_accounting() {
-        let log = busy_log();
-        // Exercise the reorder buffer too.
-        let config = FlowDiffConfig {
-            reorder_slack_us: 50_000,
-            ..FlowDiffConfig::default()
-        };
-        let mut seq = Sequencer::new(&config);
-        let mut asm = RecordAssembler::new(&config);
-        let mut router = ShardRouter::new(&config, 4);
-        let mut released = Vec::new();
-        for ev in log.events() {
-            seq.admit(ev.ts);
-            seq.release(ev, |ev, _| asm.observe(&ev));
-            router.admit(ev, &mut released);
-        }
-        // Both sides have processed the identical released prefix (same
-        // watermark rule), so the splitter-owned counters must agree.
-        let mut ah = *asm.health();
-        seq.count_into(&mut ah);
-        let rh = router.health();
-        assert_eq!(rh.events_reordered, ah.events_reordered);
-        assert_eq!(rh.duplicate_xids, ah.duplicate_xids);
-        assert_eq!(rh.orphan_flow_mods, ah.orphan_flow_mods);
-        assert_eq!(rh.time_jumps, ah.time_jumps);
-        let n_events = log.events().len();
-        released.extend(router.drain());
-        assert_eq!(released.len(), n_events, "drain flushes the buffer");
-    }
-
-    #[test]
-    fn router_quarantines_and_serializes_midstream() {
-        let log = busy_log();
-        let config = FlowDiffConfig {
-            max_time_jump_us: 60_000_000,
-            reorder_slack_us: 10_000,
-            ..FlowDiffConfig::default()
-        };
-        let mut router = ShardRouter::new(&config, 2);
-        let mut released = Vec::new();
-        for (i, ev) in log.events().iter().enumerate() {
-            assert!(router.admit(ev, &mut released).is_some());
-            if i == 3 {
-                let mut corrupt = ev.clone();
-                corrupt.ts = Timestamp::from_micros(corrupt.ts.as_micros() + (1 << 50));
-                assert!(router.admit(&corrupt, &mut released).is_none());
-            }
-            if i == 5 {
-                // Mid-stream, buffer non-empty: must round-trip.
-                let bytes = serde::to_vec(&router);
-                let back: ShardRouter = serde::from_slice(&bytes).unwrap();
-                assert_eq!(back, router);
-            }
-        }
-        assert_eq!(router.health().time_jumps, 1);
     }
 }

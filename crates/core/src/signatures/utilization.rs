@@ -66,24 +66,14 @@ impl LuBuilder {
         });
     }
 
-    /// Folds another builder's series into this one — the shard-merge
-    /// path. A port's stats replies all carry the same `dpid`, so the
-    /// splitter keeps each `(dpid, port)` series whole on one shard and
-    /// the union here is disjoint: appending preserves the per-key
-    /// observation order of the single-shard run exactly.
+    /// Folds another builder's series into this one, as the shard
+    /// partials of [`harness_seam`](crate::harness_seam) merge. Over
+    /// disjoint `(dpid, port)` keys appending preserves each series'
+    /// observation order exactly.
     pub fn absorb(&mut self, other: LuBuilder) {
         for (key, points) in other.series {
             self.series.entry(key).or_default().extend(points);
         }
-    }
-
-    /// Rough heap footprint of the counter series.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.series
-            .values()
-            .map(|v| size_of::<(DatapathId, PortNo)>() + v.len() * size_of::<(Timestamp, u64)>())
-            .sum()
     }
 
     /// Folds one raw control event: a port-stats reply appends one

@@ -640,13 +640,10 @@ proptest! {
         // Kill: the streaming state survives only as guarded bytes.
         let ckpt_bytes = Checkpoint::capture(&doomed, cut as u64, &config).to_bytes();
         drop(doomed);
-        let (Differ::Single(mut resumed), offset) = Checkpoint::from_bytes(&ckpt_bytes)
+        let (mut resumed, offset) = Checkpoint::from_bytes(&ckpt_bytes)
             .expect("container intact")
             .resume(&baseline, &config)
-            .expect("same config")
-        else {
-            panic!("single bytes must restore the single shape");
-        };
+            .expect("same config");
         prop_assert_eq!(offset as usize, cut);
         prop_assert_eq!(&resumed, &straight, "restored state == live state");
         for event in &events[cut..] {
@@ -686,8 +683,7 @@ proptest! {
     /// historical clone-probe remodel (clone the builder, observe the
     /// open episodes, retire everything before the window, rebuild from
     /// scratch via the `snapshot` oracle) — across random
-    /// interleaved streams, chaos-mangled wire bytes, and with a 4-shard
-    /// [`ShardedDiffer`] held to the same snapshots.
+    /// interleaved streams and chaos-mangled wire bytes.
     #[test]
     fn incremental_epochs_match_clone_probe_remodel(
         ref_seeds in prop::collection::vec(any::<u64>(), 1..5),
@@ -709,8 +705,7 @@ proptest! {
             return Ok(());
         }
 
-        let mut differ = OnlineDiffer::new(reference.clone(), stability.clone(), &config);
-        let mut sharded = ShardedDiffer::new(reference, stability, &config, 4);
+        let mut differ = OnlineDiffer::new(reference, stability, &config);
         // The oracle pipeline is never retired between epochs: it holds
         // the full stream, exactly like the differ's builder did before
         // snapshots went incremental.
@@ -730,8 +725,6 @@ proptest! {
 
         for event in &events {
             let snaps = differ.observe(event);
-            let shard_snaps = sharded.observe(event);
-            prop_assert_eq!(&shard_snaps, &snaps, "4-shard snapshots diverge");
             // Boundaries fire before the event is ingested, so the
             // oracle models its epochs before observing the event too.
             for snap in &snaps {
@@ -756,7 +749,6 @@ proptest! {
             oracle_builder.observe_record(record);
         }
         let last = differ.finish();
-        prop_assert_eq!(&sharded.finish(), &last, "4-shard final snapshot diverges");
         if let Some(last) = last {
             let mut probe = oracle_builder.clone();
             probe.retire_before(last.window.0);
@@ -776,12 +768,6 @@ struct Seen {
     flow_removed: bool,
     evicted_in_window: bool,
     slid_out_open: bool,
-    /// Sharded runs only: the shards that evicted, in-window, an open
-    /// episode the coordinator's window held. Each such completion
-    /// reaches the coordinator in its owner's barrier reply alone — the
-    /// other shards never held the key — although every shard prunes at
-    /// the same instant (the feed rule keeps them on one schedule).
-    evicting_shards: std::collections::BTreeSet<usize>,
 }
 
 /// The open versions the previous boundary modeled, by window key.
@@ -853,13 +839,10 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             // rebuilt.
             assert!(epochs > 30, "restore must land in steady state");
             let bytes = Checkpoint::capture(&resumed, cut as u64, &config).to_bytes();
-            let (Differ::Single(restored), offset) = Checkpoint::from_bytes(&bytes)
+            let (restored, offset) = Checkpoint::from_bytes(&bytes)
                 .expect("container intact")
                 .resume(&baseline, &config)
-                .expect("same config")
-            else {
-                panic!("single bytes must restore the single shape");
-            };
+                .expect("same config");
             assert_eq!(offset as usize, cut);
             assert_eq!(restored, straight, "restored state == live state");
             resumed = restored;
@@ -940,292 +923,4 @@ fn maintained_window_matches_clone_probe_across_in_window_evictions() {
         "a synced open was evicted in-window"
     );
     assert!(seen.slid_out_open, "a synced open slid out of the window");
-}
-
-/// The same shape through the sharded differ, whose boundaries fold
-/// barrier *deltas* into one maintained window: every epoch must be the
-/// single differ's — `PartialEq` and bytes — and the rebuild-from-scratch
-/// [`IncrementalModelBuilder::merge`] over full per-shard partials
-/// (events and records partitioned the way a [`ShardRouter`] places
-/// them). In lockstep: a mid-stream checkpoint → restore, then a
-/// mid-stream `clone()` whose copy and original both carry on. A restored
-/// or cloned differ holds no window, so its first boundary must resync
-/// in full; every other steady-state boundary must have been paid for by
-/// the deltas alone.
-fn sharded_window_run(partial_flow_timeout_us: u64, n_shards: usize, slack_us: u64) -> Seen {
-    let (log, base) = tree_log(4, 42, 75);
-    let config = FlowDiffConfig {
-        online_epoch_us: 1_000_000,
-        online_window_us: 30_000_000,
-        partial_flow_timeout_us,
-        reorder_slack_us: slack_us,
-        ..base
-    };
-    let reference = BehaviorModel::build(&tree_log(4, 41, 20).0, &config);
-    let stability = StabilityReport::all_stable(&reference);
-    let events = log.events();
-    let (restore_at, clone_at) = (events.len() * 3 / 5, events.len() * 4 / 5);
-
-    let baseline = Arc::new(BaselineBundle {
-        model: reference,
-        stability,
-    });
-    let mut single = OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
-    let mut sharded =
-        ShardedDiffer::try_new(Arc::clone(&baseline), &config, n_shards).expect("config valid");
-    let mut copy: Option<ShardedDiffer> = None;
-
-    // The oracle: one sequenced assembler over the whole stream, its
-    // records and the raw events dealt to per-shard builders by the
-    // router's own placement. Never retired between epochs.
-    let mut router = ShardRouter::new(&config, n_shards);
-    let mut released = Vec::new();
-    let mut owner: HashMap<Ipv4Addr, usize> = HashMap::new();
-    let mut oracle_seq = Sequencer::new(&config);
-    let mut oracle_asm = RecordAssembler::new(&config);
-    let mut partials: Vec<IncrementalModelBuilder> = (0..n_shards)
-        .map(|_| IncrementalModelBuilder::new(&config))
-        .collect();
-
-    let mut modeled = Modeled::new();
-    let mut seen = Seen::default();
-    let (mut epochs, mut restored_at_epoch, mut cloned_at_epoch) = (0usize, None, None);
-
-    for (i, event) in events.iter().enumerate() {
-        if i == restore_at {
-            assert!(epochs > 30, "restore must land in steady state");
-            let bytes = Checkpoint::capture_sharded(&sharded, i as u64, &config).to_bytes();
-            let (restored, at) =
-                Differ::restore(&bytes, &baseline, &config).expect("container intact");
-            assert_eq!(at as usize, i);
-            let Differ::Sharded(restored) = restored else {
-                panic!("sharded bytes must restore the sharded shape");
-            };
-            assert_eq!(restored, sharded, "restored state == live state");
-            sharded = restored;
-            restored_at_epoch = Some(epochs);
-        }
-        if i == clone_at {
-            // The copy carries the workers' touched tracking, which is
-            // relative to a window only the original holds.
-            copy = Some(sharded.clone());
-            cloned_at_epoch = Some(epochs);
-        }
-        let snaps = single.observe(event);
-        assert_eq!(sharded.observe(event), snaps, "diverged at event {i}");
-        if let Some(copy) = &mut copy {
-            assert_eq!(copy.observe(event), snaps, "clone diverged at event {i}");
-        }
-        for snap in &snaps {
-            let opens = oracle_asm.open_records();
-            let parts: Vec<ShardModel> = (partials.iter().enumerate())
-                .map(|(shard, builder)| {
-                    let mut part = builder.clone();
-                    for open in opens.iter().filter(|r| owner[&r.tuple.src] == shard) {
-                        part.observe_record(open.clone());
-                    }
-                    part.retire_before(snap.window.0);
-                    part.into_shard_model()
-                })
-                .collect();
-            let merged = IncrementalModelBuilder::merge(parts, Some(snap.window), &config, 1);
-            assert_eq!(merged, snap.model, "epoch {} vs merge", snap.epoch);
-            assert_eq!(
-                serde::to_vec(&merged),
-                serde::to_vec(&snap.model),
-                "epoch {} model bytes vs merge",
-                snap.epoch
-            );
-
-            // The work counters: a full resync interns the window, a
-            // delta barrier only what the shards reported changed.
-            let window = snap.model.records.len();
-            let resynced = epochs == 0 || restored_at_epoch == Some(epochs);
-            let synced = sharded.epoch_synced();
-            if resynced {
-                assert_eq!(synced, window, "epoch {epochs} resyncs in full");
-            } else if epochs > 30 {
-                assert!(
-                    synced * 4 <= window,
-                    "epoch {epochs}: synced {synced} of {window} window records"
-                );
-            }
-            if let Some(copy) = &copy {
-                let synced = copy.epoch_synced();
-                if cloned_at_epoch == Some(epochs) {
-                    assert_eq!(synced, window, "the clone's first epoch resyncs in full");
-                } else {
-                    assert!(
-                        synced * 4 <= window,
-                        "clone epoch {epochs}: {synced}/{window}"
-                    );
-                }
-            }
-            epochs += 1;
-
-            seen.at_boundary(&mut modeled, opens, snap.window.0);
-        }
-
-        if let Some(admitted) = router.admit(event, &mut released) {
-            partials[admitted.shard as usize].observe_event(event);
-        }
-        for routed in released.drain(..) {
-            if let OfpMessage::PacketIn(pi) = &routed.event.msg {
-                if let Ok(key) = frame::parse_frame(&pi.data) {
-                    owner.insert(key.nw_src, routed.shard as usize);
-                }
-            }
-        }
-        oracle_seq.admit(event.ts);
-        oracle_seq.release(event, |ev, _| oracle_asm.observe(&ev));
-        let newest = oracle_seq.max_arrival();
-        for record in oracle_asm.take_completed() {
-            let shard = owner[&record.tuple.src];
-            let in_window = record.first_seen.as_micros() + config.online_window_us
-                > newest.as_micros() + config.online_epoch_us;
-            if in_window && modeled.contains_key(&(record.first_seen, record.tuple)) {
-                seen.evicted_in_window = true;
-                seen.evicting_shards.insert(shard);
-            }
-            partials[shard].observe_record(record);
-        }
-    }
-    assert!(epochs > cloned_at_epoch.expect("cloned mid-stream") + 5);
-    let last = single.finish();
-    assert_eq!(sharded.finish(), last);
-    assert_eq!(copy.expect("cloned mid-stream").finish(), last);
-    seen
-}
-
-#[test]
-fn sharded_deltas_match_single_differ_and_merge_when_every_record_is_open() {
-    for n_shards in [2, 3] {
-        let seen = sharded_window_run(60_000_000, n_shards, 0);
-        assert!(seen.flow_mod_patch, "a FlowMod patched a shipped open");
-        assert!(seen.flow_removed, "a FlowRemoved landed on a shipped open");
-        assert!(seen.slid_out_open, "a shipped open slid out of the window");
-        assert!(!seen.evicted_in_window);
-    }
-}
-
-#[test]
-fn sharded_deltas_match_single_differ_and_merge_across_in_window_evictions() {
-    for n_shards in [2, 3] {
-        let seen = sharded_window_run(12_000_000, n_shards, 0);
-        assert!(seen.flow_mod_patch && seen.flow_removed && seen.slid_out_open);
-        assert!(
-            seen.evicted_in_window,
-            "a shipped open was evicted in-window"
-        );
-        assert_eq!(
-            seen.evicting_shards.len(),
-            n_shards,
-            "every shard's reply carried a completion only it knew of"
-        );
-    }
-}
-
-#[test]
-fn sharded_deltas_match_single_differ_through_the_reorder_buffer() {
-    // Every event is held back 50 ms: an `Arrive` now, a `Release`
-    // later, instead of the one-step admission of the runs above.
-    let seen = sharded_window_run(12_000_000, 2, 50_000);
-    assert!(seen.flow_mod_patch && seen.flow_removed && seen.evicted_in_window);
-}
-
-// ---------------------------------------------------------------------
-// Sharding: the shard count must be unobservable. For any worker count,
-// any interleaving, any wire damage, and any checkpoint cut, the
-// partitioned pipeline's epoch snapshots are byte-identical to the
-// single pipeline's.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Byte-identity of the persistent sharded pipeline (long-lived
-    /// channel-fed workers) on chaos-mangled random streams, *through*
-    /// a mid-stream kill persisted in the one checkpoint format:
-    /// shards in {1, 2, 4, 7} all reproduce the single-shard
-    /// [`OnlineDiffer`]'s snapshots exactly. The kill also exercises
-    /// the quiesce-then-capture path and the restore-then-respawn path
-    /// (a restored differ lazily spawns a fresh worker pool).
-    #[test]
-    fn shard_count_is_unobservable_in_snapshots(
-        ref_seeds in prop::collection::vec(any::<u64>(), 1..5),
-        cur_seeds in prop::collection::vec(any::<u64>(), 1..5),
-        cut_ppm in 0u32..=1_000_000,
-        chaos_seed in any::<u64>(),
-        corruption in 0.0..0.08f64,
-        jitter_us in 0u64..5_000,
-    ) {
-        let config = FlowDiffConfig {
-            reorder_slack_us: jitter_us,
-            ..FlowDiffConfig::default()
-        };
-        let ref_log = synth_log(&ref_seeds);
-        let reference = BehaviorModel::build(&ref_log, &config);
-        let stability = StabilityReport::all_stable(&reference);
-
-        let chaos = ChannelChaos {
-            reorder_jitter_us: jitter_us,
-            ..ChannelChaos::corruption(corruption, chaos_seed)
-        };
-        let (wire, _) = chaos.mangle(&with_distinct_timestamps(&synth_log(&cur_seeds)));
-        let mut stream = netsim::log::LogStream::from_wire_bytes(&wire).expect("magic intact");
-        let events: Vec<ControlEvent> =
-            stream.by_ref().flatten().collect();
-        if events.is_empty() {
-            return Ok(());
-        }
-        let cut = (events.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
-
-        // Uninterrupted single-shard reference run.
-        let baseline = Arc::new(BaselineBundle { model: reference, stability });
-        let mut single =
-            OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
-        let mut single_snaps = Vec::new();
-        for event in &events {
-            single_snaps.extend(single.observe(event));
-        }
-        let single_health = single.health();
-        single_snaps.extend(single.finish());
-
-        for n_shards in [1usize, 2, 4, 7] {
-            let mut sharded = ShardedDiffer::try_new(Arc::clone(&baseline), &config, n_shards)
-                .expect("config valid");
-            let mut snaps = Vec::new();
-            for event in &events[..cut] {
-                snaps.extend(sharded.observe(event));
-            }
-            // Kill mid-stream: state survives only as the one sealed
-            // container, restored into the shape its tag names.
-            let bytes = Checkpoint::capture_sharded(&sharded, cut as u64, &config).to_bytes();
-            drop(sharded);
-            let (restored, at) =
-                Differ::restore(&bytes, &baseline, &config).expect("container intact");
-            prop_assert_eq!(at as usize, cut);
-            let Differ::Sharded(mut sharded) = restored else {
-                panic!("sharded bytes must restore the sharded shape");
-            };
-            for event in &events[cut..] {
-                snaps.extend(sharded.observe(event));
-            }
-            prop_assert_eq!(sharded.health(), single_health, "{} shards: health", n_shards);
-            snaps.extend(sharded.finish());
-            prop_assert_eq!(
-                snaps.len(),
-                single_snaps.len(),
-                "{} shards: epoch count", n_shards
-            );
-            for (a, b) in snaps.iter().zip(&single_snaps) {
-                prop_assert_eq!(a, b, "{} shards: snapshot equality", n_shards);
-                prop_assert_eq!(
-                    serde::to_vec(a),
-                    serde::to_vec(b),
-                    "{} shards: snapshot bytes", n_shards
-                );
-            }
-        }
-    }
 }
