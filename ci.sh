@@ -288,6 +288,21 @@ if [ "$fan_outs" -ne 1 ]; then
     exit 1
 fi
 
+step "the boundary copies no record"
+# An epoch's model shares the builder's interned window and catalog
+# copy-on-write and resolves records to address form only when read
+# (DESIGN.md, Incremental remodel): model.rs neither resolves records
+# nor clones a catalog outside its tests, and BehaviorModel holds no
+# owned record list.
+if sed '/^#\[cfg(test)\]/,$d' "$model_rs" | grep -nE 'resolve_record\(|catalog\.clone\(\)'; then
+    echo "FAIL: $model_rs resolves records or clones a catalog again" >&2
+    exit 1
+fi
+if sed -n '/^pub struct BehaviorModel {/,/^}/p' "$model_rs" | grep -n 'records: Vec<FlowRecord>'; then
+    echo "FAIL: BehaviorModel holds its records as a Vec<FlowRecord> again" >&2
+    exit 1
+fi
+
 step "one arrival stage, in front of the differ"
 # records::Sequencer alone quarantines, counts disorder and re-sequences;
 # the assembler behind it is a pure state machine (DESIGN.md, Robust

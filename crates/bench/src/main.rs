@@ -222,11 +222,11 @@ fn load_baseline(path: &str, config: &FlowDiffConfig) -> EngineResult<BaselineBu
     let model = &bundle.model;
     println!(
         "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
-        model.catalog.n_hosts(),
-        model.catalog.n_switches(),
-        model.catalog.n_ports(),
+        model.catalog().n_hosts(),
+        model.catalog().n_switches(),
+        model.catalog().n_ports(),
         model.approx_bytes().div_ceil(1024),
-        model.catalog.approx_bytes().div_ceil(1024)
+        model.catalog().approx_bytes().div_ceil(1024)
     );
     Ok(bundle)
 }

@@ -643,11 +643,15 @@ impl OnlineDiffer {
         for ev in sequencer.drain() {
             assembler.observe(&ev);
         }
-        for record in assembler.finish() {
-            builder.observe_record(record);
-        }
+        // Retire first, then fold only what the final window keeps:
+        // the episodes first seen before it would be retired unread.
         let start = clock.window_start(end);
         builder.retire_before(start);
+        for record in assembler.finish() {
+            if record.first_seen >= start {
+                builder.observe_record(record);
+            }
+        }
         builder.set_span((start, end));
         Some(judge.snapshot(clock.epoch(), (start, end), builder.into_snapshot()))
     }
@@ -671,7 +675,8 @@ impl OnlineDiffer {
         // The in-flight episodes belong in this window's picture, but
         // must complete into the real builder exactly once: the builder
         // keeps them in its derived window state only, and needs just
-        // the in-window ones that changed since the previous boundary.
+        // the in-window ones that changed since the previous boundary,
+        // which the assembler lends it.
         let model = timed(&mut timings.snapshot_us, || {
             let opens = self.assembler.touched_open_records_since(start);
             self.builder.epoch_snapshot((start, boundary), opens)

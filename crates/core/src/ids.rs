@@ -18,9 +18,12 @@
 //! diffing two models compares resolved addresses, never raw indices.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use openflow::types::{DatapathId, PortNo, Timestamp, Xid};
+use serde::{Deserialize, Serialize};
 
 use crate::groups::Edge;
 use crate::records::{FlowRecord, FlowTuple, HopReport};
@@ -70,16 +73,6 @@ impl EdgeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-}
-
-/// Packs a directed host edge into one flat-map key.
-pub fn pack_edge(src: HostId, dst: HostId) -> u64 {
-    (src.0 as u64) << 32 | dst.0 as u64
-}
-
-/// Inverse of [`pack_edge`].
-pub fn unpack_edge(key: u64) -> (HostId, HostId) {
-    (HostId((key >> 32) as u32), HostId(key as u32))
 }
 
 /// Packs an ordered switch pair into one flat-map key.
@@ -216,19 +209,15 @@ impl EntityCatalog {
         self.ports[id.index()]
     }
 
+    /// The switch a port belongs to.
+    pub fn switch_of(&self, id: PortId) -> SwitchId {
+        self.ports[id.index()].0
+    }
+
     /// Resolves a port ID to its `(DatapathId, PortNo)` address form.
     pub fn port_addr(&self, id: PortId) -> (DatapathId, PortNo) {
         let (sw, port) = self.port(id);
         (self.switch(sw), port)
-    }
-
-    /// Resolves a packed host edge to its address form.
-    pub fn edge(&self, key: u64) -> Edge {
-        let (s, d) = unpack_edge(key);
-        Edge {
-            src: self.host(s),
-            dst: self.host(d),
-        }
     }
 
     /// Resolves an edge ID to its endpoint host IDs.
@@ -283,28 +272,11 @@ impl EntityCatalog {
                 * (size_of::<(HostId, HostId)>() + size_of::<((HostId, HostId), EdgeId)>())
     }
 
-    /// Interns every entity a record mentions (endpoints and their
-    /// edge, switches, ports) without building an [`IRecord`].
-    pub fn intern_entities(&mut self, record: &FlowRecord) {
-        let src = self.intern_host(record.tuple.src);
-        let dst = self.intern_host(record.tuple.dst);
-        self.intern_edge(src, dst);
-        for hop in &record.hops {
-            let sw = self.intern_switch(hop.dpid);
-            self.intern_port(sw, hop.in_port);
-            if let Some(out) = hop.out_port {
-                self.intern_port(sw, out);
-            }
-        }
-    }
-
     /// Interns a record into its dense form.
     pub fn intern_record(&mut self, record: &FlowRecord) -> IRecord {
         let src = self.intern_host(record.tuple.src);
         let dst = self.intern_host(record.tuple.dst);
         IRecord {
-            src,
-            dst,
             edge: self.intern_edge(src, dst),
             tuple: record.tuple,
             first_seen: record.first_seen,
@@ -318,7 +290,6 @@ impl EntityCatalog {
                     let switch = self.intern_switch(hop.dpid);
                     IHop {
                         ts: hop.ts,
-                        switch,
                         in_port: self.intern_port(switch, hop.in_port),
                         xid: hop.xid,
                         flow_mod_ts: hop.flow_mod_ts,
@@ -338,19 +309,40 @@ impl EntityCatalog {
             hops: record
                 .hops
                 .iter()
-                .map(|hop| HopReport {
-                    ts: hop.ts,
-                    dpid: self.switch(hop.switch),
-                    in_port: self.port(hop.in_port).1,
-                    xid: hop.xid,
-                    flow_mod_ts: hop.flow_mod_ts,
-                    out_port: hop.out_port.map(|p| self.port(p).1),
-                })
+                .map(|hop| self.resolve_hop(hop))
                 .collect(),
             byte_count: record.byte_count,
             packet_count: record.packet_count,
             duration_s: record.duration_s,
         }
+    }
+
+    /// The address form of one hop of a record interned through this
+    /// catalog.
+    fn resolve_hop(&self, hop: &IHop) -> HopReport {
+        let (dpid, in_port) = self.port_addr(hop.in_port);
+        HopReport {
+            ts: hop.ts,
+            dpid,
+            in_port,
+            xid: hop.xid,
+            flow_mod_ts: hop.flow_mod_ts,
+            out_port: hop.out_port.map(|p| self.port(p).1),
+        }
+    }
+
+    /// Whether `record` is [`resolve_record`](Self::resolve_record) of
+    /// `interned`, decided field by field without building it.
+    pub(crate) fn resolves_to(&self, interned: &IRecord, record: &FlowRecord) -> bool {
+        interned.tuple == record.tuple
+            && interned.first_seen == record.first_seen
+            && interned.byte_count == record.byte_count
+            && interned.packet_count == record.packet_count
+            && interned.duration_s == record.duration_s
+            && interned.hops.len() == record.hops.len()
+            && (interned.hops.iter())
+                .zip(&record.hops)
+                .all(|(i, h)| self.resolve_hop(i) == *h)
     }
 }
 
@@ -360,9 +352,8 @@ impl EntityCatalog {
 pub struct IHop {
     /// When the switch reported the flow (its `PacketIn` timestamp).
     pub ts: Timestamp,
-    /// The reporting switch.
-    pub switch: SwitchId,
-    /// The port the flow arrived on.
+    /// The port the flow arrived on, which also names the reporting
+    /// switch ([`EntityCatalog::switch_of`]).
     pub in_port: PortId,
     /// The report's transaction id. No signature reads it; it is what
     /// makes [`EntityCatalog::resolve_record`] lossless.
@@ -377,17 +368,17 @@ pub struct IHop {
 ///
 /// Carries exactly the fields the signatures read — endpoints,
 /// counters, and the switch path — with every entity reference interned
-/// through the owning [`EntityCatalog`].
+/// through the owning [`EntityCatalog`]. A model holds its records in
+/// this form alone, so it is kept no larger than a [`FlowRecord`]: the
+/// edge names both endpoints, each hop's `in_port` names its switch,
+/// and the path is a boxed slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IRecord {
-    /// Interned source host.
-    pub src: HostId,
-    /// Interned destination host.
-    pub dst: HostId,
-    /// Interned `src -> dst` edge.
+    /// Interned `src -> dst` edge; [`EntityCatalog::edge_hosts`] names
+    /// its endpoints.
     pub edge: EdgeId,
-    /// The original five-tuple: kept alongside the dense endpoint IDs
-    /// because the sliding window orders records by
+    /// The original five-tuple: kept alongside the edge because the
+    /// sliding window orders records by
     /// `(first_seen, tuple)` — the same key the batch path sorts by —
     /// and retirement has to find a record under that exact key.
     pub tuple: FlowTuple,
@@ -400,14 +391,7 @@ pub struct IRecord {
     /// Flow duration in seconds.
     pub duration_s: f64,
     /// The switch path, in path order.
-    pub hops: Vec<IHop>,
-}
-
-impl IRecord {
-    /// The packed `(src, dst)` flat-map key of this record's edge.
-    pub fn edge_key(&self) -> u64 {
-        pack_edge(self.src, self.dst)
-    }
+    pub hops: Box<[IHop]>,
 }
 
 /// A batch of address-form records interned into one fresh catalog —
@@ -436,16 +420,132 @@ impl InternedLog {
     }
 }
 
+/// The records of a [`BehaviorModel`](crate::model::BehaviorModel): the
+/// interned window it was built from and the catalog that window was
+/// interned through, both behind `Arc`s shared with whoever built them.
+/// At an online epoch boundary that is the builder's maintained window,
+/// so handing a model its records copies nothing and dropping the model
+/// only releases its shares.
+///
+/// Read-only and in model order (ascending `(first_seen, tuple)`). The
+/// address form exists only when read: [`get`](Self::get),
+/// [`iter`](Self::iter) and [`to_vec`](Self::to_vec) resolve each record
+/// through the catalog ([`EntityCatalog::resolve_record`]). Equality,
+/// `Debug` and the serialized form are those of the resolved
+/// `Vec<FlowRecord>`, so a model's bytes do not depend on the form its
+/// records are held in; deserializing interns them into a fresh catalog.
+#[derive(Clone, Default)]
+pub struct WindowRecords {
+    records: Arc<Vec<IRecord>>,
+    catalog: Arc<EntityCatalog>,
+}
+
+impl WindowRecords {
+    /// A view sharing `records`, interned through `catalog`.
+    pub(crate) fn shared(records: &Arc<Vec<IRecord>>, catalog: &Arc<EntityCatalog>) -> Self {
+        WindowRecords {
+            records: Arc::clone(records),
+            catalog: Arc::clone(catalog),
+        }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the window holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The `i`-th record in address form, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<FlowRecord> {
+        (self.records.get(i)).map(|r| self.catalog.resolve_record(r))
+    }
+
+    /// Every record in address form, in model order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = FlowRecord> + ExactSizeIterator + '_ {
+        (self.records.iter()).map(|r| self.catalog.resolve_record(r))
+    }
+
+    /// The records in address form, as one list.
+    pub fn to_vec(&self) -> Vec<FlowRecord> {
+        self.iter().collect()
+    }
+
+    /// The records in dense form: what the signature builds read.
+    pub(crate) fn interned(&self) -> &[IRecord] {
+        &self.records
+    }
+
+    /// The catalog the records were interned through.
+    pub(crate) fn catalog(&self) -> &Arc<EntityCatalog> {
+        &self.catalog
+    }
+
+    /// `serde::to_vec(self).len()`, counted one record at a time rather
+    /// than by holding the whole encoding.
+    pub(crate) fn serialized_len(&self) -> usize {
+        let mut scratch = Vec::new();
+        self.iter().fold(8, |n, record| {
+            scratch.clear();
+            record.serialize(&mut scratch);
+            n + scratch.len()
+        })
+    }
+}
+
+impl From<InternedLog> for WindowRecords {
+    fn from(log: InternedLog) -> Self {
+        WindowRecords {
+            records: Arc::new(log.records),
+            catalog: Arc::new(log.catalog),
+        }
+    }
+}
+
+impl PartialEq for WindowRecords {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for WindowRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Exactly the bytes of the resolved `Vec<FlowRecord>`: a count, then
+/// each record.
+impl Serialize for WindowRecords {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).serialize(out);
+        for record in self.iter() {
+            record.serialize(out);
+        }
+    }
+}
+
+impl Deserialize for WindowRecords {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let records = Vec::<FlowRecord>::deserialize(input)?;
+        Ok(InternedLog::of(&records).into())
+    }
+}
+
 /// An edge-indexed view of one model's records, used by the diff engine
 /// to answer "when did this edge first appear in the current capture?"
 /// in O(1) instead of scanning the record list per change.
 ///
-/// Owns its own catalog: the diff engine resolves *reference*-side
-/// edges (plain addresses) through it, so cross-log identity is by
-/// address — reference and current models never exchange raw IDs.
+/// Holds a share of the catalog its records were interned through: the
+/// diff engine resolves *reference*-side edges (plain addresses) through
+/// it, so cross-log identity is by address — reference and current
+/// models never exchange raw IDs.
 #[derive(Debug, Clone, Default)]
 pub struct RecordIndex {
-    catalog: EntityCatalog,
+    catalog: Arc<EntityCatalog>,
     /// Earliest `first_seen` per [`EdgeId`] of `catalog`; `None` for an
     /// edge the catalog knows but no indexed record is on.
     first_seen: Vec<Option<Timestamp>>,
@@ -464,21 +564,19 @@ impl RecordIndex {
                 (catalog.intern_edge(src, dst), r.first_seen)
             })
             .collect();
-        RecordIndex::of_edges(catalog, edges)
+        RecordIndex::of_edges(Arc::new(catalog), edges)
     }
 
-    /// Indexes records that are already interned through `catalog`,
-    /// which the index takes ownership of. This is the zero-rework path
-    /// for a model snapshot, which holds both halves at assembly time:
-    /// each record already names its edge, so nothing is hashed. Takes
-    /// record references so the incremental window (which holds its
-    /// records keyed, not flat) can index without cloning them out.
-    pub fn of_interned(catalog: EntityCatalog, irecords: &[&IRecord]) -> RecordIndex {
-        RecordIndex::of_edges(catalog, irecords.iter().map(|r| (r.edge, r.first_seen)))
+    /// Indexes a model's records, keeping a share of their catalog. This
+    /// is the zero-rework path for a model snapshot: each record already
+    /// names its edge, so nothing is hashed.
+    pub fn of_window(records: &WindowRecords) -> RecordIndex {
+        let edges = (records.interned().iter()).map(|r| (r.edge, r.first_seen));
+        RecordIndex::of_edges(Arc::clone(records.catalog()), edges)
     }
 
     fn of_edges(
-        catalog: EntityCatalog,
+        catalog: Arc<EntityCatalog>,
         edges: impl IntoIterator<Item = (EdgeId, Timestamp)>,
     ) -> RecordIndex {
         let mut first_seen = vec![None; catalog.n_edges()];
@@ -500,12 +598,13 @@ impl RecordIndex {
         self.first_seen[self.catalog.edge_id(src, dst)?.index()]
     }
 
-    /// Approximate heap footprint in bytes: the owned catalog plus the
-    /// edge table (the index clones its catalog at assembly, so this is
-    /// real memory, not shared with the model's own catalog).
+    /// Approximate heap footprint in bytes of the edge table alone. The
+    /// catalog is not counted: in a model it is the one its records
+    /// share, which [`BehaviorModel::approx_bytes`] counts once.
+    ///
+    /// [`BehaviorModel::approx_bytes`]: crate::model::BehaviorModel::approx_bytes
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.catalog.approx_bytes() + self.first_seen.len() * size_of::<Option<Timestamp>>()
+        self.first_seen.len() * std::mem::size_of::<Option<Timestamp>>()
     }
 }
 
@@ -562,8 +661,6 @@ mod tests {
 
     #[test]
     fn pack_unpack_round_trips() {
-        let (s, d) = (HostId(3), HostId(u32::MAX));
-        assert_eq!(unpack_edge(pack_edge(s, d)), (s, d));
         let (a, b) = (SwitchId(0), SwitchId(9));
         assert_eq!(unpack_switch_pair(pack_switch_pair(a, b)), (a, b));
         let (p, q) = (PortId(1), PortId(2));
@@ -575,13 +672,18 @@ mod tests {
         let mut c = EntityCatalog::new();
         let r = record(1, 2, 5_000);
         let ir = c.intern_record(&r);
-        assert_eq!(c.host(ir.src), ip(1));
-        assert_eq!(c.host(ir.dst), ip(2));
+        assert_eq!(
+            c.edge_addr(ir.edge),
+            Edge {
+                src: ip(1),
+                dst: ip(2)
+            }
+        );
         assert_eq!(ir.first_seen, r.first_seen);
         assert_eq!(ir.byte_count, r.byte_count);
         assert_eq!(ir.hops.len(), 1);
         let hop = &ir.hops[0];
-        assert_eq!(c.switch(hop.switch), DatapathId(1));
+        assert_eq!(c.switch(c.switch_of(hop.in_port)), DatapathId(1));
         assert_eq!(c.port_addr(hop.in_port), (DatapathId(1), PortNo(1)));
         assert_eq!(
             c.port_addr(hop.out_port.unwrap()),
@@ -622,8 +724,31 @@ mod tests {
         let records = vec![record(3, 4, 1), record(1, 2, 2)];
         let il = InternedLog::of(&records);
         assert_eq!(il.records.len(), 2);
-        assert_eq!(il.catalog.host(il.records[0].src), ip(3));
-        assert_eq!(il.catalog.host(il.records[1].src), ip(1));
+        assert_eq!(il.catalog.edge_addr(il.records[0].edge).src, ip(3));
+        assert_eq!(il.catalog.edge_addr(il.records[1].edge).src, ip(1));
         assert_eq!(il.refs().len(), 2);
+    }
+
+    #[test]
+    fn window_records_read_and_encode_as_their_address_form() {
+        let mut records = vec![record(3, 4, 1), record(1, 2, 2), record(1, 2, 3)];
+        records[1].hops.clear();
+        records[2].hops[0].flow_mod_ts = Some(Timestamp::from_micros(7));
+        let view = WindowRecords::from(InternedLog::of(&records));
+        assert_eq!(
+            (view.len(), view.get(1), view.get(3)),
+            (3, Some(records[1].clone()), None)
+        );
+        assert_eq!(view.to_vec(), records);
+        let bytes = serde::to_vec(&view);
+        assert_eq!(bytes, serde::to_vec(&records));
+        assert_eq!(view.serialized_len(), bytes.len());
+        // Another catalog, other IDs: the same records.
+        let back: WindowRecords = serde::from_slice(&bytes).unwrap();
+        assert_eq!(back, view);
+        assert_ne!(back, WindowRecords::from(InternedLog::of(&records[1..])));
+        // A model holds this form alone: it costs no more per record.
+        assert!(std::mem::size_of::<IRecord>() <= std::mem::size_of::<FlowRecord>());
+        assert!(std::mem::size_of::<IHop>() <= std::mem::size_of::<HopReport>());
     }
 }

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::groups::{discover_groups, AppGroup, Edge};
     pub use crate::harness_seam::*;
     pub use crate::ids::{
-        EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, SwitchId,
+        EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, SwitchId, WindowRecords,
     };
     pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder};
     pub use crate::records::{

@@ -8,9 +8,14 @@
 //! through one builder and snapshots once. Every snapshot — batch,
 //! rebuild-from-scratch oracle, online boundary — turns its sorted,
 //! interned window into signatures through the one serial fan-out,
-//! `model_of`.
+//! `model_of`, and the model keeps that window as its
+//! [`WindowRecords`]: one form of each record, address form only when
+//! read.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use openflow::types::{DatapathId, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -18,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::FlowDiffConfig;
 use crate::derived::Derived;
 use crate::groups::{discover_window, AppGroup, Discovery};
-use crate::ids::{EntityCatalog, IRecord, InternedLog, RecordIndex};
+use crate::ids::{EntityCatalog, IRecord, InternedLog, RecordIndex, WindowRecords};
 use crate::records::{FlowRecord, FlowTuple, RecordAssembler};
 use crate::signatures::connectivity::ConnectivityGraph;
 use crate::signatures::correlation::PartialCorrelation;
@@ -52,8 +57,11 @@ pub struct GroupSignatures {
 /// infrastructure signatures.
 #[derive(Debug, Clone)]
 pub struct BehaviorModel {
-    /// All extracted flow records, time-ordered.
-    pub records: Vec<FlowRecord>,
+    /// All extracted flow records, time-ordered: a read-only view of
+    /// the interned window the model was built from. It also carries
+    /// the entity catalog the model was built through
+    /// ([`catalog`](Self::catalog)).
+    pub records: WindowRecords,
     /// Per-application-group signatures.
     pub groups: Vec<GroupSignatures>,
     /// Inferred physical topology (PT).
@@ -66,12 +74,6 @@ pub struct BehaviorModel {
     pub utilization: LinkUtilization,
     /// The log's time window.
     pub span: (Timestamp, Timestamp),
-    /// The entity interner the model was built through. IDs are
-    /// process-local (assignment-order artifacts), so the catalog is
-    /// excluded from serialization, equality, and all rendered output —
-    /// it exists to resolve dense IDs and to answer entity-count /
-    /// memory-footprint queries.
-    pub catalog: EntityCatalog,
     /// Edge-indexed view of `records` ("when did this `(src, dst)`
     /// pair first appear?"), built once at assembly so the diff engine
     /// never re-scans the record list. Derived data: excluded from
@@ -80,8 +82,8 @@ pub struct BehaviorModel {
 }
 
 /// Equality ignores the catalog: two models are the same model if every
-/// signature and record agrees, regardless of the interning order their
-/// catalogs happened to assign IDs in.
+/// signature and (resolved) record agrees, regardless of the interning
+/// order their catalogs happened to assign IDs in.
 impl PartialEq for BehaviorModel {
     fn eq(&self, other: &Self) -> bool {
         self.records == other.records
@@ -94,38 +96,30 @@ impl PartialEq for BehaviorModel {
     }
 }
 
-/// Hand-written (field-order) serialization that skips the catalog:
-/// the byte encoding is identical to the pre-interning derived one, and
-/// IDs never leave the process.
+/// Hand-written (field-order) serialization that skips the catalog and
+/// the edge index: the records go out resolved, so the byte encoding is
+/// identical to the pre-interning derived one, and IDs never leave the
+/// process.
 impl Serialize for BehaviorModel {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.records.serialize(out);
-        self.groups.serialize(out);
-        self.topology.serialize(out);
-        self.latency.serialize(out);
-        self.response.serialize(out);
-        self.utilization.serialize(out);
-        self.span.serialize(out);
+        self.signatures().serialize(out);
     }
 }
 
 impl Deserialize for BehaviorModel {
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let records = Vec::<FlowRecord>::deserialize(input)?;
+        // The records are interned into a fresh catalog: the IDs need
+        // not match the writer's (IDs are process-local), only cover
+        // every entity the records mention.
+        let records = WindowRecords::deserialize(input)?;
         let groups = Vec::<GroupSignatures>::deserialize(input)?;
         let topology = PhysicalTopology::deserialize(input)?;
         let latency = InterSwitchLatency::deserialize(input)?;
         let response = ControllerResponse::deserialize(input)?;
         let utilization = LinkUtilization::deserialize(input)?;
         let span = <(Timestamp, Timestamp)>::deserialize(input)?;
-        // Rebuild a catalog deterministically from the stored records:
-        // the IDs need not match the writer's (IDs are process-local),
-        // only cover every entity the records mention.
-        let mut catalog = EntityCatalog::new();
-        for record in &records {
-            catalog.intern_entities(record);
-        }
-        let edge_index = RecordIndex::of_records(&records);
+        let edge_index = RecordIndex::of_window(&records);
         Ok(BehaviorModel {
             records,
             groups,
@@ -134,7 +128,6 @@ impl Deserialize for BehaviorModel {
             response,
             utilization,
             span,
-            catalog,
             edge_index,
         })
     }
@@ -183,11 +176,12 @@ impl RecordWindow {
         }
     }
 
-    /// The records as a sorted flat list (cloned).
-    fn to_flat_vec(&self) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(self.len);
-        out.extend(self.iter().cloned());
-        out
+    /// The records interned into a fresh catalog, in window order.
+    fn interned(&self) -> InternedLog {
+        let mut catalog = EntityCatalog::new();
+        let mut records = Vec::with_capacity(self.len);
+        records.extend(self.iter().map(|r| catalog.intern_record(r)));
+        InternedLog { catalog, records }
     }
 
     /// Consumes the window into a sorted flat list.
@@ -275,19 +269,9 @@ pub struct IncrementalModelBuilder {
     pending: Derived<Vec<(Timestamp, FlowTuple)>>,
 }
 
-/// One in-window episode of the interned window: a completion the owned
-/// window holds, or the last version seen of one the assembler still
-/// holds open.
-#[derive(Debug, Clone)]
-struct Entry {
-    ir: IRecord,
-    open: bool,
-}
-
-impl Entry {
-    fn key(&self) -> (Timestamp, FlowTuple) {
-        (self.ir.first_seen, self.ir.tuple)
-    }
+/// The window order of a record: ascending `(first_seen, tuple)`.
+fn key_of(record: &FlowRecord) -> (Timestamp, FlowTuple) {
+    (record.first_seen, record.tuple)
 }
 
 /// The incremental-snapshot state: a persistent entity catalog and
@@ -299,34 +283,64 @@ impl Entry {
 /// and in-place replacement in between; an insert anywhere else (a
 /// straggler's late first `PacketIn`) just shifts the tail.
 ///
+/// Records and catalog sit behind `Arc`s because every epoch's model
+/// shares them as its [`WindowRecords`]. A boundary mutates them in
+/// place through `Arc::make_mut`, which copies only while a model from
+/// an earlier boundary is still alive: never in `watch` or `serve`,
+/// which drop each snapshot once its line is out. The open flags are
+/// the builder's alone and never shared.
+///
 /// The catalog only ever grows — dense IDs are process-local and
 /// excluded from every output, so stale entries from retired records
 /// are harmless — which is what lets the interned window keep its IDs
 /// stable across epochs.
 #[derive(Debug, Clone, Default)]
 struct WindowState {
-    catalog: EntityCatalog,
-    window: Vec<Entry>,
+    catalog: Arc<EntityCatalog>,
+    records: Arc<Vec<IRecord>>,
+    /// `open[i]`: `records[i]` is the latest version of an episode the
+    /// assembler still holds open, not a completion.
+    open: Vec<bool>,
     /// Records interned by the latest `epoch_snapshot`.
     synced: usize,
 }
 
 impl WindowState {
-    fn intern(&mut self, record: &FlowRecord, open: bool) -> Entry {
-        self.synced += 1;
-        Entry {
-            ir: self.catalog.intern_record(record),
-            open,
+    /// The state of a window holding the records of `held`, every one
+    /// completed.
+    fn of(held: InternedLog) -> WindowState {
+        let InternedLog { catalog, records } = held;
+        WindowState {
+            open: vec![false; records.len()],
+            synced: records.len(),
+            catalog: Arc::new(catalog),
+            records: Arc::new(records),
         }
+    }
+
+    fn intern<R: Borrow<FlowRecord>>(&mut self, fresh: &[R]) -> Vec<IRecord> {
+        self.synced += fresh.len();
+        let catalog = Arc::make_mut(&mut self.catalog);
+        (fresh.iter())
+            .map(|r| catalog.intern_record(r.borrow()))
+            .collect()
+    }
+
+    /// Puts `fresh` in place of `range`, each record flagged `open`.
+    fn splice(&mut self, range: Range<usize>, fresh: Vec<IRecord>, open: bool) {
+        (self.open).splice(range.clone(), std::iter::repeat_n(open, fresh.len()));
+        Arc::make_mut(&mut self.records).splice(range, fresh);
     }
 
     /// Where `key`'s completions start, where its open episodes start,
     /// and where the next key starts.
     fn locate(&self, key: &(Timestamp, FlowTuple)) -> (usize, usize, usize) {
-        let lo = self.window.partition_point(|e| e.key() < *key);
-        let same = |e: &&Entry| e.key() == *key;
-        let n = self.window[lo..].iter().take_while(same).count();
-        let held = self.window[lo..lo + n].iter().filter(|e| !e.open).count();
+        let key_at = |r: &IRecord| (r.first_seen, r.tuple);
+        let lo = self.records.partition_point(|r| key_at(r) < *key);
+        let n = (self.records[lo..].iter())
+            .take_while(|r| key_at(r) == *key)
+            .count();
+        let held = self.open[lo..lo + n].iter().filter(|&&open| !open).count();
         (lo, lo + held, lo + n)
     }
 
@@ -338,35 +352,34 @@ impl WindowState {
     fn complete(&mut self, key: &(Timestamp, FlowTuple), ties: &[FlowRecord]) {
         let (lo, opens, end) = self.locate(key);
         let fresh = &ties[opens - lo..];
-        if let ([done], Some(entry)) = (fresh, self.window[opens..end].first_mut()) {
-            if self.catalog.resolve_record(&entry.ir) == *done {
-                entry.open = false;
+        if let [done] = fresh {
+            if opens < end && self.catalog.resolves_to(&self.records[opens], done) {
+                self.open[opens] = false;
                 return;
             }
         }
         if !fresh.is_empty() {
-            let fresh: Vec<Entry> = fresh.iter().map(|r| self.intern(r, false)).collect();
-            self.window.splice(opens..end, fresh);
+            let fresh = self.intern(fresh);
+            self.splice(opens..end, fresh, false);
         }
     }
 
     /// Makes `versions` the open episodes under their shared key.
-    fn upsert_opens(&mut self, versions: &[FlowRecord]) {
-        let (_, opens, end) = self.locate(&(versions[0].first_seen, versions[0].tuple));
-        let fresh: Vec<Entry> = versions.iter().map(|r| self.intern(r, true)).collect();
-        if !fresh
-            .iter()
-            .map(|e| &e.ir)
-            .eq(self.window[opens..end].iter().map(|e| &e.ir))
-        {
-            self.window.splice(opens..end, fresh);
+    fn upsert_opens<R: Borrow<FlowRecord>>(&mut self, versions: &[R]) {
+        let (_, opens, end) = self.locate(&key_of(versions[0].borrow()));
+        let fresh = self.intern(versions);
+        if fresh[..] != self.records[opens..end] {
+            self.splice(opens..end, fresh, true);
         }
     }
 
     /// Drops every record first seen before `cutoff`.
     fn retire_before(&mut self, cutoff: Timestamp) {
-        let n = self.window.partition_point(|e| e.ir.first_seen < cutoff);
-        self.window.drain(..n);
+        let n = self.records.partition_point(|r| r.first_seen < cutoff);
+        if n > 0 {
+            Arc::make_mut(&mut self.records).drain(..n);
+            self.open.drain(..n);
+        }
     }
 }
 
@@ -459,19 +472,19 @@ impl IncrementalModelBuilder {
         self.observed_span
     }
 
-    /// Snapshots the model over all state held (clones the held
-    /// records; the builder keeps accumulating afterwards). This is the
-    /// rebuild-from-scratch oracle the incremental
+    /// Snapshots the model over all state held (interns the held
+    /// records afresh; the builder keeps accumulating afterwards). This
+    /// is the rebuild-from-scratch oracle the incremental
     /// [`epoch_snapshot`](Self::epoch_snapshot) is verified against.
     pub fn snapshot(&self) -> BehaviorModel {
-        self.finish_records(self.records.to_flat_vec())
+        self.finish_records(self.records.interned())
     }
 
-    /// Consumes the builder into a final snapshot without cloning the
-    /// record set — the batch wrappers' path.
+    /// Consumes the builder into a final snapshot, freeing the held
+    /// records once they are interned — the final flush's path.
     pub fn into_snapshot(mut self) -> BehaviorModel {
-        let records = std::mem::take(&mut self.records).into_flat_vec();
-        self.finish_records(records)
+        let log = InternedLog::of(&std::mem::take(&mut self.records).into_flat_vec());
+        self.finish_records(log)
     }
 
     /// Snapshots the model for one epoch via the maintained window
@@ -486,13 +499,14 @@ impl IncrementalModelBuilder {
     /// or [`retire_before`](Self::retire_before) slides past it. The
     /// result is `PartialEq`- and serialization-byte-identical to
     /// [`Self::snapshot`] over the same records with the same span, but
-    /// costs one fan-out over *groups*, one clone of the window's
-    /// records, and interning work proportional to the episodes that
-    /// changed.
-    pub fn epoch_snapshot(
+    /// costs one fan-out over *groups* and interning work proportional
+    /// to the episodes that changed. The model shares the maintained
+    /// window rather than copying it (see `WindowState`); the opens are
+    /// only read, so the caller may lend them.
+    pub fn epoch_snapshot<R: Borrow<FlowRecord>>(
         &mut self,
         span: (Timestamp, Timestamp),
-        mut opens: Vec<FlowRecord>,
+        mut opens: Vec<R>,
     ) -> BehaviorModel {
         if let Some(ws) = &mut self.ws.0 {
             ws.synced = 0;
@@ -506,9 +520,7 @@ impl IncrementalModelBuilder {
                 }
             }
         } else {
-            let mut ws = WindowState::default();
-            ws.window = self.records.iter().map(|r| ws.intern(r, false)).collect();
-            self.ws.0 = Some(ws);
+            self.ws.0 = Some(WindowState::of(self.records.interned()));
             self.pending.0.clear();
         }
         let ws = self.ws.0.as_mut().expect("ensured above");
@@ -516,43 +528,29 @@ impl IncrementalModelBuilder {
         // Group the opens by key; the sort is stable, so same-key opens
         // keep their assembler iteration order — exactly where the batch
         // core's stable sort would leave them.
-        opens.sort_by_key(|r| (r.first_seen, r.tuple));
-        for versions in opens.chunk_by(|a, b| (a.first_seen, a.tuple) == (b.first_seen, b.tuple)) {
+        opens.sort_by_key(|r| key_of(r.borrow()));
+        for versions in opens.chunk_by(|a, b| key_of(a.borrow()) == key_of(b.borrow())) {
             ws.upsert_opens(versions);
         }
 
-        // The two views of the window, positionally aligned (group
-        // record indices index into `refs`): the owned record list the
-        // model carries and the interned refs the signature builds
-        // consume.
-        let records: Vec<FlowRecord> = (ws.window.iter())
-            .map(|e| ws.catalog.resolve_record(&e.ir))
-            .collect();
-        let refs: Vec<&IRecord> = ws.window.iter().map(|e| &e.ir).collect();
-
-        let model = model_of(records, &refs, ws.catalog.clone(), span, &self.config);
+        let records = WindowRecords::shared(&ws.records, &ws.catalog);
+        let model = model_of(records, span, &self.config);
         self.with_event_facts(model)
     }
 
-    /// The snapshot core: canonicalizes record order (streaming
-    /// completion order differs from batch extraction order), interns
-    /// the records into a fresh catalog — IDs are process-local, so
-    /// nothing requires the assignment to be stable across snapshots —
-    /// and runs the shared fan-out. Window and catalog are derived from
-    /// nothing but the held records, which is what makes
-    /// [`snapshot`](Self::snapshot) an oracle for the maintained state.
-    fn finish_records(&self, mut records: Vec<FlowRecord>) -> BehaviorModel {
-        records.sort_by_key(|r| (r.first_seen, r.tuple));
+    /// The snapshot core: runs the shared fan-out over `log`, the held
+    /// records interned into a fresh catalog in window order (which is
+    /// already the model order) — IDs are process-local, so nothing
+    /// requires the assignment to be stable across snapshots. Window and
+    /// catalog are derived from nothing but the held records, which is
+    /// what makes [`snapshot`](Self::snapshot) an oracle for the
+    /// maintained state.
+    fn finish_records(&self, log: InternedLog) -> BehaviorModel {
         let span = self
             .span_override
             .or(self.observed_span)
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let InternedLog {
-            catalog,
-            records: irecords,
-        } = InternedLog::of(&records);
-        let refs: Vec<&IRecord> = irecords.iter().collect();
-        let model = model_of(records, &refs, catalog, span, &self.config);
+        let model = model_of(log.into(), span, &self.config);
         self.with_event_facts(model)
     }
 
@@ -567,29 +565,28 @@ impl IncrementalModelBuilder {
     }
 }
 
-/// The one place signatures are built from a window: `records` sorted by
-/// `(first_seen, tuple)` and `refs` the same records, positionally
-/// aligned, interned through `catalog`. Discovers groups, then builds
-/// per group CG, FS, CI, DD, PC and once PT, ISL, CRT and the edge
-/// index. Each group's builds bucket records by the edge slots
-/// discovery numbered, so no build hashes an edge. Serial: a scoped
-/// thread pool over these builds measured no faster (DESIGN.md,
-/// "Rejected").
+/// The one place signatures are built from a window: `records` interned
+/// and sorted by `(first_seen, tuple)`, which the model then keeps.
+/// Discovers groups, then builds per group CG, FS, CI, DD, PC and once
+/// PT, ISL, CRT and the edge index. Each group's builds bucket records
+/// by the edge slots discovery numbered, so no build hashes an edge.
+/// Serial: a scoped thread pool over these builds measured no faster
+/// (DESIGN.md, "Rejected").
 fn model_of(
-    records: Vec<FlowRecord>,
-    refs: &[&IRecord],
-    catalog: EntityCatalog,
+    records: WindowRecords,
     span: (Timestamp, Timestamp),
     config: &FlowDiffConfig,
 ) -> BehaviorModel {
-    let Discovery { groups, slots } = discover_window(refs, &catalog, config);
+    let catalog: &EntityCatalog = records.catalog();
+    let refs: Vec<&IRecord> = records.interned().iter().collect();
+    let Discovery { groups, slots } = discover_window(&refs, catalog, config);
     let groups = groups
         .into_iter()
         .map(|group| {
             let group_records: Vec<&IRecord> =
                 group.record_indices.iter().map(|&i| refs[i]).collect();
             let edge_slots = EdgeSlots::of_group(&group, &group_records, &slots);
-            let inputs = SignatureInputs::new(&group_records, &catalog, span, config)
+            let inputs = SignatureInputs::new(&group_records, catalog, span, config)
                 .with_group(&group)
                 .with_edge_slots(&edge_slots);
             // CG is exactly the group's own edge classification,
@@ -612,17 +609,20 @@ fn model_of(
             }
         })
         .collect();
-    let inputs = SignatureInputs::new(refs, &catalog, span, config);
+    let inputs = SignatureInputs::new(&refs, catalog, span, config);
+    let topology = PhysicalTopology::build(&inputs);
+    let latency = InterSwitchLatency::build(&inputs);
+    let response = ControllerResponse::build(&inputs);
+    let edge_index = RecordIndex::of_window(&records);
     BehaviorModel {
         records,
         groups,
-        topology: PhysicalTopology::build(&inputs),
-        latency: InterSwitchLatency::build(&inputs),
-        response: ControllerResponse::build(&inputs),
+        topology,
+        latency,
+        response,
         utilization: LinkUtilization::default(),
         span,
-        edge_index: RecordIndex::of_interned(catalog.clone(), refs),
-        catalog,
+        edge_index,
     }
 }
 
@@ -638,13 +638,13 @@ impl BehaviorModel {
             assembler.observe(event);
             builder.observe_event(event);
         }
-        for record in assembler.finish() {
-            builder.observe_record(record);
-        }
         if let Some(span) = log.time_range() {
             builder.set_span(span);
         }
-        builder.into_snapshot()
+        // `finish` already returns the records in model order, so they
+        // are interned straight from its list, never held keyed.
+        let log = InternedLog::of(&assembler.finish());
+        builder.finish_records(log)
     }
 
     /// The group containing `ip` as a member, if any.
@@ -652,14 +652,38 @@ impl BehaviorModel {
         self.groups.iter().find(|g| g.group.members.contains(&ip))
     }
 
+    /// The entity interner the model was built through, shared by its
+    /// records and its edge index. IDs are process-local
+    /// (assignment-order artifacts), so the catalog is excluded from
+    /// serialization, equality, and all rendered output — it exists to
+    /// resolve dense IDs and to answer entity-count / memory-footprint
+    /// queries.
+    pub fn catalog(&self) -> &EntityCatalog {
+        self.records.catalog()
+    }
+
     /// Approximate in-memory footprint of the model in bytes: the
     /// serialized size of the address-keyed signature state plus the
-    /// heap footprint of the two unserialized derived structures — the
-    /// entity catalog and the edge index (which carries its own catalog
-    /// clone). The edge index used to be omitted, under-counting every
-    /// model by roughly a second catalog plus the first-seen table.
+    /// heap footprint of the unserialized derived structures — the
+    /// entity catalog, counted once although the records and the edge
+    /// index share it, and the edge index's own first-seen table.
     pub fn approx_bytes(&self) -> usize {
-        serde::to_vec(self).len() + self.catalog.approx_bytes() + self.edge_index.approx_bytes()
+        let serialized = self.records.serialized_len() + serde::to_vec(&self.signatures()).len();
+        serialized + self.catalog().approx_bytes() + self.edge_index.approx_bytes()
+    }
+
+    /// Every serialized field after the records, in order.
+    fn signatures(&self) -> impl Serialize + '_ {
+        let BehaviorModel {
+            groups,
+            topology,
+            latency,
+            response,
+            utilization,
+            span,
+            ..
+        } = self;
+        (groups, topology, latency, response, utilization, span)
     }
 }
 
@@ -844,15 +868,87 @@ mod tests {
             }
             probe.set_span(span);
             let expected = probe.snapshot();
-            let opens = handed.iter().map(|r| (*r).clone()).collect();
-            let model = builder.epoch_snapshot(span, opens);
+            let model = builder.epoch_snapshot(span, handed.to_vec());
             assert_eq!(model, expected, "step {i}");
             assert_eq!(serde::to_vec(&model), serde::to_vec(&expected), "step {i}");
             assert_eq!(builder.epoch_synced(), interned, "step {i}");
         }
         // A turned-over window leaves nothing behind.
         builder.retire_before(Timestamp::from_secs(6));
-        assert!(builder.epoch_snapshot(span, Vec::new()).records.is_empty());
+        let empty: Vec<FlowRecord> = Vec::new();
+        assert!(builder.epoch_snapshot(span, empty).records.is_empty());
+    }
+
+    #[test]
+    fn epoch_models_share_the_window_copy_on_write() {
+        use crate::epoch::EpochClock;
+
+        // The online differ's boundary, 1 s epochs over a 5 s window.
+        let (log, config) = scenario_log();
+        let config = FlowDiffConfig {
+            online_epoch_us: 1_000_000,
+            online_window_us: 5_000_000,
+            ..config
+        };
+        let mut clock = EpochClock::new(config.online_epoch_us, config.online_window_us);
+        let mut assembler = RecordAssembler::new(&config);
+        let mut builder = IncrementalModelBuilder::new(&config);
+        // Epoch 10's model is held across epochs 11 and 12; every other
+        // model is dropped before the next boundary.
+        let (hold, release) = (10, 12);
+        let mut held: Option<(BehaviorModel, Vec<u8>)> = None;
+        let (mut window, mut copies, mut boundaries) = (None, 0, 0);
+        for event in log.events() {
+            for (epoch, boundary) in clock.advance(event.ts) {
+                for record in assembler.take_completed() {
+                    builder.observe_record(record);
+                }
+                let start = clock.window_start(boundary);
+                builder.retire_before(start);
+                let oracle = {
+                    let mut probe = builder.clone();
+                    for open in assembler.open_records_since(start) {
+                        probe.observe_record(open);
+                    }
+                    probe.set_span((start, boundary));
+                    probe.snapshot()
+                };
+                let opens = assembler.touched_open_records_since(start);
+                let model = builder.epoch_snapshot((start, boundary), opens);
+                assert_eq!(model.records.len(), oracle.records.len(), "epoch {epoch}");
+                let pairs = model.records.iter().zip(oracle.records.iter());
+                for (i, (got, want)) in pairs.enumerate() {
+                    assert_eq!(got, want, "epoch {epoch}, record {i}");
+                }
+
+                let ws = builder.ws.0.as_ref().expect("built at the first boundary");
+                let shared = std::ptr::eq(model.records.interned(), ws.records.as_slice());
+                assert!(shared, "epoch {epoch}");
+                let at = Arc::as_ptr(&ws.records);
+                if window.is_some_and(|before| before != at) {
+                    copies += 1;
+                    assert_eq!(epoch, hold + 1, "only a held model costs a copy");
+                }
+                window = Some(at);
+                boundaries += 1;
+
+                if let Some((model, bytes)) = &held {
+                    assert_eq!(&serde::to_vec(model), bytes, "held model, epoch {epoch}");
+                }
+                if epoch == hold {
+                    held = Some((model.clone(), serde::to_vec(&model)));
+                } else if epoch == release {
+                    held = None;
+                }
+            }
+            assembler.observe(event);
+            builder.observe_event(event);
+            for record in assembler.take_completed() {
+                builder.observe_record(record);
+            }
+        }
+        assert!(boundaries > release, "{boundaries} boundaries");
+        assert_eq!(copies, 1, "one held model, one copy of the window");
     }
 
     #[test]

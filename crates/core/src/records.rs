@@ -649,10 +649,13 @@ impl RecordAssembler {
     /// filter runs before the clone: episodes stay open for one to two
     /// horizons, so most of them predate a window shorter than that.
     pub fn open_records_since(&self, start: Timestamp) -> Vec<FlowRecord> {
+        self.open_since(start).cloned().collect()
+    }
+
+    fn open_since(&self, start: Timestamp) -> impl Iterator<Item = &FlowRecord> {
         (self.open.values().flatten())
-            .filter(|ep| ep.record.first_seen >= start)
-            .map(|ep| ep.record.clone())
-            .collect()
+            .filter(move |ep| ep.record.first_seen >= start)
+            .map(|ep| &ep.record)
     }
 
     /// [`open_records_since`](Self::open_records_since) restricted to
@@ -660,28 +663,31 @@ impl RecordAssembler {
     /// such a tuple, touched or not, so a caller that replaces what it
     /// holds per `(first_seen, tuple)` key always sees a key's episodes
     /// together. The first call on a fresh or restored assembler returns
-    /// every in-window episode and starts the tracking.
-    pub fn touched_open_records_since(&mut self, start: Timestamp) -> Vec<FlowRecord> {
+    /// every in-window episode and starts the tracking. The records are
+    /// lent, not cloned.
+    pub fn touched_open_records_since(&mut self, start: Timestamp) -> Vec<&FlowRecord> {
         let Some(mut tuples) = self.touched.0.take() else {
             self.touched.0 = Some(Vec::new());
-            return self.open_records_since(start);
+            return self.open_since(start).collect();
         };
-        let mut out = Vec::new();
-        for tuple in tuples.drain(..) {
+        tuples.retain(|tuple| {
             // Evicted since, or already handed over for a sibling.
-            let Some(episodes) = self.open.get_mut(&tuple) else {
-                continue;
+            let Some(episodes) = self.open.get_mut(tuple) else {
+                return false;
             };
-            if !episodes.iter().any(|ep| ep.touched.0) {
-                continue;
-            }
+            let touched = episodes.iter().any(|ep| ep.touched.0);
             for ep in episodes {
                 ep.touched.0 = false;
-                if ep.record.first_seen >= start {
-                    out.push(ep.record.clone());
-                }
             }
-        }
+            touched
+        });
+        let open = &self.open;
+        let out = (tuples.iter())
+            .flat_map(|tuple| &open[tuple])
+            .filter(|ep| ep.record.first_seen >= start)
+            .map(|ep| &ep.record)
+            .collect();
+        tuples.clear();
         self.touched.0 = Some(tuples);
         out
     }
@@ -1079,10 +1085,11 @@ mod tests {
     #[test]
     fn touched_tracking_hands_over_changed_episodes_and_is_unobservable() {
         let log = busy_log();
-        let sorted = |mut v: Vec<FlowRecord>| {
+        fn sorted<R: std::borrow::Borrow<FlowRecord>>(v: Vec<R>) -> Vec<FlowRecord> {
+            let mut v: Vec<FlowRecord> = v.iter().map(|r| r.borrow().clone()).collect();
             v.sort_by_key(|r| (r.first_seen, r.tuple));
             v
-        };
+        }
         let mut asm = RecordAssembler::new(&FlowDiffConfig::default());
         // Stop short of the first prune (60 s): all four flows stay open.
         let live = (log.events().iter()).filter(|ev| ev.ts < Timestamp::from_secs(50));
@@ -1152,7 +1159,10 @@ mod tests {
         for ev in sim.take_log().events() {
             asm.observe(ev);
         }
-        let first = asm.touched_open_records_since(Timestamp::ZERO);
+        let first: Vec<FlowRecord> = (asm.touched_open_records_since(Timestamp::ZERO))
+            .into_iter()
+            .cloned()
+            .collect();
         assert_eq!(first.len(), 2);
 
         // A prune at 70 s evicts the older one only. Nothing touched
@@ -1160,7 +1170,10 @@ mod tests {
         // must see it again.
         asm.advance_clock(Timestamp::from_secs(70));
         assert_eq!((asm.completed_len(), asm.open_len()), (1, 1));
-        let again = asm.touched_open_records_since(Timestamp::ZERO);
+        let again: Vec<FlowRecord> = (asm.touched_open_records_since(Timestamp::ZERO))
+            .into_iter()
+            .cloned()
+            .collect();
         assert_eq!(again, asm.open_records());
         assert!(first.contains(&again[0]), "handed over unchanged");
     }

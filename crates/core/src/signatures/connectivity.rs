@@ -62,16 +62,20 @@ impl Signature for ConnectivityGraph {
         let mut edges = HashSet::new();
         let mut service_edges = HashSet::new();
         for record in inputs.records {
-            let bucket = match (special[record.src.index()], special[record.dst.index()]) {
+            let (src, dst) = catalog.edge_hosts(record.edge);
+            let bucket = match (special[src.index()], special[dst.index()]) {
                 (false, false) => &mut edges,
                 (true, true) => continue, // service-to-service traffic: not an app flow
                 _ => &mut service_edges,
             };
-            bucket.insert(record.edge_key());
+            bucket.insert(record.edge);
         }
         ConnectivityGraph {
-            edges: edges.iter().map(|&k| catalog.edge(k)).collect(),
-            service_edges: service_edges.iter().map(|&k| catalog.edge(k)).collect(),
+            edges: edges.iter().map(|&e| catalog.edge_addr(e)).collect(),
+            service_edges: service_edges
+                .iter()
+                .map(|&e| catalog.edge_addr(e))
+                .collect(),
         }
     }
 

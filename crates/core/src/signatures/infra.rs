@@ -87,12 +87,13 @@ impl Signature for PhysicalTopology {
         let mut adjacencies: HashSet<u64> = HashSet::new();
         for record in inputs.records {
             for h in &record.hops {
-                live[h.switch.index()] = true;
+                live[catalog.switch_of(h.in_port).index()] = true;
             }
             if let Some(first) = record.hops.first() {
                 // First wins: the feed is in window order, so a host
                 // attaches where its earliest record entered.
-                attachment[record.src.index()].get_or_insert(first.in_port);
+                let (src, _) = catalog.edge_hosts(record.edge);
+                attachment[src.index()].get_or_insert(first.in_port);
             }
             for w in record.hops.windows(2) {
                 if let Some(out_port) = w[0].out_port {
@@ -258,7 +259,10 @@ impl Signature for InterSwitchLatency {
                     continue;
                 };
                 per_pair
-                    .entry(pack_switch_pair(a.switch, b.switch))
+                    .entry(pack_switch_pair(
+                        inputs.catalog.switch_of(a.in_port),
+                        inputs.catalog.switch_of(b.in_port),
+                    ))
                     .or_default()
                     .push(delta as f64);
             }
@@ -387,7 +391,7 @@ impl Signature for ControllerResponse {
                     Some(fm_ts) => {
                         if let Some(d) = fm_ts.checked_since(h.ts) {
                             all.push(d as f64);
-                            per_switch[h.switch.index()].push(d as f64);
+                            per_switch[catalog.switch_of(h.in_port).index()].push(d as f64);
                         }
                     }
                     None => unanswered += 1,

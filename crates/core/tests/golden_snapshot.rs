@@ -135,7 +135,7 @@ fn tree320_group_edges_equal_connectivity_build() {
     assert!(model.groups.iter().any(|g| !g.group.edges.is_empty()));
     for g in &model.groups {
         let records: Vec<FlowRecord> = (g.group.record_indices.iter())
-            .map(|&i| model.records[i].clone())
+            .map(|&i| model.records.get(i).expect("group record index in range"))
             .collect();
         let il = InternedLog::of(&records);
         let refs = il.refs();

@@ -279,7 +279,7 @@ fn task_validation_suppresses_known_changes() {
     let stability = analyze(&l1, &baseline, &config);
     let l2 = capture(2, true);
     let current = BehaviorModel::build(&l2, &config);
-    let current_records = current.records.clone();
+    let current_records = current.records.to_vec();
 
     // Learn the mount task and detect it in L2.
     let mount = TaskKind::MountNfs {
