@@ -303,6 +303,16 @@ if sed -n '/^pub struct BehaviorModel {/,/^}/p' "$model_rs" | grep -n 'records: 
     exit 1
 fi
 
+step "the boundary folds panes"
+# DD, PT, ISL and CRT build at a boundary from one partial per pane and a
+# fold (DESIGN.md, Incremental remodel, "Pane partials"): model.rs never
+# calls their whole-window build outside its tests.
+if sed '/^#\[cfg(test)\]/,$d' "$model_rs" |
+    grep -nE '(DelayDistribution|PhysicalTopology|InterSwitchLatency|ControllerResponse)::build\('; then
+    echo "FAIL: $model_rs builds DD, PT, ISL or CRT over the whole window instead of folding panes" >&2
+    exit 1
+fi
+
 step "one arrival stage, in front of the differ"
 # records::Sequencer alone quarantines, counts disorder and re-sequences;
 # the assembler behind it is a pure state machine (DESIGN.md, Robust

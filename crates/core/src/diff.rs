@@ -576,6 +576,12 @@ impl OnlineDiffer {
         self.builder.epoch_synced()
     }
 
+    /// [`IncrementalModelBuilder::epoch_panes_rebuilt`] of the latest
+    /// boundary.
+    pub fn epoch_panes_rebuilt(&self) -> usize {
+        self.builder.epoch_panes_rebuilt()
+    }
+
     /// Records the window builder holds and episodes the assembler
     /// holds open: the load the harness seam reports as its one shard.
     pub(crate) fn load(&self) -> (usize, usize) {

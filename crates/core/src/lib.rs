@@ -59,6 +59,7 @@ pub mod groups;
 pub mod harness_seam;
 pub mod ids;
 pub mod model;
+mod panes;
 pub mod records;
 pub mod signatures;
 pub mod stability;

@@ -10,7 +10,10 @@
 //! interned window into signatures through the one serial fan-out,
 //! `model_of`, and the model keeps that window as its
 //! [`WindowRecords`]: one form of each record, address form only when
-//! read.
+//! read. DD, PT, ISL and CRT fold there from pane partials (the `panes`
+//! module): the batch build and the oracle fold the whole window as one
+//! pane, the online boundary keeps one pane per epoch across boundaries
+//! and rebuilds only those whose records changed.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -24,6 +27,7 @@ use crate::config::FlowDiffConfig;
 use crate::derived::Derived;
 use crate::groups::{discover_window, AppGroup, Discovery};
 use crate::ids::{EntityCatalog, IRecord, InternedLog, RecordIndex, WindowRecords};
+use crate::panes::{Folded, Panes};
 use crate::records::{FlowRecord, FlowTuple, RecordAssembler};
 use crate::signatures::connectivity::ConnectivityGraph;
 use crate::signatures::correlation::PartialCorrelation;
@@ -303,18 +307,24 @@ struct WindowState {
     open: Vec<bool>,
     /// Records interned by the latest `epoch_snapshot`.
     synced: usize,
+    /// DD, PT, ISL and CRT partials of the window's epoch-wide panes.
+    /// Every change below notes the first-seen time of what it inserts,
+    /// removes, or replaces with another edge or other hops, so the next
+    /// snapshot rebuilds just those panes.
+    panes: Panes,
 }
 
 impl WindowState {
     /// The state of a window holding the records of `held`, every one
-    /// completed.
-    fn of(held: InternedLog) -> WindowState {
+    /// completed, cut into panes `epoch_us` wide.
+    fn of(held: InternedLog, epoch_us: u64) -> WindowState {
         let InternedLog { catalog, records } = held;
         WindowState {
             open: vec![false; records.len()],
             synced: records.len(),
             catalog: Arc::new(catalog),
             records: Arc::new(records),
+            panes: Panes::epochs(epoch_us),
         }
     }
 
@@ -326,8 +336,17 @@ impl WindowState {
             .collect()
     }
 
-    /// Puts `fresh` in place of `range`, each record flagged `open`.
+    /// Puts `fresh` in place of `range`, each record flagged `open`. New
+    /// counters alone leave the key's pane as it was; a change in the
+    /// number of records, an edge or a hop touches it.
     fn splice(&mut self, range: Range<usize>, fresh: Vec<IRecord>, open: bool) {
+        let old = &self.records[range.clone()];
+        let same = old.len() == fresh.len()
+            && (old.iter().zip(&fresh)).all(|(a, b)| a.edge == b.edge && a.hops == b.hops);
+        if !same {
+            let at = fresh.first().unwrap_or_else(|| &old[0]).first_seen;
+            self.panes.touch(at);
+        }
         (self.open).splice(range.clone(), std::iter::repeat_n(open, fresh.len()));
         Arc::make_mut(&mut self.records).splice(range, fresh);
     }
@@ -377,6 +396,9 @@ impl WindowState {
     fn retire_before(&mut self, cutoff: Timestamp) {
         let n = self.records.partition_point(|r| r.first_seen < cutoff);
         if n > 0 {
+            // The newest record retired is in the one pane that may keep
+            // some of its records.
+            self.panes.touch(self.records[n - 1].first_seen);
             Arc::make_mut(&mut self.records).drain(..n);
             self.open.drain(..n);
         }
@@ -466,6 +488,15 @@ impl IncrementalModelBuilder {
         self.ws.0.as_ref().map_or(0, |ws| ws.synced)
     }
 
+    /// How many epoch-wide panes of the window the latest
+    /// [`epoch_snapshot`](Self::epoch_snapshot) rebuilt their DD, PT,
+    /// ISL and CRT partials for: every pane the first time (and the first
+    /// time after a restore), afterwards the panes whose records changed
+    /// and, for DD, the panes up to `dd_window_us` before those.
+    pub fn epoch_panes_rebuilt(&self) -> usize {
+        self.ws.0.as_ref().map_or(0, |ws| ws.panes.rebuilt())
+    }
+
     /// The min/max event timestamp observed so far (None before the
     /// first event).
     pub fn observed_span(&self) -> Option<(Timestamp, Timestamp)> {
@@ -520,7 +551,8 @@ impl IncrementalModelBuilder {
                 }
             }
         } else {
-            self.ws.0 = Some(WindowState::of(self.records.interned()));
+            let epoch_us = self.config.online_epoch_us;
+            self.ws.0 = Some(WindowState::of(self.records.interned(), epoch_us));
             self.pending.0.clear();
         }
         let ws = self.ws.0.as_mut().expect("ensured above");
@@ -534,7 +566,7 @@ impl IncrementalModelBuilder {
         }
 
         let records = WindowRecords::shared(&ws.records, &ws.catalog);
-        let model = model_of(records, span, &self.config);
+        let model = model_of(records, span, &self.config, &mut ws.panes);
         self.with_event_facts(model)
     }
 
@@ -550,7 +582,7 @@ impl IncrementalModelBuilder {
             .span_override
             .or(self.observed_span)
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let model = model_of(log.into(), span, &self.config);
+        let model = model_of(log.into(), span, &self.config, &mut Panes::default());
         self.with_event_facts(model)
     }
 
@@ -567,22 +599,35 @@ impl IncrementalModelBuilder {
 
 /// The one place signatures are built from a window: `records` interned
 /// and sorted by `(first_seen, tuple)`, which the model then keeps.
-/// Discovers groups, then builds per group CG, FS, CI, DD, PC and once
-/// PT, ISL, CRT and the edge index. Each group's builds bucket records
-/// by the edge slots discovery numbered, so no build hashes an edge.
-/// Serial: a scoped thread pool over these builds measured no faster
-/// (DESIGN.md, "Rejected").
+/// Discovers groups, then builds per group CG, FS, CI and PC, folds DD
+/// per group and PT, ISL and CRT from `panes` — the window's panes, or
+/// one pane for all of it — and builds the edge index. Each group's
+/// builds bucket records by the edge slots discovery numbered, so no
+/// build hashes an edge. Serial: a scoped thread pool over these builds
+/// measured no faster (DESIGN.md, "Rejected").
 fn model_of(
     records: WindowRecords,
     span: (Timestamp, Timestamp),
     config: &FlowDiffConfig,
+    panes: &mut Panes,
 ) -> BehaviorModel {
     let catalog: &EntityCatalog = records.catalog();
     let refs: Vec<&IRecord> = records.interned().iter().collect();
-    let Discovery { groups, slots } = discover_window(&refs, catalog, config);
+    let Discovery {
+        groups,
+        slots,
+        owners,
+    } = discover_window(&refs, catalog, config);
+    let Folded {
+        delay,
+        topology,
+        latency,
+        response,
+    } = panes.fold(&refs, span.1, catalog, config, &owners, groups.len());
     let groups = groups
         .into_iter()
-        .map(|group| {
+        .zip(delay)
+        .map(|(group, delay)| {
             let group_records: Vec<&IRecord> =
                 group.record_indices.iter().map(|&i| refs[i]).collect();
             let edge_slots = EdgeSlots::of_group(&group, &group_records, &slots);
@@ -597,7 +642,6 @@ fn model_of(
             };
             let flow_stats = FlowStatsSig::build(&inputs);
             let interaction = ComponentInteraction::build(&inputs);
-            let delay = DelayDistribution::build(&inputs);
             let correlation = PartialCorrelation::build(&inputs);
             GroupSignatures {
                 group,
@@ -609,10 +653,6 @@ fn model_of(
             }
         })
         .collect();
-    let inputs = SignatureInputs::new(&refs, catalog, span, config);
-    let topology = PhysicalTopology::build(&inputs);
-    let latency = InterSwitchLatency::build(&inputs);
-    let response = ControllerResponse::build(&inputs);
     let edge_index = RecordIndex::of_window(&records);
     BehaviorModel {
         records,

@@ -16,17 +16,11 @@ pub struct MeanStd {
 impl MeanStd {
     /// Summarizes a sample.
     pub fn of(samples: &[f64]) -> MeanStd {
-        let n = samples.len();
-        if n == 0 {
-            return MeanStd::default();
-        }
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let std = if n > 1 {
-            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
-        MeanStd { mean, std, n }
+        let mut moments = Moments::default();
+        samples.iter().for_each(|&x| moments.add(x));
+        moments.center();
+        samples.iter().for_each(|&x| moments.spread(x));
+        moments.summary()
     }
 
     /// How many baseline standard deviations `other`'s mean lies from
@@ -35,6 +29,77 @@ impl MeanStd {
     pub fn shift_sigmas(&self, other: &MeanStd) -> f64 {
         let denom = self.std.max(self.mean.abs() * 0.01).max(1e-9);
         ((other.mean - self.mean) / denom).abs().min(1e6)
+    }
+}
+
+/// The two sums [`MeanStd::of`] takes, one sample at a time: every sample
+/// through [`add`](Self::add), then [`center`](Self::center), then every
+/// sample again, in the same order, through [`spread`](Self::spread).
+/// A sequence handed over in pieces — the panes of a window, or one key's
+/// samples interleaved with other keys' — sums exactly as the one slice
+/// would, so a fold of per-pane samples matches a build over the whole
+/// window bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Moments {
+    sum: f64,
+    n: usize,
+    mean: f64,
+    squares: f64,
+}
+
+impl Default for Moments {
+    fn default() -> Moments {
+        // -0.0 is the additive identity (-0.0 + x == x for every x), so
+        // each sum is exactly the left fold of its samples, as
+        // `Iterator::sum` computes it.
+        Moments {
+            sum: -0.0,
+            n: 0,
+            mean: 0.0,
+            squares: -0.0,
+        }
+    }
+}
+
+impl Moments {
+    /// First pass: one more sample.
+    pub(crate) fn add(&mut self, x: f64) {
+        self.sum += x;
+        self.n += 1;
+    }
+
+    /// Between the passes: fixes the mean.
+    pub(crate) fn center(&mut self) {
+        if self.n > 0 {
+            self.mean = self.sum / self.n as f64;
+        }
+    }
+
+    /// Second pass: the same sample again.
+    pub(crate) fn spread(&mut self, x: f64) {
+        self.squares += (x - self.mean).powi(2);
+    }
+
+    /// True when no sample was added.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The summary, after both passes.
+    pub(crate) fn summary(&self) -> MeanStd {
+        match self.n {
+            0 => MeanStd::default(),
+            1 => MeanStd {
+                mean: self.mean,
+                std: 0.0,
+                n: 1,
+            },
+            n => MeanStd {
+                mean: self.mean,
+                std: (self.squares / (n - 1) as f64).sqrt(),
+                n,
+            },
+        }
     }
 }
 
@@ -120,6 +185,13 @@ impl Histogram {
             bin_width,
             counts: Vec::new(),
         }
+    }
+
+    /// A histogram with the given per-bin counts, which must be what
+    /// [`add`](Self::add) leaves: no trailing zero.
+    pub(crate) fn from_counts(bin_width: u64, counts: Vec<u64>) -> Histogram {
+        debug_assert!(bin_width > 0 && counts.last() != Some(&0));
+        Histogram { bin_width, counts }
     }
 
     /// Adds one observation.

@@ -119,7 +119,7 @@ fn group_signature_bytes(
     config: &FlowDiffConfig,
 ) -> Vec<Vec<u8>> {
     let span = (Timestamp::ZERO, Timestamp::from_secs(60));
-    let Discovery { groups, slots } = discover_window(refs, catalog, config);
+    let Discovery { groups, slots, .. } = discover_window(refs, catalog, config);
     let mut out = vec![serde::to_vec(&groups)];
     for group in &groups {
         let records: Vec<&IRecord> = group.record_indices.iter().map(|&i| refs[i]).collect();
