@@ -313,6 +313,18 @@ if sed '/^#\[cfg(test)\]/,$d' "$model_rs" |
     exit 1
 fi
 
+step "the diff renders on read"
+# A change carries its signature's typed change and formats its
+# description only when read (DESIGN.md, Incremental remodel, "The diff
+# renders on read"): no render, diff or change type under crates/core/src
+# builds or stores description text outside its tests.
+for src in $(find crates/core/src -name '*.rs' | sort); do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nE 'description: (format!|String)'; then
+        echo "FAIL: $src formats or stores a change description at the boundary again" >&2
+        exit 1
+    fi
+done
+
 step "one arrival stage, in front of the differ"
 # records::Sequencer alone quarantines, counts disorder and re-sequences;
 # the assembler behind it is a pure state machine (DESIGN.md, Robust

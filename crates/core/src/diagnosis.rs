@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-pub use crate::change::{Change, ChangeDirection, Component, SignatureKind};
+pub use crate::change::{Change, ChangeDetail, ChangeDirection, Component, SignatureKind};
 use crate::config::FlowDiffConfig;
 use crate::diff::ModelDiff;
 use crate::model::BehaviorModel;
@@ -33,7 +33,9 @@ pub fn collect_changes(diff: &ModelDiff, current: &BehaviorModel) -> Vec<Change>
         out.push(Change {
             kind: SignatureKind::Cg,
             direction: ChangeDirection::Added,
-            description: format!("new application group of {} nodes", group.members.len()),
+            detail: ChangeDetail::NewGroup {
+                nodes: group.members.len(),
+            },
             components: group
                 .members
                 .iter()
@@ -305,14 +307,14 @@ impl fmt::Display for DiagnosisReport {
                 f,
                 "  - [{}] {} <= task {} @ {}",
                 c.kind.name(),
-                c.description,
+                c.detail,
                 t.task,
                 t.start
             )?;
         }
         writeln!(f, "unknown changes (alarms):")?;
         for c in &self.unknown {
-            writeln!(f, "  - [{}] {}", c.kind.name(), c.description)?;
+            writeln!(f, "  - [{}] {}", c.kind.name(), c.detail)?;
         }
         writeln!(f, "dependency matrix:")?;
         write!(f, "{}", self.matrix)?;
@@ -363,19 +365,38 @@ impl crate::diff::EpochSnapshot {
 mod tests {
     use super::*;
     use crate::groups::Edge;
+    use crate::signatures::infra::{ControllerResponse, CrtChange, InterSwitchLatency, IslChange};
+    use crate::signatures::Signature;
+    use crate::stats::MeanStd;
     use openflow::types::{DatapathId, Timestamp};
 
     fn ip(x: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, x)
     }
 
+    /// A change of `kind` implicating `hosts`. Classification, ranking
+    /// and validation read kind, direction, components and time only,
+    /// so any detail will do.
     fn change(kind: SignatureKind, direction: ChangeDirection, hosts: &[u8]) -> Change {
         Change {
             kind,
             direction,
-            description: "test".into(),
+            detail: ChangeDetail::NewGroup { nodes: hosts.len() },
             components: hosts.iter().map(|&h| Component::Host(ip(h))).collect(),
             ts: None,
+        }
+    }
+
+    /// An ISL change implicating `components`.
+    fn isl_change(components: Vec<Component>) -> Change {
+        Change {
+            components,
+            ..InterSwitchLatency::render(IslChange {
+                pair: (DatapathId(1), DatapathId(2)),
+                reference: MeanStd::default(),
+                current: MeanStd::default(),
+                sigmas: 0.0,
+            })
         }
     }
 
@@ -385,13 +406,7 @@ mod tests {
             change(SignatureKind::Dd, ChangeDirection::Shifted, &[2]),
             change(SignatureKind::Fs, ChangeDirection::Shifted, &[2]),
             change(SignatureKind::Pc, ChangeDirection::Shifted, &[2]),
-            Change {
-                kind: SignatureKind::Isl,
-                direction: ChangeDirection::Shifted,
-                description: "latency".into(),
-                components: vec![Component::SwitchPair(DatapathId(1), DatapathId(2))],
-                ts: None,
-            },
+            isl_change(vec![Component::SwitchPair(DatapathId(1), DatapathId(2))]),
         ];
         let problems = classify(&changes);
         assert!(problems.contains(&ProblemClass::NetworkCongestion));
@@ -442,13 +457,12 @@ mod tests {
 
     #[test]
     fn crt_change_is_controller_problem() {
-        let changes = vec![Change {
-            kind: SignatureKind::Crt,
-            direction: ChangeDirection::Shifted,
-            description: "crt".into(),
-            components: vec![Component::Controller],
-            ts: None,
-        }];
+        let changes = vec![ControllerResponse::render(CrtChange {
+            reference: MeanStd::default(),
+            current: MeanStd::default(),
+            sigmas: 0.0,
+            unanswered: (0.0, 1.0),
+        })];
         assert_eq!(classify(&changes), vec![ProblemClass::ControllerProblem]);
     }
 
@@ -505,13 +519,7 @@ mod tests {
     fn matrix_marks_joint_changes() {
         let changes = vec![
             change(SignatureKind::Dd, ChangeDirection::Shifted, &[2]),
-            Change {
-                kind: SignatureKind::Isl,
-                direction: ChangeDirection::Shifted,
-                description: "l".into(),
-                components: vec![],
-                ts: None,
-            },
+            isl_change(vec![]),
         ];
         let m = DependencyMatrix::from_changes(&changes);
         // row DD (index 1), col ISL (index 1)

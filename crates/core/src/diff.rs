@@ -210,8 +210,31 @@ pub enum SignatureHealth {
     /// reference knows as "missing".
     Starved {
         /// What input is missing.
-        reason: String,
+        reason: GateReason,
     },
+}
+
+/// Why a signature's input feed is starved.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum GateReason {
+    /// The transport reports a stalled or dead source; the note says
+    /// which. Every kind gated in one epoch shares the one note.
+    IngestDegraded(Arc<str>),
+    /// The window holds no flow record while the reference has some.
+    NoFlowRecords,
+    /// The window holds no port-counter sample while the reference has
+    /// some.
+    NoPortSamples,
+}
+
+impl fmt::Display for GateReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateReason::IngestDegraded(note) => write!(f, "ingest degraded: {note}"),
+            GateReason::NoFlowRecords => write!(f, "no flow records in window"),
+            GateReason::NoPortSamples => write!(f, "no port-counter samples in window"),
+        }
+    }
 }
 
 impl fmt::Display for SignatureHealth {
@@ -279,41 +302,27 @@ const RECORD_FED: [SignatureKind; 8] = [
 fn gate_diff(
     reference: &BehaviorModel,
     model: &BehaviorModel,
-    degraded: Option<&str>,
+    degraded: Option<&Arc<str>>,
     diff: &mut ModelDiff,
 ) -> Vec<(SignatureKind, SignatureHealth)> {
+    let starved = |reason| SignatureHealth::Starved { reason };
     let mut gating: Vec<(SignatureKind, SignatureHealth)> = Vec::new();
-    if let Some(reason) = degraded {
+    if let Some(note) = degraded {
         // The transport says a source is stalled or dead: part of the
         // window's behavior is simply missing, so every signature's
         // diff is suppressed rather than flooding "missing flow" alarms
         // against a starved input.
         for kind in RECORD_FED.into_iter().chain([SignatureKind::Lu]) {
-            gating.push((
-                kind,
-                SignatureHealth::Starved {
-                    reason: format!("ingest degraded: {reason}"),
-                },
-            ));
+            gating.push((kind, starved(GateReason::IngestDegraded(note.clone()))));
         }
     } else {
         if model.records.is_empty() && !reference.records.is_empty() {
             for kind in RECORD_FED {
-                gating.push((
-                    kind,
-                    SignatureHealth::Starved {
-                        reason: "no flow records in window".to_string(),
-                    },
-                ));
+                gating.push((kind, starved(GateReason::NoFlowRecords)));
             }
         }
         if model.utilization.per_port.is_empty() && !reference.utilization.per_port.is_empty() {
-            gating.push((
-                SignatureKind::Lu,
-                SignatureHealth::Starved {
-                    reason: "no port-counter samples in window".to_string(),
-                },
-            ));
+            gating.push((SignatureKind::Lu, starved(GateReason::NoPortSamples)));
         }
     }
     if !gating.is_empty() {
@@ -353,7 +362,7 @@ struct Judge {
     /// (a stalled or dead publisher): while set, every signature gates
     /// [`SignatureHealth::Starved`]. A live transport condition, not
     /// stream state.
-    ingest_degraded: Derived<Option<String>>,
+    ingest_degraded: Derived<Option<Arc<str>>>,
 }
 
 impl Judge {
@@ -395,7 +404,7 @@ impl Judge {
         let gating = gate_diff(
             reference,
             &model,
-            self.ingest_degraded.0.as_deref(),
+            self.ingest_degraded.0.as_ref(),
             &mut diff,
         );
         EpochSnapshot {
@@ -594,7 +603,7 @@ impl OnlineDiffer {
     /// goes stalled or dead, and clears it when the stream revives.
     /// Transient: never serialized, never part of differ equality.
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.judge.ingest_degraded.0 = reason;
+        self.judge.ingest_degraded.0 = reason.map(Arc::from);
     }
 
     /// Event-level ingestion health accumulated so far (time jumps,
@@ -700,6 +709,48 @@ mod tests {
     use netsim::topology::Topology;
     use openflow::types::Timestamp;
     use workloads::prelude::*;
+
+    /// The gate reasons print the texts the epoch line has always
+    /// carried, and a degraded epoch's kinds share one note.
+    #[test]
+    fn gate_reasons_read_as_before() {
+        let note: Arc<str> = Arc::from("conn 0 stalled");
+        let starved = |reason| SignatureHealth::Starved { reason }.to_string();
+        assert_eq!(
+            starved(GateReason::IngestDegraded(note.clone())),
+            "starved: ingest degraded: conn 0 stalled"
+        );
+        assert_eq!(
+            starved(GateReason::NoFlowRecords),
+            "starved: no flow records in window"
+        );
+        assert_eq!(
+            starved(GateReason::NoPortSamples),
+            "starved: no port-counter samples in window"
+        );
+
+        let empty = BehaviorModel::build(&ControllerLog::new(), &FlowDiffConfig::default());
+        let mut diff = compare(
+            &empty,
+            &empty,
+            &StabilityReport::all_stable(&empty),
+            &FlowDiffConfig::default(),
+        );
+        let gating = gate_diff(&empty, &empty, Some(&note), &mut diff);
+        assert_eq!(gating.len(), RECORD_FED.len() + 1);
+        for (_, health) in &gating {
+            let SignatureHealth::Starved {
+                reason: GateReason::IngestDegraded(shared),
+            } = health
+            else {
+                panic!("{health}");
+            };
+            assert!(Arc::ptr_eq(shared, &note));
+        }
+        let bytes = serde::to_vec(&gating);
+        let back: Vec<(SignatureKind, SignatureHealth)> = serde::from_slice(&bytes).unwrap();
+        assert_eq!(back, gating);
+    }
 
     fn scenario_log(
         seed: u64,
@@ -965,7 +1016,7 @@ mod tests {
             assert_eq!(
                 snap.health_of(SignatureKind::Fs),
                 SignatureHealth::Starved {
-                    reason: "no flow records in window".to_string()
+                    reason: GateReason::NoFlowRecords
                 }
             );
             assert!(

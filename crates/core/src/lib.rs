@@ -75,7 +75,7 @@ pub mod prelude {
         diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,
     };
     pub use crate::diff::{
-        compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, SignatureHealth,
+        compare, EpochSnapshot, EpochTimings, GateReason, ModelDiff, OnlineDiffer, SignatureHealth,
     };
     pub use crate::engine::{supervise, Feed, RunReport, Supervision};
     pub use crate::epoch::EpochClock;

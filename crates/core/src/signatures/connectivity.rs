@@ -5,13 +5,16 @@
 //! application's internal structure.
 
 use std::collections::{BTreeSet, HashSet};
+use std::fmt;
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
+use crate::signatures::{
+    merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
+};
 
 /// The connectivity graph of one application group.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -23,9 +26,9 @@ pub struct ConnectivityGraph {
 }
 
 impl ConnectivityGraph {
-    /// All edges including service edges.
+    /// All edges including service edges, ascending.
     pub fn all_edges(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().chain(self.service_edges.iter())
+        self.edges.union(&self.service_edges)
     }
 }
 
@@ -40,6 +43,16 @@ pub struct CgChange {
     /// When the edge first appeared in the current log (added edges
     /// only; removed edges have no appearance time).
     pub first_seen: Option<Timestamp>,
+}
+
+impl fmt::Display for CgChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.added {
+            write!(f, "new edge {}", self.edge)
+        } else {
+            write!(f, "missing edge {}", self.edge)
+        }
+    }
 }
 
 impl Signature for ConnectivityGraph {
@@ -86,29 +99,30 @@ impl Signature for ConnectivityGraph {
     /// An edge counts as *removed* only when no flow with that source
     /// and destination exists anywhere in the current log — group
     /// fragmentation can move an edge into a different group without the
-    /// traffic actually disappearing.
+    /// traffic actually disappearing. One walk over both graphs'
+    /// ascending edges finds both kinds.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<CgChange> {
-        let ref_all: BTreeSet<Edge> = self.all_edges().copied().collect();
-        let cur_all: BTreeSet<Edge> = current.all_edges().copied().collect();
-        let first_seen_of = |e: &Edge| ctx.records.first_seen(e);
-        let mut out: Vec<CgChange> = cur_all
-            .difference(&ref_all)
-            .map(|e| CgChange {
-                edge: *e,
-                added: true,
-                first_seen: first_seen_of(e),
-            })
-            .collect();
-        out.extend(
-            ref_all
-                .difference(&cur_all)
-                .filter(|e| first_seen_of(e).is_none())
-                .map(|e| CgChange {
-                    edge: *e,
+        let reference = self.all_edges().map(|&e| (e, ()));
+        let window = current.all_edges().map(|&e| (e, ()));
+        let mut out = Vec::new();
+        let mut removed = Vec::new();
+        for (edge, was, is) in merge_join(reference, window) {
+            let first_seen = || ctx.records.first_seen(&edge);
+            match (was, is) {
+                (None, Some(())) => out.push(CgChange {
+                    edge,
+                    added: true,
+                    first_seen: first_seen(),
+                }),
+                (Some(()), None) if first_seen().is_none() => removed.push(CgChange {
+                    edge,
                     added: false,
                     first_seen: None,
                 }),
-        );
+                _ => {}
+            }
+        }
+        out.append(&mut removed);
         out
     }
 
@@ -117,27 +131,21 @@ impl Signature for ConnectivityGraph {
         Locus::Whole
     }
 
-    fn render(change: &CgChange) -> Change {
-        let components = vec![
-            Component::Host(change.edge.src),
-            Component::Host(change.edge.dst),
-        ];
-        if change.added {
-            Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Added,
-                description: format!("new edge {}", change.edge),
-                components,
-                ts: change.first_seen,
-            }
+    fn render(change: CgChange) -> Change {
+        let (direction, ts) = if change.added {
+            (ChangeDirection::Added, change.first_seen)
         } else {
-            Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Removed,
-                description: format!("missing edge {}", change.edge),
-                components,
-                ts: None,
-            }
+            (ChangeDirection::Removed, None)
+        };
+        Change {
+            kind: Self::KIND,
+            direction,
+            components: vec![
+                Component::Host(change.edge.src),
+                Component::Host(change.edge.dst),
+            ],
+            ts,
+            detail: ChangeDetail::Cg(change),
         }
     }
 
@@ -262,7 +270,7 @@ mod tests {
             added: true,
             first_seen: Some(Timestamp::from_secs(7)),
         };
-        let c = ConnectivityGraph::render(&added);
+        let c = ConnectivityGraph::render(added);
         assert_eq!(c.kind, SignatureKind::Cg);
         assert_eq!(c.direction, ChangeDirection::Added);
         assert_eq!(c.ts, Some(Timestamp::from_secs(7)));
@@ -270,16 +278,16 @@ mod tests {
             c.components,
             vec![Component::Host(ip(1)), Component::Host(ip(2))]
         );
-        assert!(c.description.contains("new edge"));
+        assert!(c.description().contains("new edge"));
 
         let removed = CgChange {
             edge: edge(1, 2),
             added: false,
             first_seen: None,
         };
-        let c = ConnectivityGraph::render(&removed);
+        let c = ConnectivityGraph::render(removed);
         assert_eq!(c.direction, ChangeDirection::Removed);
-        assert!(c.description.contains("missing edge"));
+        assert!(c.description().contains("missing edge"));
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! coefficient (Section III-B).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
 use crate::signatures::delay::EdgePair;
-use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
+use crate::signatures::{
+    merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
+};
 use crate::stats::pearson;
 
 /// The PC signature of one application group.
@@ -37,6 +40,16 @@ impl PcChange {
     /// Magnitude of the change.
     pub fn delta(&self) -> f64 {
         (self.current - self.reference).abs()
+    }
+}
+
+impl fmt::Display for PcChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "correlation {:.2} -> {:.2} at {}",
+            self.reference, self.current, self.pair.0.dst
+        )
     }
 }
 
@@ -98,11 +111,14 @@ impl Signature for PartialCorrelation {
     /// more than `config.pc_delta`.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<PcChange> {
         let mut out = Vec::new();
-        for (pair, &r_ref) in &self.per_pair {
+        for (pair, reference, window) in merge_join(&self.per_pair, &current.per_pair) {
+            let Some(&r_ref) = reference else {
+                continue;
+            };
             // A pair that lost its correlation signal entirely (constant
             // or absent downstream series) counts as r = 0: the
             // dependency is no longer observable.
-            let r_cur = current.per_pair.get(pair).copied().unwrap_or(0.0);
+            let r_cur = window.copied().unwrap_or(0.0);
             let change = PcChange {
                 pair: *pair,
                 reference: r_ref,
@@ -121,15 +137,12 @@ impl Signature for PartialCorrelation {
         Locus::Pair(change.pair)
     }
 
-    fn render(change: &PcChange) -> Change {
+    fn render(change: PcChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description: format!(
-                "correlation {:.2} -> {:.2} at {}",
-                change.reference, change.current, change.pair.0.dst
-            ),
             components: vec![Component::Host(change.pair.0.dst)],
+            detail: ChangeDetail::Pc(change),
             ts: None,
         }
     }
@@ -320,10 +333,10 @@ mod tests {
             reference: 0.95,
             current: 0.10,
         };
-        let c = PartialCorrelation::render(&change);
+        let c = PartialCorrelation::render(change);
         assert_eq!(c.kind, SignatureKind::Pc);
         assert_eq!(c.direction, ChangeDirection::Shifted);
         assert_eq!(c.components, vec![Component::Host(ip(2))]);
-        assert!(c.description.contains("correlation 0.95 -> 0.10"));
+        assert!(c.description().contains("correlation 0.95 -> 0.10"));
     }
 }

@@ -7,15 +7,16 @@
 //! reveal overload, logging misconfigurations, or congestion.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::config::FlowDiffConfig;
 use crate::groups::Edge;
 use crate::ids::{EdgeId, EntityCatalog, HostId, IRecord};
 use crate::signatures::{
-    DiffCtx, KeyIndex, Signature, SignatureInputs, StabilityCtx, StabilityMask,
+    merge_join, DiffCtx, KeyIndex, Signature, SignatureInputs, StabilityCtx, StabilityMask,
 };
 use crate::stats::{Histogram, MeanStd, Moments};
 
@@ -40,10 +41,17 @@ impl DelayDistribution {
     pub fn peaks(&self, min_samples: usize) -> BTreeMap<EdgePair, (u64, u64)> {
         self.per_pair
             .iter()
-            .filter(|(_, h)| h.total() as usize >= min_samples)
-            .filter_map(|(p, h)| h.peak_range().map(|r| (*p, r)))
+            .filter_map(|(p, h)| peak(h, min_samples).map(|r| (*p, r)))
             .collect()
     }
+}
+
+/// The peak delay range (µs) of one pair's histogram, if it holds at
+/// least `min_samples` delays.
+fn peak(hist: &Histogram, min_samples: usize) -> Option<(u64, u64)> {
+    (hist.total() as usize >= min_samples)
+        .then(|| hist.peak_range())
+        .flatten()
 }
 
 /// A shifted delay distribution at one edge pair.
@@ -59,6 +67,18 @@ pub struct DdChange {
     pub shift_bins: u32,
     /// Shift of the nearest-pair mean delay, µs (signed).
     pub mean_shift_us: f64,
+}
+
+impl fmt::Display for DdChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "delay peak moved {}ms -> {}ms at {}",
+            self.reference_peak.0 / 1_000,
+            self.current_peak.0 / 1_000,
+            self.pair.0.dst
+        )
+    }
 }
 
 /// One pane's share of DD: each in-flow first seen in the pane paired
@@ -351,37 +371,43 @@ impl Signature for DelayDistribution {
     /// The nearest-pair mean shift is reported alongside for context.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<DdChange> {
         let config = ctx.config;
-        let ref_peaks = self.peaks(config.min_samples);
-        let cur_peaks = current.peaks(config.min_samples);
         let mut out = Vec::new();
-        for (pair, ref_peak) in &ref_peaks {
-            let Some(cur_peak) = cur_peaks.get(pair) else {
+        for (pair, reference, window) in merge_join(&self.per_pair, &current.per_pair) {
+            let (Some(reference), Some(window)) = (reference, window) else {
+                continue;
+            };
+            let Some(ref_peak) = peak(reference, config.min_samples) else {
+                continue;
+            };
+            let Some(cur_peak) = peak(window, config.min_samples) else {
                 continue;
             };
             let ref_bin = ref_peak.0 / config.dd_bin_us;
             let cur_bin = cur_peak.0 / config.dd_bin_us;
             let shift = ref_bin.abs_diff(cur_bin) as u32;
-
+            if shift < config.dd_peak_shift_bins {
+                continue;
+            }
             let mean_shift_us = match (self.nearest.get(pair), current.nearest.get(pair)) {
                 (Some(r), Some(c)) if r.n >= config.min_samples && c.n >= config.min_samples => {
                     c.mean - r.mean
                 }
                 _ => 0.0,
             };
-            if shift >= config.dd_peak_shift_bins {
-                out.push(DdChange {
-                    pair: *pair,
-                    reference_peak: *ref_peak,
-                    current_peak: *cur_peak,
-                    shift_bins: shift,
-                    mean_shift_us,
-                });
-            }
+            out.push(DdChange {
+                pair: *pair,
+                reference_peak: ref_peak,
+                current_peak: cur_peak,
+                shift_bins: shift,
+                mean_shift_us,
+            });
         }
+        // `total_cmp`, not `partial_cmp`: a damaged baseline's NaN mean
+        // must degrade the order, not abort the diff. `abs` leaves no
+        // -0.0, so finite keys order as they always have.
         out.sort_by(|a, b| {
-            (b.shift_bins, b.mean_shift_us.abs())
-                .partial_cmp(&(a.shift_bins, a.mean_shift_us.abs()))
-                .expect("finite")
+            (b.shift_bins.cmp(&a.shift_bins))
+                .then(b.mean_shift_us.abs().total_cmp(&a.mean_shift_us.abs()))
         });
         out
     }
@@ -391,17 +417,12 @@ impl Signature for DelayDistribution {
         Locus::Pair(change.pair)
     }
 
-    fn render(change: &DdChange) -> Change {
+    fn render(change: DdChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description: format!(
-                "delay peak moved {}ms -> {}ms at {}",
-                change.reference_peak.0 / 1_000,
-                change.current_peak.0 / 1_000,
-                change.pair.0.dst
-            ),
             components: vec![Component::Host(change.pair.0.dst)],
+            detail: ChangeDetail::Dd(change),
             ts: None,
         }
     }
@@ -600,11 +621,45 @@ mod tests {
         let base = dd_of(&chain(100, 60_000, 50_000));
         let slowed = dd_of(&chain(100, 160_000, 50_000));
         let changes = diff_dd(&base, &slowed);
-        let c = DelayDistribution::render(&changes[0]);
+        let c = DelayDistribution::render(changes[0]);
         assert_eq!(c.kind, SignatureKind::Dd);
         assert_eq!(c.direction, ChangeDirection::Shifted);
         assert_eq!(c.components, vec![Component::Host(ip(2))]);
-        assert!(c.description.contains("delay peak moved 60ms -> 160ms"));
+        assert!(c.description().contains("delay peak moved 60ms -> 160ms"));
+    }
+
+    /// A baseline whose nearest-delay mean is NaN (a damaged `.fbas`)
+    /// still diffs: the shifted pairs come out, NaN's shift first.
+    #[test]
+    fn nan_nearest_mean_does_not_abort_the_diff() {
+        let edge = |a, b| Edge {
+            src: ip(a),
+            dst: ip(b),
+        };
+        let damaged = (edge(4, 5), edge(5, 6));
+        let dd = |delay_us: u64| {
+            let mut out = DelayDistribution::default();
+            for pair in [(edge(1, 2), edge(2, 3)), damaged] {
+                let mut hist = Histogram::new(20_000);
+                (0..10).for_each(|_| hist.add(delay_us));
+                out.per_pair.insert(pair, hist);
+                let nearest = MeanStd {
+                    mean: delay_us as f64,
+                    std: 0.0,
+                    n: 10,
+                };
+                out.nearest.insert(pair, nearest);
+            }
+            out
+        };
+        let mut base = dd(60_000);
+        base.nearest.get_mut(&damaged).unwrap().mean = f64::NAN;
+        let changes = diff_dd(&base, &dd(160_000));
+        assert_eq!(changes.len(), 2);
+        assert!(changes.iter().all(|c| c.shift_bins == 5));
+        assert_eq!(changes[0].pair, damaged);
+        assert!(changes[0].mean_shift_us.is_nan());
+        assert_eq!(changes[1].mean_shift_us, 100_000.0);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! (Section III-B).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
+use crate::signatures::{
+    merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
+};
 use crate::stats::MeanStd;
 
 /// Per-edge flow statistics.
@@ -41,11 +44,33 @@ pub struct FlowStatsSig {
     pub per_edge: BTreeMap<Edge, EdgeStats>,
 }
 
+/// A flow statistic an [`FsChange`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FsMetric {
+    /// Flow arrivals: flows per second group-wide, flows per edge.
+    FlowRate,
+    /// Mean byte count per flow.
+    Bytes,
+    /// Mean flow-entry lifetime.
+    Duration,
+}
+
+impl FsMetric {
+    /// The metric's name in a change description.
+    pub fn name(self) -> &'static str {
+        match self {
+            FsMetric::FlowRate => "flow_rate",
+            FsMetric::Bytes => "bytes",
+            FsMetric::Duration => "duration",
+        }
+    }
+}
+
 /// One detected flow-statistics change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FsChange {
-    /// Which metric shifted (`bytes`, `flow_rate`, `duration`).
-    pub metric: String,
+    /// Which metric shifted.
+    pub metric: FsMetric,
     /// The edge it shifted on (`None` = group-wide).
     pub edge: Option<Edge>,
     /// Reference value.
@@ -54,6 +79,22 @@ pub struct FsChange {
     pub current: f64,
     /// Relative change `|cur - ref| / max(|ref|, ε)`.
     pub rel_change: f64,
+}
+
+impl fmt::Display for FsChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} changed {:.3} -> {:.3}",
+            self.metric.name(),
+            self.reference,
+            self.current
+        )?;
+        match self.edge {
+            Some(e) => write!(f, " on {e}"),
+            None => Ok(()),
+        }
+    }
 }
 
 fn rel(reference: f64, current: f64) -> f64 {
@@ -114,9 +155,9 @@ impl Signature for FlowStatsSig {
     /// change exceeds `config.fs_rel_change`, plus byte-count means that
     /// shifted significantly per the standard-error test above.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<FsChange> {
-        fn push(out: &mut Vec<FsChange>, metric: &str, edge: Option<Edge>, a: f64, b: f64) {
+        fn push(out: &mut Vec<FsChange>, metric: FsMetric, edge: Option<Edge>, a: f64, b: f64) {
             out.push(FsChange {
-                metric: metric.to_owned(),
+                metric,
                 edge,
                 reference: a,
                 current: b,
@@ -128,7 +169,7 @@ impl Signature for FlowStatsSig {
         if rel(self.flows_per_sec, current.flows_per_sec) > threshold {
             push(
                 &mut out,
-                "flow_rate",
+                FsMetric::FlowRate,
                 None,
                 self.flows_per_sec,
                 current.flows_per_sec,
@@ -137,25 +178,31 @@ impl Signature for FlowStatsSig {
         if rel(self.bytes.mean, current.bytes.mean) > threshold
             || bytes_shifted(&self.bytes, &current.bytes)
         {
-            push(&mut out, "bytes", None, self.bytes.mean, current.bytes.mean);
+            push(
+                &mut out,
+                FsMetric::Bytes,
+                None,
+                self.bytes.mean,
+                current.bytes.mean,
+            );
         }
         if rel(self.duration_s.mean, current.duration_s.mean) > threshold {
             push(
                 &mut out,
-                "duration",
+                FsMetric::Duration,
                 None,
                 self.duration_s.mean,
                 current.duration_s.mean,
             );
         }
-        for (edge, ref_stats) in &self.per_edge {
-            if let Some(cur_stats) = current.per_edge.get(edge) {
+        for (edge, ref_stats, cur_stats) in merge_join(&self.per_edge, &current.per_edge) {
+            if let (Some(ref_stats), Some(cur_stats)) = (ref_stats, cur_stats) {
                 if rel(ref_stats.bytes.mean, cur_stats.bytes.mean) > threshold
                     || bytes_shifted(&ref_stats.bytes, &cur_stats.bytes)
                 {
                     push(
                         &mut out,
-                        "bytes",
+                        FsMetric::Bytes,
                         Some(*edge),
                         ref_stats.bytes.mean,
                         cur_stats.bytes.mean,
@@ -164,7 +211,7 @@ impl Signature for FlowStatsSig {
                 if rel(ref_stats.flow_count as f64, cur_stats.flow_count as f64) > threshold {
                     push(
                         &mut out,
-                        "flow_rate",
+                        FsMetric::FlowRate,
                         Some(*edge),
                         ref_stats.flow_count as f64,
                         cur_stats.flow_count as f64,
@@ -180,7 +227,7 @@ impl Signature for FlowStatsSig {
         Locus::Whole
     }
 
-    fn render(change: &FsChange) -> Change {
+    fn render(change: FsChange) -> Change {
         let mut components = Vec::new();
         if let Some(e) = change.edge {
             components.push(Component::Host(e.src));
@@ -190,8 +237,9 @@ impl Signature for FlowStatsSig {
         // means traffic disappeared (e.g. only SYN retries survive a
         // firewall); an inflation means extra wire bytes appeared
         // (retransmissions under loss).
-        let collapsed = change.metric == "bytes" && change.current < change.reference * 0.3;
-        let inflated = change.metric == "bytes" && change.current > change.reference * 1.2;
+        let bytes = change.metric == FsMetric::Bytes;
+        let collapsed = bytes && change.current < change.reference * 0.3;
+        let inflated = bytes && change.current > change.reference * 1.2;
         Change {
             kind: Self::KIND,
             direction: if collapsed {
@@ -201,13 +249,7 @@ impl Signature for FlowStatsSig {
             } else {
                 ChangeDirection::Shifted
             },
-            description: format!(
-                "{} changed {:.3} -> {:.3}{}",
-                change.metric,
-                change.reference,
-                change.current,
-                change.edge.map_or(String::new(), |e| format!(" on {e}"))
-            ),
+            detail: ChangeDetail::Fs(change),
             components,
             ts: None,
         }
@@ -339,10 +381,10 @@ mod tests {
         let changes = diff_fs(&fs1, &fs2, 0.5);
         assert!(changes
             .iter()
-            .any(|c| c.metric == "bytes" && c.edge.is_some()));
+            .any(|c| c.metric == FsMetric::Bytes && c.edge.is_some()));
         assert!(changes
             .iter()
-            .all(|c| c.metric != "flow_rate" || c.rel_change <= 0.5));
+            .all(|c| c.metric != FsMetric::FlowRate || c.rel_change <= 0.5));
     }
 
     #[test]
@@ -360,42 +402,42 @@ mod tests {
         let fs1 = build_fs(&base);
         let fs2 = build_fs(&quiet);
         let changes = diff_fs(&fs1, &fs2, 0.5);
-        assert!(changes.iter().any(|c| c.metric == "flow_rate"));
+        assert!(changes.iter().any(|c| c.metric == FsMetric::FlowRate));
     }
 
     #[test]
     fn render_classifies_byte_collapse_and_inflation() {
         let collapse = FsChange {
-            metric: "bytes".into(),
+            metric: FsMetric::Bytes,
             edge: None,
             reference: 1_000.0,
             current: 100.0,
             rel_change: 0.9,
         };
         assert_eq!(
-            FlowStatsSig::render(&collapse).direction,
+            FlowStatsSig::render(collapse).direction,
             ChangeDirection::Removed
         );
         let inflation = FsChange {
-            metric: "bytes".into(),
+            metric: FsMetric::Bytes,
             edge: None,
             reference: 1_000.0,
             current: 2_500.0,
             rel_change: 1.5,
         };
         assert_eq!(
-            FlowStatsSig::render(&inflation).direction,
+            FlowStatsSig::render(inflation).direction,
             ChangeDirection::Added
         );
         let rate = FsChange {
-            metric: "flow_rate".into(),
+            metric: FsMetric::FlowRate,
             edge: None,
             reference: 10.0,
             current: 1.0,
             rel_change: 0.9,
         };
         assert_eq!(
-            FlowStatsSig::render(&rate).direction,
+            FlowStatsSig::render(rate).direction,
             ChangeDirection::Shifted
         );
     }

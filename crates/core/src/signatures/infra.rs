@@ -13,12 +13,13 @@
 //! * CRT — the gap between a `PacketIn` and its paired `FlowMod`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use openflow::types::{DatapathId, PortNo};
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::ids::{
     pack_port_pair, pack_switch_pair, unpack_port_pair, unpack_switch_pair, EntityCatalog, HostId,
     IRecord, PortId, SwitchId,
@@ -129,40 +130,45 @@ impl Signature for PhysicalTopology {
         Locus::Whole
     }
 
-    fn render(change: &PtChange) -> Change {
-        match change {
-            PtChange::AdjacencyAdded(adj) => Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Added,
-                description: format!("new adjacency {} -> {}", adj.from, adj.to),
-                components: vec![Component::Switch(adj.from), Component::Switch(adj.to)],
-                ts: None,
-            },
-            PtChange::AdjacencyRemoved(adj) => Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Removed,
-                description: format!("missing adjacency {} -> {}", adj.from, adj.to),
-                components: vec![Component::Switch(adj.from), Component::Switch(adj.to)],
-                ts: None,
-            },
-            PtChange::HostMoved { host, old, new } => Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Shifted,
-                description: format!("host {host} moved {old} -> {new}"),
-                components: vec![
-                    Component::Host(*host),
-                    Component::Switch(*old),
-                    Component::Switch(*new),
+    fn render(change: PtChange) -> Change {
+        let (direction, components) = match change {
+            PtChange::AdjacencyAdded(adj) => (
+                ChangeDirection::Added,
+                vec![Component::Switch(adj.from), Component::Switch(adj.to)],
+            ),
+            PtChange::AdjacencyRemoved(adj) => (
+                ChangeDirection::Removed,
+                vec![Component::Switch(adj.from), Component::Switch(adj.to)],
+            ),
+            PtChange::HostMoved { host, old, new } => (
+                ChangeDirection::Shifted,
+                vec![
+                    Component::Host(host),
+                    Component::Switch(old),
+                    Component::Switch(new),
                 ],
-                ts: None,
-            },
-            PtChange::SwitchVanished(sw) => Change {
-                kind: Self::KIND,
-                direction: ChangeDirection::Removed,
-                description: format!("switch {sw} vanished from all paths"),
-                components: vec![Component::Switch(*sw)],
-                ts: None,
-            },
+            ),
+            PtChange::SwitchVanished(sw) => (ChangeDirection::Removed, vec![Component::Switch(sw)]),
+        };
+        Change {
+            kind: Self::KIND,
+            direction,
+            detail: ChangeDetail::Pt(change),
+            components,
+            ts: None,
+        }
+    }
+}
+
+impl fmt::Display for PtChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PtChange::AdjacencyAdded(adj) => write!(f, "new adjacency {} -> {}", adj.from, adj.to),
+            PtChange::AdjacencyRemoved(adj) => {
+                write!(f, "missing adjacency {} -> {}", adj.from, adj.to)
+            }
+            PtChange::HostMoved { host, old, new } => write!(f, "host {host} moved {old} -> {new}"),
+            PtChange::SwitchVanished(sw) => write!(f, "switch {sw} vanished from all paths"),
         }
     }
 }
@@ -232,21 +238,24 @@ impl Signature for InterSwitchLatency {
         Locus::Whole
     }
 
-    fn render(change: &IslChange) -> Change {
+    fn render(change: IslChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description: format!(
-                "latency {:.0}us -> {:.0}us between {} and {} ({:.1} sigma)",
-                change.reference.mean,
-                change.current.mean,
-                change.pair.0,
-                change.pair.1,
-                change.sigmas
-            ),
             components: vec![Component::SwitchPair(change.pair.0, change.pair.1)],
+            detail: ChangeDetail::Isl(change),
             ts: None,
         }
+    }
+}
+
+impl fmt::Display for IslChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "latency {:.0}us -> {:.0}us between {} and {} ({:.1} sigma)",
+            self.reference.mean, self.current.mean, self.pair.0, self.pair.1, self.sigmas
+        )
     }
 }
 
@@ -338,25 +347,32 @@ impl Signature for ControllerResponse {
         Locus::Whole
     }
 
-    fn render(change: &CrtChange) -> Change {
-        let description = if change.unanswered.1 > change.unanswered.0 + 0.3 {
-            format!(
-                "controller stopped answering: {:.0}% of PacketIns unanswered (was {:.0}%)",
-                change.unanswered.1 * 100.0,
-                change.unanswered.0 * 100.0
-            )
-        } else {
-            format!(
-                "controller response {:.0}us -> {:.0}us ({:.1} sigma)",
-                change.reference.mean, change.current.mean, change.sigmas
-            )
-        };
+    fn render(change: CrtChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description,
+            detail: ChangeDetail::Crt(change),
             components: vec![Component::Controller],
             ts: None,
+        }
+    }
+}
+
+impl fmt::Display for CrtChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.unanswered.1 > self.unanswered.0 + 0.3 {
+            write!(
+                f,
+                "controller stopped answering: {:.0}% of PacketIns unanswered (was {:.0}%)",
+                self.unanswered.1 * 100.0,
+                self.unanswered.0 * 100.0
+            )
+        } else {
+            write!(
+                f,
+                "controller response {:.0}us -> {:.0}us ({:.1} sigma)",
+                self.reference.mean, self.current.mean, self.sigmas
+            )
         }
     }
 }
@@ -743,9 +759,9 @@ mod tests {
         let changes = diff_of(&base, &dead);
         assert_eq!(changes.len(), 1, "blackout");
         assert!(changes[0].unanswered.1 > 0.9);
-        let rendered = ControllerResponse::render(&changes[0]);
+        let rendered = ControllerResponse::render(changes[0]);
         assert!(rendered
-            .description
+            .description()
             .contains("controller stopped answering"));
         assert_eq!(rendered.components, vec![Component::Controller]);
     }

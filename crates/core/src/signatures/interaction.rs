@@ -6,13 +6,16 @@
 //! distributions (Section IV-A).
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::groups::Edge;
-use crate::signatures::{DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask};
+use crate::signatures::{
+    merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
+};
 use crate::stats::chi_squared;
 
 /// Flow counts on the edges incident to one node.
@@ -55,6 +58,16 @@ pub struct CiChange {
     pub chi2: f64,
 }
 
+impl fmt::Display for CiChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "interaction shift at {} (chi2 {:.2})",
+            self.node, self.chi2
+        )
+    }
+}
+
 impl Signature for ComponentInteraction {
     type Change = CiChange;
     const KIND: SignatureKind = SignatureKind::Ci;
@@ -84,13 +97,15 @@ impl Signature for ComponentInteraction {
     /// precisely.
     fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<CiChange> {
         let mut out = Vec::new();
-        for node in self.per_node.keys() {
-            // `node_chi2` returns None for nodes missing on either side;
-            // the CG diff covers those more precisely, and a profile
-            // damaged by hostile input must degrade, not abort the diff.
-            let Some(chi2) = node_chi2(self, current, *node) else {
+        let mut scratch = Chi2Scratch::default();
+        for (node, reference, observed) in merge_join(&self.per_node, &current.per_node) {
+            // Nodes missing on either side are skipped: the CG diff
+            // covers those more precisely, and a profile damaged by
+            // hostile input must degrade, not abort the diff.
+            let (Some(reference), Some(observed)) = (reference, observed) else {
                 continue;
             };
+            let chi2 = scratch.chi2(reference, observed);
             if chi2 > ctx.config.chi2_threshold {
                 out.push(CiChange { node: *node, chi2 });
             }
@@ -104,15 +119,12 @@ impl Signature for ComponentInteraction {
         Locus::Node(change.node)
     }
 
-    fn render(change: &CiChange) -> Change {
+    fn render(change: CiChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description: format!(
-                "interaction shift at {} (chi2 {:.2})",
-                change.node, change.chi2
-            ),
             components: vec![Component::Host(change.node)],
+            detail: ChangeDetail::Ci(change),
             ts: None,
         }
     }
@@ -159,23 +171,31 @@ pub fn node_chi2(
 ) -> Option<f64> {
     let r = reference.per_node.get(&node)?;
     let c = current.per_node.get(&node)?;
-    let edges: Vec<Edge> = r
-        .edge_counts
-        .keys()
-        .chain(c.edge_counts.keys())
-        .copied()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let expected: Vec<f64> = edges
-        .iter()
-        .map(|e| *r.edge_counts.get(e).unwrap_or(&0) as f64)
-        .collect();
-    let observed: Vec<f64> = edges
-        .iter()
-        .map(|e| *c.edge_counts.get(e).unwrap_or(&0) as f64)
-        .collect();
-    Some(chi_squared(&observed, &expected))
+    Some(Chi2Scratch::default().chi2(r, c))
+}
+
+/// The expected and observed flow counts of one node's edges, kept
+/// across the nodes of a diff so each node's test reuses them.
+#[derive(Default)]
+struct Chi2Scratch {
+    expected: Vec<f64>,
+    observed: Vec<f64>,
+}
+
+impl Chi2Scratch {
+    /// The χ² statistic of `current`'s edge counts against
+    /// `reference`'s, over the union of their edges in ascending order
+    /// (an edge one side lacks counts 0 there).
+    fn chi2(&mut self, reference: &NodeInteraction, current: &NodeInteraction) -> f64 {
+        self.expected.clear();
+        self.observed.clear();
+        let counts = merge_join(&reference.edge_counts, &current.edge_counts);
+        for (_, r, c) in counts {
+            self.expected.push(r.map_or(0, |&n| n) as f64);
+            self.observed.push(c.map_or(0, |&n| n) as f64);
+        }
+        chi_squared(&self.observed, &self.expected)
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@ pub mod interaction;
 pub mod utilization;
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
@@ -270,6 +271,33 @@ impl KeyIndex {
     }
 }
 
+/// Two ascending, duplicate-free keyed sequences walked in step: every
+/// key of either, once, ascending, with its value on each side. What a
+/// diff compares a baseline and a window by, instead of collecting the
+/// union of their keys first.
+pub(crate) fn merge_join<K: Ord, A, B>(
+    a: impl IntoIterator<Item = (K, A)>,
+    b: impl IntoIterator<Item = (K, B)>,
+) -> impl Iterator<Item = (K, Option<A>, Option<B>)> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((x, _)), Some((y, _))) => x.cmp(y),
+        };
+        Some(match order {
+            Ordering::Less => a.next().map(|(k, v)| (k, Some(v), None))?,
+            Ordering::Greater => b.next().map(|(k, w)| (k, None, Some(w)))?,
+            Ordering::Equal => {
+                let ((k, v), (_, w)) = (a.next()?, b.next()?);
+                (k, Some(v), Some(w))
+            }
+        })
+    })
+}
+
 /// Context for diffing two signatures of the same kind.
 #[derive(Clone, Copy)]
 pub struct DiffCtx<'a> {
@@ -373,8 +401,10 @@ pub trait Signature: Sized {
     /// Where a change applies, for stability gating.
     fn locus(change: &Self::Change) -> Locus;
 
-    /// Renders a typed change into the tagged vocabulary.
-    fn render(change: &Self::Change) -> Change;
+    /// Tags a typed change for the shared vocabulary, moving it into
+    /// the [`Change`]'s detail: no text is formatted until the change
+    /// is read.
+    fn render(change: Self::Change) -> Change;
 
     /// A mask marking every locus of this signature stable (used when no
     /// stability pass was run). Per-locus signatures override this to
@@ -396,7 +426,7 @@ pub trait Signature: Sized {
         self.diff(current, ctx)
             .into_iter()
             .filter(|ch| mask.allows(&Self::locus(ch)))
-            .map(|ch| Self::render(&ch))
+            .map(Self::render)
             .collect()
     }
 }
@@ -444,6 +474,21 @@ mod tests {
             &il.catalog,
             (Timestamp::ZERO, Timestamp::ZERO),
             &config,
+        );
+    }
+
+    #[test]
+    fn merge_join_pairs_keys_ascending() {
+        let joined: Vec<_> =
+            merge_join([(1, 'a'), (3, 'b'), (4, 'c')], [(2, 20), (3, 30)]).collect();
+        assert_eq!(
+            joined,
+            [
+                (1, Some('a'), None),
+                (2, None, Some(20)),
+                (3, Some('b'), Some(30)),
+                (4, Some('c'), None),
+            ]
         );
     }
 

@@ -7,13 +7,14 @@
 //! give a byte-rate series per switch port, summarized as mean ± std.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 use netsim::log::ControlEvent;
 use openflow::messages::{OfpMessage, StatsReply};
 use openflow::types::{DatapathId, PortNo, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::change::{Change, ChangeDirection, Component, Locus, SignatureKind};
+use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
 use crate::signatures::{DiffCtx, Signature, SignatureInputs};
 use crate::stats::MeanStd;
 
@@ -35,6 +36,16 @@ pub struct LuChange {
     pub current: MeanStd,
     /// Shift in baseline standard deviations.
     pub sigmas: f64,
+}
+
+impl fmt::Display for LuChange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "utilization {:.0} -> {:.0} bytes/s on {} {} ({:.1} sigma)",
+            self.reference.mean, self.current.mean, self.port.0, self.port.1, self.sigmas
+        )
+    }
 }
 
 /// Incremental LU accumulator, fed from raw control events rather than
@@ -162,19 +173,12 @@ impl Signature for LinkUtilization {
         Locus::Whole
     }
 
-    fn render(change: &LuChange) -> Change {
+    fn render(change: LuChange) -> Change {
         Change {
             kind: Self::KIND,
             direction: ChangeDirection::Shifted,
-            description: format!(
-                "utilization {:.0} -> {:.0} bytes/s on {} {} ({:.1} sigma)",
-                change.reference.mean,
-                change.current.mean,
-                change.port.0,
-                change.port.1,
-                change.sigmas
-            ),
             components: vec![Component::Switch(change.port.0)],
+            detail: ChangeDetail::Lu(change),
             ts: None,
         }
     }
@@ -278,7 +282,7 @@ mod tests {
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].port, (DatapathId(1), PortNo(2)));
         assert!(changes[0].sigmas > config.isl_sigma);
-        let rendered = LinkUtilization::render(&changes[0]);
+        let rendered = LinkUtilization::render(changes[0]);
         assert_eq!(rendered.kind, SignatureKind::Lu);
         assert_eq!(rendered.components, vec![Component::Switch(DatapathId(1))]);
     }

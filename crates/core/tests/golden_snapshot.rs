@@ -6,7 +6,11 @@
 //! pin the exact bytes produced for a deterministic 320-server tree
 //! capture (the Fig. 13b workload) against snapshots checked in under
 //! `tests/data/`, so any refactor that perturbs serialization — key
-//! order, field order, ID leakage — fails loudly.
+//! order, field order, ID leakage — fails loudly. The diff's rendered
+//! text — every change's kind, direction, components, time and
+//! description, then the diagnosis report — is pinned the same way in
+//! `tree320_changes.txt`, so a change to how a diff is stored cannot
+//! move what an operator reads.
 //!
 //! To regenerate the snapshots after an *intentional* format change:
 //!
@@ -86,6 +90,50 @@ fn diff_bytes(
     serde::to_vec(&diff)
 }
 
+/// The diff as an operator reads it: one line per change in
+/// [`ModelDiff`] order (matched groups, new groups, missing groups,
+/// infrastructure), then the full diagnosis report.
+fn changes_text(
+    baseline: &BehaviorModel,
+    current: &BehaviorModel,
+    config: &FlowDiffConfig,
+) -> String {
+    use std::fmt::Write;
+
+    let stability = StabilityReport::all_stable(baseline);
+    let diff = flowdiff::diff::compare(baseline, current, &stability, config);
+    let line = |out: &mut String, at: &str, c: &Change| {
+        let components: Vec<String> = c.components.iter().map(|x| x.to_string()).collect();
+        writeln!(
+            out,
+            "{at} [{}] {:?} ts={:?} {{{}}} {}",
+            c.kind.name(),
+            c.direction,
+            c.ts.map(|t| t.as_micros()),
+            components.join(", "),
+            c.description()
+        )
+        .unwrap();
+    };
+    let mut out = String::new();
+    for g in &diff.group_diffs {
+        for c in &g.changes {
+            line(&mut out, &format!("group {}->{}", g.ref_idx, g.cur_idx), c);
+        }
+    }
+    for gi in &diff.new_groups {
+        writeln!(out, "new group {gi}").unwrap();
+    }
+    for gi in &diff.missing_groups {
+        writeln!(out, "missing group {gi}").unwrap();
+    }
+    for c in &diff.infra {
+        line(&mut out, "infra", c);
+    }
+    write!(out, "{}", diagnose(&diff, current, &[], config)).unwrap();
+    out
+}
+
 fn assert_matches_golden(actual: &[u8], file: &str) {
     let path = data_path(file);
     let golden = std::fs::read(&path).unwrap_or_else(|e| {
@@ -122,6 +170,25 @@ fn tree320_diff_bytes_match_golden_snapshot() {
         &diff_bytes(&baseline, &current, &config),
         "tree320_diff.bin",
     );
+}
+
+#[test]
+fn tree320_changes_text_matches_golden_snapshot() {
+    let (baseline, current, config) = snapshot_inputs();
+    let path = data_path("tree320_changes.txt");
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden text {} ({e})", path.display()));
+    let actual = changes_text(&baseline, &current, &config);
+    assert!(actual.lines().count() > 10, "the pinned diff is vacuous");
+    if let Some((at, (g, a))) =
+        (golden.lines().zip(actual.lines()).enumerate()).find(|(_, (g, a))| g != a)
+    {
+        panic!(
+            "tree320_changes.txt line {}: want\n  {g}\ngot\n  {a}",
+            at + 1
+        );
+    }
+    assert_eq!(golden, actual, "tree320_changes.txt: line count drifted");
 }
 
 /// The model's fan-out clones each group's CG from the edge sets group
@@ -171,8 +238,13 @@ fn regenerate_golden_snapshots() {
     let diff = diff_bytes(&baseline, &current, &config);
     std::fs::write(data_path("tree320_model.bin"), &model).expect("write model snapshot");
     std::fs::write(data_path("tree320_diff.bin"), &diff).expect("write diff snapshot");
+    std::fs::write(
+        data_path("tree320_changes.txt"),
+        changes_text(&baseline, &current, &config),
+    )
+    .expect("write changes text");
     println!(
-        "wrote tree320_model.bin ({} bytes) and tree320_diff.bin ({} bytes)",
+        "wrote tree320_model.bin ({} bytes), tree320_diff.bin ({} bytes) and tree320_changes.txt",
         model.len(),
         diff.len()
     );

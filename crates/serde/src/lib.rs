@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -271,6 +272,20 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+/// Encoded as the string itself: a shared string and an owned one have
+/// the same bytes.
+impl Serialize for Arc<str> {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (**self).serialize(out);
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        String::deserialize(input).map(Arc::from)
+    }
+}
+
 fn serialize_seq<'a, T: Serialize + 'a>(
     len: usize,
     items: impl Iterator<Item = &'a T>,
@@ -471,6 +486,13 @@ mod tests {
         let bytes = to_vec(&v);
         let back: T = from_slice(&bytes).expect("decode");
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn shared_str_encodes_as_string() {
+        let shared: Arc<str> = Arc::from("stalled");
+        assert_eq!(to_vec(&shared), to_vec(&"stalled".to_string()));
+        roundtrip(shared);
     }
 
     #[test]

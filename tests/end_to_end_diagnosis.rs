@@ -218,9 +218,9 @@ fn controller_failure_detected_as_blackout() {
         .find(|c| c.kind == SignatureKind::Crt)
         .expect("CRT change");
     assert!(
-        crt.description.contains("stopped answering"),
+        crt.description().contains("stopped answering"),
         "blackout must be named: {}",
-        crt.description
+        crt.description()
     );
     assert!(report.problems.contains(&ProblemClass::ControllerProblem));
 }

@@ -82,6 +82,11 @@ fn model_diff_round_trips() {
     let bytes = serde::to_vec(&diff);
     let back: ModelDiff = serde::from_slice(&bytes).expect("diff must deserialize");
     assert_eq!(diff, back, "ModelDiff must round-trip bit-exact");
+    assert_eq!(
+        serde::to_vec(&back),
+        bytes,
+        "and re-encode to the same bytes"
+    );
 
     // The stability report travels with cached baselines too.
     let bytes = serde::to_vec(&stability);
