@@ -48,6 +48,14 @@ bundle="$demo_dir/baseline.fbas"
 first_out="$(target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
     "$demo_dir/current.fcap" --checkpoint "$ckpt" --checkpoint-every 7 \
     --save-baseline "$bundle")"
+# Checkpoint bytes are canonical: a second run writes the same file
+# (hash containers encode in key order, not in per-instance seed order).
+target/release/flowdiff-bench watch "$demo_dir/baseline.fcap" \
+    "$demo_dir/current.fcap" --checkpoint "$ckpt.again" --checkpoint-every 7 >/dev/null
+if ! cmp "$ckpt" "$ckpt.again"; then
+    echo "FAIL: two identical checkpointing runs wrote different checkpoint bytes" >&2
+    exit 1
+fi
 resumed_out="$(target/release/flowdiff-bench watch "$bundle" \
     "$demo_dir/current.fcap" --resume "$ckpt" --checkpoint-every 1)"
 printf '%s\n' "$resumed_out" | grep '^stats: resumed from '
@@ -233,6 +241,15 @@ if grep -rnE 'ShardState|WorkerMsg|XidLedger|ShardKey|shard_of|capture_sharded|p
 fi
 if grep -rnE 'ShardedDiffer|ShardRouter|ShardModel' crates/ | grep -v '^crates/core/src/harness_seam.rs:'; then
     echo "FAIL: a harness-seam name is used outside crates/core/src/harness_seam.rs" >&2
+    exit 1
+fi
+
+step "one definition of each paper workload"
+# The lab testbed, the Table I webshop and the Section V-C tree mesh are
+# built by workloads::testbeds (DESIGN.md §3); everything else calls it.
+if grep -rnF -e 'let pick = |tier: usize, k: usize|' -e 'install_services(&mut' \
+    crates/ tests/ examples/ | grep -v '^crates/workloads/src/'; then
+    echo "FAIL: a hand-written copy of the tree mesh or the lab assembly is back outside crates/workloads/src" >&2
     exit 1
 fi
 

@@ -8,7 +8,7 @@
 //! coverage, and whether the faults are still detected.
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{print_table, LabEnv};
+use flowdiff_bench::print_table;
 use netsim::config::{Deployment, SimConfig};
 use netsim::prelude::*;
 use workloads::prelude::*;
@@ -19,38 +19,12 @@ struct Mode {
     hybrid_topo: bool,
 }
 
-fn capture(
-    env: &LabEnv,
-    topo: &Topology,
-    deployment: Deployment,
-    seed: u64,
-    fault: Option<Fault>,
-) -> ControllerLog {
-    let mut sc = Scenario::new(
-        topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(61),
-    );
+fn capture(lab: &Lab, deployment: Deployment, seed: u64, fault: Option<Fault>) -> ControllerLog {
+    let mut sc = lab.webshop(seed, 60);
     sc.config(SimConfig {
         deployment,
         ..SimConfig::default()
     });
-    sc.services(env.catalog.clone())
-        .app(templates::three_tier(
-            "webshop",
-            vec![env.ip("S13")],
-            vec![env.ip("S4")],
-            vec![env.ip("S14")],
-            None,
-        ))
-        .client(ClientWorkload {
-            client: env.ip("S25"),
-            entry_hosts: vec![env.ip("S13")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 2_048,
-        });
     if let Some(f) = fault {
         sc.fault(Timestamp::ZERO, f);
     }
@@ -58,12 +32,12 @@ fn capture(
 }
 
 fn main() {
-    let env = LabEnv::new();
-    // The hybrid topology keeps the same host names, so the same app
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    // The hybrid lab keeps the same host names, so the same app
     // deployment works; services attach to its core.
-    let mut hybrid = Topology::lab_hybrid();
-    let (hybrid_catalog, _) = install_services(&mut hybrid, "of7");
-    assert_eq!(hybrid_catalog, env.catalog, "same service addressing");
+    let hybrid = Lab::hybrid();
+    assert_eq!(hybrid.catalog, lab.catalog, "same service addressing");
 
     let modes = [
         Mode {
@@ -96,29 +70,27 @@ fn main() {
     println!("Ablation - deployment modes (Section VI)\n");
     let mut rows = Vec::new();
     for (i, mode) in modes.iter().enumerate() {
-        let topo = if mode.hybrid_topo { &hybrid } else { &env.topo };
-        let l1 = capture(&env, topo, mode.deployment, 1, None);
-        let baseline = BehaviorModel::build(&l1, &env.config);
-        let stability = analyze(&l1, &baseline, &env.config);
+        let testbed = if mode.hybrid_topo { &hybrid } else { &lab };
+        let l1 = capture(testbed, mode.deployment, 1, None);
+        let baseline = BehaviorModel::build(&l1, &config);
+        let stability = analyze(&l1, &baseline, &config);
 
         let detect = |fault: Fault, seed: u64| -> bool {
-            let l2 = capture(&env, topo, mode.deployment, seed, Some(fault));
-            let current = BehaviorModel::build(&l2, &env.config);
-            let diff = flowdiff::diff::compare(&baseline, &current, &stability, &env.config);
-            !diagnose(&diff, &current, &[], &env.config)
-                .unknown
-                .is_empty()
+            let l2 = capture(testbed, mode.deployment, seed, Some(fault));
+            let current = BehaviorModel::build(&l2, &config);
+            let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+            !diagnose(&diff, &current, &[], &config).unknown.is_empty()
         };
         let slowdown_detected = detect(
             Fault::HostSlowdown {
-                host: topo.node_by_name("S4").unwrap(),
+                host: testbed.node("S4"),
                 extra_us: 150_000,
             },
             100 + i as u64,
         );
         let crash_detected = detect(
             Fault::AppCrash {
-                host: topo.node_by_name("S4").unwrap(),
+                host: testbed.node("S4"),
                 port: 8080,
             },
             200 + i as u64,

@@ -7,47 +7,54 @@
 //! variation. The paper's 0.6 sits on the plateau.
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{print_table, LabEnv};
+use flowdiff_bench::print_table;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-fn startup_records(env: &LabEnv, vm: &str, image: VmImage, seed: u64) -> Vec<FlowRecord> {
+fn startup_records(
+    lab: &Lab,
+    config: &FlowDiffConfig,
+    vm: &str,
+    image: VmImage,
+    seed: u64,
+) -> Vec<FlowRecord> {
     let mut sc = Scenario::new(
-        env.topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(25),
     );
-    sc.services(env.catalog.clone());
+    sc.services(lab.catalog.clone());
     sc.task(
         Timestamp::from_secs(2),
         TaskKind::VmStartup {
-            vm: env.ip(vm),
+            vm: lab.ip(vm),
             image,
         },
     );
-    extract_records(&sc.run().log, &env.config)
+    extract_records(&sc.run().log, config)
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     let image = VmImage::AmazonAmi(1);
     let foreign_image = VmImage::AmazonAmi(3);
 
     let training: Vec<Vec<FlowRecord>> = (0..40)
-        .map(|i| startup_records(&env, "VM1", image, 3_000 + i))
+        .map(|i| startup_records(&lab, &config, "VM1", image, 3_000 + i))
         .collect();
     let own_tests: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| startup_records(&env, "VM2", image, 9_000 + i))
+        .map(|i| startup_records(&lab, &config, "VM2", image, 9_000 + i))
         .collect();
     let foreign_tests: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| startup_records(&env, "VM3", foreign_image, 12_000 + i))
+        .map(|i| startup_records(&lab, &config, "VM3", foreign_image, 12_000 + i))
         .collect();
 
     println!("Ablation - min_sup sweep for task-signature mining (paper: 0.6)\n");
     let mut rows = Vec::new();
     for min_sup in [0.2, 0.4, 0.6, 0.8, 1.0] {
-        let mut config = env.config.clone();
+        let mut config = config.clone();
         config.min_sup = min_sup;
         let automaton = learn_task("vm_startup", &training, true, &config);
 
@@ -86,10 +93,10 @@ fn main() {
     // The sensitive knob is the interleave bound (paper: 1 s): too tight
     // and legitimate boot stalls break matches; looser recovers them.
     println!("\nAblation - task-matching interleave bound (paper: 1 s)\n");
-    let automaton = learn_task("vm_startup", &training, true, &env.config);
+    let automaton = learn_task("vm_startup", &training, true, &config);
     let mut rows2 = Vec::new();
     for bound_ms in [200u64, 500, 1_000, 2_500, 5_000] {
-        let mut config = env.config.clone();
+        let mut config = config.clone();
         config.interleave_us = bound_ms * 1_000;
         let detect = |records: &[FlowRecord]| {
             let mut lib = TaskLibrary::new();

@@ -7,13 +7,13 @@
 //! the [40, 60]/[60, 80] ms bins.
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{print_table, LabEnv};
+use flowdiff_bench::print_table;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
 /// The case-5 custom app with per-source reuse at the app tier.
-fn custom_app(env: &LabEnv, reuse_1: f64, reuse_2: f64) -> MultiTierApp {
-    let (s1, s2, s3, s8) = (env.ip("S1"), env.ip("S2"), env.ip("S3"), env.ip("S8"));
+fn custom_app(lab: &Lab, reuse_1: f64, reuse_2: f64) -> MultiTierApp {
+    let (s1, s2, s3, s8) = (lab.ip("S1"), lab.ip("S2"), lab.ip("S3"), lab.ip("S8"));
     let mut web = TierConfig::new("web", vec![s1, s2], 80, 10_000);
     web.request_bytes = 4_096;
     let mut app = TierConfig::new("app", vec![s3], 8080, 60_000);
@@ -24,25 +24,25 @@ fn custom_app(env: &LabEnv, reuse_1: f64, reuse_2: f64) -> MultiTierApp {
     MultiTierApp::new("custom", vec![web, app, db])
 }
 
-fn capture(env: &LabEnv, seed: u64, rates: (f64, f64), reuse: (f64, f64)) -> ControllerLog {
+fn capture(lab: &Lab, seed: u64, rates: (f64, f64), reuse: (f64, f64)) -> ControllerLog {
     let mut sc = Scenario::new(
-        env.topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(61),
     );
-    sc.services(env.catalog.clone())
-        .app(custom_app(env, reuse.0, reuse.1))
+    sc.services(lab.catalog.clone())
+        .app(custom_app(lab, reuse.0, reuse.1))
         .client(ClientWorkload {
-            client: env.ip("S22"),
-            entry_hosts: vec![env.ip("S1")],
+            client: lab.ip("S22"),
+            entry_hosts: vec![lab.ip("S1")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(rates.0),
             request_bytes: 2_048,
         })
         .client(ClientWorkload {
-            client: env.ip("S21"),
-            entry_hosts: vec![env.ip("S2")],
+            client: lab.ip("S21"),
+            entry_hosts: vec![lab.ip("S2")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(rates.1),
             request_bytes: 2_048,
@@ -51,7 +51,8 @@ fn capture(env: &LabEnv, seed: u64, rates: (f64, f64), reuse: (f64, f64)) -> Con
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     println!("Figure 10 - delay distribution S2-S3 vs S3-S8 across P(x,y), R(m,n)");
     println!("(rates scaled to req/s; the paper uses Poisson means per interval)");
     println!("ground truth: 60 ms processing at S3; paper peak: [40, 60] ms\n");
@@ -66,13 +67,13 @@ fn main() {
         ((2.0, 10.0), (0.9, 0.1)),  // P(100,500) R(90,10)
     ];
 
-    let s2 = env.ip("S2");
-    let s3 = env.ip("S3");
-    let s8 = env.ip("S8");
+    let s2 = lab.ip("S2");
+    let s3 = lab.ip("S3");
+    let s8 = lab.ip("S8");
     let mut rows = Vec::new();
     for (i, (rates, reuse)) in combos.iter().enumerate() {
-        let log = capture(&env, 40 + i as u64, *rates, *reuse);
-        let model = BehaviorModel::build(&log, &env.config);
+        let log = capture(&lab, 40 + i as u64, *rates, *reuse);
+        let model = BehaviorModel::build(&log, &config);
         let g = model.group_of(s3).expect("custom app group");
 
         // the S2->S3 / S3->S8 pair of the figure

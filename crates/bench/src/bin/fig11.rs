@@ -6,7 +6,7 @@
 //!   stable across log intervals under six workload/reuse combinations.
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{capture_case, print_table, table2_cases, LabEnv};
+use flowdiff_bench::{capture_case, print_table, table2_cases};
 use netsim::prelude::*;
 use workloads::prelude::*;
 
@@ -25,20 +25,21 @@ fn pc_between(
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     println!("Figure 11(a) - PC between web->app and app->db edges, cases 1-4\n");
 
     let mut rows = Vec::new();
     let mut coefficients = Vec::new();
     for (ci, (case, apps)) in table2_cases().iter().take(4).enumerate() {
-        let log = capture_case(&env, apps, 60 + ci as u64, 60, 10.0);
-        let model = BehaviorModel::build(&log, &env.config);
+        let log = capture_case(&lab, apps, 60 + ci as u64, 60, 10.0);
+        let model = BehaviorModel::build(&log, &config);
         // The Rubbis app's web/app/db hosts vary per case; find them.
         let rubbis = &apps[0];
         let (web, app, db) = (
-            env.ip(rubbis.web),
-            env.ip(rubbis.app.expect("rubbis is three-tier")),
-            env.ip(rubbis.db),
+            lab.ip(rubbis.web),
+            lab.ip(rubbis.app.expect("rubbis is three-tier")),
+            lab.ip(rubbis.db),
         );
         let r = pc_between(&model, web, app, db);
         if let Some(r) = r {
@@ -61,7 +62,7 @@ fn main() {
 
     // (b) case 5, interval-by-interval stability across configurations.
     println!("Figure 11(b) - PC of S2-S3 / S3-S8 per log interval, case 5\n");
-    let (s2, s3, s8) = (env.ip("S2"), env.ip("S3"), env.ip("S8"));
+    let (s2, s3, s8) = (lab.ip("S2"), lab.ip("S3"), lab.ip("S8"));
     type CaseConfig = ((f64, f64), (f64, f64), &'static str);
     let configs: [CaseConfig; 3] = [
         ((10.0, 10.0), (0.0, 0.0), "P(500,500) R(0,0)"),
@@ -72,10 +73,10 @@ fn main() {
     let mut all_interval_rs: Vec<f64> = Vec::new();
     for (i, (rates, reuse, label)) in configs.iter().enumerate() {
         // case-5 deployment built inline (S22->S1, S21->S2 -> S3 -> S8)
-        let mut web = TierConfig::new("web", vec![env.ip("S1"), s2], 80, 10_000);
+        let mut web = TierConfig::new("web", vec![lab.ip("S1"), s2], 80, 10_000);
         web.request_bytes = 4_096;
         let mut app = TierConfig::new("app", vec![s3], 8080, 60_000);
-        app.reuse_by_source.insert(env.ip("S1"), reuse.0);
+        app.reuse_by_source.insert(lab.ip("S1"), reuse.0);
         app.reuse_by_source.insert(s2, reuse.1);
         let db = TierConfig::new("db", vec![s8], 3306, 20_000);
         let custom = MultiTierApp::new("custom", vec![web, app, db]);
@@ -84,22 +85,22 @@ fn main() {
         // split into 1.5 min slices; short intervals starve the epoch
         // series at low request rates).
         let mut sc = Scenario::new(
-            env.topo.clone(),
+            lab.topo.clone(),
             70 + i as u64,
             Timestamp::from_secs(1),
             Timestamp::from_secs(301),
         );
-        sc.services(env.catalog.clone())
+        sc.services(lab.catalog.clone())
             .app(custom)
             .client(ClientWorkload {
-                client: env.ip("S22"),
-                entry_hosts: vec![env.ip("S1")],
+                client: lab.ip("S22"),
+                entry_hosts: vec![lab.ip("S1")],
                 entry_port: 80,
                 process: ArrivalProcess::poisson_per_sec(rates.0),
                 request_bytes: 2_048,
             })
             .client(ClientWorkload {
-                client: env.ip("S21"),
+                client: lab.ip("S21"),
                 entry_hosts: vec![s2],
                 entry_port: 80,
                 process: ArrivalProcess::poisson_per_sec(rates.1),
@@ -110,7 +111,7 @@ fn main() {
         // Ten intervals, like the paper's 1.5-minute slices.
         let mut cells = vec![label.to_string()];
         for segment in log.split(10).iter().take(9) {
-            let model = BehaviorModel::build(segment, &env.config);
+            let model = BehaviorModel::build(segment, &config);
             match pc_between(&model, s2, s3, s8) {
                 Some(r) => {
                     all_interval_rs.push(r);

@@ -4,18 +4,20 @@
 
 use flowdiff::prelude::*;
 use flowdiff::stats::chi_squared;
-use flowdiff_bench::{capture_case, print_table, table2_cases, LabEnv};
+use flowdiff_bench::{capture_case, print_table, table2_cases};
+use workloads::prelude::Lab;
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     println!("Figure 12 - component interaction at node S4, cases 1-4\n");
 
-    let s4 = env.ip("S4");
+    let s4 = lab.ip("S4");
     let mut interactions = Vec::new();
     let mut rows = Vec::new();
     for (ci, (case, apps)) in table2_cases().iter().take(4).enumerate() {
-        let log = capture_case(&env, apps, 80 + ci as u64, 60, 10.0);
-        let model = BehaviorModel::build(&log, &env.config);
+        let log = capture_case(&lab, apps, 80 + ci as u64, 60, 10.0);
+        let model = BehaviorModel::build(&log, &config);
         let g = model.group_of(s4).expect("rubbis group contains S4");
         let ni = g
             .interaction
@@ -59,7 +61,7 @@ fn main() {
     );
 
     println!("\npaper: normalized frequencies barely vary; chi2 values ~1e-3..1e-9");
-    let threshold = env.config.chi2_threshold;
+    let threshold = config.chi2_threshold;
     assert!(
         chi2s.iter().all(|c| *c < threshold),
         "no case should cross the chi2 alarm threshold ({threshold}): {chi2s:?}"

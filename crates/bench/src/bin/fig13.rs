@@ -8,49 +8,12 @@
 //! Absolute times differ from the paper's 2013 hardware; the shape is
 //! the claim. Set `FIG13_REPS` / `FIG13_SECONDS` to adjust the run.
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use flowdiff::prelude::*;
 use flowdiff_bench::print_table;
 use netsim::prelude::*;
 use workloads::prelude::*;
-
-/// Deploys `n_apps` randomly placed three-tier apps (3 VMs per tier,
-/// full bipartite traffic between adjacent tiers, ON/OFF log-normal with
-/// 0.6 connection reuse — Section V-C's methodology).
-fn capture(topo: &Topology, n_apps: usize, seed: u64, secs: u64) -> ControllerLog {
-    let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-    let mut sc = Scenario::new(
-        topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(1 + secs),
-    );
-    for a in 0..n_apps {
-        // Disjoint placement: each app gets its own block of nine hosts
-        // (19 apps x 9 VMs = 171 of 320 hosts), so application groups
-        // stay separate as they would under collision-free random
-        // placement.
-        let pick = |tier: usize, k: usize| hosts[(a * 9 + tier * 3 + k) % hosts.len()];
-        let mut pairs = Vec::new();
-        for tier in 0..2 {
-            for i in 0..3 {
-                for j in 0..3 {
-                    let dport = if tier == 0 { 8080 } else { 3306 };
-                    pairs.push((pick(tier, i), pick(tier + 1, j), dport));
-                }
-            }
-        }
-        sc.mesh(OnOffMesh {
-            pairs,
-            process: OnOffProcess::default(),
-            reuse_prob: 0.6,
-            bytes_per_flow: 30_000,
-        });
-    }
-    sc.run().log
-}
 
 fn main() {
     let reps: u64 = std::env::var("FIG13_REPS")
@@ -81,7 +44,9 @@ fn main() {
         let mut time_acc = 0.0;
         let mut packet_ins = 0usize;
         for rep in 0..reps {
-            let log = capture(&topo, n_apps, 1000 * n_apps as u64 + rep, secs);
+            let log = tree_mesh(topo.clone(), n_apps, 1000 * n_apps as u64 + rep, secs)
+                .run()
+                .log;
             packet_ins = log.packet_ins().count();
             let span = log
                 .time_range()

@@ -7,7 +7,7 @@
 //!   application server, vanilla vs. logging-enabled vs. loss.
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{edge_byte_counts, pair_delays, print_cdf, LabEnv};
+use flowdiff_bench::{edge_byte_counts, pair_delays, print_cdf};
 use netsim::prelude::*;
 use workloads::prelude::*;
 
@@ -18,24 +18,24 @@ enum Variant {
     Logging,
 }
 
-fn capture(env: &LabEnv, seed: u64, variant: Variant) -> ControllerLog {
+fn capture(lab: &Lab, seed: u64, variant: Variant) -> ControllerLog {
     let mut sc = Scenario::new(
-        env.topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(121),
     );
-    sc.services(env.catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(templates::three_tier(
             "webshop",
-            vec![env.ip("S13")],
-            vec![env.ip("S4")],
-            vec![env.ip("S14")],
+            vec![lab.ip("S13")],
+            vec![lab.ip("S4")],
+            vec![lab.ip("S14")],
             None,
         ))
         .client(ClientWorkload {
-            client: env.ip("S25"),
-            entry_hosts: vec![env.ip("S13")],
+            client: lab.ip("S25"),
+            entry_hosts: vec![lab.ip("S13")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(8.0),
             request_bytes: 8_192,
@@ -46,11 +46,11 @@ fn capture(env: &LabEnv, seed: u64, variant: Variant) -> ControllerLog {
             // 1% loss on both links carrying web <-> app traffic
             // (the paper's tc experiment).
             for link in [
-                env.topo
-                    .link_between(env.node("of1"), env.node("of7"))
+                lab.topo
+                    .link_between(lab.node("of1"), lab.node("of7"))
                     .expect("of1-of7"),
-                env.topo
-                    .link_between(env.node("of4"), env.node("of7"))
+                lab.topo
+                    .link_between(lab.node("of4"), lab.node("of7"))
                     .expect("of4-of7"),
             ] {
                 sc.fault(Timestamp::ZERO, Fault::LinkLoss { link, rate: 0.01 });
@@ -60,7 +60,7 @@ fn capture(env: &LabEnv, seed: u64, variant: Variant) -> ControllerLog {
             sc.fault(
                 Timestamp::ZERO,
                 Fault::HostSlowdown {
-                    host: env.node("S4"),
+                    host: lab.node("S4"),
                     extra_us: 80_000,
                 },
             );
@@ -70,18 +70,19 @@ fn capture(env: &LabEnv, seed: u64, variant: Variant) -> ControllerLog {
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     println!("Figure 9 - packet loss / logging change byte counts and delays\n");
 
-    let vanilla = capture(&env, 1, Variant::Vanilla);
-    let loss = capture(&env, 2, Variant::Loss);
-    let logging = capture(&env, 3, Variant::Logging);
+    let vanilla = capture(&lab, 1, Variant::Vanilla);
+    let loss = capture(&lab, 2, Variant::Loss);
+    let logging = capture(&lab, 3, Variant::Logging);
 
     // (a) byte counts of flows into the app server (port 8080).
-    let app_ip = env.ip("S4");
-    let db_ip = env.ip("S14");
-    let mut b_vanilla = edge_byte_counts(&vanilla, &env.config, app_ip, 8080);
-    let mut b_loss = edge_byte_counts(&loss, &env.config, app_ip, 8080);
+    let app_ip = lab.ip("S4");
+    let db_ip = lab.ip("S14");
+    let mut b_vanilla = edge_byte_counts(&vanilla, &config, app_ip, 8080);
+    let mut b_loss = edge_byte_counts(&loss, &config, app_ip, 8080);
     println!("--- (a) byte count CDF of web->app flows ---");
     print_cdf("vanilla", &mut b_vanilla, 10);
     print_cdf("loss", &mut b_loss, 10);
@@ -98,7 +99,7 @@ fn main() {
         ("logging", &logging),
         ("loss", &loss),
     ] {
-        let mut d: Vec<f64> = pair_delays(log, &env.config, app_ip, db_ip)
+        let mut d: Vec<f64> = pair_delays(log, &config, app_ip, db_ip)
             .into_iter()
             .map(|us| us / 1_000.0)
             .collect();
@@ -110,10 +111,10 @@ fn main() {
     // flow pairs inside the 1 s window), so the *peak* — the dependent
     // processing delay — is the robust statistic.
     let peak_of = |log: &ControllerLog| -> u64 {
-        let model = BehaviorModel::build(log, &env.config);
+        let model = BehaviorModel::build(log, &config);
         let g = model.group_of(app_ip).expect("app group");
         g.delay
-            .peaks(env.config.min_samples)
+            .peaks(config.min_samples)
             .iter()
             .find(|((a, b), _)| a.dst == app_ip && b.src == app_ip && b.dst == db_ip)
             .map(|(_, (lo, _))| *lo)

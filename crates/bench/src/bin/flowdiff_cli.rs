@@ -16,7 +16,6 @@ use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
 use flowdiff::prelude::*;
-use flowdiff_bench::LabEnv;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
@@ -72,30 +71,10 @@ fn cmd_demo(args: &[String]) -> CliResult {
         println!("\ntry:\n  flowdiff-bench watch {base_path} {cur_path}");
         return Ok(());
     }
-    let env = LabEnv::new();
+    let lab = Lab::new();
 
     let capture = |seed: u64, fault: Option<Fault>| -> ControllerLog {
-        let mut sc = Scenario::new(
-            env.topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(env.catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![env.ip("S13")],
-                vec![env.ip("S4")],
-                vec![env.ip("S14")],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: env.ip("S25"),
-                entry_hosts: vec![env.ip("S13")],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
+        let mut sc = lab.webshop(seed, 60);
         if let Some(f) = fault {
             sc.fault(Timestamp::ZERO, f);
         }
@@ -106,7 +85,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
     let current = capture(
         2,
         Some(Fault::HostSlowdown {
-            host: env.node("S4"),
+            host: lab.node("S4"),
             extra_us: 150_000,
         }),
     );
@@ -116,7 +95,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
     // torn capture behind for a later watch run to choke on.
     flowdiff::checkpoint::atomic_write(base_path.as_ref(), &baseline.to_wire_bytes())?;
     flowdiff::checkpoint::atomic_write(cur_path.as_ref(), &current.to_wire_bytes())?;
-    let specials = env
+    let specials = lab
         .catalog
         .special_ips()
         .iter()

@@ -5,40 +5,20 @@
 use std::collections::BTreeSet;
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{print_table, LabEnv};
+use flowdiff_bench::print_table;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-fn capture(env: &LabEnv, seed: u64, fault: Option<Fault>, background: bool) -> ControllerLog {
-    let mut sc = Scenario::new(
-        env.topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(61),
-    );
-    sc.services(env.catalog.clone());
-    sc.background_services(true)
-        .app(templates::three_tier(
-            "webshop",
-            vec![env.ip("S13")],
-            vec![env.ip("S4")],
-            vec![env.ip("S14")],
-            None,
-        ))
-        .client(ClientWorkload {
-            client: env.ip("S25"),
-            entry_hosts: vec![env.ip("S13")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 2_048,
-        });
+fn capture(lab: &Lab, seed: u64, fault: Option<Fault>, background: bool) -> ControllerLog {
+    let mut sc = lab.webshop(seed, 60);
+    sc.background_services(true);
     if let Some(f) = fault {
         sc.fault(Timestamp::ZERO, f);
     }
     if background {
         // Problem 7: a single long-lived iperf transfer saturating the
         // of1-of7 backbone shared with the application paths.
-        let key = openflow::match_fields::FlowKey::tcp(env.ip("S1"), 9_999, env.ip("S20"), 5_001);
+        let key = openflow::match_fields::FlowKey::tcp(lab.ip("S1"), 9_999, lab.ip("S20"), 5_001);
         sc.flow(
             Timestamp::from_secs(2),
             FlowSpec::new(key, 70_000_000_000, 58_000_000),
@@ -48,14 +28,15 @@ fn capture(env: &LabEnv, seed: u64, fault: Option<Fault>, background: bool) -> C
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
 
     println!("Table I - debugging with FlowDiff (paper, Section V-A)");
     println!("baseline: three-tier app S25 -> S13 -> S4 -> S14, Poisson 10 req/s, 60 s\n");
 
-    let l1 = capture(&env, 1, None, false);
-    let baseline = BehaviorModel::build(&l1, &env.config);
-    let stability = analyze(&l1, &baseline, &env.config);
+    let l1 = capture(&lab, 1, None, false);
+    let baseline = BehaviorModel::build(&l1, &config);
+    let stability = analyze(&l1, &baseline, &config);
 
     let problems: Vec<(&str, &str, &str, Option<Fault>, bool)> = vec![
         (
@@ -63,7 +44,7 @@ fn main() {
             "Mis-configure \"INFO\" logging on Tomcat",
             "DD",
             Some(Fault::HostSlowdown {
-                host: env.node("S4"),
+                host: lab.node("S4"),
                 extra_us: 120_000,
             }),
             false,
@@ -73,9 +54,9 @@ fn main() {
             "Emulate loss using tc on the server",
             "DD, FS",
             Some(Fault::LinkLoss {
-                link: env
+                link: lab
                     .topo
-                    .link_between(env.node("of1"), env.node("of7"))
+                    .link_between(lab.node("of1"), lab.node("of7"))
                     .expect("backbone link"),
                 rate: 0.05,
             }),
@@ -86,7 +67,7 @@ fn main() {
             "High CPU (background process)",
             "DD",
             Some(Fault::HostSlowdown {
-                host: env.node("S4"),
+                host: lab.node("S4"),
                 extra_us: 250_000,
             }),
             false,
@@ -96,7 +77,7 @@ fn main() {
             "Application crash",
             "CG, CI",
             Some(Fault::AppCrash {
-                host: env.node("S4"),
+                host: lab.node("S4"),
                 port: 8080,
             }),
             false,
@@ -106,7 +87,7 @@ fn main() {
             "Host/VM shutdown",
             "CG, CI",
             Some(Fault::HostDown {
-                host: env.node("S4"),
+                host: lab.node("S4"),
             }),
             false,
         ),
@@ -115,7 +96,7 @@ fn main() {
             "Firewall (port block)",
             "CG, CI",
             Some(Fault::PortBlock {
-                host: env.node("S14"),
+                host: lab.node("S14"),
                 port: 3306,
             }),
             false,
@@ -132,10 +113,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut detected_all = true;
     for (i, (id, label, paper_sigs, fault, background)) in problems.into_iter().enumerate() {
-        let l2 = capture(&env, 100 + i as u64, fault, background);
-        let current = BehaviorModel::build(&l2, &env.config);
-        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &env.config);
-        let report = diagnose(&diff, &current, &[], &env.config);
+        let l2 = capture(&lab, 100 + i as u64, fault, background);
+        let current = BehaviorModel::build(&l2, &config);
+        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+        let report = diagnose(&diff, &current, &[], &config);
 
         let impacted: BTreeSet<&str> = report.unknown.iter().map(|c| c.kind.name()).collect();
         let impacted_str = impacted.iter().copied().collect::<Vec<_>>().join(", ");

@@ -3,10 +3,12 @@
 //! workloads and report which signatures stay stable (no spurious diffs).
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{capture_case, print_table, table2_cases, LabEnv};
+use flowdiff_bench::{capture_case, print_table, table2_cases};
+use workloads::prelude::Lab;
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     println!("Table II - robustness of application signatures");
     println!("each case captured twice (different seeds & request rates); a robust");
     println!("signature yields zero unexplained changes between the two captures\n");
@@ -14,14 +16,14 @@ fn main() {
     let mut rows = Vec::new();
     for (ci, (case, apps)) in table2_cases().iter().enumerate() {
         // Run 1: baseline workload. Run 2: different seed and rate.
-        let l1 = capture_case(&env, apps, 10 + ci as u64, 60, 10.0);
-        let l2 = capture_case(&env, apps, 200 + ci as u64, 60, 4.0);
+        let l1 = capture_case(&lab, apps, 10 + ci as u64, 60, 10.0);
+        let l2 = capture_case(&lab, apps, 200 + ci as u64, 60, 4.0);
 
-        let baseline = BehaviorModel::build(&l1, &env.config);
-        let stability = analyze(&l1, &baseline, &env.config);
-        let current = BehaviorModel::build(&l2, &env.config);
-        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &env.config);
-        let report = diagnose(&diff, &current, &[], &env.config);
+        let baseline = BehaviorModel::build(&l1, &config);
+        let stability = analyze(&l1, &baseline, &config);
+        let current = BehaviorModel::build(&l2, &config);
+        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+        let report = diagnose(&diff, &current, &[], &config);
 
         let count_kind = |k: SignatureKind| report.unknown.iter().filter(|c| c.kind == k).count();
         let groups = baseline.groups.len();

@@ -9,7 +9,7 @@
 //! confused with an AMI).
 
 use flowdiff::prelude::*;
-use flowdiff_bench::{print_table, LabEnv};
+use flowdiff_bench::print_table;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
@@ -20,26 +20,27 @@ struct Vm {
     test_runs: u64,
 }
 
-fn startup_records(env: &LabEnv, vm: &Vm, seed: u64) -> Vec<FlowRecord> {
+fn startup_records(lab: &Lab, config: &FlowDiffConfig, vm: &Vm, seed: u64) -> Vec<FlowRecord> {
     let mut sc = Scenario::new(
-        env.topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(25),
     );
-    sc.services(env.catalog.clone());
+    sc.services(lab.catalog.clone());
     sc.task(
         Timestamp::from_secs(2),
         TaskKind::VmStartup {
-            vm: env.ip(vm.host),
+            vm: lab.ip(vm.host),
             image: vm.image,
         },
     );
-    extract_records(&sc.run().log, &env.config)
+    extract_records(&sc.run().log, config)
 }
 
 fn main() {
-    let env = LabEnv::new();
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     let vms = [
         Vm {
             label: "i-3486634d (AMI)",
@@ -76,23 +77,23 @@ fn main() {
     let mut masked = Vec::new();
     for (vi, vm) in vms.iter().enumerate() {
         let runs: Vec<Vec<FlowRecord>> = (0..TRAIN_RUNS)
-            .map(|r| startup_records(&env, vm, 1_000 * (vi as u64 + 1) + r))
+            .map(|r| startup_records(&lab, &config, vm, 1_000 * (vi as u64 + 1) + r))
             .collect();
-        unmasked.push(learn_task(vm.label, &runs, false, &env.config));
-        masked.push(learn_task(vm.label, &runs, true, &env.config));
+        unmasked.push(learn_task(vm.label, &runs, false, &config));
+        masked.push(learn_task(vm.label, &runs, true, &config));
     }
 
     // Test: fresh startup runs of each VM against each automaton.
     let mut rows = Vec::new();
     for (vi, vm) in vms.iter().enumerate() {
         let own_tests: Vec<Vec<FlowRecord>> = (0..vm.test_runs)
-            .map(|r| startup_records(&env, vm, 900_000 + 1_000 * vi as u64 + r))
+            .map(|r| startup_records(&lab, &config, vm, 900_000 + 1_000 * vi as u64 + r))
             .collect();
 
         let detect_with = |automaton: &TaskAutomaton, records: &[FlowRecord]| -> bool {
             let mut lib = TaskLibrary::new();
             lib.add(automaton.clone());
-            !lib.detect(records, &env.config).is_empty()
+            !lib.detect(records, &config).is_empty()
         };
 
         let tp_unmasked = own_tests
@@ -113,7 +114,8 @@ fn main() {
                 continue;
             }
             for r in 0..other.test_runs {
-                let records = startup_records(&env, other, 800_000 + 1_000 * vj as u64 + r);
+                let records =
+                    startup_records(&lab, &config, other, 800_000 + 1_000 * vj as u64 + r);
                 foreign += 1;
                 if detect_with(&masked[vi], &records) {
                     fp += 1;
@@ -151,11 +153,11 @@ fn main() {
         }
         // AMI masked automaton must never match Ubuntu's startup.
         for r in 0..vms[ubuntu_idx].test_runs {
-            let records = startup_records(&env, &vms[ubuntu_idx], 700_000 + r);
+            let records = startup_records(&lab, &config, &vms[ubuntu_idx], 700_000 + r);
             let mut lib = TaskLibrary::new();
             lib.add(masked[vi].clone());
             assert!(
-                lib.detect(&records, &env.config).is_empty(),
+                lib.detect(&records, &config).is_empty(),
                 "{} wrongly matched Ubuntu",
                 vm.label
             );

@@ -2,68 +2,15 @@
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it; this library holds the common setup:
-//! the lab environment, the Table II application deployments, capture
-//! helpers, and text-table/CDF output formatting.
+//! the Table II application deployments, capture helpers, and
+//! text-table/CDF output formatting. The lab testbed and the tree
+//! workload are `workloads::testbeds`.
 
 use std::net::Ipv4Addr;
 
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
-
-/// The lab data center plus service nodes and FlowDiff configuration.
-pub struct LabEnv {
-    /// The topology (lab testbed + service hosts).
-    pub topo: Topology,
-    /// Installed service catalog.
-    pub catalog: ServiceCatalog,
-    /// FlowDiff configuration with the service IPs marked special.
-    pub config: FlowDiffConfig,
-}
-
-impl Default for LabEnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LabEnv {
-    /// Builds the environment of Section V's lab experiments.
-    pub fn new() -> LabEnv {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        LabEnv {
-            topo,
-            catalog,
-            config,
-        }
-    }
-
-    /// IP of a named host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host does not exist.
-    pub fn ip(&self, name: &str) -> Ipv4Addr {
-        self.topo.host_ip(
-            self.topo
-                .node_by_name(name)
-                .unwrap_or_else(|| panic!("no host {name}")),
-        )
-    }
-
-    /// Node id of a named node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn node(&self, name: &str) -> NodeId {
-        self.topo
-            .node_by_name(name)
-            .unwrap_or_else(|| panic!("no node {name}"))
-    }
-}
 
 /// One Table II application-group deployment.
 pub struct CaseApp {
@@ -211,34 +158,34 @@ pub fn table2_cases() -> Vec<(&'static str, Vec<CaseApp>)> {
 /// Builds a scenario deploying the given case apps under Poisson
 /// workloads and captures `secs` seconds of control traffic.
 pub fn capture_case(
-    env: &LabEnv,
+    lab: &Lab,
     apps: &[CaseApp],
     seed: u64,
     secs: u64,
     rate_per_client: f64,
 ) -> ControllerLog {
     let mut sc = Scenario::new(
-        env.topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(1 + secs),
     );
-    sc.services(env.catalog.clone());
+    sc.services(lab.catalog.clone());
     for app in apps {
-        let web = env.ip(app.web);
+        let web = lab.ip(app.web);
         let multi = match app.app {
             Some(a) => templates::three_tier(
                 app.name,
                 vec![web],
-                vec![env.ip(a)],
-                vec![env.ip(app.db)],
-                app.slave.map(|s| env.ip(s)),
+                vec![lab.ip(a)],
+                vec![lab.ip(app.db)],
+                app.slave.map(|s| lab.ip(s)),
             ),
-            None => templates::two_tier(app.name, vec![web], vec![env.ip(app.db)]),
+            None => templates::two_tier(app.name, vec![web], vec![lab.ip(app.db)]),
         };
         sc.app(multi);
         sc.client(ClientWorkload {
-            client: env.ip(app.client),
+            client: lab.ip(app.client),
             entry_hosts: vec![web],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(rate_per_client),
@@ -261,33 +208,7 @@ pub fn tree_capture(n_apps: usize, seed: u64, secs: u64) -> (ControllerLog, Flow
 /// The scenario [`tree_capture`] runs, for callers that also want the
 /// simulator's own counters.
 pub fn tree_scenario(n_apps: usize, seed: u64, secs: u64) -> Scenario {
-    let topo = Topology::tree(16, 20);
-    let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-    let mut sc = Scenario::new(
-        topo,
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(1 + secs),
-    );
-    for a in 0..n_apps {
-        let pick = |tier: usize, k: usize| hosts[(a * 9 + tier * 3 + k) % hosts.len()];
-        let mut pairs = Vec::new();
-        for tier in 0..2 {
-            for i in 0..3 {
-                for j in 0..3 {
-                    let dport = if tier == 0 { 8080 } else { 3306 };
-                    pairs.push((pick(tier, i), pick(tier + 1, j), dport));
-                }
-            }
-        }
-        sc.mesh(OnOffMesh {
-            pairs,
-            process: OnOffProcess::default(),
-            reuse_prob: 0.6,
-            bytes_per_flow: 30_000,
-        });
-    }
-    sc
+    tree_mesh(Topology::tree(16, 20), n_apps, seed, secs)
 }
 
 /// Prints a fixed-width text table.
@@ -373,17 +294,17 @@ mod tests {
 
     #[test]
     fn lab_env_resolves_all_table2_hosts() {
-        let env = LabEnv::new();
+        let lab = Lab::new();
         for (_, apps) in table2_cases() {
             for a in apps {
-                let _ = env.ip(a.client);
-                let _ = env.ip(a.web);
+                let _ = lab.ip(a.client);
+                let _ = lab.ip(a.web);
                 if let Some(app) = a.app {
-                    let _ = env.ip(app);
+                    let _ = lab.ip(app);
                 }
-                let _ = env.ip(a.db);
+                let _ = lab.ip(a.db);
                 if let Some(s) = a.slave {
-                    let _ = env.ip(s);
+                    let _ = lab.ip(s);
                 }
             }
         }
@@ -391,9 +312,9 @@ mod tests {
 
     #[test]
     fn capture_case_produces_traffic() {
-        let env = LabEnv::new();
+        let lab = Lab::new();
         let (_, apps) = &table2_cases()[1];
-        let log = capture_case(&env, apps, 3, 10, 5.0);
+        let log = capture_case(&lab, apps, 3, 10, 5.0);
         assert!(log.packet_ins().count() > 50);
     }
 

@@ -1,12 +1,15 @@
-//! The benchmark's inputs, pinned: the wire bytes of the three
+//! The paper's workloads, pinned: the wire bytes of the three
 //! 320-server captures `benchmark/src/inputs.rs` generates at seed 42
-//! (`L1`, `L2`) and one small one. The simulator may get faster; these
+//! (`L1`, `L2`) and one small one, and four captures of the Table I
+//! webshop on the lab testbed (the `table1`, `flowdiff_cli demo` and
+//! `ablate_deployment` inputs). The simulator may get faster; these
 //! bytes may not move — every event, every rng draw and every timestamp
 //! of the capture is in them. What may not come back is the scan that
 //! made them slow to produce, and that is a count, not a timing.
 
 use flowdiff::checkpoint::crc32;
 use flowdiff_bench::{tree_capture, tree_scenario};
+use workloads::prelude::*;
 
 fn capture_crc(seed: u64, secs: u64) -> u32 {
     crc32(&tree_capture(8, seed, secs).0.to_wire_bytes())
@@ -39,4 +42,44 @@ fn flow_tables_answer_from_their_indexes() {
         "flow-table calls read {:.1} entries each: {stats:?}",
         stats.table_entries_examined as f64 / stats.table_ops as f64
     );
+}
+
+fn scenario_crc(sc: &Scenario) -> u32 {
+    crc32(&sc.run().log.to_wire_bytes())
+}
+
+#[test]
+fn webshop_seed_1_bytes_pinned() {
+    assert_eq!(scenario_crc(&Lab::new().webshop(1, 60)), 0xd796_a637);
+}
+
+#[test]
+fn webshop_demo_slowdown_seed_2_bytes_pinned() {
+    let lab = Lab::new();
+    let mut sc = lab.webshop(2, 60);
+    sc.fault(
+        Timestamp::ZERO,
+        Fault::HostSlowdown {
+            host: lab.node("S4"),
+            extra_us: 150_000,
+        },
+    );
+    assert_eq!(scenario_crc(&sc), 0xa5fa_854d);
+}
+
+#[test]
+fn webshop_table1_iperf_seed_106_bytes_pinned() {
+    let lab = Lab::new();
+    let mut sc = lab.webshop(106, 60);
+    let key = openflow::match_fields::FlowKey::tcp(lab.ip("S1"), 9_999, lab.ip("S20"), 5_001);
+    sc.background_services(true).flow(
+        Timestamp::from_secs(2),
+        FlowSpec::new(key, 70_000_000_000, 58_000_000),
+    );
+    assert_eq!(scenario_crc(&sc), 0x62f0_aea4);
+}
+
+#[test]
+fn webshop_hybrid_lab_seed_1_bytes_pinned() {
+    assert_eq!(scenario_crc(&Lab::hybrid().webshop(1, 60)), 0x7584_5e8d);
 }

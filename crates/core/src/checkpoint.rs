@@ -737,6 +737,26 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bytes_survive_a_resume() {
+        // Mid-capture the state holds open episodes, pending mods and LU
+        // series in hash containers, which a resume rebuilds under fresh
+        // hash seeds: the bytes must not follow their iteration order.
+        let lab = workloads::testbeds::Lab::new();
+        let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+        let baseline = baseline_of(&lab.webshop(1, 20).run().log, &config);
+        let current = lab.webshop(2, 20).run().log;
+        let half = current.len() / 2;
+        let mut differ = OnlineDiffer::try_new(Arc::clone(&baseline), &config).unwrap();
+        for event in &current.events()[..half] {
+            differ.observe(event);
+        }
+        let first = Checkpoint::capture(&differ, half as u64, &config).to_bytes();
+        let (resumed, offset) = restore(&first, &baseline, &config).unwrap();
+        let again = Checkpoint::capture(&resumed, offset, &config).to_bytes();
+        assert!(first == again, "re-captured checkpoint bytes differ");
+    }
+
+    #[test]
     fn checkpoint_save_load_through_disk() {
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);

@@ -706,7 +706,6 @@ impl OnlineDiffer {
 mod tests {
     use super::*;
     use crate::change::ChangeDirection;
-    use netsim::topology::Topology;
     use openflow::types::Timestamp;
     use workloads::prelude::*;
 
@@ -752,41 +751,18 @@ mod tests {
         assert_eq!(back, gating);
     }
 
+    /// A 40 s webshop capture, `fault` injected at its timestamp.
     fn scenario_log(
         seed: u64,
         fault: Option<(Timestamp, Fault)>,
     ) -> (ControllerLog, FlowDiffConfig) {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-        let (s13, s4, s14, s25) = (ip("S13"), ip("S4"), ip("S14"), ip("S25"));
-        let mut sc = Scenario::new(
-            topo,
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(41),
-        );
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "app",
-                vec![s13],
-                vec![s4],
-                vec![s14],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: s25,
-                entry_hosts: vec![s13],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
+        let lab = Lab::new();
+        let mut sc = lab.webshop(seed, 40);
         if let Some((at, f)) = fault {
             sc.fault(at, f);
         }
-        let result = sc.run();
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        (result.log, config)
+        let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+        (sc.run().log, config)
     }
 
     #[test]
@@ -867,9 +843,7 @@ mod tests {
     #[test]
     fn host_slowdown_shifts_dd_only() {
         let (log1, config) = scenario_log(1, None);
-        let mut topo = Topology::lab();
-        let (_, _) = install_services(&mut topo, "of7");
-        let s4 = topo.node_by_name("S4").unwrap();
+        let s4 = Lab::new().node("S4");
         let (log2, _) = scenario_log(
             2,
             Some((
@@ -901,9 +875,7 @@ mod tests {
     #[test]
     fn app_crash_changes_cg_and_ci() {
         let (log1, config) = scenario_log(1, None);
-        let mut topo = Topology::lab();
-        let (_, _) = install_services(&mut topo, "of7");
-        let s4 = topo.node_by_name("S4").unwrap();
+        let s4 = Lab::new().node("S4");
         let (log2, _) = scenario_log(
             2,
             Some((

@@ -384,13 +384,12 @@ pub fn supervise(
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
-    use std::net::Ipv4Addr;
     use std::path::PathBuf;
 
     use netsim::log::ControllerLog;
     use netsim::prelude::{
         publish_session, split_capture, CrashPlan, IngestServer, LiveOptions, SessionOptions,
-        Timestamp, Topology,
+        Topology,
     };
     use workloads::prelude::*;
 
@@ -399,36 +398,11 @@ mod tests {
     use crate::model::BehaviorModel;
     use crate::stability::analyze;
 
-    /// A short capture on the 320-server tree with `n_apps` disjoint
-    /// three-tier meshes (the bench crate's `tree_capture`).
+    /// A short capture of Section V-C's meshes on the 320-server tree.
     fn tree_log(n_apps: usize, seed: u64, secs: u64) -> ControllerLog {
-        let topo = Topology::tree(16, 20);
-        let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-        let mut sc = Scenario::new(
-            topo,
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(1 + secs),
-        );
-        for a in 0..n_apps {
-            let pick = |tier: usize, k: usize| hosts[(a * 9 + tier * 3 + k) % hosts.len()];
-            let mut pairs = Vec::new();
-            for tier in 0..2 {
-                for i in 0..3 {
-                    for j in 0..3 {
-                        let dport = if tier == 0 { 8080 } else { 3306 };
-                        pairs.push((pick(tier, i), pick(tier + 1, j), dport));
-                    }
-                }
-            }
-            sc.mesh(OnOffMesh {
-                pairs,
-                process: OnOffProcess::default(),
-                reuse_prob: 0.6,
-                bytes_per_flow: 30_000,
-            });
-        }
-        sc.run().log
+        tree_mesh(Topology::tree(16, 20), n_apps, seed, secs)
+            .run()
+            .log
     }
 
     /// A lab-scale drill: one-second epochs, a checkpoint at every one,

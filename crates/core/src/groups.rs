@@ -132,21 +132,7 @@ impl Dsu {
 /// ```
 pub fn discover_groups(records: &[FlowRecord], config: &FlowDiffConfig) -> Vec<AppGroup> {
     let il = InternedLog::of(records);
-    discover_groups_interned(&il.refs(), &il.catalog, config)
-}
-
-/// [`discover_groups`] over already-interned records: the form the
-/// model builder uses, with union-find running over dense host IDs.
-///
-/// The catalog may know more hosts than the records mention (a
-/// pre-warmed sliding-window catalog after old records were retired);
-/// only hosts appearing as a record endpoint become group members.
-pub fn discover_groups_interned(
-    records: &[&IRecord],
-    catalog: &EntityCatalog,
-    config: &FlowDiffConfig,
-) -> Vec<AppGroup> {
-    discover_window(records, catalog, config).groups
+    discover_window(&il.refs(), &il.catalog, config).groups
 }
 
 /// Marks "no slot" / "no group" in discovery's dense tables.
@@ -155,7 +141,7 @@ const NONE: u32 = u32::MAX;
 /// A window's groups, and where each of its edges sits in its group.
 #[derive(Debug, Clone, Default)]
 pub struct Discovery {
-    /// The groups, as [`discover_groups_interned`] returns them.
+    /// The groups, as [`discover_groups`] returns them.
     pub groups: Vec<AppGroup>,
     /// Indexed by [`EdgeId`] of the catalog: the edge's slot in its
     /// group, i.e. its index among the group's `edges ∪ service_edges`
@@ -171,8 +157,12 @@ pub struct Discovery {
     pub owners: Vec<u32>,
 }
 
-/// [`discover_groups_interned`], plus the per-edge slot table the model
-/// builder's group signatures bucket records by.
+/// [`discover_groups`] over already-interned records, plus the per-edge
+/// slot table the model builder's group signatures bucket records by.
+///
+/// The catalog may know more hosts than the records mention (a
+/// pre-warmed sliding-window catalog after old records were retired);
+/// only hosts appearing as a record endpoint become group members.
 ///
 /// Every per-record step is a `Vec` index through the record's
 /// [`EdgeId`]: union-find and edge classification run once per
@@ -306,18 +296,8 @@ pub fn discover_window(
 
 /// Matches groups of a current model to groups of a reference model by
 /// maximum member overlap. Returns `(ref_index, cur_index)` pairs plus
-/// the unmatched indices on each side.
-pub fn match_groups(
-    reference: &[AppGroup],
-    current: &[AppGroup],
-) -> (Vec<(usize, usize)>, Vec<usize>, Vec<usize>) {
-    let reference: Vec<&AppGroup> = reference.iter().collect();
-    let current: Vec<&AppGroup> = current.iter().collect();
-    match_group_refs(&reference, &current)
-}
-
-/// [`match_groups`] over borrowed groups — the diff and stability
-/// engines use this to match without cloning member sets.
+/// the unmatched indices on each side. The groups are borrowed, so the
+/// diff and stability engines match without cloning member sets.
 pub fn match_group_refs(
     reference: &[&AppGroup],
     current: &[&AppGroup],
@@ -481,12 +461,11 @@ mod tests {
             service_edges: BTreeSet::new(),
             record_indices: vec![],
         };
-        let reference = vec![g(&[ip(0, 1), ip(0, 2)]), g(&[ip(1, 1), ip(1, 2)])];
-        let current = vec![
-            g(&[ip(1, 1), ip(1, 2), ip(1, 3)]), // grew by one node
-            g(&[ip(2, 1), ip(2, 2)]),           // brand new app
-        ];
-        let (pairs, unmatched_ref, unmatched_cur) = match_groups(&reference, &current);
+        let (r0, r1) = (g(&[ip(0, 1), ip(0, 2)]), g(&[ip(1, 1), ip(1, 2)]));
+        let grown = g(&[ip(1, 1), ip(1, 2), ip(1, 3)]); // grew by one node
+        let new_app = g(&[ip(2, 1), ip(2, 2)]);
+        let (pairs, unmatched_ref, unmatched_cur) =
+            match_group_refs(&[&r0, &r1], &[&grown, &new_app]);
         assert_eq!(pairs, vec![(1, 0)]);
         assert_eq!(unmatched_ref, vec![0]);
         assert_eq!(unmatched_cur, vec![1]);

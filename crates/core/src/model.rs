@@ -731,18 +731,23 @@ impl BehaviorModel {
 mod tests {
     use super::*;
     use crate::records::extract_records;
-    use netsim::topology::Topology;
     use openflow::types::Timestamp;
     use std::net::Ipv4Addr;
     use workloads::prelude::*;
 
+    /// The webshop's three tiers at 8 req/s for 30 s.
     fn scenario_log() -> (ControllerLog, FlowDiffConfig) {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-        let (web, app, db, client) = (ip("S13"), ip("S4"), ip("S14"), ip("S25"));
-        let mut sc = Scenario::new(topo, 5, Timestamp::from_secs(1), Timestamp::from_secs(31));
-        sc.services(catalog.clone())
+        let lab = Lab::new();
+        let (web, app, db) = (lab.ip("S13"), lab.ip("S4"), lab.ip("S14"));
+        let client = lab.ip("S25");
+        let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+        let mut sc = Scenario::new(
+            lab.topo,
+            5,
+            Timestamp::from_secs(1),
+            Timestamp::from_secs(31),
+        );
+        sc.services(lab.catalog)
             .app(templates::three_tier(
                 "rubis",
                 vec![web],
@@ -757,9 +762,7 @@ mod tests {
                 process: ArrivalProcess::poisson_per_sec(8.0),
                 request_bytes: 2_048,
             });
-        let result = sc.run();
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        (result.log, config)
+        (sc.run().log, config)
     }
 
     fn model_from_scenario() -> BehaviorModel {

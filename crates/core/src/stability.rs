@@ -166,39 +166,14 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::topology::Topology;
     use openflow::types::Timestamp;
     use workloads::prelude::*;
 
+    /// A 60 s webshop capture.
     fn steady_scenario(seed: u64) -> (netsim::log::ControllerLog, FlowDiffConfig) {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-        let (s13, s4, s14, s25) = (ip("S13"), ip("S4"), ip("S14"), ip("S25"));
-        let mut sc = Scenario::new(
-            topo,
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "app",
-                vec![s13],
-                vec![s4],
-                vec![s14],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: s25,
-                entry_hosts: vec![s13],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        let result = sc.run();
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        (result.log, config)
+        let lab = Lab::new();
+        let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+        (lab.webshop(seed, 60).run().log, config)
     }
 
     #[test]
@@ -233,40 +208,16 @@ mod tests {
     fn flapping_edge_destabilizes_cg() {
         // An app whose web server only appears in the last fifth of the
         // log: interval CGs disagree.
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-        let (s13, s4, s14, s25) = (ip("S13"), ip("S4"), ip("S14"), ip("S25"));
-        let mut sc = Scenario::new(topo, 9, Timestamp::from_secs(1), Timestamp::from_secs(61));
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "app",
-                vec![s13],
-                vec![s4],
-                vec![s14],
-                None,
-            ))
-            // steady client on web only
-            .client(ClientWorkload {
-                client: s25,
-                entry_hosts: vec![s13],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        let result = sc.run();
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
+        let (log, config) = steady_scenario(9);
 
         // Splice in a burst of S24 -> S13 traffic only near the end.
-        let mut events: Vec<_> = result.log.events().to_vec();
+        let mut events: Vec<_> = log.events().to_vec();
         let late = Timestamp::from_secs(55);
         let burst_log = {
-            let mut topo2 = Topology::lab();
-            let (_c2, _) = install_services(&mut topo2, "of7");
-            let s24 = topo2.host_ip(topo2.node_by_name("S24").unwrap());
-            let s13 = topo2.host_ip(topo2.node_by_name("S13").unwrap());
+            let lab = Lab::new();
+            let (s24, s13) = (lab.ip("S24"), lab.ip("S13"));
             let mut sim =
-                netsim::engine::Simulation::new(topo2, netsim::config::SimConfig::default(), 11);
+                netsim::engine::Simulation::new(lab.topo, netsim::config::SimConfig::default(), 11);
             for i in 0..10u64 {
                 let key = openflow::match_fields::FlowKey::tcp(s24, 7_000 + i as u16, s13, 80);
                 sim.schedule_flow(

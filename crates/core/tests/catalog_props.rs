@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use flowdiff::config::FlowDiffConfig;
-use flowdiff::groups::{discover_groups_interned, discover_window, Discovery, Edge};
+use flowdiff::groups::{discover_window, Discovery, Edge};
 use flowdiff::ids::{EntityCatalog, HostId, IRecord, InternedLog, RecordIndex};
 use flowdiff::records::{FlowRecord, FlowTuple};
 use flowdiff::signatures::connectivity::ConnectivityGraph;
@@ -232,7 +232,7 @@ proptest! {
 
         // Catalog A: IDs assigned in first-seen record order.
         let il = InternedLog::of(&records);
-        let groups_a = discover_groups_interned(&il.refs(), &il.catalog, &config);
+        let groups_a = discover_window(&il.refs(), &il.catalog, &config).groups;
 
         // Catalog B: IDs assigned by pre-interning every host in
         // descending address order, then interning the same records.
@@ -245,7 +245,7 @@ proptest! {
         hosts.reverse();
         let (catalog_b, irecords_b) = intern_with_warmup(&records, &hosts);
         let refs_b: Vec<&IRecord> = irecords_b.iter().collect();
-        let groups_b = discover_groups_interned(&refs_b, &catalog_b, &config);
+        let groups_b = discover_window(&refs_b, &catalog_b, &config).groups;
 
         // Group discovery resolves IDs back to addresses, so the result
         // must not depend on how IDs were assigned.
@@ -265,7 +265,7 @@ proptest! {
 
         let il = InternedLog::of(&records);
         let refs_a: Vec<&IRecord> = il.records.iter().collect();
-        let groups_a = discover_groups_interned(&refs_a, &il.catalog, &config);
+        let groups_a = discover_window(&refs_a, &il.catalog, &config).groups;
 
         let mut hosts: Vec<Ipv4Addr> = records
             .iter()
@@ -276,7 +276,7 @@ proptest! {
         hosts.reverse();
         let (catalog_b, irecords_b) = intern_with_warmup(&records, &hosts);
         let refs_b: Vec<&IRecord> = irecords_b.iter().collect();
-        let groups_b = discover_groups_interned(&refs_b, &catalog_b, &config);
+        let groups_b = discover_window(&refs_b, &catalog_b, &config).groups;
         prop_assert_eq!(&groups_a, &groups_b);
 
         // Build the first group's connectivity graph under both ID

@@ -8,7 +8,10 @@
 //!
 //! * integers/floats: fixed-width little-endian (`f64` via `to_bits`)
 //! * `bool`: one byte; `char`: `u32` scalar value
-//! * sequences, maps, strings: `u64` element count, then elements
+//! * sequences, maps, strings: `u64` element count, then elements;
+//!   a `HashMap`/`HashSet` writes its entries in ascending order of
+//!   their encoded keys, so equal containers encode to equal bytes
+//!   whatever their per-instance hash seed (decoding takes any order)
 //! * `Option`: one-byte tag; enums: `u32` declaration-order tag
 //! * structs/tuples/arrays: fields in declaration order, no framing
 //!
@@ -369,9 +372,35 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
     }
 }
 
+/// Writes the `len` entries of a hash container in ascending order of
+/// their encoded keys, each key followed by `write_value` of its entry.
+/// Iteration order follows the container's random hash seed, so writing
+/// in it would give equal containers different bytes. The keys are
+/// distinct and their encodings prefix-free, so the order is total.
+fn serialize_by_key<'a, K: Serialize + 'a, E>(
+    len: usize,
+    entries: impl Iterator<Item = (&'a K, E)>,
+    out: &mut Vec<u8>,
+    mut write_value: impl FnMut(E, &mut Vec<u8>),
+) {
+    let mut keys = Vec::new();
+    let mut spans = Vec::with_capacity(len);
+    for (key, entry) in entries {
+        let start = keys.len();
+        key.serialize(&mut keys);
+        spans.push((start, keys.len(), entry));
+    }
+    spans.sort_unstable_by(|a, b| keys[a.0..a.1].cmp(&keys[b.0..b.1]));
+    (len as u64).serialize(out);
+    for (start, end, entry) in spans {
+        out.extend_from_slice(&keys[start..end]);
+        write_value(entry, out);
+    }
+}
+
 impl<T: Serialize + Eq + Hash> Serialize for HashSet<T> {
     fn serialize(&self, out: &mut Vec<u8>) {
-        serialize_seq(self.len(), self.iter(), out);
+        serialize_by_key(self.len(), self.iter().map(|k| (k, ())), out, |(), _| {});
     }
 }
 
@@ -411,11 +440,7 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 
 impl<K: Serialize + Eq + Hash, V: Serialize> Serialize for HashMap<K, V> {
     fn serialize(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).serialize(out);
-        for (k, v) in self {
-            k.serialize(out);
-            v.serialize(out);
-        }
+        serialize_by_key(self.len(), self.iter(), out, |v, out| v.serialize(out));
     }
 }
 
@@ -518,6 +543,24 @@ mod tests {
         roundtrip([1u8, 2, 3]);
         roundtrip([[true, false]; 4]);
         roundtrip((1u8, String::from("x"), 2.5f64));
+    }
+
+    #[test]
+    fn hash_containers_encode_in_key_order() {
+        // Each container draws its own hash seed, so the two iterate in
+        // different orders; their bytes must not.
+        let entry = |i: usize| (format!("flow-{i}"), i);
+        let forward: HashMap<String, usize> = (0..200).map(entry).collect();
+        let backward: HashMap<String, usize> = (0..200).rev().map(entry).collect();
+        assert_eq!(to_vec(&forward), to_vec(&backward));
+        let set: HashSet<u64> = (0..200).collect();
+        let mut sorted = to_vec(&200u64);
+        for k in 0..200u64 {
+            k.serialize(&mut sorted);
+        }
+        assert_eq!(to_vec(&set), sorted);
+        roundtrip(forward);
+        roundtrip(set);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Workload generation for the FlowDiff reproduction: multi-tier
 //! applications, request arrival processes, special-purpose service
-//! nodes, operator task flow sequences, and scenario composition.
+//! nodes, operator task flow sequences, scenario composition, and the
+//! paper's two testbeds.
 //!
 //! The paper exercises FlowDiff with retail/auction/bulletin-board
 //! three-tier applications under Poisson workloads (lab), VM lifecycle
@@ -13,20 +14,15 @@
 //! ```
 //! use workloads::prelude::*;
 //!
-//! let mut topo = Topology::lab();
-//! let (catalog, _) = install_services(&mut topo, "of7");
-//! let web = topo.host_ip(topo.node_by_name("S13").unwrap());
-//!
-//! let mut scenario = Scenario::new(
-//!     topo,
-//!     42,
-//!     Timestamp::from_secs(1),
-//!     Timestamp::from_secs(11),
+//! let lab = Lab::new();
+//! let mut scenario = lab.webshop(42, 10);
+//! // ... add tasks, faults, flows or more clients, then:
+//! scenario.fault(
+//!     Timestamp::from_secs(5),
+//!     Fault::HostSlowdown { host: lab.node("S4"), extra_us: 150_000 },
 //! );
-//! scenario.services(catalog);
-//! // ... add apps, clients, tasks, faults, then:
 //! let result = scenario.run();
-//! assert!(result.stats.flows_dead == 0);
+//! assert!(result.requests_injected > 0);
 //! ```
 
 pub mod apps;
@@ -34,6 +30,7 @@ pub mod arrival;
 pub mod scenario;
 pub mod services;
 pub mod tasks;
+pub mod testbeds;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
@@ -42,5 +39,6 @@ pub mod prelude {
     pub use crate::scenario::{OnOffMesh, Scenario, ScenarioResult};
     pub use crate::services::{install_services, ports as service_ports, ServiceCatalog};
     pub use crate::tasks::{generate_flows, TaskKind, VmImage};
+    pub use crate::testbeds::{tree_mesh, Lab};
     pub use netsim::prelude::*;
 }

@@ -228,45 +228,11 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::templates;
-    use crate::arrival::ArrivalProcess;
-    use crate::services::install_services;
-
-    fn lab_with_services() -> (Topology, ServiceCatalog) {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        (topo, catalog)
-    }
-
-    fn ip_of(topo: &Topology, name: &str) -> Ipv4Addr {
-        topo.host_ip(topo.node_by_name(name).unwrap())
-    }
+    use crate::testbeds::Lab;
 
     #[test]
     fn three_tier_scenario_produces_chained_flows() {
-        let (topo, catalog) = lab_with_services();
-        let web = ip_of(&topo, "S13");
-        let app = ip_of(&topo, "S4");
-        let db = ip_of(&topo, "S14");
-        let client = ip_of(&topo, "S25");
-
-        let mut sc = Scenario::new(topo, 7, Timestamp::from_secs(1), Timestamp::from_secs(21));
-        sc.services(catalog)
-            .app(templates::three_tier(
-                "rubis",
-                vec![web],
-                vec![app],
-                vec![db],
-                None,
-            ))
-            .client(ClientWorkload {
-                client,
-                entry_hosts: vec![web],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        let result = sc.run();
+        let result = Lab::new().webshop(7, 20).run();
         assert!(result.requests_injected > 100);
 
         // The request chain must be visible in the control traffic:
@@ -292,9 +258,9 @@ mod tests {
 
     #[test]
     fn tasks_require_service_catalog() {
-        let (topo, _) = lab_with_services();
-        let vm = ip_of(&topo, "VM1");
-        let mut sc = Scenario::new(topo, 7, Timestamp::ZERO, Timestamp::from_secs(5));
+        let lab = Lab::new();
+        let vm = lab.ip("VM1");
+        let mut sc = Scenario::new(lab.topo, 7, Timestamp::ZERO, Timestamp::from_secs(5));
         sc.task(Timestamp::from_secs(1), TaskKind::VmStop { vm });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sc.run()));
         assert!(result.is_err());
@@ -302,10 +268,10 @@ mod tests {
 
     #[test]
     fn task_flows_appear_in_log() {
-        let (topo, catalog) = lab_with_services();
-        let vm = ip_of(&topo, "VM1");
-        let mut sc = Scenario::new(topo, 7, Timestamp::ZERO, Timestamp::from_secs(10));
-        sc.services(catalog)
+        let lab = Lab::new();
+        let vm = lab.ip("VM1");
+        let mut sc = Scenario::new(lab.topo, 7, Timestamp::ZERO, Timestamp::from_secs(10));
+        sc.services(lab.catalog)
             .task(Timestamp::from_secs(1), TaskKind::MountNfs { host: vm });
         let result = sc.run();
         let nfs_flows = result
@@ -321,11 +287,15 @@ mod tests {
 
     #[test]
     fn mesh_reuse_suppresses_flows() {
-        let (topo, _) = lab_with_services();
-        let a = ip_of(&topo, "S1");
-        let b = ip_of(&topo, "S2");
+        let lab = Lab::new();
+        let (a, b) = (lab.ip("S1"), lab.ip("S2"));
         let count_with_reuse = |reuse: f64| {
-            let mut sc = Scenario::new(topo.clone(), 7, Timestamp::ZERO, Timestamp::from_secs(30));
+            let mut sc = Scenario::new(
+                lab.topo.clone(),
+                7,
+                Timestamp::ZERO,
+                Timestamp::from_secs(30),
+            );
             sc.mesh(OnOffMesh {
                 pairs: vec![(a, b, 5001)],
                 process: OnOffProcess::default(),
@@ -344,13 +314,18 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (topo, catalog) = lab_with_services();
+        let lab = Lab::new();
         let run = || {
-            let mut sc = Scenario::new(topo.clone(), 99, Timestamp::ZERO, Timestamp::from_secs(10));
-            sc.services(catalog.clone()).task(
+            let mut sc = Scenario::new(
+                lab.topo.clone(),
+                99,
+                Timestamp::ZERO,
+                Timestamp::from_secs(10),
+            );
+            sc.services(lab.catalog.clone()).task(
                 Timestamp::from_secs(1),
                 TaskKind::VmStartup {
-                    vm: ip_of(&topo, "VM2"),
+                    vm: lab.ip("VM2"),
                     image: crate::tasks::VmImage::Ubuntu,
                 },
             );

@@ -10,68 +10,22 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-struct Lab {
-    topo: Topology,
-    catalog: ServiceCatalog,
-    config: FlowDiffConfig,
-}
-
-impl Lab {
-    fn new() -> Lab {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        Lab {
-            topo,
-            catalog,
-            config,
-        }
+fn capture(lab: &Lab, seed: u64, fault: Option<Fault>) -> ControllerLog {
+    let mut sc = lab.webshop(seed, 60);
+    if let Some(f) = fault {
+        sc.fault(Timestamp::ZERO, f);
     }
-
-    fn ip(&self, n: &str) -> std::net::Ipv4Addr {
-        self.topo.host_ip(self.topo.node_by_name(n).unwrap())
-    }
-
-    fn node(&self, n: &str) -> NodeId {
-        self.topo.node_by_name(n).unwrap()
-    }
-
-    fn capture(&self, seed: u64, fault: Option<Fault>) -> ControllerLog {
-        let mut sc = Scenario::new(
-            self.topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(self.catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![self.ip("S13")],
-                vec![self.ip("S4")],
-                vec![self.ip("S14")],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: self.ip("S25"),
-                entry_hosts: vec![self.ip("S13")],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        if let Some(f) = fault {
-            sc.fault(Timestamp::ZERO, f);
-        }
-        sc.run().log
-    }
+    sc.run().log
 }
 
 fn main() {
     let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
 
     // Baseline model from a healthy capture.
-    let l1 = lab.capture(1, None);
-    let baseline = BehaviorModel::build(&l1, &lab.config);
-    let stability = analyze(&l1, &baseline, &lab.config);
+    let l1 = capture(&lab, 1, None);
+    let baseline = BehaviorModel::build(&l1, &config);
+    let stability = analyze(&l1, &baseline, &config);
 
     let backbone = lab
         .topo
@@ -119,10 +73,10 @@ fn main() {
     ];
 
     for (i, (label, fault)) in faults.into_iter().enumerate() {
-        let l2 = lab.capture(100 + i as u64, Some(fault));
-        let current = BehaviorModel::build(&l2, &lab.config);
-        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &lab.config);
-        let report = diagnose(&diff, &current, &[], &lab.config);
+        let l2 = capture(&lab, 100 + i as u64, Some(fault));
+        let current = BehaviorModel::build(&l2, &config);
+        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+        let report = diagnose(&diff, &current, &[], &config);
 
         let impacted: BTreeSet<&str> = report.unknown.iter().map(|c| c.kind.name()).collect();
         println!("== {label}");

@@ -8,41 +8,14 @@ use netsim::prelude::*;
 use workloads::prelude::*;
 
 fn main() {
-    // 1. The data center: the paper's lab testbed plus service nodes.
-    let mut topo = Topology::lab();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-    let (client, web, app, db) = (ip("S25"), ip("S13"), ip("S4"), ip("S14"));
+    // 1. The data center: the paper's lab testbed plus service nodes,
+    //    running the Table I webshop (S25 -> S13 -> S4 -> S14) under a
+    //    steady Poisson workload for 60 s.
+    let lab = Lab::new();
 
-    // 2. A three-tier application under a steady Poisson workload.
-    let build_scenario = |seed: u64| {
-        let mut sc = Scenario::new(
-            topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![web],
-                vec![app],
-                vec![db],
-                None,
-            ))
-            .client(ClientWorkload {
-                client,
-                entry_hosts: vec![web],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        sc
-    };
-
-    // 3. Capture the healthy baseline log L1 and model it.
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    let l1 = build_scenario(1).run().log;
+    // 2. Capture the healthy baseline log L1 and model it.
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    let l1 = lab.webshop(1, 60).run().log;
     let baseline = BehaviorModel::build(&l1, &config);
     let stability = analyze(&l1, &baseline, &config);
     println!(
@@ -52,21 +25,20 @@ fn main() {
         baseline.topology.adjacencies.len()
     );
 
-    // 4. Something goes wrong: the app server gets misconfigured with
+    // 3. Something goes wrong: the app server gets misconfigured with
     //    debug logging (Table I, problem #1) during the L2 capture.
-    let app_node = topo.node_by_name("S4").unwrap();
-    let mut sc2 = build_scenario(2);
+    let mut sc2 = lab.webshop(2, 60);
     sc2.fault(
         Timestamp::from_secs(5),
         Fault::HostSlowdown {
-            host: app_node,
+            host: lab.node("S4"),
             extra_us: 120_000,
         },
     );
     let l2 = sc2.run().log;
     let current = BehaviorModel::build(&l2, &config);
 
-    // 5. Diff and diagnose.
+    // 4. Diff and diagnose.
     let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
     let report = diagnose(&diff, &current, &[], &config);
     println!("\n{report}");

@@ -4,41 +4,11 @@
 //!
 //! Run with: `cargo run --release --example scalability_tour`
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
-
-/// Deploys `n_apps` randomly placed three-tier apps as ON/OFF meshes and
-/// returns the captured log.
-fn capture(topo: &Topology, n_apps: usize, seed: u64) -> ControllerLog {
-    let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-    let window = Timestamp::from_secs(20);
-    let mut sc = Scenario::new(topo.clone(), seed, Timestamp::from_secs(1), window);
-
-    for a in 0..n_apps {
-        // 3 VMs per tier, placed round-robin across the rack hosts.
-        let pick = |tier: usize, k: usize| hosts[(a * 9 + tier * 3 + k) % hosts.len()];
-        let mut pairs = Vec::new();
-        for tier in 0..2 {
-            for i in 0..3 {
-                for j in 0..3 {
-                    let dport = if tier == 0 { 8080 } else { 3306 };
-                    pairs.push((pick(tier, i), pick(tier + 1, j), dport));
-                }
-            }
-        }
-        sc.mesh(OnOffMesh {
-            pairs,
-            process: OnOffProcess::default(),
-            reuse_prob: 0.6, // the paper's TCP connection-reuse probability
-            bytes_per_flow: 30_000,
-        });
-    }
-    sc.run().log
-}
 
 fn main() {
     // Full paper scale is tree(16, 20) = 320 servers; 8 racks keeps the
@@ -56,7 +26,10 @@ fn main() {
 
     let config = FlowDiffConfig::default();
     for n_apps in [1, 3, 5, 9, 13, 19] {
-        let log = capture(&topo, n_apps, 42 + n_apps as u64);
+        // Section V-C's ON/OFF meshes over t = 1..20 s.
+        let log = tree_mesh(topo.clone(), n_apps, 42 + n_apps as u64, 19)
+            .run()
+            .log;
         let packet_ins = log.packet_ins().count();
         let span = log
             .time_range()

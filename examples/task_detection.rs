@@ -9,30 +9,23 @@ use netsim::prelude::*;
 use workloads::prelude::*;
 
 /// Captures the flow records of one isolated task run.
-fn task_run(
-    topo: &Topology,
-    catalog: &ServiceCatalog,
-    config: &FlowDiffConfig,
-    task: TaskKind,
-    seed: u64,
-) -> Vec<FlowRecord> {
+fn task_run(lab: &Lab, config: &FlowDiffConfig, task: TaskKind, seed: u64) -> Vec<FlowRecord> {
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(30),
     );
-    sc.services(catalog.clone());
+    sc.services(lab.catalog.clone());
     sc.task(Timestamp::from_secs(2), task);
     let log = sc.run().log;
     extract_records(&log, config)
 }
 
 fn main() {
-    let mut topo = Topology::lab();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    let ip = |n: &str| lab.ip(n);
 
     // 1. Learn automata from 20 training runs each.
     let mut library = TaskLibrary::new();
@@ -50,7 +43,7 @@ fn main() {
     ];
     for (name, task) in &training {
         let runs: Vec<Vec<FlowRecord>> = (0..20)
-            .map(|i| task_run(&topo, &catalog, &config, *task, 1000 + i))
+            .map(|i| task_run(&lab, &config, *task, 1000 + i))
             .collect();
         let automaton = learn_task(name, &runs, true, &config);
         println!(
@@ -66,12 +59,12 @@ fn main() {
     //    on a *different* VM and a migration between *different* hosts —
     //    masked automata must still catch both.
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         77,
         Timestamp::from_secs(1),
         Timestamp::from_secs(90),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(templates::two_tier("shop", vec![ip("S7")], vec![ip("S20")]))
         .client(ClientWorkload {
             client: ip("S23"),

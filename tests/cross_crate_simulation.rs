@@ -165,33 +165,10 @@ fn capture_persistence_preserves_the_model() {
 fn hybrid_deployment_still_detects_host_faults() {
     // Section VI incremental deployment: only the core switch is
     // OpenFlow. Detection survives; localization granularity drops.
-    let mut topo = Topology::lab_hybrid();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-
+    let lab = Lab::hybrid();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     let capture = |seed: u64, fault: Option<Fault>| {
-        let mut sc = Scenario::new(
-            topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![ip("S13")],
-                vec![ip("S4")],
-                vec![ip("S14")],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: ip("S25"),
-                entry_hosts: vec![ip("S13")],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
+        let mut sc = lab.webshop(seed, 60);
         if let Some(f) = fault {
             sc.fault(Timestamp::ZERO, f);
         }
@@ -205,11 +182,10 @@ fn hybrid_deployment_still_detects_host_faults() {
         "one OF hop infers no switch adjacency"
     );
     let stability = flowdiff::stability::analyze(&l1, &baseline, &config);
-    let slow = topo.node_by_name("S4").unwrap();
     let l2 = capture(
         2,
         Some(Fault::HostSlowdown {
-            host: slow,
+            host: lab.node("S4"),
             extra_us: 150_000,
         }),
     );

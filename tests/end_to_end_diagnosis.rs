@@ -6,80 +6,38 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-/// Half way through [`Lab::capture`]'s 60 s: the fault is absent from
-/// the first half of the capture being diagnosed.
+/// Half way through [`capture`]'s 60 s: the fault is absent from the
+/// first half of the capture being diagnosed.
 const MID_CAPTURE: Timestamp = Timestamp(31_000_000);
 
-struct Lab {
-    topo: Topology,
-    catalog: ServiceCatalog,
-    config: FlowDiffConfig,
+/// One 60 s webshop capture (t = 1 s to 61 s), `fault` injected at `onset`.
+fn capture(lab: &Lab, seed: u64, onset: Timestamp, fault: Option<Fault>) -> ControllerLog {
+    let mut sc = lab.webshop(seed, 60);
+    if let Some(f) = fault {
+        sc.fault(onset, f);
+    }
+    sc.run().log
 }
 
-impl Lab {
-    fn new() -> Lab {
-        let mut topo = Topology::lab();
-        let (catalog, _) = install_services(&mut topo, "of7");
-        let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-        Lab {
-            topo,
-            catalog,
-            config,
-        }
-    }
+/// Diagnoses `l2` against the healthy seed-1 webshop capture.
+fn diagnose_against(lab: &Lab, l2: &ControllerLog) -> DiagnosisReport {
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    let l1 = capture(lab, 1, Timestamp::ZERO, None);
+    let baseline = BehaviorModel::build(&l1, &config);
+    let stability = analyze(&l1, &baseline, &config);
+    let current = BehaviorModel::build(l2, &config);
+    let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+    diagnose(&diff, &current, &[], &config)
+}
 
-    fn ip(&self, n: &str) -> std::net::Ipv4Addr {
-        self.topo.host_ip(self.topo.node_by_name(n).unwrap())
-    }
-
-    fn node(&self, n: &str) -> NodeId {
-        self.topo.node_by_name(n).unwrap()
-    }
-
-    /// One 60 s capture (t = 1 s to 61 s), `fault` injected at `onset`.
-    fn capture(&self, seed: u64, onset: Timestamp, fault: Option<Fault>) -> ControllerLog {
-        let mut sc = Scenario::new(
-            self.topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(self.catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![self.ip("S13")],
-                vec![self.ip("S4")],
-                vec![self.ip("S14")],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: self.ip("S25"),
-                entry_hosts: vec![self.ip("S13")],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
-        if let Some(f) = fault {
-            sc.fault(onset, f);
-        }
-        sc.run().log
-    }
-
-    fn diagnose_against_baseline(&self, onset: Timestamp, fault: Option<Fault>) -> DiagnosisReport {
-        let l1 = self.capture(1, Timestamp::ZERO, None);
-        let baseline = BehaviorModel::build(&l1, &self.config);
-        let stability = analyze(&l1, &baseline, &self.config);
-        let l2 = self.capture(2, onset, fault);
-        let current = BehaviorModel::build(&l2, &self.config);
-        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &self.config);
-        diagnose(&diff, &current, &[], &self.config)
-    }
+fn diagnose_against_baseline(lab: &Lab, onset: Timestamp, fault: Option<Fault>) -> DiagnosisReport {
+    diagnose_against(lab, &capture(lab, 2, onset, fault))
 }
 
 #[test]
 fn healthy_run_raises_no_alarm() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Timestamp::ZERO, None);
+    let report = diagnose_against_baseline(&lab, Timestamp::ZERO, None);
     assert!(
         report.is_healthy(),
         "healthy L2 must produce no alarms: {report}"
@@ -89,7 +47,8 @@ fn healthy_run_raises_no_alarm() {
 #[test]
 fn logging_misconfiguration_detected_as_host_problem() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         Timestamp::ZERO,
         Some(Fault::HostSlowdown {
             host: lab.node("S4"),
@@ -111,7 +70,8 @@ fn logging_misconfiguration_detected_as_host_problem() {
 #[test]
 fn app_crash_detected_with_missing_edge() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         Timestamp::ZERO,
         Some(Fault::AppCrash {
             host: lab.node("S4"),
@@ -132,7 +92,8 @@ fn host_shutdown_detected() {
     // Shut down the app server: its outgoing edge to the database
     // vanishes (a dead host originates nothing), while inbound
     // connection attempts from the web tier still appear as SYN retries.
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         Timestamp::ZERO,
         Some(Fault::HostDown {
             host: lab.node("S4"),
@@ -154,7 +115,8 @@ fn host_shutdown_detected() {
 #[test]
 fn host_shutdown_with_mid_capture_onset_detected() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         MID_CAPTURE,
         Some(Fault::HostDown {
             host: lab.node("S4"),
@@ -174,7 +136,8 @@ fn host_shutdown_with_mid_capture_onset_detected() {
 #[test]
 fn controller_overload_detected() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         Timestamp::ZERO,
         Some(Fault::ControllerOverload { factor: 40.0 }),
     );
@@ -189,7 +152,8 @@ fn controller_overload_detected() {
 #[test]
 fn controller_overload_with_mid_capture_onset_detected() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(
+    let report = diagnose_against_baseline(
+        &lab,
         MID_CAPTURE,
         Some(Fault::ControllerOverload { factor: 40.0 }),
     );
@@ -210,7 +174,7 @@ fn controller_overload_with_mid_capture_onset_detected() {
 #[test]
 fn controller_failure_detected_as_blackout() {
     let lab = Lab::new();
-    let report = lab.diagnose_against_baseline(Timestamp::ZERO, Some(Fault::ControllerDown));
+    let report = diagnose_against_baseline(&lab, Timestamp::ZERO, Some(Fault::ControllerDown));
     assert!(!report.is_healthy());
     let crt = report
         .unknown
@@ -229,43 +193,16 @@ fn controller_failure_detected_as_blackout() {
 fn unauthorized_access_detected_as_new_edge() {
     let lab = Lab::new();
     // Craft L2 with an extra scanner host probing the db server.
-    let l1 = lab.capture(1, Timestamp::ZERO, None);
-    let baseline = BehaviorModel::build(&l1, &lab.config);
-    let stability = analyze(&l1, &baseline, &lab.config);
-
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        2,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(61),
-    );
-    sc.services(lab.catalog.clone())
-        .app(templates::three_tier(
-            "webshop",
-            vec![lab.ip("S13")],
-            vec![lab.ip("S4")],
-            vec![lab.ip("S14")],
-            None,
-        ))
-        .client(ClientWorkload {
-            client: lab.ip("S25"),
-            entry_hosts: vec![lab.ip("S13")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 2_048,
-        })
-        // the intruder: S24 talks straight to the database
-        .client(ClientWorkload {
-            client: lab.ip("S24"),
-            entry_hosts: vec![lab.ip("S14")],
-            entry_port: 3306,
-            process: ArrivalProcess::poisson_per_sec(2.0),
-            request_bytes: 512,
-        });
-    let l2 = sc.run().log;
-    let current = BehaviorModel::build(&l2, &lab.config);
-    let diff = flowdiff::diff::compare(&baseline, &current, &stability, &lab.config);
-    let report = diagnose(&diff, &current, &[], &lab.config);
+    let mut sc = lab.webshop(2, 60);
+    // the intruder: S24 talks straight to the database
+    sc.client(ClientWorkload {
+        client: lab.ip("S24"),
+        entry_hosts: vec![lab.ip("S14")],
+        entry_port: 3306,
+        process: ArrivalProcess::poisson_per_sec(2.0),
+        request_bytes: 512,
+    });
+    let report = diagnose_against(&lab, &sc.run().log);
 
     assert!(report.problems.contains(&ProblemClass::UnauthorizedAccess));
     let added: Vec<&Change> = report
@@ -285,31 +222,7 @@ fn congestion_detected_with_isl_shift() {
     // Saturate the of1-of7 backbone with iperf-like background traffic
     // (Table I #7) — injected as a mesh between two otherwise idle hosts
     // whose path crosses the same core switch.
-    let l1 = lab.capture(1, Timestamp::ZERO, None);
-    let baseline = BehaviorModel::build(&l1, &lab.config);
-    let stability = analyze(&l1, &baseline, &lab.config);
-
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        2,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(61),
-    );
-    sc.services(lab.catalog.clone())
-        .app(templates::three_tier(
-            "webshop",
-            vec![lab.ip("S13")],
-            vec![lab.ip("S4")],
-            vec![lab.ip("S14")],
-            None,
-        ))
-        .client(ClientWorkload {
-            client: lab.ip("S25"),
-            entry_hosts: vec![lab.ip("S13")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 2_048,
-        });
+    let mut sc = lab.webshop(2, 60);
     // One giant long-lived iperf transfer: S1 (on of1) -> S20, fully
     // saturating the of1-of7 backbone shared with the app paths.
     let key = openflow::match_fields::FlowKey::udp(lab.ip("S1"), 9_999, lab.ip("S20"), 5_001);
@@ -317,10 +230,7 @@ fn congestion_detected_with_isl_shift() {
         Timestamp::from_secs(2),
         FlowSpec::new(key, 70_000_000_000, 58_000_000),
     );
-    let l2 = sc.run().log;
-    let current = BehaviorModel::build(&l2, &lab.config);
-    let diff = flowdiff::diff::compare(&baseline, &current, &stability, &lab.config);
-    let report = diagnose(&diff, &current, &[], &lab.config);
+    let report = diagnose_against(&lab, &sc.run().log);
 
     assert!(
         report.unknown.iter().any(|c| c.kind == SignatureKind::Isl),

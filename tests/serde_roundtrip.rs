@@ -4,45 +4,21 @@
 //! would silently drift from freshly built ones.
 
 use flowdiff::prelude::*;
-use netsim::topology::Topology;
 use openflow::types::Timestamp;
 use workloads::prelude::*;
 
+/// A 30 s webshop capture, `fault` injected at its timestamp.
 fn captured_log(
     seed: u64,
     fault: Option<(Timestamp, Fault)>,
 ) -> (netsim::log::ControllerLog, FlowDiffConfig) {
-    let mut topo = Topology::lab();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let ip = |n: &str| topo.host_ip(topo.node_by_name(n).unwrap());
-    let (s13, s4, s14, s25) = (ip("S13"), ip("S4"), ip("S14"), ip("S25"));
-    let mut sc = Scenario::new(
-        topo,
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(31),
-    );
-    sc.services(catalog.clone())
-        .app(templates::three_tier(
-            "app",
-            vec![s13],
-            vec![s4],
-            vec![s14],
-            None,
-        ))
-        .client(ClientWorkload {
-            client: s25,
-            entry_hosts: vec![s13],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 2_048,
-        });
+    let lab = Lab::new();
+    let mut sc = lab.webshop(seed, 30);
     if let Some((at, f)) = fault {
         sc.fault(at, f);
     }
-    let result = sc.run();
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    (result.log, config)
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    (sc.run().log, config)
 }
 
 #[test]
@@ -61,9 +37,7 @@ fn model_diff_round_trips() {
     // Diff a healthy baseline against a faulty run so the diff carries
     // changes of several kinds (per-group and infrastructure).
     let (log1, config) = captured_log(7, None);
-    let mut topo = Topology::lab();
-    let (_, _) = install_services(&mut topo, "of7");
-    let s4 = topo.node_by_name("S4").unwrap();
+    let s4 = Lab::new().node("S4");
     let (log2, _) = captured_log(
         8,
         Some((

@@ -7,15 +7,10 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-fn lab() -> (Topology, ServiceCatalog, FlowDiffConfig) {
-    let mut topo = Topology::lab();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    (topo, catalog, config)
-}
-
-fn ip(topo: &Topology, n: &str) -> std::net::Ipv4Addr {
-    topo.host_ip(topo.node_by_name(n).unwrap())
+fn testbed() -> (Lab, FlowDiffConfig) {
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    (lab, config)
 }
 
 /// Builds the case-5 app with explicit per-source reuse at the app tier.
@@ -37,34 +32,28 @@ fn custom_app(
     MultiTierApp::new("custom", vec![web, app, db])
 }
 
-fn capture(
-    topo: &Topology,
-    catalog: &ServiceCatalog,
-    seed: u64,
-    rates: (f64, f64),
-    reuse: (f64, f64),
-) -> ControllerLog {
-    let s1 = ip(topo, "S1");
-    let s2 = ip(topo, "S2");
-    let s3 = ip(topo, "S3");
-    let s8 = ip(topo, "S8");
+fn capture(lab: &Lab, seed: u64, rates: (f64, f64), reuse: (f64, f64)) -> ControllerLog {
+    let s1 = lab.ip("S1");
+    let s2 = lab.ip("S2");
+    let s3 = lab.ip("S3");
+    let s8 = lab.ip("S8");
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(61),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(custom_app(s1, s2, s3, s8, reuse.0, reuse.1))
         .client(ClientWorkload {
-            client: ip(topo, "S22"),
+            client: lab.ip("S22"),
             entry_hosts: vec![s1],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(rates.0),
             request_bytes: 2_048,
         })
         .client(ClientWorkload {
-            client: ip(topo, "S21"),
+            client: lab.ip("S21"),
             entry_hosts: vec![s2],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(rates.1),
@@ -75,9 +64,9 @@ fn capture(
 
 #[test]
 fn connectivity_graph_invariant_to_workload() {
-    let (topo, catalog, config) = lab();
-    let l1 = capture(&topo, &catalog, 1, (10.0, 10.0), (0.0, 0.0));
-    let l2 = capture(&topo, &catalog, 2, (3.0, 12.0), (0.5, 0.5));
+    let (lab, config) = testbed();
+    let l1 = capture(&lab, 1, (10.0, 10.0), (0.0, 0.0));
+    let l2 = capture(&lab, 2, (3.0, 12.0), (0.5, 0.5));
     let m1 = BehaviorModel::build(&l1, &config);
     let m2 = BehaviorModel::build(&l2, &config);
     assert_eq!(m1.groups.len(), 1);
@@ -92,7 +81,7 @@ fn connectivity_graph_invariant_to_workload() {
 fn delay_peak_invariant_to_workload_and_reuse() {
     // Figure 10: across P(x, y) and R(m, n) combinations the inter-flow
     // delay peak stays at the app server's 60 ms processing time.
-    let (topo, catalog, config) = lab();
+    let (lab, config) = testbed();
     let combos = [
         ((10.0, 10.0), (0.0, 0.0)),
         ((10.0, 3.0), (0.0, 0.2)),
@@ -100,10 +89,10 @@ fn delay_peak_invariant_to_workload_and_reuse() {
         ((3.0, 10.0), (0.5, 0.5)),
         ((3.0, 10.0), (0.9, 0.1)),
     ];
-    let s3 = ip(&topo, "S3");
-    let s8 = ip(&topo, "S8");
+    let s3 = lab.ip("S3");
+    let s8 = lab.ip("S8");
     for (i, (rates, reuse)) in combos.iter().enumerate() {
-        let log = capture(&topo, &catalog, 10 + i as u64, *rates, *reuse);
+        let log = capture(&lab, 10 + i as u64, *rates, *reuse);
         let model = BehaviorModel::build(&log, &config);
         let g = &model.groups[0];
         let peaks = g.delay.peaks(config.min_samples);
@@ -124,11 +113,11 @@ fn delay_peak_invariant_to_workload_and_reuse() {
 fn partial_correlation_stable_across_reuse() {
     // Figure 11(b): connection reuse weakens visibility but not the
     // correlation between dependent edges.
-    let (topo, catalog, config) = lab();
-    let s3 = ip(&topo, "S3");
+    let (lab, config) = testbed();
+    let s3 = lab.ip("S3");
     let mut coefficients = Vec::new();
     for (i, reuse) in [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5)].iter().enumerate() {
-        let log = capture(&topo, &catalog, 20 + i as u64, (10.0, 10.0), *reuse);
+        let log = capture(&lab, 20 + i as u64, (10.0, 10.0), *reuse);
         let model = BehaviorModel::build(&log, &config);
         let g = &model.groups[0];
         for ((a, b), r) in &g.correlation.per_pair {
@@ -148,11 +137,11 @@ fn partial_correlation_stable_across_reuse() {
 fn skewed_load_balancing_marks_ci_unstable() {
     // Case 5 with a second app server and random (non-linear) balancing:
     // CI at the web server should come out unstable and be excluded.
-    let (topo, catalog, config) = lab();
-    let s5 = ip(&topo, "S5");
-    let s11 = ip(&topo, "S11");
-    let s17 = ip(&topo, "S17");
-    let s18 = ip(&topo, "S18");
+    let (lab, config) = testbed();
+    let s5 = lab.ip("S5");
+    let s11 = lab.ip("S11");
+    let s17 = lab.ip("S17");
+    let s18 = lab.ip("S18");
 
     let mut web = TierConfig::new("web", vec![s5], 80, 10_000);
     // wildly alternating weights would need time variation; emulate
@@ -163,15 +152,15 @@ fn skewed_load_balancing_marks_ci_unstable() {
     let custom = MultiTierApp::new("lb", vec![web, app, db]);
 
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         5,
         Timestamp::from_secs(1),
         Timestamp::from_secs(41),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(custom)
         .client(ClientWorkload {
-            client: ip(&topo, "S23"),
+            client: lab.ip("S23"),
             entry_hosts: vec![s5],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(4.0),

@@ -6,45 +6,34 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-fn lab() -> (Topology, ServiceCatalog, FlowDiffConfig) {
-    let mut topo = Topology::lab();
-    let (catalog, _) = install_services(&mut topo, "of7");
-    let config = FlowDiffConfig::default().with_special_ips(catalog.special_ips());
-    (topo, catalog, config)
-}
-
-fn ip(topo: &Topology, n: &str) -> std::net::Ipv4Addr {
-    topo.host_ip(topo.node_by_name(n).unwrap())
+fn testbed() -> (Lab, FlowDiffConfig) {
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    (lab, config)
 }
 
 /// Records of one isolated task run.
-fn task_run(
-    topo: &Topology,
-    catalog: &ServiceCatalog,
-    config: &FlowDiffConfig,
-    task: TaskKind,
-    seed: u64,
-) -> Vec<FlowRecord> {
+fn task_run(lab: &Lab, config: &FlowDiffConfig, task: TaskKind, seed: u64) -> Vec<FlowRecord> {
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         seed,
         Timestamp::from_secs(1),
         Timestamp::from_secs(30),
     );
-    sc.services(catalog.clone());
+    sc.services(lab.catalog.clone());
     sc.task(Timestamp::from_secs(2), task);
     extract_records(&sc.run().log, config)
 }
 
 #[test]
 fn learned_migration_automaton_detects_in_noise() {
-    let (topo, catalog, config) = lab();
+    let (lab, config) = testbed();
     let migration = TaskKind::VmMigration {
-        src_host: ip(&topo, "S1"),
-        dst_host: ip(&topo, "S2"),
+        src_host: lab.ip("S1"),
+        dst_host: lab.ip("S2"),
     };
     let runs: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| task_run(&topo, &catalog, &config, migration, 500 + i))
+        .map(|i| task_run(&lab, &config, migration, 500 + i))
         .collect();
     let automaton = learn_task("vm_migration", &runs, true, &config);
     assert!(automaton.state_count() > 0);
@@ -52,20 +41,20 @@ fn learned_migration_automaton_detects_in_noise() {
     // Production log with background traffic and a migration between
     // two different hosts at t=30s.
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         9,
         Timestamp::from_secs(1),
         Timestamp::from_secs(60),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(templates::two_tier(
             "shop",
-            vec![ip(&topo, "S7")],
-            vec![ip(&topo, "S20")],
+            vec![lab.ip("S7")],
+            vec![lab.ip("S20")],
         ))
         .client(ClientWorkload {
-            client: ip(&topo, "S23"),
-            entry_hosts: vec![ip(&topo, "S7")],
+            client: lab.ip("S23"),
+            entry_hosts: vec![lab.ip("S7")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(5.0),
             request_bytes: 4_096,
@@ -73,8 +62,8 @@ fn learned_migration_automaton_detects_in_noise() {
         .task(
             Timestamp::from_secs(30),
             TaskKind::VmMigration {
-                src_host: ip(&topo, "S5"),
-                dst_host: ip(&topo, "S6"),
+                src_host: lab.ip("S5"),
+                dst_host: lab.ip("S6"),
             },
         );
     let records = extract_records(&sc.run().log, &config);
@@ -85,38 +74,38 @@ fn learned_migration_automaton_detects_in_noise() {
     assert_eq!(events.len(), 1, "exactly one migration: {events:?}");
     assert_eq!(events[0].task, "vm_migration");
     assert!(events[0].start >= Timestamp::from_secs(30));
-    assert!(events[0].hosts.contains(&ip(&topo, "S5")));
-    assert!(events[0].hosts.contains(&ip(&topo, "S6")));
+    assert!(events[0].hosts.contains(&lab.ip("S5")));
+    assert!(events[0].hosts.contains(&lab.ip("S6")));
 }
 
 #[test]
 fn no_false_detection_without_task() {
-    let (topo, catalog, config) = lab();
+    let (lab, config) = testbed();
     let migration = TaskKind::VmMigration {
-        src_host: ip(&topo, "S1"),
-        dst_host: ip(&topo, "S2"),
+        src_host: lab.ip("S1"),
+        dst_host: lab.ip("S2"),
     };
     let runs: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| task_run(&topo, &catalog, &config, migration, 500 + i))
+        .map(|i| task_run(&lab, &config, migration, 500 + i))
         .collect();
     let automaton = learn_task("vm_migration", &runs, true, &config);
 
     // Pure application traffic: no migration anywhere.
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         11,
         Timestamp::from_secs(1),
         Timestamp::from_secs(60),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(templates::two_tier(
             "shop",
-            vec![ip(&topo, "S7")],
-            vec![ip(&topo, "S20")],
+            vec![lab.ip("S7")],
+            vec![lab.ip("S20")],
         ))
         .client(ClientWorkload {
-            client: ip(&topo, "S23"),
-            entry_hosts: vec![ip(&topo, "S7")],
+            client: lab.ip("S23"),
+            entry_hosts: vec![lab.ip("S7")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(10.0),
             request_bytes: 4_096,
@@ -132,10 +121,10 @@ fn full_task_library_builds_ordered_time_series() {
     // Learn five task automata, perform four different tasks during one
     // capture, and verify the detected time series is complete and
     // chronological (the "task time series" of Section III-D).
-    let (topo, catalog, config) = lab();
+    let (lab, config) = testbed();
     let train = |name: &str, task: TaskKind, base_seed: u64| {
         let runs: Vec<Vec<FlowRecord>> = (0..15)
-            .map(|i| task_run(&topo, &catalog, &config, task, base_seed + i))
+            .map(|i| task_run(&lab, &config, task, base_seed + i))
             .collect();
         learn_task(name, &runs, true, &config)
     };
@@ -144,78 +133,66 @@ fn full_task_library_builds_ordered_time_series() {
         .add(train(
             "vm_migration",
             TaskKind::VmMigration {
-                src_host: ip(&topo, "S1"),
-                dst_host: ip(&topo, "S2"),
+                src_host: lab.ip("S1"),
+                dst_host: lab.ip("S2"),
             },
             2_000,
         ))
         .add(train(
             "mount_nfs",
-            TaskKind::MountNfs {
-                host: ip(&topo, "S1"),
-            },
+            TaskKind::MountNfs { host: lab.ip("S1") },
             3_000,
         ))
         .add(train(
             "unmount_nfs",
-            TaskKind::UnmountNfs {
-                host: ip(&topo, "S1"),
-            },
+            TaskKind::UnmountNfs { host: lab.ip("S1") },
             4_000,
         ))
         .add(train(
             "vm_stop",
-            TaskKind::VmStop {
-                vm: ip(&topo, "VM1"),
-            },
+            TaskKind::VmStop { vm: lab.ip("VM1") },
             5_000,
         ));
 
     // One production capture with all four tasks, well separated, plus
     // background app traffic.
     let mut sc = Scenario::new(
-        topo.clone(),
+        lab.topo.clone(),
         42,
         Timestamp::from_secs(1),
         Timestamp::from_secs(120),
     );
-    sc.services(catalog.clone())
+    sc.services(lab.catalog.clone())
         .app(templates::two_tier(
             "shop",
-            vec![ip(&topo, "S7")],
-            vec![ip(&topo, "S20")],
+            vec![lab.ip("S7")],
+            vec![lab.ip("S20")],
         ))
         .client(ClientWorkload {
-            client: ip(&topo, "S23"),
-            entry_hosts: vec![ip(&topo, "S7")],
+            client: lab.ip("S23"),
+            entry_hosts: vec![lab.ip("S7")],
             entry_port: 80,
             process: ArrivalProcess::poisson_per_sec(4.0),
             request_bytes: 4_096,
         })
         .task(
             Timestamp::from_secs(15),
-            TaskKind::MountNfs {
-                host: ip(&topo, "S9"),
-            },
+            TaskKind::MountNfs { host: lab.ip("S9") },
         )
         .task(
             Timestamp::from_secs(40),
             TaskKind::VmMigration {
-                src_host: ip(&topo, "S5"),
-                dst_host: ip(&topo, "S6"),
+                src_host: lab.ip("S5"),
+                dst_host: lab.ip("S6"),
             },
         )
         .task(
             Timestamp::from_secs(70),
-            TaskKind::VmStop {
-                vm: ip(&topo, "VM3"),
-            },
+            TaskKind::VmStop { vm: lab.ip("VM3") },
         )
         .task(
             Timestamp::from_secs(95),
-            TaskKind::UnmountNfs {
-                host: ip(&topo, "S9"),
-            },
+            TaskKind::UnmountNfs { host: lab.ip("S9") },
         );
     let records = extract_records(&sc.run().log, &config);
     let events = library.detect(&records, &config);
@@ -236,38 +213,18 @@ fn full_task_library_builds_ordered_time_series() {
 
 #[test]
 fn task_validation_suppresses_known_changes() {
-    let (topo, catalog, config) = lab();
+    let (lab, config) = testbed();
 
     // Baseline: app traffic only.
     let capture = |seed: u64, with_mount: bool| {
-        let mut sc = Scenario::new(
-            topo.clone(),
-            seed,
-            Timestamp::from_secs(1),
-            Timestamp::from_secs(61),
-        );
-        sc.services(catalog.clone())
-            .app(templates::three_tier(
-                "webshop",
-                vec![ip(&topo, "S13")],
-                vec![ip(&topo, "S4")],
-                vec![ip(&topo, "S14")],
-                None,
-            ))
-            .client(ClientWorkload {
-                client: ip(&topo, "S25"),
-                entry_hosts: vec![ip(&topo, "S13")],
-                entry_port: 80,
-                process: ArrivalProcess::poisson_per_sec(10.0),
-                request_bytes: 2_048,
-            });
+        let mut sc = lab.webshop(seed, 60);
         if with_mount {
             // The operator mounts network storage on the web server
             // during L2: new S13 -> NFS service edges appear.
             sc.task(
                 Timestamp::from_secs(20),
                 TaskKind::MountNfs {
-                    host: ip(&topo, "S13"),
+                    host: lab.ip("S13"),
                 },
             );
         }
@@ -282,11 +239,9 @@ fn task_validation_suppresses_known_changes() {
     let current_records = current.records.to_vec();
 
     // Learn the mount task and detect it in L2.
-    let mount = TaskKind::MountNfs {
-        host: ip(&topo, "S1"),
-    };
+    let mount = TaskKind::MountNfs { host: lab.ip("S1") };
     let runs: Vec<Vec<FlowRecord>> = (0..15)
-        .map(|i| task_run(&topo, &catalog, &config, mount, 700 + i))
+        .map(|i| task_run(&lab, &config, mount, 700 + i))
         .collect();
     let automaton = learn_task("mount_nfs", &runs, true, &config);
     let mut library = TaskLibrary::new();
