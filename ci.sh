@@ -281,6 +281,16 @@ if grep -rn 'restore_warmup_us' crates/; then
     exit 1
 fi
 
+step "thresholds are constants"
+# The detectors' thresholds are `pub const`s in flowdiff::config
+# (DESIGN.md §6), one source per threshold: none comes back as a
+# FlowDiffConfig field beside its constant.
+if grep -nE 'pub (epoch_us|dd_bin_us|dd_window_us|chi2_threshold|isl_sigma|crt_sigma|pc_delta|fs_rel_change|dd_peak_shift_bins|stability_intervals|stability_quorum|ephemeral_port_floor|min_samples):' \
+    crates/core/src/config.rs; then
+    echo "FAIL: a threshold is a FlowDiffConfig field again (crates/core/src/config.rs)" >&2
+    exit 1
+fi
+
 step "one checkpoint format, one corruption policy"
 # The differ writes one sealed FDIFFCKP payload, and a corrupt byte
 # anywhere is a refusal (DESIGN.md, Rejected: per-shard segment

@@ -2,6 +2,7 @@
 //! the Rubbis group across cases 1-4: normalized in/out flow frequencies
 //! and the χ² values against case 1.
 
+use flowdiff::config::CHI2_THRESHOLD;
 use flowdiff::prelude::*;
 use flowdiff::stats::chi_squared;
 use flowdiff_bench::{capture_case, print_table, table2_cases};
@@ -61,7 +62,7 @@ fn main() {
     );
 
     println!("\npaper: normalized frequencies barely vary; chi2 values ~1e-3..1e-9");
-    let threshold = config.chi2_threshold;
+    let threshold = CHI2_THRESHOLD;
     assert!(
         chi2s.iter().all(|c| *c < threshold),
         "no case should cross the chi2 alarm threshold ({threshold}): {chi2s:?}"

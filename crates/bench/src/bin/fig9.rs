@@ -6,6 +6,7 @@
 //! * (b) CDF of delays between incoming and outgoing flows at the
 //!   application server, vanilla vs. logging-enabled vs. loss.
 
+use flowdiff::config::MIN_SAMPLES;
 use flowdiff::prelude::*;
 use flowdiff_bench::{edge_byte_counts, pair_delays, print_cdf};
 use netsim::prelude::*;
@@ -114,7 +115,7 @@ fn main() {
         let model = BehaviorModel::build(log, &config);
         let g = model.group_of(app_ip).expect("app group");
         g.delay
-            .peaks(config.min_samples)
+            .peaks(MIN_SAMPLES)
             .iter()
             .find(|((a, b), _)| a.dst == app_ip && b.src == app_ip && b.dst == db_ip)
             .map(|(_, (lo, _))| *lo)

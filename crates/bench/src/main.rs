@@ -663,15 +663,6 @@ fn report_latency(epoch: u64, timings: EpochTimings) {
 /// One status line per epoch snapshot.
 fn report(snapshot: &EpochSnapshot, config: &FlowDiffConfig) {
     let diagnosis = snapshot.diagnose(&[], config);
-    let changes = snapshot
-        .diff
-        .group_diffs
-        .iter()
-        .map(|g| g.changes.len())
-        .sum::<usize>()
-        + snapshot.diff.infra.len()
-        + snapshot.diff.new_groups.len()
-        + snapshot.diff.missing_groups.len();
     let gated = snapshot.suppressed().count();
     let mut verdict = if diagnosis.is_healthy() {
         "healthy".to_string()
@@ -705,7 +696,7 @@ fn report(snapshot: &EpochSnapshot, config: &FlowDiffConfig) {
         snapshot.window.0.as_secs_f64(),
         snapshot.window.1.as_secs_f64(),
         snapshot.records,
-        changes,
+        snapshot.diff.change_count(),
         verdict
     );
 }

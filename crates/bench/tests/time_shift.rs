@@ -85,17 +85,9 @@ fn shifts_that_differ<T>(
 
 /// One epoch snapshot as a [`Line`] in microseconds.
 fn line(snapshot: &EpochSnapshot) -> Line<u64> {
-    let diff = &snapshot.diff;
-    let changes = diff
-        .group_diffs
-        .iter()
-        .map(|g| g.changes.len())
-        .sum::<usize>()
-        + diff.infra.len()
-        + diff.new_groups.len()
-        + diff.missing_groups.len();
     let (start, end) = snapshot.window;
     let window = (start.as_micros(), end.as_micros());
+    let changes = snapshot.diff.change_count();
     (snapshot.epoch, window, snapshot.records, changes)
 }
 

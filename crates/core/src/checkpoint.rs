@@ -64,9 +64,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// anchored on the first admitted event, 5 and 6 those that carried a
 /// copy of the baseline and a sequencer that never re-anchored after a
 /// clock step, 7 and 8 the single and per-shard-segmented layouts of
-/// before one format served both differ shapes, and 9 that format with
-/// its shape tag, written while a sharded differ still existed.
-pub const CHECKPOINT_VERSION: u32 = 10;
+/// before one format served both differ shapes, 9 that format with its
+/// shape tag, written while a sharded differ still existed, and 10 the
+/// layout whose model builder carried a copy of the config.
+pub const CHECKPOINT_VERSION: u32 = 11;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -709,6 +710,10 @@ mod tests {
             },
         ] {
             assert_eq!(resumes(&neutral).unwrap(), 4, "{neutral:?} must resume");
+            // ... and leave no trace in the state: the config is named,
+            // not carried.
+            let theirs = Checkpoint::capture(&small_differ(&neutral), 4, &neutral).to_bytes();
+            assert!(theirs == bytes, "{neutral:?} must capture the same bytes");
         }
     }
 
@@ -726,7 +731,7 @@ mod tests {
         assert_eq!(resumed, differ);
 
         let other = FlowDiffConfig {
-            fs_rel_change: 0.75,
+            min_sup: 0.75,
             ..FlowDiffConfig::default()
         };
         let again = Checkpoint::from_bytes(&bytes).unwrap();
@@ -804,9 +809,10 @@ mod tests {
         // 5 and 6 carry a copy of the baseline and a sequencer without
         // a refused timestamp to re-anchor on; 7 and 8 are the single
         // and per-shard-segmented layouts; 9 tags the state with the
-        // differ shape. A re-stamped current file is exactly what such a
-        // file looks like to the header check, and no version but the
-        // current one may be decoded.
+        // differ shape; 10 carries the model builder's copy of the
+        // config. A re-stamped current file is exactly what such a file
+        // looks like to the header check, and no version but the current
+        // one may be decoded.
         let config = FlowDiffConfig::default();
         let baseline = empty_baseline(&config);
         let current = small_checkpoint(&config);
@@ -823,7 +829,14 @@ mod tests {
         let err = restore(v9, &baseline, &config).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unsupported format version 9 (this build reads version 10)"
+            "unsupported format version 9 (this build reads version 11)"
+        );
+        // A real v10 file: a differ half way through three lab flows.
+        let v10 = include_bytes!("../tests/data/fdiffckp_v10_flows3.bin");
+        let err = restore(v10, &baseline, &config).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported format version 10 (this build reads version 11)"
         );
     }
 

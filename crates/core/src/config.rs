@@ -1,60 +1,69 @@
-//! FlowDiff configuration: thresholds and domain knowledge.
+//! FlowDiff configuration: the detectors' thresholds and the knobs an
+//! operator sets.
+//!
+//! The thresholds each signature diff compares against are constants,
+//! because no caller sets them (DESIGN.md §6 lists their sources).
+//! Values follow the paper where it states them (20 ms delay bins, χ²
+//! at p = 0.05, 3σ latency shifts).
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-/// Tunable thresholds and operator-supplied domain knowledge.
+/// Epoch length of the partial-correlation flow-count series,
+/// microseconds.
+pub const PC_EPOCH_US: u64 = 1_000_000;
+/// Delay-distribution histogram bin width, microseconds (paper: 20 ms).
+pub const DD_BIN_US: u64 = 20_000;
+/// Maximum delay considered between dependent flows, microseconds.
+pub const DD_WINDOW_US: u64 = 1_000_000;
+/// χ² threshold for component-interaction changes (p = 0.05, 1 dof).
+pub const CHI2_THRESHOLD: f64 = 3.84;
+/// Alarm threshold on inter-switch latency shift (and on link
+/// utilization), in multiples of the baseline standard deviation.
+pub const ISL_SIGMA: f64 = 3.0;
+/// Alarm threshold on controller response time shift, in multiples of
+/// the baseline standard deviation.
+pub const CRT_SIGMA: f64 = 3.0;
+/// Alarm threshold on partial-correlation change (absolute Δr).
+pub const PC_DELTA: f64 = 0.35;
+/// Alarm threshold on relative flow-statistics change (0.5 = a 50 %
+/// shift in mean bytes or flow rate); link utilization's too.
+pub const FS_REL_CHANGE: f64 = 0.5;
+/// Alarm threshold on delay-distribution peak shift, in bins.
+pub const DD_PEAK_SHIFT_BINS: u32 = 1;
+/// Number of intervals the reference log is split into for stability
+/// analysis.
+pub const STABILITY_INTERVALS: usize = 5;
+/// Minimum fraction of intervals that must agree for a signature to be
+/// considered stable.
+pub const STABILITY_QUORUM: f64 = 0.8;
+/// Ports above this value are treated as ephemeral when canonicalizing
+/// task flows (the `*` in Figure 4).
+pub const EPHEMERAL_PORT_FLOOR: u16 = 9_999;
+/// Minimum samples (flows per edge pair, latency or counter samples) for
+/// a DD, ISL, CRT or LU statistic to be compared.
+pub const MIN_SAMPLES: usize = 5;
+
+/// Operator-supplied domain knowledge and the knobs of the online,
+/// supervised and served modes.
 ///
-/// Defaults follow the paper where it states values: 20 ms delay
-/// histogram bins, a 1-second task-interleaving bound, `min_sup = 0.6`
-/// for frequent-pattern mining, and operator-chosen χ²/latency
-/// thresholds.
+/// Defaults follow the paper where it states values: a 1-second
+/// task-interleaving bound and `min_sup = 0.6` for frequent-pattern
+/// mining.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowDiffConfig {
     /// IPs of special-purpose service nodes (DNS, NFS, …). Application
     /// nodes connected only through these are kept in separate groups.
     pub special_ips: BTreeSet<Ipv4Addr>,
-    /// Epoch length for partial-correlation time series, microseconds.
-    pub epoch_us: u64,
-    /// Delay-distribution histogram bin width, microseconds (paper: 20 ms).
-    pub dd_bin_us: u64,
-    /// Maximum delay considered between dependent flows, microseconds.
-    pub dd_window_us: u64,
     /// Task-automaton interleaving bound, microseconds (paper: 1 s).
     pub interleave_us: u64,
     /// Minimum support for frequent flow-sequence patterns (paper: 0.6).
     pub min_sup: f64,
-    /// χ² threshold for component-interaction changes.
-    pub chi2_threshold: f64,
-    /// Alarm threshold on inter-switch latency shift, in multiples of the
-    /// baseline standard deviation.
-    pub isl_sigma: f64,
-    /// Alarm threshold on controller response time shift, in multiples of
-    /// the baseline standard deviation.
-    pub crt_sigma: f64,
-    /// Alarm threshold on partial-correlation change (absolute Δr).
-    pub pc_delta: f64,
-    /// Alarm threshold on relative flow-statistics change (e.g. 0.5 =
-    /// 50 % shift in mean bytes or flow rate).
-    pub fs_rel_change: f64,
-    /// Alarm threshold on delay-distribution peak shift, in bins.
-    pub dd_peak_shift_bins: u32,
-    /// Number of intervals the reference log is split into for stability
-    /// analysis.
-    pub stability_intervals: usize,
-    /// Minimum fraction of intervals that must agree for a signature to
-    /// be considered stable.
-    pub stability_quorum: f64,
     /// Gap after which a recurring 5-tuple counts as a new flow episode,
     /// microseconds.
     pub episode_gap_us: u64,
-    /// Ports above this value are treated as ephemeral when canonicalizing
-    /// task flows (the `*` in Figure 4).
-    pub ephemeral_port_floor: u16,
-    /// Minimum flows per group edge for DD/PC statistics to be computed.
-    pub min_samples: usize,
     /// Streaming record assembly: a partial flow with no activity for
     /// this long is finalized and emitted, bounding the assembler's
     /// in-flight state. Events pairing with a flow later than this (a
@@ -138,22 +147,9 @@ impl Default for FlowDiffConfig {
     fn default() -> Self {
         FlowDiffConfig {
             special_ips: BTreeSet::new(),
-            epoch_us: 1_000_000,
-            dd_bin_us: 20_000,
-            dd_window_us: 1_000_000,
             interleave_us: 1_000_000,
             min_sup: 0.6,
-            chi2_threshold: 3.84,
-            isl_sigma: 3.0,
-            crt_sigma: 3.0,
-            pc_delta: 0.35,
-            fs_rel_change: 0.5,
-            dd_peak_shift_bins: 1,
-            stability_intervals: 5,
-            stability_quorum: 0.8,
             episode_gap_us: 2_000_000,
-            ephemeral_port_floor: 9_999,
-            min_samples: 5,
             partial_flow_timeout_us: 60_000_000,
             reorder_slack_us: 0,
             max_time_jump_us: 0,
@@ -200,8 +196,8 @@ impl FlowDiffConfig {
     }
 
     /// Checks the config for values that would make analysis nonsensical
-    /// or panic deep inside the pipeline (zero histogram bins, an online
-    /// window shorter than its epoch, vacuous support thresholds).
+    /// or panic deep inside the pipeline (a zero epoch, an online window
+    /// shorter than its epoch, a vacuous support threshold).
     /// Called by `OnlineDiffer::try_new` and the bench CLI; batch
     /// callers constructing configs by hand should call it too.
     ///
@@ -219,27 +215,14 @@ impl FlowDiffConfig {
             }
             Ok(())
         }
-        fn fraction(field: &'static str, v: f64) -> Result<(), ConfigError> {
-            if !(v > 0.0 && v <= 1.0) {
-                return Err(ConfigError {
-                    field,
-                    reason: "must be in (0, 1]",
-                });
-            }
-            Ok(())
-        }
-        nonzero("epoch_us", self.epoch_us)?;
-        nonzero("dd_bin_us", self.dd_bin_us)?;
         nonzero("episode_gap_us", self.episode_gap_us)?;
         nonzero("online_epoch_us", self.online_epoch_us)?;
-        if self.stability_intervals == 0 {
+        if !(self.min_sup > 0.0 && self.min_sup <= 1.0) {
             return Err(ConfigError {
-                field: "stability_intervals",
-                reason: "must be nonzero",
+                field: "min_sup",
+                reason: "must be in (0, 1]",
             });
         }
-        fraction("min_sup", self.min_sup)?;
-        fraction("stability_quorum", self.stability_quorum)?;
         if self.online_window_us < self.online_epoch_us {
             return Err(ConfigError {
                 field: "online_window_us",
@@ -276,7 +259,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let c = FlowDiffConfig::default();
-        assert_eq!(c.dd_bin_us, 20_000);
+        assert_eq!(DD_BIN_US, 20_000);
         assert_eq!(c.interleave_us, 1_000_000);
         assert!((c.min_sup - 0.6).abs() < 1e-12);
     }
@@ -303,20 +286,6 @@ mod tests {
         let base = FlowDiffConfig::default;
         assert_eq!(
             rejected_field(FlowDiffConfig {
-                epoch_us: 0,
-                ..base()
-            }),
-            "epoch_us"
-        );
-        assert_eq!(
-            rejected_field(FlowDiffConfig {
-                dd_bin_us: 0,
-                ..base()
-            }),
-            "dd_bin_us"
-        );
-        assert_eq!(
-            rejected_field(FlowDiffConfig {
                 episode_gap_us: 0,
                 ..base()
             }),
@@ -329,13 +298,6 @@ mod tests {
             }),
             "online_epoch_us"
         );
-        assert_eq!(
-            rejected_field(FlowDiffConfig {
-                stability_intervals: 0,
-                ..base()
-            }),
-            "stability_intervals"
-        );
         for bad in [0.0, -0.25, 1.5] {
             assert_eq!(
                 rejected_field(FlowDiffConfig {
@@ -343,13 +305,6 @@ mod tests {
                     ..base()
                 }),
                 "min_sup"
-            );
-            assert_eq!(
-                rejected_field(FlowDiffConfig {
-                    stability_quorum: bad,
-                    ..base()
-                }),
-                "stability_quorum"
             );
         }
         assert_eq!(
@@ -428,7 +383,6 @@ mod tests {
     fn validate_accepts_boundary_fractions() {
         let c = FlowDiffConfig {
             min_sup: 1.0,
-            stability_quorum: 1.0,
             ..FlowDiffConfig::default()
         };
         assert_eq!(c.validate(), Ok(()));

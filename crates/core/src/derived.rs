@@ -1,10 +1,11 @@
-//! A marker for state derived from the rest of its owner.
+//! A marker for state a checkpoint does not carry.
 
 use serde::{Deserialize, Serialize};
 
-/// State derived from the rest of its owner, for the online differ's
-/// benefit only: every value compares equal, serializes to nothing and
-/// deserializes to its default, so the checkpoint layout is unchanged.
+/// State derived from the rest of its owner, or an input its restore
+/// hands back, for the online differ's benefit only: every value
+/// compares equal, serializes to nothing and deserializes to its
+/// default, so no checkpoint carries it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Derived<T>(pub(crate) T);
 

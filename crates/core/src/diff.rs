@@ -71,6 +71,19 @@ impl ModelDiff {
             && self.infra.is_empty()
     }
 
+    /// How many changes the diff holds: every group's, the
+    /// infrastructure's, and one per new or missing group. The count an
+    /// epoch line reports.
+    pub fn change_count(&self) -> usize {
+        self.group_diffs
+            .iter()
+            .map(|g| g.changes.len())
+            .sum::<usize>()
+            + self.infra.len()
+            + self.new_groups.len()
+            + self.missing_groups.len()
+    }
+
     /// The infrastructure changes of one signature kind.
     pub fn infra_of_kind(&self, kind: SignatureKind) -> impl Iterator<Item = &Change> {
         self.infra.iter().filter(move |c| c.kind == kind)
@@ -93,12 +106,14 @@ fn gated<S: Signature>(
 }
 
 /// Compares two models, gated by the reference model's stability report
-/// (index-aligned with `reference.groups`).
+/// (index-aligned with `reference.groups`). Every threshold is a
+/// constant of [`crate::config`]; `_config` is not read, and stays
+/// because the benchmark harness passes it.
 pub fn compare(
     reference: &BehaviorModel,
     current: &BehaviorModel,
     stability: &StabilityReport,
-    config: &FlowDiffConfig,
+    _config: &FlowDiffConfig,
 ) -> ModelDiff {
     let ref_groups: Vec<&AppGroup> = reference.groups.iter().map(|g| &g.group).collect();
     let cur_groups: Vec<&AppGroup> = current.groups.iter().map(|g| &g.group).collect();
@@ -121,7 +136,6 @@ pub fn compare(
     // reference/current boundary is resolved to addresses — IDs never
     // cross logs.
     let ctx = DiffCtx {
-        config,
         records: &current.edge_index,
     };
 
@@ -557,7 +571,7 @@ impl OnlineDiffer {
             judge: Judge::restored(baseline, baseline_id, config),
             sequencer,
             assembler,
-            builder,
+            builder: IncrementalModelBuilder::with_config(builder, config),
             clock,
             timings: Derived::default(),
         })
@@ -838,6 +852,7 @@ mod tests {
             diff.is_empty(),
             "two healthy runs must not differ: {diff:#?}"
         );
+        assert_eq!(diff.change_count(), 0);
     }
 
     #[test]
@@ -897,6 +912,11 @@ mod tests {
             "app -> db edge must disappear: {:#?}",
             g.changes
         );
+        // One matched group, none new or missing: the epoch line counts
+        // its changes and the infrastructure's.
+        assert_eq!(diff.group_diffs.len(), 1);
+        assert!(diff.new_groups.is_empty() && diff.missing_groups.is_empty());
+        assert_eq!(diff.change_count(), g.changes.len() + diff.infra.len());
     }
 
     fn hello_at(ts: Timestamp) -> ControlEvent {

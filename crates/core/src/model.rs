@@ -239,16 +239,17 @@ impl Deserialize for RecordWindow {
 /// proofs, the LU counter series) as part of an online
 /// [`checkpoint`](crate::checkpoint); the record-derived signatures
 /// need no state of their own here because they are rebuilt at every
-/// snapshot from the records the builder holds. The two `Derived`
-/// fields compare equal and serialize to nothing, so equality is over
-/// the durable facts and the wire format is the other fields in
-/// declaration order.
+/// snapshot from the records the builder holds. The `Derived` fields
+/// compare equal and serialize to nothing, so equality is over the
+/// durable facts and the wire format is the other fields in declaration
+/// order. The config is one of them: a checkpoint names it by
+/// fingerprint, and the restore installs the caller's.
 ///
 /// The held records and the event-derived facts are crate-visible for
 /// the shard partials of [`harness_seam`](crate::harness_seam).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalModelBuilder {
-    config: FlowDiffConfig,
+    config: Derived<FlowDiffConfig>,
     pub(crate) records: RecordWindow,
     /// Span forced by the caller (batch wrappers use the log's time
     /// range; the online differ uses the window bounds).
@@ -410,7 +411,7 @@ impl IncrementalModelBuilder {
     /// self-contained (it outlives batch call frames in online mode).
     pub fn new(config: &FlowDiffConfig) -> IncrementalModelBuilder {
         IncrementalModelBuilder {
-            config: config.clone(),
+            config: Derived(config.clone()),
             records: RecordWindow::default(),
             span_override: None,
             observed_span: None,
@@ -418,6 +419,15 @@ impl IncrementalModelBuilder {
             lu: LuBuilder::default(),
             ws: Derived(None),
             pending: Derived(Vec::new()),
+        }
+    }
+
+    /// The builder under `config`: how a restored builder, which
+    /// deserializes without one, gets the caller's.
+    pub(crate) fn with_config(self, config: &FlowDiffConfig) -> IncrementalModelBuilder {
+        IncrementalModelBuilder {
+            config: Derived(config.clone()),
+            ..self
         }
     }
 
@@ -492,7 +502,8 @@ impl IncrementalModelBuilder {
     /// [`epoch_snapshot`](Self::epoch_snapshot) rebuilt their DD, PT,
     /// ISL and CRT partials for: every pane the first time (and the first
     /// time after a restore), afterwards the panes whose records changed
-    /// and, for DD, the panes up to `dd_window_us` before those.
+    /// and, for DD, the panes up to
+    /// [`DD_WINDOW_US`](crate::config::DD_WINDOW_US) before those.
     pub fn epoch_panes_rebuilt(&self) -> usize {
         self.ws.0.as_ref().map_or(0, |ws| ws.panes.rebuilt())
     }
@@ -551,7 +562,7 @@ impl IncrementalModelBuilder {
                 }
             }
         } else {
-            let epoch_us = self.config.online_epoch_us;
+            let epoch_us = self.config.0.online_epoch_us;
             self.ws.0 = Some(WindowState::of(self.records.interned(), epoch_us));
             self.pending.0.clear();
         }
@@ -566,7 +577,7 @@ impl IncrementalModelBuilder {
         }
 
         let records = WindowRecords::shared(&ws.records, &ws.catalog);
-        let model = model_of(records, span, &self.config, &mut ws.panes);
+        let model = model_of(records, span, &self.config.0, &mut ws.panes);
         self.with_event_facts(model)
     }
 
@@ -582,7 +593,7 @@ impl IncrementalModelBuilder {
             .span_override
             .or(self.observed_span)
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
-        let model = model_of(log.into(), span, &self.config, &mut Panes::default());
+        let model = model_of(log.into(), span, &self.config.0, &mut Panes::default());
         self.with_event_facts(model)
     }
 
@@ -632,7 +643,6 @@ fn model_of(
                 group.record_indices.iter().map(|&i| refs[i]).collect();
             let edge_slots = EdgeSlots::of_group(&group, &group_records, &slots);
             let inputs = SignatureInputs::new(&group_records, catalog, span, config)
-                .with_group(&group)
                 .with_edge_slots(&edge_slots);
             // CG is exactly the group's own edge classification,
             // already computed by discovery — cloned, not rebuilt.

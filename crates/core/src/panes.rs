@@ -5,7 +5,7 @@
 //!
 //! A pane holds the window records first seen in one epoch of the grid
 //! the boundaries fall on. Its partials read those records alone (DD's
-//! in-flows also pair with the flows of the next `dd_window_us`), and the
+//! in-flows also pair with the flows of the next [`DD_WINDOW_US`]), and the
 //! fold runs over the panes in window order, so each signature sees its
 //! samples in the window's feed order and comes out bit-identical to a
 //! build over the whole window — which is what a batch build is: one
@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use openflow::types::Timestamp;
 
-use crate::config::FlowDiffConfig;
+use crate::config::{FlowDiffConfig, DD_WINDOW_US};
 use crate::ids::{EdgeId, EntityCatalog, HostId, IRecord};
 use crate::signatures::delay::{DdFold, DdPartial, DelayDistribution};
 use crate::signatures::infra::{
@@ -98,7 +98,7 @@ impl Panes {
     ///
     /// Rebuilds the partials of every pane whose records were touched
     /// since the previous fold, and DD's also of the panes up to
-    /// `dd_window_us` before those, whose in-flows pair with the touched
+    /// [`DD_WINDOW_US`] before those, whose in-flows pair with the touched
     /// records; drops the panes the window no longer reaches.
     ///
     /// The panes pair DD's edges through ordinary nodes only: those
@@ -154,7 +154,7 @@ impl Panes {
 
         let reach = match self.width {
             0 => 0,
-            width => config.dd_window_us.div_ceil(width),
+            width => DD_WINDOW_US.div_ceil(width),
         };
         self.rebuilt = 0;
         for (id, range) in cut {
@@ -167,13 +167,13 @@ impl Panes {
             let ins = &refs[range.clone()];
             let pane = self.panes.entry(id).or_default();
             // DD pairs the pane's in-flows with the flows first seen up
-            // to `dd_window_us` after the last of them.
+            // to `DD_WINDOW_US` after the last of them.
             let last = ins[ins.len() - 1].first_seen.as_micros();
-            let until = last.saturating_add(config.dd_window_us);
+            let until = last.saturating_add(DD_WINDOW_US);
             let outs = refs[range.end..].partition_point(|r| r.first_seen.as_micros() < until);
             let feed = &refs[range.start..range.end + outs];
             self.dd.remove(&pane.dd);
-            pane.dd = self.dd.partial(feed, ins.len(), catalog, config, ordinary);
+            pane.dd = self.dd.partial(feed, ins.len(), catalog, ordinary);
             self.dd.add(&pane.dd);
             if infra_stale {
                 pane.pt = self.pt.partial(ins, catalog);
@@ -185,13 +185,9 @@ impl Panes {
         let panes = self.panes.values();
         let owner = |edge: EdgeId| Some(owners[edge.index()]).filter(|&g| g != u32::MAX);
         let group_of = |incoming: EdgeId, _: EdgeId| owner(incoming).map(|g| g as usize);
-        let mut delay = self.dd.finish(
-            panes.clone().map(|p| &p.dd),
-            catalog,
-            config.dd_bin_us,
-            n_groups,
-            group_of,
-        );
+        let mut delay = self
+            .dd
+            .finish(panes.clone().map(|p| &p.dd), catalog, n_groups, group_of);
         let topology = self.pt.finish(panes.clone().map(|p| &p.pt), catalog);
         let latency = self.isl.finish(panes.clone().map(|p| &p.isl), catalog);
         let response = ControllerResponse::fold(panes.map(|p| &p.crt), catalog);
@@ -209,7 +205,7 @@ impl Panes {
                 .collect();
             let through =
                 |node: HostId, edge: EdgeId| owner(edge).filter(|_| special[node.index()]);
-            let served = DdFold::whole(&feed, catalog, config, through, n_groups, group_of);
+            let served = DdFold::whole(&feed, catalog, through, n_groups, group_of);
             for (dd, more) in delay.iter_mut().zip(served) {
                 dd.per_pair.extend(more.per_pair);
                 dd.nearest.extend(more.nearest);

@@ -151,7 +151,7 @@ impl Signature for ConnectivityGraph {
 
     /// CG stability: a quorum of interval edge sets must largely agree
     /// (Jaccard similarity ≥ 0.8) with the full-log edge set.
-    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx<'_>) -> StabilityMask {
+    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx) -> StabilityMask {
         let votes = intervals
             .iter()
             .filter(|g| {
@@ -213,15 +213,8 @@ mod tests {
         current: &ConnectivityGraph,
         records: &[FlowRecord],
     ) -> Vec<CgChange> {
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::of_records(records);
-        reference.diff(
-            current,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        reference.diff(current, &DiffCtx { records: &index })
     }
 
     #[test]
@@ -304,12 +297,8 @@ mod tests {
     fn unstable_mask_gates_whole_diff() {
         let reference = cg(&[edge(1, 2), edge(2, 3)]);
         let current = cg(&[edge(1, 2)]);
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        let ctx = DiffCtx {
-            config: &config,
-            records: &index,
-        };
+        let ctx = DiffCtx { records: &index };
         let unstable = StabilityMask::whole(SignatureKind::Cg, false);
         assert!(reference.tagged_diff(&current, &ctx, &unstable).is_empty());
         let stable = reference.stable_mask();

@@ -11,6 +11,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
+use crate::config::{PC_DELTA, PC_EPOCH_US};
 use crate::groups::Edge;
 use crate::signatures::delay::EdgePair;
 use crate::signatures::{
@@ -64,8 +65,7 @@ impl Signature for PartialCorrelation {
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let start = inputs.span.0.as_micros();
         let end = inputs.span.1.as_micros().max(start + 1);
-        let epoch_us = inputs.config.epoch_us;
-        let epochs = ((end - start).div_ceil(epoch_us)).max(1) as usize;
+        let epochs = ((end - start).div_ceil(PC_EPOCH_US)).max(1) as usize;
         let slots = inputs.edge_slots();
         let times = slots.gather(inputs.records, |r| r.first_seen.as_micros());
         let series: Vec<(Edge, Option<Vec<f64>>)> = (slots.ranges())
@@ -75,7 +75,7 @@ impl Signature for PartialCorrelation {
                     if t < start || t >= end {
                         continue;
                     }
-                    let idx = ((t - start) / epoch_us) as usize;
+                    let idx = ((t - start) / PC_EPOCH_US) as usize;
                     let s: &mut Vec<f64> = counts.get_or_insert_with(|| vec![0.0; epochs]);
                     s[idx.min(epochs - 1)] += 1.0;
                 }
@@ -108,8 +108,8 @@ impl Signature for PartialCorrelation {
     }
 
     /// Scalar comparison (Section IV-A): pairs whose coefficient moved by
-    /// more than `config.pc_delta`.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<PcChange> {
+    /// more than [`PC_DELTA`].
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<PcChange> {
         let mut out = Vec::new();
         for (pair, reference, window) in merge_join(&self.per_pair, &current.per_pair) {
             let Some(&r_ref) = reference else {
@@ -124,7 +124,7 @@ impl Signature for PartialCorrelation {
                 reference: r_ref,
                 current: r_cur,
             };
-            if change.delta() > ctx.config.pc_delta {
+            if change.delta() > PC_DELTA {
                 out.push(change);
             }
         }
@@ -159,7 +159,7 @@ impl Signature for PartialCorrelation {
 
     /// PC stability per pair: the interval coefficients must be tight
     /// (standard deviation below 0.25) across a quorum of intervals.
-    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx<'_>) -> StabilityMask {
+    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx) -> StabilityMask {
         let loci = self
             .per_pair
             .keys()
@@ -247,15 +247,8 @@ mod tests {
     }
 
     fn diff_pc(a: &PartialCorrelation, b: &PartialCorrelation) -> Vec<PcChange> {
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]

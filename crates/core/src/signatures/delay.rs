@@ -12,7 +12,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
-use crate::config::FlowDiffConfig;
+use crate::config::{DD_BIN_US, DD_PEAK_SHIFT_BINS, DD_WINDOW_US, MIN_SAMPLES, STABILITY_QUORUM};
 use crate::groups::Edge;
 use crate::ids::{EdgeId, EntityCatalog, HostId, IRecord};
 use crate::signatures::{
@@ -82,7 +82,7 @@ impl fmt::Display for DdChange {
 }
 
 /// One pane's share of DD: each in-flow first seen in the pane paired
-/// with the flows that leave its destination within `dd_window_us` —
+/// with the flows that leave its destination within [`DD_WINDOW_US`] —
 /// wherever in the window those are first seen — as nonzero bin counts
 /// and nearest-delay samples, filed per edge pair under the pair's
 /// index in the [`DdFold`].
@@ -143,26 +143,25 @@ impl DdFold {
     pub(crate) fn whole(
         feed: &[&IRecord],
         catalog: &EntityCatalog,
-        config: &FlowDiffConfig,
         side: impl Fn(HostId, EdgeId) -> Option<u32>,
         n_groups: usize,
         group_of: impl Fn(EdgeId, EdgeId) -> Option<usize>,
     ) -> Vec<DelayDistribution> {
         let mut fold = DdFold::default();
-        let part = fold.partial(feed, feed.len(), catalog, config, side);
+        let part = fold.partial(feed, feed.len(), catalog, side);
         fold.add(&part);
         let once = std::iter::once(&part);
-        fold.finish(once, catalog, config.dd_bin_us, n_groups, group_of)
+        fold.finish(once, catalog, n_groups, group_of)
     }
 
     /// The partial of the in-flows `feed[..ins]`: for each adjacent edge
     /// pair `(A -> B, B -> C)` whose two edges are on one side of `B`,
     /// every in-flow on `A -> B` paired with every flow of `feed` on
-    /// `B -> C` that starts within `config.dd_window_us` after it; the
+    /// `B -> C` that starts within [`DD_WINDOW_US`] after it; the
     /// true processing delay emerges as the histogram mode (dependent
     /// flows recur at a fixed lag, unrelated pairs spread uniformly).
     /// `feed` is in window order and holds every window record first
-    /// seen from `feed[0]`'s time until `dd_window_us` after the last
+    /// seen from `feed[0]`'s time until [`DD_WINDOW_US`] after the last
     /// in-flow's. `side(B, edge)` is the side of `B` an edge through it
     /// is on — its group, where `B` serves several — and `None` keeps
     /// the edge out of every pair through `B`, so the pairing loop never
@@ -172,10 +171,8 @@ impl DdFold {
         feed: &[&IRecord],
         ins: usize,
         catalog: &EntityCatalog,
-        config: &FlowDiffConfig,
         side: impl Fn(HostId, EdgeId) -> Option<u32>,
     ) -> DdPartial {
-        let (bin_us, window_us) = (config.dd_bin_us, config.dd_window_us);
         // Arrival times per edge by one counting pass, each edge's in
         // feed order and so sorted: the `l`-th edge seen owns
         // `times[starts[l]..starts[l + 1]]`, the first `in_counts[l]` of
@@ -258,10 +255,10 @@ impl DdFold {
                         let Some(d) = t_out.checked_sub(t_in) else {
                             continue;
                         };
-                        if d >= window_us {
+                        if d >= DD_WINDOW_US {
                             break;
                         }
-                        let bin = (d / bin_us) as usize;
+                        let bin = (d / DD_BIN_US) as usize;
                         if bin >= hist.len() {
                             hist.resize(bin + 1, 0);
                         }
@@ -323,7 +320,6 @@ impl DdFold {
         &self,
         parts: impl Iterator<Item = &'a DdPartial> + Clone,
         catalog: &EntityCatalog,
-        bin_us: u64,
         n_groups: usize,
         group_of: impl Fn(EdgeId, EdgeId) -> Option<usize>,
     ) -> Vec<DelayDistribution> {
@@ -345,7 +341,7 @@ impl DdFold {
                 continue;
             };
             let key = (catalog.edge_addr(incoming), catalog.edge_addr(outgoing));
-            let hist = Histogram::from_counts(bin_us, counts.clone());
+            let hist = Histogram::from_counts(DD_BIN_US, counts.clone());
             out[g].per_pair.insert(key, hist);
             out[g].nearest.insert(key, nearest[pair].summary());
         }
@@ -361,37 +357,34 @@ impl Signature for DelayDistribution {
     /// group's records (or no group's), so every pair of its edges
     /// counts.
     fn build(inputs: &SignatureInputs<'_>) -> Self {
-        let (feed, catalog, config) = (inputs.records, inputs.catalog, inputs.config);
-        let mut dd = DdFold::whole(feed, catalog, config, |_, _| Some(0), 1, |_, _| Some(0));
+        let (feed, catalog) = (inputs.records, inputs.catalog);
+        let mut dd = DdFold::whole(feed, catalog, |_, _| Some(0), 1, |_, _| Some(0));
         dd.pop().expect("one group asked for")
     }
 
     /// Delay-distribution comparison (Section IV-A): reports pairs whose
-    /// histogram peak moved by at least `config.dd_peak_shift_bins` bins.
+    /// histogram peak moved by at least [`DD_PEAK_SHIFT_BINS`] bins.
     /// The nearest-pair mean shift is reported alongside for context.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<DdChange> {
-        let config = ctx.config;
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<DdChange> {
         let mut out = Vec::new();
         for (pair, reference, window) in merge_join(&self.per_pair, &current.per_pair) {
             let (Some(reference), Some(window)) = (reference, window) else {
                 continue;
             };
-            let Some(ref_peak) = peak(reference, config.min_samples) else {
+            let Some(ref_peak) = peak(reference, MIN_SAMPLES) else {
                 continue;
             };
-            let Some(cur_peak) = peak(window, config.min_samples) else {
+            let Some(cur_peak) = peak(window, MIN_SAMPLES) else {
                 continue;
             };
-            let ref_bin = ref_peak.0 / config.dd_bin_us;
-            let cur_bin = cur_peak.0 / config.dd_bin_us;
+            let ref_bin = ref_peak.0 / DD_BIN_US;
+            let cur_bin = cur_peak.0 / DD_BIN_US;
             let shift = ref_bin.abs_diff(cur_bin) as u32;
-            if shift < config.dd_peak_shift_bins {
+            if shift < DD_PEAK_SHIFT_BINS {
                 continue;
             }
             let mean_shift_us = match (self.nearest.get(pair), current.nearest.get(pair)) {
-                (Some(r), Some(c)) if r.n >= config.min_samples && c.n >= config.min_samples => {
-                    c.mean - r.mean
-                }
+                (Some(r), Some(c)) if r.n >= MIN_SAMPLES && c.n >= MIN_SAMPLES => c.mean - r.mean,
                 _ => 0.0,
             };
             out.push(DdChange {
@@ -441,9 +434,8 @@ impl Signature for DelayDistribution {
     /// one bin of the full-log peak for a quorum fraction of the
     /// intervals that observed the pair at all. A pair without a
     /// full-log peak (too few samples) has no diffing license.
-    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx<'_>) -> StabilityMask {
-        let config = ctx.config;
-        let full_peaks = self.peaks(config.min_samples);
+    fn stability(&self, intervals: &[&Self], _ctx: &StabilityCtx) -> StabilityMask {
+        let full_peaks = self.peaks(MIN_SAMPLES);
         let loci = self
             .per_pair
             .keys()
@@ -457,13 +449,12 @@ impl Signature for DelayDistribution {
                     let peaks = g.peaks(1);
                     if let Some(p) = peaks.get(pair) {
                         observed += 1;
-                        if p.0.abs_diff(full_peak.0) <= config.dd_bin_us {
+                        if p.0.abs_diff(full_peak.0) <= DD_BIN_US {
                             votes += 1;
                         }
                     }
                 }
-                let stable =
-                    observed > 0 && votes as f64 / observed as f64 >= config.stability_quorum;
+                let stable = observed > 0 && votes as f64 / observed as f64 >= STABILITY_QUORUM;
                 (Locus::Pair(*pair), stable)
             })
             .collect();
@@ -531,15 +522,8 @@ mod tests {
     }
 
     fn diff_dd(a: &DelayDistribution, b: &DelayDistribution) -> Vec<DdChange> {
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]
@@ -666,12 +650,8 @@ mod tests {
     fn per_pair_mask_gates_the_shifted_pair() {
         let base = dd_of(&chain(100, 60_000, 50_000));
         let slowed = dd_of(&chain(100, 160_000, 50_000));
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        let ctx = DiffCtx {
-            config: &config,
-            records: &index,
-        };
+        let ctx = DiffCtx { records: &index };
         let stable = base.stable_mask();
         assert_eq!(base.tagged_diff(&slowed, &ctx, &stable).len(), 1);
         let pair = *base.per_pair.keys().next().unwrap();

@@ -10,6 +10,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
+use crate::config::FS_REL_CHANGE;
 use crate::groups::Edge;
 use crate::signatures::{
     merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
@@ -152,9 +153,9 @@ impl Signature for FlowStatsSig {
     }
 
     /// Scalar comparison (Section IV-A): reports metrics whose relative
-    /// change exceeds `config.fs_rel_change`, plus byte-count means that
+    /// change exceeds [`FS_REL_CHANGE`], plus byte-count means that
     /// shifted significantly per the standard-error test above.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<FsChange> {
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<FsChange> {
         fn push(out: &mut Vec<FsChange>, metric: FsMetric, edge: Option<Edge>, a: f64, b: f64) {
             out.push(FsChange {
                 metric,
@@ -164,9 +165,8 @@ impl Signature for FlowStatsSig {
                 rel_change: rel(a, b),
             });
         }
-        let threshold = ctx.config.fs_rel_change;
         let mut out = Vec::new();
-        if rel(self.flows_per_sec, current.flows_per_sec) > threshold {
+        if rel(self.flows_per_sec, current.flows_per_sec) > FS_REL_CHANGE {
             push(
                 &mut out,
                 FsMetric::FlowRate,
@@ -175,7 +175,7 @@ impl Signature for FlowStatsSig {
                 current.flows_per_sec,
             );
         }
-        if rel(self.bytes.mean, current.bytes.mean) > threshold
+        if rel(self.bytes.mean, current.bytes.mean) > FS_REL_CHANGE
             || bytes_shifted(&self.bytes, &current.bytes)
         {
             push(
@@ -186,7 +186,7 @@ impl Signature for FlowStatsSig {
                 current.bytes.mean,
             );
         }
-        if rel(self.duration_s.mean, current.duration_s.mean) > threshold {
+        if rel(self.duration_s.mean, current.duration_s.mean) > FS_REL_CHANGE {
             push(
                 &mut out,
                 FsMetric::Duration,
@@ -197,7 +197,7 @@ impl Signature for FlowStatsSig {
         }
         for (edge, ref_stats, cur_stats) in merge_join(&self.per_edge, &current.per_edge) {
             if let (Some(ref_stats), Some(cur_stats)) = (ref_stats, cur_stats) {
-                if rel(ref_stats.bytes.mean, cur_stats.bytes.mean) > threshold
+                if rel(ref_stats.bytes.mean, cur_stats.bytes.mean) > FS_REL_CHANGE
                     || bytes_shifted(&ref_stats.bytes, &cur_stats.bytes)
                 {
                     push(
@@ -208,7 +208,7 @@ impl Signature for FlowStatsSig {
                         cur_stats.bytes.mean,
                     );
                 }
-                if rel(ref_stats.flow_count as f64, cur_stats.flow_count as f64) > threshold {
+                if rel(ref_stats.flow_count as f64, cur_stats.flow_count as f64) > FS_REL_CHANGE {
                     push(
                         &mut out,
                         FsMetric::FlowRate,
@@ -257,7 +257,7 @@ impl Signature for FlowStatsSig {
 
     /// FS stability: the coefficient of variation of the interval mean
     /// byte counts must stay small across a quorum of active intervals.
-    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx<'_>) -> StabilityMask {
+    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx) -> StabilityMask {
         let byte_means: Vec<f64> = intervals
             .iter()
             .filter(|g| g.flow_count > 0)
@@ -314,19 +314,9 @@ mod tests {
         ))
     }
 
-    fn diff_fs(a: &FlowStatsSig, b: &FlowStatsSig, threshold: f64) -> Vec<FsChange> {
-        let config = FlowDiffConfig {
-            fs_rel_change: threshold,
-            ..FlowDiffConfig::default()
-        };
+    fn diff_fs(a: &FlowStatsSig, b: &FlowStatsSig) -> Vec<FsChange> {
         let index = RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]
@@ -369,7 +359,7 @@ mod tests {
     fn no_change_below_threshold() {
         let records = vec![record(1, 2, 1_000, 1), record(1, 2, 1_100, 2)];
         let fs1 = build_fs(&records);
-        assert!(diff_fs(&fs1, &fs1, 0.5).is_empty());
+        assert!(diff_fs(&fs1, &fs1).is_empty());
     }
 
     #[test]
@@ -378,13 +368,13 @@ mod tests {
         let loss = vec![record(1, 2, 2_500, 1), record(1, 2, 2_700, 2)];
         let fs1 = build_fs(&base);
         let fs2 = build_fs(&loss);
-        let changes = diff_fs(&fs1, &fs2, 0.5);
+        let changes = diff_fs(&fs1, &fs2);
         assert!(changes
             .iter()
             .any(|c| c.metric == FsMetric::Bytes && c.edge.is_some()));
         assert!(changes
             .iter()
-            .all(|c| c.metric != FsMetric::FlowRate || c.rel_change <= 0.5));
+            .all(|c| c.metric != FsMetric::FlowRate || c.rel_change <= FS_REL_CHANGE));
     }
 
     #[test]
@@ -392,7 +382,7 @@ mod tests {
         let fs = build_fs(&[]);
         assert_eq!(fs.flow_count, 0);
         assert_eq!(fs.bytes.n, 0);
-        assert!(diff_fs(&fs, &fs, 0.1).is_empty());
+        assert!(diff_fs(&fs, &fs).is_empty());
     }
 
     #[test]
@@ -401,7 +391,7 @@ mod tests {
         let quiet = vec![record(1, 2, 1_000, 1)];
         let fs1 = build_fs(&base);
         let fs2 = build_fs(&quiet);
-        let changes = diff_fs(&fs1, &fs2, 0.5);
+        let changes = diff_fs(&fs1, &fs2);
         assert!(changes.iter().any(|c| c.metric == FsMetric::FlowRate));
     }
 

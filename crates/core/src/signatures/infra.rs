@@ -20,6 +20,7 @@ use openflow::types::{DatapathId, PortNo};
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
+use crate::config::{CRT_SIGMA, ISL_SIGMA, MIN_SAMPLES};
 use crate::ids::{
     pack_port_pair, pack_switch_pair, unpack_port_pair, unpack_switch_pair, EntityCatalog, HostId,
     IRecord, PortId, SwitchId,
@@ -207,20 +208,19 @@ impl Signature for InterSwitchLatency {
         fold.finish(std::iter::once(&part), inputs.catalog)
     }
 
-    /// Flags pairs whose mean latency moved beyond `config.isl_sigma`
+    /// Flags pairs whose mean latency moved beyond [`ISL_SIGMA`]
     /// baseline standard deviations.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<IslChange> {
-        let config = ctx.config;
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<IslChange> {
         let mut out = Vec::new();
         for (pair, ref_stats) in &self.per_pair {
             let Some(cur_stats) = current.per_pair.get(pair) else {
                 continue;
             };
-            if ref_stats.n < config.min_samples || cur_stats.n < config.min_samples {
+            if ref_stats.n < MIN_SAMPLES || cur_stats.n < MIN_SAMPLES {
                 continue;
             }
             let sigmas = ref_stats.shift_sigmas(cur_stats);
-            if sigmas > config.isl_sigma {
+            if sigmas > ISL_SIGMA {
                 out.push(IslChange {
                     pair: *pair,
                     reference: *ref_stats,
@@ -233,7 +233,7 @@ impl Signature for InterSwitchLatency {
         out
     }
 
-    /// ISL is already gated by `min_samples`.
+    /// ISL is already gated by [`MIN_SAMPLES`].
     fn locus(_change: &IslChange) -> Locus {
         Locus::Whole
     }
@@ -309,14 +309,13 @@ impl Signature for ControllerResponse {
         ControllerResponse::fold(std::iter::once(&part), inputs.catalog)
     }
 
-    /// Flags an overall response-time shift beyond `config.crt_sigma`, or
+    /// Flags an overall response-time shift beyond [`CRT_SIGMA`], or
     /// a jump in the unanswered-`PacketIn` fraction (the controller
     /// stopped replying — its failure mode). At most one change is
     /// produced: the controller is a single component.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<CrtChange> {
-        let config = ctx.config;
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<CrtChange> {
         let unanswered = (self.unanswered_fraction(), current.unanswered_fraction());
-        let blackout = current.answered + current.unanswered >= config.min_samples
+        let blackout = current.answered + current.unanswered >= MIN_SAMPLES
             && unanswered.1 > unanswered.0 + 0.3;
         if blackout {
             return vec![CrtChange {
@@ -326,11 +325,11 @@ impl Signature for ControllerResponse {
                 unanswered,
             }];
         }
-        if self.overall.n < config.min_samples || current.overall.n < config.min_samples {
+        if self.overall.n < MIN_SAMPLES || current.overall.n < MIN_SAMPLES {
             return Vec::new();
         }
         let sigmas = self.overall.shift_sigmas(&current.overall);
-        if sigmas > config.crt_sigma {
+        if sigmas > CRT_SIGMA {
             vec![CrtChange {
                 reference: self.overall,
                 current: current.overall,
@@ -687,15 +686,8 @@ mod tests {
     }
 
     fn diff_of<S: Signature>(a: &S, b: &S) -> Vec<S::Change> {
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::net::Ipv4Addr;
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
+use crate::config::CHI2_THRESHOLD;
 use crate::groups::Edge;
 use crate::signatures::{
     merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
@@ -95,7 +96,7 @@ impl Signature for ComponentInteraction {
     /// χ² fitness test per node (Section IV-A). Nodes present in only
     /// one log are skipped; the CG diff covers new/removed nodes more
     /// precisely.
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<CiChange> {
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<CiChange> {
         let mut out = Vec::new();
         let mut scratch = Chi2Scratch::default();
         for (node, reference, observed) in merge_join(&self.per_node, &current.per_node) {
@@ -106,7 +107,7 @@ impl Signature for ComponentInteraction {
                 continue;
             };
             let chi2 = scratch.chi2(reference, observed);
-            if chi2 > ctx.config.chi2_threshold {
+            if chi2 > CHI2_THRESHOLD {
                 out.push(CiChange { node: *node, chi2 });
             }
         }
@@ -143,16 +144,14 @@ impl Signature for ComponentInteraction {
     /// full-log profile (χ² below the alarm threshold). Nodes with
     /// non-linear decision logic, e.g. skewed load balancing, come out
     /// unstable.
-    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx<'_>) -> StabilityMask {
+    fn stability(&self, intervals: &[&Self], ctx: &StabilityCtx) -> StabilityMask {
         let loci = self
             .per_node
             .keys()
             .map(|node| {
                 let votes = intervals
                     .iter()
-                    .filter(|g| {
-                        node_chi2(self, g, *node).is_some_and(|c| c < ctx.config.chi2_threshold)
-                    })
+                    .filter(|g| node_chi2(self, g, *node).is_some_and(|c| c < CHI2_THRESHOLD))
                     .count();
                 (Locus::Node(*node), votes >= ctx.quorum)
             })
@@ -246,15 +245,8 @@ mod tests {
     }
 
     fn diff_ci(a: &ComponentInteraction, b: &ComponentInteraction) -> Vec<CiChange> {
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]
@@ -319,12 +311,8 @@ mod tests {
     fn per_node_mask_gates_only_unstable_nodes() {
         let ci_a = build_ci(&records(&[(1, 2, 50), (2, 3, 50)]));
         let ci_b = build_ci(&records(&[(1, 2, 50), (2, 3, 5)]));
-        let config = FlowDiffConfig::default();
         let index = RecordIndex::default();
-        let ctx = DiffCtx {
-            config: &config,
-            records: &index,
-        };
+        let ctx = DiffCtx { records: &index };
         // All shifted nodes stable: every change survives.
         let all = ci_a.tagged_diff(&ci_b, &ctx, &ci_a.stable_mask());
         assert!(!all.is_empty());

@@ -52,13 +52,11 @@ use crate::ids::{EdgeId, EntityCatalog, IRecord, RecordIndex};
 use netsim::log::ControllerLog;
 
 /// Everything a signature may need to build itself. Each signature picks
-/// the fields it cares about: application signatures use the group and
-/// its records, infrastructure signatures use all records, and LU reads
-/// the raw log (port-stats replies never become flow records).
+/// the fields it cares about: application signatures use their group's
+/// records, infrastructure signatures use all records, and LU reads the
+/// raw log (port-stats replies never become flow records).
 #[derive(Clone, Copy)]
 pub struct SignatureInputs<'a> {
-    /// The application group (application signatures only).
-    pub group: Option<&'a AppGroup>,
     /// The records to build from: the group's records for application
     /// signatures, every record in the log for infrastructure ones.
     /// Already interned through `catalog`, and in window order:
@@ -73,7 +71,7 @@ pub struct SignatureInputs<'a> {
     pub catalog: &'a EntityCatalog,
     /// The log's time window.
     pub span: (Timestamp, Timestamp),
-    /// Thresholds and domain knowledge.
+    /// Domain knowledge (which nodes are service nodes).
     pub config: &'a FlowDiffConfig,
     /// The raw controller log (LU only).
     pub log: Option<&'a ControllerLog>,
@@ -101,7 +99,6 @@ impl<'a> SignatureInputs<'a> {
             "records must be in ascending (first_seen, tuple) order"
         );
         SignatureInputs {
-            group: None,
             records,
             catalog,
             span,
@@ -109,13 +106,6 @@ impl<'a> SignatureInputs<'a> {
             log: None,
             edge_slots: None,
         }
-    }
-
-    /// Attaches the application group (builder style).
-    #[must_use]
-    pub fn with_group(mut self, group: &'a AppGroup) -> Self {
-        self.group = Some(group);
-        self
     }
 
     /// Attaches the raw controller log (builder style).
@@ -301,8 +291,6 @@ pub(crate) fn merge_join<K: Ord, A, B>(
 /// Context for diffing two signatures of the same kind.
 #[derive(Clone, Copy)]
 pub struct DiffCtx<'a> {
-    /// Thresholds (χ², σ multiples, relative-change bounds, …).
-    pub config: &'a FlowDiffConfig,
     /// An edge index over the current log's records. CG uses it to
     /// distinguish an edge that truly vanished from one that merely
     /// moved to another group, and to stamp new edges with their first
@@ -312,9 +300,7 @@ pub struct DiffCtx<'a> {
 
 /// Context for judging one signature's stability across interval models.
 #[derive(Clone, Copy)]
-pub struct StabilityCtx<'a> {
-    /// Thresholds shared with the diff stage.
-    pub config: &'a FlowDiffConfig,
+pub struct StabilityCtx {
     /// Minimum number of agreeing intervals for a stability vote.
     pub quorum: usize,
 }
@@ -415,8 +401,9 @@ pub trait Signature: Sized {
 
     /// Judges stability of `self` (built from the full log) against the
     /// per-interval rebuilds. Infrastructure signatures keep the default
-    /// — they are statistical summaries already gated by `min_samples`.
-    fn stability(&self, _intervals: &[&Self], _ctx: &StabilityCtx<'_>) -> StabilityMask {
+    /// — they are statistical summaries already gated by
+    /// [`MIN_SAMPLES`](crate::config::MIN_SAMPLES).
+    fn stability(&self, _intervals: &[&Self], _ctx: &StabilityCtx) -> StabilityMask {
         self.stable_mask()
     }
 

@@ -15,6 +15,7 @@ use openflow::types::{DatapathId, PortNo, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::change::{Change, ChangeDetail, ChangeDirection, Component, Locus, SignatureKind};
+use crate::config::{FS_REL_CHANGE, ISL_SIGMA, MIN_SAMPLES};
 use crate::signatures::{DiffCtx, Signature, SignatureInputs};
 use crate::stats::MeanStd;
 
@@ -137,17 +138,16 @@ impl Signature for LinkUtilization {
         builder.finalize()
     }
 
-    /// Flags ports whose mean byte rate moved beyond `config.isl_sigma`
+    /// Flags ports whose mean byte rate moved beyond [`ISL_SIGMA`]
     /// baseline standard deviations (utilization shares the
     /// infrastructure latency threshold).
-    fn diff(&self, current: &Self, ctx: &DiffCtx<'_>) -> Vec<LuChange> {
-        let config = ctx.config;
+    fn diff(&self, current: &Self, _ctx: &DiffCtx<'_>) -> Vec<LuChange> {
         let mut out = Vec::new();
         for (port, ref_stats) in &self.per_port {
             let Some(cur_stats) = current.per_port.get(port) else {
                 continue;
             };
-            if ref_stats.n < config.min_samples || cur_stats.n < config.min_samples {
+            if ref_stats.n < MIN_SAMPLES || cur_stats.n < MIN_SAMPLES {
                 continue;
             }
             let sigmas = ref_stats.shift_sigmas(cur_stats);
@@ -155,7 +155,7 @@ impl Signature for LinkUtilization {
             // bursty and a tight baseline std would otherwise make noise
             // alarm.
             let rel = (cur_stats.mean - ref_stats.mean).abs() / ref_stats.mean.abs().max(1.0);
-            if sigmas > config.isl_sigma && rel > config.fs_rel_change {
+            if sigmas > ISL_SIGMA && rel > FS_REL_CHANGE {
                 out.push(LuChange {
                     port: *port,
                     reference: *ref_stats,
@@ -168,7 +168,7 @@ impl Signature for LinkUtilization {
         out
     }
 
-    /// LU is already gated by `min_samples` and the relative-change bar.
+    /// LU is already gated by [`MIN_SAMPLES`] and the relative-change bar.
     fn locus(_change: &LuChange) -> Locus {
         Locus::Whole
     }
@@ -218,15 +218,8 @@ mod tests {
     }
 
     fn diff_lu(a: &LinkUtilization, b: &LinkUtilization) -> Vec<LuChange> {
-        let config = FlowDiffConfig::default();
         let index = crate::ids::RecordIndex::default();
-        a.diff(
-            b,
-            &DiffCtx {
-                config: &config,
-                records: &index,
-            },
-        )
+        a.diff(b, &DiffCtx { records: &index })
     }
 
     #[test]
@@ -273,7 +266,6 @@ mod tests {
                 .collect();
             lu_of(&log)
         };
-        let config = FlowDiffConfig::default();
         let base = steady(100_000);
         let same = steady(101_000);
         let busy = steady(5_000_000);
@@ -281,7 +273,7 @@ mod tests {
         let changes = diff_lu(&base, &busy);
         assert_eq!(changes.len(), 1);
         assert_eq!(changes[0].port, (DatapathId(1), PortNo(2)));
-        assert!(changes[0].sigmas > config.isl_sigma);
+        assert!(changes[0].sigmas > ISL_SIGMA);
         let rendered = LinkUtilization::render(changes[0]);
         assert_eq!(rendered.kind, SignatureKind::Lu);
         assert_eq!(rendered.components, vec![Component::Switch(DatapathId(1))]);

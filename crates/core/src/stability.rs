@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::change::SignatureKind;
-use crate::config::FlowDiffConfig;
+use crate::config::{FlowDiffConfig, STABILITY_INTERVALS, STABILITY_QUORUM};
 use crate::groups::{match_group_refs, AppGroup};
 use crate::model::{BehaviorModel, GroupSignatures};
 use crate::signatures::{Signature, StabilityCtx, StabilityMask};
@@ -98,14 +98,14 @@ impl StabilityReport {
 }
 
 /// Runs the stability analysis: splits `log` into
-/// `config.stability_intervals` segments, builds a model per segment, and
+/// [`STABILITY_INTERVALS`] segments, builds a model per segment, and
 /// lets each signature of `full_model` judge its agreement across them.
 pub fn analyze(
     log: &ControllerLog,
     full_model: &BehaviorModel,
     config: &FlowDiffConfig,
 ) -> StabilityReport {
-    let segments = log.split(config.stability_intervals.max(1));
+    let segments = log.split(STABILITY_INTERVALS);
     let interval_models: Vec<BehaviorModel> = segments
         .iter()
         .map(|seg| BehaviorModel::build(seg, config))
@@ -129,8 +129,8 @@ pub fn analyze(
             // instability. At least two active intervals are required.
             let present: Vec<&GroupSignatures> = matches.iter().flatten().copied().collect();
             let observed = present.len();
-            let quorum = ((config.stability_quorum * observed as f64).ceil() as usize).max(2);
-            let ctx = StabilityCtx { config, quorum };
+            let quorum = ((STABILITY_QUORUM * observed as f64).ceil() as usize).max(2);
+            let ctx = StabilityCtx { quorum };
 
             let mut masks = BTreeMap::new();
             let ivs: Vec<_> = present.iter().map(|g| &g.connectivity).collect();

@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::FlowDiffConfig;
+use crate::config::{FlowDiffConfig, EPHEMERAL_PORT_FLOOR};
 use crate::records::FlowRecord;
 
 /// A port, possibly generalized to "any ephemeral port" (`*`).
@@ -21,6 +21,18 @@ pub enum PortClass {
     Fixed(u16),
     /// Any ephemeral port.
     Ephemeral,
+}
+
+impl PortClass {
+    /// The class of `port`: ephemeral above [`EPHEMERAL_PORT_FLOOR`],
+    /// fixed otherwise.
+    pub fn of(port: u16) -> PortClass {
+        if port > EPHEMERAL_PORT_FLOOR {
+            PortClass::Ephemeral
+        } else {
+            PortClass::Fixed(port)
+        }
+    }
 }
 
 impl fmt::Display for PortClass {
@@ -74,14 +86,6 @@ impl fmt::Display for TaskFlow {
     }
 }
 
-fn port_class(port: u16, config: &FlowDiffConfig) -> PortClass {
-    if port > config.ephemeral_port_floor {
-        PortClass::Ephemeral
-    } else {
-        PortClass::Fixed(port)
-    }
-}
-
 /// Canonicalizes one run of flow records into a time-ordered template
 /// sequence. In masked mode, non-special IPs become `#k` by order of
 /// first appearance; special IPs stay concrete.
@@ -111,9 +115,9 @@ pub fn canonical_sequence(
         .iter()
         .map(|r| TaskFlow {
             src: host_ref(r.tuple.src),
-            sport: port_class(r.tuple.sport, config),
+            sport: PortClass::of(r.tuple.sport),
             dst: host_ref(r.tuple.dst),
-            dport: port_class(r.tuple.dport, config),
+            dport: PortClass::of(r.tuple.dport),
         })
         .collect()
 }
@@ -223,12 +227,11 @@ mod tests {
 
     #[test]
     fn common_flows_is_intersection() {
-        let c = config();
         let mk = |dport: u16| TaskFlow {
             src: HostRef::Ip(host(1)),
             sport: PortClass::Ephemeral,
             dst: HostRef::Ip(nfs()),
-            dport: port_class(dport, &c),
+            dport: PortClass::of(dport),
         };
         let runs = vec![
             vec![mk(2049), mk(111), mk(635)],

@@ -325,9 +325,9 @@ impl TaskLibrary {
                 .map(|r| ConcreteFlow {
                     ts: r.first_seen,
                     src: catalog.intern_host(r.tuple.src),
-                    sport: class(r.tuple.sport, config),
+                    sport: PortClass::of(r.tuple.sport),
                     dst: catalog.intern_host(r.tuple.dst),
-                    dport: class(r.tuple.dport, config),
+                    dport: PortClass::of(r.tuple.dport),
                 })
                 .collect()
         };
@@ -356,14 +356,6 @@ impl TaskLibrary {
         };
         events.sort_by_key(|e| (e.start, e.task.clone()));
         events
-    }
-}
-
-fn class(port: u16, config: &FlowDiffConfig) -> PortClass {
-    if port > config.ephemeral_port_floor {
-        PortClass::Ephemeral
-    } else {
-        PortClass::Fixed(port)
     }
 }
 

@@ -125,9 +125,8 @@ fn group_signature_bytes(
         let records: Vec<&IRecord> = group.record_indices.iter().map(|&i| refs[i]).collect();
         let edge_slots = EdgeSlots::of_group(group, &records, &slots);
         assert_eq!(edge_slots, EdgeSlots::of(&records, catalog));
-        let inputs = SignatureInputs::new(&records, catalog, span, config)
-            .with_group(group)
-            .with_edge_slots(&edge_slots);
+        let inputs =
+            SignatureInputs::new(&records, catalog, span, config).with_edge_slots(&edge_slots);
         out.push(serde::to_vec(&ConnectivityGraph::build(&inputs)));
         out.push(serde::to_vec(&FlowStatsSig::build(&inputs)));
         out.push(serde::to_vec(&ComponentInteraction::build(&inputs)));
@@ -283,15 +282,15 @@ proptest! {
         // assignments: the finished signatures are address-keyed and
         // must be identical, and diffing them must report no changes.
         let cg_a = ConnectivityGraph::build(
-            &SignatureInputs::new(&refs_a, &il.catalog, span, &config).with_group(&groups_a[0]),
+            &SignatureInputs::new(&refs_a, &il.catalog, span, &config),
         );
         let cg_b = ConnectivityGraph::build(
-            &SignatureInputs::new(&refs_b, &catalog_b, span, &config).with_group(&groups_b[0]),
+            &SignatureInputs::new(&refs_b, &catalog_b, span, &config),
         );
         prop_assert_eq!(&cg_a, &cg_b);
 
         let index = RecordIndex::of_records(&records);
-        let ctx = DiffCtx { config: &config, records: &index };
+        let ctx = DiffCtx { records: &index };
         prop_assert!(cg_a.diff(&cg_b, &ctx).is_empty());
     }
 

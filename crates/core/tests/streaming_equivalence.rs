@@ -1107,8 +1107,7 @@ fn panes_fold_dd_pairs_through_a_service_node_per_group() {
                 .collect();
             let il = InternedLog::of(&feed);
             let refs = il.refs();
-            let inputs =
-                SignatureInputs::new(&refs, &il.catalog, model.span, &config).with_group(&g.group);
+            let inputs = SignatureInputs::new(&refs, &il.catalog, model.span, &config);
             assert_eq!(
                 g.delay,
                 DelayDistribution::build(&inputs),

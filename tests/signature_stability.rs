@@ -3,6 +3,7 @@
 //! evaluate). The same deployment observed under different request rates
 //! and connection-reuse ratios must produce an (almost) empty diff.
 
+use flowdiff::config::MIN_SAMPLES;
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
@@ -95,7 +96,7 @@ fn delay_peak_invariant_to_workload_and_reuse() {
         let log = capture(&lab, 10 + i as u64, *rates, *reuse);
         let model = BehaviorModel::build(&log, &config);
         let g = &model.groups[0];
-        let peaks = g.delay.peaks(config.min_samples);
+        let peaks = g.delay.peaks(MIN_SAMPLES);
         // find the (web->app, app->db) pair peak
         let peak = peaks
             .iter()
