@@ -291,6 +291,16 @@ if grep -nE 'pub (epoch_us|dd_bin_us|dd_window_us|chi2_threshold|isl_sigma|crt_s
     exit 1
 fi
 
+step "one window"
+# The model builder holds each completion once: in its arrival-order
+# inbox until the next boundary, then in the interned window (DESIGN.md,
+# Incremental remodel). No keyed record map comes back beside them.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/model.rs |
+    grep -nE 'RecordWindow|BTreeMap<\(Timestamp, FlowTuple\)'; then
+    echo "FAIL: crates/core/src/model.rs keeps a second, keyed record window again" >&2
+    exit 1
+fi
+
 step "one checkpoint format, one corruption policy"
 # The differ writes one sealed FDIFFCKP payload, and a corrupt byte
 # anywhere is a refusal (DESIGN.md, Rejected: per-shard segment

@@ -135,7 +135,7 @@ impl IncrementalModelBuilder {
     /// order, which the merge's stable sort preserves.
     pub fn into_shard_model(self) -> ShardModel {
         ShardModel {
-            records: self.records.into_flat_vec(),
+            records: self.completions(),
             live: self.live,
             lu: self.lu,
             observed_span: self.observed_span,
@@ -144,8 +144,8 @@ impl IncrementalModelBuilder {
 
     /// Folds one shard partial in, as if this builder had observed the
     /// shard's records and events itself: records from different shards
-    /// never share a `(first_seen, tuple)` window key, so each key's tie
-    /// list keeps its shard's completion order; liveness is a
+    /// never share a `(first_seen, tuple)` window key, so each key's
+    /// completions keep their shard's arrival order; liveness is a
     /// per-datapath max; the LU counter series union disjoint
     /// `(dpid, port)` keys; the observed span is a min/max fold.
     pub fn absorb(&mut self, part: ShardModel) {

@@ -137,88 +137,6 @@ impl Deserialize for BehaviorModel {
     }
 }
 
-/// The builder's held records, keyed by the canonical window order
-/// `(first_seen, tuple)` — the same key the batch snapshot core sorts
-/// by — so flat iteration is always already in snapshot order and
-/// sliding the window forward is a prefix removal, not a retain scan.
-/// Records sharing a key (two episodes of one tuple can never share a
-/// first `PacketIn`, but hostile inputs can collide) keep arrival order
-/// in a tie list, matching the batch core's *stable* sort exactly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct RecordWindow {
-    map: BTreeMap<(Timestamp, FlowTuple), Vec<FlowRecord>>,
-    len: usize,
-}
-
-impl RecordWindow {
-    fn push(&mut self, record: FlowRecord) {
-        self.map
-            .entry((record.first_seen, record.tuple))
-            .or_default()
-            .push(record);
-        self.len += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Flat iteration in `(first_seen, tuple)` order, ties in arrival
-    /// order — the batch core's sorted order.
-    fn iter(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.map.values().flatten()
-    }
-
-    /// Drops every record first seen before `cutoff` — a prefix of the
-    /// key space, so the walk touches only what it removes.
-    fn retire_before(&mut self, cutoff: Timestamp) {
-        while let Some(entry) = self.map.first_entry() {
-            if entry.key().0 >= cutoff {
-                break;
-            }
-            self.len -= entry.remove().len();
-        }
-    }
-
-    /// The records interned into a fresh catalog, in window order.
-    fn interned(&self) -> InternedLog {
-        let mut catalog = EntityCatalog::new();
-        let mut records = Vec::with_capacity(self.len);
-        records.extend(self.iter().map(|r| catalog.intern_record(r)));
-        InternedLog { catalog, records }
-    }
-
-    /// Consumes the window into a sorted flat list.
-    pub(crate) fn into_flat_vec(self) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(self.len);
-        out.extend(self.map.into_values().flatten());
-        out
-    }
-}
-
-/// On the wire a window is exactly what the old flat `Vec<FlowRecord>`
-/// field was — a count plus the records — just always in sorted order,
-/// so a window roundtrips through old-format checkpoints unchanged.
-impl Serialize for RecordWindow {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        (self.len as u64).serialize(out);
-        for record in self.iter() {
-            record.serialize(out);
-        }
-    }
-}
-
-impl Deserialize for RecordWindow {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let records = Vec::<FlowRecord>::deserialize(input)?;
-        let mut window = RecordWindow::default();
-        for record in records {
-            window.push(record);
-        }
-        Ok(window)
-    }
-}
-
 /// Streaming model builder: folds flow records (from a
 /// [`RecordAssembler`]) and raw control events as they arrive, and can
 /// snapshot a full [`BehaviorModel`] at any point.
@@ -230,27 +148,39 @@ impl Deserialize for RecordWindow {
 /// incrementally, so a snapshot costs one signature fan-out over the
 /// records held, nothing proportional to the events seen.
 ///
-/// The builder is `Clone`, which the online differ uses to snapshot
-/// "what the model would be if the in-flight flows completed now"
-/// without disturbing the real accumulation, and supports
+/// The builder is `Clone`, which the oracles use to snapshot "what the
+/// model would be if the in-flight flows completed now" without
+/// disturbing the real accumulation, and supports
 /// [`retire_before`](Self::retire_before) for sliding-window operation.
 ///
-/// The builder also serializes (records, span bookkeeping, liveness
-/// proofs, the LU counter series) as part of an online
+/// Each completion is held in exactly one place: in the arrival-order
+/// inbox until the next [`epoch_snapshot`](Self::epoch_snapshot), then in
+/// the interned window (`WindowState`). A builder that never runs
+/// `epoch_snapshot` — the batch build, the shard merge, every oracle —
+/// holds only its inbox.
+///
+/// The builder also serializes (its completions, span bookkeeping,
+/// liveness proofs, the LU counter series) as part of an online
 /// [`checkpoint`](crate::checkpoint); the record-derived signatures
 /// need no state of their own here because they are rebuilt at every
-/// snapshot from the records the builder holds. The `Derived` fields
-/// compare equal and serialize to nothing, so equality is over the
-/// durable facts and the wire format is the other fields in declaration
-/// order. The config is one of them: a checkpoint names it by
+/// snapshot from the records the builder holds. Equality and the wire
+/// format are over these durable facts: the completions as one list in
+/// window order (a count, then each record in address form), then the
+/// rest in declaration order. Where a completion is held is not among
+/// them, and neither is the config: a checkpoint names it by
 /// fingerprint, and the restore installs the caller's.
 ///
-/// The held records and the event-derived facts are crate-visible for
-/// the shard partials of [`harness_seam`](crate::harness_seam).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The event-derived facts are crate-visible for the shard partials of
+/// [`harness_seam`](crate::harness_seam).
+#[derive(Debug, Clone)]
 pub struct IncrementalModelBuilder {
     config: Derived<FlowDiffConfig>,
-    pub(crate) records: RecordWindow,
+    /// Completions not yet folded into `ws`, in arrival order. They are
+    /// interned only at the next boundary, after the caller's retirement
+    /// pass, so one that ages out of the window first (the common fate of
+    /// a late-evicted episode, whose `first_seen` predates the window) is
+    /// never interned at all.
+    held: Vec<FlowRecord>,
     /// Span forced by the caller (batch wrappers use the log's time
     /// range; the online differ uses the window bounds).
     span_override: Option<(Timestamp, Timestamp)>,
@@ -260,18 +190,50 @@ pub struct IncrementalModelBuilder {
     pub(crate) live: BTreeMap<DatapathId, Timestamp>,
     /// Port-counter series for the LU signature.
     pub(crate) lu: LuBuilder,
-    /// Lazily built incremental-snapshot state (persistent catalog,
-    /// interned window of held and still-open episodes). Purely derived
-    /// from `records` and what the assembler holds open, and rebuilt on
-    /// first use after a restore.
+    /// The interned window of folded completions and still-open episodes,
+    /// built at the first `epoch_snapshot`. Not in a checkpoint: its
+    /// completions are carried by the list, and the first boundary after
+    /// a restore rebuilds it from that list and the assembler's opens.
     ws: Derived<Option<WindowState>>,
-    /// Keys of completions accepted since the last snapshot and not yet
-    /// folded into `ws`. Syncing lazily — at snapshot time, after the
-    /// caller's retirement pass — means a record that ages out of the
-    /// window within one epoch (the common fate of late-evicted
-    /// episodes, whose `first_seen` predates the window) is never
-    /// interned at all.
-    pending: Derived<Vec<(Timestamp, FlowTuple)>>,
+}
+
+impl IncrementalModelBuilder {
+    /// What equality compares and a checkpoint carries.
+    fn durable(&self) -> impl Serialize + PartialEq + '_ {
+        (
+            self.completions(),
+            &self.span_override,
+            &self.observed_span,
+            &self.live,
+            &self.lu,
+        )
+    }
+}
+
+impl PartialEq for IncrementalModelBuilder {
+    fn eq(&self, other: &Self) -> bool {
+        self.durable() == other.durable()
+    }
+}
+
+impl Serialize for IncrementalModelBuilder {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.durable().serialize(out);
+    }
+}
+
+impl Deserialize for IncrementalModelBuilder {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        Ok(IncrementalModelBuilder {
+            config: Derived::default(),
+            held: Vec::deserialize(input)?,
+            span_override: Deserialize::deserialize(input)?,
+            observed_span: Deserialize::deserialize(input)?,
+            live: Deserialize::deserialize(input)?,
+            lu: Deserialize::deserialize(input)?,
+            ws: Derived(None),
+        })
+    }
 }
 
 /// The window order of a record: ascending `(first_seen, tuple)`.
@@ -282,8 +244,8 @@ fn key_of(record: &FlowRecord) -> (Timestamp, FlowTuple) {
 /// The incremental-snapshot state: a persistent entity catalog and
 /// every in-window episode — completed or still open — interned through
 /// it once, in model order: ascending `(first_seen, tuple)`, and under
-/// one key the completions (mirroring the owned window's tie list) then
-/// the open episodes (in assembler order). A flat sorted list, because
+/// one key the completions (in arrival order) then the open episodes
+/// (in assembler order). A flat sorted list, because
 /// the window lives by appends at the young end, drains at the old end
 /// and in-place replacement in between; an insert anywhere else (a
 /// straggler's late first `PacketIn`) just shifts the tail.
@@ -352,45 +314,55 @@ impl WindowState {
         Arc::make_mut(&mut self.records).splice(range, fresh);
     }
 
-    /// Where `key`'s completions start, where its open episodes start,
-    /// and where the next key starts.
-    fn locate(&self, key: &(Timestamp, FlowTuple)) -> (usize, usize, usize) {
+    /// Where `key`'s open episodes are: after its completions, before
+    /// the next key.
+    fn opens_of(&self, key: &(Timestamp, FlowTuple)) -> Range<usize> {
         let key_at = |r: &IRecord| (r.first_seen, r.tuple);
         let lo = self.records.partition_point(|r| key_at(r) < *key);
         let n = (self.records[lo..].iter())
             .take_while(|r| key_at(r) == *key)
             .count();
-        let held = self.open[lo..lo + n].iter().filter(|&&open| !open).count();
-        (lo, lo + held, lo + n)
+        let done = self.open[lo..lo + n].iter().filter(|&&open| !open).count();
+        lo + done..lo + n
     }
 
-    /// Folds the completions under `key` that the owned window's tie
-    /// list `ties` holds and this state does not. An evicted episode
-    /// whose final record is the open version already synced just
-    /// changes owner; anything else displaces the key's open versions
-    /// (the assembler hands the surviving ones over again).
-    fn complete(&mut self, key: &(Timestamp, FlowTuple), ties: &[FlowRecord]) {
-        let (lo, opens, end) = self.locate(key);
-        let fresh = &ties[opens - lo..];
+    /// Folds `fresh`, the completions of one key since the last boundary
+    /// in arrival order, in after the key's earlier completions. An
+    /// evicted episode whose final record is the open version already
+    /// synced just changes owner; anything else displaces the key's open
+    /// versions (the assembler hands the surviving ones over again).
+    fn complete(&mut self, fresh: &[FlowRecord]) {
+        let opens = self.opens_of(&key_of(&fresh[0]));
         if let [done] = fresh {
-            if opens < end && self.catalog.resolves_to(&self.records[opens], done) {
-                self.open[opens] = false;
+            if !opens.is_empty() && self.catalog.resolves_to(&self.records[opens.start], done) {
+                self.open[opens.start] = false;
                 return;
             }
         }
-        if !fresh.is_empty() {
-            let fresh = self.intern(fresh);
-            self.splice(opens..end, fresh, false);
-        }
+        let fresh = self.intern(fresh);
+        self.splice(opens, fresh, false);
     }
 
     /// Makes `versions` the open episodes under their shared key.
     fn upsert_opens<R: Borrow<FlowRecord>>(&mut self, versions: &[R]) {
-        let (_, opens, end) = self.locate(&key_of(versions[0].borrow()));
+        let opens = self.opens_of(&key_of(versions[0].borrow()));
         let fresh = self.intern(versions);
-        if fresh[..] != self.records[opens..end] {
-            self.splice(opens..end, fresh, true);
+        if fresh[..] != self.records[opens.clone()] {
+            self.splice(opens, fresh, true);
         }
+    }
+
+    /// The completions, in window order and address form.
+    fn completions(&self) -> impl Iterator<Item = FlowRecord> + '_ {
+        let window = WindowRecords::shared(&self.records, &self.catalog);
+        (0..window.len())
+            .filter(|&i| !self.open[i])
+            .filter_map(move |i| window.get(i))
+    }
+
+    /// How many records are completions.
+    fn completed(&self) -> usize {
+        self.open.iter().filter(|&&open| !open).count()
     }
 
     /// Drops every record first seen before `cutoff`.
@@ -412,13 +384,12 @@ impl IncrementalModelBuilder {
     pub fn new(config: &FlowDiffConfig) -> IncrementalModelBuilder {
         IncrementalModelBuilder {
             config: Derived(config.clone()),
-            records: RecordWindow::default(),
+            held: Vec::new(),
             span_override: None,
             observed_span: None,
             live: BTreeMap::new(),
             lu: LuBuilder::default(),
             ws: Derived(None),
-            pending: Derived(Vec::new()),
         }
     }
 
@@ -431,16 +402,11 @@ impl IncrementalModelBuilder {
         }
     }
 
-    /// Folds one completed flow record into the model state. Until the
-    /// first [`epoch_snapshot`](Self::epoch_snapshot) this is a plain
-    /// keyed insert; afterwards the record's key is also queued so the
-    /// next snapshot can fold whatever survives retirement into the
-    /// maintained window state.
+    /// Accepts one completed flow record into the inbox, where it waits
+    /// for the next [`epoch_snapshot`](Self::epoch_snapshot) to fold
+    /// whatever survives retirement into the window.
     pub fn observe_record(&mut self, record: FlowRecord) {
-        if self.ws.0.is_some() {
-            self.pending.0.push((record.first_seen, record.tuple));
-        }
-        self.records.push(record);
+        self.held.push(record);
     }
 
     /// Folds one raw control event: tracks the observed span, switch
@@ -477,7 +443,7 @@ impl IncrementalModelBuilder {
     /// refreshed since. This is what keeps a sliding-window online
     /// builder's memory proportional to the window, not the stream.
     pub fn retire_before(&mut self, cutoff: Timestamp) {
-        self.records.retire_before(cutoff);
+        self.held.retain(|r| r.first_seen >= cutoff);
         if let Some(ws) = &mut self.ws.0 {
             ws.retire_before(cutoff);
         }
@@ -485,15 +451,27 @@ impl IncrementalModelBuilder {
         self.live.retain(|_, ts| *ts >= cutoff);
     }
 
-    /// Records currently held (post-retirement).
+    /// Completions currently held (post-retirement), folded or not.
     pub fn record_count(&self) -> usize {
-        self.records.len()
+        self.held.len() + self.ws.0.as_ref().map_or(0, WindowState::completed)
+    }
+
+    /// Every completion held, in window order and address form: the
+    /// window's, then the inbox's, which under one key arrived later.
+    pub(crate) fn completions(&self) -> Vec<FlowRecord> {
+        let mut out = Vec::with_capacity(self.record_count());
+        out.extend(self.ws.0.iter().flat_map(WindowState::completions));
+        out.extend_from_slice(&self.held);
+        // Stable: the window's completions stay first under their key.
+        out.sort_by_key(key_of);
+        out
     }
 
     /// How many records the latest [`epoch_snapshot`](Self::epoch_snapshot)
-    /// interned into the maintained window state: the whole window the
-    /// first time (and the first time after a restore), afterwards only
-    /// new completions and the open episodes handed to it.
+    /// interned into the window: the whole window the first time (and
+    /// the first time after a restore), afterwards only the inbox's
+    /// completions that survived retirement and the open episodes handed
+    /// to it.
     pub fn epoch_synced(&self) -> usize {
         self.ws.0.as_ref().map_or(0, |ws| ws.synced)
     }
@@ -514,18 +492,13 @@ impl IncrementalModelBuilder {
         self.observed_span
     }
 
-    /// Snapshots the model over all state held (interns the held
-    /// records afresh; the builder keeps accumulating afterwards). This
-    /// is the rebuild-from-scratch oracle the incremental
-    /// [`epoch_snapshot`](Self::epoch_snapshot) is verified against.
-    pub fn snapshot(&self) -> BehaviorModel {
-        self.finish_records(self.records.interned())
-    }
-
-    /// Consumes the builder into a final snapshot, freeing the held
-    /// records once they are interned — the final flush's path.
-    pub fn into_snapshot(mut self) -> BehaviorModel {
-        let log = InternedLog::of(&std::mem::take(&mut self.records).into_flat_vec());
+    /// Consumes the builder into a snapshot over every completion held,
+    /// interned afresh — the final flush's path. On a builder that never
+    /// ran [`epoch_snapshot`](Self::epoch_snapshot) this sorts and interns
+    /// its inbox, nothing else: the rebuild-from-scratch oracle the
+    /// incremental path is verified against.
+    pub fn into_snapshot(self) -> BehaviorModel {
+        let log = InternedLog::of(&self.completions());
         self.finish_records(log)
     }
 
@@ -540,7 +513,7 @@ impl IncrementalModelBuilder {
     /// maintained state until a completion under its key supersedes it
     /// or [`retire_before`](Self::retire_before) slides past it. The
     /// result is `PartialEq`- and serialization-byte-identical to
-    /// [`Self::snapshot`] over the same records with the same span, but
+    /// [`Self::into_snapshot`] over the same records with the same span, but
     /// costs one fan-out over *groups* and interning work proportional
     /// to the episodes that changed. The model shares the maintained
     /// window rather than copying it (see `WindowState`); the opens are
@@ -550,21 +523,19 @@ impl IncrementalModelBuilder {
         span: (Timestamp, Timestamp),
         mut opens: Vec<R>,
     ) -> BehaviorModel {
+        // Fold the inbox into the window, one key's run at a time. The
+        // sort is stable, so same-key completions keep arrival order —
+        // exactly where the batch core's stable sort would leave them.
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_by_key(key_of);
         if let Some(ws) = &mut self.ws.0 {
             ws.synced = 0;
-            // Fold completions accepted since the last snapshot into
-            // the maintained state. This runs after the caller's
-            // retirement pass, so keys already gone from the owned
-            // window are skipped without ever being interned.
-            for key in self.pending.0.drain(..) {
-                if let Some(ties) = self.records.map.get(&key) {
-                    ws.complete(&key, ties);
-                }
+            for fresh in held.chunk_by(|a, b| key_of(a) == key_of(b)) {
+                ws.complete(fresh);
             }
         } else {
             let epoch_us = self.config.0.online_epoch_us;
-            self.ws.0 = Some(WindowState::of(self.records.interned(), epoch_us));
-            self.pending.0.clear();
+            self.ws.0 = Some(WindowState::of(InternedLog::of(&held), epoch_us));
         }
         let ws = self.ws.0.as_mut().expect("ensured above");
 
@@ -586,7 +557,7 @@ impl IncrementalModelBuilder {
     /// already the model order) — IDs are process-local, so nothing
     /// requires the assignment to be stable across snapshots. Window and
     /// catalog are derived from nothing but the held records, which is
-    /// what makes [`snapshot`](Self::snapshot) an oracle for the
+    /// what makes [`into_snapshot`](Self::into_snapshot) an oracle for the
     /// maintained state.
     fn finish_records(&self, log: InternedLog) -> BehaviorModel {
         let span = self
@@ -837,7 +808,7 @@ mod tests {
         if let Some(span) = log.time_range() {
             builder.set_span(span);
         }
-        let streamed = builder.snapshot();
+        let streamed = builder.into_snapshot();
         assert_eq!(batch, streamed, "mid-stream draining must not matter");
         assert!(!streamed.utilization.per_port.is_empty() || log.events().is_empty());
     }
@@ -857,7 +828,7 @@ mod tests {
         let (_, end) = log.time_range().unwrap();
         builder.retire_before(end + 1);
         assert_eq!(builder.record_count(), 0);
-        let m = builder.snapshot();
+        let m = builder.into_snapshot();
         assert!(m.groups.is_empty());
         assert!(m.utilization.per_port.is_empty());
         assert!(m.topology.live_switches.is_empty());
@@ -895,6 +866,9 @@ mod tests {
         let (c1, c2) = (rec(4001, 3, 0), rec(4001, 3, 700));
         let span = (Timestamp::from_secs(1), Timestamp::from_secs(9));
         let mut builder = IncrementalModelBuilder::new(&FlowDiffConfig::default());
+        // Fed the same completions, never epoch-snapshotted: it holds
+        // them all in its inbox.
+        let mut oracle = IncrementalModelBuilder::new(&FlowDiffConfig::default());
         // (completions since the last step, opens handed over, opens
         // alive, records interned): what an assembler following the
         // `touched_open_records_since` contract would produce.
@@ -914,13 +888,14 @@ mod tests {
         for (i, (done, handed, alive, interned)) in steps.into_iter().enumerate() {
             for record in done {
                 builder.observe_record((*record).clone());
+                oracle.observe_record((*record).clone());
             }
-            let mut probe = builder.clone();
+            let mut probe = oracle.clone();
             for open in alive {
                 probe.observe_record((*open).clone());
             }
             probe.set_span(span);
-            let expected = probe.snapshot();
+            let expected = probe.into_snapshot();
             let model = builder.epoch_snapshot(span, handed.to_vec());
             assert_eq!(model, expected, "step {i}");
             assert_eq!(serde::to_vec(&model), serde::to_vec(&expected), "step {i}");
@@ -946,6 +921,8 @@ mod tests {
         let mut clock = EpochClock::new(config.online_epoch_us, config.online_window_us);
         let mut assembler = RecordAssembler::new(&config);
         let mut builder = IncrementalModelBuilder::new(&config);
+        // Fed and retired alike, never epoch-snapshotted.
+        let mut oracle_builder = IncrementalModelBuilder::new(&config);
         // Epoch 10's model is held across epochs 11 and 12; every other
         // model is dropped before the next boundary.
         let (hold, release) = (10, 12);
@@ -954,17 +931,19 @@ mod tests {
         for event in log.events() {
             for (epoch, boundary) in clock.advance(event.ts) {
                 for record in assembler.take_completed() {
+                    oracle_builder.observe_record(record.clone());
                     builder.observe_record(record);
                 }
                 let start = clock.window_start(boundary);
                 builder.retire_before(start);
+                oracle_builder.retire_before(start);
                 let oracle = {
-                    let mut probe = builder.clone();
+                    let mut probe = oracle_builder.clone();
                     for open in assembler.open_records_since(start) {
                         probe.observe_record(open);
                     }
                     probe.set_span((start, boundary));
-                    probe.snapshot()
+                    probe.into_snapshot()
                 };
                 let opens = assembler.touched_open_records_since(start);
                 let model = builder.epoch_snapshot((start, boundary), opens);
@@ -996,7 +975,9 @@ mod tests {
             }
             assembler.observe(event);
             builder.observe_event(event);
+            oracle_builder.observe_event(event);
             for record in assembler.take_completed() {
+                oracle_builder.observe_record(record.clone());
                 builder.observe_record(record);
             }
         }

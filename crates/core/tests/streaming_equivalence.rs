@@ -665,7 +665,7 @@ proptest! {
     /// `PartialEq`-identical and serializes byte-identically to the
     /// historical clone-probe remodel (clone the builder, observe the
     /// open episodes, retire everything before the window, rebuild from
-    /// scratch via the `snapshot` oracle) — across random
+    /// scratch via the `into_snapshot` oracle) — across random
     /// interleaved streams, chaos-mangled wire bytes and the epoch /
     /// window shapes of [`SHAPES`].
     #[test]
@@ -710,7 +710,7 @@ proptest! {
             }
             probe.retire_before(window.0);
             probe.set_span(window);
-            probe.snapshot()
+            probe.into_snapshot()
         };
 
         for event in &events {
@@ -852,7 +852,7 @@ fn maintained_window_run(partial_flow_timeout_us: u64, secs: u64) -> Seen {
             }
             probe.retire_before(snap.window.0);
             probe.set_span(snap.window);
-            let expected = probe.snapshot();
+            let expected = probe.into_snapshot();
             assert_eq!(expected, snap.model, "epoch {} model", snap.epoch);
             assert_eq!(
                 serde::to_vec(&expected),
@@ -967,7 +967,7 @@ fn epochs_match_clone_probe(events: &[ControlEvent], config: &FlowDiffConfig) ->
             }
             probe.retire_before(snap.window.0);
             probe.set_span(snap.window);
-            let expected = probe.snapshot();
+            let expected = probe.into_snapshot();
             assert_eq!(expected, snap.model, "epoch {} model", snap.epoch);
             assert_eq!(
                 serde::to_vec(&expected),
@@ -1069,13 +1069,17 @@ fn panes_fold_dd_pairs_through_a_service_node_per_group() {
     }
     records.sort_by_key(|r| (r.first_seen, r.tuple));
     let mut builder = IncrementalModelBuilder::new(&config);
-    let (mut next, mut late) = (0, Vec::new());
+    // Fed and retired alike, never epoch-snapshotted: it holds every
+    // completion in its inbox, not in a maintained window.
+    let mut oracle = IncrementalModelBuilder::new(&config);
+    let (mut next, mut late) = (0, Vec::<FlowRecord>::new());
     let (mut crossed, mut bridged, mut split_again) = (false, false, false);
     for secs in 2..=20 {
         let boundary = Timestamp::from_secs(secs);
         // Every seventh record completes one boundary late, into a pane
         // the previous boundary folded.
         for record in late.drain(..) {
+            oracle.observe_record(record.clone());
             builder.observe_record(record);
         }
         while next < records.len() && records[next].first_seen < boundary {
@@ -1083,6 +1087,7 @@ fn panes_fold_dd_pairs_through_a_service_node_per_group() {
             if next % 7 == 0 {
                 late.push(record);
             } else {
+                oracle.observe_record(record.clone());
                 builder.observe_record(record);
             }
             next += 1;
@@ -1091,9 +1096,10 @@ fn panes_fold_dd_pairs_through_a_service_node_per_group() {
             boundary.as_micros() - config.online_window_us.min(boundary.as_micros()),
         );
         builder.retire_before(start);
-        let mut probe = builder.clone();
+        oracle.retire_before(start);
+        let mut probe = oracle.clone();
         probe.set_span((start, boundary));
-        let expected = probe.snapshot();
+        let expected = probe.into_snapshot();
         let model = builder.epoch_snapshot((start, boundary), Vec::<FlowRecord>::new());
         assert_eq!(model, expected, "boundary {secs} s");
         assert_eq!(
@@ -1122,4 +1128,97 @@ fn panes_fold_dd_pairs_through_a_service_node_per_group() {
     assert!(crossed, "a group paired flows through the service node");
     assert!(bridged, "a1 -> s -> b2 counted while one group held both");
     assert!(split_again, "the groups split again once the bridge left");
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint bytes: a completion waits in the model builder's inbox until
+// the next boundary folds it into the window, and a checkpoint does not
+// record which of the two holds it.
+// ---------------------------------------------------------------------
+
+/// The run `tests/data/fdiffckp_v11_inbox.bin` checkpoints: one mesh on
+/// the 320-server tree (seed 42, 40 s) at 1 s epochs over a 30 s window,
+/// against an empty baseline. The 12 s eviction horizon evicts episodes
+/// the window still holds.
+fn inbox_run() -> (ControllerLog, FlowDiffConfig, Arc<BaselineBundle>) {
+    let (log, base) = tree_log(1, 42, 40);
+    let config = FlowDiffConfig {
+        online_epoch_us: 1_000_000,
+        online_window_us: 30_000_000,
+        partial_flow_timeout_us: 12_000_000,
+        ..base
+    };
+    let reference = BehaviorModel::build(&ControllerLog::new(), &config);
+    let stability = StabilityReport::all_stable(&reference);
+    let baseline = Arc::new(BaselineBundle {
+        model: reference,
+        stability,
+    });
+    (log, config, baseline)
+}
+
+/// How many events of [`inbox_run`] the fixture's differ had consumed.
+const INBOX_CUT: usize = 3_809;
+
+/// `tests/data/fdiffckp_v11_inbox.bin` is
+/// `Checkpoint::capture(&differ, 3_809, &config).to_bytes()` of an
+/// [`OnlineDiffer`] fed the first 3,809 events of [`inbox_run`], written
+/// by the builder that kept a keyed record map beside its window (commit
+/// e16e963). That differ had run 34 boundaries and was mid-epoch, with a
+/// 12 s eviction burst just completed. Replayed here, the same prefix
+/// must capture the same bytes, and resuming from the file must emit
+/// what the straight run emits.
+#[test]
+fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
+    let (log, config, baseline) = inbox_run();
+    let events = log.events();
+    let v11: &[u8] = include_bytes!("data/fdiffckp_v11_inbox.bin");
+    let mut straight = OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
+    // A second sequencer and assembler replay where the differ holds each
+    // completion: one drained at a boundary is in the window until it is
+    // retired, a later one in the inbox.
+    let mut replay = Ingest::new(&config);
+    let (mut window, mut inbox) = (Vec::<FlowRecord>::new(), Vec::<FlowRecord>::new());
+    let mut start: Option<Timestamp> = None;
+    let mut resumed: Option<OnlineDiffer> = None;
+    let mut epochs = 0;
+    for (i, event) in events.iter().enumerate() {
+        if i == INBOX_CUT {
+            let start = start.expect("a boundary before the cut");
+            let next_start = Timestamp::from_micros(start.as_micros() + config.online_epoch_us);
+            assert!(!window.is_empty(), "a completion is in the window");
+            assert!(
+                inbox.iter().any(|r| r.first_seen >= next_start),
+                "an in-window completion is in the inbox"
+            );
+            let bytes = Checkpoint::capture(&straight, INBOX_CUT as u64, &config).to_bytes();
+            assert!(bytes == v11, "checkpoint bytes differ from the v11 file");
+            let (differ, at) = Checkpoint::from_bytes(v11)
+                .expect("container intact")
+                .resume(&baseline, &config)
+                .expect("same config and baseline");
+            assert_eq!(at as usize, INBOX_CUT);
+            resumed = Some(differ);
+        }
+        let snaps = straight.observe(event);
+        if let Some(resumed) = &mut resumed {
+            assert_eq!(resumed.observe(event), snaps, "event {i}");
+            epochs += snaps.len();
+            continue;
+        }
+        for snap in &snaps {
+            window.append(&mut inbox);
+            window.retain(|r| r.first_seen >= snap.window.0);
+            start = Some(snap.window.0);
+        }
+        replay.observe(event);
+        inbox.extend(replay.asm.take_completed());
+    }
+    assert!(epochs > 3, "{epochs} epochs after the cut");
+    let (want, got) = (straight.finish(), resumed.expect("cut reached").finish());
+    assert_eq!(got, want, "final flush");
+    assert_eq!(
+        got.map(|s| serde::to_vec(&s)),
+        want.map(|s| serde::to_vec(&s))
+    );
 }
