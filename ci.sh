@@ -301,6 +301,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/model.rs |
     exit 1
 fi
 
+step "ingest hands over batches"
+# A reader sends each read's decoded events to the merge as batches, one
+# channel message per batch (DESIGN.md, Live transport): no per-event
+# channel comes back in the ingest path outside its tests.
+if sed '/^#\[cfg(test)\]/,$d' crates/netsim/src/net.rs |
+    grep -nF -e 'SyncSender<ControlEvent>' -e 'Receiver<ControlEvent>' -e 'sync_channel::<ControlEvent>'; then
+    echo "FAIL: crates/netsim/src/net.rs carries single events over a channel again" >&2
+    exit 1
+fi
+
 step "one checkpoint format, one corruption policy"
 # The differ writes one sealed FDIFFCKP payload, and a corrupt byte
 # anywhere is a refusal (DESIGN.md, Rejected: per-shard segment

@@ -120,9 +120,11 @@ pub struct FlowDiffConfig {
     /// connection readers once their queues fill, which fills the
     /// kernel socket buffers, which stalls the publishers over TCP, so
     /// server-side memory stays bounded at roughly `connections ×
-    /// ingest_queue_events` in-flight events. Must be nonzero (a
-    /// zero-capacity rendezvous queue would deadlock a single-threaded
-    /// consumer).
+    /// ingest_queue_events` in-flight events. The bound is in events;
+    /// the queue carries them in batches of at most that many (at most
+    /// 64), one batch per slot, so it still holds no more than
+    /// `ingest_queue_events` events. Must be nonzero (a zero-capacity
+    /// rendezvous queue would deadlock a single-threaded consumer).
     pub ingest_queue_events: usize,
     /// Live ingest: how long (wall time) the cross-connection merge
     /// waits on a silent stream before releasing events past it. This
