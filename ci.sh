@@ -406,6 +406,25 @@ if grep -rnE 'BuildHasherDefault|\bFx[A-Z]|ahash' "$core_src"; then
     exit 1
 fi
 
+step "wire reads are checked"
+# Every read of wire bytes checks its own bounds and returns a value
+# (DESIGN.md, crates/openflow): openflow sizes no read by hand outside
+# its tests, and payloads are plain Arc<[u8]>, not a vendored view type.
+for src in crates/openflow/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nF 'need('; then
+        echo "FAIL: $src guards its reads with a hand-sized need() again" >&2
+        exit 1
+    fi
+done
+if grep -nF 'pub struct Bytes' crates/bytes/src/lib.rs; then
+    echo "FAIL: crates/bytes defines a Bytes view type again" >&2
+    exit 1
+fi
+if grep -rnF 'bytes::Bytes' crates/ tests/ examples/; then
+    echo "FAIL: bytes::Bytes is used again" >&2
+    exit 1
+fi
+
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -176,16 +176,6 @@ impl EntityCatalog {
         self.host_ids.get(&ip).copied()
     }
 
-    /// Looks a switch up without interning it.
-    pub fn switch_id(&self, dpid: DatapathId) -> Option<SwitchId> {
-        self.switch_ids.get(&dpid).copied()
-    }
-
-    /// Looks a port up without interning it.
-    pub fn port_id(&self, switch: SwitchId, port: PortNo) -> Option<PortId> {
-        self.port_ids.get(&(switch, port)).copied()
-    }
-
     /// Looks an edge up without interning it.
     pub fn edge_id(&self, src: HostId, dst: HostId) -> Option<EdgeId> {
         self.edge_ids.get(&(src, dst)).copied()

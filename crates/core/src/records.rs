@@ -976,7 +976,7 @@ mod tests {
         let mut events: Vec<_> = log.events().to_vec();
         for e in &mut events {
             if let OfpMessage::PacketIn(pi) = &mut e.msg {
-                pi.data.truncate(4);
+                pi.data = pi.data[..4].into();
                 break;
             }
         }

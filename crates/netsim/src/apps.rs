@@ -10,7 +10,7 @@ use openflow::types::Timestamp;
 use rand::rngs::StdRng;
 
 use crate::flows::{DeliveredFlow, FlowSpec};
-use crate::topology::{NodeId, Topology};
+use crate::topology::Topology;
 
 /// Application behavior attached to a simulation.
 pub trait AppLogic {
@@ -64,10 +64,5 @@ impl<'a> AppCtx<'a> {
     pub fn schedule_flow_after(&mut self, delay_us: u64, spec: FlowSpec) {
         let at = self.now + delay_us + self.host_slowdown_us;
         self.queued.push((at, spec));
-    }
-
-    /// Resolves a host node by name.
-    pub fn host_by_name(&self, name: &str) -> Option<NodeId> {
-        self.topo.node_by_name(name)
     }
 }

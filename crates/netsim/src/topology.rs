@@ -221,11 +221,6 @@ impl Topology {
         link
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()

@@ -56,14 +56,6 @@ impl Action {
         Action::Output { port, max_len: 0 }
     }
 
-    /// Shorthand for "punt to controller", truncating to `max_len` bytes.
-    pub fn to_controller(max_len: u16) -> Action {
-        Action::Output {
-            port: PortNo::CONTROLLER,
-            max_len,
-        }
-    }
-
     /// The wire type code of this action (`ofp_action_type`).
     pub fn type_code(&self) -> u16 {
         match self {
@@ -139,7 +131,10 @@ mod tests {
     fn output_helpers() {
         let a = Action::output(PortNo(3));
         assert_eq!(a.output_port(), Some(PortNo(3)));
-        let c = Action::to_controller(128);
+        let c = Action::Output {
+            port: PortNo::CONTROLLER,
+            max_len: 128,
+        };
         assert_eq!(c.output_port(), Some(PortNo::CONTROLLER));
         assert_eq!(Action::StripVlan.output_port(), None);
     }

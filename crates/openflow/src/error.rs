@@ -55,6 +55,16 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A wire read that ran short is a truncated message.
+impl From<bytes::Underflow> for DecodeError {
+    fn from(e: bytes::Underflow) -> Self {
+        DecodeError::Truncated {
+            needed: e.needed,
+            available: e.available,
+        }
+    }
+}
+
 /// Error produced by flow-table mutations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowTableError {
@@ -92,6 +102,21 @@ mod tests {
         };
         assert_eq!(e.to_string(), "truncated input: needed 8 bytes, had 3");
         assert!(FlowTableError::NoSuchEntry.to_string().starts_with("no"));
+    }
+
+    #[test]
+    fn a_short_read_is_truncation() {
+        let short = bytes::Underflow {
+            needed: 4,
+            available: 1,
+        };
+        assert_eq!(
+            DecodeError::from(short),
+            DecodeError::Truncated {
+                needed: 4,
+                available: 1
+            }
+        );
     }
 
     #[test]

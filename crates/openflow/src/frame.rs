@@ -8,8 +8,9 @@
 //! header (source and destination ports).
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, BufMut};
 
 use crate::error::DecodeError;
 use crate::match_fields::FlowKey;
@@ -24,13 +25,11 @@ pub const MIN_CAPTURE_LEN: usize = 14 + 20 + 4;
 /// The headers are laid out exactly; the payload is zero-filled. If
 /// `total_len` is smaller than the headers require, the headers still get
 /// emitted in full (the frame is never truncated below parseability).
-pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
+pub fn build_frame(key: &FlowKey, total_len: usize) -> Arc<[u8]> {
     let tagged = key.dl_vlan != VlanId::NONE;
     let header_len = MIN_CAPTURE_LEN + if tagged { 4 } else { 0 };
-    // The headers fit on the stack; the frame itself is collected
-    // straight into the `Bytes` allocation.
-    let mut headers = [0u8; MIN_CAPTURE_LEN + 4];
-    let mut buf = &mut headers[..];
+    let frame_len = total_len.max(header_len);
+    let mut buf = Vec::with_capacity(frame_len);
 
     buf.put_slice(&key.dl_dst.0);
     buf.put_slice(&key.dl_src.0);
@@ -43,7 +42,7 @@ pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
     // IPv4 header (20 bytes, no options).
     buf.put_u8(0x45); // version 4, IHL 5
     buf.put_u8(key.nw_tos);
-    let ip_total = (total_len.max(header_len) - (header_len - 20 - 4)) as u16;
+    let ip_total = (frame_len - (header_len - 20 - 4)) as u16;
     buf.put_u16(ip_total); // total length (best effort)
     buf.put_u32(0); // id + flags/frag
     buf.put_u8(64); // ttl
@@ -56,12 +55,8 @@ pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
     buf.put_u16(key.tp_src);
     buf.put_u16(key.tp_dst);
 
-    let payload = std::iter::repeat_n(0, total_len.saturating_sub(header_len));
-    headers[..header_len]
-        .iter()
-        .copied()
-        .chain(payload)
-        .collect()
+    buf.resize(frame_len, 0);
+    buf.into()
 }
 
 /// Parses the headers of a frame back into a [`FlowKey`].
@@ -72,26 +67,15 @@ pub fn build_frame(key: &FlowKey, total_len: usize) -> Bytes {
 /// bytes (plus the VLAN tag, when present) are available, and
 /// [`DecodeError::BadField`] for non-IPv4 frames or a malformed IP header.
 pub fn parse_frame(mut data: &[u8]) -> Result<FlowKey, DecodeError> {
-    let available = data.len();
-    let need = |needed: usize, data: &[u8]| -> Result<(), DecodeError> {
-        if data.remaining() < needed {
-            Err(DecodeError::Truncated { needed, available })
-        } else {
-            Ok(())
-        }
-    };
-
-    need(14, data)?;
     let mut dl_dst = [0u8; 6];
     let mut dl_src = [0u8; 6];
-    data.copy_to_slice(&mut dl_dst);
-    data.copy_to_slice(&mut dl_src);
-    let mut dl_type = data.get_u16();
+    data.copy_to_slice(&mut dl_dst)?;
+    data.copy_to_slice(&mut dl_src)?;
+    let mut dl_type = data.get_u16()?;
 
     let (dl_vlan, dl_vlan_pcp) = if dl_type == ether_type::VLAN {
-        need(4, data)?;
-        let tci = data.get_u16();
-        dl_type = data.get_u16();
+        let tci = data.get_u16()?;
+        dl_type = data.get_u16()?;
         (VlanId(tci & 0x0fff), (tci >> 13) as u8)
     } else {
         (VlanId::NONE, 0)
@@ -104,8 +88,15 @@ pub fn parse_frame(mut data: &[u8]) -> Result<FlowKey, DecodeError> {
         });
     }
 
-    need(20, data)?;
-    let ver_ihl = data.get_u8();
+    // The whole fixed IPv4 header is read before any of it is judged,
+    // so a short header is `Truncated` whatever its first byte holds.
+    let ver_ihl = data.get_u8()?;
+    let nw_tos = data.get_u8()?;
+    data.advance(2 + 4 + 1)?; // total length, id + flags/frag, ttl
+    let nw_proto = IpProto(data.get_u8()?);
+    data.advance(2)?; // checksum
+    let nw_src = Ipv4Addr::from(data.get_u32()?);
+    let nw_dst = Ipv4Addr::from(data.get_u32()?);
     if ver_ihl >> 4 != 4 {
         return Err(DecodeError::BadField {
             context: "frame.ip_version",
@@ -119,22 +110,11 @@ pub fn parse_frame(mut data: &[u8]) -> Result<FlowKey, DecodeError> {
             value: ihl as u64,
         });
     }
-    let nw_tos = data.get_u8();
-    let _total_len = data.get_u16();
-    let _id_frag = data.get_u32();
-    let _ttl = data.get_u8();
-    let nw_proto = IpProto(data.get_u8());
-    let _checksum = data.get_u16();
-    let nw_src = Ipv4Addr::from(data.get_u32());
-    let nw_dst = Ipv4Addr::from(data.get_u32());
 
     // Skip IPv4 options, if any.
-    let options = ihl - 20;
-    need(options + 4, data)?;
-    data.advance(options);
-
-    let tp_src = data.get_u16();
-    let tp_dst = data.get_u16();
+    data.advance(ihl - 20)?;
+    let tp_src = data.get_u16()?;
+    let tp_dst = data.get_u16()?;
 
     Ok(FlowKey {
         dl_src: MacAddr(dl_src),
@@ -201,10 +181,35 @@ mod tests {
     }
 
     #[test]
+    fn payload_is_zero_filled_to_total_len() {
+        let frame = build_frame(&key(), 100);
+        assert_eq!(frame.len(), 100);
+        assert!(frame[MIN_CAPTURE_LEN..].iter().all(|&b| b == 0));
+        // The IPv4 total length counts the IP header, the 4 transport
+        // bytes and the zero payload behind them.
+        let ip_total = u16::from_be_bytes([frame[16], frame[17]]);
+        assert_eq!(usize::from(ip_total), 100 - 14);
+    }
+
+    #[test]
     fn truncated_frame_reports_needed_bytes() {
-        let frame = build_frame(&key(), 128);
-        let err = parse_frame(&frame[..10]).unwrap_err();
-        assert!(matches!(err, DecodeError::Truncated { .. }));
+        let mut k = key();
+        k.dl_vlan = VlanId(42);
+        let frame = build_frame(&k, 64);
+        let header_len = MIN_CAPTURE_LEN + 4;
+        for cut in 0..header_len {
+            let err = parse_frame(&frame[..cut]).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Truncated { .. }),
+                "{cut}: {err:?}"
+            );
+        }
+        // A short IPv4 header is truncated, not judged by its first byte.
+        let mut bad_version = frame[..header_len - 5].to_vec();
+        bad_version[18] = 0x65;
+        let err = parse_frame(&bad_version).unwrap_err();
+        assert!(matches!(err, DecodeError::Truncated { .. }), "{err:?}");
+        assert_eq!(parse_frame(&frame[..header_len]).unwrap(), k);
     }
 
     #[test]

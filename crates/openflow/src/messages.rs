@@ -8,8 +8,8 @@
 //! port status, barrier, and flow/aggregate/port statistics.
 
 use std::fmt;
+use std::sync::Arc;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::actions::Action;
@@ -38,8 +38,8 @@ pub struct PacketIn {
     pub reason: PacketInReason,
     /// The captured frame bytes (possibly truncated to `miss_send_len`).
     /// The decoder copies each payload out of the capture buffer into
-    /// its own [`Bytes`]; clones of the message then share that copy.
-    pub data: Bytes,
+    /// one shared allocation; clones of the message then share that copy.
+    pub data: Arc<[u8]>,
 }
 
 /// A controller instruction to emit a packet from a switch.
@@ -52,7 +52,7 @@ pub struct PacketOut {
     /// Actions applied to the packet (typically one `Output`).
     pub actions: Vec<Action>,
     /// Raw frame when not buffered.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 /// Flow-mod commands (`ofp_flow_mod_command`).
@@ -348,7 +348,7 @@ pub struct ErrorMsg {
     pub code: u16,
     /// The offending request's bytes (at least 64 bytes per the spec;
     /// the simulator stores what it has).
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl ErrorMsg {
@@ -358,7 +358,7 @@ impl ErrorMsg {
         ErrorMsg {
             err_type: 3,
             code: 0,
-            data: Bytes::new(),
+            data: Arc::default(),
         }
     }
 
@@ -387,9 +387,9 @@ pub enum OfpMessage {
     /// Switch-reported error.
     Error(ErrorMsg),
     /// Liveness probe carrying arbitrary payload.
-    EchoRequest(Bytes),
+    EchoRequest(Arc<[u8]>),
     /// Echo response; must carry the request payload.
-    EchoReply(Bytes),
+    EchoReply(Arc<[u8]>),
     /// Ask the switch for its features.
     FeaturesRequest,
     /// The switch handshake response.
@@ -540,7 +540,7 @@ mod tests {
                 total_len: 0,
                 in_port: PortNo(1),
                 reason: PacketInReason::NoMatch,
-                data: Bytes::new(),
+                data: Arc::default(),
             })
             .type_code(),
             10

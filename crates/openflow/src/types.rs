@@ -201,19 +201,6 @@ impl MacAddr {
         MacAddr([0x02, b[3], b[4], b[5], b[6], b[7]])
     }
 
-    /// Interprets the address as an integer (useful for ordering and
-    /// hashing in tests).
-    pub fn to_u64(self) -> u64 {
-        let mut b = [0u8; 8];
-        b[2..].copy_from_slice(&self.0);
-        u64::from_be_bytes(b)
-    }
-
-    /// True for the all-ones broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
     /// True if the group (multicast) bit is set.
     pub fn is_multicast(self) -> bool {
         self.0[0] & 0x01 != 0
@@ -326,11 +313,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -421,7 +403,10 @@ mod tests {
     #[test]
     fn mac_roundtrip_through_u64() {
         let mac = MacAddr::from_u64(0xdead_beef);
-        assert_eq!(MacAddr::from_u64(mac.to_u64() & 0xff_ffff_ffff), mac);
+        assert_eq!(mac.0, [0x02, 0x00, 0xde, 0xad, 0xbe, 0xef]);
+        let [a, b, c, d, e, f] = mac.0;
+        let back = u64::from_be_bytes([0, 0, a, b, c, d, e, f]);
+        assert_eq!(MacAddr::from_u64(back & 0xff_ffff_ffff), mac);
         assert!(!mac.is_multicast());
         assert!(MacAddr::BROADCAST.is_multicast());
     }

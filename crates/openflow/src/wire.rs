@@ -5,6 +5,12 @@
 //! the OpenFlow 1.0 specification, so the codec interoperates at the byte
 //! level with standard tooling for the message subset implemented.
 //!
+//! Decoders read through `bytes::Buf`, whose every read checks its own
+//! bounds: a read that runs short is [`DecodeError::Truncated`], and no
+//! decoder sizes its input by hand first. A decoder reads a fixed block
+//! (pad included) whole before it judges an enum or length field in it,
+//! so a block cut short is `Truncated` whatever that field holds.
+//!
 //! ```
 //! use openflow::prelude::*;
 //! use openflow::wire;
@@ -20,7 +26,7 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, BufMut};
 
 use crate::actions::Action;
 use crate::error::DecodeError;
@@ -37,9 +43,6 @@ pub const OFP_VERSION: u8 = 0x01;
 
 /// Size of the common message header.
 pub const HEADER_LEN: usize = 8;
-
-/// Size of the `ofp_match` structure.
-pub const MATCH_LEN: usize = 40;
 
 /// The largest framed message OpenFlow 1.0 can carry: the header's
 /// length field is 16 bits and counts the header itself.
@@ -74,10 +77,10 @@ pub fn encode_into(msg: &OfpMessage, xid: Xid, out: &mut Vec<u8>) {
 
 /// Encodes a message with the given transaction id into a framed byte
 /// buffer of its own; see [`encode_into`].
-pub fn encode(msg: &OfpMessage, xid: Xid) -> Bytes {
+pub fn encode(msg: &OfpMessage, xid: Xid) -> Vec<u8> {
     let mut out = Vec::new();
     encode_into(msg, xid, &mut out);
-    out.into()
+    out
 }
 
 /// Decodes one message from the front of `input`.
@@ -105,14 +108,14 @@ fn decode_header(input: &[u8]) -> Result<(u8, usize, Xid), DecodeError> {
             available: input.len(),
         });
     }
-    let mut hdr = &input[..HEADER_LEN];
-    let version = hdr.get_u8();
+    let mut hdr = input;
+    let version = hdr.get_u8()?;
     if version != OFP_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let type_code = hdr.get_u8();
-    let length = hdr.get_u16() as usize;
-    let xid = Xid(hdr.get_u32());
+    let type_code = hdr.get_u8()?;
+    let length = hdr.get_u16()? as usize;
+    let xid = Xid(hdr.get_u32()?);
     if length < HEADER_LEN {
         return Err(DecodeError::BadLength {
             context: "header.length",
@@ -158,9 +161,8 @@ fn decode_body(type_code: u8, body: &[u8]) -> Result<OfpMessage, DecodeError> {
         0 => Ok(OfpMessage::Hello),
         1 => {
             let mut b = body;
-            need(b, 4, "error")?;
-            let err_type = b.get_u16();
-            let code = b.get_u16();
+            let err_type = b.get_u16()?;
+            let code = b.get_u16()?;
             Ok(OfpMessage::Error(ErrorMsg {
                 err_type,
                 code,
@@ -184,21 +186,10 @@ fn decode_body(type_code: u8, body: &[u8]) -> Result<OfpMessage, DecodeError> {
     }
 }
 
-fn need(buf: &[u8], needed: usize, _context: &'static str) -> Result<(), DecodeError> {
-    if buf.remaining() < needed {
-        Err(DecodeError::Truncated {
-            needed,
-            available: buf.remaining(),
-        })
-    } else {
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------- ofp_match
 
 /// Encodes an [`OfMatch`] (40 bytes).
-pub fn encode_match(m: &OfMatch, buf: &mut Vec<u8>) {
+fn encode_match(m: &OfMatch, buf: &mut Vec<u8>) {
     buf.put_u32(m.wildcards.0);
     buf.put_u16(m.in_port.0);
     buf.put_slice(&m.dl_src.0);
@@ -217,25 +208,24 @@ pub fn encode_match(m: &OfMatch, buf: &mut Vec<u8>) {
 }
 
 /// Decodes an [`OfMatch`] from the front of `buf`, advancing it.
-pub fn decode_match(buf: &mut &[u8]) -> Result<OfMatch, DecodeError> {
-    need(buf, MATCH_LEN, "match")?;
-    let wildcards = Wildcards(buf.get_u32());
-    let in_port = PortNo(buf.get_u16());
+fn decode_match(buf: &mut &[u8]) -> Result<OfMatch, DecodeError> {
+    let wildcards = Wildcards(buf.get_u32()?);
+    let in_port = PortNo(buf.get_u16()?);
     let mut dl_src = [0u8; 6];
     let mut dl_dst = [0u8; 6];
-    buf.copy_to_slice(&mut dl_src);
-    buf.copy_to_slice(&mut dl_dst);
-    let dl_vlan = VlanId(buf.get_u16());
-    let dl_vlan_pcp = buf.get_u8();
-    buf.advance(1);
-    let dl_type = buf.get_u16();
-    let nw_tos = buf.get_u8();
-    let nw_proto = IpProto(buf.get_u8());
-    buf.advance(2);
-    let nw_src = Ipv4Addr::from(buf.get_u32());
-    let nw_dst = Ipv4Addr::from(buf.get_u32());
-    let tp_src = buf.get_u16();
-    let tp_dst = buf.get_u16();
+    buf.copy_to_slice(&mut dl_src)?;
+    buf.copy_to_slice(&mut dl_dst)?;
+    let dl_vlan = VlanId(buf.get_u16()?);
+    let dl_vlan_pcp = buf.get_u8()?;
+    buf.advance(1)?;
+    let dl_type = buf.get_u16()?;
+    let nw_tos = buf.get_u8()?;
+    let nw_proto = IpProto(buf.get_u8()?);
+    buf.advance(2)?;
+    let nw_src = Ipv4Addr::from(buf.get_u32()?);
+    let nw_dst = Ipv4Addr::from(buf.get_u32()?);
+    let tp_src = buf.get_u16()?;
+    let tp_dst = buf.get_u16()?;
     Ok(OfMatch {
         wildcards,
         in_port,
@@ -294,53 +284,43 @@ fn encode_action(a: &Action, buf: &mut Vec<u8>) {
 }
 
 fn decode_action(buf: &mut &[u8]) -> Result<Action, DecodeError> {
-    need(buf, 4, "action header")?;
-    let type_code = buf.get_u16();
-    let len = buf.get_u16() as usize;
+    let type_code = buf.get_u16()?;
+    let len = buf.get_u16()? as usize;
     if len < 4 || !len.is_multiple_of(8) {
         return Err(DecodeError::BadLength {
             context: "action.len",
             claimed: len,
         });
     }
-    let body_len = len - 4;
-    need(buf, body_len, "action body")?;
-    let mut body = &buf[..body_len];
-    buf.advance(body_len);
+    let mut body = buf.split_to(len - 4)?;
     let action = match type_code {
         0 => Action::Output {
-            port: PortNo(body.get_u16()),
-            max_len: body.get_u16(),
+            port: PortNo(body.get_u16()?),
+            max_len: body.get_u16()?,
         },
-        1 => Action::SetVlanVid(VlanId(body.get_u16())),
-        2 => Action::SetVlanPcp(body.get_u8()),
+        1 => Action::SetVlanVid(VlanId(body.get_u16()?)),
+        2 => Action::SetVlanPcp(body.get_u8()?),
         3 => Action::StripVlan,
         4 | 5 => {
-            // len = 8 passes the multiple-of-8 gate but leaves only 4
-            // body bytes; the 6-byte MAC read must be length-checked.
-            need(body, 6, "action.dl_addr")?;
             let mut mac = [0u8; 6];
-            body.copy_to_slice(&mut mac);
+            body.copy_to_slice(&mut mac)?;
             if type_code == 4 {
                 Action::SetDlSrc(MacAddr(mac))
             } else {
                 Action::SetDlDst(MacAddr(mac))
             }
         }
-        6 => Action::SetNwSrc(Ipv4Addr::from(body.get_u32())),
-        7 => Action::SetNwDst(Ipv4Addr::from(body.get_u32())),
-        8 => Action::SetNwTos(body.get_u8()),
-        9 => Action::SetTpSrc(body.get_u16()),
-        10 => Action::SetTpDst(body.get_u16()),
+        6 => Action::SetNwSrc(Ipv4Addr::from(body.get_u32()?)),
+        7 => Action::SetNwDst(Ipv4Addr::from(body.get_u32()?)),
+        8 => Action::SetNwTos(body.get_u8()?),
+        9 => Action::SetTpSrc(body.get_u16()?),
+        10 => Action::SetTpDst(body.get_u16()?),
         11 => {
-            // Enqueue needs port(2) + pad(6) + queue_id(4) = 12 bytes,
-            // but any multiple-of-8 length ≥ 8 reaches this arm.
-            need(body, 12, "action.enqueue")?;
-            let port = PortNo(body.get_u16());
-            body.advance(6);
+            let port = PortNo(body.get_u16()?);
+            body.advance(6)?;
             Action::Enqueue {
                 port,
-                queue_id: body.get_u32(),
+                queue_id: body.get_u32()?,
             }
         }
         other => return Err(DecodeError::UnknownActionType(other)),
@@ -377,11 +357,12 @@ fn encode_packet_in(pi: &PacketIn, buf: &mut Vec<u8>) {
 }
 
 fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
-    need(body, 10, "packet_in")?;
-    let buffer_id = BufferId(body.get_u32());
-    let total_len = body.get_u16();
-    let in_port = PortNo(body.get_u16());
-    let reason = match body.get_u8() {
+    let buffer_id = BufferId(body.get_u32()?);
+    let total_len = body.get_u16()?;
+    let in_port = PortNo(body.get_u16()?);
+    let raw_reason = body.get_u8()?;
+    body.advance(1)?;
+    let reason = match raw_reason {
         0 => PacketInReason::NoMatch,
         1 => PacketInReason::Action,
         other => {
@@ -391,7 +372,6 @@ fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
             })
         }
     };
-    body.advance(1);
     Ok(PacketIn {
         buffer_id,
         total_len,
@@ -413,13 +393,10 @@ fn encode_packet_out(po: &PacketOut, buf: &mut Vec<u8>) {
 }
 
 fn decode_packet_out(mut body: &[u8]) -> Result<PacketOut, DecodeError> {
-    need(body, 8, "packet_out")?;
-    let buffer_id = BufferId(body.get_u32());
-    let in_port = PortNo(body.get_u16());
-    let actions_len = body.get_u16() as usize;
-    need(body, actions_len, "packet_out.actions")?;
-    let actions = decode_actions(&body[..actions_len])?;
-    body.advance(actions_len);
+    let buffer_id = BufferId(body.get_u32()?);
+    let in_port = PortNo(body.get_u16()?);
+    let actions_len = body.get_u16()? as usize;
+    let actions = decode_actions(body.split_to(actions_len)?)?;
     Ok(PacketOut {
         buffer_id,
         in_port,
@@ -461,9 +438,15 @@ fn encode_flow_mod(fm: &FlowMod, buf: &mut Vec<u8>) {
 
 fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
     let match_ = decode_match(&mut body)?;
-    need(body, 24, "flow_mod")?;
-    let cookie = Cookie(body.get_u64());
-    let command = match body.get_u16() {
+    let cookie = Cookie(body.get_u64()?);
+    let raw_command = body.get_u16()?;
+    let idle_timeout = body.get_u16()?;
+    let hard_timeout = body.get_u16()?;
+    let priority = body.get_u16()?;
+    let buffer_id = BufferId(body.get_u32()?);
+    let out_port = PortNo(body.get_u16()?);
+    let raw_flags = body.get_u16()?;
+    let command = match raw_command {
         0 => FlowModCommand::Add,
         1 => FlowModCommand::Modify,
         2 => FlowModCommand::ModifyStrict,
@@ -476,12 +459,6 @@ fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
             })
         }
     };
-    let idle_timeout = body.get_u16();
-    let hard_timeout = body.get_u16();
-    let priority = body.get_u16();
-    let buffer_id = BufferId(body.get_u32());
-    let out_port = PortNo(body.get_u16());
-    let raw_flags = body.get_u16();
     let actions = decode_actions(body)?;
     Ok(FlowMod {
         match_,
@@ -523,10 +500,17 @@ fn encode_flow_removed(fr: &FlowRemoved, buf: &mut Vec<u8>) {
 
 fn decode_flow_removed(mut body: &[u8]) -> Result<FlowRemoved, DecodeError> {
     let match_ = decode_match(&mut body)?;
-    need(body, 40, "flow_removed")?;
-    let cookie = Cookie(body.get_u64());
-    let priority = body.get_u16();
-    let reason = match body.get_u8() {
+    let cookie = Cookie(body.get_u64()?);
+    let priority = body.get_u16()?;
+    let raw_reason = body.get_u8()?;
+    body.advance(1)?;
+    let duration_sec = body.get_u32()?;
+    let duration_nsec = body.get_u32()?;
+    let idle_timeout = body.get_u16()?;
+    body.advance(2)?;
+    let packet_count = body.get_u64()?;
+    let byte_count = body.get_u64()?;
+    let reason = match raw_reason {
         0 => FlowRemovedReason::IdleTimeout,
         1 => FlowRemovedReason::HardTimeout,
         2 => FlowRemovedReason::Delete,
@@ -537,13 +521,6 @@ fn decode_flow_removed(mut body: &[u8]) -> Result<FlowRemoved, DecodeError> {
             })
         }
     };
-    body.advance(1);
-    let duration_sec = body.get_u32();
-    let duration_nsec = body.get_u32();
-    let idle_timeout = body.get_u16();
-    body.advance(2);
-    let packet_count = body.get_u64();
-    let byte_count = body.get_u64();
     Ok(FlowRemoved {
         match_,
         cookie,
@@ -577,17 +554,16 @@ fn encode_phy_port(p: &PhyPort, buf: &mut Vec<u8>) {
 }
 
 fn decode_phy_port(buf: &mut &[u8]) -> Result<PhyPort, DecodeError> {
-    need(buf, 48, "phy_port")?;
-    let port_no = PortNo(buf.get_u16());
+    let port_no = PortNo(buf.get_u16()?);
     let mut mac = [0u8; 6];
-    buf.copy_to_slice(&mut mac);
+    buf.copy_to_slice(&mut mac)?;
     let mut name = [0u8; PORT_NAME_LEN];
-    buf.copy_to_slice(&mut name);
+    buf.copy_to_slice(&mut name)?;
     let end = name.iter().position(|&b| b == 0).unwrap_or(PORT_NAME_LEN);
     let name = String::from_utf8_lossy(&name[..end]).into_owned();
-    let _config = buf.get_u32();
-    let state = buf.get_u32();
-    buf.advance(16);
+    let _config = buf.get_u32()?;
+    let state = buf.get_u32()?;
+    buf.advance(16)?;
     Ok(PhyPort {
         port_no,
         hw_addr: MacAddr(mac),
@@ -609,11 +585,10 @@ fn encode_features(f: &SwitchFeatures, buf: &mut Vec<u8>) {
 }
 
 fn decode_features(mut body: &[u8]) -> Result<SwitchFeatures, DecodeError> {
-    need(body, 24, "features_reply")?;
-    let datapath_id = DatapathId(body.get_u64());
-    let n_buffers = body.get_u32();
-    let n_tables = body.get_u8();
-    body.advance(3 + 4 + 4);
+    let datapath_id = DatapathId(body.get_u64()?);
+    let n_buffers = body.get_u32()?;
+    let n_tables = body.get_u8()?;
+    body.advance(3 + 4 + 4)?;
     let mut ports = Vec::new();
     while !body.is_empty() {
         ports.push(decode_phy_port(&mut body)?);
@@ -639,8 +614,9 @@ fn encode_port_status(ps: &PortStatus, buf: &mut Vec<u8>) {
 }
 
 fn decode_port_status(mut body: &[u8]) -> Result<PortStatus, DecodeError> {
-    need(body, 8, "port_status")?;
-    let reason = match body.get_u8() {
+    let raw_reason = body.get_u8()?;
+    body.advance(7)?;
+    let reason = match raw_reason {
         0 => PortReason::Add,
         1 => PortReason::Delete,
         2 => PortReason::Modify,
@@ -651,7 +627,6 @@ fn decode_port_status(mut body: &[u8]) -> Result<PortStatus, DecodeError> {
             })
         }
     };
-    body.advance(7);
     let port = decode_phy_port(&mut body)?;
     Ok(PortStatus { reason, port })
 }
@@ -690,15 +665,13 @@ fn encode_stats_request(req: &StatsRequest, buf: &mut Vec<u8>) {
 }
 
 fn decode_stats_request(mut body: &[u8]) -> Result<StatsRequest, DecodeError> {
-    need(body, 4, "stats_request")?;
-    let kind = body.get_u16();
-    let _flags = body.get_u16();
+    let kind = body.get_u16()?;
+    let _flags = body.get_u16()?;
     match kind {
         STATS_FLOW | STATS_AGGREGATE => {
             let match_ = decode_match(&mut body)?;
-            need(body, 4, "stats_request.flow")?;
-            body.advance(2);
-            let out_port = PortNo(body.get_u16());
+            body.advance(2)?;
+            let out_port = PortNo(body.get_u16()?);
             Ok(if kind == STATS_FLOW {
                 StatsRequest::Flow { match_, out_port }
             } else {
@@ -706,8 +679,8 @@ fn decode_stats_request(mut body: &[u8]) -> Result<StatsRequest, DecodeError> {
             })
         }
         STATS_PORT => {
-            need(body, 8, "stats_request.port")?;
-            let port_no = PortNo(body.get_u16());
+            let port_no = PortNo(body.get_u16()?);
+            body.advance(6)?;
             Ok(StatsRequest::Port { port_no })
         }
         other => Err(DecodeError::BadField {
@@ -765,32 +738,30 @@ fn encode_stats_reply(rep: &StatsReply, buf: &mut Vec<u8>) {
 }
 
 fn decode_stats_reply(mut body: &[u8]) -> Result<StatsReply, DecodeError> {
-    need(body, 4, "stats_reply")?;
-    let kind = body.get_u16();
-    let _flags = body.get_u16();
+    let kind = body.get_u16()?;
+    let _flags = body.get_u16()?;
     match kind {
         STATS_FLOW => {
             let mut entries = Vec::new();
             while !body.is_empty() {
-                need(body, 88, "stats_reply.flow_entry")?;
-                let len = body.get_u16() as usize;
+                let len = body.get_u16()? as usize;
+                body.advance(2)?;
+                let match_ = decode_match(&mut body)?;
+                let duration_sec = body.get_u32()?;
+                let _dnsec = body.get_u32()?;
+                let priority = body.get_u16()?;
+                let idle_timeout = body.get_u16()?;
+                let hard_timeout = body.get_u16()?;
+                body.advance(6)?;
+                let cookie = Cookie(body.get_u64()?);
+                let packet_count = body.get_u64()?;
+                let byte_count = body.get_u64()?;
                 if len != 88 {
                     return Err(DecodeError::BadLength {
                         context: "stats_reply.flow_entry.len",
                         claimed: len,
                     });
                 }
-                body.advance(2);
-                let match_ = decode_match(&mut body)?;
-                let duration_sec = body.get_u32();
-                let _dnsec = body.get_u32();
-                let priority = body.get_u16();
-                let idle_timeout = body.get_u16();
-                let hard_timeout = body.get_u16();
-                body.advance(6);
-                let cookie = Cookie(body.get_u64());
-                let packet_count = body.get_u64();
-                let byte_count = body.get_u64();
                 entries.push(FlowStats {
                     match_,
                     priority,
@@ -805,10 +776,10 @@ fn decode_stats_reply(mut body: &[u8]) -> Result<StatsReply, DecodeError> {
             Ok(StatsReply::Flow(entries))
         }
         STATS_AGGREGATE => {
-            need(body, 24, "stats_reply.aggregate")?;
-            let packet_count = body.get_u64();
-            let byte_count = body.get_u64();
-            let flow_count = body.get_u32();
+            let packet_count = body.get_u64()?;
+            let byte_count = body.get_u64()?;
+            let flow_count = body.get_u32()?;
+            body.advance(4)?; // pad
             Ok(StatsReply::Aggregate(AggregateStats {
                 packet_count,
                 byte_count,
@@ -818,17 +789,16 @@ fn decode_stats_reply(mut body: &[u8]) -> Result<StatsReply, DecodeError> {
         STATS_PORT => {
             let mut ports = Vec::new();
             while !body.is_empty() {
-                need(body, 56, "stats_reply.port_entry")?;
-                let port_no = PortNo(body.get_u16());
-                body.advance(6);
+                let port_no = PortNo(body.get_u16()?);
+                body.advance(6)?;
                 ports.push(PortStats {
                     port_no,
-                    rx_packets: body.get_u64(),
-                    tx_packets: body.get_u64(),
-                    rx_bytes: body.get_u64(),
-                    tx_bytes: body.get_u64(),
-                    rx_dropped: body.get_u64(),
-                    tx_dropped: body.get_u64(),
+                    rx_packets: body.get_u64()?,
+                    tx_packets: body.get_u64()?,
+                    rx_bytes: body.get_u64()?,
+                    tx_bytes: body.get_u64()?,
+                    rx_dropped: body.get_u64()?,
+                    tx_dropped: body.get_u64()?,
                 });
             }
             Ok(StatsReply::Port(ports))
@@ -880,7 +850,7 @@ mod tests {
     #[test]
     fn roundtrip_echo() {
         roundtrip(OfpMessage::EchoRequest(vec![0xde, 0xad].into()));
-        roundtrip(OfpMessage::EchoReply(Bytes::new()));
+        roundtrip(OfpMessage::EchoReply(Vec::new().into()));
     }
 
     #[test]
@@ -1108,20 +1078,278 @@ mod tests {
         );
     }
 
+    /// One sample of every message type (and every statistics kind),
+    /// each list carrying two elements, with the framed lengths at which
+    /// a prefix whose header length is patched to the cut still decodes.
+    fn truncation_cases() -> Vec<(&'static str, OfpMessage, Vec<usize>)> {
+        let port = |n: u16| PhyPort {
+            port_no: PortNo(n),
+            hw_addr: MacAddr::from_u64(u64::from(n)),
+            name: format!("eth{n}"),
+            link_up: n.is_multiple_of(2),
+        };
+        let flow_stats = |n: u64| FlowStats {
+            match_: OfMatch::exact(&sample_key(), PortNo(1)),
+            priority: 5,
+            duration_sec: 30,
+            idle_timeout: 5,
+            hard_timeout: 0,
+            cookie: Cookie(n),
+            packet_count: 10 * n,
+            byte_count: 1000 * n,
+        };
+        let port_stats = |n: u64| PortStats {
+            port_no: PortNo(n as u16),
+            rx_packets: n,
+            tx_packets: n + 1,
+            rx_bytes: n + 2,
+            tx_bytes: n + 3,
+            rx_dropped: n + 4,
+            tx_dropped: n + 5,
+        };
+        let two_actions = vec![Action::output(PortNo(5)), Action::SetNwTos(8)];
+        vec![
+            ("hello", OfpMessage::Hello, vec![8]),
+            (
+                "error",
+                OfpMessage::Error(ErrorMsg {
+                    err_type: 2,
+                    code: 5,
+                    data: vec![1, 2, 3, 4].into(),
+                }),
+                (12..=16).collect(),
+            ),
+            (
+                "echo_request",
+                OfpMessage::EchoRequest(vec![1, 2, 3].into()),
+                (8..=11).collect(),
+            ),
+            (
+                "echo_reply",
+                OfpMessage::EchoReply(vec![4, 5].into()),
+                (8..=10).collect(),
+            ),
+            ("features_request", OfpMessage::FeaturesRequest, vec![8]),
+            (
+                "features_reply",
+                OfpMessage::FeaturesReply(SwitchFeatures {
+                    datapath_id: DatapathId(0xaabb),
+                    n_buffers: 256,
+                    n_tables: 1,
+                    ports: vec![port(1), port(2)],
+                }),
+                vec![32, 80, 128],
+            ),
+            (
+                "packet_in",
+                OfpMessage::PacketIn(PacketIn {
+                    buffer_id: BufferId(1234),
+                    total_len: 64,
+                    in_port: PortNo(7),
+                    reason: PacketInReason::Action,
+                    data: crate::frame::build_frame(&sample_key(), 64),
+                }),
+                (18..=82).collect(),
+            ),
+            (
+                "flow_removed",
+                OfpMessage::FlowRemoved(FlowRemoved {
+                    match_: OfMatch::exact(&sample_key(), PortNo(2)),
+                    cookie: Cookie(42),
+                    priority: 100,
+                    reason: FlowRemovedReason::Delete,
+                    duration_sec: 12,
+                    duration_nsec: 345_678,
+                    idle_timeout: 5,
+                    packet_count: 1000,
+                    byte_count: 1_500_000,
+                }),
+                vec![88],
+            ),
+            (
+                "port_status",
+                OfpMessage::PortStatus(PortStatus {
+                    reason: PortReason::Add,
+                    port: port(9),
+                }),
+                vec![64],
+            ),
+            (
+                "packet_out",
+                OfpMessage::PacketOut(PacketOut {
+                    buffer_id: BufferId::NO_BUFFER,
+                    in_port: PortNo(3),
+                    actions: two_actions.clone(),
+                    data: vec![1, 2, 3, 4].into(),
+                }),
+                (32..=36).collect(),
+            ),
+            (
+                "flow_mod",
+                OfpMessage::FlowMod(FlowMod {
+                    actions: two_actions,
+                    ..FlowMod::add(OfMatch::exact(&sample_key(), PortNo(1)), 17)
+                }),
+                vec![72, 80, 88],
+            ),
+            (
+                "stats_request.flow",
+                OfpMessage::StatsRequest(StatsRequest::Flow {
+                    match_: OfMatch::any(),
+                    out_port: PortNo::NONE,
+                }),
+                vec![56],
+            ),
+            (
+                "stats_request.aggregate",
+                OfpMessage::StatsRequest(StatsRequest::Aggregate {
+                    match_: OfMatch::exact(&sample_key(), PortNo(1)),
+                    out_port: PortNo(3),
+                }),
+                vec![56],
+            ),
+            (
+                "stats_request.port",
+                OfpMessage::StatsRequest(StatsRequest::Port { port_no: PortNo(4) }),
+                vec![20],
+            ),
+            (
+                "stats_reply.flow",
+                OfpMessage::StatsReply(StatsReply::Flow(vec![flow_stats(1), flow_stats(2)])),
+                vec![12, 100, 188],
+            ),
+            (
+                "stats_reply.aggregate",
+                OfpMessage::StatsReply(StatsReply::Aggregate(AggregateStats {
+                    packet_count: 5,
+                    byte_count: 500,
+                    flow_count: 2,
+                })),
+                vec![36],
+            ),
+            (
+                "stats_reply.port",
+                OfpMessage::StatsReply(StatsReply::Port(vec![port_stats(1), port_stats(2)])),
+                vec![12, 68, 124],
+            ),
+            ("barrier_request", OfpMessage::BarrierRequest, vec![8]),
+            ("barrier_reply", OfpMessage::BarrierReply, vec![8]),
+        ]
+    }
+
     #[test]
     fn decode_rejects_truncation() {
-        let bytes = encode(
-            &OfpMessage::FlowMod(FlowMod::add(OfMatch::any(), 1)),
-            Xid(0),
-        );
-        for cut in [0, 4, HEADER_LEN + 3, bytes.len() - 1] {
-            assert!(
-                matches!(
-                    decode(&bytes[..cut]).unwrap_err(),
-                    DecodeError::Truncated { .. }
-                ),
-                "cut at {cut} should report truncation"
-            );
+        let cases = truncation_cases();
+        let mut types: Vec<u8> = cases.iter().map(|(_, m, _)| m.type_code()).collect();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), 15, "every message type has a sample");
+        for (name, msg, ok_cuts) in cases {
+            let bytes = encode(&msg, Xid(3));
+            assert_eq!(ok_cuts.last(), Some(&bytes.len()), "{name}");
+            let mut decoded_at = Vec::new();
+            for cut in 0..=bytes.len() {
+                if cut < bytes.len() {
+                    assert!(
+                        matches!(decode(&bytes[..cut]), Err(DecodeError::Truncated { .. })),
+                        "{name}: raw prefix of {cut} bytes should report truncation"
+                    );
+                }
+                if cut < HEADER_LEN {
+                    continue;
+                }
+                // The same prefix framed as a whole message: the body
+                // ends inside a well-framed header.
+                let mut framed = bytes[..cut].to_vec();
+                framed[2..4].copy_from_slice(&(cut as u16).to_be_bytes());
+                match decode(&framed) {
+                    Ok((_, xid, used)) => {
+                        assert_eq!((xid, used), (Xid(3), cut), "{name}");
+                        decoded_at.push(cut);
+                    }
+                    Err(DecodeError::Truncated { .. }) => {}
+                    Err(other) => panic!("{name}: framed cut at {cut} gave {other:?}"),
+                }
+            }
+            assert_eq!(decoded_at, ok_cuts, "{name}: cuts that decode");
+            assert_eq!(decode(&bytes).unwrap().0, msg, "{name}");
+        }
+    }
+
+    #[test]
+    fn short_bodies_are_truncated_before_fields_are_judged() {
+        // (sample, framed offset and width of a field the decoder
+        // judges, framed length of the fixed block holding it, and the
+        // error the whole message gives once that field is set to all
+        // ones). A prefix that holds the bad field but ends inside its
+        // block is `Truncated`, as the block is read before it is judged.
+        let cases = [
+            (
+                "packet_in",
+                16,
+                1,
+                18,
+                DecodeError::BadField {
+                    context: "packet_in.reason",
+                    value: 0xff,
+                },
+            ),
+            (
+                "flow_mod",
+                56,
+                2,
+                72,
+                DecodeError::BadField {
+                    context: "flow_mod.command",
+                    value: 0xffff,
+                },
+            ),
+            (
+                "flow_removed",
+                58,
+                1,
+                88,
+                DecodeError::BadField {
+                    context: "flow_removed.reason",
+                    value: 0xff,
+                },
+            ),
+            (
+                "port_status",
+                8,
+                1,
+                16,
+                DecodeError::BadField {
+                    context: "port_status.reason",
+                    value: 0xff,
+                },
+            ),
+            (
+                "stats_reply.flow",
+                12,
+                2,
+                100,
+                DecodeError::BadLength {
+                    context: "stats_reply.flow_entry.len",
+                    claimed: 0xffff,
+                },
+            ),
+        ];
+        let samples = truncation_cases();
+        for (name, at, width, block_end, whole) in cases {
+            let msg = &samples.iter().find(|(n, _, _)| *n == name).unwrap().1;
+            let mut bytes = encode(msg, Xid(3)).to_vec();
+            bytes[at..at + width].fill(0xff);
+            assert_eq!(decode(&bytes).unwrap_err(), whole, "{name}");
+            for cut in at + width..block_end {
+                let mut framed = bytes[..cut].to_vec();
+                framed[2..4].copy_from_slice(&(cut as u16).to_be_bytes());
+                let err = decode(&framed).unwrap_err();
+                assert!(
+                    matches!(err, DecodeError::Truncated { .. }),
+                    "{name}: framed cut at {cut} gave {err:?}"
+                );
+            }
         }
     }
 

@@ -309,6 +309,35 @@ proptest! {
     }
 
     #[test]
+    fn framed_prefix_of_a_flow_mod_decodes_only_at_action_boundaries(
+        m in arb_match(), actions in arb_actions(), cut_at in any::<usize>()) {
+        // A prefix framed as a whole message (its header length patched
+        // to the cut) decodes exactly when it ends after the fixed part
+        // on an action boundary; every other cut is a truncation, never
+        // a different error.
+        let mut fm = FlowMod::add(m, 5);
+        fm.actions = actions;
+        let mut boundaries = vec![wire::HEADER_LEN + 64];
+        for a in &fm.actions {
+            boundaries.push(boundaries.last().unwrap() + usize::from(a.wire_len()));
+        }
+        let bytes = wire::encode(&OfpMessage::FlowMod(fm), Xid(1)).to_vec();
+        let cut = wire::HEADER_LEN + cut_at % (bytes.len() - wire::HEADER_LEN + 1);
+        let mut framed = bytes[..cut].to_vec();
+        framed[2..4].copy_from_slice(&(cut as u16).to_be_bytes());
+        match wire::decode(&framed) {
+            Ok((_, _, used)) => {
+                prop_assert_eq!(used, cut);
+                prop_assert!(boundaries.contains(&cut), "decoded at {}", cut);
+            }
+            Err(openflow::error::DecodeError::Truncated { .. }) => {
+                prop_assert!(!boundaries.contains(&cut), "refused at {}", cut);
+            }
+            Err(other) => prop_assert!(false, "cut at {} gave {:?}", cut, other),
+        }
+    }
+
+    #[test]
     fn exact_match_always_matches_own_key(key in arb_flow_key(), port in 1u16..1000) {
         let m = OfMatch::exact(&key, PortNo(port));
         prop_assert!(m.matches(&key, PortNo(port)));

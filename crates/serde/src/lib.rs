@@ -323,6 +323,20 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+/// Encoded exactly as `Vec<T>`: a shared slice and an owned vector of the
+/// same elements have the same bytes.
+impl<T: Serialize> Serialize for Arc<[T]> {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (**self).serialize(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        Vec::<T>::deserialize(input).map(Arc::from)
+    }
+}
+
 impl<T: Serialize> Serialize for VecDeque<T> {
     fn serialize(&self, out: &mut Vec<u8>) {
         serialize_seq(self.len(), self.iter(), out);
@@ -518,6 +532,17 @@ mod tests {
         let shared: Arc<str> = Arc::from("stalled");
         assert_eq!(to_vec(&shared), to_vec(&"stalled".to_string()));
         roundtrip(shared);
+    }
+
+    #[test]
+    fn serde_matches_vec_wire_format() {
+        let payload = b"payload bytes".to_vec();
+        let shared: Arc<[u8]> = Arc::from(&payload[..]);
+        let as_vec = to_vec(&payload);
+        assert_eq!(to_vec(&shared), as_vec);
+        let back: Arc<[u8]> = from_slice(&as_vec).unwrap();
+        assert_eq!(back, shared);
+        roundtrip(Arc::<[u8]>::from(Vec::new()));
     }
 
     #[test]

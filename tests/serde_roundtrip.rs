@@ -67,3 +67,43 @@ fn model_diff_round_trips() {
     let back: StabilityReport = serde::from_slice(&bytes).expect("report must deserialize");
     assert_eq!(stability, back, "StabilityReport must round-trip bit-exact");
 }
+
+/// A captured `PacketIn` round-trips, and its shared `Arc<[u8]>` payload
+/// encodes exactly as a `Vec<u8>` would, so checkpoint bytes do not
+/// depend on how the payload is held.
+#[test]
+fn packet_in_round_trips_with_a_vec_layout_payload() {
+    use openflow::prelude::*;
+
+    #[derive(serde::Serialize)]
+    struct OwnedPayload {
+        buffer_id: BufferId,
+        total_len: u16,
+        in_port: PortNo,
+        reason: PacketInReason,
+        data: Vec<u8>,
+    }
+
+    let (log, _) = captured_log(7, None);
+    let pi = log
+        .events()
+        .iter()
+        .find_map(|e| match &e.msg {
+            OfpMessage::PacketIn(pi) => Some(pi.clone()),
+            _ => None,
+        })
+        .expect("the capture carries a PacketIn");
+    assert!(!pi.data.is_empty());
+
+    let bytes = serde::to_vec(&pi);
+    let back: PacketIn = serde::from_slice(&bytes).expect("PacketIn must deserialize");
+    assert_eq!(back, pi);
+    let owned = OwnedPayload {
+        buffer_id: pi.buffer_id,
+        total_len: pi.total_len,
+        in_port: pi.in_port,
+        reason: pi.reason,
+        data: pi.data.to_vec(),
+    };
+    assert_eq!(bytes, serde::to_vec(&owned));
+}
