@@ -311,6 +311,18 @@ if sed '/^#\[cfg(test)\]/,$d' crates/netsim/src/net.rs |
     exit 1
 fi
 
+step "open episodes live in one slab"
+# RecordAssembler keeps its open episodes in one slab addressed by slot;
+# the touched list and the pending hops hold slots, so the epoch boundary
+# hashes no tuple (DESIGN.md, Incremental remodel, "Touched episodes
+# only"). No tuple owns an episode list and no touched list is kept by
+# tuple outside its tests.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/records.rs |
+    grep -nF -e 'Vec<OpenEpisode>' -e 'Option<Vec<FlowTuple>>'; then
+    echo "FAIL: crates/core/src/records.rs keeps open episodes or touched tuples by tuple again" >&2
+    exit 1
+fi
+
 step "one checkpoint format, one corruption policy"
 # The differ writes one sealed FDIFFCKP payload, and a corrupt byte
 # anywhere is a refusal (DESIGN.md, Rejected: per-shard segment

@@ -278,41 +278,285 @@ pub fn extract_records(log: &ControllerLog, config: &FlowDiffConfig) -> Vec<Flow
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct OpenEpisode {
     /// Creation sequence number; pairs pending `FlowMod` patches with
-    /// the episode they belong to even after sibling episodes close.
+    /// the episode they belong to even after its slot is reused.
     seq: u64,
     record: FlowRecord,
     /// Latest event timestamp that touched this episode (hop, `FlowMod`
     /// patch, or `FlowRemoved`); drives idle eviction.
     last_activity: Timestamp,
-    /// Set while the episode's tuple sits in the assembler's `touched`
+    /// Set while the episode's slot sits in the assembler's `touched`
     /// list.
     touched: Derived<bool>,
 }
 
+/// An open episode's place in the [`Episodes`] slab.
+type Slot = u32;
+
 /// Location of a hop that is still waiting for its `FlowMod` reply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PendingHop {
     tuple: FlowTuple,
     seq: u64,
     hop_idx: usize,
     registered: Timestamp,
+    /// The episode's slot, which holds the hop only while it holds
+    /// episode `seq`. Never written: a restore finds it again from
+    /// `tuple` and `seq`.
+    slot: Derived<Slot>,
 }
 
-/// The tuples with an open episode that changed — a hop, a `FlowMod`
+/// The slots of the open episodes that changed — a hop, a `FlowMod`
 /// patch, a `FlowRemoved`, or the eviction of a sibling episode — since
 /// [`RecordAssembler::touched_open_records_since`] last asked, one
 /// entry per episode (its `touched` flag dedups). `None` means
 /// "everything": nobody has asked yet (a fresh or restored assembler), so
 /// nothing is tracked and the list cannot grow.
-type Touched = Derived<Option<Vec<FlowTuple>>>;
+type Touched = Derived<Option<Vec<Slot>>>;
 
 impl Touched {
-    fn mark(&mut self, episode: &mut OpenEpisode) {
-        if let Some(tuples) = &mut self.0 {
+    fn mark(&mut self, slot: Slot, episode: &mut OpenEpisode) {
+        if let Some(slots) = &mut self.0 {
             if !std::mem::replace(&mut episode.touched.0, true) {
-                tuples.push(episode.record.tuple);
+                slots.push(slot);
             }
         }
+    }
+}
+
+/// The open episodes, in one slab addressed by [`Slot`]. An eviction's
+/// slot goes on a free list for the next new episode. The tuple index
+/// holds each tuple's newest episode; a tuple has older ones only when
+/// it reopened after the episode gap while they were still open, and
+/// they chain through their slots. No tuple owns an allocation of its
+/// own, and a slot reaches its episode without hashing the tuple.
+///
+/// A checkpoint carries the store as it always has, tuple → episodes
+/// (oldest first) in key order: slots are never written, so equality
+/// compares content and a restored store may lay its slots out afresh.
+#[derive(Debug, Clone, Default)]
+struct Episodes {
+    slots: Vec<Option<Linked>>,
+    free: Vec<Slot>,
+    newest: HashMap<FlowTuple, Slot>,
+}
+
+/// An episode in its slot, linked to its tuple's next older and newer
+/// open episodes.
+#[derive(Debug, Clone)]
+struct Linked {
+    ep: OpenEpisode,
+    older: Option<Slot>,
+    newer: Option<Slot>,
+}
+
+impl std::ops::Index<Slot> for Episodes {
+    type Output = Linked;
+
+    fn index(&self, slot: Slot) -> &Linked {
+        self.slots[slot as usize].as_ref().expect("slot is open")
+    }
+}
+
+impl std::ops::IndexMut<Slot> for Episodes {
+    fn index_mut(&mut self, slot: Slot) -> &mut Linked {
+        self.slots[slot as usize].as_mut().expect("slot is open")
+    }
+}
+
+impl Episodes {
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn get(&self, slot: Slot) -> Option<&Linked> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// Episode `seq`, if `slot` still holds it: an eviction may have
+    /// vacated the slot and a newer episode reused it.
+    fn episode_mut(&mut self, slot: Slot, seq: u64) -> Option<&mut OpenEpisode> {
+        let linked = self.slots.get_mut(slot as usize)?.as_mut()?;
+        Some(&mut linked.ep).filter(|ep| ep.seq == seq)
+    }
+
+    /// Adds `hop` to `tuple`'s newest episode, or opens episode
+    /// `next_seq` with it when the hop comes more than `gap_us` after
+    /// that episode's last hop (or the tuple has none open).
+    fn add_hop(
+        &mut self,
+        tuple: FlowTuple,
+        hop: HopReport,
+        gap_us: u64,
+        next_seq: &mut u64,
+    ) -> (Slot, &mut OpenEpisode) {
+        let older = self.newest.get(&tuple).copied();
+        if let Some(slot) = older {
+            let ep = &mut self[slot].ep;
+            let last_ts = ep.record.hops.last().map_or(ep.record.first_seen, |h| h.ts);
+            if hop.ts.saturating_since(last_ts) <= gap_us {
+                ep.record.hops.push(hop);
+                if hop.ts > ep.last_activity {
+                    ep.last_activity = hop.ts;
+                }
+                return (slot, &mut self[slot].ep);
+            }
+        }
+        let linked = Linked {
+            ep: OpenEpisode {
+                seq: *next_seq,
+                record: FlowRecord {
+                    tuple,
+                    first_seen: hop.ts,
+                    hops: vec![hop],
+                    byte_count: 0,
+                    packet_count: 0,
+                    duration_s: 0.0,
+                },
+                last_activity: hop.ts,
+                touched: Derived(false),
+            },
+            older,
+            newer: None,
+        };
+        *next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(linked);
+                slot
+            }
+            None => {
+                self.slots.push(Some(linked));
+                (self.slots.len() - 1) as Slot
+            }
+        };
+        if let Some(older) = older {
+            self[older].newer = Some(slot);
+        }
+        self.newest.insert(tuple, slot);
+        (slot, &mut self[slot].ep)
+    }
+
+    /// Takes the episode in `slot` out of the slab and out of its
+    /// tuple's chain.
+    fn remove(&mut self, slot: Slot) -> OpenEpisode {
+        let Linked { ep, older, newer } = self.slots[slot as usize].take().expect("slot is open");
+        self.free.push(slot);
+        if let Some(older) = older {
+            self[older].newer = newer;
+        }
+        match (newer, older) {
+            (Some(newer), _) => self[newer].older = older,
+            (None, Some(older)) => {
+                self.newest.insert(ep.record.tuple, older);
+            }
+            (None, None) => {
+                self.newest.remove(&ep.record.tuple);
+            }
+        }
+        ep
+    }
+
+    /// `slot` and the older episodes of its tuple, newest first.
+    fn newest_first(&self, slot: Slot) -> impl Iterator<Item = Slot> + Clone + '_ {
+        std::iter::successors(Some(slot), |&s| self[s].older)
+    }
+
+    /// The oldest open episode of the tuple whose episode `slot` holds.
+    fn oldest(&self, slot: Slot) -> Slot {
+        self.newest_first(slot).last().unwrap_or(slot)
+    }
+
+    /// `slot`'s tuple's open episodes, oldest first.
+    fn oldest_first(&self, slot: Slot) -> impl Iterator<Item = Slot> + Clone + '_ {
+        std::iter::successors(Some(self.oldest(slot)), |&s| self[s].newer)
+    }
+
+    /// Every open slot, walked tuple by tuple, each tuple oldest first.
+    fn in_order(&self) -> impl Iterator<Item = Slot> + '_ {
+        (0..self.slots.len() as Slot)
+            .filter(|&s| self.get(s).is_some_and(|linked| linked.older.is_none()))
+            .flat_map(|oldest| std::iter::successors(Some(oldest), |&s| self[s].newer))
+    }
+
+    /// The slot of `tuple`'s open episode `seq`.
+    fn find(&self, tuple: &FlowTuple, seq: u64) -> Option<Slot> {
+        let newest = *self.newest.get(tuple)?;
+        self.newest_first(newest).find(|&s| self[s].ep.seq == seq)
+    }
+
+    /// The records in [`in_order`](Self::in_order), moved out.
+    fn into_records(mut self) -> impl Iterator<Item = FlowRecord> {
+        let order: Vec<Slot> = self.in_order().collect();
+        (order.into_iter()).map(move |s| {
+            self.slots[s as usize]
+                .take()
+                .expect("slot is open")
+                .ep
+                .record
+        })
+    }
+}
+
+impl PartialEq for Episodes {
+    fn eq(&self, other: &Episodes) -> bool {
+        self.newest.len() == other.newest.len()
+            && self.newest.iter().all(|(tuple, &mine)| {
+                (other.newest.get(tuple)).is_some_and(|&theirs| {
+                    let mine = self.newest_first(mine).map(|s| &self[s].ep);
+                    mine.eq(other.newest_first(theirs).map(|s| &other[s].ep))
+                })
+            })
+    }
+}
+
+impl Serialize for Episodes {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        serde::serialize_by_key(
+            self.newest.len(),
+            self.newest.iter(),
+            out,
+            |&newest, out| {
+                let chain = self.oldest_first(newest);
+                (chain.clone().count() as u64).serialize(out);
+                for slot in chain {
+                    self[slot].ep.serialize(out);
+                }
+            },
+        );
+    }
+}
+
+impl Deserialize for Episodes {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let mut store = Episodes::default();
+        for _ in 0..u64::deserialize(input)? {
+            let tuple = FlowTuple::deserialize(input)?;
+            let mut older = None;
+            for _ in 0..u64::deserialize(input)? {
+                let ep = OpenEpisode::deserialize(input)?;
+                if ep.record.tuple != tuple {
+                    return Err(serde::Error::custom(
+                        "an open episode is listed under another tuple",
+                    ));
+                }
+                let slot = store.slots.len() as Slot;
+                if let Some(older) = older {
+                    store[older].newer = Some(slot);
+                }
+                store.slots.push(Some(Linked {
+                    ep,
+                    older,
+                    newer: None,
+                }));
+                older = Some(slot);
+            }
+            if let Some(newest) = older {
+                if store.newest.insert(tuple, newest).is_some() {
+                    return Err(serde::Error::custom("open episodes list a tuple twice"));
+                }
+            }
+        }
+        Ok(store)
     }
 }
 
@@ -347,7 +591,7 @@ impl Touched {
 /// — in-flight episodes, xid bookkeeping, health counters — serializes;
 /// a deserialized assembler continues exactly where the original
 /// stopped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RecordAssembler {
     episode_gap_us: u64,
     horizon_us: u64,
@@ -355,11 +599,11 @@ pub struct RecordAssembler {
     seen_mods: HashMap<Xid, SeenMod>,
     /// xid -> hops still waiting for that FlowMod.
     pending_mods: HashMap<Xid, Vec<PendingHop>>,
-    /// Open episodes per tuple, oldest first. A flat hash map: every
-    /// consumer of whole-state iteration (`finish`, the snapshot path)
-    /// sorts by `(first_seen, tuple)` afterwards, so map order never
-    /// reaches an output.
-    open: HashMap<FlowTuple, Vec<OpenEpisode>>,
+    /// Open episodes. Every consumer of whole-state iteration
+    /// (`finish`, the snapshot path) sorts by `(first_seen, tuple)`
+    /// afterwards, so slot order never reaches an output; a tuple's
+    /// episodes keep theirs, oldest first.
+    open: Episodes,
     next_seq: u64,
     completed: Vec<FlowRecord>,
     now: Timestamp,
@@ -380,6 +624,33 @@ struct SeenMod {
     used: bool,
 }
 
+impl Deserialize for RecordAssembler {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let mut asm = RecordAssembler {
+            episode_gap_us: Deserialize::deserialize(input)?,
+            horizon_us: Deserialize::deserialize(input)?,
+            seen_mods: Deserialize::deserialize(input)?,
+            pending_mods: Deserialize::deserialize(input)?,
+            open: Deserialize::deserialize(input)?,
+            next_seq: Deserialize::deserialize(input)?,
+            completed: Deserialize::deserialize(input)?,
+            now: Deserialize::deserialize(input)?,
+            last_prune: Deserialize::deserialize(input)?,
+            health: Deserialize::deserialize(input)?,
+            touched: Touched::default(),
+        };
+        // Slots are never written: each waiting hop finds its episode's
+        // again. One that finds none keeps a slot that holds no episode
+        // `seq`, so its FlowMod attaches nowhere.
+        for p in asm.pending_mods.values_mut().flatten() {
+            if let Some(slot) = asm.open.find(&p.tuple, p.seq) {
+                p.slot.0 = slot;
+            }
+        }
+        Ok(asm)
+    }
+}
+
 impl RecordAssembler {
     /// New assembler using `config.episode_gap_us` and
     /// `config.partial_flow_timeout_us`.
@@ -389,7 +660,7 @@ impl RecordAssembler {
             horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
             seen_mods: HashMap::new(),
             pending_mods: HashMap::new(),
-            open: HashMap::new(),
+            open: Episodes::default(),
             next_seq: 0,
             completed: Vec::new(),
             now: Timestamp::ZERO,
@@ -468,49 +739,16 @@ impl RecordAssembler {
             flow_mod_ts: fm_ts,
             out_port,
         };
-        let episodes = self.open.entry(tuple).or_default();
-        let start_new = match episodes.last() {
-            Some(ep) => {
-                let last_ts = ep.record.hops.last().map_or(ep.record.first_seen, |h| h.ts);
-                ts.saturating_since(last_ts) > self.episode_gap_us
-            }
-            None => true,
-        };
-        let (seq, hop_idx);
-        if start_new {
-            seq = self.next_seq;
-            self.next_seq += 1;
-            hop_idx = 0;
-            episodes.push(OpenEpisode {
-                seq,
-                record: FlowRecord {
-                    tuple,
-                    first_seen: ts,
-                    hops: vec![hop],
-                    byte_count: 0,
-                    packet_count: 0,
-                    duration_s: 0.0,
-                },
-                last_activity: ts,
-                touched: Derived(false),
-            });
-        } else {
-            let ep = episodes.last_mut().expect("just checked");
-            ep.record.hops.push(hop);
-            if ts > ep.last_activity {
-                ep.last_activity = ts;
-            }
-            seq = ep.seq;
-            hop_idx = ep.record.hops.len() - 1;
-        }
-        self.touched
-            .mark(episodes.last_mut().expect("pushed or extended"));
+        let (slot, ep) = (self.open).add_hop(tuple, hop, self.episode_gap_us, &mut self.next_seq);
+        let (seq, hop_idx) = (ep.seq, ep.record.hops.len() - 1);
+        self.touched.mark(slot, ep);
         if fm_ts.is_none() {
             self.pending_mods.entry(xid).or_default().push(PendingHop {
                 tuple,
                 seq,
                 hop_idx,
                 registered: ts,
+                slot: Derived(slot),
             });
         }
     }
@@ -518,30 +756,21 @@ impl RecordAssembler {
     fn on_flow_mod(&mut self, ts: Timestamp, xid: Xid, out: Option<PortNo>) {
         use std::collections::hash_map::Entry;
         // First FlowMod per xid wins, matching the batch pre-scan.
-        let Entry::Vacant(slot) = self.seen_mods.entry(xid) else {
+        let Entry::Vacant(seen) = self.seen_mods.entry(xid) else {
             self.health.record(IngestAnomaly::DuplicateXid);
             return;
         };
-        slot.insert(SeenMod {
+        let waiting = self.pending_mods.remove(&xid);
+        seen.insert(SeenMod {
             ts,
             out,
-            used: false,
+            // The xid matched real hops (even if some were since
+            // evicted): this mod is not an orphan.
+            used: waiting.is_some(),
         });
-        let Some(waiting) = self.pending_mods.remove(&xid) else {
-            return;
-        };
-        // The xid matched real hops (even if some were since evicted):
-        // this mod is not an orphan.
-        if let Some(sm) = self.seen_mods.get_mut(&xid) {
-            sm.used = true;
-        }
-        for p in waiting {
-            let Some(episodes) = self.open.get_mut(&p.tuple) else {
+        for p in waiting.into_iter().flatten() {
+            let Some(ep) = self.open.episode_mut(p.slot.0, p.seq) else {
                 // episode already evicted: tolerated straggler
-                self.health.record(IngestAnomaly::StaleAttach);
-                continue;
-            };
-            let Some(ep) = episodes.iter_mut().find(|e| e.seq == p.seq) else {
                 self.health.record(IngestAnomaly::StaleAttach);
                 continue;
             };
@@ -552,7 +781,7 @@ impl RecordAssembler {
             if ts > ep.last_activity {
                 ep.last_activity = ts;
             }
-            self.touched.mark(ep);
+            self.touched.mark(p.slot.0, ep);
         }
     }
 
@@ -566,25 +795,22 @@ impl RecordAssembler {
     ) {
         // Attach to the latest episode started before the removal;
         // counters merge with max over per-switch FlowRemoveds.
-        let Some(episodes) = self.open.get_mut(&tuple) else {
+        let open = &self.open;
+        let Some(slot) = (open.newest.get(&tuple)).and_then(|&newest| {
+            open.newest_first(newest)
+                .find(|&s| open[s].ep.record.first_seen <= ts)
+        }) else {
             self.health.record(IngestAnomaly::OrphanFlowRemoved);
             return;
         };
-        let Some(ep) = episodes
-            .iter_mut()
-            .rev()
-            .find(|ep| ep.record.first_seen <= ts)
-        else {
-            self.health.record(IngestAnomaly::OrphanFlowRemoved);
-            return;
-        };
+        let ep = &mut self.open[slot].ep;
         ep.record.byte_count = ep.record.byte_count.max(byte_count);
         ep.record.packet_count = ep.record.packet_count.max(packet_count);
         ep.record.duration_s = ep.record.duration_s.max(duration_s);
         if ts > ep.last_activity {
             ep.last_activity = ts;
         }
-        self.touched.mark(ep);
+        self.touched.mark(slot, ep);
     }
 
     /// Evicts state idle past the horizon. Idle episodes are *emitted*
@@ -592,27 +818,32 @@ impl RecordAssembler {
     fn prune(&mut self) {
         let now = self.now;
         let horizon = self.horizon_us;
-        let mut evicted: Vec<FlowRecord> = Vec::new();
-        let touched = &mut self.touched;
-        self.open.retain(|_, episodes| {
-            let before = evicted.len();
-            let mut i = 0;
-            while i < episodes.len() {
-                if now.saturating_since(episodes[i].last_activity) > horizon {
-                    evicted.push(episodes.remove(i).record);
-                } else {
-                    i += 1;
+        let before = self.completed.len();
+        // Tuple by tuple from each oldest episode, so a tuple's evictions
+        // complete in the order its episodes opened.
+        for oldest in 0..self.open.slots.len() as Slot {
+            if (self.open.get(oldest)).is_none_or(|linked| linked.older.is_some()) {
+                continue;
+            }
+            let (mut evicted, mut survivor) = (false, None);
+            let mut next = Some(oldest);
+            while let Some(slot) = next {
+                let linked = &self.open[slot];
+                next = linked.newer;
+                if now.saturating_since(linked.ep.last_activity) > horizon {
+                    self.completed.push(self.open.remove(slot).record);
+                    evicted = true;
+                } else if survivor.is_none() {
+                    survivor = Some(slot);
                 }
             }
             // A surviving sibling may share the evicted episode's window
             // key; the maintained window re-reads it to keep their order.
-            if let (true, Some(sibling)) = (evicted.len() > before, episodes.first_mut()) {
-                touched.mark(sibling);
+            if let (true, Some(sibling)) = (evicted, survivor) {
+                self.touched.mark(sibling, &mut self.open[sibling].ep);
             }
-            !episodes.is_empty()
-        });
-        self.health.episodes_evicted += evicted.len() as u64;
-        self.completed.extend(evicted);
+        }
+        self.health.episodes_evicted += (self.completed.len() - before) as u64;
         let mut orphaned = 0u64;
         self.seen_mods.retain(|_, sm| {
             let keep = now.saturating_since(sm.ts) <= horizon;
@@ -653,9 +884,9 @@ impl RecordAssembler {
     }
 
     fn open_since(&self, start: Timestamp) -> impl Iterator<Item = &FlowRecord> {
-        (self.open.values().flatten())
-            .filter(move |ep| ep.record.first_seen >= start)
-            .map(|ep| &ep.record)
+        (self.open.in_order())
+            .map(|slot| &self.open[slot].ep.record)
+            .filter(move |record| record.first_seen >= start)
     }
 
     /// [`open_records_since`](Self::open_records_since) restricted to
@@ -664,37 +895,43 @@ impl RecordAssembler {
     /// holds per `(first_seen, tuple)` key always sees a key's episodes
     /// together. The first call on a fresh or restored assembler returns
     /// every in-window episode and starts the tracking. The records are
-    /// lent, not cloned.
+    /// lent, not cloned, and reached by slot: no tuple is hashed.
     pub fn touched_open_records_since(&mut self, start: Timestamp) -> Vec<&FlowRecord> {
-        let Some(mut tuples) = self.touched.0.take() else {
+        let Some(mut slots) = self.touched.0.take() else {
             self.touched.0 = Some(Vec::new());
             return self.open_since(start).collect();
         };
-        tuples.retain(|tuple| {
-            // Evicted since, or already handed over for a sibling.
-            let Some(episodes) = self.open.get_mut(tuple) else {
+        // Each touched tuple once, by its oldest episode's slot. A slot
+        // vacated since (and maybe reused), or whose tuple went over
+        // with a sibling, no longer holds a flagged episode.
+        let open = &mut self.open;
+        slots.retain_mut(|slot| {
+            if !(open.get(*slot)).is_some_and(|linked| linked.ep.touched.0) {
                 return false;
-            };
-            let touched = episodes.iter().any(|ep| ep.touched.0);
-            for ep in episodes {
-                ep.touched.0 = false;
             }
-            touched
+            let oldest = open.oldest(*slot);
+            let mut next = Some(oldest);
+            while let Some(s) = next {
+                open[s].ep.touched.0 = false;
+                next = open[s].newer;
+            }
+            *slot = oldest;
+            true
         });
         let open = &self.open;
-        let out = (tuples.iter())
-            .flat_map(|tuple| &open[tuple])
-            .filter(|ep| ep.record.first_seen >= start)
-            .map(|ep| &ep.record)
+        let out = (slots.iter())
+            .flat_map(|&oldest| open.oldest_first(oldest))
+            .map(|s| &open[s].ep.record)
+            .filter(|record| record.first_seen >= start)
             .collect();
-        tuples.clear();
-        self.touched.0 = Some(tuples);
+        slots.clear();
+        self.touched.0 = Some(slots);
         out
     }
 
     /// Number of in-flight episodes (bounded-memory diagnostics).
     pub fn open_len(&self) -> usize {
-        self.open.values().map(Vec::len).sum()
+        self.open.len()
     }
 
     /// Number of completed records not yet taken.
@@ -720,7 +957,7 @@ impl RecordAssembler {
     /// order.
     pub fn finish(self) -> Vec<FlowRecord> {
         let mut records = self.completed;
-        records.extend(self.open.into_values().flatten().map(|ep| ep.record));
+        records.extend(self.open.into_records());
         records.sort_by_key(|r| (r.first_seen, r.tuple));
         records
     }
@@ -1176,6 +1413,209 @@ mod tests {
             .collect();
         assert_eq!(again, asm.open_records());
         assert!(first.contains(&again[0]), "handed over unchanged");
+    }
+
+    #[test]
+    fn short_horizon_reopens_evictions_and_restores_are_unobservable() {
+        use openflow::actions::Action;
+        use openflow::match_fields::OfMatch;
+        use openflow::messages::{
+            FlowMod, FlowRemoved, FlowRemovedReason, PacketIn, PacketInReason,
+        };
+        use openflow::types::{BufferId, Cookie};
+
+        // Tuples by source port; every timestamp in milliseconds.
+        enum Ev {
+            In(u16, u32),
+            Mod(u32),
+            Removed(u16, u64),
+        }
+        let event = |ms: u64, ev: Ev| {
+            let (xid, msg) = match ev {
+                Ev::In(sport, xid) => (
+                    xid,
+                    OfpMessage::PacketIn(PacketIn {
+                        buffer_id: BufferId::NO_BUFFER,
+                        total_len: 128,
+                        in_port: PortNo(1),
+                        reason: PacketInReason::NoMatch,
+                        data: frame::build_frame(&key(sport), 128),
+                    }),
+                ),
+                Ev::Mod(xid) => (
+                    xid,
+                    OfpMessage::FlowMod(
+                        FlowMod::add(OfMatch::exact(&key(1), PortNo(1)), 100)
+                            .action(Action::output(PortNo(2))),
+                    ),
+                ),
+                Ev::Removed(sport, byte_count) => (
+                    0,
+                    OfpMessage::FlowRemoved(FlowRemoved {
+                        match_: OfMatch::exact(&key(sport), PortNo(1)),
+                        cookie: Cookie::default(),
+                        priority: 100,
+                        reason: FlowRemovedReason::IdleTimeout,
+                        duration_sec: 1,
+                        duration_nsec: 0,
+                        idle_timeout: 1,
+                        packet_count: 1,
+                        byte_count,
+                    }),
+                ),
+            };
+            ControlEvent {
+                ts: Timestamp::from_micros(ms * 1_000),
+                dpid: DatapathId(1),
+                direction: netsim::log::Direction::ToController,
+                xid: Xid(xid),
+                msg,
+            }
+        };
+        let (a, b, c, d, e, f) = (1, 2, 3, 4, 5, 6);
+        let events = [
+            event(0, Ev::In(a, 1)),
+            event(10, Ev::Mod(1)),
+            event(100, Ev::In(b, 2)),
+            // Cut 1.
+            event(200, Ev::In(a, 3)),
+            // Keeps `a`'s first episode open past its reopening.
+            event(1_900, Ev::Mod(3)),
+            // Reopens `a` 2.1 s after its last hop; the prune here evicts
+            // `b`, and its waiting hop with it.
+            event(2_300, Ev::In(a, 4)),
+            // `b`'s FlowMod, after its episode was evicted.
+            event(2_400, Ev::Mod(2)),
+            // A new tuple, after an eviction.
+            event(2_500, Ev::In(c, 5)),
+            event(2_600, Ev::Removed(a, 500)),
+            event(2_700, Ev::Removed(b, 700)),
+            event(2_800, Ev::Mod(5)),
+            event(3_000, Ev::Mod(4)),
+            // Cut 2.
+            // The prune here evicts `a`'s first episode.
+            event(4_500, Ev::In(d, 6)),
+            event(4_600, Ev::In(e, 7)),
+            event(4_700, Ev::Mod(7)),
+            event(5_000, Ev::In(a, 8)),
+            event(5_100, Ev::Removed(a, 900)),
+            event(5_200, Ev::Mod(7)),
+            // Cut 3.
+            event(6_600, Ev::In(c, 9)),
+            event(7_000, Ev::Mod(8)),
+            event(9_000, Ev::In(b, 10)),
+            event(9_100, Ev::Mod(9)),
+            // Cut 4.
+            event(11_500, Ev::In(f, 11)),
+        ];
+        let horizon = FlowDiffConfig {
+            partial_flow_timeout_us: 2_000_000,
+            episode_gap_us: 2_000_000,
+            ..FlowDiffConfig::default()
+        };
+        // (sport, first seen in ms, hops, hops with their FlowMod, bytes)
+        type Seen = (u16, u64, usize, usize, u64);
+        fn seen<R: std::borrow::Borrow<FlowRecord>>(records: Vec<R>) -> Vec<Seen> {
+            let mut seen: Vec<Seen> = (records.iter().map(|r| r.borrow()))
+                .map(|r| {
+                    let patched = r.hops.iter().filter(|h| h.flow_mod_ts.is_some());
+                    let first_ms = r.first_seen.as_micros() / 1_000;
+                    (
+                        r.tuple.sport,
+                        first_ms,
+                        r.hops.len(),
+                        patched.count(),
+                        r.byte_count,
+                    )
+                })
+                .collect();
+            seen.sort_unstable();
+            seen
+        }
+
+        // Uninterrupted, handing over at the cuts.
+        let cuts: [(usize, u64, &[Seen]); 4] = [
+            (3, 0, &[(a, 0, 1, 1, 0), (b, 100, 1, 0, 0)]),
+            (
+                12,
+                0,
+                &[(a, 0, 2, 2, 0), (a, 2_300, 1, 1, 500), (c, 2_500, 1, 1, 0)],
+            ),
+            (
+                18,
+                0,
+                &[
+                    (a, 2_300, 1, 1, 500),
+                    (a, 5_000, 1, 0, 900),
+                    (d, 4_500, 1, 0, 0),
+                    (e, 4_600, 1, 1, 0),
+                ],
+            ),
+            (22, 6_000, &[(b, 9_000, 1, 0, 0)]),
+        ];
+        // Evictions are taken after every event, as the online differ
+        // does, so each checkpoint holds open state only.
+        let mut asm = RecordAssembler::new(&horizon);
+        let (mut bytes, mut records) = (Vec::new(), Vec::new());
+        for (i, ev) in events.iter().enumerate() {
+            if let Some((_, start, want)) = cuts.iter().find(|cut| cut.0 == i) {
+                let start = Timestamp::from_micros(start * 1_000);
+                assert_eq!(
+                    seen(asm.touched_open_records_since(start)),
+                    *want,
+                    "cut at {i}"
+                );
+            }
+            asm.observe(ev);
+            records.extend(asm.take_completed());
+            bytes.push(serde::to_vec(&asm));
+        }
+        let health = *asm.health();
+        assert_eq!(
+            (
+                health.stale_attaches,
+                health.orphan_flow_mods,
+                health.orphan_flow_removeds,
+                health.duplicate_xids,
+                health.episodes_evicted,
+            ),
+            (0, 2, 1, 1, 9)
+        );
+        records.extend(asm.finish());
+        assert_eq!(
+            seen(records.clone()),
+            [
+                (a, 0, 2, 2, 0),
+                (a, 2_300, 1, 1, 500),
+                (a, 5_000, 1, 1, 900),
+                (b, 100, 1, 0, 0),
+                (b, 9_000, 1, 0, 0),
+                (c, 2_500, 1, 1, 0),
+                (c, 6_600, 1, 0, 0),
+                (d, 4_500, 1, 0, 0),
+                (e, 4_600, 1, 1, 0),
+                (f, 11_500, 1, 0, 0),
+            ]
+        );
+
+        // Through a checkpoint after every event: the same bytes at every
+        // index and the same records at the end.
+        let mut restored = RecordAssembler::new(&horizon);
+        let mut again = Vec::new();
+        for (ev, want) in events.iter().zip(&bytes) {
+            restored.observe(ev);
+            again.extend(restored.take_completed());
+            let written = serde::to_vec(&restored);
+            assert_eq!(&written, want);
+            restored = serde::from_slice(&written).unwrap();
+        }
+        assert_eq!(*restored.health(), health);
+        again.extend(restored.finish());
+        let in_order = |mut v: Vec<FlowRecord>| {
+            v.sort_by_key(|r| (r.first_seen, r.tuple));
+            v
+        };
+        assert_eq!(in_order(again), in_order(records));
     }
 
     #[test]

@@ -390,8 +390,10 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 /// their encoded keys, each key followed by `write_value` of its entry.
 /// Iteration order follows the container's random hash seed, so writing
 /// in it would give equal containers different bytes. The keys are
-/// distinct and their encodings prefix-free, so the order is total.
-fn serialize_by_key<'a, K: Serialize + 'a, E>(
+/// distinct and their encodings prefix-free, so the order is total. A
+/// store that is a hash map underneath writes itself through this too,
+/// and encodes exactly as a `HashMap` of its entries.
+pub fn serialize_by_key<'a, K: Serialize + 'a, E>(
     len: usize,
     entries: impl Iterator<Item = (&'a K, E)>,
     out: &mut Vec<u8>,
