@@ -301,6 +301,17 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/model.rs |
     exit 1
 fi
 
+step "the boundary places opens in one merge"
+# An epoch boundary places the inbox's completions and the handed-over
+# open versions in one merge pass over the window's tail (DESIGN.md,
+# Incremental remodel, "Touched episodes only"): no per-key upsert, no
+# per-key search for a key's opens, no mid-vector splice.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/model.rs |
+    grep -nF -e 'fn upsert_opens' -e 'fn opens_of' -e '.splice('; then
+    echo "FAIL: crates/core/src/model.rs places opens per key again" >&2
+    exit 1
+fi
+
 step "ingest hands over batches"
 # A reader sends each read's decoded events to the merge as batches, one
 # channel message per batch (DESIGN.md, Live transport): no per-event

@@ -106,6 +106,11 @@ pub fn unpack_port_pair(key: u64) -> (PortId, PortId) {
 /// switches, not flows), so monotone growth is bounded by the data
 /// center, not by the traffic (edges by who talks to whom, at most the
 /// host count squared).
+///
+/// Ports and edges are keyed by address, as a record names them, so a
+/// record on a known edge finds its [`EdgeId`] in one lookup and a hop
+/// on a known port its [`PortId`]; only an unknown one goes through its
+/// hosts or its switch.
 #[derive(Debug, Clone, Default)]
 pub struct EntityCatalog {
     hosts: Vec<Ipv4Addr>,
@@ -113,9 +118,9 @@ pub struct EntityCatalog {
     switches: Vec<DatapathId>,
     switch_ids: HashMap<DatapathId, SwitchId>,
     ports: Vec<(SwitchId, PortNo)>,
-    port_ids: HashMap<(SwitchId, PortNo), PortId>,
+    port_ids: HashMap<(DatapathId, PortNo), PortId>,
     edges: Vec<(HostId, HostId)>,
-    edge_ids: HashMap<(HostId, HostId), EdgeId>,
+    edge_ids: HashMap<(Ipv4Addr, Ipv4Addr), EdgeId>,
 }
 
 impl EntityCatalog {
@@ -148,26 +153,55 @@ impl EntityCatalog {
     }
 
     /// Interns one port of an (already interned) switch.
+    ///
+    /// # Panics
+    /// On a switch ID this catalog never issued.
     pub fn intern_port(&mut self, switch: SwitchId, port: PortNo) -> PortId {
-        if let Some(&id) = self.port_ids.get(&(switch, port)) {
+        let key = (self.switch(switch), port);
+        if let Some(&id) = self.port_ids.get(&key) {
             return id;
         }
         let id = PortId(self.ports.len() as u32);
         self.ports.push((switch, port));
-        self.port_ids.insert((switch, port), id);
+        self.port_ids.insert(key, id);
         id
     }
 
     /// Interns the directed edge `src -> dst` between two (already
     /// interned) hosts.
+    ///
+    /// # Panics
+    /// On a host ID this catalog never issued.
     pub fn intern_edge(&mut self, src: HostId, dst: HostId) -> EdgeId {
-        if let Some(&id) = self.edge_ids.get(&(src, dst)) {
+        let key = (self.host(src), self.host(dst));
+        if let Some(&id) = self.edge_ids.get(&key) {
             return id;
         }
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push((src, dst));
-        self.edge_ids.insert((src, dst), id);
+        self.edge_ids.insert(key, id);
         id
+    }
+
+    /// The edge `src -> dst` of a record: one lookup when known, else
+    /// interned host, host, edge.
+    fn intern_edge_of(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> EdgeId {
+        if let Some(id) = self.edge_of(src, dst) {
+            return id;
+        }
+        let src = self.intern_host(src);
+        let dst = self.intern_host(dst);
+        self.intern_edge(src, dst)
+    }
+
+    /// Port `port` of switch `dpid`: one lookup when known, else interned
+    /// switch, port.
+    fn intern_port_of(&mut self, dpid: DatapathId, port: PortNo) -> PortId {
+        if let Some(&id) = self.port_ids.get(&(dpid, port)) {
+            return id;
+        }
+        let switch = self.intern_switch(dpid);
+        self.intern_port(switch, port)
     }
 
     /// Looks a host up without interning it. `None` means the catalog
@@ -176,8 +210,14 @@ impl EntityCatalog {
         self.host_ids.get(&ip).copied()
     }
 
-    /// Looks an edge up without interning it.
+    /// Looks an edge up without interning it. `None` also for a host ID
+    /// this catalog never issued.
     pub fn edge_id(&self, src: HostId, dst: HostId) -> Option<EdgeId> {
+        self.edge_of(*self.hosts.get(src.index())?, *self.hosts.get(dst.index())?)
+    }
+
+    /// Looks the edge `src -> dst` up by address.
+    fn edge_of(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Option<EdgeId> {
         self.edge_ids.get(&(src, dst)).copied()
     }
 
@@ -257,37 +297,63 @@ impl EntityCatalog {
         self.hosts.len() * (size_of::<Ipv4Addr>() + size_of::<(Ipv4Addr, HostId)>())
             + self.switches.len() * (size_of::<DatapathId>() + size_of::<(DatapathId, SwitchId)>())
             + self.ports.len()
-                * (size_of::<(SwitchId, PortNo)>() + size_of::<((SwitchId, PortNo), PortId)>())
+                * (size_of::<(SwitchId, PortNo)>() + size_of::<((DatapathId, PortNo), PortId)>())
             + self.edges.len()
-                * (size_of::<(HostId, HostId)>() + size_of::<((HostId, HostId), EdgeId)>())
+                * (size_of::<(HostId, HostId)>() + size_of::<((Ipv4Addr, Ipv4Addr), EdgeId)>())
     }
 
-    /// Interns a record into its dense form.
+    /// Interns a record into its dense form. New entities get their IDs
+    /// in the order host, host, edge, then per hop switch, port, port.
     pub fn intern_record(&mut self, record: &FlowRecord) -> IRecord {
-        let src = self.intern_host(record.tuple.src);
-        let dst = self.intern_host(record.tuple.dst);
         IRecord {
-            edge: self.intern_edge(src, dst),
+            edge: self.intern_edge_of(record.tuple.src, record.tuple.dst),
             tuple: record.tuple,
             first_seen: record.first_seen,
             byte_count: record.byte_count,
             packet_count: record.packet_count,
             duration_s: record.duration_s,
-            hops: record
-                .hops
-                .iter()
-                .map(|hop| {
-                    let switch = self.intern_switch(hop.dpid);
-                    IHop {
-                        ts: hop.ts,
-                        in_port: self.intern_port(switch, hop.in_port),
-                        xid: hop.xid,
-                        flow_mod_ts: hop.flow_mod_ts,
-                        out_port: hop.out_port.map(|p| self.intern_port(switch, p)),
-                    }
-                })
-                .collect(),
+            hops: record.hops.iter().map(|hop| self.intern_hop(hop)).collect(),
         }
+    }
+
+    /// Interns one hop: switch, in port, out port.
+    fn intern_hop(&mut self, hop: &HopReport) -> IHop {
+        IHop {
+            ts: hop.ts,
+            in_port: self.intern_port_of(hop.dpid, hop.in_port),
+            xid: hop.xid,
+            flow_mod_ts: hop.flow_mod_ts,
+            out_port: hop.out_port.map(|p| self.intern_port_of(hop.dpid, p)),
+        }
+    }
+
+    /// Makes `held` the interned form of `record`, a later version of
+    /// the episode `held` was interned from: the same window key, so the
+    /// same tuple and edge. Keeps every hop that still resolves to
+    /// `record`'s, and the hop list itself when all do; interns only the
+    /// hops appended or patched since. Whether the hops changed.
+    pub(crate) fn reintern(&mut self, held: &mut IRecord, record: &FlowRecord) -> bool {
+        debug_assert_eq!(
+            (held.first_seen, held.tuple),
+            (record.first_seen, record.tuple)
+        );
+        held.byte_count = record.byte_count;
+        held.packet_count = record.packet_count;
+        held.duration_s = record.duration_s;
+        let kept = (held.hops.iter())
+            .zip(&record.hops)
+            .take_while(|(i, h)| self.hop_resolves_to(i, h))
+            .count();
+        if kept == held.hops.len() && kept == record.hops.len() {
+            return false;
+        }
+        held.hops = (record.hops.iter().enumerate())
+            .map(|(at, hop)| match held.hops.get(at) {
+                Some(i) if at < kept || self.hop_resolves_to(i, hop) => i.clone(),
+                _ => self.intern_hop(hop),
+            })
+            .collect();
+        true
     }
 
     /// The address form of a record interned through this catalog: the
@@ -332,7 +398,12 @@ impl EntityCatalog {
             && interned.hops.len() == record.hops.len()
             && (interned.hops.iter())
                 .zip(&record.hops)
-                .all(|(i, h)| self.resolve_hop(i) == *h)
+                .all(|(i, h)| self.hop_resolves_to(i, h))
+    }
+
+    /// Whether `hop` is the address form of `interned`.
+    fn hop_resolves_to(&self, interned: &IHop, hop: &HopReport) -> bool {
+        self.resolve_hop(interned) == *hop
     }
 }
 
@@ -549,9 +620,10 @@ impl RecordIndex {
         let edges: Vec<(EdgeId, Timestamp)> = records
             .iter()
             .map(|r| {
-                let src = catalog.intern_host(r.tuple.src);
-                let dst = catalog.intern_host(r.tuple.dst);
-                (catalog.intern_edge(src, dst), r.first_seen)
+                (
+                    catalog.intern_edge_of(r.tuple.src, r.tuple.dst),
+                    r.first_seen,
+                )
             })
             .collect();
         RecordIndex::of_edges(Arc::new(catalog), edges)
@@ -583,9 +655,7 @@ impl RecordIndex {
     /// Earliest record on `edge`, or `None` when no indexed record
     /// connects the pair (including when either endpoint is unknown).
     pub fn first_seen(&self, edge: &Edge) -> Option<Timestamp> {
-        let src = self.catalog.host_id(edge.src)?;
-        let dst = self.catalog.host_id(edge.dst)?;
-        self.first_seen[self.catalog.edge_id(src, dst)?.index()]
+        self.first_seen[self.catalog.edge_of(edge.src, edge.dst)?.index()]
     }
 
     /// Approximate heap footprint in bytes of the edge table alone. The

@@ -17,7 +17,6 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use openflow::types::{DatapathId, Timestamp};
@@ -241,14 +240,60 @@ fn key_of(record: &FlowRecord) -> (Timestamp, FlowTuple) {
     (record.first_seen, record.tuple)
 }
 
+/// The oldest key of two key-sorted lists.
+fn oldest_key<R: Borrow<FlowRecord>>(
+    done: &[FlowRecord],
+    opens: &[R],
+) -> Option<(Timestamp, FlowTuple)> {
+    let done = done.first().map(key_of);
+    done.into_iter()
+        .chain(opens.first().map(|r| key_of(r.borrow())))
+        .min()
+}
+
+/// Splits the records under `key` off the front of the key-sorted
+/// `records`: an empty run when it starts at another key.
+fn take_run<'a, R: Borrow<FlowRecord>>(
+    records: &mut &'a [R],
+    key: (Timestamp, FlowTuple),
+) -> &'a [R] {
+    let n = (records.iter())
+        .take_while(|r| key_of((*r).borrow()) == key)
+        .count();
+    let (run, rest) = records.split_at(n);
+    *records = rest;
+    run
+}
+
+/// Turns `held`, one key's versions in the window, into the interned
+/// `run` of that key, version for version: each held one is re-interned
+/// in place ([`EntityCatalog::reintern`]), extra ones are interned, and
+/// held ones past the run's end are dropped. Whether the number of
+/// versions, or any version's hops, changed.
+fn reversion<R: Borrow<FlowRecord>>(
+    catalog: &mut EntityCatalog,
+    held: &mut Vec<IRecord>,
+    run: &[R],
+) -> bool {
+    let mut changed = held.len() != run.len();
+    held.truncate(run.len());
+    for (at, version) in run.iter().enumerate() {
+        match held.get_mut(at) {
+            Some(record) => changed |= catalog.reintern(record, version.borrow()),
+            None => held.push(catalog.intern_record(version.borrow())),
+        }
+    }
+    changed
+}
+
 /// The incremental-snapshot state: a persistent entity catalog and
 /// every in-window episode — completed or still open — interned through
 /// it once, in model order: ascending `(first_seen, tuple)`, and under
 /// one key the completions (in arrival order) then the open episodes
 /// (in assembler order). A flat sorted list, because
 /// the window lives by appends at the young end, drains at the old end
-/// and in-place replacement in between; an insert anywhere else (a
-/// straggler's late first `PacketIn`) just shifts the tail.
+/// and replacement in between; a boundary places what changed in one
+/// merge pass over the tail from the oldest key it touches.
 ///
 /// Records and catalog sit behind `Arc`s because every epoch's model
 /// shares them as its [`WindowRecords`]. A boundary mutates them in
@@ -268,7 +313,7 @@ struct WindowState {
     /// `open[i]`: `records[i]` is the latest version of an episode the
     /// assembler still holds open, not a completion.
     open: Vec<bool>,
-    /// Records interned by the latest `epoch_snapshot`.
+    /// Versions placed by the latest `epoch_snapshot`.
     synced: usize,
     /// DD, PT, ISL and CRT partials of the window's epoch-wide panes.
     /// Every change below notes the first-seen time of what it inserts,
@@ -278,78 +323,91 @@ struct WindowState {
 }
 
 impl WindowState {
-    /// The state of a window holding the records of `held`, every one
-    /// completed, cut into panes `epoch_us` wide.
-    fn of(held: InternedLog, epoch_us: u64) -> WindowState {
-        let InternedLog { catalog, records } = held;
+    /// An empty window, cut into panes `epoch_us` wide.
+    fn new(epoch_us: u64) -> WindowState {
         WindowState {
-            open: vec![false; records.len()],
-            synced: records.len(),
-            catalog: Arc::new(catalog),
-            records: Arc::new(records),
             panes: Panes::epochs(epoch_us),
+            ..WindowState::default()
         }
     }
 
-    fn intern<R: Borrow<FlowRecord>>(&mut self, fresh: &[R]) -> Vec<IRecord> {
-        self.synced += fresh.len();
-        let catalog = Arc::make_mut(&mut self.catalog);
-        (fresh.iter())
-            .map(|r| catalog.intern_record(r.borrow()))
-            .collect()
-    }
-
-    /// Puts `fresh` in place of `range`, each record flagged `open`. New
-    /// counters alone leave the key's pane as it was; a change in the
-    /// number of records, an edge or a hop touches it.
-    fn splice(&mut self, range: Range<usize>, fresh: Vec<IRecord>, open: bool) {
-        let old = &self.records[range.clone()];
-        let same = old.len() == fresh.len()
-            && (old.iter().zip(&fresh)).all(|(a, b)| a.edge == b.edge && a.hops == b.hops);
-        if !same {
-            let at = fresh.first().unwrap_or_else(|| &old[0]).first_seen;
-            self.panes.touch(at);
-        }
-        (self.open).splice(range.clone(), std::iter::repeat_n(open, fresh.len()));
-        Arc::make_mut(&mut self.records).splice(range, fresh);
-    }
-
-    /// Where `key`'s open episodes are: after its completions, before
-    /// the next key.
-    fn opens_of(&self, key: &(Timestamp, FlowTuple)) -> Range<usize> {
+    /// Places one boundary's versions, each list sorted by key: `done`,
+    /// the completions since the last boundary in arrival order under a
+    /// key, and `opens`, the open versions handed over in assembler order
+    /// under a key. One pass over the window from the oldest key either
+    /// touches, rebuilding the tail as it goes. Under a touched key the
+    /// completions held stay first. Then an evicted episode whose only
+    /// completion is the open version already held just changes owner;
+    /// any other completion displaces the key's open versions (the
+    /// assembler hands the surviving ones over again). Handed-over
+    /// versions become the key's opens. Untouched keys move as they are.
+    fn place<R: Borrow<FlowRecord>>(&mut self, mut done: &[FlowRecord], mut opens: &[R]) {
+        self.synced = 0;
         let key_at = |r: &IRecord| (r.first_seen, r.tuple);
-        let lo = self.records.partition_point(|r| key_at(r) < *key);
-        let n = (self.records[lo..].iter())
-            .take_while(|r| key_at(r) == *key)
-            .count();
-        let done = self.open[lo..lo + n].iter().filter(|&&open| !open).count();
-        lo + done..lo + n
-    }
-
-    /// Folds `fresh`, the completions of one key since the last boundary
-    /// in arrival order, in after the key's earlier completions. An
-    /// evicted episode whose final record is the open version already
-    /// synced just changes owner; anything else displaces the key's open
-    /// versions (the assembler hands the surviving ones over again).
-    fn complete(&mut self, fresh: &[FlowRecord]) {
-        let opens = self.opens_of(&key_of(&fresh[0]));
-        if let [done] = fresh {
-            if !opens.is_empty() && self.catalog.resolves_to(&self.records[opens.start], done) {
-                self.open[opens.start] = false;
-                return;
+        let Some(first) = oldest_key(done, opens) else {
+            return;
+        };
+        let WindowState {
+            catalog,
+            records,
+            open,
+            synced,
+            panes,
+        } = self;
+        let catalog = Arc::make_mut(catalog);
+        let records = Arc::make_mut(records);
+        let at = records.partition_point(|r| key_at(r) < first);
+        let mut tail = records.split_off(at).into_iter();
+        let mut tail_open = open.split_off(at).into_iter();
+        // The open versions of the key being placed.
+        let mut held = Vec::new();
+        while let Some(key) = oldest_key(done, opens) {
+            // Untouched keys move as they are.
+            let n = (tail.as_slice().iter())
+                .take_while(|r| key_at(r) < key)
+                .count();
+            records.extend(tail.by_ref().take(n));
+            open.extend(tail_open.by_ref().take(n));
+            // The key's completions stay first; its opens wait for the
+            // versions that replace them.
+            let n = (tail.as_slice().iter())
+                .take_while(|r| key_at(r) == key)
+                .count();
+            for (record, was_open) in (tail.by_ref().take(n)).zip(tail_open.by_ref().take(n)) {
+                if was_open {
+                    held.push(record);
+                } else {
+                    records.push(record);
+                    open.push(false);
+                }
             }
+            let mut changed = false;
+            match take_run(&mut done, key) {
+                [] => {}
+                [one] if held.first().is_some_and(|h| catalog.resolves_to(h, one)) => {
+                    records.push(held.remove(0));
+                    open.push(false);
+                }
+                run => {
+                    changed |= reversion(catalog, &mut held, run);
+                    *synced += run.len();
+                    open.extend(std::iter::repeat_n(false, held.len()));
+                    records.append(&mut held);
+                }
+            }
+            let run = take_run(&mut opens, key);
+            if !run.is_empty() {
+                changed |= reversion(catalog, &mut held, run);
+                *synced += run.len();
+            }
+            if changed {
+                panes.touch(key.0);
+            }
+            open.extend(std::iter::repeat_n(true, held.len()));
+            records.append(&mut held);
         }
-        let fresh = self.intern(fresh);
-        self.splice(opens, fresh, false);
-    }
-
-    /// Makes `versions` the open episodes under their shared key.
-    fn upsert_opens<R: Borrow<FlowRecord>>(&mut self, versions: &[R]) {
-        let opens = self.opens_of(&key_of(versions[0].borrow()));
-        let fresh = self.intern(versions);
-        if fresh[..] != self.records[opens.clone()] {
-            self.splice(opens, fresh, true);
-        }
+        records.extend(tail);
+        open.extend(tail_open);
     }
 
     /// The completions, in window order and address form.
@@ -467,11 +525,11 @@ impl IncrementalModelBuilder {
         out
     }
 
-    /// How many records the latest [`epoch_snapshot`](Self::epoch_snapshot)
-    /// interned into the window: the whole window the first time (and
-    /// the first time after a restore), afterwards only the inbox's
-    /// completions that survived retirement and the open episodes handed
-    /// to it.
+    /// How many versions the latest [`epoch_snapshot`](Self::epoch_snapshot)
+    /// placed into the window: the whole window the first time (and the
+    /// first time after a restore), afterwards only the inbox's
+    /// completions that survived retirement, less those that only
+    /// changed owner, and the open episodes handed to it.
     pub fn epoch_synced(&self) -> usize {
         self.ws.0.as_ref().map_or(0, |ws| ws.synced)
     }
@@ -513,39 +571,27 @@ impl IncrementalModelBuilder {
     /// maintained state until a completion under its key supersedes it
     /// or [`retire_before`](Self::retire_before) slides past it. The
     /// result is `PartialEq`- and serialization-byte-identical to
-    /// [`Self::into_snapshot`] over the same records with the same span, but
-    /// costs one fan-out over *groups* and interning work proportional
-    /// to the episodes that changed. The model shares the maintained
-    /// window rather than copying it (see `WindowState`); the opens are
-    /// only read, so the caller may lend them.
+    /// [`Self::into_snapshot`] over the same records with the same span,
+    /// but costs one fan-out over *groups*, one merge pass over the
+    /// window from the oldest key that changed, and interning work
+    /// proportional to what changed in the episodes handed over. The
+    /// model shares the maintained window rather than copying it (see
+    /// `WindowState`); the opens are only read, so the caller may lend
+    /// them.
     pub fn epoch_snapshot<R: Borrow<FlowRecord>>(
         &mut self,
         span: (Timestamp, Timestamp),
         mut opens: Vec<R>,
     ) -> BehaviorModel {
-        // Fold the inbox into the window, one key's run at a time. The
-        // sort is stable, so same-key completions keep arrival order —
-        // exactly where the batch core's stable sort would leave them.
+        // Both sorts are stable, so same-key completions keep arrival
+        // order and same-key opens their assembler order — exactly where
+        // the batch core's stable sort would leave them.
         let mut held = std::mem::take(&mut self.held);
         held.sort_by_key(key_of);
-        if let Some(ws) = &mut self.ws.0 {
-            ws.synced = 0;
-            for fresh in held.chunk_by(|a, b| key_of(a) == key_of(b)) {
-                ws.complete(fresh);
-            }
-        } else {
-            let epoch_us = self.config.0.online_epoch_us;
-            self.ws.0 = Some(WindowState::of(InternedLog::of(&held), epoch_us));
-        }
-        let ws = self.ws.0.as_mut().expect("ensured above");
-
-        // Group the opens by key; the sort is stable, so same-key opens
-        // keep their assembler iteration order — exactly where the batch
-        // core's stable sort would leave them.
         opens.sort_by_key(|r| key_of(r.borrow()));
-        for versions in opens.chunk_by(|a, b| key_of(a.borrow()) == key_of(b.borrow())) {
-            ws.upsert_opens(versions);
-        }
+        let epoch_us = self.config.0.online_epoch_us;
+        let ws = (self.ws.0).get_or_insert_with(|| WindowState::new(epoch_us));
+        ws.place(&held, &opens);
 
         let records = WindowRecords::shared(&ws.records, &ws.catalog);
         let model = model_of(records, span, &self.config.0, &mut ws.panes);
@@ -905,6 +951,134 @@ mod tests {
         builder.retire_before(Timestamp::from_secs(6));
         let empty: Vec<FlowRecord> = Vec::new();
         assert!(builder.epoch_snapshot(span, empty).records.is_empty());
+    }
+
+    #[test]
+    fn epoch_snapshot_places_every_kind_of_version() {
+        use crate::records::HopReport;
+        use openflow::types::{IpProto, PortNo, Xid};
+
+        // One hop at `ms` on switch `dpid`; `out` is the port of the
+        // `FlowMod` that answered it, sent a millisecond later.
+        let hop = |ms: u64, dpid: u64, xid: u32, out: Option<u16>| HopReport {
+            ts: Timestamp::from_millis(ms),
+            dpid: DatapathId(dpid),
+            in_port: PortNo(1),
+            xid: Xid(xid),
+            flow_mod_ts: out.map(|_| Timestamp::from_millis(ms + 1)),
+            out_port: out.map(PortNo),
+        };
+        // An episode of tuple `sport` first seen at its first hop.
+        let rec = |sport: u16, hops: Vec<HopReport>, bytes: u64| FlowRecord {
+            tuple: FlowTuple {
+                src: Ipv4Addr::new(10, 0, 0, 1),
+                sport,
+                dst: Ipv4Addr::new(10, 0, 0, 2),
+                dport: 80,
+                proto: IpProto::TCP,
+            },
+            first_seen: hops[0].ts,
+            hops,
+            byte_count: bytes,
+            packet_count: bytes / 100,
+            duration_s: 0.0,
+        };
+        let c6 = rec(2, vec![hop(6_000, 1, 1, Some(2))], 400);
+        let c6b = rec(2, vec![hop(6_000, 1, 2, Some(2))], 600);
+        let o10 = rec(3, vec![hop(10_000, 1, 3, Some(2))], 0);
+        let o10_longer = rec(
+            3,
+            vec![hop(10_000, 1, 3, Some(2)), hop(10_004, 2, 3, None)],
+            0,
+        );
+        let o2 = rec(1, vec![hop(2_000, 1, 4, Some(2))], 0);
+        let o2_counted = rec(1, vec![hop(2_000, 1, 4, Some(2))], 300);
+        let o8a = rec(4, vec![hop(8_000, 1, 5, Some(2))], 0);
+        let d8a = rec(4, vec![hop(8_000, 1, 5, Some(2))], 500);
+        let o8b = rec(4, vec![hop(8_000, 3, 6, None)], 0);
+        let o12 = rec(5, vec![hop(12_000, 1, 7, None)], 0);
+        let o12_patched = rec(5, vec![hop(12_000, 1, 7, Some(3))], 0);
+        let o4 = rec(6, vec![hop(4_000, 2, 8, Some(1))], 0);
+        let d5 = rec(7, vec![hop(5_000, 2, 9, Some(1))], 900);
+        let d12 = rec(
+            5,
+            vec![hop(12_000, 1, 7, Some(3)), hop(12_003, 2, 7, Some(4))],
+            800,
+        );
+
+        let config = FlowDiffConfig {
+            online_epoch_us: 1_000_000,
+            ..FlowDiffConfig::default()
+        };
+        let span = (Timestamp::ZERO, Timestamp::from_secs(20));
+        let mut builder = IncrementalModelBuilder::new(&config);
+        // Fed the same completions, never epoch-snapshotted.
+        let mut oracle = IncrementalModelBuilder::new(&config);
+        // (completions since the last step, opens handed over, opens
+        // alive, records interned, panes rebuilt).
+        type Records<'a> = &'a [&'a FlowRecord];
+        let steps: [(Records, Records, Records, usize, usize); 9] = [
+            (&[&c6], &[&o10], &[&o10], 2, 2),
+            // Opens before, between and after the held keys.
+            (&[], &[&o2, &o8a, &o12], &[&o2, &o8a, &o10, &o12], 3, 3),
+            // A sibling joins the 8 s key; the assembler hands both.
+            (&[], &[&o8a, &o8b], &[&o2, &o8a, &o8b, &o10, &o12], 2, 1),
+            // The first sibling completes with counters: a displacement,
+            // the survivor handed again; the 6 s key gains a completion.
+            (&[&c6b, &d8a], &[&o8b], &[&o2, &o8b, &o10, &o12], 3, 2),
+            // An appended hop on a new switch and a `FlowMod` patch.
+            (
+                &[],
+                &[&o10_longer, &o12_patched],
+                &[&o2, &o8b, &o10_longer, &o12_patched],
+                2,
+                2,
+            ),
+            // Counters alone: nothing to rebuild.
+            (
+                &[],
+                &[&o2_counted],
+                &[&o2_counted, &o8b, &o10_longer, &o12_patched],
+                1,
+                0,
+            ),
+            // Evicted as held: an owner change, nothing re-interned.
+            (
+                &[&o2_counted],
+                &[],
+                &[&o8b, &o10_longer, &o12_patched],
+                0,
+                0,
+            ),
+            // A straggler's late first `PacketIn` mid-window, and an
+            // episode opened and evicted between two boundaries.
+            (
+                &[&d5],
+                &[&o4],
+                &[&o4, &o8b, &o10_longer, &o12_patched],
+                2,
+                2,
+            ),
+            // Evicted with a hop added since it was handed over.
+            (&[&d12], &[], &[&o4, &o8b, &o10_longer], 1, 1),
+        ];
+        for (i, (done, handed, alive, interned, rebuilt)) in steps.into_iter().enumerate() {
+            for record in done {
+                builder.observe_record((*record).clone());
+                oracle.observe_record((*record).clone());
+            }
+            let mut probe = oracle.clone();
+            for open in alive {
+                probe.observe_record((*open).clone());
+            }
+            probe.set_span(span);
+            let expected = probe.into_snapshot();
+            let model = builder.epoch_snapshot(span, handed.to_vec());
+            assert_eq!(model, expected, "step {i}");
+            assert_eq!(serde::to_vec(&model), serde::to_vec(&expected), "step {i}");
+            assert_eq!(builder.epoch_synced(), interned, "step {i}");
+            assert_eq!(builder.epoch_panes_rebuilt(), rebuilt, "step {i}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the entity catalog (`flowdiff::ids`):
-//! intern/resolve round-trips, invariance of derived results under the
-//! catalog's interning order (host and edge IDs alike), and the
-//! no-aliasing guarantee between models with disjoint catalogs.
+//! intern/resolve round-trips, the IDs a record's interning assigns,
+//! invariance of derived results under the catalog's interning order
+//! (host and edge IDs alike), and the no-aliasing guarantee between
+//! models with disjoint catalogs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
@@ -12,15 +13,15 @@ use rand::{Rng, SeedableRng};
 
 use flowdiff::config::FlowDiffConfig;
 use flowdiff::groups::{discover_window, Discovery, Edge};
-use flowdiff::ids::{EntityCatalog, HostId, IRecord, InternedLog, RecordIndex};
-use flowdiff::records::{FlowRecord, FlowTuple};
+use flowdiff::ids::{EdgeId, EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex};
+use flowdiff::records::{FlowRecord, FlowTuple, HopReport};
 use flowdiff::signatures::connectivity::ConnectivityGraph;
 use flowdiff::signatures::correlation::PartialCorrelation;
 use flowdiff::signatures::delay::DelayDistribution;
 use flowdiff::signatures::flow_stats::FlowStatsSig;
 use flowdiff::signatures::interaction::ComponentInteraction;
 use flowdiff::signatures::{DiffCtx, EdgeSlots, Signature, SignatureInputs};
-use openflow::types::{DatapathId, IpProto, PortNo, Timestamp};
+use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
 
 fn ip(x: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, x)
@@ -136,6 +137,68 @@ fn group_signature_bytes(
     out
 }
 
+/// IDs in first-seen order, one table per entity kind, assigned the way
+/// a record names its entities: source host, destination host, edge,
+/// then per hop its switch, in port and out port.
+#[derive(Default)]
+struct ReferenceInterner {
+    hosts: HashMap<Ipv4Addr, u32>,
+    switches: HashMap<DatapathId, u32>,
+    ports: HashMap<(DatapathId, PortNo), u32>,
+    edges: HashMap<(Ipv4Addr, Ipv4Addr), u32>,
+}
+
+/// A hop's switch, in port and out port IDs.
+type HopIds = (u32, u32, Option<u32>);
+
+impl ReferenceInterner {
+    fn id<K: std::hash::Hash + Eq>(table: &mut HashMap<K, u32>, key: K) -> u32 {
+        let next = table.len() as u32;
+        *table.entry(key).or_insert(next)
+    }
+
+    /// The record's edge ID and each hop's IDs.
+    fn intern(&mut self, record: &FlowRecord) -> (u32, Vec<HopIds>) {
+        let (src, dst) = (record.tuple.src, record.tuple.dst);
+        Self::id(&mut self.hosts, src);
+        Self::id(&mut self.hosts, dst);
+        let edge = Self::id(&mut self.edges, (src, dst));
+        let hops = (record.hops.iter())
+            .map(|hop| {
+                let switch = Self::id(&mut self.switches, hop.dpid);
+                let in_port = Self::id(&mut self.ports, (hop.dpid, hop.in_port));
+                let out = (hop.out_port).map(|p| Self::id(&mut self.ports, (hop.dpid, p)));
+                (switch, in_port, out)
+            })
+            .collect();
+        (edge, hops)
+    }
+}
+
+/// Records over hosts 1..8, switches 1..5 and ports 1..4; out port 0
+/// means no `FlowMod` answered the hop.
+fn any_records() -> impl Strategy<Value = Vec<FlowRecord>> {
+    let hop = (1u64..5, 1u16..4, 0u16..4);
+    let endpoints_and_hops = (1u8..8, 1u8..8, prop::collection::vec(hop, 0..4));
+    prop::collection::vec(endpoints_and_hops, 1..40).prop_map(|records| {
+        (records.into_iter().enumerate())
+            .map(|(i, (s, d, hops))| FlowRecord {
+                hops: (hops.into_iter())
+                    .map(|(dpid, in_port, out)| HopReport {
+                        ts: Timestamp::from_millis(i as u64),
+                        dpid: DatapathId(dpid),
+                        in_port: PortNo(in_port),
+                        xid: Xid(i as u32),
+                        flow_mod_ts: None,
+                        out_port: (out > 0).then_some(PortNo(out)),
+                    })
+                    .collect(),
+                ..record(s, d, 80, i)
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn ci_counts_a_self_edge_twice_under_its_node() {
     let records = vec![
@@ -217,6 +280,44 @@ proptest! {
         for (i, &addr) in catalog.hosts().iter().enumerate() {
             prop_assert_eq!(catalog.host_id(addr), Some(HostId(i as u32)));
         }
+    }
+
+    #[test]
+    fn records_intern_to_first_seen_ids_in_record_order(records in any_records()) {
+        let mut catalog = EntityCatalog::new();
+        let mut reference = ReferenceInterner::default();
+        for record in &records {
+            let interned = catalog.intern_record(record);
+            let (edge, hops) = reference.intern(record);
+            prop_assert_eq!(interned.edge, EdgeId(edge));
+            prop_assert_eq!(interned.hops.len(), hops.len());
+            for (hop, &(switch, in_port, out)) in interned.hops.iter().zip(&hops) {
+                prop_assert_eq!(catalog.switch_of(hop.in_port).0, switch);
+                prop_assert_eq!(hop.in_port, PortId(in_port));
+                prop_assert_eq!(hop.out_port, out.map(PortId));
+            }
+            prop_assert_eq!(catalog.resolve_record(&interned), record.clone());
+        }
+        prop_assert_eq!(catalog.n_hosts(), reference.hosts.len());
+        prop_assert_eq!(catalog.n_switches(), reference.switches.len());
+        prop_assert_eq!(catalog.n_ports(), reference.ports.len());
+        prop_assert_eq!(catalog.n_edges(), reference.edges.len());
+        for (&addr, &id) in &reference.hosts {
+            prop_assert_eq!(catalog.host_id(addr), Some(HostId(id)));
+        }
+        // Every known host pair, with or without an edge between them.
+        for (&src, &s) in &reference.hosts {
+            for (&dst, &d) in &reference.hosts {
+                let want = reference.edges.get(&(src, dst)).copied().map(EdgeId);
+                prop_assert_eq!(catalog.edge_id(HostId(s), HostId(d)), want);
+            }
+        }
+        // Addresses and IDs the catalog never saw: `None`, no panic.
+        prop_assert_eq!(catalog.host_id(ip(200)), None);
+        let unissued = HostId(catalog.n_hosts() as u32);
+        prop_assert_eq!(catalog.edge_id(unissued, HostId(0)), None);
+        prop_assert_eq!(catalog.edge_id(HostId(0), unissued), None);
+        prop_assert_eq!(catalog.edge_id(HostId(u32::MAX), HostId(u32::MAX)), None);
     }
 
     #[test]
