@@ -448,6 +448,18 @@ if grep -rnF 'bytes::Bytes' crates/ tests/ examples/; then
     exit 1
 fi
 
+step "core reads no wire message"
+# The connection reader converts each decoded message into a
+# netsim::log::FlowEvent, and that is all core reads (DESIGN.md, Live
+# transport): outside its tests, no file under crates/core/src names
+# OfpMessage.
+for src in $(find crates/core/src -name '*.rs' | sort); do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nF 'OfpMessage'; then
+        echo "FAIL: $src reads a wire message (OfpMessage) outside its tests" >&2
+        exit 1
+    fi
+done
+
 step "cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

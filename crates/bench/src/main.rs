@@ -233,14 +233,18 @@ fn load_baseline(path: &str, config: &FlowDiffConfig) -> EngineResult<BaselineBu
 
 /// Decodes a capture file whole, tolerantly: corrupt frames are skipped
 /// (the stream resynchronizes) with a warning, not fatal — a live tap
-/// must survive a bad write. An empty capture is an error.
-fn decode_capture(path: &str) -> EngineResult<(Vec<ControlEvent>, netsim::log::StreamStats)> {
+/// must survive a bad write. Each event goes through `convert` as it is
+/// decoded. An empty capture is an error.
+fn decode_capture<E>(
+    path: &str,
+    convert: impl Fn(ControlEvent) -> E,
+) -> EngineResult<(Vec<E>, netsim::log::StreamStats)> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let mut events: Vec<ControlEvent> = Vec::new();
+    let mut events = Vec::new();
     for event in stream.by_ref() {
         match event {
-            Ok(event) => events.push(event),
+            Ok(event) => events.push(convert(event)),
             Err(e) => eprintln!("warning: {path}: {e} (resynchronized)"),
         }
     }
@@ -392,7 +396,7 @@ fn cmd_watch(args: &[String]) -> CliResult {
     }
     // The whole current capture is decoded up front: the supervised
     // loop needs random access to replay from a checkpoint's offset.
-    let (events, stream_stats) = decode_capture(&args[1])?;
+    let (events, stream_stats) = decode_capture(&args[1], |e| FlowEvent::from(&e))?;
     let judge = (args[0].as_str(), &baseline);
     let mut run = run_online(&mut Feed::Slice(&events), &opts, judge, None)?;
     run.health.absorb_stream(stream_stats);
@@ -532,7 +536,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
 
     // Tolerant decode, like `watch`: a capture with a bad write is
     // replayed minus the corrupt frames, not rejected.
-    let (events, _) = decode_capture(&args[0])?;
+    let (events, _) = decode_capture(&args[0], |e| e)?;
     let log: ControllerLog = events.into_iter().collect();
 
     let mut handles = Vec::new();

@@ -16,6 +16,11 @@ pub fn captures() -> (ControllerLog, ControllerLog, FlowDiffConfig) {
     (baseline, current, config)
 }
 
+/// `log`'s events as a live feed carries them.
+pub fn flow_events(log: &ControllerLog) -> Vec<FlowEvent> {
+    log.events().iter().map(FlowEvent::from).collect()
+}
+
 /// What a run is judged against: baseline model, its stability, config.
 pub type Judge<'a> = (&'a BehaviorModel, &'a StabilityReport, &'a FlowDiffConfig);
 
@@ -49,7 +54,7 @@ pub fn engine_snapshots(
 /// One loopback `serve`: what the merge delivered, what each stream
 /// reported, and what the engine made of the events as they arrived.
 pub struct Served {
-    pub events: Vec<ControlEvent>,
+    pub events: Vec<FlowEvent>,
     pub reports: Vec<netsim::net::ConnReport>,
     pub snaps: Vec<Vec<u8>>,
     // Only the clean-wire test compares health counters.

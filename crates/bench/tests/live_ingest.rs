@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 mod common;
 
-use common::{captures, engine_snapshots, serve_loopback};
+use common::{captures, engine_snapshots, flow_events, serve_loopback};
 use flowdiff::prelude::*;
 use netsim::log::LogStream;
 use netsim::prelude::*;
@@ -38,7 +38,7 @@ fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
 
     let judge = (&baseline, &stability, &config);
     let (file_snaps, mut file_health) =
-        engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
+        engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -58,7 +58,7 @@ fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
         let served = serve_loopback(&current_log, n, 64, LiveOptions::default(), session, judge);
         assert_eq!(
             served.events,
-            current_log.events().to_vec(),
+            flow_events(&current_log),
             "{n} publishers: merge must restore capture order"
         );
         let (wire_snaps, mut wire_health, reports) = (served.snaps, served.health, served.reports);
@@ -110,7 +110,7 @@ fn chaos_connection_accounting_matches_batch_decode_exactly() {
         let mut live = server
             .live(1, 64, LiveOptions::default())
             .expect("live ingest");
-        let events: Vec<ControlEvent> = live.take_merge().collect();
+        let events: Vec<FlowEvent> = live.take_merge().collect();
         let reports = live.finish();
         let sent = publisher.join().expect("publisher thread");
 
@@ -141,7 +141,7 @@ fn one_percent_corruption_keeps_ninety_percent_of_the_confirmed_changes() {
     // identifiers that survive magnitude jitter.
     let changes = |bytes: &[u8]| {
         let mut stream = LogStream::from_wire_bytes(bytes).expect("magic intact");
-        let events: Vec<ControlEvent> = stream.by_ref().flatten().collect();
+        let events: Vec<FlowEvent> = stream.by_ref().flatten().map(|e| (&e).into()).collect();
         let (snaps, mut health) = engine_snapshots(&mut Feed::Slice(&events), judge);
         health.absorb_stream(stream.stats());
         let mut keys = BTreeSet::new();
@@ -225,7 +225,7 @@ fn slow_consumer_backpressure_bounds_memory_not_correctness() {
         !done.load(Ordering::SeqCst),
         "publisher must be blocked by backpressure while the merge is undrained"
     );
-    let events: Vec<ControlEvent> = live.take_merge().collect();
+    let events: Vec<FlowEvent> = live.take_merge().collect();
     let reports = live.finish();
     let sent = publisher.join().expect("publisher thread");
     assert!(done.load(Ordering::SeqCst));

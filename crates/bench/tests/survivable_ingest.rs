@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{captures, engine_snapshots, serve_loopback, Judge, Served};
+use common::{captures, engine_snapshots, flow_events, serve_loopback, Judge, Served};
 use flowdiff::prelude::*;
 use netsim::prelude::*;
 
@@ -49,7 +49,7 @@ fn flapped_sessions_are_byte_identical_with_exact_counters() {
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
     let judge = (&baseline, &stability, &config);
-    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
+    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -73,7 +73,7 @@ fn flapped_sessions_are_byte_identical_with_exact_counters() {
             } = session_loopback(&current_log, n, Some(&chaos), LiveOptions::default(), judge);
             assert_eq!(
                 events,
-                current_log.events().to_vec(),
+                flow_events(&current_log),
                 "n={n} seed={seed}: merge must restore capture order under faults"
             );
             assert_eq!(
@@ -174,7 +174,7 @@ fn faults_within_the_budget_keep_snapshots_byte_identical() {
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
     let judge = (&baseline, &stability, &config);
-    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(current_log.events()), judge);
+    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
 
     // A 2s budget dwarfs both the 30ms write stall and a loopback
     // reconnect, so nothing is ever waived: liveness is armed AND
@@ -196,7 +196,7 @@ fn faults_within_the_budget_keep_snapshots_byte_identical() {
     } = session_loopback(&current_log, 2, Some(&chaos), opts, judge);
     assert_eq!(
         events,
-        current_log.events().to_vec(),
+        flow_events(&current_log),
         "timely faults must not reorder the merged stream"
     );
     assert_eq!(wire_snaps, file_snaps, "snapshots byte-identical");
@@ -228,7 +228,7 @@ fn half_close_delivers_the_full_tail_to_a_slow_consumer() {
     });
     // Let the publisher race ahead into the socket buffers, then drain.
     std::thread::sleep(std::time::Duration::from_millis(300));
-    let events: Vec<ControlEvent> = live.take_merge().collect();
+    let events: Vec<FlowEvent> = live.take_merge().collect();
     let reports = live.finish();
     let sent = publisher.join().expect("publisher thread");
     assert_eq!(events.len(), current_log.len(), "no frame lost at the tail");

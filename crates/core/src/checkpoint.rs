@@ -65,9 +65,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// copy of the baseline and a sequencer that never re-anchored after a
 /// clock step, 7 and 8 the single and per-shard-segmented layouts of
 /// before one format served both differ shapes, 9 that format with its
-/// shape tag, written while a sharded differ still existed, and 10 the
-/// layout whose model builder carried a copy of the config.
-pub const CHECKPOINT_VERSION: u32 = 11;
+/// shape tag, written while a sharded differ still existed, 10 the
+/// layout whose model builder carried a copy of the config, and 11 the
+/// one whose reorder buffer held full OpenFlow messages rather than
+/// [`FlowEvent`](netsim::log::FlowEvent)s. With the buffer empty, as at
+/// slack 0, a version-12 file is a version-11 file with a new number.
+pub const CHECKPOINT_VERSION: u32 = 12;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -810,9 +813,10 @@ mod tests {
         // a refused timestamp to re-anchor on; 7 and 8 are the single
         // and per-shard-segmented layouts; 9 tags the state with the
         // differ shape; 10 carries the model builder's copy of the
-        // config. A re-stamped current file is exactly what such a file
-        // looks like to the header check, and no version but the current
-        // one may be decoded.
+        // config; 11 holds full messages in the reorder buffer. A
+        // re-stamped current file is exactly what such a file looks like
+        // to the header check, and no version but the current one may be
+        // decoded.
         let config = FlowDiffConfig::default();
         let baseline = empty_baseline(&config);
         let current = small_checkpoint(&config);
@@ -829,14 +833,14 @@ mod tests {
         let err = restore(v9, &baseline, &config).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unsupported format version 9 (this build reads version 11)"
+            "unsupported format version 9 (this build reads version 12)"
         );
         // A real v10 file: a differ half way through three lab flows.
         let v10 = include_bytes!("../tests/data/fdiffckp_v10_flows3.bin");
         let err = restore(v10, &baseline, &config).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unsupported format version 10 (this build reads version 11)"
+            "unsupported format version 10 (this build reads version 12)"
         );
     }
 

@@ -24,7 +24,7 @@ use crate::model::{BehaviorModel, IncrementalModelBuilder};
 use crate::records::{IngestHealth, RecordAssembler, Sequencer};
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
-use netsim::log::ControlEvent;
+use netsim::log::FlowEvent;
 
 /// Differences in one application group matched across the two models.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -638,7 +638,8 @@ impl OnlineDiffer {
     /// already drained are skipped, their epoch indices consumed, so a
     /// quiet day or a corrupt far-future timestamp cannot force one
     /// model build per crossed epoch).
-    pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
+    pub fn observe(&mut self, event: impl Into<FlowEvent>) -> Vec<EpochSnapshot> {
+        let event = event.into();
         // A quarantined timestamp must not drive the epoch clock either.
         if !self.sequencer.admit(event.ts) {
             return Vec::new();
@@ -647,10 +648,9 @@ impl OnlineDiffer {
         for (epoch, boundary) in self.clock.advance(event.ts) {
             out.push(self.snapshot_at(epoch, boundary));
         }
+        self.builder.fold_event(&event);
         let assembler = &mut self.assembler;
-        self.sequencer
-            .release(event, |ev, _| assembler.observe(&ev));
-        self.builder.observe_event(event);
+        self.sequencer.release(event, |ev, _| assembler.observe(ev));
         for record in self.assembler.take_completed() {
             self.builder.observe_record(record);
         }
@@ -670,7 +670,7 @@ impl OnlineDiffer {
         } = self;
         let (_, end) = builder.observed_span()?;
         for ev in sequencer.drain() {
-            assembler.observe(&ev);
+            assembler.observe(ev);
         }
         // Retire first, then fold only what the final window keeps:
         // the episodes first seen before it would be retired unread.

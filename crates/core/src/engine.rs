@@ -22,17 +22,15 @@
 //!   replay past its first boundary: a panic there is an error naming
 //!   `--checkpoint`, not a restart.
 //!
-//! Release happens there and nowhere else — not per event, not from
-//! another thread — because a decoded event owns heap blocks allocated
-//! on the connection-reader thread: freeing them on the differ thread
-//! while the reader allocates is a contended cross-thread free (≈760 ns
-//! per event against ≈830 ns for the whole differ path; `serve_dense`
-//! 1 240 k → 640 k events/s), whereas right after a boundary the reader
-//! is parked on its full queue and the same frees cost ≈20 ns each.
+//! Those points are where a restart stops reaching back, and that is
+//! their only reason. A feed holds [`FlowEvent`]s, which the connection
+//! reader converted from the wire and which own no heap (bar a
+//! port-stats reply's counters), so releasing them frees nothing per
+//! event on the differ thread.
 //!
 //! ```
 //! use flowdiff::prelude::*;
-//! use netsim::log::ControllerLog;
+//! use netsim::log::{ControllerLog, FlowEvent};
 //!
 //! use std::sync::Arc;
 //!
@@ -40,7 +38,7 @@
 //! let model = BehaviorModel::build(&ControllerLog::new(), &config);
 //! let stability = StabilityReport::all_stable(&model);
 //! let baseline = Arc::new(BaselineBundle { model, stability });
-//! let current = ControllerLog::new(); // normally: a decoded capture
+//! let current: Vec<FlowEvent> = Vec::new(); // normally: a decoded capture
 //!
 //! let fresh = || Ok((OnlineDiffer::try_new(Arc::clone(&baseline), &config)?, 0));
 //! let supervision = Supervision {
@@ -50,7 +48,7 @@
 //!     degraded: None,
 //! };
 //! let run = supervise(
-//!     &mut Feed::Slice(current.events()),
+//!     &mut Feed::Slice(&current),
 //!     &fresh,
 //!     &supervision,
 //!     |epoch, _| println!("epoch {}: {} flows", epoch.epoch, epoch.records),
@@ -63,7 +61,7 @@ use std::error::Error;
 use std::path::Path;
 use std::sync::Arc;
 
-use netsim::log::ControlEvent;
+use netsim::log::FlowEvent;
 
 use crate::checkpoint::{atomic_write, BaselineBundle, Checkpoint, PersistError};
 use crate::config::FlowDiffConfig;
@@ -107,17 +105,16 @@ pub fn resume_from(
 /// epoch emission. It holds the events pulled since the last
 /// [`release`](Feed::release) so a restart can replay them, and nothing
 /// older: under [`supervise`] that is at most `checkpoint_every_epochs`
-/// epochs of events with a checkpoint path and one epoch without (see
-/// the module docs for why release waits for those points).
+/// epochs of events with a checkpoint path and one epoch without.
 pub enum Feed<'a> {
     /// A fully decoded capture.
-    Slice(&'a [ControlEvent]),
+    Slice(&'a [FlowEvent]),
     /// A live stream plus the still-replayable events pulled from it.
     Live {
         /// Where events come from, in delivery order.
-        source: Box<dyn Iterator<Item = ControlEvent> + 'a>,
+        source: Box<dyn Iterator<Item = FlowEvent> + 'a>,
         /// Events `[base, base + held.len())`, in order.
-        held: Vec<ControlEvent>,
+        held: Vec<FlowEvent>,
         /// Index of `held[0]`: everything below it has been released.
         base: usize,
     },
@@ -125,7 +122,7 @@ pub enum Feed<'a> {
 
 impl<'a> Feed<'a> {
     /// A feed over a live stream, nothing pulled yet.
-    pub fn live(source: impl Iterator<Item = ControlEvent> + 'a) -> Feed<'a> {
+    pub fn live(source: impl Iterator<Item = FlowEvent> + 'a) -> Feed<'a> {
         Feed::Live {
             source: Box::new(source),
             held: Vec::new(),
@@ -140,7 +137,7 @@ impl<'a> Feed<'a> {
     ///
     /// When `idx` lies below a [`release`](Feed::release) point: the
     /// caller is replaying events it declared unreachable.
-    pub fn get(&mut self, idx: usize) -> Option<&ControlEvent> {
+    pub fn get(&mut self, idx: usize) -> Option<&FlowEvent> {
         match self {
             Feed::Slice(events) => events.get(idx),
             Feed::Live { source, held, base } => {
@@ -187,7 +184,7 @@ impl<'a> Feed<'a> {
 
     /// The events a [`get`](Feed::get) can still return without
     /// pulling (the whole capture for `Slice`).
-    pub fn held(&self) -> &[ControlEvent] {
+    pub fn held(&self) -> &[FlowEvent] {
         match self {
             Feed::Slice(events) => events,
             Feed::Live { held, .. } => held,
@@ -398,6 +395,11 @@ mod tests {
     use crate::model::BehaviorModel;
     use crate::stability::analyze;
 
+    /// `log`'s events as a feed carries them.
+    fn flow(log: &ControllerLog) -> Vec<FlowEvent> {
+        log.events().iter().map(FlowEvent::from).collect()
+    }
+
     /// A short capture of Section V-C's meshes on the 320-server tree.
     fn tree_log(n_apps: usize, seed: u64, secs: u64) -> ControllerLog {
         tree_mesh(Topology::tree(16, 20), n_apps, seed, secs)
@@ -470,7 +472,8 @@ mod tests {
 
         /// The uninterrupted run every drill is held to.
         fn clean(&self) -> Vec<(u64, u64)> {
-            let mut feed = Feed::Slice(self.current.events());
+            let events = flow(&self.current);
+            let mut feed = Feed::Slice(&events);
             let (clean, report) = self.run(&mut feed, None, &mut BTreeSet::new()).unwrap();
             assert_eq!(report.restarts, 0);
             assert!(clean.len() >= 3, "drill needs epochs to kill at");
@@ -500,7 +503,8 @@ mod tests {
         let mut kills = seeded_kills(11, &clean);
         let planned = kills.len();
         let path = tmp("supervised.ckpt");
-        let mut feed = Feed::Slice(drill.current.events());
+        let events = flow(&drill.current);
+        let mut feed = Feed::Slice(&events);
         let (drilled, report) = drill.run(&mut feed, Some(&path), &mut kills).unwrap();
         assert_eq!(
             report.restarts as usize, planned,
@@ -516,7 +520,8 @@ mod tests {
         let mut drill = Drill::new();
         drill.config.restart_budget = 0;
         let mut kills = BTreeSet::from([1]);
-        let mut feed = Feed::Slice(drill.current.events());
+        let events = flow(&drill.current);
+        let mut feed = Feed::Slice(&events);
         let err = drill.run(&mut feed, None, &mut kills).unwrap_err();
         assert!(
             err.to_string().contains("restart budget exhausted"),
@@ -543,7 +548,8 @@ mod tests {
         atomic_write(&path, &checkpoint.to_bytes()).unwrap();
 
         let mut kills = BTreeSet::from([0]);
-        let mut feed = Feed::Slice(drill.current.events());
+        let events = flow(&drill.current);
+        let mut feed = Feed::Slice(&events);
         let (drilled, report) = drill.run(&mut feed, Some(&path), &mut kills).unwrap();
         assert_eq!(report.restarts, 1);
         assert_eq!(clean, drilled, "recovered run == uninterrupted run");
@@ -643,7 +649,7 @@ mod tests {
             let at = resume_from(&path, &drill.baseline, &drill.config)
                 .unwrap()
                 .1 as usize;
-            assert_eq!(feed.held(), &drill.current.events()[at..]);
+            assert_eq!(feed.held(), &flow(&drill.current)[at..]);
             // ... which is no more than the last two epochs' events.
             let last_two = drill.current.len() - crossing(&drill, boundaries - 2);
             assert!(
@@ -668,7 +674,7 @@ mod tests {
             assert_eq!(feed.pulled(), drill.current.len());
             // The event crossing the last boundary was consumed with it.
             let after = crossing(&drill, boundaries - 1) + 1;
-            assert_eq!(feed.held(), &drill.current.events()[after..]);
+            assert_eq!(feed.held(), &flow(&drill.current)[after..]);
         });
 
         // A kill past the first boundary has nothing to replay from. A
@@ -700,30 +706,30 @@ mod tests {
 
     #[test]
     fn slice_feed_never_releases() {
-        let log = tree_log(1, 3, 1);
-        let mut feed = Feed::Slice(log.events());
-        feed.release(log.len());
-        assert_eq!(feed.pulled(), log.len());
-        assert_eq!(feed.held(), log.events());
-        assert_eq!(feed.get(0), log.events().first());
+        let events = flow(&tree_log(1, 3, 1));
+        let mut feed = Feed::Slice(&events);
+        feed.release(events.len());
+        assert_eq!(feed.pulled(), events.len());
+        assert_eq!(feed.held(), events);
+        assert_eq!(feed.get(0), events.first());
     }
 
     #[test]
     #[should_panic(expected = "was released")]
     fn live_feed_get_below_a_release_is_a_bug() {
-        let log = tree_log(1, 3, 1);
-        let mut feed = Feed::live(log.events().iter().cloned());
-        assert_eq!(feed.get(4), log.events().get(4));
+        let events = flow(&tree_log(1, 3, 1));
+        let mut feed = Feed::live(events.iter().cloned());
+        assert_eq!(feed.get(4), events.get(4));
         assert_eq!((feed.pulled(), feed.held().len()), (5, 5));
         // Mid-buffer: the tail stays readable.
         feed.release(2);
         assert_eq!((feed.pulled(), feed.held().len()), (5, 3));
-        assert_eq!(feed.get(2), log.events().get(2));
+        assert_eq!(feed.get(2), events.get(2));
         feed.release(5);
         assert_eq!((feed.pulled(), feed.held().len()), (5, 0));
         // Past what was pulled: the difference is pulled and discarded.
         feed.release(8);
-        assert_eq!(feed.get(8), log.events().get(8));
+        assert_eq!(feed.get(8), events.get(8));
         assert_eq!((feed.pulled(), feed.held().len()), (9, 1));
         feed.get(7);
     }

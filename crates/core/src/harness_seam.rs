@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use netsim::log::ControlEvent;
+use netsim::log::FlowEvent;
 use openflow::types::{DatapathId, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +52,7 @@ impl ShardedDiffer {
     }
 
     /// [`OnlineDiffer::observe`].
-    pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
+    pub fn observe(&mut self, event: impl Into<FlowEvent>) -> Vec<EpochSnapshot> {
         self.differ.observe(event)
     }
 
@@ -105,11 +105,12 @@ impl ShardRouter {
 
     /// Admits `ev` and appends what the sequencer releases to
     /// `released`, in release order; `false` when `ev` is quarantined.
-    pub fn admit(&mut self, ev: &ControlEvent, released: &mut Vec<ControlEvent>) -> bool {
+    pub fn admit(&mut self, ev: impl Into<FlowEvent>, released: &mut Vec<FlowEvent>) -> bool {
+        let ev = ev.into();
         if !self.sequencer.admit(ev.ts) {
             return false;
         }
-        (self.sequencer).release(ev, |event, _| released.push(event.into_owned()));
+        (self.sequencer).release(ev, |event, _| released.push(event));
         true
     }
 }
@@ -250,7 +251,8 @@ mod tests {
         assert_eq!(got, want);
         let bytes = |snaps: &[EpochSnapshot]| snaps.iter().map(serde::to_vec).collect::<Vec<_>>();
         assert_eq!(bytes(&got), bytes(&want));
-        assert_eq!(released, current.events(), "each event once, in order");
+        let want: Vec<FlowEvent> = current.events().iter().map(FlowEvent::from).collect();
+        assert_eq!(released, want, "each event once, in order");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::signatures::infra::{ControllerResponse, InterSwitchLatency, PhysicalT
 use crate::signatures::interaction::ComponentInteraction;
 use crate::signatures::utilization::{LinkUtilization, LuBuilder};
 use crate::signatures::{EdgeSlots, Signature, SignatureInputs};
-use netsim::log::{ControlEvent, ControllerLog, Direction};
+use netsim::log::{ControllerLog, Direction, FlowEvent};
 
 /// All application signatures of one group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -470,7 +470,13 @@ impl IncrementalModelBuilder {
     /// Folds one raw control event: tracks the observed span, switch
     /// liveness, and the LU counter series. Events that also drive flow
     /// records go through the [`RecordAssembler`] separately.
-    pub fn observe_event(&mut self, event: &ControlEvent) {
+    pub fn observe_event(&mut self, event: impl Into<FlowEvent>) {
+        self.fold_event(&event.into());
+    }
+
+    /// [`observe_event`](Self::observe_event) for an event the caller
+    /// also hands to the assembler: read in place, not copied.
+    pub(crate) fn fold_event(&mut self, event: &FlowEvent) {
         match &mut self.observed_span {
             Some((lo, hi)) => {
                 *lo = (*lo).min(event.ts);
@@ -695,15 +701,16 @@ fn model_of(
 
 impl BehaviorModel {
     /// Builds the full model from a controller log by streaming its
-    /// events through a [`RecordAssembler`] and an
-    /// [`IncrementalModelBuilder`] — the batch API is a thin wrapper
-    /// over the streaming path.
+    /// events, each converted once to a [`FlowEvent`], through a
+    /// [`RecordAssembler`] and an [`IncrementalModelBuilder`] — the
+    /// batch API is a thin wrapper over the streaming path.
     pub fn build(log: &ControllerLog, config: &FlowDiffConfig) -> BehaviorModel {
         let mut assembler = RecordAssembler::new(config);
         let mut builder = IncrementalModelBuilder::new(config);
         for event in log.events() {
+            let event = FlowEvent::from(event);
+            builder.fold_event(&event);
             assembler.observe(event);
-            builder.observe_event(event);
         }
         if let Some(span) = log.time_range() {
             builder.set_span(span);
@@ -790,6 +797,61 @@ mod tests {
                 request_bytes: 2_048,
             });
         (sc.run().log, config)
+    }
+
+    #[test]
+    fn a_packet_in_without_a_tuple_still_moves_the_clock_and_liveness() {
+        use openflow::frame::build_frame;
+        use openflow::match_fields::FlowKey;
+        use openflow::messages::{OfpMessage, PacketIn, PacketInReason};
+        use openflow::types::{BufferId, DatapathId, PortNo, Xid};
+
+        let config = FlowDiffConfig::default();
+        let horizon = config.partial_flow_timeout_us.max(config.episode_gap_us);
+        let key = FlowKey::tcp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            4000,
+            Ipv4Addr::new(10, 0, 0, 2),
+            80,
+        );
+        let packet_in = |us: u64, dpid: u64, data: std::sync::Arc<[u8]>| ControlEvent {
+            ts: Timestamp::from_micros(us),
+            dpid: DatapathId(dpid),
+            direction: Direction::ToController,
+            xid: Xid(1),
+            msg: OfpMessage::PacketIn(PacketIn {
+                buffer_id: BufferId::NO_BUFFER,
+                total_len: 128,
+                in_port: PortNo(1),
+                reason: PacketInReason::NoMatch,
+                data,
+            }),
+        };
+        let frame = build_frame(&key, 128);
+        let opening = packet_in(1_000, 1, frame.clone());
+        let (late_us, truncated) = (1_000 + horizon + 1, frame[..20].into());
+        let late = packet_in(late_us, 2, truncated);
+        assert!(matches!(
+            FlowEvent::from(&late).body,
+            EventBody::PacketIn { tuple: None, .. }
+        ));
+
+        let mut assembler = RecordAssembler::new(&config);
+        let mut builder = IncrementalModelBuilder::new(&config);
+        for event in [&opening, &late] {
+            builder.observe_event(event);
+            assembler.observe(event);
+        }
+        let late_ts = Timestamp::from_micros(late_us);
+        assert_eq!(
+            builder.observed_span(),
+            Some((Timestamp::from_micros(1_000), late_ts))
+        );
+        assert_eq!(builder.live.get(&DatapathId(2)), Some(&late_ts));
+        // The assembler's clock moved a horizon past the opening hop, so
+        // its idle episode was evicted; the tuple-less event opened none.
+        assert_eq!(assembler.take_completed().len(), 1);
+        assert_eq!(assembler.open_len(), 0);
     }
 
     fn model_from_scenario() -> BehaviorModel {

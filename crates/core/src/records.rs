@@ -6,19 +6,19 @@
 //! path, the `FlowMod` replies, and the final counters from
 //! `FlowRemoved`.
 
-use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
-use std::net::Ipv4Addr;
 
-use netsim::log::{ControlEvent, ControllerLog};
-use openflow::frame;
-use openflow::messages::OfpMessage;
-use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
+use netsim::log::{ControllerLog, EventBody, FlowEvent};
+use openflow::messages::duration_secs_f64;
+use openflow::types::{DatapathId, PortNo, Timestamp, Xid};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
 use crate::derived::Derived;
+
+/// The flow 5-tuple, defined beside the event that carries it.
+pub use netsim::log::FlowTuple;
 
 /// One countable irregularity in the control-event stream.
 ///
@@ -176,44 +176,6 @@ impl fmt::Display for IngestHealth {
     }
 }
 
-/// A transport 5-tuple identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct FlowTuple {
-    /// Source IP.
-    pub src: Ipv4Addr,
-    /// Source port.
-    pub sport: u16,
-    /// Destination IP.
-    pub dst: Ipv4Addr,
-    /// Destination port.
-    pub dport: u16,
-    /// IP protocol.
-    pub proto: IpProto,
-}
-
-impl FlowTuple {
-    /// Extracts the 5-tuple from a parsed flow key.
-    pub fn from_key(key: &openflow::match_fields::FlowKey) -> FlowTuple {
-        FlowTuple {
-            src: key.nw_src,
-            sport: key.tp_src,
-            dst: key.nw_dst,
-            dport: key.tp_dst,
-            proto: key.nw_proto,
-        }
-    }
-}
-
-impl fmt::Display for FlowTuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {}:{} -> {}:{}",
-            self.proto, self.src, self.sport, self.dst, self.dport
-        )
-    }
-}
-
 /// One `PacketIn` report for a flow, at one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopReport {
@@ -264,8 +226,9 @@ impl FlowRecord {
 /// before them.
 ///
 /// This is a thin wrapper over [`RecordAssembler`]: the whole log is
-/// fed through the streaming state machine one event at a time. The
-/// batch and streaming paths are one implementation.
+/// fed through the streaming state machine one event at a time, each
+/// converted to a [`FlowEvent`] as a live feed converts it. The batch
+/// and streaming paths are one implementation.
 pub fn extract_records(log: &ControllerLog, config: &FlowDiffConfig) -> Vec<FlowRecord> {
     let mut asm = RecordAssembler::new(config);
     for ev in log.events() {
@@ -679,38 +642,31 @@ impl RecordAssembler {
         &self.health
     }
 
-    /// Runs one control event through the assembly state machine. An
-    /// unparseable `PacketIn` is skipped, never fatal; like every other
-    /// event it still advances the clock, with the prune check.
-    pub fn observe(&mut self, ev: &ControlEvent) {
-        match &ev.msg {
-            OfpMessage::PacketIn(pi) => {
-                if let Ok(key) = frame::parse_frame(&pi.data) {
-                    let tuple = FlowTuple::from_key(&key);
-                    self.on_packet_in(ev.ts, ev.dpid, ev.xid, pi.in_port, tuple);
-                }
-            }
-            OfpMessage::FlowMod(fm) => {
-                let out = openflow::actions::first_output(&fm.actions);
-                self.on_flow_mod(ev.ts, ev.xid, out);
-            }
-            OfpMessage::FlowRemoved(fr) => {
-                let m = &fr.match_;
-                let tuple = FlowTuple {
-                    src: m.nw_src,
-                    sport: m.tp_src,
-                    dst: m.nw_dst,
-                    dport: m.tp_dst,
-                    proto: m.nw_proto,
-                };
-                self.on_flow_removed(
-                    ev.ts,
-                    tuple,
-                    fr.byte_count,
-                    fr.packet_count,
-                    fr.duration_secs_f64(),
-                );
-            }
+    /// Runs one control event through the assembly state machine. A
+    /// `PacketIn` whose payload did not parse is skipped, never fatal;
+    /// like every other event it still advances the clock, with the
+    /// prune check.
+    pub fn observe(&mut self, ev: impl Into<FlowEvent>) {
+        let ev = ev.into();
+        match ev.body {
+            EventBody::PacketIn {
+                in_port,
+                tuple: Some(tuple),
+            } => self.on_packet_in(ev.ts, ev.dpid, ev.xid, in_port, tuple),
+            EventBody::FlowMod { out_port } => self.on_flow_mod(ev.ts, ev.xid, out_port),
+            EventBody::FlowRemoved {
+                tuple,
+                byte_count,
+                packet_count,
+                duration_sec,
+                duration_nsec,
+            } => self.on_flow_removed(
+                ev.ts,
+                tuple,
+                byte_count,
+                packet_count,
+                duration_secs_f64(duration_sec, duration_nsec),
+            ),
             _ => {}
         }
         self.advance_clock(ev.ts);
@@ -980,7 +936,7 @@ impl RecordAssembler {
 /// - **held back** ([`release`](Self::release)) until the arrival
 ///   watermark moves `reorder_slack_us` past it, so slightly disordered
 ///   input reaches the assembler in time order. At slack 0 nothing is
-///   held and each event is handed through borrowed.
+///   held and each event is handed straight through.
 ///
 /// Held events and counters are streaming state: the sequencer
 /// serializes, and a restored one releases exactly what the original
@@ -1003,7 +959,7 @@ pub struct Sequencer {
     /// order.
     arrival_seq: u64,
     /// Held-back events by `(ts, arrival_seq)`; always empty at slack 0.
-    held: BTreeMap<(Timestamp, u64), ControlEvent>,
+    held: BTreeMap<(Timestamp, u64), FlowEvent>,
     /// `time_jumps`, `clock_gaps` and `events_reordered`; every other
     /// field stays zero.
     health: IngestHealth,
@@ -1065,19 +1021,15 @@ impl Sequencer {
 
     /// Hands the just-admitted `ev`, and every held event the watermark
     /// now lets through, to `out` in assembly order; the flag marks `ev`
-    /// itself. At slack 0 that is `ev` alone, borrowed. Otherwise even a
-    /// too-late `ev` goes through the buffer: it is below the watermark,
-    /// so it comes right back out, sequenced against its peers.
-    pub fn release<'e>(
-        &mut self,
-        ev: &'e ControlEvent,
-        mut out: impl FnMut(Cow<'e, ControlEvent>, bool),
-    ) {
+    /// itself. At slack 0 that is `ev` alone. Otherwise even a too-late
+    /// `ev` goes through the buffer: it is below the watermark, so it
+    /// comes right back out, sequenced against its peers.
+    pub fn release(&mut self, ev: FlowEvent, mut out: impl FnMut(FlowEvent, bool)) {
         if self.reorder_slack_us == 0 {
-            return out(Cow::Borrowed(ev), true);
+            return out(ev, true);
         }
         let own = (ev.ts, self.arrival_seq);
-        self.held.insert(own, ev.clone());
+        self.held.insert(own, ev);
         self.arrival_seq += 1;
         let watermark = Timestamp::from_micros(
             self.max_arrival()
@@ -1089,12 +1041,12 @@ impl Sequencer {
                 break;
             }
             let is_own = *entry.key() == own;
-            out(Cow::Owned(entry.remove()), is_own);
+            out(entry.remove(), is_own);
         }
     }
 
     /// End of stream: every held event, in assembly order.
-    pub fn drain(&mut self) -> btree_map::IntoValues<(Timestamp, u64), ControlEvent> {
+    pub fn drain(&mut self) -> btree_map::IntoValues<(Timestamp, u64), FlowEvent> {
         std::mem::take(&mut self.held).into_values()
     }
 
@@ -1110,10 +1062,14 @@ impl Sequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
+
     use netsim::config::SimConfig;
     use netsim::engine::Simulation;
     use netsim::flows::FlowSpec;
+    use netsim::log::ControlEvent;
     use netsim::topology::Topology;
+    use openflow::frame;
     use openflow::match_fields::FlowKey;
     use openflow::messages::OfpMessage;
 
@@ -1641,7 +1597,7 @@ mod tests {
         let mut asm = RecordAssembler::new(&guarded);
         for (i, ev) in log.events().iter().enumerate() {
             assert!(seq.admit(ev.ts), "clean events must be admitted");
-            seq.release(ev, |ev, _| asm.observe(&ev));
+            seq.release(ev.into(), |ev, _| asm.observe(ev));
             if i == 0 {
                 assert!(!seq.admit(corrupt.ts), "insane jump must be dropped");
             }
@@ -1691,16 +1647,18 @@ mod tests {
     }
 
     #[test]
-    fn sequencer_hands_events_through_borrowed_or_re_sequenced() {
-        let at = |us: u64| ControlEvent {
-            ts: Timestamp::from_micros(us),
-            dpid: DatapathId(1),
-            direction: netsim::log::Direction::ToController,
-            xid: Xid(0),
-            msg: OfpMessage::Hello,
+    fn sequencer_hands_events_through_or_re_sequenced() {
+        let at = |us: u64| {
+            FlowEvent::from(&ControlEvent {
+                ts: Timestamp::from_micros(us),
+                dpid: DatapathId(1),
+                direction: netsim::log::Direction::ToController,
+                xid: Xid(0),
+                msg: OfpMessage::Hello,
+            })
         };
-        let shuffled: Vec<ControlEvent> = [10, 30, 20, 40, 35, 50].map(at).to_vec();
-        let sorted: Vec<ControlEvent> = [10, 20, 30, 35, 40, 50].map(at).to_vec();
+        let shuffled: Vec<FlowEvent> = [10, 30, 20, 40, 35, 50].map(at).to_vec();
+        let sorted: Vec<FlowEvent> = [10, 20, 30, 35, 40, 50].map(at).to_vec();
         let released = |slack_us: u64| {
             let config = FlowDiffConfig {
                 reorder_slack_us: slack_us,
@@ -1710,12 +1668,14 @@ mod tests {
             let mut out = Vec::new();
             for ev in &shuffled {
                 assert!(seq.admit(ev.ts));
-                seq.release(ev, |ev, own| {
-                    // Slack 0 holds nothing: each event, borrowed, alone.
-                    assert_eq!(slack_us == 0, matches!(ev, Cow::Borrowed(_)));
+                let mut handed = 0;
+                seq.release(ev.clone(), |ev, own| {
                     assert!(own || slack_us > 0);
-                    out.push(ev.into_owned());
+                    handed += 1;
+                    out.push(ev);
                 });
+                // Slack 0 holds nothing: each event straight through, alone.
+                assert!(handed == 1 || slack_us > 0);
             }
             out.extend(seq.drain());
             let mut health = IngestHealth::default();

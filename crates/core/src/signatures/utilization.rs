@@ -9,8 +9,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use netsim::log::ControlEvent;
-use openflow::messages::{OfpMessage, StatsReply};
+use netsim::log::{EventBody, FlowEvent};
 use openflow::types::{DatapathId, PortNo, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -90,13 +89,13 @@ impl LuBuilder {
 
     /// Folds one raw control event: a port-stats reply appends one
     /// counter sample per port; anything else is ignored.
-    pub fn observe_event(&mut self, event: &ControlEvent) {
-        if let OfpMessage::StatsReply(StatsReply::Port(ports)) = &event.msg {
-            for p in ports {
+    pub fn observe_event(&mut self, event: &FlowEvent) {
+        if let EventBody::PortStats(ports) = &event.body {
+            for &(port, tx_bytes) in ports.iter() {
                 self.series
-                    .entry((event.dpid, p.port_no))
+                    .entry((event.dpid, port))
                     .or_default()
-                    .push((event.ts, p.tx_bytes));
+                    .push((event.ts, tx_bytes));
             }
         }
     }
@@ -133,7 +132,7 @@ impl Signature for LinkUtilization {
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let mut builder = LuBuilder::default();
         for event in inputs.log.into_iter().flat_map(|log| log.events()) {
-            builder.observe_event(event);
+            builder.observe_event(&FlowEvent::from(event));
         }
         builder.finalize()
     }
@@ -190,7 +189,7 @@ mod tests {
     use crate::config::FlowDiffConfig;
     use crate::ids::EntityCatalog;
     use netsim::log::{ControlEvent, ControllerLog, Direction};
-    use openflow::messages::PortStats;
+    use openflow::messages::{OfpMessage, PortStats, StatsReply};
     use openflow::types::Xid;
 
     fn reply(ts_s: u64, dpid: u64, port: u16, tx_bytes: u64) -> ControlEvent {

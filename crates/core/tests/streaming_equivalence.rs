@@ -350,7 +350,7 @@ impl Ingest {
     fn observe(&mut self, ev: &ControlEvent) {
         if self.seq.admit(ev.ts) {
             let asm = &mut self.asm;
-            self.seq.release(ev, |ev, _| asm.observe(&ev));
+            self.seq.release(ev.into(), |ev, _| asm.observe(ev));
         }
     }
 
@@ -979,7 +979,7 @@ fn epochs_match_clone_probe(events: &[ControlEvent], config: &FlowDiffConfig) ->
         }
         if oracle.seq.admit(event.ts) {
             let asm = &mut oracle.asm;
-            oracle.seq.release(event, |ev, _| asm.observe(&ev));
+            oracle.seq.release(event.into(), |ev, _| asm.observe(ev));
             builder.observe_event(event);
             for record in oracle.asm.take_completed() {
                 builder.observe_record(record);
@@ -1165,9 +1165,11 @@ const INBOX_CUT: usize = 3_809;
 /// [`OnlineDiffer`] fed the first 3,809 events of [`inbox_run`], written
 /// by the builder that kept a keyed record map beside its window (commit
 /// e16e963). That differ had run 34 boundaries and was mid-epoch, with a
-/// 12 s eviction burst just completed. Replayed here, the same prefix
-/// must capture the same bytes, and resuming from the file must emit
-/// what the straight run emits.
+/// 12 s eviction burst just completed. This build writes version 12,
+/// whose reorder buffer holds `FlowEvent`s; at slack 0 that buffer is
+/// empty, so replayed here the same prefix must capture the same bytes
+/// but the version field. Resuming from those bytes must emit what the
+/// straight run emits, and the v11 file itself is refused.
 #[test]
 fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
     let (log, config, baseline) = inbox_run();
@@ -1192,8 +1194,17 @@ fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
                 "an in-window completion is in the inbox"
             );
             let bytes = Checkpoint::capture(&straight, INBOX_CUT as u64, &config).to_bytes();
-            assert!(bytes == v11, "checkpoint bytes differ from the v11 file");
-            let (differ, at) = Checkpoint::from_bytes(v11)
+            assert_eq!(bytes[..8], v11[..8], "magic");
+            assert_eq!(bytes[8..12], 12u32.to_le_bytes(), "version");
+            assert!(
+                bytes[12..] == v11[12..],
+                "length, CRC or payload differ from the v11 file"
+            );
+            assert!(matches!(
+                Checkpoint::from_bytes(v11),
+                Err(PersistError::UnsupportedVersion { found: 11, .. })
+            ));
+            let (differ, at) = Checkpoint::from_bytes(&bytes)
                 .expect("container intact")
                 .resume(&baseline, &config)
                 .expect("same config and baseline");
@@ -1221,4 +1232,88 @@ fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
         got.map(|s| serde::to_vec(&s)),
         want.map(|s| serde::to_vec(&s))
     );
+}
+
+/// A checkpoint captured while the sequencer holds events back carries
+/// them: over the reordered capture of
+/// `panes_match_clone_probe_with_stragglers_inside_the_reorder_slack`
+/// at 300 ms of slack, a differ resumed from bytes captured at a cut
+/// with a non-empty reorder buffer emits the straight run's snapshots
+/// byte for byte.
+#[test]
+fn checkpoints_captured_with_events_held_for_reordering_resume_byte_identically() {
+    let (log, base) = tree_log(3, 42, 40);
+    let config = FlowDiffConfig {
+        online_epoch_us: 1_000_000,
+        online_window_us: 30_000_000,
+        reorder_slack_us: 300_000,
+        ..base
+    };
+    let chaos = ChannelChaos {
+        reorder_jitter_us: 300_000,
+        ..ChannelChaos::corruption(0.0, 7)
+    };
+    let (wire, _) = chaos.mangle(&log);
+    let mut stream = netsim::log::LogStream::from_wire_bytes(&wire).expect("magic intact");
+    let events: Vec<FlowEvent> = stream.by_ref().flatten().map(|e| (&e).into()).collect();
+    let reference = BehaviorModel::build(&ControllerLog::new(), &config);
+    let stability = StabilityReport::all_stable(&reference);
+    let baseline = Arc::new(BaselineBundle {
+        model: reference,
+        stability,
+    });
+
+    // The straight run, with a checkpoint at the first event past each
+    // fifth of the stream that leaves the reorder buffer non-empty; a
+    // shadow sequencer tells how many events the differ's holds.
+    let mut straight = OnlineDiffer::try_new(Arc::clone(&baseline), &config).expect("config valid");
+    let mut shadow = Sequencer::new(&config);
+    let mut snaps: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut checkpoints: Vec<(usize, Vec<u8>)> = Vec::new();
+    for (i, event) in events.iter().enumerate() {
+        if shadow.admit(event.ts) {
+            shadow.release(event.clone(), |_, _| {});
+        }
+        snaps.extend(
+            straight
+                .observe(event)
+                .iter()
+                .map(|s| (i, serde::to_vec(s))),
+        );
+        let fifth = checkpoints.len() + 1;
+        let held = shadow.clone().drain().count();
+        if fifth < 5 && i + 1 >= events.len() * fifth / 5 && held > 0 {
+            let bytes = Checkpoint::capture(&straight, i as u64 + 1, &config).to_bytes();
+            checkpoints.push((i + 1, bytes));
+        }
+    }
+    snaps.extend(
+        straight
+            .finish()
+            .iter()
+            .map(|s| (events.len(), serde::to_vec(s))),
+    );
+    assert_eq!(checkpoints.len(), 4, "a cut with events held in each fifth");
+    assert!(snaps.len() > 30, "{} epochs", snaps.len());
+
+    for (cut, bytes) in &checkpoints {
+        let (mut resumed, at) = Checkpoint::from_bytes(bytes)
+            .expect("container intact")
+            .resume(&baseline, &config)
+            .expect("same config and baseline");
+        assert_eq!(at as usize, *cut);
+        let mut got = Vec::new();
+        for (i, event) in events.iter().enumerate().skip(*cut) {
+            got.extend(resumed.observe(event).iter().map(|s| (i, serde::to_vec(s))));
+        }
+        got.extend(
+            resumed
+                .finish()
+                .iter()
+                .map(|s| (events.len(), serde::to_vec(s))),
+        );
+        let want: Vec<_> = snaps.iter().filter(|(i, _)| i >= cut).cloned().collect();
+        assert!(!want.is_empty(), "cut {cut}: epochs after it");
+        assert!(got == want, "cut {cut}: resumed snapshots differ");
+    }
 }

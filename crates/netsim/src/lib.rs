@@ -47,7 +47,8 @@ pub mod prelude {
     };
     pub use crate::flows::{DeliveredFlow, FlowId, FlowPhase, FlowSpec};
     pub use crate::log::{
-        ControlEvent, ControllerLog, DecodeError, Direction, FrameDecoder, LogStream,
+        ControlEvent, ControllerLog, DecodeError, Direction, EventBody, FlowEvent, FlowTuple,
+        FrameDecoder, LogStream,
     };
     pub use crate::net::{
         publish_mangled, publish_session, split_capture, ConnState, DisconnectCause, EventMerge,

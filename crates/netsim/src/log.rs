@@ -5,8 +5,15 @@
 //! controller, exactly what a passive tap on the OpenFlow control channel
 //! would capture (Section III-A of the paper).
 
-use openflow::messages::OfpMessage;
-use openflow::types::{DatapathId, Timestamp, Xid};
+use std::fmt;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+use openflow::actions::first_output;
+use openflow::frame::parse_frame;
+use openflow::match_fields::FlowKey;
+use openflow::messages::{OfpMessage, StatsReply};
+use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
 use serde::{Deserialize, Serialize};
 
 /// Which way a control message traveled.
@@ -33,6 +40,150 @@ pub struct ControlEvent {
     pub xid: Xid,
     /// The message itself.
     pub msg: OfpMessage,
+}
+
+/// A transport 5-tuple identifying a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct FlowTuple {
+    /// Source IP.
+    pub src: Ipv4Addr,
+    /// Source port.
+    pub sport: u16,
+    /// Destination IP.
+    pub dst: Ipv4Addr,
+    /// Destination port.
+    pub dport: u16,
+    /// IP protocol.
+    pub proto: IpProto,
+}
+
+impl FlowTuple {
+    /// Extracts the 5-tuple from a parsed flow key.
+    pub fn from_key(key: &FlowKey) -> FlowTuple {
+        FlowTuple {
+            src: key.nw_src,
+            sport: key.tp_src,
+            dst: key.nw_dst,
+            dport: key.tp_dst,
+            proto: key.nw_proto,
+        }
+    }
+}
+
+impl fmt::Display for FlowTuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {}:{} -> {}:{}",
+            self.proto, self.src, self.sport, self.dst, self.dport
+        )
+    }
+}
+
+/// One control event as FlowDiff reads it: the [`ControlEvent`] header
+/// and only the message fields the diagnosis uses, in a fixed-size
+/// value that owns no heap except a port-stats reply's counters.
+///
+/// `From<&ControlEvent>` is the one conversion. A live ingest applies it
+/// on the connection-reader thread, so the full message (a `PacketIn`'s
+/// payload, a `FlowMod`'s action list) is freed where it was allocated
+/// and never crosses to the thread that diffs.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlowEvent {
+    /// Controller-side capture timestamp.
+    pub ts: Timestamp,
+    /// The switch this message came from or went to.
+    pub dpid: DatapathId,
+    /// Message direction.
+    pub direction: Direction,
+    /// Transaction id.
+    pub xid: Xid,
+    /// What the diagnosis reads of the message.
+    pub body: EventBody,
+}
+
+/// The fields of a control message a [`FlowEvent`] keeps.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EventBody {
+    /// A `PacketIn`: its ingress port and the flow its payload carries,
+    /// `None` when the payload is no parseable IPv4 frame.
+    PacketIn {
+        /// Port the packet arrived on.
+        in_port: PortNo,
+        /// The payload's 5-tuple.
+        tuple: Option<FlowTuple>,
+    },
+    /// A `FlowMod`: its first output port, if any.
+    FlowMod {
+        /// The egress port the entry installs.
+        out_port: Option<PortNo>,
+    },
+    /// A `FlowRemoved`: the removed entry's tuple and final counters.
+    FlowRemoved {
+        /// The 5-tuple of the entry's match.
+        tuple: FlowTuple,
+        /// Bytes matched over the entry's lifetime.
+        byte_count: u64,
+        /// Packets matched over the entry's lifetime.
+        packet_count: u64,
+        /// Seconds the entry was installed.
+        duration_sec: u32,
+        /// Sub-second part of the duration, in nanoseconds.
+        duration_nsec: u32,
+    },
+    /// A port-stats reply: `(port, transmitted bytes)` per port.
+    PortStats(Arc<[(PortNo, u64)]>),
+    /// Any other message: only its header fields count.
+    Other,
+}
+
+impl From<&ControlEvent> for FlowEvent {
+    fn from(ev: &ControlEvent) -> FlowEvent {
+        let body = match &ev.msg {
+            OfpMessage::PacketIn(pi) => EventBody::PacketIn {
+                in_port: pi.in_port,
+                tuple: parse_frame(&pi.data).ok().map(|k| FlowTuple::from_key(&k)),
+            },
+            OfpMessage::FlowMod(fm) => EventBody::FlowMod {
+                out_port: first_output(&fm.actions),
+            },
+            OfpMessage::FlowRemoved(fr) => {
+                let m = &fr.match_;
+                EventBody::FlowRemoved {
+                    tuple: FlowTuple {
+                        src: m.nw_src,
+                        sport: m.tp_src,
+                        dst: m.nw_dst,
+                        dport: m.tp_dst,
+                        proto: m.nw_proto,
+                    },
+                    byte_count: fr.byte_count,
+                    packet_count: fr.packet_count,
+                    duration_sec: fr.duration_sec,
+                    duration_nsec: fr.duration_nsec,
+                }
+            }
+            OfpMessage::StatsReply(StatsReply::Port(ports)) => {
+                EventBody::PortStats(ports.iter().map(|p| (p.port_no, p.tx_bytes)).collect())
+            }
+            _ => EventBody::Other,
+        };
+        FlowEvent {
+            ts: ev.ts,
+            dpid: ev.dpid,
+            direction: ev.direction,
+            xid: ev.xid,
+            body,
+        }
+    }
+}
+
+/// A copy, so every entry point that takes `impl Into<FlowEvent>`
+/// accepts a borrowed `FlowEvent` as well as a `ControlEvent`.
+impl From<&FlowEvent> for FlowEvent {
+    fn from(ev: &FlowEvent) -> FlowEvent {
+        ev.clone()
+    }
 }
 
 /// A time-ordered capture of control traffic.
@@ -1073,5 +1224,236 @@ mod tests {
             Some((Timestamp::from_micros(5), Timestamp::from_micros(95)))
         );
         assert_eq!(ControllerLog::new().time_range(), None);
+    }
+
+    /// The conversion's cases: one event per message, with a header the
+    /// conversion must keep.
+    mod conversion {
+        use super::*;
+        use openflow::actions::Action;
+        use openflow::frame::build_frame;
+        use openflow::messages::{
+            AggregateStats, ErrorMsg, FlowRemoved, FlowRemovedReason, FlowStats, PacketIn,
+            PacketInReason, PacketOut, PhyPort, PortReason, PortStats, PortStatus, StatsRequest,
+            SwitchFeatures,
+        };
+        use openflow::types::{BufferId, Cookie, MacAddr, VlanId};
+
+        fn at(msg: OfpMessage) -> ControlEvent {
+            ControlEvent {
+                ts: Timestamp::from_micros(7),
+                dpid: DatapathId(9),
+                direction: Direction::FromController,
+                xid: Xid(42),
+                msg,
+            }
+        }
+
+        fn body(msg: OfpMessage) -> EventBody {
+            FlowEvent::from(&at(msg)).body
+        }
+
+        fn key() -> FlowKey {
+            FlowKey::udp(
+                Ipv4Addr::new(10, 0, 0, 1),
+                4000,
+                Ipv4Addr::new(10, 0, 0, 2),
+                53,
+            )
+        }
+
+        fn packet_in(data: Arc<[u8]>) -> OfpMessage {
+            OfpMessage::PacketIn(PacketIn {
+                buffer_id: BufferId::NO_BUFFER,
+                total_len: data.len() as u16,
+                in_port: PortNo(3),
+                reason: PacketInReason::NoMatch,
+                data,
+            })
+        }
+
+        #[test]
+        fn a_flow_event_fits_in_64_bytes() {
+            assert!(std::mem::size_of::<FlowEvent>() <= 64);
+        }
+
+        #[test]
+        fn packet_in_carries_its_port_and_the_payload_tuple() {
+            let tagged = FlowKey {
+                dl_vlan: VlanId(12),
+                dl_vlan_pcp: 3,
+                ..key()
+            };
+            for key in [key(), tagged] {
+                assert_eq!(
+                    body(packet_in(build_frame(&key, 128))),
+                    EventBody::PacketIn {
+                        in_port: PortNo(3),
+                        tuple: Some(FlowTuple::from_key(&key)),
+                    }
+                );
+            }
+        }
+
+        #[test]
+        fn packet_in_that_is_not_an_ipv4_frame_has_no_tuple() {
+            let arp = FlowKey {
+                dl_type: 0x0806,
+                ..key()
+            };
+            let whole = build_frame(&key(), 128);
+            for data in [build_frame(&arp, 128), whole[..20].into(), Arc::from([])] {
+                assert_eq!(
+                    body(packet_in(data)),
+                    EventBody::PacketIn {
+                        in_port: PortNo(3),
+                        tuple: None,
+                    }
+                );
+            }
+        }
+
+        #[test]
+        fn flow_mod_keeps_its_first_output() {
+            let fm = |actions: Vec<Action>| {
+                let mut fm = FlowMod::add(OfMatch::any(), 1);
+                fm.actions = actions;
+                OfpMessage::FlowMod(fm)
+            };
+            assert_eq!(body(fm(vec![])), EventBody::FlowMod { out_port: None });
+            let rewrite_then_out = vec![
+                Action::SetNwTos(4),
+                Action::SetDlDst(MacAddr::from_u64(2)),
+                Action::output(PortNo(9)),
+                Action::output(PortNo(10)),
+            ];
+            assert_eq!(
+                body(fm(rewrite_then_out)),
+                EventBody::FlowMod {
+                    out_port: Some(PortNo(9))
+                }
+            );
+        }
+
+        #[test]
+        fn flow_removed_keeps_its_tuple_counters_and_duration_bits() {
+            for (sec, nsec) in [(0, 0), (12, 345_678), (1, 999_999_999), (u32::MAX, 1)] {
+                let fr = FlowRemoved {
+                    match_: OfMatch::exact(&key(), PortNo(2)),
+                    cookie: Cookie(42),
+                    priority: 100,
+                    reason: FlowRemovedReason::IdleTimeout,
+                    duration_sec: sec,
+                    duration_nsec: nsec,
+                    idle_timeout: 5,
+                    packet_count: 1_000,
+                    byte_count: 1_500_000,
+                };
+                let EventBody::FlowRemoved {
+                    tuple,
+                    byte_count,
+                    packet_count,
+                    duration_sec,
+                    duration_nsec,
+                } = body(OfpMessage::FlowRemoved(fr.clone()))
+                else {
+                    panic!("a FlowRemoved converts to a FlowRemoved");
+                };
+                assert_eq!(tuple, FlowTuple::from_key(&key()));
+                assert_eq!((byte_count, packet_count), (1_500_000, 1_000));
+                assert_eq!(
+                    openflow::messages::duration_secs_f64(duration_sec, duration_nsec).to_bits(),
+                    fr.duration_secs_f64().to_bits()
+                );
+            }
+        }
+
+        #[test]
+        fn port_stats_keep_each_port_s_transmitted_bytes() {
+            for n in [0u16, 1, 48] {
+                let ports = (0..n)
+                    .map(|p| PortStats {
+                        port_no: PortNo(p + 1),
+                        rx_bytes: 7,
+                        tx_bytes: 1_000 * u64::from(p),
+                        ..PortStats::default()
+                    })
+                    .collect();
+                let want: Vec<(PortNo, u64)> = (0..n)
+                    .map(|p| (PortNo(p + 1), 1_000 * u64::from(p)))
+                    .collect();
+                assert_eq!(
+                    body(OfpMessage::StatsReply(StatsReply::Port(ports))),
+                    EventBody::PortStats(want.into())
+                );
+            }
+        }
+
+        #[test]
+        fn every_other_message_keeps_only_its_header() {
+            let port = PhyPort {
+                port_no: PortNo(1),
+                hw_addr: MacAddr::from_u64(11),
+                name: "eth1".to_owned(),
+                link_up: true,
+            };
+            let others = [
+                OfpMessage::Hello,
+                OfpMessage::Error(ErrorMsg::table_full()),
+                OfpMessage::EchoRequest(vec![1, 2].into()),
+                OfpMessage::EchoReply(vec![1, 2].into()),
+                OfpMessage::FeaturesRequest,
+                OfpMessage::FeaturesReply(SwitchFeatures {
+                    datapath_id: DatapathId(9),
+                    n_buffers: 256,
+                    n_tables: 1,
+                    ports: vec![port.clone()],
+                }),
+                OfpMessage::PacketOut(PacketOut {
+                    buffer_id: BufferId::NO_BUFFER,
+                    in_port: PortNo(3),
+                    actions: vec![Action::output(PortNo(5))],
+                    data: vec![1, 2, 3].into(),
+                }),
+                OfpMessage::PortStatus(PortStatus {
+                    reason: PortReason::Modify,
+                    port,
+                }),
+                OfpMessage::StatsRequest(StatsRequest::Port {
+                    port_no: PortNo::NONE,
+                }),
+                OfpMessage::StatsReply(StatsReply::Flow(vec![FlowStats {
+                    match_: OfMatch::any(),
+                    priority: 5,
+                    duration_sec: 30,
+                    idle_timeout: 5,
+                    hard_timeout: 0,
+                    cookie: Cookie(77),
+                    packet_count: 10,
+                    byte_count: 10_000,
+                }])),
+                OfpMessage::StatsReply(StatsReply::Aggregate(AggregateStats {
+                    packet_count: 5,
+                    byte_count: 500,
+                    flow_count: 2,
+                })),
+                OfpMessage::BarrierRequest,
+                OfpMessage::BarrierReply,
+            ];
+            for msg in others {
+                let name = format!("{msg:?}");
+                assert_eq!(
+                    FlowEvent::from(&at(msg)),
+                    FlowEvent {
+                        ts: Timestamp::from_micros(7),
+                        dpid: DatapathId(9),
+                        direction: Direction::FromController,
+                        xid: Xid(42),
+                        body: EventBody::Other,
+                    },
+                    "{name}"
+                );
+            }
+        }
     }
 }

@@ -32,6 +32,12 @@
 //! freed by the merge. The bound stays in events: at most
 //! `ingest_queue_events` of them wait in a stream's channel.
 //!
+//! The reader converts each decoded [`ControlEvent`] into a
+//! [`FlowEvent`] before it batches it, and drops the full message
+//! there: what crosses to the merge is fixed-size and owns no heap
+//! (bar a port-stats reply's counters), so the consuming thread never
+//! frees a payload another thread allocated.
+//!
 //! Cross-stream ordering is handled by [`EventMerge`], a k-way merge by
 //! `(timestamp, stream index)`. With no stall budget it blocks until
 //! every open stream has an event buffered — the strict semantics that
@@ -58,7 +64,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::faults::{ChannelChaos, ChaosReport, ConnFault, ConnPlan};
 use crate::log::{
-    encode_event, ControlEvent, ControllerLog, DecodeError, FrameDecoder, StreamStats,
+    encode_event, ControlEvent, ControllerLog, DecodeError, FlowEvent, FrameDecoder, StreamStats,
     CAPTURE_MAGIC,
 };
 
@@ -73,7 +79,7 @@ const READ_CHUNK: usize = 16 * 1024;
 const BATCH: usize = 64;
 
 /// A reader's end of its stream's channel to the merge.
-type BatchSender = SyncSender<Vec<ControlEvent>>;
+type BatchSender = SyncSender<Vec<FlowEvent>>;
 
 /// Write-chunk size for publishers: deliberately not a multiple of any
 /// frame size, so served streams always exercise the incremental
@@ -866,7 +872,8 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
     Ok(true)
 }
 
-/// Forwards what one read decoded: events into the (blocking, bounded)
+/// Forwards what one read decoded: events, each converted to a
+/// [`FlowEvent`] here on the reader thread, into the (blocking, bounded)
 /// channel in batches of at most `batch`, errors into the report. The
 /// last batch goes out partial, so no event waits for a later read. The
 /// gauge grows by a batch's length once the channel took it, so it
@@ -892,7 +899,7 @@ fn drain_items(
                 if out.capacity() == 0 {
                     out.reserve_exact(batch.min(left + 1));
                 }
-                out.push(ev);
+                out.push(FlowEvent::from(&ev));
                 if out.len() == batch {
                     send_batch(&mut out, tx, gauge, receiver_gone);
                 }
@@ -913,7 +920,7 @@ fn drain_items(
 /// Hands `out` to the merge (blocking while the channel is full) and
 /// leaves it empty with no capacity.
 fn send_batch(
-    out: &mut Vec<ControlEvent>,
+    out: &mut Vec<FlowEvent>,
     tx: &BatchSender,
     gauge: &SessionGauge,
     receiver_gone: &mut bool,
@@ -929,7 +936,7 @@ fn send_batch(
 /// K-way merge of per-stream event channels by `(timestamp, stream
 /// index)`.
 ///
-/// Each channel carries batches (`Vec<ControlEvent>`, in stream order;
+/// Each channel carries batches (`Vec<FlowEvent>`, in stream order;
 /// an empty one is skipped). The merge keeps the batch it last received
 /// from each stream and drains it one event at a time: a stream *has a
 /// head* while that batch has events left, and goes back to its channel
@@ -951,10 +958,10 @@ fn send_batch(
 /// disordered capture file.
 pub struct EventMerge {
     /// `None` once a stream has closed and drained.
-    rxs: Vec<Option<Receiver<Vec<ControlEvent>>>>,
+    rxs: Vec<Option<Receiver<Vec<FlowEvent>>>>,
     /// The rest of the batch last received per stream; its first event
     /// is the stream's head.
-    batches: Vec<std::vec::IntoIter<ControlEvent>>,
+    batches: Vec<std::vec::IntoIter<FlowEvent>>,
     /// `None` = block forever (strict ordering).
     stall: Option<Duration>,
     /// When a still-open, headless stream was first observed empty.
@@ -972,12 +979,12 @@ pub struct EventMerge {
 impl EventMerge {
     /// A merge over plain receivers (no gauges), with an optional stall
     /// budget.
-    pub fn new(rxs: Vec<Receiver<Vec<ControlEvent>>>, stall: Option<Duration>) -> EventMerge {
+    pub fn new(rxs: Vec<Receiver<Vec<FlowEvent>>>, stall: Option<Duration>) -> EventMerge {
         EventMerge::with_gauges(rxs, stall, Vec::new())
     }
 
     fn with_gauges(
-        rxs: Vec<Receiver<Vec<ControlEvent>>>,
+        rxs: Vec<Receiver<Vec<FlowEvent>>>,
         stall: Option<Duration>,
         gauges: Vec<Arc<SessionGauge>>,
     ) -> EventMerge {
@@ -997,7 +1004,7 @@ impl EventMerge {
         !self.batches[i].as_slice().is_empty()
     }
 
-    fn got_batch(&mut self, i: usize, batch: Vec<ControlEvent>) {
+    fn got_batch(&mut self, i: usize, batch: Vec<FlowEvent>) {
         if batch.is_empty() {
             return;
         }
@@ -1042,9 +1049,9 @@ impl EventMerge {
 }
 
 impl Iterator for EventMerge {
-    type Item = ControlEvent;
+    type Item = FlowEvent;
 
-    fn next(&mut self) -> Option<ControlEvent> {
+    fn next(&mut self) -> Option<FlowEvent> {
         loop {
             // Nonblocking sweep: pick up arrivals, note silences.
             self.pending.clear();
@@ -1430,6 +1437,16 @@ mod tests {
         }
     }
 
+    /// [`ev`] as the merge delivers it.
+    fn fev(ts_us: u64, xid: u32) -> FlowEvent {
+        FlowEvent::from(&ev(ts_us, xid))
+    }
+
+    /// `log`'s events as the merge delivers them.
+    fn flow(log: &ControllerLog) -> Vec<FlowEvent> {
+        log.events().iter().map(FlowEvent::from).collect()
+    }
+
     /// One live server over `n` expected streams; returns the merged
     /// events and the reports once everything ends.
     fn live_collect(
@@ -1437,9 +1454,9 @@ mod tests {
         n: usize,
         queue: usize,
         opts: LiveOptions,
-    ) -> (Vec<ControlEvent>, Vec<ConnReport>) {
+    ) -> (Vec<FlowEvent>, Vec<ConnReport>) {
         let mut live = server.live(n, queue, opts).unwrap();
-        let events: Vec<ControlEvent> = live.take_merge().collect();
+        let events: Vec<FlowEvent> = live.take_merge().collect();
         let reports = live.finish();
         (events, reports)
     }
@@ -1484,22 +1501,22 @@ mod tests {
             for part in &parts {
                 let (tx, rx) = sync_channel(200);
                 for e in part.events() {
-                    tx.send(vec![e.clone()]).unwrap();
+                    tx.send(vec![FlowEvent::from(e)]).unwrap();
                 }
                 drop(tx);
                 rxs.push(rx);
             }
-            let merged: Vec<ControlEvent> = EventMerge::new(rxs, None).collect();
-            assert_eq!(merged, log.events().to_vec(), "{n} streams");
+            let merged: Vec<FlowEvent> = EventMerge::new(rxs, None).collect();
+            assert_eq!(merged, flow(&log), "{n} streams");
         }
     }
 
     /// Cuts each stream into consecutive batches whose sizes `size`
     /// yields in turn.
     fn cut(
-        streams: &[Vec<ControlEvent>],
+        streams: &[Vec<FlowEvent>],
         mut size: impl FnMut() -> usize,
-    ) -> Vec<Vec<Vec<ControlEvent>>> {
+    ) -> Vec<Vec<Vec<FlowEvent>>> {
         streams
             .iter()
             .map(|s| {
@@ -1517,7 +1534,7 @@ mod tests {
 
     /// A strict merge over `batches`, channels pre-loaded and closed (so
     /// every stream closes while the merge still holds its last batch).
-    fn merge_preloaded(batches: &[Vec<Vec<ControlEvent>>]) -> Vec<ControlEvent> {
+    fn merge_preloaded(batches: &[Vec<Vec<FlowEvent>>]) -> Vec<FlowEvent> {
         let rxs = batches
             .iter()
             .map(|stream| {
@@ -1533,7 +1550,7 @@ mod tests {
 
     /// A strict merge over `batches`, each stream sent by its own thread
     /// through a one-batch channel, so the merge blocks on its streams.
-    fn merge_threaded(batches: &[Vec<Vec<ControlEvent>>]) -> Vec<ControlEvent> {
+    fn merge_threaded(batches: &[Vec<Vec<FlowEvent>>]) -> Vec<FlowEvent> {
         let mut rxs = Vec::new();
         let mut senders = Vec::new();
         for stream in batches {
@@ -1561,7 +1578,7 @@ mod tests {
         // breaks cross-stream ties). Stream 2 is short and ends mid-run.
         let lens = [300usize, 250, 40];
         let mut xid = 0u32;
-        let streams: Vec<Vec<ControlEvent>> = lens
+        let streams: Vec<Vec<FlowEvent>> = lens
             .iter()
             .map(|&len| {
                 let mut ts = 100u64;
@@ -1569,12 +1586,12 @@ mod tests {
                     .map(|_| {
                         ts += rng.gen_range(0..=2u64);
                         xid += 1;
-                        ev(ts, xid)
+                        fev(ts, xid)
                     })
                     .collect()
             })
             .collect();
-        let mut expect: Vec<(u64, usize, ControlEvent)> = streams
+        let mut expect: Vec<(u64, usize, FlowEvent)> = streams
             .iter()
             .enumerate()
             .flat_map(|(i, s)| s.iter().map(move |e| (e.ts.as_micros(), i, e.clone())))
@@ -1586,11 +1603,11 @@ mod tests {
                 .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1),
             "the inputs must tie timestamps across streams"
         );
-        let expect: Vec<ControlEvent> = expect.into_iter().map(|(_, _, e)| e).collect();
+        let expect: Vec<FlowEvent> = expect.into_iter().map(|(_, _, e)| e).collect();
 
         let singles = merge_preloaded(&cut(&streams, || 1));
         assert_eq!(singles, expect, "single-event batches");
-        let mut sizes: Vec<(String, Vec<Vec<Vec<ControlEvent>>>)> = [1usize, 2, 3, 64]
+        let mut sizes: Vec<(String, Vec<Vec<Vec<FlowEvent>>>)> = [1usize, 2, 3, 64]
             .iter()
             .map(|&n| (format!("size {n}"), cut(&streams, || n)))
             .collect();
@@ -1608,9 +1625,9 @@ mod tests {
         // stall budget the merge must release stream 0's events within
         // roughly the budget instead of blocking forever.
         let (tx0, rx0) = sync_channel(16);
-        let (tx1, rx1) = sync_channel::<Vec<ControlEvent>>(16);
+        let (tx1, rx1) = sync_channel::<Vec<FlowEvent>>(16);
         for i in 0..4u64 {
-            tx0.send(vec![ev(100 + i, i as u32)]).unwrap();
+            tx0.send(vec![fev(100 + i, i as u32)]).unwrap();
         }
         drop(tx0);
         let budget = Duration::from_millis(100);
@@ -1638,7 +1655,7 @@ mod tests {
         let (tx0, rx0) = sync_channel(16);
         let (tx1, rx1) = sync_channel(16);
         for i in 0..3u64 {
-            tx0.send(vec![ev(200 + i, i as u32)]).unwrap();
+            tx0.send(vec![fev(200 + i, i as u32)]).unwrap();
         }
         drop(tx0);
         let mut merge = EventMerge::new(vec![rx0, rx1], Some(Duration::from_millis(50)));
@@ -1647,8 +1664,8 @@ mod tests {
         assert_eq!(merge.next().unwrap().ts.as_micros(), 201);
         // Stream 1 revives with *older* events — they still come out in
         // stream order, re-sequencing left to the downstream slack.
-        tx1.send(vec![ev(150, 10)]).unwrap();
-        tx1.send(vec![ev(151, 11)]).unwrap();
+        tx1.send(vec![fev(150, 10)]).unwrap();
+        tx1.send(vec![fev(151, 11)]).unwrap();
         drop(tx1);
         let rest: Vec<u64> = merge.by_ref().map(|e| e.ts.as_micros()).collect();
         assert_eq!(rest, vec![150, 151, 202]);
@@ -1665,7 +1682,7 @@ mod tests {
         });
         let (events, reports) = live_collect(&server, 1, 16, LiveOptions::default());
         let sent = publisher.join().unwrap();
-        assert_eq!(events, log.events().to_vec());
+        assert_eq!(events, flow(&log));
         assert_eq!(reports.len(), 1);
         assert!(reports[0].handshake_ok);
         assert_eq!(reports[0].events, 50);
@@ -1696,9 +1713,9 @@ mod tests {
             let log = log.clone();
             move || publish_session(addr, &log, &SessionOptions::default()).unwrap()
         });
-        let events: Vec<ControlEvent> = live.take_merge().collect();
+        let events: Vec<FlowEvent> = live.take_merge().collect();
         publisher.join().unwrap();
-        assert_eq!(events, log.events().to_vec());
+        assert_eq!(events, flow(&log));
         assert_eq!(live.refused(), 1);
         let reports = live.finish();
         assert!(reports[0].handshake_ok);
@@ -1785,7 +1802,7 @@ mod tests {
         });
         let (events, reports) = live_collect(&server, 1, 16, LiveOptions::default());
         let sent = publisher.join().unwrap();
-        assert_eq!(events, log.events().to_vec());
+        assert_eq!(events, flow(&log));
         assert_eq!(sent.connects, 1);
         assert_eq!(sent.resumes, 0);
         let r = &reports[0];
@@ -1828,7 +1845,7 @@ mod tests {
         let sent = publisher.join().unwrap();
         assert_eq!(
             events,
-            log.events().to_vec(),
+            flow(&log),
             "resume must lose nothing and duplicate nothing"
         );
         assert_eq!(sent.connects, 3, "1 connect + 2 flap reconnects");

@@ -1,20 +1,41 @@
 //! Property-based tests for the incremental capture decoder: on any
 //! byte mutation and any chunking, [`FrameDecoder`] must never panic
 //! and must emit the same events, error sites, and skip accounting as
-//! the batch [`LogStream`] over the complete buffer.
+//! the batch [`LogStream`] over the complete buffer — and a loopback
+//! [`IngestServer`] must deliver through its merge exactly what the
+//! batch stream decodes, mapped through the one [`FlowEvent`]
+//! conversion.
+
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpStream};
 
 use proptest::prelude::*;
 
 use netsim::log::{
-    ControlEvent, ControllerLog, DecodeError, Direction, FrameDecoder, LogStream, StreamStats,
+    ControlEvent, ControllerLog, DecodeError, Direction, FlowEvent, FrameDecoder, LogStream,
+    StreamStats,
 };
+use netsim::net::{IngestServer, LiveOptions, SESSION_ACK, SESSION_MAGIC};
 use openflow::actions::Action;
-use openflow::match_fields::OfMatch;
-use openflow::messages::{FlowMod, OfpMessage, PacketIn, PacketInReason};
-use openflow::types::{BufferId, DatapathId, PortNo, Timestamp, Xid};
+use openflow::frame;
+use openflow::match_fields::{FlowKey, OfMatch};
+use openflow::messages::{
+    FlowMod, FlowRemoved, FlowRemovedReason, OfpMessage, PacketIn, PacketInReason, PortStats,
+    StatsReply,
+};
+use openflow::types::{BufferId, Cookie, DatapathId, PortNo, Timestamp, Xid};
+
+fn key(i: u64) -> FlowKey {
+    FlowKey::tcp(
+        Ipv4Addr::new(10, 0, 0, 1 + (i % 7) as u8),
+        40_000 + i as u16,
+        Ipv4Addr::new(10, 0, 1, 1),
+        80,
+    )
+}
 
 fn event(i: u64, kind: u8) -> ControlEvent {
-    let msg = match kind % 4 {
+    let msg = match kind % 7 {
         0 => OfpMessage::Hello,
         1 => OfpMessage::FlowMod(FlowMod::add(OfMatch::any(), 1).action(Action::output(PortNo(2)))),
         2 => OfpMessage::PacketIn(PacketIn {
@@ -24,7 +45,34 @@ fn event(i: u64, kind: u8) -> ControlEvent {
             reason: PacketInReason::NoMatch,
             data: b"abcdef".to_vec().into(),
         }),
-        _ => OfpMessage::BarrierRequest,
+        3 => OfpMessage::BarrierRequest,
+        4 => OfpMessage::PacketIn(PacketIn {
+            buffer_id: BufferId::NO_BUFFER,
+            total_len: 128,
+            in_port: PortNo(1 + i as u16 % 4),
+            reason: PacketInReason::NoMatch,
+            data: frame::build_frame(&key(i), 128),
+        }),
+        5 => OfpMessage::FlowRemoved(FlowRemoved {
+            match_: OfMatch::exact(&key(i), PortNo(1)),
+            cookie: Cookie::default(),
+            priority: 100,
+            reason: FlowRemovedReason::IdleTimeout,
+            duration_sec: 1 + i as u32,
+            duration_nsec: 250_000 * i as u32,
+            idle_timeout: 1,
+            packet_count: 3 * i,
+            byte_count: 1_500 * i,
+        }),
+        _ => OfpMessage::StatsReply(StatsReply::Port(
+            (0..i % 4)
+                .map(|p| PortStats {
+                    port_no: PortNo(1 + p as u16),
+                    tx_bytes: 10_000 * i + p,
+                    ..PortStats::default()
+                })
+                .collect(),
+        )),
     };
     ControlEvent {
         ts: Timestamp::from_micros(1_000 + i * 250),
@@ -69,6 +117,48 @@ fn chunked_decode(
         dec.finish(&mut out);
     }
     (out, dec.stats())
+}
+
+/// Serves `bytes` to a loopback [`IngestServer`] as one session whose
+/// `Data` records are cut at `cuts`, and returns what the merge yields
+/// and the connection's frame counters.
+fn served(bytes: &[u8], cuts: &[usize]) -> (Vec<FlowEvent>, StreamStats) {
+    let server = IngestServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let mut live = server.live(1, 16, LiveOptions::default()).unwrap();
+    let mut records = Vec::new();
+    let mut at = 0;
+    for &cut in cuts {
+        let cut = at + cut % (bytes.len() - at + 1);
+        records.push(bytes[at..cut].to_vec());
+        at = cut;
+    }
+    records.push(bytes[at..].to_vec());
+    let publisher = std::thread::spawn(move || publish_raw(addr, &records));
+    let events = live.take_merge().collect();
+    publisher.join().unwrap();
+    let reports = live.finish();
+    (events, reports[0].stats)
+}
+
+/// One session by hand, in the documented record layer: `FDIFFSES` and
+/// a session id, then `[tag u8][len u32 LE][payload]` records — tag 0
+/// carries capture bytes, tag 2 ends the session.
+fn publish_raw(addr: SocketAddr, records: &[Vec<u8>]) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(SESSION_MAGIC).unwrap();
+    s.write_all(&1u64.to_le_bytes()).unwrap();
+    let mut ack = [0u8; 16];
+    s.read_exact(&mut ack).unwrap();
+    assert_eq!(&ack[..8], SESSION_ACK);
+    for record in records {
+        s.write_all(&[0]).unwrap();
+        s.write_all(&(record.len() as u32).to_le_bytes()).unwrap();
+        s.write_all(record).unwrap();
+    }
+    s.write_all(&[2, 0, 0, 0, 0]).unwrap();
+    s.shutdown(Shutdown::Write).unwrap();
+    let _ = s.read_to_end(&mut Vec::new());
 }
 
 /// Error equality up to the documented divergence: a length-overflow
@@ -128,5 +218,34 @@ proptest! {
             }
         }
         prop_assert_eq!(inc_stats, batch_stats);
+    }
+
+    /// The same bytes served over a loopback session: the merge yields
+    /// the batch stream's events, in order, and the connection counts
+    /// what the batch stream counts.
+    #[test]
+    fn mutated_capture_serves_what_the_batch_stream_decodes(
+        kinds in prop::collection::vec(any::<u8>(), 1..12),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..6),
+        cut_tail in any::<usize>(),
+        cuts in prop::collection::vec(any::<usize>(), 0..10),
+    ) {
+        let log: ControllerLog = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| event(i as u64, k))
+            .collect();
+        let mut bytes = log.to_wire_bytes();
+        for &(at, mask) in &flips {
+            let idx = at % bytes.len();
+            bytes[idx] ^= mask;
+        }
+        bytes.truncate(bytes.len() - cut_tail % (bytes.len() / 4 + 1));
+
+        let (batch_items, batch_stats) = batch_decode(&bytes);
+        let want: Vec<FlowEvent> = batch_items.iter().flatten().map(FlowEvent::from).collect();
+        let (got, stats) = served(&bytes, &cuts);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(stats, batch_stats);
     }
 }

@@ -214,8 +214,15 @@ pub struct FlowRemoved {
 impl FlowRemoved {
     /// The entry lifetime as fractional seconds.
     pub fn duration_secs_f64(&self) -> f64 {
-        self.duration_sec as f64 + self.duration_nsec as f64 * 1e-9
+        duration_secs_f64(self.duration_sec, self.duration_nsec)
     }
+}
+
+/// A `FlowRemoved` duration, `sec` seconds plus `nsec` nanoseconds, as
+/// fractional seconds: the one formula, so a copy of the two integers
+/// converts to the same bits as the message.
+pub fn duration_secs_f64(sec: u32, nsec: u32) -> f64 {
+    sec as f64 + nsec as f64 * 1e-9
 }
 
 /// Description of one physical port in a features reply.
