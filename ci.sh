@@ -196,8 +196,9 @@ esac
 
 step "serve memory tracks the checkpoint interval (serve_dense peak_rss_mb < 65)"
 # The live feed releases what it pulled at each durable point, so peak
-# RSS stops growing with the events served: ~50 MiB here, 84 MiB when
-# every event was kept, run-to-run spread under 1 %.
+# RSS stops growing with the events served: ~26 MiB here since the
+# differ holds 64-byte events (~30 MiB while it held whole messages,
+# 84 MiB when every event was kept), run-to-run spread under 1 %.
 rss_out="$(benchmark/run.sh --workload serve_dense --seed 42 --seconds 3 --trace 0 | tail -n 1)"
 printf '%s\n' "$rss_out" | cut -c1-160
 case "$rss_out" in
@@ -245,11 +246,27 @@ if grep -rnE 'ShardedDiffer|ShardRouter|ShardModel' crates/ | grep -v '^crates/c
 fi
 
 step "one definition of each paper workload"
-# The lab testbed, the Table I webshop and the Section V-C tree mesh are
-# built by workloads::testbeds (DESIGN.md §3); everything else calls it.
+# The lab testbed, the Table I webshop and its seven problems, the
+# Section V-D task run and shop background, and the Section V-C tree
+# mesh are built by workloads::testbeds (DESIGN.md §3); everything else
+# calls it.
 if grep -rnF -e 'let pick = |tier: usize, k: usize|' -e 'install_services(&mut' \
     crates/ tests/ examples/ | grep -v '^crates/workloads/src/'; then
     echo "FAIL: a hand-written copy of the tree mesh or the lab assembly is back outside crates/workloads/src" >&2
+    exit 1
+fi
+# Table I's slowdowns (rows 1 and 3), loss (row 2) and iperf transfer
+# (row 7), and the shop app by name.
+if grep -rnF -e 'extra_us: 120_000' -e 'extra_us: 250_000' -e 'rate: 0.05' \
+    -e '9_999, lab.ip("S20")' -e '"shop"' \
+    crates/ tests/ examples/ | grep -v '^crates/workloads/src/'; then
+    echo "FAIL: a hand-written Table I problem or shop workload is back outside crates/workloads/src (use Lab::table1 / Lab::shop)" >&2
+    exit 1
+fi
+# An isolated task run schedules its task at t = 2 s, however formatted.
+if grep -rlPz 'sc\.task\(\s*Timestamp::from_secs\(2\),' crates/ tests/ examples/ |
+    grep -v '^crates/workloads/src/'; then
+    echo "FAIL: a hand-written isolated task run is back outside crates/workloads/src (use Lab::task_run)" >&2
     exit 1
 fi
 

@@ -8,47 +8,28 @@
 
 use flowdiff::prelude::*;
 use flowdiff_bench::print_table;
-use netsim::prelude::*;
 use workloads::prelude::*;
-
-fn startup_records(
-    lab: &Lab,
-    config: &FlowDiffConfig,
-    vm: &str,
-    image: VmImage,
-    seed: u64,
-) -> Vec<FlowRecord> {
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(25),
-    );
-    sc.services(lab.catalog.clone());
-    sc.task(
-        Timestamp::from_secs(2),
-        TaskKind::VmStartup {
-            vm: lab.ip(vm),
-            image,
-        },
-    );
-    extract_records(&sc.run().log, config)
-}
 
 fn main() {
     let lab = Lab::new();
     let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
     let image = VmImage::AmazonAmi(1);
     let foreign_image = VmImage::AmazonAmi(3);
+    // The records of one isolated 25 s startup run.
+    let startup = |vm: &str, image, seed| {
+        let task = TaskKind::VmStartup {
+            vm: lab.ip(vm),
+            image,
+        };
+        extract_records(&lab.task_run(seed, task, 25).run().log, &config)
+    };
 
-    let training: Vec<Vec<FlowRecord>> = (0..40)
-        .map(|i| startup_records(&lab, &config, "VM1", image, 3_000 + i))
-        .collect();
-    let own_tests: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| startup_records(&lab, &config, "VM2", image, 9_000 + i))
-        .collect();
+    let training: Vec<Vec<FlowRecord>> =
+        (0..40).map(|i| startup("VM1", image, 3_000 + i)).collect();
+    let own_tests: Vec<Vec<FlowRecord>> =
+        (0..20).map(|i| startup("VM2", image, 9_000 + i)).collect();
     let foreign_tests: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| startup_records(&lab, &config, "VM3", foreign_image, 12_000 + i))
+        .map(|i| startup("VM3", foreign_image, 12_000 + i))
         .collect();
 
     println!("Ablation - min_sup sweep for task-signature mining (paper: 0.6)\n");

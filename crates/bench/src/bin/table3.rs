@@ -10,7 +10,6 @@
 
 use flowdiff::prelude::*;
 use flowdiff_bench::print_table;
-use netsim::prelude::*;
 use workloads::prelude::*;
 
 struct Vm {
@@ -18,24 +17,6 @@ struct Vm {
     host: &'static str,
     image: VmImage,
     test_runs: u64,
-}
-
-fn startup_records(lab: &Lab, config: &FlowDiffConfig, vm: &Vm, seed: u64) -> Vec<FlowRecord> {
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(25),
-    );
-    sc.services(lab.catalog.clone());
-    sc.task(
-        Timestamp::from_secs(2),
-        TaskKind::VmStartup {
-            vm: lab.ip(vm.host),
-            image: vm.image,
-        },
-    );
-    extract_records(&sc.run().log, config)
 }
 
 fn main() {
@@ -68,6 +49,14 @@ fn main() {
         },
     ];
     const TRAIN_RUNS: u64 = 50;
+    // The records of one isolated 25 s startup run of `vm`.
+    let startup = |vm: &Vm, seed: u64| {
+        let task = TaskKind::VmStartup {
+            vm: lab.ip(vm.host),
+            image: vm.image,
+        };
+        extract_records(&lab.task_run(seed, task, 25).run().log, &config)
+    };
 
     println!("Table III - accuracy of task signature matching");
     println!("training: {TRAIN_RUNS} startup runs per VM; masked and unmasked automata\n");
@@ -77,7 +66,7 @@ fn main() {
     let mut masked = Vec::new();
     for (vi, vm) in vms.iter().enumerate() {
         let runs: Vec<Vec<FlowRecord>> = (0..TRAIN_RUNS)
-            .map(|r| startup_records(&lab, &config, vm, 1_000 * (vi as u64 + 1) + r))
+            .map(|r| startup(vm, 1_000 * (vi as u64 + 1) + r))
             .collect();
         unmasked.push(learn_task(vm.label, &runs, false, &config));
         masked.push(learn_task(vm.label, &runs, true, &config));
@@ -87,7 +76,7 @@ fn main() {
     let mut rows = Vec::new();
     for (vi, vm) in vms.iter().enumerate() {
         let own_tests: Vec<Vec<FlowRecord>> = (0..vm.test_runs)
-            .map(|r| startup_records(&lab, &config, vm, 900_000 + 1_000 * vi as u64 + r))
+            .map(|r| startup(vm, 900_000 + 1_000 * vi as u64 + r))
             .collect();
 
         let detect_with = |automaton: &TaskAutomaton, records: &[FlowRecord]| -> bool {
@@ -114,8 +103,7 @@ fn main() {
                 continue;
             }
             for r in 0..other.test_runs {
-                let records =
-                    startup_records(&lab, &config, other, 800_000 + 1_000 * vj as u64 + r);
+                let records = startup(other, 800_000 + 1_000 * vj as u64 + r);
                 foreign += 1;
                 if detect_with(&masked[vi], &records) {
                     fp += 1;
@@ -153,7 +141,7 @@ fn main() {
         }
         // AMI masked automaton must never match Ubuntu's startup.
         for r in 0..vms[ubuntu_idx].test_runs {
-            let records = startup_records(&lab, &config, &vms[ubuntu_idx], 700_000 + r);
+            let records = startup(&vms[ubuntu_idx], 700_000 + r);
             let mut lib = TaskLibrary::new();
             lib.add(masked[vi].clone());
             assert!(

@@ -70,12 +70,7 @@ fn webshop_demo_slowdown_seed_2_bytes_pinned() {
 #[test]
 fn webshop_table1_iperf_seed_106_bytes_pinned() {
     let lab = Lab::new();
-    let mut sc = lab.webshop(106, 60);
-    let key = openflow::match_fields::FlowKey::tcp(lab.ip("S1"), 9_999, lab.ip("S20"), 5_001);
-    sc.background_services(true).flow(
-        Timestamp::from_secs(2),
-        FlowSpec::new(key, 70_000_000_000, 58_000_000),
-    );
+    let sc = lab.table1_scenario(106, Some(&lab.table1()[6]));
     assert_eq!(scenario_crc(&sc), 0x62f0_aea4);
 }
 

@@ -650,7 +650,7 @@ impl OnlineDiffer {
         }
         self.builder.fold_event(&event);
         let assembler = &mut self.assembler;
-        self.sequencer.release(event, |ev, _| assembler.observe(ev));
+        self.sequencer.release(event, |ev| assembler.observe(ev));
         for record in self.assembler.take_completed() {
             self.builder.observe_record(record);
         }

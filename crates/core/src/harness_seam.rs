@@ -110,7 +110,7 @@ impl ShardRouter {
         if !self.sequencer.admit(ev.ts) {
             return false;
         }
-        (self.sequencer).release(ev, |event, _| released.push(event));
+        (self.sequencer).release(ev, |event| released.push(event));
         true
     }
 }

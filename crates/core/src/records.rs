@@ -1020,16 +1020,15 @@ impl Sequencer {
     }
 
     /// Hands the just-admitted `ev`, and every held event the watermark
-    /// now lets through, to `out` in assembly order; the flag marks `ev`
-    /// itself. At slack 0 that is `ev` alone. Otherwise even a too-late
-    /// `ev` goes through the buffer: it is below the watermark, so it
-    /// comes right back out, sequenced against its peers.
-    pub fn release(&mut self, ev: FlowEvent, mut out: impl FnMut(FlowEvent, bool)) {
+    /// now lets through, to `out` in assembly order. At slack 0 that is
+    /// `ev` alone. Otherwise even a too-late `ev` goes through the
+    /// buffer: it is below the watermark, so it comes right back out,
+    /// sequenced against its peers.
+    pub fn release(&mut self, ev: FlowEvent, mut out: impl FnMut(FlowEvent)) {
         if self.reorder_slack_us == 0 {
-            return out(ev, true);
+            return out(ev);
         }
-        let own = (ev.ts, self.arrival_seq);
-        self.held.insert(own, ev);
+        self.held.insert((ev.ts, self.arrival_seq), ev);
         self.arrival_seq += 1;
         let watermark = Timestamp::from_micros(
             self.max_arrival()
@@ -1040,8 +1039,7 @@ impl Sequencer {
             if entry.key().0 > watermark {
                 break;
             }
-            let is_own = *entry.key() == own;
-            out(entry.remove(), is_own);
+            out(entry.remove());
         }
     }
 
@@ -1597,7 +1595,7 @@ mod tests {
         let mut asm = RecordAssembler::new(&guarded);
         for (i, ev) in log.events().iter().enumerate() {
             assert!(seq.admit(ev.ts), "clean events must be admitted");
-            seq.release(ev.into(), |ev, _| asm.observe(ev));
+            seq.release(ev.into(), |ev| asm.observe(ev));
             if i == 0 {
                 assert!(!seq.admit(corrupt.ts), "insane jump must be dropped");
             }
@@ -1669,8 +1667,7 @@ mod tests {
             for ev in &shuffled {
                 assert!(seq.admit(ev.ts));
                 let mut handed = 0;
-                seq.release(ev.clone(), |ev, own| {
-                    assert!(own || slack_us > 0);
+                seq.release(ev.clone(), |ev| {
                     handed += 1;
                     out.push(ev);
                 });

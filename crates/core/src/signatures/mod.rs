@@ -49,12 +49,12 @@ use crate::change::{Change, Locus, SignatureKind};
 use crate::config::FlowDiffConfig;
 use crate::groups::{AppGroup, Edge};
 use crate::ids::{EdgeId, EntityCatalog, IRecord, RecordIndex};
-use netsim::log::ControllerLog;
 
 /// Everything a signature may need to build itself. Each signature picks
 /// the fields it cares about: application signatures use their group's
-/// records, infrastructure signatures use all records, and LU reads the
-/// raw log (port-stats replies never become flow records).
+/// records and infrastructure signatures use all records. LU reads
+/// none: port-stats replies never become flow records, so the model
+/// takes LU from [`utilization::LuBuilder`] instead.
 #[derive(Clone, Copy)]
 pub struct SignatureInputs<'a> {
     /// The records to build from: the group's records for application
@@ -73,8 +73,6 @@ pub struct SignatureInputs<'a> {
     pub span: (Timestamp, Timestamp),
     /// Domain knowledge (which nodes are service nodes).
     pub config: &'a FlowDiffConfig,
-    /// The raw controller log (LU only).
-    pub log: Option<&'a ControllerLog>,
     /// The feed's edges and each record's slot among them, when the
     /// caller already has them (the model builder, from group
     /// discovery); [`SignatureInputs::edge_slots`] derives them
@@ -103,16 +101,8 @@ impl<'a> SignatureInputs<'a> {
             catalog,
             span,
             config,
-            log: None,
             edge_slots: None,
         }
-    }
-
-    /// Attaches the raw controller log (builder style).
-    #[must_use]
-    pub fn with_log(mut self, log: &'a ControllerLog) -> Self {
-        self.log = Some(log);
-        self
     }
 
     /// Attaches the feed's edge slots (builder style); they must be the

@@ -127,14 +127,10 @@ impl Signature for LinkUtilization {
     type Change = LuChange;
     const KIND: SignatureKind = SignatureKind::Lu;
 
-    /// Reads the port-stats replies from the raw log; without a log the
-    /// signature is empty.
-    fn build(inputs: &SignatureInputs<'_>) -> Self {
-        let mut builder = LuBuilder::default();
-        for event in inputs.log.into_iter().flat_map(|log| log.events()) {
-            builder.observe_event(&FlowEvent::from(event));
-        }
-        builder.finalize()
+    /// Port counters never become flow records, so a record window
+    /// yields the empty signature; the model takes LU from [`LuBuilder`].
+    fn build(_inputs: &SignatureInputs<'_>) -> Self {
+        LinkUtilization::default()
     }
 
     /// Flags ports whose mean byte rate moved beyond [`ISL_SIGMA`]
@@ -188,7 +184,7 @@ mod tests {
     use super::*;
     use crate::config::FlowDiffConfig;
     use crate::ids::EntityCatalog;
-    use netsim::log::{ControlEvent, ControllerLog, Direction};
+    use netsim::log::{ControlEvent, Direction};
     use openflow::messages::{OfpMessage, PortStats, StatsReply};
     use openflow::types::Xid;
 
@@ -207,13 +203,12 @@ mod tests {
         }
     }
 
-    fn lu_of(log: &ControllerLog) -> LinkUtilization {
-        let config = FlowDiffConfig::default();
-        let catalog = EntityCatalog::new();
-        LinkUtilization::build(
-            &SignatureInputs::new(&[], &catalog, (Timestamp::ZERO, Timestamp::ZERO), &config)
-                .with_log(log),
-        )
+    fn lu_of(log: &[ControlEvent]) -> LinkUtilization {
+        let mut builder = LuBuilder::default();
+        for event in log {
+            builder.observe_event(&FlowEvent::from(event));
+        }
+        builder.finalize()
     }
 
     fn diff_lu(a: &LinkUtilization, b: &LinkUtilization) -> Vec<LuChange> {
@@ -223,15 +218,12 @@ mod tests {
 
     #[test]
     fn rates_from_cumulative_counters() {
-        let log: ControllerLog = vec![
+        let lu = lu_of(&[
             reply(10, 1, 2, 0),
             reply(20, 1, 2, 1_000_000),
             reply(30, 1, 2, 2_000_000),
             reply(40, 1, 2, 3_000_000),
-        ]
-        .into_iter()
-        .collect();
-        let lu = lu_of(&log);
+        ]);
         let stats = &lu.per_port[&(DatapathId(1), PortNo(2))];
         assert_eq!(stats.n, 3);
         assert!((stats.mean - 100_000.0).abs() < 1.0, "100 KB/s");
@@ -240,12 +232,11 @@ mod tests {
 
     #[test]
     fn single_poll_yields_no_rate() {
-        let log: ControllerLog = vec![reply(10, 1, 2, 500)].into_iter().collect();
-        assert!(lu_of(&log).per_port.is_empty());
+        assert!(lu_of(&[reply(10, 1, 2, 500)]).per_port.is_empty());
     }
 
     #[test]
-    fn missing_log_builds_empty_signature() {
+    fn record_window_builds_empty_signature() {
         let config = FlowDiffConfig::default();
         let catalog = EntityCatalog::new();
         let lu = LinkUtilization::build(&SignatureInputs::new(
@@ -260,7 +251,7 @@ mod tests {
     #[test]
     fn diff_flags_big_rate_jump_only() {
         let steady = |rate: u64| -> LinkUtilization {
-            let log: ControllerLog = (0..8u64)
+            let log: Vec<ControlEvent> = (0..8u64)
                 .map(|i| reply(10 * (i + 1), 1, 2, rate * 10 * i))
                 .collect();
             lu_of(&log)
@@ -280,10 +271,10 @@ mod tests {
 
     #[test]
     fn ports_present_in_one_log_only_are_skipped() {
-        let log_a: ControllerLog = (0..4u64)
+        let log_a: Vec<ControlEvent> = (0..4u64)
             .map(|i| reply(10 * (i + 1), 1, 2, 1_000 * i))
             .collect();
-        let log_b: ControllerLog = (0..4u64)
+        let log_b: Vec<ControlEvent> = (0..4u64)
             .map(|i| reply(10 * (i + 1), 9, 9, 1_000 * i))
             .collect();
         assert!(diff_lu(&lu_of(&log_a), &lu_of(&log_b)).is_empty());

@@ -350,7 +350,7 @@ impl Ingest {
     fn observe(&mut self, ev: &ControlEvent) {
         if self.seq.admit(ev.ts) {
             let asm = &mut self.asm;
-            self.seq.release(ev.into(), |ev, _| asm.observe(ev));
+            self.seq.release(ev.into(), |ev| asm.observe(ev));
         }
     }
 
@@ -979,7 +979,7 @@ fn epochs_match_clone_probe(events: &[ControlEvent], config: &FlowDiffConfig) ->
         }
         if oracle.seq.admit(event.ts) {
             let asm = &mut oracle.asm;
-            oracle.seq.release(event.into(), |ev, _| asm.observe(ev));
+            oracle.seq.release(event.into(), |ev| asm.observe(ev));
             builder.observe_event(event);
             for record in oracle.asm.take_completed() {
                 builder.observe_record(record);
@@ -1272,7 +1272,7 @@ fn checkpoints_captured_with_events_held_for_reordering_resume_byte_identically(
     let mut checkpoints: Vec<(usize, Vec<u8>)> = Vec::new();
     for (i, event) in events.iter().enumerate() {
         if shadow.admit(event.ts) {
-            shadow.release(event.clone(), |_, _| {});
+            shadow.release(event.clone(), |_| {});
         }
         snaps.extend(
             straight

@@ -346,14 +346,10 @@ impl ChannelChaos {
 /// A seeded process-kill schedule for crash-recovery drills: picks a
 /// set of epoch indices at which the consumer of a capture should die
 /// (panic, `kill -9`, power cut — the drill decides the mechanism).
-///
-/// Each planned kill fires **once**: [`CrashPlan::take`] consumes the
-/// epoch, so a supervisor that restores a checkpoint and replays
-/// through the same epoch is not killed again. Everything is seeded —
-/// the same `(seed, kills, total_epochs)` yields the same schedule.
+/// Everything is seeded — the same `(seed, kills, total_epochs)` yields
+/// the same schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashPlan {
-    pending: std::collections::BTreeSet<u64>,
     planned: Vec<u64>,
 }
 
@@ -363,39 +359,23 @@ impl CrashPlan {
     /// least one clean snapshot before the first death.
     pub fn seeded(seed: u64, kills: usize, total_epochs: u64) -> CrashPlan {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut pending = std::collections::BTreeSet::new();
+        let mut epochs = std::collections::BTreeSet::new();
         if total_epochs > 1 {
             let want = kills.min((total_epochs - 1) as usize);
             // Distinct draws; the range is tiny, so rejection converges
             // immediately.
-            while pending.len() < want {
-                pending.insert(rng.gen_range(1..total_epochs));
+            while epochs.len() < want {
+                epochs.insert(rng.gen_range(1..total_epochs));
             }
         }
-        let planned = pending.iter().copied().collect();
-        CrashPlan { pending, planned }
+        CrashPlan {
+            planned: epochs.into_iter().collect(),
+        }
     }
 
-    /// Every epoch the plan will (or did) kill at, ascending.
+    /// Every epoch the plan kills at, ascending.
     pub fn kill_epochs(&self) -> &[u64] {
         &self.planned
-    }
-
-    /// True when a kill is still scheduled at `epoch`.
-    pub fn should_kill(&self, epoch: u64) -> bool {
-        self.pending.contains(&epoch)
-    }
-
-    /// Consumes the kill scheduled at `epoch`; returns whether one was
-    /// pending. Call *before* dying so the post-restore replay of the
-    /// same epoch passes through.
-    pub fn take(&mut self, epoch: u64) -> bool {
-        self.pending.remove(&epoch)
-    }
-
-    /// Kills not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -418,7 +398,7 @@ pub enum ConnFault {
 /// A per-connection schedule of [`ConnFault`]s keyed by *events sent*.
 /// Each entry fires **once** ([`ConnPlan::fire_at`] consumes it), so a
 /// resumed attempt that replays past the same offset is not faulted
-/// again — the same one-shot semantics as [`CrashPlan`].
+/// again.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConnPlan {
     at: Vec<(u64, ConnFault)>,
@@ -768,17 +748,6 @@ mod tests {
             assert!(a.kill_epochs().windows(2).all(|w| w[0] < w[1]));
             let c = CrashPlan::seeded(8, 3, 20);
             assert_ne!(a, c, "different seed, different schedule");
-        }
-
-        #[test]
-        fn each_kill_fires_exactly_once() {
-            let mut plan = CrashPlan::seeded(1, 2, 10);
-            let epoch = plan.kill_epochs()[0];
-            assert!(plan.should_kill(epoch));
-            assert!(plan.take(epoch), "first pass through the epoch dies");
-            assert!(!plan.should_kill(epoch));
-            assert!(!plan.take(epoch), "the replay survives it");
-            assert_eq!(plan.remaining(), 1);
         }
 
         #[test]

@@ -39,6 +39,6 @@ pub mod prelude {
     pub use crate::scenario::{OnOffMesh, Scenario, ScenarioResult};
     pub use crate::services::{install_services, ports as service_ports, ServiceCatalog};
     pub use crate::tasks::{generate_flows, TaskKind, VmImage};
-    pub use crate::testbeds::{tree_mesh, Lab};
+    pub use crate::testbeds::{tree_mesh, Injection, Lab, Problem};
     pub use netsim::prelude::*;
 }

@@ -28,13 +28,7 @@ fn main() {
     // 3. Something goes wrong: the app server gets misconfigured with
     //    debug logging (Table I, problem #1) during the L2 capture.
     let mut sc2 = lab.webshop(2, 60);
-    sc2.fault(
-        Timestamp::from_secs(5),
-        Fault::HostSlowdown {
-            host: lab.node("S4"),
-            extra_us: 120_000,
-        },
-    );
+    lab.table1()[0].inject(&mut sc2, Timestamp::from_secs(5));
     let l2 = sc2.run().log;
     let current = BehaviorModel::build(&l2, &config);
 

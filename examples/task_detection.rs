@@ -8,20 +8,6 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-/// Captures the flow records of one isolated task run.
-fn task_run(lab: &Lab, config: &FlowDiffConfig, task: TaskKind, seed: u64) -> Vec<FlowRecord> {
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(30),
-    );
-    sc.services(lab.catalog.clone());
-    sc.task(Timestamp::from_secs(2), task);
-    let log = sc.run().log;
-    extract_records(&log, config)
-}
-
 fn main() {
     let lab = Lab::new();
     let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
@@ -43,7 +29,7 @@ fn main() {
     ];
     for (name, task) in &training {
         let runs: Vec<Vec<FlowRecord>> = (0..20)
-            .map(|i| task_run(&lab, &config, *task, 1000 + i))
+            .map(|i| extract_records(&lab.task_run(1000 + i, *task, 30).run().log, &config))
             .collect();
         let automaton = learn_task(name, &runs, true, &config);
         println!(
@@ -55,42 +41,28 @@ fn main() {
         library.add(automaton);
     }
 
-    // 2. A production log: background web traffic plus a Ubuntu startup
-    //    on a *different* VM and a migration between *different* hosts —
-    //    masked automata must still catch both.
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        77,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(90),
+    // 2. A production log: the shop's background web traffic plus a
+    //    Ubuntu startup on a *different* VM and a migration between
+    //    *different* hosts — masked automata must still catch both.
+    //    Individual startups can stall past the 1 s interleaving bound
+    //    (that is where Table III's missed detections come from), so the
+    //    example boots two fresh VMs and expects at least one hit.
+    let mut sc = lab.shop(77, 5.0, 90);
+    sc.task(
+        Timestamp::from_secs(20),
+        startup(ip("VM4"), VmImage::Ubuntu),
+    )
+    .task(
+        Timestamp::from_secs(35),
+        startup(ip("VM5"), VmImage::Ubuntu),
+    )
+    .task(
+        Timestamp::from_secs(50),
+        TaskKind::VmMigration {
+            src_host: ip("S5"),
+            dst_host: ip("S6"),
+        },
     );
-    sc.services(lab.catalog.clone())
-        .app(templates::two_tier("shop", vec![ip("S7")], vec![ip("S20")]))
-        .client(ClientWorkload {
-            client: ip("S23"),
-            entry_hosts: vec![ip("S7")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(5.0),
-            request_bytes: 4_096,
-        })
-        // Boot two fresh VMs: individual startups can stall past the 1 s
-        // interleaving bound (that is where Table III's missed detections
-        // come from), so the example boots two and expects at least one hit.
-        .task(
-            Timestamp::from_secs(20),
-            startup(ip("VM4"), VmImage::Ubuntu),
-        )
-        .task(
-            Timestamp::from_secs(35),
-            startup(ip("VM5"), VmImage::Ubuntu),
-        )
-        .task(
-            Timestamp::from_secs(50),
-            TaskKind::VmMigration {
-                src_host: ip("S5"),
-                dst_host: ip("S6"),
-            },
-        );
     let log = sc.run().log;
     let records = extract_records(&log, &config);
     println!(

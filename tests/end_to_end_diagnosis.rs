@@ -6,55 +6,94 @@ use flowdiff::prelude::*;
 use netsim::prelude::*;
 use workloads::prelude::*;
 
-/// Half way through [`capture`]'s 60 s: the fault is absent from the
-/// first half of the capture being diagnosed.
+/// Half way through the 60 s capture [`diagnose_with`] diagnoses: the
+/// fault is absent from its first half.
 const MID_CAPTURE: Timestamp = Timestamp(31_000_000);
 
-/// One 60 s webshop capture (t = 1 s to 61 s), `fault` injected at `onset`.
-fn capture(lab: &Lab, seed: u64, onset: Timestamp, fault: Option<Fault>) -> ControllerLog {
-    let mut sc = lab.webshop(seed, 60);
-    if let Some(f) = fault {
-        sc.fault(onset, f);
-    }
-    sc.run().log
+/// Table I row `id` of [`Lab::table1`].
+fn row(lab: &Lab, id: u8) -> Problem {
+    lab.table1()
+        .into_iter()
+        .find(|p| p.id == id)
+        .expect("Table I has rows 1 to 7")
 }
 
-/// Diagnoses `l2` against the healthy seed-1 webshop capture.
-fn diagnose_against(lab: &Lab, l2: &ControllerLog) -> DiagnosisReport {
+/// Diagnoses the seed-2 webshop capture (t = 1 s to 61 s), with `inject`
+/// applied to its scenario, against the healthy seed-1 one.
+fn diagnose_with(lab: &Lab, inject: impl FnOnce(&mut Scenario)) -> DiagnosisReport {
     let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
-    let l1 = capture(lab, 1, Timestamp::ZERO, None);
+    let l1 = lab.webshop(1, 60).run().log;
     let baseline = BehaviorModel::build(&l1, &config);
     let stability = analyze(&l1, &baseline, &config);
-    let current = BehaviorModel::build(l2, &config);
+    let mut sc = lab.webshop(2, 60);
+    inject(&mut sc);
+    let current = BehaviorModel::build(&sc.run().log, &config);
     let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
     diagnose(&diff, &current, &[], &config)
-}
-
-fn diagnose_against_baseline(lab: &Lab, onset: Timestamp, fault: Option<Fault>) -> DiagnosisReport {
-    diagnose_against(lab, &capture(lab, 2, onset, fault))
 }
 
 #[test]
 fn healthy_run_raises_no_alarm() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(&lab, Timestamp::ZERO, None);
+    let report = diagnose_with(&lab, |_| {});
     assert!(
         report.is_healthy(),
         "healthy L2 must produce no alarms: {report}"
     );
 }
 
+/// Table I as the `table1` binary runs it: [`Lab::table1_scenario`] with
+/// the baseline at seed 1 and row *i* (from 0) at seed 100 + *i*. Each of
+/// the seven problems must leave an unexplained change. With background
+/// services on, a capture of those seeds without any problem already
+/// raises DD and FS changes at the database host, so "not healthy" alone
+/// would pass with nothing injected: each row must also raise more
+/// unexplained changes than its own seed does without the problem.
+#[test]
+fn table1_detects_all_seven_problems() {
+    let lab = Lab::new();
+    let config = FlowDiffConfig::default().with_special_ips(lab.catalog.special_ips());
+    let l1 = lab.table1_scenario(1, None).run().log;
+    let baseline = BehaviorModel::build(&l1, &config);
+    let stability = analyze(&l1, &baseline, &config);
+    let report = |seed, problem| {
+        let current = BehaviorModel::build(&lab.table1_scenario(seed, problem).run().log, &config);
+        let diff = flowdiff::diff::compare(&baseline, &current, &stability, &config);
+        diagnose(&diff, &current, &[], &config)
+    };
+    let kinds = |report: &DiagnosisReport| {
+        let kinds: std::collections::BTreeSet<&str> =
+            report.unknown.iter().map(|c| c.kind.name()).collect();
+        format!("{} changes {kinds:?}", report.unknown.len())
+    };
+
+    let mut measured = Vec::new();
+    let mut missed = Vec::new();
+    for (i, problem) in lab.table1().iter().enumerate() {
+        let seed = 100 + i as u64;
+        let (control, injected) = (report(seed, None), report(seed, Some(problem)));
+        measured.push(format!(
+            "row {} ({}): {}; without it: {}",
+            problem.id,
+            problem.label,
+            kinds(&injected),
+            kinds(&control)
+        ));
+        if injected.is_healthy() || injected.unknown.len() <= control.unknown.len() {
+            missed.push(problem.id);
+        }
+    }
+    assert!(
+        missed.is_empty(),
+        "Table I rows {missed:?} went undetected; measured impact:\n{}",
+        measured.join("\n")
+    );
+}
+
 #[test]
 fn logging_misconfiguration_detected_as_host_problem() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(
-        &lab,
-        Timestamp::ZERO,
-        Some(Fault::HostSlowdown {
-            host: lab.node("S4"),
-            extra_us: 120_000,
-        }),
-    );
+    let report = diagnose_with(&lab, |sc| row(&lab, 1).inject(sc, Timestamp::ZERO));
     assert!(!report.is_healthy());
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Dd));
     assert!(report
@@ -70,14 +109,7 @@ fn logging_misconfiguration_detected_as_host_problem() {
 #[test]
 fn app_crash_detected_with_missing_edge() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(
-        &lab,
-        Timestamp::ZERO,
-        Some(Fault::AppCrash {
-            host: lab.node("S4"),
-            port: 8080,
-        }),
-    );
+    let report = diagnose_with(&lab, |sc| row(&lab, 4).inject(sc, Timestamp::ZERO));
     assert!(!report.is_healthy());
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Cg));
     assert!(
@@ -92,13 +124,7 @@ fn host_shutdown_detected() {
     // Shut down the app server: its outgoing edge to the database
     // vanishes (a dead host originates nothing), while inbound
     // connection attempts from the web tier still appear as SYN retries.
-    let report = diagnose_against_baseline(
-        &lab,
-        Timestamp::ZERO,
-        Some(Fault::HostDown {
-            host: lab.node("S4"),
-        }),
-    );
+    let report = diagnose_with(&lab, |sc| row(&lab, 5).inject(sc, Timestamp::ZERO));
     assert!(!report.is_healthy());
     let cg_removed = report
         .unknown
@@ -115,13 +141,7 @@ fn host_shutdown_detected() {
 #[test]
 fn host_shutdown_with_mid_capture_onset_detected() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(
-        &lab,
-        MID_CAPTURE,
-        Some(Fault::HostDown {
-            host: lab.node("S4"),
-        }),
-    );
+    let report = diagnose_with(&lab, |sc| row(&lab, 5).inject(sc, MID_CAPTURE));
     // The app->db edge was seen for half the capture, so no CG change
     // fires (and with it no problem class: EXPERIMENTS.md): the alarm is
     // the halved traffic around S4, which must still top the ranking.
@@ -136,11 +156,9 @@ fn host_shutdown_with_mid_capture_onset_detected() {
 #[test]
 fn controller_overload_detected() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(
-        &lab,
-        Timestamp::ZERO,
-        Some(Fault::ControllerOverload { factor: 40.0 }),
-    );
+    let report = diagnose_with(&lab, |sc| {
+        sc.fault(Timestamp::ZERO, Fault::ControllerOverload { factor: 40.0 });
+    });
     assert!(report.unknown.iter().any(|c| c.kind == SignatureKind::Crt));
     assert!(report.problems.contains(&ProblemClass::ControllerProblem));
     assert!(report
@@ -152,11 +170,9 @@ fn controller_overload_detected() {
 #[test]
 fn controller_overload_with_mid_capture_onset_detected() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(
-        &lab,
-        MID_CAPTURE,
-        Some(Fault::ControllerOverload { factor: 40.0 }),
-    );
+    let report = diagnose_with(&lab, |sc| {
+        sc.fault(MID_CAPTURE, Fault::ControllerOverload { factor: 40.0 });
+    });
     assert!(
         report.unknown.iter().any(|c| c.kind == SignatureKind::Crt),
         "{report}"
@@ -174,7 +190,9 @@ fn controller_overload_with_mid_capture_onset_detected() {
 #[test]
 fn controller_failure_detected_as_blackout() {
     let lab = Lab::new();
-    let report = diagnose_against_baseline(&lab, Timestamp::ZERO, Some(Fault::ControllerDown));
+    let report = diagnose_with(&lab, |sc| {
+        sc.fault(Timestamp::ZERO, Fault::ControllerDown);
+    });
     assert!(!report.is_healthy());
     let crt = report
         .unknown
@@ -193,16 +211,16 @@ fn controller_failure_detected_as_blackout() {
 fn unauthorized_access_detected_as_new_edge() {
     let lab = Lab::new();
     // Craft L2 with an extra scanner host probing the db server.
-    let mut sc = lab.webshop(2, 60);
-    // the intruder: S24 talks straight to the database
-    sc.client(ClientWorkload {
-        client: lab.ip("S24"),
-        entry_hosts: vec![lab.ip("S14")],
-        entry_port: 3306,
-        process: ArrivalProcess::poisson_per_sec(2.0),
-        request_bytes: 512,
+    let report = diagnose_with(&lab, |sc| {
+        // the intruder: S24 talks straight to the database
+        sc.client(ClientWorkload {
+            client: lab.ip("S24"),
+            entry_hosts: vec![lab.ip("S14")],
+            entry_port: 3306,
+            process: ArrivalProcess::poisson_per_sec(2.0),
+            request_bytes: 512,
+        });
     });
-    let report = diagnose_against(&lab, &sc.run().log);
 
     assert!(report.problems.contains(&ProblemClass::UnauthorizedAccess));
     let added: Vec<&Change> = report
@@ -219,18 +237,9 @@ fn unauthorized_access_detected_as_new_edge() {
 #[test]
 fn congestion_detected_with_isl_shift() {
     let lab = Lab::new();
-    // Saturate the of1-of7 backbone with iperf-like background traffic
-    // (Table I #7) — injected as a mesh between two otherwise idle hosts
-    // whose path crosses the same core switch.
-    let mut sc = lab.webshop(2, 60);
-    // One giant long-lived iperf transfer: S1 (on of1) -> S20, fully
-    // saturating the of1-of7 backbone shared with the app paths.
-    let key = openflow::match_fields::FlowKey::udp(lab.ip("S1"), 9_999, lab.ip("S20"), 5_001);
-    sc.flow(
-        Timestamp::from_secs(2),
-        FlowSpec::new(key, 70_000_000_000, 58_000_000),
-    );
-    let report = diagnose_against(&lab, &sc.run().log);
+    // Table I #7: one long-lived iperf transfer saturating the of1-of7
+    // backbone shared with the application paths.
+    let report = diagnose_with(&lab, |sc| row(&lab, 7).inject(sc, Timestamp::ZERO));
 
     assert!(
         report.unknown.iter().any(|c| c.kind == SignatureKind::Isl),

@@ -12,17 +12,9 @@ fn testbed() -> (Lab, FlowDiffConfig) {
     (lab, config)
 }
 
-/// Records of one isolated task run.
-fn task_run(lab: &Lab, config: &FlowDiffConfig, task: TaskKind, seed: u64) -> Vec<FlowRecord> {
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        seed,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(30),
-    );
-    sc.services(lab.catalog.clone());
-    sc.task(Timestamp::from_secs(2), task);
-    extract_records(&sc.run().log, config)
+/// Records of one isolated 30 s task run.
+fn task_records(lab: &Lab, config: &FlowDiffConfig, task: TaskKind, seed: u64) -> Vec<FlowRecord> {
+    extract_records(&lab.task_run(seed, task, 30).run().log, config)
 }
 
 #[test]
@@ -33,39 +25,21 @@ fn learned_migration_automaton_detects_in_noise() {
         dst_host: lab.ip("S2"),
     };
     let runs: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| task_run(&lab, &config, migration, 500 + i))
+        .map(|i| task_records(&lab, &config, migration, 500 + i))
         .collect();
     let automaton = learn_task("vm_migration", &runs, true, &config);
     assert!(automaton.state_count() > 0);
 
     // Production log with background traffic and a migration between
     // two different hosts at t=30s.
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        9,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(60),
+    let mut sc = lab.shop(9, 5.0, 60);
+    sc.task(
+        Timestamp::from_secs(30),
+        TaskKind::VmMigration {
+            src_host: lab.ip("S5"),
+            dst_host: lab.ip("S6"),
+        },
     );
-    sc.services(lab.catalog.clone())
-        .app(templates::two_tier(
-            "shop",
-            vec![lab.ip("S7")],
-            vec![lab.ip("S20")],
-        ))
-        .client(ClientWorkload {
-            client: lab.ip("S23"),
-            entry_hosts: vec![lab.ip("S7")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(5.0),
-            request_bytes: 4_096,
-        })
-        .task(
-            Timestamp::from_secs(30),
-            TaskKind::VmMigration {
-                src_host: lab.ip("S5"),
-                dst_host: lab.ip("S6"),
-            },
-        );
     let records = extract_records(&sc.run().log, &config);
 
     let mut library = TaskLibrary::new();
@@ -86,31 +60,12 @@ fn no_false_detection_without_task() {
         dst_host: lab.ip("S2"),
     };
     let runs: Vec<Vec<FlowRecord>> = (0..20)
-        .map(|i| task_run(&lab, &config, migration, 500 + i))
+        .map(|i| task_records(&lab, &config, migration, 500 + i))
         .collect();
     let automaton = learn_task("vm_migration", &runs, true, &config);
 
     // Pure application traffic: no migration anywhere.
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        11,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(60),
-    );
-    sc.services(lab.catalog.clone())
-        .app(templates::two_tier(
-            "shop",
-            vec![lab.ip("S7")],
-            vec![lab.ip("S20")],
-        ))
-        .client(ClientWorkload {
-            client: lab.ip("S23"),
-            entry_hosts: vec![lab.ip("S7")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(10.0),
-            request_bytes: 4_096,
-        });
-    let records = extract_records(&sc.run().log, &config);
+    let records = extract_records(&lab.shop(11, 10.0, 60).run().log, &config);
     let mut library = TaskLibrary::new();
     library.add(automaton);
     assert!(library.detect(&records, &config).is_empty());
@@ -124,7 +79,7 @@ fn full_task_library_builds_ordered_time_series() {
     let (lab, config) = testbed();
     let train = |name: &str, task: TaskKind, base_seed: u64| {
         let runs: Vec<Vec<FlowRecord>> = (0..15)
-            .map(|i| task_run(&lab, &config, task, base_seed + i))
+            .map(|i| task_records(&lab, &config, task, base_seed + i))
             .collect();
         learn_task(name, &runs, true, &config)
     };
@@ -156,44 +111,26 @@ fn full_task_library_builds_ordered_time_series() {
 
     // One production capture with all four tasks, well separated, plus
     // background app traffic.
-    let mut sc = Scenario::new(
-        lab.topo.clone(),
-        42,
-        Timestamp::from_secs(1),
-        Timestamp::from_secs(120),
+    let mut sc = lab.shop(42, 4.0, 120);
+    sc.task(
+        Timestamp::from_secs(15),
+        TaskKind::MountNfs { host: lab.ip("S9") },
+    )
+    .task(
+        Timestamp::from_secs(40),
+        TaskKind::VmMigration {
+            src_host: lab.ip("S5"),
+            dst_host: lab.ip("S6"),
+        },
+    )
+    .task(
+        Timestamp::from_secs(70),
+        TaskKind::VmStop { vm: lab.ip("VM3") },
+    )
+    .task(
+        Timestamp::from_secs(95),
+        TaskKind::UnmountNfs { host: lab.ip("S9") },
     );
-    sc.services(lab.catalog.clone())
-        .app(templates::two_tier(
-            "shop",
-            vec![lab.ip("S7")],
-            vec![lab.ip("S20")],
-        ))
-        .client(ClientWorkload {
-            client: lab.ip("S23"),
-            entry_hosts: vec![lab.ip("S7")],
-            entry_port: 80,
-            process: ArrivalProcess::poisson_per_sec(4.0),
-            request_bytes: 4_096,
-        })
-        .task(
-            Timestamp::from_secs(15),
-            TaskKind::MountNfs { host: lab.ip("S9") },
-        )
-        .task(
-            Timestamp::from_secs(40),
-            TaskKind::VmMigration {
-                src_host: lab.ip("S5"),
-                dst_host: lab.ip("S6"),
-            },
-        )
-        .task(
-            Timestamp::from_secs(70),
-            TaskKind::VmStop { vm: lab.ip("VM3") },
-        )
-        .task(
-            Timestamp::from_secs(95),
-            TaskKind::UnmountNfs { host: lab.ip("S9") },
-        );
     let records = extract_records(&sc.run().log, &config);
     let events = library.detect(&records, &config);
 
@@ -241,7 +178,7 @@ fn task_validation_suppresses_known_changes() {
     // Learn the mount task and detect it in L2.
     let mount = TaskKind::MountNfs { host: lab.ip("S1") };
     let runs: Vec<Vec<FlowRecord>> = (0..15)
-        .map(|i| task_run(&lab, &config, mount, 700 + i))
+        .map(|i| task_records(&lab, &config, mount, 700 + i))
         .collect();
     let automaton = learn_task("mount_nfs", &runs, true, &config);
     let mut library = TaskLibrary::new();
