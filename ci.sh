@@ -308,6 +308,30 @@ if grep -nE 'pub (epoch_us|dd_bin_us|dd_window_us|chi2_threshold|isl_sigma|crt_s
     exit 1
 fi
 
+step "simulator settings are constants"
+# The deployment mode is the simulator's one setting; every other value
+# is a `pub const` in netsim::config (DESIGN.md §6): neither SimConfig
+# nor any of its former fields comes back under crates/netsim/src.
+if grep -rnE 'pub struct SimConfig|pub (idle_timeout_s|hard_timeout_s|control_latency_us|control_jitter_us|controller_service_us|controller_jitter_us|switch_proc_us|packet_size|miss_send_len|rto_us|notify_flow_removed|echo_interval_s|stats_poll_interval_s|flow_table_capacity):' \
+    crates/netsim/src; then
+    echo "FAIL: a simulator setting is a field again (crates/netsim/src)" >&2
+    exit 1
+fi
+
+step "results/ is what the binaries print"
+# results/*.txt is the stdout of one run of each deterministic experiment
+# binary (EXPERIMENTS.md, Archived outputs); fig13 prints wall-clock times
+# and is not compared. A change that moves an experiment regenerates its
+# file. The nine take about 2 s together.
+for bin in table1 table2 table3 fig9 fig10 fig11 fig12 ablate_deployment ablate_minsup; do
+    "target/release/$bin" > "$demo_dir/$bin.txt"
+    if ! diff "results/$bin.txt" "$demo_dir/$bin.txt"; then
+        echo "FAIL: target/release/$bin no longer prints results/$bin.txt" >&2
+        exit 1
+    fi
+done
+echo "9 experiment binaries print their results/ files"
+
 step "one window"
 # The model builder holds each completion once: in its arrival-order
 # inbox until the next boundary, then in the interned window (DESIGN.md,

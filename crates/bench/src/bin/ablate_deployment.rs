@@ -9,7 +9,6 @@
 
 use flowdiff::prelude::*;
 use flowdiff_bench::print_table;
-use netsim::config::{Deployment, SimConfig};
 use netsim::prelude::*;
 use workloads::prelude::*;
 
@@ -21,10 +20,7 @@ struct Mode {
 
 fn capture(lab: &Lab, deployment: Deployment, seed: u64, fault: Option<Fault>) -> ControllerLog {
     let mut sc = lab.webshop(seed, 60);
-    sc.config(SimConfig {
-        deployment,
-        ..SimConfig::default()
-    });
+    sc.deployment(deployment);
     if let Some(f) = fault {
         sc.fault(Timestamp::ZERO, f);
     }

@@ -53,8 +53,7 @@ fn usage() {
          [--window-secs N] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [publish <current.fcap> --connect HOST:PORT [--connections N] \
-         [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] \
-         [--retry-budget N] [--backoff-ms N] [--flaps N] \
+         [--seed N] [--retry-budget N] [--backoff-ms N] \
          [--stall-after EVENTS --stall-ms N]]"
     );
 }
@@ -480,11 +479,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// `publish`: the replay client for `serve`. Reads a capture, deals it
 /// across `--connections` publisher streams (equal-timestamp runs never
 /// straddle streams, so the server's merge reconstructs the capture
-/// order exactly), and replays every stream concurrently as a session
-/// publisher: resumable, behind an optional connection-fault plan
-/// (`--flaps`, `--stall-after`), or — through the seeded
-/// [`ChannelChaos`] network-fault proxy, each connection with its own
-/// derived seed — as a one-shot mangled payload.
+/// order exactly), and replays every stream concurrently as a resumable
+/// session publisher. `--stall-after` wedges the first connection once,
+/// for the stalled-publisher drill.
 fn cmd_publish(args: &[String]) -> CliResult {
     if args.is_empty() {
         usage();
@@ -492,13 +489,9 @@ fn cmd_publish(args: &[String]) -> CliResult {
     }
     let mut connect: Option<&str> = None;
     let mut connections: usize = 1;
-    let mut chaos_rate: f64 = 0.0;
     let mut seed: u64 = 1;
-    let mut skew_us: u64 = 0;
-    let mut jitter_us: u64 = 0;
     let mut retry_budget: u32 = 0;
     let mut backoff_us: u64 = 200_000;
-    let mut flaps: usize = 0;
     let mut stall_after: u64 = 0;
     let mut stall_ms: u64 = 0;
     let mut flags = Flags::new(&args[1..]);
@@ -506,33 +499,15 @@ fn cmd_publish(args: &[String]) -> CliResult {
         match flag {
             "--connect" => connect = Some(flags.value(flag)?),
             "--connections" => connections = flags.count(flag)?,
-            "--chaos" => {
-                chaos_rate = flags.num(flag)?;
-                if !(0.0..=1.0).contains(&chaos_rate) {
-                    return Err("--chaos must be in [0, 1]".into());
-                }
-            }
             "--seed" => seed = flags.num(flag)?,
-            "--skew-us" => skew_us = flags.num(flag)?,
-            "--jitter-us" => jitter_us = flags.num(flag)?,
             "--retry-budget" => retry_budget = flags.num(flag)?,
             "--backoff-ms" => backoff_us = flags.micros(flag, 1_000)?,
-            "--flaps" => flaps = flags.num(flag)?,
             "--stall-after" => stall_after = flags.num(flag)?,
             "--stall-ms" => stall_ms = flags.num(flag)?,
             other => return Err(unknown_flag(other)),
         }
     }
     let connect = connect.ok_or("publish needs --connect HOST:PORT")?;
-    let mangled = chaos_rate > 0.0 || skew_us > 0 || jitter_us > 0;
-    if mangled && (retry_budget > 0 || flaps > 0 || stall_after > 0) {
-        return Err(
-            "--chaos/--skew-us/--jitter-us corrupt the stream, which makes the \
-             event-count resume watermark meaningless: a mangled stream is sent \
-             one-shot and cannot combine with --flaps/--retry-budget/--stall-after"
-                .into(),
-        );
-    }
 
     // Tolerant decode, like `watch`: a capture with a bad write is
     // replayed minus the corrupt frames, not rejected.
@@ -543,22 +518,7 @@ fn cmd_publish(args: &[String]) -> CliResult {
     for (i, part) in split_capture(&log, connections).into_iter().enumerate() {
         let addr = connect.to_string();
         let session = seed.wrapping_mul(0x10_000).wrapping_add(i as u64);
-        if mangled {
-            let chaos = ChannelChaos {
-                reorder_jitter_us: jitter_us,
-                clock_skew_us: skew_us,
-                ..ChannelChaos::corruption(chaos_rate, seed.wrapping_add(i as u64))
-            };
-            handles.push(std::thread::spawn(move || {
-                publish_mangled(addr.as_str(), &part, &chaos, session)
-            }));
-            continue;
-        }
         let mut faults = Vec::new();
-        if flaps > 0 {
-            let plan = ConnChaos::flapping(flaps, seed).plan_for(i as u64, part.len() as u64);
-            faults.extend_from_slice(plan.pending());
-        }
         // Only the first connection is stalled: one wedged publisher
         // among healthy siblings is exactly the stalled-source scenario
         // the serve smoke drills.
@@ -590,24 +550,11 @@ fn cmd_publish(args: &[String]) -> CliResult {
                 continue;
             }
         };
-        match &r.chaos {
-            Some(c) => println!(
-                "publish: conn {i} sent {} bytes, {} events (chaos: {} dropped, \
-                 {} duplicated, {} truncated, {} bit-flipped, {} reordered)",
-                r.bytes_sent,
-                r.events,
-                c.dropped,
-                c.duplicated,
-                c.truncated,
-                c.bit_flipped,
-                c.reordered
-            ),
-            None => println!(
-                "publish: conn {i} sent {} bytes, {} events ({} connect(s), \
-                 {} resume(s), {} retry(s), {} fault(s))",
-                r.bytes_sent, r.events, r.connects, r.resumes, r.retries, r.faults
-            ),
-        }
+        println!(
+            "publish: conn {i} sent {} bytes, {} events ({} connect(s), \
+             {} resume(s), {} retry(s), {} fault(s))",
+            r.bytes_sent, r.events, r.connects, r.resumes, r.retries, r.faults
+        );
         total.bytes_sent += r.bytes_sent;
         total.events += r.events;
     }
@@ -734,6 +681,13 @@ mod tests {
         publish.insert(0, "current.fcap".to_string());
         let err = cmd_publish(&publish).unwrap_err();
         assert_eq!(err.to_string(), format!("--backoff-ms {ms}: too large"));
+        // The byte-mangling and flapping drills are tier-1 tests over the
+        // library, not publish flags.
+        for flag in ["--chaos", "--skew-us", "--jitter-us", "--flaps"] {
+            let args = ["current.fcap", flag, "1"].map(String::from);
+            let err = cmd_publish(&args).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown flag: {flag}"));
+        }
         for (flag, serve) in [
             ("--epoch-secs", false),
             ("--window-secs", false),

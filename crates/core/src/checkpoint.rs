@@ -484,7 +484,7 @@ impl BaselineBundle {
 mod tests {
     use super::*;
     use crate::stability::StabilityReport;
-    use netsim::config::SimConfig;
+    use netsim::config::Deployment;
     use netsim::engine::Simulation;
     use netsim::flows::FlowSpec;
     use netsim::log::ControllerLog;
@@ -502,7 +502,7 @@ mod tests {
     fn flows_log(flows: u16) -> ControllerLog {
         let topo = Topology::lab();
         let hosts: Vec<_> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-        let mut sim = Simulation::new(topo, SimConfig::default(), 1);
+        let mut sim = Simulation::new(topo, Deployment::Reactive, 1);
         for i in 0..flows {
             let key = FlowKey::tcp(hosts[0], 4_000 + i, hosts[hosts.len() - 1], 80);
             let at = Timestamp::from_secs(1 + u64::from(i));

@@ -1062,7 +1062,7 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
-    use netsim::config::SimConfig;
+    use netsim::config::Deployment;
     use netsim::engine::Simulation;
     use netsim::flows::FlowSpec;
     use netsim::log::ControlEvent;
@@ -1096,7 +1096,7 @@ mod tests {
 
     #[test]
     fn one_record_per_flow_with_full_path() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         sim.schedule_flow(
             Timestamp::from_secs(1),
             FlowSpec::new(key(4000), 6_000, 5_000),
@@ -1117,7 +1117,7 @@ mod tests {
 
     #[test]
     fn episodes_split_on_gap() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         // Same 5-tuple, 60 s apart (entries expire in between).
         sim.schedule_flow(
             Timestamp::from_secs(1),
@@ -1138,7 +1138,7 @@ mod tests {
 
     #[test]
     fn concurrent_flows_keep_separate_records() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         for sport in [4000, 4001, 4002] {
             sim.schedule_flow(
                 Timestamp::from_secs(1),
@@ -1156,7 +1156,7 @@ mod tests {
 
     #[test]
     fn extraction_survives_corrupt_capture() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         sim.schedule_flow(
             Timestamp::from_secs(1),
             FlowSpec::new(key(4000), 2_000, 5_000),
@@ -1179,7 +1179,7 @@ mod tests {
 
     #[test]
     fn assembler_with_midstream_drain_matches_batch() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         for (i, sport) in [4000u16, 4001, 4002, 4003].iter().enumerate() {
             sim.schedule_flow(
                 Timestamp::from_secs(1 + 20 * i as u64),
@@ -1208,7 +1208,7 @@ mod tests {
 
     #[test]
     fn assembler_evicts_idle_partials_and_stays_bounded() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         // Two episodes of the same tuple, 60 s apart.
         sim.schedule_flow(
             Timestamp::from_secs(1),
@@ -1251,7 +1251,7 @@ mod tests {
 
     #[test]
     fn open_records_expose_in_flight_view() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         sim.schedule_flow(
             Timestamp::from_secs(1),
             FlowSpec::new(key(4000), 6_000, 5_000),
@@ -1338,7 +1338,7 @@ mod tests {
     #[test]
     fn evicting_an_episode_hands_its_open_siblings_over_again() {
         // Two episodes of one tuple, last active around 7 s and 16 s.
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         for at in [1, 10] {
             sim.schedule_flow(
                 Timestamp::from_secs(at),
@@ -1574,7 +1574,7 @@ mod tests {
 
     #[test]
     fn time_jump_quarantine_drops_corrupt_clock_readings() {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         sim.schedule_flow(
             Timestamp::from_secs(1),
             FlowSpec::new(key(4000), 6_000, 5_000),
@@ -1694,7 +1694,7 @@ mod tests {
             .iter()
             .map(|n| t.dpid_of(t.node_by_name(n).unwrap()).unwrap())
             .collect();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(
             Timestamp::from_secs(1),
             FlowSpec::new(key(4000), 2_000, 5_000),
@@ -1707,7 +1707,7 @@ mod tests {
 
     /// A capture with four flows, started 15 s apart.
     fn busy_log() -> ControllerLog {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(line_topology(), Deployment::Reactive, 1);
         for (i, sport) in [4000u16, 4001, 4002, 4003].iter().enumerate() {
             sim.schedule_flow(
                 Timestamp::from_secs(1 + 15 * i as u64),

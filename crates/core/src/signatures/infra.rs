@@ -633,7 +633,7 @@ mod tests {
     use crate::config::FlowDiffConfig;
     use crate::ids::{InternedLog, RecordIndex};
     use crate::records::{extract_records, FlowRecord};
-    use netsim::config::SimConfig;
+    use netsim::config::Deployment;
     use netsim::engine::Simulation;
     use netsim::faults::Fault;
     use netsim::flows::FlowSpec;
@@ -654,7 +654,7 @@ mod tests {
     }
 
     fn records_for(n_flows: u64, seed: u64, fault: Option<(Timestamp, Fault)>) -> Vec<FlowRecord> {
-        let mut sim = Simulation::new(line(), SimConfig::default(), seed);
+        let mut sim = Simulation::new(line(), Deployment::Reactive, seed);
         if let Some((at, f)) = fault {
             sim.schedule_fault(at, f);
         }
@@ -804,7 +804,7 @@ mod tests {
         let run = |fail: bool| {
             let t = diamond();
             let s2 = t.node_by_name("s2").unwrap();
-            let mut sim = Simulation::new(t, SimConfig::default(), 1);
+            let mut sim = Simulation::new(t, Deployment::Reactive, 1);
             if fail {
                 sim.schedule_fault(Timestamp::ZERO, Fault::SwitchFailure { switch: s2 });
             }

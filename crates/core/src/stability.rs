@@ -217,7 +217,7 @@ mod tests {
             let lab = Lab::new();
             let (s24, s13) = (lab.ip("S24"), lab.ip("S13"));
             let mut sim =
-                netsim::engine::Simulation::new(lab.topo, netsim::config::SimConfig::default(), 11);
+                netsim::engine::Simulation::new(lab.topo, netsim::config::Deployment::Reactive, 11);
             for i in 0..10u64 {
                 let key = openflow::match_fields::FlowKey::tcp(s24, 7_000 + i as u16, s13, 80);
                 sim.schedule_flow(

@@ -1,13 +1,58 @@
 //! Simulation parameters.
+//!
+//! The deployment mode is the simulator's one setting. Everything else
+//! is a constant, because every experiment runs the paper's reactive
+//! deployment (DESIGN.md §6 lists their sources): per-flow (microflow)
+//! rules with a 5-second soft timeout and no hard timeout,
+//! sub-millisecond control channel and controller service times, and
+//! 1500-byte packets.
 
 use serde::{Deserialize, Serialize};
+
+/// Idle (soft) timeout installed on reactive flow entries, seconds
+/// (paper: 5 s).
+pub const IDLE_TIMEOUT_S: u16 = 5;
+/// Hard timeout installed on reactive flow entries, seconds (paper: none,
+/// so 0).
+pub const HARD_TIMEOUT_S: u16 = 0;
+/// One-way control channel latency between a switch and the controller,
+/// microseconds (sub-millisecond, as on the paper's lab network).
+pub const CONTROL_LATENCY_US: u64 = 500;
+/// Uniform jitter added to the control channel latency, microseconds.
+pub const CONTROL_JITTER_US: u64 = 100;
+/// Mean controller service time per `PacketIn`, microseconds
+/// (sub-millisecond, as the paper's controller).
+pub const CONTROLLER_SERVICE_US: u64 = 150;
+/// Uniform jitter on the controller service time, microseconds.
+pub const CONTROLLER_JITTER_US: u64 = 50;
+/// Switch forwarding (pipeline) delay per hop, microseconds.
+pub const SWITCH_PROC_US: u64 = 25;
+/// Average packet size used to convert flow bytes to packets, bytes
+/// (the Ethernet MTU).
+pub const PACKET_SIZE: u64 = 1500;
+/// Bytes of each frame forwarded to the controller in `PacketIn`
+/// (OpenFlow 1.0's default `miss_send_len`).
+pub const MISS_SEND_LEN: u16 = 128;
+/// TCP retransmission timeout charged per first-packet loss,
+/// microseconds (Linux's 200 ms minimum RTO).
+pub const RTO_US: u64 = 200_000;
+/// Switches request `FlowRemoved` notifications, which carry the
+/// per-flow counters FlowDiff's flow statistics are built from.
+pub const NOTIFY_FLOW_REMOVED: bool = true;
+/// Echo keepalive period per switch, seconds. Echo replies are the
+/// controller's switch-liveness signal.
+pub const ECHO_INTERVAL_S: u64 = 5;
+/// Port-statistics polling period, seconds. The controller polls
+/// per-port byte counters, giving FlowDiff its link-utilization baseline
+/// (Section III-C).
+pub const STATS_POLL_INTERVAL_S: u64 = 10;
 
 /// How forwarding rules get installed (Section VI of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Deployment {
     /// Reactive microflow rules: every new flow triggers a `PacketIn`
     /// at every on-path switch — maximum visibility (the paper's main
-    /// mode and the default).
+    /// mode).
     Reactive,
     /// Reactive *wildcard* rules covering a destination prefix: the
     /// first flow to a prefix triggers control traffic, subsequent
@@ -23,83 +68,9 @@ pub enum Deployment {
     Proactive,
 }
 
-/// Tunable parameters of the simulated data center.
-///
-/// The defaults reflect the paper's reactive OpenFlow deployment: per-flow
-/// (microflow) rules with a 5-second soft timeout and no hard timeout,
-/// sub-millisecond control channel and controller service times, and
-/// 1500-byte packets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimConfig {
-    /// Idle (soft) timeout installed on reactive flow entries, seconds.
-    pub idle_timeout_s: u16,
-    /// Hard timeout installed on reactive flow entries, seconds (0 = none).
-    pub hard_timeout_s: u16,
-    /// One-way control channel latency between a switch and the
-    /// controller, microseconds.
-    pub control_latency_us: u64,
-    /// Uniform jitter added to the control channel latency, microseconds.
-    pub control_jitter_us: u64,
-    /// Mean controller service time per `PacketIn`, microseconds.
-    pub controller_service_us: u64,
-    /// Uniform jitter on the controller service time, microseconds.
-    pub controller_jitter_us: u64,
-    /// Switch forwarding (pipeline) delay per hop, microseconds.
-    pub switch_proc_us: u64,
-    /// Average packet size used to convert flow bytes to packets, bytes.
-    pub packet_size: u64,
-    /// Bytes of each frame forwarded to the controller in `PacketIn`.
-    pub miss_send_len: u16,
-    /// TCP retransmission timeout charged per first-packet loss,
-    /// microseconds.
-    pub rto_us: u64,
-    /// When true, switches request `FlowRemoved` notifications (required
-    /// for flow statistics).
-    pub notify_flow_removed: bool,
-    /// Echo keepalive period per switch, seconds (0 disables). Echo
-    /// replies are the controller's switch-liveness signal.
-    pub echo_interval_s: u64,
-    /// Rule-installation strategy (Section VI deployment modes).
-    pub deployment: Deployment,
-    /// Port-statistics polling period, seconds (0 disables). The
-    /// controller polls per-port byte counters, giving FlowDiff its
-    /// link-utilization baseline (Section III-C).
-    pub stats_poll_interval_s: u64,
-    /// Flow-table capacity per switch (`None` = unbounded). When a
-    /// reactive add overflows the TCAM the switch reports
-    /// `OFPET_FLOW_MOD_FAILED` and the flow runs ruleless — every later
-    /// flow with the same destiny misses again (switch-overhead mode of
-    /// Figure 2(b)).
-    pub flow_table_capacity: Option<usize>,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            idle_timeout_s: 5,
-            hard_timeout_s: 0,
-            control_latency_us: 500,
-            control_jitter_us: 100,
-            controller_service_us: 150,
-            controller_jitter_us: 50,
-            switch_proc_us: 25,
-            packet_size: 1500,
-            miss_send_len: 128,
-            rto_us: 200_000,
-            notify_flow_removed: true,
-            echo_interval_s: 5,
-            deployment: Deployment::Reactive,
-            stats_poll_interval_s: 10,
-            flow_table_capacity: None,
-        }
-    }
-}
-
-impl SimConfig {
-    /// Number of packets a flow of `bytes` bytes occupies.
-    pub fn packets_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.packet_size).max(1)
-    }
+/// Number of packets a flow of `bytes` bytes occupies.
+pub fn packets_for(bytes: u64) -> u64 {
+    bytes.div_ceil(PACKET_SIZE).max(1)
 }
 
 #[cfg(test)]
@@ -108,20 +79,17 @@ mod tests {
 
     #[test]
     fn defaults_are_reactive() {
-        let c = SimConfig::default();
-        assert_eq!(c.idle_timeout_s, 5);
-        assert_eq!(c.hard_timeout_s, 0);
-        assert!(c.notify_flow_removed);
-        assert_eq!(c.deployment, Deployment::Reactive);
+        assert_eq!(IDLE_TIMEOUT_S, 5);
+        assert_eq!(HARD_TIMEOUT_S, 0);
+        const { assert!(NOTIFY_FLOW_REMOVED) };
     }
 
     #[test]
     fn packets_round_up_and_never_zero() {
-        let c = SimConfig::default();
-        assert_eq!(c.packets_for(0), 1);
-        assert_eq!(c.packets_for(1), 1);
-        assert_eq!(c.packets_for(1500), 1);
-        assert_eq!(c.packets_for(1501), 2);
-        assert_eq!(c.packets_for(15_000), 10);
+        assert_eq!(packets_for(0), 1);
+        assert_eq!(packets_for(1), 1);
+        assert_eq!(packets_for(1500), 1);
+        assert_eq!(packets_for(1501), 2);
+        assert_eq!(packets_for(15_000), 10);
     }
 }

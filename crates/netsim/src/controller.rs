@@ -11,7 +11,6 @@ use openflow::types::Timestamp;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::SimConfig;
 use crate::topology::{NodeId, Topology};
 
 /// The controller's timing and routing model.
@@ -26,11 +25,12 @@ pub struct ControllerModel {
 }
 
 impl ControllerModel {
-    /// Creates a controller with timing from `config`.
-    pub fn new(config: &SimConfig) -> ControllerModel {
+    /// Creates a controller whose service time is `service_us` plus a
+    /// uniform jitter in `[0, jitter_us]`, microseconds.
+    pub fn new(service_us: u64, jitter_us: u64) -> ControllerModel {
         ControllerModel {
-            service_us: config.controller_service_us,
-            jitter_us: config.controller_jitter_us,
+            service_us,
+            jitter_us,
             degradation: 1.0,
             busy_until: Timestamp::ZERO,
             handled: 0,
@@ -46,11 +46,7 @@ impl ControllerModel {
     /// `arrival`: queueing delay (if the controller is busy) plus a
     /// sampled service time.
     pub fn response_delay(&mut self, arrival: Timestamp, rng: &mut StdRng) -> u64 {
-        let jitter = if self.jitter_us > 0 {
-            rng.gen_range(0..=self.jitter_us)
-        } else {
-            0
-        };
+        let jitter = rng.gen_range(0..=self.jitter_us);
         let service = ((self.service_us + jitter) as f64 * self.degradation) as u64;
         let start = self.busy_until.max(arrival);
         self.busy_until = start + service;
@@ -83,12 +79,7 @@ mod tests {
 
     #[test]
     fn idle_controller_responds_in_service_time() {
-        let cfg = SimConfig {
-            controller_service_us: 100,
-            controller_jitter_us: 0,
-            ..SimConfig::default()
-        };
-        let mut c = ControllerModel::new(&cfg);
+        let mut c = ControllerModel::new(100, 0);
         let d = c.response_delay(Timestamp::from_secs(1), &mut rng());
         assert_eq!(d, 100);
         assert_eq!(c.handled(), 1);
@@ -96,12 +87,7 @@ mod tests {
 
     #[test]
     fn burst_arrivals_queue_up() {
-        let cfg = SimConfig {
-            controller_service_us: 100,
-            controller_jitter_us: 0,
-            ..SimConfig::default()
-        };
-        let mut c = ControllerModel::new(&cfg);
+        let mut c = ControllerModel::new(100, 0);
         let t = Timestamp::from_secs(1);
         // three requests at the same instant: 100, 200, 300 us responses
         assert_eq!(c.response_delay(t, &mut rng()), 100);
@@ -114,12 +100,7 @@ mod tests {
 
     #[test]
     fn degradation_scales_service_time() {
-        let cfg = SimConfig {
-            controller_service_us: 100,
-            controller_jitter_us: 0,
-            ..SimConfig::default()
-        };
-        let mut c = ControllerModel::new(&cfg);
+        let mut c = ControllerModel::new(100, 0);
         c.degradation = 5.0;
         assert_eq!(c.response_delay(Timestamp::from_secs(1), &mut rng()), 500);
     }
@@ -137,7 +118,7 @@ mod tests {
         t.connect(s1, s3, 1, 1);
         t.connect(s2, h2, 1, 1);
         t.connect(s3, h2, 1, 1);
-        let c = ControllerModel::new(&SimConfig::default());
+        let c = ControllerModel::new(100, 0);
         let p = c.route(&t, h1, h2, |n| n == s2).unwrap();
         assert!(p.contains(&s3));
         assert!(!p.contains(&s2));

@@ -25,7 +25,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::apps::{AppCtx, AppLogic};
-use crate::config::{Deployment, SimConfig};
+use crate::config::{
+    packets_for, Deployment, CONTROLLER_JITTER_US, CONTROLLER_SERVICE_US, CONTROL_JITTER_US,
+    CONTROL_LATENCY_US, ECHO_INTERVAL_S, HARD_TIMEOUT_S, IDLE_TIMEOUT_S, MISS_SEND_LEN,
+    NOTIFY_FLOW_REMOVED, PACKET_SIZE, RTO_US, STATS_POLL_INTERVAL_S, SWITCH_PROC_US,
+};
 use crate::controller::ControllerModel;
 use crate::faults::{ActiveFaults, Fault};
 use crate::flows::{DeliveredFlow, FlowId, FlowPhase, FlowSpec, FlowState};
@@ -118,7 +122,7 @@ struct SwitchState {
 /// application logic, run to a horizon, and collect the controller log.
 pub struct Simulation {
     topo: Topology,
-    config: SimConfig,
+    deployment: Deployment,
     rng: StdRng,
     now: Timestamp,
     queue: BinaryHeap<Reverse<Queued>>,
@@ -141,13 +145,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates a simulation over `topo` with deterministic randomness
-    /// derived from `seed`.
-    pub fn new(topo: Topology, config: SimConfig, seed: u64) -> Simulation {
-        let table = || match config.flow_table_capacity {
-            Some(cap) => FlowTable::with_capacity(cap),
-            None => FlowTable::new(),
-        };
+    /// Creates a simulation over `topo` that installs rules per
+    /// `deployment`, with deterministic randomness derived from `seed`.
+    pub fn new(topo: Topology, deployment: Deployment, seed: u64) -> Simulation {
         let switches = topo
             .node_ids()
             .filter(|&n| topo.node(n).is_of_switch())
@@ -155,18 +155,18 @@ impl Simulation {
                 (
                     n,
                     SwitchState {
-                        table: table(),
+                        table: FlowTable::new(),
                         sweep_at: None,
                         port_tx: HashMap::new(),
                     },
                 )
             })
             .collect();
-        let controller = ControllerModel::new(&config);
+        let controller = ControllerModel::new(CONTROLLER_SERVICE_US, CONTROLLER_JITTER_US);
         let link_rate = vec![0.0; topo.link_count()];
         let mut sim = Simulation {
             topo,
-            config,
+            deployment,
             rng: StdRng::seed_from_u64(seed),
             now: Timestamp::ZERO,
             queue: BinaryHeap::new(),
@@ -184,42 +184,33 @@ impl Simulation {
             next_xid: Xid(1),
             next_buffer: 1,
         };
-        if sim.config.echo_interval_s > 0 {
-            let first = Timestamp::from_secs(sim.config.echo_interval_s);
-            sim.push_event(first, Ev::EchoTick);
-        }
-        if sim.config.stats_poll_interval_s > 0 {
-            let first = Timestamp::from_secs(sim.config.stats_poll_interval_s);
-            sim.push_event(first, Ev::StatsTick);
-        }
-        if sim.config.deployment == Deployment::Proactive {
+        sim.push_event(Timestamp::from_secs(ECHO_INTERVAL_S), Ev::EchoTick);
+        sim.push_event(Timestamp::from_secs(STATS_POLL_INTERVAL_S), Ev::StatsTick);
+        if deployment == Deployment::Proactive {
             // Proactive deployment: a permanent catch-all entry on every
             // switch. Nothing ever misses, so the controller sees no
             // PacketIn/FlowRemoved traffic (Section VI).
             let mut fm = FlowMod::add(OfMatch::any(), 1).action(Action::output(PortNo::NORMAL));
             fm.flags.send_flow_rem = false;
             for state in sim.switches.values_mut() {
-                // Invariant: adding one entry to a freshly created table
-                // can only fail if its capacity is zero, which SimConfig
-                // does not allow.
                 state
                     .table
                     .apply(&fm, Timestamp::ZERO)
-                    .expect("invariant: an empty flow table accepts one entry");
+                    .expect("invariant: a flow table accepts every add");
             }
         }
         sim
     }
 
     /// The rule the controller installs for a missed flow, per the
-    /// configured deployment mode.
+    /// deployment mode.
     fn installed_rule(
         &self,
         key: &openflow::match_fields::FlowKey,
         in_port: PortNo,
         out_port: PortNo,
     ) -> FlowMod {
-        let match_ = match self.config.deployment {
+        let match_ = match self.deployment {
             Deployment::Wildcard { prefix_len } => {
                 let masked = mask_ip(key.nw_dst, prefix_len);
                 OfMatch::ipv4_dst_prefix(masked, prefix_len)
@@ -227,21 +218,16 @@ impl Simulation {
             _ => OfMatch::exact(key, in_port),
         };
         let mut fm = FlowMod::add(match_, 100)
-            .idle_timeout(self.config.idle_timeout_s)
-            .hard_timeout(self.config.hard_timeout_s)
+            .idle_timeout(IDLE_TIMEOUT_S)
+            .hard_timeout(HARD_TIMEOUT_S)
             .action(Action::output(out_port));
-        fm.flags.send_flow_rem = self.config.notify_flow_removed;
+        fm.flags.send_flow_rem = NOTIFY_FLOW_REMOVED;
         fm
     }
 
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Aggregate run statistics.
@@ -425,7 +411,7 @@ impl Simulation {
                 msg: OfpMessage::StatsReply(StatsReply::Port(ports)),
             });
         }
-        let next = self.now + self.config.stats_poll_interval_s * 1_000_000;
+        let next = self.now + STATS_POLL_INTERVAL_S * 1_000_000;
         self.push_event(next, Ev::StatsTick);
     }
 
@@ -449,17 +435,12 @@ impl Simulation {
                 msg: OfpMessage::EchoReply(Vec::new().into()),
             });
         }
-        let next = self.now + self.config.echo_interval_s * 1_000_000;
+        let next = self.now + ECHO_INTERVAL_S * 1_000_000;
         self.push_event(next, Ev::EchoTick);
     }
 
     fn ctrl_latency(&mut self) -> u64 {
-        let jitter = if self.config.control_jitter_us > 0 {
-            self.rng.gen_range(0..=self.config.control_jitter_us)
-        } else {
-            0
-        };
-        self.config.control_latency_us + jitter
+        CONTROL_LATENCY_US + self.rng.gen_range(0..=CONTROL_JITTER_US)
     }
 
     /// Current utilization of a link in `[0, 0.99]`.
@@ -548,21 +529,21 @@ impl Simulation {
         }
         let p_loss = 1.0 - ok_prob;
         let spec_bytes = self.flows[id.0 as usize].spec.bytes;
-        let pkts = self.config.packets_for(spec_bytes);
+        let pkts = packets_for(spec_bytes);
         // Each loss event costs more than one re-sent segment: RTO-driven
         // recovery re-sends (part of) the congestion window, so the wire
         // overhead amplifies the raw loss rate.
         let p_retx = (p_loss * RETX_AMPLIFICATION).min(0.9);
         let lost = sample_binomial(&mut self.rng, pkts, p_retx);
         let wire_packets = pkts + lost;
-        let wire_bytes = spec_bytes + lost * self.config.packet_size.min(spec_bytes.max(64));
+        let wire_bytes = spec_bytes + lost * PACKET_SIZE.min(spec_bytes.max(64));
 
         // Request-transfer retransmission delay: a loss anywhere in the
         // (small) request burst stalls delivery by one RTO (bounded
         // exponential backoff).
         let p_request = 1.0 - (1.0 - p_loss).powi(pkts.min(10) as i32);
         let mut head_delay = 0u64;
-        let mut rto = self.config.rto_us;
+        let mut rto = RTO_US;
         for _ in 0..5 {
             if self.rng.gen::<f64>() < p_request {
                 head_delay += rto;
@@ -614,11 +595,11 @@ impl Simulation {
         };
         let is_of = self.topo.node(node).is_of_switch();
         if is_of {
-            let (now, packet_size) = (self.now, self.config.packet_size);
+            let now = self.now;
             let hit = self
                 .switch_state(node)
                 .table
-                .match_packet(&key, in_port, packet_size, now)
+                .match_packet(&key, in_port, PACKET_SIZE, now)
                 .is_some();
             if !hit {
                 self.send_packet_in(id, hop, node, in_port);
@@ -635,7 +616,7 @@ impl Simulation {
             (flow.path[hop], flow.path[hop + 1])
         };
         let link = self.adj_link(node, next);
-        let latency = self.config.switch_proc_us + self.link_latency(link);
+        let latency = SWITCH_PROC_US + self.link_latency(link);
         self.push_event(
             self.now + latency,
             Ev::HopArrive {
@@ -653,7 +634,7 @@ impl Simulation {
         let buffer_id = BufferId(self.next_buffer);
         self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
 
-        let capture = frame::build_frame(&key, self.config.miss_send_len as usize);
+        let capture = frame::build_frame(&key, MISS_SEND_LEN as usize);
         let arrival = self.now + self.ctrl_latency();
         self.log.push(ControlEvent {
             ts: arrival,
@@ -662,7 +643,7 @@ impl Simulation {
             xid,
             msg: OfpMessage::PacketIn(PacketIn {
                 buffer_id,
-                total_len: self.config.packet_size as u16,
+                total_len: PACKET_SIZE as u16,
                 in_port,
                 reason: PacketInReason::NoMatch,
                 data: capture,
@@ -723,31 +704,14 @@ impl Simulation {
             (self.adj_port(node, prev), self.adj_port(node, next))
         };
         let fm = self.installed_rule(&key, in_port, out_port);
-        let (now, packet_size) = (self.now, self.config.packet_size);
-        let state = self.switch_state(node);
-        match state.table.apply(&fm, now) {
-            Ok(_) => {
-                // The buffered first packet is released through the new
-                // entry.
-                state.table.match_packet(&key, in_port, packet_size, now);
-                self.schedule_sweep(node);
-            }
-            Err(openflow::error::FlowTableError::TableFull { .. }) => {
-                // The switch reports the failed add; the packet is still
-                // released (packet-out semantics) but runs ruleless, so
-                // the next flow misses again.
-                let dpid = self.dpid(node);
-                let arrival = self.now + self.ctrl_latency();
-                self.log.push(ControlEvent {
-                    ts: arrival,
-                    dpid,
-                    direction: Direction::ToController,
-                    xid: Xid(0),
-                    msg: OfpMessage::Error(openflow::messages::ErrorMsg::table_full()),
-                });
-            }
-            Err(e) => panic!("unexpected flow table error: {e}"),
-        }
+        let now = self.now;
+        let table = &mut self.switch_state(node).table;
+        table
+            .apply(&fm, now)
+            .expect("invariant: a flow table accepts every add");
+        // The buffered first packet is released through the new entry.
+        table.match_packet(&key, in_port, PACKET_SIZE, now);
+        self.schedule_sweep(node);
         self.forward(id, hop);
     }
 
@@ -764,7 +728,7 @@ impl Simulation {
                 flow.wire_bytes = 66 * 3;
                 flow.wire_packets = 3;
             }
-            let give_up = self.config.rto_us * 3;
+            let give_up = RTO_US * 3;
             self.push_event(self.now + give_up, Ev::Complete { flow: id });
             return;
         }
@@ -807,8 +771,8 @@ impl Simulation {
         // by retransmissions.
         let loss_tail = {
             let flow = &self.flows[id.0 as usize];
-            let lost = flow.wire_packets - self.config.packets_for(flow.spec.bytes);
-            lost * (self.config.rto_us / 8)
+            let lost = flow.wire_packets - packets_for(flow.spec.bytes);
+            lost * (RTO_US / 8)
         };
         let duration = self.flows[id.0 as usize].spec.duration_us;
         self.push_event(self.now + duration + loss_tail, Ev::Complete { flow: id });
@@ -836,7 +800,7 @@ impl Simulation {
         // Credit the full transfer to each on-path entry. The first
         // packet was already counted on installation.
         let extra_pkts = wire_packets.saturating_sub(1);
-        let extra_bytes = wire_bytes.saturating_sub(self.config.packet_size.min(wire_bytes));
+        let extra_bytes = wire_bytes.saturating_sub(PACKET_SIZE.min(wire_bytes));
         for i in 0..switch_hops {
             let (prev, node, next) = {
                 let path = &self.flows[id.0 as usize].path;
@@ -967,7 +931,7 @@ mod tests {
     #[test]
     fn single_flow_produces_packetin_flowmod_per_switch_and_flowremoved() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
         assert_eq!(log.packet_ins().count(), 2, "one miss per OF switch");
@@ -983,7 +947,7 @@ mod tests {
     #[test]
     fn flow_removed_counters_match_wire_bytes() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
         for (_, _, fr) in log.flow_removeds() {
@@ -995,7 +959,7 @@ mod tests {
     #[test]
     fn packetin_order_follows_path() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t.clone(), SimConfig::default(), 1);
+        let mut sim = Simulation::new(t.clone(), Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
         let pis: Vec<_> = log.packet_ins().collect();
@@ -1010,7 +974,7 @@ mod tests {
     #[test]
     fn second_flow_same_key_within_timeout_hits_table() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         // Same 5-tuple again, 2 seconds later (< 5 s idle timeout since
         // completion refreshes the entry).
@@ -1026,7 +990,7 @@ mod tests {
     #[test]
     fn distinct_flows_each_trigger_control_traffic() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         for i in 0..5 {
             sim.schedule_flow(Timestamp::from_secs(1 + i), flow_1_to_2(4000 + i as u16));
         }
@@ -1038,7 +1002,7 @@ mod tests {
     #[test]
     fn host_down_produces_no_traffic_from_host() {
         let (t, h1, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_fault(Timestamp::ZERO, Fault::HostDown { host: h1 });
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
@@ -1049,7 +1013,7 @@ mod tests {
     #[test]
     fn dead_service_still_triggers_packetins_but_no_delivery() {
         let (t, _, h2) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_fault(Timestamp::ZERO, Fault::PortBlock { host: h2, port: 80 });
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
@@ -1080,7 +1044,7 @@ mod tests {
         let s2_dpid = t.dpid_of(s2).unwrap();
         let s3_dpid = t.dpid_of(s3).unwrap();
 
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         sim.schedule_fault(
             Timestamp::from_secs(10),
@@ -1112,7 +1076,7 @@ mod tests {
             .unwrap();
 
         // Baseline.
-        let mut clean = Simulation::new(t.clone(), SimConfig::default(), 42);
+        let mut clean = Simulation::new(t.clone(), Deployment::Reactive, 42);
         clean.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let clean_log = run_one(&mut clean);
         let clean_bytes: u64 = clean_log
@@ -1123,7 +1087,7 @@ mod tests {
 
         // Lossy: average over several flows so the binomial draw cannot
         // be zero for all of them.
-        let mut lossy = Simulation::new(t, SimConfig::default(), 42);
+        let mut lossy = Simulation::new(t, Deployment::Reactive, 42);
         lossy.schedule_fault(Timestamp::ZERO, Fault::LinkLoss { link, rate: 0.3 });
         for i in 0..10 {
             lossy.schedule_flow(
@@ -1147,7 +1111,7 @@ mod tests {
     #[test]
     fn controller_overload_raises_response_time() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 3);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 3);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         sim.schedule_fault(
             Timestamp::from_secs(5),
@@ -1192,7 +1156,7 @@ mod tests {
             }
         }
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 5);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 5);
         sim.add_app(Box::new(Relay));
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         let log = run_one(&mut sim);
@@ -1221,7 +1185,7 @@ mod tests {
             }
         }
         let (t, _, h2) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 5);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 5);
         sim.add_app(Box::new(Relay));
         sim.schedule_fault(
             Timestamp::ZERO,
@@ -1241,7 +1205,7 @@ mod tests {
     fn determinism_same_seed_same_log() {
         let build = || {
             let (t, _, _) = two_host_line();
-            let mut sim = Simulation::new(t, SimConfig::default(), 77);
+            let mut sim = Simulation::new(t, Deployment::Reactive, 77);
             for i in 0..20 {
                 sim.schedule_flow(
                     Timestamp::from_millis(500 * (i + 1)),
@@ -1259,7 +1223,7 @@ mod tests {
     fn different_seed_different_timings() {
         let build = |seed| {
             let (t, _, _) = two_host_line();
-            let mut sim = Simulation::new(t, SimConfig::default(), seed);
+            let mut sim = Simulation::new(t, Deployment::Reactive, seed);
             sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(5000));
             run_one(&mut sim)
         };
@@ -1274,11 +1238,7 @@ mod tests {
     #[test]
     fn proactive_mode_silences_control_plane() {
         let (t, _, _) = two_host_line();
-        let config = SimConfig {
-            deployment: crate::config::Deployment::Proactive,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(t, config, 1);
+        let mut sim = Simulation::new(t, Deployment::Proactive, 1);
         for i in 0..5 {
             sim.schedule_flow(Timestamp::from_secs(1 + i), flow_1_to_2(4000 + i as u16));
         }
@@ -1299,11 +1259,7 @@ mod tests {
         let count_for = |deployment| {
             let (t2, _, _) = two_host_line();
             let _ = &t;
-            let config = SimConfig {
-                deployment,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(t2, config, 1);
+            let mut sim = Simulation::new(t2, deployment, 1);
             // ten concurrent flows to the same destination host
             for i in 0..10 {
                 sim.schedule_flow(
@@ -1317,8 +1273,8 @@ mod tests {
                 sim.stats().flows_delivered,
             )
         };
-        let (reactive, d1) = count_for(crate::config::Deployment::Reactive);
-        let (wildcard, d2) = count_for(crate::config::Deployment::Wildcard { prefix_len: 24 });
+        let (reactive, d1) = count_for(Deployment::Reactive);
+        let (wildcard, d2) = count_for(Deployment::Wildcard { prefix_len: 24 });
         assert_eq!(d1, 10);
         assert_eq!(d2, 10);
         assert_eq!(reactive, 20, "one miss per flow per switch");
@@ -1331,11 +1287,7 @@ mod tests {
     #[test]
     fn wildcard_flow_removed_aggregates_counters() {
         let (t, _, _) = two_host_line();
-        let config = SimConfig {
-            deployment: crate::config::Deployment::Wildcard { prefix_len: 24 },
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(t, config, 1);
+        let mut sim = Simulation::new(t, Deployment::Wildcard { prefix_len: 24 }, 1);
         for i in 0..5 {
             sim.schedule_flow(
                 Timestamp::from_millis(1_000 + i * 100),
@@ -1355,7 +1307,7 @@ mod tests {
     #[test]
     fn stats_polling_reports_growing_counters() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         for i in 0..6 {
             sim.schedule_flow(
                 Timestamp::from_secs(2 + i * 5),
@@ -1395,7 +1347,7 @@ mod tests {
     #[test]
     fn controller_down_leaves_packet_ins_unanswered() {
         let (t, _, _) = two_host_line();
-        let mut sim = Simulation::new(t, SimConfig::default(), 1);
+        let mut sim = Simulation::new(t, Deployment::Reactive, 1);
         sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
         sim.schedule_fault(Timestamp::from_secs(5), Fault::ControllerDown);
         sim.schedule_flow(Timestamp::from_secs(10), flow_1_to_2(4001));
@@ -1406,50 +1358,6 @@ mod tests {
         assert_eq!(log.flow_mods().count(), 2);
         assert_eq!(sim.stats().flows_dead, 1);
         assert_eq!(sim.stats().flows_delivered, 1);
-    }
-
-    #[test]
-    fn full_flow_table_reports_errors_and_keeps_missing() {
-        let (t, _, _) = two_host_line();
-        let config = SimConfig {
-            flow_table_capacity: Some(2),
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(t, config, 1);
-        // eight concurrent flows: capacity 2 per switch overflows
-        for i in 0..8 {
-            sim.schedule_flow(
-                Timestamp::from_millis(1_000 + i * 20),
-                flow_1_to_2(4000 + i as u16),
-            );
-        }
-        let log = run_one(&mut sim);
-        let errors = log
-            .events()
-            .iter()
-            .filter(|e| matches!(&e.msg, OfpMessage::Error(err) if err.is_table_full()))
-            .count();
-        assert!(errors > 0, "overflow must be reported");
-        // forwarding survives regardless
-        assert_eq!(sim.stats().flows_delivered, 8);
-        // and only as many FlowRemoved as entries that actually existed
-        assert!(log.flow_removeds().count() <= 4);
-    }
-
-    #[test]
-    fn stats_polling_disabled_when_interval_zero() {
-        let (t, _, _) = two_host_line();
-        let config = SimConfig {
-            stats_poll_interval_s: 0,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(t, config, 1);
-        sim.schedule_flow(Timestamp::from_secs(1), flow_1_to_2(4000));
-        let log = run_one(&mut sim);
-        assert!(!log
-            .events()
-            .iter()
-            .any(|e| matches!(e.msg, OfpMessage::StatsReply(_))));
     }
 
     #[test]
@@ -1476,7 +1384,7 @@ mod tests {
         let measure = |bg: bool| {
             let (t2, _, _) = two_host_line();
             let _ = &t;
-            let mut sim = Simulation::new(t2, SimConfig::default(), 9);
+            let mut sim = Simulation::new(t2, Deployment::Reactive, 9);
             if bg {
                 // Saturating background flow over the same path.
                 let key = FlowKey::udp(

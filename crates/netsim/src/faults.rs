@@ -249,8 +249,7 @@ pub struct ChaosReport {
 impl ChannelChaos {
     /// Chaos with `rate` total frame-corruption probability, split
     /// evenly across drop/duplicate/truncate/bit-flip, and no
-    /// reorder/skew. The knob `publish --chaos` and the corruption tests
-    /// turn.
+    /// reorder/skew: the knob the corruption tests turn.
     pub fn corruption(rate: f64, seed: u64) -> ChannelChaos {
         let p = (rate / 4.0).clamp(0.0, 0.25);
         ChannelChaos {

@@ -18,7 +18,7 @@
 //! let src = topo.host_ip(topo.node_by_name("S1").unwrap());
 //! let dst = topo.host_ip(topo.node_by_name("S2").unwrap());
 //!
-//! let mut sim = Simulation::new(topo, SimConfig::default(), 42);
+//! let mut sim = Simulation::new(topo, Deployment::Reactive, 42);
 //! let key = FlowKey::tcp(src, 40_000, dst, 80);
 //! sim.schedule_flow(Timestamp::from_secs(1), FlowSpec::new(key, 8_192, 5_000));
 //! sim.run_until(Timestamp::from_secs(30));
@@ -40,7 +40,7 @@ pub mod topology;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::apps::{AppCtx, AppLogic};
-    pub use crate::config::SimConfig;
+    pub use crate::config::Deployment;
     pub use crate::engine::{SimStats, Simulation};
     pub use crate::faults::{
         ChannelChaos, ChaosReport, ConnChaos, ConnFault, ConnPlan, CrashPlan, Fault,

@@ -1399,7 +1399,11 @@ mod tests {
             };
             let others = [
                 OfpMessage::Hello,
-                OfpMessage::Error(ErrorMsg::table_full()),
+                OfpMessage::Error(ErrorMsg {
+                    err_type: 3,
+                    code: 0,
+                    data: Arc::default(),
+                }),
                 OfpMessage::EchoRequest(vec![1, 2].into()),
                 OfpMessage::EchoReply(vec![1, 2].into()),
                 OfpMessage::FeaturesRequest,

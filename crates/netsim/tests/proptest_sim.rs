@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
-use netsim::config::SimConfig;
+use netsim::config::Deployment;
 use netsim::engine::Simulation;
 use netsim::flows::{FlowPhase, FlowSpec};
 use netsim::topology::Topology;
@@ -30,7 +30,7 @@ fn arb_workload() -> impl Strategy<Value = Vec<(usize, usize, u16, u64, u64)>> {
 fn run(workload: &[(usize, usize, u16, u64, u64)], seed: u64) -> Simulation {
     let topo = Topology::tree(4, 2);
     let hosts: Vec<Ipv4Addr> = topo.hosts().map(|(id, _)| topo.host_ip(id)).collect();
-    let mut sim = Simulation::new(topo, SimConfig::default(), seed);
+    let mut sim = Simulation::new(topo, Deployment::Reactive, seed);
     for &(s, d, sport, bytes, at_ms) in workload {
         if s == d {
             continue; // self-flows are not meaningful

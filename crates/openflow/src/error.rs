@@ -68,11 +68,6 @@ impl From<bytes::Underflow> for DecodeError {
 /// Error produced by flow-table mutations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowTableError {
-    /// The table reached its configured capacity.
-    TableFull {
-        /// Configured maximum number of entries.
-        capacity: usize,
-    },
     /// A modify/delete-strict targeted an entry that does not exist.
     NoSuchEntry,
 }
@@ -80,9 +75,6 @@ pub enum FlowTableError {
 impl fmt::Display for FlowTableError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FlowTableError::TableFull { capacity } => {
-                write!(f, "flow table full (capacity {capacity})")
-            }
             FlowTableError::NoSuchEntry => write!(f, "no matching flow entry"),
         }
     }

@@ -150,7 +150,6 @@ pub struct FlowTable {
     /// `(deadline, sequence)` of every entry that has a timeout.
     deadlines: BTreeSet<(Timestamp, u64)>,
     next_seq: u64,
-    capacity: Option<usize>,
     ops: Cell<u64>,
     examined: Cell<u64>,
 }
@@ -159,15 +158,6 @@ impl FlowTable {
     /// Creates an unbounded flow table.
     pub fn new() -> FlowTable {
         FlowTable::default()
-    }
-
-    /// Creates a table that holds at most `capacity` entries, mimicking
-    /// hardware TCAM limits.
-    pub fn with_capacity(capacity: usize) -> FlowTable {
-        FlowTable {
-            capacity: Some(capacity),
-            ..FlowTable::default()
-        }
     }
 
     /// Number of installed entries.
@@ -275,9 +265,8 @@ impl FlowTable {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowTableError::TableFull`] when an `Add` exceeds the
-    /// configured capacity, and [`FlowTableError::NoSuchEntry`] when a
-    /// strict modify targets a missing entry.
+    /// Returns [`FlowTableError::NoSuchEntry`] when a strict modify
+    /// targets a missing entry; an `Add` never fails.
     pub fn apply(
         &mut self,
         fm: &FlowMod,
@@ -289,11 +278,6 @@ impl FlowTable {
                 // nothing (counters reset), per the 1.0 spec.
                 for seq in self.addressed(fm, true) {
                     self.remove(seq);
-                }
-                if let Some(cap) = self.capacity {
-                    if self.entries.len() >= cap {
-                        return Err(FlowTableError::TableFull { capacity: cap });
-                    }
                 }
                 self.insert(FlowEntry::from_flow_mod(fm, now));
                 Ok(Vec::new())
@@ -742,17 +726,6 @@ mod tests {
         let wild = t.iter().find(|e| !e.match_.wildcards.is_exact()).unwrap();
         assert_eq!(exact.byte_count, 200);
         assert_eq!(wild.byte_count, 0);
-    }
-
-    #[test]
-    fn capacity_limit_enforced() {
-        let mut t = FlowTable::with_capacity(1);
-        add_exact(&mut t, &key(1), Timestamp::ZERO);
-        let fm = FlowMod::add(OfMatch::exact(&key(2), PortNo(1)), 1);
-        assert_eq!(
-            t.apply(&fm, Timestamp::ZERO).unwrap_err(),
-            FlowTableError::TableFull { capacity: 1 }
-        );
     }
 
     #[test]

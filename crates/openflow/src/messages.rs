@@ -358,23 +358,6 @@ pub struct ErrorMsg {
     pub data: Arc<[u8]>,
 }
 
-impl ErrorMsg {
-    /// `OFPET_FLOW_MOD_FAILED` / `OFPFMFC_ALL_TABLES_FULL`: the add
-    /// failed because the flow table is full.
-    pub fn table_full() -> ErrorMsg {
-        ErrorMsg {
-            err_type: 3,
-            code: 0,
-            data: Arc::default(),
-        }
-    }
-
-    /// True for a table-full flow-mod failure.
-    pub fn is_table_full(&self) -> bool {
-        self.err_type == 3 && self.code == 0
-    }
-}
-
 /// A statistics reply body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StatsReply {

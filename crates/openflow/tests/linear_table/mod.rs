@@ -23,15 +23,11 @@ fn effective_priority(m: &OfMatch, priority: u16) -> u16 {
 #[derive(Debug, Default)]
 pub struct LinearTable {
     entries: Vec<FlowEntry>,
-    capacity: Option<usize>,
 }
 
 impl LinearTable {
-    pub fn new(capacity: Option<usize>) -> LinearTable {
-        LinearTable {
-            entries: Vec::new(),
-            capacity,
-        }
+    pub fn new() -> LinearTable {
+        LinearTable::default()
     }
 
     pub fn len(&self) -> usize {
@@ -58,11 +54,6 @@ impl LinearTable {
         match fm.command {
             FlowModCommand::Add => {
                 self.entries.retain(|e| !addressed(e, true));
-                if let Some(cap) = self.capacity {
-                    if self.entries.len() >= cap {
-                        return Err(FlowTableError::TableFull { capacity: cap });
-                    }
-                }
                 self.entries.push(FlowEntry {
                     match_: fm.match_,
                     priority,

@@ -169,10 +169,9 @@ proptest! {
     #[test]
     fn indexed_table_agrees_with_linear_reference(
         calls in prop::collection::vec(arb_table_call(), 1..120),
-        capacity in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
     ) {
-        let mut table = capacity.map_or_else(FlowTable::new, FlowTable::with_capacity);
-        let mut reference = LinearTable::new(capacity);
+        let mut table = FlowTable::new();
+        let mut reference = LinearTable::new();
         let mut clock_ms = 0u64;
         for (call, step_ms, rewind) in &calls {
             clock_ms += step_ms;

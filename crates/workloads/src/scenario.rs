@@ -7,7 +7,7 @@
 
 use std::net::Ipv4Addr;
 
-use netsim::config::SimConfig;
+use netsim::config::{Deployment, IDLE_TIMEOUT_S};
 use netsim::engine::{SimStats, Simulation};
 use netsim::faults::Fault;
 use netsim::flows::FlowSpec;
@@ -42,7 +42,7 @@ pub struct OnOffMesh {
 /// A composable experiment scenario.
 pub struct Scenario {
     topo: Topology,
-    config: SimConfig,
+    deployment: Deployment,
     seed: u64,
     start: Timestamp,
     end: Timestamp,
@@ -71,7 +71,7 @@ impl Scenario {
     pub fn new(topo: Topology, seed: u64, start: Timestamp, end: Timestamp) -> Scenario {
         Scenario {
             topo,
-            config: SimConfig::default(),
+            deployment: Deployment::Reactive,
             seed,
             start,
             end,
@@ -86,9 +86,10 @@ impl Scenario {
         }
     }
 
-    /// Overrides the simulator configuration.
-    pub fn config(&mut self, config: SimConfig) -> &mut Scenario {
-        self.config = config;
+    /// Sets how the simulated controller installs rules (default:
+    /// reactive microflow rules).
+    pub fn deployment(&mut self, deployment: Deployment) -> &mut Scenario {
+        self.deployment = deployment;
         self
     }
 
@@ -152,7 +153,7 @@ impl Scenario {
     /// Builds the simulation, runs it past the workload window (plus a
     /// drain period for timeouts to fire), and returns the log.
     pub fn run(&self) -> ScenarioResult {
-        let mut sim = Simulation::new(self.topo.clone(), self.config.clone(), self.seed);
+        let mut sim = Simulation::new(self.topo.clone(), self.deployment, self.seed);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5eed_f10e);
         let mut ports = PortAlloc::new();
 
@@ -215,7 +216,7 @@ impl Scenario {
         }
 
         // Drain: let in-flight flows finish and idle timeouts fire.
-        let drain = Timestamp::from_secs(self.config.idle_timeout_s as u64 + 30);
+        let drain = Timestamp::from_secs(IDLE_TIMEOUT_S as u64 + 30);
         sim.run_until(self.end + drain.as_micros());
         ScenarioResult {
             log: sim.take_log(),

@@ -11,7 +11,8 @@
 //!   three-tier applications whose adjacent tiers talk in ON/OFF meshes.
 //!
 //! Every builder returns the scenario unrun, so a caller can still add
-//! faults, flows, tasks, clients, a `SimConfig` or background services.
+//! faults, flows, tasks, clients, a [`Deployment`](netsim::config::Deployment)
+//! or background services.
 
 use std::net::Ipv4Addr;
 
