@@ -128,6 +128,35 @@ if ! diff <(printf '%s\n' "$watch_out" | grep '^epoch ') \
 fi
 echo "served epoch lines byte-identical to file-based watch"
 
+step "flowdiff-bench serve --resume (a checkpointed live run is picked up where it left off)"
+# A panic ends a run, and the next process resumes from the last
+# checkpoint (DESIGN.md, One supervised loop). On a fresh server the
+# publishers replay the whole capture from watermark 0; the resumed serve
+# discards the events its checkpoint consumed and has to print exactly
+# the epoch lines the first run printed after its last checkpoint.
+serve_ckpt="$demo_dir/serve.ckpt"
+ckpt_out="$demo_dir/serve_ckpt.out"
+start_serve "$ckpt_out" --checkpoint "$serve_ckpt" --checkpoint-every 7
+"$bench_bin" publish "$demo_dir/current.fcap" --connect "$addr" --connections 2 >/dev/null
+wait "$serve_pid"
+resumed_serve_out="$demo_dir/serve_resumed.out"
+start_serve "$resumed_serve_out" --resume "$serve_ckpt"
+"$bench_bin" publish "$demo_dir/current.fcap" --connect "$addr" --connections 2 >/dev/null
+wait "$serve_pid"
+grep '^stats: resumed from ' "$resumed_serve_out"
+served_epochs="$(grep -c '^epoch ' "$ckpt_out" || true)"
+resumed_served="$(grep -c '^epoch ' "$resumed_serve_out" || true)"
+if [ "$resumed_served" -lt 1 ] || [ "$resumed_served" -ge "$served_epochs" ]; then
+    echo "FAIL: serve --resume printed $resumed_served of $served_epochs epochs" >&2
+    exit 1
+fi
+if ! diff <(grep '^epoch ' "$ckpt_out" | tail -n "$resumed_served") \
+          <(grep '^epoch ' "$resumed_serve_out"); then
+    echo "FAIL: resumed served epoch lines differ from the first run's tail" >&2
+    exit 1
+fi
+echo "resumed serve printed the last $resumed_served of $served_epochs epoch lines"
+
 step "flowdiff-bench serve with a permanently stalled publisher (stall budget liveness)"
 # Conn 0's session stalls for 3s after 170 events against a 200ms stall
 # budget and a 200ms heartbeat: the merge must waive it, epochs must
@@ -194,11 +223,12 @@ case "$sharded_trace" in
         ;;
 esac
 
-step "serve memory tracks the checkpoint interval (serve_dense peak_rss_mb < 65)"
-# The live feed releases what it pulled at each durable point, so peak
-# RSS stops growing with the events served: ~26 MiB here since the
-# differ holds 64-byte events (~30 MiB while it held whole messages,
-# 84 MiB when every event was kept), run-to-run spread under 1 %.
+step "serve memory does not grow with the events served (serve_dense peak_rss_mb < 65)"
+# The engine keeps no event the differ has observed, so peak RSS stops
+# growing with the events served: ~23 MiB here (~26 MiB while a replay
+# buffer held one 40 s epoch of 64-byte events, ~30 MiB while it held
+# whole messages, 84 MiB when every event was kept), run-to-run spread
+# under 1 %.
 rss_out="$(benchmark/run.sh --workload serve_dense --seed 42 --seconds 3 --trace 0 | tail -n 1)"
 printf '%s\n' "$rss_out" | cut -c1-160
 case "$rss_out" in
@@ -216,7 +246,7 @@ echo "INFO: serve_dense peak_rss_mb = $peak_rss_mb"
 echo "INFO: serve_dense setup_s =" \
     "$(printf '%s\n' "$rss_out" | sed -n 's/.*"setup_s": {"value": \([0-9.]*\).*/\1/p')"
 if ! awk -v rss="$peak_rss_mb" 'BEGIN { exit !(rss > 0 && rss < 65) }'; then
-    echo "FAIL: serve_dense peak_rss_mb is $peak_rss_mb, want < 65: is the live feed retaining the stream?" >&2
+    echo "FAIL: serve_dense peak_rss_mb is $peak_rss_mb, want < 65: is serve retaining the stream?" >&2
     exit 1
 fi
 
@@ -295,6 +325,21 @@ if grep -rn 'fn baseline(' crates/core/src; then
 fi
 if grep -rn 'restore_warmup_us' crates/; then
     echo "FAIL: restore_warmup_us is back under crates/" >&2
+    exit 1
+fi
+
+step "one recovery path"
+# A panic ends the run and `--resume` starts the next process from the
+# last checkpoint (DESIGN.md, One supervised loop): no unwind guard in
+# the engine or the binaries outside their tests, and no restart knob.
+for src in $(find crates/core/src crates/bench/src -name '*.rs' | sort); do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nF 'catch_unwind'; then
+        echo "FAIL: $src catches panics outside its tests: recovery is --resume" >&2
+        exit 1
+    fi
+done
+if grep -rnwE 'restart_budget|restart_backoff_us' crates/; then
+    echo "FAIL: a restart knob is back under crates/" >&2
     exit 1
 fi
 

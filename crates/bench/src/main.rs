@@ -11,7 +11,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use flowdiff::checkpoint::{BASELINE_MAGIC, CHECKPOINT_MAGIC};
-use flowdiff::engine::{resume_from, EngineResult};
+use flowdiff::engine::resume_from;
 use flowdiff::prelude::*;
 use netsim::log::LogStream;
 use netsim::prelude::*;
@@ -112,7 +112,7 @@ fn print_index() {
     println!("  benchmark/run.sh");
 }
 
-type CliResult = EngineResult<()>;
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 /// One subcommand's `--flag value` arguments, read left to right.
 struct Flags<'a> {
@@ -129,12 +129,12 @@ impl<'a> Flags<'a> {
         self.args.next().map(String::as_str)
     }
 
-    fn value(&mut self, flag: &str) -> EngineResult<&'a str> {
+    fn value(&mut self, flag: &str) -> CliResult<&'a str> {
         self.next_flag()
             .ok_or_else(|| format!("{flag} needs a value").into())
     }
 
-    fn num<T: std::str::FromStr>(&mut self, flag: &str) -> EngineResult<T>
+    fn num<T: std::str::FromStr>(&mut self, flag: &str) -> CliResult<T>
     where
         T::Err: std::fmt::Display,
     {
@@ -146,14 +146,14 @@ impl<'a> Flags<'a> {
 
     /// A duration given in units of `unit_us` microseconds, as
     /// microseconds.
-    fn micros(&mut self, flag: &str, unit_us: u64) -> EngineResult<u64> {
+    fn micros(&mut self, flag: &str, unit_us: u64) -> CliResult<u64> {
         let n: u64 = self.num(flag)?;
         n.checked_mul(unit_us)
             .ok_or_else(|| format!("{flag} {n}: too large").into())
     }
 
     /// [`Flags::micros`] of at least one unit.
-    fn positive_micros(&mut self, flag: &str, unit_us: u64) -> EngineResult<u64> {
+    fn positive_micros(&mut self, flag: &str, unit_us: u64) -> CliResult<u64> {
         match self.micros(flag, unit_us)? {
             0 => Err(format!("{flag} must be at least 1").into()),
             us => Ok(us),
@@ -161,19 +161,19 @@ impl<'a> Flags<'a> {
     }
 
     /// A count that must be at least 1.
-    fn count(&mut self, flag: &str) -> EngineResult<usize> {
+    fn count(&mut self, flag: &str) -> CliResult<usize> {
         match self.num(flag)? {
             0 => Err(format!("{flag} must be at least 1").into()),
             n => Ok(n),
         }
     }
 
-    fn path(&mut self, flag: &str) -> EngineResult<PathBuf> {
+    fn path(&mut self, flag: &str) -> CliResult<PathBuf> {
         Ok(self.value(flag)?.into())
     }
 
     /// A comma-separated address list.
-    fn ips(&mut self, flag: &str) -> EngineResult<Vec<Ipv4Addr>> {
+    fn ips(&mut self, flag: &str) -> CliResult<Vec<Ipv4Addr>> {
         let value = self.value(flag)?;
         (value.split(','))
             .map(|ip| ip.trim().parse())
@@ -191,7 +191,7 @@ fn unknown_flag(flag: &str) -> Box<dyn std::error::Error> {
 /// [`BaselineBundle`] (`FDIFFBAS`, validated magic/version/CRC). A file
 /// that is neither — including a checkpoint offered as a baseline — is
 /// a typed error before any diffing happens.
-fn load_baseline(path: &str, config: &FlowDiffConfig) -> EngineResult<BaselineBundle> {
+fn load_baseline(path: &str, config: &FlowDiffConfig) -> CliResult<BaselineBundle> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let bundle = if bytes.starts_with(&BASELINE_MAGIC) {
         let bundle = BaselineBundle::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -237,7 +237,7 @@ fn load_baseline(path: &str, config: &FlowDiffConfig) -> EngineResult<BaselineBu
 fn decode_capture<E>(
     path: &str,
     convert: impl Fn(ControlEvent) -> E,
-) -> EngineResult<(Vec<E>, netsim::log::StreamStats)> {
+) -> CliResult<(Vec<E>, netsim::log::StreamStats)> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let mut events = Vec::new();
@@ -270,7 +270,7 @@ struct OnlineOpts {
 impl OnlineOpts {
     /// Reads the flags of `watch`, or of `serve` when `serve` is set;
     /// the other subcommand's own flags are unknown.
-    fn parse(args: &[String], serve: bool) -> EngineResult<OnlineOpts> {
+    fn parse(args: &[String], serve: bool) -> CliResult<OnlineOpts> {
         let mut opts = OnlineOpts {
             config: FlowDiffConfig::default(),
             checkpoint: None,
@@ -321,67 +321,65 @@ impl OnlineOpts {
     }
 }
 
-/// Runs `feed` through the supervised engine the way `watch` and
+/// Runs `events` through the supervised engine the way `watch` and
 /// `serve` both do: a fresh differ (or the one `--resume` restores, if
-/// it was written against the baseline loaded from `baseline_path`),
-/// checkpoints at `--checkpoint`, one `epoch` and one `latency epoch`
-/// line per boundary.
+/// it was written against the baseline loaded from `baseline_path`,
+/// which then skips the events its checkpoint consumed), checkpoints at
+/// `--checkpoint`, one `epoch` and one `latency epoch` line per
+/// boundary.
 fn run_online(
-    feed: &mut Feed<'_>,
+    events: impl Iterator<Item = FlowEvent>,
     opts: &OnlineOpts,
     (baseline_path, baseline): (&str, &Arc<BaselineBundle>),
     degraded: Option<&dyn Fn() -> Option<String>>,
-) -> EngineResult<RunReport> {
+) -> CliResult<RunReport> {
     let config = &opts.config;
-    let fresh = || -> EngineResult<(OnlineDiffer, u64)> {
-        let Some(path) = &opts.resume else {
-            return Ok((OnlineDiffer::try_new(Arc::clone(baseline), config)?, 0));
-        };
-        let (differ, at) = resume_from(path, baseline, config).map_err(|e| match e {
-            PersistError::BaselineMismatch { .. } => format!(
-                "{}: checkpoint was written against a different baseline than {baseline_path}",
-                path.display()
-            ),
-            e => format!("{}: {e}", path.display()),
-        })?;
-        println!(
-            "stats: resumed from {} at event {at}, epoch {}",
-            path.display(),
-            differ.epoch()
-        );
-        Ok((differ, at))
+    let start = match &opts.resume {
+        None => (OnlineDiffer::try_new(Arc::clone(baseline), config)?, 0),
+        Some(path) => {
+            let (differ, at) = resume_from(path, baseline, config).map_err(|e| match e {
+                PersistError::BaselineMismatch { .. } => format!(
+                    "{}: checkpoint was written against a different baseline than {baseline_path}",
+                    path.display()
+                ),
+                e => format!("{}: {e}", path.display()),
+            })?;
+            println!(
+                "stats: resumed from {} at event {at}, epoch {}",
+                path.display(),
+                differ.epoch()
+            );
+            (differ, at)
+        }
     };
     let supervision = Supervision {
         config,
-        baseline,
         checkpoint_path: opts.checkpoint.as_deref(),
         degraded,
     };
-    supervise(feed, &fresh, &supervision, |snapshot, timings| {
-        report(snapshot, config);
-        report_latency(snapshot.epoch, timings);
-    })
+    Ok(supervise(
+        start,
+        events,
+        &supervision,
+        |snapshot, timings| {
+            report(snapshot, config);
+            report_latency(snapshot.epoch, timings);
+        },
+    )?)
 }
 
-/// The tail every online run prints: the flushed epoch, restarts
-/// survived, ingest health.
+/// The tail every online run prints: the flushed epoch and ingest
+/// health.
 fn report_run(run: &RunReport, config: &FlowDiffConfig) {
     if let Some(snapshot) = &run.last {
         report(snapshot, config);
-    }
-    if run.restarts > 0 {
-        println!(
-            "stats: survived {} restart(s) within a budget of {}",
-            run.restarts, config.restart_budget
-        );
     }
     println!("stats: ingest {}", run.health);
 }
 
 /// `watch`: model a baseline capture (or load a prebuilt bundle), then
-/// stream the current capture through the supervised engine — panics
-/// restore the last durable checkpoint and replay, and each epoch line
-/// is printed exactly once no matter how many restarts it took.
+/// stream the current capture through the supervised engine. A panic
+/// ends the run; `--resume` from the last `--checkpoint` picks it up.
 fn cmd_watch(args: &[String]) -> CliResult {
     if args.len() < 2 {
         usage();
@@ -393,11 +391,9 @@ fn cmd_watch(args: &[String]) -> CliResult {
         baseline.save(path)?;
         println!("stats: baseline bundle saved to {}", path.display());
     }
-    // The whole current capture is decoded up front: the supervised
-    // loop needs random access to replay from a checkpoint's offset.
     let (events, stream_stats) = decode_capture(&args[1], |e| FlowEvent::from(&e))?;
     let judge = (args[0].as_str(), &baseline);
-    let mut run = run_online(&mut Feed::Slice(&events), &opts, judge, None)?;
+    let mut run = run_online(events.into_iter(), &opts, judge, None)?;
     run.health.absorb_stream(stream_stats);
     report_run(&run, &opts.config);
     Ok(())
@@ -440,7 +436,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     // while publishers are still connected. Backpressure still holds —
     // each connection feeds a bounded queue, so a publisher far ahead
     // of the merge blocks on TCP, not on server memory.
-    let mut feed = Feed::live(live.take_merge());
+    let merge = live.take_merge();
     // While any stream is stalled or dead its share of the window is
     // missing; the differ gates those epochs' diffs to Suppressed
     // instead of alarming on behavior the wire never delivered.
@@ -455,7 +451,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         (!down.is_empty()).then(|| down.join(", "))
     };
     let judge = (args[0].as_str(), &baseline);
-    let mut run = run_online(&mut feed, &opts, judge, Some(&degraded))?;
+    let mut run = run_online(merge, &opts, judge, Some(&degraded))?;
 
     let refused = live.refused();
     if refused > 0 {
@@ -469,7 +465,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         run.health.absorb_stream(r.stats);
         run.health.absorb_conn(r.stalls, r.disconnects, r.resumes);
     }
-    if feed.pulled() == 0 {
+    if run.events == 0 {
         return Err("publishers delivered no events".into());
     }
     report_run(&run, config);

@@ -24,26 +24,25 @@ pub fn flow_events(log: &ControllerLog) -> Vec<FlowEvent> {
 /// What a run is judged against: baseline model, its stability, config.
 pub type Judge<'a> = (&'a BehaviorModel, &'a StabilityReport, &'a FlowDiffConfig);
 
-/// Runs `feed` through the supervised engine — the loop `watch` and
+/// Runs `events` through the supervised engine — the loop `watch` and
 /// `serve` run — and returns every epoch snapshot's serialized bytes
 /// (finish included) plus the health.
 pub fn engine_snapshots(
-    feed: &mut Feed<'_>,
+    events: impl Iterator<Item = FlowEvent>,
     (baseline, stability, config): Judge<'_>,
 ) -> (Vec<Vec<u8>>, IngestHealth) {
     let baseline = Arc::new(BaselineBundle {
         model: baseline.clone(),
         stability: stability.clone(),
     });
-    let fresh = || Ok((OnlineDiffer::try_new(Arc::clone(&baseline), config)?, 0));
+    let differ = OnlineDiffer::try_new(baseline, config).expect("config valid");
     let supervision = Supervision {
         config,
-        baseline: &baseline,
         checkpoint_path: None,
         degraded: None,
     };
     let mut snaps = Vec::new();
-    let run = supervise(feed, &fresh, &supervision, |snap, _| {
+    let run = supervise((differ, 0), events, &supervision, |snap, _| {
         snaps.push(serde::to_vec(snap))
     })
     .expect("supervised run");
@@ -83,11 +82,11 @@ pub fn serve_loopback(
             publish_session(addr, &part, &sopts).expect("publish session")
         }));
     }
-    // The feed releases what it has delivered, so what the merge
+    // The engine keeps no event it has observed, so what the merge
     // handed over is teed off on its way in.
     let mut events = Vec::new();
     let tee = live.take_merge().inspect(|e| events.push(e.clone()));
-    let (snaps, health) = engine_snapshots(&mut Feed::live(tee), judge);
+    let (snaps, health) = engine_snapshots(tee, judge);
     let reports = live.finish();
     for p in publishers {
         p.join().expect("publisher thread");

@@ -38,7 +38,7 @@ fn served_epochs_byte_identical_to_file_run_for_1_and_4_publishers() {
 
     let judge = (&baseline, &stability, &config);
     let (file_snaps, mut file_health) =
-        engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
+        engine_snapshots(flow_events(&current_log).into_iter(), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -142,7 +142,7 @@ fn one_percent_corruption_keeps_ninety_percent_of_the_confirmed_changes() {
     let changes = |bytes: &[u8]| {
         let mut stream = LogStream::from_wire_bytes(bytes).expect("magic intact");
         let events: Vec<FlowEvent> = stream.by_ref().flatten().map(|e| (&e).into()).collect();
-        let (snaps, mut health) = engine_snapshots(&mut Feed::Slice(&events), judge);
+        let (snaps, mut health) = engine_snapshots(events.into_iter(), judge);
         health.absorb_stream(stream.stats());
         let mut keys = BTreeSet::new();
         for snap in &snaps {

@@ -49,7 +49,7 @@ fn flapped_sessions_are_byte_identical_with_exact_counters() {
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
     let judge = (&baseline, &stability, &config);
-    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
+    let (file_snaps, _) = engine_snapshots(flow_events(&current_log).into_iter(), judge);
     assert!(
         !file_snaps.is_empty(),
         "workload must produce at least one epoch"
@@ -174,7 +174,7 @@ fn faults_within_the_budget_keep_snapshots_byte_identical() {
     let baseline = BehaviorModel::build(&baseline_log, &config);
     let stability = analyze(&baseline_log, &baseline, &config);
     let judge = (&baseline, &stability, &config);
-    let (file_snaps, _) = engine_snapshots(&mut Feed::Slice(&flow_events(&current_log)), judge);
+    let (file_snaps, _) = engine_snapshots(flow_events(&current_log).into_iter(), judge);
 
     // A 2s budget dwarfs both the 30ms write stall and a loopback
     // reconnect, so nothing is ever waived: liveness is armed AND

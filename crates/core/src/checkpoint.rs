@@ -40,7 +40,8 @@
 //! is byte-identical to the uninterrupted run (the round-trip property
 //! test in `tests/streaming_equivalence.rs` and
 //! `engine::tests::supervised_run_survives_planned_kills_byte_identically`
-//! both enforce this).
+//! both enforce this). That is the one recovery path: a panic ends the
+//! process, and `--resume` starts the next one from the last checkpoint.
 
 use std::fmt;
 use std::io::Write;
@@ -68,9 +69,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
 /// shape tag, written while a sharded differ still existed, 10 the
 /// layout whose model builder carried a copy of the config, and 11 the
 /// one whose reorder buffer held full OpenFlow messages rather than
-/// [`FlowEvent`](netsim::log::FlowEvent)s. With the buffer empty, as at
-/// slack 0, a version-12 file is a version-11 file with a new number.
-pub const CHECKPOINT_VERSION: u32 = 12;
+/// [`FlowEvent`](netsim::log::FlowEvent)s, and 12 the one written while
+/// the config still had two restart fields: its config fingerprint
+/// hashes them, so this build would misread it as a config mismatch.
+/// With the reorder buffer empty, as at slack 0, a version-13 file is a
+/// version-11 file with a new number and a new fingerprint.
+pub const CHECKPOINT_VERSION: u32 = 13;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -322,7 +326,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// differ state depends on ([`fnv1a`] over its serialized bytes), so a
 /// checkpoint can refuse to resume under thresholds it was not built
 /// with. The supervisor and transport knobs — how often to checkpoint,
-/// how to restart, how the sockets queue and stall — shape no
+/// how the sockets queue and stall — shape no
 /// differ state and read as their defaults here: resuming under a
 /// different `--checkpoint-every` or `--stall-ms` is not a mismatch.
 /// Every other field, present and future, is covered — the epoch and
@@ -334,8 +338,6 @@ pub fn config_fingerprint(config: &FlowDiffConfig) -> u64 {
     let neutral = FlowDiffConfig::default();
     fnv1a(&serde::to_vec(&FlowDiffConfig {
         checkpoint_every_epochs: neutral.checkpoint_every_epochs,
-        restart_budget: neutral.restart_budget,
-        restart_backoff_us: neutral.restart_backoff_us,
         ingest_queue_events: neutral.ingest_queue_events,
         ingest_stall_timeout_us: neutral.ingest_stall_timeout_us,
         ingest_heartbeat_us: neutral.ingest_heartbeat_us,
@@ -692,14 +694,6 @@ mod tests {
                 ..config.clone()
             },
             FlowDiffConfig {
-                restart_budget: 9,
-                ..config.clone()
-            },
-            FlowDiffConfig {
-                restart_backoff_us: 1,
-                ..config.clone()
-            },
-            FlowDiffConfig {
                 ingest_queue_events: 3,
                 ..config.clone()
             },
@@ -813,7 +807,8 @@ mod tests {
         // a refused timestamp to re-anchor on; 7 and 8 are the single
         // and per-shard-segmented layouts; 9 tags the state with the
         // differ shape; 10 carries the model builder's copy of the
-        // config; 11 holds full messages in the reorder buffer. A
+        // config; 11 holds full messages in the reorder buffer; 12
+        // fingerprints a config with two restart fields. A
         // re-stamped current file is exactly what such a file looks like
         // to the header check, and no version but the current one may be
         // decoded.
@@ -833,14 +828,14 @@ mod tests {
         let err = restore(v9, &baseline, &config).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unsupported format version 9 (this build reads version 12)"
+            "unsupported format version 9 (this build reads version 13)"
         );
         // A real v10 file: a differ half way through three lab flows.
         let v10 = include_bytes!("../tests/data/fdiffckp_v10_flows3.bin");
         let err = restore(v10, &baseline, &config).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unsupported format version 10 (this build reads version 12)"
+            "unsupported format version 10 (this build reads version 13)"
         );
     }
 

@@ -46,8 +46,8 @@ pub const EPHEMERAL_PORT_FLOOR: u16 = 9_999;
 /// a DD, ISL, CRT or LU statistic to be compared.
 pub const MIN_SAMPLES: usize = 5;
 
-/// Operator-supplied domain knowledge and the knobs of the online,
-/// supervised and served modes.
+/// Operator-supplied domain knowledge and the knobs of the online and
+/// served modes.
 ///
 /// Defaults follow the paper where it states values: a 1-second
 /// task-interleaving bound and `min_sup = 0.6` for frequent-pattern
@@ -99,21 +99,12 @@ pub struct FlowDiffConfig {
     /// built over, microseconds.
     pub online_window_us: u64,
     /// Crash safety: how many epochs pass between durable checkpoints
-    /// of the streaming state in supervised online mode. `1` (the
-    /// default) checkpoints at every epoch boundary — the tightest
-    /// replay window; larger values trade replay work for checkpoint
+    /// of the streaming state in online mode. `1` (the default)
+    /// checkpoints at every epoch boundary — the tightest replay window
+    /// for a `--resume`; larger values trade replay work for checkpoint
     /// I/O. Must be nonzero (a watcher that never checkpoints simply
     /// doesn't pass `--checkpoint`).
     pub checkpoint_every_epochs: u64,
-    /// Crash safety: how many times the supervised watch loop restarts
-    /// the pipeline after a panic before giving up. `0` is valid and
-    /// means fail-fast: the first panic is fatal.
-    pub restart_budget: u32,
-    /// Crash safety: base delay between supervised restarts,
-    /// microseconds of wall time; doubles on every consecutive restart
-    /// (exponential backoff). Must be nonzero so a crash loop cannot
-    /// spin hot.
-    pub restart_backoff_us: u64,
     /// Live ingest: capacity, in events, of each publisher
     /// connection's bounded decode queue. This is the backpressure
     /// knob of served mode — a slow diagnosis pipeline blocks the
@@ -158,8 +149,6 @@ impl Default for FlowDiffConfig {
             online_epoch_us: 5_000_000,
             online_window_us: 30_000_000,
             checkpoint_every_epochs: 1,
-            restart_budget: 3,
-            restart_backoff_us: 500_000,
             ingest_queue_events: 1_024,
             ingest_stall_timeout_us: 0,
             ingest_heartbeat_us: 0,
@@ -232,11 +221,8 @@ impl FlowDiffConfig {
             });
         }
         // A checkpoint cadence of zero epochs would checkpoint in a
-        // tight loop (or divide by zero in cadence math); restart
-        // backoff of zero would let a crash loop spin hot. A restart
-        // budget of 0 is meaningful (fail fast) and deliberately passes.
+        // tight loop (or divide by zero in cadence math).
         nonzero("checkpoint_every_epochs", self.checkpoint_every_epochs)?;
-        nonzero("restart_backoff_us", self.restart_backoff_us)?;
         nonzero("ingest_queue_events", self.ingest_queue_events as u64)?;
         // A stall budget shorter than the heartbeat cadence would waive
         // healthy-but-quiet publishers between beats; both zero
@@ -326,13 +312,6 @@ mod tests {
         );
         assert_eq!(
             rejected_field(FlowDiffConfig {
-                restart_backoff_us: 0,
-                ..base()
-            }),
-            "restart_backoff_us"
-        );
-        assert_eq!(
-            rejected_field(FlowDiffConfig {
                 ingest_queue_events: 0,
                 ..base()
             }),
@@ -369,11 +348,9 @@ mod tests {
 
     #[test]
     fn zero_restart_budget_and_warmup_are_valid() {
-        // budget 0 = fail fast on the first panic: a deliberate operating
-        // point, not a misconfiguration. No restore warms up, so the
-        // shortest valid window, one epoch, needs no knob beside it.
+        // No restore warms up, so the shortest valid window, one epoch,
+        // needs no knob beside it.
         let c = FlowDiffConfig {
-            restart_budget: 0,
             online_window_us: 1_000_000,
             online_epoch_us: 1_000_000,
             ..FlowDiffConfig::default()

@@ -26,7 +26,7 @@
 //! [`diff::OnlineDiffer`] drives the same machinery continuously,
 //! diffing a sliding window against the baseline at epoch boundaries,
 //! and [`engine`] runs it as a service: a differ that owns its
-//! checkpoint, a file-or-socket feed, one supervised loop.
+//! checkpoint and one loop over any event iterator.
 //!
 //! # Example
 //!
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::diff::{
         compare, EpochSnapshot, EpochTimings, GateReason, ModelDiff, OnlineDiffer, SignatureHealth,
     };
-    pub use crate::engine::{supervise, Feed, RunReport, Supervision};
+    pub use crate::engine::{supervise, RunReport, Supervision};
     pub use crate::epoch::EpochClock;
     pub use crate::groups::{discover_groups, AppGroup, Edge};
     pub use crate::harness_seam::*;

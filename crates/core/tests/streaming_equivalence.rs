@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use flowdiff::checkpoint::{config_fingerprint, seal, CHECKPOINT_MAGIC};
 use flowdiff::prelude::*;
 use flowdiff::records::HopReport;
 use flowdiff::signatures::delay::DelayDistribution;
@@ -1165,11 +1166,13 @@ const INBOX_CUT: usize = 3_809;
 /// [`OnlineDiffer`] fed the first 3,809 events of [`inbox_run`], written
 /// by the builder that kept a keyed record map beside its window (commit
 /// e16e963). That differ had run 34 boundaries and was mid-epoch, with a
-/// 12 s eviction burst just completed. This build writes version 12,
-/// whose reorder buffer holds `FlowEvent`s; at slack 0 that buffer is
-/// empty, so replayed here the same prefix must capture the same bytes
-/// but the version field. Resuming from those bytes must emit what the
-/// straight run emits, and the v11 file itself is refused.
+/// 12 s eviction burst just completed. This build writes version 13,
+/// whose reorder buffer holds `FlowEvent`s (at slack 0 it is empty) and
+/// whose config has no restart fields, so replayed here the same prefix
+/// must capture the same bytes but the version field and the config
+/// fingerprint that opens the payload. Resuming from those bytes must
+/// emit what the straight run emits, and the v11 file itself is
+/// refused.
 #[test]
 fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
     let (log, config, baseline) = inbox_run();
@@ -1194,11 +1197,17 @@ fn checkpoint_bytes_do_not_depend_on_where_a_completion_is_held() {
                 "an in-window completion is in the inbox"
             );
             let bytes = Checkpoint::capture(&straight, INBOX_CUT as u64, &config).to_bytes();
-            assert_eq!(bytes[..8], v11[..8], "magic");
-            assert_eq!(bytes[8..12], 12u32.to_le_bytes(), "version");
+            let mut payload = v11[24..].to_vec();
+            let fingerprint = config_fingerprint(&config).to_le_bytes();
+            assert_ne!(
+                payload[..8],
+                fingerprint,
+                "the v11 config had restart fields"
+            );
+            payload[..8].copy_from_slice(&fingerprint);
             assert!(
-                bytes[12..] == v11[12..],
-                "length, CRC or payload differ from the v11 file"
+                bytes == seal(CHECKPOINT_MAGIC, 13, &payload),
+                "length, CRC or payload differ from the v11 file's"
             );
             assert!(matches!(
                 Checkpoint::from_bytes(v11),

@@ -21,7 +21,6 @@ pub struct ControllerModel {
     /// Service-time multiplier; raised by the controller-overload fault.
     pub degradation: f64,
     busy_until: Timestamp,
-    handled: u64,
 }
 
 impl ControllerModel {
@@ -33,13 +32,7 @@ impl ControllerModel {
             jitter_us,
             degradation: 1.0,
             busy_until: Timestamp::ZERO,
-            handled: 0,
         }
-    }
-
-    /// Total `PacketIn` messages processed so far.
-    pub fn handled(&self) -> u64 {
-        self.handled
     }
 
     /// Computes the response latency for a `PacketIn` arriving at
@@ -50,7 +43,6 @@ impl ControllerModel {
         let service = ((self.service_us + jitter) as f64 * self.degradation) as u64;
         let start = self.busy_until.max(arrival);
         self.busy_until = start + service;
-        self.handled += 1;
         self.busy_until - arrival
     }
 
@@ -82,7 +74,6 @@ mod tests {
         let mut c = ControllerModel::new(100, 0);
         let d = c.response_delay(Timestamp::from_secs(1), &mut rng());
         assert_eq!(d, 100);
-        assert_eq!(c.handled(), 1);
     }
 
     #[test]

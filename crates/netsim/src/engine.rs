@@ -225,11 +225,6 @@ impl Simulation {
         fm
     }
 
-    /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Aggregate run statistics.
     pub fn stats(&self) -> SimStats {
         let tables = || self.switches.values().map(|state| &state.table);
