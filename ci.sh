@@ -408,6 +408,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/netsim/src/net.rs |
     exit 1
 fi
 
+step "the connection reader converts no owned message"
+# The reader builds each FlowEvent straight from its frame's borrowed
+# message view (DESIGN.md, Live transport): outside its tests,
+# crates/netsim/src/net.rs builds no ControlEvent to convert.
+if sed '/^#\[cfg(test)\]/,$d' crates/netsim/src/net.rs | grep -nF 'FlowEvent::from('; then
+    echo "FAIL: crates/netsim/src/net.rs converts owned messages into FlowEvents again" >&2
+    exit 1
+fi
+
 step "open episodes live in one slab"
 # RecordAssembler keeps its open episodes in one slab addressed by slot;
 # the touched list and the pending hops hold slots, so the epoch boundary
@@ -535,8 +544,8 @@ if grep -rnF 'bytes::Bytes' crates/ tests/ examples/; then
 fi
 
 step "core reads no wire message"
-# The connection reader converts each decoded message into a
-# netsim::log::FlowEvent, and that is all core reads (DESIGN.md, Live
+# The connection reader builds a netsim::log::FlowEvent from each
+# decoded message, and that is all core reads (DESIGN.md, Live
 # transport): outside its tests, no file under crates/core/src names
 # OfpMessage.
 for src in $(find crates/core/src -name '*.rs' | sort); do

@@ -230,27 +230,23 @@ fn load_baseline(path: &str, config: &FlowDiffConfig) -> CliResult<BaselineBundl
     Ok(bundle)
 }
 
-/// Decodes a capture file whole, tolerantly: corrupt frames are skipped
-/// (the stream resynchronizes) with a warning, not fatal — a live tap
-/// must survive a bad write. Each event goes through `convert` as it is
-/// decoded. An empty capture is an error.
-fn decode_capture<E>(
-    path: &str,
-    convert: impl Fn(ControlEvent) -> E,
-) -> CliResult<(Vec<E>, netsim::log::StreamStats)> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let mut events = Vec::new();
-    for event in stream.by_ref() {
-        match event {
-            Ok(event) => events.push(convert(event)),
-            Err(e) => eprintln!("warning: {path}: {e} (resynchronized)"),
-        }
-    }
-    if events.is_empty() {
+/// Hands on a capture's decoded `items` tolerantly: a corrupt frame is
+/// skipped (the stream resynchronizes) with a warning, not fatal — a
+/// live tap must survive a bad write. An empty capture is an error.
+fn decode_capture<'a, E>(
+    path: &'a str,
+    items: impl Iterator<Item = Result<E, netsim::log::DecodeError>> + 'a,
+) -> CliResult<std::iter::Peekable<impl Iterator<Item = E> + 'a>> {
+    let mut events = items
+        .filter_map(move |item| {
+            item.map_err(|e| eprintln!("warning: {path}: {e} (resynchronized)"))
+                .ok()
+        })
+        .peekable();
+    if events.peek().is_none() {
         return Err(format!("{path}: capture holds no events").into());
     }
-    Ok((events, stream.stats()))
+    Ok(events)
 }
 
 /// What `watch` and `serve` share: the config their flags shape and
@@ -391,10 +387,15 @@ fn cmd_watch(args: &[String]) -> CliResult {
         baseline.save(path)?;
         println!("stats: baseline bundle saved to {}", path.display());
     }
-    let (events, stream_stats) = decode_capture(&args[1], |e| FlowEvent::from(&e))?;
+    // The capture streams into the differ, each event read straight off
+    // its frame: nothing holds the decoded capture.
+    let path = args[1].as_str();
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let events = decode_capture(path, stream.flow_events())?;
     let judge = (args[0].as_str(), &baseline);
-    let mut run = run_online(events.into_iter(), &opts, judge, None)?;
-    run.health.absorb_stream(stream_stats);
+    let mut run = run_online(events, &opts, judge, None)?;
+    run.health.absorb_stream(stream.stats());
     report_run(&run, &opts.config);
     Ok(())
 }
@@ -506,9 +507,12 @@ fn cmd_publish(args: &[String]) -> CliResult {
     let connect = connect.ok_or("publish needs --connect HOST:PORT")?;
 
     // Tolerant decode, like `watch`: a capture with a bad write is
-    // replayed minus the corrupt frames, not rejected.
-    let (events, _) = decode_capture(&args[0], |e| e)?;
-    let log: ControllerLog = events.into_iter().collect();
+    // replayed minus the corrupt frames, not rejected. The owned
+    // messages are what the publishers re-encode.
+    let path = args[0].as_str();
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let log: ControllerLog = decode_capture(path, stream)?.collect();
 
     let mut handles = Vec::new();
     for (i, part) in split_capture(&log, connections).into_iter().enumerate() {

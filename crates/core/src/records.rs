@@ -6,6 +6,7 @@
 //! path, the `FlowMod` replies, and the final counters from
 //! `FlowRemoved`.
 
+use std::collections::hash_map::Entry;
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fmt;
 
@@ -40,9 +41,6 @@ pub enum IngestAnomaly {
     /// A `FlowRemoved` for a tuple with no open episode started before
     /// it.
     OrphanFlowRemoved,
-    /// A `FlowMod` reply that arrived after its episode was already
-    /// evicted past `partial_flow_timeout_us`.
-    StaleAttach,
     /// An event whose timestamp jumped further beyond everything seen
     /// so far than `max_time_jump_us` allows (a corrupt clock reading);
     /// the event was dropped.
@@ -82,6 +80,9 @@ pub struct IngestHealth {
     /// `FlowRemoved`s with no open episode to attach to.
     pub orphan_flow_removeds: u64,
     /// `FlowMod` replies that arrived after their episode was evicted.
+    /// Never counted: a hop waits for its `FlowMod` no longer than its
+    /// episode stays open. The field keeps the checkpoint layout and the
+    /// `stats: ingest` line.
     pub stale_attaches: u64,
     /// Events dropped for an implausible forward timestamp jump.
     pub time_jumps: u64,
@@ -107,7 +108,6 @@ impl IngestHealth {
             IngestAnomaly::DuplicateXid => self.duplicate_xids += 1,
             IngestAnomaly::OrphanFlowMod => self.orphan_flow_mods += 1,
             IngestAnomaly::OrphanFlowRemoved => self.orphan_flow_removeds += 1,
-            IngestAnomaly::StaleAttach => self.stale_attaches += 1,
             IngestAnomaly::TimeJump => self.time_jumps += 1,
             IngestAnomaly::ClockGap => self.clock_gaps += 1,
         }
@@ -255,17 +255,61 @@ struct OpenEpisode {
 /// An open episode's place in the [`Episodes`] slab.
 type Slot = u32;
 
-/// Location of a hop that is still waiting for its `FlowMod` reply.
+/// A hop still waiting for its `FlowMod` reply, as a checkpoint writes
+/// it: its episode's tuple and `seq`, its index there, and its arrival.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PendingHop {
     tuple: FlowTuple,
     seq: u64,
     hop_idx: usize,
     registered: Timestamp,
-    /// The episode's slot, which holds the hop only while it holds
-    /// episode `seq`. Never written: a restore finds it again from
-    /// `tuple` and `seq`.
-    slot: Derived<Slot>,
+}
+
+/// A hop still waiting for its `FlowMod` reply: where it sits. Its
+/// episode stays open while it waits, since the hop falls idle past the
+/// horizon no later than the episode does (the episode's last activity
+/// is at or after the hop) and one prune drops both, so the slot always
+/// holds it, and what a [`PendingHop`] records is read off the episode.
+#[derive(Debug, Clone, Copy)]
+struct WaitingHop {
+    slot: Slot,
+    hop_idx: u32,
+}
+
+/// What the assembler knows of one xid: the first `FlowMod` seen for it,
+/// or the hops waiting for that `FlowMod`. Never both: a `PacketIn` that
+/// finds its xid's mod takes the mod's fields at once, and a mod that
+/// finds hops waiting patches them and takes their place. At 16 bytes
+/// it is no larger than a [`SeenMod`].
+#[derive(Debug, Clone)]
+enum XidState {
+    Seen(SeenMod),
+    /// One hop waiting, the common case: held without an allocation.
+    Waiting(WaitingHop),
+    /// Two or more hops waiting, in arrival order. Boxed so that the
+    /// rare case does not widen every entry.
+    #[allow(clippy::box_collection)]
+    WaitingMany(Box<Vec<WaitingHop>>),
+}
+
+impl XidState {
+    /// The hops waiting, in arrival order; none once the mod was seen.
+    fn waiting(&self) -> &[WaitingHop] {
+        match self {
+            XidState::Seen(_) => &[],
+            XidState::Waiting(hop) => std::slice::from_ref(hop),
+            XidState::WaitingMany(hops) => hops,
+        }
+    }
+
+    /// Adds a waiting hop. Only hops wait: a seen mod takes none.
+    fn wait(&mut self, hop: WaitingHop) {
+        match self {
+            XidState::Waiting(first) => *self = XidState::WaitingMany(Box::new(vec![*first, hop])),
+            XidState::WaitingMany(hops) => hops.push(hop),
+            XidState::Seen(_) => unreachable!("a PacketIn that finds its FlowMod does not wait"),
+        }
+    }
 }
 
 /// The slots of the open episodes that changed — a hop, a `FlowMod`
@@ -335,13 +379,6 @@ impl Episodes {
         self.slots.get(slot as usize)?.as_ref()
     }
 
-    /// Episode `seq`, if `slot` still holds it: an eviction may have
-    /// vacated the slot and a newer episode reused it.
-    fn episode_mut(&mut self, slot: Slot, seq: u64) -> Option<&mut OpenEpisode> {
-        let linked = self.slots.get_mut(slot as usize)?.as_mut()?;
-        Some(&mut linked.ep).filter(|ep| ep.seq == seq)
-    }
-
     /// Adds `hop` to `tuple`'s newest episode, or opens episode
     /// `next_seq` with it when the hop comes more than `gap_us` after
     /// that episode's last hop (or the tuple has none open).
@@ -352,9 +389,13 @@ impl Episodes {
         gap_us: u64,
         next_seq: &mut u64,
     ) -> (Slot, &mut OpenEpisode) {
-        let older = self.newest.get(&tuple).copied();
+        let newest = self.newest.entry(tuple);
+        let older = match &newest {
+            Entry::Occupied(slot) => Some(*slot.get()),
+            Entry::Vacant(_) => None,
+        };
         if let Some(slot) = older {
-            let ep = &mut self[slot].ep;
+            let ep = &mut self.slots[slot as usize].as_mut().expect("slot is open").ep;
             let last_ts = ep.record.hops.last().map_or(ep.record.first_seen, |h| h.ts);
             if hop.ts.saturating_since(last_ts) <= gap_us {
                 ep.record.hops.push(hop);
@@ -392,11 +433,24 @@ impl Episodes {
                 (self.slots.len() - 1) as Slot
             }
         };
-        if let Some(older) = older {
-            self[older].newer = Some(slot);
+        match newest {
+            Entry::Occupied(mut newest) => {
+                let older = newest.insert(slot);
+                self.slots[older as usize]
+                    .as_mut()
+                    .expect("slot is open")
+                    .newer = Some(slot);
+            }
+            Entry::Vacant(newest) => {
+                newest.insert(slot);
+            }
         }
-        self.newest.insert(tuple, slot);
         (slot, &mut self[slot].ep)
+    }
+
+    /// When the hop `at` arrived.
+    fn hop_ts(&self, at: WaitingHop) -> Timestamp {
+        self[at.slot].ep.record.hops[at.hop_idx as usize].ts
     }
 
     /// Takes the episode in `slot` out of the slab and out of its
@@ -539,6 +593,9 @@ impl Deserialize for Episodes {
 /// - **pending hops** — hops whose `FlowMod` has not arrived yet,
 ///   patched in place when it does.
 ///
+/// The last two share one xid table, so a `PacketIn` and a `FlowMod`
+/// each look their xid up once.
+///
 /// Input events are in time order: a [`ControllerLog`] is sorted, and an
 /// online pipeline puts a [`Sequencer`] in front of its assembler, which
 /// judges every arrival (quarantine, disorder count, re-sequencing)
@@ -554,14 +611,12 @@ impl Deserialize for Episodes {
 /// — in-flight episodes, xid bookkeeping, health counters — serializes;
 /// a deserialized assembler continues exactly where the original
 /// stopped.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecordAssembler {
     episode_gap_us: u64,
     horizon_us: u64,
-    /// xid -> first FlowMod seen for it; first wins.
-    seen_mods: HashMap<Xid, SeenMod>,
-    /// xid -> hops still waiting for that FlowMod.
-    pending_mods: HashMap<Xid, Vec<PendingHop>>,
+    /// xid -> the first FlowMod seen for it, or the hops waiting for it.
+    xids: HashMap<Xid, XidState>,
     /// Open episodes. Every consumer of whole-state iteration
     /// (`finish`, the snapshot path) sorts by `(first_seen, tuple)`
     /// afterwards, so slot order never reaches an output; a tuple's
@@ -587,30 +642,107 @@ struct SeenMod {
     used: bool,
 }
 
+/// A checkpoint writes the xid table as the two maps it replaced, each
+/// in key order: xid → seen mod, then xid → waiting hops.
+impl Serialize for RecordAssembler {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.episode_gap_us.serialize(out);
+        self.horizon_us.serialize(out);
+        let seen = (self.xids.iter()).filter_map(|(xid, state)| match state {
+            XidState::Seen(sm) => Some((xid, sm)),
+            _ => None,
+        });
+        serde::serialize_by_key(seen.clone().count(), seen, out, |sm, out| sm.serialize(out));
+        let waiting = (self.xids.iter())
+            .map(|(xid, state)| (xid, state.waiting()))
+            .filter(|(_, hops)| !hops.is_empty());
+        serde::serialize_by_key(waiting.clone().count(), waiting, out, |hops, out| {
+            (hops.len() as u64).serialize(out);
+            for &hop in hops {
+                self.pending(hop).serialize(out);
+            }
+        });
+        self.open.serialize(out);
+        self.next_seq.serialize(out);
+        self.completed.serialize(out);
+        self.now.serialize(out);
+        self.last_prune.serialize(out);
+        self.health.serialize(out);
+    }
+}
+
 impl Deserialize for RecordAssembler {
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let mut asm = RecordAssembler {
-            episode_gap_us: Deserialize::deserialize(input)?,
-            horizon_us: Deserialize::deserialize(input)?,
-            seen_mods: Deserialize::deserialize(input)?,
-            pending_mods: Deserialize::deserialize(input)?,
-            open: Deserialize::deserialize(input)?,
+        let episode_gap_us = Deserialize::deserialize(input)?;
+        let horizon_us = Deserialize::deserialize(input)?;
+        let seen: HashMap<Xid, SeenMod> = Deserialize::deserialize(input)?;
+        let pending: HashMap<Xid, Vec<PendingHop>> = Deserialize::deserialize(input)?;
+        let open: Episodes = Deserialize::deserialize(input)?;
+        // Slots are never written: each waiting hop finds its episode's
+        // again. Its episode is open while it waits, so one that finds no
+        // such hop there marks a corrupt checkpoint.
+        let mut xids: HashMap<Xid, XidState> = (seen.into_iter())
+            .map(|(xid, sm)| (xid, XidState::Seen(sm)))
+            .collect();
+        for (xid, hops) in pending {
+            let mut state: Option<XidState> = None;
+            for p in hops {
+                let slot = (open.find(&p.tuple, p.seq))
+                    .filter(|&slot| {
+                        (open[slot].ep.record.hops.get(p.hop_idx))
+                            .is_some_and(|hop| hop.xid == xid && hop.ts == p.registered)
+                    })
+                    .ok_or_else(|| serde::Error::custom("a waiting hop is not in its episode"))?;
+                let hop = WaitingHop {
+                    slot,
+                    hop_idx: u32::try_from(p.hop_idx).expect("a hop index the episode holds"),
+                };
+                match &mut state {
+                    None => state = Some(XidState::Waiting(hop)),
+                    Some(state) => state.wait(hop),
+                }
+            }
+            let state = state.ok_or_else(|| serde::Error::custom("an xid waits with no hops"))?;
+            if xids.insert(xid, state).is_some() {
+                return Err(serde::Error::custom("an xid is both seen and waiting"));
+            }
+        }
+        Ok(RecordAssembler {
+            episode_gap_us,
+            horizon_us,
+            xids,
+            open,
             next_seq: Deserialize::deserialize(input)?,
             completed: Deserialize::deserialize(input)?,
             now: Deserialize::deserialize(input)?,
             last_prune: Deserialize::deserialize(input)?,
             health: Deserialize::deserialize(input)?,
             touched: Touched::default(),
+        })
+    }
+}
+
+/// Equal when a checkpoint of each would be: slots are not compared, so
+/// a restored assembler equals the one whose checkpoint it read.
+impl PartialEq for RecordAssembler {
+    fn eq(&self, other: &RecordAssembler) -> bool {
+        let same_xid = |xid: &Xid, mine: &XidState| {
+            (other.xids.get(xid)).is_some_and(|theirs| match (mine, theirs) {
+                (XidState::Seen(a), XidState::Seen(b)) => a == b,
+                _ => (mine.waiting().iter().map(|&h| self.pending(h)))
+                    .eq(theirs.waiting().iter().map(|&h| other.pending(h))),
+            })
         };
-        // Slots are never written: each waiting hop finds its episode's
-        // again. One that finds none keeps a slot that holds no episode
-        // `seq`, so its FlowMod attaches nowhere.
-        for p in asm.pending_mods.values_mut().flatten() {
-            if let Some(slot) = asm.open.find(&p.tuple, p.seq) {
-                p.slot.0 = slot;
-            }
-        }
-        Ok(asm)
+        self.episode_gap_us == other.episode_gap_us
+            && self.horizon_us == other.horizon_us
+            && self.xids.len() == other.xids.len()
+            && self.xids.iter().all(|(xid, mine)| same_xid(xid, mine))
+            && self.open == other.open
+            && self.next_seq == other.next_seq
+            && self.completed == other.completed
+            && self.now == other.now
+            && self.last_prune == other.last_prune
+            && self.health == other.health
     }
 }
 
@@ -621,8 +753,7 @@ impl RecordAssembler {
         RecordAssembler {
             episode_gap_us: config.episode_gap_us,
             horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
-            seen_mods: HashMap::new(),
-            pending_mods: HashMap::new(),
+            xids: HashMap::new(),
             open: Episodes::default(),
             next_seq: 0,
             completed: Vec::new(),
@@ -680,64 +811,63 @@ impl RecordAssembler {
         in_port: PortNo,
         tuple: FlowTuple,
     ) {
-        let (fm_ts, out_port) = match self.seen_mods.get_mut(&xid) {
-            Some(sm) => {
-                sm.used = true;
-                (Some(sm.ts), sm.out)
-            }
-            None => (None, None),
+        let mut state = self.xids.entry(xid);
+        let seen = match &mut state {
+            Entry::Occupied(state) => match state.get_mut() {
+                XidState::Seen(sm) => {
+                    sm.used = true;
+                    Some(*sm)
+                }
+                _ => None,
+            },
+            Entry::Vacant(_) => None,
         };
         let hop = HopReport {
             ts,
             dpid,
             in_port,
             xid,
-            flow_mod_ts: fm_ts,
-            out_port,
+            flow_mod_ts: seen.map(|sm| sm.ts),
+            out_port: seen.and_then(|sm| sm.out),
         };
         let (slot, ep) = (self.open).add_hop(tuple, hop, self.episode_gap_us, &mut self.next_seq);
-        let (seq, hop_idx) = (ep.seq, ep.record.hops.len() - 1);
+        let hop_idx = u32::try_from(ep.record.hops.len() - 1).expect("fewer than 2^32 hops");
         self.touched.mark(slot, ep);
-        if fm_ts.is_none() {
-            self.pending_mods.entry(xid).or_default().push(PendingHop {
-                tuple,
-                seq,
-                hop_idx,
-                registered: ts,
-                slot: Derived(slot),
-            });
+        if seen.is_none() {
+            let hop = WaitingHop { slot, hop_idx };
+            match state {
+                Entry::Occupied(mut state) => state.get_mut().wait(hop),
+                Entry::Vacant(state) => {
+                    state.insert(XidState::Waiting(hop));
+                }
+            }
         }
     }
 
     fn on_flow_mod(&mut self, ts: Timestamp, xid: Xid, out: Option<PortNo>) {
-        use std::collections::hash_map::Entry;
-        // First FlowMod per xid wins, matching the batch pre-scan.
-        let Entry::Vacant(seen) = self.seen_mods.entry(xid) else {
-            self.health.record(IngestAnomaly::DuplicateXid);
-            return;
-        };
-        let waiting = self.pending_mods.remove(&xid);
-        seen.insert(SeenMod {
-            ts,
-            out,
-            // The xid matched real hops (even if some were since
-            // evicted): this mod is not an orphan.
-            used: waiting.is_some(),
-        });
-        for p in waiting.into_iter().flatten() {
-            let Some(ep) = self.open.episode_mut(p.slot.0, p.seq) else {
-                // episode already evicted: tolerated straggler
-                self.health.record(IngestAnomaly::StaleAttach);
-                continue;
-            };
-            if let Some(h) = ep.record.hops.get_mut(p.hop_idx) {
-                h.flow_mod_ts = Some(ts);
-                h.out_port = out;
+        let seen = |used| XidState::Seen(SeenMod { ts, out, used });
+        let waiting = match self.xids.entry(xid) {
+            Entry::Vacant(state) => {
+                state.insert(seen(false));
+                return;
             }
+            // First FlowMod per xid wins, matching the batch pre-scan.
+            Entry::Occupied(state) if matches!(state.get(), XidState::Seen(_)) => {
+                self.health.record(IngestAnomaly::DuplicateXid);
+                return;
+            }
+            // The xid matched real hops: this mod is not an orphan.
+            Entry::Occupied(mut state) => std::mem::replace(state.get_mut(), seen(true)),
+        };
+        for &WaitingHop { slot, hop_idx } in waiting.waiting() {
+            let ep = &mut self.open[slot].ep;
+            let hop = &mut ep.record.hops[hop_idx as usize];
+            hop.flow_mod_ts = Some(ts);
+            hop.out_port = out;
             if ts > ep.last_activity {
                 ep.last_activity = ts;
             }
-            self.touched.mark(p.slot.0, ep);
+            self.touched.mark(slot, ep);
         }
     }
 
@@ -774,6 +904,31 @@ impl RecordAssembler {
     fn prune(&mut self) {
         let now = self.now;
         let horizon = self.horizon_us;
+        // The xids first: a waiting hop's arrival is read off its
+        // episode, which may be evicted below (the hop with it).
+        let open = &self.open;
+        let fresh = |hop: &WaitingHop| now.saturating_since(open.hop_ts(*hop)) <= horizon;
+        let mut orphaned = 0u64;
+        self.xids.retain(|_, state| match state {
+            XidState::Seen(sm) => {
+                let keep = now.saturating_since(sm.ts) <= horizon;
+                if !keep && !sm.used {
+                    orphaned += 1;
+                }
+                keep
+            }
+            XidState::Waiting(hop) => fresh(hop),
+            XidState::WaitingMany(hops) => {
+                hops.retain(fresh);
+                if let [hop] = hops[..] {
+                    *state = XidState::Waiting(hop);
+                }
+                !state.waiting().is_empty()
+            }
+        });
+        for _ in 0..orphaned {
+            self.health.record(IngestAnomaly::OrphanFlowMod);
+        }
         let before = self.completed.len();
         // Tuple by tuple from each oldest episode, so a tuple's evictions
         // complete in the order its episodes opened.
@@ -800,21 +955,18 @@ impl RecordAssembler {
             }
         }
         self.health.episodes_evicted += (self.completed.len() - before) as u64;
-        let mut orphaned = 0u64;
-        self.seen_mods.retain(|_, sm| {
-            let keep = now.saturating_since(sm.ts) <= horizon;
-            if !keep && !sm.used {
-                orphaned += 1;
-            }
-            keep
-        });
-        for _ in 0..orphaned {
-            self.health.record(IngestAnomaly::OrphanFlowMod);
+    }
+
+    /// A waiting hop as a checkpoint writes it.
+    fn pending(&self, hop: WaitingHop) -> PendingHop {
+        let ep = &self.open[hop.slot].ep;
+        let hop_idx = hop.hop_idx as usize;
+        PendingHop {
+            tuple: ep.record.tuple,
+            seq: ep.seq,
+            hop_idx,
+            registered: ep.record.hops[hop_idx].ts,
         }
-        self.pending_mods.retain(|_, hops| {
-            hops.retain(|p| now.saturating_since(p.registered) <= horizon);
-            !hops.is_empty()
-        });
     }
 
     /// Takes the records completed (evicted) so far, leaving in-flight
@@ -1570,6 +1722,72 @@ mod tests {
             v
         };
         assert_eq!(in_order(again), in_order(records));
+    }
+
+    #[test]
+    fn hops_waiting_on_one_xid_survive_a_checkpoint_and_a_stray_one_is_refused() {
+        let ms = |ms: u64| Timestamp::from_micros(ms * 1_000);
+        let at = |t: u64, body: EventBody| FlowEvent {
+            ts: ms(t),
+            dpid: DatapathId(1),
+            direction: netsim::log::Direction::ToController,
+            xid: Xid(7),
+            body,
+        };
+        let packet_in = |sport| EventBody::PacketIn {
+            in_port: PortNo(1),
+            tuple: Some(FlowTuple::from_key(&key(sport))),
+        };
+        let config = FlowDiffConfig::default();
+        // Three PacketIns of two flows wait on xid 7: the first inline,
+        // then a list.
+        let mut asm = RecordAssembler::new(&config);
+        for (t, sport) in [(0, 1), (1, 2), (2, 1)] {
+            asm.observe(at(t, packet_in(sport)));
+        }
+        let bytes = serde::to_vec(&asm);
+        let mut restored: RecordAssembler = serde::from_slice(&bytes).unwrap();
+        assert_eq!(restored, asm);
+        assert_eq!(serde::to_vec(&restored), bytes);
+        let flow_mod = at(
+            3,
+            EventBody::FlowMod {
+                out_port: Some(PortNo(3)),
+            },
+        );
+        asm.observe(flow_mod.clone());
+        restored.observe(flow_mod);
+        assert_eq!(restored, asm);
+        let hops: Vec<(Option<Timestamp>, Option<PortNo>)> = (restored.finish().iter())
+            .flat_map(|r| r.hops.iter().map(|h| (h.flow_mod_ts, h.out_port)))
+            .collect();
+        assert_eq!(hops, vec![(Some(ms(3)), Some(PortNo(3))); 3]);
+
+        // A checkpoint whose waiting hop names no open episode.
+        let fresh = RecordAssembler::new(&config);
+        let checkpoint = |pending: HashMap<Xid, Vec<PendingHop>>| {
+            let mut out = Vec::new();
+            fresh.episode_gap_us.serialize(&mut out);
+            fresh.horizon_us.serialize(&mut out);
+            HashMap::<Xid, SeenMod>::new().serialize(&mut out);
+            pending.serialize(&mut out);
+            fresh.open.serialize(&mut out);
+            fresh.next_seq.serialize(&mut out);
+            fresh.completed.serialize(&mut out);
+            fresh.now.serialize(&mut out);
+            fresh.last_prune.serialize(&mut out);
+            fresh.health.serialize(&mut out);
+            out
+        };
+        assert_eq!(checkpoint(HashMap::new()), serde::to_vec(&fresh));
+        let stray = PendingHop {
+            tuple: FlowTuple::from_key(&key(1)),
+            seq: 0,
+            hop_idx: 0,
+            registered: ms(0),
+        };
+        let bytes = checkpoint(HashMap::from([(Xid(7), vec![stray])]));
+        assert!(serde::from_slice::<RecordAssembler>(&bytes).is_err());
     }
 
     #[test]

@@ -9,11 +9,11 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use openflow::actions::first_output;
 use openflow::frame::parse_frame;
 use openflow::match_fields::FlowKey;
 use openflow::messages::{OfpMessage, StatsReply};
 use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
+use openflow::wire::MessageView;
 use serde::{Deserialize, Serialize};
 
 /// Which way a control message traveled.
@@ -84,10 +84,12 @@ impl fmt::Display for FlowTuple {
 /// and only the message fields the diagnosis uses, in a fixed-size
 /// value that owns no heap except a port-stats reply's counters.
 ///
-/// `From<&ControlEvent>` is the one conversion. A live ingest applies it
-/// on the connection-reader thread, so the full message (a `PacketIn`'s
-/// payload, a `FlowMod`'s action list) is freed where it was allocated
-/// and never crosses to the thread that diffs.
+/// One function reads the body off a message view: a live ingest builds
+/// each `FlowEvent` on the connection-reader thread straight from the
+/// frame's borrowed view ([`FrameDecoder::push_flow_events`]), so no full
+/// message (a `PacketIn`'s payload, a `FlowMod`'s action list) is ever
+/// allocated, and `From<&ControlEvent>` views the owned message and
+/// reads it with the same function.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowEvent {
     /// Controller-side capture timestamp.
@@ -139,14 +141,29 @@ pub enum EventBody {
 
 impl From<&ControlEvent> for FlowEvent {
     fn from(ev: &ControlEvent) -> FlowEvent {
-        let body = match &ev.msg {
-            OfpMessage::PacketIn(pi) => EventBody::PacketIn {
-                in_port: pi.in_port,
-                tuple: parse_frame(&pi.data).ok().map(|k| FlowTuple::from_key(&k)),
-            },
-            OfpMessage::FlowMod(fm) => EventBody::FlowMod {
-                out_port: first_output(&fm.actions),
-            },
+        FlowEvent {
+            ts: ev.ts,
+            dpid: ev.dpid,
+            direction: ev.direction,
+            xid: ev.xid,
+            body: event_body(&MessageView::from(&ev.msg)),
+        }
+    }
+}
+
+/// What a [`FlowEvent`] keeps of a message: the one conversion, read off
+/// a decoded frame's view or an owned message's.
+#[inline]
+fn event_body(msg: &MessageView<'_>) -> EventBody {
+    match msg {
+        MessageView::PacketIn(pi) => EventBody::PacketIn {
+            in_port: pi.in_port,
+            tuple: parse_frame(pi.data).ok().map(|k| FlowTuple::from_key(&k)),
+        },
+        MessageView::FlowMod(fm) => EventBody::FlowMod {
+            out_port: fm.first_output,
+        },
+        MessageView::Other(msg) => match &**msg {
             OfpMessage::FlowRemoved(fr) => {
                 let m = &fr.match_;
                 EventBody::FlowRemoved {
@@ -167,13 +184,56 @@ impl From<&ControlEvent> for FlowEvent {
                 EventBody::PortStats(ports.iter().map(|p| (p.port_no, p.tx_bytes)).collect())
             }
             _ => EventBody::Other,
-        };
+        },
+    }
+}
+
+/// What the frame step builds from one decoded frame.
+trait FromFrame {
+    fn from_frame(
+        ts: Timestamp,
+        dpid: DatapathId,
+        direction: Direction,
+        xid: Xid,
+        msg: MessageView<'_>,
+    ) -> Self;
+}
+
+impl FromFrame for ControlEvent {
+    /// The owned message: its borrowed parts are copied out of the window.
+    fn from_frame(
+        ts: Timestamp,
+        dpid: DatapathId,
+        direction: Direction,
+        xid: Xid,
+        msg: MessageView<'_>,
+    ) -> ControlEvent {
+        ControlEvent {
+            ts,
+            dpid,
+            direction,
+            xid,
+            msg: msg.into_owned(),
+        }
+    }
+}
+
+impl FromFrame for FlowEvent {
+    /// Read straight off the view: nothing is copied or allocated, bar a
+    /// port-stats reply's counters.
+    fn from_frame(
+        ts: Timestamp,
+        dpid: DatapathId,
+        direction: Direction,
+        xid: Xid,
+        msg: MessageView<'_>,
+    ) -> FlowEvent {
         FlowEvent {
-            ts: ev.ts,
-            dpid: ev.dpid,
-            direction: ev.direction,
-            xid: ev.xid,
-            body,
+            ts,
+            dpid,
+            direction,
+            xid,
+            body: event_body(&msg),
         }
     }
 }
@@ -511,6 +571,14 @@ impl<'a> LogStream<'a> {
     pub fn stats(&self) -> StreamStats {
         self.stats
     }
+
+    /// The rest of the stream as [`FlowEvent`]s, each read straight off
+    /// its frame's borrowed message view: the same items, error sites
+    /// and [`stats`](Self::stats) as iterating the stream and converting
+    /// each event, without building the owned message.
+    pub fn flow_events(&mut self) -> impl Iterator<Item = Result<FlowEvent, DecodeError>> + '_ {
+        std::iter::from_fn(|| self.cursor.step(self.buf, 0, true, &mut self.stats))
+    }
 }
 
 /// True for the fifteen message type codes OpenFlow 1.0 defines and this
@@ -660,13 +728,13 @@ impl FrameCursor {
     /// or resynchronizes past a damaged region and surfaces one error
     /// for the whole of it. `None` means more bytes are needed — at
     /// `eof`, that the capture is exhausted.
-    fn step(
+    fn step<E: FromFrame>(
         &mut self,
         window: &[u8],
         base: usize,
         eof: bool,
         stats: &mut StreamStats,
-    ) -> Option<Result<ControlEvent, DecodeError>> {
+    ) -> Option<Result<E, DecodeError>> {
         loop {
             if let Some((err, scan)) = self.resync.take() {
                 match resync(window, scan - base, eof) {
@@ -694,17 +762,11 @@ impl FrameCursor {
                     continue;
                 }
             };
-            match openflow::wire::decode(&window[at + PREAMBLE_LEN..]) {
+            match openflow::wire::decode_view(&window[at + PREAMBLE_LEN..]) {
                 Ok((msg, xid, used)) => {
                     stats.frames_decoded += 1;
                     self.pos += PREAMBLE_LEN + used;
-                    return Some(Ok(ControlEvent {
-                        ts,
-                        dpid,
-                        direction,
-                        xid,
-                        msg,
-                    }));
+                    return Some(Ok(E::from_frame(ts, dpid, direction, xid, msg)));
                 }
                 Err(source) => {
                     let offset = self.pos;
@@ -806,24 +868,54 @@ impl FrameDecoder {
     ///
     /// Panics if called after [`finish`](FrameDecoder::finish).
     pub fn push(&mut self, chunk: &[u8], out: &mut Vec<Result<ControlEvent, DecodeError>>) {
-        assert!(!self.eof, "push after finish");
-        if !self.done {
-            self.buf.extend_from_slice(chunk);
-            self.drain(out);
-        }
+        self.push_each(chunk, |item| out.push(item));
     }
 
     /// Signals end-of-stream and drains everything still pending (the
     /// held-back trailing frame, an unfinished resync scan).
     pub fn finish(&mut self, out: &mut Vec<Result<ControlEvent, DecodeError>>) {
+        self.finish_each(|item| out.push(item));
+    }
+
+    /// [`push`](FrameDecoder::push), handing each item to `each` as a
+    /// [`FlowEvent`] read straight off its frame's borrowed message view:
+    /// no owned message is built, and nothing is allocated per event bar
+    /// a port-stats reply's counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after end-of-stream was signalled.
+    pub fn push_flow_events(
+        &mut self,
+        chunk: &[u8],
+        each: impl FnMut(Result<FlowEvent, DecodeError>),
+    ) {
+        self.push_each(chunk, each);
+    }
+
+    /// [`finish`](FrameDecoder::finish), handing each item to `each` as
+    /// [`push_flow_events`](FrameDecoder::push_flow_events) does.
+    pub fn finish_flow_events(&mut self, each: impl FnMut(Result<FlowEvent, DecodeError>)) {
+        self.finish_each(each);
+    }
+
+    fn push_each<E: FromFrame>(&mut self, chunk: &[u8], each: impl FnMut(Result<E, DecodeError>)) {
+        assert!(!self.eof, "push after finish");
+        if !self.done {
+            self.buf.extend_from_slice(chunk);
+            self.drain(each);
+        }
+    }
+
+    fn finish_each<E: FromFrame>(&mut self, each: impl FnMut(Result<E, DecodeError>)) {
         self.eof = true;
         if !self.done {
-            self.drain(out);
+            self.drain(each);
             self.done = true;
         }
     }
 
-    fn drain(&mut self, out: &mut Vec<Result<ControlEvent, DecodeError>>) {
+    fn drain<E: FromFrame>(&mut self, mut each: impl FnMut(Result<E, DecodeError>)) {
         let cursor = match &mut self.cursor {
             Some(cursor) => cursor,
             unset => {
@@ -831,7 +923,7 @@ impl FrameDecoder {
                     return;
                 }
                 if !self.buf.starts_with(CAPTURE_MAGIC) {
-                    out.push(Err(DecodeError::BadMagic));
+                    each(Err(DecodeError::BadMagic));
                     self.done = true;
                     return;
                 }
@@ -839,7 +931,7 @@ impl FrameDecoder {
             }
         };
         while let Some(item) = cursor.step(&self.buf, self.base, self.eof, &mut self.stats) {
-            out.push(item);
+            each(item);
         }
         // Everything below the cursor's low-water mark is decided: drop
         // it so neither a burst of frames nor a long corrupt region can

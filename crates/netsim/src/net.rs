@@ -32,11 +32,12 @@
 //! freed by the merge. The bound stays in events: at most
 //! `ingest_queue_events` of them wait in a stream's channel.
 //!
-//! The reader converts each decoded [`ControlEvent`] into a
-//! [`FlowEvent`] before it batches it, and drops the full message
-//! there: what crosses to the merge is fixed-size and owns no heap
-//! (bar a port-stats reply's counters), so the consuming thread never
-//! frees a payload another thread allocated.
+//! The reader builds each [`FlowEvent`] straight from its frame's
+//! borrowed message view ([`FrameDecoder::push_flow_events`]) and pushes
+//! it into the outgoing batch: no full message (a `PacketIn`'s payload,
+//! a `FlowMod`'s action list) is ever allocated, and what crosses to the
+//! merge is fixed-size and owns no heap (bar a port-stats reply's
+//! counters).
 //!
 //! Cross-stream ordering is handled by [`EventMerge`], a k-way merge by
 //! `(timestamp, stream index)`. With no stall budget it blocks until
@@ -64,8 +65,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::faults::{ChannelChaos, ChaosReport, ConnFault, ConnPlan};
 use crate::log::{
-    encode_event, ControlEvent, ControllerLog, DecodeError, FlowEvent, FrameDecoder, StreamStats,
-    CAPTURE_MAGIC,
+    encode_event, ControllerLog, DecodeError, FlowEvent, FrameDecoder, StreamStats, CAPTURE_MAGIC,
 };
 
 /// Read-chunk size for connection reader threads: large enough to
@@ -780,9 +780,7 @@ fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared
     gauge.bytes.fetch_add(16, Ordering::SeqCst); // magic + session id
 
     let mut decoder = FrameDecoder::new();
-    let mut items = Vec::new();
-    let mut errors = Vec::new();
-    let mut receiver_gone = false;
+    let mut outbox = Outbox::new(&tx, shared.batch, &gauge);
     let mut header = [0u8; 5];
     let mut payload = vec![0u8; READ_CHUNK];
     let (cause, clean_end) = loop {
@@ -824,15 +822,8 @@ fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared
                     }
                     gauge.bytes.fetch_add(want as u64, Ordering::SeqCst);
                     gauge.touch(shared.now_us());
-                    decoder.push(&payload[..want], &mut items);
-                    if !drain_items(
-                        &mut items,
-                        &tx,
-                        shared.batch,
-                        &gauge,
-                        &mut errors,
-                        &mut receiver_gone,
-                    ) {
+                    decoder.push_flow_events(&payload[..want], |item| outbox.take(item));
+                    if !outbox.flush() {
                         broken = Some(DisconnectCause::Io(std::io::ErrorKind::BrokenPipe));
                         break;
                     }
@@ -845,16 +836,16 @@ fn run_session_conn(peer: SocketAddr, mut stream: TcpStream, shared: &Arc<Shared
             _ => break (DisconnectCause::Io(std::io::ErrorKind::InvalidData), false),
         }
     };
-    decoder.finish(&mut items);
-    drain_items(
-        &mut items,
-        &tx,
-        shared.batch,
-        &gauge,
-        &mut errors,
-        &mut receiver_gone,
+    decoder.finish_flow_events(|item| outbox.take(item));
+    outbox.flush();
+    end_attempt(
+        shared,
+        slot,
+        decoder.stats(),
+        outbox.errors,
+        cause,
+        clean_end,
     );
-    end_attempt(shared, slot, decoder.stats(), errors, cause, clean_end);
 }
 
 /// `read_exact` that reports clean EOF (`Ok(false)`) instead of turning
@@ -872,64 +863,75 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
     Ok(true)
 }
 
-/// Forwards what one read decoded: events, each converted to a
-/// [`FlowEvent`] here on the reader thread, into the (blocking, bounded)
-/// channel in batches of at most `batch`, errors into the report. The
-/// last batch goes out partial, so no event waits for a later read. The
-/// gauge grows by a batch's length once the channel took it, so it
-/// counts exactly the events queued. Returns false once the merge side
-/// hung up.
-fn drain_items(
-    items: &mut Vec<Result<ControlEvent, DecodeError>>,
-    tx: &BatchSender,
+/// Where a connection's reader puts what it decodes: events into the
+/// (blocking, bounded) channel in batches of at most `batch`, the first
+/// [`KEPT_ERRORS`] errors into the report. The gauge grows by a batch's
+/// length once the channel took it, so it counts exactly the events
+/// queued.
+struct Outbox<'a> {
+    tx: &'a BatchSender,
     batch: usize,
-    gauge: &SessionGauge,
-    errors: &mut Vec<DecodeError>,
-    receiver_gone: &mut bool,
-) -> bool {
-    let mut out = Vec::new();
-    let mut left = items.len();
-    for item in items.drain(..) {
-        left -= 1;
+    gauge: &'a SessionGauge,
+    /// The batch being filled; no capacity between batches.
+    out: Vec<FlowEvent>,
+    errors: Vec<DecodeError>,
+    /// The merge hung up: events are dropped from then on.
+    receiver_gone: bool,
+}
+
+impl<'a> Outbox<'a> {
+    fn new(tx: &'a BatchSender, batch: usize, gauge: &'a SessionGauge) -> Outbox<'a> {
+        Outbox {
+            tx,
+            batch,
+            gauge,
+            out: Vec::new(),
+            errors: Vec::new(),
+            receiver_gone: false,
+        }
+    }
+
+    /// Takes one decoded item, sending the batch once it is full.
+    fn take(&mut self, item: Result<FlowEvent, DecodeError>) {
         match item {
             Ok(ev) => {
-                if *receiver_gone {
-                    continue;
+                if self.receiver_gone {
+                    return;
                 }
-                if out.capacity() == 0 {
-                    out.reserve_exact(batch.min(left + 1));
+                if self.out.capacity() == 0 {
+                    self.out.reserve_exact(self.batch);
                 }
-                out.push(FlowEvent::from(&ev));
-                if out.len() == batch {
-                    send_batch(&mut out, tx, gauge, receiver_gone);
+                self.out.push(ev);
+                if self.out.len() == self.batch {
+                    self.send();
                 }
             }
             Err(e) => {
-                if errors.len() < KEPT_ERRORS {
-                    errors.push(e);
+                if self.errors.len() < KEPT_ERRORS {
+                    self.errors.push(e);
                 }
             }
         }
     }
-    if !out.is_empty() {
-        send_batch(&mut out, tx, gauge, receiver_gone);
-    }
-    !*receiver_gone
-}
 
-/// Hands `out` to the merge (blocking while the channel is full) and
-/// leaves it empty with no capacity.
-fn send_batch(
-    out: &mut Vec<FlowEvent>,
-    tx: &BatchSender,
-    gauge: &SessionGauge,
-    receiver_gone: &mut bool,
-) {
-    let n = out.len() as u64;
-    if tx.send(std::mem::take(out)).is_err() {
-        *receiver_gone = true;
-    } else {
-        gauge.events.fetch_add(n, Ordering::SeqCst);
+    /// Sends the partial batch, so no event waits for a later read.
+    /// Returns false once the merge side hung up.
+    fn flush(&mut self) -> bool {
+        if !self.out.is_empty() {
+            self.send();
+        }
+        !self.receiver_gone
+    }
+
+    /// Hands the batch to the merge (blocking while the channel is full)
+    /// and leaves `out` empty with no capacity.
+    fn send(&mut self) {
+        let n = self.out.len() as u64;
+        if self.tx.send(std::mem::take(&mut self.out)).is_err() {
+            self.receiver_gone = true;
+        } else {
+            self.gauge.events.fetch_add(n, Ordering::SeqCst);
+        }
     }
 }
 
@@ -1423,7 +1425,7 @@ pub fn split_capture(log: &ControllerLog, n: usize) -> Vec<ControllerLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::Direction;
+    use crate::log::{ControlEvent, Direction};
     use openflow::messages::OfpMessage;
     use openflow::types::{DatapathId, Timestamp, Xid};
 

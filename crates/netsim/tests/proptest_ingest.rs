@@ -4,7 +4,8 @@
 //! the batch [`LogStream`] over the complete buffer — and a loopback
 //! [`IngestServer`] must deliver through its merge exactly what the
 //! batch stream decodes, mapped through the one [`FlowEvent`]
-//! conversion.
+//! conversion. The `FlowEvent`s a decoder reads straight off its
+//! frames' borrowed views are that conversion of its owned events.
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpStream};
@@ -35,7 +36,7 @@ fn key(i: u64) -> FlowKey {
 }
 
 fn event(i: u64, kind: u8) -> ControlEvent {
-    let msg = match kind % 7 {
+    let msg = match kind % 8 {
         0 => OfpMessage::Hello,
         1 => OfpMessage::FlowMod(FlowMod::add(OfMatch::any(), 1).action(Action::output(PortNo(2)))),
         2 => OfpMessage::PacketIn(PacketIn {
@@ -64,6 +65,12 @@ fn event(i: u64, kind: u8) -> ControlEvent {
             packet_count: 3 * i,
             byte_count: 1_500 * i,
         }),
+        6 => OfpMessage::FlowMod(
+            FlowMod::add(OfMatch::exact(&key(i), PortNo(1)), 1)
+                .action(Action::SetNwTos(4))
+                .action(Action::output(PortNo(1 + i as u16 % 4)))
+                .action(Action::output(PortNo(9))),
+        ),
         _ => OfpMessage::StatsReply(StatsReply::Port(
             (0..i % 4)
                 .map(|p| PortStats {
@@ -97,26 +104,61 @@ fn batch_decode(bytes: &[u8]) -> (Vec<Result<ControlEvent, DecodeError>>, Stream
     }
 }
 
+/// `bytes` cut at `cuts`, each cut taken modulo what is left.
+fn pieces<'a>(bytes: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+    let mut pieces = Vec::new();
+    let mut at = 0;
+    for &cut in cuts {
+        let cut = at + cut % (bytes.len() - at + 1);
+        pieces.push(&bytes[at..cut]);
+        at = cut;
+    }
+    pieces.push(&bytes[at..]);
+    pieces
+}
+
 fn chunked_decode(
     bytes: &[u8],
     cuts: &[usize],
 ) -> (Vec<Result<ControlEvent, DecodeError>>, StreamStats) {
     let mut dec = FrameDecoder::new();
     let mut out = Vec::new();
-    let mut at = 0;
-    for &cut in cuts {
-        let cut = at + cut % (bytes.len() - at + 1);
+    for piece in pieces(bytes, cuts) {
         if dec.is_done() {
             break;
         }
-        dec.push(&bytes[at..cut], &mut out);
-        at = cut;
+        dec.push(piece, &mut out);
     }
     if !dec.is_done() {
-        dec.push(&bytes[at..], &mut out);
         dec.finish(&mut out);
     }
     (out, dec.stats())
+}
+
+/// [`chunked_decode`], reading `FlowEvent`s off the borrowed views.
+fn chunked_flow_decode(
+    bytes: &[u8],
+    cuts: &[usize],
+) -> (Vec<Result<FlowEvent, DecodeError>>, StreamStats) {
+    let mut dec = FrameDecoder::new();
+    let mut out = Vec::new();
+    for piece in pieces(bytes, cuts) {
+        if dec.is_done() {
+            break;
+        }
+        dec.push_flow_events(piece, |item| out.push(item));
+    }
+    if !dec.is_done() {
+        dec.finish_flow_events(|item| out.push(item));
+    }
+    (out, dec.stats())
+}
+
+/// Each owned event converted, each error as it is.
+fn converted(items: &[Result<ControlEvent, DecodeError>]) -> Vec<Result<FlowEvent, DecodeError>> {
+    (items.iter())
+        .map(|item| item.as_ref().map(FlowEvent::from).map_err(Clone::clone))
+        .collect()
 }
 
 /// Serves `bytes` to a loopback [`IngestServer`] as one session whose
@@ -126,14 +168,10 @@ fn served(bytes: &[u8], cuts: &[usize]) -> (Vec<FlowEvent>, StreamStats) {
     let server = IngestServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
     let mut live = server.live(1, 16, LiveOptions::default()).unwrap();
-    let mut records = Vec::new();
-    let mut at = 0;
-    for &cut in cuts {
-        let cut = at + cut % (bytes.len() - at + 1);
-        records.push(bytes[at..cut].to_vec());
-        at = cut;
-    }
-    records.push(bytes[at..].to_vec());
+    let records: Vec<Vec<u8>> = pieces(bytes, cuts)
+        .into_iter()
+        .map(<[u8]>::to_vec)
+        .collect();
     let publisher = std::thread::spawn(move || publish_raw(addr, &records));
     let events = live.take_merge().collect();
     publisher.join().unwrap();
@@ -218,6 +256,42 @@ proptest! {
             }
         }
         prop_assert_eq!(inc_stats, batch_stats);
+    }
+
+    /// The reader's decode: over the same chunks, the `FlowEvent`s read
+    /// off the borrowed views are the owned events converted, event for
+    /// event, with the same error sites and counters — and so are a
+    /// batch stream's.
+    #[test]
+    fn flow_events_off_views_are_the_owned_events_converted(
+        kinds in prop::collection::vec(any::<u8>(), 1..12),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..6),
+        cut_tail in any::<usize>(),
+        cuts in prop::collection::vec(any::<usize>(), 0..10),
+    ) {
+        let log: ControllerLog = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| event(i as u64, k))
+            .collect();
+        let mut bytes = log.to_wire_bytes();
+        for &(at, mask) in &flips {
+            let idx = at % bytes.len();
+            bytes[idx] ^= mask;
+        }
+        bytes.truncate(bytes.len() - cut_tail % (bytes.len() / 4 + 1));
+
+        let (owned, owned_stats) = chunked_decode(&bytes, &cuts);
+        let (viewed, viewed_stats) = chunked_flow_decode(&bytes, &cuts);
+        prop_assert_eq!(viewed, converted(&owned));
+        prop_assert_eq!(viewed_stats, owned_stats);
+
+        let (batch, batch_stats) = batch_decode(&bytes);
+        if let Ok(mut stream) = LogStream::from_wire_bytes(&bytes) {
+            let viewed: Vec<_> = stream.flow_events().collect();
+            prop_assert_eq!(viewed, converted(&batch));
+            prop_assert_eq!(stream.stats(), batch_stats);
+        }
     }
 
     /// The same bytes served over a loopback session: the merge yields

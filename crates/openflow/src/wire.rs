@@ -11,6 +11,13 @@
 //! (pad included) whole before it judges an enum or length field in it,
 //! so a block cut short is `Truncated` whatever that field holds.
 //!
+//! [`decode_view`] is the one decoder. The two messages on FlowDiff's
+//! per-event path come back as views that borrow their variable-length
+//! parts from the input — a `PacketIn`'s frame bytes, a `FlowMod`'s
+//! validated actions — so reading them allocates nothing; every other
+//! message decodes owned. [`decode`] is `decode_view` and
+//! [`MessageView::into_owned`].
+//!
 //! ```
 //! use openflow::prelude::*;
 //! use openflow::wire;
@@ -24,11 +31,12 @@
 //! # Ok::<(), openflow::error::DecodeError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 use bytes::{Buf, BufMut};
 
-use crate::actions::Action;
+use crate::actions::{first_output, Action};
 use crate::error::DecodeError;
 use crate::match_fields::{OfMatch, Wildcards};
 use crate::messages::{
@@ -83,7 +91,8 @@ pub fn encode(msg: &OfpMessage, xid: Xid) -> Vec<u8> {
     out
 }
 
-/// Decodes one message from the front of `input`.
+/// Decodes one message from the front of `input`, owned: [`decode_view`]
+/// and [`MessageView::into_owned`].
 ///
 /// Returns the message, its transaction id, and the number of bytes
 /// consumed, so that callers can decode streams of back-to-back messages.
@@ -93,10 +102,170 @@ pub fn encode(msg: &OfpMessage, xid: Xid) -> Vec<u8> {
 /// Returns a [`DecodeError`] when the input is truncated, has the wrong
 /// version, or contains an unknown type code or malformed structure.
 pub fn decode(input: &[u8]) -> Result<(OfpMessage, Xid, usize), DecodeError> {
+    let (view, xid, used) = decode_view(input)?;
+    Ok((view.into_owned(), xid, used))
+}
+
+/// Decodes one message from the front of `input` as a [`MessageView`]:
+/// a `PacketIn` borrows its frame bytes and a `FlowMod` its actions,
+/// which are validated here, so neither allocates. Every other message
+/// decodes owned.
+///
+/// Returns the view, its transaction id, and the number of bytes
+/// consumed.
+///
+/// # Errors
+///
+/// The same [`DecodeError`]s as [`decode`], at the same bytes: this is
+/// the decoder `decode` runs.
+pub fn decode_view(input: &[u8]) -> Result<(MessageView<'_>, Xid, usize), DecodeError> {
     let (type_code, length, xid) = decode_header(input)?;
     let body = &input[HEADER_LEN..length];
-    let msg = decode_body(type_code, body)?;
-    Ok((msg, xid, length))
+    let view = match type_code {
+        10 => MessageView::PacketIn(decode_packet_in(body)?),
+        14 => MessageView::FlowMod(decode_flow_mod(body)?),
+        other => MessageView::Other(Cow::Owned(decode_body(other, body)?)),
+    };
+    Ok((view, xid, length))
+}
+
+/// One decoded message, as [`decode_view`] returns it or as
+/// [`MessageView::from`] views an owned one.
+#[derive(Debug, Clone)]
+pub enum MessageView<'a> {
+    /// A `PacketIn`, its frame bytes borrowed.
+    PacketIn(PacketInView<'a>),
+    /// A `FlowMod`, its actions borrowed.
+    FlowMod(FlowModView<'a>),
+    /// Any other message: owned when decoded, borrowed when viewed.
+    Other(Cow<'a, OfpMessage>),
+}
+
+/// A [`PacketIn`] whose frame bytes are borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct PacketInView<'a> {
+    /// Id of the packet buffered on the switch, if any.
+    pub buffer_id: BufferId,
+    /// Full length of the original frame.
+    pub total_len: u16,
+    /// Port the packet arrived on.
+    pub in_port: PortNo,
+    /// Why the packet was sent to the controller.
+    pub reason: PacketInReason,
+    /// The captured frame bytes.
+    pub data: &'a [u8],
+}
+
+/// A [`FlowMod`] whose actions are borrowed, with the one thing a reader
+/// of the control channel asks of them.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowModView<'a> {
+    /// Fields the entry matches on.
+    pub match_: OfMatch,
+    /// Opaque controller-chosen id echoed in `FlowRemoved`.
+    pub cookie: Cookie,
+    /// What to do.
+    pub command: FlowModCommand,
+    /// Seconds of inactivity before expiry (0 = none).
+    pub idle_timeout: u16,
+    /// Seconds after installation before expiry (0 = none).
+    pub hard_timeout: u16,
+    /// Matching priority.
+    pub priority: u16,
+    /// Buffered packet to apply the new rule to on installation.
+    pub buffer_id: BufferId,
+    /// For delete commands: the output-port filter.
+    pub out_port: PortNo,
+    /// Behavior flags.
+    pub flags: FlowModFlags,
+    /// The actions.
+    pub actions: ActionsView<'a>,
+    /// The first output port of the actions ([`first_output`]).
+    pub first_output: Option<PortNo>,
+}
+
+/// A [`FlowModView`]'s action list: wire bytes [`decode_view`] validated,
+/// or an owned message's decoded list.
+#[derive(Debug, Clone, Copy)]
+pub struct ActionsView<'a>(ActionsRepr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum ActionsRepr<'a> {
+    /// Every action in these bytes decodes: `decode_flow_mod` checked.
+    Wire(&'a [u8]),
+    Decoded(&'a [Action]),
+}
+
+impl ActionsView<'_> {
+    /// The actions, decoded into a list of their own.
+    pub fn to_vec(&self) -> Vec<Action> {
+        match self.0 {
+            ActionsRepr::Wire(bytes) => {
+                decode_actions(bytes).expect("decode_view validated every action")
+            }
+            ActionsRepr::Decoded(actions) => actions.to_vec(),
+        }
+    }
+}
+
+impl MessageView<'_> {
+    /// The owned message: a view's borrowed parts are copied into it, a
+    /// decoded message is moved.
+    #[inline]
+    pub fn into_owned(self) -> OfpMessage {
+        match self {
+            MessageView::PacketIn(pi) => OfpMessage::PacketIn(PacketIn {
+                buffer_id: pi.buffer_id,
+                total_len: pi.total_len,
+                in_port: pi.in_port,
+                reason: pi.reason,
+                data: pi.data.into(),
+            }),
+            MessageView::FlowMod(fm) => OfpMessage::FlowMod(FlowMod {
+                match_: fm.match_,
+                cookie: fm.cookie,
+                command: fm.command,
+                idle_timeout: fm.idle_timeout,
+                hard_timeout: fm.hard_timeout,
+                priority: fm.priority,
+                buffer_id: fm.buffer_id,
+                out_port: fm.out_port,
+                flags: fm.flags,
+                actions: fm.actions.to_vec(),
+            }),
+            MessageView::Other(msg) => msg.into_owned(),
+        }
+    }
+}
+
+impl<'a> From<&'a OfpMessage> for MessageView<'a> {
+    /// Views an owned message as [`decode_view`] would have returned it.
+    #[inline]
+    fn from(msg: &'a OfpMessage) -> MessageView<'a> {
+        match msg {
+            OfpMessage::PacketIn(pi) => MessageView::PacketIn(PacketInView {
+                buffer_id: pi.buffer_id,
+                total_len: pi.total_len,
+                in_port: pi.in_port,
+                reason: pi.reason,
+                data: &pi.data,
+            }),
+            OfpMessage::FlowMod(fm) => MessageView::FlowMod(FlowModView {
+                match_: fm.match_,
+                cookie: fm.cookie,
+                command: fm.command,
+                idle_timeout: fm.idle_timeout,
+                hard_timeout: fm.hard_timeout,
+                priority: fm.priority,
+                buffer_id: fm.buffer_id,
+                out_port: fm.out_port,
+                flags: fm.flags,
+                actions: ActionsView(ActionsRepr::Decoded(&fm.actions)),
+                first_output: first_output(&fm.actions),
+            }),
+            other => MessageView::Other(Cow::Borrowed(other)),
+        }
+    }
 }
 
 /// Parses and validates the common 8-byte header, checking that the
@@ -156,6 +325,7 @@ fn encode_body(msg: &OfpMessage, buf: &mut Vec<u8>) {
     }
 }
 
+/// Decodes the body of a message [`decode_view`] does not view.
 fn decode_body(type_code: u8, body: &[u8]) -> Result<OfpMessage, DecodeError> {
     match type_code {
         0 => Ok(OfpMessage::Hello),
@@ -173,11 +343,9 @@ fn decode_body(type_code: u8, body: &[u8]) -> Result<OfpMessage, DecodeError> {
         3 => Ok(OfpMessage::EchoReply(body.into())),
         5 => Ok(OfpMessage::FeaturesRequest),
         6 => decode_features(body).map(OfpMessage::FeaturesReply),
-        10 => decode_packet_in(body).map(OfpMessage::PacketIn),
         11 => decode_flow_removed(body).map(OfpMessage::FlowRemoved),
         12 => decode_port_status(body).map(OfpMessage::PortStatus),
         13 => decode_packet_out(body).map(OfpMessage::PacketOut),
-        14 => decode_flow_mod(body).map(OfpMessage::FlowMod),
         16 => decode_stats_request(body).map(OfpMessage::StatsRequest),
         17 => decode_stats_reply(body).map(OfpMessage::StatsReply),
         18 => Ok(OfpMessage::BarrierRequest),
@@ -334,11 +502,19 @@ fn encode_actions(actions: &[Action], buf: &mut Vec<u8>) {
     }
 }
 
-fn decode_actions(mut buf: &[u8]) -> Result<Vec<Action>, DecodeError> {
-    let mut actions = Vec::new();
+/// Decodes every action in `buf`, handing each to `each`: the one
+/// action-list check, whether the list is kept or only validated.
+fn scan_actions(mut buf: &[u8], mut each: impl FnMut(Action)) -> Result<(), DecodeError> {
     while !buf.is_empty() {
-        actions.push(decode_action(&mut buf)?);
+        each(decode_action(&mut buf)?);
     }
+    Ok(())
+}
+
+fn decode_actions(buf: &[u8]) -> Result<Vec<Action>, DecodeError> {
+    // Every action takes at least 8 bytes.
+    let mut actions = Vec::with_capacity(buf.len() / 8);
+    scan_actions(buf, |a| actions.push(a))?;
     Ok(actions)
 }
 
@@ -356,7 +532,7 @@ fn encode_packet_in(pi: &PacketIn, buf: &mut Vec<u8>) {
     buf.put_slice(&pi.data);
 }
 
-fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
+fn decode_packet_in(mut body: &[u8]) -> Result<PacketInView<'_>, DecodeError> {
     let buffer_id = BufferId(body.get_u32()?);
     let total_len = body.get_u16()?;
     let in_port = PortNo(body.get_u16()?);
@@ -372,12 +548,12 @@ fn decode_packet_in(mut body: &[u8]) -> Result<PacketIn, DecodeError> {
             })
         }
     };
-    Ok(PacketIn {
+    Ok(PacketInView {
         buffer_id,
         total_len,
         in_port,
         reason,
-        data: body.into(),
+        data: body,
     })
 }
 
@@ -436,7 +612,7 @@ fn encode_flow_mod(fm: &FlowMod, buf: &mut Vec<u8>) {
     encode_actions(&fm.actions, buf);
 }
 
-fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
+fn decode_flow_mod(mut body: &[u8]) -> Result<FlowModView<'_>, DecodeError> {
     let match_ = decode_match(&mut body)?;
     let cookie = Cookie(body.get_u64()?);
     let raw_command = body.get_u16()?;
@@ -459,8 +635,9 @@ fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
             })
         }
     };
-    let actions = decode_actions(body)?;
-    Ok(FlowMod {
+    let mut first_output = None;
+    scan_actions(body, |a| first_output = first_output.or(a.output_port()))?;
+    Ok(FlowModView {
         match_,
         cookie,
         command,
@@ -474,7 +651,8 @@ fn decode_flow_mod(mut body: &[u8]) -> Result<FlowMod, DecodeError> {
             check_overlap: raw_flags & 2 != 0,
             emergency: raw_flags & 4 != 0,
         },
-        actions,
+        actions: ActionsView(ActionsRepr::Wire(body)),
+        first_output,
     })
 }
 

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
-use openflow::actions::Action;
+use openflow::actions::{first_output, Action};
 use openflow::flow_table::FlowTable;
 use openflow::frame;
 use openflow::match_fields::{FlowKey, OfMatch, Wildcards};
@@ -12,7 +12,7 @@ use openflow::messages::{
     FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, OfpMessage, PacketIn, PacketInReason,
 };
 use openflow::types::{BufferId, Cookie, IpProto, MacAddr, PortNo, Timestamp, VlanId, Xid};
-use openflow::wire;
+use openflow::wire::{self, MessageView};
 
 mod linear_table;
 use linear_table::LinearTable;
@@ -305,6 +305,61 @@ proptest! {
         let idx = flip_at % bytes.len();
         bytes[idx] ^= flip_bits;
         let _ = wire::decode(&bytes);
+    }
+
+    #[test]
+    fn decode_view_into_owned_is_decode(
+        m in arb_match(), actions in arb_actions(), key in arb_flow_key(),
+        len in 0usize..200, kind in 0u8..3,
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        cut_at in any::<usize>()) {
+        // On every generated message, and on the same bytes mangled and
+        // cut short: the view, owned, is what `decode` returns (message
+        // or error), and a FlowMod view's first output is its actions'.
+        let msg = match kind {
+            0 => {
+                let mut fm = FlowMod::add(m, 5);
+                fm.actions = actions.clone();
+                OfpMessage::FlowMod(fm)
+            }
+            1 => OfpMessage::PacketIn(PacketIn {
+                buffer_id: BufferId::NO_BUFFER,
+                total_len: len as u16,
+                in_port: PortNo(3),
+                reason: PacketInReason::Action,
+                data: frame::build_frame(&key, len),
+            }),
+            _ => OfpMessage::FlowRemoved(FlowRemoved {
+                match_: m,
+                cookie: Cookie(9),
+                priority: 1,
+                reason: FlowRemovedReason::Delete,
+                duration_sec: 2,
+                duration_nsec: 3,
+                idle_timeout: 5,
+                packet_count: 7,
+                byte_count: 11,
+            }),
+        };
+        let clean = wire::encode(&msg, Xid(4));
+        let mut mangled = clean.clone();
+        for &(at, mask) in &flips {
+            let idx = at % mangled.len();
+            mangled[idx] ^= mask;
+        }
+        mangled.truncate(mangled.len() - cut_at % (mangled.len() / 4 + 1));
+        for bytes in [&clean, &mangled] {
+            let viewed = wire::decode_view(bytes);
+            if let Ok((MessageView::FlowMod(fm), _, _)) = &viewed {
+                prop_assert_eq!(fm.first_output, first_output(&fm.actions.to_vec()));
+            }
+            let owned = viewed.map(|(view, xid, used)| (view.into_owned(), xid, used));
+            prop_assert_eq!(owned, wire::decode(bytes));
+        }
+        if let Ok((MessageView::FlowMod(fm), _, _)) = wire::decode_view(&clean) {
+            prop_assert_eq!(fm.first_output, first_output(&actions));
+        }
+        prop_assert_eq!(wire::decode(&clean).unwrap().0, msg);
     }
 
     #[test]
