@@ -21,7 +21,7 @@ use crate::derived::Derived;
 use crate::epoch::EpochClock;
 use crate::groups::{match_group_refs, AppGroup};
 use crate::model::{BehaviorModel, IncrementalModelBuilder};
-use crate::records::{IngestHealth, RecordAssembler, Sequencer};
+use crate::records::{FlowRecord, IngestHealth, RecordAssembler, Sequencer};
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
 use netsim::log::FlowEvent;
@@ -485,7 +485,9 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// Internally an incremental pipeline — a [`Sequencer`] judges each
 /// arrival, a [`RecordAssembler`] turns the events it releases into
 /// flow records, an [`IncrementalModelBuilder`] accumulates them, and
-/// `retire_before` keeps memory proportional to the window.
+/// memory follows the window: `retire_before` drops what slides out of
+/// it, and the assembler drops an eviction the window has already slid
+/// past ([`RecordAssembler::set_floor`]) instead of handing it over.
 /// At each boundary the builder snapshots through its maintained window
 /// state ([`IncrementalModelBuilder::epoch_snapshot`]), which also
 /// holds the assembler's in-flight episodes — re-read only when an
@@ -566,7 +568,9 @@ impl OnlineDiffer {
         baseline_id: u64,
         config: &FlowDiffConfig,
     ) -> Result<OnlineDiffer, serde::Error> {
-        let (sequencer, assembler, builder, clock) = serde::from_slice(state)?;
+        let (sequencer, mut assembler, builder, clock): (_, RecordAssembler, _, EpochClock) =
+            serde::from_slice(state)?;
+        assembler.set_floor(clock.window_floor());
         Ok(OnlineDiffer {
             judge: Judge::restored(baseline, baseline_id, config),
             sequencer,
@@ -648,6 +652,12 @@ impl OnlineDiffer {
         for (epoch, boundary) in self.clock.advance(event.ts) {
             out.push(self.snapshot_at(epoch, boundary));
         }
+        if !out.is_empty() {
+            // No later window reaches back before this: the assembler
+            // drops an eviction first seen earlier instead of handing it
+            // over to be retired unread.
+            self.assembler.set_floor(self.clock.window_floor());
+        }
         self.builder.fold_event(&event);
         let assembler = &mut self.assembler;
         self.sequencer.release(event, |ev| assembler.observe(ev));
@@ -658,7 +668,8 @@ impl OnlineDiffer {
     }
 
     /// Flushes the final partial epoch, completing every in-flight
-    /// episode. None when no event was ever observed.
+    /// episode, through the maintained window like any boundary. None
+    /// when no event was ever observed.
     pub fn finish(self) -> Option<EpochSnapshot> {
         let OnlineDiffer {
             judge,
@@ -672,17 +683,18 @@ impl OnlineDiffer {
         for ev in sequencer.drain() {
             assembler.observe(ev);
         }
-        // Retire first, then fold only what the final window keeps:
-        // the episodes first seen before it would be retired unread.
+        // Retire first, then place only what the final window keeps:
+        // the episodes first seen before it would be retired unread. None
+        // stays open, so every open version the window holds gives way
+        // to its completion.
         let start = clock.window_start(end);
         builder.retire_before(start);
-        for record in assembler.finish() {
-            if record.first_seen >= start {
-                builder.observe_record(record);
-            }
+        assembler.set_floor(start);
+        for record in assembler.finish_unsorted() {
+            builder.observe_record(record);
         }
-        builder.set_span((start, end));
-        Some(judge.snapshot(clock.epoch(), (start, end), builder.into_snapshot()))
+        let model = builder.epoch_snapshot((start, end), Vec::<FlowRecord>::new());
+        Some(judge.snapshot(clock.epoch(), (start, end), model))
     }
 
     /// Models the window ending at `boundary` and diffs it against the
@@ -1017,6 +1029,108 @@ mod tests {
             );
             assert!(snap.diff.missing_groups.is_empty());
         }
+    }
+
+    /// The webshop pair at 5 s epochs over a 5 s window, evicting
+    /// episodes idle for 6 s: every sweep finds episodes first seen
+    /// before the window, since they went idle before it began.
+    fn short_horizon() -> (Arc<BaselineBundle>, Vec<ControlEvent>, FlowDiffConfig) {
+        let (log1, config) = scenario_log(1, None);
+        let config = FlowDiffConfig {
+            online_epoch_us: 5_000_000,
+            online_window_us: 5_000_000,
+            partial_flow_timeout_us: 6_000_000,
+            ..config
+        };
+        let model = BehaviorModel::build(&log1, &config);
+        let stability = StabilityReport::all_stable(&model);
+        let baseline = Arc::new(BaselineBundle { model, stability });
+        (baseline, scenario_log(2, None).0.events().to_vec(), config)
+    }
+
+    /// After each event of a run over `events`: whether it crossed a
+    /// boundary, and whether it evicted episodes.
+    fn boundaries_and_sweeps(
+        baseline: &Arc<BaselineBundle>,
+        events: &[ControlEvent],
+        config: &FlowDiffConfig,
+    ) -> Vec<(bool, bool)> {
+        let mut differ = OnlineDiffer::try_new(Arc::clone(baseline), config).unwrap();
+        (events.iter())
+            .map(|event| {
+                let evicted = differ.health().episodes_evicted;
+                let crossed = !differ.observe(event).is_empty();
+                (crossed, differ.health().episodes_evicted > evicted)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn evictions_before_the_window_never_reach_the_builder() {
+        let (baseline, events, config) = short_horizon();
+        let sweeps = boundaries_and_sweeps(&baseline, &events, &config);
+        assert!(
+            sweeps.iter().filter(|&&(_, swept)| swept).count() >= 2,
+            "the capture sweeps at least twice"
+        );
+        let mut differ = OnlineDiffer::try_new(baseline, &config).unwrap();
+        let mut start = Timestamp::ZERO;
+        for (i, event) in events.iter().enumerate() {
+            if let Some(snap) = differ.observe(event).last() {
+                start = snap.window.0;
+            }
+            let stale = (differ.builder.completions().iter())
+                .filter(|r| r.first_seen < start)
+                .count();
+            assert_eq!(
+                stale, 0,
+                "after event {i}: completions first seen before the window start {start:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn resumed_across_an_evicting_sweep_checkpoints_byte_identically() {
+        use crate::checkpoint::Checkpoint;
+        let (baseline, events, config) = short_horizon();
+        let marks = boundaries_and_sweeps(&baseline, &events, &config);
+        // Kill right after a boundary that a sweep follows before the
+        // next boundary: the restored differ sweeps before it snapshots.
+        let cut = (0..marks.len())
+            .find(|&i| {
+                marks[i].0 && {
+                    let after = &marks[i + 1..];
+                    let next = after.iter().position(|&(crossed, _)| crossed);
+                    after[..next.unwrap_or(after.len())]
+                        .iter()
+                        .any(|&(_, swept)| swept)
+                }
+            })
+            .expect("a sweep between two boundaries")
+            + 1;
+        let mut straight = OnlineDiffer::try_new(Arc::clone(&baseline), &config).unwrap();
+        for event in &events[..cut] {
+            straight.observe(event);
+        }
+        let bytes = Checkpoint::capture(&straight, cut as u64, &config).to_bytes();
+        let (mut resumed, _) = (Checkpoint::from_bytes(&bytes).unwrap())
+            .resume(&baseline, &config)
+            .unwrap();
+        let mut checked = 0;
+        for (i, event) in events.iter().enumerate().skip(cut) {
+            assert_eq!(straight.observe(event), resumed.observe(event));
+            if marks[i] != (false, false) {
+                let offset = i as u64 + 1;
+                assert!(
+                    Checkpoint::capture(&straight, offset, &config).to_bytes()
+                        == Checkpoint::capture(&resumed, offset, &config).to_bytes(),
+                    "checkpoints after event {i} differ"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 2);
+        assert_eq!(straight.finish(), resumed.finish());
     }
 
     #[test]

@@ -66,6 +66,19 @@ impl EpochClock {
         Timestamp::from_micros(boundary.as_micros().saturating_sub(self.window_us))
     }
 
+    /// The start of the window of the latest boundary crossed, emitted
+    /// or skipped; zero before the first. Window starts only advance, so
+    /// every window modeled from now on, the final flush's too, starts
+    /// at or after it.
+    pub fn window_floor(&self) -> Timestamp {
+        match self.next_boundary {
+            Some(next) if self.epoch > 0 => {
+                self.window_start(Timestamp::from_micros(next.as_micros() - self.epoch_us))
+            }
+            _ => Timestamp::ZERO,
+        }
+    }
+
     /// Boundaries after which the sliding window has fully drained:
     /// past this many empty epochs every further snapshot would model
     /// the same empty window.
@@ -125,9 +138,11 @@ mod tests {
         assert_eq!(clock.epoch(), 0);
         assert!(clock.advance(us(100)).is_empty(), "first event anchors");
         assert!(clock.advance(us(104)).is_empty(), "still inside epoch 0");
+        assert_eq!(clock.window_floor(), us(0), "no boundary crossed yet");
         assert_eq!(clock.advance(us(105)), vec![(0, us(105))]);
         assert_eq!(clock.advance(us(110)), vec![(1, us(110))]);
         assert_eq!(clock.epoch(), 2);
+        assert_eq!(clock.window_floor(), us(90));
     }
 
     #[test]
@@ -151,6 +166,8 @@ mod tests {
         let drain = 20u64.div_ceil(5) + 1;
         assert_eq!(flood.len() as u64, drain);
         assert_eq!(flood[0], (0, us(105)));
+        // The floor follows the boundaries crossed, skipped ones too.
+        assert_eq!(clock.window_floor(), us(100 + 10_000 * 5 - 20));
         // Skipped boundaries consumed their indices: the next tick's
         // index reflects log time, not emission count.
         let next = clock.advance(us(100 + 10_001 * 5));

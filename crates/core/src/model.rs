@@ -176,9 +176,9 @@ pub struct IncrementalModelBuilder {
     config: Derived<FlowDiffConfig>,
     /// Completions not yet folded into `ws`, in arrival order. They are
     /// interned only at the next boundary, after the caller's retirement
-    /// pass, so one that ages out of the window first (the common fate of
-    /// a late-evicted episode, whose `first_seen` predates the window) is
-    /// never interned at all.
+    /// pass, so one that ages out of the window first is never interned
+    /// at all. (The online differ's assembler drops most such episodes
+    /// before they get here: see [`RecordAssembler::set_floor`].)
     held: Vec<FlowRecord>,
     /// Span forced by the caller (batch wrappers use the log's time
     /// range; the online differ uses the window bounds).
@@ -557,17 +557,20 @@ impl IncrementalModelBuilder {
     }
 
     /// Consumes the builder into a snapshot over every completion held,
-    /// interned afresh — the final flush's path. On a builder that never
-    /// ran [`epoch_snapshot`](Self::epoch_snapshot) this sorts and interns
-    /// its inbox, nothing else: the rebuild-from-scratch oracle the
-    /// incremental path is verified against.
+    /// interned afresh: the shard merge's path, and the
+    /// rebuild-from-scratch oracle the tests hold the incremental path
+    /// (the final flush's included) against. On a builder that never ran
+    /// [`epoch_snapshot`](Self::epoch_snapshot) this sorts and interns its
+    /// inbox, nothing else.
     pub fn into_snapshot(self) -> BehaviorModel {
         let log = InternedLog::of(&self.completions());
         self.finish_records(log)
     }
 
     /// Snapshots the model for one epoch via the maintained window
-    /// state — the online differ's delta path. `opens` are still-open
+    /// state — the online differ's delta path, at every boundary and at
+    /// the final flush, which hands over no opens because every episode
+    /// has completed. `opens` are still-open
     /// episodes, modeled as if they completed now: the current version
     /// of every in-window one that changed since the previous call
     /// ([`RecordAssembler::touched_open_records_since`]). Each replaces

@@ -586,8 +586,9 @@ impl Deserialize for Episodes {
 /// clamped to at least `episode_gap_us`):
 ///
 /// - **open episodes** — flows whose `PacketIn` hops are still
-///   accumulating; evicted episodes are *emitted* (not dropped), so no
-///   flow is ever lost,
+///   accumulating; an evicted episode is *emitted* into the completed
+///   set, unless it was first seen before the caller's floor
+///   ([`set_floor`](Self::set_floor)),
 /// - **seen `FlowMod`s** — xid → (send ts, installed output port),
 ///   first reply wins, consulted by `PacketIn`s arriving after the mod,
 /// - **pending hops** — hops whose `FlowMod` has not arrived yet,
@@ -595,6 +596,15 @@ impl Deserialize for Episodes {
 ///
 /// The last two share one xid table, so a `PacketIn` and a `FlowMod`
 /// each look their xid up once.
+///
+/// The floor is the online differ's window start. An episode evicted
+/// while first seen before it is dropped, not emitted: the window it
+/// would join has already slid past its `first_seen`, and window starts
+/// only advance, so the next retirement would drop it unread and no
+/// snapshot can tell. It still frees its slot and counts as evicted.
+/// Only a checkpoint can see the difference: one written before that
+/// retirement would have carried the record. Batch callers set no
+/// floor (it is zero), so they keep every flow.
 ///
 /// Input events are in time order: a [`ControllerLog`] is sorted, and an
 /// online pipeline puts a [`Sequencer`] in front of its assembler, which
@@ -630,6 +640,9 @@ pub struct RecordAssembler {
     /// Which open episodes the online differ's maintained window has not
     /// seen the current version of.
     touched: Touched,
+    /// Evicted episodes first seen before this are dropped, not
+    /// completed. Not in a checkpoint: the restore derives it again.
+    floor: Derived<Timestamp>,
 }
 
 /// The first `FlowMod` seen for an xid.
@@ -718,6 +731,7 @@ impl Deserialize for RecordAssembler {
             last_prune: Deserialize::deserialize(input)?,
             health: Deserialize::deserialize(input)?,
             touched: Touched::default(),
+            floor: Derived(Timestamp::ZERO),
         })
     }
 }
@@ -761,7 +775,16 @@ impl RecordAssembler {
             last_prune: Timestamp::ZERO,
             health: IngestHealth::default(),
             touched: Touched::default(),
+            floor: Derived(Timestamp::ZERO),
         }
+    }
+
+    /// Drops, from now on, every evicted episode first seen before
+    /// `floor` instead of completing it, and leaves such episodes out of
+    /// [`finish`](Self::finish). The online differ sets its window start
+    /// here at each boundary; a floor never moves back.
+    pub fn set_floor(&mut self, floor: Timestamp) {
+        self.floor.0 = floor;
     }
 
     /// The protocol-conversation counters accumulated so far (duplicate
@@ -900,7 +923,8 @@ impl RecordAssembler {
     }
 
     /// Evicts state idle past the horizon. Idle episodes are *emitted*
-    /// into the completed set; stale xid bookkeeping is dropped.
+    /// into the completed set, those first seen before the floor
+    /// dropped; stale xid bookkeeping is dropped.
     fn prune(&mut self) {
         let now = self.now;
         let horizon = self.horizon_us;
@@ -929,7 +953,7 @@ impl RecordAssembler {
         for _ in 0..orphaned {
             self.health.record(IngestAnomaly::OrphanFlowMod);
         }
-        let before = self.completed.len();
+        let mut evictions = 0;
         // Tuple by tuple from each oldest episode, so a tuple's evictions
         // complete in the order its episodes opened.
         for oldest in 0..self.open.slots.len() as Slot {
@@ -942,7 +966,11 @@ impl RecordAssembler {
                 let linked = &self.open[slot];
                 next = linked.newer;
                 if now.saturating_since(linked.ep.last_activity) > horizon {
-                    self.completed.push(self.open.remove(slot).record);
+                    let record = self.open.remove(slot).record;
+                    if record.first_seen >= self.floor.0 {
+                        self.completed.push(record);
+                    }
+                    evictions += 1;
                     evicted = true;
                 } else if survivor.is_none() {
                     survivor = Some(slot);
@@ -954,7 +982,7 @@ impl RecordAssembler {
                 self.touched.mark(sibling, &mut self.open[sibling].ep);
             }
         }
-        self.health.episodes_evicted += (self.completed.len() - before) as u64;
+        self.health.episodes_evicted += evictions;
     }
 
     /// A waiting hop as a checkpoint writes it.
@@ -1064,9 +1092,20 @@ impl RecordAssembler {
     /// set in `(first_seen, tuple)` order — exactly the batch extraction
     /// order.
     pub fn finish(self) -> Vec<FlowRecord> {
-        let mut records = self.completed;
-        records.extend(self.open.into_records());
+        let mut records = self.finish_unsorted();
         records.sort_by_key(|r| (r.first_seen, r.tuple));
+        records
+    }
+
+    /// [`finish`](Self::finish) without the sort, for a caller that
+    /// orders the records itself: the completed ones, then the open
+    /// ones, and of both only those first seen at or after the floor.
+    pub fn finish_unsorted(self) -> Vec<FlowRecord> {
+        let floor = self.floor.0;
+        let kept = move |r: &FlowRecord| r.first_seen >= floor;
+        let mut records = self.completed;
+        records.retain(kept);
+        records.extend(self.open.into_records().filter(kept));
         records
     }
 }

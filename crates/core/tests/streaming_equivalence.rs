@@ -920,6 +920,61 @@ fn maintained_window_matches_clone_probe_across_in_window_evictions() {
     assert!(seen.slid_out_open, "a synced open slid out of the window");
 }
 
+/// The final flush places the last window's episodes into the
+/// maintained window as a boundary does, all of them completed: at 1 s /
+/// 30 s, 5 s / 30 s and 40 s / 40 s, under the default horizon and one
+/// that evicts inside the window, its model equals the `into_snapshot`
+/// oracle over the same records and span, to the byte.
+#[test]
+fn final_flush_matches_into_snapshot_at_every_shape() {
+    let (log, base) = tree_log(4, 42, 75);
+    // Cut while flows still start, so the final window is not the
+    // capture's quiet expiry tail.
+    let events = log.events();
+    let t0 = events[0].ts;
+    let events = &events[..events.partition_point(|e| e.ts.saturating_since(t0) < 60_000_000)];
+    for (epoch_s, window_s) in [(1, 30), (5, 30), (40, 40)] {
+        for partial_flow_timeout_us in [60_000_000, 12_000_000] {
+            let config = FlowDiffConfig {
+                online_epoch_us: epoch_s * 1_000_000,
+                online_window_us: window_s * 1_000_000,
+                partial_flow_timeout_us,
+                ..base.clone()
+            };
+            let shape = format!("{epoch_s} s/{window_s} s, {partial_flow_timeout_us} us horizon");
+            let reference = BehaviorModel::build(&tree_log(4, 41, 20).0, &config);
+            let stability = StabilityReport::all_stable(&reference);
+            let mut differ = OnlineDiffer::new(reference, stability, &config);
+            let mut oracle_asm = RecordAssembler::new(&config);
+            let mut oracle_builder = IncrementalModelBuilder::new(&config);
+            let mut epochs = 0;
+            for event in events {
+                epochs += differ.observe(event).len();
+                oracle_asm.observe(event);
+                oracle_builder.observe_event(event);
+                for record in oracle_asm.take_completed() {
+                    oracle_builder.observe_record(record);
+                }
+            }
+            for record in oracle_asm.finish() {
+                oracle_builder.observe_record(record);
+            }
+            assert!(epochs > 0, "{shape}: the flush follows a boundary");
+            let last = differ.finish().expect("events were observed");
+            oracle_builder.retire_before(last.window.0);
+            oracle_builder.set_span(last.window);
+            let expected = oracle_builder.into_snapshot();
+            assert!(!expected.records.is_empty(), "{shape}: a window to flush");
+            assert_eq!(expected, last.model, "{shape}: final model");
+            assert_eq!(
+                serde::to_vec(&expected),
+                serde::to_vec(&last.model),
+                "{shape}: final model bytes"
+            );
+        }
+    }
+}
+
 /// How many epoch-wide panes a model's window spans: the epochs, on the
 /// grid its window end falls on, its records were first seen in.
 fn panes_of(model: &BehaviorModel, end: Timestamp, epoch_us: u64) -> usize {

@@ -188,33 +188,37 @@ fn event_body(msg: &MessageView<'_>) -> EventBody {
     }
 }
 
-/// What the frame step builds from one decoded frame.
-trait FromFrame {
+/// What the frame step builds from one frame: the message at the front
+/// of `message` decoded, with the bytes it took.
+trait FromFrame: Sized {
     fn from_frame(
         ts: Timestamp,
         dpid: DatapathId,
         direction: Direction,
-        xid: Xid,
-        msg: MessageView<'_>,
-    ) -> Self;
+        message: &[u8],
+    ) -> Result<(Self, usize), openflow::error::DecodeError>;
 }
 
 impl FromFrame for ControlEvent {
     /// The owned message: its borrowed parts are copied out of the window.
+    #[inline]
     fn from_frame(
         ts: Timestamp,
         dpid: DatapathId,
         direction: Direction,
-        xid: Xid,
-        msg: MessageView<'_>,
-    ) -> ControlEvent {
-        ControlEvent {
-            ts,
-            dpid,
-            direction,
-            xid,
-            msg: msg.into_owned(),
-        }
+        message: &[u8],
+    ) -> Result<(ControlEvent, usize), openflow::error::DecodeError> {
+        let (msg, xid, used) = openflow::wire::decode(message)?;
+        Ok((
+            ControlEvent {
+                ts,
+                dpid,
+                direction,
+                xid,
+                msg,
+            },
+            used,
+        ))
     }
 }
 
@@ -225,16 +229,20 @@ impl FromFrame for FlowEvent {
         ts: Timestamp,
         dpid: DatapathId,
         direction: Direction,
-        xid: Xid,
-        msg: MessageView<'_>,
-    ) -> FlowEvent {
-        FlowEvent {
-            ts,
-            dpid,
-            direction,
-            xid,
-            body: event_body(&msg),
-        }
+        message: &[u8],
+    ) -> Result<(FlowEvent, usize), openflow::error::DecodeError> {
+        let (msg, xid, used) = openflow::wire::decode_view(message)?;
+        let body = event_body(&msg);
+        Ok((
+            FlowEvent {
+                ts,
+                dpid,
+                direction,
+                xid,
+                body,
+            },
+            used,
+        ))
     }
 }
 
@@ -762,11 +770,11 @@ impl FrameCursor {
                     continue;
                 }
             };
-            match openflow::wire::decode_view(&window[at + PREAMBLE_LEN..]) {
-                Ok((msg, xid, used)) => {
+            match E::from_frame(ts, dpid, direction, &window[at + PREAMBLE_LEN..]) {
+                Ok((event, used)) => {
                     stats.frames_decoded += 1;
                     self.pos += PREAMBLE_LEN + used;
-                    return Some(Ok(E::from_frame(ts, dpid, direction, xid, msg)));
+                    return Some(Ok(event));
                 }
                 Err(source) => {
                     let offset = self.pos;

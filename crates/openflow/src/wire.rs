@@ -91,8 +91,9 @@ pub fn encode(msg: &OfpMessage, xid: Xid) -> Vec<u8> {
     out
 }
 
-/// Decodes one message from the front of `input`, owned: [`decode_view`]
-/// and [`MessageView::into_owned`].
+/// Decodes one message from the front of `input`, owned: what
+/// [`decode_view`] views, a `FlowMod`'s actions collected by the pass
+/// that validates them.
 ///
 /// Returns the message, its transaction id, and the number of bytes
 /// consumed, so that callers can decode streams of back-to-back messages.
@@ -101,9 +102,15 @@ pub fn encode(msg: &OfpMessage, xid: Xid) -> Vec<u8> {
 ///
 /// Returns a [`DecodeError`] when the input is truncated, has the wrong
 /// version, or contains an unknown type code or malformed structure.
+#[inline]
 pub fn decode(input: &[u8]) -> Result<(OfpMessage, Xid, usize), DecodeError> {
-    let (view, xid, used) = decode_view(input)?;
-    Ok((view.into_owned(), xid, used))
+    let mut actions = Vec::new();
+    let (view, xid, used) = decode_with(input, Some(&mut actions))?;
+    let msg = match view {
+        MessageView::FlowMod(fm) => OfpMessage::FlowMod(fm.with_actions(actions)),
+        view => view.into_owned(),
+    };
+    Ok((msg, xid, used))
 }
 
 /// Decodes one message from the front of `input` as a [`MessageView`]:
@@ -119,11 +126,22 @@ pub fn decode(input: &[u8]) -> Result<(OfpMessage, Xid, usize), DecodeError> {
 /// The same [`DecodeError`]s as [`decode`], at the same bytes: this is
 /// the decoder `decode` runs.
 pub fn decode_view(input: &[u8]) -> Result<(MessageView<'_>, Xid, usize), DecodeError> {
+    decode_with(input, None)
+}
+
+/// The one decoder behind [`decode`] and [`decode_view`]: the pass that
+/// validates a `FlowMod`'s actions also collects them into `actions`,
+/// when given.
+#[inline]
+fn decode_with<'a>(
+    input: &'a [u8],
+    actions: Option<&mut Vec<Action>>,
+) -> Result<(MessageView<'a>, Xid, usize), DecodeError> {
     let (type_code, length, xid) = decode_header(input)?;
     let body = &input[HEADER_LEN..length];
     let view = match type_code {
         10 => MessageView::PacketIn(decode_packet_in(body)?),
-        14 => MessageView::FlowMod(decode_flow_mod(body)?),
+        14 => MessageView::FlowMod(decode_flow_mod(body, actions)?),
         other => MessageView::Other(Cow::Owned(decode_body(other, body)?)),
     };
     Ok((view, xid, length))
@@ -221,19 +239,27 @@ impl MessageView<'_> {
                 reason: pi.reason,
                 data: pi.data.into(),
             }),
-            MessageView::FlowMod(fm) => OfpMessage::FlowMod(FlowMod {
-                match_: fm.match_,
-                cookie: fm.cookie,
-                command: fm.command,
-                idle_timeout: fm.idle_timeout,
-                hard_timeout: fm.hard_timeout,
-                priority: fm.priority,
-                buffer_id: fm.buffer_id,
-                out_port: fm.out_port,
-                flags: fm.flags,
-                actions: fm.actions.to_vec(),
-            }),
+            MessageView::FlowMod(fm) => OfpMessage::FlowMod(fm.with_actions(fm.actions.to_vec())),
             MessageView::Other(msg) => msg.into_owned(),
+        }
+    }
+}
+
+impl FlowModView<'_> {
+    /// The owned `FlowMod`, holding `actions`: the view's, decoded.
+    #[inline]
+    fn with_actions(self, actions: Vec<Action>) -> FlowMod {
+        FlowMod {
+            match_: self.match_,
+            cookie: self.cookie,
+            command: self.command,
+            idle_timeout: self.idle_timeout,
+            hard_timeout: self.hard_timeout,
+            priority: self.priority,
+            buffer_id: self.buffer_id,
+            out_port: self.out_port,
+            flags: self.flags,
+            actions,
         }
     }
 }
@@ -511,9 +537,12 @@ fn scan_actions(mut buf: &[u8], mut each: impl FnMut(Action)) -> Result<(), Deco
     Ok(())
 }
 
+/// Every action takes at least this many bytes, so a list's byte length
+/// over it bounds its length.
+const MIN_ACTION_LEN: usize = 8;
+
 fn decode_actions(buf: &[u8]) -> Result<Vec<Action>, DecodeError> {
-    // Every action takes at least 8 bytes.
-    let mut actions = Vec::with_capacity(buf.len() / 8);
+    let mut actions = Vec::with_capacity(buf.len() / MIN_ACTION_LEN);
     scan_actions(buf, |a| actions.push(a))?;
     Ok(actions)
 }
@@ -612,7 +641,12 @@ fn encode_flow_mod(fm: &FlowMod, buf: &mut Vec<u8>) {
     encode_actions(&fm.actions, buf);
 }
 
-fn decode_flow_mod(mut body: &[u8]) -> Result<FlowModView<'_>, DecodeError> {
+/// Decodes a `FlowMod` body, collecting its actions into `actions`, when
+/// given, as it validates them.
+fn decode_flow_mod<'a>(
+    mut body: &'a [u8],
+    mut actions: Option<&mut Vec<Action>>,
+) -> Result<FlowModView<'a>, DecodeError> {
     let match_ = decode_match(&mut body)?;
     let cookie = Cookie(body.get_u64()?);
     let raw_command = body.get_u16()?;
@@ -636,7 +670,15 @@ fn decode_flow_mod(mut body: &[u8]) -> Result<FlowModView<'_>, DecodeError> {
         }
     };
     let mut first_output = None;
-    scan_actions(body, |a| first_output = first_output.or(a.output_port()))?;
+    if let Some(actions) = &mut actions {
+        actions.reserve_exact(body.len() / MIN_ACTION_LEN);
+    }
+    scan_actions(body, |a| {
+        first_output = first_output.or(a.output_port());
+        if let Some(actions) = &mut actions {
+            actions.push(a);
+        }
+    })?;
     Ok(FlowModView {
         match_,
         cookie,
