@@ -317,6 +317,22 @@ if [ "$arms" -ne 3 ]; then
     exit 1
 fi
 
+step "one renderer of the epoch line"
+# flowdiff renders each epoch's verdict (EpochSnapshot::verdict, DESIGN.md
+# §4): no binary formats the `epoch ` line or diagnoses a snapshot itself
+# outside its tests, and gating stays one (kind, reason) list, without a
+# health enum whose healthy value is never stored.
+for src in $(find crates/bench/src -name '*.rs' | sort); do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nF -e 'flows  {' -e '.diagnose('; then
+        echo "FAIL: $src renders an epoch line or diagnoses a snapshot itself: print EpochSnapshot::verdict" >&2
+        exit 1
+    fi
+done
+if grep -rn 'SignatureHealth' crates/; then
+    echo "FAIL: SignatureHealth is back under crates/: gating is one (kind, reason) list" >&2
+    exit 1
+fi
+
 step "one copy of the baseline"
 # A differ shares the caller's baseline and a checkpoint names it by
 # content hash (DESIGN.md, Crash-safe diagnosis): no differ hands out a

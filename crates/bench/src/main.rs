@@ -5,6 +5,7 @@
 //! (mangled bytes, flapping connections, planned kills) lives in the
 //! tier-1 tests, not here.
 
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,19 +26,20 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     };
+    // `watch` and `serve` write through a locked stdout and hand a write
+    // error back: a closed stdout ends the run with `error:`, not a panic.
     match args.first().map(String::as_str) {
-        Some("watch") => run(cmd_watch(&args[1..])),
-        Some("serve") => run(cmd_serve(&args[1..])),
+        Some("watch") => run(cmd_watch(&args[1..], &mut std::io::stdout().lock())),
+        Some("serve") => run(cmd_serve(&args[1..], &mut std::io::stdout().lock())),
         Some("publish") => run(cmd_publish(&args[1..])),
         Some(other) => {
             eprintln!("unknown subcommand: {other}");
             usage();
             ExitCode::from(2)
         }
-        None => {
-            print_index();
-            ExitCode::SUCCESS
-        }
+        None => run(std::io::stdout()
+            .write_all(INDEX.as_bytes())
+            .map_err(Into::into)),
     }
 }
 
@@ -58,59 +60,29 @@ fn usage() {
     );
 }
 
-fn print_index() {
-    println!("FlowDiff reproduction harness. Run one experiment binary:");
-    println!();
-    let experiments = [
-        (
-            "table1",
-            "Table I  - debugging with FlowDiff (7 injected problems)",
-        ),
-        (
-            "table2",
-            "Table II - robustness of application signatures (5 cases)",
-        ),
-        (
-            "table3",
-            "Table III- task-signature matching accuracy (TP/FP)",
-        ),
-        (
-            "fig9",
-            "Fig. 9   - byte count & delay CDFs under loss/logging",
-        ),
-        (
-            "fig10",
-            "Fig. 10  - delay-distribution robustness across P(x,y)/R(m,n)",
-        ),
-        ("fig11", "Fig. 11  - partial-correlation stability"),
-        (
-            "fig12",
-            "Fig. 12  - component interaction at node S4 + chi-squared",
-        ),
-        (
-            "fig13",
-            "Fig. 13  - scalability: PacketIn rate & processing time",
-        ),
-    ];
-    for (bin, desc) in experiments {
-        println!("  cargo run --release -p flowdiff-bench --bin {bin:<7}  # {desc}");
-    }
-    println!();
-    println!("Online mode over captures (see flowdiff_cli demo to make them):");
-    println!("  cargo run --release -p flowdiff-bench -- watch baseline.fcap current.fcap");
-    println!();
-    println!("Served mode (diagnose live control-log publishers over TCP):");
-    println!(
-        "  cargo run --release -p flowdiff-bench -- serve baseline.fcap --listen 127.0.0.1:7654"
-    );
-    println!(
-        "  cargo run --release -p flowdiff-bench -- publish current.fcap \
-         --connect 127.0.0.1:7654 --connections 4"
-    );
-    println!();
-    println!("End-to-end and per-layer benchmark (four workloads, see benchmark/README.md):");
-    println!("  benchmark/run.sh");
-}
+/// What `flowdiff-bench` prints without a subcommand.
+const INDEX: &str = "\
+FlowDiff reproduction harness. Run one experiment binary:
+
+  cargo run --release -p flowdiff-bench --bin table1   # Table I  - debugging with FlowDiff (7 injected problems)
+  cargo run --release -p flowdiff-bench --bin table2   # Table II - robustness of application signatures (5 cases)
+  cargo run --release -p flowdiff-bench --bin table3   # Table III- task-signature matching accuracy (TP/FP)
+  cargo run --release -p flowdiff-bench --bin fig9     # Fig. 9   - byte count & delay CDFs under loss/logging
+  cargo run --release -p flowdiff-bench --bin fig10    # Fig. 10  - delay-distribution robustness across P(x,y)/R(m,n)
+  cargo run --release -p flowdiff-bench --bin fig11    # Fig. 11  - partial-correlation stability
+  cargo run --release -p flowdiff-bench --bin fig12    # Fig. 12  - component interaction at node S4 + chi-squared
+  cargo run --release -p flowdiff-bench --bin fig13    # Fig. 13  - scalability: PacketIn rate & processing time
+
+Online mode over captures (see flowdiff_cli demo to make them):
+  cargo run --release -p flowdiff-bench -- watch baseline.fcap current.fcap
+
+Served mode (diagnose live control-log publishers over TCP):
+  cargo run --release -p flowdiff-bench -- serve baseline.fcap --listen 127.0.0.1:7654
+  cargo run --release -p flowdiff-bench -- publish current.fcap --connect 127.0.0.1:7654 --connections 4
+
+End-to-end and per-layer benchmark (four workloads, see benchmark/README.md):
+  benchmark/run.sh
+";
 
 type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
@@ -191,15 +163,20 @@ fn unknown_flag(flag: &str) -> Box<dyn std::error::Error> {
 /// [`BaselineBundle`] (`FDIFFBAS`, validated magic/version/CRC). A file
 /// that is neither — including a checkpoint offered as a baseline — is
 /// a typed error before any diffing happens.
-fn load_baseline(path: &str, config: &FlowDiffConfig) -> CliResult<BaselineBundle> {
+fn load_baseline(
+    path: &str,
+    config: &FlowDiffConfig,
+    out: &mut dyn Write,
+) -> CliResult<BaselineBundle> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let bundle = if bytes.starts_with(&BASELINE_MAGIC) {
         let bundle = BaselineBundle::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "baseline: restored bundle, {} flows, {} groups",
             bundle.model.records.len(),
             bundle.model.groups.len()
-        );
+        )?;
         bundle
     } else if bytes.starts_with(&CHECKPOINT_MAGIC) {
         return Err(format!(
@@ -210,23 +187,25 @@ fn load_baseline(path: &str, config: &FlowDiffConfig) -> CliResult<BaselineBundl
         let log = ControllerLog::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
         let model = BehaviorModel::build(&log, config);
         let stability = analyze(&log, &model, config);
-        println!(
+        writeln!(
+            out,
             "baseline: {} events, {} flows, {} groups",
             log.len(),
             model.records.len(),
             model.groups.len()
-        );
+        )?;
         BaselineBundle { model, stability }
     };
     let model = &bundle.model;
-    println!(
+    writeln!(
+        out,
         "stats: {} hosts, {} switches, {} ports interned; model ~{} KiB (catalog ~{} KiB)",
         model.catalog().n_hosts(),
         model.catalog().n_switches(),
         model.catalog().n_ports(),
         model.approx_bytes().div_ceil(1024),
         model.catalog().approx_bytes().div_ceil(1024)
-    );
+    )?;
     Ok(bundle)
 }
 
@@ -322,12 +301,15 @@ impl OnlineOpts {
 /// it was written against the baseline loaded from `baseline_path`,
 /// which then skips the events its checkpoint consumed), checkpoints at
 /// `--checkpoint`, one `epoch` and one `latency epoch` line per
-/// boundary.
+/// boundary. The `latency epoch` line is not an `epoch ` line: its
+/// wall-clock times differ between runs, and CI compares `epoch ` lines
+/// byte for byte.
 fn run_online(
     events: impl Iterator<Item = FlowEvent>,
     opts: &OnlineOpts,
     (baseline_path, baseline): (&str, &Arc<BaselineBundle>),
     degraded: Option<&dyn Fn() -> Option<String>>,
+    out: &mut dyn Write,
 ) -> CliResult<RunReport> {
     let config = &opts.config;
     let start = match &opts.resume {
@@ -340,11 +322,12 @@ fn run_online(
                 ),
                 e => format!("{}: {e}", path.display()),
             })?;
-            println!(
+            writeln!(
+                out,
                 "stats: resumed from {} at event {at}, epoch {}",
                 path.display(),
                 differ.epoch()
-            );
+            )?;
             (differ, at)
         }
     };
@@ -353,39 +336,39 @@ fn run_online(
         checkpoint_path: opts.checkpoint.as_deref(),
         degraded,
     };
-    Ok(supervise(
-        start,
-        events,
-        &supervision,
-        |snapshot, timings| {
-            report(snapshot, config);
-            report_latency(snapshot.epoch, timings);
-        },
-    )?)
+    Ok(supervise(start, events, &supervision, |snapshot, t| {
+        writeln!(out, "{}", snapshot.verdict(&[], config))?;
+        writeln!(
+            out,
+            "latency epoch {:>3}  retire_us {} observe_us {} snapshot_us {} diff_us {}",
+            snapshot.epoch, t.retire_us, t.observe_us, t.snapshot_us, t.diff_us
+        )
+    })?)
 }
 
 /// The tail every online run prints: the flushed epoch and ingest
 /// health.
-fn report_run(run: &RunReport, config: &FlowDiffConfig) {
+fn report_run(run: &RunReport, config: &FlowDiffConfig, out: &mut dyn Write) -> CliResult {
     if let Some(snapshot) = &run.last {
-        report(snapshot, config);
+        writeln!(out, "{}", snapshot.verdict(&[], config))?;
     }
-    println!("stats: ingest {}", run.health);
+    writeln!(out, "stats: ingest {}", run.health)?;
+    Ok(())
 }
 
 /// `watch`: model a baseline capture (or load a prebuilt bundle), then
 /// stream the current capture through the supervised engine. A panic
 /// ends the run; `--resume` from the last `--checkpoint` picks it up.
-fn cmd_watch(args: &[String]) -> CliResult {
+fn cmd_watch(args: &[String], out: &mut dyn Write) -> CliResult {
     if args.len() < 2 {
         usage();
         return Err("watch needs <baseline.fcap|.fbas> <current.fcap>".into());
     }
     let opts = OnlineOpts::parse(&args[2..], false)?;
-    let baseline = Arc::new(load_baseline(&args[0], &opts.config)?);
+    let baseline = Arc::new(load_baseline(&args[0], &opts.config, out)?);
     if let Some(path) = &opts.save_baseline {
         baseline.save(path)?;
-        println!("stats: baseline bundle saved to {}", path.display());
+        writeln!(out, "stats: baseline bundle saved to {}", path.display())?;
     }
     // The capture streams into the differ, each event read straight off
     // its frame: nothing holds the decoded capture.
@@ -394,10 +377,9 @@ fn cmd_watch(args: &[String]) -> CliResult {
     let mut stream = LogStream::from_wire_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let events = decode_capture(path, stream.flow_events())?;
     let judge = (args[0].as_str(), &baseline);
-    let mut run = run_online(events, &opts, judge, None)?;
+    let mut run = run_online(events, &opts, judge, None, out)?;
     run.health.absorb_stream(stream.stats());
-    report_run(&run, &opts.config);
-    Ok(())
+    report_run(&run, &opts.config, out)
 }
 
 /// `serve`: `watch` with the current capture arriving over TCP. Binds a
@@ -408,7 +390,7 @@ fn cmd_watch(args: &[String]) -> CliResult {
 /// same supervised engine as `watch` — for publishers produced by
 /// `flowdiff-bench publish` the `epoch ` lines are byte-identical to a
 /// file-based run over the interleaved capture.
-fn cmd_serve(args: &[String]) -> CliResult {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> CliResult {
     if args.is_empty() {
         usage();
         return Err("serve needs <baseline.fcap|.fbas> --listen HOST:PORT".into());
@@ -416,13 +398,17 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let opts = OnlineOpts::parse(&args[1..], true)?;
     let config = &opts.config;
     let listen = (opts.listen.as_deref()).ok_or("serve needs --listen HOST:PORT")?;
-    let baseline = Arc::new(load_baseline(&args[0], config)?);
+    let baseline = Arc::new(load_baseline(&args[0], config, out)?);
 
     let server = IngestServer::bind(listen).map_err(|e| format!("{listen}: {e}"))?;
     let addr = server.local_addr()?;
     // The line CI (and any supervisor) polls for before launching
     // publishers; with `--listen host:0` it carries the chosen port.
-    println!("listening on {addr} for {} publisher(s)", opts.publishers);
+    writeln!(
+        out,
+        "listening on {addr} for {} publisher(s)",
+        opts.publishers
+    )?;
     let mut live = server
         .live(
             opts.publishers,
@@ -452,25 +438,27 @@ fn cmd_serve(args: &[String]) -> CliResult {
         (!down.is_empty()).then(|| down.join(", "))
     };
     let judge = (args[0].as_str(), &baseline);
-    let mut run = run_online(merge, &opts, judge, Some(&degraded))?;
+    let mut run = run_online(merge, &opts, judge, Some(&degraded), out)?;
 
     let refused = live.refused();
     if refused > 0 {
-        println!("stats: refused {refused} connection(s) that did not open a session");
+        writeln!(
+            out,
+            "stats: refused {refused} connection(s) that did not open a session"
+        )?;
     }
     for r in &live.finish() {
         for e in &r.first_errors {
             eprintln!("warning: conn {}: {e} (resynchronized)", r.index);
         }
-        println!("stats: conn {}", conn_line(r));
+        writeln!(out, "stats: conn {}", conn_line(r))?;
         run.health.absorb_stream(r.stats);
         run.health.absorb_conn(r.stalls, r.disconnects, r.resumes);
     }
     if run.events == 0 {
         return Err("publishers delivered no events".into());
     }
-    report_run(&run, config);
-    Ok(())
+    report_run(&run, config, out)
 }
 
 /// `publish`: the replay client for `serve`. Reads a capture, deals it
@@ -601,57 +589,6 @@ fn conn_line(r: &netsim::net::ConnReport) -> String {
     )
 }
 
-/// One per-epoch latency breakdown line. Deliberately NOT prefixed
-/// `epoch ` — wall-clock differs between runs, and CI diffs `epoch `
-/// lines byte-for-byte.
-fn report_latency(epoch: u64, timings: EpochTimings) {
-    println!(
-        "latency epoch {epoch:>3}  retire_us {} observe_us {} snapshot_us {} diff_us {}",
-        timings.retire_us, timings.observe_us, timings.snapshot_us, timings.diff_us
-    );
-}
-
-/// One status line per epoch snapshot.
-fn report(snapshot: &EpochSnapshot, config: &FlowDiffConfig) {
-    let diagnosis = snapshot.diagnose(&[], config);
-    let gated = snapshot.suppressed().count();
-    let mut verdict = if diagnosis.is_healthy() {
-        "healthy".to_string()
-    } else {
-        let problems = diagnosis
-            .problems
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        let suspects = diagnosis
-            .ranking
-            .iter()
-            .take(3)
-            .map(|(c, n)| format!("{c}({n})"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        format!("ALARM [{problems}] suspects: {suspects}")
-    };
-    if gated > 0 {
-        let sample = snapshot
-            .suppressed()
-            .next()
-            .map(|(k, h)| format!("{k:?} {h}"))
-            .unwrap_or_default();
-        verdict.push_str(&format!("  ({gated} signature(s) suppressed: {sample})"));
-    }
-    println!(
-        "epoch {:>3}  [{:>7.1}s .. {:>7.1}s]  {:>5} flows  {:>3} changes  {}",
-        snapshot.epoch,
-        snapshot.window.0.as_secs_f64(),
-        snapshot.window.1.as_secs_f64(),
-        snapshot.records,
-        snapshot.diff.change_count(),
-        verdict
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,14 +654,21 @@ mod tests {
         path.to_str().unwrap().to_string()
     }
 
-    /// `watch` at 1 s epochs over a 2 s window, plus `flags`.
-    fn watch(baseline: &str, current: &str, flags: &[&str]) -> CliResult {
-        let shape = ["--epoch-secs", "1", "--window-secs", "2"];
+    /// `watch`'s flags for 1 s epochs over a 2 s window.
+    const SHAPE: [&str; 4] = ["--epoch-secs", "1", "--window-secs", "2"];
+
+    /// `watch` under [`SHAPE`] plus `flags`, writing to `out`.
+    fn watch_to(baseline: &str, current: &str, flags: &[&str], out: &mut dyn Write) -> CliResult {
         let args = [baseline, current]
             .into_iter()
-            .chain(shape)
+            .chain(SHAPE)
             .chain(flags.iter().copied());
-        cmd_watch(&args.map(String::from).collect::<Vec<_>>())
+        cmd_watch(&args.map(String::from).collect::<Vec<_>>(), out)
+    }
+
+    /// [`watch_to`] with its output dropped.
+    fn watch(baseline: &str, current: &str, flags: &[&str]) -> CliResult {
+        watch_to(baseline, current, flags, &mut std::io::sink())
     }
 
     /// `watch`'s `epoch ` lines over the two captures under `flags`,
@@ -751,7 +695,43 @@ mod tests {
         };
         let args: Vec<&str> = args.split('\n').collect();
         let flags: Vec<&str> = args[2].split_whitespace().collect();
-        watch(args[0], args[1], &flags).unwrap();
+        watch_to(args[0], args[1], &flags, &mut std::io::stdout().lock()).unwrap();
+    }
+
+    /// `watch` prints each epoch as the verdict the library renders, and
+    /// nothing else: every `epoch ` line is `EpochSnapshot::verdict`'s,
+    /// from the same captures and config run in process.
+    #[test]
+    fn every_epoch_line_is_the_verdict_the_library_renders() {
+        let (baseline, current) = (
+            capture("verdict-a.fcap", 1),
+            capture("verdict-current.fcap", 3),
+        );
+        let opts = OnlineOpts::parse(&SHAPE.map(String::from), false).unwrap();
+        let config = &opts.config;
+        let bundle = load_baseline(&baseline, config, &mut std::io::sink()).unwrap();
+        let differ = OnlineDiffer::try_new(Arc::new(bundle), config).unwrap();
+        let log = ControllerLog::from_wire_bytes(&std::fs::read(&current).unwrap()).unwrap();
+        let events = log.events().iter().map(FlowEvent::from);
+        let supervision = Supervision {
+            config,
+            checkpoint_path: None,
+            degraded: None,
+        };
+        let mut verdicts = Vec::new();
+        let run = supervise((differ, 0), events, &supervision, |snapshot, _| {
+            verdicts.push(snapshot.verdict(&[], config).to_string());
+            Ok(())
+        })
+        .unwrap();
+        verdicts.extend(run.last.map(|s| s.verdict(&[], config).to_string()));
+        assert_eq!(watch_epoch_lines(&baseline, &current, ""), verdicts);
+        for shape in ["changes  ALARM [", " suppressed: ", "changes  healthy"] {
+            assert!(
+                verdicts.iter().any(|l| l.contains(shape)),
+                "no epoch line reads {shape:?}"
+            );
+        }
     }
 
     #[test]
@@ -809,7 +789,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         let path = tmp("future-version.fbas");
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
+        let err = load_baseline(path.to_str().unwrap(), &config, &mut std::io::sink()).unwrap_err();
         assert!(
             err.to_string().contains("unsupported format version 99"),
             "got: {err}"
@@ -825,7 +805,7 @@ mod tests {
         let differ = OnlineDiffer::new(model, stability, &config);
         let path = tmp("not-a-baseline.ckpt");
         std::fs::write(&path, Checkpoint::capture(&differ, 0, &config).to_bytes()).unwrap();
-        let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
+        let err = load_baseline(path.to_str().unwrap(), &config, &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "got: {err}");
     }
 
@@ -841,11 +821,11 @@ mod tests {
         bytes[last] ^= 0x01;
         let path = tmp("corrupt.fbas");
         std::fs::write(&path, &bytes).unwrap();
-        let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
+        let err = load_baseline(path.to_str().unwrap(), &config, &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "got: {err}");
         // Truncation is caught too.
         std::fs::write(&path, &bundle.to_bytes()[..16]).unwrap();
-        let err = load_baseline(path.to_str().unwrap(), &config).unwrap_err();
+        let err = load_baseline(path.to_str().unwrap(), &config, &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "got: {err}");
     }
 }

@@ -43,7 +43,8 @@ pub fn engine_snapshots(
     };
     let mut snaps = Vec::new();
     let run = supervise((differ, 0), events, &supervision, |snap, _| {
-        snaps.push(serde::to_vec(snap))
+        snaps.push(serde::to_vec(snap));
+        Ok(())
     })
     .expect("supervised run");
     snaps.extend(run.last.as_ref().map(serde::to_vec));

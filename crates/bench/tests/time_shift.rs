@@ -1,8 +1,8 @@
 //! Epoch snapshots do not depend on the clock a capture starts on:
 //! adding a constant Δ to every timestamp of the current capture shifts
-//! each epoch's window by Δ and changes nothing else `watch` reports
-//! about it — epoch index, flows, changes — and no event is quarantined
-//! as a time jump. Real controller logs carry wall-clock timestamps, so
+//! each epoch's window by Δ and changes nothing else its verdict holds —
+//! epoch index, flows, changes, problem classes, suspects, suppressed
+//! signatures — and no event is quarantined as a time jump. Real controller logs carry wall-clock timestamps, so
 //! Δ runs up to a 2026 wall-clock instant in microseconds.
 //!
 //! One clamp stays: a window reaching back past time zero starts at
@@ -58,16 +58,16 @@ fn shifted(log: &ControllerLog, delta_us: u64) -> ControllerLog {
     out
 }
 
-/// One epoch as `watch` reports it: `(epoch, window, flows, changes)`,
-/// the window in `T` (µs in process, printed seconds from `watch`).
-type Line<T> = (u64, (T, T), usize, usize);
+/// One `epoch ` line as `watch` prints it: `(epoch, window, flows,
+/// changes)`, the window in seconds.
+type Line = (u64, (f64, f64), usize, usize);
 
 /// Runs `run` at every Δ and returns the shifts that quarantined a time
-/// jump or whose epochs do not match the Δ = 0 run's line for line
-/// (`matches(line, expected, Δ)`).
-fn shifts_that_differ<T>(
-    run: impl Fn(u64) -> (Vec<Line<T>>, u64),
-    matches: impl Fn(&Line<T>, &Line<T>, u64) -> bool,
+/// jump or whose epochs do not match the Δ = 0 run's one for one
+/// (`matches(epoch, expected, Δ)`).
+fn shifts_that_differ<E>(
+    run: impl Fn(u64) -> (Vec<E>, u64),
+    matches: impl Fn(&E, &E, u64) -> bool,
 ) -> Vec<u64> {
     let (expected, jumps) = run(0);
     assert!(expected.len() >= 10, "{} epochs", expected.len());
@@ -83,23 +83,17 @@ fn shifts_that_differ<T>(
         .collect()
 }
 
-/// One epoch snapshot as a [`Line`] in microseconds.
-fn line(snapshot: &EpochSnapshot) -> Line<u64> {
-    let (start, end) = snapshot.window;
-    let window = (start.as_micros(), end.as_micros());
-    let changes = snapshot.diff.change_count();
-    (snapshot.epoch, window, snapshot.records, changes)
-}
-
-/// `line` is `want` with its window moved by Δ, as far as the zero
-/// clamp allows.
-fn moved_back(
-    &(epoch, (start, end), flows, changes): &Line<u64>,
-    want: &Line<u64>,
-    delta_us: u64,
-) -> bool {
-    let window = (start.saturating_sub(delta_us), end - delta_us);
-    (epoch, window, flows, changes) == *want
+/// `verdict` is `want` with its window moved by Δ, as far as the zero
+/// clamp allows, and every other field equal.
+fn moved_back(verdict: &EpochVerdict, want: &EpochVerdict, delta_us: u64) -> bool {
+    let (start, end) = verdict.window;
+    let start = Timestamp::from_micros(start.as_micros().saturating_sub(delta_us));
+    let end = Timestamp::from_micros(end.as_micros() - delta_us);
+    let moved = EpochVerdict {
+        window: (start, end),
+        ..verdict.clone()
+    };
+    moved == *want
 }
 
 #[test]
@@ -108,15 +102,16 @@ fn online_differ_is_invariant_under_a_clock_shift() {
     let (baseline, current) = captures();
     let reference = BehaviorModel::build(&baseline, &config);
     let stability = analyze(&baseline, &reference, &config);
+    let verdict = |snapshot: &EpochSnapshot| snapshot.verdict(&[], &config);
     let run = |delta_us: u64| {
         let mut differ = OnlineDiffer::new(reference.clone(), stability.clone(), &config);
-        let mut lines = Vec::new();
+        let mut verdicts = Vec::new();
         for event in shifted(&current, delta_us).events() {
-            lines.extend(differ.observe(event).iter().map(line));
+            verdicts.extend(differ.observe(event).iter().map(verdict));
         }
         let jumps = differ.health().time_jumps;
-        lines.extend(differ.finish().as_ref().map(line));
-        (lines, jumps)
+        verdicts.extend(differ.finish().as_ref().map(verdict));
+        (verdicts, jumps)
     };
     assert_eq!(shifts_that_differ(run, moved_back), Vec::<u64>::new());
 }
@@ -137,16 +132,19 @@ fn serve_is_invariant_under_a_clock_shift() {
         let judge = (&reference, &stability, &config);
         let log = shifted(&current, delta_us);
         let served = serve_loopback(&log, 2, 64, LiveOptions::default(), session, judge);
-        let snapshot = |bytes: &Vec<u8>| serde::from_slice(bytes).expect("snapshot bytes");
-        let lines = served.snaps.iter().map(|b| line(&snapshot(b))).collect();
-        (lines, served.health.time_jumps)
+        let verdict = |bytes: &Vec<u8>| {
+            let snapshot: EpochSnapshot = serde::from_slice(bytes).expect("snapshot bytes");
+            snapshot.verdict(&[], &config)
+        };
+        let verdicts = served.snaps.iter().map(verdict).collect();
+        (verdicts, served.health.time_jumps)
     };
     assert_eq!(shifts_that_differ(run, moved_back), Vec::<u64>::new());
 }
 
 /// Parses `watch`'s `epoch ` lines and the time-jump count of its
 /// `stats: ingest` line.
-fn parse_watch(stdout: &str) -> (Vec<Line<f64>>, u64) {
+fn parse_watch(stdout: &str) -> (Vec<Line>, u64) {
     let mut lines = Vec::new();
     let mut jumps = None;
     for text in stdout.lines() {
@@ -213,7 +211,7 @@ fn watch_is_invariant_under_a_clock_shift() {
     };
     // Bounds print to 0.1 s and Δ need not be a whole number of tenths,
     // so a moved-back bound may land one rounding step away.
-    let matches = |line: &Line<f64>, want: &Line<f64>, delta_us: u64| {
+    let matches = |line: &Line, want: &Line, delta_us: u64| {
         let &(epoch, (start, end), flows, changes) = line;
         let delta = delta_us as f64 / 1e6;
         let near = |a: f64, b: f64| (a - b).abs() <= 0.1 + 1e-6;

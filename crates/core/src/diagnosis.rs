@@ -11,11 +11,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
 
 pub use crate::change::{Change, ChangeDetail, ChangeDirection, Component, SignatureKind};
 use crate::config::FlowDiffConfig;
-use crate::diff::ModelDiff;
+use crate::diff::{EpochSnapshot, GateReason, ModelDiff};
 use crate::model::BehaviorModel;
 use crate::tasks::TaskEvent;
 
@@ -352,23 +353,113 @@ pub fn diagnose(
     }
 }
 
-impl crate::diff::EpochSnapshot {
-    /// Diagnoses this epoch: validates the window's changes against the
-    /// operator task series, classifies, and ranks — the online
-    /// counterpart of the batch [`diagnose`] entry point.
-    pub fn diagnose(&self, tasks: &[TaskEvent], config: &FlowDiffConfig) -> DiagnosisReport {
-        diagnose(&self.diff, &self.model, tasks, config)
+/// What one epoch of the online differ tells the operator: the window
+/// it judged, how much changed, whether any change is unexplained and,
+/// if so, the problem classes and the top suspects, and which
+/// signatures were suppressed and why. [`EpochSnapshot::verdict`]
+/// makes it; its `Display` is the `epoch ` line `watch` and `serve`
+/// print.
+///
+/// It carries no [`EpochTimings`](crate::diff::EpochTimings): a
+/// snapshot does not know how long it took ([`supervise`] hands the
+/// timings to its caller beside it), and `epoch ` lines are compared
+/// byte for byte across runs, so wall-clock time never enters them.
+///
+/// [`supervise`]: crate::engine::supervise
+#[derive(Debug, Clone, PartialEq)]
+pub struct EpochVerdict {
+    /// Zero-based epoch index.
+    pub epoch: u64,
+    /// The trailing window judged, `[start, end)`.
+    pub window: (Timestamp, Timestamp),
+    /// Flow records in the window model.
+    pub records: usize,
+    /// Changes in the gated diff ([`ModelDiff::change_count`]).
+    pub changes: usize,
+    /// Changes no operator task explains: zero reads `healthy`, more
+    /// reads `ALARM`.
+    pub unexplained: usize,
+    /// Problem classes inferred from the unexplained changes.
+    pub problems: Vec<ProblemClass>,
+    /// The most implicated components, at most [`EpochVerdict::SUSPECTS`].
+    pub suspects: Vec<(Component, usize)>,
+    /// The suppressed signatures with their reasons.
+    pub suppressed: Vec<(SignatureKind, GateReason)>,
+}
+
+impl EpochVerdict {
+    /// How many ranked components a verdict names.
+    pub const SUSPECTS: usize = 3;
+}
+
+impl fmt::Display for EpochVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (start, end) = self.window;
+        write!(
+            f,
+            "epoch {:>3}  [{:>7.1}s .. {:>7.1}s]  {:>5} flows  {:>3} changes  ",
+            self.epoch,
+            start.as_secs_f64(),
+            end.as_secs_f64(),
+            self.records,
+            self.changes
+        )?;
+        if self.unexplained == 0 {
+            f.write_str("healthy")?;
+        } else {
+            f.write_str("ALARM [")?;
+            for (i, problem) in self.problems.iter().enumerate() {
+                write!(f, "{}{problem}", if i == 0 { "" } else { "; " })?;
+            }
+            f.write_str("] suspects: ")?;
+            for (i, (component, n)) in self.suspects.iter().enumerate() {
+                write!(f, "{}{component}({n})", if i == 0 { "" } else { " " })?;
+            }
+        }
+        if let Some((kind, reason)) = self.suppressed.first() {
+            write!(
+                f,
+                "  ({} signature(s) suppressed: {kind:?} starved: {reason})",
+                self.suppressed.len()
+            )?;
+        }
+        Ok(())
+    }
+}
+
+impl EpochSnapshot {
+    /// Diagnoses this epoch — validates the window's changes against
+    /// the operator task series, classifies, and ranks, as the batch
+    /// [`diagnose`] does — and sums it up as the epoch's verdict.
+    pub fn verdict(&self, tasks: &[TaskEvent], config: &FlowDiffConfig) -> EpochVerdict {
+        let report = diagnose(&self.diff, &self.model, tasks, config);
+        let mut suspects = report.ranking;
+        suspects.truncate(EpochVerdict::SUSPECTS);
+        EpochVerdict {
+            epoch: self.epoch,
+            window: self.window,
+            records: self.records,
+            changes: self.diff.change_count(),
+            unexplained: report.unknown.len(),
+            problems: report.problems,
+            suspects,
+            suppressed: self.gating.clone(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::OnlineDiffer;
     use crate::groups::Edge;
     use crate::signatures::infra::{ControllerResponse, CrtChange, InterSwitchLatency, IslChange};
     use crate::signatures::Signature;
+    use crate::stability::analyze;
     use crate::stats::MeanStd;
-    use openflow::types::{DatapathId, Timestamp};
+    use netsim::log::ControllerLog;
+    use openflow::types::DatapathId;
+    use workloads::prelude::*;
 
     fn ip(x: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, x)
@@ -528,6 +619,93 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("DD"));
         assert!(text.contains("ISL"));
+    }
+
+    /// The `flowdiff_cli demo` captures: a healthy 60 s webshop run and
+    /// one whose app server answers 150 ms late.
+    fn demo_pair() -> (ControllerLog, ControllerLog) {
+        let lab = Lab::new();
+        let baseline = lab.webshop(1, 60).run().log;
+        let mut current = lab.webshop(2, 60);
+        let slowdown = Fault::HostSlowdown {
+            host: lab.node("S4"),
+            extra_us: 150_000,
+        };
+        current.fault(Timestamp::ZERO, slowdown);
+        (baseline, current.run().log)
+    }
+
+    /// What `watch --epoch-secs epoch_s --window-secs window_s` makes of
+    /// `current` against `baseline`: each epoch's verdict, with the
+    /// length of the ranking its suspects were cut from.
+    fn watch_verdicts(
+        baseline: &ControllerLog,
+        current: &ControllerLog,
+        (epoch_s, window_s): (u64, u64),
+    ) -> Vec<(EpochVerdict, usize)> {
+        // `watch` also bounds time jumps; these captures have none.
+        let config = FlowDiffConfig {
+            online_epoch_us: epoch_s * 1_000_000,
+            online_window_us: window_s * 1_000_000,
+            ..FlowDiffConfig::default()
+        };
+        let model = BehaviorModel::build(baseline, &config);
+        let stability = analyze(baseline, &model, &config);
+        let mut differ = OnlineDiffer::new(model, stability, &config);
+        let mut snaps = Vec::new();
+        for event in current.events() {
+            snaps.extend(differ.observe(event));
+        }
+        snaps.extend(differ.finish());
+        let judged = |s: &EpochSnapshot| {
+            let ranked = diagnose(&s.diff, &s.model, &[], &config).ranking.len();
+            (s.verdict(&[], &config), ranked)
+        };
+        snaps.iter().map(judged).collect()
+    }
+
+    /// Each shape of `epoch ` line renders as `flowdiff-bench watch`
+    /// printed it over the demo captures before the verdict was a
+    /// value; the expected lines are copied from those runs.
+    #[test]
+    fn verdict_renders_each_shape_of_the_epoch_line() {
+        let (baseline, current) = demo_pair();
+        let faulty = watch_verdicts(&baseline, &current, (5, 30));
+        let quiet = watch_verdicts(&baseline, &baseline, (10, 60));
+        let shapes = [
+            // `--epoch-secs 10 --window-secs 60`, the baseline against
+            // itself.
+            (
+                &quiet[6],
+                "epoch   6  [   11.0s ..    71.0s]   1550 flows    0 changes  healthy",
+            ),
+            // The rest at the default 5 s / 30 s, the slowed run against
+            // the baseline. Four components ranked, three printed:
+            (
+                &faulty[3],
+                "epoch   3  [    0.0s ..    21.0s]    566 flows    8 changes  ALARM \
+                 [host network problem / local congestion] suspects: host 10.0.0.5(5) \
+                 host 10.0.0.14(4) host 10.0.0.15(2)",
+            ),
+            (
+                &faulty[0],
+                "epoch   0  [    0.0s ..     6.0s]    135 flows    9 changes  ALARM \
+                 [host or application problem; host network problem / local congestion] \
+                 suspects: host 10.0.0.5(5) host 10.0.0.14(4) host 10.0.0.15(2)  \
+                 (1 signature(s) suppressed: Lu starved: no port-counter samples in window)",
+            ),
+            (
+                &faulty[18],
+                "epoch  18  [   65.0s ..    95.0s]      0 flows    0 changes  healthy  \
+                 (8 signature(s) suppressed: Cg starved: no flow records in window)",
+            ),
+        ];
+        for ((verdict, _), line) in shapes {
+            assert_eq!(verdict.to_string(), line);
+        }
+        assert_eq!(faulty[3].1, 4, "more components ranked than printed");
+        assert_eq!(faulty[3].0.suspects.len(), EpochVerdict::SUSPECTS);
+        assert_eq!(faulty[18].0.suppressed.len(), 8);
     }
 
     #[test]

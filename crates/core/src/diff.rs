@@ -207,28 +207,15 @@ pub fn compare(
     }
 }
 
-/// Health of one signature's input feed at an epoch boundary.
+/// Why a signature's diff was suppressed at an epoch boundary: its
+/// input feed is starved.
 ///
 /// A detector whose inputs are starved should lower its confidence
 /// rather than flood the operator with false "missing behavior"
 /// alarms. The [`OnlineDiffer`] judges every signature at each boundary
-/// and *suppresses* the diffs of non-healthy kinds: the changes are
-/// stripped from the [`EpochSnapshot`] and the verdict recorded in
-/// [`EpochSnapshot::gating`] instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SignatureHealth {
-    /// Inputs flowing; diffs emitted normally.
-    Healthy,
-    /// The signature's input feed produced nothing this window while
-    /// the reference expects it — diffing would report everything the
-    /// reference knows as "missing".
-    Starved {
-        /// What input is missing.
-        reason: GateReason,
-    },
-}
-
-/// Why a signature's input feed is starved.
+/// and *suppresses* the diffs of starved kinds: the changes are
+/// stripped from the [`EpochSnapshot`] and the kind listed in
+/// [`EpochSnapshot::gating`] with its reason instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GateReason {
     /// The transport reports a stalled or dead source; the note says
@@ -251,18 +238,9 @@ impl fmt::Display for GateReason {
     }
 }
 
-impl fmt::Display for SignatureHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SignatureHealth::Healthy => write!(f, "healthy"),
-            SignatureHealth::Starved { reason } => write!(f, "starved: {reason}"),
-        }
-    }
-}
-
 /// One sliding-window comparison emitted by the [`OnlineDiffer`] at an
 /// epoch boundary: the model of the trailing window and its diff
-/// against the reference.
+/// against the reference. [`EpochSnapshot::verdict`] diagnoses it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochSnapshot {
     /// Zero-based epoch index.
@@ -277,24 +255,8 @@ pub struct EpochSnapshot {
     /// changes already stripped (see [`EpochSnapshot::gating`]).
     pub diff: ModelDiff,
     /// Signatures whose diffs were suppressed this epoch and why; a
-    /// kind not listed here is [`SignatureHealth::Healthy`].
-    pub gating: Vec<(SignatureKind, SignatureHealth)>,
-}
-
-impl EpochSnapshot {
-    /// The health verdict of one signature kind this epoch.
-    pub fn health_of(&self, kind: SignatureKind) -> SignatureHealth {
-        self.gating
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, h)| h.clone())
-            .unwrap_or(SignatureHealth::Healthy)
-    }
-
-    /// The suppressed kinds with their reasons (empty when all healthy).
-    pub fn suppressed(&self) -> impl Iterator<Item = (SignatureKind, &SignatureHealth)> {
-        self.gating.iter().map(|(k, h)| (*k, h))
-    }
+    /// kind not listed here was judged as usual.
+    pub gating: Vec<(SignatureKind, GateReason)>,
 }
 
 /// Signatures built from flow records — everything except LU, which
@@ -312,31 +274,30 @@ const RECORD_FED: [SignatureKind; 8] = [
 
 /// Judges every signature's input feed for the window `model` covers
 /// and strips the suppressed kinds' changes out of `diff`. Returns the
-/// non-healthy verdicts.
+/// suppressed kinds with their reasons.
 fn gate_diff(
     reference: &BehaviorModel,
     model: &BehaviorModel,
     degraded: Option<&Arc<str>>,
     diff: &mut ModelDiff,
-) -> Vec<(SignatureKind, SignatureHealth)> {
-    let starved = |reason| SignatureHealth::Starved { reason };
-    let mut gating: Vec<(SignatureKind, SignatureHealth)> = Vec::new();
+) -> Vec<(SignatureKind, GateReason)> {
+    let mut gating: Vec<(SignatureKind, GateReason)> = Vec::new();
     if let Some(note) = degraded {
         // The transport says a source is stalled or dead: part of the
         // window's behavior is simply missing, so every signature's
         // diff is suppressed rather than flooding "missing flow" alarms
         // against a starved input.
         for kind in RECORD_FED.into_iter().chain([SignatureKind::Lu]) {
-            gating.push((kind, starved(GateReason::IngestDegraded(note.clone()))));
+            gating.push((kind, GateReason::IngestDegraded(note.clone())));
         }
     } else {
         if model.records.is_empty() && !reference.records.is_empty() {
             for kind in RECORD_FED {
-                gating.push((kind, starved(GateReason::NoFlowRecords)));
+                gating.push((kind, GateReason::NoFlowRecords));
             }
         }
         if model.utilization.per_port.is_empty() && !reference.utilization.per_port.is_empty() {
-            gating.push((SignatureKind::Lu, starved(GateReason::NoPortSamples)));
+            gating.push((SignatureKind::Lu, GateReason::NoPortSamples));
         }
     }
     if !gating.is_empty() {
@@ -373,9 +334,9 @@ struct Judge {
     baseline_id: Derived<OnceLock<u64>>,
     config: FlowDiffConfig,
     /// Transient transport-degradation note set by the serving loop
-    /// (a stalled or dead publisher): while set, every signature gates
-    /// [`SignatureHealth::Starved`]. A live transport condition, not
-    /// stream state.
+    /// (a stalled or dead publisher): while set, every signature is
+    /// gated [`GateReason::IngestDegraded`]. A live transport condition,
+    /// not stream state.
     ingest_degraded: Derived<Option<Arc<str>>>,
 }
 
@@ -616,8 +577,8 @@ impl OnlineDiffer {
     }
 
     /// Sets (or clears) the transport-degradation note: while set,
-    /// every signature is gated [`SignatureHealth::Starved`] with this
-    /// reason — the serving loop calls this when a publisher stream
+    /// every signature is gated [`GateReason::IngestDegraded`] with this
+    /// note — the serving loop calls this when a publisher stream
     /// goes stalled or dead, and clears it when the stream revives.
     /// Transient: never serialized, never part of differ equality.
     pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
@@ -740,18 +701,17 @@ mod tests {
     #[test]
     fn gate_reasons_read_as_before() {
         let note: Arc<str> = Arc::from("conn 0 stalled");
-        let starved = |reason| SignatureHealth::Starved { reason }.to_string();
         assert_eq!(
-            starved(GateReason::IngestDegraded(note.clone())),
-            "starved: ingest degraded: conn 0 stalled"
+            GateReason::IngestDegraded(note.clone()).to_string(),
+            "ingest degraded: conn 0 stalled"
         );
         assert_eq!(
-            starved(GateReason::NoFlowRecords),
-            "starved: no flow records in window"
+            GateReason::NoFlowRecords.to_string(),
+            "no flow records in window"
         );
         assert_eq!(
-            starved(GateReason::NoPortSamples),
-            "starved: no port-counter samples in window"
+            GateReason::NoPortSamples.to_string(),
+            "no port-counter samples in window"
         );
 
         let empty = BehaviorModel::build(&ControllerLog::new(), &FlowDiffConfig::default());
@@ -763,17 +723,14 @@ mod tests {
         );
         let gating = gate_diff(&empty, &empty, Some(&note), &mut diff);
         assert_eq!(gating.len(), RECORD_FED.len() + 1);
-        for (_, health) in &gating {
-            let SignatureHealth::Starved {
-                reason: GateReason::IngestDegraded(shared),
-            } = health
-            else {
-                panic!("{health}");
+        for (_, reason) in &gating {
+            let GateReason::IngestDegraded(shared) = reason else {
+                panic!("{reason}");
             };
             assert!(Arc::ptr_eq(shared, &note));
         }
         let bytes = serde::to_vec(&gating);
-        let back: Vec<(SignatureKind, SignatureHealth)> = serde::from_slice(&bytes).unwrap();
+        let back: Vec<(SignatureKind, GateReason)> = serde::from_slice(&bytes).unwrap();
         assert_eq!(back, gating);
     }
 
@@ -1017,16 +974,13 @@ mod tests {
                 snap.epoch,
                 snap.diff
             );
-            assert_eq!(
-                snap.health_of(SignatureKind::Fs),
-                SignatureHealth::Starved {
-                    reason: GateReason::NoFlowRecords
-                }
-            );
-            assert!(
-                snap.suppressed().count() >= RECORD_FED.len(),
-                "all record-fed signatures are suppressed"
-            );
+            for kind in RECORD_FED {
+                assert!(
+                    snap.gating.contains(&(kind, GateReason::NoFlowRecords)),
+                    "{kind:?} is suppressed: {:?}",
+                    snap.gating
+                );
+            }
             assert!(snap.diff.missing_groups.is_empty());
         }
     }

@@ -24,6 +24,7 @@
 //! use flowdiff::prelude::*;
 //! use netsim::log::{ControllerLog, FlowEvent};
 //!
+//! use std::io::Write;
 //! use std::sync::Arc;
 //!
 //! let config = FlowDiffConfig::default();
@@ -38,8 +39,9 @@
 //!     checkpoint_path: None,
 //!     degraded: None,
 //! };
+//! let mut out = std::io::stdout().lock();
 //! let run = supervise((differ, 0), current.into_iter(), &supervision, |epoch, _| {
-//!     println!("epoch {}: {} flows", epoch.epoch, epoch.records)
+//!     writeln!(out, "{}", epoch.verdict(&[], &config))
 //! })
 //! .unwrap();
 //! assert_eq!(run.events, 0);
@@ -123,12 +125,14 @@ pub struct RunReport {
 ///
 /// # Errors
 ///
-/// A checkpoint that cannot be written.
+/// As [`PersistError::Io`]: the first error `on_snapshot` returns (a
+/// closed stdout, say), which ends the run there, or a checkpoint that
+/// cannot be written.
 pub fn supervise(
     (mut differ, start): (OnlineDiffer, u64),
     mut events: impl Iterator<Item = FlowEvent>,
     supervision: &Supervision<'_>,
-    mut on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
+    mut on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings) -> std::io::Result<()>,
 ) -> Result<RunReport, PersistError> {
     let Supervision {
         config,
@@ -148,7 +152,7 @@ pub fn supervise(
         }
         let mut timings = differ.take_timings();
         for snap in &snaps {
-            on_snapshot(snap, std::mem::take(&mut timings));
+            on_snapshot(snap, std::mem::take(&mut timings))?;
         }
         epochs_since_ckpt += snaps.len() as u64;
         if let Some(path) = checkpoint_path {
@@ -263,6 +267,7 @@ mod tests {
                         panic!("drill: killed at epoch {}", snap.epoch);
                     }
                     delivered.push(trace(snap));
+                    Ok(())
                 })
                 .unwrap()
             }));

@@ -72,10 +72,10 @@ pub mod prelude {
     pub use crate::checkpoint::{BaselineBundle, Checkpoint, PersistError};
     pub use crate::config::{ConfigError, FlowDiffConfig};
     pub use crate::diagnosis::{
-        diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,
+        diagnose, Change, Component, DiagnosisReport, EpochVerdict, ProblemClass, SignatureKind,
     };
     pub use crate::diff::{
-        compare, EpochSnapshot, EpochTimings, GateReason, ModelDiff, OnlineDiffer, SignatureHealth,
+        compare, EpochSnapshot, EpochTimings, GateReason, ModelDiff, OnlineDiffer,
     };
     pub use crate::engine::{supervise, RunReport, Supervision};
     pub use crate::epoch::EpochClock;
