@@ -385,15 +385,16 @@ step "results/ is what the binaries print"
 # results/*.txt is the stdout of one run of each deterministic experiment
 # binary (EXPERIMENTS.md, Archived outputs); fig13 prints wall-clock times
 # and is not compared. A change that moves an experiment regenerates its
-# file. The nine take about 2 s together.
-for bin in table1 table2 table3 fig9 fig10 fig11 fig12 ablate_deployment ablate_minsup; do
+# file. The ten take about 3 s together.
+for bin in table1 table2 table3 fig9 fig10 fig11 fig12 ablate_deployment ablate_minsup \
+    healthy_probe; do
     "target/release/$bin" > "$demo_dir/$bin.txt"
     if ! diff "results/$bin.txt" "$demo_dir/$bin.txt"; then
         echo "FAIL: target/release/$bin no longer prints results/$bin.txt" >&2
         exit 1
     fi
 done
-echo "9 experiment binaries print their results/ files"
+echo "10 experiment binaries print their results/ files"
 
 step "one window"
 # The model builder holds each completion once: in its arrival-order
@@ -493,6 +494,23 @@ step "the boundary folds panes"
 if sed '/^#\[cfg(test)\]/,$d' "$model_rs" |
     grep -nE '(DelayDistribution|PhysicalTopology|InterSwitchLatency|ControllerResponse)::build\('; then
     echo "FAIL: $model_rs builds DD, PT, ISL or CRT over the whole window instead of folding panes" >&2
+    exit 1
+fi
+
+step "integer statistics are exact sums"
+# ISL, CRT, DD's nearest delays and FS's byte and packet counts sum
+# integer samples exactly (flowdiff::stats::Moments, DESIGN.md, "The
+# fold"): no pane partial holds raw f64 samples outside its tests, and
+# the two-pass f64 fold whose bits followed sample order stays gone.
+for src in crates/core/src/panes.rs crates/core/src/signatures/infra.rs \
+    crates/core/src/signatures/delay.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nF 'Vec<f64>'; then
+        echo "FAIL: $src declares a Vec<f64> of samples again: keep per-key Moments" >&2
+        exit 1
+    fi
+done
+if grep -rnE '\.center\(\)|\.spread\(|Moments::(center|spread)' crates/core/src; then
+    echo "FAIL: a two-pass Moments fold (center/spread) is back under crates/core/src" >&2
     exit 1
 fi
 

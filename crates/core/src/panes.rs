@@ -5,11 +5,12 @@
 //!
 //! A pane holds the window records first seen in one epoch of the grid
 //! the boundaries fall on. Its partials read those records alone (DD's
-//! in-flows also pair with the flows of the next [`DD_WINDOW_US`]), and the
-//! fold runs over the panes in window order, so each signature sees its
-//! samples in the window's feed order and comes out bit-identical to a
-//! build over the whole window — which is what a batch build is: one
-//! pane.
+//! in-flows also pair with the flows of the next [`DD_WINDOW_US`]). DD,
+//! ISL and CRT carry exact integer sums ([`crate::stats::Moments`] and
+//! bin counts), which add up to the whole window's in any split, and
+//! PT's first-wins attachment folds the panes in window order, so every
+//! signature comes out bit-identical to a build over the whole window —
+//! which is what a batch build is: one pane.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -43,7 +44,7 @@ struct Pane {
 }
 
 /// A window's panes, their partials, and what the folds keep across
-/// boundaries: DD's running bin totals and the key indices the partials
+/// boundaries: DD's running totals and the key indices the partials
 /// file under.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Panes {
@@ -185,9 +186,7 @@ impl Panes {
         let panes = self.panes.values();
         let owner = |edge: EdgeId| Some(owners[edge.index()]).filter(|&g| g != u32::MAX);
         let group_of = |incoming: EdgeId, _: EdgeId| owner(incoming).map(|g| g as usize);
-        let mut delay = self
-            .dd
-            .finish(panes.clone().map(|p| &p.dd), catalog, n_groups, group_of);
+        let mut delay = self.dd.finish(catalog, n_groups, group_of);
         let topology = self.pt.finish(panes.clone().map(|p| &p.pt), catalog);
         let latency = self.isl.finish(panes.clone().map(|p| &p.isl), catalog);
         let response = ControllerResponse::fold(panes.map(|p| &p.crt), catalog);

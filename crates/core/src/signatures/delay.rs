@@ -84,46 +84,40 @@ impl fmt::Display for DdChange {
 /// One pane's share of DD: each in-flow first seen in the pane paired
 /// with the flows that leave its destination within [`DD_WINDOW_US`] —
 /// wherever in the window those are first seen — as nonzero bin counts
-/// and nearest-delay samples, filed per edge pair under the pair's
-/// index in the [`DdFold`].
+/// and nearest-delay sums, filed per edge pair under the pair's index in
+/// the [`DdFold`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DdPartial {
-    /// `(pair, end of its bins, end of its nearest samples)`: a pair's
-    /// entries start where the previous pair's end.
-    pairs: Vec<(usize, usize, usize)>,
+    /// `(pair, end of its bins, its nearest delays)`: a pair's bins
+    /// start where the previous pair's end.
+    pairs: Vec<(usize, usize, Moments)>,
     /// `(bin, count)` of each nonzero bin, ascending within a pair.
     bins: Vec<(usize, u64)>,
-    /// Nearest-delay samples, in-flows in feed order within a pair.
-    nearest: Vec<f64>,
 }
 
 impl DdPartial {
-    /// Each pair's index, bin counts and nearest-delay samples.
-    fn entries(&self) -> impl Iterator<Item = (usize, &[(usize, u64)], &[f64])> + '_ {
-        let mut from = (0, 0);
+    /// Each pair's index, bin counts and nearest-delay sums.
+    fn entries(&self) -> impl Iterator<Item = (usize, &[(usize, u64)], Moments)> + '_ {
+        let mut from = 0;
         self.pairs.iter().map(move |&(pair, bins, nearest)| {
-            let entry = (
-                pair,
-                &self.bins[from.0..bins],
-                &self.nearest[from.1..nearest],
-            );
-            from = (bins, nearest);
+            let entry = (pair, &self.bins[from..bins], nearest);
+            from = bins;
             entry
         })
     }
 }
 
-/// DD's fold over pane partials in window order: the index of the edge
-/// pairs the partials file under, and each pair's running bin totals.
-/// The counts are integers, so adding a pane's when it is built and
-/// subtracting them when it is dropped or rebuilt is exact.
+/// DD's fold over pane partials: the index of the edge pairs the
+/// partials file under, and each pair's running bin totals and
+/// nearest-delay sums. Both are integers, so adding a pane's when it is
+/// built and subtracting them when it is dropped or rebuilt is exact.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DdFold {
     pairs: KeyIndex,
     /// Per pair: the bin counts of the partials added and not removed,
     /// with no trailing zero, as [`Histogram::add`] leaves them (empty:
-    /// no delay in the window).
-    totals: Vec<Vec<u64>>,
+    /// no delay in the window), and the sums of their nearest delays.
+    totals: Vec<(Vec<u64>, Moments)>,
 }
 
 /// An `(incoming, outgoing)` pair of interned edges as one key.
@@ -150,8 +144,7 @@ impl DdFold {
         let mut fold = DdFold::default();
         let part = fold.partial(feed, feed.len(), catalog, side);
         fold.add(&part);
-        let once = std::iter::once(&part);
-        fold.finish(once, catalog, n_groups, group_of)
+        fold.finish(catalog, n_groups, group_of)
     }
 
     /// The partial of the in-flows `feed[..ins]`: for each adjacent edge
@@ -240,7 +233,7 @@ impl DdFold {
                     continue;
                 }
                 let out_times = &times[starts[l_out]..starts[l_out + 1]];
-                let nearest_from = part.nearest.len();
+                let mut nearest = Moments::default();
                 let mut start_idx = 0usize;
                 for &t_in in in_times {
                     // advance to the first outgoing flow at or after t_in
@@ -264,17 +257,17 @@ impl DdFold {
                         }
                         hist[bin] += 1;
                         if first {
-                            part.nearest.push(d as f64);
+                            nearest.add(d);
                             first = false;
                         }
                     }
                 }
-                if part.nearest.len() > nearest_from {
+                if !nearest.is_empty() {
                     let counts = hist.iter().enumerate().filter(|&(_, &c)| c > 0);
                     part.bins.extend(counts.map(|(bin, &c)| (bin, c)));
                     hist.clear();
                     let pair = self.pairs.of(pack_pair(in_edge, out_edge));
-                    part.pairs.push((pair, part.bins.len(), part.nearest.len()));
+                    part.pairs.push((pair, part.bins.len(), nearest));
                 }
             }
         }
@@ -286,53 +279,48 @@ impl DdFold {
         self.pairs.len()
     }
 
-    /// Adds the bin counts of `part` to the running totals.
+    /// Adds the bin counts and nearest-delay sums of `part` to the
+    /// running totals.
     pub(crate) fn add(&mut self, part: &DdPartial) {
-        self.totals.resize(self.pairs.len(), Vec::new());
-        for (pair, bins, _) in part.entries() {
-            let totals = &mut self.totals[pair];
+        self.totals.resize(self.pairs.len(), Default::default());
+        for (pair, bins, nearest) in part.entries() {
+            let (totals, sums) = &mut self.totals[pair];
             for &(bin, count) in bins {
                 if bin >= totals.len() {
                     totals.resize(bin + 1, 0);
                 }
                 totals[bin] += count;
             }
+            *sums += nearest;
         }
     }
 
-    /// Subtracts the bin counts of `part`, a partial added before.
+    /// Subtracts the bin counts and nearest-delay sums of `part`, a
+    /// partial added before.
     pub(crate) fn remove(&mut self, part: &DdPartial) {
-        for (pair, bins, _) in part.entries() {
-            let totals = &mut self.totals[pair];
+        for (pair, bins, nearest) in part.entries() {
+            let (totals, sums) = &mut self.totals[pair];
             for &(bin, count) in bins {
                 totals[bin] -= count;
             }
             while totals.last() == Some(&0) {
                 totals.pop();
             }
+            *sums -= nearest;
         }
     }
 
-    /// The DD signatures of `n_groups` groups, folded from `parts` — the
-    /// partials added and not removed, in window order. `group_of` names
+    /// The DD signatures of `n_groups` groups, read off the running
+    /// totals of the partials added and not removed. `group_of` names
     /// the group an edge pair counts in, if any.
-    pub(crate) fn finish<'a>(
+    pub(crate) fn finish(
         &self,
-        parts: impl Iterator<Item = &'a DdPartial> + Clone,
         catalog: &EntityCatalog,
         n_groups: usize,
         group_of: impl Fn(EdgeId, EdgeId) -> Option<usize>,
     ) -> Vec<DelayDistribution> {
-        let mut nearest = vec![Moments::default(); self.pairs.len()];
-        for (pair, _, samples) in parts.clone().flat_map(DdPartial::entries) {
-            samples.iter().for_each(|&x| nearest[pair].add(x));
-        }
-        nearest.iter_mut().for_each(Moments::center);
-        for (pair, _, samples) in parts.flat_map(DdPartial::entries) {
-            samples.iter().for_each(|&x| nearest[pair].spread(x));
-        }
         let mut out = vec![DelayDistribution::default(); n_groups];
-        for (pair, counts) in self.totals.iter().enumerate() {
+        for (pair, (counts, nearest)) in self.totals.iter().enumerate() {
             if counts.is_empty() {
                 continue;
             }
@@ -343,7 +331,7 @@ impl DdFold {
             let key = (catalog.edge_addr(incoming), catalog.edge_addr(outgoing));
             let hist = Histogram::from_counts(DD_BIN_US, counts.clone());
             out[g].per_pair.insert(key, hist);
-            out[g].nearest.insert(key, nearest[pair].summary());
+            out[g].nearest.insert(key, nearest.summary());
         }
         out
     }

@@ -15,7 +15,7 @@ use crate::groups::Edge;
 use crate::signatures::{
     merge_join, DiffCtx, Signature, SignatureInputs, StabilityCtx, StabilityMask,
 };
-use crate::stats::MeanStd;
+use crate::stats::{MeanStd, Moments};
 
 /// Per-edge flow statistics.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -119,31 +119,30 @@ impl Signature for FlowStatsSig {
     type Change = FsChange;
     const KIND: SignatureKind = SignatureKind::Fs;
 
-    /// Byte, packet and duration samples are taken in feed order —
-    /// `MeanStd` over f64 samples is order-sensitive — overall and per
-    /// edge slot.
+    /// Byte and packet counts are integers, summed exactly
+    /// (`stats::Moments`), so no record order moves their statistics; the
+    /// real-valued durations are summarized in feed order. Overall and
+    /// per edge slot.
     fn build(inputs: &SignatureInputs<'_>) -> Self {
         let span = inputs.span;
         let span_s =
             ((span.1.as_micros().saturating_sub(span.0.as_micros())) as f64 / 1e6).max(1e-6);
         let records = inputs.records;
-        let bytes: Vec<f64> = records.iter().map(|r| r.byte_count as f64).collect();
-        let packets: Vec<f64> = records.iter().map(|r| r.packet_count as f64).collect();
         let durations: Vec<f64> = records.iter().map(|r| r.duration_s).collect();
         let slots = inputs.edge_slots();
-        let edge_bytes = slots.gather(records, |r| r.byte_count as f64);
+        let edge_bytes = slots.gather(records, |r| r.byte_count);
         let edge_durations = slots.gather(records, |r| r.duration_s);
         FlowStatsSig {
-            flow_count: bytes.len(),
-            flows_per_sec: bytes.len() as f64 / span_s,
-            bytes: MeanStd::of(&bytes),
-            packets: MeanStd::of(&packets),
+            flow_count: records.len(),
+            flows_per_sec: records.len() as f64 / span_s,
+            bytes: Moments::of(records.iter().map(|r| r.byte_count)).summary(),
+            packets: Moments::of(records.iter().map(|r| r.packet_count)).summary(),
             duration_s: MeanStd::of(&durations),
             per_edge: (slots.ranges())
                 .map(|(edge, at)| {
                     let stats = EdgeStats {
                         flow_count: at.len(),
-                        bytes: MeanStd::of(&edge_bytes[at.clone()]),
+                        bytes: Moments::of(edge_bytes[at.clone()].iter().copied()).summary(),
                         duration_s: MeanStd::of(&edge_durations[at]),
                     };
                     (edge, stats)
@@ -339,20 +338,22 @@ mod tests {
     }
 
     #[test]
-    fn same_key_records_fold_in_feed_order() {
+    fn same_key_records_fold_in_any_order() {
         // The last two share a `(first_seen, tuple)` key (hostile
-        // input); swapping them moves the last bit of `std`.
+        // input); byte counts sum exactly, so swapping them moves no bit.
         let feed = [
             record(1, 2, 1_000, 1),
             record(1, 2, 1_453, 2),
             record(1, 2, 2_453, 2),
         ];
         assert_eq!(feed[1].tuple, feed[2].tuple);
-        let bytes = build_fs(&feed).bytes;
-        assert_eq!(
-            (bytes.n, bytes.mean.to_bits(), bytes.std.to_bits()),
-            (3, 0x4099_8d55_5555_5555, 0x4087_3bb2_fc58_5d04)
-        );
+        let swapped = [feed[0].clone(), feed[2].clone(), feed[1].clone()];
+        let [a, b] = [&feed, &swapped].map(|feed| {
+            let bytes = build_fs(feed).bytes;
+            (bytes.n, bytes.mean.to_bits(), bytes.std.to_bits())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, (3, 0x4099_8d55_5555_5555, 0x4087_3bb2_fc58_5d05));
     }
 
     #[test]

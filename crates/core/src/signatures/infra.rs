@@ -487,16 +487,15 @@ impl PtFold {
     }
 }
 
-/// One pane's share of ISL: its samples in feed order, then hop order,
-/// each beside its switch pair's index in the [`IslFold`].
+/// One pane's share of ISL: the sums of its samples per switch pair,
+/// by the pair's index in the [`IslFold`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IslPartial {
-    samples: Vec<f64>,
-    pairs: Vec<u32>,
+    pairs: Vec<Moments>,
 }
 
-/// ISL's fold over pane partials in window order, and the index of the
-/// packed switch pairs its partials file samples under.
+/// ISL's fold over pane partials, and the index of the packed switch
+/// pairs its partials file sums under.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IslFold {
     pairs: KeyIndex,
@@ -525,28 +524,26 @@ impl IslFold {
                     continue;
                 };
                 let (from, to) = (catalog.switch_of(a.in_port), catalog.switch_of(b.in_port));
-                part.pairs
-                    .push(self.pairs.of(pack_switch_pair(from, to)) as u32);
-                part.samples.push(delta as f64);
+                let pair = self.pairs.of(pack_switch_pair(from, to));
+                if pair >= part.pairs.len() {
+                    part.pairs.resize(pair + 1, Moments::default());
+                }
+                part.pairs[pair].add(delta);
             }
         }
         part
     }
 
-    /// Each switch pair's summary over the samples of `parts`, in window
-    /// order.
+    /// Each switch pair's summary over the sums of `parts`.
     pub(crate) fn finish<'a>(
         &self,
-        parts: impl Iterator<Item = &'a IslPartial> + Clone,
+        parts: impl Iterator<Item = &'a IslPartial>,
         catalog: &EntityCatalog,
     ) -> InterSwitchLatency {
-        let samples = parts.flat_map(|p| p.pairs.iter().zip(&p.samples));
         let mut moments = vec![Moments::default(); self.pairs.len()];
-        samples
-            .clone()
-            .for_each(|(&p, &x)| moments[p as usize].add(x));
-        moments.iter_mut().for_each(Moments::center);
-        samples.for_each(|(&p, &x)| moments[p as usize].spread(x));
+        for part in parts {
+            (moments.iter_mut().zip(&part.pairs)).for_each(|(m, &p)| *m += p);
+        }
         InterSwitchLatency {
             per_pair: (moments.iter().enumerate())
                 .filter(|(_, m)| !m.is_empty())
@@ -559,19 +556,21 @@ impl IslFold {
     }
 }
 
-/// One pane's share of CRT: its samples in feed order, then hop order,
-/// each beside its switch, and its unanswered `PacketIn`s.
+/// One pane's share of CRT: the sums of its samples per switch, by
+/// [`SwitchId`], and its unanswered `PacketIn`s.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CrtPartial {
-    samples: Vec<f64>,
-    switches: Vec<SwitchId>,
+    switches: Vec<Moments>,
     unanswered: usize,
 }
 
 impl CrtPartial {
     /// One sample per answered `PacketIn` (Figure 3: `t2 - t1`).
     pub(crate) fn of(records: &[&IRecord], catalog: &EntityCatalog) -> CrtPartial {
-        let mut part = CrtPartial::default();
+        let mut part = CrtPartial {
+            switches: vec![Moments::default(); catalog.n_switches()],
+            unanswered: 0,
+        };
         for record in records {
             for h in &record.hops {
                 match h.flow_mod_ts {
@@ -580,8 +579,7 @@ impl CrtPartial {
                     // sample rather than an underflowed response time.
                     Some(fm_ts) => {
                         if let Some(d) = fm_ts.checked_since(h.ts) {
-                            part.samples.push(d as f64);
-                            part.switches.push(catalog.switch_of(h.in_port));
+                            part.switches[catalog.switch_of(h.in_port).index()].add(d);
                         }
                     }
                     None => part.unanswered += 1,
@@ -593,30 +591,24 @@ impl CrtPartial {
 }
 
 impl ControllerResponse {
-    /// The summaries of the samples of `parts`, in window order, overall
-    /// and per switch (filed under the hop's [`SwitchId`], a `Vec`
-    /// index).
+    /// The summaries of the sums of `parts`, per switch and overall: the
+    /// overall sums are the per-switch ones added up.
     pub(crate) fn fold<'a>(
-        parts: impl Iterator<Item = &'a CrtPartial> + Clone,
+        parts: impl Iterator<Item = &'a CrtPartial>,
         catalog: &EntityCatalog,
     ) -> ControllerResponse {
-        let samples = (parts.clone()).flat_map(|p| p.switches.iter().zip(&p.samples));
-        let mut overall = Moments::default();
         let mut per_switch = vec![Moments::default(); catalog.n_switches()];
-        samples.clone().for_each(|(s, &x)| {
-            overall.add(x);
-            per_switch[s.index()].add(x);
-        });
-        overall.center();
-        per_switch.iter_mut().for_each(Moments::center);
-        samples.for_each(|(s, &x)| {
-            overall.spread(x);
-            per_switch[s.index()].spread(x);
-        });
+        let mut unanswered = 0;
+        for part in parts {
+            (per_switch.iter_mut().zip(&part.switches)).for_each(|(m, &p)| *m += p);
+            unanswered += part.unanswered;
+        }
+        let mut overall = Moments::default();
+        per_switch.iter().for_each(|&m| overall += m);
         let overall = overall.summary();
         ControllerResponse {
             answered: overall.n,
-            unanswered: parts.map(|p| p.unanswered).sum(),
+            unanswered,
             overall,
             per_switch: (0..)
                 .zip(&per_switch)
@@ -844,9 +836,10 @@ mod tests {
 
     /// Three records in window order whose last two share a
     /// `(first_seen, tuple)` key (hostile input) and differ in every
-    /// field PT, ISL and CRT read. Same-key records fold in feed order:
-    /// swapping them moves the attachment port and the last bit of each
-    /// `std` pinned below.
+    /// field PT, ISL and CRT read. PT attaches a host where its first
+    /// record entered, so swapping the two moves the attachment port;
+    /// ISL and CRT sum their samples exactly, so it moves nothing they
+    /// report.
     fn tie_feed() -> Vec<FlowRecord> {
         use crate::records::{FlowTuple, HopReport};
         use openflow::types::{IpProto, PortNo, Xid};
@@ -898,22 +891,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn isl_folds_same_key_records_in_feed_order() {
-        let isl: InterSwitchLatency = sig_of(&tie_feed());
-        assert_eq!(
-            bits(isl.per_pair[&(DatapathId(1), DatapathId(2))]),
-            (3, 0x4093_9eaa_aaaa_aaab, 0x4050_6bbf_db22_eb58)
-        );
+    /// The tie feed as built, and with its same-key records swapped.
+    fn tie_orders() -> [Vec<FlowRecord>; 2] {
+        let feed = tie_feed();
+        let mut swapped = feed.clone();
+        swapped.swap(1, 2);
+        [feed, swapped]
     }
 
     #[test]
-    fn crt_folds_same_key_records_in_feed_order() {
-        let crt: ControllerResponse = sig_of(&tie_feed());
-        assert_eq!(
-            bits(crt.overall),
-            (6, 0x406d_7aaa_aaaa_aaab, 0x4056_543b_11bd_a442)
-        );
+    fn isl_folds_same_key_records_in_any_order() {
+        let pair = (DatapathId(1), DatapathId(2));
+        let [a, b] =
+            tie_orders().map(|feed| bits(sig_of::<InterSwitchLatency>(&feed).per_pair[&pair]));
+        assert_eq!(a, b);
+        assert_eq!(a, (3, 0x4093_9eaa_aaaa_aaab, 0x4050_6bbf_db22_eb57));
+    }
+
+    #[test]
+    fn crt_folds_same_key_records_in_any_order() {
+        let [a, b] = tie_orders().map(|feed| bits(sig_of::<ControllerResponse>(&feed).overall));
+        assert_eq!(a, b);
+        assert_eq!(a, (6, 0x406d_7aaa_aaaa_aaab, 0x4056_543b_11bd_a443));
     }
 
     #[test]

@@ -61,9 +61,11 @@ pub struct SignatureInputs<'a> {
     /// signatures, every record in the log for infrastructure ones.
     /// Already interned through `catalog`, and in window order:
     /// ascending `(first_seen, tuple)`, records sharing a key in the
-    /// order the window holds them. Builds fold f64 samples and pick
-    /// first-wins attachments in feed order, so the order is part of
-    /// the input; [`SignatureInputs::new`] checks it in debug builds.
+    /// order the window holds them. Integer statistics are exact sums
+    /// that no order moves, but PT's first-wins attachment, FS's
+    /// real-valued durations and the serialized record list follow feed
+    /// order, so the order is part of the input;
+    /// [`SignatureInputs::new`] checks it in debug builds.
     pub records: &'a [&'a IRecord],
     /// The catalog the records were interned through. Builds resolve
     /// IDs back to addresses through it when they lay out the finished,

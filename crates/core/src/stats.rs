@@ -14,13 +14,22 @@ pub struct MeanStd {
 }
 
 impl MeanStd {
-    /// Summarizes a sample.
+    /// Summarizes a sample of real values: the mean of their left-fold
+    /// sum, then the spread about it. Integer samples are summed
+    /// exactly instead, so that no sample order can change their summary.
     pub fn of(samples: &[f64]) -> MeanStd {
-        let mut moments = Moments::default();
-        samples.iter().for_each(|&x| moments.add(x));
-        moments.center();
-        samples.iter().for_each(|&x| moments.spread(x));
-        moments.summary()
+        let n = samples.len();
+        if n == 0 {
+            return MeanStd::default();
+        }
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let squares: f64 = samples.iter().map(|x| (x - mean).powi(2)).sum();
+        let std = if n < 2 {
+            0.0
+        } else {
+            (squares / (n - 1) as f64).sqrt()
+        };
+        MeanStd { mean, std, n }
     }
 
     /// How many baseline standard deviations `other`'s mean lies from
@@ -32,74 +41,75 @@ impl MeanStd {
     }
 }
 
-/// The two sums [`MeanStd::of`] takes, one sample at a time: every sample
-/// through [`add`](Self::add), then [`center`](Self::center), then every
-/// sample again, in the same order, through [`spread`](Self::spread).
-/// A sequence handed over in pieces — the panes of a window, or one key's
-/// samples interleaved with other keys' — sums exactly as the one slice
-/// would, so a fold of per-pane samples matches a build over the whole
-/// window bit for bit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Moments {
-    sum: f64,
-    n: usize,
-    mean: f64,
-    squares: f64,
-}
+/// The largest sample [`Moments`] counts; a larger one counts as this.
+/// Samples come off the wire — `FlowRemoved` byte and packet counts,
+/// gaps between control-message timestamps — so each is bounded before
+/// it is squared: then Σx² fits a `u128` for any window under 2³²
+/// samples. 2⁴⁸ µs is 8.9 years and 2⁴⁸ bytes 256 TiB, so no real
+/// sample reaches it.
+const MAX_SAMPLE: u64 = 1 << 48;
 
-impl Default for Moments {
-    fn default() -> Moments {
-        // -0.0 is the additive identity (-0.0 + x == x for every x), so
-        // each sum is exactly the left fold of its samples, as
-        // `Iterator::sum` computes it.
-        Moments {
-            sum: -0.0,
-            n: 0,
-            mean: 0.0,
-            squares: -0.0,
-        }
-    }
-}
+/// Exact sums of integer samples: `[n, Σx, Σx²]`. Sums of integers are
+/// the same in any order, so adding samples or whole `Moments` in any
+/// order or split gives the same value, and subtracting a part added
+/// before restores the value it had. The sums saturate instead of
+/// wrapping past `u128` (over 2³² samples of [`MAX_SAMPLE`] in one
+/// window), so no input panics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Moments([u128; 3]);
 
 impl Moments {
-    /// First pass: one more sample.
-    pub(crate) fn add(&mut self, x: f64) {
-        self.sum += x;
-        self.n += 1;
+    /// The sums of `samples`.
+    pub(crate) fn of(samples: impl IntoIterator<Item = u64>) -> Moments {
+        let mut moments = Moments::default();
+        samples.into_iter().for_each(|x| moments.add(x));
+        moments
     }
 
-    /// Between the passes: fixes the mean.
-    pub(crate) fn center(&mut self) {
-        if self.n > 0 {
-            self.mean = self.sum / self.n as f64;
-        }
-    }
-
-    /// Second pass: the same sample again.
-    pub(crate) fn spread(&mut self, x: f64) {
-        self.squares += (x - self.mean).powi(2);
+    /// One more sample, capped at [`MAX_SAMPLE`].
+    pub(crate) fn add(&mut self, x: u64) {
+        let x = u128::from(x.min(MAX_SAMPLE));
+        *self += Moments([1, x, x * x]);
     }
 
     /// True when no sample was added.
     pub(crate) fn is_empty(&self) -> bool {
-        self.n == 0
+        self.0[0] == 0
     }
 
-    /// The summary, after both passes.
+    /// The mean and the sample standard deviation of the samples.
+    /// `n·Σx² − (Σx)²` is `n·Σ(x − mean)²` exactly, so the spread takes
+    /// one rounding; past `u128` it falls back to f64 sums.
     pub(crate) fn summary(&self) -> MeanStd {
-        match self.n {
-            0 => MeanStd::default(),
-            1 => MeanStd {
-                mean: self.mean,
-                std: 0.0,
-                n: 1,
-            },
-            n => MeanStd {
-                mean: self.mean,
-                std: (self.squares / (n - 1) as f64).sqrt(),
-                n,
-            },
+        let [n, sum, squares] = self.0;
+        if n == 0 {
+            return MeanStd::default();
         }
+        let (count, total) = (n as f64, sum as f64);
+        let mean = total / count;
+        let spread = (n.checked_mul(squares))
+            .zip(sum.checked_mul(sum))
+            .and_then(|(n_squares, sum_squared)| n_squares.checked_sub(sum_squared));
+        let variance = match spread {
+            _ if n < 2 => 0.0,
+            Some(spread) => spread as f64 / (count * (count - 1.0)),
+            None => ((squares as f64 - total * mean) / (count - 1.0)).max(0.0),
+        };
+        let (std, n) = (variance.sqrt(), usize::try_from(n).unwrap_or(usize::MAX));
+        MeanStd { mean, std, n }
+    }
+}
+
+impl std::ops::AddAssign for Moments {
+    fn add_assign(&mut self, other: Moments) {
+        (self.0.iter_mut().zip(other.0)).for_each(|(a, b)| *a = a.saturating_add(b));
+    }
+}
+
+impl std::ops::SubAssign for Moments {
+    /// Takes back a part added before.
+    fn sub_assign(&mut self, other: Moments) {
+        (self.0.iter_mut().zip(other.0)).for_each(|(a, b)| *a = a.saturating_sub(b));
     }
 }
 
@@ -264,6 +274,75 @@ mod tests {
         assert!((s.std - 2.138089935).abs() < 1e-6);
         assert_eq!(MeanStd::of(&[]).n, 0);
         assert_eq!(MeanStd::of(&[3.0]).std, 0.0);
+    }
+
+    /// Samples whose two-pass f64 spread rounds to two different `std`
+    /// bits over their 720 orders.
+    const SAMPLES: [u64; 6] = [3, 1 << 40, 17, 999_999_937, 0, 1 << 40];
+
+    /// Every permutation of `xs`, by Heap's algorithm.
+    fn permutations(xs: &mut [u64], k: usize, out: &mut Vec<Vec<u64>>) {
+        if k <= 1 {
+            out.push(xs.to_vec());
+            return;
+        }
+        for i in 0..k {
+            permutations(xs, k - 1, out);
+            xs.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+    }
+
+    fn summary_bits(m: &Moments) -> (usize, u64, u64) {
+        let s = m.summary();
+        (s.n, s.mean.to_bits(), s.std.to_bits())
+    }
+
+    #[test]
+    fn moments_are_the_same_in_any_order_and_split() {
+        let whole = Moments::of(SAMPLES);
+        let mut orders = Vec::new();
+        permutations(&mut SAMPLES.clone(), SAMPLES.len(), &mut orders);
+        assert_eq!(orders.len(), 720);
+        for order in &orders {
+            for at in 0..=order.len() {
+                let mut parts = Moments::of(order[at..].iter().copied());
+                parts += Moments::of(order[..at].iter().copied());
+                assert_eq!(parts, whole, "{order:?} split at {at}");
+            }
+        }
+        let s = whole.summary();
+        let reference = MeanStd::of(&SAMPLES.map(|x| x as f64));
+        assert_eq!((s.n, s.mean), (reference.n, reference.mean));
+        assert!((s.std - reference.std).abs() <= 1e-12 * reference.std);
+    }
+
+    #[test]
+    fn removing_a_part_restores_the_moments() {
+        let mut moments = Moments::of(SAMPLES[..4].iter().copied());
+        let before = moments;
+        let part = Moments::of(SAMPLES[4..].iter().copied());
+        moments += part;
+        assert_ne!(moments, before);
+        moments -= part;
+        assert_eq!(moments, before);
+        assert_eq!(summary_bits(&moments), summary_bits(&before));
+    }
+
+    #[test]
+    fn huge_samples_neither_panic_nor_wrap() {
+        let capped = Moments::of([u64::MAX; 3]);
+        let s = capped.summary();
+        assert_eq!((s.n, s.mean, s.std), (3, MAX_SAMPLE as f64, 0.0));
+        let spread = Moments::of([0, u64::MAX, 5]);
+        let s = spread.summary();
+        assert!(s.mean.is_finite() && s.std.is_finite() && s.std > 0.0);
+        // Past u128: the sums saturate and the spread falls back to f64.
+        let mut full = Moments([u128::MAX; 3]);
+        full += full;
+        full.add(u64::MAX);
+        let s = full.summary();
+        assert!(s.mean.is_finite() && s.std.is_finite(), "{s:?}");
+        full -= spread;
     }
 
     #[test]

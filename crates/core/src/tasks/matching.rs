@@ -5,9 +5,6 @@
 //! flows, tolerate interleaved unrelated traffic up to a 1-second bound,
 //! and report a task occurrence when they complete a final state. Masked
 //! automata bind `#k` host references to concrete IPs by unification.
-//!
-//! With more than one automaton in the library, detection fans out
-//! across threads (one per automaton) using crossbeam's scoped threads.
 
 use std::net::Ipv4Addr;
 
@@ -310,8 +307,7 @@ impl TaskLibrary {
     }
 
     /// Detects all known tasks in a time-ordered record list, returning
-    /// the task time series. Automata are matched in parallel when the
-    /// library holds more than one.
+    /// the task time series, sorted by start time, then task name.
     pub fn detect(&self, records: &[FlowRecord], config: &FlowDiffConfig) -> Vec<TaskEvent> {
         // Intern the live log's endpoints into a local catalog, then
         // resolve every automaton's host references against it once, so
@@ -331,29 +327,16 @@ impl TaskLibrary {
                 })
                 .collect()
         };
-        let resolved: Vec<ResolvedAutomaton<'_>> = self
-            .automata
-            .iter()
-            .map(|a| ResolvedAutomaton::new(a, &catalog))
-            .collect();
-
-        let mut events: Vec<TaskEvent> = if resolved.len() <= 1 {
-            resolved
-                .iter()
-                .flat_map(|a| detect_one(a, &flows, &catalog, config))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = resolved
-                    .iter()
-                    .map(|a| scope.spawn(|| detect_one(a, &flows, &catalog, config)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("matcher thread panicked"))
-                    .collect()
+        let mut events: Vec<TaskEvent> = (self.automata.iter())
+            .flat_map(|a| {
+                detect_one(
+                    &ResolvedAutomaton::new(a, &catalog),
+                    &flows,
+                    &catalog,
+                    config,
+                )
             })
-        };
+            .collect();
         events.sort_by_key(|e| (e.start, e.task.clone()));
         events
     }
